@@ -16,14 +16,20 @@
 //!    engine is deterministic at any parallelism, so only timings and
 //!    morsel counts may differ.
 
-use all_in_one::algebra::oracle_like;
+use all_in_one::algebra::explain::render_analyzed;
+use all_in_one::algebra::{
+    execute_traced, oracle_like, AggFunc, BinOp, EngineProfile, ExecMode, Plan, ScalarExpr,
+};
 use all_in_one::algos::common::{db_for, EdgeStyle};
 use all_in_one::algos::{pagerank, tc};
 use all_in_one::graph::Graph;
+use all_in_one::storage::{edge_schema, row, Catalog, Relation};
+use all_in_one::trace::Tracer;
 use all_in_one::withplus::Database;
 use proptest::prelude::*;
 
 const GOLDEN_PATH: &str = "tests/golden/spans.txt";
+const GOLDEN_BATCH_PATH: &str = "tests/golden/spans_batch.txt";
 
 /// The same fixed 10-node DAG as `golden_table2.rs` (kept in sync by this
 /// edge list; see that file for why it is written out by hand).
@@ -51,8 +57,8 @@ fn golden_graph() -> Graph {
     g
 }
 
-fn pagerank_db(g: &Graph) -> Database {
-    let mut db = db_for(g, &oracle_like(), EdgeStyle::PageRank).unwrap();
+fn pagerank_db(g: &Graph, profile: &EngineProfile) -> Database {
+    let mut db = db_for(g, profile, EdgeStyle::PageRank).unwrap();
     db.set_param("c", 0.85);
     db.set_param("n", g.node_count() as f64);
     db
@@ -79,24 +85,102 @@ fn compute_goldens() -> String {
          # away. Regenerate with GOLDEN_WRITE=1 after an intentional\n\
          # execution-shape change.\n",
     );
-    out.push_str(&section("pagerank", &mut pagerank_db(&g), &pagerank::sql(5)));
+    out.push_str(&section("pagerank", &mut pagerank_db(&g, &oracle_like()), &pagerank::sql(5)));
     let mut db = db_for(&g, &oracle_like(), EdgeStyle::Raw).unwrap();
     out.push_str(&section("tc", &mut db, &tc::sql(8)));
     out
 }
 
-#[test]
-fn span_trees_match_committed_goldens() {
-    let actual = compute_goldens();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+/// [`section`] for a hand-built plan run straight through the evaluator.
+fn plan_section(name: &str, plan: &Plan, catalog: &Catalog, profile: &EngineProfile) -> String {
+    let tracer = Tracer::new();
+    execute_traced(plan, catalog, profile, Some(&tracer)).unwrap();
+    let trace = tracer.finish();
+    trace.validate().unwrap();
+    let spans: Vec<_> = trace.spans.iter().collect();
+    format!(
+        "## {name}: report\n{}## {name}: spans\n{}",
+        render_analyzed(plan, &spans, false),
+        trace.normalized().render_tree()
+    )
+}
+
+/// `Aggregate(Select(Distinct(UnionAll(E, E))))`: a bridging operator
+/// (distinct has no column kernel) fed by, and feeding, kernel operators.
+fn bridging_plan() -> Plan {
+    Plan::Aggregate {
+        input: Box::new(Plan::Select {
+            input: Box::new(Plan::Distinct(Box::new(Plan::UnionAll {
+                left: Box::new(Plan::scan("E")),
+                right: Box::new(Plan::scan("E")),
+            }))),
+            pred: ScalarExpr::binary(BinOp::Gt, ScalarExpr::col("E.ew"), ScalarExpr::lit(1.0)),
+        }),
+        group_by: vec!["E.F".into()],
+        items: vec![
+            (ScalarExpr::col("E.F"), "F".into()),
+            (ScalarExpr::Agg(AggFunc::Sum, Box::new(ScalarExpr::col("E.ew"))), "s".into()),
+        ],
+    }
+}
+
+/// The triangle pattern E1(a,b) ⋈ E2(b,c) ⋈ E3(c,a) as a leapfrog join.
+fn triangle_plan() -> Plan {
+    Plan::MultiwayJoin {
+        children: vec![
+            Plan::scan_as("E", "E1"),
+            Plan::scan_as("E", "E2"),
+            Plan::scan_as("E", "E3"),
+        ],
+        vars: vec![
+            vec![Some(0), Some(1), None],
+            vec![Some(1), Some(2), None],
+            vec![Some(2), Some(0), None],
+        ],
+        var_names: vec!["a".into(), "b".into(), "c".into()],
+        agm_est: 11,
+    }
+}
+
+/// The [`compute_goldens`] scenarios under [`ExecMode::Batch`], plus two
+/// hand-built plans covering the row⇄column bridge in both directions.
+fn compute_batch_goldens() -> String {
+    let g = golden_graph();
+    let batch = oracle_like().with_exec(ExecMode::Batch);
+    let mut out = String::from(
+        "# Golden span trees under ExecMode::Batch: the spans.txt scenarios\n\
+         # plus a bridging plan and a multiway join (see golden_spans.rs).\n\
+         # Regenerate with GOLDEN_WRITE=1 after an intentional change.\n",
+    );
+    out.push_str(&section("pagerank", &mut pagerank_db(&g, &batch), &pagerank::sql(5)));
+    let mut db = db_for(&g, &batch, EdgeStyle::Raw).unwrap();
+    out.push_str(&section("tc", &mut db, &tc::sql(8)));
+    let mut c = Catalog::new();
+    let mut e = Relation::new(edge_schema());
+    e.extend([
+        row![1, 2, 1.0],
+        row![2, 3, 2.0],
+        row![3, 1, 3.0],
+        row![1, 3, 4.0],
+        row![1, 2, 2.0],
+    ])
+    .unwrap();
+    c.create_table("E", e).unwrap();
+    out.push_str(&plan_section("bridging", &bridging_plan(), &c, &batch));
+    out.push_str(&plan_section("triangle", &triangle_plan(), &c, &batch));
+    out
+}
+
+fn assert_matches_golden(actual: &str, golden_path: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden_path);
     if std::env::var_os("GOLDEN_WRITE").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
+        std::fs::write(&path, actual).unwrap();
         eprintln!("wrote {}", path.display());
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {GOLDEN_PATH} ({e}); run with GOLDEN_WRITE=1")
+        panic!("missing golden file {golden_path} ({e}); run with GOLDEN_WRITE=1")
     });
     if expected != actual {
         let mismatches: Vec<String> = expected
@@ -117,9 +201,20 @@ fn span_trees_match_committed_goldens() {
 }
 
 #[test]
+fn span_trees_match_committed_goldens() {
+    assert_matches_golden(&compute_goldens(), GOLDEN_PATH);
+}
+
+#[test]
+fn batch_span_trees_match_committed_goldens() {
+    assert_matches_golden(&compute_batch_goldens(), GOLDEN_BATCH_PATH);
+}
+
+#[test]
 fn golden_runs_are_deterministic_modulo_timestamps() {
     // Two fresh executions must render identically once normalized.
     assert_eq!(compute_goldens(), compute_goldens());
+    assert_eq!(compute_batch_goldens(), compute_batch_goldens());
 }
 
 #[test]
@@ -144,7 +239,7 @@ fn tc_iteration_deltas_drain_to_the_fixpoint() {
 #[test]
 fn pr_iteration_telemetry_matches_union_by_update_semantics() {
     let g = golden_graph();
-    let mut db = pagerank_db(&g);
+    let mut db = pagerank_db(&g, &oracle_like());
     let out = db.execute(&pagerank::sql(5)).unwrap();
     assert_eq!(out.stats.iterations.len(), 5);
     // 8 of the 10 nodes have in-edges; the MV-join delta is exactly those
