@@ -1,7 +1,9 @@
 #!/bin/sh
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# The whole CI pipeline; .github/workflows/ci.yml only installs the
+# toolchain and calls this script. Run before pushing.
 #
-#   ./ci.sh        tier-1: build, the default (smoke) test suite, clippy
+#   ./ci.sh        tier-1: build, the default (smoke) test suite, clippy,
+#                  the smoke blocks, and the benchmark package build
 #   ./ci.sh full   additionally runs every #[ignore]d heavyweight test:
 #                  the full differential matrix, the metamorphic sweep,
 #                  the incremental-vs-recompute IVM matrix, the
@@ -31,6 +33,15 @@ smoke)
     ;;
 esac
 cargo clippy --workspace --all-targets -- -D warnings
+
+# benchmark package: `benchmark/` is its own workspace, so nothing above
+# compiles it. Build it, run its self-check and its unit tests against the
+# crates as they are now — an engine signature it names (ExecMode,
+# with_exec, execute, optimize_plan, walk_pre_order, join_par, ...) that
+# changed must fail here, not in the bench pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # trace smoke: EXPLAIN ANALYZE must print an annotated plan and emit
 # schema-valid JSONL (the binary validates and prints "jsonl schema: OK").

@@ -25,6 +25,13 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Rows per processed chunk in [`select`], and the unit of the `batches=`
+/// EXPLAIN annotation: 4096 rows keeps a handful of 8-byte columns inside
+/// L1/L2 while amortizing per-chunk overhead, and matches the morsel
+/// threshold ([`crate::par::MIN_PARALLEL_ROWS`]) so chunk ranges compose
+/// with the morsel runner.
+pub const BATCH_SIZE: usize = 4096;
+
 /// Columnar scan: transpose the stored relation once, re-qualifying the
 /// schema in place of `ops::rename` (no row clones).
 pub(crate) fn scan(rel: &Relation, qualifier: &str) -> Batch {
@@ -32,10 +39,11 @@ pub(crate) fn scan(rel: &Relation, qualifier: &str) -> Batch {
 }
 
 /// σ over a batch. Comparison trees on Int/Float columns evaluate to a
-/// selection bitmap chunk-by-chunk (`batch_size` rows per chunk) with no
-/// row materialization; anything else falls back to a scratch-row scan
-/// under the same morsel contract as [`crate::ops::select_par`].
-pub(crate) fn select(
+/// selection bitmap chunk-by-chunk (`batch_size` rows per chunk — the
+/// evaluator passes [`BATCH_SIZE`]; chunking never changes the result)
+/// with no row materialization; anything else falls back to a scratch-row
+/// scan under the same morsel contract as [`crate::ops::select_par`].
+pub fn select(
     input: &Batch,
     pred: &ScalarExpr,
     par: usize,

@@ -2,8 +2,8 @@
 //! execution recorded.
 //!
 //! The traced [`Evaluator`](crate::Evaluator) stamps every operator span
-//! with the node's *pre-order id* (field `node`), assigned in the exact
-//! order [`walk_pre_order`] visits the plan. Re-walking the plan here and
+//! with the node's *pre-order id* (field `node`); both it and
+//! [`walk_pre_order`] follow [`Plan::children`]. Re-walking the plan here and
 //! grouping spans by that id yields per-node aggregates — invocation count,
 //! total wall time, output cardinality, and for joins the build/probe phase
 //! split — across however many times the plan ran (a with+ recursive step
@@ -125,36 +125,11 @@ pub fn describe(plan: &Plan) -> String {
 /// Visit `plan` in the evaluator's pre-order (node, then children in
 /// evaluation order), calling `f(id, node)` for each.
 pub fn walk_pre_order<'p>(plan: &'p Plan, f: &mut impl FnMut(u64, &'p Plan)) {
-    fn go<'p>(p: &'p Plan, seq: &mut u64, f: &mut impl FnMut(u64, &'p Plan)) {
-        let id = *seq;
-        *seq += 1;
+    let mut id = 0u64;
+    plan.visit(&mut |p| {
         f(id, p);
-        match p {
-            Plan::Scan { .. } | Plan::Values(_) => {}
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Window { input, .. }
-            | Plan::Distinct(input) => go(input, seq, f),
-            Plan::Join { left, right, .. }
-            | Plan::Product { left, right }
-            | Plan::UnionAll { left, right }
-            | Plan::Union { left, right }
-            | Plan::Difference { left, right }
-            | Plan::AntiJoin { left, right, .. }
-            | Plan::SemiJoin { left, right, .. } => {
-                go(left, seq, f);
-                go(right, seq, f);
-            }
-            Plan::MultiwayJoin { children, .. } => {
-                for c in children {
-                    go(c, seq, f);
-                }
-            }
-        }
-    }
-    let mut seq = 0u64;
-    go(plan, &mut seq, f);
+        id += 1;
+    });
 }
 
 /// Group op spans by their `node` field.
@@ -275,22 +250,7 @@ fn render_node(
         None => out.push_str("  (never executed)"),
     }
     out.push('\n');
-    let children: Vec<&Plan> = match p {
-        Plan::Scan { .. } | Plan::Values(_) => vec![],
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Window { input, .. }
-        | Plan::Distinct(input) => vec![input],
-        Plan::Join { left, right, .. }
-        | Plan::Product { left, right }
-        | Plan::UnionAll { left, right }
-        | Plan::Union { left, right }
-        | Plan::Difference { left, right }
-        | Plan::AntiJoin { left, right, .. }
-        | Plan::SemiJoin { left, right, .. } => vec![left, right],
-        Plan::MultiwayJoin { children, .. } => children.iter().collect(),
-    };
+    let children = p.children();
     let child_prefix = format!("{prefix}{pad}");
     for (i, c) in children.iter().enumerate() {
         render_node(

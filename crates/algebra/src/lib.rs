@@ -15,7 +15,7 @@
 //!   their *mechanisms* (join/aggregation strategy, WAL policy, index use).
 
 pub mod agg;
-mod batch;
+pub mod batch;
 pub mod error;
 pub mod explain;
 pub mod expr;
@@ -41,7 +41,7 @@ pub use optimize::{optimize_plan, push_selections};
 pub use plan::{execute, execute_traced, Evaluator, Plan};
 pub use profile::{
     all_profiles, db2_like, oracle_like, postgres_like, AggStrategy, EngineProfile,
-    ExecMode, JoinStrategy, Optimizer, DEFAULT_BATCH_SIZE,
+    ExecMode, JoinStrategy, Optimizer,
 };
 pub use semiring::{Semiring, BOOLEAN, COUNTING, MIN_MUL, TROPICAL};
 pub use stats::{estimate_nodes, ExecStats};

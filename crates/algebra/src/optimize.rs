@@ -95,166 +95,77 @@ fn belongs_to(e: &ScalarExpr, side_aliases: &[String]) -> bool {
 /// Push selections down joins/products wherever attribution is
 /// unambiguous. Idempotent.
 pub fn push_selections(plan: &Plan) -> Plan {
-    match plan {
-        Plan::Select { input, pred } => {
-            let input = push_selections(input);
-            match input {
-                Plan::Join {
-                    left,
-                    right,
-                    on,
-                    residual,
-                    kind,
-                } => {
-                    let mut cs = Vec::new();
-                    split_conjuncts(pred, &mut cs);
-                    let mut la = Vec::new();
-                    aliases(&left, &mut la);
-                    let mut ra = Vec::new();
-                    aliases(&right, &mut ra);
-                    let mut to_left = Vec::new();
-                    let mut to_right = Vec::new();
-                    let mut keep = Vec::new();
-                    for c in cs {
-                        if belongs_to(&c, &la) {
-                            to_left.push(c);
-                        } else if belongs_to(&c, &ra) {
-                            to_right.push(c);
-                        } else {
-                            keep.push(c);
-                        }
-                    }
-                    let wrap = |p: Box<Plan>, cs: Vec<ScalarExpr>| -> Box<Plan> {
-                        match conjoin(cs) {
-                            Some(pred) => Box::new(Plan::Select { input: p, pred }),
-                            None => p,
-                        }
-                    };
-                    let joined = Plan::Join {
-                        left: wrap(left, to_left),
-                        right: wrap(right, to_right),
-                        on,
-                        residual,
-                        kind,
-                    };
-                    match conjoin(keep) {
-                        Some(pred) => Plan::Select {
-                            input: Box::new(joined),
-                            pred,
-                        },
-                        None => joined,
-                    }
-                }
-                Plan::Product { left, right } => {
-                    let mut cs = Vec::new();
-                    split_conjuncts(pred, &mut cs);
-                    let mut la = Vec::new();
-                    aliases(&left, &mut la);
-                    let mut ra = Vec::new();
-                    aliases(&right, &mut ra);
-                    let (mut to_left, mut to_right, mut keep) = (vec![], vec![], vec![]);
-                    for c in cs {
-                        if belongs_to(&c, &la) {
-                            to_left.push(c);
-                        } else if belongs_to(&c, &ra) {
-                            to_right.push(c);
-                        } else {
-                            keep.push(c);
-                        }
-                    }
-                    let wrap = |p: Box<Plan>, cs: Vec<ScalarExpr>| -> Box<Plan> {
-                        match conjoin(cs) {
-                            Some(pred) => Box::new(Plan::Select { input: p, pred }),
-                            None => p,
-                        }
-                    };
-                    let prod = Plan::Product {
-                        left: wrap(left, to_left),
-                        right: wrap(right, to_right),
-                    };
-                    match conjoin(keep) {
-                        Some(pred) => Plan::Select {
-                            input: Box::new(prod),
-                            pred,
-                        },
-                        None => prod,
-                    }
-                }
-                other => Plan::Select {
-                    input: Box::new(other),
-                    pred: pred.clone(),
-                },
-            }
+    push_down(plan.clone())
+}
+
+/// Split `pred` into conjuncts attributable to `left`, to `right`, and the
+/// rest; wrap each side in its share and return `(left, right, rest)`.
+fn split_between(
+    pred: &ScalarExpr,
+    left: Box<Plan>,
+    right: Box<Plan>,
+) -> (Box<Plan>, Box<Plan>, Vec<ScalarExpr>) {
+    let mut cs = Vec::new();
+    split_conjuncts(pred, &mut cs);
+    let mut la = Vec::new();
+    aliases(&left, &mut la);
+    let mut ra = Vec::new();
+    aliases(&right, &mut ra);
+    let (mut to_left, mut to_right, mut keep) = (vec![], vec![], vec![]);
+    for c in cs {
+        if belongs_to(&c, &la) {
+            to_left.push(c);
+        } else if belongs_to(&c, &ra) {
+            to_right.push(c);
+        } else {
+            keep.push(c);
         }
-        Plan::Project { input, items } => Plan::Project {
-            input: Box::new(push_selections(input)),
-            items: items.clone(),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            items,
-        } => Plan::Aggregate {
-            input: Box::new(push_selections(input)),
-            group_by: group_by.clone(),
-            items: items.clone(),
-        },
-        Plan::Window {
-            input,
-            partition_by,
-            items,
-        } => Plan::Window {
-            input: Box::new(push_selections(input)),
-            partition_by: partition_by.clone(),
-            items: items.clone(),
-        },
-        Plan::Distinct(input) => Plan::Distinct(Box::new(push_selections(input))),
+    }
+    let wrap = |p: Box<Plan>, cs: Vec<ScalarExpr>| -> Box<Plan> {
+        match conjoin(cs) {
+            Some(pred) => Box::new(Plan::Select { input: p, pred }),
+            None => p,
+        }
+    };
+    (wrap(left, to_left), wrap(right, to_right), keep)
+}
+
+fn push_down(plan: Plan) -> Plan {
+    let Plan::Select { input, pred } = plan else {
+        return plan.map_children(push_down);
+    };
+    let (below, keep) = match push_down(*input) {
         Plan::Join {
             left,
             right,
             on,
             residual,
             kind,
-        } => Plan::Join {
-            left: Box::new(push_selections(left)),
-            right: Box::new(push_selections(right)),
-            on: on.clone(),
-            residual: residual.clone(),
-            kind: *kind,
+        } => {
+            let (left, right, keep) = split_between(&pred, left, right);
+            (
+                Plan::Join {
+                    left,
+                    right,
+                    on,
+                    residual,
+                    kind,
+                },
+                keep,
+            )
+        }
+        Plan::Product { left, right } => {
+            let (left, right, keep) = split_between(&pred, left, right);
+            (Plan::Product { left, right }, keep)
+        }
+        other => (other, vec![pred]),
+    };
+    match conjoin(keep) {
+        Some(pred) => Plan::Select {
+            input: Box::new(below),
+            pred,
         },
-        Plan::Product { left, right } => Plan::Product {
-            left: Box::new(push_selections(left)),
-            right: Box::new(push_selections(right)),
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(push_selections(left)),
-            right: Box::new(push_selections(right)),
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(push_selections(left)),
-            right: Box::new(push_selections(right)),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(push_selections(left)),
-            right: Box::new(push_selections(right)),
-        },
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            imp,
-        } => Plan::AntiJoin {
-            left: Box::new(push_selections(left)),
-            right: Box::new(push_selections(right)),
-            on: on.clone(),
-            imp: *imp,
-        },
-        Plan::SemiJoin { left, right, on } => Plan::SemiJoin {
-            left: Box::new(push_selections(left)),
-            right: Box::new(push_selections(right)),
-            on: on.clone(),
-        },
-        other => other.clone(),
+        None => below,
     }
 }
 
@@ -277,7 +188,7 @@ pub fn optimize_plan(plan: &Plan, catalog: &Catalog, level: Optimizer) -> Plan {
     match level {
         Optimizer::Off => plan.clone(),
         Optimizer::Rules => push_selections(plan),
-        Optimizer::Cost => cost_pass(&push_selections(plan), catalog, true, None),
+        Optimizer::Cost => cost_pass(push_selections(plan), catalog, true, None),
     }
 }
 
@@ -300,90 +211,42 @@ fn is_region(p: &Plan) -> bool {
 /// column order, so reordered regions get a restoring projection and column
 /// pruning is disabled. `needed` carries the column references a directly
 /// enclosing Project/Aggregate/Window consumes — the license for pruning.
-fn cost_pass(plan: &Plan, catalog: &Catalog, sensitive: bool, needed: Option<&[String]>) -> Plan {
-    if is_region(plan) {
-        if let Some(rewritten) = try_reorder(plan, catalog, sensitive, needed) {
+fn cost_pass(plan: Plan, catalog: &Catalog, sensitive: bool, needed: Option<&[String]>) -> Plan {
+    if is_region(&plan) {
+        if let Some(rewritten) = try_reorder(&plan, catalog, sensitive, needed) {
             return rewritten;
         }
     }
-    match plan {
-        Plan::Scan { .. } | Plan::Values(_) => plan.clone(),
-        Plan::Select { input, pred } => Plan::Select {
-            input: Box::new(cost_pass(input, catalog, sensitive, None)),
-            pred: pred.clone(),
-        },
-        Plan::Project { input, items } => {
-            let mut refs = Vec::new();
-            for (e, _) in items {
-                e.collect_cols(&mut refs);
-            }
-            Plan::Project {
-                input: Box::new(cost_pass(input, catalog, false, Some(&refs))),
-                items: items.clone(),
-            }
+    // A Project/Aggregate/Window caps what escapes its input: the columns
+    // it references are the license for pruning below it.
+    let capped = |input: Box<Plan>, mut refs: Vec<String>, items: &[(ScalarExpr, String)]| {
+        for (e, _) in items {
+            e.collect_cols(&mut refs);
         }
+        Box::new(cost_pass(*input, catalog, false, Some(&refs)))
+    };
+    match plan {
+        Plan::Project { input, items } => Plan::Project {
+            input: capped(input, Vec::new(), &items),
+            items,
+        },
         Plan::Aggregate {
             input,
             group_by,
             items,
-        } => {
-            let mut refs = group_by.clone();
-            for (e, _) in items {
-                e.collect_cols(&mut refs);
-            }
-            Plan::Aggregate {
-                input: Box::new(cost_pass(input, catalog, false, Some(&refs))),
-                group_by: group_by.clone(),
-                items: items.clone(),
-            }
-        }
+        } => Plan::Aggregate {
+            input: capped(input, group_by.clone(), &items),
+            group_by,
+            items,
+        },
         Plan::Window {
             input,
             partition_by,
             items,
-        } => {
-            let mut refs = partition_by.clone();
-            for (e, _) in items {
-                e.collect_cols(&mut refs);
-            }
-            Plan::Window {
-                input: Box::new(cost_pass(input, catalog, false, Some(&refs))),
-                partition_by: partition_by.clone(),
-                items: items.clone(),
-            }
-        }
-        Plan::Distinct(input) => {
-            Plan::Distinct(Box::new(cost_pass(input, catalog, sensitive, None)))
-        }
-        Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-            kind,
-        } => Plan::Join {
-            left: Box::new(cost_pass(left, catalog, sensitive, None)),
-            right: Box::new(cost_pass(right, catalog, sensitive, None)),
-            on: on.clone(),
-            residual: residual.clone(),
-            kind: *kind,
-        },
-        Plan::Product { left, right } => Plan::Product {
-            left: Box::new(cost_pass(left, catalog, sensitive, None)),
-            right: Box::new(cost_pass(right, catalog, sensitive, None)),
-        },
-        // Set operations consume both children positionally.
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(cost_pass(left, catalog, true, None)),
-            right: Box::new(cost_pass(right, catalog, true, None)),
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(cost_pass(left, catalog, true, None)),
-            right: Box::new(cost_pass(right, catalog, true, None)),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(cost_pass(left, catalog, true, None)),
-            right: Box::new(cost_pass(right, catalog, true, None)),
+        } => Plan::Window {
+            input: capped(input, partition_by.clone(), &items),
+            partition_by,
+            items,
         },
         Plan::AntiJoin {
             left,
@@ -391,36 +254,28 @@ fn cost_pass(plan: &Plan, catalog: &Catalog, sensitive: bool, needed: Option<&[S
             on,
             imp,
         } => {
-            let l = cost_pass(left, catalog, sensitive, None);
-            let r = cost_pass(right, catalog, false, None);
-            let r = semijoin_reduce(&l, r, on, catalog);
+            let l = cost_pass(*left, catalog, sensitive, None);
+            let r = cost_pass(*right, catalog, false, None);
+            let r = semijoin_reduce(&l, r, &on, catalog);
             Plan::AntiJoin {
                 left: Box::new(l),
                 right: Box::new(r),
-                on: on.clone(),
-                imp: *imp,
+                on,
+                imp,
             }
         }
         Plan::SemiJoin { left, right, on } => Plan::SemiJoin {
-            left: Box::new(cost_pass(left, catalog, sensitive, None)),
-            right: Box::new(cost_pass(right, catalog, false, None)),
-            on: on.clone(),
+            left: Box::new(cost_pass(*left, catalog, sensitive, None)),
+            right: Box::new(cost_pass(*right, catalog, false, None)),
+            on,
         },
-        // Already worst-case-optimal: recurse into the children only.
-        Plan::MultiwayJoin {
-            children,
-            vars,
-            var_names,
-            agm_est,
-        } => Plan::MultiwayJoin {
-            children: children
-                .iter()
-                .map(|c| cost_pass(c, catalog, sensitive, None))
-                .collect(),
-            vars: vars.clone(),
-            var_names: var_names.clone(),
-            agm_est: *agm_est,
-        },
+        // Set operations consume both children positionally.
+        Plan::UnionAll { .. } | Plan::Union { .. } | Plan::Difference { .. } => {
+            plan.map_children(|c| cost_pass(c, catalog, true, None))
+        }
+        // Everything else (a multiway join is already worst-case-optimal)
+        // passes its own sensitivity down.
+        _ => plan.map_children(|c| cost_pass(c, catalog, sensitive, None)),
     }
 }
 
@@ -726,7 +581,7 @@ fn try_reorder(
         .iter()
         .enumerate()
         .map(|(i, leaf)| {
-            let mut p = cost_pass(leaf, catalog, sensitive, None);
+            let mut p = cost_pass((*leaf).clone(), catalog, sensitive, None);
             if let Some(pred) = conjoin(leaf_filters[i].clone()) {
                 p = Plan::Select {
                     input: Box::new(p),
@@ -1287,31 +1142,10 @@ mod tests {
     }
 
     fn has_project_over_scan(p: &Plan) -> bool {
-        match p {
-            Plan::Project { input, .. }
-                if matches!(**input, Plan::Scan { .. } | Plan::Select { .. }) =>
-            {
-                true
-            }
-            Plan::Scan { .. } | Plan::Values(_) => false,
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Window { input, .. }
-            | Plan::Distinct(input) => has_project_over_scan(input),
-            Plan::Join { left, right, .. }
-            | Plan::Product { left, right }
-            | Plan::UnionAll { left, right }
-            | Plan::Union { left, right }
-            | Plan::Difference { left, right }
-            | Plan::AntiJoin { left, right, .. }
-            | Plan::SemiJoin { left, right, .. } => {
-                has_project_over_scan(left) || has_project_over_scan(right)
-            }
-            Plan::MultiwayJoin { children, .. } => {
-                children.iter().any(has_project_over_scan)
-            }
-        }
+        p.any(&|n| {
+            matches!(n, Plan::Project { input, .. }
+                if matches!(**input, Plan::Scan { .. } | Plan::Select { .. }))
+        })
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! equivalent of the paper's PSM translation where each step is an
 //! `INSERT INTO tmp SELECT ...`.
 
+use crate::batch::{self, BATCH_SIZE};
 use crate::error::Result;
 use crate::expr::ScalarExpr;
 use crate::ops;
@@ -13,7 +14,7 @@ use crate::ops::anti_join::AntiJoinImpl;
 use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
 use crate::profile::{EngineProfile, ExecMode, JoinStrategy};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, Catalog, Relation};
+use aio_storage::{Batch, Catalog, Relation, Schema};
 
 /// A logical plan node.
 #[derive(Clone, Debug)]
@@ -101,97 +102,103 @@ impl Plan {
         }
     }
 
-    /// All table names this plan reads (for dependency graphs).
-    pub fn collect_tables(&self, out: &mut Vec<String>) {
+    /// Direct inputs of this node, in the order the evaluator runs them.
+    /// Together with [`Plan::children_mut`] this is the only place that
+    /// knows every variant's shape: pre-order node ids (EXPLAIN ANALYZE,
+    /// [`crate::estimate_nodes`]) and every generic walk derive from it.
+    pub fn children(&self) -> Vec<&Plan> {
         match self {
-            Plan::Scan { table, .. } => out.push(table.clone()),
-            Plan::Values(_) => {}
+            Plan::Scan { .. } | Plan::Values(_) => vec![],
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Window { input, .. }
-            | Plan::Distinct(input) => input.collect_tables(out),
+            | Plan::Distinct(input) => vec![&**input],
             Plan::Join { left, right, .. }
             | Plan::Product { left, right }
             | Plan::UnionAll { left, right }
             | Plan::Union { left, right }
             | Plan::Difference { left, right }
             | Plan::AntiJoin { left, right, .. }
-            | Plan::SemiJoin { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-            Plan::MultiwayJoin { children, .. } => {
-                for c in children {
-                    c.collect_tables(out);
-                }
-            }
+            | Plan::SemiJoin { left, right, .. } => vec![&**left, &**right],
+            Plan::MultiwayJoin { children, .. } => children.iter().collect(),
         }
+    }
+
+    /// [`Plan::children`], mutably.
+    pub fn children_mut(&mut self) -> Vec<&mut Plan> {
+        match self {
+            Plan::Scan { .. } | Plan::Values(_) => vec![],
+            Plan::Select { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Window { input, .. }
+            | Plan::Distinct(input) => vec![&mut **input],
+            Plan::Join { left, right, .. }
+            | Plan::Product { left, right }
+            | Plan::UnionAll { left, right }
+            | Plan::Union { left, right }
+            | Plan::Difference { left, right }
+            | Plan::AntiJoin { left, right, .. }
+            | Plan::SemiJoin { left, right, .. } => vec![&mut **left, &mut **right],
+            Plan::MultiwayJoin { children, .. } => children.iter_mut().collect(),
+        }
+    }
+
+    /// This node with every direct child replaced by `f(child)`.
+    pub fn map_children(mut self, mut f: impl FnMut(Plan) -> Plan) -> Plan {
+        for c in self.children_mut() {
+            let hole = Plan::Values(Relation::new(Schema::new(Vec::new())));
+            *c = f(std::mem::replace(c, hole));
+        }
+        self
+    }
+
+    /// Call `f` on every node in pre-order (node, then children in
+    /// evaluation order).
+    pub fn visit<'p>(&'p self, f: &mut impl FnMut(&'p Plan)) {
+        f(self);
+        for c in self.children() {
+            c.visit(f);
+        }
+    }
+
+    /// Does `pred` hold for this node or any descendant?
+    pub fn any(&self, pred: &impl Fn(&Plan) -> bool) -> bool {
+        pred(self) || self.children().into_iter().any(|c| c.any(pred))
+    }
+
+    /// All table names this plan reads (for dependency graphs).
+    pub fn collect_tables(&self, out: &mut Vec<String>) {
+        self.visit(&mut |p| {
+            if let Plan::Scan { table, .. } = p {
+                out.push(table.clone());
+            }
+        });
     }
 
     /// Does this plan reference `table` through a negated / non-monotone
     /// position (right side of difference or anti-join)? Used by the
     /// stratification analysis.
     pub fn references_negated(&self, table: &str) -> bool {
-        fn refs(p: &Plan, t: &str) -> bool {
-            let mut v = Vec::new();
-            p.collect_tables(&mut v);
-            v.iter().any(|x| x.eq_ignore_ascii_case(t))
-        }
-        match self {
-            Plan::Difference { left, right } | Plan::AntiJoin { left, right, .. } => {
-                refs(right, table)
-                    || left.references_negated(table)
-                    || right.references_negated(table)
-            }
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Window { input, .. }
-            | Plan::Distinct(input) => input.references_negated(table),
-            Plan::Join { left, right, .. }
-            | Plan::Product { left, right }
-            | Plan::UnionAll { left, right }
-            | Plan::Union { left, right }
-            | Plan::SemiJoin { left, right, .. } => {
-                left.references_negated(table) || right.references_negated(table)
-            }
-            Plan::MultiwayJoin { children, .. } => {
-                children.iter().any(|c| c.references_negated(table))
-            }
+        self.any(&|p| match p {
+            Plan::Difference { right, .. } | Plan::AntiJoin { right, .. } => scans(right, table),
             _ => false,
-        }
+        })
     }
 
     /// Does any aggregate appear over an input that references `table`?
     pub fn aggregates_over(&self, table: &str) -> bool {
-        fn refs(p: &Plan, t: &str) -> bool {
-            let mut v = Vec::new();
-            p.collect_tables(&mut v);
-            v.iter().any(|x| x.eq_ignore_ascii_case(t))
-        }
-        match self {
-            Plan::Aggregate { input, .. } | Plan::Window { input, .. } => {
-                refs(input, table) || input.aggregates_over(table)
-            }
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct(input) => input.aggregates_over(table),
-            Plan::Join { left, right, .. }
-            | Plan::Product { left, right }
-            | Plan::UnionAll { left, right }
-            | Plan::Union { left, right }
-            | Plan::Difference { left, right }
-            | Plan::AntiJoin { left, right, .. }
-            | Plan::SemiJoin { left, right, .. } => {
-                left.aggregates_over(table) || right.aggregates_over(table)
-            }
-            Plan::MultiwayJoin { children, .. } => {
-                children.iter().any(|c| c.aggregates_over(table))
-            }
+        self.any(&|p| match p {
+            Plan::Aggregate { input, .. } | Plan::Window { input, .. } => scans(input, table),
             _ => false,
-        }
+        })
     }
+}
+
+/// Does `plan` read `table` anywhere?
+fn scans(plan: &Plan, table: &str) -> bool {
+    plan.any(&|p| matches!(p, Plan::Scan { table: t, .. } if t.eq_ignore_ascii_case(table)))
 }
 
 /// The span name and short label for each operator, used by the traced
@@ -222,10 +229,11 @@ pub fn op_name(plan: &Plan) -> &'static str {
 /// With a tracer attached ([`Evaluator::with_tracer`]) every operator
 /// invocation opens one span named by [`op_name`], carrying the node's
 /// pre-order id (`node`), output cardinality (`rows_out`), and — for joins —
-/// build/probe phase timings and the morsel count. Node ids are assigned in
-/// the same pre-order that [`crate::explain`] walks, which is how EXPLAIN
-/// ANALYZE correlates spans back to plan nodes. Without a tracer the only
-/// extra cost per node is one `Option` branch.
+/// build/probe phase timings and the morsel count. Children are evaluated
+/// in [`Plan::children`] order, so node ids follow the pre-order of
+/// [`Plan::visit`] — which is how [`crate::explain`] correlates spans back to
+/// plan nodes. Without a tracer the only extra cost per node is one `Option`
+/// branch.
 pub struct Evaluator<'a> {
     pub catalog: &'a Catalog,
     pub profile: &'a EngineProfile,
@@ -272,11 +280,6 @@ impl<'a> Evaluator<'a> {
         ev
     }
 
-    /// Worker threads per the profile's parallelism knob (resolved).
-    fn par(&self) -> usize {
-        self.profile.effective_parallelism()
-    }
-
     /// Evaluate a plan from its root, restarting pre-order node numbering
     /// at 0 so repeated executions of the same plan produce spans with
     /// identical `node` ids (EXPLAIN aggregates across invocations by id).
@@ -285,130 +288,152 @@ impl<'a> Evaluator<'a> {
         if self.tracer.is_some() {
             self.est = crate::stats::estimate_nodes(plan, self.catalog);
         }
-        if self.profile.exec == ExecMode::Batch {
-            return Ok(self.eval_batch(plan)?.into_relation());
-        }
-        self.eval(plan)
+        Ok(self.eval(plan)?.into_relation())
     }
 
-    pub fn eval(&mut self, plan: &Plan) -> Result<Relation> {
-        let Some(t) = self.tracer else {
-            let out = self.eval_node(plan)?;
-            self.note_row_output(plan, &out);
-            return Ok(out);
-        };
-        let node = self.node_seq;
-        self.node_seq += 1;
-        let span = t.span(op_name(plan));
-        span.field("node", node);
-        if let Some(&e) = self.est.get(node as usize) {
-            span.field("est_rows", e);
-        }
-        if let Plan::Scan { table, alias } = plan {
-            span.field("table", table.as_str());
-            if let Some(a) = alias {
-                span.field("alias", a.as_str());
+    /// Evaluate one node: open its span, evaluate the children in
+    /// [`Plan::children`] order, run the operator, then record metrics and
+    /// the span's output fields (`batches` only on columnar outputs).
+    fn eval(&mut self, plan: &Plan) -> Result<Data> {
+        let span = self.tracer.map(|t| {
+            let node = self.node_seq;
+            self.node_seq += 1;
+            let span = t.span(op_name(plan));
+            span.field("node", node);
+            if let Some(&e) = self.est.get(node as usize) {
+                span.field("est_rows", e);
             }
+            if let Plan::Scan { table, alias } = plan {
+                span.field("table", table.as_str());
+                if let Some(a) = alias {
+                    span.field("alias", a.as_str());
+                }
+            }
+            span
+        });
+        let mut inputs = Vec::new();
+        for c in plan.children() {
+            inputs.push(self.eval(c)?);
         }
-        let out = self.eval_node(plan)?;
-        self.note_row_output(plan, &out);
-        span.field("rows_out", out.len() as u64);
-        if matches!(plan, Plan::Join { .. }) {
-            let ph = ops::last_join_phases();
-            span.field("morsels", ph.morsels);
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
+        let out = self.apply(plan, inputs)?;
+        let batches = match &out {
+            Data::Rows(_) => None,
+            Data::Cols(b) => Some(b.len().div_ceil(BATCH_SIZE).max(1) as u64),
+        };
+        // Metrics tap: one branch when disabled, otherwise per-operator-
+        // invocation counter updates (never per row).
+        if aio_metrics::enabled() {
+            let bytes = match &out {
+                Data::Rows(r) => r.approx_bytes(),
+                Data::Cols(b) => b.approx_bytes(),
+            };
+            if let Some(n) = batches {
+                aio_metrics::hooks::batches(n, bytes);
+            }
+            self.mem_peak = self.mem_peak.max(bytes);
+            aio_metrics::hooks::op_rows(op_name(plan), out.len() as u64);
         }
-        if matches!(plan, Plan::MultiwayJoin { .. }) {
-            let ph = crate::wcoj::last_wcoj_phases();
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
-            span.field("tries_cached", ph.tries_cached);
+        if let Some(span) = span {
+            span.field("rows_out", out.len() as u64);
+            if let Some(n) = batches {
+                span.field("batches", n);
+            }
+            if matches!(plan, Plan::Join { .. }) {
+                let ph = ops::last_join_phases();
+                span.field("morsels", ph.morsels);
+                span.field("build_ns", ph.build_ns);
+                span.field("probe_ns", ph.probe_ns);
+            }
+            if matches!(plan, Plan::MultiwayJoin { .. }) {
+                let ph = crate::wcoj::last_wcoj_phases();
+                span.field("build_ns", ph.build_ns);
+                span.field("probe_ns", ph.probe_ns);
+                span.field("tries_cached", ph.tries_cached);
+            }
         }
         Ok(out)
     }
 
-    /// Metrics tap on the row path: one branch when disabled, otherwise
-    /// per-operator-invocation counter updates (never per row).
-    #[inline]
-    fn note_row_output(&mut self, plan: &Plan, out: &Relation) {
-        if !aio_metrics::enabled() {
-            return;
-        }
-        self.mem_peak = self.mem_peak.max(out.approx_bytes());
-        aio_metrics::hooks::op_rows(op_name(plan), out.len() as u64);
-    }
-
-    /// Batch-path twin of [`Evaluator::note_row_output`]; additionally
-    /// counts logical batches and their estimated bytes.
-    #[inline]
-    fn note_batch_output(&mut self, plan: &Plan, out: &BVal) {
-        if !aio_metrics::enabled() {
-            return;
-        }
-        let bytes = match out {
-            BVal::Rows(r) => r.approx_bytes(),
-            BVal::Cols(b) => {
-                let batches = b.len().div_ceil(self.profile.batch_size.max(1)).max(1);
-                let bytes = b.approx_bytes();
-                aio_metrics::hooks::batches(batches as u64, bytes);
-                bytes
-            }
-        };
-        self.mem_peak = self.mem_peak.max(bytes);
-        aio_metrics::hooks::op_rows(op_name(plan), out.len() as u64);
-    }
-
-    fn eval_node(&mut self, plan: &Plan) -> Result<Relation> {
+    /// The operator dispatch: run `plan`'s operator over its already
+    /// evaluated `inputs` (one per [`Plan::children`] entry, same order).
+    ///
+    /// [`ExecMode`] only selects kernels here. Under `Batch`, the operators
+    /// with column kernels (scan, values, select, project, aggregate,
+    /// Int-key hash join, union all) take their inputs `into_batch()` and
+    /// produce columns; every other operator takes `into_relation()` — a
+    /// move in row mode, an exact transpose after a columnar producer — and
+    /// produces rows, so results are row-for-row identical in both modes.
+    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>) -> Result<Data> {
+        let columnar = self.profile.exec == ExecMode::Batch;
+        let par = self.profile.effective_parallelism();
+        let mut inputs = inputs.into_iter();
+        let mut next = || inputs.next().expect("eval passes one input per child");
         match plan {
             Plan::Scan { table, alias } => {
                 let rel = self.catalog.relation(table)?;
                 self.stats.rows_scanned += rel.len() as u64;
-                Ok(match alias {
-                    Some(a) => ops::rename(rel, a),
-                    None => ops::rename(rel, table_basename(table)),
+                let qual = alias.as_deref().unwrap_or(table);
+                Ok(if columnar {
+                    Data::Cols(batch::scan(rel, qual))
+                } else {
+                    Data::Rows(ops::rename(rel, qual))
                 })
             }
-            Plan::Values(rel) => Ok(rel.clone()),
-            Plan::Select { input, pred } => {
-                let rel = self.eval(input)?;
-                let out = ops::select_par(&rel, pred, self.par(), &mut self.stats)?;
+            Plan::Values(rel) => Ok(if columnar {
+                Data::Cols(Batch::from_relation(rel))
+            } else {
+                Data::Rows(rel.clone())
+            }),
+            Plan::Select { pred, .. } => {
+                let out = if columnar {
+                    let b = next().into_batch();
+                    Data::Cols(batch::select(&b, pred, par, BATCH_SIZE, &mut self.stats)?)
+                } else {
+                    let rel = next().into_relation();
+                    Data::Rows(ops::select_par(&rel, pred, par, &mut self.stats)?)
+                };
                 self.stats.rows_produced += out.len() as u64;
                 Ok(out)
             }
-            Plan::Project { input, items } => {
-                let rel = self.eval(input)?;
-                let out = ops::project_par(&rel, items, self.par(), &mut self.stats)?;
+            Plan::Project { items, .. } => {
+                let out = if columnar {
+                    let b = next().into_batch();
+                    Data::Cols(batch::project(&b, items, par, &mut self.stats)?)
+                } else {
+                    let rel = next().into_relation();
+                    Data::Rows(ops::project_par(&rel, items, par, &mut self.stats)?)
+                };
                 self.stats.rows_produced += out.len() as u64;
                 Ok(out)
             }
-            Plan::Aggregate {
-                input,
-                group_by,
-                items,
-            } => {
-                let rel = self.eval(input)?;
-                ops::group_by_par(
+            Plan::Aggregate { group_by, items, .. } => {
+                let agg = self.profile.agg;
+                let mut input = next();
+                if columnar {
+                    let b = input.into_batch();
+                    if let Some(out) =
+                        batch::group_by(&b, group_by, items, agg, par, &mut self.stats)?
+                    {
+                        return Ok(Data::Cols(out));
+                    }
+                    // sort aggregation, multi-column or non-Int keys
+                    input = Data::Cols(b);
+                }
+                let rel = input.into_relation();
+                Ok(Data::Rows(ops::group_by_par(
                     &rel,
                     group_by,
                     items,
-                    self.profile.agg,
-                    self.par(),
+                    agg,
+                    par,
                     &mut self.stats,
-                )
+                )?))
             }
-            Plan::Window {
-                input,
-                partition_by,
-                items,
-            } => {
-                let rel = self.eval(input)?;
-                ops::window(&rel, partition_by, items, &mut self.stats)
+            Plan::Window { partition_by, items, .. } => {
+                let rel = next().into_relation();
+                Ok(Data::Rows(ops::window(&rel, partition_by, items, &mut self.stats)?))
             }
-            Plan::Distinct(input) => {
-                let rel = self.eval(input)?;
-                Ok(ops::distinct(&rel))
-            }
+            Plan::Distinct(_) => Ok(Data::Rows(ops::distinct(&next().into_relation()))),
             Plan::Join {
                 left,
                 right,
@@ -416,22 +441,23 @@ impl<'a> Evaluator<'a> {
                 residual,
                 kind,
             } => {
-                // Index orders are only usable when the child is a direct
-                // table scan and the profile's plans react to indexes.
-                let lidx_src = self.index_source(left, on.iter().map(|(l, _)| l.as_str()));
-                let ridx_src = self.index_source(right, on.iter().map(|(_, r)| r.as_str()));
-                let lrel = self.eval(left)?;
-                let rrel = self.eval(right)?;
+                let (mut l, mut r) = (next(), next());
+                if columnar && self.profile.join == JoinStrategy::Hash && residual.is_none() {
+                    let (lb, rb) = (l.into_batch(), r.into_batch());
+                    let keys = JoinKeys::resolve_schemas(lb.schema(), rb.schema(), on)?;
+                    if !keys.left.is_empty() {
+                        if let Some(out) =
+                            batch::hash_join(&lb, &rb, &keys, *kind, par, &mut self.stats)?
+                        {
+                            return Ok(Data::Cols(out));
+                        }
+                    }
+                    // non-Int keys
+                    (l, r) = (Data::Cols(lb), Data::Cols(rb));
+                }
+                let (lrel, rrel) = (l.into_relation(), r.into_relation());
                 let keys = JoinKeys::resolve(&lrel, &rrel, on)?;
-                let lorder = lidx_src
-                    .as_ref()
-                    .and_then(|t| self.catalog.index_on(t, &keys.left))
-                    .map(|i| i.order());
-                let rorder = ridx_src
-                    .as_ref()
-                    .and_then(|t| self.catalog.index_on(t, &keys.right))
-                    .map(|i| i.order());
-                ops::join_par(
+                Ok(Data::Rows(ops::join_par(
                     &lrel,
                     &rrel,
                     &keys,
@@ -439,296 +465,59 @@ impl<'a> Evaluator<'a> {
                     *kind,
                     self.profile.join,
                     JoinOrders {
-                        left: lorder,
-                        right: rorder,
+                        left: self.index_order(left, &keys.left),
+                        right: self.index_order(right, &keys.right),
                     },
-                    self.par(),
-                    &mut self.stats,
-                )
-            }
-            Plan::Product { left, right } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                self.stats.joins += 1;
-                let out = ops::product(&l, &r)?;
-                self.stats.rows_produced += out.len() as u64;
-                Ok(out)
-            }
-            Plan::UnionAll { left, right } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                ops::union_all(&l, &r)
-            }
-            Plan::Union { left, right } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                ops::union_distinct(&l, &r)
-            }
-            Plan::Difference { left, right } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                ops::difference(&l, &r)
-            }
-            Plan::AntiJoin {
-                left,
-                right,
-                on,
-                imp,
-            } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                let keys = JoinKeys::resolve(&l, &r, on)?;
-                ops::anti_join_par(
-                    &l,
-                    &r,
-                    &keys,
-                    *imp,
-                    self.profile.join,
-                    self.par(),
-                    &mut self.stats,
-                )
-            }
-            Plan::SemiJoin { left, right, on } => {
-                let l = self.eval(left)?;
-                let r = self.eval(right)?;
-                let keys = JoinKeys::resolve(&l, &r, on)?;
-                ops::semi_join_par(&l, &r, &keys, self.par(), &mut self.stats)
-            }
-            Plan::MultiwayJoin { children, vars, var_names, .. } => {
-                let mut rels = Vec::with_capacity(children.len());
-                for c in children {
-                    rels.push(self.eval(c)?);
-                }
-                crate::wcoj::multiway_join(
-                    self.catalog,
-                    children,
-                    &rels,
-                    vars,
-                    var_names.len(),
-                    &mut self.stats,
-                )
-            }
-        }
-    }
-
-    /// Columnar evaluation ([`ExecMode::Batch`]): operators with batch
-    /// kernels keep data in typed SoA columns; the rest bridge through the
-    /// row operators via an exact `Batch` ⇄ `Relation` transpose, so the
-    /// result is row-for-row identical to [`Evaluator::eval`]. Spans carry
-    /// the same pre-order node ids and fields as the row path, plus a
-    /// `batches` count on columnar outputs.
-    fn eval_batch(&mut self, plan: &Plan) -> Result<BVal> {
-        let Some(t) = self.tracer else {
-            let out = self.eval_node_batch(plan)?;
-            self.note_batch_output(plan, &out);
-            return Ok(out);
-        };
-        let node = self.node_seq;
-        self.node_seq += 1;
-        let span = t.span(op_name(plan));
-        span.field("node", node);
-        if let Some(&e) = self.est.get(node as usize) {
-            span.field("est_rows", e);
-        }
-        if let Plan::Scan { table, alias } = plan {
-            span.field("table", table.as_str());
-            if let Some(a) = alias {
-                span.field("alias", a.as_str());
-            }
-        }
-        let out = self.eval_node_batch(plan)?;
-        self.note_batch_output(plan, &out);
-        span.field("rows_out", out.len() as u64);
-        if let BVal::Cols(b) = &out {
-            let batches = b.len().div_ceil(self.profile.batch_size.max(1)).max(1);
-            span.field("batches", batches as u64);
-        }
-        if matches!(plan, Plan::Join { .. }) {
-            let ph = ops::last_join_phases();
-            span.field("morsels", ph.morsels);
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
-        }
-        if matches!(plan, Plan::MultiwayJoin { .. }) {
-            let ph = crate::wcoj::last_wcoj_phases();
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
-            span.field("tries_cached", ph.tries_cached);
-        }
-        Ok(out)
-    }
-
-    fn eval_node_batch(&mut self, plan: &Plan) -> Result<BVal> {
-        match plan {
-            Plan::Scan { table, alias } => {
-                let rel = self.catalog.relation(table)?;
-                self.stats.rows_scanned += rel.len() as u64;
-                let qual = alias.as_deref().unwrap_or(table_basename(table));
-                Ok(BVal::Cols(crate::batch::scan(rel, qual)))
-            }
-            Plan::Values(rel) => Ok(BVal::Cols(Batch::from_relation(rel))),
-            Plan::Select { input, pred } => {
-                let b = self.eval_batch(input)?.into_batch();
-                let out = crate::batch::select(
-                    &b,
-                    pred,
-                    self.par(),
-                    self.profile.batch_size,
-                    &mut self.stats,
-                )?;
-                self.stats.rows_produced += out.len() as u64;
-                Ok(BVal::Cols(out))
-            }
-            Plan::Project { input, items } => {
-                let b = self.eval_batch(input)?.into_batch();
-                let out = crate::batch::project(&b, items, self.par(), &mut self.stats)?;
-                self.stats.rows_produced += out.len() as u64;
-                Ok(BVal::Cols(out))
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                items,
-            } => {
-                let b = self.eval_batch(input)?.into_batch();
-                match crate::batch::group_by(
-                    &b,
-                    group_by,
-                    items,
-                    self.profile.agg,
-                    self.par(),
-                    &mut self.stats,
-                )? {
-                    Some(out) => Ok(BVal::Cols(out)),
-                    None => {
-                        let rel = b.to_relation();
-                        Ok(BVal::Rows(ops::group_by_par(
-                            &rel,
-                            group_by,
-                            items,
-                            self.profile.agg,
-                            self.par(),
-                            &mut self.stats,
-                        )?))
-                    }
-                }
-            }
-            Plan::Window {
-                input,
-                partition_by,
-                items,
-            } => {
-                let rel = self.eval_batch(input)?.into_relation();
-                Ok(BVal::Rows(ops::window(&rel, partition_by, items, &mut self.stats)?))
-            }
-            Plan::Distinct(input) => {
-                let rel = self.eval_batch(input)?.into_relation();
-                Ok(BVal::Rows(ops::distinct(&rel)))
-            }
-            Plan::Join {
-                left,
-                right,
-                on,
-                residual,
-                kind,
-            } => {
-                let lidx_src = self.index_source(left, on.iter().map(|(l, _)| l.as_str()));
-                let ridx_src = self.index_source(right, on.iter().map(|(_, r)| r.as_str()));
-                let lb = self.eval_batch(left)?;
-                let rb = self.eval_batch(right)?;
-                if self.profile.join == JoinStrategy::Hash && residual.is_none() {
-                    let lbat = lb.into_batch();
-                    let rbat = rb.into_batch();
-                    let keys = JoinKeys::resolve_schemas(lbat.schema(), rbat.schema(), on)?;
-                    if !keys.left.is_empty() {
-                        if let Some(out) = crate::batch::hash_join(
-                            &lbat,
-                            &rbat,
-                            &keys,
-                            *kind,
-                            self.par(),
-                            &mut self.stats,
-                        )? {
-                            return Ok(BVal::Cols(out));
-                        }
-                    }
-                    // non-Int keys: bridge through the row join
-                    return self.row_join(
-                        &lbat.to_relation(),
-                        &rbat.to_relation(),
-                        on,
-                        residual,
-                        *kind,
-                        lidx_src,
-                        ridx_src,
-                    );
-                }
-                self.row_join(
-                    &lb.into_relation(),
-                    &rb.into_relation(),
-                    on,
-                    residual,
-                    *kind,
-                    lidx_src,
-                    ridx_src,
-                )
-            }
-            Plan::Product { left, right } => {
-                let l = self.eval_batch(left)?.into_relation();
-                let r = self.eval_batch(right)?.into_relation();
-                self.stats.joins += 1;
-                let out = ops::product(&l, &r)?;
-                self.stats.rows_produced += out.len() as u64;
-                Ok(BVal::Rows(out))
-            }
-            Plan::UnionAll { left, right } => {
-                let l = self.eval_batch(left)?.into_batch();
-                let r = self.eval_batch(right)?.into_batch();
-                Ok(BVal::Cols(crate::batch::union_all(&l, &r)?))
-            }
-            Plan::Union { left, right } => {
-                let l = self.eval_batch(left)?.into_relation();
-                let r = self.eval_batch(right)?.into_relation();
-                Ok(BVal::Rows(ops::union_distinct(&l, &r)?))
-            }
-            Plan::Difference { left, right } => {
-                let l = self.eval_batch(left)?.into_relation();
-                let r = self.eval_batch(right)?.into_relation();
-                Ok(BVal::Rows(ops::difference(&l, &r)?))
-            }
-            Plan::AntiJoin {
-                left,
-                right,
-                on,
-                imp,
-            } => {
-                let l = self.eval_batch(left)?.into_relation();
-                let r = self.eval_batch(right)?.into_relation();
-                let keys = JoinKeys::resolve(&l, &r, on)?;
-                Ok(BVal::Rows(ops::anti_join_par(
-                    &l,
-                    &r,
-                    &keys,
-                    *imp,
-                    self.profile.join,
-                    self.par(),
+                    par,
                     &mut self.stats,
                 )?))
             }
-            Plan::SemiJoin { left, right, on } => {
-                let l = self.eval_batch(left)?.into_relation();
-                let r = self.eval_batch(right)?.into_relation();
+            Plan::Product { .. } => {
+                let (l, r) = (next().into_relation(), next().into_relation());
+                self.stats.joins += 1;
+                let out = ops::product(&l, &r)?;
+                self.stats.rows_produced += out.len() as u64;
+                Ok(Data::Rows(out))
+            }
+            Plan::UnionAll { .. } => {
+                if columnar {
+                    let (l, r) = (next().into_batch(), next().into_batch());
+                    Ok(Data::Cols(batch::union_all(&l, &r)?))
+                } else {
+                    let (l, r) = (next().into_relation(), next().into_relation());
+                    Ok(Data::Rows(ops::union_all(&l, &r)?))
+                }
+            }
+            Plan::Union { .. } => {
+                let (l, r) = (next().into_relation(), next().into_relation());
+                Ok(Data::Rows(ops::union_distinct(&l, &r)?))
+            }
+            Plan::Difference { .. } => {
+                let (l, r) = (next().into_relation(), next().into_relation());
+                Ok(Data::Rows(ops::difference(&l, &r)?))
+            }
+            Plan::AntiJoin { on, imp, .. } => {
+                let (l, r) = (next().into_relation(), next().into_relation());
                 let keys = JoinKeys::resolve(&l, &r, on)?;
-                Ok(BVal::Rows(ops::semi_join_par(&l, &r, &keys, self.par(), &mut self.stats)?))
+                Ok(Data::Rows(ops::anti_join_par(
+                    &l,
+                    &r,
+                    &keys,
+                    *imp,
+                    self.profile.join,
+                    par,
+                    &mut self.stats,
+                )?))
+            }
+            Plan::SemiJoin { on, .. } => {
+                let (l, r) = (next().into_relation(), next().into_relation());
+                let keys = JoinKeys::resolve(&l, &r, on)?;
+                Ok(Data::Rows(ops::semi_join_par(&l, &r, &keys, par, &mut self.stats)?))
             }
             Plan::MultiwayJoin { children, vars, var_names, .. } => {
-                // the trie probe is inherently row-at-a-time: bridge the
-                // children out of columnar form and return rows
-                let mut rels = Vec::with_capacity(children.len());
-                for c in children {
-                    rels.push(self.eval_batch(c)?.into_relation());
-                }
-                Ok(BVal::Rows(crate::wcoj::multiway_join(
+                // the trie probe is inherently row-at-a-time
+                let rels: Vec<Relation> = inputs.map(Data::into_relation).collect();
+                Ok(Data::Rows(crate::wcoj::multiway_join(
                     self.catalog,
                     children,
                     &rels,
@@ -740,94 +529,49 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The row-engine join, shared by batch-mode bridges (merge/nested
-    /// strategies, residual predicates, non-Int keys).
-    #[allow(clippy::too_many_arguments)]
-    fn row_join(
-        &mut self,
-        lrel: &Relation,
-        rrel: &Relation,
-        on: &[(String, String)],
-        residual: &Option<ScalarExpr>,
-        kind: JoinType,
-        lidx_src: Option<String>,
-        ridx_src: Option<String>,
-    ) -> Result<BVal> {
-        let keys = JoinKeys::resolve(lrel, rrel, on)?;
-        let lorder = lidx_src
-            .as_ref()
-            .and_then(|t| self.catalog.index_on(t, &keys.left))
-            .map(|i| i.order());
-        let rorder = ridx_src
-            .as_ref()
-            .and_then(|t| self.catalog.index_on(t, &keys.right))
-            .map(|i| i.order());
-        Ok(BVal::Rows(ops::join_par(
-            lrel,
-            rrel,
-            &keys,
-            residual.as_ref(),
-            kind,
-            self.profile.join,
-            JoinOrders {
-                left: lorder,
-                right: rorder,
-            },
-            self.par(),
-            &mut self.stats,
-        )?))
-    }
-
-    /// The table whose stored index could serve this child, if any.
-    fn index_source<'s>(
-        &self,
-        child: &Plan,
-        _key_refs: impl Iterator<Item = &'s str>,
-    ) -> Option<String> {
-        if !self.profile.plan_uses_indexes {
-            return None;
-        }
+    /// The stored sort order on `cols` that can serve a join input: only
+    /// when the child is a direct table scan and the profile's plans react
+    /// to indexes.
+    fn index_order(&self, child: &Plan, cols: &[usize]) -> Option<&'a [u32]> {
         match child {
-            Plan::Scan { table, .. } => Some(table.clone()),
+            Plan::Scan { table, .. } if self.profile.plan_uses_indexes => {
+                self.catalog.index_on(table, cols).map(|i| i.order())
+            }
             _ => None,
         }
     }
 }
 
-/// A value flowing between operators in batch mode: columnar when the
-/// producing operator has a batch kernel, row-materialized when it
-/// bridged. The transpose is exact in both directions, so mixing the two
-/// shapes inside one plan cannot change results.
-enum BVal {
+/// A value flowing between operators: columnar when the producing operator
+/// ran a batch kernel, row-materialized otherwise. The two bridge methods
+/// are the only row⇄column transposes in the evaluator, and both are
+/// exact, so mixing the two shapes inside one plan cannot change results.
+enum Data {
     Rows(Relation),
     Cols(Batch),
 }
 
-impl BVal {
+impl Data {
     fn len(&self) -> usize {
         match self {
-            BVal::Rows(r) => r.len(),
-            BVal::Cols(b) => b.len(),
+            Data::Rows(r) => r.len(),
+            Data::Cols(b) => b.len(),
         }
     }
 
     fn into_batch(self) -> Batch {
         match self {
-            BVal::Rows(r) => Batch::from_relation(&r),
-            BVal::Cols(b) => b,
+            Data::Rows(r) => Batch::from_relation(&r),
+            Data::Cols(b) => b,
         }
     }
 
     fn into_relation(self) -> Relation {
         match self {
-            BVal::Rows(r) => r,
-            BVal::Cols(b) => b.to_relation(),
+            Data::Rows(r) => r,
+            Data::Cols(b) => b.to_relation(),
         }
     }
-}
-
-fn table_basename(t: &str) -> &str {
-    t
 }
 
 /// Convenience: evaluate a plan with fresh stats.

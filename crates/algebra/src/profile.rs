@@ -66,13 +66,14 @@ impl Optimizer {
     }
 }
 
-/// Execution representation (ISSUE 6).
+/// Execution representation: which kernels the (single) plan evaluator
+/// picks per operator.
 ///
 /// `Row` is the paper-faithful row-at-a-time pipeline; `Batch` runs the
-/// same plans over typed SoA [`aio_storage::Batch`] columns, bridging back
-/// to `Value` rows at operator boundaries the columnar engine doesn't
-/// cover and at the with+/SQL'99 boundary. Outputs are row-for-row
-/// identical in either mode.
+/// operators that have column kernels over typed SoA
+/// [`aio_storage::Batch`] columns, bridging back to `Value` rows at the
+/// operators that don't and at the with+/SQL'99 boundary. Outputs are
+/// row-for-row identical in either mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     Row,
@@ -88,13 +89,6 @@ impl ExecMode {
         }
     }
 }
-
-/// Default batch size (rows per processed chunk) for [`ExecMode::Batch`]:
-/// 4096 rows keeps a handful of 8-byte columns inside L1/L2 while
-/// amortizing per-batch overhead, and matches the morsel threshold
-/// ([`crate::par::MIN_PARALLEL_ROWS`]) so batch ranges compose with the
-/// morsel runner. Tunable via [`EngineProfile::with_batch_size`].
-pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
 /// One emulated RDBMS.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,9 +123,6 @@ pub struct EngineProfile {
     /// Execution representation: row-at-a-time (paper-faithful default)
     /// or typed columnar batches.
     pub exec: ExecMode,
-    /// Rows per chunk when `exec` is [`ExecMode::Batch`]; ignored in row
-    /// mode. See [`DEFAULT_BATCH_SIZE`] for tuning notes.
-    pub batch_size: usize,
 }
 
 impl EngineProfile {
@@ -159,12 +150,6 @@ impl EngineProfile {
         self
     }
 
-    /// Builder-style override of the columnar batch size (clamped to ≥ 1).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
     /// The knob resolved against the machine (`0` → available cores).
     pub fn effective_parallelism(&self) -> usize {
         crate::par::effective(self.parallelism)
@@ -185,7 +170,6 @@ pub fn oracle_like() -> EngineProfile {
         capture_snapshots: false,
         optimizer: Optimizer::Off,
         exec: ExecMode::Row,
-        batch_size: DEFAULT_BATCH_SIZE,
     }
 }
 
@@ -203,7 +187,6 @@ pub fn db2_like() -> EngineProfile {
         capture_snapshots: false,
         optimizer: Optimizer::Off,
         exec: ExecMode::Row,
-        batch_size: DEFAULT_BATCH_SIZE,
     }
 }
 
@@ -226,7 +209,6 @@ pub fn postgres_like(with_indexes: bool) -> EngineProfile {
         capture_snapshots: false,
         optimizer: Optimizer::Off,
         exec: ExecMode::Row,
-        batch_size: DEFAULT_BATCH_SIZE,
     }
 }
 

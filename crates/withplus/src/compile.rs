@@ -236,33 +236,19 @@ fn collect_index_specs(plan: &Plan, out: &mut Vec<(String, String)>) {
             }
         }
     };
-    match plan {
-        Plan::Join {
+    plan.visit(&mut |p| {
+        if let Plan::Join {
             left, right, on, ..
         }
         | Plan::AntiJoin {
             left, right, on, ..
         }
-        | Plan::SemiJoin { left, right, on } => {
+        | Plan::SemiJoin { left, right, on } = p
+        {
             note(left, on.iter().map(|(l, _)| l).collect(), out);
             note(right, on.iter().map(|(_, r)| r).collect(), out);
-            collect_index_specs(left, out);
-            collect_index_specs(right, out);
         }
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Window { input, .. }
-        | Plan::Distinct(input) => collect_index_specs(input, out),
-        Plan::Product { left, right }
-        | Plan::UnionAll { left, right }
-        | Plan::Union { left, right }
-        | Plan::Difference { left, right } => {
-            collect_index_specs(left, out);
-            collect_index_specs(right, out);
-        }
-        _ => {}
-    }
+    });
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ use crate::db::{optimize_compiled, Database};
 use crate::error::{Result, WithPlusError};
 use crate::lower::LowerCtx;
 use crate::parser::{Parser, Statement};
-use crate::psm::{changed_row_count, rebind_scan, rename_to, DEFAULT_MAX_RECURSION};
+use crate::psm::{rebind_scan, rename_to, union_by_update_checked, DEFAULT_MAX_RECURSION};
 use aio_algebra::ops::{self, UbuImpl};
 use aio_algebra::{AggFunc, EngineProfile, Evaluator, ExecStats, Plan, ScalarExpr};
 use aio_storage::{Catalog, FxHashMap, FxHashSet, Key, Relation, Row, WalPolicy};
@@ -217,103 +217,48 @@ fn front_table(view: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// Rebuild `plan`, offering every `Scan` node to `f`; a `Some` return
-/// replaces that node. The single walker behind table collection,
-/// occurrence counting and per-occurrence delta rebinding.
-fn map_scans(plan: &Plan, f: &mut dyn FnMut(&str, &Option<String>) -> Option<Plan>) -> Plan {
-    let mut rebox = |p: &Plan| Box::new(map_scans(p, f));
-    match plan {
-        Plan::Scan { table, alias } => f(table, alias).unwrap_or_else(|| plan.clone()),
-        Plan::Values(_) => plan.clone(),
-        Plan::Select { input, pred } => Plan::Select { input: rebox(input), pred: pred.clone() },
-        Plan::Project { input, items } => {
-            Plan::Project { input: rebox(input), items: items.clone() }
-        }
-        Plan::Aggregate { input, group_by, items } => Plan::Aggregate {
-            input: rebox(input),
-            group_by: group_by.clone(),
-            items: items.clone(),
-        },
-        Plan::Window { input, partition_by, items } => Plan::Window {
-            input: rebox(input),
-            partition_by: partition_by.clone(),
-            items: items.clone(),
-        },
-        Plan::Distinct(input) => Plan::Distinct(rebox(input)),
-        Plan::Join { left, right, on, residual, kind } => Plan::Join {
-            left: rebox(left),
-            right: rebox(right),
-            on: on.clone(),
-            residual: residual.clone(),
-            kind: *kind,
-        },
-        Plan::Product { left, right } => {
-            Plan::Product { left: rebox(left), right: rebox(right) }
-        }
-        Plan::UnionAll { left, right } => {
-            Plan::UnionAll { left: rebox(left), right: rebox(right) }
-        }
-        Plan::Union { left, right } => Plan::Union { left: rebox(left), right: rebox(right) },
-        Plan::Difference { left, right } => {
-            Plan::Difference { left: rebox(left), right: rebox(right) }
-        }
-        Plan::AntiJoin { left, right, on, imp } => Plan::AntiJoin {
-            left: rebox(left),
-            right: rebox(right),
-            on: on.clone(),
-            imp: *imp,
-        },
-        Plan::SemiJoin { left, right, on } => Plan::SemiJoin {
-            left: rebox(left),
-            right: rebox(right),
-            on: on.clone(),
-        },
-        Plan::MultiwayJoin { children, vars, var_names, agm_est } => Plan::MultiwayJoin {
-            children: children.iter().map(|c| map_scans(c, f)).collect(),
-            vars: vars.clone(),
-            var_names: var_names.clone(),
-            agm_est: *agm_est,
-        },
+/// replaces that node.
+fn map_scans(plan: Plan, f: &mut dyn FnMut(&str, &Option<String>) -> Option<Plan>) -> Plan {
+    if let Plan::Scan { table, alias } = &plan {
+        return f(table, alias).unwrap_or(plan);
     }
+    plan.map_children(|c| map_scans(c, f))
 }
 
 /// Normalized names of every table `plan` scans.
 fn collect_scan_tables(plan: &Plan, out: &mut BTreeSet<String>) {
-    let _ = map_scans(plan, &mut |t, _| {
-        out.insert(t.to_ascii_lowercase());
-        None
+    plan.visit(&mut |p| {
+        if let Plan::Scan { table, .. } = p {
+            out.insert(table.to_ascii_lowercase());
+        }
     });
 }
 
 /// How many `Scan` nodes of `table` the plan contains.
 fn count_scans(plan: &Plan, table: &str) -> usize {
     let mut n = 0usize;
-    let _ = map_scans(plan, &mut |t, _| {
-        if t.eq_ignore_ascii_case(table) {
+    plan.visit(&mut |p| {
+        if matches!(p, Plan::Scan { table: t, .. } if t.eq_ignore_ascii_case(table)) {
             n += 1;
         }
-        None
     });
     n
 }
 
 /// Clone of `plan` with exactly the `nth` occurrence (scan order) of
 /// `table` rebound to `replacement`, keeping the original name as alias.
-fn replace_nth_scan(plan: &Plan, table: &str, replacement: &str, nth: usize) -> Plan {
+pub fn replace_nth_scan(plan: &Plan, table: &str, replacement: &str, nth: usize) -> Plan {
     let mut seen = 0usize;
-    map_scans(plan, &mut |t, alias| {
+    map_scans(plan.clone(), &mut |t, alias| {
         if !t.eq_ignore_ascii_case(table) {
             return None;
         }
         let hit = seen == nth;
         seen += 1;
-        if hit {
-            Some(Plan::Scan {
-                table: replacement.to_string(),
-                alias: Some(alias.clone().unwrap_or_else(|| t.to_string())),
-            })
-        } else {
-            None
-        }
+        hit.then(|| Plan::Scan {
+            table: replacement.to_string(),
+            alias: Some(alias.clone().unwrap_or_else(|| t.to_string())),
+        })
     })
 }
 
@@ -574,9 +519,10 @@ impl<'a> Refresher<'a> {
                     }
                 }
             }
-            working = next.unwrap_or_else(|| {
-                Relation::new(self.catalog.relation(work).unwrap().schema().clone())
-            });
+            working = match next {
+                Some(w) => w,
+                None => Relation::new(self.catalog.relation(work)?.schema().clone()),
+            };
         }
         Ok(iters)
     }
@@ -602,8 +548,7 @@ impl<'a> Refresher<'a> {
             for step in &c.recursive {
                 let delta = self.eval(&step.plan)?;
                 let delta = rename_to(delta, &c.rec_cols)?;
-                let before = self.catalog.relation(work)?.clone();
-                ops::union_by_update(
+                let (before, _, step_changed) = union_by_update_checked(
                     self.catalog,
                     work,
                     delta,
@@ -612,9 +557,9 @@ impl<'a> Refresher<'a> {
                     self.profile,
                     &mut self.stats,
                 )?;
-                let after = self.catalog.relation(work)?;
-                if changed_row_count(&before, after) > 0 || !after.same_rows_unordered(&before) {
+                if step_changed {
                     changed = true;
+                    let after = self.catalog.relation(work)?;
                     match keys.and_then(|k| max_keyed_change(&before, after, k)) {
                         Some(d) => max_change = max_change.max(d),
                         None => structural = true,

@@ -109,103 +109,22 @@ pub(crate) fn rename_to(rel: Relation, names: &[String]) -> Result<Relation> {
 
 /// Rewrite direct scans of `rec` to scan `replacement` instead, keeping the
 /// original name as the alias so qualified references still resolve.
-pub(crate) fn rebind_scan(plan: &Plan, rec: &str, replacement: &str) -> Plan {
-    let rebox = |p: &Plan| Box::new(rebind_scan(p, rec, replacement));
-    match plan {
-        Plan::Scan { table, alias } if table.eq_ignore_ascii_case(rec) => Plan::Scan {
-            table: replacement.to_string(),
-            alias: Some(alias.clone().unwrap_or_else(|| table.clone())),
-        },
-        Plan::Scan { .. } | Plan::Values(_) => plan.clone(),
-        Plan::Select { input, pred } => Plan::Select {
-            input: rebox(input),
-            pred: pred.clone(),
-        },
-        Plan::Project { input, items } => Plan::Project {
-            input: rebox(input),
-            items: items.clone(),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            items,
-        } => Plan::Aggregate {
-            input: rebox(input),
-            group_by: group_by.clone(),
-            items: items.clone(),
-        },
-        Plan::Window {
-            input,
-            partition_by,
-            items,
-        } => Plan::Window {
-            input: rebox(input),
-            partition_by: partition_by.clone(),
-            items: items.clone(),
-        },
-        Plan::Distinct(input) => Plan::Distinct(rebox(input)),
-        Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-            kind,
-        } => Plan::Join {
-            left: rebox(left),
-            right: rebox(right),
-            on: on.clone(),
-            residual: residual.clone(),
-            kind: *kind,
-        },
-        Plan::Product { left, right } => Plan::Product {
-            left: rebox(left),
-            right: rebox(right),
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: rebox(left),
-            right: rebox(right),
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: rebox(left),
-            right: rebox(right),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: rebox(left),
-            right: rebox(right),
-        },
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            imp,
-        } => Plan::AntiJoin {
-            left: rebox(left),
-            right: rebox(right),
-            on: on.clone(),
-            imp: *imp,
-        },
-        Plan::SemiJoin { left, right, on } => Plan::SemiJoin {
-            left: rebox(left),
-            right: rebox(right),
-            on: on.clone(),
-        },
-        Plan::MultiwayJoin {
-            children,
-            vars,
-            var_names,
-            agm_est,
-        } => Plan::MultiwayJoin {
-            children: children.iter().map(|c| rebind_scan(c, rec, replacement)).collect(),
-            vars: vars.clone(),
-            var_names: var_names.clone(),
-            agm_est: *agm_est,
-        },
+pub fn rebind_scan(plan: &Plan, rec: &str, replacement: &str) -> Plan {
+    fn go(plan: Plan, rec: &str, replacement: &str) -> Plan {
+        match plan {
+            Plan::Scan { table, alias } if table.eq_ignore_ascii_case(rec) => Plan::Scan {
+                table: replacement.to_string(),
+                alias: Some(alias.unwrap_or(table)),
+            },
+            other => other.map_children(|c| go(c, rec, replacement)),
+        }
     }
+    go(plan.clone(), rec, replacement)
 }
 
 /// Multiset count of rows in `after` that are not covered by `before` —
 /// i.e. how many rows union-by-update inserted or overwrote.
-pub(crate) fn changed_row_count(before: &Relation, after: &Relation) -> usize {
+fn changed_row_count(before: &Relation, after: &Relation) -> usize {
     let mut counts: HashMap<&Row, i64> = HashMap::new();
     for r in before.rows() {
         *counts.entry(r).or_insert(0) += 1;
@@ -218,6 +137,26 @@ pub(crate) fn changed_row_count(before: &Relation, after: &Relation) -> usize {
         }
     }
     changed
+}
+
+/// Apply `delta` to `rec` by union-by-update and report what it did:
+/// `rec` as it was before, how many rows were inserted or overwritten, and
+/// the emptiness condition `C_i` (did `rec` change at all?).
+pub(crate) fn union_by_update_checked(
+    catalog: &mut Catalog,
+    rec: &str,
+    delta: Relation,
+    keys: Option<&[usize]>,
+    imp: UbuImpl,
+    profile: &EngineProfile,
+    stats: &mut ExecStats,
+) -> Result<(Relation, usize, bool)> {
+    let before = catalog.relation(rec)?.clone();
+    ops::union_by_update(catalog, rec, delta, keys, imp, profile, stats)?;
+    let after = catalog.relation(rec)?;
+    let changed_rows = changed_row_count(&before, after);
+    let changed = changed_rows > 0 || !after.same_rows_unordered(&before);
+    Ok((before, changed_rows, changed))
 }
 
 /// The runtime for one with+ execution.
@@ -429,7 +368,7 @@ impl<'a> PsmRunner<'a> {
         let working_name = format!("__delta_{}", c.rec_name);
         let seminaive = matches!(c.union, UnionMode::All | UnionMode::Distinct);
 
-        if let Some(k) = resume {
+        if resume.is_some() {
             // The recursive relation (and for semi-naive modes the working
             // table) must have been recovered; the loop picks up where the
             // last durable iteration commit left off.
@@ -445,7 +384,6 @@ impl<'a> PsmRunner<'a> {
                 )));
             }
             self.build_indexes(&c.rec_name)?;
-            let _ = k;
         } else {
             // --- initialization --------------------------------------------
             let mut init_rel: Option<Relation> = None;
@@ -459,7 +397,12 @@ impl<'a> PsmRunner<'a> {
                     Some(acc) => ops::union_all(&acc, &rel)?,
                 });
             }
-            let mut r0 = init_rel.expect("validated: at least one initial subquery");
+            let mut r0 = init_rel.ok_or_else(|| {
+                WithPlusError::Restriction(format!(
+                    "{} has no initial subquery",
+                    c.rec_name
+                ))
+            })?;
             // `union` keeps the recursive relation a set; duplicate rows
             // from the initial subqueries (e.g. multi-edges) must not
             // survive either, per SQL's distinct-union semantics.
@@ -582,8 +525,7 @@ impl<'a> PsmRunner<'a> {
                         });
                     }
                     UnionMode::ByUpdate(_) => {
-                        let before = self.catalog.relation(&c.rec_name)?.clone();
-                        ops::union_by_update(
+                        (_, sub.ubu_changed_rows, sub.changed) = union_by_update_checked(
                             self.catalog,
                             &c.rec_name,
                             delta,
@@ -592,10 +534,6 @@ impl<'a> PsmRunner<'a> {
                             self.profile,
                             &mut self.stats.exec,
                         )?;
-                        let after = self.catalog.relation(&c.rec_name)?;
-                        sub.ubu_changed_rows = changed_row_count(&before, after);
-                        sub.changed = sub.ubu_changed_rows > 0
-                            || !after.same_rows_unordered(&before);
                     }
                 }
                 changed |= sub.changed;
@@ -620,8 +558,10 @@ impl<'a> PsmRunner<'a> {
             }
 
             if seminaive {
-                let w = next_working
-                    .unwrap_or_else(|| Relation::new(self.catalog.relation(&c.rec_name).unwrap().schema().clone()));
+                let w = match next_working {
+                    Some(w) => w,
+                    None => Relation::new(self.catalog.relation(&c.rec_name)?.schema().clone()),
+                };
                 self.materialize(&working_name, w)?;
             }
             if changed {

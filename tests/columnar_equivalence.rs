@@ -7,9 +7,11 @@
 //! a differential smoke slice pitting the ` exec=batch` family against the
 //! natives, SQL'99 and the oracle.
 
+use all_in_one::algebra::batch::{self, BATCH_SIZE};
+use all_in_one::algebra::ops::select_par;
 use all_in_one::algebra::{
-    execute, oracle_like, postgres_like, AggFunc, BinOp, ExecMode, JoinType, Optimizer, Plan,
-    ScalarExpr,
+    execute, oracle_like, postgres_like, AggFunc, BinOp, ExecMode, ExecStats, JoinType,
+    Optimizer, Plan, ScalarExpr,
 };
 use all_in_one::prelude::*;
 use all_in_one::storage::{edge_schema, Batch, Catalog, ColumnVec, DataType, StringTable};
@@ -140,23 +142,25 @@ proptest! {
         }
     }
 
-    /// Batch-size must only change internal chunking, never results.
+    /// The chunk size only changes how `batch::select` walks its selection
+    /// bitmap, never what it keeps: chunk sizes on both sides of the input
+    /// length (and of a 64-bit bitmap word) agree with the row engine.
     #[test]
     fn batch_size_is_result_invariant(
         rel in edges(0..80),
-        shape in 0u8..6,
         thresh in -2.0f64..2.0,
     ) {
-        let plan = plan_for(shape, JoinType::Inner, thresh);
-        let mut c = Catalog::new();
-        c.create_table("E", rel).unwrap();
-        let reference = execute(
-            &plan, &c, &oracle_like().with_exec(ExecMode::Batch),
-        ).unwrap().0;
-        for bs in [1usize, 7, 64, 100_000] {
-            let prof = oracle_like().with_exec(ExecMode::Batch).with_batch_size(bs);
-            let (out, _) = execute(&plan, &c, &prof).unwrap();
-            prop_assert_eq!(reference.rows(), out.rows(), "batch_size={}", bs);
+        let pred = ScalarExpr::and(
+            ScalarExpr::binary(BinOp::Ge, ScalarExpr::col("F"), ScalarExpr::lit(3i64)),
+            pred_gt("ew", thresh),
+        );
+        let reference = select_par(&rel, &pred, 1, &mut ExecStats::new()).unwrap();
+        let input = Batch::from_relation(&rel);
+        for chunk in [1usize, 7, 64, BATCH_SIZE, rel.len() + 1] {
+            let out = batch::select(&input, &pred, 1, chunk, &mut ExecStats::new())
+                .unwrap()
+                .to_relation();
+            prop_assert_eq!(reference.rows(), out.rows(), "chunk={}", chunk);
         }
     }
 

@@ -128,24 +128,7 @@ fn catalog(e: Relation, vws: &[f64]) -> Catalog {
 
 /// Does the plan contain a `MultiwayJoin` node anywhere?
 fn contains_multiway(p: &Plan) -> bool {
-    match p {
-        Plan::MultiwayJoin { .. } => true,
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Window { input, .. }
-        | Plan::Distinct(input) => contains_multiway(input),
-        Plan::Join { left, right, .. }
-        | Plan::Product { left, right }
-        | Plan::UnionAll { left, right }
-        | Plan::Union { left, right }
-        | Plan::Difference { left, right }
-        | Plan::AntiJoin { left, right, .. }
-        | Plan::SemiJoin { left, right, .. } => {
-            contains_multiway(left) || contains_multiway(right)
-        }
-        Plan::Scan { .. } | Plan::Values(_) => false,
-    }
+    p.any(&|n| matches!(n, Plan::MultiwayJoin { .. }))
 }
 
 fn col_names(r: &Relation) -> Vec<(Option<String>, String)> {
