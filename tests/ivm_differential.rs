@@ -226,6 +226,94 @@ fn ivm_result_delta_stream_matches_golden() {
     assert_eq!(expected, out, "result-delta stream changed");
 }
 
+/// Iteration counts of the golden scenarios, pinned as literals: the cold
+/// statement (`RunStats.iterations.len()`) on the initial graph, then per
+/// batch the refresh's `mode:iterations` and the statement's count on the
+/// mutated base. A change to any fixpoint loop must not shift these.
+#[test]
+fn ivm_iteration_counts_are_pinned() {
+    let _g = fault_guard();
+    const PINNED: &[&str] = &[
+        "tc/grow: cold=3 | resume:2 cold=3 | resume:0 cold=3 | resume:4 cold=5",
+        "tc/churn: cold=3 | full:3 cold=3 | full:4 cold=4 | full:4 cold=4",
+        "sssp/grow: cold=1 | frontier:0 cold=1 | frontier:0 cold=1 | frontier:0 cold=1",
+        "sssp/churn: cold=1 | full:1 cold=1 | full:1 cold=1 | full:1 cold=1",
+        "wcc/grow: cold=4 | frontier:0 cold=4 | frontier:0 cold=4 | frontier:0 cold=4",
+        "wcc/churn: cold=4 | full:3 cold=3 | full:4 cold=4 | full:4 cold=4",
+        "pr/grow: cold=6 | reconverge:5 cold=7 | reconverge:5 cold=7 | reconverge:39 cold=86",
+        "pr/churn: cold=6 | reconverge:4 cold=5 | reconverge:36 cold=76 | reconverge:34 cold=72",
+    ];
+    let profile = oracle_like();
+    let g = generate(GraphKind::CitationDag, 10, 18, true, 5);
+    let scripts: Vec<_> = scripts_for(&g, 5)
+        .into_iter()
+        .filter(|s| s.name == "grow" || s.name == "churn")
+        .collect();
+    let mut got = Vec::new();
+    for (algo, script) in
+        ["tc", "sssp", "wcc", "pr"].into_iter().flat_map(|a| scripts.iter().map(move |s| (a, s)))
+    {
+        let view = format!("ivm_{algo}");
+        let mut db = build_ivm_db(&g, algo, &profile).unwrap_or_else(|e| panic!("{e}"));
+        let cold = |db: &mut all_in_one::withplus::Database| {
+            db.execute(view_sql(algo)).unwrap().stats.iterations.len()
+        };
+        let mut line = format!("{algo}/{}: cold={}", script.name, cold(&mut db));
+        db.create_view_with(&view, view_sql(algo), IVM_EPSILON).unwrap();
+        let mut edges: Vec<(u32, u32, f64)> = g.edges().collect();
+        let mut cur = g.clone();
+        for batch in &script.batches {
+            apply_batch(&mut edges, batch).expect("script applies");
+            let next = rebuild(g.node_count(), &edges, &g);
+            db.apply_edges(vec![e_delta(&e_rows(&cur, algo), &e_rows(&next, algo))]).unwrap();
+            cur = next;
+            let r = db.view_report(&view).expect("batch refreshes the view");
+            let refresh = format!("{}:{}", r.mode.label(), r.iterations);
+            line.push_str(&format!(" | {refresh} cold={}", cold(&mut db)));
+        }
+        got.push(line);
+    }
+    assert_eq!(got, PINNED, "a fixpoint iteration count moved");
+}
+
+/// The golden DAG never feeds the frontier path a productive seed (every
+/// `frontier:` above is 0), so pin one that does: SSSP from node 0 over a
+/// chain with 0-weight self-loops, a shortcut batch, then a batch reaching
+/// a disconnected node.
+#[test]
+fn ivm_frontier_iteration_counts_are_pinned() {
+    use all_in_one::storage::{edge_schema, node_schema, row, Relation};
+    use all_in_one::withplus::{Database, EdgeDelta};
+    let _g = fault_guard();
+    let mut e = Relation::new(edge_schema());
+    for v in 0..6i64 {
+        e.push(row![v, v, 0.0]).unwrap();
+    }
+    for (f, t, w) in [(0i64, 1i64, 4.0), (1, 2, 3.0), (2, 3, 2.0), (0, 4, 10.0)] {
+        e.push(row![f, t, w]).unwrap();
+    }
+    let mut v = Relation::new(node_schema());
+    for id in 0..6i64 {
+        v.push(row![id, if id == 0 { 0.0 } else { 1e18 }]).unwrap();
+    }
+    let mut db = Database::new(oracle_like());
+    db.create_table("E", e).unwrap();
+    db.create_table("V", v).unwrap();
+    let cold = |db: &mut Database| db.execute(view_sql("sssp")).unwrap().stats.iterations.len();
+    let mut got = format!("cold={}", cold(&mut db));
+    db.create_view("sssp_v", view_sql("sssp")).unwrap();
+    for batch in [vec![row![0i64, 2i64, 1.0]], vec![row![3i64, 5i64, 1.0], row![4i64, 3i64, 1.0]]] {
+        db.apply_edges(vec![EdgeDelta::insert("E", batch)]).unwrap();
+        let r = db.view_report("sssp_v").unwrap();
+        let refresh = format!("{}:{}", r.mode.label(), r.iterations);
+        got.push_str(&format!(" | {refresh} cold={}", cold(&mut db)));
+    }
+    assert_eq!(
+        got, "cold=4 | frontier:2 cold=3 | frontier:1 cold=4",
+        "a fixpoint iteration count moved"
+    );
+}
+
 /// Untouched corpora stay untouched: registering views and applying an
 /// empty batch refreshes nothing and emits nothing.
 #[test]
