@@ -211,3 +211,7 @@ if [ "$mode" = full ]; then
     echo "$ivm_out" | grep -q ">=2x: PASS"
     test -s BENCH_incremental.json
 fi
+
+# Tracked size (ROADMAP aim 2): engine + facade source lines, tests in
+# those files included — the one number "net lines of code" refers to.
+echo "loc: $(git ls-files 'crates/*.rs' 'src/*.rs' | xargs cat | wc -l)"

@@ -40,6 +40,32 @@ pub struct CompiledWithPlus {
     pub datalog: Program,
 }
 
+impl CompiledWithPlus {
+    /// Every plan of the statement: per body subquery its `computed by`
+    /// plans then its own, and last the final query.
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &Plan> {
+        self.init
+            .iter()
+            .chain(&self.recursive)
+            .flat_map(|s| s.computed.iter().map(|(_, _, p)| p).chain([&s.plan]))
+            .chain([&self.final_plan])
+    }
+
+    /// [`CompiledWithPlus::plans`], mutably.
+    pub(crate) fn plans_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
+        self.init
+            .iter_mut()
+            .chain(&mut self.recursive)
+            .flat_map(|s| s.computed.iter_mut().map(|(_, _, p)| p).chain([&mut s.plan]))
+            .chain([&mut self.final_plan])
+    }
+
+    /// Names of the `computed by` relations, in definition order.
+    pub(crate) fn computed_names(&self) -> impl Iterator<Item = &String> {
+        self.init.iter().chain(&self.recursive).flat_map(|s| s.computed.iter().map(|(n, _, _)| n))
+    }
+}
+
 /// Validate the Section 6 restrictions and compile.
 pub fn compile(stmt: &WithPlus, ctx: &LowerCtx<'_>) -> Result<CompiledWithPlus> {
     validate_shape(stmt)?;
@@ -106,20 +132,7 @@ pub fn compile(stmt: &WithPlus, ctx: &LowerCtx<'_>) -> Result<CompiledWithPlus> 
 
     let final_plan = lower_select(&stmt.final_select, ctx)?;
 
-    // Index specs: every (table, column) used as an equi-join key against a
-    // direct scan, gathered across all plans.
-    let mut index_specs = Vec::new();
-    for step in init.iter().chain(recursive.iter()) {
-        for (_, _, p) in &step.computed {
-            collect_index_specs(p, &mut index_specs);
-        }
-        collect_index_specs(&step.plan, &mut index_specs);
-    }
-    collect_index_specs(&final_plan, &mut index_specs);
-    index_specs.sort();
-    index_specs.dedup();
-
-    Ok(CompiledWithPlus {
+    let mut c = CompiledWithPlus {
         rec_name: stmt.rec_name.clone(),
         rec_cols: stmt.rec_cols.clone(),
         init,
@@ -127,9 +140,19 @@ pub fn compile(stmt: &WithPlus, ctx: &LowerCtx<'_>) -> Result<CompiledWithPlus> 
         union: stmt.union.clone(),
         max_recursion: stmt.max_recursion,
         final_plan,
-        index_specs,
+        index_specs: Vec::new(),
         datalog,
-    })
+    };
+    // Index specs: every (table, column) used as an equi-join key against a
+    // direct scan, gathered across all plans.
+    let mut index_specs = Vec::new();
+    for p in c.plans() {
+        collect_index_specs(p, &mut index_specs);
+    }
+    index_specs.sort();
+    index_specs.dedup();
+    c.index_specs = index_specs;
+    Ok(c)
 }
 
 fn validate_shape(stmt: &WithPlus) -> Result<()> {

@@ -42,15 +42,16 @@ pub(crate) fn optimize_compiled(
     if level == Optimizer::Off {
         return c;
     }
-    let opt = |p: &aio_algebra::Plan| optimize_plan(p, catalog, level);
-    for step in c.init.iter_mut().chain(c.recursive.iter_mut()) {
-        for (_, _, plan) in step.computed.iter_mut() {
-            *plan = opt(plan);
-        }
-        step.plan = opt(&step.plan);
+    for plan in c.plans_mut() {
+        *plan = optimize_plan(plan, catalog, level);
     }
-    c.final_plan = opt(&c.final_plan);
     c
+}
+
+/// What SQL text lowers to: the plans a statement runs as.
+enum Planned {
+    WithPlus(CompiledWithPlus),
+    Select(aio_algebra::Plan),
 }
 
 /// Parameter bindings in a deterministic order for durable logging.
@@ -284,17 +285,7 @@ impl Database {
             // re-execution is the resume.
             None => self.execute(&ir.sql).map(Some),
             Some(k) => {
-                let Statement::WithPlus(w) = Parser::parse_statement(&ir.sql)? else {
-                    return Err(WithPlusError::Restriction(
-                        "resume: logged statement is not with+".into(),
-                    ));
-                };
-                let ctx = LowerCtx::new(&self.params, self.anti_impl);
-                let compiled = optimize_compiled(
-                    compile(&w, &ctx)?,
-                    &self.catalog,
-                    self.profile.optimizer,
-                );
+                let compiled = self.plan_with_plus(&ir.sql, self.profile.optimizer)?;
                 self.catalog.wal_run_begin(&compiled.rec_name, &ir.sql, &sorted_params(&self.params))?;
                 let mut runner = PsmRunner::new(&mut self.catalog, &self.profile, self.ubu_impl);
                 runner.set_tracer(self.tracer.as_ref());
@@ -366,14 +357,31 @@ impl Database {
     /// Parse, validate and compile a with+ statement without running it
     /// (exposes the Theorem 5.1 DATALOG program for inspection).
     pub fn prepare(&self, sql: &str) -> Result<CompiledWithPlus> {
-        match Parser::parse_statement(sql)? {
+        self.plan_with_plus(sql, Optimizer::Off)
+    }
+
+    /// parse → `LowerCtx` → compile / lower → optimize at `level`: the one
+    /// place SQL text becomes plans.
+    fn plan(&self, sql: &str, level: Optimizer) -> Result<Planned> {
+        let ctx = LowerCtx::new(&self.params, self.anti_impl);
+        Ok(match Parser::parse_statement(sql)? {
             Statement::WithPlus(w) => {
-                let ctx = LowerCtx::new(&self.params, self.anti_impl);
-                compile(&w, &ctx)
+                Planned::WithPlus(optimize_compiled(compile(&w, &ctx)?, &self.catalog, level))
             }
-            Statement::Select(_) => Err(WithPlusError::Restriction(
-                "prepare expects a with+ statement".into(),
-            )),
+            Statement::Select(s) => {
+                Planned::Select(optimize_plan(&lower_select(&s, &ctx)?, &self.catalog, level))
+            }
+        })
+    }
+
+    /// [`Database::plan`] where only a with+ statement will do (`prepare`,
+    /// resuming a logged run, view definitions).
+    pub(crate) fn plan_with_plus(&self, sql: &str, level: Optimizer) -> Result<CompiledWithPlus> {
+        match self.plan(sql, level)? {
+            Planned::WithPlus(c) => Ok(c),
+            Planned::Select(_) => {
+                Err(WithPlusError::Restriction("expected a with+ statement".into()))
+            }
         }
     }
 
@@ -444,14 +452,9 @@ impl Database {
     }
 
     fn execute_inner(&mut self, sql: &str) -> Result<QueryResult> {
-        match Parser::parse_statement(sql)? {
-            Statement::WithPlus(w) => {
-                let ctx = LowerCtx::new(&self.params, self.anti_impl);
-                let compiled = optimize_compiled(
-                    compile(&w, &ctx)?,
-                    &self.catalog,
-                    self.profile.optimizer,
-                );
+        let start = Instant::now();
+        match self.plan(sql, self.profile.optimizer)? {
+            Planned::WithPlus(compiled) => {
                 // On a durable catalog, record the statement (SQL text +
                 // params) so a crash mid-fixpoint can resume it, and group
                 // all mutations into per-iteration WAL transactions.
@@ -462,11 +465,7 @@ impl Database {
                 let result = runner.run(&compiled);
                 finish_run(&mut self.catalog, &compiled.rec_name, result)
             }
-            Statement::Select(s) => {
-                let start = Instant::now();
-                let ctx = LowerCtx::new(&self.params, self.anti_impl);
-                let plan =
-                    optimize_plan(&lower_select(&s, &ctx)?, &self.catalog, self.profile.optimizer);
+            Planned::Select(plan) => {
                 let span = aio_trace::maybe_span(self.tracer.as_ref(), "query");
                 if let Some(sp) = &span {
                     sp.field("plan", "select");
@@ -517,20 +516,11 @@ impl Database {
             .unwrap_or_default();
         self.tracer = prev;
         let result = outcome?;
-        let report = match Parser::parse_statement(sql)? {
-            Statement::WithPlus(w) => {
-                let ctx = LowerCtx::new(&self.params, self.anti_impl);
-                let compiled = optimize_compiled(
-                    compile(&w, &ctx)?,
-                    &self.catalog,
-                    self.profile.optimizer,
-                );
+        let report = match self.plan(sql, self.profile.optimizer)? {
+            Planned::WithPlus(compiled) => {
                 crate::explain::render_with_plus(&compiled, &result.stats, &trace, timings)
             }
-            Statement::Select(s) => {
-                let ctx = LowerCtx::new(&self.params, self.anti_impl);
-                let plan =
-                    optimize_plan(&lower_select(&s, &ctx)?, &self.catalog, self.profile.optimizer);
+            Planned::Select(plan) => {
                 crate::explain::render_select(&plan, &result.stats, &trace, timings)
             }
         };

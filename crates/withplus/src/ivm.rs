@@ -4,33 +4,35 @@
 //! tables change. [`Database::apply_edges`] ingests a batch of edge
 //! insertions/deletions through the WAL (one logical `EdgeDelta` record per
 //! mutated table) and refreshes every affected view *incrementally* instead
-//! of re-running the fixpoint from scratch. How a view refreshes follows
-//! from the same classification the compiler already performs for
-//! XY-stratification:
+//! of re-running the fixpoint from scratch.
 //!
-//! | class          | union mode        | recursive shape            | insert-only refresh      | with deletions |
-//! |----------------|-------------------|----------------------------|--------------------------|----------------|
-//! | `Monotone`     | `union` (distinct)| any                        | resume semi-naive from Δ | full recompute |
-//! | `MonotoneUbu`  | `union by update` | single `min`/`max` agg     | frontier merge-improve   | full recompute |
-//! | `Reconverge`   | `union by update` | anything else (e.g. `sum`) | re-converge from state   | same           |
-//! | `Opaque`       | `union all`, `computed by`, keyless UBU | —    | full recompute           | full recompute |
+//! Nothing here iterates: a cold build, a deletion fallback and every
+//! incremental refresh run the PSM loop ([`crate::psm`]) and differ only in
+//! where it starts and how it folds a delta into the state. The choice
+//! follows from the classification the compiler already performs for
+//! XY-stratification (DESIGN.md §16 tabulates it):
 //!
-//! *Resume* re-derives only conclusions involving at least one delta row:
+//! | class          | union mode        | recursive shape            | insert-only refresh             | with deletions  |
+//! |----------------|-------------------|----------------------------|---------------------------------|-----------------|
+//! | `Monotone`     | `union` (distinct)| any                        | seed, insert-fresh (`Resume`)   | init (`Full`)   |
+//! | `MonotoneUbu`  | `union by update` | single `min`/`max` agg     | seed, improve (`Frontier`)      | init (`Full`)   |
+//! | `Reconverge`   | `union by update` | anything else (e.g. `sum`) | retained state, replace until ε | same            |
+//! | `Opaque`       | `union all`, `computed by`, keyless UBU | —    | init (`Full`)                   | init (`Full`)   |
+//!
+//! The *seed* re-derives only conclusions involving at least one delta row:
 //! every scan of a mutated base table is rebound — one occurrence at a
-//! time — to the delta relation, the variants are unioned, already-known
-//! rows subtracted, and semi-naive iteration restarts from that seed
-//! against the retained final state. *Frontier merge-improve* does the
-//! same seeding but folds each frontier into the state with the fixpoint's
-//! own `min`/`max` (see `aio_algebra::ops::ubu_merge_improve` for why
-//! replace semantics would be wrong on a partial frontier). *Re-converge*
-//! restarts the full-width iteration from the previous result snapshot,
-//! stopping when the largest per-key change drops below the view's
-//! epsilon; the cold compute path for this class uses the *same* stopping
-//! rule so incremental and recompute results agree to within epsilon. The
-//! re-converge path assumes key-stationarity (the set of keys the
-//! recursive step derives does not depend on the carried values — true
-//! for PageRank-class views); keys that stop being derivable are reset to
-//! their initialization values before the loop.
+//! time — to the delta relation and the variants are unioned; the loop
+//! folds it into the retained state and iterates from what that changed.
+//! *Improve* folds with the fixpoint's own `min`/`max` (see
+//! `aio_algebra::ops::ubu_merge_improve` for why replace semantics would be
+//! wrong on a partial frontier). *Re-converge* restarts the full-width
+//! iteration from the previous result, stopping when the largest per-key
+//! change drops below the view's epsilon; the cold build of this class uses
+//! the *same* stopping rule so incremental and recompute results agree to
+//! within epsilon. The re-converge path assumes key-stationarity (the set
+//! of keys the recursive step derives does not depend on the carried
+//! values — true for PageRank-class views); keys that stop being derivable
+//! are reset to their initialization values before the loop.
 //!
 //! Each `apply_edges` call is one WAL transaction: the base-table deltas
 //! and every refreshed view state commit together, so crash recovery lands
@@ -44,16 +46,12 @@ use std::collections::BTreeSet;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use crate::ast::UnionMode;
-use crate::compile::{compile, CompiledStep, CompiledWithPlus};
+use crate::compile::CompiledWithPlus;
 use crate::db::{optimize_compiled, Database};
 use crate::error::{Result, WithPlusError};
-use crate::lower::LowerCtx;
-use crate::parser::{Parser, Statement};
-use crate::psm::{rebind_scan, rename_to, union_by_update_checked, DEFAULT_MAX_RECURSION};
-use aio_algebra::ops::{self, UbuImpl};
-use aio_algebra::{AggFunc, EngineProfile, Evaluator, ExecStats, Plan, ScalarExpr};
-use aio_storage::{Catalog, FxHashMap, FxHashSet, Key, Relation, Row, WalPolicy};
+use crate::psm::{rebind_scan, rename_to, uncovered, Fold, PsmRunner, Start};
+use aio_algebra::{AggFunc, Optimizer, Plan, ScalarExpr};
+use aio_storage::{FxHashSet, Key, Relation, Row};
 use aio_trace::Tracer;
 
 /// A batch of logical row insertions/deletions against one base table.
@@ -179,12 +177,12 @@ pub(crate) struct ViewDef {
     /// table that happens to share the recursive relation's name.
     compiled: CompiledWithPlus,
     class: ViewClass,
-    /// Union-by-update key positions within `rec_cols` (keyed classes).
-    keys: Option<Vec<usize>>,
-    /// Position of the min/max aggregate column (`MonotoneUbu` only).
-    value_col: usize,
-    /// `true` = min direction, `false` = max (`MonotoneUbu` only).
-    min_agg: bool,
+    /// The statement's own fold: cold builds, the deletion fallback and
+    /// re-convergence run exactly what `execute` would.
+    cold: Fold,
+    /// The fold of an insert-only refresh: `cold`, except that a
+    /// `MonotoneUbu` view improves by key instead of replacing.
+    warm: Fold,
     /// Convergence threshold for the `Reconverge` class (largest per-key
     /// change at which iteration stops, cold and warm alike).
     epsilon: f64,
@@ -208,10 +206,6 @@ fn delta_table(base: &str) -> String {
     format!("__ivm_delta_{}", base.to_ascii_lowercase())
 }
 
-fn front_table(view: &str) -> String {
-    format!("__ivm_front_{view}")
-}
-
 // ---------------------------------------------------------------------------
 // Plan surgery
 // ---------------------------------------------------------------------------
@@ -223,15 +217,6 @@ fn map_scans(plan: Plan, f: &mut dyn FnMut(&str, &Option<String>) -> Option<Plan
         return f(table, alias).unwrap_or(plan);
     }
     plan.map_children(|c| map_scans(c, f))
-}
-
-/// Normalized names of every table `plan` scans.
-fn collect_scan_tables(plan: &Plan, out: &mut BTreeSet<String>) {
-    plan.visit(&mut |p| {
-        if let Plan::Scan { table, .. } = p {
-            out.insert(table.to_ascii_lowercase());
-        }
-    });
 }
 
 /// How many `Scan` nodes of `table` the plan contains.
@@ -286,39 +271,32 @@ fn aggs_in(e: &ScalarExpr, out: &mut Vec<AggFunc>) {
     }
 }
 
-/// Classify a compiled view: `(class, key positions, value column, min?)`.
-/// Runs on the *unoptimized* compilation so the recursive steps still have
+/// Classify a compiled view and pick the fold of its insert-only
+/// refreshes (`cold` itself unless the view turns out `MonotoneUbu`). Runs
+/// on the *unoptimized* compilation so the recursive steps still have
 /// their lowered `Aggregate` roots.
-fn classify(c: &CompiledWithPlus) -> (ViewClass, Option<Vec<usize>>, usize, bool) {
-    let opaque = (ViewClass::Opaque, None, 0, true);
-    let has_computed =
-        c.init.iter().chain(c.recursive.iter()).any(|s| !s.computed.is_empty());
-    if has_computed {
+fn classify(c: &CompiledWithPlus, cold: &Fold) -> (ViewClass, Fold) {
+    let opaque = (ViewClass::Opaque, cold.clone());
+    if c.computed_names().next().is_some() {
         return opaque;
     }
-    let keys = match &c.union {
-        UnionMode::Distinct => return (ViewClass::Monotone, None, 0, true),
-        UnionMode::All | UnionMode::ByUpdate(None) => return opaque,
-        UnionMode::ByUpdate(Some(keys)) => keys,
+    let keys = match cold {
+        Fold::InsertFresh => return (ViewClass::Monotone, cold.clone()),
+        Fold::Replace { keys: Some(keys) } => keys,
+        _ => return opaque,
     };
-    let mut key_pos = Vec::with_capacity(keys.len());
-    for k in keys {
-        match c.rec_cols.iter().position(|col| col.eq_ignore_ascii_case(k)) {
-            Some(p) => key_pos.push(p),
-            None => return opaque,
-        }
-    }
+    let reconverge = (ViewClass::Reconverge, cold.clone());
     // MonotoneUbu needs: arity = keys + 1 value column, and every recursive
     // step a root Aggregate whose single aggregate is min (or all max) and
     // sits at the value position.
-    let value_col = (0..c.rec_cols.len()).find(|p| !key_pos.contains(p));
-    let (Some(value_col), true) = (value_col, c.rec_cols.len() == key_pos.len() + 1) else {
-        return (ViewClass::Reconverge, Some(key_pos), 0, true);
+    let value_col = (0..c.rec_cols.len()).find(|p| !keys.contains(p));
+    let (Some(value_col), true) = (value_col, c.rec_cols.len() == keys.len() + 1) else {
+        return reconverge;
     };
     let mut direction: Option<bool> = None;
     for step in &c.recursive {
         let Plan::Aggregate { items, .. } = &step.plan else {
-            return (ViewClass::Reconverge, Some(key_pos), value_col, true);
+            return reconverge;
         };
         let mut monotone_here = false;
         for (i, (expr, _)) in items.iter().enumerate() {
@@ -330,24 +308,24 @@ fn classify(c: &CompiledWithPlus) -> (ViewClass, Option<Vec<usize>>, usize, bool
             let min = match aggs.as_slice() {
                 [AggFunc::Min] => true,
                 [AggFunc::Max] => false,
-                _ => return (ViewClass::Reconverge, Some(key_pos), value_col, true),
+                _ => return reconverge,
             };
             // The aggregate must be the whole item (bare min/max, not an
             // arithmetic combination) and land on the value column.
             let bare = matches!(expr, ScalarExpr::Agg(_, _));
             if !bare || i != value_col || direction.is_some_and(|d| d != min) {
-                return (ViewClass::Reconverge, Some(key_pos), value_col, true);
+                return reconverge;
             }
             direction = Some(min);
             monotone_here = true;
         }
         if !monotone_here {
-            return (ViewClass::Reconverge, Some(key_pos), value_col, true);
+            return reconverge;
         }
     }
     match direction {
-        Some(min) => (ViewClass::MonotoneUbu, Some(key_pos), value_col, min),
-        None => (ViewClass::Reconverge, Some(key_pos), value_col, true),
+        Some(min) => (ViewClass::MonotoneUbu, Fold::Improve { keys: keys.clone(), value_col, min }),
+        None => reconverge,
     }
 }
 
@@ -361,300 +339,117 @@ struct Mutation {
     has_dels: bool,
 }
 
-/// Bundles the split-borrowed pieces of a `Database` a refresh needs, plus
-/// temp-table bookkeeping (everything created here is dropped before the
-/// batch commits).
-struct Refresher<'a> {
-    catalog: &'a mut Catalog,
-    profile: &'a EngineProfile,
-    ubu_impl: UbuImpl,
-    tracer: Option<&'a Tracer>,
-    stats: ExecStats,
-    temps: Vec<String>,
+/// The union of every "one scan rebound to its delta" variant of the
+/// view's steps, evaluated against the retained state in the work table —
+/// the seed an incremental refresh starts from. `touched` must already
+/// have its delta temp tables materialized.
+fn build_seed(
+    r: &mut PsmRunner<'_>,
+    tracer: Option<&Tracer>,
+    c: &CompiledWithPlus,
+    touched: &[(&String, &Mutation)],
+) -> Result<Relation> {
+    let span = aio_trace::maybe_span(tracer, "ivm_seed");
+    // A view that scans no touched table in a step plan (only through
+    // `computed by` — impossible here: such views are Opaque) seeds nothing.
+    let mut seed = Relation::new(r.catalog.relation(&c.rec_name)?.schema().clone());
+    for step in c.init.iter().chain(c.recursive.iter()) {
+        for (table, _) in touched {
+            for k in 0..count_scans(&step.plan, table) {
+                let variant = replace_nth_scan(&step.plan, table, &delta_table(table), k);
+                let rel = rename_to(r.eval(&variant, "seed")?, &c.rec_cols)?;
+                seed.rows_mut().extend(rel.into_rows());
+            }
+        }
+    }
+    if aio_algebra::fault::ivm_fault_armed() {
+        // The planted off-by-one must lose a row the refresh would have
+        // contributed, not a re-derivation the fold discards anyway.
+        seed = aio_algebra::ops::difference(&seed, r.catalog.relation(&c.rec_name)?)?;
+        aio_algebra::fault::clip_ivm_seed(&mut seed);
+    }
+    if let Some(s) = &span {
+        s.field("rows", seed.len());
+    }
+    Ok(seed)
 }
 
-impl<'a> Refresher<'a> {
-    fn new(
-        catalog: &'a mut Catalog,
-        profile: &'a EngineProfile,
-        ubu_impl: UbuImpl,
-        tracer: Option<&'a Tracer>,
-    ) -> Refresher<'a> {
-        Refresher { catalog, profile, ubu_impl, tracer, stats: ExecStats::new(), temps: Vec::new() }
+/// Key-stationarity fix-up before re-converging from the retained state:
+/// keys the recursive step no longer derives would otherwise keep their
+/// stale warm value forever, while a cold run leaves them at their
+/// initialization value.
+fn reset_underivable_keys(r: &mut PsmRunner<'_>, c: &CompiledWithPlus, keys: &[usize]) -> Result<()> {
+    let r0 = r.init_relation(c)?;
+    let mut produced: FxHashSet<Key> = FxHashSet::default();
+    for step in &c.recursive {
+        let d = rename_to(r.eval(&step.plan, "derivable")?, &c.rec_cols)?;
+        produced.extend(d.rows().iter().map(|row| Key::of(row, keys)));
     }
-
-    fn eval(&mut self, plan: &Plan) -> Result<Relation> {
-        let mut ev = Evaluator::with_tracer(self.catalog, self.profile, self.tracer);
-        Ok(ev.eval_root(plan)?)
-    }
-
-    fn materialize(&mut self, name: &str, rel: Relation) -> Result<()> {
-        self.catalog.create_or_replace(name, rel, true)?;
-        if !self.temps.iter().any(|t| t == name) {
-            self.temps.push(name.to_string());
-        }
-        Ok(())
-    }
-
-    fn drop_temps(&mut self) {
-        for t in self.temps.drain(..).rev() {
-            let _ = self.catalog.drop_table(&t);
-        }
-    }
-
-    /// Evaluate one compiled step: materialize its `computed by` relations,
-    /// then the step plan, reshaped to the recursive relation's columns.
-    fn eval_step(&mut self, step: &CompiledStep, rec_cols: &[String]) -> Result<Relation> {
-        for (name, cols, plan) in &step.computed {
-            let rel = self.eval(plan)?;
-            let rel = rename_to(rel, cols)?;
-            self.materialize(name, rel)?;
-        }
-        let rel = self.eval(&step.plan)?;
-        rename_to(rel, rec_cols)
-    }
-
-    /// Union of the initialization steps — the cold-start contents of R.
-    fn init_state(&mut self, c: &CompiledWithPlus) -> Result<Relation> {
-        let mut acc: Option<Relation> = None;
-        for step in &c.init {
-            let rel = self.eval_step(step, &c.rec_cols)?;
-            acc = Some(match acc {
-                None => rel,
-                Some(a) => ops::union_all(&a, &rel)?,
-            });
-        }
-        acc.ok_or_else(|| WithPlusError::Restriction("view has no initial subquery".into()))
-    }
-
-    /// Insert rows into a (temp) table, invalidating its indexes.
-    fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
-        self.catalog.insert_rows(table, rows, WalPolicy::None)?;
-        Ok(())
-    }
-
-    /// The union of every "one scan rebound to its delta" variant of the
-    /// view's steps, evaluated against the retained state in `work` — the
-    /// seed an incremental refresh resumes from. `mutated` must already
-    /// have its delta temp tables materialized.
-    fn build_seed(
-        &mut self,
-        c: &CompiledWithPlus,
-        mutated: &BTreeMap<String, Mutation>,
-    ) -> Result<Relation> {
-        let span = aio_trace::maybe_span(self.tracer, "ivm_seed");
-        let mut seed: Option<Relation> = None;
-        for step in c.init.iter().chain(c.recursive.iter()) {
-            for table in mutated.keys() {
-                let n = count_scans(&step.plan, table);
-                for k in 0..n {
-                    let variant = replace_nth_scan(&step.plan, table, &delta_table(table), k);
-                    let rel = self.eval(&variant)?;
-                    let rel = rename_to(rel, &c.rec_cols)?;
-                    seed = Some(match seed {
-                        None => rel,
-                        Some(a) => ops::union_all(&a, &rel)?,
-                    });
+    if let Ok(init_pos) = r0.unique_key_map(keys) {
+        for row in r.catalog.relation_mut(&c.rec_name)?.rows_mut() {
+            let k = Key::of(row, keys);
+            if !produced.contains(&k) {
+                if let Some(&i) = init_pos.get(&k) {
+                    *row = r0.rows()[i].clone();
                 }
             }
         }
-        let seed = match seed {
-            Some(s) => s,
-            None => {
-                // The view scans a mutated table only through `computed by`
-                // (impossible here: such views are Opaque) or not at all.
-                let schema = self.catalog.relation(&work_table_of(c))?.schema().clone();
-                Relation::new(schema)
+        r.catalog.entry_mut(&c.rec_name)?.indexes.clear();
+    }
+    Ok(())
+}
+
+/// Bring a view's state to the fixpoint over the current base tables and
+/// publish it: pick where the PSM loop starts and how it folds, run it,
+/// then replace the state and output tables (base tables inside the
+/// caller's WAL transaction). Every temp table is gone when this returns,
+/// on error too — and then nothing was published. Returns the iteration
+/// count.
+fn run_view(
+    db: &mut Database,
+    tracer: Option<&Tracer>,
+    v: &ViewDef,
+    mode: RefreshMode,
+    touched: &[(&String, &Mutation)],
+) -> Result<usize> {
+    let c = &v.compiled;
+    let work = &c.rec_name;
+    let state_name = state_table(&v.name);
+    let mut runner = PsmRunner::new(&mut db.catalog, &db.profile, db.ubu_impl);
+    runner.set_tracer(tracer);
+    let (iterations, state, out) = runner.with_temps(c, |r| {
+        if mode != RefreshMode::Full {
+            let state = r.catalog.relation(&state_name)?.clone();
+            r.materialize(work, state)?;
+        }
+        let (start, fold) = match mode {
+            RefreshMode::Full => (Start::Init, &v.cold),
+            RefreshMode::Resume | RefreshMode::Frontier => {
+                for (t, m) in touched {
+                    let mut d = Relation::new(r.catalog.relation(t)?.schema().clone());
+                    d.extend(m.adds.iter().cloned())?;
+                    r.materialize(&delta_table(t), d)?;
+                }
+                (Start::Seed(build_seed(r, tracer, c, touched)?), &v.warm)
+            }
+            RefreshMode::Reconverge => {
+                if let Some(keys) = v.cold.keys() {
+                    reset_underivable_keys(r, c, keys)?;
+                }
+                (Start::Resume(0), &v.cold)
             }
         };
-        if let Some(s) = &span {
-            s.field("rows", seed.len());
-        }
-        Ok(seed)
-    }
-
-    /// Semi-naive loop shared by cold Monotone/Opaque builds and resumed
-    /// Monotone refreshes: `working` is the current frontier. Mirrors the
-    /// PSM runner's `union`/`union all` semantics exactly.
-    fn seminaive_loop(
-        &mut self,
-        c: &CompiledWithPlus,
-        work: &str,
-        mut working: Relation,
-    ) -> Result<usize> {
-        let max = c.max_recursion.unwrap_or(DEFAULT_MAX_RECURSION);
-        let dwork = format!("__ivm_dwork_{work}");
-        let mut iters = 0usize;
-        for _ in 0..max {
-            if working.is_empty() {
-                break;
-            }
-            self.materialize(&dwork, working)?;
-            iters += 1;
-            let mut next: Option<Relation> = None;
-            for step in &c.recursive {
-                let plan = rebind_scan(&step.plan, work, &dwork);
-                let delta = self.eval(&plan)?;
-                let delta = rename_to(delta, &c.rec_cols)?;
-                match &c.union {
-                    UnionMode::All => {
-                        if !delta.is_empty() {
-                            self.insert(work, delta.rows().to_vec())?;
-                        }
-                        next = Some(match next {
-                            None => delta,
-                            Some(a) => ops::union_all(&a, &delta)?,
-                        });
-                    }
-                    _ => {
-                        let r = self.catalog.relation(work)?;
-                        let fresh = ops::difference(&delta, r)?;
-                        if !fresh.is_empty() {
-                            self.insert(work, fresh.rows().to_vec())?;
-                        }
-                        next = Some(match next {
-                            None => fresh,
-                            Some(a) => ops::union_distinct(&a, &fresh)?,
-                        });
-                    }
-                }
-            }
-            working = match next {
-                Some(w) => w,
-                None => Relation::new(self.catalog.relation(work)?.schema().clone()),
-            };
-        }
-        Ok(iters)
-    }
-
-    /// Replace-semantics union-by-update loop: the cold path for every
-    /// keyed view and the warm path for `Reconverge`. Stops at the exact
-    /// fixpoint, or — when `epsilon` is finite and the view is keyed —
-    /// as soon as the largest per-key change falls below it.
-    fn ubu_loop(
-        &mut self,
-        c: &CompiledWithPlus,
-        work: &str,
-        keys: Option<&[usize]>,
-        epsilon: f64,
-    ) -> Result<usize> {
-        let max = c.max_recursion.unwrap_or(DEFAULT_MAX_RECURSION);
-        let mut iters = 0usize;
-        for _ in 0..max {
-            iters += 1;
-            let mut changed = false;
-            let mut max_change = 0.0f64;
-            let mut structural = false;
-            for step in &c.recursive {
-                let delta = self.eval(&step.plan)?;
-                let delta = rename_to(delta, &c.rec_cols)?;
-                let (before, _, step_changed) = union_by_update_checked(
-                    self.catalog,
-                    work,
-                    delta,
-                    keys,
-                    self.ubu_impl,
-                    self.profile,
-                    &mut self.stats,
-                )?;
-                if step_changed {
-                    changed = true;
-                    let after = self.catalog.relation(work)?;
-                    match keys.and_then(|k| max_keyed_change(&before, after, k)) {
-                        Some(d) => max_change = max_change.max(d),
-                        None => structural = true,
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-            if epsilon.is_finite() && !structural && max_change < epsilon {
-                break;
-            }
-        }
-        Ok(iters)
-    }
-
-    /// Merge-improve frontier propagation for `MonotoneUbu` views: start
-    /// from the delta-derived seed and push improvements until quiescent.
-    fn frontier_loop(
-        &mut self,
-        c: &CompiledWithPlus,
-        work: &str,
-        seed: Relation,
-        keys: &[usize],
-        value_col: usize,
-        min: bool,
-    ) -> Result<usize> {
-        let max = c.max_recursion.unwrap_or(DEFAULT_MAX_RECURSION);
-        let front = front_table(work);
-        let mut stats = std::mem::take(&mut self.stats);
-        let mut frontier =
-            ops::ubu_merge_improve(self.catalog, work, seed, keys, value_col, min, &mut stats)?;
-        let mut iters = 0usize;
-        for _ in 0..max {
-            if frontier.is_empty() {
-                break;
-            }
-            iters += 1;
-            self.materialize(&front, frontier)?;
-            let mut delta: Option<Relation> = None;
-            for step in &c.recursive {
-                let plan = rebind_scan(&step.plan, work, &front);
-                let rel = self.eval(&plan)?;
-                let rel = rename_to(rel, &c.rec_cols)?;
-                delta = Some(match delta {
-                    None => rel,
-                    Some(a) => ops::union_all(&a, &rel)?,
-                });
-            }
-            frontier = match delta {
-                Some(d) => {
-                    ops::ubu_merge_improve(self.catalog, work, d, keys, value_col, min, &mut stats)?
-                }
-                None => Relation::new(self.catalog.relation(work)?.schema().clone()),
-            };
-        }
-        self.stats = stats;
-        Ok(iters)
-    }
-}
-
-fn work_table_of(c: &CompiledWithPlus) -> String {
-    // `compiled.rec_name` is already the private work-table name (rebound
-    // at registration).
-    c.rec_name.clone()
-}
-
-/// Largest absolute numeric change between two keyed states. `None` marks
-/// a structural change (key sets differ, duplicate keys, or a non-numeric
-/// column changed) that epsilon stopping must not swallow.
-fn max_keyed_change(before: &Relation, after: &Relation, keys: &[usize]) -> Option<f64> {
-    if before.len() != after.len() {
-        return None;
-    }
-    let pos = before.unique_key_map(keys).ok()?;
-    let mut max = 0.0f64;
-    for row in after.rows() {
-        let k = Key::of(row, keys);
-        let &bi = pos.get(&k)?;
-        let old = &before.rows()[bi];
-        for (a, b) in old.iter().zip(row.iter()) {
-            if a == b {
-                continue;
-            }
-            let (Some(x), Some(y)) = (num(a), num(b)) else {
-                return None;
-            };
-            max = max.max((x - y).abs());
-        }
-    }
-    Some(max)
-}
-
-fn num(v: &aio_storage::Value) -> Option<f64> {
-    v.as_f64().or_else(|| v.as_int().map(|i| i as f64))
+        // Only the `Reconverge` class stops early; everything else runs to
+        // the exact fixpoint.
+        let epsilon = if v.class == ViewClass::Reconverge { v.epsilon } else { f64::INFINITY };
+        let started = r.start(c, start, fold)?;
+        let iterations = r.iterate(c, started, fold, epsilon, |_, _, _| Ok(()))?;
+        let out = r.eval(&c.final_plan, "final")?;
+        Ok((iterations, r.catalog.relation(work)?.clone(), out))
+    })?;
+    db.catalog.create_or_replace(&state_name, state, false)?;
+    db.catalog.create_or_replace(&v.name, out, false)?;
+    Ok(iterations)
 }
 
 /// Sort rows lexicographically (Value is totally ordered) so emitted
@@ -697,13 +492,9 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
         removed: Vec::new(),
         changed: Vec::new(),
     };
-    let keyed = keys.and_then(|k| {
-        let a = old.unique_key_map(k).ok()?;
-        let b = new.unique_key_map(k).ok()?;
-        Some((a, b, k))
-    });
+    let keyed = keys.and_then(|k| Some((old.unique_key_map(k).ok()?, new.unique_key_map(k).ok()?)));
     match keyed {
-        Some((old_pos, new_pos, k)) => {
+        Some((old_pos, new_pos)) => {
             for (key, &oi) in &old_pos {
                 match new_pos.get(key) {
                     None => d.removed.push(old.rows()[oi].clone()),
@@ -718,31 +509,10 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
                     d.added.push(new.rows()[ni].clone());
                 }
             }
-            let _ = k;
         }
         None => {
-            let mut counts: FxHashMap<&Row, i64> = FxHashMap::default();
-            for r in old.rows() {
-                *counts.entry(r).or_insert(0) += 1;
-            }
-            for r in new.rows() {
-                let c = counts.entry(r).or_insert(0);
-                *c -= 1;
-                if *c < 0 {
-                    d.added.push(r.clone());
-                }
-            }
-            let mut counts: FxHashMap<&Row, i64> = FxHashMap::default();
-            for r in new.rows() {
-                *counts.entry(r).or_insert(0) += 1;
-            }
-            for r in old.rows() {
-                let c = counts.entry(r).or_insert(0);
-                *c -= 1;
-                if *c < 0 {
-                    d.removed.push(r.clone());
-                }
-            }
+            d.added = uncovered(new, old).cloned().collect();
+            d.removed = uncovered(old, new).cloned().collect();
         }
     }
     sort_rows(&mut d.added);
@@ -752,22 +522,17 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
 }
 
 /// Refresh one view against an already-applied batch. Returns the result
-/// delta (generation stamped later, at commit) and the refresh report.
+/// delta (generation stamped later, at commit).
 fn refresh_view(
-    catalog: &mut Catalog,
-    profile: &EngineProfile,
-    ubu_impl: UbuImpl,
+    db: &mut Database,
     tracer: Option<&Tracer>,
     v: &mut ViewDef,
     mutated: &BTreeMap<String, Mutation>,
-) -> Result<(ResultDelta, RefreshReport)> {
+) -> Result<ResultDelta> {
     let started = Instant::now();
-    let touched: BTreeMap<String, Mutation> = mutated
-        .iter()
-        .filter(|(t, _)| v.base_tables.contains(*t))
-        .map(|(t, m)| (t.clone(), Mutation { adds: m.adds.clone(), has_dels: m.has_dels }))
-        .collect();
-    let insert_only = touched.values().all(|m| !m.has_dels);
+    let touched: Vec<(&String, &Mutation)> =
+        mutated.iter().filter(|(t, _)| v.base_tables.contains(*t)).collect();
+    let insert_only = touched.iter().all(|(_, m)| !m.has_dels);
     let mode = match v.class {
         ViewClass::Monotone if insert_only => RefreshMode::Resume,
         ViewClass::MonotoneUbu if insert_only => RefreshMode::Frontier,
@@ -780,90 +545,21 @@ fn refresh_view(
         s.field("mode", mode.label());
     }
 
-    let old_out = catalog.relation(&v.name)?.clone();
-    let state_name = state_table(&v.name);
-    let work = work_table_of(&v.compiled);
-    let mut rf = Refresher::new(catalog, profile, ubu_impl, tracer);
-    let c = &v.compiled;
+    let old_out = db.catalog.relation(&v.name)?.clone();
+    let iterations = run_view(db, tracer, v, mode, &touched)?;
+    let out = db.catalog.relation(&v.name)?;
 
-    let iterations = match mode {
-        RefreshMode::Full => build_cold(&mut rf, c, &work, v.keys.as_deref(), v.epsilon_for_loop())?,
-        RefreshMode::Resume | RefreshMode::Frontier => {
-            let state = rf.catalog.relation(&state_name)?.clone();
-            rf.materialize(&work, state)?;
-            for (t, m) in &touched {
-                let schema = rf.catalog.relation(t)?.schema().clone();
-                let mut d = Relation::new(schema);
-                d.extend(m.adds.iter().cloned())?;
-                rf.materialize(&delta_table(t), d)?;
-            }
-            let seed = rf.build_seed(c, &touched)?;
-            if mode == RefreshMode::Resume {
-                let r = rf.catalog.relation(&work)?;
-                let mut fresh = ops::difference(&seed, r)?;
-                aio_algebra::fault::clip_ivm_seed(&mut fresh);
-                if !fresh.is_empty() {
-                    rf.insert(&work, fresh.rows().to_vec())?;
-                }
-                rf.seminaive_loop(c, &work, fresh)?
-            } else {
-                let mut seed = seed;
-                aio_algebra::fault::clip_ivm_seed(&mut seed);
-                let keys = v.keys.as_deref().expect("MonotoneUbu is keyed");
-                rf.frontier_loop(c, &work, seed, keys, v.value_col, v.min_agg)?
-            }
-        }
-        RefreshMode::Reconverge => {
-            let state = rf.catalog.relation(&state_name)?.clone();
-            rf.materialize(&work, state)?;
-            // Key-stationarity fix-up: keys the recursive step no longer
-            // derives would otherwise keep their stale warm value forever,
-            // while a cold run leaves them at their initialization value.
-            let r0 = rf.init_state(c)?;
-            if let Some(keys) = v.keys.as_deref() {
-                let mut produced: FxHashSet<Key> = FxHashSet::default();
-                for step in &c.recursive {
-                    let d = rf.eval(&step.plan)?;
-                    let d = rename_to(d, &c.rec_cols)?;
-                    for row in d.rows() {
-                        produced.insert(Key::of(row, keys));
-                    }
-                }
-                if let Ok(init_pos) = r0.unique_key_map(keys) {
-                    let rel = rf.catalog.relation_mut(&work)?;
-                    for row in rel.rows_mut() {
-                        let k = Key::of(row, keys);
-                        if !produced.contains(&k) {
-                            if let Some(&i) = init_pos.get(&k) {
-                                *row = r0.rows()[i].clone();
-                            }
-                        }
-                    }
-                    rf.catalog.entry_mut(&work)?.indexes.clear();
-                }
-            }
-            rf.ubu_loop(c, &work, v.keys.as_deref(), v.epsilon)?
-        }
-    };
-
-    // Publish: output = final plan over the new state; both become base
-    // tables inside the batch's WAL transaction.
-    let out = rf.eval(&c.final_plan)?;
-    let new_state = rf.catalog.relation(&work)?.clone();
-    rf.drop_temps();
-    catalog.create_or_replace(&state_name, new_state, false)?;
-    catalog.create_or_replace(&v.name, out.clone(), false)?;
-
-    let keyed_out = v.keys.as_deref().filter(|_| {
-        out.schema().columns().len() == c.rec_cols.len()
+    let rec_cols = &v.compiled.rec_cols;
+    let keyed_out = v.cold.keys().filter(|_| {
+        out.schema().columns().len() == rec_cols.len()
             && out
                 .schema()
                 .columns()
                 .iter()
-                .zip(&c.rec_cols)
+                .zip(rec_cols)
                 .all(|(a, b)| a.name.eq_ignore_ascii_case(b))
     });
-    let mut delta = diff_result(&old_out, &out, keyed_out);
+    let mut delta = diff_result(&old_out, out, keyed_out);
     delta.view = v.name.clone();
 
     let report = RefreshReport {
@@ -890,45 +586,8 @@ fn refresh_view(
     if mode == RefreshMode::Full {
         v.fallbacks += 1;
     }
-    v.last = Some(report.clone());
-    Ok((delta, report))
-}
-
-impl ViewDef {
-    /// Epsilon the *cold* loop should use: only the `Reconverge` class
-    /// stops early; everything else runs to the exact fixpoint
-    /// (`INFINITY` disables the early stop — `ubu_loop` only applies a
-    /// finite epsilon).
-    fn epsilon_for_loop(&self) -> f64 {
-        if self.class == ViewClass::Reconverge {
-            self.epsilon
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Cold build of a view's state into `work` (also the deletion fallback).
-fn build_cold(
-    rf: &mut Refresher<'_>,
-    c: &CompiledWithPlus,
-    work: &str,
-    keys: Option<&[usize]>,
-    epsilon: f64,
-) -> Result<usize> {
-    let mut r0 = rf.init_state(c)?;
-    // distinct-union init rows are deduped, mirroring the PSM runner
-    if matches!(c.union, UnionMode::Distinct) {
-        r0 = ops::distinct(&r0);
-    }
-    if let Some(k) = keys {
-        r0.set_pk(Some(k.to_vec()));
-    }
-    rf.materialize(work, r0.clone())?;
-    match &c.union {
-        UnionMode::ByUpdate(_) => rf.ubu_loop(c, work, keys, epsilon),
-        _ => rf.seminaive_loop(c, work, r0),
-    }
+    v.last = Some(report);
+    Ok(delta)
 }
 
 // ---------------------------------------------------------------------------
@@ -955,20 +614,18 @@ impl Database {
                 "cannot create view {name}: a table with that name exists"
             )));
         }
-        let mut v = self.compile_view(name, sql, epsilon)?;
+        let v = self.compile_view(name, sql, epsilon)?;
+        let tracer = self.tracer.take();
         self.catalog.wal_begin_txn();
-        let built = self.build_view(&mut v);
-        match built {
-            Ok(()) => {
-                self.catalog.wal_commit_txn()?;
-                self.views.push(v);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.catalog.wal_commit_txn();
-                Err(e)
-            }
-        }
+        let built = run_view(self, tracer.as_ref(), &v, RefreshMode::Full, &[]);
+        self.tracer = tracer;
+        // Commit on both paths, as `apply_batch` does: a failed build
+        // published nothing.
+        let commit = self.catalog.wal_commit_txn();
+        built?;
+        commit?;
+        self.views.push(v);
+        Ok(())
     }
 
     /// Re-attach a view after reopening a durable database: the state and
@@ -1123,40 +780,22 @@ impl Database {
             })
             .filter(|d| !d.adds.is_empty() || !d.dels.is_empty())
             .collect();
-        let mut mutated: BTreeMap<String, Mutation> = BTreeMap::new();
-        let (mut adds_total, mut dels_total) = (0usize, 0usize);
-        for d in &deltas {
-            adds_total += d.adds.len();
-            dels_total += d.dels.len();
-            let m = mutated
-                .entry(d.table.clone())
-                .or_insert(Mutation { adds: Vec::new(), has_dels: false });
-            m.adds.extend(d.adds.iter().cloned());
-            m.has_dels |= !d.dels.is_empty();
-        }
+        let mutated: BTreeMap<String, Mutation> = deltas
+            .iter()
+            .map(|d| {
+                (d.table.clone(), Mutation { adds: d.adds.clone(), has_dels: !d.dels.is_empty() })
+            })
+            .collect();
         if let Some(s) = &span {
             s.field("tables", mutated.len());
-            s.field("adds", adds_total);
-            s.field("dels", dels_total);
+            s.field("adds", deltas.iter().map(|d| d.adds.len()).sum::<usize>());
+            s.field("dels", deltas.iter().map(|d| d.dels.len()).sum::<usize>());
         }
 
-        self.catalog.wal_begin_txn();
-        let result = self.apply_edges_inner(deltas, &mutated, tracer);
-        // Commit on both paths: a failed refresh leaves every view table
-        // untouched (refreshes publish only after their fixpoint
-        // succeeds), so committing the base delta keeps the catalog
-        // consistent — views are stale, not torn — and the error reports
-        // exactly that.
-        let commit = self.catalog.wal_commit_txn();
-        let mut out = result?;
-        commit?;
-        let generation = self.catalog.generation();
-        for rd in &mut out {
-            rd.generation = generation;
-        }
+        let out = self.apply_batch(deltas, &mutated, tracer)?;
         if let Some(s) = &span {
             s.field("views", out.len());
-            s.field("generation", generation);
+            s.field("generation", self.catalog.generation());
         }
         for rd in &out {
             if let Some(v) =
@@ -1181,9 +820,38 @@ impl Database {
             }
         }
         let tracer = self.tracer.take();
-        self.catalog.wal_begin_txn();
-        let result = self.apply_edges_inner(Vec::new(), &mutated, tracer.as_ref());
+        let out = self.apply_batch(Vec::new(), &mutated, tracer.as_ref());
         self.tracer = tracer;
+        out
+    }
+
+    /// One batch = one WAL transaction = one MVCC generation: apply the
+    /// base deltas, refresh the affected views, commit, and stamp the
+    /// result deltas with the generation they were published under.
+    fn apply_batch(
+        &mut self,
+        deltas: Vec<EdgeDelta>,
+        mutated: &BTreeMap<String, Mutation>,
+        tracer: Option<&Tracer>,
+    ) -> Result<Vec<ResultDelta>> {
+        self.catalog.wal_begin_txn();
+        let mut views = std::mem::take(&mut self.views);
+        let result = (|| {
+            for d in deltas {
+                self.catalog.apply_delta(&d.table, d.adds, d.dels, self.profile.wal_temp)?;
+            }
+            views
+                .iter_mut()
+                .filter(|v| v.base_tables.iter().any(|t| mutated.contains_key(t)))
+                .map(|v| refresh_view(self, tracer, v, mutated))
+                .collect::<Result<Vec<_>>>()
+        })();
+        self.views = views;
+        // Commit on both paths: a failed refresh leaves every view table
+        // untouched (refreshes publish only after their fixpoint
+        // succeeds), so committing the base delta keeps the catalog
+        // consistent — views are stale, not torn — and the error reports
+        // exactly that.
         let commit = self.catalog.wal_commit_txn();
         let mut out = result?;
         commit?;
@@ -1194,79 +862,37 @@ impl Database {
         Ok(out)
     }
 
-    fn apply_edges_inner(
-        &mut self,
-        deltas: Vec<EdgeDelta>,
-        mutated: &BTreeMap<String, Mutation>,
-        tracer: Option<&Tracer>,
-    ) -> Result<Vec<ResultDelta>> {
-        for d in deltas {
-            if d.adds.is_empty() && d.dels.is_empty() {
-                continue;
-            }
-            self.catalog.apply_delta(&d.table, d.adds, d.dels, self.profile.wal_temp)?;
-        }
-        let mut views = std::mem::take(&mut self.views);
-        let mut out = Vec::new();
-        for v in views.iter_mut() {
-            if !v.base_tables.iter().any(|t| mutated.contains_key(t)) {
-                continue;
-            }
-            let refreshed =
-                refresh_view(&mut self.catalog, &self.profile, self.ubu_impl, tracer, v, mutated);
-            match refreshed {
-                Ok((delta, _report)) => out.push(delta),
-                Err(e) => {
-                    self.views = views;
-                    return Err(e);
-                }
-            }
-        }
-        self.views = views;
-        Ok(out)
-    }
-
     /// Compile, classify and rebind a view definition (no execution).
     fn compile_view(&self, name: &str, sql: &str, epsilon: f64) -> Result<ViewDef> {
-        let Statement::WithPlus(w) = Parser::parse_statement(sql)? else {
-            return Err(WithPlusError::Restriction(
-                "a view must be a with+ statement".into(),
-            ));
-        };
-        let ctx = LowerCtx::new(&self.params, self.anti_impl);
-        let raw = compile(&w, &ctx)?;
-        let (class, keys, value_col, min_agg) = classify(&raw);
+        let raw = self.plan_with_plus(sql, Optimizer::Off)?;
+        let cold = Fold::of(&raw)?;
+        let (class, warm) = classify(&raw, &cold);
         let mut compiled = optimize_compiled(raw, &self.catalog, self.profile.optimizer);
         // Rebind every self-reference to the view's private work table so
         // refreshes cannot collide with user tables or other views.
         let rec = compiled.rec_name.clone();
         let work = work_table(name);
-        for step in compiled.init.iter_mut().chain(compiled.recursive.iter_mut()) {
-            for (_, _, plan) in step.computed.iter_mut() {
-                *plan = rebind_scan(plan, &rec, &work);
+        for (table, _) in compiled.index_specs.iter_mut() {
+            if table.eq_ignore_ascii_case(&rec) {
+                *table = work.to_ascii_lowercase();
             }
-            step.plan = rebind_scan(&step.plan, &rec, &work);
         }
-        compiled.final_plan = rebind_scan(&compiled.final_plan, &rec, &work);
+        for plan in compiled.plans_mut() {
+            *plan = rebind_scan(plan, &rec, &work);
+        }
         compiled.rec_name = work.clone();
 
         let mut base_tables = BTreeSet::new();
-        for step in compiled.init.iter().chain(compiled.recursive.iter()) {
-            for (_, _, plan) in &step.computed {
-                collect_scan_tables(plan, &mut base_tables);
-            }
-            collect_scan_tables(&step.plan, &mut base_tables);
+        for plan in compiled.plans() {
+            plan.visit(&mut |p| {
+                if let Plan::Scan { table, .. } = p {
+                    base_tables.insert(table.to_ascii_lowercase());
+                }
+            });
         }
-        collect_scan_tables(&compiled.final_plan, &mut base_tables);
         base_tables.remove(&work.to_ascii_lowercase());
-        let computed: BTreeSet<String> = compiled
-            .init
-            .iter()
-            .chain(compiled.recursive.iter())
-            .flat_map(|s| s.computed.iter().map(|(n, _, _)| n.to_ascii_lowercase()))
-            .collect();
-        for c in computed {
-            base_tables.remove(&c);
+        for computed in compiled.computed_names() {
+            base_tables.remove(&computed.to_ascii_lowercase());
         }
 
         Ok(ViewDef {
@@ -1274,9 +900,8 @@ impl Database {
             sql: sql.to_string(),
             compiled,
             class,
-            keys,
-            value_col,
-            min_agg,
+            cold,
+            warm,
             epsilon,
             base_tables,
             subscribers: Vec::new(),
@@ -1285,36 +910,14 @@ impl Database {
             last: None,
         })
     }
-
-    /// Cold-build a compiled view and publish its state/output tables.
-    fn build_view(&mut self, v: &mut ViewDef) -> Result<()> {
-        let mut rf = Refresher::new(
-            &mut self.catalog,
-            &self.profile,
-            self.ubu_impl,
-            self.tracer.as_ref(),
-        );
-        let work = work_table_of(&v.compiled);
-        let eps = v.epsilon_for_loop();
-        let built = build_cold(&mut rf, &v.compiled, &work, v.keys.as_deref(), eps)
-            .and_then(|_| rf.eval(&v.compiled.final_plan))
-            .and_then(|out| {
-                let state = rf.catalog.relation(&work)?.clone();
-                Ok((state, out))
-            });
-        rf.drop_temps();
-        let (state, out) = built?;
-        self.catalog.create_or_replace(&state_table(&v.name), state, false)?;
-        self.catalog.create_or_replace(&v.name, out, false)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::psm::num;
     use aio_algebra::oracle_like;
-    use aio_storage::{edge_schema, node_schema, row, Value};
+    use aio_storage::{edge_schema, node_schema, row, FxHashMap, Value};
 
     /// The seed fault flag is process-global: tests that arm it and tests
     /// that exercise the clipped code paths (resume/frontier seeds) must
@@ -1402,23 +1005,25 @@ mod tests {
     #[test]
     fn classification_covers_the_algorithm_sql() {
         let db = db_with(&[(1, 2, 1.0)], &[(1, 0.0)]);
-        let case = |sql: &str| classify(&db.prepare(sql).unwrap());
+        let case = |db: &Database, sql: &str| {
+            let c = db.prepare(sql).unwrap();
+            classify(&c, &Fold::of(&c).unwrap())
+        };
 
-        assert_eq!(case(TC_SQL).0, ViewClass::Monotone);
-        assert_eq!(case(TC_ALL_SQL).0, ViewClass::Opaque);
-
-        let (class, keys, value_col, min) = case(SSSP_SQL);
-        assert_eq!(class, ViewClass::MonotoneUbu);
-        assert_eq!(keys, Some(vec![0]));
-        assert_eq!(value_col, 1);
-        assert!(min);
+        assert_eq!(case(&db, TC_SQL), (ViewClass::Monotone, Fold::InsertFresh));
+        assert_eq!(case(&db, TC_ALL_SQL), (ViewClass::Opaque, Fold::InsertAll));
+        assert_eq!(
+            case(&db, SSSP_SQL),
+            (ViewClass::MonotoneUbu, Fold::Improve { keys: vec![0], value_col: 1, min: true })
+        );
 
         let mut db2 = db_with(&[(1, 2, 1.0)], &[(1, 0.0)]);
         db2.set_param("c", 0.85);
         db2.set_param("n", 2.0);
-        let (class, keys, ..) = classify(&db2.prepare(PR_SQL).unwrap());
-        assert_eq!(class, ViewClass::Reconverge);
-        assert_eq!(keys, Some(vec![0]));
+        assert_eq!(
+            case(&db2, PR_SQL),
+            (ViewClass::Reconverge, Fold::Replace { keys: Some(vec![0]) })
+        );
     }
 
     #[test]

@@ -3,13 +3,20 @@
 //! relations and recursive subqueries, check the per-subquery emptiness
 //! conditions `C_i`, apply union / union-by-update, exit on fixpoint or
 //! `maxrecursion`, then run the final query.
+//!
+//! There is one loop ([`PsmRunner::iterate`]). Statements, cold view builds
+//! and incremental view refreshes ([`crate::ivm`]) all run it; they differ
+//! only in where it starts ([`Start`]), how a subquery's output is folded
+//! into R — which also fixes what the recursive self-reference reads
+//! ([`Fold`]) — and whether an epsilon may stop it before the exact
+//! fixpoint.
 
 use crate::ast::UnionMode;
 use crate::compile::{CompiledStep, CompiledWithPlus};
 use crate::error::{Result, WithPlusError};
 use aio_algebra::ops::{self, UbuImpl};
 use aio_algebra::{EngineProfile, Evaluator, ExecStats, Plan};
-use aio_storage::{Catalog, Column, Relation, Row, Schema};
+use aio_storage::{Catalog, Column, FxHashMap, Key, Relation, Row, Schema, Value};
 use aio_trace::Tracer;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -84,7 +91,7 @@ pub struct QueryResult {
 
 /// Hard cap when no `maxrecursion` is given (SQL-Server's limit, which the
 /// paper adopts).
-pub(crate) const DEFAULT_MAX_RECURSION: usize = 32_767;
+const DEFAULT_MAX_RECURSION: usize = 32_767;
 
 /// Re-shape a query result to the declared column names of a temp table.
 pub(crate) fn rename_to(rel: Relation, names: &[String]) -> Result<Relation> {
@@ -122,41 +129,120 @@ pub fn rebind_scan(plan: &Plan, rec: &str, replacement: &str) -> Plan {
     go(plan.clone(), rec, replacement)
 }
 
-/// Multiset count of rows in `after` that are not covered by `before` —
-/// i.e. how many rows union-by-update inserted or overwrote.
-fn changed_row_count(before: &Relation, after: &Relation) -> usize {
-    let mut counts: HashMap<&Row, i64> = HashMap::new();
-    for r in before.rows() {
+/// The rows of `a` that `b` does not cover, as multisets.
+pub(crate) fn uncovered<'a>(a: &'a Relation, b: &'a Relation) -> impl Iterator<Item = &'a Row> {
+    let mut counts: FxHashMap<&Row, usize> = FxHashMap::default();
+    for r in b.rows() {
         *counts.entry(r).or_insert(0) += 1;
     }
-    let mut changed = 0usize;
-    for r in after.rows() {
-        match counts.get_mut(r) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => changed += 1,
+    a.rows().iter().filter(move |r| match counts.get_mut(*r) {
+        Some(c) if *c > 0 => {
+            *c -= 1;
+            false
         }
-    }
-    changed
+        _ => true,
+    })
 }
 
-/// Apply `delta` to `rec` by union-by-update and report what it did:
-/// `rec` as it was before, how many rows were inserted or overwritten, and
-/// the emptiness condition `C_i` (did `rec` change at all?).
-pub(crate) fn union_by_update_checked(
-    catalog: &mut Catalog,
-    rec: &str,
-    delta: Relation,
-    keys: Option<&[usize]>,
-    imp: UbuImpl,
-    profile: &EngineProfile,
-    stats: &mut ExecStats,
-) -> Result<(Relation, usize, bool)> {
-    let before = catalog.relation(rec)?.clone();
-    ops::union_by_update(catalog, rec, delta, keys, imp, profile, stats)?;
-    let after = catalog.relation(rec)?;
-    let changed_rows = changed_row_count(&before, after);
-    let changed = changed_rows > 0 || !after.same_rows_unordered(&before);
-    Ok((before, changed_rows, changed))
+pub(crate) fn num(v: &Value) -> Option<f64> {
+    v.as_f64().or_else(|| v.as_int().map(|i| i as f64))
+}
+
+/// Largest absolute numeric change between two keyed states. `None` marks
+/// a structural change (key sets differ, duplicate keys, or a non-numeric
+/// column changed) that epsilon stopping must not swallow.
+fn max_keyed_change(before: &Relation, after: &Relation, keys: &[usize]) -> Option<f64> {
+    if before.len() != after.len() {
+        return None;
+    }
+    let pos = before.unique_key_map(keys).ok()?;
+    let mut max = 0.0f64;
+    for row in after.rows() {
+        let &bi = pos.get(&Key::of(row, keys))?;
+        for (a, b) in before.rows()[bi].iter().zip(row.iter()) {
+            if a != b {
+                max = max.max((num(a)? - num(b)?).abs());
+            }
+        }
+    }
+    Some(max)
+}
+
+/// How one recursive subquery's output is folded into R. The fold also
+/// fixes what the recursive self-reference reads: replace semantics are
+/// only sound on a delta derived from all of R, so [`Fold::Replace`] reads
+/// R itself; the other folds return exactly the rows that changed R, and
+/// the self-reference reads those — the frontier — instead.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Fold {
+    /// `union all`: insert every derived row; all of them are frontier.
+    InsertAll,
+    /// `union`: insert the rows R does not hold yet; those are frontier.
+    InsertFresh,
+    /// `union by update`: replace by key (keyless: replace R wholesale).
+    Replace { keys: Option<Vec<usize>> },
+    /// Keep per key the better value under the fixpoint's own `min`/`max`
+    /// ([`ops::ubu_merge_improve`]); the improved rows are frontier.
+    Improve { keys: Vec<usize>, value_col: usize, min: bool },
+}
+
+impl Fold {
+    /// The fold a statement's union mode asks for.
+    pub(crate) fn of(c: &CompiledWithPlus) -> Result<Fold> {
+        let position = |k: &String| {
+            c.rec_cols.iter().position(|col| col.eq_ignore_ascii_case(k)).ok_or_else(|| {
+                WithPlusError::Restriction(format!(
+                    "union by update key {k} is not a column of {}",
+                    c.rec_name
+                ))
+            })
+        };
+        Ok(match &c.union {
+            UnionMode::All => Fold::InsertAll,
+            UnionMode::Distinct => Fold::InsertFresh,
+            UnionMode::ByUpdate(None) => Fold::Replace { keys: None },
+            UnionMode::ByUpdate(Some(keys)) => {
+                Fold::Replace { keys: Some(keys.iter().map(position).collect::<Result<_>>()?) }
+            }
+        })
+    }
+
+    /// Key positions within R (they double as R's primary key).
+    pub(crate) fn keys(&self) -> Option<&[usize]> {
+        match self {
+            Fold::Replace { keys } => keys.as_deref(),
+            Fold::Improve { keys, .. } => Some(keys),
+            Fold::InsertAll | Fold::InsertFresh => None,
+        }
+    }
+
+    fn reads_frontier(&self) -> bool {
+        !matches!(self, Fold::Replace { .. })
+    }
+}
+
+/// Where the loop starts.
+pub(crate) enum Start {
+    /// Evaluate the initialization subqueries into a fresh R.
+    Init,
+    /// R is in the catalog; fold this seed into it and iterate from what
+    /// that changed (nothing changed = already at the fixpoint).
+    Seed(Relation),
+    /// R (and the frontier table, if the fold reads one) are in the catalog
+    /// as of this many completed iterations; carry on from there.
+    Resume(usize),
+}
+
+/// A started loop: what [`PsmRunner::start`] hands to [`PsmRunner::iterate`].
+pub(crate) struct Started {
+    /// The recursive steps, self-reference rebound to the frontier table
+    /// once per run when the fold reads one.
+    steps: Vec<CompiledStep>,
+    frontier: Option<String>,
+    /// Index of the next iteration.
+    it: usize,
+    /// Is there anything left to propagate?
+    go: bool,
 }
 
 /// The runtime for one with+ execution.
@@ -196,7 +282,7 @@ impl<'a> PsmRunner<'a> {
         self.tracer = tracer;
     }
 
-    fn eval(&mut self, plan: &Plan, label: &str) -> Result<Relation> {
+    pub(crate) fn eval(&mut self, plan: &Plan, label: &str) -> Result<Relation> {
         let span = aio_trace::maybe_span(self.tracer, "query");
         if let Some(s) = &span {
             s.field("plan", label.to_string());
@@ -213,7 +299,7 @@ impl<'a> PsmRunner<'a> {
 
     /// `CREATE TEMP TABLE name` + `INSERT INTO name SELECT …` with WAL and
     /// index maintenance — the per-step cost of the PSM translation.
-    fn materialize(&mut self, name: &str, rel: Relation) -> Result<()> {
+    pub(crate) fn materialize(&mut self, name: &str, rel: Relation) -> Result<()> {
         self.catalog.wal.log_insert(self.profile.wal_temp, rel.rows());
         if !self.catalog.contains(name) {
             self.created.push(name.to_string());
@@ -256,6 +342,24 @@ impl<'a> PsmRunner<'a> {
             self.materialize(name, rel)?;
         }
         Ok(())
+    }
+
+    /// Union of the initialization subqueries — the cold-start contents of R.
+    pub(crate) fn init_relation(&mut self, c: &CompiledWithPlus) -> Result<Relation> {
+        let mut init_rel: Option<Relation> = None;
+        for (i, step) in c.init.iter().enumerate() {
+            let label = format!("init[{i}]");
+            self.run_step_computed(step, &label)?;
+            let rel = self.eval(&step.plan, &label)?;
+            let rel = rename_to(rel, &c.rec_cols)?;
+            init_rel = Some(match init_rel {
+                None => rel,
+                Some(acc) => ops::union_all(&acc, &rel)?,
+            });
+        }
+        init_rel.ok_or_else(|| {
+            WithPlusError::Restriction(format!("{} has no initial subquery", c.rec_name))
+        })
     }
 
     /// Commit the open transaction at a fixpoint iteration boundary. On a
@@ -302,29 +406,79 @@ impl<'a> PsmRunner<'a> {
             }
         }
         let wal_before = self.catalog.wal.bytes_written();
-        if resume.is_none() && self.catalog.contains(&c.rec_name) {
-            return Err(WithPlusError::Restriction(format!(
-                "recursive relation {} collides with an existing table",
-                c.rec_name
-            )));
-        }
         if resume.is_some() {
             // The recovered temp tables belong to this run now: register
             // them so cleanup drops them exactly like a fresh run would.
-            for name in std::iter::once(c.rec_name.clone())
-                .chain(std::iter::once(format!("__delta_{}", c.rec_name)))
-                .chain(
-                    c.init
-                        .iter()
-                        .chain(c.recursive.iter())
-                        .flat_map(|s| s.computed.iter().map(|(n, _, _)| n.clone())),
-                )
+            for name in [c.rec_name.clone(), format!("__delta_{}", c.rec_name)]
+                .into_iter()
+                .chain(c.computed_names().cloned())
             {
                 if self.catalog.contains(&name) && !self.created.contains(&name) {
                     self.created.push(name);
                 }
             }
         }
+        let result = self.with_temps(c, |r| r.run_statement(c, resume));
+        self.stats.elapsed = start.elapsed();
+        self.stats.wal_bytes = self.catalog.wal.bytes_written() - wal_before;
+        let relation = result?;
+        Ok(QueryResult {
+            relation,
+            stats: std::mem::take(&mut self.stats),
+        })
+    }
+
+    /// What only a statement does around the loop: per-iteration WAL commit
+    /// / MVCC publish, `IterStat`s and snapshots, the attributed counters.
+    fn run_statement(&mut self, c: &CompiledWithPlus, resume: Option<usize>) -> Result<Relation> {
+        let fold = Fold::of(c)?;
+        let started = self.start(c, resume.map_or(Start::Init, Start::Resume), &fold)?;
+
+        // Everything counted so far belongs to initialization.
+        self.stats.init_exec = self.stats.exec.clone();
+
+        // Durable commit point zero: the init result is on disk before the
+        // loop starts, so recovery can resume at iteration 0.
+        if resume.is_none() {
+            self.wal_commit_iter_point(&c.rec_name, 0)?;
+        }
+
+        self.iterate(c, started, &fold, f64::INFINITY, |r, it, stat| {
+            r.stats.iterations.push(stat);
+            if r.profile.capture_snapshots {
+                let snapshot = r.catalog.relation(&c.rec_name)?.clone();
+                r.stats.snapshots.push(snapshot);
+            }
+            // Durable iteration boundary: R (and the working table) as of
+            // the end of iteration `it` are committed before the loop
+            // decides to continue, so a crash mid-iteration resumes from
+            // here.
+            r.wal_commit_iter_point(&c.rec_name, (it + 1) as u64)
+        })?;
+
+        // Attribute the final query's operator counts to their own block
+        // instead of silently merging them into the last iteration's tail.
+        let exec_before_final = self.stats.exec.clone();
+        let out = self.eval(&c.final_plan, "final")?;
+        self.stats.final_exec = self.stats.exec.delta_since(&exec_before_final);
+        Ok(out)
+    }
+
+    /// Run `body` with `c`'s index specs in force, then drop every temp
+    /// table it created — even on error.
+    pub(crate) fn with_temps<T>(
+        &mut self,
+        c: &CompiledWithPlus,
+        body: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let result = self.register_indexes(c).and_then(|()| body(self));
+        for t in std::mem::take(&mut self.created) {
+            let _ = self.catalog.drop_table(&t);
+        }
+        result
+    }
+
+    fn register_indexes(&mut self, c: &CompiledWithPlus) -> Result<()> {
         for (t, col) in &c.index_specs {
             self.index_specs
                 .entry(t.clone())
@@ -348,195 +502,194 @@ impl<'a> PsmRunner<'a> {
                 }
             }
         }
-
-        let result = self.run_inner(c, resume);
-
-        // drop every temp table this run created, even on error
-        for t in std::mem::take(&mut self.created) {
-            let _ = self.catalog.drop_table(&t);
-        }
-        self.stats.elapsed = start.elapsed();
-        self.stats.wal_bytes = self.catalog.wal.bytes_written() - wal_before;
-        let relation = result?;
-        Ok(QueryResult {
-            relation,
-            stats: std::mem::take(&mut self.stats),
-        })
+        Ok(())
     }
 
-    fn run_inner(&mut self, c: &CompiledWithPlus, resume: Option<usize>) -> Result<Relation> {
-        let working_name = format!("__delta_{}", c.rec_name);
-        let seminaive = matches!(c.union, UnionMode::All | UnionMode::Distinct);
-
-        if resume.is_some() {
-            // The recursive relation (and for semi-naive modes the working
-            // table) must have been recovered; the loop picks up where the
-            // last durable iteration commit left off.
-            if !self.catalog.contains(&c.rec_name) {
-                return Err(WithPlusError::Restriction(format!(
-                    "resume: recovered catalog has no relation {}",
-                    c.rec_name
-                )));
+    /// Fold one subquery's `delta` into R. Returns what it did, the rows it
+    /// contributes to the next frontier (`None` for the full-width fold)
+    /// and, for [`Fold::Replace`], R as it was before.
+    fn fold_delta(
+        &mut self,
+        rec: &str,
+        fold: &Fold,
+        delta: Relation,
+    ) -> Result<(SubqueryIterStat, Option<Relation>, Option<Relation>)> {
+        let mut sub = SubqueryIterStat { delta_rows: delta.len(), changed: false, ubu_changed_rows: 0 };
+        let (frontier, before) = match fold {
+            Fold::InsertAll | Fold::InsertFresh => {
+                let fresh = if *fold == Fold::InsertAll {
+                    delta
+                } else {
+                    ops::difference(&delta, self.catalog.relation(rec)?)?
+                };
+                if !fresh.is_empty() {
+                    sub.changed = true;
+                    self.catalog.insert_rows(rec, fresh.rows().to_vec(), self.profile.wal_temp)?;
+                }
+                (Some(fresh), None)
             }
-            if seminaive && !self.catalog.contains(&working_name) {
-                return Err(WithPlusError::Restriction(format!(
-                    "resume: recovered catalog has no working table {working_name}"
-                )));
+            Fold::Replace { keys } => {
+                let before = self.catalog.relation(rec)?.clone();
+                ops::union_by_update(
+                    self.catalog,
+                    rec,
+                    delta,
+                    keys.as_deref(),
+                    self.ubu_impl,
+                    self.profile,
+                    &mut self.stats.exec,
+                )?;
+                let after = self.catalog.relation(rec)?;
+                // rows union-by-update inserted or overwrote
+                sub.ubu_changed_rows = uncovered(after, &before).count();
+                sub.changed = sub.ubu_changed_rows > 0 || !after.same_rows_unordered(&before);
+                (None, Some(before))
             }
-            self.build_indexes(&c.rec_name)?;
-        } else {
-            // --- initialization --------------------------------------------
-            let mut init_rel: Option<Relation> = None;
-            for (i, step) in c.init.iter().enumerate() {
-                let label = format!("init[{i}]");
-                self.run_step_computed(step, &label)?;
-                let rel = self.eval(&step.plan, &label)?;
-                let rel = rename_to(rel, &c.rec_cols)?;
-                init_rel = Some(match init_rel {
-                    None => rel,
-                    Some(acc) => ops::union_all(&acc, &rel)?,
-                });
+            Fold::Improve { keys, value_col, min } => {
+                let improved = ops::ubu_merge_improve(
+                    self.catalog,
+                    rec,
+                    delta,
+                    keys,
+                    *value_col,
+                    *min,
+                    &mut self.stats.exec,
+                )?;
+                sub.ubu_changed_rows = improved.len();
+                sub.changed = !improved.is_empty();
+                (Some(improved), None)
             }
-            let mut r0 = init_rel.ok_or_else(|| {
-                WithPlusError::Restriction(format!(
-                    "{} has no initial subquery",
-                    c.rec_name
-                ))
-            })?;
-            // `union` keeps the recursive relation a set; duplicate rows
-            // from the initial subqueries (e.g. multi-edges) must not
-            // survive either, per SQL's distinct-union semantics.
-            if matches!(c.union, UnionMode::Distinct) {
-                r0 = ops::distinct(&r0);
-            }
-            // union-by-update keys double as the primary key of R
-            if let UnionMode::ByUpdate(Some(keys)) = &c.union {
-                let pk: Vec<usize> = keys
-                    .iter()
-                    .map(|k| r0.schema().index_of(k).map_err(WithPlusError::from))
-                    .collect::<Result<_>>()?;
-                r0.set_pk(Some(pk));
-            }
-            self.materialize(&c.rec_name, r0)?;
-        }
-
-        // resolve union-by-update key positions once
-        let ubu_keys: Option<Vec<usize>> = match &c.union {
-            UnionMode::ByUpdate(Some(keys)) => Some(
-                keys.iter()
-                    .map(|k| {
-                        self.catalog
-                            .relation(&c.rec_name)?
-                            .schema()
-                            .index_of(k)
-                            .map_err(WithPlusError::from)
-                    })
-                    .collect::<Result<_>>()?,
-            ),
-            _ => None,
         };
+        Ok((sub, frontier, before))
+    }
 
-        // --- the loop ------------------------------------------------------
-        // For `union all` / `union`, the recursive self-reference binds to
-        // the previous iteration's *working table* (SQL'99 / PostgreSQL
-        // semi-naive semantics); `computed by` relations and union-by-update
-        // queries read the full accumulated R. The working table starts as
-        // the initialization result.
-        if seminaive && resume.is_none() {
-            let w = self.catalog.relation(&c.rec_name)?.clone();
-            self.materialize(&working_name, w)?;
-        }
-        let rec_steps: Vec<CompiledStep> = if seminaive {
-            c.recursive
+    /// Bring R (and the frontier table, when `fold` reads one) to where the
+    /// loop starts, and bind the recursive steps to what they read.
+    pub(crate) fn start(&mut self, c: &CompiledWithPlus, start: Start, fold: &Fold) -> Result<Started> {
+        let rec = &c.rec_name;
+        // For the frontier folds the recursive self-reference binds to the
+        // previous iteration's *working table* (SQL'99 / PostgreSQL
+        // semi-naive semantics); `computed by` relations and replacing
+        // union-by-update queries read the full accumulated R.
+        let frontier = fold.reads_frontier().then(|| format!("__delta_{rec}"));
+        let (it, go) = match start {
+            Start::Init => {
+                if self.catalog.contains(rec) {
+                    return Err(WithPlusError::Restriction(format!(
+                        "recursive relation {rec} collides with an existing table"
+                    )));
+                }
+                let mut r0 = self.init_relation(c)?;
+                // `union` keeps the recursive relation a set; duplicate rows
+                // from the initial subqueries (e.g. multi-edges) must not
+                // survive either, per SQL's distinct-union semantics.
+                if *fold == Fold::InsertFresh {
+                    r0 = ops::distinct(&r0);
+                }
+                // union-by-update keys double as the primary key of R
+                if let Some(keys) = fold.keys() {
+                    r0.set_pk(Some(keys.to_vec()));
+                }
+                self.materialize(rec, r0)?;
+                // The working table starts as the initialization result.
+                if let Some(f) = &frontier {
+                    let w = self.catalog.relation(rec)?.clone();
+                    self.materialize(f, w)?;
+                }
+                (0, true)
+            }
+            Start::Seed(seed) => {
+                let (sub, next, _) = self.fold_delta(rec, fold, seed)?;
+                if let (Some(f), Some(next)) = (&frontier, next) {
+                    self.materialize(f, next)?;
+                }
+                if sub.changed {
+                    self.build_indexes(rec)?;
+                }
+                (0, sub.changed)
+            }
+            Start::Resume(k) => {
+                for t in std::iter::once(rec).chain(&frontier) {
+                    if !self.catalog.contains(t) {
+                        return Err(WithPlusError::Restriction(format!(
+                            "resume: recovered catalog has no table {t}"
+                        )));
+                    }
+                }
+                self.build_indexes(rec)?;
+                (k, true)
+            }
+        };
+        let steps = match &frontier {
+            None => c.recursive.clone(),
+            Some(f) => c
+                .recursive
                 .iter()
                 .map(|s| CompiledStep {
                     computed: s.computed.clone(),
-                    plan: rebind_scan(&s.plan, &c.rec_name, &working_name),
+                    plan: rebind_scan(&s.plan, rec, f),
                 })
-                .collect()
-        } else {
-            c.recursive.clone()
+                .collect(),
         };
+        Ok(Started { steps, frontier, it, go })
+    }
 
-        // Everything counted so far belongs to initialization.
-        self.stats.init_exec = self.stats.exec.clone();
-
-        // Durable commit point zero: the init result is on disk before the
-        // loop starts, so recovery can resume at iteration 0.
-        if resume.is_none() {
-            self.wal_commit_iter_point(&c.rec_name, 0)?;
-        }
-
+    /// The loop of Algorithm 1: per iteration, evaluate every recursive
+    /// subquery, fold its delta into R and record its `C_i`; stop once no
+    /// `C_i` held (⇔ the next frontier is empty), at `maxrecursion`, or —
+    /// under a finite `epsilon` — once the largest keyed change of a
+    /// replacing iteration stays below it. `on_iter` runs at every
+    /// iteration boundary, before the loop decides to continue. Returns
+    /// the number of iterations run.
+    pub(crate) fn iterate(
+        &mut self,
+        c: &CompiledWithPlus,
+        started: Started,
+        fold: &Fold,
+        epsilon: f64,
+        mut on_iter: impl FnMut(&mut Self, usize, IterStat) -> Result<()>,
+    ) -> Result<usize> {
+        let Started { steps, frontier, it: first, mut go } = started;
+        let rec = &c.rec_name;
         let max = c.max_recursion.unwrap_or(DEFAULT_MAX_RECURSION);
         let loop_start = Instant::now();
-        for it in resume.unwrap_or(0)..max {
+        let mut it = first;
+        while go && it < max {
             let it_start = Instant::now();
             let exec_at_start = self.stats.exec.clone();
             let it_span = aio_trace::maybe_span(self.tracer, "iteration");
             if let Some(s) = &it_span {
                 s.field("iter", it as u64);
             }
-            let mut delta_total = 0usize;
-            let mut changed = false;
-            let mut next_working: Option<Relation> = None;
-            let mut subqueries: Vec<SubqueryIterStat> = Vec::with_capacity(rec_steps.len());
+            let mut next: Option<Relation> = None;
+            // Largest keyed change this iteration, tracked only under a
+            // finite epsilon; `None` also once a change was structural (not
+            // a numeric move of existing keys), which epsilon must not
+            // swallow.
+            let mut max_change = epsilon.is_finite().then_some(0.0f64);
+            let mut subqueries: Vec<SubqueryIterStat> = Vec::with_capacity(steps.len());
 
-            for (qi, step) in rec_steps.iter().enumerate() {
+            for (qi, step) in steps.iter().enumerate() {
                 let label = format!("rec[{qi}]");
                 self.run_step_computed(step, &label)?;
                 let delta = self.eval(&step.plan, &label)?;
                 let delta = rename_to(delta, &c.rec_cols)?;
-                delta_total += delta.len();
-                let mut sub = SubqueryIterStat {
-                    delta_rows: delta.len(),
-                    changed: false,
-                    ubu_changed_rows: 0,
-                };
-
-                match &c.union {
-                    UnionMode::All => {
-                        if !delta.is_empty() {
-                            sub.changed = true;
-                            self.catalog.insert_rows(
-                                &c.rec_name,
-                                delta.rows().to_vec(),
-                                self.profile.wal_temp,
-                            )?;
-                        }
-                        next_working = Some(match next_working {
-                            None => delta,
-                            Some(acc) => ops::union_all(&acc, &delta)?,
-                        });
-                    }
-                    UnionMode::Distinct => {
-                        let r = self.catalog.relation(&c.rec_name)?;
-                        let fresh = ops::difference(&delta, r)?;
-                        if !fresh.is_empty() {
-                            sub.changed = true;
-                            self.catalog.insert_rows(
-                                &c.rec_name,
-                                fresh.rows().to_vec(),
-                                self.profile.wal_temp,
-                            )?;
-                        }
-                        next_working = Some(match next_working {
-                            None => fresh,
-                            Some(acc) => ops::union_distinct(&acc, &fresh)?,
-                        });
-                    }
-                    UnionMode::ByUpdate(_) => {
-                        (_, sub.ubu_changed_rows, sub.changed) = union_by_update_checked(
-                            self.catalog,
-                            &c.rec_name,
-                            delta,
-                            ubu_keys.as_deref(),
-                            self.ubu_impl,
-                            self.profile,
-                            &mut self.stats.exec,
-                        )?;
-                    }
+                let (sub, fresh, before) = self.fold_delta(rec, fold, delta)?;
+                if let Some(fresh) = fresh {
+                    next = Some(match next {
+                        None => fresh,
+                        Some(acc) if *fold == Fold::InsertFresh => ops::union_distinct(&acc, &fresh)?,
+                        Some(acc) => ops::union_all(&acc, &fresh)?,
+                    });
                 }
-                changed |= sub.changed;
+                if let (true, Some(so_far)) = (sub.changed, max_change) {
+                    let after = self.catalog.relation(rec)?;
+                    max_change = before
+                        .as_ref()
+                        .zip(fold.keys())
+                        .and_then(|(before, keys)| max_keyed_change(before, after, keys))
+                        .map(|moved| moved.max(so_far));
+                }
                 if let Some(t) = self.tracer {
                     t.event(
                         "subquery",
@@ -557,20 +710,22 @@ impl<'a> PsmRunner<'a> {
                 subqueries.push(sub);
             }
 
-            if seminaive {
-                let w = match next_working {
+            if let Some(f) = &frontier {
+                let w = match next {
                     Some(w) => w,
-                    None => Relation::new(self.catalog.relation(&c.rec_name)?.schema().clone()),
+                    None => Relation::new(self.catalog.relation(rec)?.schema().clone()),
                 };
-                self.materialize(&working_name, w)?;
+                self.materialize(f, w)?;
             }
+            let changed = subqueries.iter().any(|q| q.changed);
             if changed {
                 // inserts invalidated R's indexes; rebuild for the next scan
-                self.build_indexes(&c.rec_name)?;
+                self.build_indexes(rec)?;
             }
-            let r_rows = self.catalog.relation(&c.rec_name)?.len();
+            let r_rows = self.catalog.relation(rec)?.len();
+            let delta_rows = subqueries.iter().map(|q| q.delta_rows).sum::<usize>();
             if let Some(s) = &it_span {
-                s.field("delta_rows", delta_total as u64);
+                s.field("delta_rows", delta_rows as u64);
                 s.field("r_rows", r_rows as u64);
                 s.field(
                     "ubu_changed_rows",
@@ -578,39 +733,24 @@ impl<'a> PsmRunner<'a> {
                 );
                 s.field("changed", changed);
             }
-            self.stats.iterations.push(IterStat {
+            aio_metrics::hooks::fixpoint_iteration(delta_rows as u64);
+            let stat = IterStat {
                 r_rows,
-                delta_rows: delta_total,
+                delta_rows,
                 elapsed: it_start.elapsed(),
                 exec: self.stats.exec.delta_since(&exec_at_start),
                 subqueries,
-            });
-            aio_metrics::hooks::fixpoint_iteration(delta_total as u64);
-            if self.profile.capture_snapshots {
-                self.stats
-                    .snapshots
-                    .push(self.catalog.relation(&c.rec_name)?.clone());
-            }
-            // Durable iteration boundary: R (and the working table) as of
-            // the end of iteration `it` are committed before we decide to
-            // continue, so a crash mid-iteration resumes from here.
-            self.wal_commit_iter_point(&c.rec_name, (it + 1) as u64)?;
-            if !changed {
-                break; // every C_i is false / fixpoint reached
-            }
+            };
+            on_iter(self, it, stat)?;
+            // every C_i false / fixpoint reached, or close enough to it
+            go = changed && !max_change.is_some_and(|d| d < epsilon);
+            it += 1;
         }
         aio_metrics::global()
             .engine
             .fixpoint_converge_ms
             .observe(loop_start.elapsed().as_millis() as u64);
-
-        // --- final query ----------------------------------------------------
-        // Attribute the final query's operator counts to their own block
-        // instead of silently merging them into the last iteration's tail.
-        let exec_before_final = self.stats.exec.clone();
-        let out = self.eval(&c.final_plan, "final")?;
-        self.stats.final_exec = self.stats.exec.delta_since(&exec_before_final);
-        Ok(out)
+        Ok(it - first)
     }
 }
 

@@ -1,0 +1,241 @@
+//! One fixpoint loop, three ways in: a with+ statement (`execute`), a cold
+//! view build (`create_view`) and an incremental refresh (`apply_edges`)
+//! must land on the same relation, under every engine profile — so
+//! `postgres_like(true)` also drives temp-table index builds on the view
+//! path. Fixed fixture: a 10-node DAG in two weak components.
+
+use all_in_one::algebra::{all_profiles, oracle_like, AlgebraError, EngineProfile};
+use all_in_one::storage::{edge_schema, node_schema, row, Relation, Row};
+use all_in_one::withplus::{Database, EdgeDelta, RefreshMode, WithPlusError};
+
+/// Edges run low → high, so any low → high addition keeps the graph a DAG
+/// (`union all` terminates by emptiness). {0..6} and {7, 8, 9} are not
+/// connected until `GROWN` bridges them.
+const BASE: &[(i64, i64)] =
+    &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 5), (5, 6), (7, 8), (8, 9), (7, 9)];
+const GROWN: &[(i64, i64)] = &[(4, 7), (0, 5), (6, 9)];
+const N: i64 = 10;
+
+const ALGOS: &[&str] = &["tc", "tc_all", "sssp", "wcc", "pr"];
+
+fn sql(algo: &str, maxrecursion: Option<usize>) -> String {
+    let cap = maxrecursion.map(|k| format!(" maxrecursion {k}")).unwrap_or_default();
+    match algo {
+        "tc" => format!(
+            "with TC(F, T) as ((select E.F, E.T from E) union \
+             (select TC.F, E.T from TC, E where TC.T = E.F){cap}) select * from TC"
+        ),
+        "tc_all" => format!(
+            "with TC(F, T) as ((select E.F, E.T from E) union all \
+             (select TC.F, E.T from TC, E where TC.T = E.F){cap}) select * from TC"
+        ),
+        "sssp" => format!(
+            "with D(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+             (select E.T, min(D.vw + E.ew) from D, E where D.ID = E.F group by E.T){cap}) \
+             select * from D"
+        ),
+        "wcc" => format!(
+            "with C(ID, vw) as ((select V.ID, 1.0 * V.ID from V) union by update ID \
+             (select E.T, min(C.vw * E.ew) from C, E where C.ID = E.F group by E.T){cap}) \
+             select * from C"
+        ),
+        "pr" => format!(
+            "with P(ID, W) as ((select V.ID, 0.0 from V) union by update ID \
+             (select E.T, :c * sum(P.W * E.ew) + (1 - :c) / :n from P, E \
+              where P.ID = E.F group by E.T){cap}) select ID, W from P"
+        ),
+        other => panic!("no sql for {other}"),
+    }
+}
+
+/// The `E` rows `algo` runs over for a given edge list: TC takes the edges
+/// as they are; SSSP adds 0-weight self-loops; WCC is undirected with
+/// unit self-loops; PageRank weighs each edge by 1 / out-degree.
+fn e_rows(algo: &str, edges: &[(i64, i64)]) -> Vec<Row> {
+    let outdeg = |f: i64| edges.iter().filter(|e| e.0 == f).count() as f64;
+    let mut rows: Vec<Row> = edges
+        .iter()
+        .map(|&(f, t)| match algo {
+            "sssp" => row![f, t, 1.0 + ((f + t) % 3) as f64],
+            "pr" => row![f, t, 1.0 / outdeg(f)],
+            _ => row![f, t, 1.0],
+        })
+        .collect();
+    if algo == "wcc" {
+        rows.extend(edges.iter().map(|&(f, t)| row![t, f, 1.0]));
+    }
+    if algo == "wcc" || algo == "sssp" {
+        let w = if algo == "wcc" { 1.0 } else { 0.0 };
+        rows.extend((0..N).map(|v| row![v, v, w]));
+    }
+    rows
+}
+
+fn db_over(profile: &EngineProfile, algo: &str, edges: &[(i64, i64)]) -> Database {
+    let mut e = Relation::new(edge_schema());
+    e.extend(e_rows(algo, edges)).unwrap();
+    let mut v = Relation::new(node_schema());
+    // SSSP seeds: distance 0 at the source, "infinity" elsewhere.
+    v.extend((0..N).map(|id| row![id, if id == 0 { 0.0 } else { 1e18 }])).unwrap();
+    let mut db = Database::new(profile.clone());
+    db.create_table("E", e).unwrap();
+    db.create_table("V", v).unwrap();
+    db.set_param("c", 0.85);
+    db.set_param("n", N as f64);
+    db
+}
+
+/// The delta that turns `E` over `old` into `E` over `new` (PageRank's
+/// out-degree renormalization makes even a pure growth a mixed delta).
+fn e_delta(algo: &str, old: &[(i64, i64)], new: &[(i64, i64)]) -> EdgeDelta {
+    let (old, new) = (e_rows(algo, old), e_rows(algo, new));
+    let adds = new.iter().filter(|r| !old.contains(r)).cloned().collect();
+    let dels = old.iter().filter(|r| !new.contains(r)).cloned().collect();
+    EdgeDelta::new("E", adds, dels)
+}
+
+fn sorted(rel: &Relation) -> Vec<Row> {
+    let mut rows: Vec<Row> = rel.iter().cloned().collect();
+    rows.sort();
+    rows
+}
+
+/// Row-for-row equality; PageRank's re-convergence is compared within 1e-9.
+fn assert_same(algo: &str, got: &Relation, want: &Relation, ctx: &str) {
+    let (got, want) = (sorted(got), sorted(want));
+    if algo != "pr" {
+        assert_eq!(got, want, "{ctx}");
+        return;
+    }
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g[0], w[0], "{ctx}");
+        let (g, w) = (g[1].as_f64().unwrap(), w[1].as_f64().unwrap());
+        assert!((g - w).abs() < 1e-9, "{ctx}: {g} vs {w}");
+    }
+}
+
+#[test]
+fn statement_cold_view_and_refresh_agree_under_every_profile() {
+    let grown: Vec<(i64, i64)> = BASE.iter().chain(GROWN).copied().collect();
+    for profile in all_profiles() {
+        for &algo in ALGOS {
+            let ctx = format!("{algo} under {}", profile.name);
+            let sql = sql(algo, None);
+            let mut db = db_over(&profile, algo, BASE);
+            let stmt = db.execute(&sql).unwrap().relation;
+            db.create_view("fp", &sql).unwrap();
+            assert_same(algo, db.view_relation("fp").unwrap(), &stmt, &format!("{ctx}: cold view"));
+
+            db.apply_edges(vec![e_delta(algo, BASE, &grown)]).unwrap();
+            let report = db.view_report("fp").unwrap();
+            let want_mode = match algo {
+                "tc" => RefreshMode::Resume,
+                "sssp" | "wcc" => RefreshMode::Frontier,
+                "pr" => RefreshMode::Reconverge,
+                _ => RefreshMode::Full,
+            };
+            assert_eq!(report.mode, want_mode, "{ctx}");
+            assert!(report.iterations > 0 && report.added + report.changed > 0, "{ctx}: {report:?}");
+            let stmt = db.execute(&sql).unwrap().relation;
+            assert_same(algo, db.view_relation("fp").unwrap(), &stmt, &format!("{ctx}: refreshed"));
+            assert_eq!(db.catalog.names().len(), 4, "{ctx}: temp tables left behind");
+        }
+    }
+}
+
+#[test]
+fn maxrecursion_truncates_statement_and_view_alike() {
+    for profile in all_profiles() {
+        for &algo in &["tc", "tc_all", "sssp", "wcc"] {
+            let ctx = format!("{algo} under {}", profile.name);
+            let mut db = db_over(&profile, algo, BASE);
+            let full = db.execute(&sql(algo, None)).unwrap().relation;
+            let capped = sql(algo, Some(1));
+            let out = db.execute(&capped).unwrap();
+            assert_eq!(out.stats.iterations.len(), 1, "{ctx}");
+            assert_ne!(sorted(&out.relation), sorted(&full), "{ctx}: the cap must bite");
+            db.create_view("fp", &capped).unwrap();
+            assert_same(algo, db.view_relation("fp").unwrap(), &out.relation, &ctx);
+        }
+    }
+}
+
+#[test]
+fn empty_seed_refresh_is_a_zero_iteration_no_op() {
+    // A parallel copy of an existing edge (TC) / a heavier one (SSSP)
+    // derives nothing the state lacks.
+    for (algo, add, mode) in [
+        ("tc", row![1i64, 3i64, 1.0], RefreshMode::Resume),
+        ("sssp", row![1i64, 3i64, 50.0], RefreshMode::Frontier),
+    ] {
+        let mut db = db_over(&oracle_like(), algo, BASE);
+        db.create_view("fp", &sql(algo, None)).unwrap();
+        let before = db.view_relation("fp").unwrap().clone();
+        let deltas = db.apply_edges(vec![EdgeDelta::insert("E", vec![add])]).unwrap();
+        assert_eq!(deltas.len(), 1, "{algo}: the view reads E, so it refreshes");
+        assert!(deltas[0].is_empty(), "{algo}: {:?}", deltas[0]);
+        let report = db.view_report("fp").unwrap();
+        assert_eq!((report.mode, report.iterations), (mode, 0), "{algo}");
+        assert_eq!(sorted(db.view_relation("fp").unwrap()), sorted(&before), "{algo}");
+        let stmt = db.execute(&sql(algo, None)).unwrap().relation;
+        assert_same(algo, db.view_relation("fp").unwrap(), &stmt, algo);
+    }
+}
+
+#[test]
+fn empty_init_view_builds_refreshes_and_falls_back() {
+    let sql = sql("tc", None);
+    let mut db = db_over(&oracle_like(), "tc", &[]);
+    db.create_view("fp", &sql).unwrap();
+    assert!(db.view_relation("fp").unwrap().is_empty());
+    assert!(db.catalog.relation("__ivm_state_fp").unwrap().is_empty());
+
+    // growth out of nothing resumes from the delta alone
+    db.apply_edges(vec![e_delta("tc", &[], &[(1, 2), (2, 3)])]).unwrap();
+    assert_eq!(db.view_report("fp").unwrap().mode, RefreshMode::Resume);
+    assert_eq!(db.view_relation("fp").unwrap().len(), 3);
+
+    // deleting everything is the full fallback over an empty init: the
+    // statement's one fruitless iteration, an empty view
+    db.apply_edges(vec![e_delta("tc", &[(1, 2), (2, 3)], &[])]).unwrap();
+    let report = db.view_report("fp").unwrap().clone();
+    assert_eq!((report.mode, report.removed), (RefreshMode::Full, 3));
+    assert!(db.view_relation("fp").unwrap().is_empty());
+    let stmt = db.execute(&sql).unwrap();
+    assert!(stmt.relation.is_empty());
+    assert_eq!(report.iterations, stmt.stats.iterations.len());
+}
+
+/// A refresh that fails mid-fixpoint must not leak its temp tables into
+/// the catalog the batch then commits, and must leave the view as it was.
+#[test]
+fn failed_refresh_drops_its_temp_tables_and_leaves_the_view_intact() {
+    let mut db = db_over(&oracle_like(), "tc", &[(1, 2), (2, 3)]);
+    // No aggregate: two edges into one node derive two rows for its key,
+    // which replace-by-key rejects.
+    let sql = "with L(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+               (select E.T, L.vw from L, E where L.ID = E.F) maxrecursion 4) select * from L";
+    db.create_view("lv", sql).unwrap();
+    let names = db.catalog.names();
+    assert_eq!(names, ["__ivm_state_lv", "e", "lv", "v"]);
+    let view = sorted(db.view_relation("lv").unwrap());
+    let state = sorted(db.catalog.relation("__ivm_state_lv").unwrap());
+
+    let err = db.apply_edges(vec![EdgeDelta::insert("E", vec![row![1i64, 3i64, 1.0]])]).unwrap_err();
+    assert!(
+        matches!(err, WithPlusError::Algebra(AlgebraError::NonUniqueUpdate(_))),
+        "{err:?}"
+    );
+    assert_eq!(db.catalog.names(), names, "failed refresh leaked temp tables");
+    assert_eq!(sorted(db.view_relation("lv").unwrap()), view);
+    assert_eq!(sorted(db.catalog.relation("__ivm_state_lv").unwrap()), state);
+
+    // the base delta committed; removing the offending edge again is a
+    // valid batch and refreshes normally
+    let deltas = db.apply_edges(vec![EdgeDelta::delete("E", vec![row![1i64, 3i64, 1.0]])]).unwrap();
+    assert_eq!(deltas.len(), 1);
+    assert_eq!(db.catalog.names(), names);
+    let stmt = db.execute(sql).unwrap().relation;
+    assert_eq!(sorted(db.view_relation("lv").unwrap()), sorted(&stmt));
+}
