@@ -12,16 +12,18 @@
 //! ineligibility (`Ok(None)`) *before* touching `ExecStats`, and the
 //! evaluator bridges that node through the row operators instead.
 
-use crate::agg::Accumulator;
+use crate::agg::{Accumulator, AggFunc, AggNum, GroupAcc, TypedAcc};
 use crate::error::{AlgebraError, Result};
-use crate::expr::{BinOp, ScalarExpr};
+use crate::expr::{BinOp, Func, ScalarExpr, UnaryOp};
 use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::stats::ExecStats;
 use aio_storage::{
-    Batch, ColumnVec, FxHashMap, Key, NullMask, Relation, Schema, Value, GATHER_NULL,
+    Batch, ColumnVec, FxHashMap, NullMask, Relation, Schema, Value, GATHER_NULL,
 };
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -259,16 +261,228 @@ fn cmp_bitmap_f(
     words
 }
 
+/// A dense operand of the column evaluator: one value per row plus the
+/// NULL bitmap (borrowed from the input when the expression is a bare
+/// column), or a scalar broadcast over every row. NULL slots of a computed
+/// lane are reset to the type's zero, the placeholder `ColumnVec` keeps.
+enum Lane<'a, T: Copy> {
+    Const(T),
+    Vec(Cow<'a, [T]>, Cow<'a, NullMask>),
+}
+
+impl<'a, T: Copy + Default> Lane<'a, T> {
+    fn computed(mut vals: Vec<T>, nulls: Cow<'a, NullMask>) -> Self {
+        let len = vals.len();
+        for i in nulls.ones().take_while(|&i| i < len) {
+            vals[i] = T::default();
+        }
+        Lane::Vec(Cow::Owned(vals), nulls)
+    }
+
+    fn map<U: Copy + Default>(self, f: impl Fn(T) -> U) -> Lane<'a, U> {
+        match self {
+            Lane::Const(c) => Lane::Const(f(c)),
+            Lane::Vec(v, n) => Lane::computed(v.iter().map(|&x| f(x)).collect(), n),
+        }
+    }
+
+    /// Row-wise `f(self, other)`; a row is NULL when either side is.
+    fn zip(self, other: Lane<'a, T>, f: impl Fn(T, T) -> T) -> Lane<'a, T> {
+        match (self, other) {
+            (Lane::Const(a), Lane::Const(b)) => Lane::Const(f(a, b)),
+            (Lane::Vec(a, n), Lane::Const(b)) => {
+                Lane::computed(a.iter().map(|&x| f(x, b)).collect(), n)
+            }
+            (Lane::Const(a), Lane::Vec(b, n)) => {
+                Lane::computed(b.iter().map(|&y| f(a, y)).collect(), n)
+            }
+            (Lane::Vec(a, an), Lane::Vec(b, bn)) => {
+                let nulls = match (an.any(), bn.any()) {
+                    (_, false) => an,
+                    (false, true) => bn,
+                    (true, true) => Cow::Owned(an.union(&bn)),
+                };
+                Lane::computed(a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect(), nulls)
+            }
+        }
+    }
+}
+
+/// The value of a vectorized expression over a row range.
+enum Vector<'a> {
+    /// NULL on every row (a NULL literal, or arithmetic with one).
+    Null,
+    Int(Lane<'a, i64>),
+    Float(Lane<'a, f64>),
+}
+
+impl<'a> Vector<'a> {
+    fn of_column(col: &'a ColumnVec, range: &Range<usize>) -> Option<Vector<'a>> {
+        let mask = |nulls: &'a NullMask| {
+            if range.start == 0 && range.end == col.len() {
+                Cow::Borrowed(nulls)
+            } else {
+                Cow::Owned(nulls.slice(range.clone()))
+            }
+        };
+        match col {
+            ColumnVec::Int { vals, nulls } => Some(Vector::Int(Lane::Vec(
+                Cow::Borrowed(&vals[range.clone()]),
+                mask(nulls),
+            ))),
+            ColumnVec::Float { vals, nulls } => Some(Vector::Float(Lane::Vec(
+                Cow::Borrowed(&vals[range.clone()]),
+                mask(nulls),
+            ))),
+            ColumnVec::Str { .. } | ColumnVec::Mixed(_) => None,
+        }
+    }
+
+    /// `eval_binary`'s Int→Float promotion.
+    fn into_float(self) -> Option<Lane<'a, f64>> {
+        match self {
+            Vector::Null => None,
+            Vector::Int(l) => Some(l.map(|x| x as f64)),
+            Vector::Float(l) => Some(l),
+        }
+    }
+
+    /// Materialize `len` rows (not yet [`ColumnVec::canonical`]: per-morsel
+    /// parts are concatenated first).
+    fn into_column(self, len: usize) -> ColumnVec {
+        match self {
+            Vector::Null => ColumnVec::from_values(std::iter::repeat_n(&Value::Null, len)),
+            Vector::Int(Lane::Const(c)) => ColumnVec::Int {
+                vals: vec![c; len],
+                nulls: NullMask::none(),
+            },
+            Vector::Int(Lane::Vec(v, n)) => ColumnVec::Int {
+                vals: v.into_owned(),
+                nulls: n.into_owned(),
+            },
+            Vector::Float(Lane::Const(c)) => ColumnVec::Float {
+                vals: vec![c; len],
+                nulls: NullMask::none(),
+            },
+            Vector::Float(Lane::Vec(v, n)) => ColumnVec::Float {
+                vals: v.into_owned(),
+                nulls: n.into_owned(),
+            },
+        }
+    }
+}
+
+/// The columns a vectorized expression reads: `BoundCol(i)` is `cols[i]`,
+/// `AggRef(i)` is `aggs[i]` (post-aggregate items; empty elsewhere).
+struct Src<'a> {
+    cols: &'a [Arc<ColumnVec>],
+    aggs: &'a [Arc<ColumnVec>],
+}
+
+/// Evaluate a bound expression column-at-a-time over rows `range`, or
+/// decline with `None`. Accepted: `+ - * /`, unary minus and non-empty
+/// `least`/`greatest` over dense Int/Float columns and Int/Float/NULL
+/// literals, with exactly [`crate::expr::eval_binary`]'s semantics —
+/// wrapping Int arithmetic, Int→Float promotion when the operand types
+/// differ, NULL in ⇒ NULL out, IEEE NaN/±∞. Declined: `Str`/`Mixed`
+/// columns, text literals, Int `/` Int and `%` (they can fail per row),
+/// `least`/`greatest` over mixed Int and Float arguments (the result type
+/// would vary per row), comparisons, logic, every other function and
+/// `random()`. Whatever is accepted can neither fail nor draw randomness,
+/// so hoisting it out of a row-major loop is unobservable; whether an
+/// expression is accepted depends on the column *types* only, never on the
+/// range.
+fn eval_vector<'a>(e: &ScalarExpr, src: &Src<'a>, range: &Range<usize>) -> Option<Vector<'a>> {
+    Some(match e {
+        ScalarExpr::BoundCol(i) => Vector::of_column(src.cols.get(*i)?, range)?,
+        ScalarExpr::AggRef(i) => Vector::of_column(src.aggs.get(*i)?, range)?,
+        ScalarExpr::Lit(Value::Null) => Vector::Null,
+        ScalarExpr::Lit(Value::Int(v)) => Vector::Int(Lane::Const(*v)),
+        ScalarExpr::Lit(Value::Float(v)) => Vector::Float(Lane::Const(*v)),
+        ScalarExpr::Unary(UnaryOp::Neg, x) => match eval_vector(x, src, range)? {
+            Vector::Null => Vector::Null,
+            Vector::Int(l) => Vector::Int(l.map(i64::wrapping_neg)),
+            Vector::Float(l) => Vector::Float(l.map(|x| -x)),
+        },
+        ScalarExpr::Binary(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), l, r) => {
+            match (eval_vector(l, src, range)?, eval_vector(r, src, range)?) {
+                (Vector::Null, _) | (_, Vector::Null) => Vector::Null,
+                (Vector::Int(a), Vector::Int(b)) => Vector::Int(match op {
+                    BinOp::Add => a.zip(b, i64::wrapping_add),
+                    BinOp::Sub => a.zip(b, i64::wrapping_sub),
+                    BinOp::Mul => a.zip(b, i64::wrapping_mul),
+                    _ => return None, // Int / Int fails on a zero divisor
+                }),
+                (a, b) => {
+                    let (a, b) = (a.into_float()?, b.into_float()?);
+                    Vector::Float(match op {
+                        BinOp::Add => a.zip(b, |x, y| x + y),
+                        BinOp::Sub => a.zip(b, |x, y| x - y),
+                        BinOp::Mul => a.zip(b, |x, y| x * y),
+                        _ => a.zip(b, |x, y| x / y),
+                    })
+                }
+            }
+        }
+        ScalarExpr::Func(f @ (Func::Least | Func::Greatest), args) if !args.is_empty() => {
+            let (mut null, mut ints, mut floats) = (false, Vec::new(), Vec::new());
+            for a in args {
+                match eval_vector(a, src, range)? {
+                    Vector::Null => null = true,
+                    Vector::Int(l) => ints.push(l),
+                    Vector::Float(l) => floats.push(l),
+                }
+            }
+            let least = *f == Func::Least;
+            match (null, ints.is_empty(), floats.is_empty()) {
+                (true, ..) => Vector::Null,
+                (_, false, true) => Vector::Int(extreme(ints, least)),
+                (_, true, false) => Vector::Float(extreme(floats, least)),
+                _ => return None, // Int and Float arguments: the result type varies per row
+            }
+        }
+        _ => return None,
+    })
+}
+
+/// `least` / `greatest` with `eval_func`'s rule: the running best is
+/// replaced only by a strictly smaller / greater value, so ties and NaN
+/// comparisons keep the earlier argument.
+fn extreme<'a, T: Copy + Default + PartialOrd>(lanes: Vec<Lane<'a, T>>, least: bool) -> Lane<'a, T> {
+    let mut lanes = lanes.into_iter();
+    let first = lanes.next().expect("least/greatest take at least one argument");
+    lanes.fold(first, |best, next| {
+        if least {
+            best.zip(next, |b, v| if b > v { v } else { b })
+        } else {
+            best.zip(next, |b, v| if b < v { v } else { b })
+        }
+    })
+}
+
+/// The column an expression evaluates to over `input`, when the column
+/// evaluator accepts it (see [`eval_vector`] for the rules); `None` means
+/// "evaluate row-major instead", never an error.
+pub fn eval_expr(e: &ScalarExpr, input: &Batch) -> Option<ColumnVec> {
+    let bound = e.bind(input.schema()).ok()?;
+    let src = Src { cols: input.columns(), aggs: &[] };
+    let v = eval_vector(&bound, &src, &(0..input.len()))?;
+    Some(v.into_column(input.len()).canonical())
+}
+
 /// Π over a batch. `BoundCol` items share the input column (`Arc` clone),
-/// literals build one constant column; everything else evaluates row-major
-/// in item order under the row engine's morsel contract, so errors and the
-/// `random()` stream are identical to [`crate::ops::project_par`].
+/// literals build one constant column, items the column evaluator accepts
+/// are computed per morsel as typed vectors; what remains evaluates
+/// row-major in item order under the row engine's morsel contract, so
+/// errors and the `random()` stream are identical to
+/// [`crate::ops::project_par`]. The flag is true when no item needed the
+/// scratch-row interpreter.
 pub(crate) fn project(
     input: &Batch,
     items: &[(ScalarExpr, String)],
     par: usize,
     stats: &mut ExecStats,
-) -> Result<Batch> {
+) -> Result<(Batch, bool)> {
     let bound: Vec<(ScalarExpr, &str)> = items
         .iter()
         .map(|(e, a)| Ok((e.bind(input.schema())?, a.as_str())))
@@ -280,19 +494,16 @@ pub(crate) fn project(
             .collect(),
     );
     let len = input.len();
-    // Trivial items (column passthrough, literal) never error and consume
-    // no randomness, so hoisting them out of the per-row loop is
-    // unobservable.
-    let nontrivial: Vec<usize> = bound
-        .iter()
-        .enumerate()
-        .filter(|(_, (e, _))| {
-            !matches!(e, ScalarExpr::BoundCol(_) | ScalarExpr::Lit(_))
-        })
-        .map(|(i, _)| i)
-        .collect();
+    let src = Src { cols: input.columns(), aggs: &[] };
+    // Trivial items (column passthrough, literal) and vectorized ones never
+    // error and consume no randomness, so hoisting them out of the per-row
+    // loop is unobservable.
+    let nontrivial = |e: &ScalarExpr| !matches!(e, ScalarExpr::BoundCol(_) | ScalarExpr::Lit(_));
+    let (vectorized, row_major): (Vec<usize>, Vec<usize>) = (0..bound.len())
+        .filter(|&i| nontrivial(&bound[i].0))
+        .partition(|&i| eval_vector(&bound[i].0, &src, &(0..0)).is_some());
     let mut computed: Vec<Option<ColumnVec>> = (0..bound.len()).map(|_| None).collect();
-    if !nontrivial.is_empty() {
+    if !(vectorized.is_empty() && row_major.is_empty()) {
         let par = if bound.iter().all(|(e, _)| e.is_deterministic()) {
             par
         } else {
@@ -300,22 +511,40 @@ pub(crate) fn project(
         };
         let arity = input.schema().arity();
         let (bufs, info) = crate::par::run_morsels(len, par, |range| {
-            let mut outs: Vec<Vec<Value>> =
-                nontrivial.iter().map(|_| Vec::with_capacity(range.len())).collect();
-            let mut scratch = vec![Value::Null; arity];
-            for i in range {
-                input.fill_row(i, &mut scratch);
-                for (slot, &item) in outs.iter_mut().zip(&nontrivial) {
-                    slot.push(bound[item].0.eval(&scratch)?);
+            let cols: Vec<ColumnVec> = vectorized
+                .iter()
+                .map(|&item| {
+                    eval_vector(&bound[item].0, &src, &range)
+                        .expect("acceptance depends on column types only")
+                        .into_column(range.len())
+                })
+                .collect();
+            let mut vals: Vec<Vec<Value>> =
+                row_major.iter().map(|_| Vec::with_capacity(range.len())).collect();
+            if !row_major.is_empty() {
+                let mut scratch = vec![Value::Null; arity];
+                for i in range {
+                    input.fill_row(i, &mut scratch);
+                    for (slot, &item) in vals.iter_mut().zip(&row_major) {
+                        slot.push(bound[item].0.eval(&scratch)?);
+                    }
                 }
             }
-            Ok(outs)
+            Ok((cols, vals))
         })?;
         stats.note_parallel(&info);
-        for (k, &item) in nontrivial.iter().enumerate() {
-            let col =
-                ColumnVec::from_values(bufs.iter().flat_map(|morsel| morsel[k].iter()));
-            computed[item] = Some(col);
+        for (k, &item) in row_major.iter().enumerate() {
+            let vals = bufs.iter().flat_map(|(_, vals)| vals[k].iter());
+            computed[item] = Some(ColumnVec::from_values(vals));
+        }
+        let mut parts: Vec<Vec<ColumnVec>> = vectorized.iter().map(|_| Vec::new()).collect();
+        for (cols, _) in bufs {
+            for (slot, col) in parts.iter_mut().zip(cols) {
+                slot.push(col);
+            }
+        }
+        for (&item, parts) in vectorized.iter().zip(parts) {
+            computed[item] = Some(ColumnVec::concat_all(parts).canonical());
         }
     }
     let mut cols: Vec<Arc<ColumnVec>> = Vec::with_capacity(bound.len());
@@ -331,7 +560,7 @@ pub(crate) fn project(
             },
         });
     }
-    Ok(Batch::from_columns(schema, cols, len))
+    Ok((Batch::from_columns(schema, cols, len), row_major.is_empty()))
 }
 
 /// ∪ (bag) — column-wise concatenation, no row materialization.
@@ -482,11 +711,124 @@ fn key_at(keys: &IntKeys<'_>, i: usize) -> Option<(i64, i64)> {
     }
 }
 
-/// Group-by & aggregation over `&[i64]` group keys. Eligible for the hash
+/// A morsel's key span may exceed its row count by this factor and still be
+/// direct-addressed: the slot table (and every flat state array) then has
+/// at most this many entries per input row.
+const DIRECT_SPAN_FACTOR: usize = 4;
+
+/// The group of every row of one morsel, and the groups themselves.
+struct Grouping {
+    /// Morsel-local group id per row.
+    gids: Vec<u32>,
+    /// `(key, local id)` of every group that has a row; `None` is the NULL
+    /// key (and the single group of a global aggregate).
+    groups: Vec<(Option<i64>, u32)>,
+    /// Local ids are `0..slots`; ids without a row occur when
+    /// direct-addressed.
+    slots: usize,
+    /// `groups` is ascending by key (NULL first), the output order.
+    sorted: bool,
+}
+
+/// One pass over the key column. Direct-addressed — id = key − min + 1,
+/// id 0 for the NULL key, so ids are already in key order — when the span
+/// of the non-NULL keys is at most [`DIRECT_SPAN_FACTOR`] × the row count;
+/// hashed (ids in first-seen order) otherwise. Which one runs is read off
+/// the column and changes no result.
+fn assign_groups(key: Option<(&[i64], &NullMask)>, range: Range<usize>) -> Grouping {
+    let Some((vals, nulls)) = key else {
+        return Grouping {
+            gids: vec![0; range.len()],
+            groups: vec![(None, 0)],
+            slots: 1,
+            sorted: true,
+        };
+    };
+    let has_nulls = nulls.any();
+    let key_at = |i: usize| (!(has_nulls && nulls.get(i))).then(|| vals[i]);
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for k in range.clone().filter_map(key_at) {
+        lo = lo.min(k);
+        hi = hi.max(k);
+    }
+    let span = hi as i128 - lo as i128 + 1; // ≤ 0: no non-NULL key
+    let limit = (DIRECT_SPAN_FACTOR * range.len()).min(u32::MAX as usize - 1);
+    if span > 0 && span <= limit as i128 {
+        let slots = span as usize + 1;
+        let mut present = vec![false; slots];
+        let gids = range
+            .map(|i| {
+                let slot = key_at(i).map_or(0, |k| k.wrapping_sub(lo) as usize + 1);
+                present[slot] = true;
+                slot as u32
+            })
+            .collect();
+        let groups = (0..slots)
+            .filter(|&slot| present[slot])
+            .map(|slot| ((slot > 0).then(|| lo + (slot as i64 - 1)), slot as u32))
+            .collect();
+        return Grouping { gids, groups, slots, sorted: true };
+    }
+    let mut index: FxHashMap<Option<i64>, u32> = FxHashMap::default();
+    let mut groups = Vec::new();
+    let gids = range
+        .map(|i| {
+            let key = key_at(i);
+            *index.entry(key).or_insert_with(|| {
+                let id = groups.len() as u32;
+                groups.push((key, id));
+                id
+            })
+        })
+        .collect();
+    let slots = groups.len();
+    Grouping { gids, groups, slots, sorted: false }
+}
+
+/// Fold one vectorized aggregate argument into flat per-group state.
+fn fold_vector(func: AggFunc, arg: Vector<'_>, gids: &[u32], slots: usize) -> GroupAcc {
+    fn fold<T: AggNum>(func: AggFunc, lane: &Lane<'_, T>, gids: &[u32], slots: usize) -> TypedAcc<T> {
+        let mut acc = TypedAcc::new(func, slots);
+        match lane {
+            Lane::Const(c) => acc.fold(gids.iter().map(|&g| (g, *c))),
+            Lane::Vec(v, n) if !n.any() => acc.fold(gids.iter().copied().zip(v.iter().copied())),
+            Lane::Vec(v, n) => acc.fold(
+                gids.iter()
+                    .copied()
+                    .zip(v.iter().copied())
+                    .enumerate()
+                    .filter(|(i, _)| !n.get(*i))
+                    .map(|(_, row)| row),
+            ),
+        }
+        acc
+    }
+    match arg {
+        // no non-NULL value to fold: count 0, everything else NULL
+        Vector::Null => GroupAcc::Int(TypedAcc::new(func, slots)),
+        // `avg` accumulates in f64 whatever the argument type
+        Vector::Int(l) if func == AggFunc::Avg => {
+            GroupAcc::Float(fold(func, &l.map(|x| x as f64), gids, slots))
+        }
+        Vector::Int(l) => GroupAcc::Int(fold(func, &l, gids, slots)),
+        Vector::Float(l) => GroupAcc::Float(fold(func, &l, gids, slots)),
+    }
+}
+
+/// Group-by & aggregation over an `&[i64]` group key. Eligible for the hash
 /// strategy with no grouping (global) or one dense Int group column;
-/// `Ok(None)` bridges to the row operator. Reuses the row engine's
-/// compiled items, accumulators, morsel splits, and morsel-order merge, so
-/// float sums are bit-identical at every `par`.
+/// `Ok(None)` bridges to the row operator.
+///
+/// Each morsel assigns its rows a group id ([`assign_groups`]) and folds
+/// every aggregate into per-group state indexed by it: arguments the
+/// column evaluator accepts become a typed vector folded into flat arrays
+/// ([`TypedAcc`]); the others evaluate on a scratch row, row-major in
+/// aggregate order, into one [`Accumulator`] per group. Morsel partials
+/// merge in morsel order and groups leave in key order, exactly like
+/// [`crate::ops::group_by_par`], so results — float sums included — are
+/// bit-identical to the row engine at every `par`. The post-aggregate item
+/// expressions run through the same evaluator over the key and aggregate
+/// columns. The flag is true when nothing needed the scratch row.
 pub(crate) fn group_by(
     input: &Batch,
     group_refs: &[String],
@@ -494,7 +836,7 @@ pub(crate) fn group_by(
     strategy: crate::profile::AggStrategy,
     par: usize,
     stats: &mut ExecStats,
-) -> Result<Option<Batch>> {
+) -> Result<Option<(Batch, bool)>> {
     if strategy != crate::profile::AggStrategy::Hash {
         return Ok(None);
     }
@@ -502,7 +844,7 @@ pub(crate) fn group_by(
         .iter()
         .map(|r| input.schema().index_of(r).map_err(Into::into))
         .collect::<Result<_>>()?;
-    let int_key: Option<(&[i64], &NullMask)> = match group_cols.as_slice() {
+    let key: Option<(&[i64], &NullMask)> = match group_cols.as_slice() {
         [] => None,
         [c] => match input.col(*c) {
             ColumnVec::Int { vals, nulls } => Some((vals.as_slice(), nulls)),
@@ -515,96 +857,154 @@ pub(crate) fn group_by(
     stats.rows_scanned += input.len() as u64;
     let c = groupby::compile(input.schema(), &group_cols, items)?;
     let schema = groupby::output_schema(input.schema(), &group_cols, &c);
-    let mut out = Relation::new(schema);
-    // Aggregate arguments that are plain column references read the column
-    // directly; anything else evaluates on a scratch row.
-    let arg_cols: Vec<Option<usize>> = c
-        .aggs
-        .iter()
-        .map(|(_, arg)| match arg {
-            ScalarExpr::BoundCol(i) => Some(*i),
-            _ => None,
-        })
+    let src = Src { cols: input.columns(), aggs: &[] };
+    let boxed: Vec<usize> = (0..c.aggs.len())
+        .filter(|&a| eval_vector(&c.aggs[a].1, &src, &(0..0)).is_none())
         .collect();
-    let needs_scratch = arg_cols.iter().any(Option::is_none);
-    let arity = input.schema().arity();
+    // Bare-column arguments of boxed aggregates (a Str `min`, a Mixed
+    // `sum`) read the column; only other expressions need the scratch row.
+    let needs_scratch =
+        boxed.iter().any(|&a| !matches!(c.aggs[a].1, ScalarExpr::BoundCol(_)));
 
-    let Some((kvals, knulls)) = int_key else {
-        // Global aggregate: serial, exactly one output row (even on empty
-        // input) — same shape as the row path.
-        let mut accs: Vec<Accumulator> =
-            c.aggs.iter().map(|(f, _)| f.accumulator()).collect();
-        let mut scratch = vec![Value::Null; arity];
-        for i in 0..input.len() {
-            if needs_scratch {
-                input.fill_row(i, &mut scratch);
+    let fold_morsel = |range: Range<usize>| -> Result<(Grouping, Vec<GroupAcc>)> {
+        let mut grouping = assign_groups(key, range.clone());
+        let (gids, slots) = (std::mem::take(&mut grouping.gids), grouping.slots);
+        let mut row_accs: Vec<Vec<Accumulator>> = boxed
+            .iter()
+            .map(|&a| vec![c.aggs[a].0.accumulator(); slots])
+            .collect();
+        if !boxed.is_empty() {
+            let mut scratch = vec![Value::Null; input.schema().arity()];
+            for (i, &g) in range.clone().zip(&gids) {
+                if needs_scratch {
+                    input.fill_row(i, &mut scratch);
+                }
+                for (accs, &a) in row_accs.iter_mut().zip(&boxed) {
+                    let v = match &c.aggs[a].1 {
+                        ScalarExpr::BoundCol(ci) => input.col(*ci).value(i),
+                        arg => arg.eval(&scratch)?,
+                    };
+                    accs[g as usize].update(&v);
+                }
             }
-            update_accs(&mut accs, &c.aggs, &arg_cols, input, i, &scratch)?;
         }
-        groupby::finish_group(&Key(Vec::new().into_boxed_slice()), accs, &c, &mut out)?;
-        stats.rows_produced += 1;
-        return Ok(Some(Batch::from_relation(&out)));
+        let mut row_accs = row_accs.into_iter();
+        let accs = c
+            .aggs
+            .iter()
+            .enumerate()
+            .map(|(a, (func, arg))| {
+                if boxed.contains(&a) {
+                    GroupAcc::Boxed(row_accs.next().expect("one state vector per boxed aggregate"))
+                } else {
+                    let v = eval_vector(arg, &src, &range)
+                        .expect("acceptance depends on column types only");
+                    fold_vector(*func, v, &gids, slots)
+                }
+            })
+            .collect();
+        Ok((grouping, accs))
     };
 
-    // `Option<i64>` keys: `None` (NULL) sorts first, matching the storage
-    // total order the row engine's `Key` sort uses.
-    let (mut partials, info) = crate::par::run_morsels(input.len(), par, |range| {
-        let mut groups: FxHashMap<Option<i64>, Vec<Accumulator>> = FxHashMap::default();
-        let mut scratch = vec![Value::Null; arity];
-        for i in range {
-            if needs_scratch {
-                input.fill_row(i, &mut scratch);
+    let (mut grouping, accs) = if key.is_none() {
+        // Global aggregate: serial, exactly one output row (even on empty
+        // input) — same shape as the row path.
+        fold_morsel(0..input.len())?
+    } else {
+        let (partials, info) = crate::par::run_morsels(input.len(), par, fold_morsel)?;
+        stats.note_parallel(&info);
+        merge_partials(partials, &c.aggs)
+    };
+    if !grouping.sorted {
+        grouping.groups.sort_unstable_by_key(|g| g.0);
+    }
+
+    // Output columns: key, aggregates, then the items over them.
+    let n = grouping.groups.len();
+    let live: Vec<u32> = grouping.groups.iter().map(|g| g.1).collect();
+    let key_cols: Vec<Arc<ColumnVec>> = key
+        .map(|_| {
+            let mut nulls = NullMask::none();
+            let vals = grouping
+                .groups
+                .iter()
+                .enumerate()
+                .map(|(o, g)| {
+                    g.0.unwrap_or_else(|| {
+                        nulls.set(o);
+                        0
+                    })
+                })
+                .collect();
+            Arc::new(ColumnVec::Int { vals, nulls })
+        })
+        .into_iter()
+        .collect();
+    let agg_cols: Vec<Arc<ColumnVec>> =
+        accs.into_iter().map(|a| Arc::new(a.finish(&live))).collect();
+    let out_src = Src { cols: &key_cols, aggs: &agg_cols };
+    let mut cols: Vec<Option<Arc<ColumnVec>>> = c
+        .items
+        .iter()
+        .map(|it| match &it.expr {
+            ScalarExpr::BoundCol(k) => key_cols.get(*k).cloned(),
+            ScalarExpr::AggRef(a) => agg_cols.get(*a).cloned(),
+            e => eval_vector(e, &out_src, &(0..n))
+                .map(|v| Arc::new(v.into_column(n).canonical())),
+        })
+        .collect();
+    // Items the evaluator declined: group-major in item order, as
+    // `groupby::finish_group` evaluates them.
+    let row_major: Vec<usize> = (0..cols.len()).filter(|&i| cols[i].is_none()).collect();
+    if !row_major.is_empty() {
+        let mut vals: Vec<Vec<Value>> = row_major.iter().map(|_| Vec::with_capacity(n)).collect();
+        for g in 0..n {
+            let key_row: Vec<Value> = key_cols.iter().map(|col| col.value(g)).collect();
+            let agg_row: Vec<Value> = agg_cols.iter().map(|col| col.value(g)).collect();
+            for (slot, &item) in vals.iter_mut().zip(&row_major) {
+                slot.push(c.items[item].expr.eval_env(&key_row, &agg_row)?);
             }
-            let key = (!knulls.get(i)).then(|| kvals[i]);
-            let accs = groups
-                .entry(key)
-                .or_insert_with(|| c.aggs.iter().map(|(f, _)| f.accumulator()).collect());
-            update_accs(accs, &c.aggs, &arg_cols, input, i, &scratch)?;
         }
-        Ok(groups)
-    })?;
-    stats.note_parallel(&info);
-    let mut groups = partials.remove(0);
-    for partial in partials {
-        for (key, accs) in partial {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (into, from) in e.get_mut().iter_mut().zip(accs) {
-                        into.merge(from);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accs);
-                }
-            }
+        for (&item, vals) in row_major.iter().zip(&vals) {
+            cols[item] = Some(Arc::new(ColumnVec::from_values(vals.iter())));
         }
     }
-    let mut entries: Vec<(Option<i64>, Vec<Accumulator>)> = groups.into_iter().collect();
-    entries.sort_unstable_by_key(|e| e.0);
-    for (key, accs) in entries {
-        let kv = key.map_or(Value::Null, Value::Int);
-        groupby::finish_group(&Key(vec![kv].into_boxed_slice()), accs, &c, &mut out)?;
-    }
-    stats.rows_produced += out.len() as u64;
-    Ok(Some(Batch::from_relation(&out)))
+    stats.rows_produced += n as u64;
+    let cols = cols.into_iter().map(|col| col.expect("every item was computed")).collect();
+    let typed = boxed.is_empty() && row_major.is_empty();
+    Ok(Some((Batch::from_columns(schema, cols, n), typed)))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn update_accs(
-    accs: &mut [Accumulator],
-    aggs: &[(crate::agg::AggFunc, ScalarExpr)],
-    arg_cols: &[Option<usize>],
-    input: &Batch,
-    i: usize,
-    scratch: &[Value],
-) -> Result<()> {
-    for ((acc, (_, arg)), col) in accs.iter_mut().zip(aggs).zip(arg_cols) {
-        match col {
-            Some(ci) => acc.update(&input.col(*ci).value(i)),
-            None => acc.update(&arg.eval(scratch)?),
+/// Merge morsel partials into the first one in morsel order, matching
+/// groups by key — [`crate::ops::group_by_par`]'s merge over flat state.
+fn merge_partials(
+    partials: Vec<(Grouping, Vec<GroupAcc>)>,
+    aggs: &[(AggFunc, ScalarExpr)],
+) -> (Grouping, Vec<GroupAcc>) {
+    let mut partials = partials.into_iter();
+    let (mut into, mut accs) = partials.next().expect("run_morsels yields at least one morsel");
+    if partials.len() == 0 {
+        return (into, accs);
+    }
+    let mut index: FxHashMap<Option<i64>, u32> = into.groups.iter().copied().collect();
+    for (part, part_accs) in partials {
+        for (key, from) in part.groups {
+            let g = *index.entry(key).or_insert_with(|| {
+                let id = into.slots as u32;
+                into.slots += 1;
+                into.groups.push((key, id));
+                for (acc, (func, _)) in accs.iter_mut().zip(aggs) {
+                    acc.push_group(*func);
+                }
+                id
+            });
+            for (acc, other) in accs.iter_mut().zip(&part_accs) {
+                acc.merge_group(g as usize, other, from as usize);
+            }
         }
     }
-    Ok(())
+    into.sorted = false;
+    (into, accs)
 }
 
 #[cfg(test)]
@@ -757,8 +1157,9 @@ mod tests {
                 &mut s,
             )
             .unwrap()
-            .expect("single int key is eligible")
-            .to_relation();
+            .expect("single int key is eligible");
+            assert!(got.1, "bare-column and Int `+` arguments are column-native");
+            let got = got.0.to_relation();
             let mut s2 = ExecStats::new();
             let want = ops::group_by_par(
                 &rel,
@@ -791,6 +1192,7 @@ mod tests {
         )
         .unwrap()
         .unwrap()
+        .0
         .to_relation();
         let mut s2 = ExecStats::new();
         let want = ops::group_by(&rel, &[], &items, crate::profile::AggStrategy::Hash, &mut s2)
@@ -822,7 +1224,8 @@ mod tests {
             ),
         ];
         let mut s = ExecStats::new();
-        let got = project(&b, &items, 1, &mut s).unwrap();
+        let (got, typed) = project(&b, &items, 1, &mut s).unwrap();
+        assert!(typed, "Float * literal is column-native");
         assert!(Arc::ptr_eq(&got.col_arc(0), &b.col_arc(0)), "zero-copy passthrough");
         let want = ops::project(&rel, &items).unwrap();
         assert_eq!(got.to_relation().rows(), want.rows());

@@ -32,6 +32,11 @@ pub struct NodeAgg {
     /// the node produced columns; row-mode renders are unchanged.
     pub batches: u64,
     pub batches_recorded: u64,
+    /// Invocations that ran entirely on column kernels (field `typed` =
+    /// true) out of those that recorded the field — batch-mode project and
+    /// aggregate nodes only.
+    pub typed: u64,
+    pub typed_recorded: u64,
 }
 
 impl NodeAgg {
@@ -49,6 +54,10 @@ impl NodeAgg {
         if let Some(b) = s.field_u64("batches") {
             self.batches += b;
             self.batches_recorded += 1;
+        }
+        if let Some(aio_trace::FieldValue::Bool(t)) = s.field("typed") {
+            self.typed += *t as u64;
+            self.typed_recorded += 1;
         }
     }
 }
@@ -221,6 +230,14 @@ fn render_node(
             out.push_str(&format!("  (calls={} rows={}", a.calls, a.rows_out));
             if a.batches_recorded > 0 {
                 out.push_str(&format!(" batches={}", a.batches));
+            }
+            if a.typed_recorded > 0 {
+                // true / false when every call agreed, else typed calls / calls
+                match a.typed {
+                    0 => out.push_str(" typed=false"),
+                    t if t == a.typed_recorded => out.push_str(" typed=true"),
+                    t => out.push_str(&format!(" typed={t}/{}", a.typed_recorded)),
+                }
             }
             if a.est_recorded > 0 {
                 out.push_str(&format!(" est={}", a.est_rows));

@@ -263,7 +263,7 @@ impl ScalarExpr {
 fn eval_unary(op: UnaryOp, v: Value) -> Value {
     match op {
         UnaryOp::Neg => match v {
-            Value::Int(i) => Value::Int(-i),
+            Value::Int(i) => Value::Int(i.wrapping_neg()),
             Value::Float(f) => Value::Float(-f),
             _ => Value::Null,
         },
@@ -333,13 +333,13 @@ pub fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
                 if *b == 0 {
                     return Err(AlgebraError::Expr("integer division by zero".into()));
                 }
-                Value::Int(a / b)
+                Value::Int(a.wrapping_div(*b))
             }
             BinOp::Mod => {
                 if *b == 0 {
                     return Err(AlgebraError::Expr("integer modulo by zero".into()));
                 }
-                Value::Int(a % b)
+                Value::Int(a.wrapping_rem(*b))
             }
             BinOp::And | BinOp::Or => unreachable!("handled in eval_env"),
             _ => unreachable!(),

@@ -248,6 +248,11 @@ pub struct Evaluator<'a> {
     /// (bytes); tracked only while metrics are enabled. The query layer
     /// maxes this across evaluators into the per-query peak-memory figure.
     mem_peak: u64,
+    /// Set by [`Evaluator::apply`] for a project / aggregate under
+    /// [`ExecMode::Batch`]: did the node run entirely on column kernels
+    /// (`false`: some expression took the scratch-row interpreter, or the
+    /// node bridged to the row operator)? Becomes the span's `typed` field.
+    typed: Option<bool>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -260,6 +265,7 @@ impl<'a> Evaluator<'a> {
             node_seq: 0,
             est: Vec::new(),
             mem_peak: 0,
+            typed: None,
         }
     }
 
@@ -293,7 +299,8 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluate one node: open its span, evaluate the children in
     /// [`Plan::children`] order, run the operator, then record metrics and
-    /// the span's output fields (`batches` only on columnar outputs).
+    /// the span's output fields (`batches` only on columnar outputs, `typed`
+    /// only on a batch-mode project / aggregate).
     fn eval(&mut self, plan: &Plan) -> Result<Data> {
         let span = self.tracer.map(|t| {
             let node = self.node_seq;
@@ -316,6 +323,7 @@ impl<'a> Evaluator<'a> {
             inputs.push(self.eval(c)?);
         }
         let out = self.apply(plan, inputs)?;
+        let typed = self.typed.take();
         let batches = match &out {
             Data::Rows(_) => None,
             Data::Cols(b) => Some(b.len().div_ceil(BATCH_SIZE).max(1) as u64),
@@ -337,6 +345,9 @@ impl<'a> Evaluator<'a> {
             span.field("rows_out", out.len() as u64);
             if let Some(n) = batches {
                 span.field("batches", n);
+            }
+            if let Some(t) = typed {
+                span.field("typed", t);
             }
             if matches!(plan, Plan::Join { .. }) {
                 let ph = ops::last_join_phases();
@@ -398,7 +409,9 @@ impl<'a> Evaluator<'a> {
             Plan::Project { items, .. } => {
                 let out = if columnar {
                     let b = next().into_batch();
-                    Data::Cols(batch::project(&b, items, par, &mut self.stats)?)
+                    let (out, typed) = batch::project(&b, items, par, &mut self.stats)?;
+                    self.typed = Some(typed);
+                    Data::Cols(out)
                 } else {
                     let rel = next().into_relation();
                     Data::Rows(ops::project_par(&rel, items, par, &mut self.stats)?)
@@ -411,9 +424,9 @@ impl<'a> Evaluator<'a> {
                 let mut input = next();
                 if columnar {
                     let b = input.into_batch();
-                    if let Some(out) =
-                        batch::group_by(&b, group_by, items, agg, par, &mut self.stats)?
-                    {
+                    let out = batch::group_by(&b, group_by, items, agg, par, &mut self.stats)?;
+                    self.typed = Some(matches!(out, Some((_, true))));
+                    if let Some((out, _)) = out {
                         return Ok(Data::Cols(out));
                     }
                     // sort aggregation, multi-column or non-Int keys

@@ -133,16 +133,56 @@ impl NullMask {
         NullMask { words }
     }
 
+    /// Indexes of the NULL rows, ascending (all-zero words are skipped).
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ones_from_word(0)
+    }
+
+    fn ones_from_word(&self, first: usize) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().skip(first).flat_map(|(w, &word)| {
+            let mut m = word;
+            std::iter::from_fn(move || {
+                (m != 0).then(|| {
+                    let b = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+
+    /// Rows NULL in either mask (the NULL propagation of a binary kernel).
+    pub fn union(&self, other: &NullMask) -> NullMask {
+        let (long, short) = if self.words.len() >= other.words.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut words = long.words.clone();
+        for (w, s) in words.iter_mut().zip(&short.words) {
+            *w |= s;
+        }
+        NullMask { words }
+    }
+
+    /// The mask of rows `range`, re-based so row `range.start` is bit 0.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> NullMask {
+        let mut out = NullMask::none();
+        let inside = self
+            .ones_from_word(range.start / 64)
+            .skip_while(|&i| i < range.start)
+            .take_while(|&i| i < range.end);
+        for i in inside {
+            out.set(i - range.start);
+        }
+        out
+    }
+
     /// OR `other` into `self` with every bit shifted up by `offset` rows
     /// (column concatenation for `UNION ALL`).
     pub fn extend_shifted(&mut self, other: &NullMask, offset: usize, other_len: usize) {
-        if !other.any() {
-            return;
-        }
-        for i in 0..other_len {
-            if other.get(i) {
-                self.set(offset + i);
-            }
+        for i in other.ones().take_while(|&i| i < other_len) {
+            self.set(offset + i);
         }
     }
 }
@@ -242,6 +282,48 @@ impl ColumnVec {
             b.push(v);
         }
         b.finish()
+    }
+
+    /// Re-spell a kernel-built column the way [`ColumnVec::from_values`]
+    /// would have: a `Float` column with no non-NULL value (empty included)
+    /// is an all-NULL `Int` column. Keeps a batch's layout a function of
+    /// its values alone, whichever path produced it.
+    pub fn canonical(self) -> ColumnVec {
+        match self {
+            ColumnVec::Float { vals, nulls } if nulls.count() == vals.len() => {
+                ColumnVec::Int { vals: vec![0; vals.len()], nulls }
+            }
+            other => other,
+        }
+    }
+
+    /// Concatenate per-morsel parts in order. Typed parts of one variant
+    /// append in place; anything else folds through [`ColumnVec::concat`].
+    pub fn concat_all(parts: Vec<ColumnVec>) -> ColumnVec {
+        let mut parts = parts.into_iter();
+        let Some(mut acc) = parts.next() else {
+            return ColumnBuilder::new().finish();
+        };
+        for part in parts {
+            match (&mut acc, part) {
+                (
+                    ColumnVec::Int { vals, nulls },
+                    ColumnVec::Int { vals: pv, nulls: pn },
+                ) => {
+                    nulls.extend_shifted(&pn, vals.len(), pv.len());
+                    vals.extend(pv);
+                }
+                (
+                    ColumnVec::Float { vals, nulls },
+                    ColumnVec::Float { vals: pv, nulls: pn },
+                ) => {
+                    nulls.extend_shifted(&pn, vals.len(), pv.len());
+                    vals.extend(pv);
+                }
+                (_, part) => acc = acc.concat(&part),
+            }
+        }
+        acc
     }
 
     /// Gather rows by index into a new column; [`GATHER_NULL`] produces
@@ -807,6 +889,69 @@ mod tests {
         assert_eq!(cat.value(0), Value::Int(1));
         assert_eq!(cat.value(1), Value::Null);
         assert_eq!(cat.value(2), Value::Int(2));
+    }
+
+    #[test]
+    fn null_mask_slice_union_and_ones() {
+        let mut m = NullMask::none();
+        for i in [0, 5, 63, 64, 130, 199] {
+            m.set(i);
+        }
+        assert_eq!(m.ones().collect::<Vec<_>>(), vec![0, 5, 63, 64, 130, 199]);
+        for range in [0..200, 5..64, 63..131, 64..64, 131..199, 190..400] {
+            let s = m.slice(range.clone());
+            for i in 0..range.len() + 70 {
+                assert_eq!(s.get(i), i < range.len() && m.get(range.start + i), "{range:?} bit {i}");
+            }
+        }
+        let mut other = NullMask::none();
+        other.set(3);
+        other.set(300);
+        for u in [m.union(&other), other.union(&m)] {
+            assert_eq!(u.ones().collect::<Vec<_>>(), vec![0, 3, 5, 63, 64, 130, 199, 300]);
+        }
+        assert!(!NullMask::none().union(&NullMask::none()).any());
+    }
+
+    #[test]
+    fn concat_all_and_canonical_match_from_values() {
+        let vals: Vec<Value> = (0..150)
+            .map(|i| if i % 7 == 0 { Value::Null } else { Value::Float(i as f64 / 4.0) })
+            .collect();
+        for cuts in [vec![150], vec![0, 150], vec![1, 64, 65, 150], vec![70, 70, 150]] {
+            let mut parts = Vec::new();
+            let mut lo = 0;
+            for hi in cuts {
+                let mut nulls = NullMask::none();
+                let part: Vec<f64> = vals[lo..hi]
+                    .iter()
+                    .enumerate()
+                    .map(|(o, v)| {
+                        v.as_f64().unwrap_or_else(|| {
+                            nulls.set(o);
+                            0.0
+                        })
+                    })
+                    .collect();
+                parts.push(ColumnVec::Float { vals: part, nulls });
+                lo = hi;
+            }
+            let col = ColumnVec::concat_all(parts).canonical();
+            assert!(matches!(col, ColumnVec::Float { .. }));
+            assert_eq!((0..150).map(|i| col.value(i)).collect::<Vec<_>>(), vals);
+        }
+        // no non-NULL float (or nothing at all) is an all-NULL Int column,
+        // as `from_values` spells it
+        let mut nulls = NullMask::none();
+        nulls.set(0);
+        nulls.set(1);
+        for col in [
+            ColumnVec::Float { vals: vec![0.0, 0.0], nulls }.canonical(),
+            ColumnVec::concat_all(vec![]).canonical(),
+            ColumnVec::Float { vals: vec![], nulls: NullMask::none() }.canonical(),
+        ] {
+            assert!(matches!(&col, ColumnVec::Int { nulls, vals } if nulls.count() == vals.len()));
+        }
     }
 
     /// Row-at-a-time reference implementation of the stats sketch (the
