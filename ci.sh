@@ -92,8 +92,10 @@ rm -rf "$col_dir"
 
 # wcoj smoke: binary vs worst-case-optimal multiway join A/B at reduced
 # scale with identical results in both engines (asserted inside the
-# binary, which also asserts the cost optimizer picks MultiwayJoin) and a
-# well-formed BENCH_wcoj.json. The pattern differential matrix
+# binary, which also asserts the cost optimizer picks MultiwayJoin and
+# that a second run of that SQL builds no trie — a cache the SQL path
+# never hits must fail here, not wait for a benchmark) and a well-formed
+# BENCH_wcoj.json. The pattern differential matrix
 # (tests/wcoj_equivalence.rs) is part of the default `cargo test` above;
 # the ≥5x triangle speedup bar is only meaningful at full scale and is
 # enforced by `./ci.sh full`.
@@ -101,6 +103,7 @@ wcoj_dir="$(mktemp -d)"
 (cd "$wcoj_dir" && "$repro_bin" wcoj --scale 0.02) |
     tee "$wcoj_dir/wcoj.out"
 grep -q "speedup" "$wcoj_dir/wcoj.out"
+grep -q "sql path: trie cache 3/3 hits" "$wcoj_dir/wcoj.out"
 test -s "$wcoj_dir/BENCH_wcoj.json"
 grep -q '"experiment": "wcoj"' "$wcoj_dir/BENCH_wcoj.json"
 grep -q '"verdict"' "$wcoj_dir/BENCH_wcoj.json"

@@ -18,9 +18,7 @@ use crate::expr::{BinOp, Func, ScalarExpr, UnaryOp};
 use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::stats::ExecStats;
-use aio_storage::{
-    Batch, ColumnVec, FxHashMap, NullMask, Relation, Schema, Value, GATHER_NULL,
-};
+use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, Schema, Value, GATHER_NULL};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -33,12 +31,6 @@ use std::time::Instant;
 /// threshold ([`crate::par::MIN_PARALLEL_ROWS`]) so chunk ranges compose
 /// with the morsel runner.
 pub const BATCH_SIZE: usize = 4096;
-
-/// Columnar scan: transpose the stored relation once, re-qualifying the
-/// schema in place of `ops::rename` (no row clones).
-pub(crate) fn scan(rel: &Relation, qualifier: &str) -> Batch {
-    Batch::from_relation_with_schema(rel, rel.schema().with_qualifier(qualifier))
-}
 
 /// σ over a batch. Comparison trees on Int/Float columns evaluate to a
 /// selection bitmap chunk-by-chunk (`batch_size` rows per chunk — the
@@ -1012,7 +1004,7 @@ mod tests {
     use super::*;
     use crate::agg::AggFunc;
     use crate::ops;
-    use aio_storage::{edge_schema, row};
+    use aio_storage::{edge_schema, row, Relation};
 
     fn edges(n: i64) -> Relation {
         let mut e = Relation::new(edge_schema());

@@ -96,7 +96,6 @@ pub fn ubu_merge_improve(
             t.push(r)?;
         }
     }
-    catalog.entry_mut(target)?.indexes.clear();
     stats.rows_produced += frontier.len() as u64;
     Ok(frontier)
 }

@@ -180,7 +180,6 @@ pub fn union_by_update(
                     }
                 }
             }
-            catalog.entry_mut(target)?.indexes.clear();
             for (before, after) in &updates {
                 catalog.wal.log_update(wal_update, before, after);
             }
@@ -215,7 +214,6 @@ pub fn union_by_update(
                     }
                 }
             }
-            catalog.entry_mut(target)?.indexes.clear();
             for (before, after) in &updates {
                 catalog.wal.log_update(wal_update, before, after);
             }
@@ -287,9 +285,7 @@ pub fn union_by_update(
                 catalog.rename_table(&staging, target)?;
             } else {
                 catalog.wal.log_insert(profile.wal_temp, &new_rows);
-                let e = catalog.entry_mut(target)?;
-                e.indexes.clear();
-                *e.rel.rows_mut() = new_rows;
+                *catalog.relation_mut(target)?.rows_mut() = new_rows;
             }
             Ok(())
         }
@@ -305,9 +301,7 @@ fn replace_whole(
 ) -> Result<()> {
     stats.rows_produced += delta.len() as u64;
     catalog.wal.log_insert(profile.wal_temp, delta.rows());
-    let e = catalog.entry_mut(target)?;
-    e.indexes.clear();
-    *e.rel.rows_mut() = delta.into_rows();
+    *catalog.relation_mut(target)?.rows_mut() = delta.into_rows();
     Ok(())
 }
 

@@ -14,7 +14,7 @@ use crate::ops::anti_join::AntiJoinImpl;
 use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
 use crate::profile::{EngineProfile, ExecMode, JoinStrategy};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, Catalog, Relation, Schema};
+use aio_storage::{Batch, Catalog, Relation, Schema, Value};
 
 /// A logical plan node.
 #[derive(Clone, Debug)]
@@ -385,7 +385,10 @@ impl<'a> Evaluator<'a> {
                 self.stats.rows_scanned += rel.len() as u64;
                 let qual = alias.as_deref().unwrap_or(table);
                 Ok(if columnar {
-                    Data::Cols(batch::scan(rel, qual))
+                    // the catalog's cached image, shared under this scan's
+                    // qualifier — never a transposition of its own
+                    let image = self.catalog.columnar(table)?;
+                    Data::Cols(image.with_schema(image.schema().with_qualifier(qual)))
                 } else {
                     Data::Rows(ops::rename(rel, qual))
                 })
@@ -528,12 +531,12 @@ impl<'a> Evaluator<'a> {
                 Ok(Data::Rows(ops::semi_join_par(&l, &r, &keys, par, &mut self.stats)?))
             }
             Plan::MultiwayJoin { children, vars, var_names, .. } => {
-                // the trie probe is inherently row-at-a-time
-                let rels: Vec<Relation> = inputs.map(Data::into_relation).collect();
+                // the trie probe is inherently row-at-a-time: rows come
+                // out, but the children go in as whatever they already are
                 Ok(Data::Rows(crate::wcoj::multiway_join(
                     self.catalog,
                     children,
-                    &rels,
+                    inputs.collect(),
                     vars,
                     var_names.len(),
                     &mut self.stats,
@@ -559,16 +562,31 @@ impl<'a> Evaluator<'a> {
 /// ran a batch kernel, row-materialized otherwise. The two bridge methods
 /// are the only row⇄column transposes in the evaluator, and both are
 /// exact, so mixing the two shapes inside one plan cannot change results.
-enum Data {
+pub(crate) enum Data {
     Rows(Relation),
     Cols(Batch),
 }
 
 impl Data {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Data::Rows(r) => r.len(),
             Data::Cols(b) => b.len(),
+        }
+    }
+
+    pub(crate) fn schema(&self) -> &Schema {
+        match self {
+            Data::Rows(r) => r.schema(),
+            Data::Cols(b) => b.schema(),
+        }
+    }
+
+    /// Append row `i`'s values to `out`.
+    pub(crate) fn push_row(&self, i: usize, out: &mut Vec<Value>) {
+        match self {
+            Data::Rows(r) => out.extend_from_slice(&r.rows()[i]),
+            Data::Cols(b) => out.extend(b.columns().iter().map(|c| c.value(i))),
         }
     }
 
@@ -579,7 +597,7 @@ impl Data {
         }
     }
 
-    fn into_relation(self) -> Relation {
+    pub(crate) fn into_relation(self) -> Relation {
         match self {
             Data::Rows(r) => r,
             Data::Cols(b) => b.to_relation(),

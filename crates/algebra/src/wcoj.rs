@@ -12,7 +12,9 @@
 //! * the executor ([`multiway_join`]) — a classic LFTJ over
 //!   [`aio_storage::TrieCursor`]s, with bag semantics (payload columns and
 //!   duplicate rows are re-expanded from the trie's row-id runs, so the
-//!   output is multiset-identical to the equivalent binary join tree);
+//!   output is multiset-identical to the equivalent binary join tree).
+//!   Scan-like children ([`scan_like`]) read the catalog's cached tries;
+//!   only filtered or computed children are indexed per execution;
 //! * the planning helpers the cost pass uses — GYO cyclicity detection
 //!   ([`is_cyclic`]), the AGM bound via an exact half-integral minimum
 //!   fractional edge cover ([`agm_bound`]), and the variable elimination
@@ -20,7 +22,8 @@
 
 use crate::error::{AlgebraError, Result};
 use crate::fault;
-use crate::plan::Plan;
+use crate::expr::ScalarExpr;
+use crate::plan::{Data, Plan};
 use crate::stats::ExecStats;
 use aio_storage::{Catalog, Relation, TrieCursor, TrieIndex, Value};
 use std::cell::Cell;
@@ -54,34 +57,67 @@ pub fn last_wcoj_phases() -> WcojPhases {
     LAST_WCOJ.with(|c| c.get())
 }
 
-/// Execute a multiway join: `rels[i]` is the materialized output of
-/// `plans[i]`, `vars[i][j]` is the elimination-order position of the
-/// variable bound by column `j` of child `i` (`None` = payload column),
-/// and `n_vars` is the number of join variables.
+/// A *scan-like* child — a `Scan`, or a `Project` of plain column
+/// references over one — as `(table, column map)`: row `r` of the child is
+/// row `r` of `table` with child column `j` read from table column
+/// `map[j]`. Such a child needs no index of its own: the table's cached
+/// trie on the mapped key columns numbers its rows identically. `None` for
+/// anything filtered or computed.
+fn scan_like<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<(&'p str, Vec<usize>)> {
+    match plan {
+        Plan::Scan { table, .. } => {
+            let arity = catalog.relation(table).ok()?.schema().arity();
+            Some((table, (0..arity).collect()))
+        }
+        Plan::Project { input, items } => {
+            let Plan::Scan { table, alias } = &**input else {
+                return None;
+            };
+            let qual = alias.as_deref().unwrap_or(table);
+            let schema = catalog.relation(table).ok()?.schema().with_qualifier(qual);
+            let map = items
+                .iter()
+                .map(|(e, _)| match e {
+                    ScalarExpr::Col(name) => schema.index_of(name).ok(),
+                    ScalarExpr::BoundCol(i) => Some(*i),
+                    _ => None,
+                })
+                .collect::<Option<_>>()?;
+            Some((table, map))
+        }
+        _ => None,
+    }
+}
+
+/// Execute a multiway join: `inputs[i]` is the evaluated output of
+/// `plans[i]` (rows or columns, as its operator produced it), `vars[i][j]`
+/// is the elimination-order position of the variable bound by column `j`
+/// of child `i` (`None` = payload column), and `n_vars` is the number of
+/// join variables.
 pub(crate) fn multiway_join(
     catalog: &Catalog,
     plans: &[Plan],
-    rels: &[Relation],
+    inputs: Vec<Data>,
     vars: &[Vec<Option<usize>>],
     n_vars: usize,
     stats: &mut ExecStats,
 ) -> Result<Relation> {
-    if rels.is_empty() || rels.len() != vars.len() {
+    if inputs.is_empty() || inputs.len() != vars.len() {
         return Err(AlgebraError::Plan("multiway join: malformed variable map".into()));
     }
     stats.joins += 1;
-    stats.rows_scanned += rels.iter().map(|r| r.len() as u64).sum::<u64>();
-    let schema = rels
+    stats.rows_scanned += inputs.iter().map(|d| d.len() as u64).sum::<u64>();
+    let schema = inputs
         .iter()
         .skip(1)
-        .fold(rels[0].schema().clone(), |s, r| s.join(r.schema()));
+        .fold(inputs[0].schema().clone(), |s, d| s.join(d.schema()));
 
     // Key columns per child, in elimination order; a duplicate position
     // within one child would need intra-row equality the trie cannot
     // express (the optimizer never emits one).
-    let mut key_cols: Vec<Vec<usize>> = Vec::with_capacity(rels.len());
+    let mut key_cols: Vec<Vec<usize>> = Vec::with_capacity(inputs.len());
     for (i, v) in vars.iter().enumerate() {
-        if v.len() != rels[i].schema().arity() {
+        if v.len() != inputs[i].schema().arity() {
             return Err(AlgebraError::Plan("multiway join: variable map arity mismatch".into()));
         }
         let mut kc: Vec<(usize, usize)> =
@@ -104,37 +140,42 @@ pub(crate) fn multiway_join(
         }
     }
 
-    // Build (or fetch) one trie per child. Bare scans go through the
-    // catalog's lazy per-table cache; computed children build privately.
+    // One trie per child. A scan-like child takes its table's cached trie
+    // on the mapped key columns (children reading one table in one key
+    // order share it) and is expanded from what it already is; anything
+    // else is materialized and indexed privately for this execution.
     let build_start = Instant::now();
     let mut phases = WcojPhases::default();
-    let tries: Vec<Arc<TrieIndex>> = plans
-        .iter()
-        .zip(rels)
-        .zip(&key_cols)
-        .map(|((p, rel), cols)| match p {
-            Plan::Scan { table, .. } => {
-                let cached = catalog.trie_on(table, cols).is_some();
-                if cached {
+    let mut tries: Vec<Arc<TrieIndex>> = Vec::with_capacity(inputs.len());
+    let mut children: Vec<Data> = Vec::with_capacity(inputs.len());
+    for ((plan, data), cols) in plans.iter().zip(inputs).zip(&key_cols) {
+        match scan_like(plan, catalog) {
+            Some((table, map)) => {
+                let cols: Vec<usize> = cols.iter().map(|&j| map[j]).collect();
+                if catalog.trie_on(table, &cols).is_some() {
                     phases.tries_cached += 1;
                 } else {
                     phases.tries_built += 1;
                 }
-                catalog.trie_for(table, cols)
+                tries.push(catalog.trie_for(table, &cols)?);
+                children.push(data);
             }
-            _ => {
+            None => {
                 phases.tries_built += 1;
-                Ok(Arc::new(TrieIndex::build(rel, cols)))
+                let rel = data.into_relation();
+                tries.push(Arc::new(TrieIndex::build(&rel, cols)));
+                children.push(Data::Rows(rel));
             }
-        })
-        .collect::<aio_storage::Result<_>>()?;
+        }
+    }
+    let children = &children[..];
     phases.build_ns = build_start.elapsed().as_nanos() as u64;
 
     let probe_start = Instant::now();
-    let all_rows: Vec<Option<Vec<u32>>> = rels
+    let all_rows: Vec<Option<Vec<u32>>> = children
         .iter()
         .zip(&key_cols)
-        .map(|(r, kc)| kc.is_empty().then(|| (0..r.len() as u32).collect()))
+        .map(|(d, kc)| kc.is_empty().then(|| (0..d.len() as u32).collect()))
         .collect();
     // Integer fast path: graph keys are almost always Int, and the probe
     // is the hot loop of the whole operator. When every key level is
@@ -144,7 +185,7 @@ pub(crate) fn multiway_join(
     // NULL-bearing keys.
     let out_rows = if tries.iter().all(|t| t.all_int()) {
         let mut lftj = IntLftj {
-            rels,
+            children,
             keys: tries
                 .iter()
                 .map(|t| (0..t.depth()).map(|d| t.int_keys(d).unwrap()).collect())
@@ -154,7 +195,7 @@ pub(crate) fn multiway_join(
                 .map(|t| (0..t.depth()).map(|d| t.child_ends(d)).collect())
                 .collect(),
             tries: &tries,
-            frames: vec![Vec::new(); rels.len()],
+            frames: vec![Vec::new(); children.len()],
             participants: &participants,
             all_rows,
             armed: fault::wcoj_fault_armed(),
@@ -168,7 +209,7 @@ pub(crate) fn multiway_join(
         lftj.out
     } else {
         let mut lftj = Lftj {
-            rels,
+            children,
             cursors: tries.iter().map(|t| t.cursor()).collect(),
             participants: &participants,
             all_rows,
@@ -193,7 +234,7 @@ pub(crate) fn multiway_join(
 
 /// One in-flight leapfrog search.
 struct Lftj<'a> {
-    rels: &'a [Relation],
+    children: &'a [Data],
     cursors: Vec<TrieCursor<'a>>,
     participants: &'a [Vec<usize>],
     /// For keyless children (pure cross-product factors): every row id.
@@ -280,7 +321,7 @@ impl Lftj<'_> {
     /// its deepest level on the matching key, so `matches()` is the run of
     /// row ids under the full prefix.
     fn emit(&mut self) {
-        let Lftj { rels, cursors, all_rows, out, row, .. } = self;
+        let Lftj { children, cursors, all_rows, out, row, .. } = self;
         let ranges: Vec<&[u32]> = cursors
             .iter()
             .zip(all_rows.iter())
@@ -289,26 +330,27 @@ impl Lftj<'_> {
                 None => c.matches(),
             })
             .collect();
-        cross(rels, &ranges, 0, row, out);
+        cross(children, &ranges, 0, row, out);
     }
 }
 
-/// Append each combination of one row per child to `out`.
+/// Append each combination of one row per child to `out`, every child's
+/// values read by row id from its rows or its columns.
 fn cross(
-    rels: &[Relation],
+    children: &[Data],
     ranges: &[&[u32]],
     child: usize,
     row: &mut Vec<Value>,
     out: &mut Vec<aio_storage::Row>,
 ) {
-    if child == rels.len() {
+    if child == children.len() {
         out.push(row.clone().into_boxed_slice());
         return;
     }
     for &rid in ranges[child] {
         let before = row.len();
-        row.extend_from_slice(&rels[child].rows()[rid as usize]);
-        cross(rels, ranges, child + 1, row, out);
+        children[child].push_row(rid as usize, row);
+        cross(children, ranges, child + 1, row, out);
         row.truncate(before);
     }
 }
@@ -321,7 +363,7 @@ fn cross(
 /// differential matrix exercises both through the same plans) — including
 /// the injectable seek off-by-one, mirrored in [`IntLftj::seek_lub`].
 struct IntLftj<'a> {
-    rels: &'a [Relation],
+    children: &'a [Data],
     /// `keys[c][d]` = child `c`'s distinct level-`d` keys.
     keys: Vec<Vec<&'a [i64]>>,
     /// `ends[c][d]` = child-end offsets of level `d` (empty at deepest).
@@ -514,7 +556,7 @@ impl IntLftj<'_> {
     /// run of row ids under its current full key prefix, crossed in child
     /// order.
     fn emit(&mut self) {
-        let IntLftj { rels, tries, frames, all_rows, out, row, .. } = self;
+        let IntLftj { children, tries, frames, all_rows, out, row, .. } = self;
         let ranges: Vec<&[u32]> = frames
             .iter()
             .zip(all_rows.iter())
@@ -527,7 +569,7 @@ impl IntLftj<'_> {
                 }
             })
             .collect();
-        cross(rels, &ranges, 0, row, out);
+        cross(children, &ranges, 0, row, out);
     }
 }
 

@@ -80,6 +80,8 @@ pub fn query_report_json(q: &QueryReport) -> String {
         .u64("trie_misses", q.cache.trie_misses)
         .u64("stats_hits", q.cache.stats_hits)
         .u64("stats_misses", q.cache.stats_misses)
+        .u64("cols_hits", q.cache.cols_hits)
+        .u64("cols_misses", q.cache.cols_misses)
         .u64("wal_records", q.cache.wal_records)
         .u64("wal_bytes", q.cache.wal_bytes)
         .u64("par", q.par)

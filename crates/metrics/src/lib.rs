@@ -238,6 +238,8 @@ engine_metrics! {
     trie_build_ms: Histogram => "trie-index build duration in milliseconds";
     stats_cache_hits_total: Counter => "relation-statistics cache hits";
     stats_cache_misses_total: Counter => "relation-statistics cache misses";
+    column_cache_hits_total: Counter => "columnar-image cache hits (batch scan shared the cached columns)";
+    column_cache_misses_total: Counter => "columnar-image cache misses (table transposed)";
     relation_bytes_total: Counter => "estimated bytes of rows loaded into catalog relations";
     catalog_rows: Gauge => "rows currently resident across catalog tables";
     catalog_mem_bytes: Gauge => "estimated resident bytes across catalog tables";
@@ -297,6 +299,8 @@ pub struct CacheCounters {
     pub trie_misses: u64,
     pub stats_hits: u64,
     pub stats_misses: u64,
+    pub cols_hits: u64,
+    pub cols_misses: u64,
     pub wal_records: u64,
     pub wal_bytes: u64,
 }
@@ -309,6 +313,8 @@ impl CacheCounters {
             trie_misses: self.trie_misses.wrapping_sub(earlier.trie_misses),
             stats_hits: self.stats_hits.wrapping_sub(earlier.stats_hits),
             stats_misses: self.stats_misses.wrapping_sub(earlier.stats_misses),
+            cols_hits: self.cols_hits.wrapping_sub(earlier.cols_hits),
+            cols_misses: self.cols_misses.wrapping_sub(earlier.cols_misses),
             wal_records: self.wal_records.wrapping_sub(earlier.wal_records),
             wal_bytes: self.wal_bytes.wrapping_sub(earlier.wal_bytes),
         }
@@ -321,6 +327,10 @@ impl CacheCounters {
     pub fn stats_total(&self) -> u64 {
         self.stats_hits + self.stats_misses
     }
+
+    pub fn cols_total(&self) -> u64 {
+        self.cols_hits + self.cols_misses
+    }
 }
 
 struct LocalCells {
@@ -328,6 +338,8 @@ struct LocalCells {
     trie_misses: Cell<u64>,
     stats_hits: Cell<u64>,
     stats_misses: Cell<u64>,
+    cols_hits: Cell<u64>,
+    cols_misses: Cell<u64>,
     wal_records: Cell<u64>,
     wal_bytes: Cell<u64>,
 }
@@ -339,6 +351,8 @@ thread_local! {
             trie_misses: Cell::new(0),
             stats_hits: Cell::new(0),
             stats_misses: Cell::new(0),
+            cols_hits: Cell::new(0),
+            cols_misses: Cell::new(0),
             wal_records: Cell::new(0),
             wal_bytes: Cell::new(0),
         }
@@ -353,6 +367,8 @@ pub fn local_counters() -> CacheCounters {
         trie_misses: l.trie_misses.get(),
         stats_hits: l.stats_hits.get(),
         stats_misses: l.stats_misses.get(),
+        cols_hits: l.cols_hits.get(),
+        cols_misses: l.cols_misses.get(),
         wal_records: l.wal_records.get(),
         wal_bytes: l.wal_bytes.get(),
     })
@@ -598,6 +614,21 @@ pub mod hooks {
         } else {
             m.stats_cache_misses_total.add_raw(1);
             LOCAL.with(|l| l.stats_misses.set(l.stats_misses.get() + 1));
+        }
+    }
+
+    #[inline]
+    pub fn column_cache(hit: bool) {
+        if !enabled() {
+            return;
+        }
+        let m = &global().engine;
+        if hit {
+            m.column_cache_hits_total.add_raw(1);
+            LOCAL.with(|l| l.cols_hits.set(l.cols_hits.get() + 1));
+        } else {
+            m.column_cache_misses_total.add_raw(1);
+            LOCAL.with(|l| l.cols_misses.set(l.cols_misses.get() + 1));
         }
     }
 
@@ -895,6 +926,9 @@ mod tests {
         hooks::trie_cache(true);
         hooks::trie_cache(false);
         hooks::stats_cache(true);
+        hooks::column_cache(false);
+        hooks::column_cache(true);
+        hooks::column_cache(true);
         hooks::wal_append(100);
         hooks::wal_append(20);
         // another thread's traffic must not leak into this thread's delta
@@ -912,12 +946,15 @@ mod tests {
                 trie_misses: 1,
                 stats_hits: 1,
                 stats_misses: 0,
+                cols_hits: 2,
+                cols_misses: 1,
                 wal_records: 2,
                 wal_bytes: 120,
             }
         );
         assert_eq!(d.trie_total(), 2);
         assert_eq!(d.stats_total(), 1);
+        assert_eq!(d.cols_total(), 3);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! the `Value`-row bridge at the with+/SQL'99 boundary without the four
 //! engines noticing.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::relation::{ColumnSketch, Relation, RelationStats, Row};
@@ -551,11 +551,27 @@ impl ColumnVec {
 pub struct ColumnBuilder {
     col: Option<ColumnVec>,
     len: usize,
+    /// Rows the caller expects: the typed buffer is sized once, on the
+    /// first value.
+    cap: usize,
 }
 
 impl ColumnBuilder {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A builder whose typed buffer is allocated once for `cap` rows
+    /// instead of growing by doubling.
+    pub fn with_capacity(cap: usize) -> Self {
+        ColumnBuilder { cap, ..Self::default() }
+    }
+
+    /// The typed buffer holding the column's first value.
+    fn first<T>(&self, v: T) -> Vec<T> {
+        let mut buf = Vec::with_capacity(self.cap.max(1));
+        buf.push(v);
+        buf
     }
 
     pub fn len(&self) -> usize {
@@ -588,18 +604,18 @@ impl ColumnBuilder {
                 // a later typed value will keep it, a Text will spill
                 let mut nulls = NullMask::none();
                 nulls.set(i);
-                self.col = Some(ColumnVec::Int { vals: vec![0], nulls });
+                self.col = Some(ColumnVec::Int { vals: self.first(0), nulls });
             }
             (None, Value::Int(x)) => {
-                self.col = Some(ColumnVec::Int { vals: vec![*x], nulls: NullMask::none() })
+                self.col = Some(ColumnVec::Int { vals: self.first(*x), nulls: NullMask::none() })
             }
             (None, Value::Float(x)) => {
-                self.col = Some(ColumnVec::Float { vals: vec![*x], nulls: NullMask::none() })
+                self.col = Some(ColumnVec::Float { vals: self.first(*x), nulls: NullMask::none() })
             }
             (None, Value::Text(s)) => {
                 let mut dict = StringTable::new();
                 let id = dict.intern(s);
-                self.col = Some(ColumnVec::Str { ids: vec![id], nulls: NullMask::none(), dict })
+                self.col = Some(ColumnVec::Str { ids: self.first(id), nulls: NullMask::none(), dict })
             }
             (Some(ColumnVec::Int { vals, nulls }), Value::Null) => {
                 vals.push(0);
@@ -691,7 +707,8 @@ impl Batch {
     /// pass `rel.schema().clone()` to keep it.
     pub fn from_relation_with_schema(rel: &Relation, schema: Schema) -> Batch {
         let arity = schema.arity();
-        let mut builders: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::new()).collect();
+        let mut builders: Vec<ColumnBuilder> =
+            (0..arity).map(|_| ColumnBuilder::with_capacity(rel.len())).collect();
         for row in rel.iter() {
             for (b, v) in builders.iter_mut().zip(row.iter()) {
                 b.push(v);
@@ -783,6 +800,52 @@ impl Batch {
             rows: self.len,
             columns: self.cols.iter().map(|c| c.sketch()).collect(),
         }
+    }
+}
+
+/// Per-table cache of the *columnar image* — `Batch::from_relation` of the
+/// table's rows — shared through `&Catalog` so the first batch-mode scan
+/// transposes and every later one hands out the same `Arc` columns. Same
+/// shape and lifetime as [`crate::trie::TrieCache`]: cloning an entry
+/// clones the `Arc`s, any mutation of the rows drops the image, and it is
+/// never WAL-logged.
+#[derive(Default)]
+pub struct ImageCache(Mutex<Option<Batch>>);
+
+impl Clone for ImageCache {
+    fn clone(&self) -> Self {
+        ImageCache(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl std::fmt::Debug for ImageCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ImageCache({})", if self.lock().is_some() { "built" } else { "empty" })
+    }
+}
+
+impl ImageCache {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Batch>> {
+        // a poisoned cache holds either nothing or a complete image
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The cached image, if built since the last mutation.
+    pub fn cached(&self) -> Option<Batch> {
+        self.lock().clone()
+    }
+
+    /// The image of `rel`, transposing and caching it on a miss. The
+    /// returned batch shares its columns with the cache.
+    pub fn get_or_build(&self, rel: &Relation) -> Batch {
+        let mut g = self.lock();
+        aio_metrics::hooks::column_cache(g.is_some());
+        g.get_or_insert_with(|| Batch::from_relation(rel)).clone()
+    }
+
+    /// Drop the image (any mutation of the base rows).
+    pub fn clear(&self) {
+        *self.lock() = None;
     }
 }
 

@@ -13,7 +13,8 @@
 //!
 //! Tries are derived data: the catalog caches them per table in a
 //! [`TrieCache`] and drops the cache on any mutation (insert / truncate /
-//! in-place access), like sorted indexes. They are never WAL-logged.
+//! in-place access), like sorted indexes and the columnar image. They are
+//! never WAL-logged.
 
 use crate::relation::Relation;
 use crate::value::Value;
@@ -27,7 +28,7 @@ use std::sync::{Arc, Mutex};
 /// `open` is two contiguous offset reads — no searching over duplicate
 /// runs, and the root level is a compact array that stays cache-resident
 /// during leapfrog probes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrieIndex {
     cols: Vec<usize>,
     /// Row ids in key order.
@@ -39,7 +40,7 @@ pub struct TrieIndex {
 /// prefix (in sorted order), its children occupying
 /// `[child_end[j-1], child_end[j])` at level `d+1` and its rows
 /// `[row_start[j], row_start[j+1])` in `perm`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Level {
     keys: Vec<Value>,
     /// `keys` unboxed to `i64` when the whole level is `Int` — enables
@@ -369,6 +370,11 @@ impl TrieCache {
             .observe(started.elapsed().as_millis() as u64);
         g.push(Arc::clone(&t));
         t
+    }
+
+    /// Every cached trie, in build order.
+    pub fn all(&self) -> Vec<Arc<TrieIndex>> {
+        self.lock().clone()
     }
 
     /// Drop every cached trie (any mutation of the base rows).

@@ -136,6 +136,8 @@ pub(crate) fn query_log_relation(reg: &aio_metrics::MetricsRegistry) -> Relation
         Column::new("optimizer", DataType::Text),
         Column::new("session", DataType::Int),
         Column::new("generation", DataType::Int),
+        Column::new("cols_hits", DataType::Int),
+        Column::new("cols_misses", DataType::Int),
     ]);
     let mut rel = Relation::new(schema);
     for q in reg.query_log() {
@@ -160,6 +162,8 @@ pub(crate) fn query_log_relation(reg: &aio_metrics::MetricsRegistry) -> Relation
                 Value::from(q.optimizer),
                 Value::from(q.session as i64),
                 Value::from(q.generation as i64),
+                Value::from(q.cache.cols_hits as i64),
+                Value::from(q.cache.cols_misses as i64),
             ]
             .into_boxed_slice(),
         );

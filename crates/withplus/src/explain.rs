@@ -141,11 +141,13 @@ pub fn render_with_plus(
 fn resource_footer(stats: &RunStats) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "cache: trie {}/{} hits, stats {}/{} hits\n",
+        "cache: trie {}/{} hits, stats {}/{} hits, cols {}/{} hits\n",
         stats.cache.trie_hits,
         stats.cache.trie_total(),
         stats.cache.stats_hits,
         stats.cache.stats_total(),
+        stats.cache.cols_hits,
+        stats.cache.cols_total(),
     ));
     out.push_str(&format!(
         "peak mem: {} bytes (est. largest operator output)\n",

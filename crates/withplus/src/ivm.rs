@@ -394,7 +394,6 @@ fn reset_underivable_keys(r: &mut PsmRunner<'_>, c: &CompiledWithPlus, keys: &[u
                 }
             }
         }
-        r.catalog.entry_mut(&c.rec_name)?.indexes.clear();
     }
     Ok(())
 }

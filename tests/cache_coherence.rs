@@ -1,0 +1,336 @@
+//! Cache coherence of the catalog's derived data (proptest over random
+//! mutation sequences).
+//!
+//! A table entry caches four things derived from its rows: optimizer
+//! statistics, sorted indexes, tries and the columnar image. The contract
+//! is that none of them ever describes rows the table no longer holds:
+//!
+//! 1. after **every** step of a random interleaving of every mutation path
+//!    the catalog has — `insert_rows`, `apply_delta`, `truncate`, in-place
+//!    `relation_mut` edits, `create_or_replace`, rename, drop + recreate,
+//!    the four union-by-update implementations and `ubu_merge_improve` —
+//!    whatever is cached equals a fresh build over the current rows (the
+//!    image value for value by `to_bits` and in the same per-column layout
+//!    as `Batch::from_relation`, every trie equal to `TrieIndex::build`);
+//! 2. a `fork_readonly` taken before a writer mutation keeps reading its
+//!    own generation — rows and image — whatever the writer does next;
+//! 3. derived data is never logged: after a durable close / reopen the
+//!    contents are back and both caches start empty.
+//!
+//! The tables carry NULL-bearing Int and Float columns (NaN, `-0.0`), a
+//! dictionary-encoded string column and a mixed-type column, so every
+//! `ColumnVec` layout is under test.
+
+use all_in_one::algebra::ops::{ubu_merge_improve, union_by_update};
+use all_in_one::algebra::{oracle_like, ExecStats, UbuImpl};
+use all_in_one::storage::{
+    open_catalog, Batch, Catalog, Column, ColumnVec, DataType, Relation, Row, Schema, SimVfs,
+    SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const DIR: &str = "db";
+const TABLES: [&str; 3] = ["t0", "t1", "t2"];
+/// Key orders the steps build tries and sorted indexes on.
+const KEYS: [&[usize]; 4] = [&[0, 1], &[1, 0], &[2], &[3, 0]];
+
+fn schema() -> Schema {
+    Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("f", DataType::Float),
+        Column::new("s", DataType::Text),
+        Column::new("m", DataType::Any),
+    ])
+}
+
+/// A deterministic row from a small integer: keys collide often, every
+/// column sees NULLs, the float column sees NaN and both zeros, the last
+/// column changes type from row to row.
+fn gen_row(x: u64) -> Row {
+    let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+    let k = if h.is_multiple_of(11) { Value::Null } else { Value::Int((h % 7) as i64) };
+    let f = match (h >> 4) % 6 {
+        0 => Value::Null,
+        1 => Value::Float(f64::NAN),
+        2 => Value::Float(-0.0),
+        3 => Value::Float(0.0),
+        n => Value::Float(n as f64 / 4.0),
+    };
+    let s = match (h >> 8) % 5 {
+        0 => Value::Null,
+        n => Value::from(["x", "y", "zz", "x"][n as usize - 1]),
+    };
+    let m = match (h >> 12) % 4 {
+        0 => Value::Null,
+        1 => Value::Int((h >> 16) as i64 % 3),
+        2 => Value::Float(1.5),
+        _ => Value::from("mixed"),
+    };
+    vec![k, f, s, m].into_boxed_slice()
+}
+
+fn rows(seed: u8, n: u8) -> Vec<Row> {
+    (0..n as u64).map(|i| gen_row(seed as u64 * 31 + i)).collect()
+}
+
+fn relation(seed: u8, n: u8) -> Relation {
+    let mut rel = Relation::new(schema());
+    rel.extend(rows(seed, n)).unwrap();
+    rel
+}
+
+/// A delta with distinct, non-NULL keys (what the union-by-update
+/// implementations require of their source).
+fn keyed_delta(seed: u8, n: u8) -> Relation {
+    let mut rel = Relation::new(schema());
+    for i in 0..n as u64 {
+        let mut row = gen_row(seed as u64 * 17 + i).into_vec();
+        row[0] = Value::Int(i as i64 + (seed % 3) as i64);
+        rel.push(row.into_boxed_slice()).unwrap();
+    }
+    rel
+}
+
+/// One step on table `t`, parameterized by two small numbers.
+fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
+    let name = TABLES[t];
+    let other = TABLES[(t + 1 + a as usize % 2) % TABLES.len()];
+    let mut stats = ExecStats::new();
+    if !cat.contains(name) {
+        // drop + recreate, as a base or a temp table
+        let _ = if a.is_multiple_of(2) {
+            cat.create_table(name, relation(a, n))
+        } else {
+            cat.create_temp(name, relation(a, n))
+        };
+        return;
+    }
+    match kind {
+        0 => cat.insert_rows(name, rows(a, n), WalPolicy::None).unwrap(),
+        1 => {
+            let dels = cat.relation(name).unwrap().rows().iter().take(n as usize / 2).cloned();
+            let dels: Vec<Row> = dels.collect();
+            cat.apply_delta(name, rows(a, n % 3), dels, WalPolicy::None).unwrap();
+        }
+        2 => cat.truncate(name).unwrap(),
+        3 => {
+            // in place: overwrite one row, append another
+            let rel = cat.relation_mut(name).unwrap();
+            if let Some(slot) = rel.rows_mut().get_mut(n as usize % 5) {
+                *slot = gen_row(a as u64);
+            }
+            rel.push(gen_row(a as u64 + 1)).unwrap();
+        }
+        4 => cat.create_or_replace(name, relation(a, n), a % 2 == 1).unwrap(),
+        5 => {
+            if !cat.contains(other) {
+                cat.rename_table(name, other).unwrap();
+            }
+        }
+        6 => {
+            cat.drop_table(name).unwrap();
+        }
+        7..=10 => {
+            let imp = UbuImpl::ALL[kind as usize - 7];
+            // an implementation may refuse (duplicate keys); a refusal
+            // must leave the caches as coherent as a success
+            let _ = union_by_update(
+                cat,
+                name,
+                keyed_delta(a, n),
+                Some(&[0]),
+                imp,
+                &oracle_like(),
+                &mut stats,
+            );
+        }
+        11 => {
+            let _ = ubu_merge_improve(cat, name, keyed_delta(a, n), &[0], 1, a.is_multiple_of(2), &mut stats);
+        }
+        _ => warm(cat, name, a),
+    }
+}
+
+/// Fill the caches the way query execution does, through `&Catalog` where
+/// the engine does.
+fn warm(cat: &mut Catalog, name: &str, a: u8) {
+    cat.columnar(name).unwrap();
+    let cols = KEYS[a as usize % KEYS.len()];
+    cat.trie_for(name, cols).unwrap();
+    cat.trie_for(name, KEYS[(a as usize + 1) % KEYS.len()]).unwrap();
+    cat.build_index(name, cols).unwrap();
+    cat.analyze(name).unwrap();
+}
+
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// Same layout, same values: what a fresh `Batch::from_relation` holds.
+fn assert_same_image(got: &Batch, want: &Batch, ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: image length");
+    assert_eq!(got.schema(), want.schema(), "{ctx}: image schema");
+    for c in 0..want.schema().arity() {
+        let (g, w) = (got.col(c), want.col(c));
+        let same_layout = matches!(
+            (g, w),
+            (ColumnVec::Int { .. }, ColumnVec::Int { .. })
+                | (ColumnVec::Float { .. }, ColumnVec::Float { .. })
+                | (ColumnVec::Str { .. }, ColumnVec::Str { .. })
+                | (ColumnVec::Mixed(_), ColumnVec::Mixed(_))
+        );
+        assert!(same_layout, "{ctx}: column {c} layout {g:?} vs {w:?}");
+        if let (ColumnVec::Str { ids: gi, dict: gd, .. }, ColumnVec::Str { ids: wi, dict: wd, .. }) =
+            (g, w)
+        {
+            assert_eq!((gi, gd.strings()), (wi, wd.strings()), "{ctx}: column {c} dictionary");
+        }
+        for i in 0..want.len() {
+            assert!(
+                same_bits(&g.value(i), &w.value(i)),
+                "{ctx}: column {c} row {i}: {:?} vs {:?}",
+                g.value(i),
+                w.value(i)
+            );
+        }
+    }
+}
+
+/// Everything `e` caches equals a fresh build over `e.rel`.
+fn assert_entry_coherent(e: &TableEntry, ctx: &str) {
+    if let Some(image) = e.image.cached() {
+        assert_same_image(&image, &Batch::from_relation(&e.rel), ctx);
+    }
+    for trie in e.tries.all() {
+        assert!(
+            *trie == TrieIndex::build(&e.rel, trie.cols()),
+            "{ctx}: stale trie on {:?}",
+            trie.cols()
+        );
+    }
+    for idx in &e.indexes {
+        assert_eq!(
+            idx.order(),
+            SortedIndex::build(&e.rel, idx.cols()).order(),
+            "{ctx}: stale sorted index on {:?}",
+            idx.cols()
+        );
+    }
+    if let Some(stats) = &e.stats {
+        assert!(*stats == e.rel.collect_stats(), "{ctx}: stale statistics");
+    }
+}
+
+fn assert_coherent(cat: &Catalog, ctx: &str) {
+    for name in cat.names() {
+        assert_entry_coherent(cat.entry(&name).unwrap(), &format!("{ctx}: {name}"));
+    }
+}
+
+/// A fork and what it must keep reading: every table's rows at fork time.
+struct Pinned {
+    fork: Catalog,
+    rows: Vec<(String, Vec<Row>)>,
+}
+
+impl Pinned {
+    fn take(cat: &Catalog) -> Pinned {
+        let rows = cat
+            .names()
+            .into_iter()
+            .map(|n| {
+                let rows = cat.relation(&n).unwrap().rows().to_vec();
+                (n, rows)
+            })
+            .collect();
+        Pinned { fork: cat.fork_readonly(), rows }
+    }
+
+    fn assert_unmoved(&self, ctx: &str) {
+        assert_eq!(self.fork.names().len(), self.rows.len(), "{ctx}: fork tables");
+        for (name, rows) in &self.rows {
+            let ctx = format!("{ctx}: pinned {name}");
+            let e = self.fork.entry(name).unwrap();
+            assert_eq!(e.rel.rows(), &rows[..], "{ctx}: rows moved under the fork");
+            let mut pre = Relation::new(e.rel.schema().clone());
+            pre.extend(rows.iter().cloned()).unwrap();
+            // reads through the fork — cached or rebuilt — see its own rows
+            assert_same_image(&self.fork.columnar(name).unwrap(), &Batch::from_relation(&pre), &ctx);
+            assert!(
+                *self.fork.trie_for(name, KEYS[0]).unwrap() == TrieIndex::build(&pre, KEYS[0]),
+                "{ctx}: trie"
+            );
+            assert_entry_coherent(e, &ctx);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Properties 1 and 2 on an in-memory catalog.
+    #[test]
+    fn caches_stay_coherent_under_random_mutation(
+        raw in proptest::collection::vec((0u8..14, 0u8..3, 0u8..16, 0u8..9), 1..40),
+    ) {
+        let mut cat = Catalog::new();
+        let mut pinned: Vec<Pinned> = Vec::new();
+        for (i, &(kind, t, a, n)) in raw.iter().enumerate() {
+            let ctx = format!("step {i} {:?}", (kind, t, a, n));
+            step(&mut cat, kind, t as usize, a, n);
+            assert_coherent(&cat, &ctx);
+            for p in &pinned {
+                p.assert_unmoved(&ctx);
+            }
+            // warm what the next step will have to invalidate, and pin a
+            // generation now and then so the next mutation copies on write
+            for name in cat.names() {
+                if !(a as usize + i).is_multiple_of(3) {
+                    warm(&mut cat, &name, a.wrapping_add(i as u8));
+                }
+            }
+            assert_coherent(&cat, &format!("{ctx} (warmed)"));
+            if (a + n).is_multiple_of(4) {
+                pinned.truncate(2);
+                pinned.insert(0, Pinned::take(&cat));
+            }
+        }
+    }
+
+    /// Property 3, and property 1 on a durable catalog (the WAL hooks sit on
+    /// the same mutation paths).
+    #[test]
+    fn caches_start_empty_after_reopen(
+        raw in proptest::collection::vec((0u8..14, 0u8..3, 0u8..16, 0u8..9), 1..16),
+    ) {
+        let vfs = Arc::new(SimVfs::new());
+        let (mut cat, _) = open_catalog(vfs.clone(), DIR, None).unwrap();
+        for (i, &(kind, t, a, n)) in raw.iter().enumerate() {
+            step(&mut cat, kind, t as usize, a, n);
+            assert_coherent(&cat, &format!("durable step {i} {:?}", (kind, t, a, n)));
+            for name in cat.names() {
+                warm(&mut cat, &name, a);
+            }
+        }
+        // commit the stragglers (in-place edits are logged at commit time)
+        cat.wal_begin_txn();
+        cat.wal_commit_txn().unwrap();
+        let before = cat.fork_readonly();
+        drop(cat);
+
+        let (reopened, report) = open_catalog(vfs, DIR, None).unwrap();
+        prop_assert!(report.corrupt.is_none(), "{:?}", report.corrupt);
+        prop_assert!(reopened.same_content(&before), "reopen changed the contents");
+        for name in reopened.names() {
+            let e = reopened.entry(&name).unwrap();
+            prop_assert!(e.image.cached().is_none(), "{name}: an image survived the reopen");
+            prop_assert!(e.tries.is_empty(), "{name}: a trie survived the reopen");
+            prop_assert!(e.indexes.is_empty(), "{name}: a sorted index survived the reopen");
+        }
+        assert_coherent(&reopened, "reopened");
+    }
+}
