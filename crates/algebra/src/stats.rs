@@ -113,19 +113,6 @@ impl ExecStats {
     pub fn summary(&self) -> String {
         self.to_string()
     }
-
-    /// JSON object with one key per counter, in [`ExecStats::entries`] order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.entries().into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{k}\": {v}"));
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl fmt::Display for ExecStats {
@@ -633,20 +620,6 @@ mod tests {
         };
         assert_eq!(s.summary(), format!("{s}"));
         assert!(format!("{s}").contains("joins=4"));
-    }
-
-    #[test]
-    fn to_json_has_every_counter() {
-        let s = ExecStats {
-            rows_scanned: 5,
-            union_by_updates: 2,
-            ..Default::default()
-        };
-        let j = s.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for (k, v) in s.entries() {
-            assert!(j.contains(&format!("\"{k}\": {v}")), "{j}");
-        }
     }
 
     #[test]

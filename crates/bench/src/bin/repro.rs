@@ -3,58 +3,24 @@
 //! ```text
 //! repro [EXPERIMENT ...] [--scale S]
 //! repro explain <algo> [--scale S]
-//!
-//! EXPERIMENT: table1 table2 table3 table4_5 table6_7
-//!             fig7 fig8 fig10 fig11 fig12 fig13 | all (default: all)
-//!             scaling (morsel-parallel operator scaling; not part of `all`,
-//!             emits BENCH_scaling.json; --scale is relative to 1M edges and
-//!             defaults to 1.0 for this experiment)
-//!             trace_overhead (tracing zero-cost check on a ~1M-edge hash
-//!             join; not part of `all`, emits BENCH_trace_overhead.json;
-//!             --scale is relative to 1M edges and defaults to 1.0)
-//!             optimizer (cost-based join-ordering A/B: Off vs Rules vs
-//!             Cost on a selective three-way join; not part of `all`,
-//!             emits BENCH_optimizer.json; --scale is relative to 1M
-//!             edges and defaults to 1.0)
-//!             columnar (row vs columnar-batch execution A/B on a ~1M-edge
-//!             join, group-by and PageRank; not part of `all`, emits
-//!             BENCH_columnar.json; --scale is relative to 1M edges and
-//!             defaults to 1.0)
-//!             wcoj (binary join trees vs the worst-case-optimal multiway
-//!             join on triangle + K-truss support over a ~1M-edge
-//!             power-law graph; not part of `all`, emits BENCH_wcoj.json;
-//!             --scale is relative to 1M edges and defaults to 1.0)
-//!             metrics (metrics-layer smoke: Prometheus/JSON export to
-//!             METRICS.prom / METRICS.json + engine self-query of the
-//!             aio_metrics / aio_query_log system tables; not part of
-//!             `all`; --scale is relative to 50k edges and defaults to 1.0)
-//!             metrics_overhead (metrics on-vs-off cost on a ~1M-edge hash
-//!             join; not part of `all`, emits BENCH_metrics_overhead.json;
-//!             --scale is relative to 1M edges and defaults to 1.0)
-//!             mvcc (MVCC snapshot-isolation A/B: one writer runs PageRank
-//!             over a ~1M-edge graph vs the serial baseline, plus fleets
-//!             of {1, 4, 16} pinned reader sessions; not part of `all`,
-//!             emits BENCH_mvcc.json; --scale is relative to 1M edges and
-//!             defaults to 1.0)
-//!             incremental (incremental view maintenance A/B: WCC and
-//!             PageRank views absorb a ~1k-edge batch via apply_edges vs
-//!             a cold view rebuild; not part of `all`, emits
-//!             BENCH_incremental.json; --scale is relative to 1M edges
-//!             and defaults to 1.0)
-//! explain <algo> : EXPLAIN ANALYZE one algorithm (pagerank | tc | sssp |
-//!             wcc) — prints the annotated plan tree + per-iteration
-//!             convergence and writes TRACE_<algo>.json (Perfetto) and
-//!             TRACE_<algo>.jsonl
-//! --scale S : dataset scale factor relative to the published sizes
-//!             (default 0.001; 1.0 = the full SNAP sizes)
 //! ```
+//!
+//! The experiments are the entries of [`aio_bench::experiments::EXPERIMENTS`]
+//! (`repro --help` prints them); `all`, the default, runs the ones that
+//! table marks `in_all`. `explain <algo>` (pagerank | tc | sssp | wcc) is
+//! EXPLAIN ANALYZE: it prints the annotated plan tree + per-iteration
+//! convergence and writes `TRACE_<algo>.json` (Perfetto) and
+//! `TRACE_<algo>.jsonl`. `--scale S` is the dataset scale factor relative
+//! to the published sizes (default 0.001; 1.0 = the full SNAP sizes).
+//!
+//! Engine performance is not measured here: that is `benchmark/`
+//! (`BENCHMARK.json`).
 
-use aio_bench::experiments as exp;
+use aio_bench::experiments::{self as exp, Experiment, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 0.001f64;
-    let mut scale_given = false;
     let mut picks: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -64,7 +30,6 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("missing/bad value for --scale"));
-                scale_given = true;
             }
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
@@ -79,55 +44,28 @@ fn main() {
     // not an experiment of its own.
     if picks[0] == "explain" {
         let algo = picks.get(1).map(String::as_str).unwrap_or("pagerank");
-        print!("{}", exp::explain(algo, if scale_given { scale } else { 0.001 }));
+        print!("{}", exp::explain(algo, scale));
         return;
     }
 
-    let all = [
-        "table1", "table2", "table3", "table4_5", "table6_7", "fig7", "fig8", "fig10",
-        "fig11", "fig12", "fig13",
-    ];
-    let selected: Vec<&str> = if picks.iter().any(|p| p == "all") {
-        all.to_vec()
+    // Resolve every name before running anything: a typo or a removed
+    // experiment must fail the invocation, not be skipped inside it.
+    let selected: Vec<(&str, &Experiment)> = if picks.iter().any(|p| p == "all") {
+        EXPERIMENTS.iter().filter(|e| e.in_all).map(|e| (e.name, e)).collect()
     } else {
-        picks.iter().map(|s| s.as_str()).collect()
+        picks
+            .iter()
+            .map(|p| match exp::find(p) {
+                Some(e) => (p.as_str(), e),
+                None => usage(&format!("unknown experiment: {p}")),
+            })
+            .collect()
     };
 
     println!("all-in-one reproduction harness — scale {scale}\n");
-    for pick in selected {
+    for (pick, e) in selected {
         let started = std::time::Instant::now();
-        let out = match pick {
-            "table1" => exp::table1(),
-            "table2" => exp::table2(),
-            "table3" => exp::table3(scale),
-            "table4_5" | "table4" | "table5" => exp::table4_5(scale),
-            "table6_7" | "table6" | "table7" => exp::table6_7(scale),
-            "exp1" => exp::exp1(scale),
-            "fig7" => exp::fig7(scale),
-            "fig8" => exp::fig8(scale),
-            "fig10" => exp::fig10(scale),
-            "fig11" => exp::fig11(scale),
-            "fig12" => exp::fig12(scale),
-            "fig13" => exp::fig13(scale),
-            // scaling's / trace_overhead's --scale is relative to 1M edges
-            "scaling" => exp::scaling(if scale_given { scale } else { 1.0 }),
-            "trace_overhead" => exp::trace_overhead(if scale_given { scale } else { 1.0 }),
-            "optimizer" => exp::optimizer(if scale_given { scale } else { 1.0 }),
-            "columnar" => exp::columnar(if scale_given { scale } else { 1.0 }),
-            "wcoj" => exp::wcoj(if scale_given { scale } else { 1.0 }),
-            "durability" => exp::durability(if scale_given { scale } else { 1.0 }),
-            "metrics" => exp::metrics(if scale_given { scale } else { 1.0 }),
-            "metrics_overhead" => {
-                exp::metrics_overhead(if scale_given { scale } else { 1.0 })
-            }
-            "mvcc" => exp::mvcc(if scale_given { scale } else { 1.0 }),
-            "incremental" => exp::incremental(if scale_given { scale } else { 1.0 }),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                continue;
-            }
-        };
-        println!("{out}");
+        println!("{}", (e.run)(scale));
         println!(
             "[{pick} done in {:.1}s]\n{}",
             started.elapsed().as_secs_f64(),
@@ -140,10 +78,12 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     eprintln!(
         "usage: repro [EXPERIMENT ...] [--scale S]\n\
          \x20      repro explain <pagerank|tc|sssp|wcc> [--scale S]\n\
-         experiments: table1 table2 table3 table4_5 table6_7 fig7 fig8 fig10 fig11 fig12 fig13 all scaling trace_overhead optimizer columnar wcoj durability metrics metrics_overhead mvcc incremental"
+         experiments: {} all",
+        names.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

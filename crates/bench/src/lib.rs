@@ -1,8 +1,10 @@
 //! # aio-bench — the reproduction harness
 //!
-//! One module per experiment of the paper's evaluation (Section 7 +
-//! appendix). The `repro` binary drives them; criterion micro-benches live
-//! under `benches/`.
+//! One function per experiment of the paper's evaluation (Section 7 +
+//! appendix); the `repro` binary drives them through
+//! [`experiments::EXPERIMENTS`]. Only the paper's tables and figures live
+//! here — engine performance is measured by the standalone `benchmark/`
+//! package (`BENCHMARK.json`).
 //!
 //! | paper artifact | function |
 //! |---|---|

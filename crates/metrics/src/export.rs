@@ -65,7 +65,7 @@ impl MetricsRegistry {
     }
 }
 
-/// One query report as a JSON object (shared by `to_json` and `repro metrics`).
+/// One query report as a JSON object (the element type of `to_json`'s `queries`).
 pub fn query_report_json(q: &QueryReport) -> String {
     JsonObj::new()
         .u64("seq", q.seq)
@@ -94,6 +94,7 @@ pub fn query_report_json(q: &QueryReport) -> String {
 /// `# HELP`, `# TYPE` (with a known metric type) or `name[{labels}] value`
 /// sample whose name is legal and whose value parses. Samples must follow
 /// a TYPE line for their family. Returns the number of sample lines.
+/// Test support: nothing outside this module's unit tests calls it.
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     fn valid_name(name: &str) -> bool {
         !name.is_empty()

@@ -6,8 +6,8 @@
 //! rule: every update first loads one global `AtomicBool` (relaxed) and
 //! returns if metrics are off, and no hot path updates a metric per *row* —
 //! only per operator invocation, per batch, per WAL record, or per
-//! fixpoint iteration. `repro metrics_overhead` holds the enabled path to
-//! ≤2% on a ~1M-edge hash join.
+//! fixpoint iteration. The enabled path is bounded by the benchmark's
+//! `bench.trace_overhead_pct`, whose traced arm runs with the registry on.
 //!
 //! Besides the cumulative globals, a small set of thread-local
 //! [`CacheCounters`] is maintained alongside (trie/stats cache traffic and

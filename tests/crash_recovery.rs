@@ -86,6 +86,25 @@ fn baseline() -> AlgoResult {
     workload(Arc::new(SimVfs::new())).expect("baseline workload must succeed")
 }
 
+/// The durable catalog changes where the statement's writes go, not what
+/// it computes: the baseline equals the same statement on a plain
+/// in-memory database over the same tables.
+#[test]
+fn durable_execute_equals_in_memory_execute() {
+    let (rows, v) = edge_rows();
+    let mut db = Database::new(oracle_like());
+    db.create_table("V", v).unwrap();
+    let mut e = empty_like(&rows);
+    e.extend(rows).unwrap();
+    db.create_table("E", e).unwrap();
+    db.set_param("c", 0.85);
+    db.set_param("n", NODES as f64);
+    let in_memory = node_f64(&db.execute(&pagerank::sql(PR_ITERS)).unwrap().relation);
+    in_memory
+        .compare(&baseline(), &Tolerance::Exact)
+        .unwrap_or_else(|d| panic!("durable run diverges from in-memory: {d}"));
+}
+
 /// Count the mutating file-system operations of the uninterrupted run.
 fn total_ops() -> u64 {
     let vfs = Arc::new(SimVfs::new());

@@ -179,11 +179,14 @@ fn disabled_metrics_record_nothing() {
     metrics::global().clear_query_log();
     let mut db = db(1, ExecMode::Row);
     metrics::set_enabled(false);
-    db.execute("select E.F from E").unwrap();
+    let off = db.execute("select E.F from E").unwrap();
     assert!(metrics::global().query_log().is_empty(), "disabled: no reports");
     metrics::set_enabled(true);
     db.execute("select E.T from E").unwrap();
     let log = metrics::global().query_log();
     assert_eq!(log.len(), 1, "re-enabled: reports flow again");
     assert!(log[0].sql.contains("select E.T"));
+    // the switch changes what is recorded, never what is returned
+    let on = db.execute("select E.F from E").unwrap();
+    assert_eq!(on.relation.rows(), off.relation.rows());
 }
