@@ -2,9 +2,9 @@
 # The whole CI pipeline; .github/workflows/ci.yml only installs the
 # toolchain and calls this script. Run before pushing.
 #
-#   ./ci.sh        build, the default (smoke) test suite, clippy, the
-#                  benchmark package's build + self-check + unit tests,
-#                  and the trace smoke
+#   ./ci.sh        format check, build, the default (smoke) test suite,
+#                  clippy, the benchmark package's build + self-check +
+#                  unit tests, and the trace smoke
 #   ./ci.sh full   the same, with every #[ignore]d heavyweight test: the
 #                  full differential matrices, the metamorphic sweep, the
 #                  incremental-vs-recompute IVM matrix and the exhaustive
@@ -14,6 +14,7 @@
 # (alternating parent/change pairs), not a wall-clock bar in CI.
 set -eux
 
+cargo fmt --all --check
 cargo build --release --workspace
 case "${1:-smoke}" in
 full) cargo test -q --workspace -- --include-ignored ;;

@@ -383,8 +383,10 @@ impl GroupAcc {
             GroupAcc::Int(a) => a.finish(live),
             GroupAcc::Float(a) => a.finish(live),
             GroupAcc::Boxed(a) => {
-                let vals: Vec<Value> =
-                    live.iter().map(|&g| a[g as usize].clone().finish()).collect();
+                let vals: Vec<Value> = live
+                    .iter()
+                    .map(|&g| a[g as usize].clone().finish())
+                    .collect();
                 ColumnVec::from_values(vals.iter())
             }
         }
@@ -430,7 +432,10 @@ mod tests {
     #[test]
     fn min_max_mixed_numeric() {
         assert_eq!(
-            run(AggFunc::Min, &[Value::Int(3), Value::Float(2.5), Value::Int(4)]),
+            run(
+                AggFunc::Min,
+                &[Value::Int(3), Value::Float(2.5), Value::Int(4)]
+            ),
             Value::Float(2.5)
         );
         assert_eq!(
@@ -529,18 +534,40 @@ mod tests {
                         (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
                         _ => got == want,
                     };
-                    assert!(same, "{f} split={split}: typed {got:?} vs accumulator {want:?}");
+                    assert!(
+                        same,
+                        "{f} split={split}: typed {got:?} vs accumulator {want:?}"
+                    );
                 }
             }
         }
-        let floats = [Some(0.0), None, Some(-0.0), Some(1.5), Some(f64::NAN), Some(-0.0), Some(0.0)];
+        let floats = [
+            Some(0.0),
+            None,
+            Some(-0.0),
+            Some(1.5),
+            Some(f64::NAN),
+            Some(-0.0),
+            Some(0.0),
+        ];
         let all = [Sum, Min, Max, Count, Avg];
         check(&all, &floats, Value::Float);
         check(&all, &floats[..4], Value::Float);
-        check(&all, &[Some(f64::NAN), Some(-1.0), None, Some(f64::INFINITY)], Value::Float);
+        check(
+            &all,
+            &[Some(f64::NAN), Some(-1.0), None, Some(f64::INFINITY)],
+            Value::Float,
+        );
         check(&all, &[None::<f64>, None], Value::Float);
         // `avg` over Int values accumulates in f64 (the kernel converts first)
-        let ints = [Some(3), None, Some(i64::MAX), Some(3), Some(i64::MIN), Some(-2)];
+        let ints = [
+            Some(3),
+            None,
+            Some(i64::MAX),
+            Some(3),
+            Some(i64::MIN),
+            Some(-2),
+        ];
         check(&[Sum, Min, Max, Count], &ints, Value::Int);
         check(&[Avg], &ints.map(|v| v.map(|i| i as f64)), Value::Float);
     }

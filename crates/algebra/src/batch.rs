@@ -294,7 +294,10 @@ impl<'a, T: Copy + Default> Lane<'a, T> {
                     (false, true) => bn,
                     (true, true) => Cow::Owned(an.union(&bn)),
                 };
-                Lane::computed(a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect(), nulls)
+                Lane::computed(
+                    a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect(),
+                    nulls,
+                )
             }
         }
     }
@@ -440,9 +443,14 @@ fn eval_vector<'a>(e: &ScalarExpr, src: &Src<'a>, range: &Range<usize>) -> Optio
 /// `least` / `greatest` with `eval_func`'s rule: the running best is
 /// replaced only by a strictly smaller / greater value, so ties and NaN
 /// comparisons keep the earlier argument.
-fn extreme<'a, T: Copy + Default + PartialOrd>(lanes: Vec<Lane<'a, T>>, least: bool) -> Lane<'a, T> {
+fn extreme<'a, T: Copy + Default + PartialOrd>(
+    lanes: Vec<Lane<'a, T>>,
+    least: bool,
+) -> Lane<'a, T> {
     let mut lanes = lanes.into_iter();
-    let first = lanes.next().expect("least/greatest take at least one argument");
+    let first = lanes
+        .next()
+        .expect("least/greatest take at least one argument");
     lanes.fold(first, |best, next| {
         if least {
             best.zip(next, |b, v| if b > v { v } else { b })
@@ -457,7 +465,10 @@ fn extreme<'a, T: Copy + Default + PartialOrd>(lanes: Vec<Lane<'a, T>>, least: b
 /// "evaluate row-major instead", never an error.
 pub fn eval_expr(e: &ScalarExpr, input: &Batch) -> Option<ColumnVec> {
     let bound = e.bind(input.schema()).ok()?;
-    let src = Src { cols: input.columns(), aggs: &[] };
+    let src = Src {
+        cols: input.columns(),
+        aggs: &[],
+    };
     let v = eval_vector(&bound, &src, &(0..input.len()))?;
     Some(v.into_column(input.len()).canonical())
 }
@@ -486,7 +497,10 @@ pub(crate) fn project(
             .collect(),
     );
     let len = input.len();
-    let src = Src { cols: input.columns(), aggs: &[] };
+    let src = Src {
+        cols: input.columns(),
+        aggs: &[],
+    };
     // Trivial items (column passthrough, literal) and vectorized ones never
     // error and consume no randomness, so hoisting them out of the per-row
     // loop is unobservable.
@@ -511,8 +525,10 @@ pub(crate) fn project(
                         .into_column(range.len())
                 })
                 .collect();
-            let mut vals: Vec<Vec<Value>> =
-                row_major.iter().map(|_| Vec::with_capacity(range.len())).collect();
+            let mut vals: Vec<Vec<Value>> = row_major
+                .iter()
+                .map(|_| Vec::with_capacity(range.len()))
+                .collect();
             if !row_major.is_empty() {
                 let mut scratch = vec![Value::Null; arity];
                 for i in range {
@@ -545,9 +561,7 @@ pub(crate) fn project(
             Some(c) => Arc::new(c),
             None => match e {
                 ScalarExpr::BoundCol(c) => input.col_arc(*c),
-                ScalarExpr::Lit(v) => {
-                    Arc::new(ColumnVec::from_values(std::iter::repeat_n(v, len)))
-                }
+                ScalarExpr::Lit(v) => Arc::new(ColumnVec::from_values(std::iter::repeat_n(v, len))),
                 _ => unreachable!("non-trivial items were computed"),
             },
         });
@@ -570,7 +584,11 @@ pub(crate) fn union_all(a: &Batch, b: &Batch) -> Result<Batch> {
         .zip(b.columns())
         .map(|(x, y)| Arc::new(x.concat(y)))
         .collect();
-    Ok(Batch::from_columns(a.schema().clone(), cols, a.len() + b.len()))
+    Ok(Batch::from_columns(
+        a.schema().clone(),
+        cols,
+        a.len() + b.len(),
+    ))
 }
 
 /// Hash equi-join keyed on primitive column slices. Eligible when every
@@ -759,7 +777,12 @@ fn assign_groups(key: Option<(&[i64], &NullMask)>, range: Range<usize>) -> Group
             .filter(|&slot| present[slot])
             .map(|slot| ((slot > 0).then(|| lo + (slot as i64 - 1)), slot as u32))
             .collect();
-        return Grouping { gids, groups, slots, sorted: true };
+        return Grouping {
+            gids,
+            groups,
+            slots,
+            sorted: true,
+        };
     }
     let mut index: FxHashMap<Option<i64>, u32> = FxHashMap::default();
     let mut groups = Vec::new();
@@ -774,12 +797,22 @@ fn assign_groups(key: Option<(&[i64], &NullMask)>, range: Range<usize>) -> Group
         })
         .collect();
     let slots = groups.len();
-    Grouping { gids, groups, slots, sorted: false }
+    Grouping {
+        gids,
+        groups,
+        slots,
+        sorted: false,
+    }
 }
 
 /// Fold one vectorized aggregate argument into flat per-group state.
 fn fold_vector(func: AggFunc, arg: Vector<'_>, gids: &[u32], slots: usize) -> GroupAcc {
-    fn fold<T: AggNum>(func: AggFunc, lane: &Lane<'_, T>, gids: &[u32], slots: usize) -> TypedAcc<T> {
+    fn fold<T: AggNum>(
+        func: AggFunc,
+        lane: &Lane<'_, T>,
+        gids: &[u32],
+        slots: usize,
+    ) -> TypedAcc<T> {
         let mut acc = TypedAcc::new(func, slots);
         match lane {
             Lane::Const(c) => acc.fold(gids.iter().map(|&g| (g, *c))),
@@ -849,14 +882,18 @@ pub(crate) fn group_by(
     stats.rows_scanned += input.len() as u64;
     let c = groupby::compile(input.schema(), &group_cols, items)?;
     let schema = groupby::output_schema(input.schema(), &group_cols, &c);
-    let src = Src { cols: input.columns(), aggs: &[] };
+    let src = Src {
+        cols: input.columns(),
+        aggs: &[],
+    };
     let boxed: Vec<usize> = (0..c.aggs.len())
         .filter(|&a| eval_vector(&c.aggs[a].1, &src, &(0..0)).is_none())
         .collect();
     // Bare-column arguments of boxed aggregates (a Str `min`, a Mixed
     // `sum`) read the column; only other expressions need the scratch row.
-    let needs_scratch =
-        boxed.iter().any(|&a| !matches!(c.aggs[a].1, ScalarExpr::BoundCol(_)));
+    let needs_scratch = boxed
+        .iter()
+        .any(|&a| !matches!(c.aggs[a].1, ScalarExpr::BoundCol(_)));
 
     let fold_morsel = |range: Range<usize>| -> Result<(Grouping, Vec<GroupAcc>)> {
         let mut grouping = assign_groups(key, range.clone());
@@ -887,7 +924,11 @@ pub(crate) fn group_by(
             .enumerate()
             .map(|(a, (func, arg))| {
                 if boxed.contains(&a) {
-                    GroupAcc::Boxed(row_accs.next().expect("one state vector per boxed aggregate"))
+                    GroupAcc::Boxed(
+                        row_accs
+                            .next()
+                            .expect("one state vector per boxed aggregate"),
+                    )
                 } else {
                     let v = eval_vector(arg, &src, &range)
                         .expect("acceptance depends on column types only");
@@ -932,17 +973,21 @@ pub(crate) fn group_by(
         })
         .into_iter()
         .collect();
-    let agg_cols: Vec<Arc<ColumnVec>> =
-        accs.into_iter().map(|a| Arc::new(a.finish(&live))).collect();
-    let out_src = Src { cols: &key_cols, aggs: &agg_cols };
+    let agg_cols: Vec<Arc<ColumnVec>> = accs
+        .into_iter()
+        .map(|a| Arc::new(a.finish(&live)))
+        .collect();
+    let out_src = Src {
+        cols: &key_cols,
+        aggs: &agg_cols,
+    };
     let mut cols: Vec<Option<Arc<ColumnVec>>> = c
         .items
         .iter()
         .map(|it| match &it.expr {
             ScalarExpr::BoundCol(k) => key_cols.get(*k).cloned(),
             ScalarExpr::AggRef(a) => agg_cols.get(*a).cloned(),
-            e => eval_vector(e, &out_src, &(0..n))
-                .map(|v| Arc::new(v.into_column(n).canonical())),
+            e => eval_vector(e, &out_src, &(0..n)).map(|v| Arc::new(v.into_column(n).canonical())),
         })
         .collect();
     // Items the evaluator declined: group-major in item order, as
@@ -962,7 +1007,10 @@ pub(crate) fn group_by(
         }
     }
     stats.rows_produced += n as u64;
-    let cols = cols.into_iter().map(|col| col.expect("every item was computed")).collect();
+    let cols = cols
+        .into_iter()
+        .map(|col| col.expect("every item was computed"))
+        .collect();
     let typed = boxed.is_empty() && row_major.is_empty();
     Ok(Some((Batch::from_columns(schema, cols, n), typed)))
 }
@@ -974,7 +1022,9 @@ fn merge_partials(
     aggs: &[(AggFunc, ScalarExpr)],
 ) -> (Grouping, Vec<GroupAcc>) {
     let mut partials = partials.into_iter();
-    let (mut into, mut accs) = partials.next().expect("run_morsels yields at least one morsel");
+    let (mut into, mut accs) = partials
+        .next()
+        .expect("run_morsels yields at least one morsel");
     if partials.len() == 0 {
         return (into, accs);
     }
@@ -1032,10 +1082,11 @@ mod tests {
     fn select_bitmap_is_chunk_size_invariant() {
         let rel = edges(5_000);
         let b = Batch::from_relation(&rel);
-        let pred =
-            ScalarExpr::binary(BinOp::Lt, ScalarExpr::col("T"), ScalarExpr::col("F"));
+        let pred = ScalarExpr::binary(BinOp::Lt, ScalarExpr::col("T"), ScalarExpr::col("F"));
         let mut s = ExecStats::new();
-        let full = select(&b, &pred, 1, usize::MAX, &mut s).unwrap().to_relation();
+        let full = select(&b, &pred, 1, usize::MAX, &mut s)
+            .unwrap()
+            .to_relation();
         for chunk in [1, 63, 64, 100, 4096] {
             let got = select(&b, &pred, 1, chunk, &mut s).unwrap().to_relation();
             assert_eq!(got.rows(), full.rows(), "chunk={chunk}");
@@ -1051,9 +1102,15 @@ mod tests {
         rel.push(vec![Value::Int(3), Value::Int(3), Value::Null].into_boxed_slice())
             .unwrap();
         let b = Batch::from_relation(&rel);
-        for op in [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
-            let pred =
-                ScalarExpr::binary(op, ScalarExpr::col("ew"), ScalarExpr::lit(1.0));
+        for op in [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ] {
+            let pred = ScalarExpr::binary(op, ScalarExpr::col("ew"), ScalarExpr::lit(1.0));
             let mut s = ExecStats::new();
             let got = select(&b, &pred, 1, 4096, &mut s).unwrap().to_relation();
             let want = ops::select(&rel, &pred).unwrap();
@@ -1187,8 +1244,14 @@ mod tests {
         .0
         .to_relation();
         let mut s2 = ExecStats::new();
-        let want = ops::group_by(&rel, &[], &items, crate::profile::AggStrategy::Hash, &mut s2)
-            .unwrap();
+        let want = ops::group_by(
+            &rel,
+            &[],
+            &items,
+            crate::profile::AggStrategy::Hash,
+            &mut s2,
+        )
+        .unwrap();
         assert_eq!(got.rows(), want.rows());
         // sort aggregation bridges
         assert!(group_by(
@@ -1218,7 +1281,10 @@ mod tests {
         let mut s = ExecStats::new();
         let (got, typed) = project(&b, &items, 1, &mut s).unwrap();
         assert!(typed, "Float * literal is column-native");
-        assert!(Arc::ptr_eq(&got.col_arc(0), &b.col_arc(0)), "zero-copy passthrough");
+        assert!(
+            Arc::ptr_eq(&got.col_arc(0), &b.col_arc(0)),
+            "zero-copy passthrough"
+        );
         let want = ops::project(&rel, &items).unwrap();
         assert_eq!(got.to_relation().rows(), want.rows());
     }

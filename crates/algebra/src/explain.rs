@@ -296,7 +296,8 @@ mod tests {
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         let mut e = Relation::new(edge_schema());
-        e.extend([row![1, 2, 1.0], row![2, 3, 1.0], row![3, 1, 1.0]]).unwrap();
+        e.extend([row![1, 2, 1.0], row![2, 3, 1.0], row![3, 1, 1.0]])
+            .unwrap();
         c.create_table("E", e).unwrap();
         c
     }
@@ -347,10 +348,16 @@ mod tests {
         let trace = t.finish();
         let spans: Vec<&aio_trace::SpanRecord> = trace.spans.iter().collect();
         let text = render_analyzed(&hop_plan(), &spans, true);
-        assert!(text.contains("Project [F, T]  (calls=1 rows=3 est=3 time="), "{text}");
+        assert!(
+            text.contains("Project [F, T]  (calls=1 rows=3 est=3 time="),
+            "{text}"
+        );
         assert!(text.contains("Join[Inner] on E1.T=E2.F"), "{text}");
         assert!(text.contains("build="), "{text}");
-        assert!(text.contains("Scan E AS E1  (calls=1 rows=3 est=3"), "{text}");
+        assert!(
+            text.contains("Scan E AS E1  (calls=1 rows=3 est=3"),
+            "{text}"
+        );
         assert!(!text.contains("never executed"), "{text}");
         // deterministic variant drops wall-clock numbers
         let stable = render_analyzed(&hop_plan(), &spans, false);

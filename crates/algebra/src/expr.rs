@@ -139,7 +139,10 @@ impl ScalarExpr {
             ScalarExpr::Unary(_, x) => x.is_deterministic(),
             ScalarExpr::Binary(_, l, r) => l.is_deterministic() && r.is_deterministic(),
             ScalarExpr::Agg(_, x) => x.is_deterministic(),
-            ScalarExpr::Col(_) | ScalarExpr::BoundCol(_) | ScalarExpr::Lit(_) | ScalarExpr::AggRef(_) => true,
+            ScalarExpr::Col(_)
+            | ScalarExpr::BoundCol(_)
+            | ScalarExpr::Lit(_)
+            | ScalarExpr::AggRef(_) => true,
         }
     }
 
@@ -512,7 +515,11 @@ mod tests {
 
     #[test]
     fn null_propagates_through_arithmetic() {
-        let e = ScalarExpr::binary(BinOp::Add, ScalarExpr::lit(1i64), ScalarExpr::Lit(Value::Null));
+        let e = ScalarExpr::binary(
+            BinOp::Add,
+            ScalarExpr::lit(1i64),
+            ScalarExpr::Lit(Value::Null),
+        );
         assert_eq!(e.eval(&[]).unwrap(), Value::Null);
     }
 
@@ -582,7 +589,11 @@ mod tests {
     fn least_greatest() {
         let e = ScalarExpr::Func(
             Func::Greatest,
-            vec![ScalarExpr::lit(1i64), ScalarExpr::lit(3i64), ScalarExpr::lit(2i64)],
+            vec![
+                ScalarExpr::lit(1i64),
+                ScalarExpr::lit(3i64),
+                ScalarExpr::lit(2i64),
+            ],
         );
         assert_eq!(e.eval(&[]).unwrap(), Value::Int(3));
         let e = ScalarExpr::Func(
@@ -637,7 +648,10 @@ mod tests {
         let e = ScalarExpr::binary(
             BinOp::Mul,
             ScalarExpr::col("E.ew"),
-            ScalarExpr::Func(Func::Coalesce, vec![ScalarExpr::col("vw"), ScalarExpr::lit(0.0)]),
+            ScalarExpr::Func(
+                Func::Coalesce,
+                vec![ScalarExpr::col("vw"), ScalarExpr::lit(0.0)],
+            ),
         );
         let mut cols = vec![];
         e.collect_cols(&mut cols);

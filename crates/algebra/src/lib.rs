@@ -40,8 +40,8 @@ pub use ops::{AntiJoinImpl, JoinKeys, JoinType, MvOrientation, UbuImpl};
 pub use optimize::{optimize_plan, push_selections};
 pub use plan::{execute, execute_traced, Evaluator, Plan};
 pub use profile::{
-    all_profiles, db2_like, oracle_like, postgres_like, AggStrategy, EngineProfile,
-    ExecMode, JoinStrategy, Optimizer,
+    all_profiles, db2_like, oracle_like, postgres_like, AggStrategy, EngineProfile, ExecMode,
+    JoinStrategy, Optimizer,
 };
 pub use semiring::{Semiring, BOOLEAN, COUNTING, MIN_MUL, TROPICAL};
 pub use stats::{estimate_nodes, ExecStats};

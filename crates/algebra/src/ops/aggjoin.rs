@@ -187,7 +187,15 @@ mod tests {
         let a = matrix([[1.0, 2.0], [3.0, 4.0]]);
         let b = matrix([[5.0, 6.0], [7.0, 8.0]]);
         let mut s = ExecStats::new();
-        let ab = mm_join(&a, &b, &COUNTING, JoinStrategy::Hash, AggStrategy::Hash, &mut s).unwrap();
+        let ab = mm_join(
+            &a,
+            &b,
+            &COUNTING,
+            JoinStrategy::Hash,
+            AggStrategy::Hash,
+            &mut s,
+        )
+        .unwrap();
         assert_eq!(get(&ab, 1, 1), 19.0);
         assert_eq!(get(&ab, 1, 2), 22.0);
         assert_eq!(get(&ab, 2, 1), 43.0);
@@ -245,7 +253,15 @@ mod tests {
         // distances: A=direct hops, A² = best 2-hop distances
         let a = matrix([[f64::INFINITY, 1.0], [2.0, f64::INFINITY]]);
         let mut s = ExecStats::new();
-        let aa = mm_join(&a, &a, &TROPICAL, JoinStrategy::Hash, AggStrategy::Hash, &mut s).unwrap();
+        let aa = mm_join(
+            &a,
+            &a,
+            &TROPICAL,
+            JoinStrategy::Hash,
+            AggStrategy::Hash,
+            &mut s,
+        )
+        .unwrap();
         assert_eq!(get(&aa, 1, 1), 3.0, "1→2→1");
         assert_eq!(get(&aa, 2, 2), 3.0, "2→1→2");
     }
@@ -276,8 +292,7 @@ mod tests {
         let b = matrix([[0.5, 0.0], [1.0, 2.0]]);
         for sr in [&COUNTING, &TROPICAL, &BOOLEAN] {
             let mut s = ExecStats::new();
-            let fused =
-                mm_join(&a, &b, sr, JoinStrategy::Hash, AggStrategy::Hash, &mut s).unwrap();
+            let fused = mm_join(&a, &b, sr, JoinStrategy::Hash, AggStrategy::Hash, &mut s).unwrap();
             let composed = mm_join_basic_ops(&a, &b, sr).unwrap();
             assert!(
                 fused.same_rows_unordered(&composed),

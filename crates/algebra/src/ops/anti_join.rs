@@ -95,9 +95,7 @@ pub fn anti_join_par(
                 for row in &left.rows()[range] {
                     // NULL probe: the correlated equality is unknown, the
                     // subquery returns nothing, NOT EXISTS is true → keep.
-                    if key_has_null(row, &keys.left)
-                        || !idx.contains(right, row, &keys.left)
-                    {
+                    if key_has_null(row, &keys.left) || !idx.contains(right, row, &keys.left) {
                         rows.push(row.clone());
                     }
                 }
@@ -214,11 +212,7 @@ pub fn semi_join_par(
 }
 
 /// The definability witness: `R ⊼ S = R − (R ⋉ S)` using set difference.
-pub fn anti_join_basic_ops(
-    left: &Relation,
-    right: &Relation,
-    keys: &JoinKeys,
-) -> Result<Relation> {
+pub fn anti_join_basic_ops(left: &Relation, right: &Relation, keys: &JoinKeys) -> Result<Relation> {
     let mut stats = ExecStats::new();
     let semi = semi_join(left, right, keys, &mut stats)?;
     basic::difference(left, &semi)
@@ -266,8 +260,15 @@ mod tests {
         let l = rel(&[1, 2, 3, 4, 4]);
         let r = rel(&[2, 4]);
         let mut s = ExecStats::new();
-        let a = anti_join(&l, &r, &keys(), AntiJoinImpl::NotExists, JoinStrategy::Hash, &mut s)
-            .unwrap();
+        let a = anti_join(
+            &l,
+            &r,
+            &keys(),
+            AntiJoinImpl::NotExists,
+            JoinStrategy::Hash,
+            &mut s,
+        )
+        .unwrap();
         let b = anti_join_basic_ops(&l, &r, &keys()).unwrap();
         // definability form is set-semantics; dedup the spelled form too
         let a = crate::ops::basic::distinct(&a);
@@ -351,12 +352,11 @@ mod tests {
         }
         for imp in AntiJoinImpl::ALL {
             let mut s0 = ExecStats::new();
-            let serial =
-                anti_join(&l, &r, &keys(), imp, JoinStrategy::Hash, &mut s0).unwrap();
+            let serial = anti_join(&l, &r, &keys(), imp, JoinStrategy::Hash, &mut s0).unwrap();
             for par in [2, 8] {
                 let mut s = ExecStats::new();
-                let p = anti_join_par(&l, &r, &keys(), imp, JoinStrategy::Hash, par, &mut s)
-                    .unwrap();
+                let p =
+                    anti_join_par(&l, &r, &keys(), imp, JoinStrategy::Hash, par, &mut s).unwrap();
                 assert_eq!(serial.rows(), p.rows(), "{} par={par}", imp.name());
                 assert_eq!(s.parallel_ops, 1, "{} par={par}", imp.name());
             }

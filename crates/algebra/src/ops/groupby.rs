@@ -42,20 +42,16 @@ fn rewrite(
             aggs.push((*f, (**inner).clone()));
             ScalarExpr::AggRef(aggs.len() - 1)
         }
-        ScalarExpr::BoundCol(c) => {
-            match group_cols.iter().position(|gc| gc == c) {
-                Some(k) => ScalarExpr::BoundCol(k),
-                None => {
-                    return Err(AlgebraError::Aggregate(format!(
-                        "column #{c} is neither grouped nor aggregated"
-                    )))
-                }
+        ScalarExpr::BoundCol(c) => match group_cols.iter().position(|gc| gc == c) {
+            Some(k) => ScalarExpr::BoundCol(k),
+            None => {
+                return Err(AlgebraError::Aggregate(format!(
+                    "column #{c} is neither grouped nor aggregated"
+                )))
             }
-        }
+        },
         ScalarExpr::Lit(v) => ScalarExpr::Lit(v.clone()),
-        ScalarExpr::Unary(op, x) => {
-            ScalarExpr::Unary(*op, Box::new(rewrite(x, group_cols, aggs)?))
-        }
+        ScalarExpr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(rewrite(x, group_cols, aggs)?)),
         ScalarExpr::Binary(op, l, r) => ScalarExpr::Binary(
             *op,
             Box::new(rewrite(l, group_cols, aggs)?),
@@ -67,11 +63,11 @@ fn rewrite(
                 .map(|a| rewrite(a, group_cols, aggs))
                 .collect::<Result<_>>()?,
         ),
-        ScalarExpr::AggRef(_) => {
-            return Err(AlgebraError::Aggregate("nested AggRef".into()))
-        }
+        ScalarExpr::AggRef(_) => return Err(AlgebraError::Aggregate("nested AggRef".into())),
         ScalarExpr::Col(n) => {
-            return Err(AlgebraError::Expr(format!("unbound column {n} in group-by")))
+            return Err(AlgebraError::Expr(format!(
+                "unbound column {n} in group-by"
+            )))
         }
     })
 }
@@ -165,8 +161,7 @@ pub fn group_by_par(
 
     if group_cols.is_empty() {
         // Global aggregate: exactly one output row, even on empty input.
-        let mut accs: Vec<Accumulator> =
-            c.aggs.iter().map(|(f, _)| f.accumulator()).collect();
+        let mut accs: Vec<Accumulator> = c.aggs.iter().map(|(f, _)| f.accumulator()).collect();
         for row in input.iter() {
             for (acc, (_, arg)) in accs.iter_mut().zip(&c.aggs) {
                 acc.update(&arg.eval(row)?);
@@ -182,20 +177,19 @@ pub fn group_by_par(
             // Each morsel builds thread-local partial aggregates; partials
             // merge into the first morsel's table in morsel order. With one
             // morsel this is exactly the serial loop.
-            let (mut partials, info) =
-                crate::par::run_morsels(input.len(), par, |range| {
-                    let mut groups: FxHashMap<Key, Vec<Accumulator>> = FxHashMap::default();
-                    for row in &input.rows()[range] {
-                        let key = Key::of(row, &group_cols);
-                        let accs = groups.entry(key).or_insert_with(|| {
-                            c.aggs.iter().map(|(f, _)| f.accumulator()).collect()
-                        });
-                        for (acc, (_, arg)) in accs.iter_mut().zip(&c.aggs) {
-                            acc.update(&arg.eval(row)?);
-                        }
+            let (mut partials, info) = crate::par::run_morsels(input.len(), par, |range| {
+                let mut groups: FxHashMap<Key, Vec<Accumulator>> = FxHashMap::default();
+                for row in &input.rows()[range] {
+                    let key = Key::of(row, &group_cols);
+                    let accs = groups
+                        .entry(key)
+                        .or_insert_with(|| c.aggs.iter().map(|(f, _)| f.accumulator()).collect());
+                    for (acc, (_, arg)) in accs.iter_mut().zip(&c.aggs) {
+                        acc.update(&arg.eval(row)?);
                     }
-                    Ok(groups)
-                })?;
+                }
+                Ok(groups)
+            })?;
             stats.note_parallel(&info);
             let mut groups = partials.remove(0);
             for partial in partials {
@@ -272,11 +266,9 @@ pub fn window(
                 ScalarExpr::AggRef(aggs.len() - 1)
             }
             ScalarExpr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(extract(x, aggs))),
-            ScalarExpr::Binary(op, l, r) => ScalarExpr::Binary(
-                *op,
-                Box::new(extract(l, aggs)),
-                Box::new(extract(r, aggs)),
-            ),
+            ScalarExpr::Binary(op, l, r) => {
+                ScalarExpr::Binary(*op, Box::new(extract(l, aggs)), Box::new(extract(r, aggs)))
+            }
             ScalarExpr::Func(f, args) => {
                 ScalarExpr::Func(*f, args.iter().map(|a| extract(a, aggs)).collect())
             }
@@ -489,10 +481,8 @@ mod tests {
         let mut e = Relation::new(edge_schema());
         for i in 0..20_000i64 {
             if i % 11 == 0 {
-                e.push(
-                    vec![Value::Int(i % 97), Value::Int(i), Value::Null].into_boxed_slice(),
-                )
-                .unwrap();
+                e.push(vec![Value::Int(i % 97), Value::Int(i), Value::Null].into_boxed_slice())
+                    .unwrap();
             } else {
                 e.push(row![i % 97, i, (i % 5) as f64]).unwrap();
             }
@@ -517,13 +507,12 @@ mod tests {
             ),
         ];
         let mut s0 = ExecStats::new();
-        let serial =
-            group_by(&e, &["F".into()], &items, AggStrategy::Hash, &mut s0).unwrap();
+        let serial = group_by(&e, &["F".into()], &items, AggStrategy::Hash, &mut s0).unwrap();
         assert_eq!(s0.parallel_ops, 0);
         for par in [2, 8] {
             let mut s = ExecStats::new();
-            let p = group_by_par(&e, &["F".into()], &items, AggStrategy::Hash, par, &mut s)
-                .unwrap();
+            let p =
+                group_by_par(&e, &["F".into()], &items, AggStrategy::Hash, par, &mut s).unwrap();
             assert_eq!(p.len(), serial.len());
             assert_eq!(s.parallel_ops, 1);
             for (a, b) in serial.iter().zip(p.iter()) {

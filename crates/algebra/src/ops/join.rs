@@ -70,11 +70,7 @@ pub struct JoinKeys {
 }
 
 impl JoinKeys {
-    pub fn resolve(
-        left: &Relation,
-        right: &Relation,
-        on: &[(String, String)],
-    ) -> Result<JoinKeys> {
+    pub fn resolve(left: &Relation, right: &Relation, on: &[(String, String)]) -> Result<JoinKeys> {
         JoinKeys::resolve_schemas(left.schema(), right.schema(), on)
     }
 
@@ -171,9 +167,7 @@ pub fn join_par(
         nested_loop(left, right, &residual, jt, schema)?
     } else {
         match strategy {
-            JoinStrategy::Hash => {
-                hash_join(left, right, keys, &residual, jt, schema, par, stats)?
-            }
+            JoinStrategy::Hash => hash_join(left, right, keys, &residual, jt, schema, par, stats)?,
             JoinStrategy::SortMerge => {
                 merge_join(left, right, keys, &residual, jt, schema, orders, stats)?
             }
@@ -291,7 +285,10 @@ fn hash_join(
     let build_start = Instant::now();
     let build = KeyIndex::build_partitioned(right, &keys.right, build_parts);
     let build_ns = build_start.elapsed().as_nanos() as u64;
-    aio_metrics::global().engine.join_build_rows.observe(right.len() as u64);
+    aio_metrics::global()
+        .engine
+        .join_build_rows
+        .observe(right.len() as u64);
 
     // Morsel-parallel probe over the left side: each morsel fills its own
     // row buffer (plus, for full joins, its own matched-right bitmap), and
@@ -414,7 +411,12 @@ fn merge_join(
                 }
                 let mut j_end = j + 1;
                 while j_end < rorder.len()
-                    && keys_eq(&rrows[rorder[j_end] as usize], &keys.right, rrow, &keys.right)
+                    && keys_eq(
+                        &rrows[rorder[j_end] as usize],
+                        &keys.right,
+                        rrow,
+                        &keys.right,
+                    )
                 {
                     j_end += 1;
                 }
@@ -537,26 +539,29 @@ mod tests {
 
     fn edges() -> Relation {
         let mut e = Relation::new(edge_schema().with_qualifier("E"));
-        e.extend([row![1, 2, 1.0], row![2, 3, 1.0], row![1, 3, 1.0], row![4, 1, 1.0]])
-            .unwrap();
+        e.extend([
+            row![1, 2, 1.0],
+            row![2, 3, 1.0],
+            row![1, 3, 1.0],
+            row![4, 1, 1.0],
+        ])
+        .unwrap();
         e
     }
 
     fn nodes() -> Relation {
         let mut v = Relation::new(node_schema().with_qualifier("V"));
-        v.extend([row![1, 0.0], row![2, 1.0], row![3, 2.0]]).unwrap();
+        v.extend([row![1, 0.0], row![2, 1.0], row![3, 2.0]])
+            .unwrap();
         v
     }
 
     #[test]
     fn inner_join_all_strategies_agree() {
-        assert!(assert_strategies_agree(
-            &edges(),
-            &nodes(),
-            &[("E.T", "V.ID")],
-            JoinType::Inner
-        )
-        .unwrap());
+        assert!(
+            assert_strategies_agree(&edges(), &nodes(), &[("E.T", "V.ID")], JoinType::Inner)
+                .unwrap()
+        );
     }
 
     #[test]
@@ -602,30 +607,32 @@ mod tests {
 
     #[test]
     fn full_outer_keeps_both_sides() {
-        for strat in [JoinStrategy::Hash, JoinStrategy::SortMerge, JoinStrategy::NestedLoop] {
+        for strat in [
+            JoinStrategy::Hash,
+            JoinStrategy::SortMerge,
+            JoinStrategy::NestedLoop,
+        ] {
             let mut s = ExecStats::new();
             let mut v = nodes();
             v.push(row![9, 9.0]).unwrap();
             let mut w = Relation::new(node_schema().with_qualifier("W"));
             w.extend([row![1, 10.0], row![8, 80.0]]).unwrap();
-            let out = join_on(
-                &v,
-                &w,
-                &[("V.ID", "W.ID")],
-                JoinType::Full,
-                strat,
-                &mut s,
-            )
-            .unwrap();
+            let out = join_on(&v, &w, &[("V.ID", "W.ID")], JoinType::Full, strat, &mut s).unwrap();
             // matched: 1. left-only: 2,3,9. right-only: 8.
             assert_eq!(out.len(), 5, "{strat:?}");
-            assert!(out.iter().any(|r| r[0].is_null() && r[2].as_int() == Some(8)));
+            assert!(out
+                .iter()
+                .any(|r| r[0].is_null() && r[2].as_int() == Some(8)));
         }
     }
 
     #[test]
     fn null_keys_never_match() {
-        for strat in [JoinStrategy::Hash, JoinStrategy::SortMerge, JoinStrategy::NestedLoop] {
+        for strat in [
+            JoinStrategy::Hash,
+            JoinStrategy::SortMerge,
+            JoinStrategy::NestedLoop,
+        ] {
             let mut s = ExecStats::new();
             let mut a = Relation::new(node_schema().with_qualifier("A"));
             a.extend([row![1, 1.0]]).unwrap();
@@ -635,8 +642,7 @@ mod tests {
             b.extend([row![1, 1.0]]).unwrap();
             b.push(vec![Value::Null, Value::Float(0.0)].into_boxed_slice())
                 .unwrap();
-            let out = join_on(&a, &b, &[("A.ID", "B.ID")], JoinType::Inner, strat, &mut s)
-                .unwrap();
+            let out = join_on(&a, &b, &[("A.ID", "B.ID")], JoinType::Inner, strat, &mut s).unwrap();
             assert_eq!(out.len(), 1, "{strat:?}: only the 1=1 pair matches");
         }
     }
@@ -647,11 +653,7 @@ mod tests {
         let e = edges();
         let v = nodes();
         let keys = JoinKeys::resolve(&e, &v, &[("E.T".into(), "V.ID".into())]).unwrap();
-        let residual = ScalarExpr::binary(
-            BinOp::Gt,
-            ScalarExpr::col("V.vw"),
-            ScalarExpr::lit(0.5),
-        );
+        let residual = ScalarExpr::binary(BinOp::Gt, ScalarExpr::col("V.vw"), ScalarExpr::lit(0.5));
         let out = join(
             &e,
             &v,
@@ -671,7 +673,10 @@ mod tests {
         let mut s = ExecStats::new();
         let a = nodes();
         let b = edges();
-        let keys = JoinKeys { left: vec![], right: vec![] };
+        let keys = JoinKeys {
+            left: vec![],
+            right: vec![],
+        };
         let out = join(
             &a,
             &b,
@@ -692,7 +697,17 @@ mod tests {
         let v = nodes();
         let keys = JoinKeys::resolve(&e, &v, &[("E.T".into(), "V.ID".into())]).unwrap();
         let mut s = ExecStats::new();
-        join(&e, &v, &keys, None, JoinType::Inner, JoinStrategy::SortMerge, JoinOrders::default(), &mut s).unwrap();
+        join(
+            &e,
+            &v,
+            &keys,
+            None,
+            JoinType::Inner,
+            JoinStrategy::SortMerge,
+            JoinOrders::default(),
+            &mut s,
+        )
+        .unwrap();
         assert_eq!(s.sorts, 2);
         assert_eq!(s.index_scans, 0);
 
@@ -705,7 +720,10 @@ mod tests {
             None,
             JoinType::Inner,
             JoinStrategy::SortMerge,
-            JoinOrders { left: Some(idx.order()), right: None },
+            JoinOrders {
+                left: Some(idx.order()),
+                right: None,
+            },
             &mut s2,
         )
         .unwrap();
@@ -738,7 +756,10 @@ mod tests {
         .unwrap();
         assert_eq!(last_join_phases().morsels, 1);
         // nested loop (no keys) has no build/probe split: phases reset
-        let keys = JoinKeys { left: vec![], right: vec![] };
+        let keys = JoinKeys {
+            left: vec![],
+            right: vec![],
+        };
         join(
             &nodes(),
             &edges(),
@@ -768,16 +789,29 @@ mod tests {
         for jt in [JoinType::Inner, JoinType::Left, JoinType::Full] {
             let mut s1 = ExecStats::new();
             let serial = join(
-                &l, &r, &keys, None, jt, JoinStrategy::Hash,
-                JoinOrders::default(), &mut s1,
+                &l,
+                &r,
+                &keys,
+                None,
+                jt,
+                JoinStrategy::Hash,
+                JoinOrders::default(),
+                &mut s1,
             )
             .unwrap();
             assert_eq!(s1.parallel_ops, 0, "serial path records no fan-out");
             for par in [2, 8] {
                 let mut s = ExecStats::new();
                 let p = join_par(
-                    &l, &r, &keys, None, jt, JoinStrategy::Hash,
-                    JoinOrders::default(), par, &mut s,
+                    &l,
+                    &r,
+                    &keys,
+                    None,
+                    jt,
+                    JoinStrategy::Hash,
+                    JoinOrders::default(),
+                    par,
+                    &mut s,
                 )
                 .unwrap();
                 assert_eq!(serial.rows(), p.rows(), "{jt:?} par={par}");

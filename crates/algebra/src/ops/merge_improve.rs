@@ -42,7 +42,11 @@ pub fn ubu_merge_improve(
         )));
     }
     let better = |a: &aio_storage::Value, b: &aio_storage::Value| {
-        if min { a < b } else { a > b }
+        if min {
+            a < b
+        } else {
+            a > b
+        }
     };
 
     // Pre-reduce the delta to its best row per key, preserving the order
@@ -67,9 +71,8 @@ pub fn ubu_merge_improve(
 
     let positions = {
         let t = catalog.relation(target)?;
-        t.unique_key_map(key_cols).map_err(|e| {
-            AlgebraError::Plan(format!("merge-improve target {target}: {e}"))
-        })?
+        t.unique_key_map(key_cols)
+            .map_err(|e| AlgebraError::Plan(format!("merge-improve target {target}: {e}")))?
     };
 
     let mut frontier = Relation::new(delta.schema().clone());

@@ -14,10 +14,12 @@ pub use anti_join::{
     anti_join, anti_join_basic_ops, anti_join_par, semi_join, semi_join_par, AntiJoinImpl,
 };
 pub use basic::{
-    difference, distinct, product, project, project_par, rename, select, select_par,
-    union_all, union_distinct,
+    difference, distinct, product, project, project_par, rename, select, select_par, union_all,
+    union_distinct,
 };
 pub use groupby::{group_by, group_by_par, window};
-pub use join::{join, join_on, join_par, last_join_phases, JoinKeys, JoinOrders, JoinPhases, JoinType};
+pub use join::{
+    join, join_on, join_par, last_join_phases, JoinKeys, JoinOrders, JoinPhases, JoinType,
+};
 pub use merge_improve::ubu_merge_improve;
 pub use union_by_update::{union_by_update, UbuImpl};

@@ -23,9 +23,7 @@
 use crate::error::{AlgebraError, Result};
 use crate::profile::EngineProfile;
 use crate::stats::ExecStats;
-use aio_storage::{
-    key_hash, keys_eq, Catalog, FxHashMap, Key, Relation, Row, Value, WalPolicy,
-};
+use aio_storage::{key_hash, keys_eq, Catalog, FxHashMap, Key, Relation, Row, Value, WalPolicy};
 
 /// Physical implementation of union-by-update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,15 +101,22 @@ impl<'a> DeltaIndex<'a> {
             }
             bucket.push(i as u32);
         }
-        Ok(DeltaIndex { delta, keys, buckets })
+        Ok(DeltaIndex {
+            delta,
+            keys,
+            buckets,
+        })
     }
 
     /// First delta row matching `row` on the key columns (build order).
     fn first(&self, row: &[Value]) -> Option<usize> {
-        self.buckets.get(&key_hash(row, self.keys))?.iter().find_map(|&j| {
-            keys_eq(&self.delta.rows()[j as usize], self.keys, row, self.keys)
-                .then_some(j as usize)
-        })
+        self.buckets
+            .get(&key_hash(row, self.keys))?
+            .iter()
+            .find_map(|&j| {
+                keys_eq(&self.delta.rows()[j as usize], self.keys, row, self.keys)
+                    .then_some(j as usize)
+            })
     }
 
     /// Last delta row matching `row` — `UPDATE ... FROM`'s silent
@@ -347,8 +352,7 @@ mod tests {
             let mut c = setup(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
             let d = delta(&[(1, 10.0), (3, 30.0), (9, 90.0)]);
             let mut s = ExecStats::new();
-            union_by_update(&mut c, "V", d, Some(&[0]), imp, &oracle_like(), &mut s)
-                .unwrap();
+            union_by_update(&mut c, "V", d, Some(&[0]), imp, &oracle_like(), &mut s).unwrap();
             assert_eq!(contents(&c), expected, "{}", imp.name());
             assert_eq!(s.union_by_updates, 1);
         }
@@ -379,9 +383,8 @@ mod tests {
             let mut c = setup(&[(1, 1.0)]);
             let d = delta(&[(1, 5.0), (1, 6.0)]);
             let mut s = ExecStats::new();
-            let err =
-                union_by_update(&mut c, "V", d, Some(&[0]), imp, &oracle_like(), &mut s)
-                    .unwrap_err();
+            let err = union_by_update(&mut c, "V", d, Some(&[0]), imp, &oracle_like(), &mut s)
+                .unwrap_err();
             assert!(
                 matches!(err, AlgebraError::NonUniqueUpdate(_)),
                 "{}",
@@ -413,7 +416,8 @@ mod tests {
         // keys here are non-unique in the target: both rows update
         let mut c = Catalog::new();
         let mut r = Relation::new(node_schema());
-        r.extend([row![1, 1.0], row![1, 2.0], row![2, 2.0]]).unwrap();
+        r.extend([row![1, 1.0], row![1, 2.0], row![2, 2.0]])
+            .unwrap();
         c.create_temp("V", r).unwrap();
         let d = delta(&[(1, 9.0)]);
         let mut s = ExecStats::new();

@@ -39,9 +39,7 @@ use aio_storage::Catalog;
 /// Aliases visible in a subtree's output (Scan aliases / table names).
 fn aliases(plan: &Plan, out: &mut Vec<String>) {
     match plan {
-        Plan::Scan { table, alias } => {
-            out.push(alias.clone().unwrap_or_else(|| table.clone()))
-        }
+        Plan::Scan { table, alias } => out.push(alias.clone().unwrap_or_else(|| table.clone())),
         Plan::Values(_) => {}
         Plan::Select { input, .. } | Plan::Distinct(input) => aliases(input, out),
         // projections / aggregations rename columns: nothing qualified
@@ -52,9 +50,9 @@ fn aliases(plan: &Plan, out: &mut Vec<String>) {
             aliases(right, out);
         }
         // set operations expose the left shape
-        Plan::UnionAll { left, .. }
-        | Plan::Union { left, .. }
-        | Plan::Difference { left, .. } => aliases(left, out),
+        Plan::UnionAll { left, .. } | Plan::Union { left, .. } | Plan::Difference { left, .. } => {
+            aliases(left, out)
+        }
         // semi/anti expose the left side only
         Plan::AntiJoin { left, .. } | Plan::SemiJoin { left, .. } => aliases(left, out),
         Plan::MultiwayJoin { children, .. } => {
@@ -287,12 +285,7 @@ fn cost_pass(plan: Plan, catalog: &Catalog, sensitive: bool, needed: Option<&[St
 /// semi-join) and statistics certify the right key columns NULL-free
 /// (`x NOT IN (...NULL...)` must stay empty, so NULL keys may not be
 /// dropped).
-fn semijoin_reduce(
-    left: &Plan,
-    right: Plan,
-    on: &[(String, String)],
-    catalog: &Catalog,
-) -> Plan {
+fn semijoin_reduce(left: &Plan, right: Plan, on: &[(String, String)], catalog: &Catalog) -> Plan {
     let (Plan::Scan { .. }, Plan::Scan { table, alias }) = (left, &right) else {
         return right;
     };
@@ -951,10 +944,12 @@ mod tests {
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         let mut e = Relation::new(edge_schema());
-        e.extend([row![1, 2, 1.0], row![2, 3, 5.0], row![3, 1, 2.0]]).unwrap();
+        e.extend([row![1, 2, 1.0], row![2, 3, 5.0], row![3, 1, 2.0]])
+            .unwrap();
         c.create_table("E", e).unwrap();
         let mut v = Relation::new(node_schema());
-        v.extend([row![1, 0.5], row![2, 1.5], row![3, 2.5]]).unwrap();
+        v.extend([row![1, 0.5], row![2, 1.5], row![3, 2.5]])
+            .unwrap();
         c.create_table("V", v).unwrap();
         c
     }
@@ -1024,11 +1019,7 @@ mod tests {
                 residual: None,
                 kind: JoinType::Inner,
             }),
-            pred: ScalarExpr::binary(
-                BinOp::Lt,
-                ScalarExpr::col("E.ew"),
-                ScalarExpr::col("V.vw"),
-            ),
+            pred: ScalarExpr::binary(BinOp::Lt, ScalarExpr::col("E.ew"), ScalarExpr::col("V.vw")),
         };
         let Plan::Select { input, .. } = push_selections(&plan) else {
             panic!("cross predicate must stay above the join")
@@ -1093,7 +1084,10 @@ mod tests {
         let cost = optimize_plan(&three_way(), &c, Optimizer::Cost);
         let (a, _) = execute(&off, &c, &oracle_like()).unwrap();
         let (b, _) = execute(&cost, &c, &oracle_like()).unwrap();
-        assert!(a.same_rows_unordered(&b), "reordered plan changed the result");
+        assert!(
+            a.same_rows_unordered(&b),
+            "reordered plan changed the result"
+        );
         // positional consumers above must see the same column order
         let names = |r: &Relation| -> Vec<(Option<String>, String)> {
             r.schema()
@@ -1138,7 +1132,11 @@ mod tests {
         let c = chain_catalog();
         let a = optimize_plan(&three_way(), &c, Optimizer::Cost);
         let b = optimize_plan(&three_way(), &c, Optimizer::Cost);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "same plan + same stats must give the same shape");
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "same plan + same stats must give the same shape"
+        );
     }
 
     fn has_project_over_scan(p: &Plan) -> bool {
@@ -1205,7 +1203,10 @@ mod tests {
             );
             let (a, _) = execute(&anti(imp), &c, &oracle_like()).unwrap();
             let (b, _) = execute(&cost, &c, &oracle_like()).unwrap();
-            assert!(a.same_rows_unordered(&b), "reduction changed {imp:?} result");
+            assert!(
+                a.same_rows_unordered(&b),
+                "reduction changed {imp:?} result"
+            );
         }
     }
 
@@ -1231,5 +1232,4 @@ mod tests {
             "nullable build key must not be reduced, got {right:?}"
         );
     }
-
 }

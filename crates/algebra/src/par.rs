@@ -104,8 +104,7 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T>>>> =
-        ranges.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T>>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..info.threads {
             scope.spawn(|| loop {

@@ -27,7 +27,10 @@ pub enum Plan {
     /// An inline literal relation.
     Values(Relation),
     /// σ
-    Select { input: Box<Plan>, pred: ScalarExpr },
+    Select {
+        input: Box<Plan>,
+        pred: ScalarExpr,
+    },
     /// Π (expressions + output names)
     Project {
         input: Box<Plan>,
@@ -55,12 +58,24 @@ pub enum Plan {
         kind: JoinType,
     },
     /// ×
-    Product { left: Box<Plan>, right: Box<Plan> },
-    UnionAll { left: Box<Plan>, right: Box<Plan> },
+    Product {
+        left: Box<Plan>,
+        right: Box<Plan>,
+    },
+    UnionAll {
+        left: Box<Plan>,
+        right: Box<Plan>,
+    },
     /// ∪ with duplicate elimination
-    Union { left: Box<Plan>, right: Box<Plan> },
+    Union {
+        left: Box<Plan>,
+        right: Box<Plan>,
+    },
     /// − (EXCEPT)
-    Difference { left: Box<Plan>, right: Box<Plan> },
+    Difference {
+        left: Box<Plan>,
+        right: Box<Plan>,
+    },
     /// `R ⊼ S` via the chosen SQL spelling
     AntiJoin {
         left: Box<Plan>,
@@ -422,7 +437,9 @@ impl<'a> Evaluator<'a> {
                 self.stats.rows_produced += out.len() as u64;
                 Ok(out)
             }
-            Plan::Aggregate { group_by, items, .. } => {
+            Plan::Aggregate {
+                group_by, items, ..
+            } => {
                 let agg = self.profile.agg;
                 let mut input = next();
                 if columnar {
@@ -445,9 +462,18 @@ impl<'a> Evaluator<'a> {
                     &mut self.stats,
                 )?))
             }
-            Plan::Window { partition_by, items, .. } => {
+            Plan::Window {
+                partition_by,
+                items,
+                ..
+            } => {
                 let rel = next().into_relation();
-                Ok(Data::Rows(ops::window(&rel, partition_by, items, &mut self.stats)?))
+                Ok(Data::Rows(ops::window(
+                    &rel,
+                    partition_by,
+                    items,
+                    &mut self.stats,
+                )?))
             }
             Plan::Distinct(_) => Ok(Data::Rows(ops::distinct(&next().into_relation()))),
             Plan::Join {
@@ -528,9 +554,20 @@ impl<'a> Evaluator<'a> {
             Plan::SemiJoin { on, .. } => {
                 let (l, r) = (next().into_relation(), next().into_relation());
                 let keys = JoinKeys::resolve(&l, &r, on)?;
-                Ok(Data::Rows(ops::semi_join_par(&l, &r, &keys, par, &mut self.stats)?))
+                Ok(Data::Rows(ops::semi_join_par(
+                    &l,
+                    &r,
+                    &keys,
+                    par,
+                    &mut self.stats,
+                )?))
             }
-            Plan::MultiwayJoin { children, vars, var_names, .. } => {
+            Plan::MultiwayJoin {
+                children,
+                vars,
+                var_names,
+                ..
+            } => {
                 // the trie probe is inherently row-at-a-time: rows come
                 // out, but the children go in as whatever they already are
                 Ok(Data::Rows(crate::wcoj::multiway_join(
@@ -638,11 +675,17 @@ mod tests {
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         let mut e = Relation::new(edge_schema());
-        e.extend([row![1, 2, 1.0], row![2, 3, 1.0], row![3, 1, 1.0], row![1, 3, 1.0]])
-            .unwrap();
+        e.extend([
+            row![1, 2, 1.0],
+            row![2, 3, 1.0],
+            row![3, 1, 1.0],
+            row![1, 3, 1.0],
+        ])
+        .unwrap();
         c.create_table("E", e).unwrap();
         let mut v = Relation::new(node_schema());
-        v.extend([row![1, 1.0], row![2, 0.0], row![3, 0.0]]).unwrap();
+        v.extend([row![1, 1.0], row![2, 0.0], row![3, 0.0]])
+            .unwrap();
         c.create_table("V", v).unwrap();
         c
     }
@@ -722,10 +765,7 @@ mod tests {
             items: vec![
                 (ScalarExpr::col("E.F"), "F".into()),
                 (
-                    ScalarExpr::Agg(
-                        crate::agg::AggFunc::Count,
-                        Box::new(ScalarExpr::lit(1i64)),
-                    ),
+                    ScalarExpr::Agg(crate::agg::AggFunc::Count, Box::new(ScalarExpr::lit(1i64))),
                     "deg".into(),
                 ),
             ],
@@ -820,10 +860,7 @@ mod tests {
             items: vec![
                 (ScalarExpr::col("E1.F"), "F".into()),
                 (
-                    ScalarExpr::Agg(
-                        crate::agg::AggFunc::Sum,
-                        Box::new(ScalarExpr::col("E2.ew")),
-                    ),
+                    ScalarExpr::Agg(crate::agg::AggFunc::Sum, Box::new(ScalarExpr::col("E2.ew"))),
                     "s".into(),
                 ),
             ],

@@ -84,7 +84,9 @@ impl ExecStats {
             joins: self.joins.saturating_sub(earlier.joins),
             aggregations: self.aggregations.saturating_sub(earlier.aggregations),
             anti_joins: self.anti_joins.saturating_sub(earlier.anti_joins),
-            union_by_updates: self.union_by_updates.saturating_sub(earlier.union_by_updates),
+            union_by_updates: self
+                .union_by_updates
+                .saturating_sub(earlier.union_by_updates),
             sorts: self.sorts.saturating_sub(earlier.sorts),
             index_scans: self.index_scans.saturating_sub(earlier.index_scans),
             parallel_ops: self.parallel_ops.saturating_sub(earlier.parallel_ops),
@@ -227,7 +229,9 @@ pub(crate) fn selectivity(pred: &ScalarExpr, env: &NodeEst) -> f64 {
             a + b - a * b
         }
         ScalarExpr::Unary(UnaryOp::Not, x) => 1.0 - selectivity(x, env),
-        ScalarExpr::Binary(op, l, r) if op.is_comparison() => comparison_selectivity(*op, l, r, env),
+        ScalarExpr::Binary(op, l, r) if op.is_comparison() => {
+            comparison_selectivity(*op, l, r, env)
+        }
         ScalarExpr::Lit(Value::Int(i)) => {
             if *i != 0 {
                 1.0

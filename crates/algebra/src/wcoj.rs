@@ -21,8 +21,8 @@
 //!   order heuristic ([`choose_order`]).
 
 use crate::error::{AlgebraError, Result};
-use crate::fault;
 use crate::expr::ScalarExpr;
+use crate::fault;
 use crate::plan::{Data, Plan};
 use crate::stats::ExecStats;
 use aio_storage::{Catalog, Relation, TrieCursor, TrieIndex, Value};
@@ -103,7 +103,9 @@ pub(crate) fn multiway_join(
     stats: &mut ExecStats,
 ) -> Result<Relation> {
     if inputs.is_empty() || inputs.len() != vars.len() {
-        return Err(AlgebraError::Plan("multiway join: malformed variable map".into()));
+        return Err(AlgebraError::Plan(
+            "multiway join: malformed variable map".into(),
+        ));
     }
     stats.joins += 1;
     stats.rows_scanned += inputs.iter().map(|d| d.len() as u64).sum::<u64>();
@@ -118,13 +120,20 @@ pub(crate) fn multiway_join(
     let mut key_cols: Vec<Vec<usize>> = Vec::with_capacity(inputs.len());
     for (i, v) in vars.iter().enumerate() {
         if v.len() != inputs[i].schema().arity() {
-            return Err(AlgebraError::Plan("multiway join: variable map arity mismatch".into()));
+            return Err(AlgebraError::Plan(
+                "multiway join: variable map arity mismatch".into(),
+            ));
         }
-        let mut kc: Vec<(usize, usize)> =
-            v.iter().enumerate().filter_map(|(j, p)| p.map(|p| (p, j))).collect();
+        let mut kc: Vec<(usize, usize)> = v
+            .iter()
+            .enumerate()
+            .filter_map(|(j, p)| p.map(|p| (p, j)))
+            .collect();
         kc.sort_unstable();
         if kc.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(AlgebraError::Plan("multiway join: duplicate variable in one atom".into()));
+            return Err(AlgebraError::Plan(
+                "multiway join: duplicate variable in one atom".into(),
+            ));
         }
         key_cols.push(kc.into_iter().map(|(_, j)| j).collect());
     }
@@ -321,7 +330,14 @@ impl Lftj<'_> {
     /// its deepest level on the matching key, so `matches()` is the run of
     /// row ids under the full prefix.
     fn emit(&mut self) {
-        let Lftj { children, cursors, all_rows, out, row, .. } = self;
+        let Lftj {
+            children,
+            cursors,
+            all_rows,
+            out,
+            row,
+            ..
+        } = self;
         let ranges: Vec<&[u32]> = cursors
             .iter()
             .zip(all_rows.iter())
@@ -556,7 +572,15 @@ impl IntLftj<'_> {
     /// run of row ids under its current full key prefix, crossed in child
     /// order.
     fn emit(&mut self) {
-        let IntLftj { children, tries, frames, all_rows, out, row, .. } = self;
+        let IntLftj {
+            children,
+            tries,
+            frames,
+            all_rows,
+            out,
+            row,
+            ..
+        } = self;
         let ranges: Vec<&[u32]> = frames
             .iter()
             .zip(all_rows.iter())
@@ -665,7 +689,10 @@ pub fn agm_bound(atoms: &[(f64, Vec<usize>)]) -> f64 {
         return 0.0;
     }
     let vars: Vec<usize> = {
-        let mut v: Vec<usize> = atoms.iter().flat_map(|(_, vs)| vs.iter().copied()).collect();
+        let mut v: Vec<usize> = atoms
+            .iter()
+            .flat_map(|(_, vs)| vs.iter().copied())
+            .collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -824,7 +851,10 @@ mod tests {
                 kind: JoinType::Inner,
             }),
             right: Box::new(Plan::scan_as("E", "E3")),
-            on: vec![("E2.T".into(), "E3.F".into()), ("E1.F".into(), "E3.T".into())],
+            on: vec![
+                ("E2.T".into(), "E3.F".into()),
+                ("E1.F".into(), "E3.T".into()),
+            ],
             residual: None,
             kind: JoinType::Inner,
         }
@@ -855,20 +885,29 @@ mod tests {
         let (_, _) = execute(&triangle(), &c, &oracle_like()).unwrap();
         let ph = last_wcoj_phases();
         assert_eq!(ph.tries_built + ph.tries_cached, 3);
-        assert!(c.trie_on("E", &[0, 1]).is_some(), "E1's trie cached on the catalog");
+        assert!(
+            c.trie_on("E", &[0, 1]).is_some(),
+            "E1's trie cached on the catalog"
+        );
         let (_, _) = execute(&triangle(), &c, &oracle_like()).unwrap();
-        assert_eq!(last_wcoj_phases().tries_cached, 3, "second run is all cache hits");
+        assert_eq!(
+            last_wcoj_phases().tries_cached,
+            3,
+            "second run is all cache hits"
+        );
     }
 
     #[test]
     fn nulls_never_match() {
         let mut c = Catalog::new();
         let mut e = Relation::new(edge_schema());
-        e.extend([row![1, 2, 1.0], row![Value::Null, 2, 1.0]]).unwrap();
+        e.extend([row![1, 2, 1.0], row![Value::Null, 2, 1.0]])
+            .unwrap();
         // E1(a,b) ⋈ E2(a,c): NULL 'a' must join nothing even though both
         // sides hold a NULL at the same level
         let mut e2 = Relation::new(edge_schema());
-        e2.extend([row![1, 5, 1.0], row![Value::Null, 6, 1.0]]).unwrap();
+        e2.extend([row![1, 5, 1.0], row![Value::Null, 6, 1.0]])
+            .unwrap();
         c.create_table("E", e).unwrap();
         c.create_table("D", e2).unwrap();
         let plan = Plan::MultiwayJoin {
@@ -899,7 +938,11 @@ mod tests {
 
     #[test]
     fn agm_bound_triangle_and_matching() {
-        let tri = [(100.0, vec![0, 1]), (100.0, vec![1, 2]), (100.0, vec![2, 0])];
+        let tri = [
+            (100.0, vec![0, 1]),
+            (100.0, vec![1, 2]),
+            (100.0, vec![2, 0]),
+        ];
         assert!((agm_bound(&tri) - 1000.0).abs() < 1e-6, "|E|^(3/2)");
         // K4: the optimal cover is a perfect matching (x=1 on 2 disjoint
         // edges), beating uniform ½ (which would give |E|^3)
@@ -911,7 +954,11 @@ mod tests {
             (100.0, vec![1, 3]),
             (100.0, vec![2, 3]),
         ];
-        assert!((agm_bound(&k4) - 10_000.0).abs() < 1e-3, "got {}", agm_bound(&k4));
+        assert!(
+            (agm_bound(&k4) - 10_000.0).abs() < 1e-3,
+            "got {}",
+            agm_bound(&k4)
+        );
         // empty atom: output is empty
         assert_eq!(agm_bound(&[(0.0, vec![0, 1]), (5.0, vec![1, 0])]), 0.0);
     }

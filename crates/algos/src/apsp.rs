@@ -26,10 +26,7 @@ select * from D";
 pub type PairDistances = FxHashMap<(i64, i64), f64>;
 
 /// Run APSP; returns (from, to) → distance (missing = unreachable).
-pub fn run(
-    g: &Graph,
-    profile: &EngineProfile,
-) -> Result<(PairDistances, QueryResult)> {
+pub fn run(g: &Graph, profile: &EngineProfile) -> Result<(PairDistances, QueryResult)> {
     // the zero diagonal comes in through self-loops with weight 0
     let mut db = common::db_for(g, profile, EdgeStyle::WithLoops(0.0))?;
     let out = db.execute(SQL)?;

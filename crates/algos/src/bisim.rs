@@ -26,7 +26,8 @@ use aio_withplus::{QueryResult, Result};
 /// changes), so termination comes from `maxrecursion` rather than the
 /// value fixpoint; refinement stabilizes in at most |V| rounds.
 pub fn sql(max_rounds: usize) -> String {
-    format!("\
+    format!(
+        "\
 with B(ID, blk) as (
   (select L.ID, 1.0 * L.lbl from L)
   union by update ID
@@ -41,15 +42,13 @@ with B(ID, blk) as (
                           (B.blk * 1000003.0 + coalesce(SuccH.s, 0.0)) % 999983.0
                    from B left outer join SuccH on B.ID = SuccH.ID;)
   maxrecursion {max_rounds})
-select * from B")
+select * from B"
+    )
 }
 
 /// Run bisimulation; returns node → block id (ids are hashes — only the
 /// induced partition is meaningful).
-pub fn run(
-    g: &Graph,
-    profile: &EngineProfile,
-) -> Result<(FxHashMap<i64, i64>, QueryResult)> {
+pub fn run(g: &Graph, profile: &EngineProfile) -> Result<(FxHashMap<i64, i64>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     let out = db.execute(&sql(g.node_count() + 2))?;
     let map = out
@@ -68,8 +67,7 @@ pub fn reference_bisimulation(g: &Graph) -> Vec<usize> {
         // signature: (own block, sorted set of successor blocks)
         let mut sigs: Vec<(usize, Vec<usize>)> = Vec::with_capacity(n);
         for v in 0..n as u32 {
-            let mut succ: Vec<usize> =
-                g.neighbors(v).iter().map(|&w| block[w as usize]).collect();
+            let mut succ: Vec<usize> = g.neighbors(v).iter().map(|&w| block[w as usize]).collect();
             succ.sort_unstable();
             succ.dedup();
             sigs.push((block[v as usize], succ));

@@ -14,11 +14,7 @@ use aio_withplus::Result;
 /// Estimate the diameter from `samples` BFS sources (deterministically
 /// spread over the id space). Returns (estimate, per-source
 /// eccentricities).
-pub fn run(
-    g: &Graph,
-    profile: &EngineProfile,
-    samples: usize,
-) -> Result<(u32, Vec<u32>)> {
+pub fn run(g: &Graph, profile: &EngineProfile, samples: usize) -> Result<(u32, Vec<u32>)> {
     let n = g.node_count().max(1);
     let mut eccs = Vec::with_capacity(samples);
     for i in 0..samples {

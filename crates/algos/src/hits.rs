@@ -39,11 +39,7 @@ pub fn sql(iters: usize) -> String {
 pub type HubAuth = FxHashMap<i64, (f64, f64)>;
 
 /// Run HITS; returns id → (hub, authority).
-pub fn run(
-    g: &Graph,
-    profile: &EngineProfile,
-    iters: usize,
-) -> Result<(HubAuth, QueryResult)> {
+pub fn run(g: &Graph, profile: &EngineProfile, iters: usize) -> Result<(HubAuth, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     let out = db.execute(&sql(iters))?;
     let map = out
@@ -68,7 +64,11 @@ mod tests {
         for (id, (h, a)) in &scores {
             let v = *id as usize;
             assert!((h - h_ref[v]).abs() < 1e-9, "hub {id}: {h} vs {}", h_ref[v]);
-            assert!((a - a_ref[v]).abs() < 1e-9, "auth {id}: {a} vs {}", a_ref[v]);
+            assert!(
+                (a - a_ref[v]).abs() < 1e-9,
+                "auth {id}: {a} vs {}",
+                a_ref[v]
+            );
         }
     }
 

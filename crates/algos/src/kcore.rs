@@ -24,11 +24,7 @@ select * from CE";
 /// Run k-core; returns the set of core nodes (endpoints of surviving
 /// edges). Degrees are counted on the stored digraph (symmetrized for
 /// undirected input), matching the reference peeling.
-pub fn run(
-    g: &Graph,
-    profile: &EngineProfile,
-    k: i64,
-) -> Result<(FxHashSet<i64>, QueryResult)> {
+pub fn run(g: &Graph, profile: &EngineProfile, k: i64) -> Result<(FxHashSet<i64>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     db.set_param("k", k);
     let out = db.execute(SQL)?;
@@ -50,11 +46,7 @@ mod tests {
         let (nodes, _) = run(g, profile, k).unwrap();
         let expected = reference::kcore(g, k as usize);
         for (v, &alive) in expected.iter().enumerate() {
-            assert_eq!(
-                nodes.contains(&(v as i64)),
-                alive,
-                "node {v} (k = {k})"
-            );
+            assert_eq!(nodes.contains(&(v as i64)), alive, "node {v} (k = {k})");
         }
     }
 

@@ -37,11 +37,7 @@ pub fn run(
 ) -> Result<(FxHashSet<i64>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::WithLoops(1.0))?;
     let out = db.execute(&sql(labels, depth))?;
-    let roots = out
-        .relation
-        .iter()
-        .filter_map(|r| r[0].as_int())
-        .collect();
+    let roots = out.relation.iter().filter_map(|r| r[0].as_int()).collect();
     Ok((roots, out))
 }
 

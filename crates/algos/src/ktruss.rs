@@ -101,10 +101,7 @@ mod tests {
             false,
         );
         let (edges, _) = run(&g, &oracle_like(), 3).unwrap();
-        assert_eq!(
-            edges,
-            [(0i64, 1i64), (1, 2), (0, 2)].into_iter().collect()
-        );
+        assert_eq!(edges, [(0i64, 1i64), (1, 2), (0, 2)].into_iter().collect());
     }
 
     #[test]

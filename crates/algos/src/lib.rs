@@ -34,8 +34,8 @@ pub mod common;
 pub mod diameter;
 pub mod hits;
 pub mod kcore;
-pub mod ktruss;
 pub mod ks;
+pub mod ktruss;
 pub mod lp;
 pub mod mcl;
 pub mod mis;

@@ -37,11 +37,7 @@ with S(ID, st) as (
 select * from S";
 
 /// Run MIS (the `seed` makes `random()` reproducible); returns the MIS.
-pub fn run(
-    g: &Graph,
-    profile: &EngineProfile,
-    seed: u64,
-) -> Result<(FxHashSet<i64>, QueryResult)> {
+pub fn run(g: &Graph, profile: &EngineProfile, seed: u64) -> Result<(FxHashSet<i64>, QueryResult)> {
     aio_algebra::seed_random(seed);
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     if g.directed {

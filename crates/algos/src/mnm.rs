@@ -29,10 +29,7 @@ with M(ID, mate) as (
 select * from M";
 
 /// Run MNM; returns the matched pairs `(u, v)` with `u < v`.
-pub fn run(
-    g: &Graph,
-    profile: &EngineProfile,
-) -> Result<(Vec<(u32, u32)>, QueryResult)> {
+pub fn run(g: &Graph, profile: &EngineProfile) -> Result<(Vec<(u32, u32)>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     if g.directed {
         let extra: Vec<_> = g

@@ -57,11 +57,7 @@ pub fn run(
 /// Run the Fig. 9 SQL'99 baseline on the PostgreSQL profile; returns
 /// id → rank plus the run result (whose per-iteration `r_rows` exhibit the
 /// linear tuple growth of Fig. 12(b)).
-pub fn run_sql99(
-    g: &Graph,
-    c: f64,
-    iters: usize,
-) -> Result<(FxHashMap<i64, f64>, QueryResult)> {
+pub fn run_sql99(g: &Graph, c: f64, iters: usize) -> Result<(FxHashMap<i64, f64>, QueryResult)> {
     let mut db = common::db_for(g, &Sql99System::PostgreSql.profile(), EdgeStyle::PageRank)?;
     db.set_param("c", c);
     db.set_param("n", g.node_count() as f64);

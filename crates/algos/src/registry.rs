@@ -44,25 +44,177 @@ pub struct AlgoSpec {
 
 /// Table 2 verbatim (19 rows), annotated with our implementation status.
 pub const TABLE2: [AlgoSpec; 19] = [
-    AlgoSpec { name: "TC", key: "tc", aggregation: Aggregation::None, linear: true, nonlinear: true, implemented: true, evaluated: false },
-    AlgoSpec { name: "BFS", key: "bfs", aggregation: Aggregation::Max, linear: true, nonlinear: false, implemented: true, evaluated: false },
-    AlgoSpec { name: "Connected-Component", key: "wcc", aggregation: Aggregation::MinOrMax, linear: true, nonlinear: false, implemented: true, evaluated: true },
-    AlgoSpec { name: "Bellman-Ford", key: "sssp", aggregation: Aggregation::Min, linear: true, nonlinear: false, implemented: true, evaluated: true },
-    AlgoSpec { name: "Floyd-Warshall", key: "apsp", aggregation: Aggregation::Min, linear: false, nonlinear: true, implemented: true, evaluated: false },
-    AlgoSpec { name: "PageRank", key: "pr", aggregation: Aggregation::Sum, linear: true, nonlinear: false, implemented: true, evaluated: true },
-    AlgoSpec { name: "Random-Walk-with-Restart", key: "rwr", aggregation: Aggregation::Sum, linear: true, nonlinear: false, implemented: true, evaluated: false },
-    AlgoSpec { name: "SimRank", key: "simrank", aggregation: Aggregation::Sum, linear: true, nonlinear: false, implemented: true, evaluated: false },
-    AlgoSpec { name: "HITS", key: "hits", aggregation: Aggregation::Sum, linear: false, nonlinear: true, implemented: true, evaluated: true },
-    AlgoSpec { name: "TopoSort", key: "ts", aggregation: Aggregation::None, linear: false, nonlinear: true, implemented: true, evaluated: true },
-    AlgoSpec { name: "Keyword-Search", key: "ks", aggregation: Aggregation::Max, linear: true, nonlinear: false, implemented: true, evaluated: true },
-    AlgoSpec { name: "Label-Propagation", key: "lp", aggregation: Aggregation::Count, linear: true, nonlinear: false, implemented: true, evaluated: true },
-    AlgoSpec { name: "Maximal-Independent-Set", key: "mis", aggregation: Aggregation::MinOrMax, linear: false, nonlinear: true, implemented: true, evaluated: true },
-    AlgoSpec { name: "Maximal-Node-Matching", key: "mnm", aggregation: Aggregation::MinOrMax, linear: false, nonlinear: true, implemented: true, evaluated: true },
-    AlgoSpec { name: "Diameter-Estimation", key: "diam", aggregation: Aggregation::None, linear: true, nonlinear: false, implemented: true, evaluated: false },
-    AlgoSpec { name: "Markov-Clustering", key: "mcl", aggregation: Aggregation::Sum, linear: false, nonlinear: true, implemented: true, evaluated: false },
-    AlgoSpec { name: "K-core", key: "kc", aggregation: Aggregation::Count, linear: false, nonlinear: true, implemented: true, evaluated: true },
-    AlgoSpec { name: "K-truss", key: "ktruss", aggregation: Aggregation::Count, linear: false, nonlinear: true, implemented: true, evaluated: false },
-    AlgoSpec { name: "Graph-Bisimulation", key: "bisim", aggregation: Aggregation::Sum, linear: false, nonlinear: true, implemented: true, evaluated: false },
+    AlgoSpec {
+        name: "TC",
+        key: "tc",
+        aggregation: Aggregation::None,
+        linear: true,
+        nonlinear: true,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "BFS",
+        key: "bfs",
+        aggregation: Aggregation::Max,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "Connected-Component",
+        key: "wcc",
+        aggregation: Aggregation::MinOrMax,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Bellman-Ford",
+        key: "sssp",
+        aggregation: Aggregation::Min,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Floyd-Warshall",
+        key: "apsp",
+        aggregation: Aggregation::Min,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "PageRank",
+        key: "pr",
+        aggregation: Aggregation::Sum,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Random-Walk-with-Restart",
+        key: "rwr",
+        aggregation: Aggregation::Sum,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "SimRank",
+        key: "simrank",
+        aggregation: Aggregation::Sum,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "HITS",
+        key: "hits",
+        aggregation: Aggregation::Sum,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "TopoSort",
+        key: "ts",
+        aggregation: Aggregation::None,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Keyword-Search",
+        key: "ks",
+        aggregation: Aggregation::Max,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Label-Propagation",
+        key: "lp",
+        aggregation: Aggregation::Count,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Maximal-Independent-Set",
+        key: "mis",
+        aggregation: Aggregation::MinOrMax,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Maximal-Node-Matching",
+        key: "mnm",
+        aggregation: Aggregation::MinOrMax,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "Diameter-Estimation",
+        key: "diam",
+        aggregation: Aggregation::None,
+        linear: true,
+        nonlinear: false,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "Markov-Clustering",
+        key: "mcl",
+        aggregation: Aggregation::Sum,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "K-core",
+        key: "kc",
+        aggregation: Aggregation::Count,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: true,
+    },
+    AlgoSpec {
+        name: "K-truss",
+        key: "ktruss",
+        aggregation: Aggregation::Count,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: false,
+    },
+    AlgoSpec {
+        name: "Graph-Bisimulation",
+        key: "bisim",
+        aggregation: Aggregation::Sum,
+        linear: false,
+        nonlinear: true,
+        implemented: true,
+        evaluated: false,
+    },
 ];
 
 /// An executor family the differential testkit can route an algorithm to.
@@ -117,8 +269,14 @@ impl Equivalence {
 
 use Engine::{Bsp, Datalog, Oracle, Sql99, VertexCentric, WithPlus};
 
-const EPS_TIGHT: Tolerance = Tolerance::Epsilon { eps: 1e-9, rank_top: 0 };
-const EPS_RANKED: Tolerance = Tolerance::Epsilon { eps: 1e-7, rank_top: 5 };
+const EPS_TIGHT: Tolerance = Tolerance::Epsilon {
+    eps: 1e-9,
+    rank_top: 0,
+};
+const EPS_RANKED: Tolerance = Tolerance::Epsilon {
+    eps: 1e-7,
+    rank_top: 5,
+};
 
 impl AlgoSpec {
     /// The differential matrix row for this algorithm. Every implemented

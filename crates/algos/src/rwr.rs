@@ -46,7 +46,9 @@ pub fn run(
 pub fn reference_rwr(g: &Graph, src: u32, c: f64, iters: usize) -> Vec<f64> {
     let gw = aio_graph::reference::with_pagerank_weights(g);
     let n = gw.node_count();
-    let restart: Vec<f64> = (0..n).map(|v| if v == src as usize { 1.0 } else { 0.0 }).collect();
+    let restart: Vec<f64> = (0..n)
+        .map(|v| if v == src as usize { 1.0 } else { 0.0 })
+        .collect();
     let mut w = restart.clone();
     for _ in 0..iters {
         let mut sums = vec![0.0f64; n];

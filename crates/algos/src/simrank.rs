@@ -88,10 +88,7 @@ mod tests {
         for (i, row) in expected.iter().enumerate() {
             for (j, &s) in row.iter().enumerate() {
                 let got = sim.get(&(i as i64, j as i64)).copied().unwrap_or(0.0);
-                assert!(
-                    (got - s).abs() < 1e-9,
-                    "s({i},{j}): {got} vs {s}"
-                );
+                assert!((got - s).abs() < 1e-9, "s({i},{j}): {got} vs {s}");
             }
         }
     }

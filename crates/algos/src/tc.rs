@@ -34,7 +34,11 @@ pub fn sql_union_all(depth: usize) -> String {
 }
 
 /// Run TC; returns the set of reachable pairs.
-pub fn run(g: &Graph, profile: &EngineProfile, depth: usize) -> Result<(FxHashSet<(i64, i64)>, QueryResult)> {
+pub fn run(
+    g: &Graph,
+    profile: &EngineProfile,
+    depth: usize,
+) -> Result<(FxHashSet<(i64, i64)>, QueryResult)> {
     let mut db = common::db_for(g, profile, common::EdgeStyle::Raw)?;
     let out = db.execute(&sql(depth))?;
     let pairs = out

@@ -51,7 +51,11 @@ fn main() {
     // Resolve every name before running anything: a typo or a removed
     // experiment must fail the invocation, not be skipped inside it.
     let selected: Vec<(&str, &Experiment)> = if picks.iter().any(|p| p == "all") {
-        EXPERIMENTS.iter().filter(|e| e.in_all).map(|e| (e.name, e)).collect()
+        EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all)
+            .map(|e| (e.name, e))
+            .collect()
     } else {
         picks
             .iter()

@@ -29,24 +29,86 @@ pub struct Experiment {
 /// Dispatch, `all` and `--help` all read this table; a name missing here
 /// is an error, not a skipped line.
 pub const EXPERIMENTS: &[Experiment] = &[
-    Experiment { name: "table1", aliases: &[], in_all: true, run: |_| table1() },
-    Experiment { name: "table2", aliases: &[], in_all: true, run: |_| table2() },
-    Experiment { name: "table3", aliases: &[], in_all: true, run: table3 },
-    Experiment { name: "table4_5", aliases: &["table4", "table5"], in_all: true, run: table4_5 },
-    Experiment { name: "table6_7", aliases: &["table6", "table7"], in_all: true, run: table6_7 },
+    Experiment {
+        name: "table1",
+        aliases: &[],
+        in_all: true,
+        run: |_| table1(),
+    },
+    Experiment {
+        name: "table2",
+        aliases: &[],
+        in_all: true,
+        run: |_| table2(),
+    },
+    Experiment {
+        name: "table3",
+        aliases: &[],
+        in_all: true,
+        run: table3,
+    },
+    Experiment {
+        name: "table4_5",
+        aliases: &["table4", "table5"],
+        in_all: true,
+        run: table4_5,
+    },
+    Experiment {
+        name: "table6_7",
+        aliases: &["table6", "table7"],
+        in_all: true,
+        run: table6_7,
+    },
     // Tables 4–7 in one report; `all` already runs both halves
-    Experiment { name: "exp1", aliases: &[], in_all: false, run: exp1 },
-    Experiment { name: "fig7", aliases: &[], in_all: true, run: fig7 },
-    Experiment { name: "fig8", aliases: &[], in_all: true, run: fig8 },
-    Experiment { name: "fig10", aliases: &[], in_all: true, run: fig10 },
-    Experiment { name: "fig11", aliases: &[], in_all: true, run: fig11 },
-    Experiment { name: "fig12", aliases: &[], in_all: true, run: fig12 },
-    Experiment { name: "fig13", aliases: &[], in_all: true, run: fig13 },
+    Experiment {
+        name: "exp1",
+        aliases: &[],
+        in_all: false,
+        run: exp1,
+    },
+    Experiment {
+        name: "fig7",
+        aliases: &[],
+        in_all: true,
+        run: fig7,
+    },
+    Experiment {
+        name: "fig8",
+        aliases: &[],
+        in_all: true,
+        run: fig8,
+    },
+    Experiment {
+        name: "fig10",
+        aliases: &[],
+        in_all: true,
+        run: fig10,
+    },
+    Experiment {
+        name: "fig11",
+        aliases: &[],
+        in_all: true,
+        run: fig11,
+    },
+    Experiment {
+        name: "fig12",
+        aliases: &[],
+        in_all: true,
+        run: fig12,
+    },
+    Experiment {
+        name: "fig13",
+        aliases: &[],
+        in_all: true,
+        run: fig13,
+    },
 ];
 
 /// The experiment called `name` (or aliased to it), if there is one.
 pub fn find(name: &str) -> Option<&'static Experiment> {
-    EXPERIMENTS.iter().find(|e| e.name == name || e.aliases.contains(&name))
+    EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name || e.aliases.contains(&name))
 }
 
 /// Table 1: the with-clause feature matrix.
@@ -59,13 +121,22 @@ pub fn table1() -> String {
 
 /// Table 2: the algorithm catalogue.
 pub fn table2() -> String {
-    format!("Table 2 — Graph Algorithms\n\n{}", algos::registry::render_table2())
+    format!(
+        "Table 2 — Graph Algorithms\n\n{}",
+        algos::registry::render_table2()
+    )
 }
 
 /// Table 3: the datasets and their synthesized stand-ins at `scale`.
 pub fn table3(scale: f64) -> String {
     let mut t = TextTable::new(vec![
-        "Graph", "|V| (paper)", "|E| (paper)", "Diam", "AvgDeg", "|V| (synth)", "|E| (synth)",
+        "Graph",
+        "|V| (paper)",
+        "|E| (paper)",
+        "Diam",
+        "AvgDeg",
+        "|V| (synth)",
+        "|E| (synth)",
     ]);
     for d in &DATASETS {
         let (n, m) = d.scaled(scale);
@@ -79,7 +150,10 @@ pub fn table3(scale: f64) -> String {
             m.to_string(),
         ]);
     }
-    format!("Table 3 — The Real Datasets (synthesized at scale {scale})\n\n{}", t.render())
+    format!(
+        "Table 3 — The Real Datasets (synthesized at scale {scale})\n\n{}",
+        t.render()
+    )
 }
 
 /// Tables 4 & 5: the four union-by-update implementations, measured by
@@ -161,7 +235,9 @@ pub fn table6_7(scale: f64) -> String {
             t.render()
         ));
     }
-    out.push_str("Expected shape (paper): not exists ≈ left outer join ≤ not in (marginal differences).\n");
+    out.push_str(
+        "Expected shape (paper): not exists ≈ left outer join ≤ not in (marginal differences).\n",
+    );
     out
 }
 
@@ -169,7 +245,13 @@ fn fig_runs(specs: &[&'static DatasetSpec], algo_keys: &[&str], scale: f64) -> S
     let mut out = String::new();
     for spec in specs {
         let g = spec.synthesize(scale);
-        let mut t = TextTable::new(vec!["Algorithm", "Oracle (ms)", "DB2 (ms)", "PostgreSQL (ms)", "iters"]);
+        let mut t = TextTable::new(vec![
+            "Algorithm",
+            "Oracle (ms)",
+            "DB2 (ms)",
+            "PostgreSQL (ms)",
+            "iters",
+        ]);
         for key in algo_keys {
             let mut cells: Vec<String> = Vec::new();
             let mut iters = 0usize;
@@ -260,9 +342,8 @@ pub fn fig10(scale: f64) -> String {
 /// SociaLite- and Giraph-like engines, on PR / WCC / SSSP over all nine
 /// stand-ins.
 pub fn fig11(scale: f64) -> String {
-    let mut out = String::from(
-        "Figure 11 — Comparison with PowerGraph, SociaLite and Giraph stand-ins\n\n",
-    );
+    let mut out =
+        String::from("Figure 11 — Comparison with PowerGraph, SociaLite and Giraph stand-ins\n\n");
     for algo in ["pr", "wcc", "sssp"] {
         let mut t = TextTable::new(vec![
             "Graph",
@@ -320,13 +401,7 @@ pub fn fig11(scale: f64) -> String {
             }
             let bsp = t0.elapsed();
 
-            t.row(vec![
-                spec.key.to_string(),
-                rdbms,
-                ms(vc),
-                ms(dl),
-                ms(bsp),
-            ]);
+            t.row(vec![spec.key.to_string(), rdbms, ms(vc), ms(dl), ms(bsp)]);
         }
         let label = match algo {
             "pr" => "PR (15 iterations)",
@@ -488,7 +563,11 @@ fn explain_inner(algo: &str, scale: f64) -> Result<String> {
         "sssp" => {
             let mut db = db_for(&g, &oracle_like(), EdgeStyle::WithLoops(0.0))?;
             for row in db.catalog.relation_mut("V")?.rows_mut() {
-                let seed = if row[0].as_int() == Some(0) { 0.0 } else { f64::INFINITY };
+                let seed = if row[0].as_int() == Some(0) {
+                    0.0
+                } else {
+                    f64::INFINITY
+                };
                 row[1] = seed.into();
             }
             (db, algos::sssp::SQL.to_string())

@@ -101,9 +101,7 @@ pub fn run_algo(
 }
 
 /// The Fig. 7 algorithm set (undirected graphs: no TopoSort).
-pub const FIG7_ALGOS: [&str; 9] = [
-    "sssp", "wcc", "pr", "hits", "kc", "mis", "lp", "mnm", "ks",
-];
+pub const FIG7_ALGOS: [&str; 9] = ["sssp", "wcc", "pr", "hits", "kc", "mis", "lp", "mnm", "ks"];
 
 /// The Fig. 8 algorithm set (directed graphs: all ten).
 pub const FIG8_ALGOS: [&str; 10] = [
@@ -121,8 +119,10 @@ mod tests {
         let g = spec.synthesize(0.002); // tiny stand-in
         for key in FIG8_ALGOS {
             let run = run_algo(key, &g, spec, &oracle_like()).unwrap();
-            assert!(run.result_rows > 0 || key == "ts" || key == "kc" || key == "ks" || key == "mnm",
-                "{key} returned nothing");
+            assert!(
+                run.result_rows > 0 || key == "ts" || key == "kc" || key == "ks" || key == "mnm",
+                "{key} returned nothing"
+            );
             assert!(run.iterations > 0, "{key} never iterated");
         }
     }

@@ -5,7 +5,10 @@ use aio_bench::experiments::EXPERIMENTS;
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("spawn repro")
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro")
 }
 
 #[test]
@@ -25,7 +28,10 @@ fn removed_or_unknown_experiment_exits_2_before_running_anything() {
         assert_eq!(out.status.code(), Some(2), "{gone}: {out:?}");
         assert!(out.stdout.is_empty(), "{gone} ran something: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("unknown experiment: {gone}")), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown experiment: {gone}")),
+            "{stderr}"
+        );
     }
 }
 
@@ -34,7 +40,10 @@ fn help_lists_exactly_the_table() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let listed = stderr.lines().find_map(|l| l.strip_prefix("experiments: ")).expect("list line");
+    let listed = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("experiments: "))
+        .expect("list line");
     let mut want: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     want.push("all");
     assert_eq!(listed.split_whitespace().collect::<Vec<_>>(), want);

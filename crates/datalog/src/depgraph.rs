@@ -221,7 +221,9 @@ impl DependencyGraph {
         };
         let scc = self.sccs();
         let target = scc[v];
-        let members: Vec<usize> = (0..self.names.len()).filter(|&u| scc[u] == target).collect();
+        let members: Vec<usize> = (0..self.names.len())
+            .filter(|&u| scc[u] == target)
+            .collect();
         let internal_edges: usize = members
             .iter()
             .map(|&u| {

@@ -163,7 +163,10 @@ mod tests {
 
     #[test]
     fn temporal_and_negation_render() {
-        let a = Atom::new("p").with_args(&["X"]).at(Temporal::Succ).negated();
+        let a = Atom::new("p")
+            .with_args(&["X"])
+            .at(Temporal::Succ)
+            .negated();
         assert_eq!(a.to_string(), "¬p(X, s(T))");
     }
 

@@ -262,7 +262,12 @@ impl SemiNaive {
         for rule in &program.rules {
             for t in self.eval_rule(rule, &HashMap::new(), None) {
                 self.derivations += 1;
-                if self.rels.get_mut(&rule.head.pred).unwrap().insert(t.clone()) {
+                if self
+                    .rels
+                    .get_mut(&rule.head.pred)
+                    .unwrap()
+                    .insert(t.clone())
+                {
                     delta.entry(rule.head.pred.clone()).or_default().insert(t);
                 }
             }
@@ -408,7 +413,10 @@ mod tests {
             "3-cycle closure has 9 tuples"
         );
         assert_eq!(ev.rounds.last().unwrap().new_tuples, 0);
-        assert!(ev.rounds.iter().all(|r| r.derivations >= r.new_tuples as u64));
+        assert!(ev
+            .rounds
+            .iter()
+            .all(|r| r.derivations >= r.new_tuples as u64));
     }
 
     #[test]

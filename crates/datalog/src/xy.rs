@@ -30,7 +30,10 @@ impl std::fmt::Display for XyViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             XyViolation::MissingTemporal { rule, pred } => {
-                write!(f, "recursive predicate {pred} has no temporal argument in: {rule}")
+                write!(
+                    f,
+                    "recursive predicate {pred} has no temporal argument in: {rule}"
+                )
             }
             XyViolation::NotXOrYRule { rule } => {
                 write!(f, "rule is neither an X-rule nor a Y-rule: {rule}")
@@ -66,8 +69,8 @@ pub fn check_xy_syntax(p: &Program, recursive: &[String]) -> Result<(), XyViolat
             .filter(|a| is_rec(&a.pred))
             .map(|a| a.temporal.unwrap())
             .collect();
-        let is_x_rule = head_t == Some(Temporal::Var)
-            && body_ts.iter().all(|&t| t == Temporal::Var);
+        let is_x_rule =
+            head_t == Some(Temporal::Var) && body_ts.iter().all(|&t| t == Temporal::Var);
         // Y-rule: head at s(T), subgoals at T or s(T). Definition 9.3
         // additionally asks for *some* subgoal at T; the paper's Theorem 5.1
         // proof however freely writes within-stage rules

@@ -148,9 +148,9 @@ impl DatasetSpec {
     /// The seed `synthesize` uses: a stable hash of the dataset key, so a
     /// replay file can name it explicitly.
     pub fn default_seed(&self) -> u64 {
-        self.key
-            .bytes()
-            .fold(0xA1016u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64))
+        self.key.bytes().fold(0xA1016u64, |acc, b| {
+            acc.wrapping_mul(131).wrapping_add(b as u64)
+        })
     }
 
     /// Generate the stand-in at `scale` (deterministic: the seed derives

@@ -148,11 +148,7 @@ impl<'g> Bsp<'g> {
         }
         let n = self.g.node_count();
         let base = (1.0 - c) / n as f64;
-        let (vals, _) = self.run(
-            &Pr { c, n, iters },
-            vec![base; n],
-            iters + 2,
-        );
+        let (vals, _) = self.run(&Pr { c, n, iters }, vec![base; n], iters + 2);
         vals
     }
 
@@ -170,7 +166,11 @@ impl<'g> Bsp<'g> {
                 out: &mut Vec<Message>,
             ) -> (f64, bool) {
                 let incoming = messages.iter().copied().fold(f64::INFINITY, f64::min);
-                let new_value = if superstep == 0 { value } else { value.min(incoming) };
+                let new_value = if superstep == 0 {
+                    value
+                } else {
+                    value.min(incoming)
+                };
                 if superstep == 0 || new_value < value {
                     for &t in g.neighbors(vertex) {
                         out.push(Message {

@@ -162,11 +162,7 @@ mod tests {
 
     #[test]
     fn sssp_rounds_trace_shrinking_wavefront() {
-        let g = crate::graph::Graph::from_edges(
-            4,
-            &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
-            true,
-        );
+        let g = crate::graph::Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], true);
         let tracer = aio_trace::Tracer::new();
         let mut eng = DatalogEngine::new(&g);
         eng.set_tracer(&tracer);
@@ -178,7 +174,11 @@ mod tests {
         assert_eq!(rounds.len(), 4, "wavefront drains after |path| rounds");
         for (i, r) in rounds.iter().enumerate() {
             assert_eq!(r.field_u64("round"), Some(i as u64));
-            assert_eq!(r.field_u64("delta_tuples"), Some(1), "path wavefront is 1 wide");
+            assert_eq!(
+                r.field_u64("delta_tuples"),
+                Some(1),
+                "path wavefront is 1 wide"
+            );
         }
     }
 

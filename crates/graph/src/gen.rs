@@ -337,7 +337,10 @@ mod tests {
         assert!(isolated >= 1, "expected isolated vertices, found none");
         let comps = crate::reference::wcc_min_label(&g);
         let distinct: std::collections::HashSet<_> = comps.iter().collect();
-        assert!(distinct.len() >= 3, "expected ≥3 components (incl. isolates)");
+        assert!(
+            distinct.len() >= 3,
+            "expected ≥3 components (incl. isolates)"
+        );
     }
 
     #[test]
@@ -346,10 +349,7 @@ mod tests {
         let loops = g.edges().filter(|(u, v, _)| u == v).count();
         assert!(loops >= 1, "expected self-loops");
         let mut seen = std::collections::HashSet::new();
-        let dupes = g
-            .edges()
-            .filter(|&(u, v, _)| !seen.insert((u, v)))
-            .count();
+        let dupes = g.edges().filter(|&(u, v, _)| !seen.insert((u, v))).count();
         assert!(dupes >= 1, "expected duplicate edges");
     }
 
@@ -375,8 +375,7 @@ mod tests {
             assert!(g.edges().zip(again.edges()).all(|(x, y)| x == y));
         }
         // distinct families
-        let names: std::collections::HashSet<_> =
-            CORPUS_PRESETS.iter().map(|p| p.name).collect();
+        let names: std::collections::HashSet<_> = CORPUS_PRESETS.iter().map(|p| p.name).collect();
         assert_eq!(names.len(), CORPUS_PRESETS.len());
     }
 }

@@ -365,7 +365,11 @@ mod tests {
     use crate::gen::{generate, GraphKind};
 
     fn path() -> Graph {
-        Graph::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], true)
+        Graph::from_edges(
+            5,
+            &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+            true,
+        )
     }
 
     #[test]
@@ -407,7 +411,11 @@ mod tests {
 
     #[test]
     fn toposort_levels() {
-        let g = Graph::from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)], true);
+        let g = Graph::from_edges(
+            4,
+            &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
+            true,
+        );
         assert_eq!(topo_levels(&g), Some(vec![0, 1, 1, 2]));
         let cyc = Graph::from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)], true);
         assert_eq!(topo_levels(&cyc), None);
@@ -435,7 +443,11 @@ mod tests {
     #[test]
     fn kcore_peels() {
         // triangle + pendant: 2-core (undirected) is the triangle
-        let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)], false);
+        let g = Graph::from_edges(
+            4,
+            &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)],
+            false,
+        );
         let core = kcore(&g, 2);
         assert_eq!(core, vec![true, true, true, false]);
     }

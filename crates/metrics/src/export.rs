@@ -2,9 +2,7 @@
 //! (used by the CI metrics smoke step), and JSON export built on the same
 //! `aio-trace` JSON helpers as the trace sinks — one serializer, two crates.
 
-use crate::{
-    bucket_bound, MetricView, MetricsRegistry, QueryReport, NBUCKETS,
-};
+use crate::{bucket_bound, MetricView, MetricsRegistry, QueryReport, NBUCKETS};
 use aio_trace::json::{JsonArr, JsonObj};
 use std::fmt::Write as _;
 
@@ -123,7 +121,10 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                 }
                 "TYPE" => {
                     if !valid_name(name)
-                        || !matches!(arg, "counter" | "gauge" | "histogram" | "summary" | "untyped")
+                        || !matches!(
+                            arg,
+                            "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                        )
                     {
                         return Err(at("malformed TYPE"));
                     }
@@ -150,7 +151,9 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
         if !valid_name(name) {
             return Err(at(&format!("bad metric name {name:?}")));
         }
-        let fam = family.as_deref().ok_or_else(|| at("sample before any TYPE"))?;
+        let fam = family
+            .as_deref()
+            .ok_or_else(|| at("sample before any TYPE"))?;
         if !name.starts_with(fam) {
             return Err(at(&format!("sample {name:?} outside family {fam:?}")));
         }
@@ -238,7 +241,10 @@ mod tests {
         );
         assert_eq!(queries[0].get("rows_out").unwrap().as_num(), Some(10.0));
         assert_eq!(
-            queries[0].get("sql_hash").and_then(Json::as_str).map(str::len),
+            queries[0]
+                .get("sql_hash")
+                .and_then(Json::as_str)
+                .map(str::len),
             Some(16)
         );
     }

@@ -530,7 +530,9 @@ impl MetricsRegistry {
         }
         self.engine.queries_total.add_raw(1);
         self.engine.query_wall_ms.observe_raw(r.wall_ms as u64);
-        self.engine.query_peak_mem_bytes.observe_raw(r.peak_mem_bytes);
+        self.engine
+            .query_peak_mem_bytes
+            .observe_raw(r.peak_mem_bytes);
         let mut guard = self.queries.lock().unwrap();
         let log = guard.get_or_insert_with(|| QueryLog {
             entries: VecDeque::with_capacity(QUERY_LOG_CAP),
@@ -781,7 +783,10 @@ pub mod hooks {
         if !enabled() {
             return;
         }
-        global().engine.ivm_base_delta_rows_total.add_raw(adds + dels);
+        global()
+            .engine
+            .ivm_base_delta_rows_total
+            .add_raw(adds + dels);
     }
 
     /// One materialized view refreshed. `fallback` marks a full recompute;
@@ -875,7 +880,11 @@ mod tests {
             assert!(!view.kind().is_empty());
             names.push(name);
         });
-        assert!(names.len() >= 30, "suspiciously few metrics: {}", names.len());
+        assert!(
+            names.len() >= 30,
+            "suspiciously few metrics: {}",
+            names.len()
+        );
         let mut seen = std::collections::HashSet::new();
         for name in &names {
             assert!(seen.insert(*name), "duplicate metric name {name}");
@@ -895,7 +904,11 @@ mod tests {
         // Derived histogram sample names must not collide either.
         let mut sample_names = std::collections::HashSet::new();
         for s in reg.snapshot() {
-            assert!(sample_names.insert(s.name.clone()), "duplicate sample {}", s.name);
+            assert!(
+                sample_names.insert(s.name.clone()),
+                "duplicate sample {}",
+                s.name
+            );
         }
     }
 
@@ -914,7 +927,10 @@ mod tests {
         assert_eq!(log.len(), QUERY_LOG_CAP);
         assert_eq!(log.first().unwrap().seq, 11);
         assert_eq!(log.last().unwrap().seq, (QUERY_LOG_CAP + 10) as u64);
-        assert_eq!(log.last().unwrap().sql, format!("select {}", QUERY_LOG_CAP + 9));
+        assert_eq!(
+            log.last().unwrap().sql,
+            format!("select {}", QUERY_LOG_CAP + 9)
+        );
         assert_eq!(reg.engine.queries_total.get(), (QUERY_LOG_CAP + 10) as u64);
     }
 

@@ -145,8 +145,12 @@ impl Catalog {
         // Base tables are analyzed at load time; temp tables start without
         // statistics, like the paper's PostgreSQL temp tables.
         let stats = (!temp).then(|| rel.collect_stats());
-        aio_metrics::global().engine.relation_bytes_total.add(rel.approx_bytes());
-        self.tables.insert(key, Arc::new(TableEntry::new(rel, temp, stats)));
+        aio_metrics::global()
+            .engine
+            .relation_bytes_total
+            .add(rel.approx_bytes());
+        self.tables
+            .insert(key, Arc::new(TableEntry::new(rel, temp, stats)));
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
         Ok(())
@@ -169,8 +173,12 @@ impl Catalog {
             ))?;
         }
         let stats = (!temp).then(|| rel.collect_stats());
-        aio_metrics::global().engine.relation_bytes_total.add(rel.approx_bytes());
-        self.tables.insert(key, Arc::new(TableEntry::new(rel, temp, stats)));
+        aio_metrics::global()
+            .engine
+            .relation_bytes_total
+            .add(rel.approx_bytes());
+        self.tables
+            .insert(key, Arc::new(TableEntry::new(rel, temp, stats)));
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
         Ok(())
@@ -345,7 +353,9 @@ impl Catalog {
         if self.durable.is_some() {
             self.wal_append(wal::enc_truncate(&norm(name)))?;
         }
-        let e = self.table_mut_for_write(&norm(name)).expect("checked above");
+        let e = self
+            .table_mut_for_write(&norm(name))
+            .expect("checked above");
         e.rel.truncate();
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
@@ -359,7 +369,10 @@ impl Catalog {
         // the WAL for a mutation that then fails to apply.
         let expected = self.relation(name)?.schema().arity();
         if let Some(r) = rows.iter().find(|r| r.len() != expected) {
-            return Err(StorageError::ArityMismatch { expected, got: r.len() });
+            return Err(StorageError::ArityMismatch {
+                expected,
+                got: r.len(),
+            });
         }
         if self.durable.is_some() {
             self.wal_append(wal::enc_insert(&norm(name), &rows))?;
@@ -370,7 +383,9 @@ impl Catalog {
             .add(rows.len() as u64 * crate::relation::approx_row_bytes(expected));
         // Inserts invalidate sorted order; a real engine maintains the
         // B-tree incrementally, we rebuild lazily on next use instead.
-        let e = self.table_mut_for_write(&norm(name)).expect("checked above");
+        let e = self
+            .table_mut_for_write(&norm(name))
+            .expect("checked above");
         let out = e.rel.extend(rows);
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
@@ -395,13 +410,18 @@ impl Catalog {
         // Validate arity *before* the durable log, as insert_rows does.
         let expected = self.relation(name)?.schema().arity();
         if let Some(r) = adds.iter().chain(dels.iter()).find(|r| r.len() != expected) {
-            return Err(StorageError::ArityMismatch { expected, got: r.len() });
+            return Err(StorageError::ArityMismatch {
+                expected,
+                got: r.len(),
+            });
         }
         if self.durable.is_some() {
             self.wal_append(wal::enc_edge_delta(&norm(name), &adds, &dels))?;
         }
         aio_metrics::hooks::ivm_base_delta(adds.len() as u64, dels.len() as u64);
-        let e = self.table_mut_for_write(&norm(name)).expect("checked above");
+        let e = self
+            .table_mut_for_write(&norm(name))
+            .expect("checked above");
         // Adds land before deletes so a batch that inserts and deletes the
         // same row nets out (insert-then-delete is a no-op).
         e.rel.extend(adds)?;
@@ -449,7 +469,9 @@ impl Catalog {
     /// The cached trie covering exactly `cols`, if one was built and has
     /// not been invalidated since.
     pub fn trie_on(&self, name: &str, cols: &[usize]) -> Option<std::sync::Arc<TrieIndex>> {
-        self.tables.get(&norm(name)).and_then(|e| e.tries.cached(cols))
+        self.tables
+            .get(&norm(name))
+            .and_then(|e| e.tries.cached(cols))
     }
 
     /// Eagerly build (or rebuild) the trie on `cols` — the warm-up path
@@ -617,7 +639,10 @@ impl Catalog {
             if close {
                 d.in_txn = false;
             }
-            (d.records_appended() - before.0, d.bytes_appended() - before.1)
+            (
+                d.records_appended() - before.0,
+                d.bytes_appended() - before.1,
+            )
         } else {
             if close {
                 self.mem_txn = false;
@@ -640,13 +665,24 @@ impl Catalog {
     /// `iters_done` iterations of `rec`'s recursion are now durable
     /// (0 = the init queries). Leaves the run's transaction open.
     pub fn wal_commit_iter(&mut self, rec: &str, iters_done: u64) -> Result<(u64, u64)> {
-        self.wal_commit(CommitKind::Iter { rec: norm(rec), iters_done }, false)
+        self.wal_commit(
+            CommitKind::Iter {
+                rec: norm(rec),
+                iters_done,
+            },
+            false,
+        )
     }
 
     /// A with+ statement is starting: durably record enough context (SQL
     /// text + parameter bindings) to resume it after a crash, then open its
     /// transaction.
-    pub fn wal_run_begin(&mut self, rec: &str, sql: &str, params: &[(String, Value)]) -> Result<()> {
+    pub fn wal_run_begin(
+        &mut self,
+        rec: &str,
+        sql: &str,
+        params: &[(String, Value)],
+    ) -> Result<()> {
         if self.durable.is_some() {
             self.wal_flush_dirty()?;
             let d = self.durable.as_mut().expect("checked above");
@@ -666,7 +702,8 @@ impl Catalog {
     /// mutations and mark the run complete so recovery won't offer it for
     /// resumption.
     pub fn wal_run_end(&mut self, rec: &str) -> Result<()> {
-        self.wal_commit(CommitKind::RunEnd { rec: norm(rec) }, true).map(|_| ())
+        self.wal_commit(CommitKind::RunEnd { rec: norm(rec) }, true)
+            .map(|_| ())
     }
 
     /// Write snapshot generation `seq+1`, start a fresh WAL generation and
@@ -678,7 +715,9 @@ impl Catalog {
     /// newest *valid* snapshot, so no window loses data.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats> {
         let Some(d) = self.durable.as_ref() else {
-            return Err(StorageError::Invalid("checkpoint: catalog is not durable".into()));
+            return Err(StorageError::Invalid(
+                "checkpoint: catalog is not durable".into(),
+            ));
         };
         if d.in_txn {
             return Err(StorageError::Invalid(
@@ -775,7 +814,8 @@ mod tests {
     #[test]
     fn rename_moves_entry() {
         let mut c = Catalog::new();
-        c.create_temp("V_new", Relation::new(node_schema())).unwrap();
+        c.create_temp("V_new", Relation::new(node_schema()))
+            .unwrap();
         c.create_table("V", Relation::new(node_schema())).unwrap();
         c.drop_table("V").unwrap();
         c.rename_table("V_new", "V").unwrap();
@@ -801,7 +841,8 @@ mod tests {
         assert!(c.wal.bytes_written() > 0);
         c.build_index("T", &[0]).unwrap();
         assert!(c.index_on("T", &[0]).is_some());
-        c.insert_rows("T", vec![row![3, 3.0]], WalPolicy::None).unwrap();
+        c.insert_rows("T", vec![row![3, 3.0]], WalPolicy::None)
+            .unwrap();
         assert!(c.index_on("T", &[0]).is_none(), "insert invalidates index");
     }
 
@@ -809,7 +850,8 @@ mod tests {
     fn truncate_clears_rows_and_indexes() {
         let mut c = Catalog::new();
         c.create_temp("T", Relation::new(node_schema())).unwrap();
-        c.insert_rows("T", vec![row![1, 1.0]], WalPolicy::None).unwrap();
+        c.insert_rows("T", vec![row![1, 1.0]], WalPolicy::None)
+            .unwrap();
         c.build_index("T", &[0]).unwrap();
         c.truncate("T").unwrap();
         assert!(c.relation("T").unwrap().is_empty());
@@ -826,19 +868,37 @@ mod tests {
         let t = c.trie_for("T", &[0, 1]).unwrap();
         assert_eq!(t.len(), 2);
         assert!(c.trie_on("T", &[0, 1]).is_some());
-        c.insert_rows("T", vec![row![3, 1, 1.0]], WalPolicy::None).unwrap();
-        assert!(c.trie_on("T", &[0, 1]).is_none(), "insert invalidates tries");
-        assert_eq!(c.trie_for("T", &[0, 1]).unwrap().len(), 3, "rebuilt over new rows");
+        c.insert_rows("T", vec![row![3, 1, 1.0]], WalPolicy::None)
+            .unwrap();
+        assert!(
+            c.trie_on("T", &[0, 1]).is_none(),
+            "insert invalidates tries"
+        );
+        assert_eq!(
+            c.trie_for("T", &[0, 1]).unwrap().len(),
+            3,
+            "rebuilt over new rows"
+        );
         c.truncate("T").unwrap();
-        assert!(c.trie_on("T", &[0, 1]).is_none(), "truncate invalidates tries");
+        assert!(
+            c.trie_on("T", &[0, 1]).is_none(),
+            "truncate invalidates tries"
+        );
         // in-place mutation via entry_mut drops the cache too
-        c.insert_rows("T", vec![row![1, 2, 1.0]], WalPolicy::None).unwrap();
+        c.insert_rows("T", vec![row![1, 2, 1.0]], WalPolicy::None)
+            .unwrap();
         c.build_trie("T", &[1, 0]).unwrap();
         assert!(c.trie_on("T", &[1, 0]).is_some());
         let _ = c.entry_mut("T").unwrap();
-        assert!(c.trie_on("T", &[1, 0]).is_none(), "entry_mut invalidates tries");
+        assert!(
+            c.trie_on("T", &[1, 0]).is_none(),
+            "entry_mut invalidates tries"
+        );
         c.drop_table("T").unwrap();
-        assert!(c.trie_on("T", &[0, 1]).is_none(), "drop removes the table's tries");
+        assert!(
+            c.trie_on("T", &[0, 1]).is_none(),
+            "drop removes the table's tries"
+        );
         assert!(c.trie_for("T", &[0, 1]).is_err());
     }
 
@@ -860,11 +920,18 @@ mod tests {
         assert!(c.index_on("E", &[0]).is_some() && c.trie_on("E", &[0, 1]).is_some());
 
         c.relation_mut("E").unwrap().push(row![0, 9, 1.0]).unwrap();
-        assert!(c.index_on("E", &[0]).is_none(), "a stale sort order must not be served");
+        assert!(
+            c.index_on("E", &[0]).is_none(),
+            "a stale sort order must not be served"
+        );
         assert!(c.trie_on("E", &[0, 1]).is_none());
         let e = c.entry("E").unwrap();
         assert!(e.stats.is_none() && e.image.cached().is_none());
-        assert_eq!(c.columnar("E").unwrap().len(), 3, "rebuilt over the new rows");
+        assert_eq!(
+            c.columnar("E").unwrap().len(),
+            3,
+            "rebuilt over the new rows"
+        );
     }
 
     /// Copy-on-write and the image: a clone that changes no row shares the
@@ -875,18 +942,33 @@ mod tests {
     fn image_follows_copy_on_write() {
         let mut c = Catalog::new();
         c.create_table("E", Relation::new(edge_schema())).unwrap();
-        c.insert_rows("E", vec![row![1, 2, 1.0]], WalPolicy::None).unwrap();
+        c.insert_rows("E", vec![row![1, 2, 1.0]], WalPolicy::None)
+            .unwrap();
         let image = c.columnar("E").unwrap();
         let fork = c.fork_readonly();
         c.analyze("E").unwrap(); // clones the shared entry, rows unchanged
-        assert!(Arc::ptr_eq(&c.columnar("E").unwrap().col_arc(0), &image.col_arc(0)));
-        assert!(Arc::ptr_eq(&fork.columnar("E").unwrap().col_arc(0), &image.col_arc(0)));
+        assert!(Arc::ptr_eq(
+            &c.columnar("E").unwrap().col_arc(0),
+            &image.col_arc(0)
+        ));
+        assert!(Arc::ptr_eq(
+            &fork.columnar("E").unwrap().col_arc(0),
+            &image.col_arc(0)
+        ));
 
         let fork = c.fork_readonly();
-        c.insert_rows("E", vec![row![2, 3, 1.0]], WalPolicy::None).unwrap();
+        c.insert_rows("E", vec![row![2, 3, 1.0]], WalPolicy::None)
+            .unwrap();
         assert!(c.entry("E").unwrap().image.cached().is_none());
-        assert!(fork.entry("E").unwrap().image.cached().is_none(), "released at the divergence");
-        assert_eq!(fork.columnar("E").unwrap().len(), 1, "the fork reads its own generation");
+        assert!(
+            fork.entry("E").unwrap().image.cached().is_none(),
+            "released at the divergence"
+        );
+        assert_eq!(
+            fork.columnar("E").unwrap().len(),
+            1,
+            "the fork reads its own generation"
+        );
         assert_eq!(c.columnar("E").unwrap().len(), 2);
     }
 
@@ -926,7 +1008,8 @@ mod tests {
     #[test]
     fn temp_flag_tracked() {
         let mut c = Catalog::new();
-        c.create_table("base", Relation::new(node_schema())).unwrap();
+        c.create_table("base", Relation::new(node_schema()))
+            .unwrap();
         c.create_temp("tmp", Relation::new(node_schema())).unwrap();
         assert!(!c.entry("base").unwrap().temp);
         assert!(c.entry("tmp").unwrap().temp);

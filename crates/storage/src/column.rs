@@ -139,16 +139,20 @@ impl NullMask {
     }
 
     fn ones_from_word(&self, first: usize) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().skip(first).flat_map(|(w, &word)| {
-            let mut m = word;
-            std::iter::from_fn(move || {
-                (m != 0).then(|| {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    w * 64 + b
+        self.words
+            .iter()
+            .enumerate()
+            .skip(first)
+            .flat_map(|(w, &word)| {
+                let mut m = word;
+                std::iter::from_fn(move || {
+                    (m != 0).then(|| {
+                        let b = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        w * 64 + b
+                    })
                 })
             })
-        })
     }
 
     /// Rows NULL in either mask (the NULL propagation of a binary kernel).
@@ -290,9 +294,10 @@ impl ColumnVec {
     /// its values alone, whichever path produced it.
     pub fn canonical(self) -> ColumnVec {
         match self {
-            ColumnVec::Float { vals, nulls } if nulls.count() == vals.len() => {
-                ColumnVec::Int { vals: vec![0; vals.len()], nulls }
-            }
+            ColumnVec::Float { vals, nulls } if nulls.count() == vals.len() => ColumnVec::Int {
+                vals: vec![0; vals.len()],
+                nulls,
+            },
             other => other,
         }
     }
@@ -308,14 +313,20 @@ impl ColumnVec {
             match (&mut acc, part) {
                 (
                     ColumnVec::Int { vals, nulls },
-                    ColumnVec::Int { vals: pv, nulls: pn },
+                    ColumnVec::Int {
+                        vals: pv,
+                        nulls: pn,
+                    },
                 ) => {
                     nulls.extend_shifted(&pn, vals.len(), pv.len());
                     vals.extend(pv);
                 }
                 (
                     ColumnVec::Float { vals, nulls },
-                    ColumnVec::Float { vals: pv, nulls: pn },
+                    ColumnVec::Float {
+                        vals: pv,
+                        nulls: pn,
+                    },
                 ) => {
                     nulls.extend_shifted(&pn, vals.len(), pv.len());
                     vals.extend(pv);
@@ -342,7 +353,10 @@ impl ColumnVec {
                         out.push(vals[i as usize]);
                     }
                 }
-                ColumnVec::Int { vals: out, nulls: on }
+                ColumnVec::Int {
+                    vals: out,
+                    nulls: on,
+                }
             }
             ColumnVec::Float { vals, nulls } => {
                 let mut out = Vec::with_capacity(idx.len());
@@ -355,7 +369,10 @@ impl ColumnVec {
                         out.push(vals[i as usize]);
                     }
                 }
-                ColumnVec::Float { vals: out, nulls: on }
+                ColumnVec::Float {
+                    vals: out,
+                    nulls: on,
+                }
             }
             ColumnVec::Str { ids, nulls, dict } => {
                 let mut out = Vec::with_capacity(idx.len());
@@ -369,7 +386,11 @@ impl ColumnVec {
                         out.push(od.intern(dict.get(ids[i as usize])));
                     }
                 }
-                ColumnVec::Str { ids: out, nulls: on, dict: od }
+                ColumnVec::Str {
+                    ids: out,
+                    nulls: on,
+                    dict: od,
+                }
             }
             ColumnVec::Mixed(vals) => ColumnVec::Mixed(
                 idx.iter()
@@ -390,20 +411,14 @@ impl ColumnVec {
     /// mismatches spill to `Mixed`.
     pub fn concat(&self, other: &ColumnVec) -> ColumnVec {
         match (self, other) {
-            (
-                ColumnVec::Int { vals: a, nulls: an },
-                ColumnVec::Int { vals: b, nulls: bn },
-            ) => {
+            (ColumnVec::Int { vals: a, nulls: an }, ColumnVec::Int { vals: b, nulls: bn }) => {
                 let mut vals = a.clone();
                 vals.extend_from_slice(b);
                 let mut nulls = an.clone();
                 nulls.extend_shifted(bn, a.len(), b.len());
                 ColumnVec::Int { vals, nulls }
             }
-            (
-                ColumnVec::Float { vals: a, nulls: an },
-                ColumnVec::Float { vals: b, nulls: bn },
-            ) => {
+            (ColumnVec::Float { vals: a, nulls: an }, ColumnVec::Float { vals: b, nulls: bn }) => {
                 let mut vals = a.clone();
                 vals.extend_from_slice(b);
                 let mut nulls = an.clone();
@@ -411,8 +426,16 @@ impl ColumnVec {
                 ColumnVec::Float { vals, nulls }
             }
             (
-                ColumnVec::Str { ids: a, nulls: an, dict: ad },
-                ColumnVec::Str { ids: b, nulls: bn, dict: bd },
+                ColumnVec::Str {
+                    ids: a,
+                    nulls: an,
+                    dict: ad,
+                },
+                ColumnVec::Str {
+                    ids: b,
+                    nulls: bn,
+                    dict: bd,
+                },
             ) => {
                 let mut dict = ad.clone();
                 let mut ids = a.clone();
@@ -564,7 +587,10 @@ impl ColumnBuilder {
     /// A builder whose typed buffer is allocated once for `cap` rows
     /// instead of growing by doubling.
     pub fn with_capacity(cap: usize) -> Self {
-        ColumnBuilder { cap, ..Self::default() }
+        ColumnBuilder {
+            cap,
+            ..Self::default()
+        }
     }
 
     /// The typed buffer holding the column's first value.
@@ -604,18 +630,31 @@ impl ColumnBuilder {
                 // a later typed value will keep it, a Text will spill
                 let mut nulls = NullMask::none();
                 nulls.set(i);
-                self.col = Some(ColumnVec::Int { vals: self.first(0), nulls });
+                self.col = Some(ColumnVec::Int {
+                    vals: self.first(0),
+                    nulls,
+                });
             }
             (None, Value::Int(x)) => {
-                self.col = Some(ColumnVec::Int { vals: self.first(*x), nulls: NullMask::none() })
+                self.col = Some(ColumnVec::Int {
+                    vals: self.first(*x),
+                    nulls: NullMask::none(),
+                })
             }
             (None, Value::Float(x)) => {
-                self.col = Some(ColumnVec::Float { vals: self.first(*x), nulls: NullMask::none() })
+                self.col = Some(ColumnVec::Float {
+                    vals: self.first(*x),
+                    nulls: NullMask::none(),
+                })
             }
             (None, Value::Text(s)) => {
                 let mut dict = StringTable::new();
                 let id = dict.intern(s);
-                self.col = Some(ColumnVec::Str { ids: self.first(id), nulls: NullMask::none(), dict })
+                self.col = Some(ColumnVec::Str {
+                    ids: self.first(id),
+                    nulls: NullMask::none(),
+                    dict,
+                })
             }
             (Some(ColumnVec::Int { vals, nulls }), Value::Null) => {
                 vals.push(0);
@@ -681,7 +720,10 @@ impl ColumnBuilder {
     }
 
     pub fn finish(self) -> ColumnVec {
-        self.col.unwrap_or(ColumnVec::Int { vals: Vec::new(), nulls: NullMask::none() })
+        self.col.unwrap_or(ColumnVec::Int {
+            vals: Vec::new(),
+            nulls: NullMask::none(),
+        })
     }
 }
 
@@ -707,8 +749,9 @@ impl Batch {
     /// pass `rel.schema().clone()` to keep it.
     pub fn from_relation_with_schema(rel: &Relation, schema: Schema) -> Batch {
         let arity = schema.arity();
-        let mut builders: Vec<ColumnBuilder> =
-            (0..arity).map(|_| ColumnBuilder::with_capacity(rel.len())).collect();
+        let mut builders: Vec<ColumnBuilder> = (0..arity)
+            .map(|_| ColumnBuilder::with_capacity(rel.len()))
+            .collect();
         for row in rel.iter() {
             for (b, v) in builders.iter_mut().zip(row.iter()) {
                 b.push(v);
@@ -772,7 +815,11 @@ impl Batch {
     /// zero-copy `rename` used at scan time.
     pub fn with_schema(&self, schema: Schema) -> Batch {
         debug_assert_eq!(schema.arity(), self.schema.arity());
-        Batch { schema, cols: self.cols.clone(), len: self.len }
+        Batch {
+            schema,
+            cols: self.cols.clone(),
+            len: self.len,
+        }
     }
 
     /// Materialize row `i` into `out` (scratch-row bridge for generic
@@ -820,7 +867,15 @@ impl Clone for ImageCache {
 
 impl std::fmt::Debug for ImageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ImageCache({})", if self.lock().is_some() { "built" } else { "empty" })
+        write!(
+            f,
+            "ImageCache({})",
+            if self.lock().is_some() {
+                "built"
+            } else {
+                "empty"
+            }
+        )
     }
 }
 
@@ -964,14 +1019,21 @@ mod tests {
         for range in [0..200, 5..64, 63..131, 64..64, 131..199, 190..400] {
             let s = m.slice(range.clone());
             for i in 0..range.len() + 70 {
-                assert_eq!(s.get(i), i < range.len() && m.get(range.start + i), "{range:?} bit {i}");
+                assert_eq!(
+                    s.get(i),
+                    i < range.len() && m.get(range.start + i),
+                    "{range:?} bit {i}"
+                );
             }
         }
         let mut other = NullMask::none();
         other.set(3);
         other.set(300);
         for u in [m.union(&other), other.union(&m)] {
-            assert_eq!(u.ones().collect::<Vec<_>>(), vec![0, 3, 5, 63, 64, 130, 199, 300]);
+            assert_eq!(
+                u.ones().collect::<Vec<_>>(),
+                vec![0, 3, 5, 63, 64, 130, 199, 300]
+            );
         }
         assert!(!NullMask::none().union(&NullMask::none()).any());
     }
@@ -979,9 +1041,20 @@ mod tests {
     #[test]
     fn concat_all_and_canonical_match_from_values() {
         let vals: Vec<Value> = (0..150)
-            .map(|i| if i % 7 == 0 { Value::Null } else { Value::Float(i as f64 / 4.0) })
+            .map(|i| {
+                if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(i as f64 / 4.0)
+                }
+            })
             .collect();
-        for cuts in [vec![150], vec![0, 150], vec![1, 64, 65, 150], vec![70, 70, 150]] {
+        for cuts in [
+            vec![150],
+            vec![0, 150],
+            vec![1, 64, 65, 150],
+            vec![70, 70, 150],
+        ] {
             let mut parts = Vec::new();
             let mut lo = 0;
             for hi in cuts {
@@ -1009,9 +1082,17 @@ mod tests {
         nulls.set(0);
         nulls.set(1);
         for col in [
-            ColumnVec::Float { vals: vec![0.0, 0.0], nulls }.canonical(),
+            ColumnVec::Float {
+                vals: vec![0.0, 0.0],
+                nulls,
+            }
+            .canonical(),
             ColumnVec::concat_all(vec![]).canonical(),
-            ColumnVec::Float { vals: vec![], nulls: NullMask::none() }.canonical(),
+            ColumnVec::Float {
+                vals: vec![],
+                nulls: NullMask::none(),
+            }
+            .canonical(),
         ] {
             assert!(matches!(&col, ColumnVec::Int { nulls, vals } if nulls.count() == vals.len()));
         }
@@ -1023,7 +1104,12 @@ mod tests {
         let arity = r.schema().arity();
         let mut seen: Vec<FxHashSet<&Value>> = (0..arity).map(|_| Default::default()).collect();
         let mut columns: Vec<ColumnSketch> = (0..arity)
-            .map(|_| ColumnSketch { ndv: 0, min: None, max: None, nulls: 0 })
+            .map(|_| ColumnSketch {
+                ndv: 0,
+                min: None,
+                max: None,
+                nulls: 0,
+            })
             .collect();
         for row in r.iter() {
             for (i, v) in row.iter().enumerate() {
@@ -1044,7 +1130,10 @@ mod tests {
         for (c, s) in columns.iter_mut().zip(&seen) {
             c.ndv = s.len();
         }
-        RelationStats { rows: r.len(), columns }
+        RelationStats {
+            rows: r.len(),
+            columns,
+        }
     }
 
     #[test]
@@ -1062,7 +1151,10 @@ mod tests {
             (&r, (a, b)),
             (
                 &typed,
-                (row_stats(&typed), Batch::from_relation(&typed).collect_stats()),
+                (
+                    row_stats(&typed),
+                    Batch::from_relation(&typed).collect_stats(),
+                ),
             ),
         ] {
             assert_eq!(a.rows, b.rows);

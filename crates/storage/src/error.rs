@@ -40,7 +40,10 @@ impl fmt::Display for StorageError {
                 write!(f, "ambiguous column {column} in schema ({schema})")
             }
             StorageError::ArityMismatch { expected, got } => {
-                write!(f, "arity mismatch: schema has {expected} columns, row has {got}")
+                write!(
+                    f,
+                    "arity mismatch: schema has {expected} columns, row has {got}"
+                )
             }
             StorageError::DuplicateKey(k) => write!(f, "duplicate primary key: {k}"),
             StorageError::Io(m) => write!(f, "io error: {m}"),

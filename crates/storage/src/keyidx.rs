@@ -44,10 +44,7 @@ pub fn key_has_null(row: &[Value], cols: &[usize]) -> bool {
 /// `Key`-map lookup see identical matches.
 #[inline]
 pub fn keys_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
-    a_cols
-        .iter()
-        .zip(b_cols)
-        .all(|(&ac, &bc)| a[ac] == b[bc])
+    a_cols.iter().zip(b_cols).all(|(&ac, &bc)| a[ac] == b[bc])
 }
 
 /// Hash-partitioned, borrowed-key multimap over one relation's key columns.
@@ -157,9 +154,10 @@ impl KeyIndex {
         probe_cols: &'a [usize],
     ) -> impl Iterator<Item = u32> + 'a {
         let hash = key_hash(probe_row, probe_cols);
-        self.candidates(hash).iter().copied().filter(move |&ri| {
-            keys_eq(&rel.rows()[ri as usize], &self.cols, probe_row, probe_cols)
-        })
+        self.candidates(hash)
+            .iter()
+            .copied()
+            .filter(move |&ri| keys_eq(&rel.rows()[ri as usize], &self.cols, probe_row, probe_cols))
     }
 
     /// Does any indexed row match the probe key?
@@ -258,7 +256,10 @@ mod tests {
     fn keys_eq_uses_storage_equality() {
         let a = [Value::Null, Value::Int(1)];
         let b = [Value::Int(1), Value::Null];
-        assert!(keys_eq(&a, &[0], &b, &[1]), "storage equality: NULL == NULL");
+        assert!(
+            keys_eq(&a, &[0], &b, &[1]),
+            "storage equality: NULL == NULL"
+        );
         assert!(keys_eq(&a, &[1], &b, &[0]));
         assert!(!keys_eq(&a, &[0], &b, &[0]));
     }

@@ -88,7 +88,10 @@ impl GenerationHub {
             .clone();
         let now = self.pins.fetch_add(1, Ordering::Relaxed) + 1;
         aio_metrics::hooks::mvcc_pin(now);
-        PinnedSnapshot { hub: Arc::clone(self), snap }
+        PinnedSnapshot {
+            hub: Arc::clone(self),
+            snap,
+        }
     }
 }
 
@@ -147,7 +150,8 @@ mod tests {
         assert_eq!(hub.pinned(), 1);
 
         // an auto-committed insert is a commit point: a new generation
-        c.insert_rows("T", vec![row![1, 1.0]], WalPolicy::None).unwrap();
+        c.insert_rows("T", vec![row![1, 1.0]], WalPolicy::None)
+            .unwrap();
         assert!(hub.current_gen() > g0);
         let p1 = hub.pin();
         assert_eq!(p1.generation(), c.generation());
@@ -167,8 +171,10 @@ mod tests {
         c.wal_begin_txn();
         assert!(c.in_txn());
         let before = hub.current_gen();
-        c.insert_rows("T", vec![row![1, 1.0]], WalPolicy::None).unwrap();
-        c.insert_rows("T", vec![row![2, 2.0]], WalPolicy::None).unwrap();
+        c.insert_rows("T", vec![row![1, 1.0]], WalPolicy::None)
+            .unwrap();
+        c.insert_rows("T", vec![row![2, 2.0]], WalPolicy::None)
+            .unwrap();
         // uncommitted: readers still pin the pre-txn generation
         assert_eq!(hub.current_gen(), before);
         assert_eq!(hub.pin().catalog().relation("T").unwrap().len(), 0);
@@ -192,14 +198,24 @@ mod tests {
         c.analyze("T").unwrap();
         let hub = c.enable_mvcc();
         let pin = hub.pin();
-        assert!(pin.catalog().trie_on("T", &[0, 1]).is_some(), "snapshot carries the cache");
+        assert!(
+            pin.catalog().trie_on("T", &[0, 1]).is_some(),
+            "snapshot carries the cache"
+        );
         let snap_rows = pin.catalog().stats("T").unwrap().rows;
 
         // writer mutates: its own cache invalidates, the pin's must not
-        c.insert_rows("T", vec![row![3, 4, 1.0]], WalPolicy::None).unwrap();
-        assert!(c.trie_on("T", &[0, 1]).is_none(), "writer cache invalidated");
+        c.insert_rows("T", vec![row![3, 4, 1.0]], WalPolicy::None)
+            .unwrap();
+        assert!(
+            c.trie_on("T", &[0, 1]).is_none(),
+            "writer cache invalidated"
+        );
         assert!(c.stats("T").is_none(), "writer stats invalidated");
-        let t = pin.catalog().trie_on("T", &[0, 1]).expect("pinned trie survives");
+        let t = pin
+            .catalog()
+            .trie_on("T", &[0, 1])
+            .expect("pinned trie survives");
         assert_eq!(t.len(), 2, "pinned trie indexes the pinned rows");
         assert_eq!(pin.catalog().stats("T").unwrap().rows, snap_rows);
         assert_eq!(pin.catalog().relation("T").unwrap().len(), 2);
@@ -208,7 +224,10 @@ mod tests {
         // a lazy build through the *snapshot* must not leak into the writer
         let rebuilt = pin.catalog().trie_for("T", &[1, 0]).unwrap();
         assert_eq!(rebuilt.len(), 2);
-        assert!(c.trie_on("T", &[1, 0]).is_none(), "writer unaffected by snapshot build");
+        assert!(
+            c.trie_on("T", &[1, 0]).is_none(),
+            "writer unaffected by snapshot build"
+        );
     }
 
     #[test]
@@ -216,19 +235,28 @@ mod tests {
         let mut c = Catalog::new();
         c.create_table("A", Relation::new(node_schema())).unwrap();
         c.create_table("B", Relation::new(node_schema())).unwrap();
-        c.insert_rows("A", vec![row![1, 1.0]], WalPolicy::None).unwrap();
-        c.insert_rows("B", vec![row![9, 9.0]], WalPolicy::None).unwrap();
+        c.insert_rows("A", vec![row![1, 1.0]], WalPolicy::None)
+            .unwrap();
+        c.insert_rows("B", vec![row![9, 9.0]], WalPolicy::None)
+            .unwrap();
         let hub = c.enable_mvcc();
         let pin = hub.pin();
         let a_before = c.relation("A").unwrap().rows().as_ptr();
         let b_before = c.relation("B").unwrap().rows().as_ptr();
-        c.insert_rows("A", vec![row![2, 2.0]], WalPolicy::None).unwrap();
+        c.insert_rows("A", vec![row![2, 2.0]], WalPolicy::None)
+            .unwrap();
         // A was copied-on-write away from the pinned snapshot…
         assert_ne!(c.relation("A").unwrap().rows().as_ptr(), a_before);
-        assert_eq!(pin.catalog().relation("A").unwrap().rows().as_ptr(), a_before);
+        assert_eq!(
+            pin.catalog().relation("A").unwrap().rows().as_ptr(),
+            a_before
+        );
         // …while untouched B is still the very same allocation everywhere
         assert_eq!(c.relation("B").unwrap().rows().as_ptr(), b_before);
-        assert_eq!(pin.catalog().relation("B").unwrap().rows().as_ptr(), b_before);
+        assert_eq!(
+            pin.catalog().relation("B").unwrap().rows().as_ptr(),
+            b_before
+        );
     }
 
     #[test]
@@ -242,7 +270,8 @@ mod tests {
             pin.catalog().relation("T").unwrap().len()
         });
         for i in 0..10 {
-            c.insert_rows("T", vec![row![i, i as f64]], WalPolicy::None).unwrap();
+            c.insert_rows("T", vec![row![i, i as f64]], WalPolicy::None)
+                .unwrap();
         }
         assert_eq!(reader.join().unwrap(), 0);
         assert_eq!(hub.pin().catalog().relation("T").unwrap().len(), 10);

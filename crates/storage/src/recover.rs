@@ -32,7 +32,7 @@ use crate::relation::Relation;
 use crate::snapshot::{self, TableImage};
 use crate::value::Value;
 use crate::vfs::Vfs;
-use crate::wal::{self, CommitKind, Durability, WalRecord, WalPolicy};
+use crate::wal::{self, CommitKind, Durability, WalPolicy, WalRecord};
 use aio_trace::{maybe_span, Tracer};
 use std::collections::HashMap;
 use std::fmt;
@@ -149,7 +149,14 @@ impl Shadow {
 
     fn check(&mut self, rec: &WalRecord) -> std::result::Result<(), String> {
         match rec {
-            WalRecord::CreateTable { name, replace, schema, rows, pk, .. } => {
+            WalRecord::CreateTable {
+                name,
+                replace,
+                schema,
+                rows,
+                pk,
+                ..
+            } => {
                 if !replace && self.arity.contains_key(name) {
                     return Err(format!("create of existing table {name}"));
                 }
@@ -210,7 +217,14 @@ impl Shadow {
 /// yet, so none of this is re-logged.
 fn apply(catalog: &mut Catalog, rec: WalRecord) -> Result<()> {
     match rec {
-        WalRecord::CreateTable { name, temp, replace, schema, pk, rows } => {
+        WalRecord::CreateTable {
+            name,
+            temp,
+            replace,
+            schema,
+            pk,
+            rows,
+        } => {
             let mut rel = Relation::new(schema);
             rel.set_pk(pk);
             rel.extend(rows)?;
@@ -260,12 +274,16 @@ pub fn open_catalog(
     let span = maybe_span(tracer, "recovery");
     let recovery_started = std::time::Instant::now();
     let mut report = RecoveryReport::default();
-    vfs.create_dir_all(dir).map_err(|e| io_err("mkdir", dir, e))?;
+    vfs.create_dir_all(dir)
+        .map_err(|e| io_err("mkdir", dir, e))?;
     let names = vfs.list(dir).unwrap_or_default();
 
     // Newest-first snapshot candidates; also track every generation number
     // seen so a fresh WAL generation never collides with leftovers.
-    let mut snap_seqs: Vec<u64> = names.iter().filter_map(|n| snapshot::parse_snapshot_name(n)).collect();
+    let mut snap_seqs: Vec<u64> = names
+        .iter()
+        .filter_map(|n| snapshot::parse_snapshot_name(n))
+        .collect();
     snap_seqs.sort_unstable();
     snap_seqs.reverse();
     let max_seen = names
@@ -276,7 +294,11 @@ pub fn open_catalog(
     let mut chosen: Option<(u64, Vec<TableImage>)> = None;
     for &seq in &snap_seqs {
         let path = snapshot::snapshot_file(dir, seq);
-        match vfs.read(&path).map_err(|e| io_err("read", &path, e)).and_then(|b| snapshot::decode_snapshot(&b)) {
+        match vfs
+            .read(&path)
+            .map_err(|e| io_err("read", &path, e))
+            .and_then(|b| snapshot::decode_snapshot(&b))
+        {
             Ok((stored_seq, tables)) if stored_seq == seq => {
                 chosen = Some((seq, tables));
                 break;
@@ -312,7 +334,8 @@ pub fn open_catalog(
             report.fresh = true;
             let path = snapshot::snapshot_file(dir, 0);
             let bytes = snapshot::encode_snapshot(0, &catalog);
-            vfs.write(&path, &bytes).map_err(|e| io_err("write", &path, e))?;
+            vfs.write(&path, &bytes)
+                .map_err(|e| io_err("write", &path, e))?;
             vfs.sync(&path).map_err(|e| io_err("sync", &path, e))?;
             wal::init_wal(&vfs, dir, 0)?;
             0
@@ -328,7 +351,8 @@ pub fn open_catalog(
             report.snapshot_seq = seq;
             let path = snapshot::snapshot_file(dir, seq);
             let bytes = snapshot::encode_snapshot(seq, &catalog);
-            vfs.write(&path, &bytes).map_err(|e| io_err("write", &path, e))?;
+            vfs.write(&path, &bytes)
+                .map_err(|e| io_err("write", &path, e))?;
             vfs.sync(&path).map_err(|e| io_err("sync", &path, e))?;
             wal::init_wal(&vfs, dir, seq)?;
             seq
@@ -338,7 +362,8 @@ pub fn open_catalog(
     // Replay the matching WAL generation.
     let wal_path = wal::wal_file(dir, seq);
     let bytes = if vfs.exists(&wal_path) {
-        vfs.read(&wal_path).map_err(|e| io_err("read", &wal_path, e))?
+        vfs.read(&wal_path)
+            .map_err(|e| io_err("read", &wal_path, e))?
     } else {
         wal::init_wal(&vfs, dir, seq)?;
         wal::WAL_MAGIC.to_vec()
@@ -348,7 +373,9 @@ pub fn open_catalog(
     if let Some(reason) = &scan.torn {
         // An empty-but-unreadable file (e.g. crash before the magic
         // synced) is normal, not corruption worth reporting.
-        if !(scan.records.is_empty() && bytes.len() < wal::WAL_MAGIC.len() + 8) && report.corrupt.is_none() {
+        if !(scan.records.is_empty() && bytes.len() < wal::WAL_MAGIC.len() + 8)
+            && report.corrupt.is_none()
+        {
             report.corrupt = Some(format!("wal: {reason}"));
         }
     }
@@ -427,8 +454,10 @@ pub fn open_catalog(
             wal::WAL_MAGIC.to_vec()
         };
         report.wal_bytes_truncated = (bytes.len() as u64).saturating_sub(keep.len() as u64);
-        vfs.write(&wal_path, &keep).map_err(|e| io_err("write", &wal_path, e))?;
-        vfs.sync(&wal_path).map_err(|e| io_err("sync", &wal_path, e))?;
+        vfs.write(&wal_path, &keep)
+            .map_err(|e| io_err("write", &wal_path, e))?;
+        vfs.sync(&wal_path)
+            .map_err(|e| io_err("sync", &wal_path, e))?;
     }
 
     // Satellite fix: replay invalidates `RelationStats`; recompute for all
@@ -502,7 +531,8 @@ mod tests {
         cat.create_table("E", e).unwrap();
         cat.insert_rows("E", vec![row![1, 2, 1.0], row![2, 3, 0.5]], WalPolicy::None)
             .unwrap();
-        cat.create_temp("tmp", Relation::new(node_schema())).unwrap();
+        cat.create_temp("tmp", Relation::new(node_schema()))
+            .unwrap();
         cat.rename_table("tmp", "tmp2").unwrap();
         cat.truncate("tmp2").unwrap();
 
@@ -510,7 +540,10 @@ mod tests {
         assert!(report.corrupt.is_none(), "{report}");
         assert!(cat.same_content(&recovered));
         assert_eq!(recovered.relation("E").unwrap().len(), 2);
-        assert_eq!(recovered.relation("E").unwrap().pk(), Some(&[0usize, 1][..]));
+        assert_eq!(
+            recovered.relation("E").unwrap().pk(),
+            Some(&[0usize, 1][..])
+        );
         assert!(recovered.contains("tmp2") && !recovered.contains("tmp"));
     }
 
@@ -519,7 +552,8 @@ mod tests {
         let (_, vfs) = sim();
         let (mut cat, _) = open(&vfs);
         cat.create_table("V", Relation::new(node_schema())).unwrap();
-        cat.insert_rows("V", vec![row![1, 0.5]], WalPolicy::None).unwrap();
+        cat.insert_rows("V", vec![row![1, 0.5]], WalPolicy::None)
+            .unwrap();
         let stats = cat.checkpoint().unwrap();
         assert_eq!(stats.seq, 1);
         assert!(vfs.exists("db/snapshot.1") && vfs.exists("db/wal.1"));
@@ -538,7 +572,8 @@ mod tests {
         cat.create_table("V", Relation::new(node_schema())).unwrap();
         // Open a txn and leave a mutation uncommitted.
         cat.wal_begin_txn();
-        cat.insert_rows("V", vec![row![9, 9.0]], WalPolicy::None).unwrap();
+        cat.insert_rows("V", vec![row![9, 9.0]], WalPolicy::None)
+            .unwrap();
         // No commit marker: replay must not see the insert.
         let (recovered, report) = open(&vfs);
         assert!(recovered.relation("V").unwrap().is_empty());
@@ -554,8 +589,10 @@ mod tests {
         let (sv, vfs) = sim();
         let (mut cat, _) = open(&vfs);
         cat.create_table("V", Relation::new(node_schema())).unwrap();
-        cat.insert_rows("V", vec![row![1, 1.0]], WalPolicy::None).unwrap();
-        cat.insert_rows("V", vec![row![2, 2.0]], WalPolicy::None).unwrap();
+        cat.insert_rows("V", vec![row![1, 1.0]], WalPolicy::None)
+            .unwrap();
+        cat.insert_rows("V", vec![row![2, 2.0]], WalPolicy::None)
+            .unwrap();
         // Tear the file mid-frame: the second insert's commit marker is
         // damaged, so that whole transaction rolls back; the first insert
         // is untouched.
@@ -575,10 +612,11 @@ mod tests {
         let (sv, vfs) = sim();
         let (mut cat, _) = open(&vfs);
         cat.create_table("V", Relation::new(node_schema())).unwrap();
-        cat.insert_rows("V", vec![row![1, 1.0]], WalPolicy::None).unwrap();
+        cat.insert_rows("V", vec![row![1, 1.0]], WalPolicy::None)
+            .unwrap();
         cat.checkpoint().unwrap(); // generation 1
-        // Resurrect a stale-but-valid generation 0 as the fallback, then
-        // corrupt generation 1.
+                                   // Resurrect a stale-but-valid generation 0 as the fallback, then
+                                   // corrupt generation 1.
         let bytes = snapshot::encode_snapshot(0, &Catalog::new());
         vfs.write("db/snapshot.0", &bytes).unwrap();
         vfs.sync("db/snapshot.0").unwrap();
@@ -644,9 +682,11 @@ mod tests {
         cat.create_table("E", Relation::new(edge_schema())).unwrap();
         let params = vec![("c".to_string(), Value::Float(0.85))];
         cat.wal_run_begin("pr", "with+ ...", &params).unwrap();
-        cat.create_or_replace("pr", Relation::new(node_schema()), true).unwrap();
+        cat.create_or_replace("pr", Relation::new(node_schema()), true)
+            .unwrap();
         cat.wal_commit_iter("pr", 0).unwrap();
-        cat.insert_rows("pr", vec![row![1, 0.1]], WalPolicy::None).unwrap();
+        cat.insert_rows("pr", vec![row![1, 0.1]], WalPolicy::None)
+            .unwrap();
         cat.wal_commit_iter("pr", 3).unwrap();
         // Crash here: no RunEnd.
         let (recovered, report) = open(&vfs);

@@ -343,8 +343,7 @@ impl Relation {
         let arity = self.schema.arity();
         let mut columns = Vec::with_capacity(arity);
         for i in 0..arity {
-            let col =
-                crate::column::ColumnVec::from_values(self.rows.iter().map(|r| &r[i]));
+            let col = crate::column::ColumnVec::from_values(self.rows.iter().map(|r| &r[i]));
             columns.push(col.sketch());
         }
         RelationStats {
@@ -385,7 +384,10 @@ mod tests {
         assert!(r.push(row![1, 2.0]).is_ok());
         assert!(matches!(
             r.push(row![1]),
-            Err(StorageError::ArityMismatch { expected: 2, got: 1 })
+            Err(StorageError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
         ));
     }
 
@@ -447,9 +449,11 @@ mod tests {
     #[test]
     fn unordered_equality() {
         let mut a = Relation::new(node_schema());
-        a.extend([row![1, 1.0], row![2, 2.0], row![1, 1.0]]).unwrap();
+        a.extend([row![1, 1.0], row![2, 2.0], row![1, 1.0]])
+            .unwrap();
         let mut b = Relation::new(node_schema());
-        b.extend([row![2, 2.0], row![1, 1.0], row![1, 1.0]]).unwrap();
+        b.extend([row![2, 2.0], row![1, 1.0], row![1, 1.0]])
+            .unwrap();
         assert!(a.same_rows_unordered(&b));
         b.rows_mut().pop();
         assert!(!a.same_rows_unordered(&b));

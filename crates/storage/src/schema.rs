@@ -82,12 +82,7 @@ impl Schema {
 
     /// Schema from `(name, type)` pairs, unqualified.
     pub fn of(pairs: &[(&str, DataType)]) -> Self {
-        Schema::new(
-            pairs
-                .iter()
-                .map(|(n, t)| Column::new(*n, *t))
-                .collect(),
-        )
+        Schema::new(pairs.iter().map(|(n, t)| Column::new(*n, *t)).collect())
     }
 
     pub fn columns(&self) -> &[Column] {

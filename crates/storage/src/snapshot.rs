@@ -169,7 +169,9 @@ fn put_column(buf: &mut Vec<u8>, col: &ColumnVec) {
 fn read_null_mask(d: &mut codec::Dec<'_>) -> std::result::Result<NullMask, String> {
     let nwords = d.varu()? as usize;
     if nwords > d.remaining() / 8 + 1 {
-        return Err(format!("null mask of {nwords} words exceeds remaining bytes"));
+        return Err(format!(
+            "null mask of {nwords} words exceeds remaining bytes"
+        ));
     }
     let mut words = Vec::with_capacity(nwords);
     for _ in 0..nwords {
@@ -196,7 +198,11 @@ fn read_column(d: &mut codec::Dec<'_>, nrows: usize) -> std::result::Result<Colu
             let nulls = read_null_mask(d)?;
             let mut vals = Vec::with_capacity(nrows);
             for i in 0..nrows {
-                vals.push(if nulls.get(i) { 0 } else { codec::unzigzag(d.varu()?) });
+                vals.push(if nulls.get(i) {
+                    0
+                } else {
+                    codec::unzigzag(d.varu()?)
+                });
             }
             Ok(ColumnVec::Int { vals, nulls })
         }
@@ -216,7 +222,9 @@ fn read_column(d: &mut codec::Dec<'_>, nrows: usize) -> std::result::Result<Colu
             let nulls = read_null_mask(d)?;
             let ndict = d.u32()? as usize;
             if ndict > d.remaining() {
-                return Err(format!("dictionary of {ndict} strings exceeds remaining bytes"));
+                return Err(format!(
+                    "dictionary of {ndict} strings exceeds remaining bytes"
+                ));
             }
             let mut dict = StringTable::new();
             for _ in 0..ndict {
@@ -230,7 +238,10 @@ fn read_column(d: &mut codec::Dec<'_>, nrows: usize) -> std::result::Result<Colu
                 } else {
                     let id = d.varu()?;
                     if id >= dict.len() as u64 {
-                        return Err(format!("string id {id} out of dictionary range {}", dict.len()));
+                        return Err(format!(
+                            "string id {id} out of dictionary range {}",
+                            dict.len()
+                        ));
                     }
                     ids.push(id as u32);
                 }
@@ -242,10 +253,7 @@ fn read_column(d: &mut codec::Dec<'_>, nrows: usize) -> std::result::Result<Colu
 }
 
 /// Decode a v2 column-major table payload back to rows.
-fn read_column_rows(
-    d: &mut codec::Dec<'_>,
-    arity: usize,
-) -> std::result::Result<Vec<Row>, String> {
+fn read_column_rows(d: &mut codec::Dec<'_>, arity: usize) -> std::result::Result<Vec<Row>, String> {
     let nrows = d.u32()? as usize;
     if arity > 0 && nrows > d.remaining() * 64 {
         return Err(format!("row count {nrows} exceeds remaining bytes"));
@@ -292,7 +300,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<TableImage>)> {
         } else {
             read_column_rows(&mut d, schema.arity()).map_err(&corrupt)?
         };
-        tables.push(TableImage { name, temp, schema, pk, rows });
+        tables.push(TableImage {
+            name,
+            temp,
+            schema,
+            pk,
+            rows,
+        });
     }
     if !d.done() {
         return Err(corrupt("trailing garbage after table list".to_string()));
@@ -337,10 +351,16 @@ mod tests {
         for pos in [0, 9, bytes.len() / 2, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x10;
-            assert!(decode_snapshot(&bad).is_err(), "flip at {pos} must invalidate");
+            assert!(
+                decode_snapshot(&bad).is_err(),
+                "flip at {pos} must invalidate"
+            );
         }
         for cut in [0, 7, bytes.len() - 1] {
-            assert!(decode_snapshot(&bytes[..cut]).is_err(), "truncation to {cut}");
+            assert!(
+                decode_snapshot(&bytes[..cut]).is_err(),
+                "truncation to {cut}"
+            );
         }
     }
 
@@ -383,11 +403,16 @@ mod tests {
             t.push(vec![Value::Int(i), Value::Text(long.as_str().into())].into_boxed_slice())
                 .unwrap();
         }
-        t.push(vec![Value::Null, Value::Null].into_boxed_slice()).unwrap();
+        t.push(vec![Value::Null, Value::Null].into_boxed_slice())
+            .unwrap();
         c.create_table("S", t).unwrap();
         let bytes = encode_snapshot(2, &c);
         // 50 copies of a 64-byte string stored once: far below row-major size
-        assert!(bytes.len() < 50 * 64, "dictionary did not dedup: {} bytes", bytes.len());
+        assert!(
+            bytes.len() < 50 * 64,
+            "dictionary did not dedup: {} bytes",
+            bytes.len()
+        );
         let (_, tables) = decode_snapshot(&bytes).unwrap();
         let (_, _, rel) = tables[0].clone().into_relation().unwrap();
         assert_eq!(rel.rows(), c.relation("S").unwrap().rows());

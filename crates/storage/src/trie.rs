@@ -107,8 +107,7 @@ impl TrieIndex {
                 let mut out = Vec::with_capacity(start.len());
                 let mut k = 0usize;
                 for j in 0..start.len() {
-                    let end_row =
-                        start.get(j + 1).copied().unwrap_or(perm.len() as u32);
+                    let end_row = start.get(j + 1).copied().unwrap_or(perm.len() as u32);
                     while k < next.len() && next[k] < end_row {
                         k += 1;
                     }
@@ -118,9 +117,18 @@ impl TrieIndex {
             } else {
                 Vec::new()
             };
-            levels.push(Level { keys, ints, row_start: start.clone(), child_end });
+            levels.push(Level {
+                keys,
+                ints,
+                row_start: start.clone(),
+                child_end,
+            });
         }
-        TrieIndex { cols: cols.to_vec(), perm, levels }
+        TrieIndex {
+            cols: cols.to_vec(),
+            perm,
+            levels,
+        }
     }
 
     pub fn cols(&self) -> &[usize] {
@@ -192,7 +200,10 @@ impl TrieIndex {
 
     /// A fresh cursor positioned above the root.
     pub fn cursor(&self) -> TrieCursor<'_> {
-        TrieCursor { trie: self, frames: Vec::new() }
+        TrieCursor {
+            trie: self,
+            frames: Vec::new(),
+        }
     }
 
     /// First node in `[from, hi)` at level `d` whose key is `>= v`.
@@ -275,7 +286,10 @@ impl<'a> TrieCursor<'a> {
         match self.frames.last() {
             None => {
                 assert!(self.trie.depth() > 0, "open on a zero-column trie");
-                self.frames.push(Frame { hi: self.trie.levels[0].keys.len(), pos: 0 });
+                self.frames.push(Frame {
+                    hi: self.trie.levels[0].keys.len(),
+                    pos: 0,
+                });
             }
             Some(&f) => {
                 let d = self.frames.len() - 1;
@@ -415,7 +429,12 @@ mod tests {
     fn enumerate(t: &TrieIndex) -> Vec<Vec<i64>> {
         let mut out = Vec::new();
         let mut cur = t.cursor();
-        fn walk(cur: &mut TrieCursor<'_>, t: &TrieIndex, prefix: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
+        fn walk(
+            cur: &mut TrieCursor<'_>,
+            t: &TrieIndex,
+            prefix: &mut Vec<i64>,
+            out: &mut Vec<Vec<i64>>,
+        ) {
             cur.open();
             while !cur.at_end() {
                 prefix.push(cur.key().as_int().unwrap());
@@ -443,7 +462,10 @@ mod tests {
         let r = rel();
         let t = TrieIndex::build(&r, &[0, 1]);
         assert_eq!(t.len(), 5);
-        assert_eq!(enumerate(&t), vec![vec![1, 2], vec![1, 3], vec![2, 3], vec![3, 1]]);
+        assert_eq!(
+            enumerate(&t),
+            vec![vec![1, 2], vec![1, 3], vec![2, 3], vec![3, 1]]
+        );
     }
 
     #[test]

@@ -67,7 +67,10 @@ impl Vfs for StdVfs {
 
     fn append(&self, path: &str, data: &[u8]) -> io::Result<()> {
         use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).create(true).open(path)?;
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path)?;
         f.write_all(data)
     }
 
@@ -318,7 +321,11 @@ impl Vfs for SimVfs {
         if inject {
             let cut = (xorshift(&mut st.rng) as usize) % (data.len() + 1);
             let torn = data[..cut].to_vec();
-            st.files.entry(path.to_string()).or_default().pending.push(Pending::Rewrite(torn));
+            st.files
+                .entry(path.to_string())
+                .or_default()
+                .pending
+                .push(Pending::Rewrite(torn));
             return Err(crash_err());
         }
         st.files
@@ -335,7 +342,11 @@ impl Vfs for SimVfs {
         if inject {
             let cut = (xorshift(&mut st.rng) as usize) % (data.len() + 1);
             let torn = data[..cut].to_vec();
-            st.files.entry(path.to_string()).or_default().pending.push(Pending::Append(torn));
+            st.files
+                .entry(path.to_string())
+                .or_default()
+                .pending
+                .push(Pending::Append(torn));
             return Err(crash_err());
         }
         st.files
@@ -444,7 +455,10 @@ mod tests {
         assert_eq!(img.read("db/a").unwrap(), b"x");
         let img = v.crash_image(UnsyncedFate::KeepAll);
         let kept = img.read("db/a").unwrap();
-        assert!(kept.len() <= 11 && kept.starts_with(b"x"), "torn prefix only");
+        assert!(
+            kept.len() <= 11 && kept.starts_with(b"x"),
+            "torn prefix only"
+        );
     }
 
     #[test]
@@ -452,8 +466,14 @@ mod tests {
         let v = SimVfs::new();
         v.append("db/w", b"aaaa").unwrap();
         v.append("db/w", b"bbbb").unwrap();
-        let a = v.crash_image(UnsyncedFate::Torn(7)).read("db/w").unwrap_or_default();
-        let b = v.crash_image(UnsyncedFate::Torn(7)).read("db/w").unwrap_or_default();
+        let a = v
+            .crash_image(UnsyncedFate::Torn(7))
+            .read("db/w")
+            .unwrap_or_default();
+        let b = v
+            .crash_image(UnsyncedFate::Torn(7))
+            .read("db/w")
+            .unwrap_or_default();
         assert_eq!(a, b);
     }
 

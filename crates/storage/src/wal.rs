@@ -123,8 +123,7 @@ impl Wal {
                 Value::Text(s) => {
                     self.buf.push(3);
                     let b = s.as_bytes();
-                    self.buf
-                        .extend_from_slice(&(b.len() as u32).to_le_bytes());
+                    self.buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
                     self.buf.extend_from_slice(b);
                 }
             }
@@ -182,7 +181,11 @@ pub fn crc32(data: &[u8]) -> u32 {
             let mut c = i as u32;
             let mut k = 0;
             while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
                 k += 1;
             }
             table[i] = c;
@@ -220,14 +223,27 @@ pub enum WalRecord {
         pk: Option<Vec<usize>>,
         rows: Vec<Row>,
     },
-    Insert { table: String, rows: Vec<Row> },
-    Truncate { table: String },
-    Drop { table: String },
-    Rename { old: String, new: String },
+    Insert {
+        table: String,
+        rows: Vec<Row>,
+    },
+    Truncate {
+        table: String,
+    },
+    Drop {
+        table: String,
+    },
+    Rename {
+        old: String,
+        new: String,
+    },
     /// Full after-image of a table mutated in place (`relation_mut` /
     /// `entry_mut` callers like union-by-update cannot be logged
     /// physically, so dirty tables are re-imaged at commit points).
-    ReplaceRows { table: String, rows: Vec<Row> },
+    ReplaceRows {
+        table: String,
+        rows: Vec<Row>,
+    },
     /// A with+ statement started: enough context (SQL text + parameter
     /// bindings) to re-compile and resume it after a crash.
     RunBegin {
@@ -418,7 +434,9 @@ pub(crate) mod codec {
             match self.u8()? {
                 0 => Ok(Value::Null),
                 1 => Ok(Value::Int(unzigzag(self.varu()?))),
-                2 => Ok(Value::Float(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))),
+                2 => Ok(Value::Float(f64::from_le_bytes(
+                    self.take(8)?.try_into().unwrap(),
+                ))),
                 3 => Ok(Value::Text(self.str()?.into())),
                 t => Err(format!("unknown value tag {t}")),
             }
@@ -466,7 +484,11 @@ pub(crate) mod codec {
                     3 => DataType::Any,
                     t => return Err(format!("unknown data type tag {t}")),
                 };
-                cols.push(Column { qualifier, name, ty });
+                cols.push(Column {
+                    qualifier,
+                    name,
+                    ty,
+                });
             }
             Ok(Schema::new(cols))
         }
@@ -604,13 +626,29 @@ pub fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
             let schema = d.schema()?;
             let pk = d.pk()?;
             let rows = d.rows()?;
-            WalRecord::CreateTable { name, temp, replace, schema, pk, rows }
+            WalRecord::CreateTable {
+                name,
+                temp,
+                replace,
+                schema,
+                pk,
+                rows,
+            }
         }
-        TAG_INSERT => WalRecord::Insert { table: d.str()?, rows: d.rows()? },
+        TAG_INSERT => WalRecord::Insert {
+            table: d.str()?,
+            rows: d.rows()?,
+        },
         TAG_TRUNCATE => WalRecord::Truncate { table: d.str()? },
         TAG_DROP => WalRecord::Drop { table: d.str()? },
-        TAG_RENAME => WalRecord::Rename { old: d.str()?, new: d.str()? },
-        TAG_REPLACE => WalRecord::ReplaceRows { table: d.str()?, rows: d.rows()? },
+        TAG_RENAME => WalRecord::Rename {
+            old: d.str()?,
+            new: d.str()?,
+        },
+        TAG_REPLACE => WalRecord::ReplaceRows {
+            table: d.str()?,
+            rows: d.rows()?,
+        },
         TAG_RUN_BEGIN => {
             let rec = d.str()?;
             let sql = d.str()?;
@@ -623,7 +661,10 @@ pub fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
         }
         TAG_COMMIT => WalRecord::Commit(match d.u8()? {
             0 => CommitKind::Auto,
-            1 => CommitKind::Iter { rec: d.str()?, iters_done: d.u64()? },
+            1 => CommitKind::Iter {
+                rec: d.str()?,
+                iters_done: d.u64()?,
+            },
             2 => CommitKind::RunEnd { rec: d.str()? },
             t => return Err(format!("unknown commit kind {t}")),
         }),
@@ -706,7 +747,10 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
             }
         }
     }
-    WalScan { records, torn: None }
+    WalScan {
+        records,
+        torn: None,
+    }
 }
 
 /// Create (or reset) WAL generation `seq` as an empty, synced, magic-only
@@ -886,9 +930,23 @@ mod tests {
     #[test]
     fn records_roundtrip() {
         let rows = vec![row![1, 2, 0.5], row![3, 4, 1.5]];
-        let rec = roundtrip(enc_create_table("E", false, true, &edge_schema(), Some(&[0, 1]), &rows));
+        let rec = roundtrip(enc_create_table(
+            "E",
+            false,
+            true,
+            &edge_schema(),
+            Some(&[0, 1]),
+            &rows,
+        ));
         match &rec {
-            WalRecord::CreateTable { name, temp, replace, schema, pk, rows: r } => {
+            WalRecord::CreateTable {
+                name,
+                temp,
+                replace,
+                schema,
+                pk,
+                rows: r,
+            } => {
                 assert_eq!(name, "E");
                 assert!(!temp && *replace);
                 assert_eq!(schema, &edge_schema());
@@ -899,32 +957,58 @@ mod tests {
         }
         assert_eq!(
             roundtrip(enc_insert("t", &[row![Value::Null, "x"]])),
-            WalRecord::Insert { table: "t".into(), rows: vec![row![Value::Null, "x"]] }
+            WalRecord::Insert {
+                table: "t".into(),
+                rows: vec![row![Value::Null, "x"]]
+            }
         );
-        assert_eq!(roundtrip(enc_truncate("t")), WalRecord::Truncate { table: "t".into() });
-        assert_eq!(roundtrip(enc_drop("t")), WalRecord::Drop { table: "t".into() });
+        assert_eq!(
+            roundtrip(enc_truncate("t")),
+            WalRecord::Truncate { table: "t".into() }
+        );
+        assert_eq!(
+            roundtrip(enc_drop("t")),
+            WalRecord::Drop { table: "t".into() }
+        );
         assert_eq!(
             roundtrip(enc_rename("a", "b")),
-            WalRecord::Rename { old: "a".into(), new: "b".into() }
+            WalRecord::Rename {
+                old: "a".into(),
+                new: "b".into()
+            }
         );
         assert_eq!(
             roundtrip(enc_replace_rows("t", &[row![7]])),
-            WalRecord::ReplaceRows { table: "t".into(), rows: vec![row![7]] }
+            WalRecord::ReplaceRows {
+                table: "t".into(),
+                rows: vec![row![7]]
+            }
         );
         let params = vec![("c".to_string(), Value::Float(0.85))];
         assert_eq!(
             roundtrip(enc_run_begin("pr", "with+ ...", &params)),
-            WalRecord::RunBegin { rec: "pr".into(), sql: "with+ ...".into(), params }
+            WalRecord::RunBegin {
+                rec: "pr".into(),
+                sql: "with+ ...".into(),
+                params
+            }
         );
         for kind in [
             CommitKind::Auto,
-            CommitKind::Iter { rec: "pr".into(), iters_done: 3 },
+            CommitKind::Iter {
+                rec: "pr".into(),
+                iters_done: 3,
+            },
             CommitKind::RunEnd { rec: "pr".into() },
         ] {
             assert_eq!(roundtrip(enc_commit(&kind)), WalRecord::Commit(kind));
         }
         assert_eq!(
-            roundtrip(enc_edge_delta("E", &[row![1, 2, 1.0]], &[row![3, 4, 0.5], row![5, 6, 2.0]])),
+            roundtrip(enc_edge_delta(
+                "E",
+                &[row![1, 2, 1.0]],
+                &[row![3, 4, 0.5], row![5, 6, 2.0]]
+            )),
             WalRecord::EdgeDelta {
                 table: "E".into(),
                 adds: vec![row![1, 2, 1.0]],
@@ -933,7 +1017,11 @@ mod tests {
         );
         assert_eq!(
             roundtrip(enc_edge_delta("E", &[], &[])),
-            WalRecord::EdgeDelta { table: "E".into(), adds: vec![], dels: vec![] }
+            WalRecord::EdgeDelta {
+                table: "E".into(),
+                adds: vec![],
+                dels: vec![]
+            }
         );
     }
 

@@ -45,7 +45,11 @@ pub struct MatrixConfig {
 impl Default for MatrixConfig {
     fn default() -> Self {
         MatrixConfig {
-            algos: TABLE2.iter().filter(|a| a.implemented).map(|a| a.key).collect(),
+            algos: TABLE2
+                .iter()
+                .filter(|a| a.implemented)
+                .map(|a| a.key)
+                .collect(),
             parallelism: vec![1, 2, 8],
             optimizers: vec![Optimizer::Off],
             exec_modes: vec![ExecMode::Row],
@@ -239,20 +243,30 @@ pub fn withplus_stats(
         "wcc" => a::wcc::run(g, profile).map(|r| r.1).map_err(e),
         "sssp" => a::sssp::run(g, profile, p.src).map(|r| r.1).map_err(e),
         "apsp" => a::apsp::run(g, profile).map(|r| r.1).map_err(e),
-        "pr" => a::pagerank::run(g, profile, p.pr_c, p.pr_iters).map(|r| r.1).map_err(e),
-        "rwr" => a::rwr::run(g, profile, p.src, p.rwr_c, p.rwr_iters).map(|r| r.1).map_err(e),
-        "simrank" => {
-            a::simrank::run(g, profile, p.simrank_c, p.simrank_iters).map(|r| r.1).map_err(e)
-        }
-        "hits" => a::hits::run(g, profile, p.hits_iters).map(|r| r.1).map_err(e),
+        "pr" => a::pagerank::run(g, profile, p.pr_c, p.pr_iters)
+            .map(|r| r.1)
+            .map_err(e),
+        "rwr" => a::rwr::run(g, profile, p.src, p.rwr_c, p.rwr_iters)
+            .map(|r| r.1)
+            .map_err(e),
+        "simrank" => a::simrank::run(g, profile, p.simrank_c, p.simrank_iters)
+            .map(|r| r.1)
+            .map_err(e),
+        "hits" => a::hits::run(g, profile, p.hits_iters)
+            .map(|r| r.1)
+            .map_err(e),
         "ts" => a::toposort::run(g, profile).map(|r| r.1).map_err(e),
-        "ks" => a::ks::run(g, profile, p.ks_labels, p.ks_depth).map(|r| r.1).map_err(e),
+        "ks" => a::ks::run(g, profile, p.ks_labels, p.ks_depth)
+            .map(|r| r.1)
+            .map_err(e),
         "lp" => a::lp::run(g, profile, p.lp_iters).map(|r| r.1).map_err(e),
         "mis" => a::mis::run(g, profile, p.mis_seed).map(|r| r.1).map_err(e),
         "mnm" => a::mnm::run(g, profile).map(|r| r.1).map_err(e),
         "mcl" => a::mcl::run(g, profile, p.mcl_iters).map(|r| r.1).map_err(e),
         "kc" => a::kcore::run(g, profile, p.kcore_k).map(|r| r.1).map_err(e),
-        "ktruss" => a::ktruss::run(g, profile, p.ktruss_k).map(|r| r.1).map_err(e),
+        "ktruss" => a::ktruss::run(g, profile, p.ktruss_k)
+            .map(|r| r.1)
+            .map_err(e),
         "bisim" => a::bisim::run(g, profile).map(|r| r.1).map_err(e),
         other => Err(format!("no with+ stats for {other}")),
     }
@@ -400,13 +414,7 @@ fn cmp_tolerance(tol: Tolerance) -> Tolerance {
     }
 }
 
-fn localize(
-    key: &str,
-    g: &Graph,
-    a: &Executor,
-    b: &Executor,
-    p: &Params,
-) -> Option<usize> {
+fn localize(key: &str, g: &Graph, a: &Executor, b: &Executor, p: &Params) -> Option<usize> {
     match (&a.kind, &b.kind) {
         (ExecKind::WithPlus(pa), ExecKind::WithPlus(pb)) => {
             first_divergent_iteration(key, g, pa, pb, p)

@@ -194,7 +194,11 @@ pub fn executors_for_matrix(
             Engine::Sql99 => {
                 let systems: &[Sql99System] = match key {
                     // union-all TC is legal on all three systems
-                    "tc" => &[Sql99System::Oracle, Sql99System::Db2, Sql99System::PostgreSql],
+                    "tc" => &[
+                        Sql99System::Oracle,
+                        Sql99System::Db2,
+                        Sql99System::PostgreSql,
+                    ],
                     // Fig. 9 needs `partition by` + `distinct`: PostgreSQL only
                     "pr" => &[Sql99System::PostgreSql],
                     _ => &[],
@@ -245,11 +249,21 @@ fn ni64(map: aio_storage::FxHashMap<i64, i64>) -> AlgoResult {
 }
 
 fn vec_f64(v: Vec<f64>) -> AlgoResult {
-    AlgoResult::NodeF64(v.into_iter().enumerate().map(|(i, x)| (i as i64, x)).collect())
+    AlgoResult::NodeF64(
+        v.into_iter()
+            .enumerate()
+            .map(|(i, x)| (i as i64, x))
+            .collect(),
+    )
 }
 
 fn vec_u32(v: Vec<u32>) -> AlgoResult {
-    AlgoResult::NodeI64(v.into_iter().enumerate().map(|(i, x)| (i as i64, x as i64)).collect())
+    AlgoResult::NodeI64(
+        v.into_iter()
+            .enumerate()
+            .map(|(i, x)| (i as i64, x as i64))
+            .collect(),
+    )
 }
 
 fn norm_matching(pairs: Vec<(u32, u32)>) -> AlgoResult {
@@ -292,17 +306,31 @@ fn run_withplus(
     let depth = g.node_count() + 1;
     Ok(match key {
         "tc" => AlgoResult::PairSet(
-            a::tc::run(g, profile, depth).map_err(err_str)?.0.into_iter().collect(),
+            a::tc::run(g, profile, depth)
+                .map_err(err_str)?
+                .0
+                .into_iter()
+                .collect(),
         ),
         "bfs" => nf64(a::bfs::run(g, profile, p.src).map_err(err_str)?.0),
         "wcc" => ni64(a::wcc::run(g, profile).map_err(err_str)?.0),
         "sssp" => nf64(a::sssp::run(g, profile, p.src).map_err(err_str)?.0),
         "apsp" => AlgoResult::PairDist(
-            a::apsp::run(g, profile).map_err(err_str)?.0.into_iter().collect(),
+            a::apsp::run(g, profile)
+                .map_err(err_str)?
+                .0
+                .into_iter()
+                .collect(),
         ),
-        "pr" => nf64(a::pagerank::run(g, profile, p.pr_c, p.pr_iters).map_err(err_str)?.0),
+        "pr" => nf64(
+            a::pagerank::run(g, profile, p.pr_c, p.pr_iters)
+                .map_err(err_str)?
+                .0,
+        ),
         "rwr" => nf64(
-            a::rwr::run(g, profile, p.src, p.rwr_c, p.rwr_iters).map_err(err_str)?.0,
+            a::rwr::run(g, profile, p.src, p.rwr_c, p.rwr_iters)
+                .map_err(err_str)?
+                .0,
         ),
         "simrank" => AlgoResult::PairScores(
             a::simrank::run(g, profile, p.simrank_c, p.simrank_iters)
@@ -312,7 +340,11 @@ fn run_withplus(
                 .collect(),
         ),
         "hits" => AlgoResult::HubAuth(
-            a::hits::run(g, profile, p.hits_iters).map_err(err_str)?.0.into_iter().collect(),
+            a::hits::run(g, profile, p.hits_iters)
+                .map_err(err_str)?
+                .0
+                .into_iter()
+                .collect(),
         ),
         "ts" => ni64(a::toposort::run(g, profile).map_err(err_str)?.0),
         "ks" => AlgoResult::NodeSet(
@@ -324,18 +356,32 @@ fn run_withplus(
         ),
         "lp" => ni64(a::lp::run(g, profile, p.lp_iters).map_err(err_str)?.0),
         "mis" => AlgoResult::NodeSet(
-            a::mis::run(g, profile, p.mis_seed).map_err(err_str)?.0.into_iter().collect(),
+            a::mis::run(g, profile, p.mis_seed)
+                .map_err(err_str)?
+                .0
+                .into_iter()
+                .collect(),
         ),
         "mnm" => norm_matching(a::mnm::run(g, profile).map_err(err_str)?.0),
         "diam" => AlgoResult::Scalar(
-            a::diameter::run(g, profile, p.diam_samples).map_err(err_str)?.0 as i64,
+            a::diameter::run(g, profile, p.diam_samples)
+                .map_err(err_str)?
+                .0 as i64,
         ),
         "mcl" => ni64(a::mcl::run(g, profile, p.mcl_iters).map_err(err_str)?.0),
         "kc" => AlgoResult::NodeSet(
-            a::kcore::run(g, profile, p.kcore_k).map_err(err_str)?.0.into_iter().collect(),
+            a::kcore::run(g, profile, p.kcore_k)
+                .map_err(err_str)?
+                .0
+                .into_iter()
+                .collect(),
         ),
         "ktruss" => AlgoResult::PairSet(
-            a::ktruss::run(g, profile, p.ktruss_k).map_err(err_str)?.0.into_iter().collect(),
+            a::ktruss::run(g, profile, p.ktruss_k)
+                .map_err(err_str)?
+                .0
+                .into_iter()
+                .collect(),
         ),
         "bisim" => ni64(a::bisim::run(g, profile).map_err(err_str)?.0),
         other => return Err(format!("unknown algorithm key {other}")),
@@ -393,7 +439,9 @@ fn run_sql99(key: &str, g: &Graph, sys: Sql99System, p: &Params) -> Result<AlgoR
             };
             let engine = aio_withplus::sql99::Sql99Engine::new(sys);
             let params = std::collections::HashMap::new();
-            let out = engine.execute(&mut db.catalog, &w, &params).map_err(err_str)?;
+            let out = engine
+                .execute(&mut db.catalog, &w, &params)
+                .map_err(err_str)?;
             let mut pairs = BTreeSet::new();
             for r in out.relation.iter() {
                 let f = r[0].as_int().ok_or("non-int TC row")?;
@@ -404,7 +452,10 @@ fn run_sql99(key: &str, g: &Graph, sys: Sql99System, p: &Params) -> Result<AlgoR
         }
         "pr" => {
             if sys != Sql99System::PostgreSql {
-                return Err(format!("Fig. 9 PageRank is PostgreSQL-only, got {}", sys.name()));
+                return Err(format!(
+                    "Fig. 9 PageRank is PostgreSQL-only, got {}",
+                    sys.name()
+                ));
             }
             let (map, _) = a::pagerank::run_sql99(g, p.pr_c, p.pr_iters).map_err(err_str)?;
             Ok(nf64(map))
@@ -527,7 +578,12 @@ fn run_oracle(key: &str, g: &Graph, p: &Params) -> Result<AlgoResult, String> {
             let gw = reference::with_pagerank_weights(g);
             vec_f64(reference::pagerank(&gw, p.pr_c, p.pr_iters))
         }
-        "rwr" => vec_f64(aio_algos::rwr::reference_rwr(g, p.src, p.rwr_c, p.rwr_iters)),
+        "rwr" => vec_f64(aio_algos::rwr::reference_rwr(
+            g,
+            p.src,
+            p.rwr_c,
+            p.rwr_iters,
+        )),
         "simrank" => {
             let s = reference::simrank(g, p.simrank_c, p.simrank_iters);
             let mut map = BTreeMap::new();
@@ -604,7 +660,9 @@ mod tests {
         );
         // 3 profiles × 2 exec modes + sql99/postgres + 3 natives + oracle
         assert_eq!(pr.len(), 3 * 2 + 1 + 3 + 1, "{pr:#?}");
-        assert!(pr.iter().any(|e| e.name == "with+/oracle_like p1 exec=batch"));
+        assert!(pr
+            .iter()
+            .any(|e| e.name == "with+/oracle_like p1 exec=batch"));
         assert!(pr.iter().any(|e| e.name == "with+/oracle_like p1"));
         for e in &pr {
             if e.name.contains(" exec=batch") {
@@ -617,13 +675,7 @@ mod tests {
 
     #[test]
     fn sessions_axis_adds_one_executor_per_profile_in_the_base_family() {
-        let with = executors_for_matrix(
-            "pr",
-            &[1, 2],
-            &[Optimizer::Off],
-            &[ExecMode::Row],
-            true,
-        );
+        let with = executors_for_matrix("pr", &[1, 2], &[Optimizer::Off], &[ExecMode::Row], true);
         let without = executors_for_cfg("pr", &[1, 2], &[Optimizer::Off], &[ExecMode::Row]);
         assert_eq!(with.len(), without.len() + 3, "{with:#?}");
         let sessions: Vec<_> = with
@@ -636,9 +688,8 @@ mod tests {
             // same family as the serial executor: answers must be
             // row-identical even for within-family-only algorithms
             assert!(
-                with.iter().any(|e| {
-                    matches!(e.kind, ExecKind::WithPlus(_)) && e.family == s.family
-                }),
+                with.iter()
+                    .any(|e| { matches!(e.kind, ExecKind::WithPlus(_)) && e.family == s.family }),
                 "{s:?}"
             );
         }
@@ -664,13 +715,7 @@ mod tests {
         let g = aio_graph::generate(aio_graph::GraphKind::Uniform, 12, 30, true, 7);
         let p = Params::default();
         for key in ["bfs", "wcc", "sssp", "kc"] {
-            let wp = run_algo(
-                key,
-                &g,
-                &executors_for(key, &[1])[0],
-                &p,
-            )
-            .unwrap();
+            let wp = run_algo(key, &g, &executors_for(key, &[1])[0], &p).unwrap();
             let oracle = run_oracle(key, &g, &p).unwrap();
             let tol = aio_algos::by_key(key).unwrap().equivalence().tolerance;
             wp.compare(&oracle, &tol)
@@ -686,8 +731,14 @@ mod tests {
         let wp = run_withplus("pr", &g, &aio_algebra::oracle_like(), &p).unwrap();
         for kind in [ExecKind::VertexCentric, ExecKind::Bsp, ExecKind::Datalog] {
             let nat = run_native("pr", &g, &kind, &p).unwrap();
-            wp.compare(&nat, &Tolerance::Epsilon { eps: 1e-7, rank_top: 5 })
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            wp.compare(
+                &nat,
+                &Tolerance::Epsilon {
+                    eps: 1e-7,
+                    rank_top: 5,
+                },
+            )
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         }
     }
 }

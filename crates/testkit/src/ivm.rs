@@ -56,27 +56,35 @@ pub const PR_TOLERANCE: f64 = 1e-6;
 /// cold build and every incremental refresh.
 pub fn view_sql(algo: &str) -> &'static str {
     match algo {
-        "tc" => "with TC(F, T) as (\
+        "tc" => {
+            "with TC(F, T) as (\
                    (select E.F, E.T from E) \
                    union \
                    (select TC.F, E.T from TC, E where TC.T = E.F)) \
-                 select * from TC",
-        "wcc" => "with C(ID, vw) as (\
+                 select * from TC"
+        }
+        "wcc" => {
+            "with C(ID, vw) as (\
                     (select V.ID, 1.0 * V.ID from V) \
                     union by update ID \
                     (select E.T, min(C.vw * E.ew) from C, E where C.ID = E.F group by E.T)) \
-                  select * from C",
-        "sssp" => "with D(ID, vw) as (\
+                  select * from C"
+        }
+        "sssp" => {
+            "with D(ID, vw) as (\
                      (select V.ID, V.vw from V) \
                      union by update ID \
                      (select E.T, min(D.vw + E.ew) from D, E where D.ID = E.F group by E.T)) \
-                   select * from D",
-        "pr" => "with P(ID, W) as (\
+                   select * from D"
+        }
+        "pr" => {
+            "with P(ID, W) as (\
                    (select V.ID, 0.0 from V) \
                    union by update ID \
                    (select E.T, :c * sum(P.W * E.ew) + (1 - :c) / :n from P, E \
                     where P.ID = E.F group by E.T)) \
-                 select ID, W from P",
+                 select ID, W from P"
+        }
         other => panic!("no IVM view for {other}"),
     }
 }
@@ -129,8 +137,12 @@ pub fn parse_script(text: &str) -> Result<MutationScript, String> {
         let mut b = Batch::default();
         for tok in part.split_whitespace() {
             let (sign, body) = tok.split_at(1);
-            let (uv, w) = body.split_once('*').ok_or_else(|| format!("bad edit {tok}"))?;
-            let (u, v) = uv.split_once('>').ok_or_else(|| format!("bad edit {tok}"))?;
+            let (uv, w) = body
+                .split_once('*')
+                .ok_or_else(|| format!("bad edit {tok}"))?;
+            let (u, v) = uv
+                .split_once('>')
+                .ok_or_else(|| format!("bad edit {tok}"))?;
             let edge = (
                 u.parse::<u32>().map_err(|e| e.to_string())?,
                 v.parse::<u32>().map_err(|e| e.to_string())?,
@@ -144,7 +156,10 @@ pub fn parse_script(text: &str) -> Result<MutationScript, String> {
         }
         batches.push(b);
     }
-    Ok(MutationScript { name: name.trim().to_string(), batches })
+    Ok(MutationScript {
+        name: name.trim().to_string(),
+        batches,
+    })
 }
 
 /// Minimal deterministic RNG (xorshift64*), mirroring [`crate::meta`].
@@ -195,7 +210,10 @@ pub fn scripts_for(g: &Graph, seed: u64) -> Vec<MutationScript> {
             del: Vec::new(),
         })
         .collect();
-    out.push(MutationScript { name: "grow".into(), batches: grow });
+    out.push(MutationScript {
+        name: "grow".into(),
+        batches: grow,
+    });
 
     // churn and decay sample deletions from the *current* edge multiset,
     // tracked batch to batch
@@ -212,7 +230,10 @@ pub fn scripts_for(g: &Graph, seed: u64) -> Vec<MutationScript> {
         cur.extend(b.add.iter().copied());
         churn.push(b);
     }
-    out.push(MutationScript { name: "churn".into(), batches: churn });
+    out.push(MutationScript {
+        name: "churn".into(),
+        batches: churn,
+    });
 
     let mut cur: Vec<(u32, u32, f64)> = g.edges().collect();
     let mut decay = Vec::new();
@@ -223,16 +244,16 @@ pub fn scripts_for(g: &Graph, seed: u64) -> Vec<MutationScript> {
         }
         decay.push(b);
     }
-    out.push(MutationScript { name: "decay".into(), batches: decay });
+    out.push(MutationScript {
+        name: "decay".into(),
+        batches: decay,
+    });
     out
 }
 
 /// Apply one batch to a stored-form edge list. Fails if a deletion names an
 /// edge that is not present.
-pub fn apply_batch(
-    edges: &mut Vec<(u32, u32, f64)>,
-    batch: &Batch,
-) -> Result<(), String> {
+pub fn apply_batch(edges: &mut Vec<(u32, u32, f64)>, batch: &Batch) -> Result<(), String> {
     for &(u, v, w) in &batch.del {
         let at = edges
             .iter()
@@ -254,8 +275,10 @@ pub fn e_rows(g: &Graph, algo: &str) -> Vec<Row> {
     match algo {
         "wcc" => {
             if g.directed {
-                let extra: Vec<Row> =
-                    g.edges().map(|(u, v, w)| row![v as i64, u as i64, w]).collect();
+                let extra: Vec<Row> = g
+                    .edges()
+                    .map(|(u, v, w)| row![v as i64, u as i64, w])
+                    .collect();
                 rel.rows_mut().extend(extra);
             }
             for v in 0..g.node_count() {
@@ -309,8 +332,10 @@ pub fn build_ivm_db(g: &Graph, algo: &str, profile: &EngineProfile) -> Result<Da
     let mut db = common::db_for(g, profile, style).map_err(|e| e.to_string())?;
     match algo {
         "wcc" if g.directed => {
-            let extra: Vec<Row> =
-                g.edges().map(|(u, v, w)| row![v as i64, u as i64, w]).collect();
+            let extra: Vec<Row> = g
+                .edges()
+                .map(|(u, v, w)| row![v as i64, u as i64, w])
+                .collect();
             db.catalog
                 .relation_mut("E")
                 .map_err(|e| e.to_string())?
@@ -318,7 +343,12 @@ pub fn build_ivm_db(g: &Graph, algo: &str, profile: &EngineProfile) -> Result<Da
                 .extend(extra);
         }
         "sssp" => {
-            for r in db.catalog.relation_mut("V").map_err(|e| e.to_string())?.rows_mut() {
+            for r in db
+                .catalog
+                .relation_mut("V")
+                .map_err(|e| e.to_string())?
+                .rows_mut()
+            {
                 let id = r[0].as_int().unwrap_or(-1);
                 r[1] = if id == 0 { 0.0 } else { f64::INFINITY }.into();
             }
@@ -369,12 +399,20 @@ pub fn compare_view(algo: &str, live: &Relation, cold: &Relation) -> Result<(), 
     };
     let (a, b) = (keyed(live)?, keyed(cold)?);
     if a.len() != b.len() {
-        return Err(format!("key count mismatch: {} live vs {} cold", a.len(), b.len()));
+        return Err(format!(
+            "key count mismatch: {} live vs {} cold",
+            a.len(),
+            b.len()
+        ));
     }
     for (k, va) in &a {
-        let vb = b.get(k).ok_or_else(|| format!("key {k} missing from cold run"))?;
+        let vb = b
+            .get(k)
+            .ok_or_else(|| format!("key {k} missing from cold run"))?;
         if (va - vb).abs() > PR_TOLERANCE {
-            return Err(format!("key {k}: live {va} vs cold {vb} (tol {PR_TOLERANCE})"));
+            return Err(format!(
+                "key {k}: live {va} vs cold {vb} (tol {PR_TOLERANCE})"
+            ));
         }
     }
     Ok(())
@@ -397,7 +435,10 @@ pub fn run_ivm_case(
     profile: &EngineProfile,
 ) -> CellOutcome {
     let mut modes = Vec::new();
-    let fail = |i: usize, d: String| CellOutcome { modes: Vec::new(), failure: Some((i, d)) };
+    let fail = |i: usize, d: String| CellOutcome {
+        modes: Vec::new(),
+        failure: Some((i, d)),
+    };
     let view = format!("ivm_{algo}");
     let mut db = match build_ivm_db(g, algo, profile) {
         Ok(db) => db,
@@ -440,11 +481,17 @@ pub fn run_ivm_case(
             Err(e) => return fail(no, format!("view_relation: {e}")),
         };
         if let Err(detail) = compare_view(algo, live, &cold) {
-            return CellOutcome { modes, failure: Some((no, detail)) };
+            return CellOutcome {
+                modes,
+                failure: Some((no, detail)),
+            };
         }
         cur = next;
     }
-    CellOutcome { modes, failure: None }
+    CellOutcome {
+        modes,
+        failure: None,
+    }
 }
 
 /// What to run. Defaults to the full acceptance matrix: 4 algorithms ×
@@ -488,10 +535,22 @@ impl IvmMatrixConfig {
 /// modest because every cell pays `batches × (incremental + cold rebuild)`.
 pub fn ivm_corpus(seed: u64) -> Vec<(String, Graph)> {
     vec![
-        ("uniform".into(), generate(GraphKind::Uniform, 18, 40, true, seed)),
-        ("power-law".into(), generate(GraphKind::PowerLaw, 18, 45, true, seed + 1)),
-        ("citation-dag".into(), generate(GraphKind::CitationDag, 16, 32, true, seed + 2)),
-        ("disconnected".into(), generate(GraphKind::Disconnected, 18, 24, true, seed + 3)),
+        (
+            "uniform".into(),
+            generate(GraphKind::Uniform, 18, 40, true, seed),
+        ),
+        (
+            "power-law".into(),
+            generate(GraphKind::PowerLaw, 18, 45, true, seed + 1),
+        ),
+        (
+            "citation-dag".into(),
+            generate(GraphKind::CitationDag, 16, 32, true, seed + 2),
+        ),
+        (
+            "disconnected".into(),
+            generate(GraphKind::Disconnected, 18, 24, true, seed + 3),
+        ),
     ]
 }
 
@@ -616,7 +675,8 @@ pub fn check_batch_metamorphic(
         // replay the edits to rebuild the final graph, then read the view
         // off a fresh incremental run — rerun instead of threading state out
         let mut db = build_ivm_db(g, algo, profile)?;
-        db.create_view_with("m", view_sql(algo), IVM_EPSILON).map_err(|e| e.to_string())?;
+        db.create_view_with("m", view_sql(algo), IVM_EPSILON)
+            .map_err(|e| e.to_string())?;
         let mut edges: Vec<(u32, u32, f64)> = g.edges().collect();
         let mut cur = g.clone();
         for b in &script.batches {
@@ -643,7 +703,8 @@ pub fn check_batch_metamorphic(
     let net = e_delta(&e_rows(g, algo), &e_rows(&final_graph, algo));
     let coalesced_rows = {
         let mut db = build_ivm_db(g, algo, profile)?;
-        db.create_view_with("m", view_sql(algo), IVM_EPSILON).map_err(|e| e.to_string())?;
+        db.create_view_with("m", view_sql(algo), IVM_EPSILON)
+            .map_err(|e| e.to_string())?;
         db.apply_edges(vec![net]).map_err(|e| e.to_string())?;
         db.view_relation("m").cloned().map_err(|e| e.to_string())?
     };
@@ -676,13 +737,10 @@ pub fn check_batch_metamorphic(
 /// The insert-then-delete no-op relation: a batch that adds `k` fresh edges
 /// and deletes them *in the same batch* must commit a generation whose
 /// result delta is empty and leave the view rows bit-identical.
-pub fn check_net_zero_batch(
-    algo: &str,
-    g: &Graph,
-    profile: &EngineProfile,
-) -> Result<(), String> {
+pub fn check_net_zero_batch(algo: &str, g: &Graph, profile: &EngineProfile) -> Result<(), String> {
     let mut db = build_ivm_db(g, algo, profile)?;
-    db.create_view_with("z", view_sql(algo), IVM_EPSILON).map_err(|e| e.to_string())?;
+    db.create_view_with("z", view_sql(algo), IVM_EPSILON)
+        .map_err(|e| e.to_string())?;
     let before = db.view_relation("z").cloned().map_err(|e| e.to_string())?;
     let mut rng = Rng::new(0xDEAD10);
     let fresh: Vec<Row> = (0..3)
@@ -691,8 +749,9 @@ pub fn check_net_zero_batch(
             row![u as i64, v as i64, w]
         })
         .collect();
-    let deltas =
-        db.apply_edges(vec![EdgeDelta::new("E", fresh.clone(), fresh)]).map_err(|e| e.to_string())?;
+    let deltas = db
+        .apply_edges(vec![EdgeDelta::new("E", fresh.clone(), fresh)])
+        .map_err(|e| e.to_string())?;
     if !deltas.is_empty() {
         return Err(format!(
             "net-zero batch must cancel out before refreshing, got {} result deltas",
@@ -733,7 +792,10 @@ pub fn shrink_ivm_case(
 
     // phase 1: whole batches
     cur.batches = ddmin(&cur.batches, |bs| {
-        let s = MutationScript { name: cur.name.clone(), batches: bs.to_vec() };
+        let s = MutationScript {
+            name: cur.name.clone(),
+            batches: bs.to_vec(),
+        };
         ivm_case_fails(algo, &case.to_graph(), &s, profile)
     });
 
@@ -783,13 +845,18 @@ pub fn shrink_ivm_case(
             remap[old as usize] = new as u32;
         }
         let map_edges = |es: &[(u32, u32, f64)]| {
-            es.iter().map(|&(u, v, w)| (remap[u as usize], remap[v as usize], w)).collect()
+            es.iter()
+                .map(|&(u, v, w)| (remap[u as usize], remap[v as usize], w))
+                .collect()
         };
         let c = CaseGraph {
             n: used.len(),
             directed: case.directed,
             edges: map_edges(&case.edges),
-            node_weights: used.iter().map(|&v| case.node_weights[v as usize]).collect(),
+            node_weights: used
+                .iter()
+                .map(|&v| case.node_weights[v as usize])
+                .collect(),
             labels: used.iter().map(|&v| case.labels[v as usize]).collect(),
         };
         let s = MutationScript {
@@ -797,7 +864,10 @@ pub fn shrink_ivm_case(
             batches: cur
                 .batches
                 .iter()
-                .map(|b| Batch { add: map_edges(&b.add), del: map_edges(&b.del) })
+                .map(|b| Batch {
+                    add: map_edges(&b.add),
+                    del: map_edges(&b.del),
+                })
                 .collect(),
         };
         if ivm_case_fails(algo, &c.to_graph(), &s, profile) {
@@ -932,11 +1002,23 @@ mod tests {
         };
         let still_fails = ivm_case_fails("tc", &case.to_graph(), &min_script, &profile);
         aio_algebra::fault::inject_ivm_seed_off_by_one(false);
-        assert!(still_fails, "shrunk witness must still fail under the fault");
+        assert!(
+            still_fails,
+            "shrunk witness must still fail under the fault"
+        );
         assert!(case.n <= 8, "witness has {} nodes", case.n);
-        assert!(min_script.batches.len() <= 3, "witness has {} batches", min_script.batches.len());
+        assert!(
+            min_script.batches.len() <= 3,
+            "witness has {} batches",
+            min_script.batches.len()
+        );
         // healthy engine passes the witness
-        assert!(!ivm_case_fails("tc", &case.to_graph(), &min_script, &profile));
+        assert!(!ivm_case_fails(
+            "tc",
+            &case.to_graph(),
+            &min_script,
+            &profile
+        ));
         // and the replay round-trips, script included
         let rep = ivm_replay("tc", "seed off-by-one", &case, &min_script);
         let parsed = Replay::parse(&rep.render()).unwrap();

@@ -56,12 +56,12 @@ pub use ivm::{
     IvmMatrixReport, MutationScript, IVM_ALGOS,
 };
 pub use meta::{check_metamorphic, MetaRelation, META_ALGOS};
-pub use patterns::{
-    default_patterns, pattern_corpus, run_pattern_matrix, Pattern, PatternMatrixConfig,
-};
 pub use mvcc::{
     render_history, run_history, sweep, FaultMode, HistoryOutcome, ReaderOp, Step, SweepFailure,
     SweepStats, Workload, WriterOp,
+};
+pub use patterns::{
+    default_patterns, pattern_corpus, run_pattern_matrix, Pattern, PatternMatrixConfig,
 };
 pub use result::AlgoResult;
 pub use shrink::{ddmin, shrink, CaseGraph, Replay};

@@ -102,9 +102,7 @@ fn permute_result(r: &AlgoResult, pi: &[u32]) -> AlgoResult {
         AlgoResult::NodeI64(m) => {
             AlgoResult::NodeI64(m.iter().map(|(&v, &x)| (map_node(pi, v), x)).collect())
         }
-        AlgoResult::NodeSet(s) => {
-            AlgoResult::NodeSet(s.iter().map(|&v| map_node(pi, v)).collect())
-        }
+        AlgoResult::NodeSet(s) => AlgoResult::NodeSet(s.iter().map(|&v| map_node(pi, v)).collect()),
         AlgoResult::PairSet(s) => AlgoResult::PairSet(
             s.iter()
                 .map(|&(u, v)| (map_node(pi, u), map_node(pi, v)))
@@ -127,7 +125,10 @@ fn partition(m: &BTreeMap<i64, i64>) -> BTreeSet<BTreeSet<i64>> {
 fn tolerance_for(key: &str, relation: MetaRelation) -> Tolerance {
     match key {
         // sums get reassociated by any reordering; min/max answers do not
-        "pr" => Tolerance::Epsilon { eps: 1e-9, rank_top: 0 },
+        "pr" => Tolerance::Epsilon {
+            eps: 1e-9,
+            rank_top: 0,
+        },
         _ => {
             let _ = relation;
             Tolerance::Exact
@@ -167,8 +168,10 @@ pub fn check_metamorphic(
                 let (AlgoResult::NodeI64(ma), AlgoResult::NodeI64(mb)) = (&a, &b) else {
                     return Err("wcc result shape changed".into());
                 };
-                let mapped: BTreeMap<i64, i64> =
-                    ma.iter().map(|(&v, &l)| (pi[v as usize] as i64, l)).collect();
+                let mapped: BTreeMap<i64, i64> = ma
+                    .iter()
+                    .map(|(&v, &l)| (pi[v as usize] as i64, l))
+                    .collect();
                 if partition(&mapped) != partition(mb) {
                     return Err("wcc partition not invariant under relabeling".into());
                 }
@@ -256,8 +259,14 @@ mod tests {
     #[test]
     fn pagerank_isolated_vertices_is_rejected_as_inapplicable() {
         let g = generate(GraphKind::Uniform, 8, 16, true, 83);
-        let err = check_metamorphic("pr", &g, MetaRelation::IsolatedVertices, 1, &Params::default())
-            .unwrap_err();
+        let err = check_metamorphic(
+            "pr",
+            &g,
+            MetaRelation::IsolatedVertices,
+            1,
+            &Params::default(),
+        )
+        .unwrap_err();
         assert!(err.contains("inapplicable"), "{err}");
     }
 

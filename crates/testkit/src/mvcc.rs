@@ -307,7 +307,11 @@ pub fn run_history(history: &[Step], fault: FaultMode) -> HistoryOutcome {
                         let in_txn = sess.generation().is_some();
                         let (gen, digest) = match fault {
                             FaultMode::None => {
-                                let scoped = if in_txn { None } else { Some(sess.begin_read()) };
+                                let scoped = if in_txn {
+                                    None
+                                } else {
+                                    Some(sess.begin_read())
+                                };
                                 let gen = sess.generation().expect("read txn open");
                                 let out = sess
                                     .query(&format!("select * from {TABLE}"))
@@ -408,7 +412,11 @@ impl fmt::Display for SweepFailure {
 /// Run every `stride`-th interleaving of `workload` (stride 1 =
 /// exhaustive) and check each against the snapshot-isolation invariants.
 /// The first failing schedule is ddmin-minimized into a witness.
-pub fn sweep(workload: &Workload, fault: FaultMode, stride: usize) -> Result<SweepStats, SweepFailure> {
+pub fn sweep(
+    workload: &Workload,
+    fault: FaultMode,
+    stride: usize,
+) -> Result<SweepStats, SweepFailure> {
     let stride = stride.max(1);
     let mut stats = SweepStats::default();
     let mut all_gens: Vec<u64> = Vec::new();
@@ -443,7 +451,11 @@ mod tests {
     #[test]
     fn schedule_count_matches_enumeration() {
         let w = Workload {
-            writer: vec![WriterOp::Begin, WriterOp::Insert(vec![(2, 3)]), WriterOp::Commit],
+            writer: vec![
+                WriterOp::Begin,
+                WriterOp::Insert(vec![(2, 3)]),
+                WriterOp::Commit,
+            ],
             readers: vec![vec![ReaderOp::BeginRead, ReaderOp::ReadAll]],
         };
         let schedules = w.schedules();

@@ -341,11 +341,8 @@ pub fn run_pattern_matrix(corpus: &[NamedGraph], cfg: &PatternMatrixConfig) -> M
                     let profile = profile_for(p, exec);
                     for &opt in &cfg.optimizers {
                         report.runs += 1;
-                        let name = format!(
-                            "pattern/sql opt={} p{p} exec={}",
-                            opt.label(),
-                            exec.label()
-                        );
+                        let name =
+                            format!("pattern/sql opt={} p{p} exec={}", opt.label(), exec.label());
                         report
                             .engine_families
                             .insert(format!("pattern/sql opt={}", opt.label()));
@@ -400,7 +397,10 @@ mod tests {
         for alias in ["e0", "e1", "e2"] {
             assert!(sql.contains(alias), "{sql}");
         }
-        assert!(sql.contains("e2.T = e0.F") || sql.contains("e0.F = e2.T"), "{sql}");
+        assert!(
+            sql.contains("e2.T = e0.F") || sql.contains("e0.F = e2.T"),
+            "{sql}"
+        );
     }
 
     #[test]
@@ -430,7 +430,13 @@ mod tests {
     #[test]
     fn wcoj_plan_binds_every_variable_once_per_atom() {
         let pat = Pattern::diamond();
-        let Plan::MultiwayJoin { vars, var_names, agm_est, .. } = pat.wcoj_plan(100) else {
+        let Plan::MultiwayJoin {
+            vars,
+            var_names,
+            agm_est,
+            ..
+        } = pat.wcoj_plan(100)
+        else {
             panic!("expected a MultiwayJoin");
         };
         assert_eq!(var_names.len(), 4);

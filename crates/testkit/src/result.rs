@@ -35,7 +35,9 @@ pub enum AlgoResult {
 }
 
 fn f64_eq_exact(a: f64, b: f64) -> bool {
-    a == b || (a.is_nan() && b.is_nan()) || (a.is_infinite() && b.is_infinite() && a.signum() == b.signum())
+    a == b
+        || (a.is_nan() && b.is_nan())
+        || (a.is_infinite() && b.is_infinite() && a.signum() == b.signum())
 }
 
 fn f64_close(a: f64, b: f64, eps: f64) -> bool {
@@ -224,7 +226,10 @@ mod tests {
 
     #[test]
     fn epsilon_allows_small_noise_and_checks_rank() {
-        let tol = Tolerance::Epsilon { eps: 1e-6, rank_top: 2 };
+        let tol = Tolerance::Epsilon {
+            eps: 1e-6,
+            rank_top: 2,
+        };
         let a = nf(&[(0, 0.5), (1, 0.3), (2, 0.1)]);
         let b = nf(&[(0, 0.5 + 5e-7), (1, 0.3), (2, 0.1)]);
         assert!(a.compare(&b, &tol).is_ok());
@@ -244,11 +249,12 @@ mod tests {
 
     #[test]
     fn pair_scores_treat_missing_as_zero() {
-        let tol = Tolerance::Epsilon { eps: 1e-7, rank_top: 0 };
+        let tol = Tolerance::Epsilon {
+            eps: 1e-7,
+            rank_top: 0,
+        };
         let a = AlgoResult::PairScores([((0, 1), 0.25)].into_iter().collect());
-        let b = AlgoResult::PairScores(
-            [((0, 1), 0.25), ((2, 3), 1e-9)].into_iter().collect(),
-        );
+        let b = AlgoResult::PairScores([((0, 1), 0.25), ((2, 3), 1e-9)].into_iter().collect());
         assert!(a.compare(&b, &tol).is_ok());
         let c = AlgoResult::PairScores([((0, 1), 0.2)].into_iter().collect());
         assert!(a.compare(&c, &tol).is_err());

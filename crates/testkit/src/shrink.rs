@@ -166,14 +166,14 @@ impl Replay {
             if line.is_empty() {
                 continue;
             }
-            let (key, rest) = line.split_once(':').ok_or_else(|| format!("bad line: {line}"))?;
+            let (key, rest) = line
+                .split_once(':')
+                .ok_or_else(|| format!("bad line: {line}"))?;
             let rest = rest.trim();
             match key {
                 "algo" => algo = Some(rest.to_string()),
                 "detail" => detail = rest.to_string(),
-                "directed" => {
-                    directed = Some(rest.parse::<bool>().map_err(|e| e.to_string())?)
-                }
+                "directed" => directed = Some(rest.parse::<bool>().map_err(|e| e.to_string())?),
                 "nodes" => n = Some(rest.parse::<usize>().map_err(|e| e.to_string())?),
                 "node" => {
                     let f: Vec<&str> = rest.split_whitespace().collect();
@@ -199,7 +199,10 @@ impl Replay {
         }
         let n = n.ok_or("missing nodes line")?;
         if node_weights.len() != n {
-            return Err(format!("expected {n} node lines, got {}", node_weights.len()));
+            return Err(format!(
+                "expected {n} node lines, got {}",
+                node_weights.len()
+            ));
         }
         Ok(Replay {
             algo: algo.ok_or("missing algo line")?,
@@ -239,7 +242,10 @@ mod tests {
         let parsed = Replay::parse(&r.render()).unwrap();
         assert_eq!(parsed.case, r.case);
         let g2 = parsed.graph();
-        assert_eq!(g2.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
+        assert_eq!(
+            g2.edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
+        );
         assert_eq!(g2.node_weights, g.node_weights);
         assert_eq!(g2.labels, g.labels);
     }
@@ -248,7 +254,9 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(Replay::parse("not a replay").is_err());
         assert!(Replay::parse("aio-testkit-replay v1\nwat: 3\n").is_err());
-        assert!(Replay::parse("aio-testkit-replay v1\nalgo: x\ndirected: true\nnodes: 2\n").is_err());
+        assert!(
+            Replay::parse("aio-testkit-replay v1\nalgo: x\ndirected: true\nnodes: 2\n").is_err()
+        );
     }
 
     #[test]

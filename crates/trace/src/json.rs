@@ -246,9 +246,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                             16,
@@ -390,10 +388,7 @@ mod tests {
         let v = parse(r#"{"a":[1,2.5,-3e2],"b":{"c":"x\ny","d":null},"e":true}"#).unwrap();
         assert_eq!(v.get("e"), Some(&Json::Bool(true)));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            v.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
-        );
+        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
     }
 
     #[test]

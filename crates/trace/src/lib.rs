@@ -446,7 +446,10 @@ impl Trace {
                 ));
             }
             if s.parent >= s.id {
-                return Err(format!("span {} opened before its parent {}", s.id, s.parent));
+                return Err(format!(
+                    "span {} opened before its parent {}",
+                    s.id, s.parent
+                ));
             }
             if s.start_ns < p.start_ns || s.end_ns > p.end_ns {
                 return Err(format!(
@@ -457,7 +460,10 @@ impl Trace {
         }
         for e in &self.events {
             if e.span != 0 && !by_id.contains_key(&e.span) {
-                return Err(format!("event {} attached to unknown span {}", e.name, e.span));
+                return Err(format!(
+                    "event {} attached to unknown span {}",
+                    e.name, e.span
+                ));
             }
         }
         Ok(())
@@ -474,7 +480,14 @@ impl Trace {
         out
     }
 
-    fn render_node(&self, s: &SpanRecord, prefix: &str, is_last: bool, is_root: bool, out: &mut String) {
+    fn render_node(
+        &self,
+        s: &SpanRecord,
+        prefix: &str,
+        is_last: bool,
+        is_root: bool,
+        out: &mut String,
+    ) {
         let (tee, pad) = if is_root {
             ("", "")
         } else if is_last {
@@ -537,7 +550,10 @@ mod tests {
                     j.field("rows_out", 42u64);
                     j.field("build_ns", 1234u64);
                 }
-                t.event("converged", [(FieldKey::from("delta"), FieldValue::UInt(0))]);
+                t.event(
+                    "converged",
+                    [(FieldKey::from("delta"), FieldValue::UInt(0))],
+                );
             }
         }
         t.finish()

@@ -183,7 +183,9 @@ pub fn collect_select_tables(s: &SelectStmt, out: &mut Vec<String>) {
             }
             Expr::Func(_, args) => args.iter().for_each(|a| walk_expr(a, out)),
             Expr::Agg { arg, .. } => walk_expr(arg, out),
-            Expr::In { needle, subquery, .. } => {
+            Expr::In {
+                needle, subquery, ..
+            } => {
                 walk_expr(needle, out);
                 collect_select_tables(subquery, out);
             }

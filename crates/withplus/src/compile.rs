@@ -56,13 +56,21 @@ impl CompiledWithPlus {
         self.init
             .iter_mut()
             .chain(&mut self.recursive)
-            .flat_map(|s| s.computed.iter_mut().map(|(_, _, p)| p).chain([&mut s.plan]))
+            .flat_map(|s| {
+                s.computed
+                    .iter_mut()
+                    .map(|(_, _, p)| p)
+                    .chain([&mut s.plan])
+            })
             .chain([&mut self.final_plan])
     }
 
     /// Names of the `computed by` relations, in definition order.
     pub(crate) fn computed_names(&self) -> impl Iterator<Item = &String> {
-        self.init.iter().chain(&self.recursive).flat_map(|s| s.computed.iter().map(|(n, _, _)| n))
+        self.init
+            .iter()
+            .chain(&self.recursive)
+            .flat_map(|s| s.computed.iter().map(|(n, _, _)| n))
     }
 }
 
@@ -190,10 +198,7 @@ fn validate_computed_by(stmt: &WithPlus, q: &Subquery) -> Result<()> {
         let mut refs = Vec::new();
         collect_select_tables(&d.query, &mut refs);
         for r in &refs {
-            let is_def_name = q
-                .computed_by
-                .iter()
-                .any(|x| x.name.eq_ignore_ascii_case(r));
+            let is_def_name = q.computed_by.iter().any(|x| x.name.eq_ignore_ascii_case(r));
             if is_def_name && !defined.iter().any(|n| n.eq_ignore_ascii_case(r)) {
                 return Err(WithPlusError::Restriction(format!(
                     "computed by is cyclic: {} references {} before it is defined",
@@ -206,11 +211,7 @@ fn validate_computed_by(stmt: &WithPlus, q: &Subquery) -> Result<()> {
     Ok(())
 }
 
-fn compile_subquery(
-    stmt: &WithPlus,
-    q: &Subquery,
-    ctx: &LowerCtx<'_>,
-) -> Result<CompiledStep> {
+fn compile_subquery(stmt: &WithPlus, q: &Subquery, ctx: &LowerCtx<'_>) -> Result<CompiledStep> {
     let mut computed = Vec::new();
     for d in &q.computed_by {
         let cols = match &d.cols {
@@ -313,9 +314,7 @@ select ID, W from P";
         assert_eq!(c.init.len(), 1);
         assert_eq!(c.recursive.len(), 1);
         assert_eq!(c.max_recursion, Some(15));
-        assert!(c
-            .index_specs
-            .contains(&("e".to_string(), "F".to_string())));
+        assert!(c.index_specs.contains(&("e".to_string(), "F".to_string())));
         let text = c.datalog.to_string();
         assert!(text.contains("P(s(T)) :-"), "{text}");
     }
@@ -371,7 +370,7 @@ select ID from R";
     }
 
     #[test]
-    fn toposort_compiles(){
+    fn toposort_compiles() {
         let sql = "\
 with Topo(ID, L) as (
   (select V.ID, 0 from V where V.ID not in (select E.T from E))

@@ -56,8 +56,7 @@ enum Planned {
 
 /// Parameter bindings in a deterministic order for durable logging.
 fn sorted_params(params: &HashMap<String, Value>) -> Vec<(String, Value)> {
-    let mut v: Vec<(String, Value)> =
-        params.iter().map(|(k, x)| (k.clone(), x.clone())).collect();
+    let mut v: Vec<(String, Value)> = params.iter().map(|(k, x)| (k.clone(), x.clone())).collect();
     v.sort_by(|a, b| a.0.cmp(&b.0));
     v
 }
@@ -290,7 +289,11 @@ impl Database {
             None => self.execute(&ir.sql).map(Some),
             Some(k) => {
                 let compiled = self.plan_with_plus(&ir.sql, self.profile.optimizer)?;
-                self.catalog.wal_run_begin(&compiled.rec_name, &ir.sql, &sorted_params(&self.params))?;
+                self.catalog.wal_run_begin(
+                    &compiled.rec_name,
+                    &ir.sql,
+                    &sorted_params(&self.params),
+                )?;
                 let mut runner = PsmRunner::new(&mut self.catalog, &self.profile, self.ubu_impl);
                 runner.set_tracer(self.tracer.as_ref());
                 let result = runner.run_resume(&compiled, k);
@@ -372,9 +375,11 @@ impl Database {
             Statement::WithPlus(w) => {
                 Planned::WithPlus(optimize_compiled(compile(&w, &ctx)?, &self.catalog, level))
             }
-            Statement::Select(s) => {
-                Planned::Select(optimize_plan(&lower_select(&s, &ctx)?, &self.catalog, level))
-            }
+            Statement::Select(s) => Planned::Select(optimize_plan(
+                &lower_select(&s, &ctx)?,
+                &self.catalog,
+                level,
+            )),
         })
     }
 
@@ -383,9 +388,9 @@ impl Database {
     pub(crate) fn plan_with_plus(&self, sql: &str, level: Optimizer) -> Result<CompiledWithPlus> {
         match self.plan(sql, level)? {
             Planned::WithPlus(c) => Ok(c),
-            Planned::Select(_) => {
-                Err(WithPlusError::Restriction("expected a with+ statement".into()))
-            }
+            Planned::Select(_) => Err(WithPlusError::Restriction(
+                "expected a with+ statement".into(),
+            )),
         }
     }
 
@@ -462,8 +467,11 @@ impl Database {
                 // On a durable catalog, record the statement (SQL text +
                 // params) so a crash mid-fixpoint can resume it, and group
                 // all mutations into per-iteration WAL transactions.
-                self.catalog
-                    .wal_run_begin(&compiled.rec_name, sql, &sorted_params(&self.params))?;
+                self.catalog.wal_run_begin(
+                    &compiled.rec_name,
+                    sql,
+                    &sorted_params(&self.params),
+                )?;
                 let mut runner = PsmRunner::new(&mut self.catalog, &self.profile, self.ubu_impl);
                 runner.set_tracer(self.tracer.as_ref());
                 let result = runner.run(&compiled);
@@ -513,11 +521,7 @@ impl Database {
     pub fn explain_analyze_opts(&mut self, sql: &str, timings: bool) -> Result<ExplainOutput> {
         let prev = self.tracer.replace(Tracer::new());
         let outcome = self.execute(sql);
-        let trace = self
-            .tracer
-            .take()
-            .map(Tracer::finish)
-            .unwrap_or_default();
+        let trace = self.tracer.take().map(Tracer::finish).unwrap_or_default();
         self.tracer = prev;
         let result = outcome?;
         let report = match self.plan(sql, self.profile.optimizer)? {
@@ -691,8 +695,7 @@ mod tests {
     fn durable_checkpoint_and_reopen() {
         use aio_storage::{SimVfs, UnsyncedFate};
         let vfs = Arc::new(SimVfs::new());
-        let (mut db, _) =
-            Database::open_with_vfs(vfs.clone(), "db", oracle_like(), None).unwrap();
+        let (mut db, _) = Database::open_with_vfs(vfs.clone(), "db", oracle_like(), None).unwrap();
         let mut e = Relation::new(edge_schema());
         e.extend([row![1, 2, 1.0]]).unwrap();
         db.create_table("E", e).unwrap();

@@ -125,7 +125,12 @@ impl fmt::Display for SelectStmt {
 
 impl fmt::Display for WithPlus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "with {}({}) as (", self.rec_name, self.rec_cols.join(", "))?;
+        writeln!(
+            f,
+            "with {}({}) as (",
+            self.rec_name,
+            self.rec_cols.join(", ")
+        )?;
         for (i, q) in self.subqueries.iter().enumerate() {
             if i > 0 {
                 match &self.union {
@@ -178,9 +183,7 @@ mod tests {
     fn roundtrips_plain_selects() {
         roundtrip("select E.F, E.T as dst from E as e1, V where e1.T = V.ID and V.vw > 1.5");
         roundtrip("select distinct V.ID from V where V.ID not in (select E.T from E)");
-        roundtrip(
-            "select V.ID from V left outer join E on V.ID = E.T where E.T is null",
-        );
+        roundtrip("select V.ID from V left outer join E on V.ID = E.T where E.T is null");
         roundtrip("select count(*), sum(E.ew) over (partition by E.T) from E");
         roundtrip("select coalesce(V.vw, 0.0), sqrt(:x + 2) from V group by V.ID");
     }

@@ -7,14 +7,20 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum WithPlusError {
     /// Lexing / parsing failure, with position info.
-    Parse { message: String, near: String },
+    Parse {
+        message: String,
+        near: String,
+    },
     /// A Section 6 restriction was violated (e.g. union-by-update mixed
     /// with union all, cyclic computed-by).
     Restriction(String),
     /// The query failed the Theorem 5.1 XY-stratification test.
     NotXyStratified(String),
     /// The SQL'99 baseline engine rejected a feature per Table 1.
-    FeatureNotSupported { feature: String, system: String },
+    FeatureNotSupported {
+        feature: String,
+        system: String,
+    },
     Algebra(AlgebraError),
     Storage(StorageError),
 }

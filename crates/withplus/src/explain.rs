@@ -38,13 +38,7 @@ fn section_spans<'t>(trace: &'t Trace, label: &str) -> (u64, Vec<&'t SpanRecord>
     (calls, out)
 }
 
-fn push_section(
-    out: &mut String,
-    label: &str,
-    plan: &Plan,
-    trace: &Trace,
-    timings: bool,
-) {
+fn push_section(out: &mut String, label: &str, plan: &Plan, trace: &Trace, timings: bool) {
     let (calls, spans) = section_spans(trace, label);
     out.push_str(&format!("-- {label} (executions={calls})\n"));
     for line in node_explain::render_analyzed(plan, &spans, timings).lines() {
@@ -120,14 +114,26 @@ pub fn render_with_plus(
     for (i, step) in c.init.iter().enumerate() {
         let label = format!("init[{i}]");
         for (name, _, plan) in &step.computed {
-            push_section(&mut out, &format!("{label}.computed.{name}"), plan, trace, timings);
+            push_section(
+                &mut out,
+                &format!("{label}.computed.{name}"),
+                plan,
+                trace,
+                timings,
+            );
         }
         push_section(&mut out, &label, &step.plan, trace, timings);
     }
     for (i, step) in c.recursive.iter().enumerate() {
         let label = format!("rec[{i}]");
         for (name, _, plan) in &step.computed {
-            push_section(&mut out, &format!("{label}.computed.{name}"), plan, trace, timings);
+            push_section(
+                &mut out,
+                &format!("{label}.computed.{name}"),
+                plan,
+                trace,
+                timings,
+            );
         }
         push_section(&mut out, &label, &step.plan, trace, timings);
     }

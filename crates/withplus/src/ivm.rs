@@ -66,7 +66,11 @@ pub struct EdgeDelta {
 
 impl EdgeDelta {
     pub fn new(table: impl Into<String>, adds: Vec<Row>, dels: Vec<Row>) -> EdgeDelta {
-        EdgeDelta { table: table.into(), adds, dels }
+        EdgeDelta {
+            table: table.into(),
+            adds,
+            dels,
+        }
     }
 
     /// Pure insertion batch.
@@ -267,7 +271,10 @@ fn aggs_in(e: &ScalarExpr, out: &mut Vec<AggFunc>) {
                 aggs_in(a, out);
             }
         }
-        ScalarExpr::Col(_) | ScalarExpr::BoundCol(_) | ScalarExpr::Lit(_) | ScalarExpr::AggRef(_) => {}
+        ScalarExpr::Col(_)
+        | ScalarExpr::BoundCol(_)
+        | ScalarExpr::Lit(_)
+        | ScalarExpr::AggRef(_) => {}
     }
 }
 
@@ -324,7 +331,14 @@ fn classify(c: &CompiledWithPlus, cold: &Fold) -> (ViewClass, Fold) {
         }
     }
     match direction {
-        Some(min) => (ViewClass::MonotoneUbu, Fold::Improve { keys: keys.clone(), value_col, min }),
+        Some(min) => (
+            ViewClass::MonotoneUbu,
+            Fold::Improve {
+                keys: keys.clone(),
+                value_col,
+                min,
+            },
+        ),
         None => reconverge,
     }
 }
@@ -378,7 +392,11 @@ fn build_seed(
 /// keys the recursive step no longer derives would otherwise keep their
 /// stale warm value forever, while a cold run leaves them at their
 /// initialization value.
-fn reset_underivable_keys(r: &mut PsmRunner<'_>, c: &CompiledWithPlus, keys: &[usize]) -> Result<()> {
+fn reset_underivable_keys(
+    r: &mut PsmRunner<'_>,
+    c: &CompiledWithPlus,
+    keys: &[usize],
+) -> Result<()> {
     let r0 = r.init_relation(c)?;
     let mut produced: FxHashSet<Key> = FxHashSet::default();
     for step in &c.recursive {
@@ -440,7 +458,11 @@ fn run_view(
         };
         // Only the `Reconverge` class stops early; everything else runs to
         // the exact fixpoint.
-        let epsilon = if v.class == ViewClass::Reconverge { v.epsilon } else { f64::INFINITY };
+        let epsilon = if v.class == ViewClass::Reconverge {
+            v.epsilon
+        } else {
+            f64::INFINITY
+        };
         let started = r.start(c, start, fold)?;
         let iterations = r.iterate(c, started, fold, epsilon, |_, _, _| Ok(()))?;
         let out = r.eval(&c.final_plan, "final")?;
@@ -498,7 +520,8 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
                 match new_pos.get(key) {
                     None => d.removed.push(old.rows()[oi].clone()),
                     Some(&ni) if new.rows()[ni] != old.rows()[oi] => {
-                        d.changed.push((old.rows()[oi].clone(), new.rows()[ni].clone()));
+                        d.changed
+                            .push((old.rows()[oi].clone(), new.rows()[ni].clone()));
                     }
                     Some(_) => {}
                 }
@@ -516,7 +539,8 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
     }
     sort_rows(&mut d.added);
     sort_rows(&mut d.removed);
-    d.changed.sort_unstable_by(|a, b| a.0.iter().cmp(b.0.iter()));
+    d.changed
+        .sort_unstable_by(|a, b| a.0.iter().cmp(b.0.iter()));
     d
 }
 
@@ -529,8 +553,10 @@ fn refresh_view(
     mutated: &BTreeMap<String, Mutation>,
 ) -> Result<ResultDelta> {
     let started = Instant::now();
-    let touched: Vec<(&String, &Mutation)> =
-        mutated.iter().filter(|(t, _)| v.base_tables.contains(*t)).collect();
+    let touched: Vec<(&String, &Mutation)> = mutated
+        .iter()
+        .filter(|(t, _)| v.base_tables.contains(*t))
+        .collect();
     let insert_only = touched.iter().all(|(_, m)| !m.has_dels);
     let mode = match v.class {
         ViewClass::Monotone if insert_only => RefreshMode::Resume,
@@ -606,7 +632,9 @@ impl Database {
     /// once the largest per-key change is below `epsilon`.
     pub fn create_view_with(&mut self, name: &str, sql: &str, epsilon: f64) -> Result<()> {
         if self.views.iter().any(|v| v.name.eq_ignore_ascii_case(name)) {
-            return Err(WithPlusError::Restriction(format!("view {name} already exists")));
+            return Err(WithPlusError::Restriction(format!(
+                "view {name} already exists"
+            )));
         }
         if self.catalog.contains(name) {
             return Err(WithPlusError::Restriction(format!(
@@ -633,7 +661,9 @@ impl Database {
     /// [`Database::create_view_with`] when the tables are absent.
     pub fn register_view(&mut self, name: &str, sql: &str, epsilon: f64) -> Result<()> {
         if self.views.iter().any(|v| v.name.eq_ignore_ascii_case(name)) {
-            return Err(WithPlusError::Restriction(format!("view {name} already exists")));
+            return Err(WithPlusError::Restriction(format!(
+                "view {name} already exists"
+            )));
         }
         if !(self.catalog.contains(name) && self.catalog.contains(&state_table(name))) {
             return self.create_view_with(name, sql, epsilon);
@@ -646,7 +676,11 @@ impl Database {
     /// Drop a view: forgets the definition and removes its materialized
     /// state and output tables.
     pub fn drop_view(&mut self, name: &str) -> Result<()> {
-        let Some(i) = self.views.iter().position(|v| v.name.eq_ignore_ascii_case(name)) else {
+        let Some(i) = self
+            .views
+            .iter()
+            .position(|v| v.name.eq_ignore_ascii_case(name))
+        else {
             return Err(WithPlusError::Restriction(format!("no such view: {name}")));
         };
         let v = self.views.remove(i);
@@ -694,8 +728,11 @@ impl Database {
             .find(|v| v.name.eq_ignore_ascii_case(name))
             .ok_or_else(|| WithPlusError::Restriction(format!("no such view: {name}")))?;
         let rows = self.catalog.relation(&v.name).map(|r| r.len()).unwrap_or(0);
-        let state_rows =
-            self.catalog.relation(&state_table(&v.name)).map(|r| r.len()).unwrap_or(0);
+        let state_rows = self
+            .catalog
+            .relation(&state_table(&v.name))
+            .map(|r| r.len())
+            .unwrap_or(0);
         let mut s = String::new();
         s.push_str(&format!("view {}\n", v.name));
         let sql_one_line: String = v.sql.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -782,7 +819,13 @@ impl Database {
         let mutated: BTreeMap<String, Mutation> = deltas
             .iter()
             .map(|d| {
-                (d.table.clone(), Mutation { adds: d.adds.clone(), has_dels: !d.dels.is_empty() })
+                (
+                    d.table.clone(),
+                    Mutation {
+                        adds: d.adds.clone(),
+                        has_dels: !d.dels.is_empty(),
+                    },
+                )
             })
             .collect();
         if let Some(s) = &span {
@@ -797,8 +840,10 @@ impl Database {
             s.field("generation", self.catalog.generation());
         }
         for rd in &out {
-            if let Some(v) =
-                self.views.iter_mut().find(|v| v.name.eq_ignore_ascii_case(&rd.view))
+            if let Some(v) = self
+                .views
+                .iter_mut()
+                .find(|v| v.name.eq_ignore_ascii_case(&rd.view))
             {
                 v.subscribers.retain(|tx| tx.send(rd.clone()).is_ok());
             }
@@ -815,7 +860,13 @@ impl Database {
         let mut mutated: BTreeMap<String, Mutation> = BTreeMap::new();
         for v in &self.views {
             for t in &v.base_tables {
-                mutated.insert(t.clone(), Mutation { adds: Vec::new(), has_dels: true });
+                mutated.insert(
+                    t.clone(),
+                    Mutation {
+                        adds: Vec::new(),
+                        has_dels: true,
+                    },
+                );
             }
         }
         let tracer = self.tracer.take();
@@ -837,7 +888,8 @@ impl Database {
         let mut views = std::mem::take(&mut self.views);
         let result = (|| {
             for d in deltas {
-                self.catalog.apply_delta(&d.table, d.adds, d.dels, self.profile.wal_temp)?;
+                self.catalog
+                    .apply_delta(&d.table, d.adds, d.dels, self.profile.wal_temp)?;
             }
             views
                 .iter_mut()
@@ -1013,7 +1065,14 @@ mod tests {
         assert_eq!(case(&db, TC_ALL_SQL), (ViewClass::Opaque, Fold::InsertAll));
         assert_eq!(
             case(&db, SSSP_SQL),
-            (ViewClass::MonotoneUbu, Fold::Improve { keys: vec![0], value_col: 1, min: true })
+            (
+                ViewClass::MonotoneUbu,
+                Fold::Improve {
+                    keys: vec![0],
+                    value_col: 1,
+                    min: true
+                }
+            )
         );
 
         let mut db2 = db_with(&[(1, 2, 1.0)], &[(1, 0.0)]);
@@ -1021,7 +1080,12 @@ mod tests {
         db2.set_param("n", 2.0);
         assert_eq!(
             case(&db2, PR_SQL),
-            (ViewClass::Reconverge, Fold::Replace { keys: Some(vec![0]) })
+            (
+                ViewClass::Reconverge,
+                Fold::Replace {
+                    keys: Some(vec![0])
+                }
+            )
         );
     }
 
@@ -1032,7 +1096,10 @@ mod tests {
         db.create_view("tc_v", TC_SQL).unwrap();
         let mut db2 = db_with(&edges, &[]);
         let direct = db2.execute(TC_SQL).unwrap().relation;
-        assert!(db.view_relation("tc_v").unwrap().same_rows_unordered(&direct));
+        assert!(db
+            .view_relation("tc_v")
+            .unwrap()
+            .same_rows_unordered(&direct));
     }
 
     #[test]
@@ -1051,7 +1118,9 @@ mod tests {
             assert_eq!(report.mode, RefreshMode::Resume);
             let expect = cold_view(TC_SQL, &edges, &[], &[], 1e-9);
             assert!(
-                db.view_relation("tc_v").unwrap().same_rows_unordered(&expect),
+                db.view_relation("tc_v")
+                    .unwrap()
+                    .same_rows_unordered(&expect),
                 "incremental TC diverged after batch"
             );
         }
@@ -1062,10 +1131,14 @@ mod tests {
         let _g = fault_guard();
         let mut db = db_with(&[(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], &[]);
         db.create_view("tc_v", TC_SQL).unwrap();
-        db.apply_edges(vec![EdgeDelta::delete("E", vec![row![2i64, 3, 1.0]])]).unwrap();
+        db.apply_edges(vec![EdgeDelta::delete("E", vec![row![2i64, 3, 1.0]])])
+            .unwrap();
         assert_eq!(db.view_report("tc_v").unwrap().mode, RefreshMode::Full);
         let expect = cold_view(TC_SQL, &[(1, 2, 1.0), (3, 4, 1.0)], &[], &[], 1e-9);
-        assert!(db.view_relation("tc_v").unwrap().same_rows_unordered(&expect));
+        assert!(db
+            .view_relation("tc_v")
+            .unwrap()
+            .same_rows_unordered(&expect));
     }
 
     /// SSSP graph: nodes carry 0 (src) / 1e18 (rest) seeds and every node
@@ -1074,8 +1147,9 @@ mod tests {
     fn sssp_fixture(n: i64, edges: &[(i64, i64, f64)]) -> (Vec<(i64, i64, f64)>, Vec<(i64, f64)>) {
         let mut e: Vec<(i64, i64, f64)> = (0..n).map(|v| (v, v, 0.0)).collect();
         e.extend_from_slice(edges);
-        let v: Vec<(i64, f64)> =
-            (0..n).map(|v| (v, if v == 0 { 0.0 } else { 1e18 })).collect();
+        let v: Vec<(i64, f64)> = (0..n)
+            .map(|v| (v, if v == 0 { 0.0 } else { 1e18 }))
+            .collect();
         (e, v)
     }
 
@@ -1094,10 +1168,15 @@ mod tests {
             edges.extend(batch.iter().copied());
             db.apply_edges(vec![EdgeDelta::insert("E", adds)]).unwrap();
 
-            assert_eq!(db.view_report("sssp_v").unwrap().mode, RefreshMode::Frontier);
+            assert_eq!(
+                db.view_report("sssp_v").unwrap().mode,
+                RefreshMode::Frontier
+            );
             let expect = cold_view(SSSP_SQL, &edges, &nodes, &[], 1e-9);
             assert!(
-                db.view_relation("sssp_v").unwrap().same_rows_unordered(&expect),
+                db.view_relation("sssp_v")
+                    .unwrap()
+                    .same_rows_unordered(&expect),
                 "frontier SSSP diverged"
             );
         }
@@ -1109,11 +1188,15 @@ mod tests {
         let (edges, nodes) = sssp_fixture(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]);
         let mut db = db_with(&edges, &nodes);
         db.create_view("sssp_v", SSSP_SQL).unwrap();
-        db.apply_edges(vec![EdgeDelta::delete("E", vec![row![1i64, 2, 1.0]])]).unwrap();
+        db.apply_edges(vec![EdgeDelta::delete("E", vec![row![1i64, 2, 1.0]])])
+            .unwrap();
         assert_eq!(db.view_report("sssp_v").unwrap().mode, RefreshMode::Full);
         let (edges2, _) = sssp_fixture(4, &[(0, 1, 1.0), (0, 2, 5.0)]);
         let expect = cold_view(SSSP_SQL, &edges2, &nodes, &[], 1e-9);
-        assert!(db.view_relation("sssp_v").unwrap().same_rows_unordered(&expect));
+        assert!(db
+            .view_relation("sssp_v")
+            .unwrap()
+            .same_rows_unordered(&expect));
     }
 
     /// PageRank-style fixture: uniform out-degree weights 1/outdeg.
@@ -1122,7 +1205,9 @@ mod tests {
         for &(f, _) in raw {
             *outdeg.entry(f).or_insert(0) += 1;
         }
-        raw.iter().map(|&(f, t)| (f, t, 1.0 / outdeg[&f] as f64)).collect()
+        raw.iter()
+            .map(|&(f, t)| (f, t, 1.0 / outdeg[&f] as f64))
+            .collect()
     }
 
     #[test]
@@ -1154,9 +1239,13 @@ mod tests {
             .filter(|e| !old.contains(e))
             .map(|&(f, t, w)| row![f, t, w])
             .collect();
-        db.apply_edges(vec![EdgeDelta::new("E", adds, dels)]).unwrap();
+        db.apply_edges(vec![EdgeDelta::new("E", adds, dels)])
+            .unwrap();
 
-        assert_eq!(db.view_report("pr_v").unwrap().mode, RefreshMode::Reconverge);
+        assert_eq!(
+            db.view_report("pr_v").unwrap().mode,
+            RefreshMode::Reconverge
+        );
         let expect = cold_view(PR_SQL, &new, &nodes, &params, 1e-12);
         let got = keyed_f64(db.view_relation("pr_v").unwrap());
         let want = keyed_f64(&expect);
@@ -1186,7 +1275,10 @@ mod tests {
         // add/delete pairs cancel before anything touches the catalog:
         // no view is refreshed and no result delta is emitted
         assert!(out.is_empty(), "net-zero batch must refresh nothing");
-        assert!(db.view_relation("tc_v").unwrap().same_rows_unordered(&before));
+        assert!(db
+            .view_relation("tc_v")
+            .unwrap()
+            .same_rows_unordered(&before));
     }
 
     #[test]
@@ -1197,14 +1289,18 @@ mod tests {
         db.create_view("sssp_v", SSSP_SQL).unwrap();
         let rx = db.subscribe("sssp_v").unwrap();
 
-        db.apply_edges(vec![EdgeDelta::insert("E", vec![row![0i64, 1, 2.0]])]).unwrap();
+        db.apply_edges(vec![EdgeDelta::insert("E", vec![row![0i64, 1, 2.0]])])
+            .unwrap();
         let delta = rx.try_recv().expect("refresh must notify subscribers");
         assert_eq!(delta.view, "sssp_v");
         assert!(delta.generation > 0);
         assert!(delta.added.is_empty() && delta.removed.is_empty());
         // 1 and 2 improve (5→2, 6→3); keys arrive sorted by old row.
-        let changed: Vec<i64> =
-            delta.changed.iter().map(|(old, _)| old[0].as_int().unwrap()).collect();
+        let changed: Vec<i64> = delta
+            .changed
+            .iter()
+            .map(|(old, _)| old[0].as_int().unwrap())
+            .collect();
         assert_eq!(changed, vec![1, 2]);
     }
 
@@ -1217,19 +1313,28 @@ mod tests {
 
         aio_algebra::fault::inject_ivm_seed_off_by_one(true);
         edges.push((4, 5, 1.0));
-        db.apply_edges(vec![EdgeDelta::insert("E", vec![row![4i64, 5, 1.0]])]).unwrap();
+        db.apply_edges(vec![EdgeDelta::insert("E", vec![row![4i64, 5, 1.0]])])
+            .unwrap();
         aio_algebra::fault::inject_ivm_seed_off_by_one(false);
-        assert!(aio_algebra::fault::fault_hits() > 0, "fault must have fired");
+        assert!(
+            aio_algebra::fault::fault_hits() > 0,
+            "fault must have fired"
+        );
 
         let expect = cold_view(TC_SQL, &edges, &[], &[], 1e-9);
         assert!(
-            !db.view_relation("tc_v").unwrap().same_rows_unordered(&expect),
+            !db.view_relation("tc_v")
+                .unwrap()
+                .same_rows_unordered(&expect),
             "clipped seed must lose derivations"
         );
 
         // refresh_all_views repairs the damage with a cold rebuild.
         db.refresh_all_views().unwrap();
-        assert!(db.view_relation("tc_v").unwrap().same_rows_unordered(&expect));
+        assert!(db
+            .view_relation("tc_v")
+            .unwrap()
+            .same_rows_unordered(&expect));
     }
 
     #[test]
@@ -1237,7 +1342,8 @@ mod tests {
         let _g = fault_guard();
         let mut db = db_with(&[(1, 2, 1.0)], &[]);
         db.create_view("tc_v", TC_SQL).unwrap();
-        db.apply_edges(vec![EdgeDelta::insert("E", vec![row![2i64, 3, 1.0]])]).unwrap();
+        db.apply_edges(vec![EdgeDelta::insert("E", vec![row![2i64, 3, 1.0]])])
+            .unwrap();
         let s = db.show_view("tc_v").unwrap();
         assert!(s.contains("class:      monotone"), "{s}");
         assert!(s.contains("resume semi-naive"), "{s}");

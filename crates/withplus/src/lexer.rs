@@ -199,9 +199,13 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
                 let text = &input[start..j];
                 if is_float {
-                    out.push(Token::Float(text.parse().map_err(|_| err("bad float", start))?));
+                    out.push(Token::Float(
+                        text.parse().map_err(|_| err("bad float", start))?,
+                    ));
                 } else {
-                    out.push(Token::Int(text.parse().map_err(|_| err("bad integer", start))?));
+                    out.push(Token::Int(
+                        text.parse().map_err(|_| err("bad integer", start))?,
+                    ));
                 }
                 i = j;
             }

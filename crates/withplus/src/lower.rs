@@ -65,9 +65,7 @@ fn qualifier(col: &str) -> Option<&str> {
 
 fn aliases_of(f: &FromItem, out: &mut Vec<String>) {
     match f {
-        FromItem::Table { name, alias } => {
-            out.push(alias.clone().unwrap_or_else(|| name.clone()))
-        }
+        FromItem::Table { name, alias } => out.push(alias.clone().unwrap_or_else(|| name.clone())),
         FromItem::Join { left, right, .. } => {
             aliases_of(left, out);
             aliases_of(right, out);
@@ -85,9 +83,10 @@ pub fn to_scalar(e: &Expr, ctx: &LowerCtx<'_>) -> Result<ScalarExpr> {
         Expr::Col(c) => ScalarExpr::Col(c.clone()),
         Expr::Lit(v) => ScalarExpr::Lit(v.clone()),
         Expr::Param(p) => {
-            let v = ctx.params.get(p).ok_or_else(|| {
-                WithPlusError::Restriction(format!("unbound parameter :{p}"))
-            })?;
+            let v = ctx
+                .params
+                .get(p)
+                .ok_or_else(|| WithPlusError::Restriction(format!("unbound parameter :{p}")))?;
             ScalarExpr::Lit(v.clone())
         }
         Expr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(to_scalar(x, ctx)?)),
@@ -284,9 +283,7 @@ pub fn lower_select(s: &SelectStmt, ctx: &LowerCtx<'_>) -> Result<Plan> {
     }
 
     // 3. Projection: window / aggregate / plain.
-    let has_window = s.items.iter().any(|it| {
-        contains_window(&it.expr)
-    });
+    let has_window = s.items.iter().any(|it| contains_window(&it.expr));
     let has_agg = s.items.iter().any(|it| contains_plain_agg(&it.expr));
 
     let star_only = s.items.len() == 1 && matches!(&s.items[0].expr, Expr::Col(c) if c == "*");
@@ -354,19 +351,14 @@ pub fn lower_select(s: &SelectStmt, ctx: &LowerCtx<'_>) -> Result<Plan> {
 
 /// Replace aggregate calls inside a HAVING predicate with references to
 /// hidden aggregate-output columns (appended to `items`).
-fn extract_having_aggs(
-    e: &ScalarExpr,
-    items: &mut Vec<(ScalarExpr, String)>,
-) -> ScalarExpr {
+fn extract_having_aggs(e: &ScalarExpr, items: &mut Vec<(ScalarExpr, String)>) -> ScalarExpr {
     match e {
         ScalarExpr::Agg(..) => {
             let name = format!("__having{}", items.len());
             items.push((e.clone(), name.clone()));
             ScalarExpr::Col(name)
         }
-        ScalarExpr::Unary(op, x) => {
-            ScalarExpr::Unary(*op, Box::new(extract_having_aggs(x, items)))
-        }
+        ScalarExpr::Unary(op, x) => ScalarExpr::Unary(*op, Box::new(extract_having_aggs(x, items))),
         ScalarExpr::Binary(op, l, r) => ScalarExpr::Binary(
             *op,
             Box::new(extract_having_aggs(l, items)),
@@ -589,9 +581,9 @@ fn decorrelate_exists(
         kept.push(c);
     }
     let mut cleaned = sub.clone();
-    cleaned.where_clause = kept.into_iter().reduce(|acc, c| {
-        Expr::Binary(BinOp::And, Box::new(acc), Box::new(c))
-    });
+    cleaned.where_clause = kept
+        .into_iter()
+        .reduce(|acc, c| Expr::Binary(BinOp::And, Box::new(acc), Box::new(c)));
     Ok((cleaned, correlation))
 }
 
@@ -643,10 +635,12 @@ mod tests {
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         let mut e = Relation::new(edge_schema());
-        e.extend([row![1, 2, 1.0], row![2, 3, 1.0], row![1, 3, 2.0]]).unwrap();
+        e.extend([row![1, 2, 1.0], row![2, 3, 1.0], row![1, 3, 2.0]])
+            .unwrap();
         c.create_table("E", e).unwrap();
         let mut v = Relation::new(node_schema());
-        v.extend([row![1, 0.5], row![2, 1.5], row![3, 2.5]]).unwrap();
+        v.extend([row![1, 0.5], row![2, 1.5], row![3, 2.5]])
+            .unwrap();
         c.create_table("V", v).unwrap();
         c
     }
@@ -699,18 +693,14 @@ mod tests {
 
     #[test]
     fn correlated_not_exists() {
-        let out = run(
-            "select ID from V where not exists (select E.F from E where E.T = V.ID)",
-        );
+        let out = run("select ID from V where not exists (select E.F from E where E.T = V.ID)");
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows()[0][0].as_int(), Some(1));
     }
 
     #[test]
     fn left_outer_join_null_filter() {
-        let out = run(
-            "select V.ID from V left outer join E on V.ID = E.T where E.T is null",
-        );
+        let out = run("select V.ID from V left outer join E on V.ID = E.T where E.T is null");
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows()[0][0].as_int(), Some(1));
     }
@@ -730,9 +720,7 @@ mod tests {
 
     #[test]
     fn window_partition_by_keeps_rows() {
-        let out = run(
-            "select E.T, sum(E.ew) over (partition by E.T) s from E",
-        );
+        let out = run("select E.T, sum(E.ew) over (partition by E.T) s from E");
         assert_eq!(out.len(), 3, "one row per input row");
         // T=3 receives 1.0 + 2.0
         let t3: Vec<f64> = out
@@ -745,9 +733,7 @@ mod tests {
 
     #[test]
     fn unbound_param_errors() {
-        let Statement::Select(s) =
-            Parser::parse_statement("select :c * vw from V").unwrap()
-        else {
+        let Statement::Select(s) = Parser::parse_statement("select :c * vw from V").unwrap() else {
             panic!()
         };
         let params = HashMap::new();
@@ -760,8 +746,7 @@ mod tests {
 
     #[test]
     fn params_substitute() {
-        let Statement::Select(s) =
-            Parser::parse_statement("select ID, :c * vw from V").unwrap()
+        let Statement::Select(s) = Parser::parse_statement("select ID, :c * vw from V").unwrap()
         else {
             panic!()
         };
@@ -776,10 +761,10 @@ mod tests {
 
     #[test]
     fn infer_names() {
-        let Statement::Select(s) = Parser::parse_statement(
-            "select E.F, E.T as dst, sum(ew) from E group by E.F, E.T",
-        )
-        .unwrap() else {
+        let Statement::Select(s) =
+            Parser::parse_statement("select E.F, E.T as dst, sum(ew) from E group by E.F, E.T")
+                .unwrap()
+        else {
             panic!()
         };
         assert_eq!(infer_output_names(&s), vec!["F", "dst", "col2"]);

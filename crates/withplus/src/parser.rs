@@ -17,9 +17,37 @@ pub struct Parser {
 
 /// Keywords that terminate an alias-free expression context.
 const RESERVED: &[&str] = &[
-    "select", "from", "where", "group", "by", "union", "all", "update", "maxrecursion",
-    "computed", "left", "full", "outer", "inner", "join", "on", "not", "in", "exists", "is", "having",
-    "null", "and", "or", "as", "with", "recursive", "partition", "over", "distinct", "when",
+    "select",
+    "from",
+    "where",
+    "group",
+    "by",
+    "union",
+    "all",
+    "update",
+    "maxrecursion",
+    "computed",
+    "left",
+    "full",
+    "outer",
+    "inner",
+    "join",
+    "on",
+    "not",
+    "in",
+    "exists",
+    "is",
+    "having",
+    "null",
+    "and",
+    "or",
+    "as",
+    "with",
+    "recursive",
+    "partition",
+    "over",
+    "distinct",
+    "when",
 ];
 
 impl Parser {
@@ -163,9 +191,7 @@ impl Parser {
                 subqueries.push(self.parse_subquery()?);
             } else if self.eat_kw("maxrecursion") {
                 match self.bump() {
-                    Token::Int(n) if (0..=32_767).contains(&n) => {
-                        max_recursion = Some(n as usize)
-                    }
+                    Token::Int(n) if (0..=32_767).contains(&n) => max_recursion = Some(n as usize),
                     _ => return self.err("maxrecursion takes an integer in 0..=32767"),
                 }
             } else {
@@ -287,13 +313,12 @@ impl Parser {
         }
         let expr = self.parse_expr()?;
         // `AS alias` and a bare unreserved identifier both name the item
-        let alias = if self.eat_kw("as")
-            || matches!(self.peek(), Token::Ident(s) if !is_reserved(s))
-        {
-            Some(self.ident()?)
-        } else {
-            None
-        };
+        let alias =
+            if self.eat_kw("as") || matches!(self.peek(), Token::Ident(s) if !is_reserved(s)) {
+                Some(self.ident()?)
+            } else {
+                None
+            };
         Ok(SelectItem { expr, alias })
     }
 
@@ -333,13 +358,12 @@ impl Parser {
     fn parse_from_primary(&mut self) -> Result<FromItem> {
         let name = self.ident()?;
         // `AS alias` and a bare unreserved identifier both name the item
-        let alias = if self.eat_kw("as")
-            || matches!(self.peek(), Token::Ident(s) if !is_reserved(s))
-        {
-            Some(self.ident()?)
-        } else {
-            None
-        };
+        let alias =
+            if self.eat_kw("as") || matches!(self.peek(), Token::Ident(s) if !is_reserved(s)) {
+                Some(self.ident()?)
+            } else {
+                None
+            };
         Ok(FromItem::Table { name, alias })
     }
 
@@ -382,8 +406,7 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
-        if self.peek().is_kw("not") && !self.peek2().is_kw("exists") && !self.peek2().is_kw("in")
-        {
+        if self.peek().is_kw("not") && !self.peek2().is_kw("exists") && !self.peek2().is_kw("in") {
             self.bump();
             let e = self.parse_not()?;
             return Ok(Expr::Unary(UnaryOp::Not, Box::new(e)));
@@ -393,8 +416,7 @@ impl Parser {
 
     fn parse_predicate(&mut self) -> Result<Expr> {
         // [NOT] EXISTS (select)
-        if self.peek().is_kw("exists")
-            || (self.peek().is_kw("not") && self.peek2().is_kw("exists"))
+        if self.peek().is_kw("exists") || (self.peek().is_kw("not") && self.peek2().is_kw("exists"))
         {
             let negated = self.eat_kw("not");
             self.expect_kw("exists")?;
@@ -507,9 +529,7 @@ impl Parser {
                 self.expect(&Token::RParen, "`)`")?;
                 Ok(e)
             }
-            Token::Ident(name) if name.eq_ignore_ascii_case("null") => {
-                Ok(Expr::Lit(Value::Null))
-            }
+            Token::Ident(name) if name.eq_ignore_ascii_case("null") => Ok(Expr::Lit(Value::Null)),
             Token::Ident(name) => {
                 if self.peek() == &Token::LParen {
                     return self.parse_call(name);
@@ -616,10 +636,7 @@ select ID, W from P";
         assert_eq!(w.subqueries.len(), 2);
         let rec = &w.subqueries[1].select;
         assert_eq!(rec.group_by, vec!["S.T"]);
-        assert!(matches!(
-            rec.items[1].expr,
-            Expr::Binary(BinOp::Add, _, _)
-        ));
+        assert!(matches!(rec.items[1].expr, Expr::Binary(BinOp::Add, _, _)));
     }
 
     #[test]
@@ -724,9 +741,7 @@ select * from Topo";
         };
         assert_eq!(s.items[0].alias.as_deref(), Some("src"));
         assert_eq!(s.items[1].alias.as_deref(), Some("dst"));
-        assert!(
-            matches!(&s.from[0], FromItem::Table { alias: Some(a), .. } if a == "e1")
-        );
+        assert!(matches!(&s.from[0], FromItem::Table { alias: Some(a), .. } if a == "e1"));
     }
 
     #[test]

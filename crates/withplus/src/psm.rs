@@ -183,27 +183,34 @@ pub(crate) enum Fold {
     Replace { keys: Option<Vec<usize>> },
     /// Keep per key the better value under the fixpoint's own `min`/`max`
     /// ([`ops::ubu_merge_improve`]); the improved rows are frontier.
-    Improve { keys: Vec<usize>, value_col: usize, min: bool },
+    Improve {
+        keys: Vec<usize>,
+        value_col: usize,
+        min: bool,
+    },
 }
 
 impl Fold {
     /// The fold a statement's union mode asks for.
     pub(crate) fn of(c: &CompiledWithPlus) -> Result<Fold> {
         let position = |k: &String| {
-            c.rec_cols.iter().position(|col| col.eq_ignore_ascii_case(k)).ok_or_else(|| {
-                WithPlusError::Restriction(format!(
-                    "union by update key {k} is not a column of {}",
-                    c.rec_name
-                ))
-            })
+            c.rec_cols
+                .iter()
+                .position(|col| col.eq_ignore_ascii_case(k))
+                .ok_or_else(|| {
+                    WithPlusError::Restriction(format!(
+                        "union by update key {k} is not a column of {}",
+                        c.rec_name
+                    ))
+                })
         };
         Ok(match &c.union {
             UnionMode::All => Fold::InsertAll,
             UnionMode::Distinct => Fold::InsertFresh,
             UnionMode::ByUpdate(None) => Fold::Replace { keys: None },
-            UnionMode::ByUpdate(Some(keys)) => {
-                Fold::Replace { keys: Some(keys.iter().map(position).collect::<Result<_>>()?) }
-            }
+            UnionMode::ByUpdate(Some(keys)) => Fold::Replace {
+                keys: Some(keys.iter().map(position).collect::<Result<_>>()?),
+            },
         })
     }
 
@@ -258,11 +265,7 @@ pub struct PsmRunner<'a> {
 }
 
 impl<'a> PsmRunner<'a> {
-    pub fn new(
-        catalog: &'a mut Catalog,
-        profile: &'a EngineProfile,
-        ubu_impl: UbuImpl,
-    ) -> Self {
+    pub fn new(catalog: &'a mut Catalog, profile: &'a EngineProfile, ubu_impl: UbuImpl) -> Self {
         PsmRunner {
             catalog,
             profile,
@@ -300,7 +303,9 @@ impl<'a> PsmRunner<'a> {
     /// `CREATE TEMP TABLE name` + `INSERT INTO name SELECT …` with WAL and
     /// index maintenance — the per-step cost of the PSM translation.
     pub(crate) fn materialize(&mut self, name: &str, rel: Relation) -> Result<()> {
-        self.catalog.wal.log_insert(self.profile.wal_temp, rel.rows());
+        self.catalog
+            .wal
+            .log_insert(self.profile.wal_temp, rel.rows());
         if !self.catalog.contains(name) {
             self.created.push(name.to_string());
         }
@@ -488,8 +493,10 @@ impl<'a> PsmRunner<'a> {
         // The working table of semi-naive evaluation inherits the recursive
         // relation's index specs.
         if let Some(rec_specs) = self.index_specs.get(&c.rec_name.to_ascii_lowercase()) {
-            self.index_specs
-                .insert(format!("__delta_{}", c.rec_name.to_ascii_lowercase()), rec_specs.clone());
+            self.index_specs.insert(
+                format!("__delta_{}", c.rec_name.to_ascii_lowercase()),
+                rec_specs.clone(),
+            );
         }
         // Base tables referenced by join keys get their indexes up front
         // (a real schema would already have them; the paper's PSM builds
@@ -514,7 +521,11 @@ impl<'a> PsmRunner<'a> {
         fold: &Fold,
         delta: Relation,
     ) -> Result<(SubqueryIterStat, Option<Relation>, Option<Relation>)> {
-        let mut sub = SubqueryIterStat { delta_rows: delta.len(), changed: false, ubu_changed_rows: 0 };
+        let mut sub = SubqueryIterStat {
+            delta_rows: delta.len(),
+            changed: false,
+            ubu_changed_rows: 0,
+        };
         let (frontier, before) = match fold {
             Fold::InsertAll | Fold::InsertFresh => {
                 let fresh = if *fold == Fold::InsertAll {
@@ -524,7 +535,8 @@ impl<'a> PsmRunner<'a> {
                 };
                 if !fresh.is_empty() {
                     sub.changed = true;
-                    self.catalog.insert_rows(rec, fresh.rows().to_vec(), self.profile.wal_temp)?;
+                    self.catalog
+                        .insert_rows(rec, fresh.rows().to_vec(), self.profile.wal_temp)?;
                 }
                 (Some(fresh), None)
             }
@@ -545,7 +557,11 @@ impl<'a> PsmRunner<'a> {
                 sub.changed = sub.ubu_changed_rows > 0 || !after.same_rows_unordered(&before);
                 (None, Some(before))
             }
-            Fold::Improve { keys, value_col, min } => {
+            Fold::Improve {
+                keys,
+                value_col,
+                min,
+            } => {
                 let improved = ops::ubu_merge_improve(
                     self.catalog,
                     rec,
@@ -565,7 +581,12 @@ impl<'a> PsmRunner<'a> {
 
     /// Bring R (and the frontier table, when `fold` reads one) to where the
     /// loop starts, and bind the recursive steps to what they read.
-    pub(crate) fn start(&mut self, c: &CompiledWithPlus, start: Start, fold: &Fold) -> Result<Started> {
+    pub(crate) fn start(
+        &mut self,
+        c: &CompiledWithPlus,
+        start: Start,
+        fold: &Fold,
+    ) -> Result<Started> {
         let rec = &c.rec_name;
         // For the frontier folds the recursive self-reference binds to the
         // previous iteration's *working table* (SQL'99 / PostgreSQL
@@ -631,7 +652,12 @@ impl<'a> PsmRunner<'a> {
                 })
                 .collect(),
         };
-        Ok(Started { steps, frontier, it, go })
+        Ok(Started {
+            steps,
+            frontier,
+            it,
+            go,
+        })
     }
 
     /// The loop of Algorithm 1: per iteration, evaluate every recursive
@@ -649,7 +675,12 @@ impl<'a> PsmRunner<'a> {
         epsilon: f64,
         mut on_iter: impl FnMut(&mut Self, usize, IterStat) -> Result<()>,
     ) -> Result<usize> {
-        let Started { steps, frontier, it: first, mut go } = started;
+        let Started {
+            steps,
+            frontier,
+            it: first,
+            mut go,
+        } = started;
         let rec = &c.rec_name;
         let max = c.max_recursion.unwrap_or(DEFAULT_MAX_RECURSION);
         let loop_start = Instant::now();
@@ -678,7 +709,9 @@ impl<'a> PsmRunner<'a> {
                 if let Some(fresh) = fresh {
                     next = Some(match next {
                         None => fresh,
-                        Some(acc) if *fold == Fold::InsertFresh => ops::union_distinct(&acc, &fresh)?,
+                        Some(acc) if *fold == Fold::InsertFresh => {
+                            ops::union_distinct(&acc, &fresh)?
+                        }
                         Some(acc) => ops::union_all(&acc, &fresh)?,
                     });
                 }
@@ -729,7 +762,10 @@ impl<'a> PsmRunner<'a> {
                 s.field("r_rows", r_rows as u64);
                 s.field(
                     "ubu_changed_rows",
-                    subqueries.iter().map(|q| q.ubu_changed_rows as u64).sum::<u64>(),
+                    subqueries
+                        .iter()
+                        .map(|q| q.ubu_changed_rows as u64)
+                        .sum::<u64>(),
                 );
                 s.field("changed", changed);
             }

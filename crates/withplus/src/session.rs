@@ -326,11 +326,14 @@ pub(crate) fn spawn_armed_watcher(catalog: &mut Catalog) -> Option<ArmedWatcher>
 impl ArmedWatcher {
     pub(crate) fn finish(self) {
         self.stop.store(true, Ordering::Relaxed);
-        let report = self.handle.join().unwrap_or_else(|_| ConcurrentReaderReport {
-            polls: 0,
-            generations: Vec::new(),
-            anomalies: vec!["concurrent reader thread panicked".into()],
-        });
+        let report = self
+            .handle
+            .join()
+            .unwrap_or_else(|_| ConcurrentReaderReport {
+                polls: 0,
+                generations: Vec::new(),
+                anomalies: vec!["concurrent reader thread panicked".into()],
+            });
         REPORT.with(|r| *r.borrow_mut() = Some(report));
     }
 }
@@ -367,7 +370,9 @@ fn watch(hub: Arc<GenerationHub>, stop: Arc<AtomicBool>) -> ConcurrentReaderRepo
         polls += 1;
         let gen = pin.generation();
         if gen < last_gen {
-            anomalies.push(format!("generation regressed: pinned {gen} after {last_gen}"));
+            anomalies.push(format!(
+                "generation regressed: pinned {gen} after {last_gen}"
+            ));
         }
         last_gen = gen;
         if generations.last() != Some(&gen) {
@@ -376,7 +381,9 @@ fn watch(hub: Arc<GenerationHub>, stop: Arc<AtomicBool>) -> ConcurrentReaderRepo
         let d1 = digest(pin.catalog());
         let d2 = digest(pin.catalog());
         if d1 != d2 {
-            anomalies.push(format!("non-repeatable read within pinned generation {gen}"));
+            anomalies.push(format!(
+                "non-repeatable read within pinned generation {gen}"
+            ));
         }
         match seen.entry(gen) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -466,7 +473,10 @@ mod tests {
             .unwrap();
         assert_eq!(out.relation.len(), 1);
         // the writer's own bindings stayed untouched
-        let has_src = shared.with_writer(|db| db.execute("select E.F, E.T from E where E.F = :src").is_err());
+        let has_src = shared.with_writer(|db| {
+            db.execute("select E.F, E.T from E where E.F = :src")
+                .is_err()
+        });
         assert!(has_src, "writer must not inherit session params");
     }
 
@@ -508,8 +518,13 @@ mod tests {
     fn armed_reader_watches_a_fixpoint_converge() {
         let mut db = Database::new(oracle_like());
         let mut e = Relation::new(edge_schema());
-        e.extend([row![1, 2, 1.0], row![2, 3, 1.0], row![3, 4, 1.0], row![4, 5, 1.0]])
-            .unwrap();
+        e.extend([
+            row![1, 2, 1.0],
+            row![2, 3, 1.0],
+            row![3, 4, 1.0],
+            row![4, 5, 1.0],
+        ])
+        .unwrap();
         db.create_table("E", e).unwrap();
         arm_concurrent_reader();
         let out = db
@@ -522,7 +537,11 @@ mod tests {
         let report = take_concurrent_report().expect("armed execute stashes a report");
         assert!(report.polls >= 1);
         assert!(!report.generations.is_empty());
-        assert!(report.anomalies.is_empty(), "anomalies: {:?}", report.anomalies);
+        assert!(
+            report.anomalies.is_empty(),
+            "anomalies: {:?}",
+            report.anomalies
+        );
         // one-shot: the next execute is unwatched
         db.execute("select * from E").unwrap();
         assert!(take_concurrent_report().is_none());

@@ -28,8 +28,11 @@ pub enum Sql99System {
 }
 
 impl Sql99System {
-    pub const ALL: [Sql99System; 3] =
-        [Sql99System::PostgreSql, Sql99System::Db2, Sql99System::Oracle];
+    pub const ALL: [Sql99System; 3] = [
+        Sql99System::PostgreSql,
+        Sql99System::Db2,
+        Sql99System::Oracle,
+    ];
 
     pub fn name(self) -> &'static str {
         match self {
@@ -123,9 +126,7 @@ impl Feature {
             Feature::MultipleInitialQueries => "Multiple queries: initial step",
             Feature::MultipleRecursiveQueries => "Multiple queries: recursive step",
             Feature::SetOpsBetweenInitialQueries => "Set ops between initial queries",
-            Feature::UnionAcrossInitialAndRecursive => {
-                "union across initial & recursive queries"
-            }
+            Feature::UnionAcrossInitialAndRecursive => "union across initial & recursive queries",
             Feature::SetOpsBetweenRecursiveQueries => "Set ops between recursive queries",
             Feature::Negation => "Negation",
             Feature::AggregateFunctions => "Aggregate functions",
@@ -423,7 +424,11 @@ mod tests {
             "with P(ID) as ((select ID from V) union by update ID (select P.ID from P)) select * from P",
         );
         for sys in Sql99System::ALL {
-            assert!(Sql99Engine::new(sys).validate(&w).is_err(), "{}", sys.name());
+            assert!(
+                Sql99Engine::new(sys).validate(&w).is_err(),
+                "{}",
+                sys.name()
+            );
         }
     }
 
@@ -460,7 +465,9 @@ mod tests {
                 from P, E where P.ID = E.F and P.L < 10))\
              select P.ID, P.W from P where P.L = 10",
         );
-        assert!(Sql99Engine::new(Sql99System::PostgreSql).validate(&w).is_ok());
+        assert!(Sql99Engine::new(Sql99System::PostgreSql)
+            .validate(&w)
+            .is_ok());
         assert!(Sql99Engine::new(Sql99System::Oracle).validate(&w).is_err());
         assert!(Sql99Engine::new(Sql99System::Db2).validate(&w).is_err());
     }

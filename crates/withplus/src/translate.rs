@@ -39,11 +39,7 @@ impl DatalogGen {
     fn scan_atom(&self, table: &str) -> Atom {
         if table.eq_ignore_ascii_case(&self.rec) {
             Atom::new(self.rec.clone()).at(Temporal::Var)
-        } else if self
-            .defs
-            .iter()
-            .any(|d| d.eq_ignore_ascii_case(table))
-        {
+        } else if self.defs.iter().any(|d| d.eq_ignore_ascii_case(table)) {
             Atom::new(table.to_string()).at(Temporal::Succ)
         } else {
             Atom::new(table.to_string())
@@ -56,9 +52,7 @@ impl DatalogGen {
             Plan::Scan { table, .. } => self.scan_atom(table),
             Plan::Values(_) => Atom::new("values"),
             // monotone unary operators preserve the dependency structure
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct(input) => {
+            Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Distinct(input) => {
                 // `distinct` is a (benign) duplicate-eliminating negation in
                 // the paper's Table 1 discussion, but it never loses tuples
                 // of the *set* semantics, so we treat it as monotone like
@@ -122,8 +116,7 @@ impl DatalogGen {
         match union {
             UnionMode::All | UnionMode::Distinct => {
                 // R(s(T)) :- R(T).   R(s(T)) :- Δ_i(s(T)).
-                self.rules
-                    .push(Rule::new(rec_succ.clone(), vec![rec_var]));
+                self.rules.push(Rule::new(rec_succ.clone(), vec![rec_var]));
                 for d in delta_atoms {
                     self.rules.push(Rule::new(rec_succ.clone(), vec![d]));
                 }

@@ -55,7 +55,7 @@ fn computed_by_on_initial_subquery() {
              select * from R",
         )
         .unwrap();
-        assert_eq!(out.relation.len(), 4);
+    assert_eq!(out.relation.len(), 4);
 }
 
 #[test]
@@ -99,25 +99,30 @@ fn string_labels_flow_through() {
 fn least_greatest_and_arithmetic_soup() {
     let mut d = db();
     let out = d
-        .execute(
-            "select V.ID, greatest(least(V.vw * 2, 5.0), 1.5) from V where V.ID <= 2",
-        )
+        .execute("select V.ID, greatest(least(V.vw * 2, 5.0), 1.5) from V where V.ID <= 2")
         .unwrap();
-    let vals: Vec<f64> = out.relation.iter().map(|r| r[1].as_f64().unwrap()).collect();
+    let vals: Vec<f64> = out
+        .relation
+        .iter()
+        .map(|r| r[1].as_f64().unwrap())
+        .collect();
     assert_eq!(vals, vec![2.0, 4.0]);
 }
 
 #[test]
 fn profiles_agree_on_a_mixed_query() {
-    let sql = "select E.T, sum(E.ew), count(*) from E, V where E.F = V.ID and V.vw >= 1.0 group by E.T";
+    let sql =
+        "select E.T, sum(E.ew), count(*) from E, V where E.F = V.ID and V.vw >= 1.0 group by E.T";
     let mut base: Option<Vec<Vec<String>>> = None;
     for p in all_profiles() {
         let mut d = Database::new(p.clone());
         let mut e = Relation::new(edge_schema());
-        e.extend([row![1, 2, 1.0], row![2, 3, 2.0], row![1, 3, 4.0]]).unwrap();
+        e.extend([row![1, 2, 1.0], row![2, 3, 2.0], row![1, 3, 4.0]])
+            .unwrap();
         d.create_table("E", e).unwrap();
         let mut v = Relation::new(node_schema());
-        v.extend([row![1, 1.0], row![2, 2.0], row![3, 3.0]]).unwrap();
+        v.extend([row![1, 1.0], row![2, 2.0], row![3, 3.0]])
+            .unwrap();
         d.create_table("V", v).unwrap();
         let out = d.execute(sql).unwrap();
         let mut rows: Vec<Vec<String>> = out
@@ -200,9 +205,7 @@ fn having_filters_groups() {
         .unwrap();
     assert_eq!(out.relation.len(), 4);
     let out = d
-        .execute(
-            "select E.T, sum(E.ew) as total from E group by E.T having total > 1.5",
-        )
+        .execute("select E.T, sum(E.ew) as total from E group by E.T having total > 1.5")
         .unwrap();
     // targets: 2 gets 1.0 + 0.5, 3 gets 2.0, 4 gets 3.0
     assert_eq!(out.relation.len(), 2);
@@ -211,9 +214,7 @@ fn having_filters_groups() {
 #[test]
 fn having_without_grouping_rejected() {
     let mut d = db();
-    assert!(d
-        .execute("select V.ID from V having V.ID > 1")
-        .is_err());
+    assert!(d.execute("select V.ID from V having V.ID > 1").is_err());
 }
 
 #[test]
@@ -221,7 +222,9 @@ fn having_roundtrips_through_display() {
     use aio_withplus::{Parser, Statement};
     let sql = "select E.F, count(*) as c from E group by E.F having c > 2";
     let first = Parser::parse_statement(sql).unwrap();
-    let Statement::Select(s) = &first else { panic!() };
+    let Statement::Select(s) = &first else {
+        panic!()
+    };
     let second = Parser::parse_statement(&s.to_string()).unwrap();
     assert_eq!(first, second);
 }

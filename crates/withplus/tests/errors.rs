@@ -11,7 +11,8 @@ fn db() -> Database {
     e.extend([row![1, 2, 1.0], row![2, 3, 1.0]]).unwrap();
     db.create_table("E", e).unwrap();
     let mut v = Relation::new(node_schema());
-    v.extend([row![1, 0.0], row![2, 0.0], row![3, 0.0]]).unwrap();
+    v.extend([row![1, 0.0], row![2, 0.0], row![3, 0.0]])
+        .unwrap();
     db.create_table("V", v).unwrap();
     db
 }
@@ -19,11 +20,15 @@ fn db() -> Database {
 #[test]
 fn lexer_errors() {
     let mut d = db();
-    for sql in ["select 'open from V", "select : from V", "select a ! b from V"] {
-        assert!(matches!(
-            d.execute(sql),
-            Err(WithPlusError::Parse { .. })
-        ), "{sql}");
+    for sql in [
+        "select 'open from V",
+        "select : from V",
+        "select a ! b from V",
+    ] {
+        assert!(
+            matches!(d.execute(sql), Err(WithPlusError::Parse { .. })),
+            "{sql}"
+        );
     }
 }
 

@@ -64,6 +64,9 @@ fn main() {
              select * from D",
         )
         .unwrap();
-    println!("shortest distances from node 0:\n{}", sssp.relation.display(10));
+    println!(
+        "shortest distances from node 0:\n{}",
+        sssp.relation.display(10)
+    );
     println!("physical work: {}", sssp.stats.exec.summary());
 }

@@ -789,10 +789,11 @@ mod tests {
                 Tree::Node(l, r) => 1 + depth(l).max(depth(r)),
             }
         }
-        let s = (0i64..10).prop_map(Tree::Leaf).prop_recursive(3, 16, 2, |inner| {
-            (inner.clone(), inner)
-                .prop_map(|(l, r)| Tree::Node(Box::new(l), Box::new(r)))
-        });
+        let s = (0i64..10)
+            .prop_map(Tree::Leaf)
+            .prop_recursive(3, 16, 2, |inner| {
+                (inner.clone(), inner).prop_map(|(l, r)| Tree::Node(Box::new(l), Box::new(r)))
+            });
         let mut r = rng();
         for _ in 0..50 {
             assert!(depth(&s.new_value(&mut r)) <= 3);

@@ -60,8 +60,8 @@ pub use aio_withplus as withplus;
 /// The set of names most programs want in scope.
 pub mod prelude {
     pub use aio_algebra::{
-        all_profiles, db2_like, oracle_like, postgres_like, AntiJoinImpl, EngineProfile,
-        Semiring, UbuImpl, BOOLEAN, COUNTING, TROPICAL,
+        all_profiles, db2_like, oracle_like, postgres_like, AntiJoinImpl, EngineProfile, Semiring,
+        UbuImpl, BOOLEAN, COUNTING, TROPICAL,
     };
     pub use aio_graph::{generate, DatasetSpec, Graph, GraphKind, DATASETS};
     pub use aio_storage::{

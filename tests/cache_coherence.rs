@@ -49,7 +49,11 @@ fn schema() -> Schema {
 /// column changes type from row to row.
 fn gen_row(x: u64) -> Row {
     let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
-    let k = if h.is_multiple_of(11) { Value::Null } else { Value::Int((h % 7) as i64) };
+    let k = if h.is_multiple_of(11) {
+        Value::Null
+    } else {
+        Value::Int((h % 7) as i64)
+    };
     let f = match (h >> 4) % 6 {
         0 => Value::Null,
         1 => Value::Float(f64::NAN),
@@ -71,7 +75,9 @@ fn gen_row(x: u64) -> Row {
 }
 
 fn rows(seed: u8, n: u8) -> Vec<Row> {
-    (0..n as u64).map(|i| gen_row(seed as u64 * 31 + i)).collect()
+    (0..n as u64)
+        .map(|i| gen_row(seed as u64 * 31 + i))
+        .collect()
 }
 
 fn relation(seed: u8, n: u8) -> Relation {
@@ -109,9 +115,16 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
     match kind {
         0 => cat.insert_rows(name, rows(a, n), WalPolicy::None).unwrap(),
         1 => {
-            let dels = cat.relation(name).unwrap().rows().iter().take(n as usize / 2).cloned();
+            let dels = cat
+                .relation(name)
+                .unwrap()
+                .rows()
+                .iter()
+                .take(n as usize / 2)
+                .cloned();
             let dels: Vec<Row> = dels.collect();
-            cat.apply_delta(name, rows(a, n % 3), dels, WalPolicy::None).unwrap();
+            cat.apply_delta(name, rows(a, n % 3), dels, WalPolicy::None)
+                .unwrap();
         }
         2 => cat.truncate(name).unwrap(),
         3 => {
@@ -122,7 +135,9 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
             }
             rel.push(gen_row(a as u64 + 1)).unwrap();
         }
-        4 => cat.create_or_replace(name, relation(a, n), a % 2 == 1).unwrap(),
+        4 => cat
+            .create_or_replace(name, relation(a, n), a % 2 == 1)
+            .unwrap(),
         5 => {
             if !cat.contains(other) {
                 cat.rename_table(name, other).unwrap();
@@ -146,7 +161,15 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
             );
         }
         11 => {
-            let _ = ubu_merge_improve(cat, name, keyed_delta(a, n), &[0], 1, a.is_multiple_of(2), &mut stats);
+            let _ = ubu_merge_improve(
+                cat,
+                name,
+                keyed_delta(a, n),
+                &[0],
+                1,
+                a.is_multiple_of(2),
+                &mut stats,
+            );
         }
         _ => warm(cat, name, a),
     }
@@ -158,7 +181,8 @@ fn warm(cat: &mut Catalog, name: &str, a: u8) {
     cat.columnar(name).unwrap();
     let cols = KEYS[a as usize % KEYS.len()];
     cat.trie_for(name, cols).unwrap();
-    cat.trie_for(name, KEYS[(a as usize + 1) % KEYS.len()]).unwrap();
+    cat.trie_for(name, KEYS[(a as usize + 1) % KEYS.len()])
+        .unwrap();
     cat.build_index(name, cols).unwrap();
     cat.analyze(name).unwrap();
 }
@@ -184,10 +208,20 @@ fn assert_same_image(got: &Batch, want: &Batch, ctx: &str) {
                 | (ColumnVec::Mixed(_), ColumnVec::Mixed(_))
         );
         assert!(same_layout, "{ctx}: column {c} layout {g:?} vs {w:?}");
-        if let (ColumnVec::Str { ids: gi, dict: gd, .. }, ColumnVec::Str { ids: wi, dict: wd, .. }) =
-            (g, w)
+        if let (
+            ColumnVec::Str {
+                ids: gi, dict: gd, ..
+            },
+            ColumnVec::Str {
+                ids: wi, dict: wd, ..
+            },
+        ) = (g, w)
         {
-            assert_eq!((gi, gd.strings()), (wi, wd.strings()), "{ctx}: column {c} dictionary");
+            assert_eq!(
+                (gi, gd.strings()),
+                (wi, wd.strings()),
+                "{ctx}: column {c} dictionary"
+            );
         }
         for i in 0..want.len() {
             assert!(
@@ -247,11 +281,18 @@ impl Pinned {
                 (n, rows)
             })
             .collect();
-        Pinned { fork: cat.fork_readonly(), rows }
+        Pinned {
+            fork: cat.fork_readonly(),
+            rows,
+        }
     }
 
     fn assert_unmoved(&self, ctx: &str) {
-        assert_eq!(self.fork.names().len(), self.rows.len(), "{ctx}: fork tables");
+        assert_eq!(
+            self.fork.names().len(),
+            self.rows.len(),
+            "{ctx}: fork tables"
+        );
         for (name, rows) in &self.rows {
             let ctx = format!("{ctx}: pinned {name}");
             let e = self.fork.entry(name).unwrap();
@@ -259,7 +300,11 @@ impl Pinned {
             let mut pre = Relation::new(e.rel.schema().clone());
             pre.extend(rows.iter().cloned()).unwrap();
             // reads through the fork — cached or rebuilt — see its own rows
-            assert_same_image(&self.fork.columnar(name).unwrap(), &Batch::from_relation(&pre), &ctx);
+            assert_same_image(
+                &self.fork.columnar(name).unwrap(),
+                &Batch::from_relation(&pre),
+                &ctx,
+            );
             assert!(
                 *self.fork.trie_for(name, KEYS[0]).unwrap() == TrieIndex::build(&pre, KEYS[0]),
                 "{ctx}: trie"

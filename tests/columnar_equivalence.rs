@@ -31,7 +31,11 @@ fn edges(n: std::ops::Range<usize>) -> impl Strategy<Value = Relation> {
                 } else {
                     (Value::Int(f), Value::Int(t))
                 };
-                let w = if wnul == 0 { Value::Null } else { Value::Float(w) };
+                let w = if wnul == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(w)
+                };
                 r.push(vec![f, t, w].into_boxed_slice()).unwrap();
             }
             r
@@ -71,11 +75,7 @@ fn plan_for(shape: u8, jt: JoinType, thresh: f64) -> Plan {
             items: vec![
                 (ScalarExpr::col("E1.F"), "F".into()),
                 (
-                    ScalarExpr::binary(
-                        BinOp::Mul,
-                        ScalarExpr::col("E1.ew"),
-                        ScalarExpr::lit(2.0),
-                    ),
+                    ScalarExpr::binary(BinOp::Mul, ScalarExpr::col("E1.ew"), ScalarExpr::lit(2.0)),
                     "w2".into(),
                 ),
             ],
@@ -229,7 +229,16 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 const INTS: [i64; 8] = [0, 1, -1, 2, 7, -3, i64::MAX, i64::MIN];
-const FLOATS: [f64; 8] = [0.5, -1.25, 3.0, -0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+const FLOATS: [f64; 8] = [
+    0.5,
+    -1.25,
+    3.0,
+    -0.0,
+    0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
 
 /// `T(k, i, f, s, m)`: an Int key with NULLs (dense: 0..12, sparse: the
 /// same keys spread 1 000 003 apart, so the span dwarfs the row count and
@@ -248,7 +257,11 @@ fn typed_table(picks: &[(u8, u8, u8, u8, u8)], sparse: bool, tile: bool) -> Rela
     ]);
     let null_or = |pick: u8, v: Value| if pick % 8 == 7 { Value::Null } else { v };
     let mut rel = Relation::new(schema);
-    let copies = if tile && !picks.is_empty() { 4200usize.div_ceil(picks.len()) } else { 1 };
+    let copies = if tile && !picks.is_empty() {
+        4200usize.div_ceil(picks.len())
+    } else {
+        1
+    };
     for copy in 0..copies {
         for &(k, i, f, s, m) in picks {
             // every copy draws different values, so morsel partials differ
@@ -313,11 +326,16 @@ fn expr_tree(choices: &mut impl Iterator<Item = u8>, depth: u8) -> ScalarExpr {
 /// aggregates over the whole table.
 fn plans_over(e: &ScalarExpr) -> Vec<Plan> {
     let agg = |f: AggFunc| ScalarExpr::Agg(f, Box::new(e.clone()));
-    let mut aggs: Vec<(ScalarExpr, String)> =
-        [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count, AggFunc::Avg]
-            .into_iter()
-            .map(|f| (agg(f), f.to_string()))
-            .collect();
+    let mut aggs: Vec<(ScalarExpr, String)> = [
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Count,
+        AggFunc::Avg,
+    ]
+    .into_iter()
+    .map(|f| (agg(f), f.to_string()))
+    .collect();
     aggs.push((
         ScalarExpr::binary(
             BinOp::Add,
@@ -331,14 +349,21 @@ fn plans_over(e: &ScalarExpr) -> Vec<Plan> {
     vec![
         Plan::Project {
             input: Box::new(Plan::scan("T")),
-            items: vec![(ScalarExpr::col("T.k"), "k".into()), (e.clone(), "e".into())],
+            items: vec![
+                (ScalarExpr::col("T.k"), "k".into()),
+                (e.clone(), "e".into()),
+            ],
         },
         Plan::Aggregate {
             input: Box::new(Plan::scan("T")),
             group_by: vec!["T.k".into()],
             items: grouped,
         },
-        Plan::Aggregate { input: Box::new(Plan::scan("T")), group_by: vec![], items: aggs },
+        Plan::Aggregate {
+            input: Box::new(Plan::scan("T")),
+            group_by: vec![],
+            items: aggs,
+        },
     ]
 }
 
@@ -368,7 +393,11 @@ fn assert_row_identical(plan: &Plan, c: &Catalog, what: &str) -> Result<(), Test
                 for (r, b) in row.iter().zip(batch.iter()) {
                     prop_assert!(
                         r.iter().zip(b.iter()).all(|(x, y)| same_bits(x, y)),
-                        "{} par={}: row {:?} vs batch {:?}", what, par, r, b
+                        "{} par={}: row {:?} vs batch {:?}",
+                        what,
+                        par,
+                        r,
+                        b
                     );
                 }
                 prop_assert_eq!(row_stats, batch_stats, "{} par={}", what, par);
@@ -378,7 +407,11 @@ fn assert_row_identical(plan: &Plan, c: &Catalog, what: &str) -> Result<(), Test
             }
             (row, batch) => prop_assert!(
                 false,
-                "{} par={}: row {:?} vs batch {:?}", what, par, row.map(|r| r.0), batch.map(|r| r.0)
+                "{} par={}: row {:?} vs batch {:?}",
+                what,
+                par,
+                row.map(|r| r.0),
+                batch.map(|r| r.0)
             ),
         }
     }
@@ -398,7 +431,11 @@ fn assert_evaluator_exact(e: &ScalarExpr, rel: &Relation) -> Result<bool, TestCa
         let want = bound.eval(row);
         prop_assert!(
             matches!(&want, Ok(w) if same_bits(w, &col.value(i))),
-            "{} on {:?}: row engine {:?}, column kernel {:?}", e, row, want, col.value(i)
+            "{} on {:?}: row engine {:?}, column kernel {:?}",
+            e,
+            row,
+            want,
+            col.value(i)
         );
     }
     Ok(true)
@@ -438,8 +475,9 @@ proptest! {
 /// row-major fallback fails.
 #[test]
 fn declined_expressions_take_the_row_path_and_agree() {
-    let picks: Vec<(u8, u8, u8, u8, u8)> =
-        (0..60u8).map(|x| (x.wrapping_mul(7), x, x.wrapping_mul(5), x % 8, x)).collect();
+    let picks: Vec<(u8, u8, u8, u8, u8)> = (0..60u8)
+        .map(|x| (x.wrapping_mul(7), x, x.wrapping_mul(5), x % 8, x))
+        .collect();
     let rel = typed_table(&picks, false, false);
     let col = ScalarExpr::col;
     let bin = ScalarExpr::binary;
@@ -452,7 +490,11 @@ fn declined_expressions_take_the_row_path_and_agree() {
         ScalarExpr::Func(Func::Least, vec![col("T.i"), col("T.f")]), // result type varies per row
         ScalarExpr::Func(Func::Greatest, vec![]),
         ScalarExpr::Func(Func::Sqrt, vec![col("T.f")]),
-        bin(BinOp::Add, col("T.f"), ScalarExpr::Func(Func::Random, vec![])),
+        bin(
+            BinOp::Add,
+            col("T.f"),
+            ScalarExpr::Func(Func::Random, vec![]),
+        ),
         bin(BinOp::Lt, col("T.i"), col("T.f")),
         bin(BinOp::Add, col("T.f"), ScalarExpr::lit("x")),
     ];
@@ -460,12 +502,19 @@ fn declined_expressions_take_the_row_path_and_agree() {
         bin(BinOp::Div, col("T.i"), ScalarExpr::lit(2.0)),
         bin(BinOp::Mul, col("T.i"), col("T.f")),
         bin(BinOp::Add, col("T.f"), ScalarExpr::Lit(Value::Null)),
-        ScalarExpr::Func(Func::Least, vec![col("T.f"), ScalarExpr::lit(f64::NAN), col("T.f")]),
+        ScalarExpr::Func(
+            Func::Least,
+            vec![col("T.f"), ScalarExpr::lit(f64::NAN), col("T.f")],
+        ),
         ScalarExpr::Unary(UnaryOp::Neg, Box::new(col("T.i"))),
     ];
     let mut c = Catalog::new();
     c.create_table("T", rel.clone()).unwrap();
-    for (e, want) in declined.iter().map(|e| (e, false)).chain(accepted.iter().map(|e| (e, true))) {
+    for (e, want) in declined
+        .iter()
+        .map(|e| (e, false))
+        .chain(accepted.iter().map(|e| (e, true)))
+    {
         assert_eq!(assert_evaluator_exact(e, &rel).unwrap(), want, "{e}");
         if e.is_deterministic() {
             for plan in plans_over(e) {
@@ -510,17 +559,25 @@ fn sssp_case(profile: &EngineProfile) -> (Database, String) {
     };
     for v in 0..side * side {
         edges.push((v, v, 0.0));
-        for to in [(v % side + 1 < side).then_some(v + 1), (v + side < side * side).then_some(v + side)]
-            .into_iter()
-            .flatten()
+        for to in [
+            (v % side + 1 < side).then_some(v + 1),
+            (v + side < side * side).then_some(v + side),
+        ]
+        .into_iter()
+        .flatten()
         {
             let w = weight();
             edges.extend([(v, to, w), (to, v, w)]);
         }
     }
     let mut g = Graph::from_edges((side * side) as usize, &edges, true);
-    g.node_weights = (0..side * side).map(|v| if v == 0 { 0.0 } else { f64::INFINITY }).collect();
-    (db_for(&g, profile, EdgeStyle::Raw).unwrap(), SSSP_SQL.to_string())
+    g.node_weights = (0..side * side)
+        .map(|v| if v == 0 { 0.0 } else { f64::INFINITY })
+        .collect();
+    (
+        db_for(&g, profile, EdgeStyle::Raw).unwrap(),
+        SSSP_SQL.to_string(),
+    )
 }
 
 /// `R` after *every* iteration is bit-identical under `Row` and `Batch`:
@@ -529,14 +586,26 @@ fn sssp_case(profile: &EngineProfile) -> (Database, String) {
 #[test]
 fn fixpoint_iterations_are_bit_identical_row_vs_batch() {
     for case in [pagerank_case, sssp_case] {
-        let base = oracle_like().with_optimizer(Optimizer::Cost).with_snapshots(true);
+        let base = oracle_like()
+            .with_optimizer(Optimizer::Cost)
+            .with_snapshots(true);
         let (mut row_db, sql) = case(&base);
         let (mut batch_db, _) = case(&base.clone().with_exec(ExecMode::Batch));
         let row = row_db.execute(&sql).unwrap();
         let batch = batch_db.execute(&sql).unwrap();
         assert!(row.stats.snapshots.len() >= 8, "{sql}");
-        assert_eq!(row.stats.snapshots.len(), batch.stats.snapshots.len(), "{sql}");
-        for (it, (r, b)) in row.stats.snapshots.iter().zip(&batch.stats.snapshots).enumerate() {
+        assert_eq!(
+            row.stats.snapshots.len(),
+            batch.stats.snapshots.len(),
+            "{sql}"
+        );
+        for (it, (r, b)) in row
+            .stats
+            .snapshots
+            .iter()
+            .zip(&batch.stats.snapshots)
+            .enumerate()
+        {
             assert_eq!(r.len(), b.len(), "iteration {it}");
             for (x, y) in r.iter().zip(b.iter()) {
                 assert!(
@@ -546,7 +615,11 @@ fn fixpoint_iterations_are_bit_identical_row_vs_batch() {
             }
         }
         assert!(
-            sql != SSSP_SQL || row.relation.iter().all(|r| r[1].as_f64().unwrap().is_finite()),
+            sql != SSSP_SQL
+                || row
+                    .relation
+                    .iter()
+                    .all(|r| r[1].as_f64().unwrap().is_finite()),
             "the lattice is connected: every +inf must have been relaxed"
         );
     }
@@ -559,17 +632,28 @@ fn fixpoint_iterations_are_bit_identical_row_vs_batch() {
 #[test]
 fn mv_join_aggregate_stays_on_the_column_kernel() {
     use all_in_one::trace::FieldValue;
-    let best = oracle_like().with_optimizer(Optimizer::Cost).with_exec(ExecMode::Batch);
+    let best = oracle_like()
+        .with_optimizer(Optimizer::Cost)
+        .with_exec(ExecMode::Batch);
     for case in [pagerank_case, sssp_case] {
         let (mut db, sql) = case(&best);
         let out = db.explain_analyze_opts(&sql, false).unwrap();
-        let aggregates: Vec<_> =
-            out.trace.spans.iter().filter(|s| s.name == "aggregate").collect();
-        assert!(aggregates.len() >= 8, "one MV-join aggregate per iteration:\n{}", out.report);
+        let aggregates: Vec<_> = out
+            .trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "aggregate")
+            .collect();
+        assert!(
+            aggregates.len() >= 8,
+            "one MV-join aggregate per iteration:\n{}",
+            out.report
+        );
         for span in aggregates {
             assert!(
                 matches!(span.field("typed"), Some(FieldValue::Bool(true))),
-                "scratch-row fallback on the hot aggregate:\n{}", out.report
+                "scratch-row fallback on the hot aggregate:\n{}",
+                out.report
             );
         }
         assert!(out.report.contains("typed=true"), "{}", out.report);

@@ -118,9 +118,16 @@ fn assert_batch_prefix(e: &Relation, rows: &[Row], ctx: &str) {
         n == rows.len() || n.is_multiple_of(BATCH),
         "{ctx}: recovered E has {n} rows — not a whole-batch prefix"
     );
-    assert!(n <= rows.len(), "{ctx}: recovered E has {n} > {} rows", rows.len());
+    assert!(
+        n <= rows.len(),
+        "{ctx}: recovered E has {n} > {} rows",
+        rows.len()
+    );
     for (i, r) in e.iter().enumerate() {
-        assert_eq!(r, &rows[i], "{ctx}: recovered E row {i} differs from the load order");
+        assert_eq!(
+            r, &rows[i],
+            "{ctx}: recovered E row {i} differs from the load order"
+        );
     }
 }
 
@@ -143,7 +150,11 @@ fn check_crash_point(k: u64, fate: UnsyncedFate, rows: &[Row], oracle: &AlgoResu
         assert_batch_prefix(db.catalog.relation("E").unwrap(), rows, &ctx);
     }
     if db.catalog.contains("V") {
-        assert_eq!(db.catalog.relation("V").unwrap().len(), NODES, "{ctx}: V truncated");
+        assert_eq!(
+            db.catalog.relation("V").unwrap().len(),
+            NODES,
+            "{ctx}: V truncated"
+        );
     }
 
     // Invariant 3: an interrupted fixpoint resumes to the oracle's answer.
@@ -154,7 +165,13 @@ fn check_crash_point(k: u64, fate: UnsyncedFate, rows: &[Row], oracle: &AlgoResu
             .expect("interrupted implies resumable");
         let resumed = node_f64(&out.relation);
         resumed
-            .compare(oracle, &Tolerance::Epsilon { eps: 1e-9, rank_top: 0 })
+            .compare(
+                oracle,
+                &Tolerance::Epsilon {
+                    eps: 1e-9,
+                    rank_top: 0,
+                },
+            )
             .unwrap_or_else(|e| panic!("{ctx}: resumed fixpoint diverges from baseline: {e}"));
     }
 
@@ -182,7 +199,10 @@ fn sweep(stride: u64) {
     let (rows, _) = edge_rows();
     let oracle = baseline();
     let total = total_ops();
-    assert!(total > 40, "workload too small to be interesting: {total} ops");
+    assert!(
+        total > 40,
+        "workload too small to be interesting: {total} ops"
+    );
     let fates = [
         UnsyncedFate::DropAll,
         UnsyncedFate::KeepAll,
@@ -197,7 +217,10 @@ fn sweep(stride: u64) {
         points += 1;
         k += stride;
     }
-    eprintln!("crash sweep: {points} crash points × {} fates over {total} ops", fates.len());
+    eprintln!(
+        "crash sweep: {points} crash points × {} fates over {total} ops",
+        fates.len()
+    );
 }
 
 /// Tier-1: strided sweep (`AIO_CRASH_STRIDE` to tune; default 3).
@@ -247,7 +270,11 @@ fn session_workload(vfs: Arc<SimVfs>) -> all_in_one::withplus::Result<AlgoResult
             let out = reader
                 .query("select * from E")
                 .unwrap_or_else(|e| panic!("{ctx}: pinned snapshot read failed: {e}"));
-            assert_eq!(out.relation.len(), *len, "{ctx}: pinned read changed content");
+            assert_eq!(
+                out.relation.len(),
+                *len,
+                "{ctx}: pinned read changed content"
+            );
         }
     };
 
@@ -317,19 +344,31 @@ fn check_session_crash_point(k: u64, fate: UnsyncedFate, rows: &[Row], oracle: &
             .unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"))
             .expect("interrupted implies resumable");
         node_f64(&out.relation)
-            .compare(oracle, &Tolerance::Epsilon { eps: 1e-9, rank_top: 0 })
+            .compare(
+                oracle,
+                &Tolerance::Epsilon {
+                    eps: 1e-9,
+                    rank_top: 0,
+                },
+            )
             .unwrap_or_else(|e| panic!("{ctx}: resumed fixpoint diverges from baseline: {e}"));
     }
 
     // New invariant: the recovered catalog is immediately session-capable,
     // and a fresh session reads exactly the recovered committed state.
-    let recovered_e = db.catalog.contains("E").then(|| db.catalog.relation("E").unwrap().len());
+    let recovered_e = db
+        .catalog
+        .contains("E")
+        .then(|| db.catalog.relation("E").unwrap().len());
     let shared = SharedDatabase::new(db);
     if let Some(len) = recovered_e {
         let mut s = shared.session();
         let gen = s.begin_read();
         assert_eq!(
-            s.query("select * from E").unwrap_or_else(|e| panic!("{ctx}: post-recovery session read failed: {e}")).relation.len(),
+            s.query("select * from E")
+                .unwrap_or_else(|e| panic!("{ctx}: post-recovery session read failed: {e}"))
+                .relation
+                .len(),
             len,
             "{ctx}: session over recovered catalog (gen {gen}) disagrees with it"
         );
@@ -431,7 +470,8 @@ fn cold_view_rows(v: &Relation, e_state: &[Row]) -> Vec<Row> {
     let mut e = Relation::new(all_in_one::storage::edge_schema());
     e.rows_mut().extend(e_state.iter().cloned());
     db.create_table("E", e).unwrap();
-    db.create_view_with(IVM_VIEW, view_sql(IVM_ALGO), IVM_EPSILON).unwrap();
+    db.create_view_with(IVM_VIEW, view_sql(IVM_ALGO), IVM_EPSILON)
+        .unwrap();
     sorted(db.view_relation(IVM_VIEW).unwrap())
 }
 
@@ -457,7 +497,12 @@ fn ivm_fixture() -> IvmFixture {
     for s in &mut states {
         s.sort();
     }
-    IvmFixture { v, states, deltas, views }
+    IvmFixture {
+        v,
+        states,
+        deltas,
+        views,
+    }
 }
 
 /// The maintained-view workload: open, load V and the base E (the base load
@@ -511,13 +556,12 @@ fn check_ivm_crash_point(k: u64, fate: UnsyncedFate, fx: &IvmFixture) {
     }
 
     // Atomic batches: the recovered E is exactly one per-batch generation.
-    let prefix = fx
-        .states
-        .iter()
-        .position(|s| *s == e)
-        .unwrap_or_else(|| {
-            panic!("{ctx}: recovered E ({} rows) is not a per-batch generation", e.len())
-        });
+    let prefix = fx.states.iter().position(|s| *s == e).unwrap_or_else(|| {
+        panic!(
+            "{ctx}: recovered E ({} rows) is not a per-batch generation",
+            e.len()
+        )
+    });
 
     // Never torn: a materialized view matches the cold recompute for
     // exactly that generation — the view tables commit in the same WAL
@@ -551,7 +595,10 @@ fn ivm_sweep(stride: u64) {
     let vfs = Arc::new(SimVfs::new());
     ivm_workload(vfs.clone(), &fx).expect("counting run must succeed");
     let total = vfs.op_count();
-    assert!(total > 40, "ivm workload too small to be interesting: {total} ops");
+    assert!(
+        total > 40,
+        "ivm workload too small to be interesting: {total} ops"
+    );
     let fates = [
         UnsyncedFate::DropAll,
         UnsyncedFate::KeepAll,
@@ -601,7 +648,10 @@ fn clean_image_recovers_everything() {
     workload(vfs.clone()).unwrap();
     let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
     let (db, report) = Database::open_with_vfs(img, DIR, oracle_like(), None).unwrap();
-    assert!(report.interrupted.is_none(), "completed run must not be interrupted");
+    assert!(
+        report.interrupted.is_none(),
+        "completed run must not be interrupted"
+    );
     assert!(report.corrupt.is_none());
     assert_eq!(db.catalog.relation("E").unwrap().len(), rows.len());
     assert_eq!(db.catalog.relation("V").unwrap().len(), NODES);
@@ -622,8 +672,7 @@ fn recovery_report_matches_golden() {
     let (rows, v) = edge_rows();
     let vfs = Arc::new(SimVfs::new());
     {
-        let (mut db, _) =
-            Database::open_with_vfs(vfs.clone(), DIR, oracle_like(), None).unwrap();
+        let (mut db, _) = Database::open_with_vfs(vfs.clone(), DIR, oracle_like(), None).unwrap();
         db.create_table("V", v).unwrap();
         db.create_table("E", empty_like(&rows)).unwrap();
         db.catalog
@@ -638,7 +687,10 @@ fn recovery_report_matches_golden() {
             .wal_run_begin("P", &pagerank::sql(PR_ITERS), &[("c".into(), 0.85.into())])
             .unwrap();
         db.catalog
-            .create_temp("P", load::node_relation(&generate(GraphKind::PowerLaw, 4, 4, true, 1)))
+            .create_temp(
+                "P",
+                load::node_relation(&generate(GraphKind::PowerLaw, 4, 4, true, 1)),
+            )
             .unwrap();
         db.catalog.wal_commit_iter("P", 1).unwrap();
     }

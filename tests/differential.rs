@@ -80,12 +80,18 @@ fn optimizer_equivalence_smoke() {
     assert_clean(&report);
     // the sweep actually forked cost/rules families
     assert!(
-        report.engine_families.iter().any(|f| f.ends_with(" opt=cost")),
+        report
+            .engine_families
+            .iter()
+            .any(|f| f.ends_with(" opt=cost")),
         "{:?}",
         report.engine_families
     );
     assert!(
-        report.engine_families.iter().any(|f| f.ends_with(" opt=rules")),
+        report
+            .engine_families
+            .iter()
+            .any(|f| f.ends_with(" opt=rules")),
         "{:?}",
         report.engine_families
     );
@@ -133,7 +139,10 @@ fn columnar_equivalence_full_matrix() {
         report.algorithms
     );
     assert!(
-        report.engine_families.iter().any(|f| f.ends_with(" exec=batch")),
+        report
+            .engine_families
+            .iter()
+            .any(|f| f.ends_with(" exec=batch")),
         "{:?}",
         report.engine_families
     );
@@ -156,14 +165,24 @@ fn sessions_matrix_smoke() {
     assert_clean(&report);
     // the axis actually added session runs (and their comparisons) on top
     // of the plain matrix
-    let serial = run_matrix(&corpus, &MatrixConfig { sessions: false, ..cfg });
+    let serial = run_matrix(
+        &corpus,
+        &MatrixConfig {
+            sessions: false,
+            ..cfg
+        },
+    );
     assert!(
         report.runs > serial.runs,
         "sessions axis added no runs: {} vs {}",
         report.runs,
         serial.runs
     );
-    assert!(report.comparisons > serial.comparisons, "{}", report.summary());
+    assert!(
+        report.comparisons > serial.comparisons,
+        "{}",
+        report.summary()
+    );
 }
 
 /// The full sessions matrix: every implemented Table 2 algorithm through a
@@ -188,8 +207,16 @@ fn sessions_full_matrix() {
 #[test]
 fn metamorphic_smoke() {
     let corpus = corpus_graphs();
-    let er = &corpus.iter().find(|g| g.name == "erdos-renyi").unwrap().graph;
-    let dag = &corpus.iter().find(|g| g.name == "citation-dag").unwrap().graph;
+    let er = &corpus
+        .iter()
+        .find(|g| g.name == "erdos-renyi")
+        .unwrap()
+        .graph;
+    let dag = &corpus
+        .iter()
+        .find(|g| g.name == "citation-dag")
+        .unwrap()
+        .graph;
     let p = Params::default();
     for &key in META_ALGOS {
         let g = if key == "tc" { dag } else { er };
@@ -218,8 +245,9 @@ fn metamorphic_full() {
                     continue;
                 }
                 for seed in [1u64, 2, 3] {
-                    check_metamorphic(key, &named.graph, rel, seed, &p)
-                        .unwrap_or_else(|e| panic!("{key}/{rel:?}/{}/seed {seed}: {e}", named.name));
+                    check_metamorphic(key, &named.graph, rel, seed, &p).unwrap_or_else(|e| {
+                        panic!("{key}/{rel:?}/{}/seed {seed}: {e}", named.name)
+                    });
                 }
             }
         }
@@ -254,8 +282,14 @@ fn injected_off_by_one_is_caught_and_shrunk() {
         .expect("the injected fault must diverge on at least one corpus family");
     assert!(fault_hits() > 0, "the fault hook never fired");
 
-    let min = shrink(&CaseGraph::from_graph(&seed_case.graph), faulty_wcc_diverges);
-    assert!(faulty_wcc_diverges(&min.to_graph()), "shrunk case must still fail");
+    let min = shrink(
+        &CaseGraph::from_graph(&seed_case.graph),
+        faulty_wcc_diverges,
+    );
+    assert!(
+        faulty_wcc_diverges(&min.to_graph()),
+        "shrunk case must still fail"
+    );
     assert!(
         min.n <= 8,
         "expected a ≤ 8-node counterexample, got {} nodes / {} edges (from {})",

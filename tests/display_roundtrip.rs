@@ -50,8 +50,8 @@ fn every_algorithm_sql_roundtrips() {
 fn printed_form_is_executable() {
     use all_in_one::prelude::*;
     let g = DatasetSpec::by_key("WV").unwrap().synthesize(0.0002);
-    let mut db = algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank)
-        .unwrap();
+    let mut db =
+        algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank).unwrap();
     db.set_param("c", 0.85);
     db.set_param("n", g.node_count() as f64);
 

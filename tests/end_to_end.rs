@@ -16,13 +16,19 @@ fn every_evaluated_algorithm_runs_on_every_dataset_kind() {
         let profile = oracle_like();
         assert!(algos::sssp::run(&g, &profile, 0).is_ok(), "{key} sssp");
         assert!(algos::wcc::run(&g, &profile).is_ok(), "{key} wcc");
-        assert!(algos::pagerank::run(&g, &profile, 0.85, 5).is_ok(), "{key} pr");
+        assert!(
+            algos::pagerank::run(&g, &profile, 0.85, 5).is_ok(),
+            "{key} pr"
+        );
         assert!(algos::hits::run(&g, &profile, 5).is_ok(), "{key} hits");
         assert!(algos::kcore::run(&g, &profile, 3).is_ok(), "{key} kc");
         assert!(algos::lp::run(&g, &profile, 5).is_ok(), "{key} lp");
         assert!(algos::mis::run(&g, &profile, 7).is_ok(), "{key} mis");
         assert!(algos::mnm::run(&g, &profile).is_ok(), "{key} mnm");
-        assert!(algos::ks::run(&g, &profile, [0, 1, 2], 4).is_ok(), "{key} ks");
+        assert!(
+            algos::ks::run(&g, &profile, [0, 1, 2], 4).is_ok(),
+            "{key} ks"
+        );
         if key == "PC" {
             assert!(algos::toposort::run(&g, &profile).is_ok(), "{key} ts");
         }
@@ -86,12 +92,16 @@ fn sql99_engine_rejects_what_with_plus_accepts() {
     // every emulated system rejects the Fig. 3 program (union by update +
     // aggregation inside recursion)…
     for sys in Sql99System::ALL {
-        assert!(Sql99Engine::new(sys).validate(&w).is_err(), "{}", sys.name());
+        assert!(
+            Sql99Engine::new(sys).validate(&w).is_err(),
+            "{}",
+            sys.name()
+        );
     }
     // …while with+ happily certifies it via Theorem 5.1
     let g = DatasetSpec::by_key("WV").unwrap().synthesize(SCALE);
-    let mut db = algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank)
-        .unwrap();
+    let mut db =
+        algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank).unwrap();
     db.set_param("c", 0.85);
     db.set_param("n", g.node_count() as f64);
     let compiled = db.prepare(&pr).unwrap();
@@ -102,7 +112,12 @@ fn sql99_engine_rejects_what_with_plus_accepts() {
 fn union_by_update_impl_choice_does_not_change_results() {
     let g = DatasetSpec::by_key("WV").unwrap().synthesize(SCALE);
     let mut base: Option<std::collections::BTreeMap<i64, i64>> = None;
-    for imp in [UbuImpl::Merge, UbuImpl::FullOuterJoin, UbuImpl::DropAlter, UbuImpl::UpdateFrom] {
+    for imp in [
+        UbuImpl::Merge,
+        UbuImpl::FullOuterJoin,
+        UbuImpl::DropAlter,
+        UbuImpl::UpdateFrom,
+    ] {
         let mut db =
             algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::WithLoops(1.0))
                 .unwrap();
@@ -133,7 +148,11 @@ fn union_by_update_impl_choice_does_not_change_results() {
 fn anti_join_impl_choice_does_not_change_toposort() {
     let g = DatasetSpec::by_key("PC").unwrap().synthesize(SCALE);
     let mut base: Option<Vec<(i64, i64)>> = None;
-    for imp in [AntiJoinImpl::NotExists, AntiJoinImpl::LeftOuterNull, AntiJoinImpl::NotIn] {
+    for imp in [
+        AntiJoinImpl::NotExists,
+        AntiJoinImpl::LeftOuterNull,
+        AntiJoinImpl::NotIn,
+    ] {
         let mut db =
             algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::Raw).unwrap();
         db.anti_impl = imp;
@@ -161,9 +180,15 @@ fn run_stats_expose_operator_counts() {
     let (_, pr) = algos::pagerank::run(&g, &oracle_like(), 0.85, iters).unwrap();
     let (_, hits) = algos::hits::run(&g, &oracle_like(), iters).unwrap();
     assert_eq!(pr.stats.exec.union_by_updates as usize, iters);
-    assert_eq!(pr.stats.exec.joins as usize, iters, "1 MV-join per iteration");
+    assert_eq!(
+        pr.stats.exec.joins as usize, iters,
+        "1 MV-join per iteration"
+    );
     assert_eq!(pr.stats.exec.aggregations as usize, iters);
-    assert!(hits.stats.exec.joins as usize >= 3 * iters, "2 MV-joins + 1 θ-join");
+    assert!(
+        hits.stats.exec.joins as usize >= 3 * iters,
+        "2 MV-joins + 1 θ-join"
+    );
     assert!(hits.stats.exec.aggregations as usize >= 3 * iters);
 }
 
@@ -173,8 +198,8 @@ fn early_selection_rewrite_preserves_algorithm_results() {
     // P.L < d) with and without the [41]-style push-down
     let g = DatasetSpec::by_key("WG").unwrap().synthesize(SCALE);
     let run = |level: all_in_one::algebra::Optimizer| {
-        let mut db = algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank)
-            .unwrap();
+        let mut db =
+            algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank).unwrap();
         db.set_optimizer(level);
         db.set_param("c", 0.85);
         db.set_param("n", g.node_count() as f64);

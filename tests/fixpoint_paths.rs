@@ -11,15 +11,27 @@ use all_in_one::withplus::{Database, EdgeDelta, RefreshMode, WithPlusError};
 /// Edges run low → high, so any low → high addition keeps the graph a DAG
 /// (`union all` terminates by emptiness). {0..6} and {7, 8, 9} are not
 /// connected until `GROWN` bridges them.
-const BASE: &[(i64, i64)] =
-    &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 5), (5, 6), (7, 8), (8, 9), (7, 9)];
+const BASE: &[(i64, i64)] = &[
+    (0, 1),
+    (0, 2),
+    (1, 3),
+    (2, 3),
+    (3, 4),
+    (2, 5),
+    (5, 6),
+    (7, 8),
+    (8, 9),
+    (7, 9),
+];
 const GROWN: &[(i64, i64)] = &[(4, 7), (0, 5), (6, 9)];
 const N: i64 = 10;
 
 const ALGOS: &[&str] = &["tc", "tc_all", "sssp", "wcc", "pr"];
 
 fn sql(algo: &str, maxrecursion: Option<usize>) -> String {
-    let cap = maxrecursion.map(|k| format!(" maxrecursion {k}")).unwrap_or_default();
+    let cap = maxrecursion
+        .map(|k| format!(" maxrecursion {k}"))
+        .unwrap_or_default();
     match algo {
         "tc" => format!(
             "with TC(F, T) as ((select E.F, E.T from E) union \
@@ -76,7 +88,8 @@ fn db_over(profile: &EngineProfile, algo: &str, edges: &[(i64, i64)]) -> Databas
     e.extend(e_rows(algo, edges)).unwrap();
     let mut v = Relation::new(node_schema());
     // SSSP seeds: distance 0 at the source, "infinity" elsewhere.
-    v.extend((0..N).map(|id| row![id, if id == 0 { 0.0 } else { 1e18 }])).unwrap();
+    v.extend((0..N).map(|id| row![id, if id == 0 { 0.0 } else { 1e18 }]))
+        .unwrap();
     let mut db = Database::new(profile.clone());
     db.create_table("E", e).unwrap();
     db.create_table("V", v).unwrap();
@@ -125,7 +138,12 @@ fn statement_cold_view_and_refresh_agree_under_every_profile() {
             let mut db = db_over(&profile, algo, BASE);
             let stmt = db.execute(&sql).unwrap().relation;
             db.create_view("fp", &sql).unwrap();
-            assert_same(algo, db.view_relation("fp").unwrap(), &stmt, &format!("{ctx}: cold view"));
+            assert_same(
+                algo,
+                db.view_relation("fp").unwrap(),
+                &stmt,
+                &format!("{ctx}: cold view"),
+            );
 
             db.apply_edges(vec![e_delta(algo, BASE, &grown)]).unwrap();
             let report = db.view_report("fp").unwrap();
@@ -136,10 +154,22 @@ fn statement_cold_view_and_refresh_agree_under_every_profile() {
                 _ => RefreshMode::Full,
             };
             assert_eq!(report.mode, want_mode, "{ctx}");
-            assert!(report.iterations > 0 && report.added + report.changed > 0, "{ctx}: {report:?}");
+            assert!(
+                report.iterations > 0 && report.added + report.changed > 0,
+                "{ctx}: {report:?}"
+            );
             let stmt = db.execute(&sql).unwrap().relation;
-            assert_same(algo, db.view_relation("fp").unwrap(), &stmt, &format!("{ctx}: refreshed"));
-            assert_eq!(db.catalog.names().len(), 4, "{ctx}: temp tables left behind");
+            assert_same(
+                algo,
+                db.view_relation("fp").unwrap(),
+                &stmt,
+                &format!("{ctx}: refreshed"),
+            );
+            assert_eq!(
+                db.catalog.names().len(),
+                4,
+                "{ctx}: temp tables left behind"
+            );
         }
     }
 }
@@ -154,7 +184,11 @@ fn maxrecursion_truncates_statement_and_view_alike() {
             let capped = sql(algo, Some(1));
             let out = db.execute(&capped).unwrap();
             assert_eq!(out.stats.iterations.len(), 1, "{ctx}");
-            assert_ne!(sorted(&out.relation), sorted(&full), "{ctx}: the cap must bite");
+            assert_ne!(
+                sorted(&out.relation),
+                sorted(&full),
+                "{ctx}: the cap must bite"
+            );
             db.create_view("fp", &capped).unwrap();
             assert_same(algo, db.view_relation("fp").unwrap(), &out.relation, &ctx);
         }
@@ -172,12 +206,18 @@ fn empty_seed_refresh_is_a_zero_iteration_no_op() {
         let mut db = db_over(&oracle_like(), algo, BASE);
         db.create_view("fp", &sql(algo, None)).unwrap();
         let before = db.view_relation("fp").unwrap().clone();
-        let deltas = db.apply_edges(vec![EdgeDelta::insert("E", vec![add])]).unwrap();
+        let deltas = db
+            .apply_edges(vec![EdgeDelta::insert("E", vec![add])])
+            .unwrap();
         assert_eq!(deltas.len(), 1, "{algo}: the view reads E, so it refreshes");
         assert!(deltas[0].is_empty(), "{algo}: {:?}", deltas[0]);
         let report = db.view_report("fp").unwrap();
         assert_eq!((report.mode, report.iterations), (mode, 0), "{algo}");
-        assert_eq!(sorted(db.view_relation("fp").unwrap()), sorted(&before), "{algo}");
+        assert_eq!(
+            sorted(db.view_relation("fp").unwrap()),
+            sorted(&before),
+            "{algo}"
+        );
         let stmt = db.execute(&sql(algo, None)).unwrap().relation;
         assert_same(algo, db.view_relation("fp").unwrap(), &stmt, algo);
     }
@@ -192,13 +232,15 @@ fn empty_init_view_builds_refreshes_and_falls_back() {
     assert!(db.catalog.relation("__ivm_state_fp").unwrap().is_empty());
 
     // growth out of nothing resumes from the delta alone
-    db.apply_edges(vec![e_delta("tc", &[], &[(1, 2), (2, 3)])]).unwrap();
+    db.apply_edges(vec![e_delta("tc", &[], &[(1, 2), (2, 3)])])
+        .unwrap();
     assert_eq!(db.view_report("fp").unwrap().mode, RefreshMode::Resume);
     assert_eq!(db.view_relation("fp").unwrap().len(), 3);
 
     // deleting everything is the full fallback over an empty init: the
     // statement's one fruitless iteration, an empty view
-    db.apply_edges(vec![e_delta("tc", &[(1, 2), (2, 3)], &[])]).unwrap();
+    db.apply_edges(vec![e_delta("tc", &[(1, 2), (2, 3)], &[])])
+        .unwrap();
     let report = db.view_report("fp").unwrap().clone();
     assert_eq!((report.mode, report.removed), (RefreshMode::Full, 3));
     assert!(db.view_relation("fp").unwrap().is_empty());
@@ -222,18 +264,32 @@ fn failed_refresh_drops_its_temp_tables_and_leaves_the_view_intact() {
     let view = sorted(db.view_relation("lv").unwrap());
     let state = sorted(db.catalog.relation("__ivm_state_lv").unwrap());
 
-    let err = db.apply_edges(vec![EdgeDelta::insert("E", vec![row![1i64, 3i64, 1.0]])]).unwrap_err();
+    let err = db
+        .apply_edges(vec![EdgeDelta::insert("E", vec![row![1i64, 3i64, 1.0]])])
+        .unwrap_err();
     assert!(
-        matches!(err, WithPlusError::Algebra(AlgebraError::NonUniqueUpdate(_))),
+        matches!(
+            err,
+            WithPlusError::Algebra(AlgebraError::NonUniqueUpdate(_))
+        ),
         "{err:?}"
     );
-    assert_eq!(db.catalog.names(), names, "failed refresh leaked temp tables");
+    assert_eq!(
+        db.catalog.names(),
+        names,
+        "failed refresh leaked temp tables"
+    );
     assert_eq!(sorted(db.view_relation("lv").unwrap()), view);
-    assert_eq!(sorted(db.catalog.relation("__ivm_state_lv").unwrap()), state);
+    assert_eq!(
+        sorted(db.catalog.relation("__ivm_state_lv").unwrap()),
+        state
+    );
 
     // the base delta committed; removing the offending edge again is a
     // valid batch and refreshes normally
-    let deltas = db.apply_edges(vec![EdgeDelta::delete("E", vec![row![1i64, 3i64, 1.0]])]).unwrap();
+    let deltas = db
+        .apply_edges(vec![EdgeDelta::delete("E", vec![row![1i64, 3i64, 1.0]])])
+        .unwrap();
     assert_eq!(deltas.len(), 1);
     assert_eq!(db.catalog.names(), names);
     let stmt = db.execute(sql).unwrap().relation;

@@ -68,7 +68,11 @@ fn wcc_db(g: &Graph) -> Database {
     for (u, v, w) in g.edges() {
         extra.push(row![v as i64, u as i64, w]);
     }
-    db.catalog.relation_mut("E").unwrap().rows_mut().extend(extra);
+    db.catalog
+        .relation_mut("E")
+        .unwrap()
+        .rows_mut()
+        .extend(extra);
     db
 }
 
@@ -206,7 +210,10 @@ fn reports_carry_resource_footer() {
     assert!(rec.contains("cache: trie "), "{rec}");
     assert!(rec.contains(" hits, stats "), "{rec}");
     assert!(rec.contains("peak mem: "), "{rec}");
-    let sel = db.explain_analyze_opts(ACYCLIC_PATH_SQL, false).unwrap().report;
+    let sel = db
+        .explain_analyze_opts(ACYCLIC_PATH_SQL, false)
+        .unwrap()
+        .report;
     assert!(sel.contains("cache: trie "), "{sel}");
     assert!(sel.contains("peak mem: "), "{sel}");
 }

@@ -85,7 +85,11 @@ fn compute_goldens() -> String {
          # away. Regenerate with GOLDEN_WRITE=1 after an intentional\n\
          # execution-shape change.\n",
     );
-    out.push_str(&section("pagerank", &mut pagerank_db(&g, &oracle_like()), &pagerank::sql(5)));
+    out.push_str(&section(
+        "pagerank",
+        &mut pagerank_db(&g, &oracle_like()),
+        &pagerank::sql(5),
+    ));
     let mut db = db_for(&g, &oracle_like(), EdgeStyle::Raw).unwrap();
     out.push_str(&section("tc", &mut db, &tc::sql(8)));
     out
@@ -119,7 +123,10 @@ fn bridging_plan() -> Plan {
         group_by: vec!["E.F".into()],
         items: vec![
             (ScalarExpr::col("E.F"), "F".into()),
-            (ScalarExpr::Agg(AggFunc::Sum, Box::new(ScalarExpr::col("E.ew"))), "s".into()),
+            (
+                ScalarExpr::Agg(AggFunc::Sum, Box::new(ScalarExpr::col("E.ew"))),
+                "s".into(),
+            ),
         ],
     }
 }
@@ -152,7 +159,11 @@ fn compute_batch_goldens() -> String {
          # plus a bridging plan and a multiway join (see golden_spans.rs).\n\
          # Regenerate with GOLDEN_WRITE=1 after an intentional change.\n",
     );
-    out.push_str(&section("pagerank", &mut pagerank_db(&g, &batch), &pagerank::sql(5)));
+    out.push_str(&section(
+        "pagerank",
+        &mut pagerank_db(&g, &batch),
+        &pagerank::sql(5),
+    ));
     let mut db = db_for(&g, &batch, EdgeStyle::Raw).unwrap();
     out.push_str(&section("tc", &mut db, &tc::sql(8)));
     let mut c = Catalog::new();
@@ -222,7 +233,12 @@ fn tc_iteration_deltas_drain_to_the_fixpoint() {
     let g = golden_graph();
     let mut db = db_for(&g, &oracle_like(), EdgeStyle::Raw).unwrap();
     let out = db.execute(&tc::sql(20)).unwrap();
-    let deltas: Vec<usize> = out.stats.iterations.iter().map(|it| it.delta_rows).collect();
+    let deltas: Vec<usize> = out
+        .stats
+        .iterations
+        .iter()
+        .map(|it| it.delta_rows)
+        .collect();
     // Known convergence on the 10-node DAG: the seminaive working delta
     // (new length-(k+1) paths, counted per middle vertex before the union's
     // dedup) shrinks every round and the loop stops when it drains.

@@ -59,9 +59,10 @@ fn render(r: &AlgoResult) -> String {
         AlgoResult::NodeI64(m) => m.iter().map(|(k, v)| format!("{k} {v}")).collect(),
         AlgoResult::NodeSet(s) => s.iter().map(|k| k.to_string()).collect(),
         AlgoResult::PairSet(s) => s.iter().map(|(a, b)| format!("{a} {b}")).collect(),
-        AlgoResult::PairScores(m) | AlgoResult::PairDist(m) => {
-            m.iter().map(|((a, b), v)| format!("{a} {b} {}", f(*v))).collect()
-        }
+        AlgoResult::PairScores(m) | AlgoResult::PairDist(m) => m
+            .iter()
+            .map(|((a, b), v)| format!("{a} {b} {}", f(*v)))
+            .collect(),
         AlgoResult::HubAuth(m) => m
             .iter()
             .map(|(k, (h, a))| format!("{k} {} {}", f(*h), f(*a)))
@@ -87,8 +88,7 @@ fn compute_goldens() -> String {
          # intentional semantic change.\n",
     );
     for spec in &TABLE2 {
-        let r = run_algo(spec.key, &g, &exec, &p)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.key));
+        let r = run_algo(spec.key, &g, &exec, &p).unwrap_or_else(|e| panic!("{}: {e}", spec.key));
         out.push_str(&format!("## {}\n{}\n", spec.key, render(&r)));
     }
     out
@@ -104,8 +104,9 @@ fn all_nineteen_algorithms_match_committed_goldens() {
         eprintln!("wrote {}", path.display());
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {GOLDEN_PATH} ({e}); run with GOLDEN_WRITE=1"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden file {GOLDEN_PATH} ({e}); run with GOLDEN_WRITE=1")
+    });
     if expected != actual {
         // line-level diff keeps the failure message readable
         let mismatches: Vec<String> = expected

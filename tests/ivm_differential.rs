@@ -124,9 +124,16 @@ fn ivm_fault_injection_is_caught_and_shrunk() {
     let still_fails = ivm_case_fails("tc", &case.to_graph(), &min_script, &profile);
     all_in_one::algebra::fault::inject_ivm_seed_off_by_one(false);
 
-    assert!(still_fails, "shrunk witness must still fail under the fault");
+    assert!(
+        still_fails,
+        "shrunk witness must still fail under the fault"
+    );
     assert!(case.n <= 8, "witness too large: {} nodes", case.n);
-    assert!(min_script.batches.len() <= 3, "witness too long: {} batches", min_script.batches.len());
+    assert!(
+        min_script.batches.len() <= 3,
+        "witness too long: {} batches",
+        min_script.batches.len()
+    );
     assert!(
         !ivm_case_fails("tc", &case.to_graph(), &min_script, &profile),
         "witness must pass once the fault is disarmed"
@@ -137,8 +144,15 @@ fn ivm_fault_injection_is_caught_and_shrunk() {
     let rep = ivm_replay("tc", "planted seed off-by-one", &case, &min_script);
     let parsed = Replay::parse(&rep.render()).expect("replay must parse");
     assert_eq!(parsed.case, case);
-    let script_text = parsed.detail.split("// script ").nth(1).expect("script in detail");
-    assert_eq!(parse_script(script_text).expect("script must parse"), min_script);
+    let script_text = parsed
+        .detail
+        .split("// script ")
+        .nth(1)
+        .expect("script in detail");
+    assert_eq!(
+        parse_script(script_text).expect("script must parse"),
+        min_script
+    );
 }
 
 /// Golden result-delta streams: TC, WCC, and PageRank views over a fixed
@@ -178,7 +192,8 @@ fn ivm_result_delta_stream_matches_golden() {
     {
         let view = format!("ivm_{algo}");
         let mut db = build_ivm_db(&g, algo, &profile).unwrap_or_else(|e| panic!("{e}"));
-        db.create_view_with(&view, view_sql(algo), IVM_EPSILON).unwrap();
+        db.create_view_with(&view, view_sql(algo), IVM_EPSILON)
+            .unwrap();
         let rx = db.subscribe(&view).unwrap();
         out.push_str(&format!("\n== {algo} / {} ==\n", script.name));
         let mut edges: Vec<(u32, u32, f64)> = g.edges().collect();
@@ -250,8 +265,9 @@ fn ivm_iteration_counts_are_pinned() {
         .filter(|s| s.name == "grow" || s.name == "churn")
         .collect();
     let mut got = Vec::new();
-    for (algo, script) in
-        ["tc", "sssp", "wcc", "pr"].into_iter().flat_map(|a| scripts.iter().map(move |s| (a, s)))
+    for (algo, script) in ["tc", "sssp", "wcc", "pr"]
+        .into_iter()
+        .flat_map(|a| scripts.iter().map(move |s| (a, s)))
     {
         let view = format!("ivm_{algo}");
         let mut db = build_ivm_db(&g, algo, &profile).unwrap_or_else(|e| panic!("{e}"));
@@ -259,13 +275,15 @@ fn ivm_iteration_counts_are_pinned() {
             db.execute(view_sql(algo)).unwrap().stats.iterations.len()
         };
         let mut line = format!("{algo}/{}: cold={}", script.name, cold(&mut db));
-        db.create_view_with(&view, view_sql(algo), IVM_EPSILON).unwrap();
+        db.create_view_with(&view, view_sql(algo), IVM_EPSILON)
+            .unwrap();
         let mut edges: Vec<(u32, u32, f64)> = g.edges().collect();
         let mut cur = g.clone();
         for batch in &script.batches {
             apply_batch(&mut edges, batch).expect("script applies");
             let next = rebuild(g.node_count(), &edges, &g);
-            db.apply_edges(vec![e_delta(&e_rows(&cur, algo), &e_rows(&next, algo))]).unwrap();
+            db.apply_edges(vec![e_delta(&e_rows(&cur, algo), &e_rows(&next, algo))])
+                .unwrap();
             cur = next;
             let r = db.view_report(&view).expect("batch refreshes the view");
             let refresh = format!("{}:{}", r.mode.label(), r.iterations);
@@ -302,7 +320,10 @@ fn ivm_frontier_iteration_counts_are_pinned() {
     let cold = |db: &mut Database| db.execute(view_sql("sssp")).unwrap().stats.iterations.len();
     let mut got = format!("cold={}", cold(&mut db));
     db.create_view("sssp_v", view_sql("sssp")).unwrap();
-    for batch in [vec![row![0i64, 2i64, 1.0]], vec![row![3i64, 5i64, 1.0], row![4i64, 3i64, 1.0]]] {
+    for batch in [
+        vec![row![0i64, 2i64, 1.0]],
+        vec![row![3i64, 5i64, 1.0], row![4i64, 3i64, 1.0]],
+    ] {
         db.apply_edges(vec![EdgeDelta::insert("E", batch)]).unwrap();
         let r = db.view_report("sssp_v").unwrap();
         let refresh = format!("{}:{}", r.mode.label(), r.iterations);
@@ -323,10 +344,14 @@ fn ivm_empty_batch_is_inert() {
     for (name, g) in ivm_corpus(7) {
         let mut db =
             aio_testkit::ivm::build_ivm_db(&g, "wcc", &profile).unwrap_or_else(|e| panic!("{e}"));
-        db.create_view("w", aio_testkit::ivm::view_sql("wcc")).unwrap();
+        db.create_view("w", aio_testkit::ivm::view_sql("wcc"))
+            .unwrap();
         let before = db.view_relation("w").unwrap().clone();
         let out = db.apply_edges(Vec::new()).unwrap();
         assert!(out.is_empty(), "{name}: empty batch must refresh nothing");
-        assert!(db.view_relation("w").unwrap().same_rows_unordered(&before), "{name}");
+        assert!(
+            db.view_relation("w").unwrap().same_rows_unordered(&before),
+            "{name}"
+        );
     }
 }

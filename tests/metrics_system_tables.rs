@@ -53,7 +53,8 @@ fn select_over_aio_metrics_matches_registry_snapshot() {
     for (par, exec) in CONFIGS {
         let mut db = db(par, exec);
         // move some counters first so the table is not all zeros
-        db.execute("select E.F, V.vw from E, V where E.T = V.ID").unwrap();
+        db.execute("select E.F, V.vw from E, V where E.T = V.ID")
+            .unwrap();
 
         // Snapshot immediately before the SELECT: `execute` materializes
         // `aio_metrics` from the registry before running, and nothing on
@@ -69,7 +70,11 @@ fn select_over_aio_metrics_matches_registry_snapshot() {
         for (r, s) in out.relation.rows().iter().zip(&snap) {
             assert_eq!(r[0].to_string(), s.name, "name column");
             assert_eq!(r[1].to_string(), s.kind, "kind column");
-            assert_eq!(r[2].as_f64().unwrap().to_bits(), s.value.to_bits(), "value column");
+            assert_eq!(
+                r[2].as_f64().unwrap().to_bits(),
+                s.value.to_bits(),
+                "value column"
+            );
             assert_eq!(r[3].to_string(), s.help, "help column");
             if s.value > 0.0 {
                 nonzero += 1;
@@ -105,10 +110,18 @@ fn select_over_aio_query_log_matches_registry_log() {
             assert_eq!(r[1].to_string(), format!("{:016x}", q.sql_hash), "sql_hash");
             assert_eq!(r[2].to_string(), q.sql, "sql");
             assert_eq!(r[4].as_int().unwrap(), q.rows_out as i64, "rows_out");
-            assert_eq!(r[5].as_int().unwrap(), q.rows_scanned as i64, "rows_scanned");
+            assert_eq!(
+                r[5].as_int().unwrap(),
+                q.rows_scanned as i64,
+                "rows_scanned"
+            );
             assert_eq!(r[6].as_int().unwrap(), q.iterations as i64, "iterations");
             assert_eq!(r[7].as_int().unwrap(), q.peak_mem_bytes as i64, "peak_mem");
-            assert_eq!(r[8].as_int().unwrap(), q.cache.trie_hits as i64, "trie_hits");
+            assert_eq!(
+                r[8].as_int().unwrap(),
+                q.cache.trie_hits as i64,
+                "trie_hits"
+            );
             assert_eq!(r[14].as_int().unwrap(), q.par as i64, "par");
             assert_eq!(r[15].to_string(), q.exec, "exec");
             assert_eq!(r[16].to_string(), q.optimizer, "optimizer");
@@ -144,9 +157,13 @@ fn engine_sees_its_own_just_run_queries() {
     assert_eq!(row[1].as_int(), Some(1), "one edge ends at 4");
 
     // The self-query itself lands in the log for the *next* reader.
-    let out2 = db.execute("select aio_query_log.sql from aio_query_log").unwrap();
+    let out2 = db
+        .execute("select aio_query_log.sql from aio_query_log")
+        .unwrap();
     assert_eq!(out2.relation.len(), 2);
-    assert!(out2.relation.rows()[1][0].to_string().contains("from aio_query_log"));
+    assert!(out2.relation.rows()[1][0]
+        .to_string()
+        .contains("from aio_query_log"));
 }
 
 #[test]
@@ -180,7 +197,10 @@ fn disabled_metrics_record_nothing() {
     let mut db = db(1, ExecMode::Row);
     metrics::set_enabled(false);
     let off = db.execute("select E.F from E").unwrap();
-    assert!(metrics::global().query_log().is_empty(), "disabled: no reports");
+    assert!(
+        metrics::global().query_log().is_empty(),
+        "disabled: no reports"
+    );
     metrics::set_enabled(true);
     db.execute("select E.T from E").unwrap();
     let log = metrics::global().query_log();

@@ -15,8 +15,8 @@
 
 use aio_testkit::Pattern;
 use all_in_one::algebra::{
-    agm_bound, estimate_nodes, execute, is_cyclic, optimize_plan, BinOp, JoinType, Optimizer,
-    Plan, ScalarExpr,
+    agm_bound, estimate_nodes, execute, is_cyclic, optimize_plan, BinOp, JoinType, Optimizer, Plan,
+    ScalarExpr,
 };
 use all_in_one::prelude::*;
 use all_in_one::storage::Catalog;
@@ -42,9 +42,9 @@ fn matrix(k: i64) -> impl Strategy<Value = Relation> {
 /// optional range filter on one leaf's float column.
 #[derive(Debug, Clone)]
 struct QuerySpec {
-    leaves: Vec<bool>,          // true → scan E, false → scan V; leaf i aliased L{i}
-    attach: Vec<(u8, u8)>,      // leaf i ≥ 1: (earlier-leaf selector, column selector)
-    filter: Option<(u8, f64)>,  // (leaf selector, threshold) → L{j}.float < threshold
+    leaves: Vec<bool>,         // true → scan E, false → scan V; leaf i aliased L{i}
+    attach: Vec<(u8, u8)>,     // leaf i ≥ 1: (earlier-leaf selector, column selector)
+    filter: Option<(u8, f64)>, // (leaf selector, threshold) → L{j}.float < threshold
 }
 
 fn query() -> impl Strategy<Value = QuerySpec> {
@@ -280,14 +280,22 @@ fn agm_bound_is_exact_on_complete_grid_inputs() {
             .map(|vs| (m, vs))
             .collect();
         let k3 = (k as f64).powi(3);
-        assert!((agm_bound(&tri) - k3).abs() < 1e-6, "k={k}: {}", agm_bound(&tri));
+        assert!(
+            (agm_bound(&tri) - k3).abs() < 1e-6,
+            "k={k}: {}",
+            agm_bound(&tri)
+        );
         let cl4: Vec<(f64, Vec<usize>)> = Pattern::clique(4)
             .atom_vars()
             .into_iter()
             .map(|vs| (m, vs))
             .collect();
         let k4 = (k as f64).powi(4);
-        assert!((agm_bound(&cl4) - k4).abs() < 1e-6, "k={k}: {}", agm_bound(&cl4));
+        assert!(
+            (agm_bound(&cl4) - k4).abs() < 1e-6,
+            "k={k}: {}",
+            agm_bound(&cl4)
+        );
 
         // the bound is attained: run the triangle on the actual grid
         let mut e = Relation::new(edge_schema());

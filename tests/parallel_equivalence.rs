@@ -12,21 +12,24 @@
 use all_in_one::algebra::ops::{
     anti_join_par, group_by_par, join_par, AntiJoinImpl, JoinKeys, JoinOrders, JoinType,
 };
-use all_in_one::algebra::{
-    AggFunc, AggStrategy, ExecStats, JoinStrategy, ScalarExpr,
-};
+use all_in_one::algebra::{AggFunc, AggStrategy, ExecStats, JoinStrategy, ScalarExpr};
 use all_in_one::prelude::*;
 use all_in_one::storage::{node_schema, DataType};
 use proptest::prelude::*;
 
 /// Rows of `(id-or-NULL, payload)` with the given qualifier; ~1 in 8 keys
 /// is NULL so every NULL rule gets exercised.
-fn side(qual: &'static str, max_key: i64, n: std::ops::Range<usize>) -> impl Strategy<Value = Relation> {
+fn side(
+    qual: &'static str,
+    max_key: i64,
+    n: std::ops::Range<usize>,
+) -> impl Strategy<Value = Relation> {
     proptest::collection::vec((0i64..8, 0i64..max_key, -4.0f64..4.0), n).prop_map(move |rows| {
         let mut r = Relation::new(node_schema().with_qualifier(qual));
         for (nul, k, w) in rows {
             let key = if nul == 0 { Value::Null } else { Value::Int(k) };
-            r.push(vec![key, Value::Float(w)].into_boxed_slice()).unwrap();
+            r.push(vec![key, Value::Float(w)].into_boxed_slice())
+                .unwrap();
         }
         r
     })
@@ -46,7 +49,8 @@ fn big_side(qual: &'static str, max_key: i64) -> impl Strategy<Value = Relation>
                     } else {
                         Value::Int(k + t)
                     };
-                    r.push(vec![key, Value::Float(*w)].into_boxed_slice()).unwrap();
+                    r.push(vec![key, Value::Float(*w)].into_boxed_slice())
+                        .unwrap();
                 }
             }
             r

@@ -2,12 +2,12 @@
 //! SELECTs survive print → parse → print (idempotent fixpoint), and the
 //! lexer never panics on arbitrary input.
 
+use all_in_one::algebra::{AggFunc, BinOp, UnaryOp};
+use all_in_one::storage::Value;
 use all_in_one::withplus::ast::{
     ComputedDef, Expr, FromItem, SelectItem, SelectStmt, Subquery, UnionMode, WithPlus,
 };
 use all_in_one::withplus::{Parser, Statement};
-use all_in_one::algebra::{AggFunc, BinOp, UnaryOp};
-use all_in_one::storage::Value;
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -26,10 +26,36 @@ fn arb_col() -> impl Strategy<Value = String> {
     .prop_filter("not a keyword", |s| {
         let bare = s.rsplit('.').next().unwrap();
         ![
-            "select", "from", "where", "group", "by", "union", "all", "update", "not", "in",
-            "exists", "is", "null", "and", "or", "as", "with", "on", "join", "left", "full",
-            "outer", "inner", "distinct", "over", "partition", "computed", "maxrecursion",
-            "recursive", "when",
+            "select",
+            "from",
+            "where",
+            "group",
+            "by",
+            "union",
+            "all",
+            "update",
+            "not",
+            "in",
+            "exists",
+            "is",
+            "null",
+            "and",
+            "or",
+            "as",
+            "with",
+            "on",
+            "join",
+            "left",
+            "full",
+            "outer",
+            "inner",
+            "distinct",
+            "over",
+            "partition",
+            "computed",
+            "maxrecursion",
+            "recursive",
+            "when",
         ]
         .contains(&bare)
     })
@@ -60,7 +86,11 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             )
                 .prop_map(|(op, l, r)| Expr::Binary(op, Box::new(l), Box::new(r))),
             (
-                prop_oneof![Just(UnaryOp::Neg), Just(UnaryOp::IsNull), Just(UnaryOp::IsNotNull)],
+                prop_oneof![
+                    Just(UnaryOp::Neg),
+                    Just(UnaryOp::IsNull),
+                    Just(UnaryOp::IsNotNull)
+                ],
                 inner.clone()
             )
                 .prop_map(|(op, x)| Expr::Unary(op, Box::new(x))),
@@ -330,9 +360,9 @@ fn regressions_file_entries_still_behave_as_recorded() {
             continue;
         }
         entries += 1;
-        let rest = line.strip_prefix("cc ").unwrap_or_else(|| {
-            panic!("regression entry must start with `cc `: {line}")
-        });
+        let rest = line
+            .strip_prefix("cc ")
+            .unwrap_or_else(|| panic!("regression entry must start with `cc `: {line}"));
         let (hash, note) = rest.split_at(64.min(rest.len()));
         assert!(
             hash.len() == 64 && hash.bytes().all(|b| b.is_ascii_hexdigit()),
@@ -360,7 +390,10 @@ fn regressions_file_entries_still_behave_as_recorded() {
             assert_fixpoint(&w);
         }
     }
-    assert!(entries >= 5, "expected ≥ 5 regression entries, found {entries}");
+    assert!(
+        entries >= 5,
+        "expected ≥ 5 regression entries, found {entries}"
+    );
     assert!(
         withplus_inputs >= 3,
         "expected ≥ 3 with+ regression inputs, found {withplus_inputs}"

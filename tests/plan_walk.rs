@@ -20,8 +20,13 @@ use all_in_one::withplus::psm::rebind_scan;
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
     let mut e = Relation::new(edge_schema());
-    e.extend([row![1, 2, 1.0], row![2, 3, 2.0], row![3, 1, 3.0], row![1, 3, 4.0]])
-        .unwrap();
+    e.extend([
+        row![1, 2, 1.0],
+        row![2, 3, 2.0],
+        row![3, 1, 3.0],
+        row![1, 3, 4.0],
+    ])
+    .unwrap();
     c.create_table("E", e).unwrap();
     let mut v = Relation::new(node_schema());
     // node 3 is deliberately absent: the anti-join keeps its out-edge and
@@ -36,7 +41,10 @@ fn catalog() -> Catalog {
 fn ft(input: Plan, f: &str, t: &str) -> Plan {
     Plan::Project {
         input: Box::new(input),
-        items: vec![(ScalarExpr::col(f), "F".into()), (ScalarExpr::col(t), "T".into())],
+        items: vec![
+            (ScalarExpr::col(f), "F".into()),
+            (ScalarExpr::col(t), "T".into()),
+        ],
     }
 }
 
@@ -133,7 +141,11 @@ fn every_numbering_follows_plan_children() {
     let mut ops: Vec<&str> = walked.iter().map(|(_, op)| *op).collect();
     ops.sort_unstable();
     ops.dedup();
-    assert_eq!(ops.len(), 15, "the plan must contain every variant: {ops:?}");
+    assert_eq!(
+        ops.len(),
+        15,
+        "the plan must contain every variant: {ops:?}"
+    );
 
     assert_eq!(estimate_nodes(&plan, &c).len(), n);
 
@@ -150,7 +162,10 @@ fn every_numbering_follows_plan_children() {
             .map(|s| (s.field_u64("node").unwrap(), s.name))
             .collect();
         traced.sort_unstable();
-        assert_eq!(traced, walked, "{exec:?}: span node ids follow the pre-order");
+        assert_eq!(
+            traced, walked,
+            "{exec:?}: span node ids follow the pre-order"
+        );
         let spans: Vec<_> = trace.spans.iter().collect();
         let report = render_analyzed(&plan, &spans, false);
         assert_eq!(report.lines().count(), n, "{exec:?}:\n{report}");
@@ -158,7 +173,11 @@ fn every_numbering_follows_plan_children() {
         results.push(rel);
     }
     assert_eq!(results[0].rows(), results[1].rows(), "row and batch agree");
-    assert_eq!(results[0].rows(), &[row![3, 1]], "only 3→1 survives the difference");
+    assert_eq!(
+        results[0].rows(),
+        &[row![3, 1]],
+        "only 3→1 survives the difference"
+    );
 }
 
 #[test]
@@ -175,8 +194,16 @@ fn map_children_identity_preserves_the_plan() {
 #[test]
 fn scan_rebinding_reaches_multiway_children_and_keeps_aliases() {
     let plan = Plan::Distinct(Box::new(Plan::MultiwayJoin {
-        children: vec![Plan::scan_as("R", "R1"), Plan::scan("R"), Plan::scan_as("E", "E3")],
-        vars: vec![vec![Some(0), None], vec![Some(0), None], vec![Some(0), None, None]],
+        children: vec![
+            Plan::scan_as("R", "R1"),
+            Plan::scan("R"),
+            Plan::scan_as("E", "E3"),
+        ],
+        vars: vec![
+            vec![Some(0), None],
+            vec![Some(0), None],
+            vec![Some(0), None, None],
+        ],
         var_names: vec!["a".into()],
         agm_est: 1,
     }));
@@ -193,7 +220,11 @@ fn scan_rebinding_reaches_multiway_children_and_keeps_aliases() {
 
     assert_eq!(
         scans(&rebind_scan(&plan, "r", "__delta_R")),
-        vec![own("__delta_R", "R1"), own("__delta_R", "R"), own("E", "E3")]
+        vec![
+            own("__delta_R", "R1"),
+            own("__delta_R", "R"),
+            own("E", "E3")
+        ]
     );
     assert_eq!(
         scans(&replace_nth_scan(&plan, "R", "__ivm_delta_r", 1)),

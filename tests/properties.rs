@@ -7,9 +7,7 @@ use all_in_one::algebra::ops::{
     anti_join, anti_join_basic_ops, join_on, mm_join, union_by_update, AntiJoinImpl, JoinKeys,
     JoinType, UbuImpl,
 };
-use all_in_one::algebra::{
-    oracle_like, AggStrategy, ExecStats, JoinStrategy, TROPICAL,
-};
+use all_in_one::algebra::{oracle_like, AggStrategy, ExecStats, JoinStrategy, TROPICAL};
 use all_in_one::prelude::*;
 use all_in_one::storage::{node_schema, Catalog};
 use proptest::prelude::*;
@@ -48,15 +46,19 @@ fn rel_close(a: &Relation, b: &Relation) -> bool {
     // compare as (F,T) → ew maps with float tolerance
     let to_map = |r: &Relation| -> std::collections::BTreeMap<(i64, i64), f64> {
         r.iter()
-            .map(|x| ((x[0].as_int().unwrap(), x[1].as_int().unwrap()), x[2].as_f64().unwrap()))
+            .map(|x| {
+                (
+                    (x[0].as_int().unwrap(), x[1].as_int().unwrap()),
+                    x[2].as_f64().unwrap(),
+                )
+            })
             .collect()
     };
     let (ma, mb) = (to_map(a), to_map(b));
     ma.len() == mb.len()
         && ma.iter().all(|(k, v)| {
-            mb.get(k).is_some_and(|w| {
-                (v - w).abs() < 1e-6 || (v.is_infinite() && w.is_infinite())
-            })
+            mb.get(k)
+                .is_some_and(|w| (v - w).abs() < 1e-6 || (v.is_infinite() && w.is_infinite()))
         })
 }
 

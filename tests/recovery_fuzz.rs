@@ -25,7 +25,9 @@ const DIR: &str = "db";
 /// All rows ever inserted into `E` (three committed batches of four) plus
 /// the single row of `K`, created before the checkpoint.
 fn valid_rows() -> Vec<Row> {
-    let mut v: Vec<Row> = (0..12).map(|i| row![i as i64, (i + 1) as i64, 1.0]).collect();
+    let mut v: Vec<Row> = (0..12)
+        .map(|i| row![i as i64, (i + 1) as i64, 1.0])
+        .collect();
     v.push(row![99, 99, 9.9]);
     v
 }
@@ -39,21 +41,29 @@ fn build_disk() -> Arc<SimVfs> {
     k.extend([row![99, 99, 9.9]]).unwrap();
     db.create_table("K", k).unwrap();
     db.create_table("E", Relation::new(edge_schema())).unwrap();
-    let rows: Vec<Row> = (0..12).map(|i| row![i as i64, (i + 1) as i64, 1.0]).collect();
-    db.catalog.insert_rows("E", rows[0..4].to_vec(), WalPolicy::None).unwrap();
+    let rows: Vec<Row> = (0..12)
+        .map(|i| row![i as i64, (i + 1) as i64, 1.0])
+        .collect();
+    db.catalog
+        .insert_rows("E", rows[0..4].to_vec(), WalPolicy::None)
+        .unwrap();
     db.checkpoint().unwrap();
-    db.catalog.insert_rows("E", rows[4..8].to_vec(), WalPolicy::None).unwrap();
-    db.catalog.insert_rows("E", rows[8..12].to_vec(), WalPolicy::None).unwrap();
+    db.catalog
+        .insert_rows("E", rows[4..8].to_vec(), WalPolicy::None)
+        .unwrap();
+    db.catalog
+        .insert_rows("E", rows[8..12].to_vec(), WalPolicy::None)
+        .unwrap();
     Arc::new(vfs.crash_image(UnsyncedFate::DropAll))
 }
 
 /// One corruption step: which file, and what to do to its bytes.
 #[derive(Clone, Debug)]
 struct Mangle {
-    wal: bool,       // WAL or snapshot
-    kind: u8,        // 0 = bit flip, 1 = truncate, 2 = append garbage
-    at: usize,       // position (mod len)
-    bit: u8,         // bit index for flips / byte value for garbage
+    wal: bool, // WAL or snapshot
+    kind: u8,  // 0 = bit flip, 1 = truncate, 2 = append garbage
+    at: usize, // position (mod len)
+    bit: u8,   // bit index for flips / byte value for garbage
 }
 
 fn apply(vfs: &SimVfs, m: &Mangle) {
@@ -62,7 +72,11 @@ fn apply(vfs: &SimVfs, m: &Mangle) {
         .into_iter()
         .filter(|p| {
             let name = p.rsplit('/').next().unwrap_or(p);
-            if m.wal { name.starts_with("wal.") } else { name.starts_with("snapshot.") }
+            if m.wal {
+                name.starts_with("wal.")
+            } else {
+                name.starts_with("snapshot.")
+            }
         })
         .max();
     let Some(path) = path else { return };
@@ -104,7 +118,11 @@ fn check_recovery(vfs: Arc<SimVfs>, ctx: &str) {
     // Committed batches are atomic even under corruption: E is a prefix.
     if db.catalog.contains("E") {
         let e = db.catalog.relation("E").unwrap();
-        assert!(e.len().is_multiple_of(4) && e.len() <= 12, "{ctx}: E has {} rows", e.len());
+        assert!(
+            e.len().is_multiple_of(4) && e.len() <= 12,
+            "{ctx}: E has {} rows",
+            e.len()
+        );
     }
     // The repaired disk must open cleanly (second-order corruption is a bug).
     let img2 = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));

@@ -10,8 +10,7 @@ use all_in_one::withplus::{Parser, Statement, WithPlusError};
 
 fn prepare(sql: &str, params: &[(&str, Value)]) -> Result<(), WithPlusError> {
     let g = DatasetSpec::by_key("WV").unwrap().synthesize(0.0002);
-    let mut db =
-        algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::Raw).unwrap();
+    let mut db = algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::Raw).unwrap();
     for (k, v) in params {
         db.set_param(k, v.clone());
     }
@@ -38,10 +37,7 @@ fn every_shipped_algorithm_is_xy_stratified() {
         (algos::mnm::SQL.to_string(), vec![]),
         (algos::lp::sql(5), vec![]),
         (algos::ks::sql([0, 1, 2], 4), vec![]),
-        (
-            algos::rwr::sql(5),
-            vec![("c", Value::Float(0.9))],
-        ),
+        (algos::rwr::sql(5), vec![("c", Value::Float(0.9))]),
         (algos::simrank::sql(5), vec![("c", Value::Float(0.8))]),
     ];
     for (sql, params) in cases {
@@ -90,8 +86,8 @@ fn self_negation_within_stage_fails_xy_check() {
 #[test]
 fn with_plus_generated_datalog_has_expected_shape() {
     let g = DatasetSpec::by_key("WV").unwrap().synthesize(0.0002);
-    let mut db = algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank)
-        .unwrap();
+    let mut db =
+        algos::common::db_for(&g, &oracle_like(), algos::common::EdgeStyle::PageRank).unwrap();
     db.set_param("c", 0.85);
     db.set_param("n", g.node_count() as f64);
     let compiled = db.prepare(&algos::pagerank::sql(5)).unwrap();
@@ -100,7 +96,10 @@ fn with_plus_generated_datalog_has_expected_shape() {
     assert!(text.contains("P(s(T)) :- P(T), ¬"), "{text}");
     let dg = DependencyGraph::from_program(&compiled.datalog);
     assert!(dg.has_cycle(), "recursion means a cycle on P");
-    assert!(!dg.is_stratified(), "non-monotonic: plain stratification fails…");
+    assert!(
+        !dg.is_stratified(),
+        "non-monotonic: plain stratification fails…"
+    );
     // …which is exactly why XY-stratification is needed (Section 5)
 }
 
@@ -110,7 +109,9 @@ fn table1_gates_fire_per_system() {
     let Statement::WithPlus(w) = Parser::parse_statement(&fig9).unwrap() else {
         panic!()
     };
-    assert!(Sql99Engine::new(Sql99System::PostgreSql).validate(&w).is_ok());
+    assert!(Sql99Engine::new(Sql99System::PostgreSql)
+        .validate(&w)
+        .is_ok());
     for sys in [Sql99System::Db2, Sql99System::Oracle] {
         let err = Sql99Engine::new(sys).validate(&w).unwrap_err();
         assert!(
@@ -128,7 +129,14 @@ fn nonlinear_recursion_rejected_by_sql99_accepted_by_with_plus() {
         panic!()
     };
     for sys in Sql99System::ALL {
-        assert!(Sql99Engine::new(sys).validate(&w).is_err(), "{}", sys.name());
+        assert!(
+            Sql99Engine::new(sys).validate(&w).is_err(),
+            "{}",
+            sys.name()
+        );
     }
-    assert!(prepare(apsp, &[]).is_ok(), "with+ accepts nonlinear recursion");
+    assert!(
+        prepare(apsp, &[]).is_ok(),
+        "with+ accepts nonlinear recursion"
+    );
 }

@@ -13,7 +13,9 @@
 //!    identical content.
 
 use all_in_one::algebra::oracle_like;
-use all_in_one::storage::{edge_schema, row, Catalog, Relation, Row, SimVfs, UnsyncedFate, WalPolicy};
+use all_in_one::storage::{
+    edge_schema, row, Catalog, Relation, Row, SimVfs, UnsyncedFate, WalPolicy,
+};
 use all_in_one::withplus::Database;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -24,11 +26,25 @@ const TABLES: [&str; 3] = ["t0", "t1", "t2"];
 /// One mutation, encoded so that any random tuple is meaningful.
 #[derive(Clone, Debug)]
 enum Op {
-    Create { t: usize, n: usize },
-    Insert { t: usize, a: i64, n: usize },
-    Truncate { t: usize },
-    Drop { t: usize },
-    Rename { from: usize, to: usize },
+    Create {
+        t: usize,
+        n: usize,
+    },
+    Insert {
+        t: usize,
+        a: i64,
+        n: usize,
+    },
+    Truncate {
+        t: usize,
+    },
+    Drop {
+        t: usize,
+    },
+    Rename {
+        from: usize,
+        to: usize,
+    },
     /// Interpreted as a checkpoint in the checkpointing twin, skipped in
     /// the plain twin (property 2: it must not matter).
     Checkpoint,
@@ -38,17 +54,29 @@ fn decode(raw: (u8, u8, u8, u8)) -> Op {
     let (kind, t, a, n) = raw;
     let t = t as usize % TABLES.len();
     match kind % 6 {
-        0 => Op::Create { t, n: n as usize % 5 },
-        1 => Op::Insert { t, a: a as i64, n: n as usize % 5 + 1 },
+        0 => Op::Create {
+            t,
+            n: n as usize % 5,
+        },
+        1 => Op::Insert {
+            t,
+            a: a as i64,
+            n: n as usize % 5 + 1,
+        },
         2 => Op::Truncate { t },
         3 => Op::Drop { t },
-        4 => Op::Rename { from: t, to: a as usize % TABLES.len() },
+        4 => Op::Rename {
+            from: t,
+            to: a as usize % TABLES.len(),
+        },
         _ => Op::Checkpoint,
     }
 }
 
 fn batch(a: i64, n: usize) -> Vec<Row> {
-    (0..n).map(|i| row![a, a + i as i64, i as f64 * 0.5]).collect()
+    (0..n)
+        .map(|i| row![a, a + i as i64, i as f64 * 0.5])
+        .collect()
 }
 
 /// Apply one op to a catalog (durable or not — same code path), skipping
@@ -64,7 +92,8 @@ fn apply(cat: &mut Catalog, op: &Op) {
         }
         Op::Insert { t, a, n } => {
             if cat.contains(TABLES[t]) {
-                cat.insert_rows(TABLES[t], batch(a, n), WalPolicy::None).unwrap();
+                cat.insert_rows(TABLES[t], batch(a, n), WalPolicy::None)
+                    .unwrap();
             }
         }
         Op::Truncate { t } => {
@@ -105,7 +134,11 @@ fn durable_run(ops: &[Op], with_checkpoints: bool) -> Arc<SimVfs> {
 
 fn recover(img: &Arc<SimVfs>) -> Catalog {
     let (db, report) = Database::open_with_vfs(img.clone(), DIR, oracle_like(), None).unwrap();
-    assert!(report.corrupt.is_none(), "clean disk reported corrupt: {:?}", report.corrupt);
+    assert!(
+        report.corrupt.is_none(),
+        "clean disk reported corrupt: {:?}",
+        report.corrupt
+    );
     db.catalog
 }
 
@@ -160,7 +193,9 @@ fn checkpoint_truncates_the_log() {
     rel.extend(batch(1, 4)).unwrap();
     db.create_table("t0", rel).unwrap();
     for i in 0..8 {
-        db.catalog.insert_rows("t0", batch(i, 3), WalPolicy::None).unwrap();
+        db.catalog
+            .insert_rows("t0", batch(i, 3), WalPolicy::None)
+            .unwrap();
     }
     let d = db.catalog.durability().unwrap();
     let before = d.bytes_appended();
@@ -169,11 +204,13 @@ fn checkpoint_truncates_the_log() {
     assert_eq!(cp.seq, 1);
     let paths = vfs.paths();
     assert!(
-        paths.iter().any(|p| p.ends_with("wal.1")) && paths.iter().any(|p| p.ends_with("snapshot.1")),
+        paths.iter().any(|p| p.ends_with("wal.1"))
+            && paths.iter().any(|p| p.ends_with("snapshot.1")),
         "new generation missing: {paths:?}"
     );
     assert!(
-        !paths.iter().any(|p| p.ends_with("wal.0")) && !paths.iter().any(|p| p.ends_with("snapshot.0")),
+        !paths.iter().any(|p| p.ends_with("wal.0"))
+            && !paths.iter().any(|p| p.ends_with("snapshot.0")),
         "old generation not removed: {paths:?}"
     );
     // the fresh WAL is just the magic header
@@ -196,12 +233,17 @@ fn long_multi_transaction_log_replays_every_record() {
     for t in 0..TXNS {
         db.catalog.wal_begin_txn();
         for i in 0..PER_TXN {
-            db.catalog.insert_rows("t0", batch((t * PER_TXN + i) as i64, 1), WalPolicy::None).unwrap();
+            db.catalog
+                .insert_rows("t0", batch((t * PER_TXN + i) as i64, 1), WalPolicy::None)
+                .unwrap();
         }
         db.catalog.wal_commit_txn().unwrap();
     }
     let appended = db.catalog.durability().unwrap().records_appended();
-    assert!(appended >= 5_000, "log shorter than intended: {appended} records");
+    assert!(
+        appended >= 5_000,
+        "log shorter than intended: {appended} records"
+    );
     drop(db);
 
     let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
@@ -209,6 +251,10 @@ fn long_multi_transaction_log_replays_every_record() {
     assert!(report.corrupt.is_none(), "{:?}", report.corrupt);
     assert_eq!(report.wal_records_replayed as u64, appended);
     assert_eq!(report.wal_records_discarded, 0);
-    assert_eq!(report.wal_txns_applied, TXNS + 1, "one per insert txn + the create");
+    assert_eq!(
+        report.wal_txns_applied,
+        TXNS + 1,
+        "one per insert txn + the create"
+    );
     assert_eq!(db.catalog.relation("t0").unwrap().len(), TXNS * PER_TXN);
 }

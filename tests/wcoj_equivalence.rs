@@ -52,7 +52,10 @@ fn wcoj_differential_smoke() {
     assert_clean(&report);
     assert!(report.runs >= 60, "{}", report.summary());
     assert!(
-        report.engine_families.iter().any(|f| f.starts_with("pattern/wcoj")),
+        report
+            .engine_families
+            .iter()
+            .any(|f| f.starts_with("pattern/wcoj")),
         "{:?}",
         report.engine_families
     );
@@ -113,7 +116,10 @@ fn trie_contract_over_a_seeded_edge_relation() {
     let expected: BTreeSet<(Value, Value)> =
         rel.iter().map(|r| (r[0].clone(), r[1].clone())).collect();
     assert_eq!(walked.len(), expected.len(), "distinct pairs once each");
-    assert!(walked.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+    assert!(
+        walked.windows(2).all(|w| w[0] < w[1]),
+        "strictly increasing"
+    );
     assert_eq!(walked.into_iter().collect::<BTreeSet<_>>(), expected);
     assert_eq!(matched, rel.len(), "row-id runs partition the relation");
 
@@ -157,14 +163,15 @@ fn trie_cache_invalidated_on_mutation() {
     let plan = pat.wcoj_plan(g.edge_count());
 
     let (before, _) = execute(&plan, &db.catalog, &profile).unwrap();
-    assert!(db.catalog.trie_on("E", &[0, 1]).is_some(), "trie cached by the run");
+    assert!(
+        db.catalog.trie_on("E", &[0, 1]).is_some(),
+        "trie cached by the run"
+    );
 
     // close a brand-new triangle among fresh node ids
     let fresh: Vec<all_in_one::storage::Row> = [(901, 902), (902, 903), (903, 901)]
         .iter()
-        .map(|&(f, t)| {
-            vec![Value::Int(f), Value::Int(t), Value::Float(1.0)].into_boxed_slice()
-        })
+        .map(|&(f, t)| vec![Value::Int(f), Value::Int(t), Value::Float(1.0)].into_boxed_slice())
         .collect();
     db.catalog.insert_rows("E", fresh, WalPolicy::None).unwrap();
     assert!(
@@ -185,7 +192,10 @@ fn trie_cache_invalidated_on_mutation() {
     execute(&plan, &db.catalog, &profile).unwrap();
     assert!(db.catalog.trie_on("E", &[0, 1]).is_some());
     db.catalog.truncate("E").unwrap();
-    assert!(db.catalog.trie_on("E", &[0, 1]).is_none(), "truncate drops tries");
+    assert!(
+        db.catalog.trie_on("E", &[0, 1]).is_none(),
+        "truncate drops tries"
+    );
     let (empty, _) = execute(&plan, &db.catalog, &profile).unwrap();
     assert!(empty.is_empty());
 }
@@ -221,8 +231,14 @@ fn injected_seek_off_by_one_is_caught_and_shrunk() {
         .expect("the injected fault must diverge on at least one pattern graph");
     assert!(fault_hits() > 0, "the seek fault hook never fired");
 
-    let min = shrink(&CaseGraph::from_graph(&seed_case.graph), faulty_wcoj_diverges);
-    assert!(faulty_wcoj_diverges(&min.to_graph()), "shrunk case must still fail");
+    let min = shrink(
+        &CaseGraph::from_graph(&seed_case.graph),
+        faulty_wcoj_diverges,
+    );
+    assert!(
+        faulty_wcoj_diverges(&min.to_graph()),
+        "shrunk case must still fail"
+    );
     assert!(
         min.n <= 8,
         "expected a ≤ 8-node counterexample, got {} nodes / {} edges (from {})",
@@ -288,7 +304,9 @@ fn disarmed_fault_leaves_no_trace_and_batch_agrees() {
 const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Batch];
 
 fn cost_profile(exec: ExecMode) -> all_in_one::algebra::EngineProfile {
-    oracle_like().with_optimizer(Optimizer::Cost).with_exec(exec)
+    oracle_like()
+        .with_optimizer(Optimizer::Cost)
+        .with_exec(exec)
 }
 
 fn edge_rows(edges: &[(i64, i64, f64)]) -> Vec<all_in_one::storage::Row> {
@@ -320,7 +338,11 @@ fn sql_path_reuses_catalog_tries() {
 
                 let first = db.explain_analyze_opts(&pat.sql(), false).unwrap();
                 let first_ph = last_wcoj_phases();
-                assert_eq!(sorted_rows(&first.result.relation), want, "{ctx}: first run");
+                assert_eq!(
+                    sorted_rows(&first.result.relation),
+                    want,
+                    "{ctx}: first run"
+                );
                 let second = db.execute(&pat.sql()).unwrap();
                 let second_ph = last_wcoj_phases();
                 assert_eq!(sorted_rows(&second.relation), want, "{ctx}: second run");
@@ -332,13 +354,22 @@ fn sql_path_reuses_catalog_tries() {
                 // an edge atom is keyed [F, T] or [T, F]: two tries at most
                 let cached = db.catalog.entry("E").unwrap().tries.len() as u64;
                 assert!(cached <= 2, "{ctx}: {cached} tries for two key orders");
-                assert_eq!(first_ph.tries_built, cached, "{ctx}: one build per key order");
+                assert_eq!(
+                    first_ph.tries_built, cached,
+                    "{ctx}: one build per key order"
+                );
                 assert_eq!(second_ph.tries_built, 0, "{ctx}: second run rebuilt a trie");
-                assert_eq!(second_ph.tries_cached, atoms, "{ctx}: every child is scan-like");
+                assert_eq!(
+                    second_ph.tries_cached, atoms,
+                    "{ctx}: every child is scan-like"
+                );
             }
         }
     }
-    assert!(multiway_runs >= 16, "the cost pass picked MultiwayJoin only {multiway_runs} times");
+    assert!(
+        multiway_runs >= 16,
+        "the cost pass picked MultiwayJoin only {multiway_runs} times"
+    );
 }
 
 /// A mutation of `E` between two SQL executions drops the cached tries:
@@ -358,11 +389,20 @@ fn sql_path_rebuilds_after_mutation() {
         db.catalog.insert_rows("E", fresh, WalPolicy::None).unwrap();
         let after = db.execute(&sql).unwrap();
         let ph = last_wcoj_phases();
-        assert!(ph.tries_built >= 1, "{exec:?}: stale tries served after an insert");
-        assert_eq!(ph.tries_built + ph.tries_cached, 3, "{exec:?}");
-        assert_eq!(after.relation.len(), before.result.relation.len() + 3, "{exec:?}: one per rotation");
         assert!(
-            sorted_rows(&after.relation).iter().any(|r| r.contains("901")),
+            ph.tries_built >= 1,
+            "{exec:?}: stale tries served after an insert"
+        );
+        assert_eq!(ph.tries_built + ph.tries_cached, 3, "{exec:?}");
+        assert_eq!(
+            after.relation.len(),
+            before.result.relation.len() + 3,
+            "{exec:?}: one per rotation"
+        );
+        assert!(
+            sorted_rows(&after.relation)
+                .iter()
+                .any(|r| r.contains("901")),
             "{exec:?}: the new rows are in the result"
         );
     }
@@ -408,7 +448,11 @@ fn sql_path_expands_payload_and_duplicates() {
             let got = sorted_rows(&out.result.relation);
             // 3 × 2 × 1 rotations of 1→2→3→1, each as e0 = every edge of it
             assert_eq!(got.len(), 18, "{optimizer:?}/{exec:?} run {run}");
-            assert_eq!(want.get_or_insert_with(|| got.clone()), &got, "{optimizer:?}/{exec:?}");
+            assert_eq!(
+                want.get_or_insert_with(|| got.clone()),
+                &got,
+                "{optimizer:?}/{exec:?}"
+            );
         }
     }
 }
@@ -430,12 +474,23 @@ fn filtered_and_computed_children_build_privately() {
         for run in 0..2 {
             let out = db.explain_analyze_opts(sql, false).unwrap();
             assert!(out.report.contains("MultiwayJoin"), "{}", out.report);
-            assert_eq!(sorted_rows(&out.result.relation), want, "{exec:?} run {run}");
+            assert_eq!(
+                sorted_rows(&out.result.relation),
+                want,
+                "{exec:?} run {run}"
+            );
             let ph = last_wcoj_phases();
-            assert!(ph.tries_built >= 1, "{exec:?} run {run}: the filtered child builds");
+            assert!(
+                ph.tries_built >= 1,
+                "{exec:?} run {run}: the filtered child builds"
+            );
             assert_eq!(ph.tries_built + ph.tries_cached, 3);
         }
-        assert_eq!(last_wcoj_phases().tries_built, 1, "{exec:?}: only the filtered child");
+        assert_eq!(
+            last_wcoj_phases().tries_built,
+            1,
+            "{exec:?}: only the filtered child"
+        );
 
         // `F + 0` is not a plain column reference
         let computed = |alias: &str| Plan::Project {
@@ -474,9 +529,17 @@ fn filtered_and_computed_children_build_privately() {
         execute(&plan, &db.catalog, &profile).unwrap();
         let (out, _) = execute(&plan, &db.catalog, &profile).unwrap();
         let ph = last_wcoj_phases();
-        assert_eq!((ph.tries_built, ph.tries_cached), (1, 2), "{exec:?}: {ph:?}");
+        assert_eq!(
+            (ph.tries_built, ph.tries_cached),
+            (1, 2),
+            "{exec:?}: {ph:?}"
+        );
         // e0(a,b) ⋈ e1(b→c reversed: F=b, T=c) ⋈ e2(c,a): the triangle again
-        let tri = sorted_rows(&execute(&Pattern::triangle().binary_plan(), &db.catalog, &profile).unwrap().0);
+        let tri = sorted_rows(
+            &execute(&Pattern::triangle().binary_plan(), &db.catalog, &profile)
+                .unwrap()
+                .0,
+        );
         assert_eq!(out.len(), tri.len(), "{exec:?}");
     }
 }
@@ -498,7 +561,9 @@ fn triangle_support_reuses_every_trie_on_its_second_run() {
     let mut db = db_for(&g, &cost_profile(ExecMode::Batch), EdgeStyle::Raw).unwrap();
     db.execute(TRIANGLE_SUPPORT_SQL).unwrap();
     all_in_one::metrics::set_enabled(true);
-    let out = db.explain_analyze_opts(TRIANGLE_SUPPORT_SQL, false).unwrap();
+    let out = db
+        .explain_analyze_opts(TRIANGLE_SUPPORT_SQL, false)
+        .unwrap();
     all_in_one::metrics::set_enabled(false);
     let join = out
         .trace
@@ -512,6 +577,10 @@ fn triangle_support_reuses_every_trie_on_its_second_run() {
         out.report
     );
     assert_eq!(last_wcoj_phases().tries_built, 0, "{}", out.report);
-    assert!(out.report.contains("cache: trie 3/3 hits"), "{}", out.report);
+    assert!(
+        out.report.contains("cache: trie 3/3 hits"),
+        "{}",
+        out.report
+    );
     assert!(out.report.contains("cols 3/3 hits"), "{}", out.report);
 }

@@ -23,8 +23,15 @@ fn rec_names(k: usize) -> Vec<String> {
 /// rule shape) or EDB (possibly negated, never staged).
 #[derive(Clone, Debug)]
 enum BodyAtom {
-    Rec { idx: usize, succ: bool, negated: bool },
-    Edb { idx: usize, negated: bool },
+    Rec {
+        idx: usize,
+        succ: bool,
+        negated: bool,
+    },
+    Edb {
+        idx: usize,
+        negated: bool,
+    },
 }
 
 #[derive(Clone, Debug)]
@@ -42,7 +49,11 @@ struct RuleSpec {
 /// - Y-rule: head at `s(T)`, recursive subgoals at `T` or `s(T)`,
 ///   negated recursive subgoals forced to the previous stage `T`.
 fn build_rule(spec: &RuleSpec, k: usize) -> Rule {
-    let head_t = if spec.y_rule { Temporal::Succ } else { Temporal::Var };
+    let head_t = if spec.y_rule {
+        Temporal::Succ
+    } else {
+        Temporal::Var
+    };
     let head = Atom::new(REC[spec.head % k]).with_args(&["X"]).at(head_t);
     let body = spec
         .body
@@ -58,11 +69,19 @@ fn build_rule(spec: &RuleSpec, k: usize) -> Rule {
                     Temporal::Var
                 };
                 let a = Atom::new(REC[idx % k]).with_args(&["X"]).at(t);
-                if negated && spec.y_rule { a.negated() } else { a }
+                if negated && spec.y_rule {
+                    a.negated()
+                } else {
+                    a
+                }
             }
             BodyAtom::Edb { idx, negated } => {
                 let a = Atom::new(EDB[idx % EDB.len()]).with_args(&["X"]);
-                if negated { a.negated() } else { a }
+                if negated {
+                    a.negated()
+                } else {
+                    a
+                }
             }
         })
         .collect();
@@ -71,8 +90,11 @@ fn build_rule(spec: &RuleSpec, k: usize) -> Rule {
 
 fn arb_body_atom() -> impl Strategy<Value = BodyAtom> {
     prop_oneof![
-        (0usize..3, any::<bool>(), any::<bool>())
-            .prop_map(|(idx, succ, negated)| BodyAtom::Rec { idx, succ, negated }),
+        (0usize..3, any::<bool>(), any::<bool>()).prop_map(|(idx, succ, negated)| BodyAtom::Rec {
+            idx,
+            succ,
+            negated
+        }),
         (0usize..3, any::<bool>()).prop_map(|(idx, negated)| BodyAtom::Edb { idx, negated }),
     ]
 }
