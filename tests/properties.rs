@@ -1,16 +1,22 @@
 //! Property-based tests (proptest) on the core algebraic invariants:
 //! semiring laws through MM-join, the anti-join/difference identity,
 //! union-by-update axioms, agreement of physical variants and join
-//! strategies, and TC depth monotonicity.
+//! strategies, `Value`'s order/equality/hash contract with every keyed
+//! operator driven over its corner values, and TC depth monotonicity.
 
+use all_in_one::algebra::ops::join::assert_strategies_agree;
 use all_in_one::algebra::ops::{
-    anti_join, anti_join_basic_ops, join_on, mm_join, union_by_update, AntiJoinImpl, JoinKeys,
-    JoinType, UbuImpl,
+    anti_join, anti_join_basic_ops, group_by, join_on, mm_join, union_by_update, AntiJoinImpl,
+    JoinKeys, JoinType, UbuImpl,
 };
-use all_in_one::algebra::{oracle_like, AggStrategy, ExecStats, JoinStrategy, TROPICAL};
+use all_in_one::algebra::{
+    oracle_like, AggFunc, AggStrategy, ExecStats, JoinStrategy, ScalarExpr, TROPICAL,
+};
 use all_in_one::prelude::*;
-use all_in_one::storage::{node_schema, Catalog};
+use all_in_one::storage::{node_schema, Catalog, DataType};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 /// A small random matrix relation E(F, T, ew) over ids 0..k.
 fn matrix(k: i64) -> impl Strategy<Value = Relation> {
@@ -60,6 +66,106 @@ fn rel_close(a: &Relation, b: &Relation) -> bool {
             mb.get(k)
                 .is_some_and(|w| (v - w).abs() < 1e-6 || (v.is_infinite() && w.is_infinite()))
         })
+}
+
+/// The corner values of every key domain: NULL, Ints with both extremes
+/// and the first Ints `f64` cannot tell apart, Floats with both zeros, both
+/// infinities, both NaNs and integral values that tie with an Int, Text.
+fn key_domain() -> Vec<Value> {
+    const TWO_53: i64 = 1 << 53;
+    let mut d = vec![Value::Null];
+    d.extend(
+        [
+            0,
+            1,
+            -1,
+            2,
+            TWO_53,
+            TWO_53 + 1,
+            i64::MAX - 1,
+            i64::MAX,
+            i64::MIN,
+        ]
+        .map(Value::Int),
+    );
+    d.extend(
+        [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.0,
+            0.5,
+            TWO_53 as f64,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ]
+        .map(Value::Float),
+    );
+    d.extend(["", "a", "b"].map(Value::text));
+    d
+}
+
+/// One draw from [`key_domain`].
+fn key_value() -> impl Strategy<Value = Value> {
+    let d = key_domain();
+    (0..d.len()).prop_map(move |i| d[i].clone())
+}
+
+/// `name(k, v)`: keys drawn from [`key_domain`], `v` the row number, so
+/// every row is distinguishable and duplicates of a key are common.
+fn keyed(name: &'static str) -> impl Strategy<Value = Relation> {
+    proptest::collection::vec(key_value(), 0..24).prop_map(move |keys| {
+        let schema = Schema::of(&[("k", DataType::Any), ("v", DataType::Int)]);
+        let mut r = Relation::new(schema.with_qualifier(name));
+        for (i, k) in keys.into_iter().enumerate() {
+            r.push(vec![k, Value::from(i)].into_boxed_slice()).unwrap();
+        }
+        r
+    })
+}
+
+fn hash_of(v: &Value) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// `Ord for Value` refines `Eq for Value`, which `Hash` respects — the
+/// contract every keyed operator leans on: a sort puts exactly the rows a
+/// hash table would bucket together next to each other. Exhaustive over
+/// the corner values, triples included.
+#[test]
+fn value_order_refines_equality() {
+    let d = key_domain();
+    for a in &d {
+        for b in &d {
+            assert_eq!(
+                a.cmp(b) == Ordering::Equal,
+                a == b,
+                "{a:?}.cmp({b:?}) = {:?} but {a:?} == {b:?} is {}",
+                a.cmp(b),
+                a == b
+            );
+            if a == b {
+                assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?} hash apart");
+            }
+            assert_eq!(a.cmp(b), b.cmp(a).reverse(), "antisymmetry: {a:?}, {b:?}");
+            for c in &d {
+                if a.cmp(b) != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                    assert_ne!(
+                        a.cmp(c),
+                        Ordering::Greater,
+                        "transitivity: {a:?} <= {b:?} <= {c:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -149,6 +255,49 @@ proptest! {
             prop_assert!(h.same_rows_unordered(&m), "{jt:?} hash vs merge");
             prop_assert!(m.same_rows_unordered(&n), "{jt:?} merge vs nested");
         }
+    }
+
+    /// The same agreement on every key domain at once: mixed Int/Float
+    /// columns, both zeros, both NaNs, NULLs and Text. What a hash table
+    /// buckets together a sort must put together.
+    #[test]
+    fn join_strategies_agree_on_every_key_domain(l in keyed("L"), r in keyed("R")) {
+        for jt in [JoinType::Inner, JoinType::Left, JoinType::Full] {
+            let rows = |strategy| {
+                let mut s = ExecStats::new();
+                join_on(&l, &r, &[("L.k", "R.k")], jt, strategy, &mut s).unwrap().len()
+            };
+            prop_assert!(
+                assert_strategies_agree(&l, &r, &[("L.k", "R.k")], jt).unwrap(),
+                "{jt:?}: hash {} rows, sort-merge {}, nested loop {} on\n{}\n{}",
+                rows(JoinStrategy::Hash),
+                rows(JoinStrategy::SortMerge),
+                rows(JoinStrategy::NestedLoop),
+                l.display(24),
+                r.display(24)
+            );
+        }
+    }
+
+    /// Hash and sort aggregation form the same groups on those keys.
+    #[test]
+    fn agg_strategies_agree_on_every_key_domain(input in keyed("L")) {
+        let agg = |strategy| {
+            let items = [
+                (ScalarExpr::col("k"), "k".to_string()),
+                (ScalarExpr::Agg(AggFunc::Sum, Box::new(ScalarExpr::col("v"))), "s".to_string()),
+            ];
+            let mut s = ExecStats::new();
+            group_by(&input, &["k".into()], &items, strategy, &mut s).unwrap()
+        };
+        let (h, s) = (agg(AggStrategy::Hash), agg(AggStrategy::Sort));
+        prop_assert!(
+            h.same_rows_unordered(&s),
+            "hash forms {} groups, sort {} on\n{}",
+            h.len(),
+            s.len(),
+            input.display(24)
+        );
     }
 }
 

@@ -13,12 +13,12 @@ use aio_testkit::{
     pattern_corpus, run_pattern_matrix, shrink, CaseGraph, Pattern, PatternMatrixConfig, Replay,
 };
 use all_in_one::algebra::{
-    execute, fault_hits, inject_wcoj_seek_off_by_one, last_wcoj_phases, oracle_like, ExecMode,
-    Optimizer,
+    execute, fault_hits, inject_wcoj_seek_off_by_one, last_wcoj_phases, oracle_like, EngineProfile,
+    ExecMode, JoinStrategy, JoinType, Optimizer, Plan,
 };
 use all_in_one::algos::common::{db_for, EdgeStyle};
 use all_in_one::graph::Graph;
-use all_in_one::storage::{Relation, TrieIndex, Value, WalPolicy};
+use all_in_one::storage::{Catalog, DataType, Relation, Schema, TrieIndex, Value, WalPolicy};
 use std::collections::BTreeSet;
 
 fn assert_clean(report: &aio_testkit::MatrixReport) {
@@ -149,6 +149,254 @@ fn trie_contract_over_a_seeded_edge_relation() {
             }
             None => assert!(!found, "seek({probe}) must exhaust the level"),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// key domains beyond Int vertex ids: hand-built plans over hand-built tables
+// ---------------------------------------------------------------------------
+
+/// `name(k0.., w)`: `N` untyped key columns and a row-number payload that
+/// tells duplicate keys apart.
+fn keyed_table<const N: usize>(name: &str, keys: &[[Value; N]]) -> (String, Relation) {
+    let mut cols: Vec<(String, DataType)> =
+        (0..N).map(|i| (format!("k{i}"), DataType::Any)).collect();
+    cols.push(("w".into(), DataType::Int));
+    let cols: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let mut rel = Relation::new(Schema::of(&cols));
+    for (i, k) in keys.iter().enumerate() {
+        let mut row = k.to_vec();
+        row.push(Value::from(i));
+        rel.push(row.into_boxed_slice()).unwrap();
+    }
+    (name.to_string(), rel)
+}
+
+fn inner_join(left: Plan, right: Plan, on: &[(&str, &str)]) -> Plan {
+    Plan::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        on: on
+            .iter()
+            .map(|(l, r)| (l.to_string(), r.to_string()))
+            .collect(),
+        residual: None,
+        kind: JoinType::Inner,
+    }
+}
+
+fn scan(table: &str) -> Plan {
+    Plan::scan_as(table, table)
+}
+
+/// `multiway` and `binary` are the same query over `tables`: the multiway
+/// join (Row and Batch, par {1, 8}) must return the bag the binary tree
+/// returns under each of its three join algorithms. `Ok` is that bag's
+/// size, `Err` every configuration that disagrees with the hash join.
+fn multiway_vs_binary(
+    tables: Vec<(String, Relation)>,
+    multiway: &Plan,
+    binary: &Plan,
+) -> Result<usize, String> {
+    let mut catalog = Catalog::new();
+    for (name, rel) in tables {
+        catalog.create_table(&name, rel).unwrap();
+    }
+    let mut runs: Vec<(String, Vec<String>)> = Vec::new();
+    for join in [
+        JoinStrategy::Hash,
+        JoinStrategy::SortMerge,
+        JoinStrategy::NestedLoop,
+    ] {
+        let profile = EngineProfile {
+            join,
+            ..oracle_like()
+        };
+        let out = execute(binary, &catalog, &profile).unwrap().0;
+        runs.push((format!("binary {join:?}"), sorted_rows(&out)));
+    }
+    for exec in MODES {
+        for par in [1, 8] {
+            let profile = oracle_like().with_exec(exec).with_parallelism(par);
+            let out = execute(multiway, &catalog, &profile).unwrap().0;
+            runs.push((format!("multiway {exec:?} par {par}"), sorted_rows(&out)));
+        }
+    }
+    let want = runs[0].1.clone();
+    let wrong: Vec<String> = runs
+        .iter()
+        .filter(|(_, got)| *got != want)
+        .map(|(who, got)| format!("{who} returns {} rows {got:?}", got.len()))
+        .collect();
+    if wrong.is_empty() {
+        Ok(want.len())
+    } else {
+        Err(format!(
+            "binary Hash returns {} rows {want:?}, but\n  {}",
+            want.len(),
+            wrong.join("\n  ")
+        ))
+    }
+}
+
+/// `A(k) ⋈ B(k)` as a one-variable multiway join and as a binary join.
+fn two_way(a: &[Value], b: &[Value]) -> (Vec<(String, Relation)>, Plan, Plan) {
+    let rows = |k: &[Value]| -> Vec<[Value; 1]> { k.iter().map(|v| [v.clone()]).collect() };
+    let tables = vec![keyed_table("A", &rows(a)), keyed_table("B", &rows(b))];
+    let multiway = Plan::MultiwayJoin {
+        children: vec![scan("A"), scan("B")],
+        vars: vec![vec![Some(0), None], vec![Some(0), None]],
+        var_names: vec!["k".into()],
+        agm_est: 1,
+    };
+    let binary = inner_join(scan("A"), scan("B"), &[("A.k0", "B.k0")]);
+    (tables, multiway, binary)
+}
+
+/// The multiway join on keys that are not Int vertex ids — Text, Float,
+/// NULL-bearing, and one column mixing Int, Float and both zeros — agrees
+/// with the binary join under every join algorithm. Storage equality is
+/// strict by type and folds the zeros, so in the mixed relation `Int 1`
+/// meets `Int 1` twice, `Float 0.0` meets `Float -0.0` once, and
+/// `Float 1.0` meets nothing.
+#[test]
+fn multiway_matches_binary_on_every_key_domain() {
+    let t = Value::text;
+    let (i, f) = (Value::Int, Value::Float);
+    let cases: [(&str, Vec<Value>, Vec<Value>, usize); 4] = [
+        (
+            "text keys",
+            vec![t("b"), t("a"), t("c"), t("a"), t("")],
+            vec![t("a"), t("c"), t("d"), t("a"), t("")],
+            6,
+        ),
+        (
+            "float keys",
+            vec![
+                f(0.5),
+                f(-0.0),
+                f(f64::NAN),
+                f(2.0),
+                f(f64::INFINITY),
+                f(0.0),
+            ],
+            vec![f(0.0), f(-f64::NAN), f(2.0), f(2.0), f(f64::NEG_INFINITY)],
+            5,
+        ),
+        (
+            "null-bearing keys",
+            vec![Value::Null, i(1), Value::Null, t("x"), i(2)],
+            vec![i(2), Value::Null, t("x"), i(2)],
+            3,
+        ),
+        (
+            "mixed Int/Float/±0.0 keys",
+            vec![i(1), f(1.0), i(1), f(0.0)],
+            vec![i(1), f(-0.0)],
+            3,
+        ),
+    ];
+    let wrong: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(ctx, a, b, rows)| {
+            let (tables, multiway, binary) = two_way(&a, &b);
+            match multiway_vs_binary(tables, &multiway, &binary) {
+                Ok(got) if got == rows => None,
+                Ok(got) => Some(format!("{ctx}: {got} rows everywhere, expected {rows}")),
+                Err(e) => Some(format!("{ctx}: {e}")),
+            }
+        })
+        .collect();
+    assert!(wrong.is_empty(), "\n{}", wrong.join("\n"));
+}
+
+/// `R(a,b) ⋈ S(b,c) ⋈ T(c,a) ⋈ N(a)`: a triangle with a label atom on
+/// `a`. `R` and `S` index as all-Int tries; `T` holds Text on its `c`
+/// level, so the search runs on `Value` keys: three participants on `a`
+/// (the general loop), two on `b` and on `c` (the two-way loop), a NULL
+/// and a Text that match nothing, and a duplicated `R` row that every
+/// triangle through it re-expands.
+#[test]
+fn labelled_triangle_over_a_text_bearing_trie_matches_binary() {
+    let (i, t) = (Value::Int, Value::text);
+    let edges: Vec<[Value; 2]> = [(1, 2), (2, 3), (3, 1), (1, 3), (3, 4), (4, 1), (1, 2)]
+        .iter()
+        .map(|&(x, y)| [i(x), i(y)])
+        .collect();
+    let mut closing = edges.clone();
+    closing.extend([[t("x"), i(1)], [t("y"), t("z")], [Value::Null, i(2)]]);
+    let labels = [[i(1)], [i(3)], [Value::Null], [t("x")], [i(1)], [i(7)]];
+    let tables = vec![
+        keyed_table("R", &edges),
+        keyed_table("S", &edges),
+        keyed_table("T", &closing),
+        keyed_table("N", &labels),
+    ];
+    let tries: Vec<bool> = [("R", [0, 1]), ("S", [0, 1]), ("T", [1, 0])]
+        .iter()
+        .map(|(name, cols)| {
+            let rel = &tables.iter().find(|(n, _)| n == name).unwrap().1;
+            TrieIndex::build(rel, cols).all_int()
+        })
+        .collect();
+    assert_eq!(tries, [true, true, false], "the instance under test");
+    let multiway = Plan::MultiwayJoin {
+        children: vec![scan("R"), scan("S"), scan("T"), scan("N")],
+        vars: vec![
+            vec![Some(0), Some(1), None],
+            vec![Some(1), Some(2), None],
+            vec![Some(2), Some(0), None],
+            vec![Some(0), None],
+        ],
+        var_names: vec!["a".into(), "b".into(), "c".into()],
+        agm_est: 1,
+    };
+    let binary = inner_join(
+        inner_join(
+            inner_join(scan("R"), scan("S"), &[("R.k1", "S.k0")]),
+            scan("T"),
+            &[("S.k1", "T.k0"), ("R.k0", "T.k1")],
+        ),
+        scan("N"),
+        &[("R.k0", "N.k0")],
+    );
+    let rows = multiway_vs_binary(tables, &multiway, &binary).unwrap_or_else(|e| panic!("{e}"));
+    // a = 1: 1→2→3→1 through the duplicated R row, and 1→3→4→1, each
+    // under two `1` labels; a = 3: 3→1→2→3 (the duplicate is an S row
+    // there) and 3→4→1→3 under one `3` label; 2 and 4 carry no label
+    assert_eq!(rows, (2 + 1) * 2 + (2 + 1));
+}
+
+/// The planted seek off-by-one is caught on Text keys as well — through
+/// the two-way loop and through the general one.
+#[test]
+fn injected_seek_off_by_one_is_caught_on_text_keys() {
+    let t = Value::text;
+    let (a, b) = (vec![t("a"), t("c")], vec![t("b"), t("c")]);
+    let (mut tables, two, _) = two_way(&a, &b);
+    tables.push(keyed_table("C", &[[t("c")]]));
+    let three = Plan::MultiwayJoin {
+        children: vec![scan("A"), scan("B"), scan("C")],
+        vars: vec![vec![Some(0), None]; 3],
+        var_names: vec!["k".into()],
+        agm_est: 1,
+    };
+    let mut catalog = Catalog::new();
+    for (name, rel) in tables {
+        catalog.create_table(&name, rel).unwrap();
+    }
+    for (ctx, plan) in [("two-way", two), ("three-way", three)] {
+        let clean = execute(&plan, &catalog, &oracle_like()).unwrap().0;
+        assert_eq!(clean.len(), 1, "{ctx}: only \"c\" joins");
+        inject_wcoj_seek_off_by_one(true);
+        let faulty = execute(&plan, &catalog, &oracle_like());
+        inject_wcoj_seek_off_by_one(false);
+        assert!(fault_hits() > 0, "{ctx}: the seek fault hook never fired");
+        assert_ne!(
+            sorted_rows(&faulty.unwrap().0),
+            sorted_rows(&clean),
+            "{ctx}: a seek that overshoots its target must lose the match"
+        );
     }
 }
 
