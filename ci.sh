@@ -3,8 +3,8 @@
 # toolchain and calls this script. Run before pushing.
 #
 #   ./ci.sh        format check, build, the default (smoke) test suite,
-#                  clippy, the benchmark package's build + self-check +
-#                  unit tests, and the trace smoke
+#                  clippy, rustdoc, the benchmark package's build +
+#                  self-check + unit tests, and the trace smoke
 #   ./ci.sh full   the same, with every #[ignore]d heavyweight test: the
 #                  full differential matrices, the metamorphic sweep, the
 #                  incremental-vs-recompute IVM matrix and the exhaustive
@@ -25,6 +25,8 @@ smoke) cargo test -q --workspace ;;
     ;;
 esac
 cargo clippy --workspace --all-targets -- -D warnings
+# a doc link to an item that was deleted or made private fails here
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # benchmark package: `benchmark/` is its own workspace, so nothing above
 # compiles it. Build it, run its self-check and its unit tests against the

@@ -461,7 +461,7 @@ fn extreme<'a, T: Copy + Default + PartialOrd>(
 }
 
 /// The column an expression evaluates to over `input`, when the column
-/// evaluator accepts it (see [`eval_vector`] for the rules); `None` means
+/// evaluator accepts it (see `eval_vector` for the rules); `None` means
 /// "evaluate row-major instead", never an error.
 pub fn eval_expr(e: &ScalarExpr, input: &Batch) -> Option<ColumnVec> {
     let bound = e.bind(input.schema()).ok()?;

@@ -583,11 +583,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The stored sort order on `cols` that can serve a join input: only
-    /// when the child is a direct table scan and the profile's plans react
-    /// to indexes.
+    /// when the child is a direct table scan and the profile uses indexes.
     fn index_order(&self, child: &Plan, cols: &[usize]) -> Option<&'a [u32]> {
         match child {
-            Plan::Scan { table, .. } if self.profile.plan_uses_indexes => {
+            Plan::Scan { table, .. } if self.profile.indexes => {
                 self.catalog.index_on(table, cols).map(|i| i.order())
             }
             _ => None,

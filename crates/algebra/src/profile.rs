@@ -101,12 +101,11 @@ pub struct EngineProfile {
     pub wal_temp: WalPolicy,
     /// Logging policy for in-place updates (merge / update-from).
     pub wal_update: WalPolicy,
-    /// Whether the PSM procedure builds indexes on temp tables (Exp-A).
-    pub build_indexes: bool,
-    /// Whether the plan actually changes when an index exists. The paper:
-    /// Oracle and DB2 keep hash join regardless; only PostgreSQL's merge
-    /// join consumes the index order.
-    pub plan_uses_indexes: bool,
+    /// Whether the PSM procedure builds sorted indexes on temp tables and
+    /// the merge join scans them instead of sorting (Exp-A). Only a merge
+    /// join reads an index order, so the paper's observation that Oracle
+    /// and DB2 keep their hash joins regardless holds by construction.
+    pub indexes: bool,
     /// Worker threads for morsel-parallel operators. `1` (the default for
     /// every paper profile) is the serial pipeline the paper measures; `0`
     /// means all available cores. Outputs are deterministic at any setting.
@@ -164,8 +163,7 @@ pub fn oracle_like() -> EngineProfile {
         agg: AggStrategy::Hash,
         wal_temp: WalPolicy::None,
         wal_update: WalPolicy::Full,
-        build_indexes: false,
-        plan_uses_indexes: false,
+        indexes: false,
         parallelism: 1,
         capture_snapshots: false,
         optimizer: Optimizer::Off,
@@ -181,8 +179,7 @@ pub fn db2_like() -> EngineProfile {
         agg: AggStrategy::Hash,
         wal_temp: WalPolicy::Light,
         wal_update: WalPolicy::Full,
-        build_indexes: false,
-        plan_uses_indexes: false,
+        indexes: false,
         parallelism: 1,
         capture_snapshots: false,
         optimizer: Optimizer::Off,
@@ -203,8 +200,7 @@ pub fn postgres_like(with_indexes: bool) -> EngineProfile {
         agg: AggStrategy::Sort,
         wal_temp: WalPolicy::Light,
         wal_update: WalPolicy::Full,
-        build_indexes: with_indexes,
-        plan_uses_indexes: with_indexes,
+        indexes: with_indexes,
         parallelism: 1,
         capture_snapshots: false,
         optimizer: Optimizer::Off,
@@ -231,9 +227,8 @@ mod tests {
     fn postgres_sorts_without_indexes() {
         let p = postgres_like(false);
         assert_eq!(p.join, JoinStrategy::SortMerge);
-        assert!(!p.plan_uses_indexes);
-        let p = postgres_like(true);
-        assert!(p.build_indexes && p.plan_uses_indexes);
+        assert!(!p.indexes);
+        assert!(postgres_like(true).indexes);
     }
 
     #[test]

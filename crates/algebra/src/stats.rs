@@ -7,7 +7,7 @@
 //! quantities (e.g. PR = 1 MV-join + 1 union-by-update per iteration, HITS =
 //! 2 MV-joins + 1 θ-join + 1 aggregation + 1 union-by-update).
 //!
-//! The estimator ([`estimate_nodes`], crate-internal [`estimate`]) applies
+//! The estimator ([`estimate_nodes`], crate-internal `estimate`) applies
 //! the textbook independence assumptions over the per-column sketches the
 //! storage layer collects ([`aio_storage::RelationStats`]): equality
 //! selectivity `1/NDV`, range selectivity by min/max interpolation,
@@ -94,8 +94,7 @@ impl ExecStats {
         }
     }
 
-    /// The counters as `(key, value)` pairs, in display order. Single source
-    /// of truth for [`fmt::Display`] and [`ExecStats::to_json`].
+    /// The counters as `(key, value)` pairs, in [`fmt::Display`] order.
     pub fn entries(&self) -> [(&'static str, u64); 10] {
         [
             ("rows_scanned", self.rows_scanned),

@@ -9,12 +9,17 @@
 //!
 //! This module holds both halves of the feature:
 //!
-//! * the executor ([`multiway_join`]) — a classic LFTJ over
-//!   [`aio_storage::TrieCursor`]s, with bag semantics (payload columns and
-//!   duplicate rows are re-expanded from the trie's row-id runs, so the
-//!   output is multiset-identical to the equivalent binary join tree).
-//!   Scan-like children ([`scan_like`]) read the catalog's cached tries;
-//!   only filtered or computed children are indexed per execution;
+//! * the executor (`multiway_join`) — one leapfrog search, `Lftj<K>`,
+//!   written once over the tries' level slices and instantiated for
+//!   `K = i64` when every key level of every trie is all-`Int` (graph
+//!   vertex ids: machine-integer compares, no NULLs to skip) and for
+//!   `K = Value` otherwise; which one runs is read off the tries, not
+//!   configured. Bag semantics: payload columns and duplicate rows are
+//!   re-expanded from the trie's row-id runs, so the output is
+//!   multiset-identical to the equivalent binary join tree. Scan-like
+//!   children (a scan, or a projection of plain columns over one) read the
+//!   catalog's cached tries; only filtered or computed children are
+//!   indexed per execution;
 //! * the planning helpers the cost pass uses — GYO cyclicity detection
 //!   ([`is_cyclic`]), the AGM bound via an exact half-integral minimum
 //!   fractional edge cover ([`agm_bound`]), and the variable elimination
@@ -25,7 +30,7 @@ use crate::expr::ScalarExpr;
 use crate::fault;
 use crate::plan::{Data, Plan};
 use crate::stats::ExecStats;
-use aio_storage::{Catalog, Relation, TrieCursor, TrieIndex, Value};
+use aio_storage::{Catalog, Relation, TrieIndex, Value};
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -186,51 +191,14 @@ pub(crate) fn multiway_join(
         .zip(&key_cols)
         .map(|(d, kc)| kc.is_empty().then(|| (0..d.len() as u32).collect()))
         .collect();
-    // Integer fast path: graph keys are almost always Int, and the probe
-    // is the hot loop of the whole operator. When every key level is
-    // all-Int (hence NULL-free), leapfrog directly over the tries' raw
-    // `i64` columns — no `Value` enum dispatch, no per-op cursor
-    // machinery. The generic cursor path stays behind for mixed-type or
-    // NULL-bearing keys.
+    // Graph keys are almost always Int, and the probe is the hot loop of
+    // the whole operator: when every key level is all-Int (hence
+    // NULL-free) the search compares the tries' raw `i64` columns.
     let out_rows = if tries.iter().all(|t| t.all_int()) {
-        let mut lftj = IntLftj {
-            children,
-            keys: tries
-                .iter()
-                .map(|t| (0..t.depth()).map(|d| t.int_keys(d).unwrap()).collect())
-                .collect(),
-            ends: tries
-                .iter()
-                .map(|t| (0..t.depth()).map(|d| t.child_ends(d)).collect())
-                .collect(),
-            tries: &tries,
-            frames: vec![Vec::new(); children.len()],
-            participants: &participants,
-            all_rows,
-            armed: fault::wcoj_fault_armed(),
-            seeks: 0,
-            gallop_steps: 0,
-            out: Vec::new(),
-            row: Vec::with_capacity(schema.arity()),
-        };
-        lftj.search(0)?;
-        aio_metrics::hooks::wcoj_flush(lftj.seeks, lftj.gallop_steps);
-        lftj.out
+        let level = |t, d| TrieIndex::int_keys(t, d).expect("all-Int level");
+        Lftj::run(children, &tries, level, &participants, all_rows)?
     } else {
-        let mut lftj = Lftj {
-            children,
-            cursors: tries.iter().map(|t| t.cursor()).collect(),
-            participants: &participants,
-            all_rows,
-            seeks: 0,
-            out: Vec::new(),
-            row: Vec::with_capacity(schema.arity()),
-        };
-        lftj.search(0)?;
-        // Gallop steps live inside `TrieCursor::seek` on this path; only
-        // the seek count is visible here.
-        aio_metrics::hooks::wcoj_flush(lftj.seeks, 0);
-        lftj.out
+        Lftj::run(children, &tries, TrieIndex::keys, &participants, all_rows)?
     };
     phases.probe_ns = probe_start.elapsed().as_nanos() as u64;
     LAST_WCOJ.with(|c| c.set(phases));
@@ -239,115 +207,6 @@ pub(crate) fn multiway_join(
     let mut out = Relation::new(schema);
     out.rows_mut().extend(out_rows);
     Ok(out)
-}
-
-/// One in-flight leapfrog search.
-struct Lftj<'a> {
-    children: &'a [Data],
-    cursors: Vec<TrieCursor<'a>>,
-    participants: &'a [Vec<usize>],
-    /// For keyless children (pure cross-product factors): every row id.
-    all_rows: Vec<Option<Vec<u32>>>,
-    /// Seek count for this search, flushed to metrics once at the end.
-    seeks: u64,
-    out: Vec<aio_storage::Row>,
-    row: Vec<Value>,
-}
-
-impl Lftj<'_> {
-    /// `seek` to the least key `>= v`, with the injectable off-by-one:
-    /// when armed, a seek that lands exactly on its target skips one
-    /// position too far — `lower_bound` miscomputed as `upper_bound`.
-    fn seek_lub(cur: &mut TrieCursor<'_>, v: &Value) -> bool {
-        let ok = cur.seek(v);
-        if ok && fault::wcoj_fault_armed() && cur.key() == v {
-            fault::note_wcoj_hit();
-            return cur.next();
-        }
-        ok
-    }
-
-    fn search(&mut self, depth: usize) -> Result<()> {
-        if depth == self.participants.len() {
-            self.emit();
-            return Ok(());
-        }
-        let parts = &self.participants[depth];
-        if parts.is_empty() {
-            return Err(AlgebraError::Plan("multiway join: unbound variable".into()));
-        }
-        for &c in parts {
-            self.cursors[c].open();
-            // SQL equality never matches NULL; NULLs sort first, so one
-            // `next` clears the whole run.
-            while !self.cursors[c].at_end() && self.cursors[c].key().is_null() {
-                if !self.cursors[c].next() {
-                    break;
-                }
-            }
-        }
-        if parts.iter().all(|&c| !self.cursors[c].at_end()) {
-            'search: loop {
-                // Find the largest current key and the cursor holding the
-                // smallest; equal ⇒ a match on this variable. `key()`
-                // borrows from the trie, not the cursor, so the references
-                // stay valid across the seek below.
-                let mut max = self.cursors[parts[0]].key();
-                let mut min_c = parts[0];
-                let mut min = max;
-                for &c in &parts[1..] {
-                    let k = self.cursors[c].key();
-                    if *k > *max {
-                        max = k;
-                    }
-                    if *k < *min {
-                        min = k;
-                        min_c = c;
-                    }
-                }
-                if min == max {
-                    self.search(depth + 1)?;
-                    if !self.cursors[parts[0]].next() {
-                        break 'search;
-                    }
-                } else {
-                    self.seeks += 1;
-                    if !Self::seek_lub(&mut self.cursors[min_c], max) {
-                        break 'search;
-                    }
-                }
-            }
-        }
-        for &c in parts {
-            self.cursors[c].up();
-        }
-        Ok(())
-    }
-
-    /// Expand the cross product of every child's matching row run — bag
-    /// semantics: duplicate keys and payload columns come back here. By
-    /// the time every variable is bound, each keyed child's cursor sits at
-    /// its deepest level on the matching key, so `matches()` is the run of
-    /// row ids under the full prefix.
-    fn emit(&mut self) {
-        let Lftj {
-            children,
-            cursors,
-            all_rows,
-            out,
-            row,
-            ..
-        } = self;
-        let ranges: Vec<&[u32]> = cursors
-            .iter()
-            .zip(all_rows.iter())
-            .map(|(c, all)| match all {
-                Some(v) => &v[..],
-                None => c.matches(),
-            })
-            .collect();
-        cross(children, &ranges, 0, row, out);
-    }
 }
 
 /// Append each combination of one row per child to `out`, every child's
@@ -371,25 +230,44 @@ fn cross(
     }
 }
 
-/// The integer fast path: the same leapfrog search as [`Lftj`], but over
-/// the tries' raw distinct-`i64` key arrays. Frames are bare `(pos, hi)`
-/// node-index pairs per child; `open` reads the layered trie's child-end
-/// offsets, `next` is one increment, and `seek` gallops on `&[i64]`
-/// slices. Must stay semantically identical to the cursor path (the
-/// differential matrix exercises both through the same plans) — including
-/// the injectable seek off-by-one, mirrored in [`IntLftj::seek_lub`].
-struct IntLftj<'a> {
+/// What the leapfrog needs of a trie key beyond its order: whether it is
+/// SQL NULL, which equality never matches. (`Clone` so the two-way loop can
+/// hold its two current keys by value: an `i64` then lives in a register
+/// across the recursion, and a `Value` clone is at most a reference-count
+/// increment.)
+trait TrieKey: Ord + Clone {
+    fn is_null(&self) -> bool;
+}
+
+impl TrieKey for i64 {
+    #[inline]
+    fn is_null(&self) -> bool {
+        false
+    }
+}
+
+impl TrieKey for Value {
+    #[inline]
+    fn is_null(&self) -> bool {
+        Value::is_null(self)
+    }
+}
+
+/// One in-flight leapfrog search over the tries' level slices. A child's
+/// position is a stack of `(pos, hi)` node-index frames, one per opened
+/// level: `open` reads the node's child range off the trie, `next` is one
+/// increment, `seek` gallops on the level's key slice.
+struct Lftj<'a, K> {
     children: &'a [Data],
     /// `keys[c][d]` = child `c`'s distinct level-`d` keys.
-    keys: Vec<Vec<&'a [i64]>>,
-    /// `ends[c][d]` = child-end offsets of level `d` (empty at deepest).
-    ends: Vec<Vec<&'a [u32]>>,
-    /// The tries themselves, for row-run expansion at emit.
+    keys: Vec<Vec<&'a [K]>>,
+    /// The tries themselves: child ranges at `open`, row runs at `emit`.
     tries: &'a [Arc<TrieIndex>],
     /// Per-child frame stack; `frames[c][d] = (pos, hi)` with `pos == hi`
-    /// meaning at-end (same shape as the cursor's frames).
+    /// meaning at-end.
     frames: Vec<Vec<(usize, usize)>>,
     participants: &'a [Vec<usize>],
+    /// For keyless children (pure cross-product factors): every row id.
     all_rows: Vec<Option<Vec<u32>>>,
     /// Fault flag hoisted out of the per-seek TLS read.
     armed: bool,
@@ -401,18 +279,51 @@ struct IntLftj<'a> {
     row: Vec<Value>,
 }
 
-impl IntLftj<'_> {
+impl<'a, K: TrieKey> Lftj<'a, K> {
+    /// Run the whole search; `level(trie, d)` is the trie's level-`d` key
+    /// slice in this instantiation's key type.
+    fn run(
+        children: &'a [Data],
+        tries: &'a [Arc<TrieIndex>],
+        level: impl Fn(&'a TrieIndex, usize) -> &'a [K],
+        participants: &'a [Vec<usize>],
+        all_rows: Vec<Option<Vec<u32>>>,
+    ) -> Result<Vec<aio_storage::Row>> {
+        let mut lftj = Lftj {
+            children,
+            keys: tries
+                .iter()
+                .map(|t| (0..t.depth()).map(|d| level(t, d)).collect())
+                .collect(),
+            tries,
+            frames: vec![Vec::new(); children.len()],
+            participants,
+            all_rows,
+            armed: fault::wcoj_fault_armed(),
+            seeks: 0,
+            gallop_steps: 0,
+            out: Vec::new(),
+            row: Vec::new(),
+        };
+        lftj.search(0)?;
+        aio_metrics::hooks::wcoj_flush(lftj.seeks, lftj.gallop_steps);
+        Ok(lftj.out)
+    }
+
+    /// Descend child `c` into the children of its current node (the root
+    /// level if nothing is open). NULLs sort first and nodes are distinct,
+    /// so stepping over one leading key clears them.
     #[inline]
     fn open(&mut self, c: usize) {
-        match self.frames[c].last().copied() {
-            None => self.frames[c].push((0, self.keys[c][0].len())),
-            Some((pos, _)) => {
-                let d = self.frames[c].len() - 1;
-                let e = self.ends[c][d];
-                let lo = if pos == 0 { 0 } else { e[pos - 1] as usize };
-                self.frames[c].push((lo, e[pos] as usize));
-            }
+        let d = self.frames[c].len();
+        let (mut lo, hi) = match self.frames[c].last() {
+            None => (0, self.keys[c][0].len()),
+            Some(&(pos, _)) => self.tries[c].child_range(d - 1, pos),
+        };
+        if lo < hi && self.keys[c][d][lo].is_null() {
+            lo += 1;
         }
+        self.frames[c].push((lo, hi));
     }
 
     #[inline]
@@ -422,9 +333,9 @@ impl IntLftj<'_> {
     }
 
     #[inline]
-    fn key(&self, c: usize) -> i64 {
+    fn key(&self, c: usize) -> &'a K {
         let d = self.frames[c].len() - 1;
-        self.keys[c][d][self.frames[c][d].0]
+        &self.keys[c][d][self.frames[c][d].0]
     }
 
     #[inline]
@@ -435,23 +346,31 @@ impl IntLftj<'_> {
         pos + 1 < hi
     }
 
-    /// `seek` with the same injectable off-by-one as [`Lftj::seek_lub`].
+    /// The least position in `col[from..hi]` whose key is `>= target`
+    /// (`hi` if none) — the one seek every loop below goes through. With
+    /// the injectable off-by-one armed, a seek that lands exactly on its
+    /// target skips one position too far: `lower_bound` miscomputed as
+    /// `upper_bound`. (`inline(always)`: left out of line, it costs the
+    /// two-way loop its register-resident positions.)
+    #[inline(always)]
+    fn seek(&mut self, col: &[K], from: usize, hi: usize, target: &K) -> usize {
+        self.seeks += 1;
+        let mut pos = gallop(col, from, hi, |k| k < target, &mut self.gallop_steps);
+        if self.armed && pos < hi && col[pos] == *target {
+            fault::note_wcoj_hit();
+            pos += 1;
+        }
+        pos
+    }
+
+    /// Position child `c` at its least key `>= v`; `false` at-end.
     #[inline]
-    fn seek_lub(&mut self, c: usize, v: i64) -> bool {
+    fn seek_lub(&mut self, c: usize, v: &K) -> bool {
         let d = self.frames[c].len() - 1;
         let (pos, hi) = self.frames[c][d];
-        let col = self.keys[c][d];
-        self.seeks += 1;
-        let landed = gallop_i64(col, pos, hi, |k| k < v, &mut self.gallop_steps);
+        let landed = self.seek(self.keys[c][d], pos, hi, v);
         self.frames[c][d].0 = landed;
-        if landed >= hi {
-            return false;
-        }
-        if self.armed && col[landed] == v {
-            fault::note_wcoj_hit();
-            return self.next(c);
-        }
-        true
+        landed < hi
     }
 
     fn search(&mut self, depth: usize) -> Result<()> {
@@ -465,7 +384,6 @@ impl IntLftj<'_> {
         }
         for &c in parts {
             self.open(c);
-            // no NULL skipping: an all-Int level cannot hold NULLs
         }
         if let [c0, c1] = *parts.as_slice() {
             // Two participants — the overwhelmingly common case for edge
@@ -473,12 +391,10 @@ impl IntLftj<'_> {
             // atoms). Keep positions and keys in locals; only sync the
             // frame stack around recursion, which reads it via `open`.
             self.intersect2(depth, c0, c1)?;
-            self.frames[c0].pop();
-            self.frames[c1].pop();
-            return Ok(());
-        }
-        if parts.iter().all(|&c| !self.at_end(c)) {
+        } else if parts.iter().all(|&c| !self.at_end(c)) {
             'search: loop {
+                // Find the largest current key and the child holding the
+                // smallest; equal ⇒ a match on this variable.
                 let mut max = self.key(parts[0]);
                 let mut min_c = parts[0];
                 let mut min = max;
@@ -509,20 +425,19 @@ impl IntLftj<'_> {
     }
 
     /// The register-resident two-way leapfrog: advance the smaller key to
-    /// the larger, recurse on equality. Mirrors the generic loop exactly,
-    /// including the injected seek off-by-one on the seeking cursor.
+    /// the larger, recurse on equality — the general loop above with the
+    /// frame stack read once.
     fn intersect2(&mut self, depth: usize, c0: usize, c1: usize) -> Result<()> {
         let d0 = self.frames[c0].len() - 1;
         let d1 = self.frames[c1].len() - 1;
         let col0 = self.keys[c0][d0];
         let col1 = self.keys[c1][d1];
         let (mut p0, h0) = self.frames[c0][d0];
-        let (p1_init, h1) = self.frames[c1][d1];
-        let mut p1 = p1_init;
+        let (mut p1, h1) = self.frames[c1][d1];
         if p0 >= h0 || p1 >= h1 {
             return Ok(());
         }
-        let (mut k0, mut k1) = (col0[p0], col1[p1]);
+        let (mut k0, mut k1) = (col0[p0].clone(), col1[p1].clone());
         loop {
             if k0 == k1 {
                 self.frames[c0][d0].0 = p0;
@@ -533,46 +448,30 @@ impl IntLftj<'_> {
                 if p0 >= h0 {
                     return Ok(());
                 }
-                k0 = col0[p0];
+                k0 = col0[p0].clone();
             } else if k0 < k1 {
-                self.seeks += 1;
-                p0 = gallop_i64(col0, p0, h0, |k| k < k1, &mut self.gallop_steps);
+                p0 = self.seek(col0, p0, h0, &k1);
                 if p0 >= h0 {
                     return Ok(());
                 }
-                k0 = col0[p0];
-                if self.armed && k0 == k1 {
-                    fault::note_wcoj_hit();
-                    p0 += 1;
-                    if p0 >= h0 {
-                        return Ok(());
-                    }
-                    k0 = col0[p0];
-                }
+                k0 = col0[p0].clone();
             } else {
-                self.seeks += 1;
-                p1 = gallop_i64(col1, p1, h1, |k| k < k0, &mut self.gallop_steps);
+                p1 = self.seek(col1, p1, h1, &k0);
                 if p1 >= h1 {
                     return Ok(());
                 }
-                k1 = col1[p1];
-                if self.armed && k1 == k0 {
-                    fault::note_wcoj_hit();
-                    p1 += 1;
-                    if p1 >= h1 {
-                        return Ok(());
-                    }
-                    k1 = col1[p1];
-                }
+                k1 = col1[p1].clone();
             }
         }
     }
 
-    /// Same bag-semantics expansion as [`Lftj::emit`]: each keyed child's
-    /// run of row ids under its current full key prefix, crossed in child
-    /// order.
+    /// Expand the cross product of every child's matching row run — bag
+    /// semantics: duplicate keys and payload columns come back here. By
+    /// the time every variable is bound, each keyed child sits at its
+    /// deepest level on the matching key, so the rows under that node are
+    /// the run of row ids under the full prefix.
     fn emit(&mut self) {
-        let IntLftj {
+        let Lftj {
             children,
             tries,
             frames,
@@ -602,25 +501,25 @@ impl IntLftj<'_> {
 /// distances and run lengths in a leapfrog join are usually a handful of
 /// positions, so this is O(log distance), not O(log level-size).
 #[inline]
-fn gallop_i64(
-    s: &[i64],
+fn gallop<K>(
+    s: &[K],
     from: usize,
     hi: usize,
-    holds: impl Fn(i64) -> bool,
+    holds: impl Fn(&K) -> bool,
     steps: &mut u64,
 ) -> usize {
-    if from >= hi || !holds(s[from]) {
+    if from >= hi || !holds(&s[from]) {
         return from;
     }
     let mut lo = from; // invariant: holds(s[lo])
     let mut step = 1usize;
-    while lo + step < hi && holds(s[lo + step]) {
+    while lo + step < hi && holds(&s[lo + step]) {
         lo += step;
         step <<= 1;
         *steps += 1;
     }
     let end = hi.min(lo.saturating_add(step));
-    lo + 1 + s[lo + 1..end].partition_point(|&k| holds(k))
+    lo + 1 + s[lo + 1..end].partition_point(holds)
 }
 
 // ---------------------------------------------------------------------------
@@ -918,6 +817,39 @@ mod tests {
         };
         let (out, _) = execute(&plan, &c, &oracle_like()).unwrap();
         assert_eq!(out.len(), 1, "only a=1 joins; NULLs are skipped");
+    }
+
+    /// The one seek primitive against a naive scan, on both key types:
+    /// `gallop` finds the least position in `[from, hi)` whose key is
+    /// `>= target`, never moves backwards, and stops at `hi` — not at the
+    /// end of the level, which belongs to the next parent's children.
+    #[test]
+    fn seek_is_least_upper_bound_and_monotone() {
+        fn check<K: Ord + std::fmt::Debug>(level: &[K], targets: &[K]) {
+            for hi in 0..=level.len() {
+                for from in 0..=hi {
+                    for t in targets {
+                        let mut steps = 0;
+                        let got = gallop(level, from, hi, |k| k < t, &mut steps);
+                        let naive = (from..hi).find(|&i| level[i] >= *t).unwrap_or(hi);
+                        assert_eq!(got, naive, "seek({t:?}) in {level:?}[{from}..{hi}]");
+                    }
+                }
+            }
+        }
+        let ints: Vec<i64> = vec![-3, 0, 1, 2, 5, 8, 13, 21, 34, 55, 89];
+        let int_targets: Vec<i64> = (-5..=90).collect();
+        check(&ints, &int_targets);
+        let (i, f, t) = (Value::Int, Value::Float, Value::text);
+        let (null, inf, nan) = (Value::Null, f64::INFINITY, f64::NAN);
+        #[rustfmt::skip]
+        let values = vec![
+            null, f(-inf), i(0), f(0.0), f(0.5), i(1), f(1.0), i(2), f(nan), t("a"), t("b"),
+        ];
+        assert!(values.windows(2).all(|w| w[0] < w[1]), "a trie level");
+        let mut value_targets = values.clone();
+        value_targets.extend([f(-0.0), f(-nan), i(-1), i(3), f(1.5), t("")]);
+        check(&values, &value_targets);
     }
 
     #[test]

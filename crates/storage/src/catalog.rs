@@ -75,7 +75,7 @@ impl TableEntry {
 /// Entries are held behind `Arc` so a committed generation can be forked
 /// as a read-only snapshot in O(tables) ([`Catalog::fork_readonly`]): the
 /// fork shares every entry, and the writer's next mutation of a shared
-/// entry clones only that entry (copy-on-write, see [`Catalog::table_mut`]).
+/// entry clones only that entry (copy-on-write, see `Catalog::table_mut`).
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: HashMap<String, Arc<TableEntry>>,

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::relation::{ColumnSketch, Relation, RelationStats, Row};
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{cmp_f64, Value};
 
 /// Row index sentinel used by [`Batch::gather`]: `u32::MAX` gathers a NULL
 /// (outer-join padding).
@@ -494,8 +494,8 @@ impl ColumnVec {
                         continue;
                     }
                     seen.insert(Value::canonical_f64_bits(v));
-                    min = Some(min.map_or(v, |m| if v.total_cmp(&m).is_lt() { v } else { m }));
-                    max = Some(max.map_or(v, |m| if v.total_cmp(&m).is_gt() { v } else { m }));
+                    min = Some(min.map_or(v, |m| if cmp_f64(v, m).is_lt() { v } else { m }));
+                    max = Some(max.map_or(v, |m| if cmp_f64(v, m).is_gt() { v } else { m }));
                 }
                 ColumnSketch {
                     ndv: seen.len(),

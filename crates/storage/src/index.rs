@@ -4,44 +4,12 @@
 //! tables the PSM translation creates: in PostgreSQL the optimizer picks a
 //! merge join for statistics-free temp tables, and a sorted index on the
 //! join attribute lets it index-scan instead of sorting (Fig. 10). We model
-//! exactly those two structures:
-//!
-//! * [`HashIndex`] — equality lookups (what a hash join builds ad hoc).
-//! * [`SortedIndex`] — a permutation of row ids ordered by the key columns
-//!   (a B+-tree's leaf order); a merge join can consume it without sorting.
+//! exactly that structure: [`SortedIndex`], a permutation of row ids ordered
+//! by the key columns (a B+-tree's leaf order) that a merge join can consume
+//! without sorting. (What a hash join builds ad hoc is
+//! [`crate::keyidx::KeyIndex`].)
 
-use crate::hash::FxHashMap;
-use crate::relation::{Key, Relation};
-
-/// Equality index: key columns → row indexes.
-#[derive(Clone, Debug)]
-pub struct HashIndex {
-    cols: Vec<usize>,
-    map: FxHashMap<Key, Vec<u32>>,
-}
-
-impl HashIndex {
-    /// Build over `rel[cols]`.
-    pub fn build(rel: &Relation, cols: &[usize]) -> Self {
-        HashIndex {
-            cols: cols.to_vec(),
-            map: rel.key_multimap(cols),
-        }
-    }
-
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
-    }
-
-    /// Row ids matching `key` (empty if none).
-    pub fn get(&self, key: &Key) -> &[u32] {
-        self.map.get(key).map_or(&[], |v| v.as_slice())
-    }
-
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-}
+use crate::relation::Relation;
 
 /// Ordered index: a permutation of row ids sorted by the key columns.
 #[derive(Clone, Debug)]
@@ -105,21 +73,6 @@ mod tests {
         ])
         .unwrap();
         r
-    }
-
-    #[test]
-    fn hash_index_lookup() {
-        let r = rel();
-        let idx = HashIndex::build(&r, &[0]);
-        assert_eq!(idx.distinct_keys(), 3);
-        let k = Key(vec![1i64.into()].into());
-        let hits = idx.get(&k);
-        assert_eq!(hits.len(), 2);
-        for &h in hits {
-            assert_eq!(r.rows()[h as usize][0].as_int(), Some(1));
-        }
-        let miss = Key(vec![9i64.into()].into());
-        assert!(idx.get(&miss).is_empty());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Borrowed-key hash index for allocation-free join probes.
 //!
-//! [`Relation::key_multimap`](crate::Relation::key_multimap) forces every
-//! probe to materialize a [`Key`](crate::Key) — one `Box<[Value]>` clone per
-//! probe row, which dominates the probe loop on large inputs. [`KeyIndex`]
-//! removes that: it is a two-level map from a precomputed `FxHasher` hash of
-//! the projected key columns to the row indices bearing that hash, and
-//! probes compare column values *in place* (`&[Value]` against `&[Value]`).
-//! No per-probe allocation, same match order as the keyed multimap (row
-//! order within a bucket, hash collisions resolved by the equality filter).
+//! A map keyed by materialized [`Key`](crate::Key)s forces every probe to
+//! build one — a `Box<[Value]>` clone per probe row, which dominates the
+//! probe loop on large inputs. [`KeyIndex`] removes that: it is a two-level
+//! map from a precomputed `FxHasher` hash of the projected key columns to
+//! the row indices bearing that hash, and probes compare column values *in
+//! place* (`&[Value]` against `&[Value]`). No per-probe allocation; matches
+//! come back in row order (hash collisions resolved by the equality filter).
 //!
 //! The index is built in `P` hash-disjoint partitions so builds can run on
 //! `P` threads (partition `p` owns the rows with `hash % P == p`); partition
@@ -189,17 +188,18 @@ mod tests {
     }
 
     #[test]
-    fn probe_matches_key_multimap_in_order() {
+    fn probe_matches_a_naive_scan_in_order() {
         let r = rel();
         for parts in [1, 2, 4, 7] {
             let idx = KeyIndex::build_partitioned(&r, &[0], parts);
-            let map = r.key_multimap(&[0]);
             for probe in r.rows() {
                 if key_has_null(probe, &[0]) {
                     continue;
                 }
                 let got: Vec<u32> = idx.probe(&r, probe, &[0]).collect();
-                let want = map.get(&Key::of(probe, &[0])).cloned().unwrap_or_default();
+                let want: Vec<u32> = (0..r.len() as u32)
+                    .filter(|&i| Key::of(&r.rows()[i as usize], &[0]) == Key::of(probe, &[0]))
+                    .collect();
                 assert_eq!(got, want, "parts={parts}");
             }
         }

@@ -32,13 +32,13 @@ pub use catalog::{Catalog, CheckpointStats, TableEntry};
 pub use column::{Batch, ColumnBuilder, ColumnVec, ImageCache, NullMask, StringTable, GATHER_NULL};
 pub use error::{Result, StorageError};
 pub use hash::{FxHashMap, FxHashSet};
-pub use index::{HashIndex, SortedIndex};
+pub use index::SortedIndex;
 pub use keyidx::{key_has_null, key_hash, keys_eq, KeyIndex};
 pub use mvcc::{GenerationHub, PinnedSnapshot, Snapshot};
 pub use recover::{open_catalog, InterruptedRun, RecoveryReport};
 pub use relation::{edge_schema, node_schema, ColumnSketch, Key, Relation, RelationStats, Row};
 pub use schema::{Column, DataType, Schema};
-pub use trie::{TrieCache, TrieCursor, TrieIndex};
+pub use trie::{TrieCache, TrieIndex};
 pub use value::Value;
 pub use vfs::{SimVfs, StdVfs, UnsyncedFate, Vfs};
 pub use wal::{CommitKind, Durability, Wal, WalPolicy, WalRecord};

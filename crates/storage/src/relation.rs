@@ -212,16 +212,6 @@ impl Relation {
         Ok(map)
     }
 
-    /// Build a multi-map key → row indexes over `cols` (hash-join build side).
-    pub fn key_multimap(&self, cols: &[usize]) -> FxHashMap<Key, Vec<u32>> {
-        let mut map: FxHashMap<Key, Vec<u32>> = FxHashMap::default();
-        map.reserve(self.rows.len());
-        for (i, row) in self.rows.iter().enumerate() {
-            map.entry(Key::of(row, cols)).or_default().push(i as u32);
-        }
-        map
-    }
-
     /// Sort rows in place by the given columns (storage total order).
     pub fn sort_by_cols(&mut self, cols: &[usize]) {
         self.rows.sort_unstable_by(|a, b| {
@@ -406,14 +396,6 @@ mod tests {
         assert!(by_f.is_err(), "F alone is not unique");
         let by_ft = r.unique_key_map(&[0, 1]).unwrap();
         assert_eq!(by_ft.len(), 3);
-    }
-
-    #[test]
-    fn multimap_groups() {
-        let r = sample();
-        let m = r.key_multimap(&[0]);
-        assert_eq!(m[&Key(vec![Value::Int(1)].into())].len(), 2);
-        assert_eq!(m[&Key(vec![Value::Int(2)].into())].len(), 1);
     }
 
     #[test]

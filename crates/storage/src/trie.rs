@@ -2,14 +2,21 @@
 //!
 //! A [`TrieIndex`] is a permutation of row ids ordered lexicographically by a
 //! sequence of key columns — the same shape as [`crate::index::SortedIndex`]
-//! but consumed level-wise: a [`TrieCursor`] walks the key columns as a trie
-//! whose depth-`d` nodes are the distinct values of `cols[d]` within the run
-//! of rows sharing the values chosen at depths `0..d`. The cursor exposes
-//! exactly the leapfrog-triejoin primitives (`open`/`up`/`key`/`next`/`seek`)
-//! of Veldhuizen's LFTJ, and `matches()` returns the row ids under the
-//! current full prefix so the join can emit payload columns (weights,
-//! duplicate rows) with bag semantics — multiplicity lives in the rows, not
-//! in the trie.
+//! but laid out level-wise: the depth-`d` nodes are the distinct values of
+//! `cols[d]` within the run of rows sharing the values chosen at depths
+//! `0..d`, strictly increasing inside each parent's child range. Distinct
+//! means storage equality and increasing means storage order, which agree
+//! (`Ord for Value` refines `Eq`), so a node is exactly one key class of a
+//! hash join on the same columns.
+//!
+//! Storage holds the data and exposes it as slices — [`TrieIndex::keys`] /
+//! [`TrieIndex::int_keys`] per level, [`TrieIndex::child_range`] between
+//! levels, [`TrieIndex::rows_under`] from a node to its rows (so the join
+//! can emit payload columns and duplicate rows with bag semantics:
+//! multiplicity lives in the rows, not in the trie). The walk over them —
+//! open / next / seek — belongs to the one leapfrog executor in
+//! `aio-algebra`, which keeps its positions in registers; there is no
+//! cursor type here for it to be mirrored against.
 //!
 //! Tries are derived data: the catalog caches them per table in a
 //! [`TrieCache`] and drops the cache on any mutation (insert / truncate /
@@ -21,13 +28,13 @@ use crate::value::Value;
 use std::sync::{Arc, Mutex};
 
 /// Layered trie over `rel[cols]`: row ids sorted lexicographically by the
-/// key columns, plus one [`Level`] per key column holding the *distinct*
+/// key columns, plus one level per key column holding the *distinct*
 /// key prefixes of that depth with child-offset ranges into the next
 /// level (and row-offset ranges into `perm`). Duplicate rows collapse
-/// into one node, so cursor `next` is a single position increment and
-/// `open` is two contiguous offset reads — no searching over duplicate
-/// runs, and the root level is a compact array that stays cache-resident
-/// during leapfrog probes.
+/// into one node, so stepping to the next key is a single position
+/// increment and descending is two contiguous offset reads — no searching
+/// over duplicate runs, and the root level is a compact array that stays
+/// cache-resident during leapfrog probes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrieIndex {
     cols: Vec<usize>,
@@ -156,9 +163,15 @@ impl TrieIndex {
         self.cols.len()
     }
 
-    /// The distinct level-`d` keys as a raw `i64` array (sorted within
-    /// each parent's child range), when the whole level is `Int`.
-    /// Executors can bypass the cursor and leapfrog on machine integers.
+    /// The distinct level-`d` keys, strictly increasing within each
+    /// parent's child range ([`Self::child_range`]; the whole level at
+    /// `d = 0`). A NULL key, if any, is the first of its range.
+    pub fn keys(&self, d: usize) -> &[Value] {
+        &self.levels[d].keys
+    }
+
+    /// [`Self::keys`] unboxed to `i64`, when the whole level is `Int`: the
+    /// leapfrog then compares machine integers.
     pub fn int_keys(&self, d: usize) -> Option<&[i64]> {
         self.levels[d].ints.as_deref()
     }
@@ -168,12 +181,6 @@ impl TrieIndex {
     /// fast path. Vacuously true for a keyless (zero-column) trie.
     pub fn all_int(&self) -> bool {
         self.levels.iter().all(|l| l.ints.is_some())
-    }
-
-    /// `child_end[j]` offsets of level `d` (see [`Self::child_range`]);
-    /// empty for the deepest level.
-    pub fn child_ends(&self, d: usize) -> &[u32] {
-        &self.levels[d].child_end
     }
 
     /// Children of node `j` at level `d` occupy `[start, end)` at level
@@ -196,145 +203,6 @@ impl TrieIndex {
     /// Row ids in key order: level offsets index into this.
     pub fn perm(&self) -> &[u32] {
         &self.perm
-    }
-
-    /// A fresh cursor positioned above the root.
-    pub fn cursor(&self) -> TrieCursor<'_> {
-        TrieCursor {
-            trie: self,
-            frames: Vec::new(),
-        }
-    }
-
-    /// First node in `[from, hi)` at level `d` whose key is `>= v`.
-    fn lower_bound(&self, d: usize, from: usize, hi: usize, v: &Value) -> usize {
-        let l = &self.levels[d];
-        if let (Some(col), Some(t)) = (&l.ints, v.as_int()) {
-            gallop(&col[..hi], from, |k| *k < t)
-        } else if matches!((&l.ints, v), (Some(_), Value::Null)) {
-            from // NULL sorts before every Int: nothing to skip
-        } else {
-            gallop(&l.keys[..hi], from, |k| k < v)
-        }
-    }
-}
-
-/// First index in `[from, s.len())` where the monotone predicate `holds`
-/// turns false: exponential probe from `from`, then binary search inside
-/// the bracket. Leapfrog seeks usually land a handful of positions ahead
-/// of the cursor, so galloping costs O(log distance) instead of
-/// O(log level-width).
-fn gallop<T>(s: &[T], from: usize, holds: impl Fn(&T) -> bool) -> usize {
-    let hi = s.len();
-    if from >= hi || !holds(&s[from]) {
-        return from;
-    }
-    let mut lo = from; // invariant: holds(s[lo])
-    let mut step = 1usize;
-    while lo + step < hi && holds(&s[lo + step]) {
-        lo += step;
-        step <<= 1;
-    }
-    let end = hi.min(lo.saturating_add(step));
-    lo + 1 + s[lo + 1..end].partition_point(holds)
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Frame {
-    /// End of this level's node range (exclusive); `pos == hi` = at-end.
-    hi: usize,
-    pos: usize,
-}
-
-/// Leapfrog cursor over a [`TrieIndex`].
-///
-/// Contract (LFTJ):
-/// * `open` descends to the first key of the next level; `up` returns.
-/// * At each level the distinct keys are visited in strictly increasing
-///   order by `next`; `seek(v)` positions at the least key `>= v`.
-/// * `next`/`seek` return `false` (at-end) when the level is exhausted;
-///   `key` must not be called at-end.
-#[derive(Clone, Debug)]
-pub struct TrieCursor<'a> {
-    trie: &'a TrieIndex,
-    frames: Vec<Frame>,
-}
-
-impl<'a> TrieCursor<'a> {
-    /// Current level (0-based); `None` above the root.
-    pub fn level(&self) -> Option<usize> {
-        self.frames.len().checked_sub(1)
-    }
-
-    /// True iff the current level's keys are exhausted.
-    pub fn at_end(&self) -> bool {
-        let f = self.frames.last().expect("at_end above the root");
-        f.pos >= f.hi
-    }
-
-    /// The key at the cursor. Panics at-end or above the root.
-    pub fn key(&self) -> &'a Value {
-        let d = self.level().expect("key above the root");
-        let f = self.frames[d];
-        assert!(f.pos < f.hi, "key at end of level {d}");
-        &self.trie.levels[d].keys[f.pos]
-    }
-
-    /// Descend into the first key of the next level. Panics if the parent
-    /// level is at-end or the trie has no further level.
-    pub fn open(&mut self) {
-        match self.frames.last() {
-            None => {
-                assert!(self.trie.depth() > 0, "open on a zero-column trie");
-                self.frames.push(Frame {
-                    hi: self.trie.levels[0].keys.len(),
-                    pos: 0,
-                });
-            }
-            Some(&f) => {
-                let d = self.frames.len() - 1;
-                assert!(f.pos < f.hi, "open at end of level {d}");
-                assert!(d + 1 < self.trie.depth(), "open below the deepest level");
-                let (lo, hi) = self.trie.child_range(d, f.pos);
-                self.frames.push(Frame { hi, pos: lo });
-            }
-        }
-    }
-
-    /// Return to the parent level.
-    pub fn up(&mut self) {
-        self.frames.pop().expect("up above the root");
-    }
-
-    /// Advance to the next distinct key at this level; `false` at-end.
-    /// Nodes are distinct by construction, so this is one increment.
-    /// (Named per the LFTJ cursor contract, not `Iterator::next`.)
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> bool {
-        let d = self.level().expect("next above the root");
-        let f = self.frames[d];
-        assert!(f.pos < f.hi, "next at end of level {d}");
-        self.frames[d].pos = f.pos + 1;
-        !self.at_end()
-    }
-
-    /// Position at the least key `>= v` (not before the current key);
-    /// `false` at-end. `seek` never moves backwards.
-    pub fn seek(&mut self, v: &Value) -> bool {
-        let d = self.level().expect("seek above the root");
-        let f = self.frames[d];
-        assert!(f.pos < f.hi, "seek at end of level {d}");
-        self.frames[d].pos = self.trie.lower_bound(d, f.pos, f.hi, v);
-        !self.at_end()
-    }
-
-    /// Row ids matching the key prefix chosen down to the current key (in
-    /// deterministic row order).
-    pub fn matches(&self) -> &'a [u32] {
-        let d = self.level().expect("matches above the root");
-        let f = self.frames[d];
-        assert!(f.pos < f.hi, "matches at end of level {d}");
-        self.trie.rows_under(d, f.pos)
     }
 }
 
@@ -425,36 +293,40 @@ mod tests {
         r
     }
 
-    /// DFS over the whole trie via the cursor.
-    fn enumerate(t: &TrieIndex) -> Vec<Vec<i64>> {
-        let mut out = Vec::new();
-        let mut cur = t.cursor();
+    /// DFS over the level slices: every root-to-leaf key tuple, and the
+    /// row ids under each leaf.
+    fn tuples(t: &TrieIndex) -> Vec<(Vec<Value>, Vec<u32>)> {
         fn walk(
-            cur: &mut TrieCursor<'_>,
             t: &TrieIndex,
-            prefix: &mut Vec<i64>,
-            out: &mut Vec<Vec<i64>>,
+            d: usize,
+            (lo, hi): (usize, usize),
+            prefix: &mut Vec<Value>,
+            out: &mut Vec<(Vec<Value>, Vec<u32>)>,
         ) {
-            cur.open();
-            while !cur.at_end() {
-                prefix.push(cur.key().as_int().unwrap());
-                if cur.level().unwrap() + 1 < t.depth() {
-                    walk(cur, t, prefix, out);
+            let keys = &t.keys(d)[lo..hi];
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "level {d} under {prefix:?} is not strictly increasing: {keys:?}"
+            );
+            for j in lo..hi {
+                prefix.push(t.keys(d)[j].clone());
+                if d + 1 < t.depth() {
+                    walk(t, d + 1, t.child_range(d, j), prefix, out);
                 } else {
-                    out.push(prefix.clone());
+                    out.push((prefix.clone(), t.rows_under(d, j).to_vec()));
                 }
                 prefix.pop();
-                if !cur.next() {
-                    break;
-                }
             }
-            cur.up();
         }
-        if t.depth() > 0 && !t.is_empty() {
-            let mut prefix = Vec::new();
-            walk(&mut cur, t, &mut prefix, &mut out);
+        let mut out = Vec::new();
+        if t.depth() > 0 {
+            walk(t, 0, (0, t.keys(0).len()), &mut Vec::new(), &mut out);
         }
         out
+    }
+
+    fn ints(tuple: &[Value]) -> Vec<i64> {
+        tuple.iter().map(|v| v.as_int().unwrap()).collect()
     }
 
     #[test]
@@ -462,61 +334,57 @@ mod tests {
         let r = rel();
         let t = TrieIndex::build(&r, &[0, 1]);
         assert_eq!(t.len(), 5);
-        assert_eq!(
-            enumerate(&t),
-            vec![vec![1, 2], vec![1, 3], vec![2, 3], vec![3, 1]]
-        );
+        let walked: Vec<Vec<i64>> = tuples(&t).iter().map(|(k, _)| ints(k)).collect();
+        assert_eq!(walked, vec![vec![1, 2], vec![1, 3], vec![2, 3], vec![3, 1]]);
+        assert!(t.all_int());
+        assert_eq!(t.int_keys(0), Some(&[1, 2, 3][..]));
+        assert_eq!(t.int_keys(1), Some(&[2, 3, 3, 1][..]));
     }
 
     #[test]
     fn matches_returns_all_duplicate_rows() {
         let r = rel();
         let t = TrieIndex::build(&r, &[0, 1]);
-        let mut cur = t.cursor();
-        cur.open(); // F level, at 1
-        cur.open(); // T level, at 2
-        assert_eq!(cur.key().as_int(), Some(2));
-        let m = cur.matches();
-        assert_eq!(m.len(), 2, "both (1,2) rows");
-        for &rid in m {
-            let row = &r.rows()[rid as usize];
-            assert_eq!((row[0].as_int(), row[1].as_int()), (Some(1), Some(2)));
-        }
-    }
-
-    #[test]
-    fn seek_is_least_upper_bound_and_monotone() {
-        let r = rel();
-        let t = TrieIndex::build(&r, &[0]);
-        let mut cur = t.cursor();
-        cur.open();
-        assert_eq!(cur.key().as_int(), Some(1));
-        assert!(cur.seek(&Value::from(2)));
-        assert_eq!(cur.key().as_int(), Some(2));
-        // seek to the current key is a no-op
-        assert!(cur.seek(&Value::from(2)));
-        assert_eq!(cur.key().as_int(), Some(2));
-        assert!(cur.seek(&Value::from(3)));
-        assert_eq!(cur.key().as_int(), Some(3));
-        assert!(!cur.seek(&Value::from(9)), "past the last key is at-end");
-        assert!(cur.at_end());
-        cur.up();
+        let walked = tuples(&t);
+        let (key, rows) = &walked[0];
+        assert_eq!(ints(key), [1, 2]);
+        assert_eq!(rows, &[1, 3], "both (1,2) rows, in row order");
+        let mut all: Vec<u32> = walked.iter().flat_map(|(_, rows)| rows.clone()).collect();
+        assert_eq!(all, t.perm(), "leaf runs are perm, cut at the leaves");
+        all.sort_unstable();
+        assert_eq!(all, [0, 1, 2, 3, 4], "row-id runs partition the relation");
     }
 
     #[test]
     fn next_visits_strictly_increasing_keys() {
         let r = rel();
         let t = TrieIndex::build(&r, &[1]); // T column: 1,2,2,3,3
-        let mut cur = t.cursor();
-        cur.open();
-        let mut seen = Vec::new();
-        loop {
-            seen.push(cur.key().as_int().unwrap());
-            if !cur.next() {
-                break;
-            }
-        }
-        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(t.int_keys(0), Some(&[1, 2, 3][..]));
+
+        // A node is one class of storage equality and the order refines
+        // it: Int 1 and Float 1.0 are two nodes (Int first), the zeros one,
+        // the NaNs one (last), NULL first; Text after every number.
+        let (i, f, nan) = (Value::Int, Value::Float, f64::NAN);
+        #[rustfmt::skip]
+        let keys = [
+            f(1.0), i(1), f(nan), f(-0.0), Value::text("a"), Value::Null, f(0.0), i(1), f(-nan), i(0),
+        ];
+        let any = crate::schema::Schema::of(&[("k", crate::schema::DataType::Any)]);
+        let mut mixed = Relation::new(any);
+        mixed
+            .extend(keys.map(|k| vec![k].into_boxed_slice()))
+            .unwrap();
+        let t = TrieIndex::build(&mixed, &[0]);
+        assert!(!t.all_int());
+        let classes: Vec<(Value, usize)> = tuples(&t)
+            .into_iter()
+            .map(|(mut k, rows)| (k.remove(0), rows.len()))
+            .collect();
+        assert_eq!(
+            format!("{classes:?}"),
+            "[(Null, 1), (Int(0), 1), (Float(-0.0), 2), (Int(1), 2), (Float(1.0), 1), \
+             (Float(NaN), 2), (Text(\"a\"), 1)]"
+        );
     }
 
     #[test]

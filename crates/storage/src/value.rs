@@ -10,8 +10,10 @@
 //!
 //! * **Storage equality** ([`PartialEq`]/[`Eq`]/[`Hash`]/[`Ord`]) is a total,
 //!   structural relation used for grouping, duplicate elimination and join
-//!   keys. `Null == Null`, floats compare by IEEE total order, and values of
-//!   different types are never equal.
+//!   keys. `Null == Null`, values of different types are never equal
+//!   (`Int(1) != Float(1.0)`), `-0.0 == 0.0` and every NaN equals every
+//!   other. [`Ord`] refines it — `cmp` is `Equal` exactly when `==` holds —
+//!   so sorting and hashing see the same key classes.
 //! * **SQL comparison** ([`Value::sql_cmp`]) implements three-valued logic:
 //!   any comparison involving `NULL` is *unknown* (`None`), and integers
 //!   coerce to floats when compared against them. Predicate evaluation in
@@ -161,23 +163,29 @@ impl Hash for Value {
 
 impl Ord for Value {
     /// Total storage order: NULL first, then numerics (ints and floats
-    /// interleaved numerically; NaN greatest), then text.
+    /// interleaved numerically, an Int before the Float it ties with; both
+    /// zeros equal; every NaN equal and greatest), then text. It refines
+    /// [`Eq`]: `a.cmp(b) == Equal` iff `a == b`, so a sort puts exactly the
+    /// rows a hash table would bucket together next to each other.
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Int(a), Int(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.as_ref().cmp(b.as_ref()),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => cmp_num(*a as f64, *b),
-            (Float(a), Int(b)) => cmp_num(*a, *b as f64),
+            (Float(a), Float(b)) => cmp_f64(*a, *b),
+            (Int(a), Float(b)) => cmp_f64(*a as f64, *b).then(Ordering::Less),
+            (Float(a), Int(b)) => cmp_f64(*a, *b as f64).then(Ordering::Greater),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
 }
 
-fn cmp_num(a: f64, b: f64) -> Ordering {
-    a.total_cmp(&b)
+/// Float order on the canonical form [`Value::canonical_f64_bits`] defines: `-0.0`
+/// equals `0.0`, every NaN equals every other and is greater than `+∞`.
+pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 impl PartialOrd for Value {
@@ -274,17 +282,19 @@ mod tests {
 
     #[test]
     fn total_order_sorts_null_first() {
-        let mut v = [
-            Value::text("z"),
-            Value::Int(5),
-            Value::Null,
-            Value::Float(2.5),
-        ];
+        use Ordering::*;
+        let (i, f) = (Value::Int, Value::Float);
+        let mut v = [Value::text("z"), i(5), Value::Null, f(2.5)];
         v.sort();
-        assert_eq!(v[0], Value::Null);
-        assert_eq!(v[1], Value::Float(2.5));
-        assert_eq!(v[2], Value::Int(5));
-        assert_eq!(v[3], Value::text("z"));
+        assert_eq!(v, [Value::Null, f(2.5), i(5), Value::text("z")]);
+        // and refines equality: numeric ties break by type, zeros and NaNs fold
+        assert_eq!(i(1).cmp(&f(1.0)), Less, "Int before the Float it ties with");
+        assert_eq!(f(1.0).cmp(&i(1)), Greater);
+        assert_eq!(f(0.5).cmp(&i(1)), Less, "still interleaved numerically");
+        assert_eq!(f(-0.0).cmp(&f(0.0)), Equal);
+        assert_eq!(f(-f64::NAN).cmp(&f(f64::NAN)), Equal);
+        assert_eq!(f(-f64::NAN).cmp(&i(i64::MAX)), Greater, "NaN is greatest");
+        assert_eq!(f(f64::NAN).cmp(&f(f64::INFINITY)), Greater);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The differential matrix: algorithm × engine × parallelism × corpus.
 //!
 //! For every corpus graph and every applicable algorithm, run all
-//! executors enumerated by [`executors_for`] and compare each result
+//! executors enumerated by [`executors_for_matrix`] and compare each result
 //! against the first one under the algorithm's tolerance. Any disagreement
 //! becomes a [`Divergence`]; when both sides are with+ PSM runs the report
 //! additionally pins down the *first iteration* whose recursive-relation

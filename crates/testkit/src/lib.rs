@@ -27,7 +27,7 @@
 //! * [`patterns`] — the cyclic-pattern differential layer pitting the
 //!   worst-case-optimal multiway join against forced binary join trees
 //!   and the optimizer sweep on triangle/4-cycle/diamond/clique queries;
-//! * [`shrink`] — greedy delta-debugging of a failing graph to a minimal
+//! * [`mod@shrink`] — greedy delta-debugging of a failing graph to a minimal
 //!   counterexample, plus bit-reproducible replay files;
 //! * [`mvcc`] — the deterministic interleaving scheduler: enumerate every
 //!   writer/reader schedule of a workload, execute each single-threaded

@@ -4,11 +4,11 @@
 //! conditions `C_i`, apply union / union-by-update, exit on fixpoint or
 //! `maxrecursion`, then run the final query.
 //!
-//! There is one loop ([`PsmRunner::iterate`]). Statements, cold view builds
+//! There is one loop (`PsmRunner::iterate`). Statements, cold view builds
 //! and incremental view refreshes ([`crate::ivm`]) all run it; they differ
-//! only in where it starts ([`Start`]), how a subquery's output is folded
+//! only in where it starts (`Start`), how a subquery's output is folded
 //! into R — which also fixes what the recursive self-reference reads
-//! ([`Fold`]) — and whether an epsilon may stop it before the exact
+//! (`Fold`) — and whether an epsilon may stop it before the exact
 //! fixpoint.
 
 use crate::ast::UnionMode;
@@ -322,7 +322,7 @@ impl<'a> PsmRunner<'a> {
     }
 
     fn build_indexes(&mut self, name: &str) -> Result<()> {
-        if !self.profile.build_indexes {
+        if !self.profile.indexes {
             return Ok(());
         }
         let Some(cols) = self.index_specs.get(&name.to_ascii_lowercase()) else {
@@ -501,7 +501,7 @@ impl<'a> PsmRunner<'a> {
         // Base tables referenced by join keys get their indexes up front
         // (a real schema would already have them; the paper's PSM builds
         // indexes on the temp tables, Exp-A).
-        if self.profile.build_indexes {
+        if self.profile.indexes {
             let tables: Vec<String> = self.index_specs.keys().cloned().collect();
             for t in tables {
                 if self.catalog.contains(&t) {

@@ -81,9 +81,12 @@ fn wcoj_differential_full_matrix() {
     println!("wcoj matrix: {}", report.summary());
 }
 
-/// Integration-level trie contract: build ∘ iterate enumerates the sorted
-/// distinct tuples of the relation, and `seek` lands on the least key
-/// `>= target` without ever moving backwards.
+/// Integration-level trie contract: the level slices of a built trie
+/// enumerate the sorted distinct tuples of the relation — each `(F, T)`
+/// pair once, strictly increasing within its parent's child range — and
+/// the row-id runs under the leaves partition the relation. (The seek
+/// primitive over those slices is unit-tested against a naive scan where
+/// it lives, in `algebra::wcoj`.)
 #[test]
 fn trie_contract_over_a_seeded_edge_relation() {
     let g = pattern_corpus().remove(3).graph;
@@ -91,64 +94,48 @@ fn trie_contract_over_a_seeded_edge_relation() {
     let rel = db.catalog.relation("E").unwrap();
     let trie = TrieIndex::build(rel, &[0, 1]);
     assert_eq!(trie.len(), rel.len());
+    assert!(trie.all_int(), "vertex ids index as raw i64 levels");
 
-    // full walk: (F, T) pairs in sorted distinct order, with the matched
-    // row ids partitioning the whole relation
+    let (froms, tos) = (trie.keys(0), trie.keys(1));
+    assert!(froms.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
     let mut walked = Vec::new();
-    let mut matched = 0usize;
-    let mut cur = trie.cursor();
-    cur.open();
-    while !cur.at_end() {
-        let f = cur.key().clone();
-        cur.open();
-        while !cur.at_end() {
-            walked.push((f.clone(), cur.key().clone()));
-            matched += cur.matches().len();
-            if !cur.next() {
-                break;
-            }
+    let mut matched = Vec::new();
+    for (j, f) in froms.iter().enumerate() {
+        let (lo, hi) = trie.child_range(0, j);
+        assert!(lo < hi, "every node has a child");
+        assert!(
+            tos[lo..hi].windows(2).all(|w| w[0] < w[1]),
+            "strictly increasing under {f:?}"
+        );
+        for (k, t) in tos.iter().enumerate().take(hi).skip(lo) {
+            walked.push((f.clone(), t.clone()));
+            matched.extend_from_slice(trie.rows_under(1, k));
         }
-        cur.up();
-        if !cur.next() {
-            break;
-        }
+        assert_eq!(
+            trie.rows_under(0, j).len(),
+            (lo..hi).map(|k| trie.rows_under(1, k).len()).sum::<usize>(),
+            "a node's rows are its children's rows"
+        );
     }
+    assert_eq!(walked.len(), tos.len(), "child ranges tile the level");
     let expected: BTreeSet<(Value, Value)> =
         rel.iter().map(|r| (r[0].clone(), r[1].clone())).collect();
     assert_eq!(walked.len(), expected.len(), "distinct pairs once each");
-    assert!(
-        walked.windows(2).all(|w| w[0] < w[1]),
-        "strictly increasing"
-    );
     assert_eq!(walked.into_iter().collect::<BTreeSet<_>>(), expected);
-    assert_eq!(matched, rel.len(), "row-id runs partition the relation");
+    assert_eq!(matched, trie.perm(), "leaf runs are the key-ordered rows");
+    matched.sort_unstable();
+    let all: Vec<u32> = (0..rel.len() as u32).collect();
+    assert_eq!(matched, all, "row-id runs partition the relation");
 
-    // seek contract at the root level, against a naive scan
-    let keys: Vec<Value> = {
-        let mut c = trie.cursor();
-        c.open();
-        let mut v = Vec::new();
-        while !c.at_end() {
-            v.push(c.key().clone());
-            if !c.next() {
-                break;
-            }
-        }
-        v
-    };
-    for probe in [-1i64, 0, 1, 2, 5, 1_000_000] {
-        let target = Value::Int(probe);
-        let mut c = trie.cursor();
-        c.open();
-        let found = c.seek(&target);
-        let naive = keys.iter().find(|k| **k >= target);
-        match naive {
-            Some(k) => {
-                assert!(found, "seek({probe}) must find {k:?}");
-                assert_eq!(c.key(), k, "seek({probe}) is the least key >= target");
-            }
-            None => assert!(!found, "seek({probe}) must exhaust the level"),
-        }
+    // the unboxed view the i64 instantiation reads is the same level
+    for d in 0..2 {
+        let ints: Vec<Value> = trie
+            .int_keys(d)
+            .unwrap()
+            .iter()
+            .map(|&k| k.into())
+            .collect();
+        assert_eq!(ints, trie.keys(d));
     }
 }
 
