@@ -197,8 +197,9 @@ mod tests {
                     continue;
                 }
                 let got: Vec<u32> = idx.probe(&r, probe, &[0]).collect();
+                let key = Key::of(probe, &[0]);
                 let want: Vec<u32> = (0..r.len() as u32)
-                    .filter(|&i| Key::of(&r.rows()[i as usize], &[0]) == Key::of(probe, &[0]))
+                    .filter(|&i| Key::of(&r.rows()[i as usize], &[0]) == key)
                     .collect();
                 assert_eq!(got, want, "parts={parts}");
             }

@@ -181,8 +181,8 @@ impl Ord for Value {
     }
 }
 
-/// Float order on the canonical form [`Value::canonical_f64_bits`] defines: `-0.0`
-/// equals `0.0`, every NaN equals every other and is greater than `+∞`.
+/// Float order on the canonical form [`Value::canonical_f64_bits`] defines:
+/// `-0.0` equals `0.0`, every NaN equals every other and is greater than `+∞`.
 pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b)
         .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))

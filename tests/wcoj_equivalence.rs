@@ -18,7 +18,9 @@ use all_in_one::algebra::{
 };
 use all_in_one::algos::common::{db_for, EdgeStyle};
 use all_in_one::graph::Graph;
-use all_in_one::storage::{Catalog, DataType, Relation, Schema, TrieIndex, Value, WalPolicy};
+use all_in_one::storage::{
+    Catalog, Column, DataType, Relation, Schema, TrieIndex, Value, WalPolicy,
+};
 use std::collections::BTreeSet;
 
 fn assert_clean(report: &aio_testkit::MatrixReport) {
@@ -146,11 +148,11 @@ fn trie_contract_over_a_seeded_edge_relation() {
 /// `name(k0.., w)`: `N` untyped key columns and a row-number payload that
 /// tells duplicate keys apart.
 fn keyed_table<const N: usize>(name: &str, keys: &[[Value; N]]) -> (String, Relation) {
-    let mut cols: Vec<(String, DataType)> =
-        (0..N).map(|i| (format!("k{i}"), DataType::Any)).collect();
-    cols.push(("w".into(), DataType::Int));
-    let cols: Vec<(&str, DataType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let mut rel = Relation::new(Schema::of(&cols));
+    let mut cols: Vec<Column> = (0..N)
+        .map(|i| Column::new(format!("k{i}"), DataType::Any))
+        .collect();
+    cols.push(Column::new("w", DataType::Int));
+    let mut rel = Relation::new(Schema::new(cols));
     for (i, k) in keys.iter().enumerate() {
         let mut row = k.to_vec();
         row.push(Value::from(i));
