@@ -233,3 +233,51 @@ fn scan_rebinding_reaches_multiway_children_and_keeps_aliases() {
     // an occurrence index past the last scan rewrites nothing
     assert_eq!(scans(&replace_nth_scan(&plan, "R", "x", 2)), scans(&plan));
 }
+
+/// A dotted item alias names a *qualified* column on every items-bearing
+/// node: `("E.T")` on a project, an aggregate or a window is column `T`
+/// under qualifier `E`, so the parent can refer to it as `E.T` or `T`.
+#[test]
+fn dotted_alias_is_a_qualified_column_on_every_items_node() {
+    let c = catalog();
+    let items = vec![(ScalarExpr::col("E.T"), "E.T".to_string())];
+    let scan = || Box::new(Plan::scan("E"));
+    let nodes = [
+        Plan::Project {
+            input: scan(),
+            items: items.clone(),
+        },
+        Plan::Aggregate {
+            input: scan(),
+            group_by: vec!["E.T".into()],
+            items: items.clone(),
+        },
+        Plan::Window {
+            input: scan(),
+            partition_by: vec!["E.T".into()],
+            items,
+        },
+    ];
+    // E.T is [2, 3, 1, 3]: the project and the window keep one row per
+    // input row, the aggregate one per group
+    let expected: [&[i64]; 3] = [&[2, 3, 3], &[2, 3], &[2, 3, 3]];
+    for (node, want) in nodes.iter().zip(expected) {
+        for reference in ["E.T", "T"] {
+            let plan = Plan::Select {
+                input: Box::new(node.clone()),
+                pred: ScalarExpr::binary(BinOp::Gt, ScalarExpr::col(reference), ScalarExpr::lit(1)),
+            };
+            for exec in [ExecMode::Row, ExecMode::Batch] {
+                let profile = oracle_like().with_exec(exec);
+                let rel = execute_traced(&plan, &c, &profile, None)
+                    .unwrap_or_else(|e| {
+                        panic!("{} as {reference} under {exec:?}: {e:?}", op_name(node))
+                    })
+                    .0;
+                let mut got: Vec<i64> = rel.iter().map(|r| r[0].as_int().unwrap()).collect();
+                got.sort_unstable();
+                assert_eq!(got, want, "{} as {reference} under {exec:?}", op_name(node));
+            }
+        }
+    }
+}
