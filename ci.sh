@@ -50,4 +50,8 @@ rm -rf "$trace_dir"
 
 # Tracked size (ROADMAP aim 2): engine + facade source lines, tests in
 # those files included — the one number "net lines of code" refers to.
+# The per-crate lines under it say where a change put or took lines.
 echo "loc: $(git ls-files 'crates/*.rs' 'src/*.rs' | xargs cat | wc -l)"
+for c in crates/* src; do
+    echo "loc $c: $(git ls-files "$c/*.rs" | xargs cat | wc -l)"
+done

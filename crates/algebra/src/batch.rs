@@ -18,7 +18,7 @@ use crate::expr::{BinOp, Func, ScalarExpr, UnaryOp};
 use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, Schema, Value, GATHER_NULL};
+use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, Value, GATHER_NULL};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -32,8 +32,9 @@ use std::time::Instant;
 /// with the morsel runner.
 pub const BATCH_SIZE: usize = 4096;
 
-/// σ over a batch. Comparison trees on Int/Float columns evaluate to a
-/// selection bitmap chunk-by-chunk (`batch_size` rows per chunk — the
+/// σ over a batch. `And`/`Or` trees of comparisons whose operands the
+/// column evaluator accepts (`eval_vector`) evaluate to a selection bitmap
+/// chunk-by-chunk (`batch_size` rows per chunk — the
 /// evaluator passes [`BATCH_SIZE`]; chunking never changes the result)
 /// with no row materialization; anything else falls back to a scratch-row
 /// scan under the same morsel contract as [`crate::ops::select_par`].
@@ -45,13 +46,17 @@ pub fn select(
     stats: &mut ExecStats,
 ) -> Result<Batch> {
     let bound = pred.bind(input.schema())?;
-    if let Some(vp) = VecPred::compile(&bound, input) {
+    let src = Src {
+        cols: input.columns(),
+        aggs: &[],
+    };
+    if let Some(vp) = VecPred::compile(&bound, &src) {
         let mut kept: Vec<u32> = Vec::new();
         let chunk = batch_size.max(1);
         let mut start = 0;
         while start < input.len() {
             let len = chunk.min(input.len() - start);
-            let words = vp.eval(input, start, len);
+            let words = vp.eval(&src, &(start..start + len));
             for (w, &word) in words.iter().enumerate() {
                 let mut m = word;
                 while m != 0 {
@@ -84,117 +89,74 @@ pub fn select(
     Ok(input.gather(&kept))
 }
 
-/// One side of a vectorizable comparison.
-enum Operand {
-    Col(usize),
-    Int(i64),
-    Float(f64),
-}
-
-impl Operand {
-    fn compile(e: &ScalarExpr, b: &Batch) -> Option<Operand> {
-        match e {
-            ScalarExpr::BoundCol(i) => match b.col(*i) {
-                ColumnVec::Int { .. } | ColumnVec::Float { .. } => Some(Operand::Col(*i)),
-                _ => None,
-            },
-            ScalarExpr::Lit(Value::Int(v)) => Some(Operand::Int(*v)),
-            ScalarExpr::Lit(Value::Float(f)) => Some(Operand::Float(*f)),
-            _ => None,
-        }
-    }
-
-    fn is_int(&self, b: &Batch) -> bool {
-        match self {
-            Operand::Col(i) => matches!(b.col(*i), ColumnVec::Int { .. }),
-            Operand::Int(_) => true,
-            Operand::Float(_) => false,
-        }
-    }
-}
-
 /// A predicate tree the bitmap engine can run: And/Or over comparisons of
-/// Int/Float columns and numeric literals. SQL's unknown-filters-out rule
-/// folds into the bitmap (`NULL cmp x` and `NaN cmp x` are never *true*,
-/// so their bits stay 0), and since comparisons cannot error and `And`/
-/// `Or` over three-valued comparison bits equal the bitwise forms, the
-/// result matches per-row evaluation exactly. `Not` is excluded — its
-/// unknown handling does not fold into a complement.
-enum VecPred {
-    Cmp(BinOp, Operand, Operand),
-    And(Box<VecPred>, Box<VecPred>),
-    Or(Box<VecPred>, Box<VecPred>),
+/// expressions the column evaluator accepts (`eval_vector`). SQL's
+/// unknown-filters-out rule folds into the bitmap (`NULL cmp x` and
+/// `NaN cmp x` are never *true*, so their bits stay 0), and since neither
+/// the operands nor the comparisons can error and `And`/`Or` over
+/// three-valued comparison bits equal the bitwise forms, the result
+/// matches per-row evaluation exactly. `Not` is excluded — its unknown
+/// handling does not fold into a complement.
+enum VecPred<'e> {
+    Cmp(BinOp, &'e ScalarExpr, &'e ScalarExpr),
+    And(Box<VecPred<'e>>, Box<VecPred<'e>>),
+    Or(Box<VecPred<'e>>, Box<VecPred<'e>>),
 }
 
-impl VecPred {
-    fn compile(e: &ScalarExpr, b: &Batch) -> Option<VecPred> {
+impl<'e> VecPred<'e> {
+    fn compile(e: &'e ScalarExpr, src: &Src<'_>) -> Option<VecPred<'e>> {
         match e {
             ScalarExpr::Binary(BinOp::And, l, r) => Some(VecPred::And(
-                Box::new(Self::compile(l, b)?),
-                Box::new(Self::compile(r, b)?),
+                Box::new(Self::compile(l, src)?),
+                Box::new(Self::compile(r, src)?),
             )),
             ScalarExpr::Binary(BinOp::Or, l, r) => Some(VecPred::Or(
-                Box::new(Self::compile(l, b)?),
-                Box::new(Self::compile(r, b)?),
+                Box::new(Self::compile(l, src)?),
+                Box::new(Self::compile(r, src)?),
             )),
-            ScalarExpr::Binary(op, l, r) if op.is_comparison() => Some(VecPred::Cmp(
-                *op,
-                Operand::compile(l, b)?,
-                Operand::compile(r, b)?,
-            )),
+            ScalarExpr::Binary(op, l, r) if op.is_comparison() => {
+                eval_vector(l, src, &(0..0))?;
+                eval_vector(r, src, &(0..0))?;
+                Some(VecPred::Cmp(*op, l, r))
+            }
             _ => None,
         }
     }
 
-    /// Truth bitmap for rows `[start, start + len)`; bit `i - start` set
-    /// iff the predicate is *true* (not false, not unknown) on row `i`.
-    fn eval(&self, b: &Batch, start: usize, len: usize) -> Vec<u64> {
+    /// Truth bitmap for rows `range`; bit `i - range.start` set iff the
+    /// predicate is *true* (not false, not unknown) on row `i`.
+    fn eval(&self, src: &Src<'_>, range: &Range<usize>) -> Vec<u64> {
         match self {
             VecPred::And(l, r) => {
-                let mut a = l.eval(b, start, len);
-                for (x, y) in a.iter_mut().zip(r.eval(b, start, len)) {
+                let mut a = l.eval(src, range);
+                for (x, y) in a.iter_mut().zip(r.eval(src, range)) {
                     *x &= y;
                 }
                 a
             }
             VecPred::Or(l, r) => {
-                let mut a = l.eval(b, start, len);
-                for (x, y) in a.iter_mut().zip(r.eval(b, start, len)) {
+                let mut a = l.eval(src, range);
+                for (x, y) in a.iter_mut().zip(r.eval(src, range)) {
                     *x |= y;
                 }
                 a
             }
-            VecPred::Cmp(op, lhs, rhs) => {
-                if lhs.is_int(b) && rhs.is_int(b) {
-                    cmp_bitmap(*op, b, start, len, int_get(lhs, b), int_get(rhs, b))
-                } else {
-                    cmp_bitmap_f(*op, b, start, len, f64_get(lhs, b), f64_get(rhs, b))
+            VecPred::Cmp(op, l, r) => {
+                let operand = |e| {
+                    eval_vector(e, src, range).expect("acceptance depends on column types only")
+                };
+                // `Value::sql_cmp`: Int with Int compares as integers,
+                // anything else numerically as floats
+                match (operand(l), operand(r)) {
+                    (Vector::Int(a), Vector::Int(b)) => cmp_bitmap(*op, &a, &b, range.len()),
+                    (a, b) => match (a.into_float(), b.into_float()) {
+                        (Some(a), Some(b)) => cmp_bitmap(*op, &a, &b, range.len()),
+                        // an all-NULL operand: unknown on every row
+                        _ => vec![0; range.len().div_ceil(64)],
+                    },
                 }
             }
         }
-    }
-}
-
-fn int_get<'a>(o: &'a Operand, b: &'a Batch) -> impl Fn(usize) -> Option<i64> + 'a {
-    move |i| match o {
-        Operand::Col(c) => match b.col(*c) {
-            ColumnVec::Int { vals, nulls } => (!nulls.get(i)).then(|| vals[i]),
-            _ => unreachable!("is_int checked"),
-        },
-        Operand::Int(v) => Some(*v),
-        Operand::Float(_) => unreachable!("is_int checked"),
-    }
-}
-
-fn f64_get<'a>(o: &'a Operand, b: &'a Batch) -> impl Fn(usize) -> Option<f64> + 'a {
-    move |i| match o {
-        Operand::Col(c) => match b.col(*c) {
-            ColumnVec::Int { vals, nulls } => (!nulls.get(i)).then(|| vals[i] as f64),
-            ColumnVec::Float { vals, nulls } => (!nulls.get(i)).then(|| vals[i]),
-            _ => unreachable!("operand columns are Int or Float"),
-        },
-        Operand::Int(v) => Some(*v as f64),
-        Operand::Float(f) => Some(*f),
     }
 }
 
@@ -210,43 +172,20 @@ fn cmp_true(op: BinOp, o: Ordering) -> bool {
     }
 }
 
-fn cmp_bitmap(
+/// The rows of two lanes on which `l op r` is true. `partial_cmp`, so a
+/// NaN operand yields unknown (bit stays 0) — including for `Ne`, where
+/// Rust's native `NaN != x` would wrongly be true — and so does a NULL.
+fn cmp_bitmap<T: Copy + PartialOrd>(
     op: BinOp,
-    _b: &Batch,
-    start: usize,
+    l: &Lane<'_, T>,
+    r: &Lane<'_, T>,
     len: usize,
-    l: impl Fn(usize) -> Option<i64>,
-    r: impl Fn(usize) -> Option<i64>,
 ) -> Vec<u64> {
     let mut words = vec![0u64; len.div_ceil(64)];
     for k in 0..len {
-        if let (Some(a), Some(b)) = (l(start + k), r(start + k)) {
-            if cmp_true(op, a.cmp(&b)) {
+        if let (Some(a), Some(b)) = (l.get(k), r.get(k)) {
+            if a.partial_cmp(&b).is_some_and(|o| cmp_true(op, o)) {
                 words[k / 64] |= 1 << (k % 64);
-            }
-        }
-    }
-    words
-}
-
-/// Float comparison matching `Value::sql_cmp`: `partial_cmp` so any NaN
-/// operand yields unknown (bit stays 0) — including for `Ne`, where Rust's
-/// native `NaN != x` would wrongly be true.
-fn cmp_bitmap_f(
-    op: BinOp,
-    _b: &Batch,
-    start: usize,
-    len: usize,
-    l: impl Fn(usize) -> Option<f64>,
-    r: impl Fn(usize) -> Option<f64>,
-) -> Vec<u64> {
-    let mut words = vec![0u64; len.div_ceil(64)];
-    for k in 0..len {
-        if let (Some(a), Some(b)) = (l(start + k), r(start + k)) {
-            if let Some(o) = a.partial_cmp(&b) {
-                if cmp_true(op, o) {
-                    words[k / 64] |= 1 << (k % 64);
-                }
             }
         }
     }
@@ -260,6 +199,17 @@ fn cmp_bitmap_f(
 enum Lane<'a, T: Copy> {
     Const(T),
     Vec(Cow<'a, [T]>, Cow<'a, NullMask>),
+}
+
+impl<T: Copy> Lane<'_, T> {
+    /// Row `i`'s value, `None` when NULL.
+    #[inline]
+    fn get(&self, i: usize) -> Option<T> {
+        match self {
+            Lane::Const(c) => Some(*c),
+            Lane::Vec(v, n) => (!n.get(i)).then(|| v[i]),
+        }
+    }
 }
 
 impl<'a, T: Copy + Default> Lane<'a, T> {
@@ -486,16 +436,11 @@ pub(crate) fn project(
     par: usize,
     stats: &mut ExecStats,
 ) -> Result<(Batch, bool)> {
-    let bound: Vec<(ScalarExpr, &str)> = items
+    let bound: Vec<ScalarExpr> = items
         .iter()
-        .map(|(e, a)| Ok((e.bind(input.schema())?, a.as_str())))
+        .map(|(e, _)| e.bind(input.schema()))
         .collect::<Result<_>>()?;
-    let schema = Schema::new(
-        bound
-            .iter()
-            .map(|(e, a)| crate::ops::basic::out_column(e, a, input.schema()))
-            .collect(),
-    );
+    let schema = crate::plan::schema_of_items(items, input.schema());
     let len = input.len();
     let src = Src {
         cols: input.columns(),
@@ -506,11 +451,11 @@ pub(crate) fn project(
     // loop is unobservable.
     let nontrivial = |e: &ScalarExpr| !matches!(e, ScalarExpr::BoundCol(_) | ScalarExpr::Lit(_));
     let (vectorized, row_major): (Vec<usize>, Vec<usize>) = (0..bound.len())
-        .filter(|&i| nontrivial(&bound[i].0))
-        .partition(|&i| eval_vector(&bound[i].0, &src, &(0..0)).is_some());
+        .filter(|&i| nontrivial(&bound[i]))
+        .partition(|&i| eval_vector(&bound[i], &src, &(0..0)).is_some());
     let mut computed: Vec<Option<ColumnVec>> = (0..bound.len()).map(|_| None).collect();
     if !(vectorized.is_empty() && row_major.is_empty()) {
-        let par = if bound.iter().all(|(e, _)| e.is_deterministic()) {
+        let par = if bound.iter().all(ScalarExpr::is_deterministic) {
             par
         } else {
             1
@@ -520,7 +465,7 @@ pub(crate) fn project(
             let cols: Vec<ColumnVec> = vectorized
                 .iter()
                 .map(|&item| {
-                    eval_vector(&bound[item].0, &src, &range)
+                    eval_vector(&bound[item], &src, &range)
                         .expect("acceptance depends on column types only")
                         .into_column(range.len())
                 })
@@ -534,7 +479,7 @@ pub(crate) fn project(
                 for i in range {
                     input.fill_row(i, &mut scratch);
                     for (slot, &item) in vals.iter_mut().zip(&row_major) {
-                        slot.push(bound[item].0.eval(&scratch)?);
+                        slot.push(bound[item].eval(&scratch)?);
                     }
                 }
             }
@@ -556,7 +501,7 @@ pub(crate) fn project(
         }
     }
     let mut cols: Vec<Arc<ColumnVec>> = Vec::with_capacity(bound.len());
-    for (i, (e, _)) in bound.iter().enumerate() {
+    for (i, e) in bound.iter().enumerate() {
         cols.push(match computed[i].take() {
             Some(c) => Arc::new(c),
             None => match e {
@@ -881,7 +826,7 @@ pub(crate) fn group_by(
     stats.aggregations += 1;
     stats.rows_scanned += input.len() as u64;
     let c = groupby::compile(input.schema(), &group_cols, items)?;
-    let schema = groupby::output_schema(input.schema(), &group_cols, &c);
+    let schema = crate::plan::schema_of_items(items, input.schema());
     let src = Src {
         cols: input.columns(),
         aggs: &[],
@@ -984,7 +929,7 @@ pub(crate) fn group_by(
     let mut cols: Vec<Option<Arc<ColumnVec>>> = c
         .items
         .iter()
-        .map(|it| match &it.expr {
+        .map(|item| match item {
             ScalarExpr::BoundCol(k) => key_cols.get(*k).cloned(),
             ScalarExpr::AggRef(a) => agg_cols.get(*a).cloned(),
             e => eval_vector(e, &out_src, &(0..n)).map(|v| Arc::new(v.into_column(n).canonical())),
@@ -999,7 +944,7 @@ pub(crate) fn group_by(
             let key_row: Vec<Value> = key_cols.iter().map(|col| col.value(g)).collect();
             let agg_row: Vec<Value> = agg_cols.iter().map(|col| col.value(g)).collect();
             for (slot, &item) in vals.iter_mut().zip(&row_major) {
-                slot.push(c.items[item].expr.eval_env(&key_row, &agg_row)?);
+                slot.push(c.items[item].eval_env(&key_row, &agg_row)?);
             }
         }
         for (&item, vals) in row_major.iter().zip(&vals) {

@@ -8,7 +8,7 @@
 use crate::error::{AlgebraError, Result};
 use crate::expr::ScalarExpr;
 use crate::stats::ExecStats;
-use aio_storage::{Column, DataType, Relation, Schema};
+use aio_storage::Relation;
 
 /// σ — keep rows satisfying `pred` (unbound; bound here against the input).
 /// Serial (`par = 1`).
@@ -46,26 +46,6 @@ pub fn select_par(
     Ok(out)
 }
 
-/// Infer an output column for a projection item. A dotted alias
-/// (`"E1.F"`) yields a *qualified* column, so plan rewrites can project
-/// columns back into place without losing their qualifiers.
-pub(crate) fn out_column(expr: &ScalarExpr, alias: &str, input: &Schema) -> Column {
-    let ty = match expr {
-        ScalarExpr::BoundCol(i) => input.columns()[*i].ty,
-        ScalarExpr::Lit(v) => match v {
-            aio_storage::Value::Int(_) => DataType::Int,
-            aio_storage::Value::Float(_) => DataType::Float,
-            aio_storage::Value::Text(_) => DataType::Text,
-            aio_storage::Value::Null => DataType::Any,
-        },
-        _ => DataType::Any,
-    };
-    match alias.split_once('.') {
-        Some((q, n)) if !q.is_empty() && !n.is_empty() => Column::qualified(q, n, ty),
-        _ => Column::new(alias, ty),
-    }
-}
-
 /// Π — compute one output column per `(expr, alias)` item. Serial
 /// (`par = 1`).
 pub fn project(input: &Relation, items: &[(ScalarExpr, String)]) -> Result<Relation> {
@@ -81,18 +61,12 @@ pub fn project_par(
     par: usize,
     stats: &mut ExecStats,
 ) -> Result<Relation> {
-    let bound: Vec<(ScalarExpr, &str)> = items
+    let bound: Vec<ScalarExpr> = items
         .iter()
-        .map(|(e, a)| Ok((e.bind(input.schema())?, a.as_str())))
+        .map(|(e, _)| e.bind(input.schema()))
         .collect::<Result<_>>()?;
-    let schema = Schema::new(
-        bound
-            .iter()
-            .map(|(e, a)| out_column(e, a, input.schema()))
-            .collect(),
-    );
-    let mut out = Relation::new(schema);
-    let par = if bound.iter().all(|(e, _)| e.is_deterministic()) {
+    let mut out = Relation::new(crate::plan::schema_of_items(items, input.schema()));
+    let par = if bound.iter().all(ScalarExpr::is_deterministic) {
         par
     } else {
         1
@@ -100,10 +74,8 @@ pub fn project_par(
     let (bufs, info) = crate::par::run_morsels(input.len(), par, |range| {
         let mut rows = Vec::new();
         for row in &input.rows()[range] {
-            let vals: Vec<aio_storage::Value> = bound
-                .iter()
-                .map(|(e, _)| e.eval(row))
-                .collect::<Result<_>>()?;
+            let vals: Vec<aio_storage::Value> =
+                bound.iter().map(|e| e.eval(row)).collect::<Result<_>>()?;
             rows.push(vals.into_boxed_slice());
         }
         Ok(rows)
@@ -197,7 +169,7 @@ pub fn product(a: &Relation, b: &Relation) -> Result<Relation> {
 mod tests {
     use super::*;
     use crate::expr::BinOp;
-    use aio_storage::{node_schema, row, Value};
+    use aio_storage::{node_schema, row, DataType, Schema, Value};
 
     fn nodes(pairs: &[(i64, f64)]) -> Relation {
         let mut r = Relation::new(node_schema());

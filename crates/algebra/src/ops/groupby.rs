@@ -12,18 +12,14 @@ use crate::error::{AlgebraError, Result};
 use crate::expr::ScalarExpr;
 use crate::profile::AggStrategy;
 use crate::stats::ExecStats;
-use aio_storage::{Column, DataType, FxHashMap, Key, Relation, Schema, Value};
+use aio_storage::{FxHashMap, Key, Relation, Schema, Value};
 
-/// A projection item compiled for grouped evaluation: aggregates extracted,
-/// plain column references remapped to group-key positions.
-pub(crate) struct CompiledItem {
-    /// Expression over the synthetic row `[key values..]` with `AggRef`s.
-    pub(crate) expr: ScalarExpr,
-    pub(crate) name: String,
-}
-
+/// The select list compiled for grouped evaluation.
 pub(crate) struct Compiled {
-    pub(crate) items: Vec<CompiledItem>,
+    /// One expression per item over the synthetic row `[key values..]`:
+    /// aggregates extracted into `AggRef`s, plain column references
+    /// remapped to group-key positions.
+    pub(crate) items: Vec<ScalarExpr>,
     /// (function, bound argument over the input schema)
     pub(crate) aggs: Vec<(AggFunc, ScalarExpr)>,
 }
@@ -79,31 +75,10 @@ pub(crate) fn compile(
 ) -> Result<Compiled> {
     let mut aggs = Vec::new();
     let mut out = Vec::with_capacity(items.len());
-    for (e, name) in items {
-        let bound = e.bind(input)?;
-        let expr = rewrite(&bound, group_cols, &mut aggs)?;
-        out.push(CompiledItem {
-            expr,
-            name: name.clone(),
-        });
+    for (e, _) in items {
+        out.push(rewrite(&e.bind(input)?, group_cols, &mut aggs)?);
     }
     Ok(Compiled { items: out, aggs })
-}
-
-pub(crate) fn output_schema(input: &Schema, group_cols: &[usize], c: &Compiled) -> Schema {
-    Schema::new(
-        c.items
-            .iter()
-            .map(|it| {
-                let ty = match &it.expr {
-                    // plain key passthrough keeps its type
-                    ScalarExpr::BoundCol(k) => input.columns()[group_cols[*k]].ty,
-                    _ => DataType::Any,
-                };
-                Column::new(&it.name, ty)
-            })
-            .collect(),
-    )
 }
 
 pub(crate) fn finish_group(
@@ -116,7 +91,7 @@ pub(crate) fn finish_group(
     let row: Vec<Value> = c
         .items
         .iter()
-        .map(|it| it.expr.eval_env(&key.0, &agg_vals))
+        .map(|e| e.eval_env(&key.0, &agg_vals))
         .collect::<Result<_>>()?;
     out.rows_mut().push(row.into_boxed_slice());
     Ok(())
@@ -156,8 +131,7 @@ pub fn group_by_par(
         .map(|r| input.schema().index_of(r).map_err(Into::into))
         .collect::<Result<_>>()?;
     let c = compile(input.schema(), &group_cols, items)?;
-    let schema = output_schema(input.schema(), &group_cols, &c);
-    let mut out = Relation::new(schema);
+    let mut out = Relation::new(crate::plan::schema_of_items(items, input.schema()));
 
     if group_cols.is_empty() {
         // Global aggregate: exactly one output row, even on empty input.
@@ -297,13 +271,7 @@ pub fn window(
         .collect();
 
     // Pass 2: one output row per input row.
-    let schema = Schema::new(
-        compiled
-            .iter()
-            .map(|(_, n)| Column::new(n, DataType::Any))
-            .collect(),
-    );
-    let mut out = Relation::new(schema);
+    let mut out = Relation::new(crate::plan::schema_of_items(items, input.schema()));
     for row in input.iter() {
         let key = Key::of(row, &part_cols);
         let agg_vals = &finished[&key];

@@ -3,9 +3,15 @@
 //! Section 4.3 of the paper points at SQL-level optimizations for
 //! path-oriented algorithms, "among them one is early selection"
 //! (Ordonez, \[41\]). [`push_selections`] pushes selection conjuncts below
-//! joins and products when every column they touch is *qualified* and every
-//! qualifier belongs to one side's alias set — the same syntactic
-//! discipline the with+ lowering uses for join keys.
+//! joins and products when every column they touch is *qualified* and one
+//! side's output schema resolves them all — the same syntactic discipline
+//! the with+ lowering uses for join keys.
+//!
+//! Every "whose column is this" question here — which side a conjunct
+//! belongs to, which leaf a join key binds, what the region outputs and in
+//! which order, which scan columns are dead — is a [`Schema::index_of`]
+//! lookup in [`Plan::schema`], the executor's own definition; nothing in
+//! this module derives a node's columns itself.
 //!
 //! [`optimize_plan`] is the profile-driven entry point
 //! ([`Optimizer::Off`] keeps the paper's fixed Algorithm 1 plans,
@@ -13,7 +19,8 @@
 //! the full pass):
 //!
 //! 1. flatten each maximal inner-join/product/select region into leaves +
-//!    a predicate pool, attributing predicates to leaves by qualifier;
+//!    a predicate pool, attributing predicates to the leaf whose schema
+//!    resolves their columns;
 //! 2. enumerate join orders — exact dynamic programming over subset
 //!    bitsets minimizing `C_out` (the summed intermediate cardinalities,
 //!    estimated by [`crate::stats`]) for regions of ≤ 8 leaves, a greedy
@@ -28,40 +35,15 @@
 //! Every rewrite is a pure function of the plan and the catalog statistics,
 //! so EXPLAIN ANALYZE can re-derive the executed plan deterministically.
 //! Regions containing non-deterministic predicates (`random()`), bare
-//! (unqualifiable) join keys, or duplicated aliases are left untouched.
+//! (unqualifiable) join keys, or a qualifier two leaves expose are left
+//! untouched.
 
+use crate::error::Result;
 use crate::expr::{BinOp, ScalarExpr};
 use crate::plan::Plan;
 use crate::profile::Optimizer;
 use crate::stats::estimate;
-use aio_storage::Catalog;
-
-/// Aliases visible in a subtree's output (Scan aliases / table names).
-fn aliases(plan: &Plan, out: &mut Vec<String>) {
-    match plan {
-        Plan::Scan { table, alias } => out.push(alias.clone().unwrap_or_else(|| table.clone())),
-        Plan::Values(_) => {}
-        Plan::Select { input, .. } | Plan::Distinct(input) => aliases(input, out),
-        // projections / aggregations rename columns: nothing qualified
-        // survives, so nothing can be attributed below them
-        Plan::Project { .. } | Plan::Aggregate { .. } | Plan::Window { .. } => {}
-        Plan::Join { left, right, .. } | Plan::Product { left, right } => {
-            aliases(left, out);
-            aliases(right, out);
-        }
-        // set operations expose the left shape
-        Plan::UnionAll { left, .. } | Plan::Union { left, .. } | Plan::Difference { left, .. } => {
-            aliases(left, out)
-        }
-        // semi/anti expose the left side only
-        Plan::AntiJoin { left, .. } | Plan::SemiJoin { left, .. } => aliases(left, out),
-        Plan::MultiwayJoin { children, .. } => {
-            for c in children {
-                aliases(c, out);
-            }
-        }
-    }
-}
+use aio_storage::{Catalog, Column, DataType, Schema};
 
 fn split_conjuncts(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
     match e {
@@ -78,22 +60,69 @@ fn conjoin(mut cs: Vec<ScalarExpr>) -> Option<ScalarExpr> {
     Some(cs.into_iter().fold(first, ScalarExpr::and))
 }
 
-/// Do all column references of `e` resolve into `side` (qualified, and the
-/// qualifier is one of the side's aliases)?
-fn belongs_to(e: &ScalarExpr, side_aliases: &[String]) -> bool {
+/// Name of the one column that stands in for a table the catalog does not
+/// hold — no stored column can have it.
+const PENDING: &str = "*";
+
+/// The schema attribution sees for one side of a join or one leaf of a
+/// region: [`Plan::schema`], except that a scan of a table the catalog
+/// does not hold stands in as the single column `q.*`. A with+ statement
+/// is planned before its recursive relation and its other temporaries
+/// exist, so all that is known of such a scan is its qualifier — and every
+/// `q.…` reference is taken to be its.
+fn visible(plan: &Plan, catalog: &Catalog) -> Result<Schema> {
+    if let Plan::Scan { table, alias } = plan {
+        if !catalog.contains(table) {
+            let q = alias.as_deref().unwrap_or(table);
+            return Ok(Schema::new(vec![Column::qualified(
+                q,
+                PENDING,
+                DataType::Any,
+            )]));
+        }
+    }
+    let inputs: Vec<Schema> = plan
+        .children()
+        .into_iter()
+        .map(|c| visible(c, catalog))
+        .collect::<Result<_>>()?;
+    plan.schema_over(catalog, &inputs.iter().collect::<Vec<_>>())
+}
+
+/// The side a column reference belongs to: the one whose schema resolves
+/// it ([`Schema::index_of`]), or holds the pending table it is qualified
+/// by. Only a *qualified* reference belongs anywhere — a bare name stays
+/// where it was written, since pushing it below a join could turn an
+/// ambiguity error into an answer.
+fn owner(reference: &str, sides: &[Schema]) -> Option<usize> {
+    if !reference.contains('.') {
+        return None;
+    }
+    let pending = |c: &Column| {
+        let rest = c
+            .qualifier
+            .as_ref()
+            .and_then(|q| reference.strip_prefix(q.as_str()));
+        c.name == PENDING && rest.is_some_and(|rest| rest.starts_with('.'))
+    };
+    sides
+        .iter()
+        .position(|s| s.index_of(reference).is_ok() || s.columns().iter().any(pending))
+}
+
+/// The one side every column reference of `e` belongs to, if there is one.
+fn side_of(e: &ScalarExpr, sides: &[Schema]) -> Option<usize> {
     let mut cols = Vec::new();
     e.collect_cols(&mut cols);
-    !cols.is_empty()
-        && cols.iter().all(|c| match c.split_once('.') {
-            Some((q, _)) => side_aliases.iter().any(|a| a.eq_ignore_ascii_case(q)),
-            None => false,
-        })
+    let mut owners = cols.iter().map(|c| owner(c, sides));
+    let first = owners.next()??;
+    owners.all(|o| o == Some(first)).then_some(first)
 }
 
 /// Push selections down joins/products wherever attribution is
 /// unambiguous. Idempotent.
-pub fn push_selections(plan: &Plan) -> Plan {
-    push_down(plan.clone())
+pub fn push_selections(plan: &Plan, catalog: &Catalog) -> Plan {
+    push_down(plan.clone(), catalog)
 }
 
 /// Split `pred` into conjuncts attributable to `left`, to `right`, and the
@@ -102,22 +131,22 @@ fn split_between(
     pred: &ScalarExpr,
     left: Box<Plan>,
     right: Box<Plan>,
+    catalog: &Catalog,
 ) -> (Box<Plan>, Box<Plan>, Vec<ScalarExpr>) {
     let mut cs = Vec::new();
     split_conjuncts(pred, &mut cs);
-    let mut la = Vec::new();
-    aliases(&left, &mut la);
-    let mut ra = Vec::new();
-    aliases(&right, &mut ra);
     let (mut to_left, mut to_right, mut keep) = (vec![], vec![], vec![]);
-    for c in cs {
-        if belongs_to(&c, &la) {
-            to_left.push(c);
-        } else if belongs_to(&c, &ra) {
-            to_right.push(c);
-        } else {
-            keep.push(c);
+    if let (Ok(l), Ok(r)) = (visible(&left, catalog), visible(&right, catalog)) {
+        let sides = [l, r];
+        for c in cs {
+            match side_of(&c, &sides) {
+                Some(0) => to_left.push(c),
+                Some(_) => to_right.push(c),
+                None => keep.push(c),
+            }
         }
+    } else {
+        keep = cs;
     }
     let wrap = |p: Box<Plan>, cs: Vec<ScalarExpr>| -> Box<Plan> {
         match conjoin(cs) {
@@ -128,11 +157,11 @@ fn split_between(
     (wrap(left, to_left), wrap(right, to_right), keep)
 }
 
-fn push_down(plan: Plan) -> Plan {
+fn push_down(plan: Plan, catalog: &Catalog) -> Plan {
     let Plan::Select { input, pred } = plan else {
-        return plan.map_children(push_down);
+        return plan.map_children(|c| push_down(c, catalog));
     };
-    let (below, keep) = match push_down(*input) {
+    let (below, keep) = match push_down(*input, catalog) {
         Plan::Join {
             left,
             right,
@@ -140,7 +169,7 @@ fn push_down(plan: Plan) -> Plan {
             residual,
             kind,
         } => {
-            let (left, right, keep) = split_between(&pred, left, right);
+            let (left, right, keep) = split_between(&pred, left, right, catalog);
             (
                 Plan::Join {
                     left,
@@ -153,7 +182,7 @@ fn push_down(plan: Plan) -> Plan {
             )
         }
         Plan::Product { left, right } => {
-            let (left, right, keep) = split_between(&pred, left, right);
+            let (left, right, keep) = split_between(&pred, left, right, catalog);
             (Plan::Product { left, right }, keep)
         }
         other => (other, vec![pred]),
@@ -185,8 +214,8 @@ const SEMIJOIN_REDUCTION_RATIO: f64 = 4.0;
 pub fn optimize_plan(plan: &Plan, catalog: &Catalog, level: Optimizer) -> Plan {
     match level {
         Optimizer::Off => plan.clone(),
-        Optimizer::Rules => push_selections(plan),
-        Optimizer::Cost => cost_pass(push_selections(plan), catalog, true, None),
+        Optimizer::Rules => push_selections(plan, catalog),
+        Optimizer::Cost => cost_pass(push_selections(plan, catalog), catalog, true, None),
     }
 }
 
@@ -286,18 +315,15 @@ fn cost_pass(plan: Plan, catalog: &Catalog, sensitive: bool, needed: Option<&[St
 /// (`x NOT IN (...NULL...)` must stay empty, so NULL keys may not be
 /// dropped).
 fn semijoin_reduce(left: &Plan, right: Plan, on: &[(String, String)], catalog: &Catalog) -> Plan {
-    let (Plan::Scan { .. }, Plan::Scan { table, alias }) = (left, &right) else {
+    let (Plan::Scan { .. }, Plan::Scan { table, .. }) = (left, &right) else {
         return right;
     };
     let Some(stats) = catalog.stats(table) else {
         return right;
     };
-    let Ok(rel) = catalog.relation(table) else {
+    let Ok(schema) = right.schema(catalog) else {
         return right;
     };
-    let schema = rel
-        .schema()
-        .with_qualifier(alias.as_deref().unwrap_or(table.as_str()));
     for (_, rref) in on {
         match schema.index_of(rref) {
             Ok(i) => match stats.column(i) {
@@ -369,79 +395,6 @@ fn flatten_region(
     }
 }
 
-/// The column identities `(qualifier, name)` a plan outputs, in order.
-/// `None` when they cannot be derived exactly (missing table).
-fn derive_cols(plan: &Plan, catalog: &Catalog) -> Option<Vec<(Option<String>, String)>> {
-    match plan {
-        Plan::Scan { table, alias } => {
-            let rel = catalog.relation(table).ok()?;
-            let q = alias.as_deref().unwrap_or(table.as_str());
-            Some(
-                rel.schema()
-                    .columns()
-                    .iter()
-                    .map(|c| (Some(q.to_string()), c.name.clone()))
-                    .collect(),
-            )
-        }
-        Plan::Values(rel) => Some(
-            rel.schema()
-                .columns()
-                .iter()
-                .map(|c| (c.qualifier.clone(), c.name.clone()))
-                .collect(),
-        ),
-        Plan::Select { input, .. } | Plan::Distinct(input) => derive_cols(input, catalog),
-        Plan::Project { items, .. }
-        | Plan::Aggregate { items, .. }
-        | Plan::Window { items, .. } => Some(
-            items
-                .iter()
-                .map(|(_, alias)| match alias.split_once('.') {
-                    Some((q, n)) if !q.is_empty() && !n.is_empty() => {
-                        (Some(q.to_string()), n.to_string())
-                    }
-                    _ => (None, alias.clone()),
-                })
-                .collect(),
-        ),
-        Plan::Join { left, right, .. } | Plan::Product { left, right } => {
-            let mut l = derive_cols(left, catalog)?;
-            l.extend(derive_cols(right, catalog)?);
-            Some(l)
-        }
-        Plan::UnionAll { left, .. }
-        | Plan::Union { left, .. }
-        | Plan::Difference { left, .. }
-        | Plan::AntiJoin { left, .. }
-        | Plan::SemiJoin { left, .. } => derive_cols(left, catalog),
-        Plan::MultiwayJoin { children, .. } => {
-            let mut all = Vec::new();
-            for c in children {
-                all.extend(derive_cols(c, catalog)?);
-            }
-            Some(all)
-        }
-    }
-}
-
-/// Does `reference` match the column `(qual, name)` under the same rules as
-/// `Schema::index_of` (qualifier exact, name case-insensitive)?
-fn ref_matches(reference: &str, qual: Option<&str>, name: &str) -> bool {
-    match reference.split_once('.') {
-        Some((q, n)) => qual == Some(q) && n.eq_ignore_ascii_case(name),
-        None => reference.eq_ignore_ascii_case(name),
-    }
-}
-
-/// Full textual reference for a derived column.
-fn full_ref(qual: &Option<String>, name: &str) -> String {
-    match qual {
-        Some(q) => format!("{q}.{name}"),
-        None => name.to_string(),
-    }
-}
-
 /// Attempt the full region rewrite; `None` bails back to the structural
 /// recursion (duplicated aliases, unattributable join keys, fewer than two
 /// leaves, nondeterministic predicates, or an unrestorable output order).
@@ -465,24 +418,27 @@ fn try_reorder(
         return None;
     }
 
-    // Alias → leaf attribution; duplicated aliases make it ambiguous.
-    let mut alias_of: Vec<(String, usize)> = Vec::new();
-    for (i, leaf) in leaves.iter().enumerate() {
-        let mut a = Vec::new();
-        aliases(leaf, &mut a);
-        for al in a {
-            let low = al.to_ascii_lowercase();
-            if alias_of.iter().any(|(x, _)| *x == low) {
-                return None;
-            }
-            alias_of.push((low, i));
+    // Attribution is by leaf schema; a qualifier two leaves expose makes
+    // it ambiguous.
+    let schemas: Vec<Schema> = leaves
+        .iter()
+        .map(|l| visible(l, catalog))
+        .collect::<Result<_>>()
+        .ok()?;
+    let quals: Vec<Vec<&str>> = schemas
+        .iter()
+        .map(|s| {
+            let quals = s.columns().iter().filter_map(|c| c.qualifier.as_deref());
+            quals.collect()
+        })
+        .collect();
+    for (i, mine) in quals.iter().enumerate() {
+        let mut theirs = quals[i + 1..].iter().flatten();
+        if theirs.any(|t| mine.iter().any(|q| q.eq_ignore_ascii_case(t))) {
+            return None;
         }
     }
-    let leaf_of = |r: &str| -> Option<usize> {
-        let (q, _) = r.split_once('.')?;
-        let low = q.to_ascii_lowercase();
-        alias_of.iter().find(|(a, _)| *a == low).map(|(_, i)| *i)
-    };
+    let leaf_of = |r: &str| owner(r, &schemas);
 
     // Classify join keys and predicate conjuncts.
     let mut equis: Vec<Equi> = Vec::new();
@@ -500,52 +456,38 @@ fn try_reorder(
         }
     }
     for p in preds {
-        let mut cols = Vec::new();
-        p.collect_cols(&mut cols);
-        let hit: Option<Vec<usize>> = cols.iter().map(|c| leaf_of(c)).collect();
-        match hit {
-            Some(ls) if !ls.is_empty() && ls.iter().all(|x| *x == ls[0]) => {
-                leaf_filters[ls[0]].push(p)
-            }
-            Some(_) => {
-                if let ScalarExpr::Binary(BinOp::Eq, a, b) = &p {
-                    if let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) {
-                        let (la, lb) = (leaf_of(ca), leaf_of(cb));
-                        if let (Some(la), Some(lb)) = (la, lb) {
-                            if la != lb {
-                                equis.push(Equi {
-                                    l: ca.clone(),
-                                    r: cb.clone(),
-                                    ll: la,
-                                    rl: lb,
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                }
-                residual.push(p);
-            }
-            None => residual.push(p),
+        if let Some(leaf) = side_of(&p, &schemas) {
+            leaf_filters[leaf].push(p);
+            continue;
         }
+        if let ScalarExpr::Binary(BinOp::Eq, a, b) = &p {
+            if let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) {
+                if let (Some(la), Some(lb)) = (leaf_of(ca), leaf_of(cb)) {
+                    // on one leaf it would have been that leaf's filter
+                    equis.push(Equi {
+                        l: ca.clone(),
+                        r: cb.clone(),
+                        ll: la,
+                        rl: lb,
+                    });
+                    continue;
+                }
+            }
+        }
+        residual.push(p);
     }
 
-    // Output identities for order restoration, before leaves are touched.
-    let orig_cols = if sensitive {
-        let cols = derive_cols(plan, catalog)?;
-        // Every original column must resolve uniquely by name, or the
-        // restoring projection would be ambiguous.
-        for (q, nm) in &cols {
-            let r = full_ref(q, nm);
-            let matches = cols
-                .iter()
-                .filter(|(q2, n2)| ref_matches(&r, q2.as_deref(), n2))
-                .count();
-            if matches != 1 {
-                return None;
-            }
+    // The region's output schema — its leaves', in order — for order
+    // restoration, before leaves are touched. Every column must be known
+    // and resolve uniquely by its full name, or the restoring projection
+    // would be ambiguous.
+    let orig_schema = if sensitive {
+        let schema = crate::plan::joined(&schemas);
+        let restorable = |c: &Column| c.name != PENDING && schema.index_of(&c.full_name()).is_ok();
+        if !schema.columns().iter().all(restorable) {
+            return None;
         }
-        Some(cols)
+        Some(schema)
     } else {
         None
     };
@@ -608,17 +550,15 @@ fn try_reorder(
 
     // Restore the original column order when someone above reads
     // positionally — unless the enumerator reproduced it exactly.
-    if let Some(cols) = orig_cols {
+    if let Some(schema) = orig_schema {
         let identity = cand.leaf_seq.iter().copied().eq(0..n);
         if !identity {
             out = Plan::Project {
                 input: Box::new(out),
-                items: cols
+                items: schema
+                    .columns()
                     .iter()
-                    .map(|(q, nm)| {
-                        let r = full_ref(q, nm);
-                        (ScalarExpr::col(r.clone()), r)
-                    })
+                    .map(|c| (ScalarExpr::col(c.full_name()), c.full_name()))
                     .collect(),
             };
         }
@@ -656,8 +596,15 @@ fn wcoj_candidate(
     if equis.is_empty() || n < 3 {
         return None;
     }
-    let ests: Vec<crate::stats::NodeEst> =
-        leaf_plans.iter().map(|p| estimate(p, catalog)).collect();
+    let rows: Vec<f64> = leaf_plans
+        .iter()
+        .map(|p| estimate(p, catalog).rows)
+        .collect();
+    let schemas: Vec<Schema> = leaf_plans
+        .iter()
+        .map(|p| p.schema(catalog))
+        .collect::<Result<_>>()
+        .ok()?;
 
     // Union-find over the (leaf, column) endpoints of the equality graph.
     let mut nodes: Vec<(usize, usize)> = Vec::new();
@@ -672,8 +619,8 @@ fn wcoj_candidate(
     };
     let mut edges: Vec<(usize, usize)> = Vec::new();
     for e in equis {
-        let cl = ests[e.ll].schema.index_of(&e.l).ok()?;
-        let cr = ests[e.rl].schema.index_of(&e.r).ok()?;
+        let cl = schemas[e.ll].index_of(&e.l).ok()?;
+        let cr = schemas[e.rl].index_of(&e.r).ok()?;
         let a = node_id(&mut nodes, e.ll, cl);
         let b = node_id(&mut nodes, e.rl, cr);
         edges.push((a, b));
@@ -728,7 +675,7 @@ fn wcoj_candidate(
 
     // AGM bound of the whole region vs. the binary plan's worst case.
     let atoms: Vec<(f64, Vec<usize>)> = (0..n)
-        .map(|i| (ests[i].rows.max(1.0), atom_vars[i].clone()))
+        .map(|i| (rows[i].max(1.0), atom_vars[i].clone()))
         .collect();
     let agm = crate::wcoj::agm_bound(&atoms);
     let mut binary_worst = 0.0;
@@ -750,8 +697,7 @@ fn wcoj_candidate(
     for (pos, &v) in order.iter().enumerate() {
         pos_of_var[v] = pos;
     }
-    let mut vars: Vec<Vec<Option<usize>>> =
-        ests.iter().map(|e| vec![None; e.schema.arity()]).collect();
+    let mut vars: Vec<Vec<Option<usize>>> = schemas.iter().map(|s| vec![None; s.arity()]).collect();
     for (i, &(leaf, col)) in nodes.iter().enumerate() {
         vars[leaf][col] = Some(pos_of_var[var_of_node[i]]);
     }
@@ -761,7 +707,7 @@ fn wcoj_candidate(
         for (col, p) in lv.iter().enumerate() {
             if let Some(p) = p {
                 if var_names[*p].is_empty() {
-                    var_names[*p] = ests[leaf].schema.columns()[col].full_name();
+                    var_names[*p] = schemas[leaf].columns()[col].full_name();
                 }
             }
         }
@@ -787,27 +733,21 @@ fn prune_scan_columns(leaf: Plan, catalog: &Catalog, refs: &[String]) -> Plan {
         Plan::Select { input, .. } if matches!(**input, Plan::Scan { .. }) => input,
         _ => return leaf,
     };
-    let Plan::Scan { table, alias } = scan else {
+    let Ok(schema) = scan.schema(catalog) else {
         return leaf;
     };
-    let Ok(rel) = catalog.relation(table) else {
-        return leaf;
-    };
-    let q = alias.as_deref().unwrap_or(table.as_str());
-    let cols = rel.schema().columns();
-    let kept: Vec<String> = cols
-        .iter()
-        .filter(|c| refs.iter().any(|r| ref_matches(r, Some(q), &c.name)))
-        .map(|c| format!("{q}.{}", c.name))
-        .collect();
-    if kept.is_empty() || kept.len() == cols.len() {
+    let mut keep = vec![false; schema.arity()];
+    for i in refs.iter().filter_map(|r| schema.index_of(r).ok()) {
+        keep[i] = true;
+    }
+    if keep.iter().all(|&k| k) || !keep.contains(&true) {
         return leaf;
     }
+    let kept = schema.columns().iter().zip(keep).filter(|(_, k)| *k);
     Plan::Project {
         input: Box::new(leaf),
         items: kept
-            .into_iter()
-            .map(|r| (ScalarExpr::col(r.clone()), r))
+            .map(|(c, _)| (ScalarExpr::col(c.full_name()), c.full_name()))
             .collect(),
     }
 }
@@ -973,7 +913,7 @@ mod tests {
 
     #[test]
     fn pushes_both_sides() {
-        let optimized = push_selections(&filtered_join());
+        let optimized = push_selections(&filtered_join(), &catalog());
         // the top node is now the join itself
         let Plan::Join { left, right, .. } = &optimized else {
             panic!("expected bare join, got {optimized:?}")
@@ -986,7 +926,12 @@ mod tests {
     fn semantics_preserved() {
         let c = catalog();
         let (a, _) = execute(&filtered_join(), &c, &oracle_like()).unwrap();
-        let (b, sb) = execute(&push_selections(&filtered_join()), &c, &oracle_like()).unwrap();
+        let (b, sb) = execute(
+            &push_selections(&filtered_join(), &catalog()),
+            &c,
+            &oracle_like(),
+        )
+        .unwrap();
         assert!(a.same_rows_unordered(&b));
         // fewer rows flow into the join
         assert!(sb.rows_produced <= 6);
@@ -1005,7 +950,7 @@ mod tests {
             // `vw` is unqualified: ambiguous, must not move
             pred: ScalarExpr::binary(BinOp::Gt, ScalarExpr::col("vw"), ScalarExpr::lit(1.0)),
         };
-        let optimized = push_selections(&plan);
+        let optimized = push_selections(&plan, &catalog());
         assert!(matches!(optimized, Plan::Select { .. }));
     }
 
@@ -1021,7 +966,7 @@ mod tests {
             }),
             pred: ScalarExpr::binary(BinOp::Lt, ScalarExpr::col("E.ew"), ScalarExpr::col("V.vw")),
         };
-        let Plan::Select { input, .. } = push_selections(&plan) else {
+        let Plan::Select { input, .. } = push_selections(&plan, &catalog()) else {
             panic!("cross predicate must stay above the join")
         };
         assert!(matches!(*input, Plan::Join { .. }));
@@ -1029,8 +974,8 @@ mod tests {
 
     #[test]
     fn idempotent() {
-        let once = push_selections(&filtered_join());
-        let twice = push_selections(&once);
+        let once = push_selections(&filtered_join(), &catalog());
+        let twice = push_selections(&once, &catalog());
         let c = catalog();
         let (a, _) = execute(&once, &c, &oracle_like()).unwrap();
         let (b, _) = execute(&twice, &c, &oracle_like()).unwrap();

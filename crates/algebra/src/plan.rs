@@ -5,6 +5,13 @@
 //! [`EngineProfile`], materializing every operator's output — the moral
 //! equivalent of the paper's PSM translation where each step is an
 //! `INSERT INTO tmp SELECT ...`.
+//!
+//! Three exhaustive matches over the variants — [`Plan::children`],
+//! [`Plan::children_mut`] and `Plan::schema_over` — are the only code
+//! that knows every node's shape: which inputs it has, and which columns
+//! (qualifier, name, type) it outputs over them. Walks, node numbering,
+//! the kernels' result schemas, the estimator and the optimizer all read
+//! those three.
 
 use crate::batch::{self, BATCH_SIZE};
 use crate::error::Result;
@@ -14,7 +21,7 @@ use crate::ops::anti_join::AntiJoinImpl;
 use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
 use crate::profile::{EngineProfile, ExecMode, JoinStrategy};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, Catalog, Relation, Schema, Value};
+use aio_storage::{Batch, Catalog, Column, DataType, Relation, Schema, Value};
 
 /// A logical plan node.
 #[derive(Clone, Debug)]
@@ -118,9 +125,11 @@ impl Plan {
     }
 
     /// Direct inputs of this node, in the order the evaluator runs them.
-    /// Together with [`Plan::children_mut`] this is the only place that
-    /// knows every variant's shape: pre-order node ids (EXPLAIN ANALYZE,
-    /// [`crate::estimate_nodes`]) and every generic walk derive from it.
+    /// Together with [`Plan::children_mut`] and `Plan::schema_over` this
+    /// is the only place that knows every variant's shape: pre-order node
+    /// ids (EXPLAIN ANALYZE, [`crate::estimate_nodes`]), every generic walk
+    /// and every answer to "which columns does this node output" derive
+    /// from these three matches.
     pub fn children(&self) -> Vec<&Plan> {
         match self {
             Plan::Scan { .. } | Plan::Values(_) => vec![],
@@ -158,6 +167,49 @@ impl Plan {
             | Plan::SemiJoin { left, right, .. } => vec![&mut **left, &mut **right],
             Plan::MultiwayJoin { children, .. } => children.iter_mut().collect(),
         }
+    }
+
+    /// This node's output schema over its children's — `inputs[i]` is the
+    /// schema of `children()[i]`. The one definition of what a node
+    /// outputs: the kernels build their result schema with it (so
+    /// `execute(p)?.schema() == p.schema(catalog)?` by construction, which
+    /// [`Evaluator`] asserts per node in debug builds), the estimator
+    /// attaches its column estimates to it, and the optimizer resolves
+    /// references against it.
+    pub(crate) fn schema_over(&self, catalog: &Catalog, inputs: &[&Schema]) -> Result<Schema> {
+        Ok(match self {
+            Plan::Scan { table, alias } => catalog
+                .relation(table)?
+                .schema()
+                .with_qualifier(alias.as_deref().unwrap_or(table)),
+            Plan::Values(rel) => rel.schema().clone(),
+            // filters, and the set operations, which are positional: the
+            // left input names the output
+            Plan::Select { .. }
+            | Plan::Distinct(_)
+            | Plan::UnionAll { .. }
+            | Plan::Union { .. }
+            | Plan::Difference { .. }
+            | Plan::AntiJoin { .. }
+            | Plan::SemiJoin { .. } => inputs[0].clone(),
+            Plan::Project { items, .. }
+            | Plan::Aggregate { items, .. }
+            | Plan::Window { items, .. } => schema_of_items(items, inputs[0]),
+            Plan::Join { .. } | Plan::Product { .. } | Plan::MultiwayJoin { .. } => {
+                joined(inputs.iter().copied())
+            }
+        })
+    }
+
+    /// The schema this plan's result has: `Plan::schema_over` folded over
+    /// [`Plan::children`]. An error only when a scanned table is missing.
+    pub fn schema(&self, catalog: &Catalog) -> Result<Schema> {
+        let inputs: Vec<Schema> = self
+            .children()
+            .into_iter()
+            .map(|c| c.schema(catalog))
+            .collect::<Result<_>>()?;
+        self.schema_over(catalog, &inputs.iter().collect::<Vec<_>>())
     }
 
     /// This node with every direct child replaced by `f(child)`.
@@ -209,6 +261,40 @@ impl Plan {
             _ => false,
         })
     }
+}
+
+/// The output schema of a project / aggregate / window over `input` — one
+/// rule for all three. A dotted alias (`"E1.F"`) names the *qualified*
+/// column `F` of `E1`, so plan rewrites can project columns back into
+/// place without losing their qualifiers; a plain column reference and a
+/// literal keep their type, every computed item is `Any`. Total: a
+/// reference `input` does not resolve is `Any` here and an error where the
+/// item is bound.
+pub(crate) fn schema_of_items(items: &[(ScalarExpr, String)], input: &Schema) -> Schema {
+    let col_ty = |i: Option<usize>| i.and_then(|i| input.columns().get(i)).map(|c| c.ty);
+    let column = |(expr, alias): &(ScalarExpr, String)| {
+        let ty = match expr {
+            ScalarExpr::Col(name) => col_ty(input.index_of(name).ok()),
+            ScalarExpr::BoundCol(i) => col_ty(Some(*i)),
+            ScalarExpr::Lit(Value::Int(_)) => Some(DataType::Int),
+            ScalarExpr::Lit(Value::Float(_)) => Some(DataType::Float),
+            ScalarExpr::Lit(Value::Text(_)) => Some(DataType::Text),
+            _ => None,
+        }
+        .unwrap_or(DataType::Any);
+        match alias.split_once('.') {
+            Some((q, n)) if !q.is_empty() && !n.is_empty() => Column::qualified(q, n, ty),
+            _ => Column::new(alias, ty),
+        }
+    };
+    Schema::new(items.iter().map(column).collect())
+}
+
+/// The schema of a join, product or multiway join: the children's columns
+/// concatenated in child order ([`Schema::join`], n-ary).
+pub(crate) fn joined<'s>(inputs: impl IntoIterator<Item = &'s Schema>) -> Schema {
+    let cols = inputs.into_iter().flat_map(|s| s.columns().iter().cloned());
+    Schema::new(cols.collect())
 }
 
 /// Does `plan` read `table` anywhere?
@@ -337,7 +423,16 @@ impl<'a> Evaluator<'a> {
         for c in plan.children() {
             inputs.push(self.eval(c)?);
         }
+        // debug builds (the profile the tests run in) hold every operator
+        // to the plan layer's definition of its output schema
+        let expected = cfg!(debug_assertions).then(|| {
+            let schemas: Vec<&Schema> = inputs.iter().map(Data::schema).collect();
+            plan.schema_over(self.catalog, &schemas)
+        });
         let out = self.apply(plan, inputs)?;
+        if let Some(expected) = expected {
+            debug_assert_eq!(out.schema(), &expected?, "{}", op_name(plan));
+        }
         let typed = self.typed.take();
         let batches = match &out {
             Data::Rows(_) => None,
@@ -398,14 +493,13 @@ impl<'a> Evaluator<'a> {
             Plan::Scan { table, alias } => {
                 let rel = self.catalog.relation(table)?;
                 self.stats.rows_scanned += rel.len() as u64;
-                let qual = alias.as_deref().unwrap_or(table);
                 Ok(if columnar {
                     // the catalog's cached image, shared under this scan's
                     // qualifier — never a transposition of its own
                     let image = self.catalog.columnar(table)?;
-                    Data::Cols(image.with_schema(image.schema().with_qualifier(qual)))
+                    Data::Cols(image.with_schema(plan.schema_over(self.catalog, &[])?))
                 } else {
-                    Data::Rows(ops::rename(rel, qual))
+                    Data::Rows(ops::rename(rel, alias.as_deref().unwrap_or(table)))
                 })
             }
             Plan::Values(rel) => Ok(if columnar {

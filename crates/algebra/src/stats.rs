@@ -14,11 +14,14 @@
 //! conjunct independence, and equi-join cardinality
 //! `|L|·|R| / max(ndv_L, ndv_R)` per key pair. Cross products and
 //! single-table equality selections over uniform columns estimate exactly —
-//! the anchor the optimizer property suite pins down.
+//! the anchor the optimizer property suite pins down. Each node's estimate
+//! is a row count plus per-column state aligned with
+//! `Plan::schema_over` on the child estimates — the estimator describes
+//! no node's columns itself.
 
 use crate::expr::{BinOp, ScalarExpr, UnaryOp};
 use crate::plan::Plan;
-use aio_storage::{Catalog, Column, DataType, Schema, Value};
+use aio_storage::{Catalog, Schema, Value};
 use std::fmt;
 
 /// Counters accumulated over one execution (query or whole PSM run).
@@ -176,14 +179,6 @@ pub(crate) struct NodeEst {
 }
 
 impl NodeEst {
-    fn empty(rows: f64) -> NodeEst {
-        NodeEst {
-            rows,
-            schema: Schema::new(Vec::new()),
-            cols: Vec::new(),
-        }
-    }
-
     /// Column estimate for `reference` (qualified or bare), if resolvable.
     fn col(&self, reference: &str) -> Option<&ColEst> {
         self.schema
@@ -191,14 +186,16 @@ impl NodeEst {
             .ok()
             .and_then(|i| self.cols.get(i))
     }
+}
 
-    /// Cap every column's NDV at the (new, smaller) row count.
-    fn cap_ndv(&mut self) {
-        let cap = self.rows.max(1.0);
-        for c in &mut self.cols {
-            c.ndv = c.ndv.min(cap);
-        }
+/// `(rows, cols)` with every column's NDV capped at the (new, smaller) row
+/// count — what a node that drops or merges rows does to its input columns.
+fn capped(rows: f64, mut cols: Vec<ColEst>) -> (f64, Vec<ColEst>) {
+    let cap = rows.max(1.0);
+    for c in &mut cols {
+        c.ndv = c.ndv.min(cap);
     }
+    (rows, cols)
 }
 
 /// Estimated output cardinality for every node of `plan`, in the same
@@ -322,22 +319,6 @@ fn join_rows(l: &NodeEst, r: &NodeEst, on: &[(String, String)]) -> f64 {
     rows
 }
 
-/// Output schema of a projection-like node (dotted aliases stay qualified —
-/// mirrors `ops::project`'s column inference).
-fn items_schema(items: &[(ScalarExpr, String)]) -> Schema {
-    Schema::new(
-        items
-            .iter()
-            .map(|(_, alias)| match alias.split_once('.') {
-                Some((q, n)) if !q.is_empty() && !n.is_empty() => {
-                    Column::qualified(q, n, DataType::Any)
-                }
-                _ => Column::new(alias.as_str(), DataType::Any),
-            })
-            .collect(),
-    )
-}
-
 /// Column estimates for projection-like items: plain column references
 /// carry their input estimate through, computed expressions default.
 fn items_cols(items: &[(ScalarExpr, String)], input: &NodeEst, rows: f64) -> Vec<ColEst> {
@@ -353,81 +334,73 @@ fn items_cols(items: &[(ScalarExpr, String)], input: &NodeEst, rows: f64) -> Vec
         .collect()
 }
 
+/// A stored relation's column sketches as estimates.
+fn sketch_cols(st: &aio_storage::RelationStats, floor: f64) -> Vec<ColEst> {
+    st.columns
+        .iter()
+        .map(|s| ColEst {
+            ndv: (s.ndv as f64).max(floor),
+            min: s.min.as_ref().and_then(Value::as_f64),
+            max: s.max.as_ref().and_then(Value::as_f64),
+        })
+        .collect()
+}
+
+/// Every child's column estimates, concatenated in child order — aligned
+/// with the schema of a join, product or multiway join.
+fn concat_cols(kids: &[NodeEst]) -> Vec<ColEst> {
+    kids.iter().flat_map(|k| k.cols.iter().cloned()).collect()
+}
+
 /// Recursive estimator; appends this node's rounded estimate at its
 /// pre-order position (children in evaluation order, left before right).
+/// Each arm estimates `rows` and the per-column state; the schema those
+/// columns align with is `Plan::schema_over` on the child estimates — the
+/// executor's own definition. A scan of a table the catalog does not hold
+/// is [`UNKNOWN_ROWS`] with no columns.
 fn node_est(plan: &Plan, catalog: &Catalog, out: &mut Vec<u64>) -> NodeEst {
     let slot = out.len();
     out.push(0);
-    let est = match plan {
-        Plan::Scan { table, alias } => {
-            let qualifier = alias.as_deref().unwrap_or(table.as_str());
-            match catalog.relation(table) {
-                Ok(rel) => {
-                    let schema = rel.schema().with_qualifier(qualifier);
-                    let (rows, cols) = match catalog.stats(table) {
-                        Some(st) => (
-                            st.rows as f64,
-                            st.columns
-                                .iter()
-                                .map(|s| ColEst {
-                                    ndv: (s.ndv as f64).max(if st.rows > 0 { 1.0 } else { 0.0 }),
-                                    min: s.min.as_ref().and_then(Value::as_f64),
-                                    max: s.max.as_ref().and_then(Value::as_f64),
-                                })
-                                .collect(),
-                        ),
-                        None => {
-                            // No sketches (unanalyzed temp table): assume
-                            // live cardinality with all-distinct columns.
-                            let rows = rel.len() as f64;
-                            (
-                                rows,
-                                (0..schema.arity()).map(|_| ColEst::unknown(rows)).collect(),
-                            )
-                        }
-                    };
-                    NodeEst { rows, schema, cols }
-                }
-                Err(_) => NodeEst::empty(UNKNOWN_ROWS),
+    let kids: Vec<NodeEst> = plan
+        .children()
+        .into_iter()
+        .map(|c| node_est(c, catalog, out))
+        .collect();
+    let schemas: Vec<&Schema> = kids.iter().map(|k| &k.schema).collect();
+    let schema = plan
+        .schema_over(catalog, &schemas)
+        .unwrap_or_else(|_| Schema::new(Vec::new()));
+    let (rows, cols) = match plan {
+        Plan::Scan { table, .. } => match (catalog.relation(table), catalog.stats(table)) {
+            (Err(_), _) => (UNKNOWN_ROWS, Vec::new()),
+            (Ok(_), Some(st)) => {
+                let floor = if st.rows > 0 { 1.0 } else { 0.0 };
+                (st.rows as f64, sketch_cols(st, floor))
             }
-        }
+            // No sketches (unanalyzed temp table): assume live cardinality
+            // with all-distinct columns.
+            (Ok(rel), None) => {
+                let rows = rel.len() as f64;
+                let cols = (0..schema.arity()).map(|_| ColEst::unknown(rows)).collect();
+                (rows, cols)
+            }
+        },
         Plan::Values(rel) => {
             let st = rel.collect_stats();
-            NodeEst {
-                rows: st.rows as f64,
-                schema: rel.schema().clone(),
-                cols: st
-                    .columns
-                    .iter()
-                    .map(|s| ColEst {
-                        ndv: (s.ndv as f64).max(1.0),
-                        min: s.min.as_ref().and_then(Value::as_f64),
-                        max: s.max.as_ref().and_then(Value::as_f64),
-                    })
-                    .collect(),
-            }
+            (st.rows as f64, sketch_cols(&st, 1.0))
         }
-        Plan::Select { input, pred } => {
-            let mut e = node_est(input, catalog, out);
-            e.rows *= selectivity(pred, &e);
-            e.cap_ndv();
-            e
+        Plan::Select { pred, .. } => {
+            let e = &kids[0];
+            capped(e.rows * selectivity(pred, e), e.cols.clone())
         }
-        Plan::Project { input, items } => {
-            let e = node_est(input, catalog, out);
-            let cols = items_cols(items, &e, e.rows);
-            NodeEst {
-                rows: e.rows,
-                schema: items_schema(items),
-                cols,
-            }
+        Plan::Project { items, .. } | Plan::Window { items, .. } => {
+            let e = &kids[0];
+            (e.rows, items_cols(items, e, e.rows))
         }
         Plan::Aggregate {
-            input,
-            group_by,
-            items,
+            group_by, items, ..
         } => {
-            let e = node_est(input, catalog, out);
+            let e = &kids[0];
             let rows = if group_by.is_empty() {
                 1.0
             } else {
@@ -437,144 +410,71 @@ fn node_est(plan: &Plan, catalog: &Catalog, out: &mut Vec<u64>) -> NodeEst {
                     .product();
                 groups.min(e.rows)
             };
-            let mut ne = NodeEst {
-                rows,
-                schema: items_schema(items),
-                cols: items_cols(items, &e, rows),
-            };
-            ne.cap_ndv();
-            ne
+            capped(rows, items_cols(items, e, rows))
         }
-        Plan::Window { input, items, .. } => {
-            let e = node_est(input, catalog, out);
-            let cols = items_cols(items, &e, e.rows);
-            NodeEst {
-                rows: e.rows,
-                schema: items_schema(items),
-                cols,
-            }
-        }
-        Plan::Distinct(input) => {
-            let mut e = node_est(input, catalog, out);
+        Plan::Distinct(_) => {
+            let e = &kids[0];
             let distinct: f64 = e.cols.iter().map(|c| c.ndv).product();
-            if !e.cols.is_empty() {
-                e.rows = e.rows.min(distinct);
-            }
-            e.cap_ndv();
-            e
+            let rows = if e.cols.is_empty() {
+                e.rows
+            } else {
+                e.rows.min(distinct)
+            };
+            capped(rows, e.cols.clone())
         }
         Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-            kind,
+            on, residual, kind, ..
         } => {
-            let l = node_est(left, catalog, out);
-            let r = node_est(right, catalog, out);
-            let mut rows = join_rows(&l, &r, on);
-            let schema = l.schema.join(&r.schema);
-            let mut cols = l.cols.clone();
-            cols.extend(r.cols.iter().cloned());
-            let mut e = NodeEst { rows, schema, cols };
+            let (l, r) = (&kids[0], &kids[1]);
+            let mut e = NodeEst {
+                rows: join_rows(l, r, on),
+                schema: schema.clone(),
+                cols: concat_cols(&kids),
+            };
             if let Some(p) = residual {
                 e.rows *= selectivity(p, &e);
             }
-            rows = e.rows;
-            match kind {
-                crate::ops::JoinType::Inner => {}
-                crate::ops::JoinType::Left => e.rows = rows.max(l.rows),
-                crate::ops::JoinType::Full => e.rows = rows.max(l.rows).max(r.rows),
-            }
-            e.cap_ndv();
-            e
-        }
-        Plan::Product { left, right } => {
-            let l = node_est(left, catalog, out);
-            let r = node_est(right, catalog, out);
-            let schema = l.schema.join(&r.schema);
-            let mut cols = l.cols.clone();
-            cols.extend(r.cols.iter().cloned());
-            NodeEst {
-                // Exact under known child cardinalities — pinned by the
-                // optimizer property suite.
-                rows: l.rows * r.rows,
-                schema,
-                cols,
-            }
-        }
-        Plan::UnionAll { left, right } | Plan::Union { left, right } => {
-            let l = node_est(left, catalog, out);
-            let r = node_est(right, catalog, out);
-            NodeEst {
-                rows: l.rows + r.rows,
-                schema: l.schema.clone(),
-                cols: l
-                    .cols
-                    .iter()
-                    .zip(r.cols.iter())
-                    .map(|(a, b)| ColEst {
-                        ndv: a.ndv + b.ndv,
-                        min: None,
-                        max: None,
-                    })
-                    .collect(),
-            }
-        }
-        Plan::Difference { left, right } => {
-            let l = node_est(left, catalog, out);
-            node_est(right, catalog, out);
-            l
-        }
-        Plan::AntiJoin {
-            left, right, on, ..
-        } => {
-            let l = node_est(left, catalog, out);
-            let r = node_est(right, catalog, out);
-            let p = match_fraction(&l, &r, on);
-            let mut e = NodeEst {
-                rows: (l.rows * (1.0 - p)).max(1.0).min(l.rows),
-                schema: l.schema.clone(),
-                cols: l.cols.clone(),
+            let rows = match kind {
+                crate::ops::JoinType::Inner => e.rows,
+                crate::ops::JoinType::Left => e.rows.max(l.rows),
+                crate::ops::JoinType::Full => e.rows.max(l.rows).max(r.rows),
             };
-            e.cap_ndv();
-            e
+            capped(rows, e.cols)
         }
-        Plan::SemiJoin { left, right, on } => {
-            let l = node_est(left, catalog, out);
-            let r = node_est(right, catalog, out);
-            let p = match_fraction(&l, &r, on);
-            let mut e = NodeEst {
-                rows: (l.rows * p).min(l.rows),
-                schema: l.schema.clone(),
-                cols: l.cols.clone(),
-            };
-            e.cap_ndv();
-            e
+        // Exact under known child cardinalities — pinned by the optimizer
+        // property suite.
+        Plan::Product { .. } => (kids[0].rows * kids[1].rows, concat_cols(&kids)),
+        Plan::UnionAll { .. } | Plan::Union { .. } => {
+            let (l, r) = (&kids[0], &kids[1]);
+            let cols = l
+                .cols
+                .iter()
+                .zip(r.cols.iter())
+                .map(|(a, b)| ColEst {
+                    ndv: a.ndv + b.ndv,
+                    min: None,
+                    max: None,
+                })
+                .collect();
+            (l.rows + r.rows, cols)
         }
-        Plan::MultiwayJoin {
-            children, agm_est, ..
-        } => {
-            let mut schema: Option<Schema> = None;
-            let mut cols = Vec::new();
-            for c in children {
-                let e = node_est(c, catalog, out);
-                schema = Some(match schema {
-                    Some(s) => s.join(&e.schema),
-                    None => e.schema.clone(),
-                });
-                cols.extend(e.cols.iter().cloned());
-            }
-            // the AGM bound from planning is the best available estimate
-            let mut e = NodeEst {
-                rows: *agm_est as f64,
-                schema: schema.unwrap_or_else(|| Schema::new(Vec::new())),
-                cols,
-            };
-            e.cap_ndv();
-            e
+        Plan::Difference { .. } => (kids[0].rows, kids[0].cols.clone()),
+        Plan::AntiJoin { on, .. } => {
+            let (l, r) = (&kids[0], &kids[1]);
+            let p = match_fraction(l, r, on);
+            capped((l.rows * (1.0 - p)).max(1.0).min(l.rows), l.cols.clone())
         }
+        Plan::SemiJoin { on, .. } => {
+            let (l, r) = (&kids[0], &kids[1]);
+            capped(
+                (l.rows * match_fraction(l, r, on)).min(l.rows),
+                l.cols.clone(),
+            )
+        }
+        // the AGM bound from planning is the best available estimate
+        Plan::MultiwayJoin { agm_est, .. } => capped(*agm_est as f64, concat_cols(&kids)),
     };
+    let est = NodeEst { rows, schema, cols };
     let rows = if est.rows.is_finite() {
         est.rows.max(0.0)
     } else {
@@ -587,6 +487,38 @@ fn node_est(plan: &Plan, catalog: &Catalog, out: &mut Vec<u64>) -> NodeEst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aio_storage::{edge_schema, Relation};
+
+    #[test]
+    fn estimates_carry_the_plan_layers_schema() {
+        let mut c = Catalog::new();
+        c.create_table("E", Relation::new(edge_schema())).unwrap();
+        let joined = Plan::Join {
+            left: Box::new(Plan::scan_as("E", "A")),
+            right: Box::new(Plan::scan("E")),
+            on: vec![("A.T".into(), "E.F".into())],
+            residual: None,
+            kind: crate::ops::JoinType::Left,
+        };
+        let plan = Plan::Aggregate {
+            input: Box::new(joined),
+            group_by: vec!["A.F".into()],
+            items: vec![
+                (ScalarExpr::col("A.F"), "A.F".into()),
+                (ScalarExpr::lit(1i64), "one".into()),
+            ],
+        };
+        plan.visit(&mut |p| {
+            let est = estimate(p, &c);
+            assert_eq!(est.schema, p.schema(&c).unwrap());
+            assert_eq!(est.cols.len(), est.schema.arity());
+        });
+        // a table the catalog does not hold: default rows, nothing known
+        let missing = estimate(&Plan::scan("nope"), &c);
+        assert_eq!(missing.rows, UNKNOWN_ROWS);
+        assert_eq!(missing.schema.arity(), 0);
+        assert!(missing.cols.is_empty());
+    }
 
     #[test]
     fn absorb_adds() {

@@ -75,11 +75,10 @@ fn scan_like<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<(&'p str, Vec<usiz
             Some((table, (0..arity).collect()))
         }
         Plan::Project { input, items } => {
-            let Plan::Scan { table, alias } = &**input else {
+            let Plan::Scan { table, .. } = &**input else {
                 return None;
             };
-            let qual = alias.as_deref().unwrap_or(table);
-            let schema = catalog.relation(table).ok()?.schema().with_qualifier(qual);
+            let schema = input.schema(catalog).ok()?;
             let map = items
                 .iter()
                 .map(|(e, _)| match e {
@@ -114,10 +113,7 @@ pub(crate) fn multiway_join(
     }
     stats.joins += 1;
     stats.rows_scanned += inputs.iter().map(|d| d.len() as u64).sum::<u64>();
-    let schema = inputs
-        .iter()
-        .skip(1)
-        .fold(inputs[0].schema().clone(), |s, d| s.join(d.schema()));
+    let schema = crate::plan::joined(inputs.iter().map(Data::schema));
 
     // Key columns per child, in elimination order; a duplicate position
     // within one child would need intra-row equality the trie cannot

@@ -10,7 +10,7 @@ use crate::lower::{lower_select, LowerCtx};
 use crate::parser::{Parser, Statement};
 use crate::psm::{PsmRunner, QueryResult, RunStats};
 use aio_algebra::ops::{AntiJoinImpl, UbuImpl};
-use aio_algebra::{optimize_plan, EngineProfile, Evaluator, Optimizer};
+use aio_algebra::{optimize_plan, EngineProfile, Evaluator, Optimizer, Plan};
 use aio_storage::{
     open_catalog, Catalog, CheckpointStats, Column, DataType, InterruptedRun, RecoveryReport,
     Relation, Schema, StdVfs, Value, Vfs,
@@ -49,9 +49,106 @@ pub(crate) fn optimize_compiled(
 }
 
 /// What SQL text lowers to: the plans a statement runs as.
-enum Planned {
+pub(crate) enum Planned {
     WithPlus(CompiledWithPlus),
-    Select(aio_algebra::Plan),
+    Select(Plan),
+}
+
+/// parse → `LowerCtx` → compile / lower → optimize at `level`: the one
+/// place SQL text becomes plans, for the writer and for pinned reads.
+pub(crate) fn plan_sql(
+    sql: &str,
+    catalog: &Catalog,
+    params: &HashMap<String, Value>,
+    anti_impl: AntiJoinImpl,
+    level: Optimizer,
+) -> Result<Planned> {
+    let ctx = LowerCtx::new(params, anti_impl);
+    Ok(match Parser::parse_statement(sql)? {
+        Statement::WithPlus(w) => {
+            Planned::WithPlus(optimize_compiled(compile(&w, &ctx)?, catalog, level))
+        }
+        Statement::Select(s) => {
+            Planned::Select(optimize_plan(&lower_select(&s, &ctx)?, catalog, level))
+        }
+    })
+}
+
+/// Materialize the system relations a statement references so the engine
+/// can query its own metrics with plain SQL. Matched by a cheap substring
+/// scan *before* parsing (the tables must exist by name-resolution time).
+/// `aio_query_log` is refreshed before execution, so a statement never
+/// sees itself — it appears in the next statement's view.
+pub(crate) fn refresh_system_tables(catalog: &mut Catalog, sql: &str) {
+    if !aio_metrics::enabled() {
+        return;
+    }
+    let lower = sql.to_ascii_lowercase();
+    let reg = aio_metrics::global();
+    if lower.contains(METRICS_TABLE) {
+        catalog.put_system_table(METRICS_TABLE, metrics_relation(reg));
+    }
+    if lower.contains(QUERY_LOG_TABLE) {
+        catalog.put_system_table(QUERY_LOG_TABLE, query_log_relation(reg));
+    }
+}
+
+/// Run a one-shot SELECT plan (the `query` span, the evaluator, its
+/// counters); `start` is when the statement began.
+pub(crate) fn run_select(
+    plan: &Plan,
+    catalog: &Catalog,
+    profile: &EngineProfile,
+    tracer: Option<&Tracer>,
+    start: Instant,
+) -> Result<QueryResult> {
+    let span = aio_trace::maybe_span(tracer, "query");
+    if let Some(sp) = &span {
+        sp.field("plan", "select");
+    }
+    let mut ev = Evaluator::with_tracer(catalog, profile, tracer);
+    let relation = ev.eval_root(plan)?;
+    drop(span);
+    let peak_mem_bytes = ev.mem_peak();
+    let stats = RunStats {
+        exec: ev.stats,
+        elapsed: start.elapsed(),
+        peak_mem_bytes,
+        ..Default::default()
+    };
+    Ok(QueryResult { relation, stats })
+}
+
+/// Attribute this thread's cache/WAL traffic since `before` to the
+/// statement and append its [`aio_metrics::QueryReport`] to the global
+/// query log, under `session` at catalog `generation`.
+pub(crate) fn log_query(
+    sql: &str,
+    started: Instant,
+    before: &aio_metrics::CacheCounters,
+    out: &mut QueryResult,
+    profile: &EngineProfile,
+    session: u64,
+    generation: u64,
+) {
+    let cache = aio_metrics::local_counters().delta_since(before);
+    out.stats.cache = cache;
+    aio_metrics::global().record_query(aio_metrics::QueryReport {
+        seq: 0, // assigned by record_query
+        sql_hash: aio_metrics::fnv1a(sql),
+        sql: aio_metrics::sql_snippet(sql),
+        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        rows_out: out.relation.len() as u64,
+        rows_scanned: out.stats.exec.rows_scanned,
+        iterations: out.stats.iterations.len() as u64,
+        peak_mem_bytes: out.stats.peak_mem_bytes,
+        cache,
+        par: profile.parallelism as u64,
+        exec: profile.exec.label(),
+        optimizer: profile.optimizer.label(),
+        session,
+        generation,
+    });
 }
 
 /// Parameter bindings in a deterministic order for durable logging.
@@ -88,7 +185,7 @@ pub const QUERY_LOG_TABLE: &str = "aio_query_log";
 
 /// `aio_metrics` as a relation: one row per registry sample, in
 /// declaration order — exactly [`aio_metrics::MetricsRegistry::snapshot`].
-pub(crate) fn metrics_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
+fn metrics_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
     let schema = Schema::new(vec![
         Column::new("name", DataType::Text),
         Column::new("kind", DataType::Text),
@@ -114,7 +211,7 @@ pub(crate) fn metrics_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
 /// oldest first.
 ///
 /// [`QueryReport`]: aio_metrics::QueryReport
-pub(crate) fn query_log_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
+fn query_log_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
     let schema = Schema::new(vec![
         Column::new("seq", DataType::Int),
         Column::new("sql_hash", DataType::Text),
@@ -367,20 +464,9 @@ impl Database {
         self.plan_with_plus(sql, Optimizer::Off)
     }
 
-    /// parse → `LowerCtx` → compile / lower → optimize at `level`: the one
-    /// place SQL text becomes plans.
+    /// [`plan_sql`] over this database's catalog and bindings.
     fn plan(&self, sql: &str, level: Optimizer) -> Result<Planned> {
-        let ctx = LowerCtx::new(&self.params, self.anti_impl);
-        Ok(match Parser::parse_statement(sql)? {
-            Statement::WithPlus(w) => {
-                Planned::WithPlus(optimize_compiled(compile(&w, &ctx)?, &self.catalog, level))
-            }
-            Statement::Select(s) => Planned::Select(optimize_plan(
-                &lower_select(&s, &ctx)?,
-                &self.catalog,
-                level,
-            )),
-        })
+        plan_sql(sql, &self.catalog, &self.params, self.anti_impl, level)
     }
 
     /// [`Database::plan`] where only a with+ statement will do (`prepare`,
@@ -394,74 +480,36 @@ impl Database {
         }
     }
 
-    /// Materialize the system relations a statement references so the
-    /// engine can query its own metrics with plain SQL. Matched by a cheap
-    /// substring scan *before* parsing (the tables must exist by
-    /// name-resolution time). `aio_query_log` is refreshed before
-    /// execution, so a statement never sees itself — it appears in the
-    /// next statement's view.
-    fn refresh_system_tables(&mut self, sql: &str) {
-        if !aio_metrics::enabled() {
-            return;
-        }
-        let lower = sql.to_ascii_lowercase();
-        let reg = aio_metrics::global();
-        if lower.contains(METRICS_TABLE) {
-            self.catalog
-                .put_system_table(METRICS_TABLE, metrics_relation(reg));
-        }
-        if lower.contains(QUERY_LOG_TABLE) {
-            self.catalog
-                .put_system_table(QUERY_LOG_TABLE, query_log_relation(reg));
-        }
-    }
-
     /// Execute SQL text: either a with+ statement or a one-shot SELECT.
     ///
     /// When metrics are enabled, also attributes this thread's cache/WAL
     /// traffic to the statement and appends a [`aio_metrics::QueryReport`]
     /// to the global query log.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        self.refresh_system_tables(sql);
+        refresh_system_tables(&mut self.catalog, sql);
         let watcher = crate::session::spawn_armed_watcher(&mut self.catalog);
-        if !aio_metrics::enabled() {
-            let result = self.execute_inner(sql);
-            if let Some(w) = watcher {
-                w.finish();
-            }
-            return result;
-        }
         let started = Instant::now();
-        let before = aio_metrics::local_counters();
-        let mut result = self.execute_inner(sql);
+        let before = aio_metrics::enabled().then(aio_metrics::local_counters);
+        let mut result = self.execute_inner(sql, started);
         if let Some(w) = watcher {
             w.finish();
         }
-        let cache = aio_metrics::local_counters().delta_since(&before);
-        if let Ok(out) = &mut result {
-            out.stats.cache = cache;
-            aio_metrics::global().record_query(aio_metrics::QueryReport {
-                seq: 0, // assigned by record_query
-                sql_hash: aio_metrics::fnv1a(sql),
-                sql: aio_metrics::sql_snippet(sql),
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                rows_out: out.relation.len() as u64,
-                rows_scanned: out.stats.exec.rows_scanned,
-                iterations: out.stats.iterations.len() as u64,
-                peak_mem_bytes: out.stats.peak_mem_bytes,
-                cache,
-                par: self.profile.parallelism as u64,
-                exec: self.profile.exec.label(),
-                optimizer: self.profile.optimizer.label(),
-                session: self.session_id,
-                generation: self.catalog.generation(),
-            });
+        if let (Some(before), Ok(out)) = (before, &mut result) {
+            let generation = self.catalog.generation();
+            log_query(
+                sql,
+                started,
+                &before,
+                out,
+                &self.profile,
+                self.session_id,
+                generation,
+            );
         }
         result
     }
 
-    fn execute_inner(&mut self, sql: &str) -> Result<QueryResult> {
-        let start = Instant::now();
+    fn execute_inner(&mut self, sql: &str, start: Instant) -> Result<QueryResult> {
         match self.plan(sql, self.profile.optimizer)? {
             Planned::WithPlus(compiled) => {
                 // On a durable catalog, record the statement (SQL text +
@@ -477,24 +525,13 @@ impl Database {
                 let result = runner.run(&compiled);
                 finish_run(&mut self.catalog, &compiled.rec_name, result)
             }
-            Planned::Select(plan) => {
-                let span = aio_trace::maybe_span(self.tracer.as_ref(), "query");
-                if let Some(sp) = &span {
-                    sp.field("plan", "select");
-                }
-                let mut ev =
-                    Evaluator::with_tracer(&self.catalog, &self.profile, self.tracer.as_ref());
-                let relation = ev.eval_root(&plan)?;
-                drop(span);
-                let peak_mem_bytes = ev.mem_peak();
-                let stats = RunStats {
-                    exec: ev.stats,
-                    elapsed: start.elapsed(),
-                    peak_mem_bytes,
-                    ..Default::default()
-                };
-                Ok(QueryResult { relation, stats })
-            }
+            Planned::Select(plan) => run_select(
+                &plan,
+                &self.catalog,
+                &self.profile,
+                self.tracer.as_ref(),
+                start,
+            ),
         }
     }
 

@@ -31,13 +31,14 @@
 //! hook in `aio_algebra::fault`: thread-local arming keeps the hot path
 //! at one branch when the harness is idle.
 
-use crate::db::{metrics_relation, query_log_relation, Database, METRICS_TABLE, QUERY_LOG_TABLE};
+use crate::db::{
+    log_query, plan_sql, refresh_system_tables, run_select, Database, Planned, METRICS_TABLE,
+    QUERY_LOG_TABLE,
+};
 use crate::error::{Result, WithPlusError};
-use crate::lower::{lower_select, LowerCtx};
-use crate::parser::{Parser, Statement};
-use crate::psm::{QueryResult, RunStats};
+use crate::psm::QueryResult;
 use aio_algebra::ops::AntiJoinImpl;
-use aio_algebra::{optimize_plan, EngineProfile, Evaluator};
+use aio_algebra::EngineProfile;
 use aio_storage::{Catalog, GenerationHub, PinnedSnapshot, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -185,56 +186,21 @@ impl Session {
         // A read fork is O(tables) and lets us inject system relations
         // without touching the shared snapshot other sessions may pin.
         let mut cat = pin.catalog().fork_readonly();
-        if aio_metrics::enabled() {
-            let lower = sql.to_ascii_lowercase();
-            let reg = aio_metrics::global();
-            if lower.contains(METRICS_TABLE) {
-                cat.put_system_table(METRICS_TABLE, metrics_relation(reg));
-            }
-            if lower.contains(QUERY_LOG_TABLE) {
-                cat.put_system_table(QUERY_LOG_TABLE, query_log_relation(reg));
-            }
-        }
+        refresh_system_tables(&mut cat, sql);
         let started = Instant::now();
-        let before = aio_metrics::local_counters();
-        let Statement::Select(s) = Parser::parse_statement(sql)? else {
+        let before = aio_metrics::enabled().then(aio_metrics::local_counters);
+        let level = self.profile.optimizer;
+        let Planned::Select(plan) = plan_sql(sql, &cat, &self.params, self.anti_impl, level)?
+        else {
             return Err(WithPlusError::Restriction(
                 "session read: only SELECT runs against a pinned snapshot; \
                  route with+ statements through Session::execute"
                     .into(),
             ));
         };
-        let ctx = LowerCtx::new(&self.params, self.anti_impl);
-        let plan = optimize_plan(&lower_select(&s, &ctx)?, &cat, self.profile.optimizer);
-        let mut ev = Evaluator::new(&cat, &self.profile);
-        let relation = ev.eval_root(&plan)?;
-        let peak_mem_bytes = ev.mem_peak();
-        let stats = RunStats {
-            exec: ev.stats,
-            elapsed: started.elapsed(),
-            peak_mem_bytes,
-            ..Default::default()
-        };
-        let mut out = QueryResult { relation, stats };
-        if aio_metrics::enabled() {
-            let cache = aio_metrics::local_counters().delta_since(&before);
-            out.stats.cache = cache;
-            aio_metrics::global().record_query(aio_metrics::QueryReport {
-                seq: 0, // assigned by record_query
-                sql_hash: aio_metrics::fnv1a(sql),
-                sql: aio_metrics::sql_snippet(sql),
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                rows_out: out.relation.len() as u64,
-                rows_scanned: out.stats.exec.rows_scanned,
-                iterations: 0,
-                peak_mem_bytes,
-                cache,
-                par: self.profile.parallelism as u64,
-                exec: self.profile.exec.label(),
-                optimizer: self.profile.optimizer.label(),
-                session: self.id,
-                generation: gen,
-            });
+        let mut out = run_select(&plan, &cat, &self.profile, None, started)?;
+        if let Some(before) = before {
+            log_query(sql, started, &before, &mut out, &self.profile, self.id, gen);
         }
         Ok(out)
     }

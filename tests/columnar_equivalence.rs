@@ -10,7 +10,7 @@
 //! the ` exec=batch` family against the natives, SQL'99 and the oracle.
 
 use all_in_one::algebra::batch::{self, BATCH_SIZE};
-use all_in_one::algebra::ops::select_par;
+use all_in_one::algebra::ops::{rename, select_par};
 use all_in_one::algebra::{
     execute, oracle_like, postgres_like, AggFunc, BinOp, EngineProfile, ExecMode, ExecStats, Func,
     JoinType, Optimizer, Plan, ScalarExpr, UnaryOp,
@@ -367,6 +367,73 @@ fn plans_over(e: &ScalarExpr) -> Vec<Plan> {
     ]
 }
 
+/// Predicates around `e`: it compared with a leaf (an Int or Float column,
+/// an i64 extreme, NaN / ±∞, NULL — or the text / mixed column, which the
+/// bitmap engine must decline) and with another small tree, an Int-vs-Float
+/// column comparison, and `And` / `Or` nests of those.
+fn preds_over(e: &ScalarExpr, choices: &mut impl Iterator<Item = u8>) -> Vec<ScalarExpr> {
+    const CMPS: [BinOp; 6] = [
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+    ];
+    let mut op = || CMPS[(choices.next().unwrap_or(0) % 6) as usize];
+    let (op1, op2, op3) = (op(), op(), op());
+    let with_leaf = ScalarExpr::binary(op1, e.clone(), expr_tree(choices, 0));
+    let with_tree = ScalarExpr::binary(op2, expr_tree(choices, 1), e.clone());
+    let int_vs_float = ScalarExpr::binary(op3, ScalarExpr::col("T.i"), ScalarExpr::col("T.f"));
+    let or = |l: &ScalarExpr, r: &ScalarExpr| ScalarExpr::binary(BinOp::Or, l.clone(), r.clone());
+    vec![
+        ScalarExpr::and(with_leaf.clone(), or(&with_tree, &int_vs_float)),
+        or(
+            &ScalarExpr::and(int_vs_float.clone(), with_tree.clone()),
+            &with_leaf,
+        ),
+        with_leaf,
+        with_tree,
+        int_vs_float,
+    ]
+}
+
+/// `batch::select` ≡ `ops::select_par` on `pred` — rows or error — at chunk
+/// sizes on both sides of the input length and of a 64-bit bitmap word,
+/// and at worker counts that split the scratch-row fallback into morsels.
+fn assert_select_exact(pred: &ScalarExpr, rel: &Relation) -> Result<(), TestCaseError> {
+    let reference = select_par(rel, pred, 1, &mut ExecStats::new());
+    let input = Batch::from_relation(rel);
+    let chunks = [1usize, 7, 64, BATCH_SIZE, rel.len() + 1].map(|chunk| (1, chunk));
+    for (par, chunk) in chunks.into_iter().chain([(2, BATCH_SIZE), (8, BATCH_SIZE)]) {
+        let out = batch::select(&input, pred, par, chunk, &mut ExecStats::new());
+        let out = out.map(|b| b.to_relation());
+        match (&reference, out) {
+            (Ok(row), Ok(batch)) => {
+                prop_assert_eq!(
+                    row.rows(),
+                    batch.rows(),
+                    "{} par={} chunk={}",
+                    pred,
+                    par,
+                    chunk
+                )
+            }
+            (Err(row), Err(batch)) => prop_assert_eq!(row.to_string(), batch.to_string()),
+            (row, batch) => prop_assert!(
+                false,
+                "{} par={} chunk={}: row {:?} vs batch {:?}",
+                pred,
+                par,
+                chunk,
+                row.as_ref().map(Relation::len),
+                batch.as_ref().map(Relation::len)
+            ),
+        }
+    }
+    Ok(())
+}
+
 /// Exact value identity: floats by `to_bits` (storage equality would fold
 /// `-0.0` into `0.0`). The one thing left open is *which* NaN: when both
 /// operands of `+`/`*` are NaNs the hardware returns the first one's sign
@@ -447,20 +514,27 @@ proptest! {
     /// Random `+ - * / neg least greatest` trees over Int, Float, NULL-,
     /// NaN- and ±∞-bearing, text and mixed columns: evaluator ≡ interpreter
     /// value for value, and project / grouped / global aggregation of the
-    /// tree ≡ the row engine (bits, stats, errors) on dense keys (direct-
-    /// addressed), sparse keys (hashed) and inputs big enough to split.
+    /// tree and selection on comparisons of it ≡ the row engine (bits,
+    /// stats, errors) on dense keys (direct-addressed), sparse keys
+    /// (hashed) and inputs big enough to split.
     #[test]
     fn column_kernels_match_row_engine(
         picks in proptest::collection::vec(
             (0u8..96, 0u8..64, 0u8..64, 0u8..8, 0u8..128), 0..70),
-        choices in proptest::collection::vec(any::<u8>(), 40..41),
+        choices in proptest::collection::vec(any::<u8>(), 56..57),
         depth in 1u8..4,
         sparse in 0u8..2,
         tile in 0u8..6,
     ) {
         let rel = typed_table(&picks, sparse == 1, tile == 0);
-        let e = expr_tree(&mut choices.into_iter(), depth);
+        let mut choices = choices.into_iter();
+        let e = expr_tree(&mut choices, depth);
         assert_evaluator_exact(&e, &rel)?;
+        let preds = preds_over(&e, &mut choices);
+        let qualified = rename(&rel, "T");
+        for pred in &preds {
+            assert_select_exact(pred, &qualified)?;
+        }
         let mut c = Catalog::new();
         c.create_table("T", rel).unwrap();
         for plan in plans_over(&e) {

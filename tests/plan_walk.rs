@@ -5,17 +5,23 @@
 //! both `ExecMode`s, the per-node estimates and the EXPLAIN ANALYZE tree.
 //! Plus the rewriting side: `map_children` and the two scan-rebinding
 //! helpers built on it reach every child, multiway-join children included.
+//! And `Plan::schema`, the third fold over it, is what every operator
+//! actually outputs — in both `ExecMode`s, before and after optimization.
 
+use aio_testkit::Pattern;
 use all_in_one::algebra::explain::{render_analyzed, walk_pre_order};
 use all_in_one::algebra::plan::op_name;
 use all_in_one::algebra::{
-    estimate_nodes, execute_traced, oracle_like, AggFunc, AntiJoinImpl, BinOp, ExecMode, JoinType,
-    Plan, ScalarExpr,
+    estimate_nodes, execute, execute_traced, optimize_plan, oracle_like, AggFunc, AntiJoinImpl,
+    BinOp, ExecMode, JoinType, Optimizer, Plan, ScalarExpr,
 };
-use all_in_one::storage::{edge_schema, node_schema, row, Catalog, Relation};
+use all_in_one::algos::{pagerank, sssp, wcc};
+use all_in_one::storage::{edge_schema, node_schema, row, Catalog, Column, Relation, Schema};
 use all_in_one::trace::Tracer;
 use all_in_one::withplus::ivm::replace_nth_scan;
+use all_in_one::withplus::lower::{lower_select, LowerCtx};
 use all_in_one::withplus::psm::rebind_scan;
+use all_in_one::withplus::{Database, Parser, Statement};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -280,4 +286,97 @@ fn dotted_alias_is_a_qualified_column_on_every_items_node() {
             }
         }
     }
+}
+
+/// `Plan::schema` of every subtree of `plan` is the schema of the relation
+/// that subtree evaluates to — qualifier, name and type of every column —
+/// under both execution modes.
+fn assert_schema_is_what_runs(plan: &Plan, c: &Catalog, what: &str) {
+    plan.visit(&mut |p| {
+        let declared = p.schema(c).unwrap();
+        for exec in [ExecMode::Row, ExecMode::Batch] {
+            let (rel, _) = execute(p, c, &oracle_like().with_exec(exec)).unwrap();
+            assert_eq!(
+                rel.schema(),
+                &declared,
+                "{what}: {} under {exec:?}",
+                op_name(p)
+            );
+        }
+    });
+}
+
+#[test]
+fn plan_schema_is_the_executed_schema() {
+    let c = catalog();
+    assert_schema_is_what_runs(&every_variant(), &c, "every variant");
+    assert_schema_is_what_runs(&triangle(), &c, "triangle");
+
+    // one-shot cyclic patterns: binary joins at Off, a MultiwayJoin over
+    // pruning projections at Cost
+    let no_params = Default::default();
+    let ctx = LowerCtx::new(&no_params, AntiJoinImpl::LeftOuterNull);
+    for pattern in [Pattern::triangle(), Pattern::clique(4)] {
+        let Statement::Select(s) = Parser::parse_statement(&pattern.sql()).unwrap() else {
+            panic!("{} is a one-shot select", pattern.name)
+        };
+        let lowered = lower_select(&s, &ctx).unwrap();
+        for level in [Optimizer::Off, Optimizer::Cost] {
+            let plan = optimize_plan(&lowered, &c, level);
+            let multiway = plan.any(&|p| matches!(p, Plan::MultiwayJoin { .. }));
+            assert_eq!(multiway, level == Optimizer::Cost, "{}", pattern.name);
+            assert_schema_is_what_runs(&plan, &c, &format!("{} {level:?}", pattern.name));
+        }
+    }
+
+    // with+ statements: planned before the recursive relation exists, as
+    // the engine does, then checked with it materialized from the init step
+    for (name, sql) in [
+        ("pagerank", pagerank::sql(5)),
+        ("sssp", sssp::SQL.to_string()),
+        ("wcc", wcc::SQL.to_string()),
+    ] {
+        for level in [Optimizer::Off, Optimizer::Cost] {
+            let mut db = Database::new(oracle_like());
+            db.catalog = catalog();
+            db.set_param("c", 0.85);
+            db.set_param("n", 3.0);
+            let compiled = db.prepare(&sql).unwrap();
+            let [init, rec] = [&compiled.init[0].plan, &compiled.recursive[0].plan]
+                .map(|p| optimize_plan(p, &db.catalog, level));
+            let fin = optimize_plan(&compiled.final_plan, &db.catalog, level);
+            let what = format!("{name} {level:?}");
+            assert_schema_is_what_runs(&init, &db.catalog, &what);
+            let (r, _) = execute(&init, &db.catalog, &oracle_like()).unwrap();
+            let named = compiled
+                .rec_cols
+                .iter()
+                .zip(r.schema().columns())
+                .map(|(n, col)| Column::new(n, col.ty));
+            let r = Relation::from_rows(Schema::new(named.collect()), r.rows().to_vec()).unwrap();
+            db.create_table(&compiled.rec_name, r).unwrap();
+            assert_schema_is_what_runs(&rec, &db.catalog, &what);
+            assert_schema_is_what_runs(&fin, &db.catalog, &what);
+        }
+    }
+}
+
+/// A scan of a table the catalog does not hold: no schema, the estimator's
+/// default cardinality, and — under a consumer that reads positionally,
+/// which the root is — a region the cost pass leaves as written.
+#[test]
+fn a_missing_table_has_one_answer_per_layer() {
+    let c = catalog();
+    let plan = Plan::Join {
+        left: Box::new(Plan::scan("nope")),
+        right: Box::new(Plan::scan("E")),
+        on: vec![("nope.ID".into(), "E.F".into())],
+        residual: None,
+        kind: JoinType::Inner,
+    };
+    assert!(Plan::scan("nope").schema(&c).is_err());
+    assert!(plan.schema(&c).is_err(), "the error reaches the root");
+    assert_eq!(estimate_nodes(&plan, &c)[1], 1_000);
+    let optimized = optimize_plan(&plan, &c, Optimizer::Cost);
+    assert_eq!(format!("{optimized:?}"), format!("{plan:?}"));
 }
