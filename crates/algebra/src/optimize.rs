@@ -135,18 +135,19 @@ fn split_between(
 ) -> (Box<Plan>, Box<Plan>, Vec<ScalarExpr>) {
     let mut cs = Vec::new();
     split_conjuncts(pred, &mut cs);
+    // (no sides, were a schema underivable: every conjunct stays)
+    let sides: Vec<Schema> = [&left, &right]
+        .into_iter()
+        .map(|p| visible(p, catalog))
+        .collect::<Result<_>>()
+        .unwrap_or_default();
     let (mut to_left, mut to_right, mut keep) = (vec![], vec![], vec![]);
-    if let (Ok(l), Ok(r)) = (visible(&left, catalog), visible(&right, catalog)) {
-        let sides = [l, r];
-        for c in cs {
-            match side_of(&c, &sides) {
-                Some(0) => to_left.push(c),
-                Some(_) => to_right.push(c),
-                None => keep.push(c),
-            }
+    for c in cs {
+        match side_of(&c, &sides) {
+            Some(0) => to_left.push(c),
+            Some(_) => to_right.push(c),
+            None => keep.push(c),
         }
-    } else {
-        keep = cs;
     }
     let wrap = |p: Box<Plan>, cs: Vec<ScalarExpr>| -> Box<Plan> {
         match conjoin(cs) {
@@ -425,18 +426,18 @@ fn try_reorder(
         .map(|l| visible(l, catalog))
         .collect::<Result<_>>()
         .ok()?;
-    let quals: Vec<Vec<&str>> = schemas
+    let quals: Vec<(&str, usize)> = schemas
         .iter()
-        .map(|s| {
-            let quals = s.columns().iter().filter_map(|c| c.qualifier.as_deref());
-            quals.collect()
-        })
+        .enumerate()
+        .flat_map(|(leaf, s)| s.columns().iter().map(move |c| (c, leaf)))
+        .filter_map(|(c, leaf)| Some((c.qualifier.as_deref()?, leaf)))
         .collect();
-    for (i, mine) in quals.iter().enumerate() {
-        let mut theirs = quals[i + 1..].iter().flatten();
-        if theirs.any(|t| mine.iter().any(|q| q.eq_ignore_ascii_case(t))) {
-            return None;
-        }
+    let shared = |&(q, leaf): &(&str, usize)| {
+        let elsewhere = |&(p, other): &(&str, usize)| other != leaf && p.eq_ignore_ascii_case(q);
+        quals.iter().any(elsewhere)
+    };
+    if quals.iter().any(shared) {
+        return None;
     }
     let leaf_of = |r: &str| owner(r, &schemas);
 

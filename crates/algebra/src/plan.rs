@@ -271,17 +271,16 @@ impl Plan {
 /// reference `input` does not resolve is `Any` here and an error where the
 /// item is bound.
 pub(crate) fn schema_of_items(items: &[(ScalarExpr, String)], input: &Schema) -> Schema {
-    let col_ty = |i: Option<usize>| i.and_then(|i| input.columns().get(i)).map(|c| c.ty);
+    let ty_of = |i: usize| input.columns().get(i).map_or(DataType::Any, |c| c.ty);
     let column = |(expr, alias): &(ScalarExpr, String)| {
         let ty = match expr {
-            ScalarExpr::Col(name) => col_ty(input.index_of(name).ok()),
-            ScalarExpr::BoundCol(i) => col_ty(Some(*i)),
-            ScalarExpr::Lit(Value::Int(_)) => Some(DataType::Int),
-            ScalarExpr::Lit(Value::Float(_)) => Some(DataType::Float),
-            ScalarExpr::Lit(Value::Text(_)) => Some(DataType::Text),
-            _ => None,
-        }
-        .unwrap_or(DataType::Any);
+            ScalarExpr::Col(name) => input.index_of(name).map_or(DataType::Any, ty_of),
+            ScalarExpr::BoundCol(i) => ty_of(*i),
+            ScalarExpr::Lit(Value::Int(_)) => DataType::Int,
+            ScalarExpr::Lit(Value::Float(_)) => DataType::Float,
+            ScalarExpr::Lit(Value::Text(_)) => DataType::Text,
+            _ => DataType::Any,
+        };
         match alias.split_once('.') {
             Some((q, n)) if !q.is_empty() && !n.is_empty() => Column::qualified(q, n, ty),
             _ => Column::new(alias, ty),
