@@ -24,6 +24,11 @@ smoke) cargo test -q --workspace ;;
     exit 2
     ;;
 esac
+# `cargo test` compiles the examples but never runs them: run each (toy
+# graphs, seconds) so a panicking unwrap in one fails here
+for ex in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$ex" .rs)"
+done
 cargo clippy --workspace --all-targets -- -D warnings
 # a doc link to an item that was deleted or made private fails here
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

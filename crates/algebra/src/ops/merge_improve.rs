@@ -22,7 +22,8 @@ use aio_storage::{Catalog, FxHashMap, Key, Relation};
 /// `min`, larger when `max`. Unmatched delta keys insert. Returns the rows
 /// that actually changed the target (inserted or improved) — the next
 /// frontier of a resumed semi-naive iteration — deduplicated to the best
-/// row per key, in first-appearance key order.
+/// row per key, in first-appearance key order — and adds their number to
+/// `stats.ubu_changed_rows`.
 pub fn ubu_merge_improve(
     catalog: &mut Catalog,
     target: &str,
@@ -100,6 +101,7 @@ pub fn ubu_merge_improve(
         }
     }
     stats.rows_produced += frontier.len() as u64;
+    stats.ubu_changed_rows += frontier.len() as u64;
     Ok(frontier)
 }
 

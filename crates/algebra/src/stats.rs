@@ -39,6 +39,9 @@ pub struct ExecStats {
     pub anti_joins: u64,
     /// Union-by-update applications.
     pub union_by_updates: u64,
+    /// Rows those applications inserted or overwrote with a different row
+    /// — what R's multiset gained, counted by the operator itself.
+    pub ubu_changed_rows: u64,
     /// Sorts performed (merge joins without a usable index, sort aggs).
     pub sorts: u64,
     /// Index-order scans that avoided a sort (Fig. 10's win).
@@ -62,6 +65,7 @@ impl ExecStats {
         self.aggregations += other.aggregations;
         self.anti_joins += other.anti_joins;
         self.union_by_updates += other.union_by_updates;
+        self.ubu_changed_rows += other.ubu_changed_rows;
         self.sorts += other.sorts;
         self.index_scans += other.index_scans;
         self.parallel_ops += other.parallel_ops;
@@ -90,27 +94,14 @@ impl ExecStats {
             union_by_updates: self
                 .union_by_updates
                 .saturating_sub(earlier.union_by_updates),
+            ubu_changed_rows: self
+                .ubu_changed_rows
+                .saturating_sub(earlier.ubu_changed_rows),
             sorts: self.sorts.saturating_sub(earlier.sorts),
             index_scans: self.index_scans.saturating_sub(earlier.index_scans),
             parallel_ops: self.parallel_ops.saturating_sub(earlier.parallel_ops),
             morsels: self.morsels.saturating_sub(earlier.morsels),
         }
-    }
-
-    /// The counters as `(key, value)` pairs, in [`fmt::Display`] order.
-    pub fn entries(&self) -> [(&'static str, u64); 10] {
-        [
-            ("rows_scanned", self.rows_scanned),
-            ("rows_produced", self.rows_produced),
-            ("joins", self.joins),
-            ("aggregations", self.aggregations),
-            ("anti_joins", self.anti_joins),
-            ("union_by_updates", self.union_by_updates),
-            ("sorts", self.sorts),
-            ("index_scans", self.index_scans),
-            ("parallel_ops", self.parallel_ops),
-            ("morsels", self.morsels),
-        ]
     }
 
     /// One-line summary for harness output (same text as `format!("{self}")`).
@@ -123,13 +114,14 @@ impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scanned={} produced={} joins={} aggs={} anti={} ubu={} sorts={} idx_scans={} par_ops={} morsels={}",
+            "scanned={} produced={} joins={} aggs={} anti={} ubu={} ubu_rows={} sorts={} idx_scans={} par_ops={} morsels={}",
             self.rows_scanned,
             self.rows_produced,
             self.joins,
             self.aggregations,
             self.anti_joins,
             self.union_by_updates,
+            self.ubu_changed_rows,
             self.sorts,
             self.index_scans,
             self.parallel_ops,

@@ -12,10 +12,14 @@
 //! `P` threads (partition `p` owns the rows with `hash % P == p`); partition
 //! contents are independent of `P`, so probe results are too.
 //!
-//! Rows with a NULL in any key column are *not* indexed: SQL join semantics
-//! never match NULL keys, and every probe path checks its own NULL rule
-//! before probing ([`had_null_keys`](KeyIndex::had_null_keys) reports their
-//! presence for `NOT IN`'s null-awareness).
+//! Every row is indexed, NULL keys included, and a probe matches under
+//! storage equality ([`keys_eq`]: NULL equals NULL). Union-by-update wants
+//! exactly that. SQL joins never match a NULL key, so each SQL probe site
+//! (hash join, anti-join, semi-join) skips NULL probe keys itself; a
+//! NULL-free probe key never equals a NULL-bearing row, so NULL-keyed build
+//! rows stay unmatched there (and a full outer join pads them).
+//! [`had_null_keys`](KeyIndex::had_null_keys) reports their presence for
+//! `NOT IN`'s null-awareness.
 
 use crate::hash::{FxHashMap, FxHasher};
 use crate::relation::Relation;
@@ -50,7 +54,7 @@ pub fn keys_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> 
 pub struct KeyIndex {
     cols: Vec<usize>,
     parts: Vec<FxHashMap<u64, Vec<u32>>>,
-    skipped_nulls: usize,
+    null_rows: usize,
 }
 
 impl KeyIndex {
@@ -66,55 +70,41 @@ impl KeyIndex {
         let p = partitions.max(1);
         if p == 1 || rel.len() < p {
             let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            let mut skipped = 0usize;
+            let mut null_rows = 0usize;
             for (i, row) in rel.rows().iter().enumerate() {
-                if key_has_null(row, cols) {
-                    skipped += 1;
-                    continue;
-                }
+                null_rows += key_has_null(row, cols) as usize;
                 map.entry(key_hash(row, cols)).or_default().push(i as u32);
             }
             return KeyIndex {
                 cols: cols.to_vec(),
                 parts: vec![map],
-                skipped_nulls: skipped,
+                null_rows,
             };
         }
         let mut parts: Vec<FxHashMap<u64, Vec<u32>>> = Vec::with_capacity(p);
-        let mut skipped = 0usize;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..p)
                 .map(|part| {
                     scope.spawn(move || {
                         let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                        let mut nulls = 0usize;
                         for (i, row) in rel.rows().iter().enumerate() {
-                            if key_has_null(row, cols) {
-                                nulls += 1;
-                                continue;
-                            }
                             let h = key_hash(row, cols);
                             if (h as usize) % p == part {
                                 map.entry(h).or_default().push(i as u32);
                             }
                         }
-                        (map, nulls)
+                        map
                     })
                 })
                 .collect();
-            for (part, handle) in handles.into_iter().enumerate() {
-                let (map, nulls) = handle.join().expect("key index build worker panicked");
-                parts.push(map);
-                // every worker scans all rows; count NULL rows once
-                if part == 0 {
-                    skipped = nulls;
-                }
+            for handle in handles {
+                parts.push(handle.join().expect("key index build worker panicked"));
             }
         });
         KeyIndex {
             cols: cols.to_vec(),
             parts,
-            skipped_nulls: skipped,
+            null_rows: rel.rows().iter().filter(|r| key_has_null(r, cols)).count(),
         }
     }
 
@@ -127,9 +117,9 @@ impl KeyIndex {
         self.parts.len()
     }
 
-    /// Were any build rows skipped for NULL key columns? (`NOT IN` cares.)
+    /// Does any indexed row have a NULL key column? (`NOT IN` cares.)
     pub fn had_null_keys(&self) -> bool {
-        self.skipped_nulls > 0
+        self.null_rows > 0
     }
 
     /// Row indices whose key hashed to `hash` (superset of the true
@@ -142,9 +132,10 @@ impl KeyIndex {
             .unwrap_or(&[])
     }
 
-    /// Indices of `rel`'s rows whose key equals `probe_row[probe_cols]`, in
-    /// row order. The caller must ensure the probe key is NULL-free (NULL
-    /// semantics are the probe site's business). Allocation-free.
+    /// Indices of `rel`'s rows whose key equals `probe_row[probe_cols]`
+    /// under storage equality, in row order. A NULL probe key matches the
+    /// rows whose key holds NULL in the same place; SQL probe sites skip
+    /// NULL probe keys before calling this. Allocation-free.
     #[inline]
     pub fn probe<'a>(
         &'a self,
@@ -193,9 +184,6 @@ mod tests {
         for parts in [1, 2, 4, 7] {
             let idx = KeyIndex::build_partitioned(&r, &[0], parts);
             for probe in r.rows() {
-                if key_has_null(probe, &[0]) {
-                    continue;
-                }
                 let got: Vec<u32> = idx.probe(&r, probe, &[0]).collect();
                 let key = Key::of(probe, &[0]);
                 let want: Vec<u32> = (0..r.len() as u32)
@@ -207,21 +195,29 @@ mod tests {
     }
 
     #[test]
-    fn null_rows_not_indexed_but_reported() {
+    fn null_rows_indexed_and_reported() {
         let r = rel();
-        let idx = KeyIndex::build(&r, &[0]);
-        assert!(idx.had_null_keys());
-        let total: usize = (0..r.len() as u32)
-            .filter(|&i| !key_has_null(&r.rows()[i as usize], &[0]))
-            .count();
-        let indexed: usize = r
-            .rows()
-            .iter()
-            .filter(|row| !key_has_null(row, &[0]))
-            .map(|row| idx.probe(&r, row, &[0]).count())
-            .sum::<usize>()
-            / 2; // each duplicate F=1 row sees all three F=1 rows ... just check nonzero
-        assert!(indexed > 0 && total == 5);
+        for parts in [1, 3] {
+            let idx = KeyIndex::build_partitioned(&r, &[0], parts);
+            assert!(idx.had_null_keys());
+            // every row is indexed: the three F=1 rows see each other, the
+            // NULL row sees itself and nothing else does
+            let hits: Vec<usize> = r
+                .rows()
+                .iter()
+                .map(|row| idx.probe(&r, row, &[0]).count())
+                .collect();
+            assert_eq!(hits, vec![3, 1, 3, 1, 3, 1], "parts={parts}");
+            let null_probe = [Value::Null];
+            assert_eq!(
+                idx.probe(&r, &null_probe, &[0]).collect::<Vec<_>>(),
+                vec![5]
+            );
+            assert!(!r.rows()[..5]
+                .iter()
+                .any(|row| idx.probe(&r, row, &[0]).any(|i| i == 5)));
+        }
+        assert!(!KeyIndex::build(&r, &[1]).had_null_keys());
     }
 
     #[test]
@@ -244,9 +240,6 @@ mod tests {
         let b = KeyIndex::build_partitioned(&r, &[0, 1], 3);
         assert_eq!(b.partitions(), 3);
         for probe in r.rows() {
-            if key_has_null(probe, &[0, 1]) {
-                continue;
-            }
             let va: Vec<u32> = a.probe(&r, probe, &[0, 1]).collect();
             let vb: Vec<u32> = b.probe(&r, probe, &[0, 1]).collect();
             assert_eq!(va, vb);

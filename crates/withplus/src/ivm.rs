@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use crate::compile::CompiledWithPlus;
 use crate::db::{optimize_compiled, Database};
 use crate::error::{Result, WithPlusError};
-use crate::psm::{rebind_scan, rename_to, uncovered, Fold, PsmRunner, Start};
+use crate::psm::{rebind_scan, rename_to, Fold, PsmRunner, Start};
 use aio_algebra::{AggFunc, Optimizer, Plan, ScalarExpr};
 use aio_storage::{FxHashSet, Key, Relation, Row};
 use aio_trace::Tracer;
@@ -533,8 +533,8 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
             }
         }
         None => {
-            d.added = uncovered(new, old).cloned().collect();
-            d.removed = uncovered(old, new).cloned().collect();
+            d.added = new.uncovered(old).cloned().collect();
+            d.removed = old.uncovered(new).cloned().collect();
         }
     }
     sort_rows(&mut d.added);

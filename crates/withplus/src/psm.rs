@@ -10,13 +10,18 @@
 //! into R — which also fixes what the recursive self-reference reads
 //! (`Fold`) — and whether an epsilon may stop it before the exact
 //! fixpoint.
+//!
+//! The loop never copies R to find out whether a fold changed it: the
+//! union-by-update kernels count the rows they insert or overwrite with a
+//! different row (`ExecStats::ubu_changed_rows`), and `C_i` is "that count
+//! is nonzero, or |R| moved".
 
 use crate::ast::UnionMode;
 use crate::compile::{CompiledStep, CompiledWithPlus};
 use crate::error::{Result, WithPlusError};
 use aio_algebra::ops::{self, UbuImpl};
 use aio_algebra::{EngineProfile, Evaluator, ExecStats, Plan};
-use aio_storage::{Catalog, Column, FxHashMap, Key, Relation, Row, Schema, Value};
+use aio_storage::{Catalog, Column, Key, Relation, Schema, Value};
 use aio_trace::Tracer;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -30,8 +35,9 @@ pub struct SubqueryIterStat {
     pub delta_rows: usize,
     /// `C_i`: did applying this subquery's delta change R?
     pub changed: bool,
-    /// Rows actually inserted or updated by union-by-update (0 for
-    /// union/union-all modes, where `delta_rows`/dedup tell the story).
+    /// Rows union-by-update inserted or overwrote with a different row, as
+    /// the operator counted them (0 for union/union-all modes, where
+    /// `delta_rows`/dedup tell the story).
     pub ubu_changed_rows: usize,
 }
 
@@ -129,37 +135,22 @@ pub fn rebind_scan(plan: &Plan, rec: &str, replacement: &str) -> Plan {
     go(plan.clone(), rec, replacement)
 }
 
-/// The rows of `a` that `b` does not cover, as multisets.
-pub(crate) fn uncovered<'a>(a: &'a Relation, b: &'a Relation) -> impl Iterator<Item = &'a Row> {
-    let mut counts: FxHashMap<&Row, usize> = FxHashMap::default();
-    for r in b.rows() {
-        *counts.entry(r).or_insert(0) += 1;
-    }
-    a.rows().iter().filter(move |r| match counts.get_mut(*r) {
-        Some(c) if *c > 0 => {
-            *c -= 1;
-            false
-        }
-        _ => true,
-    })
-}
-
 pub(crate) fn num(v: &Value) -> Option<f64> {
     v.as_f64().or_else(|| v.as_int().map(|i| i as f64))
 }
 
-/// Largest absolute numeric change between two keyed states. `None` marks
-/// a structural change (key sets differ, duplicate keys, or a non-numeric
-/// column changed) that epsilon stopping must not swallow.
-fn max_keyed_change(before: &Relation, after: &Relation, keys: &[usize]) -> Option<f64> {
-    if before.len() != after.len() {
-        return None;
-    }
-    let pos = before.unique_key_map(keys).ok()?;
+/// Largest absolute numeric move folding `delta` into `r` by `keys` would
+/// make, read before the fold. `None` marks a structural change that
+/// epsilon stopping must not swallow: a delta key R lacks (an insert),
+/// duplicate keys in R, or a non-numeric column that changes. With unique
+/// delta keys this is the largest move of the fold itself; duplicate delta
+/// keys (`UPDATE ... FROM`) can only make it larger.
+fn max_keyed_change(r: &Relation, delta: &Relation, keys: &[usize]) -> Option<f64> {
+    let pos = r.unique_key_map(keys).ok()?;
     let mut max = 0.0f64;
-    for row in after.rows() {
-        let &bi = pos.get(&Key::of(row, keys))?;
-        for (a, b) in before.rows()[bi].iter().zip(row.iter()) {
+    for row in delta.rows() {
+        let &ri = pos.get(&Key::of(row, keys))?;
+        for (a, b) in r.rows()[ri].iter().zip(row.iter()) {
             if a != b {
                 max = max.max((num(a)? - num(b)?).abs());
             }
@@ -512,21 +503,23 @@ impl<'a> PsmRunner<'a> {
         Ok(())
     }
 
-    /// Fold one subquery's `delta` into R. Returns what it did, the rows it
-    /// contributes to the next frontier (`None` for the full-width fold)
-    /// and, for [`Fold::Replace`], R as it was before.
+    /// Fold one subquery's `delta` into R. Returns what it did and the rows
+    /// it contributes to the next frontier (`None` for the full-width
+    /// fold). `C_i` is read off the operators: the keyed folds count the
+    /// rows they inserted or overwrote with a different row
+    /// (`ExecStats::ubu_changed_rows`) and never shrink R, and a keyless
+    /// replacement counts the rows old R does not cover — so "R changed"
+    /// is "something was counted, or |R| moved".
     fn fold_delta(
         &mut self,
         rec: &str,
         fold: &Fold,
         delta: Relation,
-    ) -> Result<(SubqueryIterStat, Option<Relation>, Option<Relation>)> {
-        let mut sub = SubqueryIterStat {
-            delta_rows: delta.len(),
-            changed: false,
-            ubu_changed_rows: 0,
-        };
-        let (frontier, before) = match fold {
+    ) -> Result<(SubqueryIterStat, Option<Relation>)> {
+        let delta_rows = delta.len();
+        let r_rows = self.catalog.relation(rec)?.len();
+        let counted = self.stats.exec.ubu_changed_rows;
+        let frontier = match fold {
             Fold::InsertAll | Fold::InsertFresh => {
                 let fresh = if *fold == Fold::InsertAll {
                     delta
@@ -534,14 +527,12 @@ impl<'a> PsmRunner<'a> {
                     ops::difference(&delta, self.catalog.relation(rec)?)?
                 };
                 if !fresh.is_empty() {
-                    sub.changed = true;
                     self.catalog
                         .insert_rows(rec, fresh.rows().to_vec(), self.profile.wal_temp)?;
                 }
-                (Some(fresh), None)
+                Some(fresh)
             }
             Fold::Replace { keys } => {
-                let before = self.catalog.relation(rec)?.clone();
                 ops::union_by_update(
                     self.catalog,
                     rec,
@@ -551,32 +542,29 @@ impl<'a> PsmRunner<'a> {
                     self.profile,
                     &mut self.stats.exec,
                 )?;
-                let after = self.catalog.relation(rec)?;
-                // rows union-by-update inserted or overwrote
-                sub.ubu_changed_rows = uncovered(after, &before).count();
-                sub.changed = sub.ubu_changed_rows > 0 || !after.same_rows_unordered(&before);
-                (None, Some(before))
+                None
             }
             Fold::Improve {
                 keys,
                 value_col,
                 min,
-            } => {
-                let improved = ops::ubu_merge_improve(
-                    self.catalog,
-                    rec,
-                    delta,
-                    keys,
-                    *value_col,
-                    *min,
-                    &mut self.stats.exec,
-                )?;
-                sub.ubu_changed_rows = improved.len();
-                sub.changed = !improved.is_empty();
-                (Some(improved), None)
-            }
+            } => Some(ops::ubu_merge_improve(
+                self.catalog,
+                rec,
+                delta,
+                keys,
+                *value_col,
+                *min,
+                &mut self.stats.exec,
+            )?),
         };
-        Ok((sub, frontier, before))
+        let ubu_changed_rows = (self.stats.exec.ubu_changed_rows - counted) as usize;
+        let sub = SubqueryIterStat {
+            delta_rows,
+            changed: ubu_changed_rows > 0 || self.catalog.relation(rec)?.len() != r_rows,
+            ubu_changed_rows,
+        };
+        Ok((sub, frontier))
     }
 
     /// Bring R (and the frontier table, when `fold` reads one) to where the
@@ -620,7 +608,7 @@ impl<'a> PsmRunner<'a> {
                 (0, true)
             }
             Start::Seed(seed) => {
-                let (sub, next, _) = self.fold_delta(rec, fold, seed)?;
+                let (sub, next) = self.fold_delta(rec, fold, seed)?;
                 if let (Some(f), Some(next)) = (&frontier, next) {
                     self.materialize(f, next)?;
                 }
@@ -705,7 +693,13 @@ impl<'a> PsmRunner<'a> {
                 self.run_step_computed(step, &label)?;
                 let delta = self.eval(&step.plan, &label)?;
                 let delta = rename_to(delta, &c.rec_cols)?;
-                let (sub, fresh, before) = self.fold_delta(rec, fold, delta)?;
+                let moved = match (max_change, fold) {
+                    (Some(_), Fold::Replace { keys: Some(keys) }) => {
+                        max_keyed_change(self.catalog.relation(rec)?, &delta, keys)
+                    }
+                    _ => None,
+                };
+                let (sub, fresh) = self.fold_delta(rec, fold, delta)?;
                 if let Some(fresh) = fresh {
                     next = Some(match next {
                         None => fresh,
@@ -715,13 +709,8 @@ impl<'a> PsmRunner<'a> {
                         Some(acc) => ops::union_all(&acc, &fresh)?,
                     });
                 }
-                if let (true, Some(so_far)) = (sub.changed, max_change) {
-                    let after = self.catalog.relation(rec)?;
-                    max_change = before
-                        .as_ref()
-                        .zip(fold.keys())
-                        .and_then(|(before, keys)| max_keyed_change(before, after, keys))
-                        .map(|moved| moved.max(so_far));
+                if sub.changed {
+                    max_change = max_change.zip(moved).map(|(a, b)| a.max(b));
                 }
                 if let Some(t) = self.tracer {
                     t.event(

@@ -42,7 +42,7 @@ fn main() {
     catalog.create_temp("V", v).unwrap();
     let mut stats = ExecStats::new();
     for round in 1.. {
-        let before = catalog.relation("V").unwrap().clone();
+        let changed_before = stats.ubu_changed_rows;
         // V ← V ⊎ (Eᵀ ⋈ V) under (max, min): widest path relaxation
         let delta = mv_join(
             &e,
@@ -79,7 +79,8 @@ fn main() {
             &mut stats,
         )
         .unwrap();
-        if catalog.relation("V").unwrap().same_rows_unordered(&before) {
+        // union-by-update counts the rows it changed: none = fixpoint
+        if stats.ubu_changed_rows == changed_before {
             println!("fixpoint after {round} rounds");
             break;
         }
