@@ -249,6 +249,35 @@ fn empty_init_view_builds_refreshes_and_falls_back() {
     assert_eq!(report.iterations, stmt.stats.iterations.len());
 }
 
+/// An epsilon stop reads the largest move of the fold; a move to or from
+/// NaN has no size, so it must count as a change rather than as zero. The
+/// view (ε = 1e-9) must run as long as the statement does.
+#[test]
+fn epsilon_stop_counts_a_move_to_nan_as_a_change() {
+    let mut v = Relation::new(node_schema());
+    v.extend([row![1i64, f64::NAN], row![2i64, 1.0], row![3i64, 1.0]])
+        .unwrap();
+    let mut e = Relation::new(edge_schema());
+    e.extend([row![1i64, 2i64, 1.0], row![2i64, 3i64, 1.0]])
+        .unwrap();
+    let mut db = Database::new(oracle_like());
+    db.create_table("E", e).unwrap();
+    db.create_table("V", v).unwrap();
+    let sql = "with P(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+               (select E.T, sum(P.vw * E.ew) from P, E where P.ID = E.F group by E.T)) \
+               select * from P";
+    let stmt = db.execute(sql).unwrap();
+    assert_eq!(stmt.stats.iterations.len(), 3);
+    let want = vec![
+        row![1i64, f64::NAN],
+        row![2i64, f64::NAN],
+        row![3i64, f64::NAN],
+    ];
+    assert_eq!(sorted(&stmt.relation), want);
+    db.create_view("pv", sql).unwrap();
+    assert_eq!(sorted(db.view_relation("pv").unwrap()), want);
+}
+
 /// A refresh that fails mid-fixpoint must not leak its temp tables into
 /// the catalog the batch then commits, and must leave the view as it was.
 #[test]
