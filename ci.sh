@@ -53,6 +53,12 @@ test -s "$trace_dir/TRACE_pagerank.jsonl"
 test -s "$trace_dir/TRACE_pagerank.json"
 rm -rf "$trace_dir"
 
+# paper-experiment smokes over the keyed paths: table4_5 runs the
+# duplicate-key check of all four union-by-update implementations, fig10
+# postgres_like's sort aggregation with and without indexes (seconds)
+"$repro_bin" table4_5 --scale 0.0002
+"$repro_bin" fig10 --scale 0.0002
+
 # Tracked size (ROADMAP aim 2): engine + facade source lines, tests in
 # those files included — the one number "net lines of code" refers to.
 # The per-crate lines under it say where a change put or took lines.

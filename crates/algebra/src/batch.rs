@@ -825,7 +825,7 @@ pub(crate) fn group_by(
 
     stats.aggregations += 1;
     stats.rows_scanned += input.len() as u64;
-    let c = groupby::compile(input.schema(), &group_cols, items)?;
+    let c = groupby::compile(input.schema(), Some(&group_cols), items)?;
     let schema = crate::plan::schema_of_items(items, input.schema());
     let src = Src {
         cols: input.columns(),

@@ -18,7 +18,7 @@ use crate::ops::basic;
 use crate::ops::join::{join_par, JoinKeys, JoinOrders, JoinType};
 use crate::profile::JoinStrategy;
 use crate::stats::ExecStats;
-use aio_storage::{key_has_null, KeyIndex, Relation};
+use aio_storage::{key_has_null, KeyIndex, Relation, Row};
 
 /// The SQL spelling used for an anti-join.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,15 +47,41 @@ impl AntiJoinImpl {
     }
 }
 
-/// Build side of the spelled anti-joins: hash-disjoint partitions when the
-/// probe will fan out, so the build parallelizes too.
-fn build_index(right: &Relation, cols: &[usize], par: usize) -> KeyIndex {
+/// The rows of `left` that `keep` accepts, given each row and a
+/// [`KeyIndex`] over `right`'s keys — the shape of every probe-only
+/// spelling. The index is built in hash-disjoint partitions when the probe
+/// fans out; the probe runs in morsels whose buffers concatenate in morsel
+/// order, so the output is identical at any `par`.
+fn filter_by_probe(
+    left: &Relation,
+    right: &Relation,
+    keys: &JoinKeys,
+    par: usize,
+    stats: &mut ExecStats,
+    keep: impl Fn(&Row, &KeyIndex) -> bool + Sync,
+) -> Result<Relation> {
+    stats.rows_scanned += (left.len() + right.len()) as u64;
     let parts = if par > 1 && right.len() >= crate::par::MIN_PARALLEL_ROWS {
         par
     } else {
         1
     };
-    KeyIndex::build_partitioned(right, cols, parts)
+    let idx = KeyIndex::build_partitioned(right, &keys.right, parts);
+    let (bufs, info) = crate::par::run_morsels(left.len(), par, |range| {
+        let rows = &left.rows()[range];
+        Ok(rows
+            .iter()
+            .filter(|row| keep(row, &idx))
+            .cloned()
+            .collect::<Vec<Row>>())
+    })?;
+    stats.note_parallel(&info);
+    let mut out = Relation::new(left.schema().clone());
+    for rows in bufs {
+        out.rows_mut().extend(rows);
+    }
+    stats.rows_produced += out.len() as u64;
+    Ok(out)
 }
 
 /// `R ⊼ S`: rows of `left` with no `keys`-match in `right`, computed by the
@@ -87,28 +113,11 @@ pub fn anti_join_par(
 ) -> Result<Relation> {
     stats.anti_joins += 1;
     match imp {
-        AntiJoinImpl::NotExists => {
-            stats.rows_scanned += (left.len() + right.len()) as u64;
-            let idx = build_index(right, &keys.right, par);
-            let (bufs, info) = crate::par::run_morsels(left.len(), par, |range| {
-                let mut rows = Vec::new();
-                for row in &left.rows()[range] {
-                    // NULL probe: the correlated equality is unknown, the
-                    // subquery returns nothing, NOT EXISTS is true → keep.
-                    if key_has_null(row, &keys.left) || !idx.contains(right, row, &keys.left) {
-                        rows.push(row.clone());
-                    }
-                }
-                Ok(rows)
-            })?;
-            stats.note_parallel(&info);
-            let mut out = Relation::new(left.schema().clone());
-            for rows in bufs {
-                out.rows_mut().extend(rows);
-            }
-            stats.rows_produced += out.len() as u64;
-            Ok(out)
-        }
+        AntiJoinImpl::NotExists => filter_by_probe(left, right, keys, par, stats, |row, idx| {
+            // NULL probe: the correlated equality is unknown, the subquery
+            // returns nothing, NOT EXISTS is true → keep.
+            key_has_null(row, &keys.left) || !idx.contains(right, row, &keys.left)
+        }),
         AntiJoinImpl::LeftOuterNull => {
             // Literally run the outer join, then filter and project — this
             // pays the cost the SQL pays.
@@ -136,38 +145,15 @@ pub fn anti_join_par(
             stats.rows_produced += out.len() as u64;
             Ok(out)
         }
-        AntiJoinImpl::NotIn => {
-            stats.rows_scanned += (left.len() + right.len()) as u64;
-            let idx = build_index(right, &keys.right, par);
-            // a single NULL on the inner side empties the result (NAAJ)
-            let inner_has_null = idx.had_null_keys();
-            let inner_empty = right.is_empty();
-            let (bufs, info) = crate::par::run_morsels(left.len(), par, |range| {
-                let mut rows = Vec::new();
-                for row in &left.rows()[range] {
-                    // NOT IN over an empty list is vacuously true.
-                    let keep = if inner_empty {
-                        true
-                    } else if key_has_null(row, &keys.left) || inner_has_null {
-                        // unknown (never true) under 3VL
-                        false
-                    } else {
-                        !idx.contains(right, row, &keys.left)
-                    };
-                    if keep {
-                        rows.push(row.clone());
-                    }
-                }
-                Ok(rows)
-            })?;
-            stats.note_parallel(&info);
-            let mut out = Relation::new(left.schema().clone());
-            for rows in bufs {
-                out.rows_mut().extend(rows);
-            }
-            stats.rows_produced += out.len() as u64;
-            Ok(out)
-        }
+        AntiJoinImpl::NotIn => filter_by_probe(left, right, keys, par, stats, |row, idx| {
+            // NOT IN over an empty list is vacuously true; a NULL probe key,
+            // or a single NULL on the inner side (NAAJ), makes it unknown
+            // (never true) under 3VL.
+            right.is_empty()
+                || !(key_has_null(row, &keys.left)
+                    || idx.had_null_keys()
+                    || idx.contains(right, row, &keys.left))
+        }),
     }
 }
 
@@ -191,24 +177,9 @@ pub fn semi_join_par(
     par: usize,
     stats: &mut ExecStats,
 ) -> Result<Relation> {
-    stats.rows_scanned += (left.len() + right.len()) as u64;
-    let idx = build_index(right, &keys.right, par);
-    let (bufs, info) = crate::par::run_morsels(left.len(), par, |range| {
-        let mut rows = Vec::new();
-        for row in &left.rows()[range] {
-            if !key_has_null(row, &keys.left) && idx.contains(right, row, &keys.left) {
-                rows.push(row.clone());
-            }
-        }
-        Ok(rows)
-    })?;
-    stats.note_parallel(&info);
-    let mut out = Relation::new(left.schema().clone());
-    for rows in bufs {
-        out.rows_mut().extend(rows);
-    }
-    stats.rows_produced += out.len() as u64;
-    Ok(out)
+    filter_by_probe(left, right, keys, par, stats, |row, idx| {
+        !key_has_null(row, &keys.left) && idx.contains(right, row, &keys.left)
+    })
 }
 
 /// The definability witness: `R ⊼ S = R − (R ⋉ S)` using set difference.

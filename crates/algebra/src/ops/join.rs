@@ -19,7 +19,7 @@ use crate::error::Result;
 use crate::expr::ScalarExpr;
 use crate::profile::JoinStrategy;
 use crate::stats::ExecStats;
-use aio_storage::{key_has_null, keys_eq, KeyIndex, Relation, Row, Value};
+use aio_storage::{key_cmp, key_has_null, keys_eq, KeyIndex, Relation, Row, Value};
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -110,19 +110,6 @@ fn null_row(arity: usize) -> Row {
     vec![Value::Null; arity].into_boxed_slice()
 }
 
-/// Lexicographic comparison of two rows projected to their key columns,
-/// without materializing a [`Key`](aio_storage::Key). Same order as
-/// `Key::cmp` (`Value`'s total order, NULLs first).
-fn key_cmp(a: &Row, a_cols: &[usize], b: &Row, b_cols: &[usize]) -> std::cmp::Ordering {
-    for (&ac, &bc) in a_cols.iter().zip(b_cols) {
-        match a[ac].cmp(&b[bc]) {
-            std::cmp::Ordering::Equal => continue,
-            o => return o,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
 /// θ-join of `left` and `right` on equality `keys` plus an optional bound
 /// `residual` predicate over the concatenated schema. Serial (`par = 1`).
 #[allow(clippy::too_many_arguments)]
@@ -163,18 +150,15 @@ pub fn join_par(
         Some(e) => Some(e.bind(&schema)?),
         None => None,
     };
-    let out = if keys.left.is_empty() {
-        nested_loop(left, right, &residual, jt, schema)?
-    } else {
-        match strategy {
-            JoinStrategy::Hash => hash_join(left, right, keys, &residual, jt, schema, par, stats)?,
-            JoinStrategy::SortMerge => {
-                merge_join(left, right, keys, &residual, jt, schema, orders, stats)?
-            }
-            JoinStrategy::NestedLoop => {
-                keyed_nested_loop(left, right, keys, &residual, jt, schema)?
-            }
+    let keyed = !keys.left.is_empty();
+    let out = match strategy {
+        JoinStrategy::Hash if keyed => {
+            hash_join(left, right, keys, &residual, jt, schema, par, stats)?
         }
+        JoinStrategy::SortMerge if keyed => {
+            merge_join(left, right, keys, &residual, jt, schema, orders, stats)?
+        }
+        _ => nested_loop(left, right, keys, &residual, jt, schema)?,
     };
     stats.rows_produced += out.len() as u64;
     Ok(out)
@@ -190,47 +174,13 @@ fn keep(residual: &Option<ScalarExpr>, row: &Row) -> Result<bool> {
 fn nested_loop(
     left: &Relation,
     right: &Relation,
-    residual: &Option<ScalarExpr>,
-    jt: JoinType,
-    schema: aio_storage::Schema,
-) -> Result<Relation> {
-    let mut out = Relation::new(schema);
-    let mut right_matched = vec![false; right.len()];
-    let rpad = null_row(right.schema().arity());
-    for lrow in left.iter() {
-        let mut matched = false;
-        for (ri, rrow) in right.iter().enumerate() {
-            let row = concat(lrow, rrow);
-            if keep(residual, &row)? {
-                matched = true;
-                right_matched[ri] = true;
-                out.rows_mut().push(row);
-            }
-        }
-        if !matched && jt != JoinType::Inner {
-            out.rows_mut().push(concat(lrow, &rpad));
-        }
-    }
-    if jt == JoinType::Full {
-        let lpad = null_row(left.schema().arity());
-        for (ri, rrow) in right.iter().enumerate() {
-            if !right_matched[ri] {
-                out.rows_mut().push(concat(&lpad, rrow));
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn keyed_nested_loop(
-    left: &Relation,
-    right: &Relation,
     keys: &JoinKeys,
     residual: &Option<ScalarExpr>,
     jt: JoinType,
     schema: aio_storage::Schema,
 ) -> Result<Relation> {
-    // Equality keys become part of the predicate of a plain nested loop.
+    // Equality keys become part of the predicate of a plain nested loop
+    // (with no keys every pair passes that part).
     let mut out = Relation::new(schema);
     let mut right_matched = vec![false; right.len()];
     let rpad = null_row(right.schema().arity());
@@ -477,16 +427,7 @@ fn obtain_order<'a>(
     stats.sorts += 1;
     let rows = rel.rows();
     let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        let (ra, rb) = (&rows[a as usize], &rows[b as usize]);
-        for &c in cols {
-            match ra[c].cmp(&rb[c]) {
-                std::cmp::Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    perm.sort_unstable_by(|&a, &b| key_cmp(&rows[a as usize], cols, &rows[b as usize], cols));
     std::borrow::Cow::Owned(perm)
 }
 

@@ -31,7 +31,7 @@
 use crate::error::{AlgebraError, Result};
 use crate::profile::EngineProfile;
 use crate::stats::ExecStats;
-use aio_storage::{Catalog, Key, KeyIndex, Relation, Row, Value, WalPolicy};
+use aio_storage::{Catalog, KeyIndex, Relation, Row, Value, WalPolicy};
 
 /// Physical implementation of union-by-update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,16 +73,19 @@ impl UbuImpl {
 /// Section 4.1's "we do not allow multiple s to match a single r": the
 /// first delta row whose key an earlier one already holds is an
 /// [`AlgebraError::NonUniqueUpdate`], raised before anything is mutated.
-fn check_unique(delta: &Relation, idx: &KeyIndex, keys: &[usize], ctx: &str) -> Result<()> {
-    for (i, row) in delta.rows().iter().enumerate() {
-        if idx.probe(delta, row, keys).next() != Some(i as u32) {
-            let k = Key::of(row, keys);
-            return Err(AlgebraError::NonUniqueUpdate(format!(
-                "{ctx}: duplicate key {k:?}"
-            )));
-        }
+fn check_unique(delta: &Relation, idx: &KeyIndex, ctx: &str) -> Result<()> {
+    match idx.first_duplicate(delta) {
+        None => Ok(()),
+        Some(i) => Err(AlgebraError::NonUniqueUpdate(format!(
+            "{ctx}: duplicate key {:?}",
+            key_values(&delta.rows()[i], idx.cols())
+        ))),
     }
-    Ok(())
+}
+
+/// `row`'s key, for error messages.
+pub(crate) fn key_values<'r>(row: &'r [Value], cols: &[usize]) -> Vec<&'r Value> {
+    cols.iter().map(|&c| &row[c]).collect()
 }
 
 /// Apply `target ⊎_keys delta` in the catalog. `key_cols` indexes the
@@ -137,7 +140,7 @@ pub fn union_by_update(
                 .map(|di| di as usize)
             };
             if imp == UbuImpl::Merge {
-                check_unique(&delta, &idx, keys, "merge source")?;
+                check_unique(&delta, &idx, "merge source")?;
             }
             // `matched[di]` marks delta rows whose key hit a target row
             // (under UPDATE ... FROM only last-wins winners are ever
@@ -182,7 +185,7 @@ pub fn union_by_update(
             Ok(())
         }
         UbuImpl::FullOuterJoin | UbuImpl::DropAlter => {
-            check_unique(&delta, &idx, keys, "union-by-update source")?;
+            check_unique(&delta, &idx, "union-by-update source")?;
             // coalesce(S.*, R.*) per key, plus S-only rows — one pass each.
             // The probe over the target runs in morsels; per-morsel buffers
             // concatenate in morsel order, so the materialized relation is

@@ -9,6 +9,7 @@
 //! without sorting. (What a hash join builds ad hoc is
 //! [`crate::keyidx::KeyIndex`].)
 
+use crate::keyidx::key_cmp;
 use crate::relation::Relation;
 
 /// Ordered index: a permutation of row ids sorted by the key columns.
@@ -24,16 +25,7 @@ impl SortedIndex {
     pub fn build(rel: &Relation, cols: &[usize]) -> Self {
         let rows = rel.rows();
         let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (&rows[a as usize], &rows[b as usize]);
-            for &c in cols {
-                match ra[c].cmp(&rb[c]) {
-                    std::cmp::Ordering::Equal => continue,
-                    o => return o,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        perm.sort_unstable_by(|&a, &b| key_cmp(&rows[a as usize], cols, &rows[b as usize], cols));
         SortedIndex {
             cols: cols.to_vec(),
             perm,

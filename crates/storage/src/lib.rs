@@ -33,10 +33,10 @@ pub use column::{Batch, ColumnBuilder, ColumnVec, ImageCache, NullMask, StringTa
 pub use error::{Result, StorageError};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::SortedIndex;
-pub use keyidx::{key_has_null, key_hash, keys_eq, KeyIndex};
+pub use keyidx::{key_cmp, key_has_null, key_hash, keys_eq, KeyGroups, KeyIndex};
 pub use mvcc::{GenerationHub, PinnedSnapshot, Snapshot};
 pub use recover::{open_catalog, InterruptedRun, RecoveryReport};
-pub use relation::{edge_schema, node_schema, ColumnSketch, Key, Relation, RelationStats, Row};
+pub use relation::{edge_schema, node_schema, ColumnSketch, Relation, RelationStats, Row};
 pub use schema::{Column, DataType, Schema};
 pub use trie::{TrieCache, TrieIndex};
 pub use value::Value;

@@ -23,6 +23,7 @@
 //! in-place access), like sorted indexes and the columnar image. They are
 //! never WAL-logged.
 
+use crate::keyidx::key_cmp;
 use crate::relation::Relation;
 use crate::value::Value;
 use std::sync::{Arc, Mutex};
@@ -68,16 +69,9 @@ impl TrieIndex {
     pub fn build(rel: &Relation, cols: &[usize]) -> Self {
         let rows = rel.rows();
         let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
+        // ties broken by row id: deterministic output order
         perm.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (&rows[a as usize], &rows[b as usize]);
-            for &c in cols {
-                match ra[c].cmp(&rb[c]) {
-                    std::cmp::Ordering::Equal => continue,
-                    o => return o,
-                }
-            }
-            // ties broken by row id: deterministic output order
-            a.cmp(&b)
+            key_cmp(&rows[a as usize], cols, &rows[b as usize], cols).then(a.cmp(&b))
         });
         // Node boundaries: row i starts a new node at level d (and every
         // deeper level) iff its key prefix through d differs from row

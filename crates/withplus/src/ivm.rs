@@ -51,7 +51,7 @@ use crate::db::{optimize_compiled, Database};
 use crate::error::{Result, WithPlusError};
 use crate::psm::{rebind_scan, rename_to, Fold, PsmRunner, Start};
 use aio_algebra::{AggFunc, Optimizer, Plan, ScalarExpr};
-use aio_storage::{FxHashSet, Key, Relation, Row};
+use aio_storage::{KeyIndex, Relation, Row};
 use aio_trace::Tracer;
 
 /// A batch of logical row insertions/deletions against one base table.
@@ -398,18 +398,21 @@ fn reset_underivable_keys(
     keys: &[usize],
 ) -> Result<()> {
     let r0 = r.init_relation(c)?;
-    let mut produced: FxHashSet<Key> = FxHashSet::default();
+    let mut produced = Relation::new(r0.schema().clone());
     for step in &c.recursive {
         let d = rename_to(r.eval(&step.plan, "derivable")?, &c.rec_cols)?;
-        produced.extend(d.rows().iter().map(|row| Key::of(row, keys)));
+        produced.rows_mut().extend(d.into_rows());
     }
-    if let Ok(init_pos) = r0.unique_key_map(keys) {
+    let produced_idx = KeyIndex::build(&produced, keys);
+    let init_idx = KeyIndex::build(&r0, keys);
+    if init_idx.first_duplicate(&r0).is_none() {
         for row in r.catalog.relation_mut(&c.rec_name)?.rows_mut() {
-            let k = Key::of(row, keys);
-            if !produced.contains(&k) {
-                if let Some(&i) = init_pos.get(&k) {
-                    *row = r0.rows()[i].clone();
-                }
+            if produced_idx.contains(&produced, row, keys) {
+                continue;
+            }
+            let init = init_idx.probe(&r0, row, keys).next();
+            if let Some(i) = init {
+                *row = r0.rows()[i as usize].clone();
             }
         }
     }
@@ -513,22 +516,25 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
         removed: Vec::new(),
         changed: Vec::new(),
     };
-    let keyed = keys.and_then(|k| Some((old.unique_key_map(k).ok()?, new.unique_key_map(k).ok()?)));
+    let unique = |rel: &Relation, k: &[usize]| {
+        let idx = KeyIndex::build(rel, k);
+        idx.first_duplicate(rel).is_none().then_some(idx)
+    };
+    let keyed = keys.and_then(|k| Some((k, unique(old, k)?, unique(new, k)?)));
     match keyed {
-        Some((old_pos, new_pos)) => {
-            for (key, &oi) in &old_pos {
-                match new_pos.get(key) {
-                    None => d.removed.push(old.rows()[oi].clone()),
-                    Some(&ni) if new.rows()[ni] != old.rows()[oi] => {
-                        d.changed
-                            .push((old.rows()[oi].clone(), new.rows()[ni].clone()));
+        Some((k, old_idx, new_idx)) => {
+            for o in old.rows() {
+                match new_idx.probe(new, o, k).next() {
+                    None => d.removed.push(o.clone()),
+                    Some(ni) if new.rows()[ni as usize] != *o => {
+                        d.changed.push((o.clone(), new.rows()[ni as usize].clone()));
                     }
                     Some(_) => {}
                 }
             }
-            for (key, &ni) in &new_pos {
-                if !old_pos.contains_key(key) {
-                    d.added.push(new.rows()[ni].clone());
+            for n in new.rows() {
+                if !old_idx.contains(old, n, k) {
+                    d.added.push(n.clone());
                 }
             }
         }

@@ -21,7 +21,7 @@ use crate::compile::{CompiledStep, CompiledWithPlus};
 use crate::error::{Result, WithPlusError};
 use aio_algebra::ops::{self, UbuImpl};
 use aio_algebra::{EngineProfile, Evaluator, ExecStats, Plan};
-use aio_storage::{Catalog, Column, Key, Relation, Schema, Value};
+use aio_storage::{Catalog, Column, KeyIndex, Relation, Schema, Value};
 use aio_trace::Tracer;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -142,17 +142,25 @@ pub(crate) fn num(v: &Value) -> Option<f64> {
 /// Largest absolute numeric move folding `delta` into `r` by `keys` would
 /// make, read before the fold. `None` marks a structural change that
 /// epsilon stopping must not swallow: a delta key R lacks (an insert),
-/// duplicate keys in R, or a non-numeric column that changes. With unique
-/// delta keys this is the largest move of the fold itself; duplicate delta
-/// keys (`UPDATE ... FROM`) can only make it larger.
+/// duplicate keys in R, a non-numeric column that changes, or a move to or
+/// from NaN (it has no size). With unique delta keys this is the largest
+/// move of the fold itself; duplicate delta keys (`UPDATE ... FROM`) can
+/// only make it larger.
 fn max_keyed_change(r: &Relation, delta: &Relation, keys: &[usize]) -> Option<f64> {
-    let pos = r.unique_key_map(keys).ok()?;
+    let idx = KeyIndex::build(r, keys);
+    if idx.first_duplicate(r).is_some() {
+        return None;
+    }
     let mut max = 0.0f64;
     for row in delta.rows() {
-        let &ri = pos.get(&Key::of(row, keys))?;
+        let ri = idx.probe(r, row, keys).next()? as usize;
         for (a, b) in r.rows()[ri].iter().zip(row.iter()) {
             if a != b {
-                max = max.max((num(a)? - num(b)?).abs());
+                let moved = (num(a)? - num(b)?).abs();
+                if moved.is_nan() {
+                    return None;
+                }
+                max = max.max(moved);
             }
         }
     }

@@ -7,17 +7,17 @@
 
 use all_in_one::algebra::ops::join::assert_strategies_agree;
 use all_in_one::algebra::ops::{
-    anti_join, anti_join_basic_ops, group_by, join_on, mm_join, ubu_merge_improve, union_by_update,
-    AntiJoinImpl, JoinKeys, JoinType, UbuImpl,
+    anti_join, anti_join_basic_ops, group_by, group_by_par, join_on, mm_join, ubu_merge_improve,
+    union_by_update, window, AntiJoinImpl, JoinKeys, JoinType, UbuImpl,
 };
 use all_in_one::algebra::{
     oracle_like, AggFunc, AggStrategy, EngineProfile, ExecStats, JoinStrategy, ScalarExpr, TROPICAL,
 };
 use all_in_one::prelude::*;
-use all_in_one::storage::{node_schema, Catalog, DataType, Key, Row};
+use all_in_one::storage::{node_schema, Catalog, DataType, Row};
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// A small random matrix relation E(F, T, ew) over ids 0..k.
@@ -131,6 +131,26 @@ fn keyed(name: &'static str) -> impl Strategy<Value = Relation> {
     })
 }
 
+/// `L(k, j, v)`: two keys drawn from [`key_domain`], `v` the row number.
+/// The draw is tiled past 4,096 rows, so parallel hash aggregation splits
+/// it into morsels and merges their groups.
+fn keyed_tiled() -> impl Strategy<Value = Relation> {
+    proptest::collection::vec((key_value(), key_value()), 1..24).prop_map(|keys| {
+        let schema = Schema::of(&[
+            ("k", DataType::Any),
+            ("j", DataType::Any),
+            ("v", DataType::Int),
+        ]);
+        let mut r = Relation::new(schema.with_qualifier("L"));
+        let n = keys.len() * (4_096 / keys.len() + 1);
+        for (i, (k, j)) in keys.iter().cycle().take(n).enumerate() {
+            r.push(vec![k.clone(), j.clone(), Value::from(i)].into_boxed_slice())
+                .unwrap();
+        }
+        r
+    })
+}
+
 fn hash_of(v: &Value) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     v.hash(&mut h);
@@ -196,32 +216,59 @@ fn ubu_rel() -> impl Strategy<Value = Relation> {
     })
 }
 
-/// `rel` with only the first row of every key (storage equality).
+/// A row's key in the models below: its first column, as a `Vec<Value>`
+/// (whose `Eq` and `Hash` are storage equality, NULL equal to NULL).
+fn key0(r: &Row) -> Vec<Value> {
+    vec![r[0].clone()]
+}
+
+/// `rel` with only the first row of every key.
 fn first_per_key(rel: &Relation) -> Relation {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let mut out = Relation::new(rel.schema().clone());
-    for r in rel.iter().filter(|r| seen.insert(Key::of(r, &[0]))) {
+    for r in rel.iter().filter(|r| seen.insert(key0(r))) {
         out.push(r.clone()).unwrap();
     }
     out
 }
 
 /// `t ⊎_k d` for unique delta keys, spelled out: a target row whose key
-/// equals a delta row's (NULL equals NULL) becomes that row, then the
-/// unmatched delta rows follow in order.
+/// equals a delta row's becomes that row, then the unmatched delta rows
+/// follow in order.
 fn ubu_model(t: &Relation, d: &Relation) -> Vec<Row> {
-    let by_key: HashMap<Key, &Row> = d.iter().map(|r| (Key::of(r, &[0]), r)).collect();
-    let t_keys: std::collections::HashSet<Key> = t.iter().map(|r| Key::of(r, &[0])).collect();
+    let by_key: HashMap<Vec<Value>, &Row> = d.iter().map(|r| (key0(r), r)).collect();
+    let t_keys: HashSet<Vec<Value>> = t.iter().map(key0).collect();
     let mut out: Vec<Row> = t
         .iter()
-        .map(|r| (*by_key.get(&Key::of(r, &[0])).unwrap_or(&r)).clone())
+        .map(|r| (*by_key.get(&key0(r)).unwrap_or(&r)).clone())
         .collect();
-    out.extend(
-        d.iter()
-            .filter(|r| !t_keys.contains(&Key::of(r, &[0])))
-            .cloned(),
-    );
+    out.extend(d.iter().filter(|r| !t_keys.contains(&key0(r))).cloned());
     out
+}
+
+/// Merge-improve's frontier spelled out for a target with unique keys: per
+/// delta key, in order of first appearance, the first of its best rows
+/// (smallest `v` when `min`, largest otherwise), if the target lacks the
+/// key or holds a worse `v` for it.
+fn improve_model(t: &Relation, d: &Relation, min: bool) -> Vec<Row> {
+    let better = |a: &Value, b: &Value| if min { a < b } else { a > b };
+    let mut order: Vec<Vec<Value>> = Vec::new();
+    let mut best: HashMap<Vec<Value>, &Row> = HashMap::new();
+    for r in d.iter() {
+        match best.get(&key0(r)) {
+            None => order.push(key0(r)),
+            Some(b) if !better(&r[1], &b[1]) => continue,
+            Some(_) => {}
+        }
+        best.insert(key0(r), r);
+    }
+    let old: HashMap<Vec<Value>, &Row> = t.iter().map(|r| (key0(r), r)).collect();
+    order
+        .iter()
+        .map(|k| best[k])
+        .filter(|r| old.get(&key0(r)).is_none_or(|o| better(&r[1], &o[1])))
+        .cloned()
+        .collect()
 }
 
 /// Rows bit for bit (a Float by its bits, so -0.0 ≠ 0.0 here).
@@ -381,6 +428,7 @@ proptest! {
             cat.create_temp("R", target.clone()).unwrap();
             let mut s = ExecStats::new();
             let frontier = ubu_merge_improve(&mut cat, "R", d.clone(), keyed, 1, min, &mut s).unwrap();
+            prop_assert_eq!(bits(frontier.rows()), bits(&improve_model(&target, &d, min)), "min={}", min);
             prop_assert_eq!(s.ubu_changed_rows, frontier.len() as u64);
             prop_assert_eq!(frontier.len(), cat.relation("R").unwrap().uncovered(&target).count());
         }
@@ -421,25 +469,49 @@ proptest! {
         }
     }
 
-    /// Hash and sort aggregation form the same groups on those keys.
+    /// Hash and sort aggregation form the groups of a `BTreeMap` over the
+    /// key values — `Value`'s order refines storage equality, so the map
+    /// groups exactly as the engine must — in the map's order, on one- and
+    /// two-column keys, hash at parallelism 1, 2 and 8. Hash aggregation
+    /// spells each key as its first row does, as the map keeps it: bit for
+    /// bit. Sort aggregation spells a key as whichever of its rows the sort
+    /// put first, so its keys compare under storage equality (its `Int`
+    /// aggregates are exact either way). A window partitioned on the same
+    /// keys gives every row its group's sum.
     #[test]
-    fn agg_strategies_agree_on_every_key_domain(input in keyed("L")) {
-        let agg = |strategy| {
-            let items = [
-                (ScalarExpr::col("k"), "k".to_string()),
-                (ScalarExpr::Agg(AggFunc::Sum, Box::new(ScalarExpr::col("v"))), "s".to_string()),
-            ];
+    fn agg_strategies_agree_on_every_key_domain(input in keyed_tiled()) {
+        let sum_v = ScalarExpr::Agg(AggFunc::Sum, Box::new(ScalarExpr::col("v")));
+        for keys in [&["k"][..], &["k", "j"]] {
+            let refs: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+            let mut model: BTreeMap<Vec<Value>, (Vec<Value>, i64, i64)> = BTreeMap::new();
+            for r in input.iter() {
+                let key = r[..keys.len()].to_vec();
+                let group = model.entry(key.clone()).or_insert((key, 0, 0));
+                group.1 += r[2].as_int().unwrap();
+                group.2 += 1;
+            }
+            let want: Vec<Row> = model
+                .values()
+                .map(|(key, sum, n)| key.iter().cloned().chain([Value::Int(*sum), Value::Int(*n)]).collect())
+                .collect();
+            let mut items: Vec<(ScalarExpr, String)> =
+                keys.iter().map(|&k| (ScalarExpr::col(k), k.to_string())).collect();
+            items.push((sum_v.clone(), "s".into()));
+            items.push((ScalarExpr::Agg(AggFunc::Count, Box::new(ScalarExpr::col("v"))), "n".into()));
             let mut s = ExecStats::new();
-            group_by(&input, &["k".into()], &items, strategy, &mut s).unwrap()
-        };
-        let (h, s) = (agg(AggStrategy::Hash), agg(AggStrategy::Sort));
-        prop_assert!(
-            h.same_rows_unordered(&s),
-            "hash forms {} groups, sort {} on\n{}",
-            h.len(),
-            s.len(),
-            input.display(24)
-        );
+            for par in [1, 2, 8] {
+                let h = group_by_par(&input, &refs, &items, AggStrategy::Hash, par, &mut s).unwrap();
+                prop_assert_eq!(bits(h.rows()), bits(&want), "hash, par {}, keys {:?}", par, keys);
+            }
+            let sorted = group_by(&input, &refs, &items, AggStrategy::Sort, &mut s).unwrap();
+            prop_assert_eq!(sorted.rows(), &want[..], "sort, keys {:?}", keys);
+
+            let w = window(&input, &refs, &[(sum_v.clone(), "s".into())], &mut s).unwrap();
+            prop_assert_eq!(w.len(), input.len());
+            for (r, out) in input.iter().zip(w.iter()) {
+                prop_assert_eq!(&out[0], &Value::Int(model[&r[..keys.len()]].1), "window, keys {:?}", keys);
+            }
+        }
     }
 }
 
