@@ -13,29 +13,35 @@
 //! converges to the same least fixpoint as a cold run, bit-exactly, because
 //! `min`/`max` over the same derivation set is order-insensitive.
 //!
+//! The same fold runs a *cold* fixpoint delta-driven where the loop proves
+//! it leaves R exactly as replacing would after every iteration (DESIGN
+//! §16): then iteration k joins only the rows iteration k−1 improved.
+//!
 //! This is the per-key best-value merge of a frontier–expand–merge loop
 //! ("Relational Approach for Shortest Path Discovery over Large Graphs"):
 //! [`KeyGroups`] over the delta gives its best row per key and the order
-//! keys first appear in, a [`KeyIndex`] over the target gives the row each
-//! one would improve. Nothing copies a key.
+//! keys first appear in, and a [`KeyIndex`] over the target, which the
+//! caller holds for its whole loop, gives the row each one would improve.
+//! A fold therefore costs O(|delta|), not O(|target|). Nothing copies a key.
 
 use crate::error::{AlgebraError, Result};
-use crate::ops::union_by_update::key_values;
 use crate::stats::ExecStats;
-use aio_storage::{Catalog, KeyGroups, KeyIndex, Relation, StorageError};
+use aio_storage::{Catalog, KeyGroups, KeyIndex, Relation};
 
-/// Merge `delta` into `target` keyed on `key_cols`, keeping per key the
-/// better of (existing, incoming) under `value_col` — smaller wins when
-/// `min`, larger when `max`. Unmatched delta keys insert. Returns the rows
-/// that actually changed the target (inserted or improved) — the next
-/// frontier of a resumed semi-naive iteration — deduplicated to the best
-/// row per key, in first-appearance key order — and adds their number to
-/// `stats.ubu_changed_rows`.
+/// Merge `delta` into `target` keyed on `index`'s key columns, keeping per
+/// key the better of (existing, incoming) under `value_col` — smaller wins
+/// when `min`, larger when `max`. Unmatched delta keys insert. `index` is
+/// the caller's [`KeyIndex`] over `target`, whose keys the caller has
+/// checked unique; the rows this call inserts are pushed onto it, so it
+/// stays valid for the next call. Returns the rows that actually changed
+/// the target (inserted or improved) — the next frontier — deduplicated to
+/// the best row per key, in first-appearance key order — and adds their
+/// number to `stats.ubu_changed_rows`.
 pub fn ubu_merge_improve(
     catalog: &mut Catalog,
     target: &str,
     delta: Relation,
-    key_cols: &[usize],
+    index: &mut KeyIndex,
     value_col: usize,
     min: bool,
     stats: &mut ExecStats,
@@ -60,7 +66,8 @@ pub fn ubu_merge_improve(
     // Pre-reduce the delta to its best row per key, keys in the order they
     // first appear: the frontier must be deterministic regardless of how
     // the partial evaluation enumerated derivations.
-    let mut groups = KeyGroups::new(key_cols);
+    let keys = index.cols();
+    let mut groups = KeyGroups::new(keys);
     let mut best: Vec<usize> = Vec::new();
     for (i, row) in delta.rows().iter().enumerate() {
         match groups.assign(row) {
@@ -74,40 +81,40 @@ pub fn ubu_merge_improve(
         }
     }
 
-    // The target row each best row would improve; a key the target holds
-    // twice has no one row to improve.
-    let positions: Vec<Option<usize>> = {
+    // Per best row, what it does to the target — overwrite the row it
+    // improves (`Some`) or insert (`None`) — in `best`'s order; rows that
+    // improve nothing drop out here.
+    let mut changes: Vec<(usize, Option<usize>)> = Vec::new();
+    {
         let t = catalog.relation(target)?;
-        let idx = KeyIndex::build(t, key_cols);
-        if let Some(i) = idx.first_duplicate(t) {
-            let dup =
-                StorageError::DuplicateKey(format!("{:?}", key_values(&t.rows()[i], key_cols)));
-            return Err(AlgebraError::Plan(format!(
-                "merge-improve target {target}: {dup}"
-            )));
+        for &di in &best {
+            let row = &delta.rows()[di];
+            match index.probe(t, row, keys).next() {
+                Some(ti) if better(&row[value_col], &t.rows()[ti as usize][value_col]) => {
+                    changes.push((di, Some(ti as usize)))
+                }
+                Some(_) => {}
+                None => changes.push((di, None)),
+            }
         }
-        best.iter()
-            .map(|&di| {
-                idx.probe(t, &delta.rows()[di], key_cols)
-                    .next()
-                    .map(|ti| ti as usize)
-            })
-            .collect()
-    };
+    }
 
     let mut frontier = Relation::new(delta.schema().clone());
-    let mut inserts: Vec<aio_storage::Row> = Vec::new();
-    let t = catalog.relation_mut(target)?;
-    for (&di, pos) in best.iter().zip(positions) {
-        let row = &delta.rows()[di];
-        match pos {
-            Some(ti) if !better(&row[value_col], &t.rows()[ti][value_col]) => continue,
-            Some(ti) => t.rows_mut()[ti] = row.clone(),
-            None => inserts.push(row.clone()),
+    if !changes.is_empty() {
+        // only a fold that changes something touches (and invalidates) R
+        let t = catalog.relation_mut(target)?;
+        for (di, pos) in changes {
+            let row = &delta.rows()[di];
+            match pos {
+                Some(ti) => t.rows_mut()[ti] = row.clone(),
+                None => {
+                    index.push(row, t.len() as u32);
+                    t.push(row.clone())?;
+                }
+            }
+            frontier.push(row.clone())?;
         }
-        frontier.push(row.clone())?;
     }
-    t.extend(inserts)?;
     stats.rows_produced += frontier.len() as u64;
     stats.ubu_changed_rows += frontier.len() as u64;
     Ok(frontier)
@@ -136,6 +143,12 @@ mod tests {
         d
     }
 
+    /// One fold under a fresh index over `V`'s key.
+    fn improve(c: &mut Catalog, d: Relation, min: bool, s: &mut ExecStats) -> Relation {
+        let mut idx = KeyIndex::build(c.relation("V").unwrap(), &[0]);
+        ubu_merge_improve(c, "V", d, &mut idx, 1, min, s).unwrap()
+    }
+
     fn contents(c: &Catalog) -> Vec<(i64, f64)> {
         let mut v: Vec<(i64, f64)> = c
             .relation("V")
@@ -152,7 +165,7 @@ mod tests {
         let mut c = setup(&[(1, 5.0), (2, 2.0), (3, 1.0)]);
         let d = delta(&[(1, 3.0), (2, 9.0), (4, 4.0)]);
         let mut s = ExecStats::new();
-        let front = ubu_merge_improve(&mut c, "V", d, &[0], 1, true, &mut s).unwrap();
+        let front = improve(&mut c, d, true, &mut s);
         // 1 improved (3 < 5), 2 ignored (9 > 2), 4 inserted
         assert_eq!(contents(&c), vec![(1, 3.0), (2, 2.0), (3, 1.0), (4, 4.0)]);
         let ids: Vec<i64> = front.iter().map(|r| r[0].as_int().unwrap()).collect();
@@ -164,7 +177,7 @@ mod tests {
         let mut c = setup(&[(1, 5.0)]);
         let d = delta(&[(1, 3.0), (1, 8.0)]);
         let mut s = ExecStats::new();
-        let front = ubu_merge_improve(&mut c, "V", d, &[0], 1, false, &mut s).unwrap();
+        let front = improve(&mut c, d, false, &mut s);
         assert_eq!(contents(&c), vec![(1, 8.0)]);
         assert_eq!(front.len(), 1);
     }
@@ -174,7 +187,7 @@ mod tests {
         let mut c = setup(&[(1, 5.0)]);
         let d = delta(&[(1, 4.0), (1, 2.0), (1, 3.0)]);
         let mut s = ExecStats::new();
-        let front = ubu_merge_improve(&mut c, "V", d, &[0], 1, true, &mut s).unwrap();
+        let front = improve(&mut c, d, true, &mut s);
         assert_eq!(contents(&c), vec![(1, 2.0)]);
         assert_eq!(front.len(), 1);
         assert_eq!(front.rows()[0][1].as_f64().unwrap(), 2.0);
@@ -185,8 +198,25 @@ mod tests {
         let mut c = setup(&[(1, 1.0), (2, 2.0)]);
         let d = delta(&[(1, 1.0), (2, 5.0)]);
         let mut s = ExecStats::new();
-        let front = ubu_merge_improve(&mut c, "V", d, &[0], 1, true, &mut s).unwrap();
+        let front = improve(&mut c, d, true, &mut s);
         assert!(front.is_empty(), "ties and regressions are not changes");
         assert_eq!(contents(&c), vec![(1, 1.0), (2, 2.0)]);
+    }
+
+    #[test]
+    fn one_index_serves_a_sequence_of_folds() {
+        // the second fold must find the key the first one inserted, through
+        // the pushed index entry alone
+        let mut c = setup(&[(1, 5.0)]);
+        let mut idx = KeyIndex::build(c.relation("V").unwrap(), &[0]);
+        let mut s = ExecStats::new();
+        for (d, changed) in [(&[(2, 7.0), (1, 4.0)][..], 2), (&[(2, 6.0), (3, 1.0)], 2)] {
+            let front = ubu_merge_improve(&mut c, "V", delta(d), &mut idx, 1, true, &mut s);
+            assert_eq!(front.unwrap().len(), changed);
+        }
+        assert_eq!(contents(&c), vec![(1, 4.0), (2, 6.0), (3, 1.0)]);
+        let v = c.relation("V").unwrap();
+        assert_eq!(idx.first_duplicate(v), None, "no key inserted twice");
+        assert_eq!(s.ubu_changed_rows, 4);
     }
 }

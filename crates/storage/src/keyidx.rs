@@ -11,8 +11,10 @@
 //!
 //! [`KeyIndex`] maps a relation's keys to its row ids, for probes (joins,
 //! anti- and semi-joins, union-by-update, keyed lookups) and Section 4.1's
-//! uniqueness rule ([`KeyIndex::first_duplicate`]). [`KeyGroups`] numbers
-//! groups in order of first appearance (hash aggregation, window
+//! uniqueness rule ([`KeyIndex::first_duplicate`]); it grows with a
+//! relation that only appends ([`KeyIndex::push`]), so the improve fold of
+//! a fixpoint loop keeps one index over R for the whole loop. [`KeyGroups`]
+//! numbers groups in order of first appearance (hash aggregation, window
 //! partitions, merge-improve's best row per key, whole-row dedup).
 //!
 //! `KeyIndex` is built in `P` hash-disjoint partitions so builds can run on
@@ -219,6 +221,18 @@ impl KeyIndex {
         self.null_rows > 0
     }
 
+    /// Index one more row: `row` is row `id` of the relation this index is
+    /// over, appended after every row indexed so far (ids only grow), so
+    /// probes stay in row order. The index then probes exactly as a fresh
+    /// build over the grown relation would — how a fixpoint loop holds one
+    /// index over R while its fold appends.
+    pub fn push(&mut self, row: &[Value], id: u32) {
+        self.null_rows += key_has_null(row, &self.cols) as usize;
+        let h = key_hash(row, &self.cols);
+        let p = self.parts.len();
+        self.parts[(h as usize) % p].entry(h).or_default().push(id);
+    }
+
     /// Indices of `rel`'s rows whose key equals `probe_row[probe_cols]`
     /// under storage equality, in row order. A NULL probe key matches the
     /// rows whose key holds NULL in the same place; SQL probe sites skip
@@ -290,6 +304,44 @@ mod tests {
                         .collect();
                     assert_eq!(got, want, "cols={cols:?} parts={parts}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_rows_probe_like_a_fresh_build() {
+        // rel()'s five NULL-free rows twice (enough rows for 7 partitions),
+        // then all of rel()'s rows appended one by one, the NULL-keyed row
+        // last
+        let r = rel();
+        let base: Vec<Row> = r.rows()[..5]
+            .iter()
+            .chain(&r.rows()[..5])
+            .cloned()
+            .collect();
+        let all: Vec<Row> = base.iter().chain(r.rows()).cloned().collect();
+        let all = Relation::from_rows(edge_schema(), all).unwrap();
+        for cols in [&[0][..], &[0, 1]] {
+            for parts in [1, 2, 4, 7] {
+                let mut grown = Relation::from_rows(edge_schema(), base.clone()).unwrap();
+                let mut idx = KeyIndex::build_partitioned(&grown, cols, parts);
+                assert_eq!(idx.partitions(), parts);
+                assert!(!idx.had_null_keys());
+                for row in r.rows() {
+                    idx.push(row, grown.len() as u32);
+                    grown.push(row.clone()).unwrap();
+                }
+                let fresh = KeyIndex::build_partitioned(&all, cols, parts);
+                assert!(idx.had_null_keys() && fresh.had_null_keys());
+                let null_probe = [Value::Null, Value::Int(7)];
+                for probe in all.rows().iter().map(|r| &r[..]).chain([&null_probe[..]]) {
+                    assert_eq!(
+                        idx.probe(&grown, probe, cols).collect::<Vec<_>>(),
+                        fresh.probe(&all, probe, cols).collect::<Vec<_>>(),
+                        "cols={cols:?} parts={parts} probe={probe:?}"
+                    );
+                }
+                assert_eq!(idx.first_duplicate(&grown), fresh.first_duplicate(&all));
             }
         }
     }

@@ -5,11 +5,14 @@
 //! XY-stratification (Theorem 5.1), then produce the procedure that the
 //! interpreter in [`crate::psm`] runs — temp-table creation, per-iteration
 //! `INSERT INTO … SELECT`, emptiness conditions `C_i`, and the union /
-//! union-by-update step.
+//! union-by-update step, classified once here on the unoptimized plans
+//! (how it folds, how a view of it is maintained, whether its cold loop
+//! may be delta-driven).
 
 use crate::ast::{collect_select_tables, Subquery, UnionMode, WithPlus};
 use crate::error::{Result, WithPlusError};
 use crate::lower::{infer_output_names, lower_select, LowerCtx};
+use crate::psm::{classify, Folds};
 use crate::translate::DatalogGen;
 use aio_algebra::Plan;
 use aio_datalog::{is_xy_stratified, Program};
@@ -38,6 +41,8 @@ pub struct CompiledWithPlus {
     pub index_specs: Vec<(String, String)>,
     /// The Theorem 5.1 DATALOG program (kept for inspection).
     pub datalog: Program,
+    /// How the fixpoint folds, classified here on the unoptimized plans.
+    pub(crate) folds: Folds,
 }
 
 impl CompiledWithPlus {
@@ -105,16 +110,8 @@ pub fn compile(stmt: &WithPlus, ctx: &LowerCtx<'_>) -> Result<CompiledWithPlus> 
             recursive.len()
         )));
     }
-    if let UnionMode::ByUpdate(Some(keys)) = &stmt.union {
-        for k in keys {
-            if !stmt.rec_cols.iter().any(|c| c.eq_ignore_ascii_case(k)) {
-                return Err(WithPlusError::Restriction(format!(
-                    "union by update key {k} is not a column of {}",
-                    stmt.rec_name
-                )));
-            }
-        }
-    }
+    // also rejects a union-by-update key that is not a column of R
+    let folds = classify(stmt, &recursive)?;
 
     // Theorem 5.1: lower the recursive machinery to DATALOG and test
     // XY-stratification.
@@ -150,6 +147,7 @@ pub fn compile(stmt: &WithPlus, ctx: &LowerCtx<'_>) -> Result<CompiledWithPlus> 
         final_plan,
         index_specs: Vec::new(),
         datalog,
+        folds,
     };
     // Index specs: every (table, column) used as an equi-join key against a
     // direct scan, gathered across all plans.

@@ -34,7 +34,7 @@ pub struct ExplainOutput {
 /// Runs exactly once per statement, before the PSM loop — never per
 /// iteration — so EXPLAIN ANALYZE can re-derive the executed plans from
 /// the same (plan, statistics) inputs.
-pub(crate) fn optimize_compiled(
+fn optimize_compiled(
     mut c: CompiledWithPlus,
     catalog: &Catalog,
     level: Optimizer,
@@ -50,7 +50,7 @@ pub(crate) fn optimize_compiled(
 
 /// What SQL text lowers to: the plans a statement runs as.
 pub(crate) enum Planned {
-    WithPlus(CompiledWithPlus),
+    WithPlus(Box<CompiledWithPlus>),
     Select(Plan),
 }
 
@@ -65,9 +65,11 @@ pub(crate) fn plan_sql(
 ) -> Result<Planned> {
     let ctx = LowerCtx::new(params, anti_impl);
     Ok(match Parser::parse_statement(sql)? {
-        Statement::WithPlus(w) => {
-            Planned::WithPlus(optimize_compiled(compile(&w, &ctx)?, catalog, level))
-        }
+        Statement::WithPlus(w) => Planned::WithPlus(Box::new(optimize_compiled(
+            compile(&w, &ctx)?,
+            catalog,
+            level,
+        ))),
         Statement::Select(s) => {
             Planned::Select(optimize_plan(&lower_select(&s, &ctx)?, catalog, level))
         }
@@ -473,7 +475,7 @@ impl Database {
     /// resuming a logged run, view definitions).
     pub(crate) fn plan_with_plus(&self, sql: &str, level: Optimizer) -> Result<CompiledWithPlus> {
         match self.plan(sql, level)? {
-            Planned::WithPlus(c) => Ok(c),
+            Planned::WithPlus(c) => Ok(*c),
             Planned::Select(_) => Err(WithPlusError::Restriction(
                 "expected a with+ statement".into(),
             )),

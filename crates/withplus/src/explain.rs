@@ -8,11 +8,13 @@
 //! a convergence table (the Fig. 12-style per-iteration telemetry) followed
 //! by one annotated plan tree per subquery.
 //!
-//! Note on semi-naive modes (`union` / `union all`): the executed recursive
-//! plans scan the working table `__delta_R` where the source says `R`. The
-//! rebinding only renames the scanned table — plan shape and node ids are
-//! unchanged — so the report shows the *logical* plan while the measurements
-//! come from the rebound execution.
+//! Note on semi-naive modes (`union` / `union all`, and a delta-driven
+//! `union by update`, whose header says `delta-driven`): the executed
+//! recursive plans scan the working table `__delta_R` where the source says
+//! `R` (a delta-driven run from its second iteration on). The rebinding
+//! only renames the scanned table — plan shape and node ids are unchanged —
+//! so the report shows the *logical* plan while the measurements come from
+//! the rebound execution.
 
 use crate::compile::CompiledWithPlus;
 use crate::psm::RunStats;
@@ -99,11 +101,16 @@ pub fn render_with_plus(
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "EXPLAIN ANALYZE with+ {} ({:?}, {} iteration{})\n",
+        "EXPLAIN ANALYZE with+ {} ({:?}, {} iteration{}{})\n",
         c.rec_name,
         c.union,
         stats.iterations.len(),
         if stats.iterations.len() == 1 { "" } else { "s" },
+        if stats.delta_driven {
+            ", delta-driven"
+        } else {
+            ""
+        },
     ));
     out.push_str(&convergence_table(stats, timings));
     out.push_str(&format!("init : {}\n", stats.init_exec));

@@ -9,8 +9,12 @@
 //! Nothing here iterates: a cold build, a deletion fallback and every
 //! incremental refresh run the PSM loop ([`crate::psm`]) and differ only in
 //! where it starts and how it folds a delta into the state. The choice
-//! follows from the classification the compiler already performs for
-//! XY-stratification (DESIGN.md §16 tabulates it):
+//! follows from the classification the compiler performs once, beside
+//! XY-stratification, and stores with the compiled view (DESIGN.md §16
+//! tabulates it). A cold build (`Full`) runs exactly what `execute` would,
+//! so under the optimizer a `MonotoneUbu` view that the compiler proves fit
+//! builds delta-driven (improving by key over the frontier once iteration
+//! 0's data checks hold), like the statement:
 //!
 //! | class          | union mode        | recursive shape            | insert-only refresh             | with deletions  |
 //! |----------------|-------------------|----------------------------|---------------------------------|-----------------|
@@ -25,14 +29,15 @@
 //! folds it into the retained state and iterates from what that changed.
 //! *Improve* folds with the fixpoint's own `min`/`max` (see
 //! `aio_algebra::ops::ubu_merge_improve` for why replace semantics would be
-//! wrong on a partial frontier). *Re-converge* restarts the full-width
-//! iteration from the previous result, stopping when the largest per-key
-//! change drops below the view's epsilon; the cold build of this class uses
-//! the *same* stopping rule so incremental and recompute results agree to
-//! within epsilon. The re-converge path assumes key-stationarity (the set
-//! of keys the recursive step derives does not depend on the carried
-//! values — true for PageRank-class views); keys that stop being derivable
-//! are reset to their initialization values before the loop.
+//! wrong on a partial frontier); one key index over the state, built at the
+//! seed's fold, serves every iteration after it. *Re-converge* restarts the
+//! full-width iteration from the previous result, stopping when the largest
+//! per-key change drops below the view's epsilon; the cold build of this
+//! class uses the *same* stopping rule so incremental and recompute results
+//! agree to within epsilon. The re-converge path assumes key-stationarity
+//! (the set of keys the recursive step derives does not depend on the
+//! carried values — true for PageRank-class views); keys that stop being
+//! derivable are reset to their initialization values before the loop.
 //!
 //! Each `apply_edges` call is one WAL transaction: the base-table deltas
 //! and every refreshed view state commit together, so crash recovery lands
@@ -47,10 +52,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use crate::compile::CompiledWithPlus;
-use crate::db::{optimize_compiled, Database};
+use crate::db::Database;
 use crate::error::{Result, WithPlusError};
-use crate::psm::{rebind_scan, rename_to, Fold, PsmRunner, Start};
-use aio_algebra::{AggFunc, Optimizer, Plan, ScalarExpr};
+use crate::psm::{rebind_scan, rename_to, PsmRunner, Start, ViewClass};
+use aio_algebra::Plan;
 use aio_storage::{KeyIndex, Relation, Row};
 use aio_trace::Tracer;
 
@@ -81,32 +86,6 @@ impl EdgeDelta {
     /// Pure deletion batch.
     pub fn delete(table: impl Into<String>, dels: Vec<Row>) -> EdgeDelta {
         EdgeDelta::new(table, Vec::new(), dels)
-    }
-}
-
-/// How a view can be maintained, derived from its compiled form.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ViewClass {
-    /// `union` (distinct) recursion: a monotone set fixpoint.
-    Monotone,
-    /// Keyed `union by update` whose every recursive step is a single
-    /// `min`/`max` aggregate: a monotone lattice fixpoint (WCC/SSSP).
-    MonotoneUbu,
-    /// Keyed `union by update` with any other combiner (PageRank's `sum`):
-    /// non-monotone, but contractive — re-converges from a warm start.
-    Reconverge,
-    /// No incremental strategy applies; every refresh recomputes.
-    Opaque,
-}
-
-impl ViewClass {
-    pub fn label(self) -> &'static str {
-        match self {
-            ViewClass::Monotone => "monotone",
-            ViewClass::MonotoneUbu => "monotone-ubu",
-            ViewClass::Reconverge => "reconverge",
-            ViewClass::Opaque => "opaque",
-        }
     }
 }
 
@@ -178,15 +157,11 @@ pub(crate) struct ViewDef {
     pub(crate) sql: String,
     /// Optimized plans with every self-reference rebound to the view's
     /// private work-table name, so refreshes can never collide with a user
-    /// table that happens to share the recursive relation's name.
+    /// table that happens to share the recursive relation's name. Its
+    /// `folds` say how: cold builds, the deletion fallback and
+    /// re-convergence run the statement's own fold, exactly what `execute`
+    /// would (delta-driven or not); insert-only refreshes run `warm`.
     compiled: CompiledWithPlus,
-    class: ViewClass,
-    /// The statement's own fold: cold builds, the deletion fallback and
-    /// re-convergence run exactly what `execute` would.
-    cold: Fold,
-    /// The fold of an insert-only refresh: `cold`, except that a
-    /// `MonotoneUbu` view improves by key instead of replacing.
-    warm: Fold,
     /// Convergence threshold for the `Reconverge` class (largest per-key
     /// change at which iteration stops, cold and warm alike).
     epsilon: f64,
@@ -249,98 +224,6 @@ pub fn replace_nth_scan(plan: &Plan, table: &str, replacement: &str, nth: usize)
             alias: Some(alias.clone().unwrap_or_else(|| t.to_string())),
         })
     })
-}
-
-// ---------------------------------------------------------------------------
-// Classification
-// ---------------------------------------------------------------------------
-
-fn aggs_in(e: &ScalarExpr, out: &mut Vec<AggFunc>) {
-    match e {
-        ScalarExpr::Agg(f, inner) => {
-            out.push(*f);
-            aggs_in(inner, out);
-        }
-        ScalarExpr::Unary(_, a) => aggs_in(a, out),
-        ScalarExpr::Binary(_, a, b) => {
-            aggs_in(a, out);
-            aggs_in(b, out);
-        }
-        ScalarExpr::Func(_, args) => {
-            for a in args {
-                aggs_in(a, out);
-            }
-        }
-        ScalarExpr::Col(_)
-        | ScalarExpr::BoundCol(_)
-        | ScalarExpr::Lit(_)
-        | ScalarExpr::AggRef(_) => {}
-    }
-}
-
-/// Classify a compiled view and pick the fold of its insert-only
-/// refreshes (`cold` itself unless the view turns out `MonotoneUbu`). Runs
-/// on the *unoptimized* compilation so the recursive steps still have
-/// their lowered `Aggregate` roots.
-fn classify(c: &CompiledWithPlus, cold: &Fold) -> (ViewClass, Fold) {
-    let opaque = (ViewClass::Opaque, cold.clone());
-    if c.computed_names().next().is_some() {
-        return opaque;
-    }
-    let keys = match cold {
-        Fold::InsertFresh => return (ViewClass::Monotone, cold.clone()),
-        Fold::Replace { keys: Some(keys) } => keys,
-        _ => return opaque,
-    };
-    let reconverge = (ViewClass::Reconverge, cold.clone());
-    // MonotoneUbu needs: arity = keys + 1 value column, and every recursive
-    // step a root Aggregate whose single aggregate is min (or all max) and
-    // sits at the value position.
-    let value_col = (0..c.rec_cols.len()).find(|p| !keys.contains(p));
-    let (Some(value_col), true) = (value_col, c.rec_cols.len() == keys.len() + 1) else {
-        return reconverge;
-    };
-    let mut direction: Option<bool> = None;
-    for step in &c.recursive {
-        let Plan::Aggregate { items, .. } = &step.plan else {
-            return reconverge;
-        };
-        let mut monotone_here = false;
-        for (i, (expr, _)) in items.iter().enumerate() {
-            let mut aggs = Vec::new();
-            aggs_in(expr, &mut aggs);
-            if aggs.is_empty() {
-                continue;
-            }
-            let min = match aggs.as_slice() {
-                [AggFunc::Min] => true,
-                [AggFunc::Max] => false,
-                _ => return reconverge,
-            };
-            // The aggregate must be the whole item (bare min/max, not an
-            // arithmetic combination) and land on the value column.
-            let bare = matches!(expr, ScalarExpr::Agg(_, _));
-            if !bare || i != value_col || direction.is_some_and(|d| d != min) {
-                return reconverge;
-            }
-            direction = Some(min);
-            monotone_here = true;
-        }
-        if !monotone_here {
-            return reconverge;
-        }
-    }
-    match direction {
-        Some(min) => (
-            ViewClass::MonotoneUbu,
-            Fold::Improve {
-                keys: keys.clone(),
-                value_col,
-                min,
-            },
-        ),
-        None => reconverge,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -443,31 +326,34 @@ fn run_view(
             r.materialize(work, state)?;
         }
         let (start, fold) = match mode {
-            RefreshMode::Full => (Start::Init, &v.cold),
+            RefreshMode::Full => (Start::Init, &c.folds.cold),
             RefreshMode::Resume | RefreshMode::Frontier => {
                 for (t, m) in touched {
                     let mut d = Relation::new(r.catalog.relation(t)?.schema().clone());
                     d.extend(m.adds.iter().cloned())?;
                     r.materialize(&delta_table(t), d)?;
                 }
-                (Start::Seed(build_seed(r, tracer, c, touched)?), &v.warm)
+                (
+                    Start::Seed(build_seed(r, tracer, c, touched)?),
+                    &c.folds.warm,
+                )
             }
             RefreshMode::Reconverge => {
-                if let Some(keys) = v.cold.keys() {
+                if let Some(keys) = c.folds.cold.keys() {
                     reset_underivable_keys(r, c, keys)?;
                 }
-                (Start::Resume(0), &v.cold)
+                (Start::Resume(0), &c.folds.cold)
             }
         };
         // Only the `Reconverge` class stops early; everything else runs to
         // the exact fixpoint.
-        let epsilon = if v.class == ViewClass::Reconverge {
+        let epsilon = if c.folds.class == ViewClass::Reconverge {
             v.epsilon
         } else {
             f64::INFINITY
         };
         let started = r.start(c, start, fold)?;
-        let iterations = r.iterate(c, started, fold, epsilon, |_, _, _| Ok(()))?;
+        let iterations = r.iterate(c, started, epsilon, |_, _, _| Ok(()))?;
         let out = r.eval(&c.final_plan, "final")?;
         Ok((iterations, r.catalog.relation(work)?.clone(), out))
     })?;
@@ -564,7 +450,7 @@ fn refresh_view(
         .filter(|(t, _)| v.base_tables.contains(*t))
         .collect();
     let insert_only = touched.iter().all(|(_, m)| !m.has_dels);
-    let mode = match v.class {
+    let mode = match v.compiled.folds.class {
         ViewClass::Monotone if insert_only => RefreshMode::Resume,
         ViewClass::MonotoneUbu if insert_only => RefreshMode::Frontier,
         ViewClass::Reconverge => RefreshMode::Reconverge,
@@ -581,7 +467,7 @@ fn refresh_view(
     let out = db.catalog.relation(&v.name)?;
 
     let rec_cols = &v.compiled.rec_cols;
-    let keyed_out = v.cold.keys().filter(|_| {
+    let keyed_out = v.compiled.folds.cold.keys().filter(|_| {
         out.schema().columns().len() == rec_cols.len()
             && out
                 .schema()
@@ -743,16 +629,17 @@ impl Database {
         s.push_str(&format!("view {}\n", v.name));
         let sql_one_line: String = v.sql.split_whitespace().collect::<Vec<_>>().join(" ");
         s.push_str(&format!("  sql:        {}\n", sql_one_line));
-        s.push_str(&format!("  class:      {}\n", v.class.label()));
+        let class = v.compiled.folds.class;
+        s.push_str(&format!("  class:      {}\n", class.label()));
         s.push_str(&format!(
             "  strategy:   insert-only -> {}, deletions -> {}\n",
-            match v.class {
+            match class {
                 ViewClass::Monotone => "resume semi-naive",
                 ViewClass::MonotoneUbu => "frontier merge-improve",
                 ViewClass::Reconverge => "re-converge from state",
                 ViewClass::Opaque => "full recompute",
             },
-            match v.class {
+            match class {
                 ViewClass::Reconverge => "re-converge from state",
                 _ => "full recompute",
             }
@@ -761,7 +648,7 @@ impl Database {
             let names: Vec<&str> = v.base_tables.iter().map(String::as_str).collect();
             names.join(", ")
         }));
-        if v.class == ViewClass::Reconverge {
+        if class == ViewClass::Reconverge {
             s.push_str(&format!("  epsilon:    {:e}\n", v.epsilon));
         }
         s.push_str(&format!("  rows:       {rows} (state {state_rows})\n"));
@@ -919,12 +806,10 @@ impl Database {
         Ok(out)
     }
 
-    /// Compile, classify and rebind a view definition (no execution).
+    /// Compile (which classifies) and rebind a view definition (no
+    /// execution).
     fn compile_view(&self, name: &str, sql: &str, epsilon: f64) -> Result<ViewDef> {
-        let raw = self.plan_with_plus(sql, Optimizer::Off)?;
-        let cold = Fold::of(&raw)?;
-        let (class, warm) = classify(&raw, &cold);
-        let mut compiled = optimize_compiled(raw, &self.catalog, self.profile.optimizer);
+        let mut compiled = self.plan_with_plus(sql, self.profile.optimizer)?;
         // Rebind every self-reference to the view's private work table so
         // refreshes cannot collide with user tables or other views.
         let rec = compiled.rec_name.clone();
@@ -956,9 +841,6 @@ impl Database {
             name: name.to_string(),
             sql: sql.to_string(),
             compiled,
-            class,
-            cold,
-            warm,
             epsilon,
             base_tables,
             subscribers: Vec::new(),
@@ -989,13 +871,6 @@ mod tests {
         (select E.F, E.T from E)
         union
         (select TC.F, E.T from TC, E where TC.T = E.F))
-      select * from TC";
-
-    const TC_ALL_SQL: &str = "with TC(F, T) as (
-        (select E.F, E.T from E)
-        union all
-        (select TC.F, E.T from TC, E where TC.T = E.F)
-        maxrecursion 8)
       select * from TC";
 
     const SSSP_SQL: &str = "with D(ID, vw) as (
@@ -1057,42 +932,6 @@ mod tests {
         rel.iter()
             .map(|r| (r[0].as_int().unwrap(), num(&r[1]).unwrap()))
             .collect()
-    }
-
-    #[test]
-    fn classification_covers_the_algorithm_sql() {
-        let db = db_with(&[(1, 2, 1.0)], &[(1, 0.0)]);
-        let case = |db: &Database, sql: &str| {
-            let c = db.prepare(sql).unwrap();
-            classify(&c, &Fold::of(&c).unwrap())
-        };
-
-        assert_eq!(case(&db, TC_SQL), (ViewClass::Monotone, Fold::InsertFresh));
-        assert_eq!(case(&db, TC_ALL_SQL), (ViewClass::Opaque, Fold::InsertAll));
-        assert_eq!(
-            case(&db, SSSP_SQL),
-            (
-                ViewClass::MonotoneUbu,
-                Fold::Improve {
-                    keys: vec![0],
-                    value_col: 1,
-                    min: true
-                }
-            )
-        );
-
-        let mut db2 = db_with(&[(1, 2, 1.0)], &[(1, 0.0)]);
-        db2.set_param("c", 0.85);
-        db2.set_param("n", 2.0);
-        assert_eq!(
-            case(&db2, PR_SQL),
-            (
-                ViewClass::Reconverge,
-                Fold::Replace {
-                    keys: Some(vec![0])
-                }
-            )
-        );
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub use ast::{Expr, FromItem, SelectStmt, Subquery, UnionMode, WithPlus};
 pub use compile::{compile, CompiledWithPlus};
 pub use db::{Database, ExplainOutput, METRICS_TABLE, QUERY_LOG_TABLE};
 pub use error::{Result, WithPlusError};
-pub use ivm::{EdgeDelta, RefreshMode, RefreshReport, ResultDelta, ViewClass};
+pub use ivm::{EdgeDelta, RefreshMode, RefreshReport, ResultDelta};
 pub use parser::{Parser, Statement};
-pub use psm::{IterStat, QueryResult, RunStats, SubqueryIterStat};
+pub use psm::{IterStat, QueryResult, RunStats, SubqueryIterStat, ViewClass};
 pub use session::{
     arm_concurrent_reader, disarm_concurrent_reader, take_concurrent_report,
     ConcurrentReaderReport, Session, SharedDatabase,

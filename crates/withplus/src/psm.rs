@@ -15,13 +15,28 @@
 //! union-by-update kernels count the rows they insert or overwrite with a
 //! different row (`ExecStats::ubu_changed_rows`), and `C_i` is "that count
 //! is nonzero, or |R| moved".
+//!
+//! A cold run of a keyed `union by update` may be *delta-driven*: fold by
+//! improvement and feed the recursive step only the rows the previous
+//! iteration improved, instead of re-joining all of R. The compiler proves
+//! the statement's shape allows it once, on the unoptimized plans
+//! (`classify`); under `Optimizer::Rules` / `Cost` the loop then checks
+//! the data at iteration 0 — which reads all of R under either fold — and
+//! switches to `Fold::Improve` if they hold. R is then the same after
+//! every iteration as under Algorithm 1's replacement; only the rows each
+//! iteration derives shrink (DESIGN §16 has the argument). `Optimizer::Off`
+//! — every paper profile — keeps the full-width loop. The improve fold
+//! keeps one key index over R for the whole loop.
 
-use crate::ast::UnionMode;
+use crate::ast::{UnionMode, WithPlus};
 use crate::compile::{CompiledStep, CompiledWithPlus};
 use crate::error::{Result, WithPlusError};
 use aio_algebra::ops::{self, UbuImpl};
-use aio_algebra::{EngineProfile, Evaluator, ExecStats, Plan};
-use aio_storage::{Catalog, Column, KeyIndex, Relation, Schema, Value};
+use aio_algebra::{
+    AggFunc, BinOp, EngineProfile, Evaluator, ExecStats, Func, JoinType, Optimizer, Plan,
+    ScalarExpr,
+};
+use aio_storage::{Catalog, Column, KeyIndex, Relation, Schema, StorageError, Value};
 use aio_trace::Tracer;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -81,6 +96,9 @@ pub struct RunStats {
     /// The runner only sees evaluator-level peaks; `Database::execute`
     /// fills this from the thread-local attribution counters.
     pub cache: aio_metrics::CacheCounters,
+    /// Did the loop fold by improvement from iteration 0 on, reading only
+    /// the frontier (a delta-driven cold run, DESIGN §16)?
+    pub delta_driven: bool,
     /// Copy of the recursive relation `R` after each iteration, captured
     /// only when `EngineProfile::capture_snapshots` is set. The testkit
     /// compares these across engines to pin the *first* diverging
@@ -191,19 +209,19 @@ pub(crate) enum Fold {
 
 impl Fold {
     /// The fold a statement's union mode asks for.
-    pub(crate) fn of(c: &CompiledWithPlus) -> Result<Fold> {
+    fn of(stmt: &WithPlus) -> Result<Fold> {
         let position = |k: &String| {
-            c.rec_cols
+            stmt.rec_cols
                 .iter()
                 .position(|col| col.eq_ignore_ascii_case(k))
                 .ok_or_else(|| {
                     WithPlusError::Restriction(format!(
                         "union by update key {k} is not a column of {}",
-                        c.rec_name
+                        stmt.rec_name
                     ))
                 })
         };
-        Ok(match &c.union {
+        Ok(match &stmt.union {
             UnionMode::All => Fold::InsertAll,
             UnionMode::Distinct => Fold::InsertFresh,
             UnionMode::ByUpdate(None) => Fold::Replace { keys: None },
@@ -227,6 +245,427 @@ impl Fold {
     }
 }
 
+/// How a view of a statement can be maintained (DESIGN §16), derived from
+/// its compiled form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ViewClass {
+    /// `union` (distinct) recursion: a monotone set fixpoint.
+    Monotone,
+    /// Keyed `union by update` whose every recursive step is a single
+    /// `min`/`max` aggregate: a monotone lattice fixpoint (WCC/SSSP).
+    MonotoneUbu,
+    /// Keyed `union by update` with any other combiner (PageRank's `sum`):
+    /// non-monotone, but contractive — re-converges from a warm start.
+    Reconverge,
+    /// No incremental strategy applies; every refresh recomputes.
+    Opaque,
+}
+
+impl ViewClass {
+    pub fn label(self) -> &'static str {
+        match self {
+            ViewClass::Monotone => "monotone",
+            ViewClass::MonotoneUbu => "monotone-ubu",
+            ViewClass::Reconverge => "reconverge",
+            ViewClass::Opaque => "opaque",
+        }
+    }
+}
+
+/// How a statement's fixpoint folds, proved once by [`classify`] when it
+/// is compiled.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Folds {
+    /// The statement's own fold (Algorithm 1).
+    pub(crate) cold: Fold,
+    pub(crate) class: ViewClass,
+    /// The fold of an insert-only view refresh: `cold`, except that a
+    /// `MonotoneUbu` statement improves by key.
+    pub(crate) warm: Fold,
+    /// `Some` when the static checks for a delta-driven cold loop hold: the
+    /// cold loop then folds by `warm` if the data checks hold at iteration
+    /// 0 too. Lists the base columns `(table, column)` the min/max argument
+    /// reads, which those checks require finite.
+    pub(crate) delta_driven: Option<Vec<(String, String)>>,
+}
+
+/// Classify a statement from its *unoptimized* recursive steps, whose
+/// `Aggregate` roots are still as lowered: how a view of it is maintained,
+/// and whether its cold loop may be delta-driven.
+pub(crate) fn classify(stmt: &WithPlus, recursive: &[CompiledStep]) -> Result<Folds> {
+    let cold = Fold::of(stmt)?;
+    let (class, warm) = view_class(stmt, recursive, &cold);
+    let delta_driven = match (&warm, recursive) {
+        (Fold::Improve { value_col, .. }, [step]) => {
+            delta_driven_reads(&stmt.rec_name, &stmt.rec_cols, *value_col, &step.plan)
+        }
+        _ => None,
+    };
+    Ok(Folds {
+        cold,
+        class,
+        warm,
+        delta_driven,
+    })
+}
+
+fn aggs_in(e: &ScalarExpr, out: &mut Vec<AggFunc>) {
+    match e {
+        ScalarExpr::Agg(f, inner) => {
+            out.push(*f);
+            aggs_in(inner, out);
+        }
+        ScalarExpr::Unary(_, a) => aggs_in(a, out),
+        ScalarExpr::Binary(_, a, b) => {
+            aggs_in(a, out);
+            aggs_in(b, out);
+        }
+        ScalarExpr::Func(_, args) => {
+            for a in args {
+                aggs_in(a, out);
+            }
+        }
+        ScalarExpr::Col(_)
+        | ScalarExpr::BoundCol(_)
+        | ScalarExpr::Lit(_)
+        | ScalarExpr::AggRef(_) => {}
+    }
+}
+
+/// The view class, and the fold of insert-only refreshes (`cold` itself
+/// unless the statement turns out `MonotoneUbu`).
+fn view_class(stmt: &WithPlus, recursive: &[CompiledStep], cold: &Fold) -> (ViewClass, Fold) {
+    let opaque = (ViewClass::Opaque, cold.clone());
+    if stmt.subqueries.iter().any(|q| !q.computed_by.is_empty()) {
+        return opaque;
+    }
+    let keys = match cold {
+        Fold::InsertFresh => return (ViewClass::Monotone, cold.clone()),
+        Fold::Replace { keys: Some(keys) } => keys,
+        _ => return opaque,
+    };
+    let reconverge = (ViewClass::Reconverge, cold.clone());
+    // MonotoneUbu needs: arity = keys + 1 value column, and every recursive
+    // step a root Aggregate whose single aggregate is min (or all max) and
+    // sits at the value position.
+    let arity = stmt.rec_cols.len();
+    let value_col = (0..arity).find(|p| !keys.contains(p));
+    let (Some(value_col), true) = (value_col, arity == keys.len() + 1) else {
+        return reconverge;
+    };
+    let mut direction: Option<bool> = None;
+    for step in recursive {
+        let Plan::Aggregate { items, .. } = &step.plan else {
+            return reconverge;
+        };
+        let mut monotone_here = false;
+        for (i, (expr, _)) in items.iter().enumerate() {
+            let mut aggs = Vec::new();
+            aggs_in(expr, &mut aggs);
+            if aggs.is_empty() {
+                continue;
+            }
+            let min = match aggs.as_slice() {
+                [AggFunc::Min] => true,
+                [AggFunc::Max] => false,
+                _ => return reconverge,
+            };
+            // The aggregate must be the whole item (bare min/max, not an
+            // arithmetic combination) and land on the value column.
+            let bare = matches!(expr, ScalarExpr::Agg(_, _));
+            if !bare || i != value_col || direction.is_some_and(|d| d != min) {
+                return reconverge;
+            }
+            direction = Some(min);
+            monotone_here = true;
+        }
+        if !monotone_here {
+            return reconverge;
+        }
+    }
+    match direction {
+        Some(min) => (
+            ViewClass::MonotoneUbu,
+            Fold::Improve {
+                keys: keys.clone(),
+                value_col,
+                min,
+            },
+        ),
+        None => reconverge,
+    }
+}
+
+/// What the delta-driven checks read below a recursive step's `Aggregate`:
+/// its *spine* — the scans reached through inner joins, products, filters
+/// and pass-through projections, as `(table, qualifier)` — and every column
+/// those nodes name.
+#[derive(Default)]
+struct Spine<'p> {
+    scans: Vec<(&'p str, &'p str)>,
+    cols: Vec<String>,
+}
+
+impl<'p> Spine<'p> {
+    /// Walk `p`; false when an input off the spine reads `rec`.
+    fn walk(&mut self, p: &'p Plan, rec: &str) -> bool {
+        match p {
+            Plan::Scan { table, alias } => {
+                self.scans.push((table, alias.as_deref().unwrap_or(table)));
+                true
+            }
+            Plan::Join {
+                left,
+                right,
+                on,
+                residual,
+                kind: JoinType::Inner,
+            } => {
+                self.cols
+                    .extend(on.iter().flat_map(|(l, r)| [l.clone(), r.clone()]));
+                if let Some(e) = residual {
+                    e.collect_cols(&mut self.cols);
+                }
+                self.walk(left, rec) && self.walk(right, rec)
+            }
+            Plan::Product { left, right } => self.walk(left, rec) && self.walk(right, rec),
+            Plan::Select { input, pred } => {
+                pred.collect_cols(&mut self.cols);
+                self.walk(input, rec)
+            }
+            Plan::Project { input, items }
+                if items
+                    .iter()
+                    .all(|(e, n)| matches!(e, ScalarExpr::Col(c) if c.eq_ignore_ascii_case(n))) =>
+            {
+                self.walk(input, rec)
+            }
+            side => !side
+                .any(&|q| matches!(q, Plan::Scan { table, .. } if table.eq_ignore_ascii_case(rec))),
+        }
+    }
+}
+
+/// The min/max argument under the delta-driven check, with what it needs
+/// to tell R's value column and base columns apart.
+struct Arg<'a> {
+    /// Does a column reference name R's value column?
+    is_v: &'a dyn Fn(&str) -> bool,
+    /// The base `(table, column)` a column reference names, if it is a
+    /// column of a spine scan other than R.
+    base: &'a dyn Fn(&str) -> Option<(String, String)>,
+    /// Base columns read so far.
+    reads: Vec<(String, String)>,
+}
+
+impl Arg<'_> {
+    /// Is `e` non-decreasing in R's value column `v`, reading nothing else
+    /// of R? `v`, `v + t`, `t + v`, `v - t`, `least`/`greatest` of one such
+    /// and terms, `v * k`, `k * v`, `v / k` — nested — with `k` a positive
+    /// literal and `t` a term.
+    fn monotone(&mut self, e: &ScalarExpr) -> bool {
+        match e {
+            ScalarExpr::Col(n) => (self.is_v)(n),
+            ScalarExpr::Binary(BinOp::Add, a, b) => self.one_monotone([&**a, &**b], false),
+            ScalarExpr::Binary(BinOp::Sub, a, b) => self.monotone(a) && self.term(b, false),
+            ScalarExpr::Binary(BinOp::Mul, a, b) => {
+                (positive(b) && self.monotone(a)) || (positive(a) && self.monotone(b))
+            }
+            ScalarExpr::Binary(BinOp::Div, a, b) => positive(b) && self.monotone(a),
+            // least/greatest return an argument as it is: an Int term
+            // would put Ints, which order before equal Floats, into R
+            ScalarExpr::Func(Func::Least | Func::Greatest, args) => self.one_monotone(args, true),
+            _ => false,
+        }
+    }
+
+    /// Exactly one of `args` is monotone, the rest are terms.
+    fn one_monotone<'e>(
+        &mut self,
+        args: impl IntoIterator<Item = &'e ScalarExpr>,
+        float_only: bool,
+    ) -> bool {
+        let (mut monotone, mut ok) = (0, true);
+        for a in args {
+            if !self.term(a, float_only) {
+                monotone += 1;
+                ok &= self.monotone(a);
+            }
+        }
+        ok && monotone == 1
+    }
+
+    /// A term `t`: a finite literal or a base column (read, the data checks
+    /// find it finite).
+    fn term(&mut self, e: &ScalarExpr, float_only: bool) -> bool {
+        match e {
+            ScalarExpr::Lit(Value::Float(f)) => f.is_finite(),
+            ScalarExpr::Lit(Value::Int(_)) => !float_only,
+            ScalarExpr::Col(n) => (self.base)(n).map(|c| self.reads.push(c)).is_some(),
+            _ => false,
+        }
+    }
+}
+
+/// A positive literal `k`.
+fn positive(e: &ScalarExpr) -> bool {
+    match e {
+        ScalarExpr::Lit(Value::Float(k)) => k.is_finite() && *k > 0.0,
+        ScalarExpr::Lit(Value::Int(k)) => *k > 0,
+        _ => false,
+    }
+}
+
+/// The static checks for a delta-driven cold loop (DESIGN §16), on the one
+/// recursive step of a `MonotoneUbu` statement. The step is an `Aggregate`
+/// whose key items are exactly its group-by columns (so every delta has
+/// unique keys) over a spine that scans R once, with no other input
+/// reading R; R's value column appears only inside the min/max argument,
+/// which is non-decreasing in it ([`Arg::monotone`]). Returns the base
+/// columns that argument reads.
+fn delta_driven_reads(
+    rec: &str,
+    rec_cols: &[String],
+    value_col: usize,
+    step: &Plan,
+) -> Option<Vec<(String, String)>> {
+    let Plan::Aggregate {
+        input,
+        group_by,
+        items,
+    } = step
+    else {
+        return None;
+    };
+    let mut grouped = vec![false; group_by.len()];
+    for (i, (item, _)) in items.iter().enumerate() {
+        if i != value_col {
+            let ScalarExpr::Col(c) = item else {
+                return None;
+            };
+            let g = group_by.iter().position(|g| g.eq_ignore_ascii_case(c))?;
+            if std::mem::replace(&mut grouped[g], true) {
+                return None;
+            }
+        }
+    }
+    let ScalarExpr::Agg(_, arg) = &items[value_col].0 else {
+        return None;
+    };
+    let mut spine = Spine::default();
+    if grouped.contains(&false) || !spine.walk(input, rec) {
+        return None;
+    }
+    let r_scans: Vec<&str> = spine
+        .scans
+        .iter()
+        .filter(|(t, _)| t.eq_ignore_ascii_case(rec))
+        .map(|&(_, q)| q)
+        .collect();
+    let [r] = r_scans[..] else {
+        return None;
+    };
+    let is_v = |name: &str| {
+        let bare = match name.split_once('.') {
+            Some((q, n)) if q.eq_ignore_ascii_case(r) => n,
+            Some(_) => return false,
+            None => name,
+        };
+        rec_cols[value_col].eq_ignore_ascii_case(bare)
+    };
+    if group_by.iter().chain(&spine.cols).any(|c| is_v(c)) {
+        return None;
+    }
+    let base = |name: &str| {
+        let (q, c) = name.split_once('.')?;
+        let mut hits = spine
+            .scans
+            .iter()
+            .filter(|(_, sq)| sq.eq_ignore_ascii_case(q));
+        match (hits.next(), hits.next()) {
+            (Some((t, _)), None) if !t.eq_ignore_ascii_case(rec) => {
+                Some((t.to_string(), c.to_string()))
+            }
+            _ => None,
+        }
+    };
+    let mut arg_check = Arg {
+        is_v: &is_v,
+        base: &base,
+        reads: Vec::new(),
+    };
+    arg_check.monotone(arg).then_some(arg_check.reads)
+}
+
+/// The data checks for a delta-driven cold loop (DESIGN §16), on iteration
+/// 0's delta — derived from all of R, so it may go into either fold: R's
+/// keys are unique; every key of R is derived again, and no derived row is
+/// worse than R's (for Eq. 7 that is the zero-weight self-loop); R's value
+/// column holds only floats that are not NaN, and the base columns the
+/// argument reads only finite floats. Returns R's key index when they all
+/// hold, for the improve fold to keep.
+fn improve_is_exact(
+    catalog: &Catalog,
+    c: &CompiledWithPlus,
+    delta: &Relation,
+) -> Result<Option<KeyIndex>> {
+    let (
+        Fold::Improve {
+            keys,
+            value_col,
+            min,
+        },
+        Some(reads),
+    ) = (&c.folds.warm, &c.folds.delta_driven)
+    else {
+        return Ok(None);
+    };
+    let floats = |rel: &Relation, col: usize, ok: fn(f64) -> bool| {
+        rel.rows()
+            .iter()
+            .all(|r| matches!(r[col], Value::Float(f) if ok(f)))
+    };
+    for (table, col) in reads {
+        let rel = catalog.relation(table)?;
+        match rel.schema().index_of(col) {
+            Ok(i) if floats(rel, i, f64::is_finite) => {}
+            _ => return Ok(None),
+        }
+    }
+    let r = catalog.relation(&c.rec_name)?;
+    if !floats(r, *value_col, |f| !f.is_nan()) {
+        return Ok(None);
+    }
+    let idx = KeyIndex::build(r, keys);
+    if idx.first_duplicate(r).is_some() {
+        return Ok(None);
+    }
+    let mut derived = vec![false; r.len()];
+    for row in delta.rows() {
+        if let Some(ri) = idx.probe(r, row, keys).next() {
+            let (new, old) = (&row[*value_col], &r.rows()[ri as usize][*value_col]);
+            if (*min && new > old) || (!*min && new < old) {
+                return Ok(None);
+            }
+            derived[ri as usize] = true;
+        }
+    }
+    Ok(derived.iter().all(|&d| d).then_some(idx))
+}
+
+/// A key index over R for the improve fold, whose keys must be unique.
+fn unique_key_index(catalog: &Catalog, rec: &str, keys: &[usize]) -> Result<KeyIndex> {
+    let r = catalog.relation(rec)?;
+    let idx = KeyIndex::build(r, keys);
+    match idx.first_duplicate(r) {
+        None => Ok(idx),
+        Some(i) => Err(WithPlusError::Storage(StorageError::DuplicateKey(format!(
+            "improve fold over {rec}: {:?}",
+            keys.iter().map(|&k| &r.rows()[i][k]).collect::<Vec<_>>()
+        )))),
+    }
+}
+
 /// Where the loop starts.
 pub(crate) enum Start {
     /// Evaluate the initialization subqueries into a fresh R.
@@ -245,10 +684,36 @@ pub(crate) struct Started {
     /// once per run when the fold reads one.
     steps: Vec<CompiledStep>,
     frontier: Option<String>,
+    fold: Fold,
+    /// R's key index while the fold improves by key, held (and grown by
+    /// the kernel) across iterations.
+    index: Option<KeyIndex>,
+    /// A cold run that switches to the improve fold at iteration 0 if the
+    /// data checks hold ([`improve_is_exact`]).
+    trial: bool,
     /// Index of the next iteration.
     it: usize,
     /// Is there anything left to propagate?
     go: bool,
+}
+
+/// The recursive steps as `fold` runs them: the self-reference rebound to
+/// the frontier table when the fold reads one, and that table's name.
+fn bind_steps(c: &CompiledWithPlus, fold: &Fold) -> (Vec<CompiledStep>, Option<String>) {
+    let rec = &c.rec_name;
+    if !fold.reads_frontier() {
+        return (c.recursive.clone(), None);
+    }
+    let frontier = format!("__delta_{rec}");
+    let steps = c
+        .recursive
+        .iter()
+        .map(|s| CompiledStep {
+            computed: s.computed.clone(),
+            plan: rebind_scan(&s.plan, rec, &frontier),
+        })
+        .collect();
+    (steps, Some(frontier))
 }
 
 /// The runtime for one with+ execution.
@@ -313,7 +778,7 @@ impl<'a> PsmRunner<'a> {
         // materialized temp table — this is the cheap per-iteration path
         // that keeps the shrinking `__delta_*` working table's sketches
         // current, so per-execution EXPLAIN estimates track the delta.
-        if self.profile.optimizer == aio_algebra::Optimizer::Cost {
+        if self.profile.optimizer == Optimizer::Cost {
             let _ = self.catalog.analyze(name);
         }
         self.build_indexes(name)?;
@@ -423,6 +888,14 @@ impl<'a> PsmRunner<'a> {
             }
         }
         let result = self.with_temps(c, |r| r.run_statement(c, resume));
+        if let Some(s) = run_span.as_ref().filter(|_| self.may_improve(c)) {
+            let fold = if self.stats.delta_driven {
+                "improve"
+            } else {
+                "replace"
+            };
+            s.field("fold", fold);
+        }
         self.stats.elapsed = start.elapsed();
         self.stats.wal_bytes = self.catalog.wal.bytes_written() - wal_before;
         let relation = result?;
@@ -435,8 +908,10 @@ impl<'a> PsmRunner<'a> {
     /// What only a statement does around the loop: per-iteration WAL commit
     /// / MVCC publish, `IterStat`s and snapshots, the attributed counters.
     fn run_statement(&mut self, c: &CompiledWithPlus, resume: Option<usize>) -> Result<Relation> {
-        let fold = Fold::of(c)?;
-        let started = self.start(c, resume.map_or(Start::Init, Start::Resume), &fold)?;
+        // A resumed run continues full-width: R_k is the same under both
+        // folds.
+        let start = resume.map_or(Start::Init, Start::Resume);
+        let started = self.start(c, start, &c.folds.cold)?;
 
         // Everything counted so far belongs to initialization.
         self.stats.init_exec = self.stats.exec.clone();
@@ -447,7 +922,7 @@ impl<'a> PsmRunner<'a> {
             self.wal_commit_iter_point(&c.rec_name, 0)?;
         }
 
-        self.iterate(c, started, &fold, f64::INFINITY, |r, it, stat| {
+        self.iterate(c, started, f64::INFINITY, |r, it, stat| {
             r.stats.iterations.push(stat);
             if r.profile.capture_snapshots {
                 let snapshot = r.catalog.relation(&c.rec_name)?.clone();
@@ -511,17 +986,25 @@ impl<'a> PsmRunner<'a> {
         Ok(())
     }
 
+    /// Is the optimizer on and `c` statically fit for a delta-driven cold
+    /// loop? Then a cold run tries the improve fold at iteration 0.
+    fn may_improve(&self, c: &CompiledWithPlus) -> bool {
+        self.profile.optimizer != Optimizer::Off && c.folds.delta_driven.is_some()
+    }
+
     /// Fold one subquery's `delta` into R. Returns what it did and the rows
     /// it contributes to the next frontier (`None` for the full-width
     /// fold). `C_i` is read off the operators: the keyed folds count the
     /// rows they inserted or overwrote with a different row
     /// (`ExecStats::ubu_changed_rows`) and never shrink R, and a keyless
     /// replacement counts the rows old R does not cover — so "R changed"
-    /// is "something was counted, or |R| moved".
+    /// is "something was counted, or |R| moved". The improve fold builds
+    /// R's key index into `index` on first use and keeps it there.
     fn fold_delta(
         &mut self,
         rec: &str,
         fold: &Fold,
+        index: &mut Option<KeyIndex>,
         delta: Relation,
     ) -> Result<(SubqueryIterStat, Option<Relation>)> {
         let delta_rows = delta.len();
@@ -556,15 +1039,21 @@ impl<'a> PsmRunner<'a> {
                 keys,
                 value_col,
                 min,
-            } => Some(ops::ubu_merge_improve(
-                self.catalog,
-                rec,
-                delta,
-                keys,
-                *value_col,
-                *min,
-                &mut self.stats.exec,
-            )?),
+            } => {
+                let index = match index {
+                    Some(index) => index,
+                    None => index.insert(unique_key_index(self.catalog, rec, keys)?),
+                };
+                Some(ops::ubu_merge_improve(
+                    self.catalog,
+                    rec,
+                    delta,
+                    index,
+                    *value_col,
+                    *min,
+                    &mut self.stats.exec,
+                )?)
+            }
         };
         let ubu_changed_rows = (self.stats.exec.ubu_changed_rows - counted) as usize;
         let sub = SubqueryIterStat {
@@ -588,7 +1077,12 @@ impl<'a> PsmRunner<'a> {
         // previous iteration's *working table* (SQL'99 / PostgreSQL
         // semi-naive semantics); `computed by` relations and replacing
         // union-by-update queries read the full accumulated R.
-        let frontier = fold.reads_frontier().then(|| format!("__delta_{rec}"));
+        let (steps, frontier) = bind_steps(c, fold);
+        // A cold run the compiler found fit starts replacing and reading R,
+        // as iteration 0 reads all of R under either fold; its data checks
+        // decide the fold from there on.
+        let trial = matches!(start, Start::Init) && self.may_improve(c);
+        let mut index = None;
         let (it, go) = match start {
             Start::Init => {
                 if self.catalog.contains(rec) {
@@ -616,7 +1110,7 @@ impl<'a> PsmRunner<'a> {
                 (0, true)
             }
             Start::Seed(seed) => {
-                let (sub, next) = self.fold_delta(rec, fold, seed)?;
+                let (sub, next) = self.fold_delta(rec, fold, &mut index, seed)?;
                 if let (Some(f), Some(next)) = (&frontier, next) {
                     self.materialize(f, next)?;
                 }
@@ -637,20 +1131,12 @@ impl<'a> PsmRunner<'a> {
                 (k, true)
             }
         };
-        let steps = match &frontier {
-            None => c.recursive.clone(),
-            Some(f) => c
-                .recursive
-                .iter()
-                .map(|s| CompiledStep {
-                    computed: s.computed.clone(),
-                    plan: rebind_scan(&s.plan, rec, f),
-                })
-                .collect(),
-        };
         Ok(Started {
             steps,
             frontier,
+            fold: fold.clone(),
+            index,
+            trial,
             it,
             go,
         })
@@ -667,13 +1153,15 @@ impl<'a> PsmRunner<'a> {
         &mut self,
         c: &CompiledWithPlus,
         started: Started,
-        fold: &Fold,
         epsilon: f64,
         mut on_iter: impl FnMut(&mut Self, usize, IterStat) -> Result<()>,
     ) -> Result<usize> {
         let Started {
-            steps,
-            frontier,
+            mut steps,
+            mut frontier,
+            mut fold,
+            mut index,
+            mut trial,
             it: first,
             mut go,
         } = started;
@@ -701,17 +1189,24 @@ impl<'a> PsmRunner<'a> {
                 self.run_step_computed(step, &label)?;
                 let delta = self.eval(&step.plan, &label)?;
                 let delta = rename_to(delta, &c.rec_cols)?;
-                let moved = match (max_change, fold) {
+                if std::mem::take(&mut trial) {
+                    if let Some(idx) = improve_is_exact(self.catalog, c, &delta)? {
+                        fold = c.folds.warm.clone();
+                        index = Some(idx);
+                        self.stats.delta_driven = true;
+                    }
+                }
+                let moved = match (max_change, &fold) {
                     (Some(_), Fold::Replace { keys: Some(keys) }) => {
                         max_keyed_change(self.catalog.relation(rec)?, &delta, keys)
                     }
                     _ => None,
                 };
-                let (sub, fresh) = self.fold_delta(rec, fold, delta)?;
+                let (sub, fresh) = self.fold_delta(rec, &fold, &mut index, delta)?;
                 if let Some(fresh) = fresh {
                     next = Some(match next {
                         None => fresh,
-                        Some(acc) if *fold == Fold::InsertFresh => {
+                        Some(acc) if fold == Fold::InsertFresh => {
                             ops::union_distinct(&acc, &fresh)?
                         }
                         Some(acc) => ops::union_all(&acc, &fresh)?,
@@ -740,6 +1235,11 @@ impl<'a> PsmRunner<'a> {
                 subqueries.push(sub);
             }
 
+            if fold.reads_frontier() && frontier.is_none() {
+                // switched to the improve fold: from the next iteration on
+                // the recursive step reads what this one improved
+                (steps, frontier) = bind_steps(c, &fold);
+            }
             if let Some(f) = &frontier {
                 let w = match next {
                     Some(w) => w,
@@ -830,6 +1330,116 @@ mod tests {
         let profile = oracle_like();
         let mut runner = PsmRunner::new(&mut cat, &profile, UbuImpl::FullOuterJoin);
         runner.run(&c).unwrap()
+    }
+
+    /// What compiling `sql` proves about its fixpoint (`:c`, `:n` bound).
+    fn folds(sql: &str) -> Result<Folds> {
+        let Statement::WithPlus(w) = Parser::parse_statement(sql)? else {
+            panic!("expected with+")
+        };
+        let params = HashMap::from([
+            ("c".to_string(), Value::from(0.85)),
+            ("n".to_string(), Value::from(2.0)),
+        ]);
+        Ok(compile(&w, &LowerCtx::new(&params, AntiJoinImpl::LeftOuterNull))?.folds)
+    }
+
+    #[test]
+    fn classification_covers_the_algorithm_sql() {
+        let tc = "with TC(F, T) as ((select E.F, E.T from E) union \
+                  (select TC.F, E.T from TC, E where TC.T = E.F)) select * from TC";
+        let f = folds(tc).unwrap();
+        assert_eq!(
+            (f.class, &f.warm),
+            (ViewClass::Monotone, &Fold::InsertFresh)
+        );
+        let tc_all = tc.replace("union", "union all");
+        let f = folds(&tc_all).unwrap();
+        assert_eq!((f.class, &f.warm), (ViewClass::Opaque, &Fold::InsertAll));
+
+        let f = folds(&sssp("min(D.vw + E.ew)", "")).unwrap();
+        let improve = Fold::Improve {
+            keys: vec![0],
+            value_col: 1,
+            min: true,
+        };
+        assert_eq!((f.class, &f.warm), (ViewClass::MonotoneUbu, &improve));
+        assert_eq!(
+            f.cold,
+            Fold::Replace {
+                keys: Some(vec![0])
+            }
+        );
+
+        let pr = "with P(ID, W) as ((select V.ID, 0.0 from V) union by update ID \
+                  (select E.T, :c * sum(P.W * E.ew) + (1 - :c) / :n from P, E \
+                   where P.ID = E.F group by E.T)) select ID, W from P";
+        let f = folds(pr).unwrap();
+        let replace = Fold::Replace {
+            keys: Some(vec![0]),
+        };
+        assert_eq!((f.class, &f.warm), (ViewClass::Reconverge, &replace));
+        assert_eq!(f.delta_driven, None);
+    }
+
+    /// Eq. 7's shape with `agg` as the value item and `filter` ANDed into
+    /// the join condition.
+    fn sssp(agg: &str, filter: &str) -> String {
+        format!(
+            "with D(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+             (select E.T, {agg} from D, E where D.ID = E.F {filter} group by E.T)) \
+             select * from D"
+        )
+    }
+
+    #[test]
+    fn delta_driven_shape_is_proved_statically() {
+        let ew = || vec![("E".to_string(), "ew".to_string())];
+        for (agg, filter, want) in [
+            ("min(D.vw + E.ew)", "", Some(ew())),
+            ("min(E.ew + D.vw)", "", Some(ew())),
+            ("min(D.vw - E.ew)", "", Some(ew())),
+            ("min(D.vw + 1)", "", Some(vec![])),
+            ("min((D.vw + E.ew) + 0.5)", "", Some(ew())),
+            ("min(least(D.vw, E.ew))", "", Some(ew())),
+            ("max(greatest(D.vw, E.ew) * 2)", "", Some(ew())),
+            ("min(D.vw / 2.0)", "and E.ew > 0.0", Some(vec![])),
+            // WCC's column product, and arguments that are not
+            // non-decreasing in D.vw or read another column of D
+            ("min(D.vw * E.ew)", "", None),
+            ("min(E.ew - D.vw)", "", None),
+            ("min(D.vw * -1)", "", None),
+            ("min(D.vw * 0)", "", None),
+            ("min(D.vw + D.ID)", "", None),
+            ("min(D.vw + D.vw)", "", None),
+            ("min(least(D.vw, 1))", "", None),
+            // the value column outside the argument
+            ("min(D.vw + E.ew)", "and D.vw < 10.0", None),
+            // not min/max at all
+            ("sum(D.vw + E.ew)", "", None),
+        ] {
+            let f = folds(&sssp(agg, filter)).unwrap();
+            assert_eq!(f.delta_driven, want, "{agg} {filter}");
+        }
+        // R read twice, off the spine, or through an outer join; keys that
+        // are not exactly the group-by columns
+        for sql in [
+            "with D(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+             (select E.T, min(D.vw + E.ew) from D, E, D D2 \
+              where D.ID = E.F and D2.ID = E.T group by E.T)) select * from D",
+            "with D(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+             (select E.T, min(D.vw + E.ew) from D, E \
+              where D.ID = E.F and E.T not in (select D.ID from D) group by E.T)) \
+             select * from D",
+            "with D(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+             (select E.T, min(D.vw + E.ew) from D left join E on D.ID = E.F \
+              group by E.T)) select * from D",
+            "with D(ID, vw) as ((select V.ID, V.vw from V) union by update ID \
+             (select E.T, min(D.vw + E.ew) from D, E where D.ID = E.F \
+              group by E.T, E.F)) select * from D",
+        ] {
+            assert_eq!(folds(sql).unwrap().delta_driven, None, "{sql}");
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Shortest paths three ways: Bellman-Ford (linear recursion), the
 //! nonlinear Floyd-Warshall MM-join (distance doubling), and the
-//! Oracle-vs-PostgreSQL profile gap on the same query.
+//! Oracle-vs-PostgreSQL profile gap on the same query — plus Bellman-Ford
+//! again under the cost optimizer, where it runs delta-driven (the example
+//! fails if it does not, or if its distances differ).
 //!
 //! ```sh
 //! cargo run --release --example shortest_paths
 //! ```
 
+use all_in_one::algebra::Optimizer;
 use all_in_one::algos;
 use all_in_one::prelude::*;
 
@@ -33,6 +36,24 @@ fn main() {
             run.stats.exec.index_scans,
         );
     }
+
+    // --- the same statement, delta-driven ---------------------------------
+    // Under the cost optimizer the loop proves Eq. 7 may fold by
+    // improvement, so each iteration joins only the distances the previous
+    // one improved; the answer must not change.
+    let (full, full_run) = algos::sssp::run(&g, &oracle_like(), 0).unwrap();
+    let cost = oracle_like().with_optimizer(Optimizer::Cost);
+    let (delta, delta_run) = algos::sssp::run(&g, &cost, 0).unwrap();
+    assert!(delta_run.stats.delta_driven, "Eq. 7 must run delta-driven");
+    assert_eq!(delta, full, "delta-driven distances differ from full-width");
+    let derived =
+        |run: &QueryResult| -> usize { run.stats.iterations.iter().map(|it| it.delta_rows).sum() };
+    println!(
+        "\ndelta-driven SSSP: {} iterations, {} rows derived (full-width: {})",
+        delta_run.stats.iterations.len(),
+        derived(&delta_run),
+        derived(&full_run)
+    );
 
     // --- all pairs by nonlinear recursion -------------------------------
     let small = DatasetSpec::by_key("WV").unwrap().synthesize(0.002);

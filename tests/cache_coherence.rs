@@ -24,8 +24,8 @@
 use all_in_one::algebra::ops::{ubu_merge_improve, union_by_update};
 use all_in_one::algebra::{oracle_like, ExecStats, UbuImpl};
 use all_in_one::storage::{
-    open_catalog, Batch, Catalog, Column, ColumnVec, DataType, Relation, Row, Schema, SimVfs,
-    SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
+    open_catalog, Batch, Catalog, Column, ColumnVec, DataType, KeyIndex, Relation, Row, Schema,
+    SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -161,11 +161,14 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
             );
         }
         11 => {
+            // through the caller's key index over the target, as the
+            // fixpoint loop holds one
+            let mut idx = KeyIndex::build(cat.relation(name).unwrap(), &[0]);
             let _ = ubu_merge_improve(
                 cat,
                 name,
                 keyed_delta(a, n),
-                &[0],
+                &mut idx,
                 1,
                 a.is_multiple_of(2),
                 &mut stats,

@@ -21,15 +21,17 @@
 //!
 //! Tier-1 strides through the crash points (`AIO_CRASH_STRIDE`, default 3);
 //! `./ci.sh full` runs the `#[ignore]`d exhaustive sweep at stride 1.
+//! The same harness also kills a delta-driven Eq. 7 run at every operation
+//! (it must resume full-width), and sweeps a maintained view under churn.
 //! A golden `RecoveryReport` rendering pins the report format.
 
 use aio_testkit::AlgoResult;
-use all_in_one::algebra::oracle_like;
-use all_in_one::algos::{pagerank, Tolerance};
+use all_in_one::algebra::{oracle_like, EngineProfile, Optimizer};
+use all_in_one::algos::{pagerank, sssp, Tolerance};
 use all_in_one::graph::{generate, load, reference, GraphKind};
-use all_in_one::storage::{Relation, Row, SimVfs, UnsyncedFate, WalPolicy};
-use all_in_one::withplus::{Database, Session, SharedDatabase};
-use std::collections::BTreeMap;
+use all_in_one::storage::{row, Relation, Row, SimVfs, UnsyncedFate, Value, WalPolicy};
+use all_in_one::withplus::{Database, QueryResult, Session, SharedDatabase};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const NODES: usize = 30;
@@ -637,6 +639,83 @@ fn ivm_crash_sweep_strided() {
 #[ignore = "exhaustive ivm crash sweep: run via ./ci.sh full"]
 fn ivm_crash_sweep_exhaustive() {
     ivm_sweep(1);
+}
+
+// ---------------------------------------------------------------------------
+// Crash points of a delta-driven fixpoint
+// ---------------------------------------------------------------------------
+
+fn cost_profile() -> EngineProfile {
+    oracle_like().with_optimizer(Optimizer::Cost)
+}
+
+/// Eq. 7 from vertex 0 under the cost optimizer, on the sweep's graph with
+/// zero-weight self-loops: a delta-driven run, which keeps its frontier in
+/// the temp table `__delta_D`.
+fn sssp_workload(vfs: Arc<SimVfs>) -> all_in_one::withplus::Result<QueryResult> {
+    let g = generate(GraphKind::PowerLaw, NODES, EDGES, true, 42);
+    let mut e = load::edge_relation(&g);
+    e.extend((0..NODES as i64).map(|v| row![v, v, 0.0]))?;
+    let mut v = load::node_relation(&g);
+    for r in v.rows_mut() {
+        r[1] = Value::Float(if r[0] == Value::Int(0) {
+            0.0
+        } else {
+            f64::INFINITY
+        });
+    }
+    let (mut db, _report) = Database::open_with_vfs(vfs, DIR, cost_profile(), None)?;
+    db.create_table("E", e)?;
+    db.create_table("V", v)?;
+    db.execute(sssp::SQL)
+}
+
+/// Killed at every mutating fs op, and so at every iteration boundary, a
+/// delta-driven run resumes full-width — R after iteration k is the same
+/// under either fold — to the uninterrupted relation, and the frontier
+/// table it left behind is dropped with the run's other temporaries.
+#[test]
+fn delta_driven_run_resumes_full_width_from_every_iteration() {
+    let baseline = sssp_workload(Arc::new(SimVfs::new())).unwrap();
+    assert!(baseline.stats.delta_driven);
+    let want = sorted(&baseline.relation);
+    let iterations = baseline.stats.iterations.len() as u64;
+    let vfs = Arc::new(SimVfs::new());
+    sssp_workload(vfs.clone()).unwrap();
+    let mut resumed_at = BTreeSet::new();
+    for k in 1..=vfs.op_count() {
+        let ctx = format!("sssp crash at op {k}");
+        let vfs = Arc::new(SimVfs::new());
+        vfs.set_crash_at(k);
+        let run = sssp_workload(vfs.clone());
+        if !vfs.has_crashed() {
+            run.unwrap_or_else(|e| panic!("{ctx}: run failed without crashing: {e}"));
+        }
+        let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
+        let (mut db, report) = Database::open_with_vfs(img, DIR, cost_profile(), None)
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let Some(done) = report.interrupted.and_then(|i| i.committed_iters) else {
+            continue;
+        };
+        // iteration 0 chose the improve fold and wrote its first frontier
+        assert_eq!(db.catalog.contains("__delta_D"), done > 0, "{ctx}");
+        let out = db
+            .resume_interrupted()
+            .unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"))
+            .expect("interrupted implies resumable");
+        assert!(
+            !out.stats.delta_driven,
+            "{ctx}: a resumed run is full-width"
+        );
+        assert_eq!(sorted(&out.relation), want, "{ctx}: resumed at {done}");
+        assert_eq!(db.catalog.names(), ["e", "v"], "{ctx}: temp tables left");
+        resumed_at.insert(done);
+    }
+    assert_eq!(
+        resumed_at,
+        (0..=iterations).collect(),
+        "every iteration boundary is a crash point"
+    );
 }
 
 /// A crash *between* statements (clean shutdown without checkpoint) loses

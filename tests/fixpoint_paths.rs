@@ -2,11 +2,16 @@
 //! view build (`create_view`) and an incremental refresh (`apply_edges`)
 //! must land on the same relation, under every engine profile — so
 //! `postgres_like(true)` also drives temp-table index builds on the view
-//! path. Fixed fixture: a 10-node DAG in two weak components.
+//! path — and under the cost optimizer, where statement and cold view run
+//! SSSP delta-driven. Fixed fixture: a 10-node DAG in two weak components.
 
-use all_in_one::algebra::{all_profiles, oracle_like, AlgebraError, EngineProfile};
-use all_in_one::storage::{edge_schema, node_schema, row, Relation, Row};
-use all_in_one::withplus::{Database, EdgeDelta, RefreshMode, WithPlusError};
+use all_in_one::algebra::{all_profiles, oracle_like, AlgebraError, EngineProfile, Optimizer};
+use all_in_one::storage::{
+    edge_schema, node_schema, row, Column, DataType, Relation, Row, Schema, Value,
+};
+use all_in_one::withplus::{
+    Database, EdgeDelta, IterStat, QueryResult, RefreshMode, WithPlusError,
+};
 
 /// Edges run low → high, so any low → high addition keeps the graph a DAG
 /// (`union all` terminates by emptiness). {0..6} and {7, 8, 9} are not
@@ -128,12 +133,19 @@ fn assert_same(algo: &str, got: &Relation, want: &Relation, ctx: &str) {
     }
 }
 
+/// The paper's three profiles, and the first with the cost optimizer on.
+fn profiles() -> Vec<EngineProfile> {
+    let mut out = all_profiles();
+    out.push(oracle_like().with_optimizer(Optimizer::Cost));
+    out
+}
+
 #[test]
 fn statement_cold_view_and_refresh_agree_under_every_profile() {
     let grown: Vec<(i64, i64)> = BASE.iter().chain(GROWN).copied().collect();
-    for profile in all_profiles() {
+    for profile in profiles() {
         for &algo in ALGOS {
-            let ctx = format!("{algo} under {}", profile.name);
+            let ctx = format!("{algo} under {:?}", (profile.name, profile.optimizer));
             let sql = sql(algo, None);
             let mut db = db_over(&profile, algo, BASE);
             let stmt = db.execute(&sql).unwrap().relation;
@@ -176,9 +188,9 @@ fn statement_cold_view_and_refresh_agree_under_every_profile() {
 
 #[test]
 fn maxrecursion_truncates_statement_and_view_alike() {
-    for profile in all_profiles() {
+    for profile in profiles() {
         for &algo in &["tc", "tc_all", "sssp", "wcc"] {
-            let ctx = format!("{algo} under {}", profile.name);
+            let ctx = format!("{algo} under {:?}", (profile.name, profile.optimizer));
             let mut db = db_over(&profile, algo, BASE);
             let full = db.execute(&sql(algo, None)).unwrap().relation;
             let capped = sql(algo, Some(1));
@@ -247,6 +259,146 @@ fn empty_init_view_builds_refreshes_and_falls_back() {
     let stmt = db.execute(&sql).unwrap();
     assert!(stmt.relation.is_empty());
     assert_eq!(report.iterations, stmt.stats.iterations.len());
+}
+
+/// Eq. 7 at `optimizer` over `e`/`v`, traced, with per-iteration
+/// snapshots; also returns the `psm_run` span's `fold` field.
+fn eq7_run(optimizer: Optimizer, e: Relation, v: Relation) -> (QueryResult, Option<String>) {
+    let profile = oracle_like().with_optimizer(optimizer).with_snapshots(true);
+    let mut db = Database::new(profile);
+    db.create_table("E", e).unwrap();
+    db.create_table("V", v).unwrap();
+    db.enable_tracing();
+    let out = db.execute(&sql("sssp", None)).unwrap();
+    let trace = db.take_trace().unwrap();
+    let run = trace.spans_named("psm_run").next().unwrap();
+    let fold = run.field("fold").map(|f| f.to_string());
+    (out, fold)
+}
+
+/// Under `Cost`, Eq. 7 with its zero-weight self-loops folds by improvement
+/// and reads only the frontier; wherever a data check fails it replaces,
+/// full-width. Either way every iteration leaves R exactly as `Off`'s
+/// full-width run does: same iteration count, same rows changed, same
+/// relation after every iteration.
+#[test]
+fn cost_runs_eq7_delta_driven_exactly_where_it_matches_off() {
+    let grown: Vec<(i64, i64)> = BASE.iter().chain(GROWN).copied().collect();
+    let edges = || {
+        let mut e = Relation::new(edge_schema());
+        e.extend(e_rows("sssp", &grown)).unwrap();
+        e
+    };
+    let nodes = || {
+        db_over(&oracle_like(), "sssp", &[])
+            .catalog
+            .relation("V")
+            .unwrap()
+            .clone()
+    };
+    let with_weight = |w: f64| {
+        let mut e = edges();
+        e.rows_mut()[3][2] = Value::Float(w);
+        e
+    };
+    let int_nodes = {
+        let schema = Schema::new(vec![
+            Column::new("ID", DataType::Int),
+            Column::new("vw", DataType::Int),
+        ]);
+        let rows = (0..N).map(|id| row![id, if id == 0 { 0 } else { 1_000_000 }]);
+        Relation::from_rows(schema, rows.collect()).unwrap()
+    };
+    let mut null_nodes = nodes();
+    null_nodes.rows_mut()[4][1] = Value::Null;
+    let mut loopless = edges();
+    loopless.rows_mut().retain(|r| r[0] != r[1]);
+    // Where improving would diverge from replacing. 3 starts below every
+    // derivation of it (and has no self-loop), which replacing overwrites:
+    let mut no_loop_at_3 = edges();
+    no_loop_at_3
+        .rows_mut()
+        .retain(|r| r[0] != r[1] || r[0] != Value::Int(3));
+    let mut low_3 = nodes();
+    low_3.rows_mut()[3][1] = Value::Float(0.5);
+    // 1 is not derived at iteration 0; iteration 1 derives it through the
+    // new key 2 at 101, worse than its seed 5, which replacing writes.
+    let late = (
+        Relation::from_rows(
+            edge_schema(),
+            vec![row![0i64, 2i64, 100.0], row![2i64, 1i64, 1.0]],
+        ),
+        Relation::from_rows(node_schema(), vec![row![0i64, 0.0], row![1i64, 5.0]]),
+    );
+    let cases = [
+        ("zero-weight self-loops", edges(), nodes(), "improve"),
+        ("no zero self-loops", loopless, nodes(), "replace"),
+        (
+            "a seed better than it derives",
+            no_loop_at_3,
+            low_3,
+            "replace",
+        ),
+        (
+            "a key first derived late",
+            late.0.unwrap(),
+            late.1.unwrap(),
+            "replace",
+        ),
+        ("a NaN weight", with_weight(f64::NAN), nodes(), "replace"),
+        (
+            "a -inf weight",
+            with_weight(f64::NEG_INFINITY),
+            nodes(),
+            "replace",
+        ),
+        ("a NULL distance", edges(), null_nodes, "replace"),
+        ("an Int value column", edges(), int_nodes, "replace"),
+    ];
+    for (case, e, v, want) in cases {
+        let (off, off_fold) = eq7_run(Optimizer::Off, e.clone(), v.clone());
+        let (cost, cost_fold) = eq7_run(Optimizer::Cost, e, v);
+        assert_eq!(off_fold, None, "{case}: Off never tries the improve fold");
+        assert_eq!(cost_fold.as_deref(), Some(want), "{case}");
+        assert_eq!(cost.stats.delta_driven, want == "improve", "{case}");
+        assert_eq!(sorted(&cost.relation), sorted(&off.relation), "{case}");
+        let (its, off_its) = (&cost.stats.iterations, &off.stats.iterations);
+        assert_eq!(its.len(), off_its.len(), "{case}: iteration count");
+        assert_eq!(cost.stats.snapshots.len(), its.len(), "{case}");
+        for (k, (a, b)) in cost
+            .stats
+            .snapshots
+            .iter()
+            .zip(&off.stats.snapshots)
+            .enumerate()
+        {
+            assert_eq!(sorted(a), sorted(b), "{case}: R after iteration {k}");
+        }
+        let changed = |s: &[IterStat]| -> Vec<usize> {
+            s.iter().map(|i| i.subqueries[0].ubu_changed_rows).collect()
+        };
+        assert_eq!(changed(its), changed(off_its), "{case}: rows changed");
+        let derived = |s: &[IterStat]| s.iter().map(|i| i.delta_rows).sum::<usize>();
+        if want == "improve" {
+            assert!(
+                derived(its) < derived(off_its),
+                "{case}: reads the frontier"
+            );
+        } else {
+            assert_eq!(derived(its), derived(off_its), "{case}: full-width");
+        }
+    }
+
+    // A NaN distance: which NaN-carrying derivation `min` keeps depends on
+    // the order rows reach it, so even two replacing runs whose join orders
+    // differ (`Off` and `Cost`) part ways between iterations here. It must
+    // keep the improve fold off; only the fold is compared. (At the sink 9
+    // the NaN reaches no other vertex, so no other check sees it.)
+    let mut nan_nodes = nodes();
+    nan_nodes.rows_mut()[9][1] = Value::Float(f64::NAN);
+    let (cost, fold) = eq7_run(Optimizer::Cost, edges(), nan_nodes);
+    assert_eq!(fold.as_deref(), Some("replace"), "a NaN distance");
+    assert!(!cost.stats.delta_driven, "a NaN distance");
 }
 
 /// An epsilon stop reads the largest move of the fold; a move to or from

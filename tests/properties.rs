@@ -14,7 +14,7 @@ use all_in_one::algebra::{
     oracle_like, AggFunc, AggStrategy, EngineProfile, ExecStats, JoinStrategy, ScalarExpr, TROPICAL,
 };
 use all_in_one::prelude::*;
-use all_in_one::storage::{node_schema, Catalog, DataType, Row};
+use all_in_one::storage::{node_schema, Catalog, DataType, KeyIndex, Row};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -427,10 +427,18 @@ proptest! {
             let mut cat = Catalog::new();
             cat.create_temp("R", target.clone()).unwrap();
             let mut s = ExecStats::new();
-            let frontier = ubu_merge_improve(&mut cat, "R", d.clone(), keyed, 1, min, &mut s).unwrap();
+            let mut idx = KeyIndex::build(&target, keyed);
+            let frontier = ubu_merge_improve(&mut cat, "R", d.clone(), &mut idx, 1, min, &mut s).unwrap();
             prop_assert_eq!(bits(frontier.rows()), bits(&improve_model(&target, &d, min)), "min={}", min);
             prop_assert_eq!(s.ubu_changed_rows, frontier.len() as u64);
-            prop_assert_eq!(frontier.len(), cat.relation("R").unwrap().uncovered(&target).count());
+            let after = cat.relation("R").unwrap();
+            prop_assert_eq!(frontier.len(), after.uncovered(&target).count());
+            // the held index grew with R: it probes as a fresh build does
+            let fresh = KeyIndex::build(after, keyed);
+            for row in after.rows().iter().chain(d.rows()) {
+                let held: Vec<u32> = idx.probe(after, row, keyed).collect();
+                prop_assert_eq!(held, fresh.probe(after, row, keyed).collect::<Vec<u32>>());
+            }
         }
     }
 
