@@ -11,6 +11,14 @@
 //! join, sort aggregation, multi-column or non-integer group keys) signal
 //! ineligibility (`Ok(None)`) *before* touching `ExecStats`, and the
 //! evaluator bridges that node through the row operators instead.
+//!
+//! The Int-key hash join has a second form, `driven_join`, which the
+//! evaluator picks at run time under `Rules` / `Cost` when the probe side
+//! is a base table and the build side is small: the small side's keys are
+//! looked up in the table's cached single-level trie on the key column, so
+//! the join reads the matching rows of the table instead of probing all of
+//! them. Its output is `hash_join`'s, in the same order, so no consumer can
+//! tell them apart.
 
 use crate::agg::{Accumulator, AggFunc, AggNum, GroupAcc, TypedAcc};
 use crate::error::{AlgebraError, Result};
@@ -18,7 +26,7 @@ use crate::expr::{BinOp, Func, ScalarExpr, UnaryOp};
 use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, Value, GATHER_NULL};
+use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, TrieIndex, Value, GATHER_NULL};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -559,7 +567,6 @@ pub(crate) fn hash_join(
     stats.joins += 1;
     stats.rows_scanned += (left.len() + right.len()) as u64;
     record_phases(JoinPhases::default());
-    let schema = left.schema().join(right.schema());
 
     let build_start = Instant::now();
     let mut table: FxHashMap<(i64, i64), Vec<u32>> = FxHashMap::default();
@@ -624,16 +631,68 @@ pub(crate) fn hash_join(
         }
     }
 
-    let mut cols: Vec<Arc<ColumnVec>> = Vec::with_capacity(schema.arity());
-    for c in left.columns() {
-        cols.push(Arc::new(c.gather(&lidx)));
-    }
-    for c in right.columns() {
-        cols.push(Arc::new(c.gather(&ridx)));
-    }
-    let out = Batch::from_columns(schema, cols, lidx.len());
+    let out = gather_joined(left, right, &lidx, &ridx);
     stats.rows_produced += out.len() as u64;
     Ok(Some(out))
+}
+
+/// The joined batch: `left`'s columns gathered by `lidx`, then `right`'s by
+/// `ridx` ([`GATHER_NULL`] pads).
+fn gather_joined(left: &Batch, right: &Batch, lidx: &[u32], ridx: &[u32]) -> Batch {
+    let cols = (left.columns().iter().map(|c| c.gather(lidx)))
+        .chain(right.columns().iter().map(|c| c.gather(ridx)))
+        .map(Arc::new)
+        .collect();
+    Batch::from_columns(left.schema().join(right.schema()), cols, lidx.len())
+}
+
+/// The small build side may drive the join ([`driven_join`]) when the
+/// indexed probe side has at least this many times its rows.
+pub(crate) const DRIVE_RATIO: usize = 8;
+
+/// Inner equi-join on one `Int` key whose left (probe) input is a table with
+/// the single-level trie `index` on its key column and whose right (build)
+/// input is small; the caller checked that the right key column is `Int`.
+/// The small side drives: each of its rows fetches its matches from
+/// `rows_under`, and no other row of the table is read. The output equals
+/// [`hash_join`]'s row for row at every `par`: that join emits the matching
+/// `(probe row, build row)` pairs sorted, because the probe runs in row
+/// order (morsels concatenated in order) and a bucket lists build rows in
+/// row order — so the pairs collected here are sorted into that order.
+/// `build_ns` (the trie build, 0 when it was cached) is reported as the
+/// build phase; only the rows read — the small side and the matched rows —
+/// count as scanned.
+pub(crate) fn driven_join(
+    left: &Batch,
+    right: &Batch,
+    keys: &JoinKeys,
+    index: &TrieIndex,
+    build_ns: u64,
+    stats: &mut ExecStats,
+) -> Batch {
+    stats.joins += 1;
+    let probe_start = Instant::now();
+    let rkeys = int_key_cols(right, &keys.right).expect("the caller checked an Int key column");
+    // `table row << 32 | small row`: sorted, the pairs are the hash join's
+    let mut pairs: Vec<u64> = Vec::new();
+    for i in 0..right.len() {
+        if let Some(j) = key_at(&rkeys, i).and_then(|(k, _)| index.root_of_int(k)) {
+            let rows = index.rows_under(0, j);
+            pairs.extend(rows.iter().map(|&li| (li as u64) << 32 | i as u64));
+        }
+    }
+    pairs.sort_unstable();
+    let lidx: Vec<u32> = pairs.iter().map(|&p| (p >> 32) as u32).collect();
+    let ridx: Vec<u32> = pairs.iter().map(|&p| p as u32).collect();
+    record_phases(JoinPhases {
+        build_ns,
+        probe_ns: probe_start.elapsed().as_nanos() as u64,
+        morsels: 1,
+    });
+    stats.rows_scanned += (right.len() + lidx.len()) as u64;
+    let out = gather_joined(left, right, &lidx, &ridx);
+    stats.rows_produced += out.len() as u64;
+    out
 }
 
 /// The 1–2 key columns as borrowed Int slices, or `None` if ineligible.

@@ -11,7 +11,7 @@
 
 use crate::plan::Plan;
 use aio_trace::{SpanRecord, Trace};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Aggregated measurements for one plan node across all its invocations.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -37,6 +37,10 @@ pub struct NodeAgg {
     /// aggregate nodes only.
     pub typed: u64,
     pub typed_recorded: u64,
+    /// How a join that a small input drove through a table's cached trie
+    /// ran (field `join_index`: `driven=D, index=E.F`), with the number of
+    /// invocations that ran that way; hashed calls record none.
+    pub join_index: BTreeMap<String, u64>,
 }
 
 impl NodeAgg {
@@ -58,6 +62,9 @@ impl NodeAgg {
         if let Some(aio_trace::FieldValue::Bool(t)) = s.field("typed") {
             self.typed += *t as u64;
             self.typed_recorded += 1;
+        }
+        if let Some(aio_trace::FieldValue::Str(how)) = s.field("join_index") {
+            *self.join_index.entry(how.clone()).or_default() += 1;
         }
     }
 }
@@ -254,6 +261,14 @@ fn render_node(
                     ));
                 }
                 out.push_str(&format!(" morsels={}", a.morsels));
+                // every call that way, or how many of the calls
+                for (how, &n) in &a.join_index {
+                    if n == a.calls {
+                        out.push_str(&format!(" {how}"));
+                    } else {
+                        out.push_str(&format!(" {how} ({n}/{} calls)", a.calls));
+                    }
+                }
             }
             if matches!(p, Plan::MultiwayJoin { .. }) && timings {
                 out.push_str(&format!(

@@ -8,9 +8,9 @@
 //! A ⋈⊕(⊙)_{A.T=C.ID} C =  _{A.F}     G _{⊕(⊙)} ( A ⋈_{A.T=C.ID} C )  (MV-join)
 //! ```
 //!
-//! `mm_join_basic_ops` additionally spells the same result out of *only*
-//! the six basic operations + group-by (σ over ×), witnessing the paper's
-//! definability claim; the tests assert it agrees with the fused form.
+//! The tests additionally spell the same result out of *only* the six
+//! basic operations + group-by (σ over ×, `mm_join_basic_ops`), witnessing
+//! the paper's definability claim, and assert it agrees with the fused form.
 
 use crate::error::Result;
 use crate::expr::{Func, ScalarExpr};
@@ -123,37 +123,37 @@ pub fn mm_join(
     )
 }
 
-/// MM-join expressed with only σ, ×, ρ and group-by & aggregation — the
-/// definability witness for Section 4.1's claim that the four operations
-/// "can be defined by the 6 basic relational algebra operations with
-/// group-by & aggregation".
-pub fn mm_join_basic_ops(a: &Relation, b: &Relation, sr: &Semiring) -> Result<Relation> {
-    let a = basic::rename(a, "A");
-    let b = basic::rename(b, "B");
-    let prod = basic::product(&a, &b)?;
-    let sel = basic::select(
-        &prod,
-        &ScalarExpr::eq(ScalarExpr::col("A.T"), ScalarExpr::col("B.F")),
-    )?;
-    let mut stats = ExecStats::new();
-    group_by(
-        &sel,
-        &["A.F".into(), "B.T".into()],
-        &[
-            (ScalarExpr::col("A.F"), "F".into()),
-            (ScalarExpr::col("B.T"), "T".into()),
-            (times_agg(sr, "A.ew", "B.ew"), "ew".into()),
-        ],
-        AggStrategy::Hash,
-        &mut stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::semiring::{BOOLEAN, COUNTING, TROPICAL};
     use aio_storage::{edge_schema, node_schema, row, Relation, Value};
+
+    /// MM-join expressed with only σ, ×, ρ and group-by & aggregation — the
+    /// definability witness for Section 4.1's claim that the four operations
+    /// "can be defined by the 6 basic relational algebra operations with
+    /// group-by & aggregation".
+    fn mm_join_basic_ops(a: &Relation, b: &Relation, sr: &Semiring) -> Result<Relation> {
+        let a = basic::rename(a, "A");
+        let b = basic::rename(b, "B");
+        let prod = basic::product(&a, &b)?;
+        let sel = basic::select(
+            &prod,
+            &ScalarExpr::eq(ScalarExpr::col("A.T"), ScalarExpr::col("B.F")),
+        )?;
+        let mut stats = ExecStats::new();
+        group_by(
+            &sel,
+            &["A.F".into(), "B.T".into()],
+            &[
+                (ScalarExpr::col("A.F"), "F".into()),
+                (ScalarExpr::col("B.T"), "T".into()),
+                (times_agg(sr, "A.ew", "B.ew"), "ew".into()),
+            ],
+            AggStrategy::Hash,
+            &mut stats,
+        )
+    }
 
     /// The 2×2 worked example of Table 8 in the appendix.
     fn matrix(vals: [[f64; 2]; 2]) -> Relation {

@@ -9,7 +9,7 @@ pub mod join;
 pub mod merge_improve;
 pub mod union_by_update;
 
-pub use aggjoin::{mm_join, mm_join_basic_ops, mv_join, MvOrientation};
+pub use aggjoin::{mm_join, mv_join, MvOrientation};
 pub use anti_join::{
     anti_join, anti_join_basic_ops, anti_join_par, semi_join, semi_join_par, AntiJoinImpl,
 };

@@ -19,9 +19,9 @@ use crate::expr::ScalarExpr;
 use crate::ops;
 use crate::ops::anti_join::AntiJoinImpl;
 use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
-use crate::profile::{EngineProfile, ExecMode, JoinStrategy};
+use crate::profile::{EngineProfile, ExecMode, JoinStrategy, Optimizer};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, Catalog, Column, DataType, Relation, Schema, Value};
+use aio_storage::{Batch, Catalog, Column, ColumnVec, DataType, Relation, Schema, Value};
 
 /// A logical plan node.
 #[derive(Clone, Debug)]
@@ -353,6 +353,10 @@ pub struct Evaluator<'a> {
     /// (`false`: some expression took the scratch-row interpreter, or the
     /// node bridged to the row operator)? Becomes the span's `typed` field.
     typed: Option<bool>,
+    /// Set by [`Evaluator::apply`] when a small input drove a join through a
+    /// table's cached trie (traced runs only): `driven=D, index=E.F`.
+    /// Becomes the span's `join_index` field.
+    join_index: Option<String>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -366,6 +370,7 @@ impl<'a> Evaluator<'a> {
             est: Vec::new(),
             mem_peak: 0,
             typed: None,
+            join_index: None,
         }
     }
 
@@ -433,6 +438,7 @@ impl<'a> Evaluator<'a> {
             debug_assert_eq!(out.schema(), &expected?, "{}", op_name(plan));
         }
         let typed = self.typed.take();
+        let join_index = self.join_index.take();
         let batches = match &out {
             Data::Rows(_) => None,
             Data::Cols(b) => Some(b.len().div_ceil(BATCH_SIZE).max(1) as u64),
@@ -463,6 +469,9 @@ impl<'a> Evaluator<'a> {
                 span.field("morsels", ph.morsels);
                 span.field("build_ns", ph.build_ns);
                 span.field("probe_ns", ph.probe_ns);
+            }
+            if let Some(index) = join_index {
+                span.field("join_index", index);
             }
             if matches!(plan, Plan::MultiwayJoin { .. }) {
                 let ph = crate::wcoj::last_wcoj_phases();
@@ -581,6 +590,9 @@ impl<'a> Evaluator<'a> {
                     let (lb, rb) = (l.into_batch(), r.into_batch());
                     let keys = JoinKeys::resolve_schemas(lb.schema(), rb.schema(), on)?;
                     if !keys.left.is_empty() {
+                        if let Some(out) = self.driven_join(left, &lb, &rb, &keys, *kind)? {
+                            return Ok(Data::Cols(out));
+                        }
                         if let Some(out) =
                             batch::hash_join(&lb, &rb, &keys, *kind, par, &mut self.stats)?
                         {
@@ -673,6 +685,62 @@ impl<'a> Evaluator<'a> {
                 )?))
             }
         }
+    }
+
+    /// The batch hash join's run-time choice (DESIGN §17). Under `Rules` /
+    /// `Cost`, an inner join on one `Int` key whose left (probe) input is a
+    /// bare scan of a base table with a NULL-free `Int` key column, and
+    /// whose right (build) input has at most 1/[`DRIVE_RATIO`] of its rows,
+    /// is driven by the small side through the table's cached single-level
+    /// trie instead of hashing. `None` — any other join, or a table still
+    /// paying rent (`Catalog::join_trie`) — leaves the join to
+    /// [`batch::hash_join`]; nothing is touched before that.
+    ///
+    /// [`DRIVE_RATIO`]: batch::DRIVE_RATIO
+    fn driven_join(
+        &mut self,
+        left: &Plan,
+        lb: &Batch,
+        rb: &Batch,
+        keys: &JoinKeys,
+        kind: JoinType,
+    ) -> Result<Option<Batch>> {
+        if self.profile.optimizer == Optimizer::Off || kind != JoinType::Inner {
+            return Ok(None);
+        }
+        let ([lk], [rk]) = (keys.left.as_slice(), keys.right.as_slice()) else {
+            return Ok(None);
+        };
+        if rb.len() * batch::DRIVE_RATIO > lb.len() || !matches!(rb.col(*rk), ColumnVec::Int { .. })
+        {
+            return Ok(None);
+        }
+        let Some(table) = self.base_scan(left, lb, *lk) else {
+            return Ok(None);
+        };
+        let Some((trie, built)) = self.catalog.join_trie(table, &[*lk])? else {
+            return Ok(None);
+        };
+        if self.tracer.is_some() {
+            let name = &lb.schema().columns()[*lk].name;
+            let small = &rb.schema().columns()[*rk];
+            let side = small.qualifier.as_deref().unwrap_or(&small.name);
+            self.join_index = Some(format!("driven={side}, index={table}.{name}"));
+        }
+        let out = batch::driven_join(lb, rb, keys, &trie, built.unwrap_or(0), &mut self.stats);
+        Ok(Some(out))
+    }
+
+    /// The table `child` reads when it is a bare scan of a base (non-temp)
+    /// table whose column `col` — of `data`, the scan's output — is
+    /// NULL-free `Int`, so its trie on `col` is an all-`Int` level.
+    fn base_scan<'p>(&self, child: &'p Plan, data: &Batch, col: usize) -> Option<&'p str> {
+        let Plan::Scan { table, .. } = child else {
+            return None;
+        };
+        let int = matches!(data.col(col), ColumnVec::Int { nulls, .. } if !nulls.any());
+        let base = self.catalog.entry(table).is_ok_and(|e| !e.temp);
+        (int && base).then_some(table.as_str())
     }
 
     /// The stored sort order on `cols` that can serve a join input: only

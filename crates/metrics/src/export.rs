@@ -92,8 +92,9 @@ pub fn query_report_json(q: &QueryReport) -> String {
 /// `# HELP`, `# TYPE` (with a known metric type) or `name[{labels}] value`
 /// sample whose name is legal and whose value parses. Samples must follow
 /// a TYPE line for their family. Returns the number of sample lines.
-/// Test support: nothing outside this module's unit tests calls it.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
+/// Test support, compiled for this module's unit tests only.
+#[cfg(test)]
+fn validate_prometheus(text: &str) -> Result<usize, String> {
     fn valid_name(name: &str) -> bool {
         !name.is_empty()
             && name

@@ -29,8 +29,10 @@ pub struct TableEntry {
     pub temp: bool,
     /// Sorted indexes built over this table (Exp-A, Fig. 10).
     pub indexes: Vec<SortedIndex>,
-    /// Trie indexes for worst-case-optimal joins, built lazily per key
-    /// order through `&Catalog` and invalidated on any mutation. Derived
+    /// Trie indexes, built lazily per key order through `&Catalog` and
+    /// invalidated on any mutation: the leapfrog's multi-level tries, and
+    /// the single-level tries a batch hash join looks keys up in instead of
+    /// hashing this table again (the cached adjacency `E[F]`). Derived
     /// data: never WAL-logged, rebuilt on demand after recovery.
     pub tries: TrieCache,
     /// The table's columnar image — what `Batch::from_relation(&rel)`
@@ -456,6 +458,20 @@ impl Catalog {
     pub fn trie_for(&self, name: &str, cols: &[usize]) -> Result<std::sync::Arc<TrieIndex>> {
         let e = self.entry(name)?;
         Ok(e.tries.get_or_build(&e.rel, cols))
+    }
+
+    /// The trie on `name[cols]` for a join that would otherwise hash the
+    /// table: cached, or built once joins have hashed this version of it
+    /// [`JOIN_TRIE_RENT`](crate::trie::JOIN_TRIE_RENT) times
+    /// ([`TrieCache::fetch_after`]); `None` means hash this time. Same
+    /// cache and lifetime as [`Catalog::trie_for`].
+    pub fn join_trie(
+        &self,
+        name: &str,
+        cols: &[usize],
+    ) -> Result<Option<(std::sync::Arc<TrieIndex>, Option<u64>)>> {
+        let e = self.entry(name)?;
+        Ok(e.tries.fetch_after(&e.rel, cols))
     }
 
     /// The columnar image of `name`: built by the first batch-mode scan

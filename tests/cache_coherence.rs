@@ -15,25 +15,32 @@
 //! 2. a `fork_readonly` taken before a writer mutation keeps reading its
 //!    own generation — rows and image — whatever the writer does next;
 //! 3. derived data is never logged: after a durable close / reopen the
-//!    contents are back and both caches start empty.
+//!    contents are back and both caches start empty;
+//! 4. the single-level trie a batch join looks keys up in (`[0]`, built
+//!    through `Catalog::join_trie`) dies with its table version: every
+//!    mutation path drops it, the next join returns the new rows, and a
+//!    fork or pinned reader joins through the trie of its own generation.
 //!
 //! The tables carry NULL-bearing Int and Float columns (NaN, `-0.0`), a
 //! dictionary-encoded string column and a mixed-type column, so every
 //! `ColumnVec` layout is under test.
 
 use all_in_one::algebra::ops::{ubu_merge_improve, union_by_update};
-use all_in_one::algebra::{oracle_like, ExecStats, UbuImpl};
+use all_in_one::algebra::{
+    execute, oracle_like, ExecMode, ExecStats, JoinType, Optimizer, Plan, UbuImpl,
+};
 use all_in_one::storage::{
-    open_catalog, Batch, Catalog, Column, ColumnVec, DataType, KeyIndex, Relation, Row, Schema,
-    SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
+    edge_schema, open_catalog, Batch, Catalog, Column, ColumnVec, DataType, KeyIndex, Relation,
+    Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const DIR: &str = "db";
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
-/// Key orders the steps build tries and sorted indexes on.
-const KEYS: [&[usize]; 4] = [&[0, 1], &[1, 0], &[2], &[3, 0]];
+/// Key orders the steps build tries and sorted indexes on; `[0]` is the
+/// single-level trie a batch join looks `Int` keys up in.
+const KEYS: [&[usize]; 5] = [&[0, 1], &[1, 0], &[2], &[3, 0], &[0]];
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -186,6 +193,10 @@ fn warm(cat: &mut Catalog, name: &str, a: u8) {
     cat.trie_for(name, cols).unwrap();
     cat.trie_for(name, KEYS[(a as usize + 1) % KEYS.len()])
         .unwrap();
+    // the join's way in: `a % 4` joins, of which the third builds
+    for _ in 0..a % 4 {
+        cat.join_trie(name, &[0]).unwrap();
+    }
     cat.build_index(name, cols).unwrap();
     cat.analyze(name).unwrap();
 }
@@ -381,4 +392,196 @@ proptest! {
         }
         assert_coherent(&reopened, "reopened");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The join's single-level trie: dies with its table version
+// ---------------------------------------------------------------------------
+
+/// `E(F, T, ew)` with NULL-free `Int` keys, so a batch join may look them up
+/// in the trie on `[F]`.
+fn edges(rows: &[(i64, i64)]) -> Relation {
+    let mut e = Relation::new(edge_schema());
+    for &(f, t) in rows {
+        e.push(vec![Value::Int(f), Value::Int(t), Value::Float(1.0)].into())
+            .unwrap();
+    }
+    e
+}
+
+/// `E` holding `rows` and eight rows no join here matches (keys 100..108,
+/// distinct): enough rows for a one-row input to drive a join through it.
+fn table(rows: &[(i64, i64)]) -> Relation {
+    let filler: Vec<(i64, i64)> = (100..108).map(|f| (f, 0)).collect();
+    edges(&[rows, &filler].concat())
+}
+
+/// `Join(Scan E, Scan F)` on `E.F = F.F` with `F` a one-row temp table:
+/// once built, `E`'s trie lets `F` drive the join.
+fn driven_join() -> Plan {
+    Plan::Join {
+        left: Box::new(Plan::scan("E")),
+        right: Box::new(Plan::scan("F")),
+        on: vec![("E.F".into(), "F.F".into())],
+        residual: None,
+        kind: JoinType::Inner,
+    }
+}
+
+fn join_catalog(rows: &[(i64, i64)]) -> Catalog {
+    let mut cat = Catalog::new();
+    cat.create_table("E", table(rows)).unwrap();
+    cat.create_temp("F", edges(&[(1, 0)])).unwrap();
+    cat
+}
+
+/// Runs the join until it has built (or hit) `E`'s trie, checking every
+/// run against `Off`; returns the last run's rows.
+fn join_through_trie(cat: &Catalog) -> Vec<Row> {
+    let best = oracle_like()
+        .with_optimizer(Optimizer::Cost)
+        .with_exec(ExecMode::Batch);
+    let (want, _) = execute(&driven_join(), cat, &oracle_like()).unwrap();
+    let mut got = Vec::new();
+    for _ in 0..3 {
+        got = execute(&driven_join(), cat, &best)
+            .unwrap()
+            .0
+            .rows()
+            .to_vec();
+        assert_eq!(got, want.rows(), "the driven join differs from Off");
+    }
+    // an empty `E` is no bigger than `F`, so that join hashes
+    let e = cat.relation("E").unwrap();
+    if !e.is_empty() {
+        let trie = cat
+            .trie_on("E", &[0])
+            .expect("the third join builds the trie");
+        assert!(*trie == TrieIndex::build(e, &[0]));
+    }
+    got
+}
+
+/// `E.T` of each joined row (`E`'s columns come first).
+fn targets(rows: &[Row]) -> Vec<i64> {
+    rows.iter().map(|r| r[1].as_int().unwrap()).collect()
+}
+
+/// Every mutation path drops the join's trie, and the next joins see the
+/// new rows — a stale trie would hand out row ids of the old version.
+#[test]
+fn join_trie_is_dropped_by_every_mutation() {
+    type Mutation = (&'static str, fn(&mut Catalog), &'static [i64]);
+    fn rows(r: &[(i64, i64)]) -> Vec<Row> {
+        edges(r).rows().to_vec()
+    }
+    let mutations: [Mutation; 8] = [
+        (
+            "insert_rows",
+            |c| {
+                c.insert_rows("E", rows(&[(1, 13)]), WalPolicy::None)
+                    .unwrap()
+            },
+            &[10, 13],
+        ),
+        (
+            "apply_delta",
+            |c| {
+                let (add, del) = (rows(&[(1, 14)]), rows(&[(1, 10)]));
+                c.apply_delta("E", add, del, WalPolicy::None).unwrap();
+            },
+            &[14],
+        ),
+        ("truncate", |c| c.truncate("E").unwrap(), &[]),
+        (
+            "relation_mut",
+            |c| c.relation_mut("E").unwrap().rows_mut()[1][0] = Value::Int(1),
+            &[10, 20],
+        ),
+        (
+            "create_or_replace",
+            |c| {
+                c.create_or_replace("E", table(&[(1, 15), (2, 16)]), false)
+                    .unwrap()
+            },
+            &[15],
+        ),
+        (
+            "drop + create",
+            |c| {
+                c.drop_table("E").unwrap();
+                c.create_table("E", table(&[(4, 40), (1, 16)])).unwrap();
+            },
+            &[16],
+        ),
+        (
+            "rename away + create",
+            |c| {
+                c.rename_table("E", "E_old").unwrap();
+                c.create_table("E", table(&[(1, 17)])).unwrap();
+            },
+            &[17],
+        ),
+        (
+            "union_by_update",
+            |c| {
+                let delta = edges(&[(1, 18), (5, 50)]);
+                let (key, profile) = ([0], oracle_like());
+                let mut stats = ExecStats::new();
+                union_by_update(
+                    c,
+                    "E",
+                    delta,
+                    Some(&key),
+                    UbuImpl::Merge,
+                    &profile,
+                    &mut stats,
+                )
+                .unwrap();
+            },
+            &[18],
+        ),
+    ];
+    for (what, mutate, want) in mutations {
+        let mut cat = join_catalog(&[(1, 10), (2, 20), (3, 30)]);
+        assert_eq!(targets(&join_through_trie(&cat)), [10], "{what}");
+        mutate(&mut cat);
+        assert!(
+            cat.trie_on("E", &[0]).is_none(),
+            "{what}: the trie survived"
+        );
+        assert_eq!(
+            targets(&join_through_trie(&cat)),
+            want,
+            "{what}: stale rows"
+        );
+    }
+}
+
+/// A fork and a pinned reader keep the trie of their own generation: the
+/// writer's next change leaves their joins on their rows, and a join on
+/// the writer sees the writer's.
+#[test]
+fn forks_and_pinned_readers_join_through_their_own_trie() {
+    let mut cat = join_catalog(&[(1, 10), (2, 20), (1, 11)]);
+    assert_eq!(targets(&join_through_trie(&cat)), [10, 11]);
+    let hub = cat.enable_mvcc();
+    let pin = hub.pin();
+    let fork = cat.fork_readonly();
+    cat.insert_rows("E", edges(&[(1, 12)]).rows().to_vec(), WalPolicy::None)
+        .unwrap();
+    assert!(cat.trie_on("E", &[0]).is_none(), "writer's trie dropped");
+    for (who, old) in [("pin", pin.catalog()), ("fork", &fork)] {
+        let kept = old
+            .trie_on("E", &[0])
+            .expect("the old generation keeps its trie");
+        assert!(
+            *kept == TrieIndex::build(old.relation("E").unwrap(), &[0]),
+            "{who}"
+        );
+        assert_eq!(targets(&join_through_trie(old)), [10, 11], "{who}");
+    }
+    assert_eq!(targets(&join_through_trie(&cat)), [10, 11, 12], "writer");
+    let pin_trie = pin.catalog().trie_on("E", &[0]).unwrap();
+    assert!(!Arc::ptr_eq(&pin_trie, &cat.trie_on("E", &[0]).unwrap()));
 }

@@ -13,7 +13,7 @@
 //! ```
 
 use aio_testkit::Pattern;
-use all_in_one::algebra::{oracle_like, Optimizer};
+use all_in_one::algebra::{oracle_like, ExecMode, Optimizer};
 use all_in_one::algos::common::{db_for, EdgeStyle};
 use all_in_one::algos::{pagerank, sssp, tc, wcc};
 use all_in_one::graph::Graph;
@@ -77,17 +77,38 @@ fn wcc_db(g: &Graph) -> Database {
 }
 
 /// One golden section: the timing-free EXPLAIN ANALYZE report (operator
-/// tree with calls / actual rows / estimated rows) under one optimizer
-/// level. Fully deterministic at parallelism 1.
-fn section(name: &str, mut mk: impl FnMut() -> Database, sql: &str) -> String {
+/// tree with calls / actual rows / estimated rows) under optimizer=Off and
+/// optimizer=Cost, row mode. Fully deterministic at parallelism 1. With
+/// `batch`, also a `Cost` + `Batch` block on a warm database (the
+/// statement ran twice before), which pins how the batch hash join ran:
+/// `driven=…, index=…` when the small side drove it through a base
+/// table's cached trie, nothing when it hashed.
+fn section(name: &str, mut mk: impl FnMut() -> Database, sql: &str, batch: bool) -> String {
+    let mut runs = vec![
+        (Optimizer::Off, ExecMode::Row),
+        (Optimizer::Cost, ExecMode::Row),
+    ];
+    if batch {
+        runs.push((Optimizer::Cost, ExecMode::Batch));
+    }
     let mut out = String::new();
-    for level in [Optimizer::Off, Optimizer::Cost] {
+    for (level, exec) in runs {
         let mut db = mk();
         db.set_optimizer(level);
+        db.set_exec_mode(exec);
+        let label = match exec {
+            ExecMode::Row => "",
+            ExecMode::Batch => {
+                for _ in 0..2 {
+                    db.execute(sql).unwrap();
+                }
+                ", exec=batch, warm"
+            }
+        };
         let rep = db.explain_analyze_opts(sql, false).unwrap();
         rep.trace.validate().unwrap();
         out.push_str(&format!(
-            "## {name} (optimizer={}): plan\n{}",
+            "## {name} (optimizer={}{label}): plan\n{}",
             level.label(),
             rep.report
         ));
@@ -101,23 +122,41 @@ fn compute_goldens() -> String {
         "# Golden EXPLAIN ANALYZE plans: PageRank, TC, SSSP and WCC on the\n\
          # fixed 10-node DAG (see golden_plans.rs), at optimizer=Off and\n\
          # optimizer=Cost. Pins join orders and est/actual row annotations;\n\
-         # regenerate with GOLDEN_WRITE=1 after an intentional change.\n",
+         # regenerate with GOLDEN_WRITE=1 after an intentional change.\n\
+         # PageRank and SSSP also run at optimizer=Cost with batch execution\n\
+         # after two warm-up runs, which pins how their join used E's trie.\n",
     );
-    out.push_str(&section("pagerank", || pagerank_db(&g), &pagerank::sql(5)));
+    out.push_str(&section(
+        "pagerank",
+        || pagerank_db(&g),
+        &pagerank::sql(5),
+        true,
+    ));
     out.push_str(&section(
         "tc",
         || db_for(&g, &oracle_like(), EdgeStyle::Raw).unwrap(),
         &tc::sql(8),
+        false,
     ));
-    out.push_str(&section("sssp", || sssp_db(&g), sssp::SQL));
-    out.push_str(&section("wcc", || wcc_db(&g), wcc::SQL));
+    out.push_str(&section("sssp", || sssp_db(&g), sssp::SQL, true));
+    out.push_str(&section("wcc", || wcc_db(&g), wcc::SQL, false));
     // WCOJ decision goldens (ISSUE 7): the cyclic patterns must switch to
     // MultiwayJoin at Cost while the selective acyclic path keeps its
     // binary join tree.
     let raw = || db_for(&g, &oracle_like(), EdgeStyle::Raw).unwrap();
-    out.push_str(&section("wcoj-triangle", raw, &Pattern::triangle().sql()));
-    out.push_str(&section("wcoj-4clique", raw, &Pattern::clique(4).sql()));
-    out.push_str(&section("acyclic-path", raw, ACYCLIC_PATH_SQL));
+    out.push_str(&section(
+        "wcoj-triangle",
+        raw,
+        &Pattern::triangle().sql(),
+        false,
+    ));
+    out.push_str(&section(
+        "wcoj-4clique",
+        raw,
+        &Pattern::clique(4).sql(),
+        false,
+    ));
+    out.push_str(&section("acyclic-path", raw, ACYCLIC_PATH_SQL, false));
     out
 }
 

@@ -1,0 +1,227 @@
+//! The batch join's driven path against the row engine.
+//!
+//! Under `Rules` / `Cost` with batch execution, an inner join on one `Int`
+//! key whose probe side is a bare scan of a base table, and whose build
+//! side has at most 1/8 of its rows, is driven by the small side through
+//! the table's cached single-level trie instead of hashing (DESIGN §17):
+//! the join line reads `driven=S, index=E.F`. The rows must be exactly
+//! `Off`'s, in the same order, at every parallelism; every other join —
+//! the mirrored plan with the table as the build side included — must
+//! hash. Which path ran is read off the EXPLAIN ANALYZE join line.
+
+use all_in_one::algebra::explain::render_analyzed;
+use all_in_one::algebra::{
+    execute, execute_traced, oracle_like, EngineProfile, ExecMode, JoinType, Optimizer, Plan,
+};
+use all_in_one::storage::{edge_schema, Catalog, DataType, Relation, Row, Schema, Value};
+use all_in_one::trace::Tracer;
+
+/// `E(F, T, ew)` as a base table with the given `F` keys (`None` = NULL),
+/// and `S(ID, k, vw)` as a temp table with the given `ID`s.
+fn catalog(e_keys: &[Option<i64>], s_ids: &[i64]) -> Catalog {
+    let mut e = Relation::new(edge_schema());
+    for (i, f) in e_keys.iter().enumerate() {
+        let f = f.map_or(Value::Null, Value::Int);
+        let row: Row = vec![f, Value::Int(i as i64 % 3), Value::Float(i as f64 / 4.0)].into();
+        e.push(row).unwrap();
+    }
+    let mut s = Relation::new(Schema::of(&[
+        ("ID", DataType::Int),
+        ("k", DataType::Int),
+        ("vw", DataType::Float),
+    ]));
+    for (i, &id) in s_ids.iter().enumerate() {
+        let row: Row = vec![
+            Value::Int(id),
+            Value::Int(i as i64 % 3),
+            Value::Float(0.5 + i as f64),
+        ]
+        .into();
+        s.push(row).unwrap();
+    }
+    let mut c = Catalog::new();
+    c.create_table("E", e).unwrap();
+    c.create_temp("S", s).unwrap();
+    c
+}
+
+fn join(left: &str, right: &str, on: &[(&str, &str)]) -> Plan {
+    Plan::Join {
+        left: Box::new(Plan::scan(left)),
+        right: Box::new(Plan::scan(right)),
+        on: on
+            .iter()
+            .map(|(l, r)| (l.to_string(), r.to_string()))
+            .collect(),
+        residual: None,
+        kind: JoinType::Inner,
+    }
+}
+
+/// `Join(Scan E, Scan S)` on `E.F = S.ID`: `E` is the probe side.
+fn e_s() -> Plan {
+    join("E", "S", &[("E.F", "S.ID")])
+}
+
+/// The mirrored plan: `E` is the build side, so the join hashes.
+fn s_e() -> Plan {
+    join("S", "E", &[("S.ID", "E.F")])
+}
+
+fn best(par: usize) -> EngineProfile {
+    oracle_like()
+        .with_optimizer(Optimizer::Cost)
+        .with_exec(ExecMode::Batch)
+        .with_parallelism(par)
+}
+
+/// `plan` under `Cost` + `Batch` against `Off` (row mode): two warm-up runs
+/// (joins hash a table twice before one builds its trie), then one traced
+/// run at each of `par` ∈ {1, 2, 8}, each compared row for row and in
+/// order. Returns the join line's annotation, which every traced run must
+/// agree on: `""` when the join hashed.
+fn check(plan: &Plan, c: &Catalog, what: &str) -> String {
+    let (want, _) = execute(plan, c, &oracle_like()).unwrap();
+    let same = |got: &Relation, how: &str| {
+        assert_eq!(got.rows(), want.rows(), "{what}: {how} differs from Off");
+        assert_eq!(got.schema(), want.schema(), "{what}: {how}");
+    };
+    for _ in 0..2 {
+        same(&execute(plan, c, &best(1)).unwrap().0, "warm-up");
+    }
+    let mut seen: Option<String> = None;
+    for par in [1, 2, 8] {
+        let tracer = Tracer::new();
+        let (got, _) = execute_traced(plan, c, &best(par), Some(&tracer)).unwrap();
+        same(&got, &format!("par={par}"));
+        let trace = tracer.finish();
+        let spans: Vec<_> = trace.spans.iter().collect();
+        let report = render_analyzed(plan, &spans, false);
+        let line = report.lines().next().unwrap();
+        let how = line
+            .split_once(" morsels=")
+            .and_then(|(_, rest)| rest.split_once(' '))
+            .map_or("", |(_, how)| how.trim_end_matches(')'))
+            .to_string();
+        if let Some(prev) = &seen {
+            assert_eq!(prev, &how, "{what}: par={par} ran another path: {line}");
+        }
+        seen = Some(how);
+    }
+    seen.unwrap()
+}
+
+const DRIVEN: &str = "driven=S, index=E.F";
+
+#[test]
+fn duplicate_keys_on_both_sides() {
+    let e: Vec<Option<i64>> = (0..200).map(|i| Some((i * 7) % 20)).collect();
+    let s = [3, 3, 5, 7, 7, 7, 19, 40];
+    let c = catalog(&e, &s);
+    assert_eq!(check(&e_s(), &c, "dups E⋈S"), DRIVEN);
+    assert_eq!(check(&s_e(), &c, "dups S⋈E"), "");
+}
+
+/// Inputs big enough to split into morsels at `par` > 1 where the join
+/// hashes, and a driven join that collects thousands of pairs.
+#[test]
+fn inputs_large_enough_to_split() {
+    let e: Vec<Option<i64>> = (0..9_000).map(|i| Some((i * 31) % 700)).collect();
+    let s: Vec<i64> = (0..10_000).map(|i| (i * 17) % 900).collect();
+    let c = catalog(&e, &s);
+    assert_eq!(check(&s_e(), &c, "large S⋈E"), "");
+    assert_eq!(check(&e_s(), &c, "large E⋈S"), "");
+    let c = catalog(&e, &s[..1_000]);
+    assert_eq!(check(&e_s(), &c, "E⋈S, many pairs"), DRIVEN);
+}
+
+#[test]
+fn sparse_key_span() {
+    // span ≫ rows: the trie's root keys are found by binary search
+    let e: Vec<Option<i64>> = (0..120).map(|i| Some((i % 40) * 1_000_003 - 7)).collect();
+    let s = [-7, 1_000_003 * 5 - 7, 1_000_003 * 39 - 7, 12, -7];
+    let c = catalog(&e, &s);
+    assert_eq!(check(&e_s(), &c, "sparse E⋈S"), DRIVEN);
+    assert_eq!(check(&s_e(), &c, "sparse S⋈E"), "");
+}
+
+#[test]
+fn null_keys_in_the_table_fall_back() {
+    let e: Vec<Option<i64>> = (0..100).map(|i| (i % 9 != 4).then_some(i % 11)).collect();
+    let c = catalog(&e, &[1, 4, 4, 10]);
+    assert_eq!(check(&e_s(), &c, "NULL E⋈S"), "");
+    assert_eq!(check(&s_e(), &c, "NULL S⋈E"), "");
+}
+
+#[test]
+fn empty_small_side() {
+    let e: Vec<Option<i64>> = (0..50).map(|i| Some(i % 5)).collect();
+    let c = catalog(&e, &[]);
+    assert_eq!(check(&e_s(), &c, "empty E⋈S"), DRIVEN);
+    assert_eq!(check(&s_e(), &c, "empty S⋈E"), "");
+}
+
+/// The small side drives only at ≤ 1/8 of the table; the mirrored plan
+/// hashes whatever the ratio.
+#[test]
+fn size_ratio_around_eight() {
+    let s: Vec<i64> = (0..6).map(|i| i * 2).collect();
+    for (rows, driven) in [(8 * 6 - 1, false), (8 * 6, true), (8 * 6 + 1, true)] {
+        let e: Vec<Option<i64>> = (0..rows).map(|i| Some(i % 13)).collect();
+        let c = catalog(&e, &s);
+        let want = if driven { DRIVEN } else { "" };
+        assert_eq!(check(&e_s(), &c, &format!("|E|={rows}")), want);
+        assert_eq!(check(&s_e(), &c, &format!("|E|={rows} mirrored")), "");
+    }
+}
+
+#[test]
+fn two_key_join_falls_back() {
+    let e: Vec<Option<i64>> = (0..90).map(|i| Some(i % 6)).collect();
+    let c = catalog(&e, &[0, 1, 2, 5]);
+    let two = join("E", "S", &[("E.F", "S.ID"), ("E.T", "S.k")]);
+    assert_eq!(check(&two, &c, "two keys"), "");
+    let two = join("S", "E", &[("S.ID", "E.F"), ("S.k", "E.T")]);
+    assert_eq!(check(&two, &c, "two keys mirrored"), "");
+}
+
+/// A join against a temp table, under `Off`, an outer join, or one with
+/// the table as the build side hashes no matter how often it runs; the
+/// first two eligible joins of a table version hash too, and the third
+/// builds the trie.
+#[test]
+fn only_eligible_joins_use_the_trie_and_only_from_the_third() {
+    let e: Vec<Option<i64>> = (0..80).map(|i| Some(i % 10)).collect();
+    let c = catalog(&e, &[2, 3]);
+    let joins = |plan: &Plan, profile: &EngineProfile| {
+        let tracer = Tracer::new();
+        execute_traced(plan, &c, profile, Some(&tracer)).unwrap();
+        let trace = tracer.finish();
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "join")
+            .map(|s| s.field("join_index").is_some())
+            .collect::<Vec<bool>>()
+    };
+    let off = oracle_like().with_exec(ExecMode::Batch);
+    let s_s = join("S", "S", &[("S.ID", "S.ID")]);
+    let mut outer = e_s();
+    if let Plan::Join { kind, .. } = &mut outer {
+        *kind = JoinType::Left;
+    }
+    for _ in 0..3 {
+        assert_eq!(joins(&e_s(), &off), [false], "Off hashes");
+        assert_eq!(joins(&s_s, &best(1)), [false], "temp tables hash");
+        assert_eq!(joins(&outer, &best(1)), [false], "outer joins hash");
+        assert_eq!(joins(&s_e(), &best(1)), [false], "a build-side table");
+    }
+    assert!(c.trie_on("E", &[0]).is_none(), "no join paid rent yet");
+    assert_eq!(joins(&e_s(), &best(1)), [false], "first rent");
+    assert_eq!(joins(&e_s(), &best(1)), [false], "second rent");
+    assert!(c.trie_on("E", &[0]).is_none());
+    assert_eq!(joins(&e_s(), &best(1)), [true], "the third builds");
+    assert!(c.trie_on("E", &[0]).is_some());
+    assert_eq!(joins(&e_s(), &best(1)), [true]);
+    assert_eq!(joins(&s_e(), &best(1)), [false], "still hashes");
+}
