@@ -51,6 +51,11 @@ trace_dir="$(mktemp -d)"
 grep -q "jsonl schema: OK" "$trace_dir/explain.out"
 test -s "$trace_dir/TRACE_pagerank.jsonl"
 test -s "$trace_dir/TRACE_pagerank.json"
+# under the best profile PageRank's step is one operator: the aggregate
+# heading the recursive step must read `fused` (DESIGN §18)
+(cd "$trace_dir" && "$repro_bin" explain pagerank --best) |
+    tee "$trace_dir/explain_best.out"
+grep -A1 -- "-- rec\[0\]" "$trace_dir/explain_best.out" | grep -q " fused)"
 rm -rf "$trace_dir"
 
 # paper-experiment smokes over the keyed paths: table4_5 runs the

@@ -17,8 +17,10 @@
 //! is a base table and the build side is small: the small side's keys are
 //! looked up in the table's cached single-level trie on the key column, so
 //! the join reads the matching rows of the table instead of probing all of
-//! them. Its output is `hash_join`'s, in the same order, so no consumer can
-//! tell them apart.
+//! them. Both produce only the matching pairs, the same pairs in the same
+//! order, so no consumer can tell them apart; `Joined` holds them with
+//! the inputs until a consumer gathers the columns it needs — all of them
+//! for the join itself, or the few an aggregate fused over it reads.
 
 use crate::agg::{Accumulator, AggFunc, AggNum, GroupAcc, TypedAcc};
 use crate::error::{AlgebraError, Result};
@@ -26,7 +28,7 @@ use crate::expr::{BinOp, Func, ScalarExpr, UnaryOp};
 use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, TrieIndex, Value, GATHER_NULL};
+use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, Schema, TrieIndex, Value, GATHER_NULL};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -544,12 +546,76 @@ pub(crate) fn union_all(a: &Batch, b: &Batch) -> Result<Batch> {
     ))
 }
 
-/// Hash equi-join keyed on primitive column slices. Eligible when every
-/// key column on both sides is a dense Int column (1–2 keys, no residual —
-/// the caller checks strategy and residual); `Ok(None)` bridges to the row
-/// join. Build and probe order mirror `ops::join::hash_join` exactly:
-/// right rows bucket in row order, morsel ranges split the probe, and
-/// unmatched rows pad through [`GATHER_NULL`].
+/// A join's matching `(left row, right row)` pairs, as two index lists
+/// ([`GATHER_NULL`] pads an outer join's missing side).
+pub(crate) type Pairs = (Vec<u32>, Vec<u32>);
+
+/// Ends a [`HashBuild`] chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// The build side of [`hash_join`]: the first build row of every key, and
+/// per build row the next one with the same key, so a probe walks a key's
+/// rows in row order and the build allocates nothing per key. One `Int` key
+/// whose non-NULL values span at most [`DIRECT_SPAN_FACTOR`] × the rows
+/// (PageRank's `P.ID`: one slot per vertex) is direct-addressed, a slot per
+/// key value; any other key is hashed. NULL keys are left out: SQL joins
+/// never match them.
+struct HashBuild {
+    heads: Heads,
+    next: Vec<u32>,
+}
+
+enum Heads {
+    /// `Direct(lo, slots)`: key `k`'s first row is `slots[k - lo]`.
+    Direct(i64, Vec<u32>),
+    Hashed(FxHashMap<(i64, i64), u32>),
+}
+
+impl HashBuild {
+    fn new(keys: &IntKeys<'_>, rows: usize) -> HashBuild {
+        let span = match keys.as_slice() {
+            [_] => direct_span((0..rows).filter_map(|i| key_at(keys, i).map(|k| k.0)), rows),
+            _ => None,
+        };
+        let mut heads = match span {
+            Some((lo, span)) => Heads::Direct(lo, vec![NO_ROW; span]),
+            None => Heads::Hashed(FxHashMap::default()),
+        };
+        // backwards, so every key's chain runs in row order
+        let mut next = vec![NO_ROW; rows];
+        for i in (0..rows).rev() {
+            if let Some(k) = key_at(keys, i) {
+                let head = match &mut heads {
+                    Heads::Direct(lo, slots) => &mut slots[k.0.wrapping_sub(*lo) as usize],
+                    Heads::Hashed(map) => map.entry(k).or_insert(NO_ROW),
+                };
+                next[i] = std::mem::replace(head, i as u32);
+            }
+        }
+        HashBuild { heads, next }
+    }
+
+    /// The build rows holding key `k`, in row order.
+    #[inline]
+    fn rows(&self, k: (i64, i64)) -> impl Iterator<Item = u32> + '_ {
+        let first = match &self.heads {
+            Heads::Direct(lo, slots) => slots.get(k.0.wrapping_sub(*lo) as usize).copied(),
+            Heads::Hashed(map) => map.get(&k).copied(),
+        };
+        let live = |r: &u32| *r != NO_ROW;
+        std::iter::successors(first.filter(live), move |&r| {
+            Some(self.next[r as usize]).filter(live)
+        })
+    }
+}
+
+/// Hash equi-join keyed on primitive column slices: the matching pairs in
+/// `(left row, right row)` order. Eligible when every key column on both
+/// sides is a dense Int column (1–2 keys, no residual — the caller checks
+/// strategy and residual); `Ok(None)` bridges to the row join. Build and
+/// probe order mirror `ops::join::hash_join` exactly: a key's right rows
+/// come in row order, morsel ranges split the probe, and unmatched rows pad
+/// through [`GATHER_NULL`].
 pub(crate) fn hash_join(
     left: &Batch,
     right: &Batch,
@@ -557,7 +623,7 @@ pub(crate) fn hash_join(
     jt: JoinType,
     par: usize,
     stats: &mut ExecStats,
-) -> Result<Option<Batch>> {
+) -> Result<Option<Pairs>> {
     let Some(lkeys) = int_key_cols(left, &keys.left) else {
         return Ok(None);
     };
@@ -569,41 +635,19 @@ pub(crate) fn hash_join(
     record_phases(JoinPhases::default());
 
     let build_start = Instant::now();
-    let mut table: FxHashMap<(i64, i64), Vec<u32>> = FxHashMap::default();
-    table.reserve(right.len());
-    for i in 0..right.len() {
-        if let Some(k) = key_at(&rkeys, i) {
-            table.entry(k).or_default().push(i as u32);
-        }
-    }
+    let table = HashBuild::new(&rkeys, right.len());
     let build_ns = build_start.elapsed().as_nanos() as u64;
 
     let probe_start = Instant::now();
     let nwords = right.len().div_ceil(64);
     let (bufs, info) = crate::par::run_morsels(left.len(), par, |range| {
-        let mut lidx: Vec<u32> = Vec::new();
-        let mut ridx: Vec<u32> = Vec::new();
-        let mut matched = vec![0u64; if jt == JoinType::Full { nwords } else { 0 }];
-        for i in range {
-            let mut any = false;
-            if let Some(k) = key_at(&lkeys, i) {
-                if let Some(bucket) = table.get(&k) {
-                    for &ri in bucket {
-                        any = true;
-                        if jt == JoinType::Full {
-                            matched[ri as usize / 64] |= 1 << (ri % 64);
-                        }
-                        lidx.push(i as u32);
-                        ridx.push(ri);
-                    }
-                }
+        Ok(match lkeys.as_slice() {
+            // one NULL-free key column: no per-row NULL test
+            [(vals, nulls)] if !nulls.any() => {
+                probe_morsel(range, |i| Some((vals[i], 0)), &table, jt, nwords)
             }
-            if !any && jt != JoinType::Inner {
-                lidx.push(i as u32);
-                ridx.push(GATHER_NULL);
-            }
-        }
-        Ok((lidx, ridx, matched))
+            _ => probe_morsel(range, |i| key_at(&lkeys, i), &table, jt, nwords),
+        })
     })?;
     record_phases(JoinPhases {
         build_ns,
@@ -612,9 +656,9 @@ pub(crate) fn hash_join(
     });
     stats.note_parallel(&info);
 
-    let mut lidx: Vec<u32> = Vec::new();
-    let mut ridx: Vec<u32> = Vec::new();
-    let mut right_matched = vec![0u64; if jt == JoinType::Full { nwords } else { 0 }];
+    let mut bufs = bufs.into_iter();
+    let (mut lidx, mut ridx, mut right_matched) =
+        bufs.next().expect("run_morsels yields at least one morsel");
     for (l, r, words) in bufs {
         lidx.extend(l);
         ridx.extend(r);
@@ -631,45 +675,145 @@ pub(crate) fn hash_join(
         }
     }
 
-    let out = gather_joined(left, right, &lidx, &ridx);
-    stats.rows_produced += out.len() as u64;
-    Ok(Some(out))
+    stats.rows_produced += lidx.len() as u64;
+    Ok(Some((lidx, ridx)))
 }
 
-/// The joined batch: `left`'s columns gathered by `lidx`, then `right`'s by
-/// `ridx` ([`GATHER_NULL`] pads).
-fn gather_joined(left: &Batch, right: &Batch, lidx: &[u32], ridx: &[u32]) -> Batch {
-    let cols = (left.columns().iter().map(|c| c.gather(lidx)))
-        .chain(right.columns().iter().map(|c| c.gather(ridx)))
-        .map(Arc::new)
-        .collect();
-    Batch::from_columns(left.schema().join(right.schema()), cols, lidx.len())
+/// One morsel of [`hash_join`]'s probe: the pairs of left rows `range`, in
+/// order; a row without a match pads with [`GATHER_NULL`] unless the join
+/// is inner; and, for a full join, the right rows matched (a bitmap of
+/// `nwords` words). `key(i)` is left row `i`'s key, `None` when NULL.
+fn probe_morsel(
+    range: Range<usize>,
+    key: impl Fn(usize) -> Option<(i64, i64)>,
+    table: &HashBuild,
+    jt: JoinType,
+    nwords: usize,
+) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+    let mut lidx: Vec<u32> = Vec::with_capacity(range.len());
+    let mut ridx: Vec<u32> = Vec::with_capacity(range.len());
+    let mut matched = vec![0u64; if jt == JoinType::Full { nwords } else { 0 }];
+    for i in range {
+        let mut any = false;
+        if let Some(k) = key(i) {
+            for ri in table.rows(k) {
+                any = true;
+                if jt == JoinType::Full {
+                    matched[ri as usize / 64] |= 1 << (ri % 64);
+                }
+                lidx.push(i as u32);
+                ridx.push(ri);
+            }
+        }
+        if !any && jt != JoinType::Inner {
+            lidx.push(i as u32);
+            ridx.push(GATHER_NULL);
+        }
+    }
+    (lidx, ridx, matched)
+}
+
+/// A batch join's output before any column is gathered: both inputs and
+/// the matching pairs. The join's own consumer gathers every column
+/// ([`Joined::gather`]); an aggregate fused over it gathers only the
+/// columns it reads ([`Joined::project`], DESIGN §18). A side whose index
+/// list is `0..len` — every row matched exactly once, in order, as each `E`
+/// row does in PageRank's `E ⋈ P` — lends its columns (`Arc`) instead of
+/// copying them.
+pub(crate) struct Joined {
+    sides: [Side; 2],
+    schema: Schema,
+}
+
+struct Side {
+    batch: Batch,
+    idx: Vec<u32>,
+    /// `idx` is `0..batch.len()`.
+    whole: bool,
+}
+
+impl Joined {
+    pub(crate) fn new(left: Batch, right: Batch, (lidx, ridx): Pairs) -> Joined {
+        let side = |batch: Batch, idx: Vec<u32>| Side {
+            // a fold, not `all`: no early exit, so it vectorizes
+            whole: idx.len() == batch.len()
+                && idx.iter().zip(0..).fold(0, |d, (&i, o)| d | i ^ o) == 0,
+            batch,
+            idx,
+        };
+        Joined {
+            schema: left.schema().join(right.schema()),
+            sides: [side(left, lidx), side(right, ridx)],
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.sides[0].idx.len()
+    }
+
+    /// The joined schema: left's columns, then right's.
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Column `c` of the joined batch.
+    fn column(&self, c: usize) -> Arc<ColumnVec> {
+        let (side, c) = match c.checked_sub(self.sides[0].batch.schema().arity()) {
+            Some(rc) => (&self.sides[1], rc),
+            None => (&self.sides[0], c),
+        };
+        match side.whole {
+            true => side.batch.col_arc(c),
+            false => Arc::new(side.batch.col(c).gather(&side.idx)),
+        }
+    }
+
+    /// The joined batch.
+    pub(crate) fn gather(&self) -> Batch {
+        self.project(&(0..self.schema.arity()).collect::<Vec<_>>())
+    }
+
+    /// Columns `cols` of the joined batch, in that order, under their names.
+    pub(crate) fn project(&self, cols: &[usize]) -> Batch {
+        let names = cols.iter().map(|&c| self.schema.columns()[c].clone());
+        let data = cols.iter().map(|&c| self.column(c)).collect();
+        Batch::from_columns(Schema::new(names.collect()), data, self.len())
+    }
+
+    /// [`Batch::approx_bytes`] of the joined batch, estimated from its
+    /// sources without gathering it.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let n = self.len() as u64;
+        (self.sides.iter())
+            .flat_map(|s| s.batch.columns())
+            .map(|c| c.approx_bytes() * n / (c.len() as u64).max(1))
+            .sum()
+    }
 }
 
 /// The small build side may drive the join ([`driven_join`]) when the
-/// indexed probe side has at least this many times its rows.
+/// table's trie holds at least this many distinct keys per build row.
 pub(crate) const DRIVE_RATIO: usize = 8;
 
 /// Inner equi-join on one `Int` key whose left (probe) input is a table with
 /// the single-level trie `index` on its key column and whose right (build)
 /// input is small; the caller checked that the right key column is `Int`.
 /// The small side drives: each of its rows fetches its matches from
-/// `rows_under`, and no other row of the table is read. The output equals
-/// [`hash_join`]'s row for row at every `par`: that join emits the matching
+/// `rows_under`, and no other row of the table is read. The pairs equal
+/// [`hash_join`]'s at every `par`: that join emits the matching
 /// `(probe row, build row)` pairs sorted, because the probe runs in row
-/// order (morsels concatenated in order) and a bucket lists build rows in
+/// order (morsels concatenated in order) and a key's build rows come in
 /// row order — so the pairs collected here are sorted into that order.
 /// `build_ns` (the trie build, 0 when it was cached) is reported as the
 /// build phase; only the rows read — the small side and the matched rows —
 /// count as scanned.
 pub(crate) fn driven_join(
-    left: &Batch,
     right: &Batch,
     keys: &JoinKeys,
     index: &TrieIndex,
     build_ns: u64,
     stats: &mut ExecStats,
-) -> Batch {
+) -> Pairs {
     stats.joins += 1;
     let probe_start = Instant::now();
     let rkeys = int_key_cols(right, &keys.right).expect("the caller checked an Int key column");
@@ -690,9 +834,8 @@ pub(crate) fn driven_join(
         morsels: 1,
     });
     stats.rows_scanned += (right.len() + lidx.len()) as u64;
-    let out = gather_joined(left, right, &lidx, &ridx);
-    stats.rows_produced += out.len() as u64;
-    out
+    stats.rows_produced += lidx.len() as u64;
+    (lidx, ridx)
 }
 
 /// The 1–2 key columns as borrowed Int slices, or `None` if ineligible.
@@ -725,9 +868,10 @@ fn key_at(keys: &IntKeys<'_>, i: usize) -> Option<(i64, i64)> {
     }
 }
 
-/// A morsel's key span may exceed its row count by this factor and still be
-/// direct-addressed: the slot table (and every flat state array) then has
-/// at most this many entries per input row.
+/// A key span may exceed the row count by this factor and still be
+/// direct-addressed (a morsel's group ids, a hash join's build): the slot
+/// table (and every flat state array) then has at most this many entries
+/// per input row.
 const DIRECT_SPAN_FACTOR: usize = 4;
 
 /// The group of every row of one morsel, and the groups themselves.
@@ -742,6 +886,20 @@ struct Grouping {
     slots: usize,
     /// `groups` is ascending by key (NULL first), the output order.
     sorted: bool,
+}
+
+/// `(lo, span)` of `keys` when their span is at most
+/// [`DIRECT_SPAN_FACTOR`] × `rows`, small enough to direct-address; `None`
+/// otherwise, and when there is no key.
+fn direct_span(keys: impl Iterator<Item = i64>, rows: usize) -> Option<(i64, usize)> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for k in keys {
+        lo = lo.min(k);
+        hi = hi.max(k);
+    }
+    let span = hi as i128 - lo as i128 + 1; // ≤ 0: no key
+    let limit = (DIRECT_SPAN_FACTOR * rows).min(u32::MAX as usize - 1);
+    (span > 0 && span <= limit as i128).then_some((lo, span as usize))
 }
 
 /// One pass over the key column. Direct-addressed — id = key − min + 1,
@@ -760,15 +918,8 @@ fn assign_groups(key: Option<(&[i64], &NullMask)>, range: Range<usize>) -> Group
     };
     let has_nulls = nulls.any();
     let key_at = |i: usize| (!(has_nulls && nulls.get(i))).then(|| vals[i]);
-    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-    for k in range.clone().filter_map(key_at) {
-        lo = lo.min(k);
-        hi = hi.max(k);
-    }
-    let span = hi as i128 - lo as i128 + 1; // ≤ 0: no non-NULL key
-    let limit = (DIRECT_SPAN_FACTOR * range.len()).min(u32::MAX as usize - 1);
-    if span > 0 && span <= limit as i128 {
-        let slots = span as usize + 1;
+    if let Some((lo, span)) = direct_span(range.clone().filter_map(key_at), range.len()) {
+        let slots = span + 1;
         let mut present = vec![false; slots];
         let gids = range
             .map(|i| {
@@ -1133,17 +1284,11 @@ mod tests {
                     right: vec![0],
                 };
                 let mut s = ExecStats::new();
-                let got = hash_join(
-                    &Batch::from_relation(&lrel),
-                    &Batch::from_relation(&rrel),
-                    &keys,
-                    jt,
-                    par,
-                    &mut s,
-                )
-                .unwrap()
-                .expect("int keys are eligible")
-                .to_relation();
+                let (lb, rb) = (Batch::from_relation(&lrel), Batch::from_relation(&rrel));
+                let pairs = hash_join(&lb, &rb, &keys, jt, par, &mut s)
+                    .unwrap()
+                    .expect("int keys are eligible");
+                let got = Joined::new(lb, rb, pairs).gather().to_relation();
                 let mut s2 = ExecStats::new();
                 let want = ops::join_par(
                     &lrel,

@@ -41,6 +41,9 @@ pub struct NodeAgg {
     /// ran (field `join_index`: `driven=D, index=E.F`), with the number of
     /// invocations that ran that way; hashed calls record none.
     pub join_index: BTreeMap<String, u64>,
+    /// Invocations of an aggregate that ran as one operator with the join
+    /// under it (field `fused`).
+    pub fused: u64,
 }
 
 impl NodeAgg {
@@ -65,6 +68,9 @@ impl NodeAgg {
         }
         if let Some(aio_trace::FieldValue::Str(how)) = s.field("join_index") {
             *self.join_index.entry(how.clone()).or_default() += 1;
+        }
+        if let Some(aio_trace::FieldValue::Bool(true)) = s.field("fused") {
+            self.fused += 1;
         }
     }
 }
@@ -209,6 +215,15 @@ pub fn render_analyzed(plan: &Plan, spans: &[&SpanRecord], timings: bool) -> Str
     out
 }
 
+/// ` how` when every call ran that way, else ` how (n/calls calls)`.
+fn calls_that_way(how: &str, n: u64, calls: u64) -> String {
+    if n == calls {
+        format!(" {how}")
+    } else {
+        format!(" {how} ({n}/{calls} calls)")
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn render_node(
     p: &Plan,
@@ -261,14 +276,12 @@ fn render_node(
                     ));
                 }
                 out.push_str(&format!(" morsels={}", a.morsels));
-                // every call that way, or how many of the calls
                 for (how, &n) in &a.join_index {
-                    if n == a.calls {
-                        out.push_str(&format!(" {how}"));
-                    } else {
-                        out.push_str(&format!(" {how} ({n}/{} calls)", a.calls));
-                    }
+                    out.push_str(&calls_that_way(how, n, a.calls));
                 }
+            }
+            if a.fused > 0 {
+                out.push_str(&calls_that_way("fused", a.fused, a.calls));
             }
             if matches!(p, Plan::MultiwayJoin { .. }) && timings {
                 out.push_str(&format!(

@@ -187,49 +187,46 @@ pub fn union_by_update(
         UbuImpl::FullOuterJoin | UbuImpl::DropAlter => {
             check_unique(&delta, &idx, "union-by-update source")?;
             // coalesce(S.*, R.*) per key, plus S-only rows — one pass each.
-            // The probe over the target runs in morsels; per-morsel buffers
+            // The probe over the target runs in morsels; their hits
             // concatenate in morsel order, so the materialized relation is
             // identical at any parallelism.
             let par = profile.effective_parallelism();
-            let mut matched = vec![false; delta.len()];
-            let mut new_rows: Vec<Row>;
-            let mut overwritten = 0u64;
-            {
-                let t = catalog.relation(target)?;
-                let (bufs, info) = crate::par::run_morsels(t.len(), par, |range| {
-                    let mut rows: Vec<Row> = Vec::with_capacity(range.len());
-                    let mut hit: Vec<u32> = Vec::new();
-                    let mut overwritten = 0u64;
-                    for row in &t.rows()[range] {
-                        match idx.probe(&delta, row, keys).next() {
-                            Some(di) => {
-                                hit.push(di);
-                                let new = &delta.rows()[di as usize];
-                                overwritten += (row != new) as u64;
-                                rows.push(new.clone());
-                            }
-                            None => rows.push(row.clone()),
-                        }
-                    }
-                    Ok((rows, hit, overwritten))
-                })?;
-                stats.note_parallel(&info);
-                new_rows = Vec::with_capacity(t.len() + delta.len());
-                for (rows, hit, n) in bufs {
-                    new_rows.extend(rows);
-                    overwritten += n;
-                    for di in hit {
-                        matched[di as usize] = true;
-                    }
+            let t = catalog.relation(target)?;
+            let (bufs, info) = crate::par::run_morsels(t.len(), par, |range| {
+                let mut hits: Vec<Option<u32>> = Vec::with_capacity(range.len());
+                let mut overwritten = 0u64;
+                for row in &t.rows()[range] {
+                    let hit = idx.probe(&delta, row, keys).next();
+                    overwritten += hit.is_some_and(|di| *row != delta.rows()[di as usize]) as u64;
+                    hits.push(hit);
                 }
+                Ok((hits, overwritten))
+            })?;
+            stats.note_parallel(&info);
+            let overwritten: u64 = bufs.iter().map(|(_, n)| n).sum();
+            let hits: Vec<Option<u32>> = bufs.into_iter().flat_map(|(hits, _)| hits).collect();
+            // The delta's rows move into the result instead of being
+            // copied: a row several target rows match goes to the last of
+            // them and is copied for the others.
+            let mut uses = vec![0u32; delta.len()];
+            hits.iter().flatten().for_each(|&di| uses[di as usize] += 1);
+            let unmatched: Vec<bool> = uses.iter().map(|&n| n == 0).collect();
+            let mut delta = delta.into_rows();
+            let mut new_rows: Vec<Row> = Vec::with_capacity(t.len() + delta.len());
+            for (row, hit) in t.rows().iter().zip(hits) {
+                new_rows.push(match hit.map(|di| di as usize) {
+                    None => row.clone(),
+                    Some(di) if uses[di] > 1 => {
+                        uses[di] -= 1;
+                        delta[di].clone()
+                    }
+                    Some(di) => std::mem::take(&mut delta[di]),
+                });
             }
-            let mut inserted = 0u64;
-            for (row, m) in delta.rows().iter().zip(&matched) {
-                if !*m {
-                    inserted += 1;
-                    new_rows.push(row.clone());
-                }
-            }
+            let inserts = delta.into_iter().zip(unmatched).filter(|(_, u)| *u);
+            let len = new_rows.len();
+            new_rows.extend(inserts.map(|(row, _)| row));
+            let inserted = (new_rows.len() - len) as u64;
             stats.rows_produced += new_rows.len() as u64;
             stats.ubu_changed_rows += overwritten + inserted;
             if imp == UbuImpl::DropAlter {
@@ -371,25 +368,21 @@ mod tests {
 
     #[test]
     fn multiple_target_rows_may_match_one_source() {
-        // keys here are non-unique in the target: both rows update
-        let mut c = Catalog::new();
-        let mut r = Relation::new(node_schema());
-        r.extend([row![1, 1.0], row![1, 2.0], row![2, 2.0]])
-            .unwrap();
-        c.create_temp("V", r).unwrap();
-        let d = delta(&[(1, 9.0)]);
-        let mut s = ExecStats::new();
-        union_by_update(
-            &mut c,
-            "V",
-            d,
-            Some(&[0]),
-            UbuImpl::Merge,
-            &oracle_like(),
-            &mut s,
-        )
-        .unwrap();
-        assert_eq!(contents(&c), vec![(1, 9.0), (1, 9.0), (2, 2.0)]);
+        // keys here are non-unique in the target: both rows update, under
+        // every implementation
+        for imp in UbuImpl::ALL {
+            let mut c = Catalog::new();
+            let mut r = Relation::new(node_schema());
+            r.extend([row![1, 1.0], row![1, 2.0], row![2, 2.0], row![1, 3.0]])
+                .unwrap();
+            c.create_temp("V", r).unwrap();
+            let d = delta(&[(1, 9.0), (5, 5.0)]);
+            let mut s = ExecStats::new();
+            union_by_update(&mut c, "V", d, Some(&[0]), imp, &oracle_like(), &mut s).unwrap();
+            let want = vec![(1, 9.0), (1, 9.0), (1, 9.0), (2, 2.0), (5, 5.0)];
+            assert_eq!(contents(&c), want, "{}", imp.name());
+            assert_eq!(s.ubu_changed_rows, 4, "{}", imp.name());
+        }
     }
 
     #[test]

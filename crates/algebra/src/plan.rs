@@ -19,7 +19,7 @@ use crate::expr::ScalarExpr;
 use crate::ops;
 use crate::ops::anti_join::AntiJoinImpl;
 use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
-use crate::profile::{EngineProfile, ExecMode, JoinStrategy, Optimizer};
+use crate::profile::{AggStrategy, EngineProfile, ExecMode, JoinStrategy, Optimizer};
 use crate::stats::ExecStats;
 use aio_storage::{Batch, Catalog, Column, ColumnVec, DataType, Relation, Schema, Value};
 
@@ -353,6 +353,9 @@ pub struct Evaluator<'a> {
     /// (`false`: some expression took the scratch-row interpreter, or the
     /// node bridged to the row operator)? Becomes the span's `typed` field.
     typed: Option<bool>,
+    /// Set by [`Evaluator::apply`] for an aggregate that read its join's
+    /// pairs (DESIGN §18). Becomes the span's `fused` field.
+    fused: bool,
     /// Set by [`Evaluator::apply`] when a small input drove a join through a
     /// table's cached trie (traced runs only): `driven=D, index=E.F`.
     /// Becomes the span's `join_index` field.
@@ -370,6 +373,7 @@ impl<'a> Evaluator<'a> {
             est: Vec::new(),
             mem_peak: 0,
             typed: None,
+            fused: false,
             join_index: None,
         }
     }
@@ -399,14 +403,17 @@ impl<'a> Evaluator<'a> {
         if self.tracer.is_some() {
             self.est = crate::stats::estimate_nodes(plan, self.catalog);
         }
-        Ok(self.eval(plan)?.into_relation())
+        Ok(self.eval(plan, false)?.into_relation())
     }
 
     /// Evaluate one node: open its span, evaluate the children in
     /// [`Plan::children`] order, run the operator, then record metrics and
     /// the span's output fields (`batches` only on columnar outputs, `typed`
-    /// only on a batch-mode project / aggregate).
-    fn eval(&mut self, plan: &Plan) -> Result<Data> {
+    /// only on a batch-mode project / aggregate, `fused` on an aggregate
+    /// that read its join's pairs). `pairs`: the parent is an aggregate
+    /// fused over this node ([`Evaluator::fuses`]), so a batch join hands
+    /// it the pairs instead of gathering its output.
+    fn eval(&mut self, plan: &Plan, pairs: bool) -> Result<Data> {
         let span = self.tracer.map(|t| {
             let node = self.node_seq;
             self.node_seq += 1;
@@ -423,9 +430,10 @@ impl<'a> Evaluator<'a> {
             }
             span
         });
+        let fuse = self.fuses(plan);
         let mut inputs = Vec::new();
         for c in plan.children() {
-            inputs.push(self.eval(c)?);
+            inputs.push(self.eval(c, fuse)?);
         }
         // debug builds (the profile the tests run in) hold every operator
         // to the plan layer's definition of its output schema
@@ -433,15 +441,16 @@ impl<'a> Evaluator<'a> {
             let schemas: Vec<&Schema> = inputs.iter().map(Data::schema).collect();
             plan.schema_over(self.catalog, &schemas)
         });
-        let out = self.apply(plan, inputs)?;
+        let out = self.apply(plan, inputs, pairs)?;
         if let Some(expected) = expected {
             debug_assert_eq!(out.schema(), &expected?, "{}", op_name(plan));
         }
         let typed = self.typed.take();
+        let fused = std::mem::take(&mut self.fused);
         let join_index = self.join_index.take();
         let batches = match &out {
             Data::Rows(_) => None,
-            Data::Cols(b) => Some(b.len().div_ceil(BATCH_SIZE).max(1) as u64),
+            cols => Some(cols.len().div_ceil(BATCH_SIZE).max(1) as u64),
         };
         // Metrics tap: one branch when disabled, otherwise per-operator-
         // invocation counter updates (never per row).
@@ -449,6 +458,7 @@ impl<'a> Evaluator<'a> {
             let bytes = match &out {
                 Data::Rows(r) => r.approx_bytes(),
                 Data::Cols(b) => b.approx_bytes(),
+                Data::Joined(j) => j.approx_bytes(),
             };
             if let Some(n) = batches {
                 aio_metrics::hooks::batches(n, bytes);
@@ -463,6 +473,9 @@ impl<'a> Evaluator<'a> {
             }
             if let Some(t) = typed {
                 span.field("typed", t);
+            }
+            if fused {
+                span.field("fused", true);
             }
             if matches!(plan, Plan::Join { .. }) {
                 let ph = ops::last_join_phases();
@@ -492,7 +505,8 @@ impl<'a> Evaluator<'a> {
     /// produce columns; every other operator takes `into_relation()` — a
     /// move in row mode, an exact transpose after a columnar producer — and
     /// produces rows, so results are row-for-row identical in both modes.
-    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>) -> Result<Data> {
+    /// `pairs` as for [`Evaluator::eval`].
+    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>, pairs: bool) -> Result<Data> {
         let columnar = self.profile.exec == ExecMode::Batch;
         let par = self.profile.effective_parallelism();
         let mut inputs = inputs.into_iter();
@@ -544,6 +558,17 @@ impl<'a> Evaluator<'a> {
             } => {
                 let agg = self.profile.agg;
                 let mut input = next();
+                if let Data::Joined(joined) = &input {
+                    // fused: group only the columns the aggregate reads
+                    if let Some(cols) = reads(joined.schema(), group_by, items) {
+                        let b = joined.project(&cols);
+                        let out = batch::group_by(&b, group_by, items, agg, par, &mut self.stats)?;
+                        if let Some((out, typed)) = out {
+                            (self.typed, self.fused) = (Some(typed), true);
+                            return Ok(Data::Cols(out));
+                        }
+                    }
+                }
                 if columnar {
                     let b = input.into_batch();
                     let out = batch::group_by(&b, group_by, items, agg, par, &mut self.stats)?;
@@ -590,13 +615,17 @@ impl<'a> Evaluator<'a> {
                     let (lb, rb) = (l.into_batch(), r.into_batch());
                     let keys = JoinKeys::resolve_schemas(lb.schema(), rb.schema(), on)?;
                     if !keys.left.is_empty() {
-                        if let Some(out) = self.driven_join(left, &lb, &rb, &keys, *kind)? {
-                            return Ok(Data::Cols(out));
-                        }
-                        if let Some(out) =
-                            batch::hash_join(&lb, &rb, &keys, *kind, par, &mut self.stats)?
-                        {
-                            return Ok(Data::Cols(out));
+                        let found = match self.driven_join(left, &lb, &rb, &keys, *kind)? {
+                            None => batch::hash_join(&lb, &rb, &keys, *kind, par, &mut self.stats)?,
+                            driven => driven,
+                        };
+                        if let Some(found) = found {
+                            let joined = batch::Joined::new(lb, rb, found);
+                            return Ok(if pairs {
+                                Data::Joined(joined)
+                            } else {
+                                Data::Cols(joined.gather())
+                            });
                         }
                     }
                     // non-Int keys
@@ -690,11 +719,12 @@ impl<'a> Evaluator<'a> {
     /// The batch hash join's run-time choice (DESIGN §17). Under `Rules` /
     /// `Cost`, an inner join on one `Int` key whose left (probe) input is a
     /// bare scan of a base table with a NULL-free `Int` key column, and
-    /// whose right (build) input has at most 1/[`DRIVE_RATIO`] of its rows,
-    /// is driven by the small side through the table's cached single-level
-    /// trie instead of hashing. `None` — any other join, or a table still
-    /// paying rent (`Catalog::join_trie`) — leaves the join to
-    /// [`batch::hash_join`]; nothing is touched before that.
+    /// whose right (build) input has at most 1/[`DRIVE_RATIO`] as many rows
+    /// as the table's cached single-level trie has distinct keys, is driven
+    /// by the small side through that trie instead of hashing. `None` — any
+    /// other join, or a table still paying rent (`Catalog::join_trie`) —
+    /// leaves the join to [`batch::hash_join`]; nothing is touched before
+    /// that.
     ///
     /// [`DRIVE_RATIO`]: batch::DRIVE_RATIO
     fn driven_join(
@@ -704,15 +734,17 @@ impl<'a> Evaluator<'a> {
         rb: &Batch,
         keys: &JoinKeys,
         kind: JoinType,
-    ) -> Result<Option<Batch>> {
+    ) -> Result<Option<batch::Pairs>> {
         if self.profile.optimizer == Optimizer::Off || kind != JoinType::Inner {
             return Ok(None);
         }
         let ([lk], [rk]) = (keys.left.as_slice(), keys.right.as_slice()) else {
             return Ok(None);
         };
-        if rb.len() * batch::DRIVE_RATIO > lb.len() || !matches!(rb.col(*rk), ColumnVec::Int { .. })
-        {
+        // a table has no more distinct keys than rows: decline before
+        // paying rent when not even its rows are enough
+        let drives = |keys: usize| rb.len() * batch::DRIVE_RATIO <= keys;
+        if !drives(lb.len()) || !matches!(rb.col(*rk), ColumnVec::Int { .. }) {
             return Ok(None);
         }
         let Some(table) = self.base_scan(left, lb, *lk) else {
@@ -721,14 +753,39 @@ impl<'a> Evaluator<'a> {
         let Some((trie, built)) = self.catalog.join_trie(table, &[*lk])? else {
             return Ok(None);
         };
+        if !drives(trie.keys(0).len()) {
+            return Ok(None);
+        }
         if self.tracer.is_some() {
             let name = &lb.schema().columns()[*lk].name;
             let small = &rb.schema().columns()[*rk];
             let side = small.qualifier.as_deref().unwrap_or(&small.name);
             self.join_index = Some(format!("driven={side}, index={table}.{name}"));
         }
-        let out = batch::driven_join(lb, rb, keys, &trie, built.unwrap_or(0), &mut self.stats);
-        Ok(Some(out))
+        let pairs = batch::driven_join(rb, keys, &trie, built.unwrap_or(0), &mut self.stats);
+        Ok(Some(pairs))
+    }
+
+    /// Does `plan` run as one operator with the join under it (DESIGN §18)?
+    /// An aggregate over an inner, residual-free, one-key join, under
+    /// `Rules` / `Cost` with batch execution and the hash join and hash
+    /// aggregation: the join hands the aggregate its pairs, and the
+    /// aggregate gathers only the columns it reads. `Off` — every paper
+    /// profile — keeps two operators.
+    fn fuses(&self, plan: &Plan) -> bool {
+        let p = self.profile;
+        let Plan::Aggregate { input, .. } = plan else {
+            return false;
+        };
+        let Plan::Join {
+            on, residual, kind, ..
+        } = &**input
+        else {
+            return false;
+        };
+        let join = on.len() == 1 && residual.is_none() && *kind == JoinType::Inner;
+        let hash = p.join == JoinStrategy::Hash && p.agg == AggStrategy::Hash;
+        join && hash && p.optimizer != Optimizer::Off && p.exec == ExecMode::Batch
     }
 
     /// The table `child` reads when it is a bare scan of a base (non-temp)
@@ -755,13 +812,34 @@ impl<'a> Evaluator<'a> {
     }
 }
 
+/// The columns of `schema` an aggregate reads — its group keys and every
+/// column its items name (as the optimizer's pruning reads them) — in
+/// schema order; `None` when a name does not resolve, so that the aggregate
+/// sees every column and reports it.
+fn reads(schema: &Schema, keys: &[String], items: &[(ScalarExpr, String)]) -> Option<Vec<usize>> {
+    let mut names = keys.to_vec();
+    for (e, _) in items {
+        e.collect_cols(&mut names);
+    }
+    let mut cols: Vec<usize> = names
+        .iter()
+        .map(|n| schema.index_of(n).ok())
+        .collect::<Option<_>>()?;
+    cols.sort_unstable();
+    cols.dedup();
+    Some(cols)
+}
+
 /// A value flowing between operators: columnar when the producing operator
 /// ran a batch kernel, row-materialized otherwise. The two bridge methods
 /// are the only row⇄column transposes in the evaluator, and both are
 /// exact, so mixing the two shapes inside one plan cannot change results.
+/// A batch join under a fused aggregate hands it the join's pairs, not yet
+/// gathered (DESIGN §18).
 pub(crate) enum Data {
     Rows(Relation),
     Cols(Batch),
+    Joined(batch::Joined),
 }
 
 impl Data {
@@ -769,6 +847,7 @@ impl Data {
         match self {
             Data::Rows(r) => r.len(),
             Data::Cols(b) => b.len(),
+            Data::Joined(j) => j.len(),
         }
     }
 
@@ -776,6 +855,7 @@ impl Data {
         match self {
             Data::Rows(r) => r.schema(),
             Data::Cols(b) => b.schema(),
+            Data::Joined(j) => j.schema(),
         }
     }
 
@@ -784,6 +864,7 @@ impl Data {
         match self {
             Data::Rows(r) => out.extend_from_slice(&r.rows()[i]),
             Data::Cols(b) => out.extend(b.columns().iter().map(|c| c.value(i))),
+            Data::Joined(_) => unreachable!("a join's pairs go only to its fused aggregate"),
         }
     }
 
@@ -791,13 +872,14 @@ impl Data {
         match self {
             Data::Rows(r) => Batch::from_relation(&r),
             Data::Cols(b) => b,
+            Data::Joined(j) => j.gather(),
         }
     }
 
     pub(crate) fn into_relation(self) -> Relation {
         match self {
             Data::Rows(r) => r,
-            Data::Cols(b) => b.to_relation(),
+            data => data.into_batch().to_relation(),
         }
     }
 }

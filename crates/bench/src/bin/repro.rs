@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--scale S]
-//! repro explain <algo> [--scale S]
+//! repro explain <algo> [--best] [--scale S]
 //! ```
 //!
 //! The experiments are the entries of [`aio_bench::experiments::EXPERIMENTS`]
@@ -10,7 +10,9 @@
 //! table marks `in_all`. `explain <algo>` (pagerank | tc | sssp | wcc) is
 //! EXPLAIN ANALYZE: it prints the annotated plan tree + per-iteration
 //! convergence and writes `TRACE_<algo>.json` (Perfetto) and
-//! `TRACE_<algo>.jsonl`. `--scale S` is the dataset scale factor relative
+//! `TRACE_<algo>.jsonl`; `--best` runs it under the benchmark's best
+//! profile (cost optimizer, batch execution, one thread) instead of
+//! `oracle_like()`. `--scale S` is the dataset scale factor relative
 //! to the published sizes (default 0.001; 1.0 = the full SNAP sizes).
 //!
 //! Engine performance is not measured here: that is `benchmark/`
@@ -21,6 +23,7 @@ use aio_bench::experiments::{self as exp, Experiment, EXPERIMENTS};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 0.001f64;
+    let mut best = false;
     let mut picks: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -31,6 +34,7 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("missing/bad value for --scale"));
             }
+            "--best" => best = true,
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
             other => picks.push(other.to_string()),
@@ -44,7 +48,7 @@ fn main() {
     // not an experiment of its own.
     if picks[0] == "explain" {
         let algo = picks.get(1).map(String::as_str).unwrap_or("pagerank");
-        print!("{}", exp::explain(algo, scale));
+        print!("{}", exp::explain(algo, scale, best));
         return;
     }
 
@@ -85,7 +89,7 @@ fn usage(err: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     eprintln!(
         "usage: repro [EXPERIMENT ...] [--scale S]\n\
-         \x20      repro explain <pagerank|tc|sssp|wcc> [--scale S]\n\
+         \x20      repro explain <pagerank|tc|sssp|wcc> [--best] [--scale S]\n\
          experiments: {} all",
         names.join(" ")
     );

@@ -5,7 +5,7 @@
 use crate::runner::{run_algo, FIG7_ALGOS, FIG8_ALGOS, FIXED_ITERS};
 use crate::{ms, TextTable};
 use aio_algebra::ops::{AntiJoinImpl, UbuImpl};
-use aio_algebra::{all_profiles, oracle_like, postgres_like};
+use aio_algebra::{all_profiles, oracle_like, postgres_like, ExecMode, Optimizer};
 use aio_algos as algos;
 use aio_algos::common::{db_for, EdgeStyle};
 use aio_graph::engines::{Bsp, DatalogEngine, VertexCentric};
@@ -537,31 +537,40 @@ pub fn exp1(scale: f64) -> String {
 /// on, print the EXPLAIN ANALYZE report (annotated plan tree + per-iteration
 /// convergence), and export the trace twice: `TRACE_<algo>.json`
 /// (Chrome/Perfetto-loadable) and `TRACE_<algo>.jsonl` (schema-checked).
-pub fn explain(algo: &str, scale: f64) -> String {
-    match explain_inner(algo, scale) {
+/// The engine is `oracle_like()`, or with `best` the benchmark's best
+/// profile: that one with the cost optimizer and batch execution, on one
+/// thread.
+pub fn explain(algo: &str, scale: f64, best: bool) -> String {
+    match explain_inner(algo, scale, best) {
         Ok(s) => s,
         Err(e) => format!("explain {algo} failed: {e}"),
     }
 }
 
-fn explain_inner(algo: &str, scale: f64) -> Result<String> {
+fn explain_inner(algo: &str, scale: f64, best: bool) -> Result<String> {
     let edges = ((2.0e5 * scale) as usize).clamp(150, 200_000);
     let nodes = (edges / 5).max(20);
     let g = aio_graph::generate(aio_graph::GraphKind::PowerLaw, nodes, edges, true, 7);
+    let mut profile = oracle_like();
+    if best {
+        profile = profile
+            .with_optimizer(Optimizer::Cost)
+            .with_exec(ExecMode::Batch);
+    }
     let key = algo.to_ascii_lowercase();
     let (mut db, sql) = match key.as_str() {
         "pr" | "pagerank" => {
-            let mut db = db_for(&g, &oracle_like(), EdgeStyle::PageRank)?;
+            let mut db = db_for(&g, &profile, EdgeStyle::PageRank)?;
             db.set_param("c", 0.85);
             db.set_param("n", g.node_count() as f64);
             (db, algos::pagerank::sql(10))
         }
         "tc" => {
-            let db = db_for(&g, &oracle_like(), EdgeStyle::Raw)?;
+            let db = db_for(&g, &profile, EdgeStyle::Raw)?;
             (db, algos::tc::sql(16))
         }
         "sssp" => {
-            let mut db = db_for(&g, &oracle_like(), EdgeStyle::WithLoops(0.0))?;
+            let mut db = db_for(&g, &profile, EdgeStyle::WithLoops(0.0))?;
             for row in db.catalog.relation_mut("V")?.rows_mut() {
                 let seed = if row[0].as_int() == Some(0) {
                     0.0
@@ -573,7 +582,7 @@ fn explain_inner(algo: &str, scale: f64) -> Result<String> {
             (db, algos::sssp::SQL.to_string())
         }
         "wcc" => {
-            let db = db_for(&g, &oracle_like(), EdgeStyle::WithLoops(1.0))?;
+            let db = db_for(&g, &profile, EdgeStyle::WithLoops(1.0))?;
             (db, algos::wcc::SQL.to_string())
         }
         other => {

@@ -17,8 +17,10 @@
 //! numbers groups in order of first appearance (hash aggregation, window
 //! partitions, merge-improve's best row per key, whole-row dedup).
 //!
-//! `KeyIndex` is built in `P` hash-disjoint partitions so builds can run on
-//! `P` threads (partition `p` owns the rows with `hash % P == p`); probe
+//! `KeyIndex` is one map entry per key hash plus a flat per-row chain, so a
+//! build allocates nothing per key. It is built in `P` hash-disjoint
+//! partitions so builds can run on `P` threads (partition `p` owns the rows
+//! with `hash % P == p` and links only those); probe
 //! results do not depend on `P`, and come back in row order. Every row is
 //! indexed, NULL keys included, and a probe matches under storage equality,
 //! which is what union-by-update wants. SQL joins never match a NULL key,
@@ -34,6 +36,7 @@ use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Hash of `row` projected to `cols`: rows that agree under [`keys_eq`]
 /// hash equally.
@@ -72,8 +75,9 @@ pub fn key_cmp(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> 
     Ordering::Equal
 }
 
-/// Ends a [`KeyGroups`] collision chain.
-const NO_GROUP: u32 = u32::MAX;
+/// Ends a collision chain: of [`KeyGroups`]' groups, or of [`KeyIndex`]'s
+/// rows.
+const END: u32 = u32::MAX;
 
 /// Dense group ids for rows under key equality: a row with a new key opens
 /// the next group, which remembers that first row. Rows are borrowed, so
@@ -85,7 +89,7 @@ pub struct KeyGroups<'a> {
     cols: Vec<usize>,
     /// Key hash → the newest group with that hash.
     heads: FxHashMap<u64, u32>,
-    /// Per group: the previous group with the same hash, or [`NO_GROUP`].
+    /// Per group: the previous group with the same hash, or [`END`].
     chain: Vec<u32>,
     /// Per group: the first row that had its key.
     firsts: Vec<&'a [Value]>,
@@ -118,7 +122,7 @@ impl<'a> KeyGroups<'a> {
         let prev = match self.heads.entry(key_hash(row, &self.cols)) {
             Entry::Occupied(mut head) => {
                 let mut g = *head.get();
-                while g != NO_GROUP {
+                while g != END {
                     if keys_eq(self.firsts[g as usize], &self.cols, row, &self.cols) {
                         return (g, false);
                     }
@@ -128,7 +132,7 @@ impl<'a> KeyGroups<'a> {
             }
             Entry::Vacant(head) => {
                 head.insert(next);
-                NO_GROUP
+                END
             }
         };
         self.chain.push(prev);
@@ -152,10 +156,32 @@ impl<'a> KeyGroups<'a> {
 }
 
 /// Hash-partitioned, borrowed-key multimap over one relation's key columns.
+/// Chained: one map entry per key hash, holding the first and the last row
+/// with that hash, and one flat `next` array that links each row to the next
+/// row with its hash, in row order. Nothing is allocated per key.
 pub struct KeyIndex {
     cols: Vec<usize>,
-    parts: Vec<FxHashMap<u64, Vec<u32>>>,
+    /// Per partition: key hash → (first, last) row with that hash.
+    parts: Vec<FxHashMap<u64, (u32, u32)>>,
+    /// Per row: the next row with the same key hash, or [`END`].
+    next: Vec<u32>,
     null_rows: usize,
+}
+
+/// Append row `id` to the chain of hash `h` in `map`; `link(last, id)`
+/// points the chain's previous last row at it.
+#[inline]
+fn append(map: &mut FxHashMap<u64, (u32, u32)>, h: u64, id: u32, mut link: impl FnMut(u32, u32)) {
+    match map.entry(h) {
+        Entry::Occupied(mut chain) => {
+            let (_, last) = chain.get_mut();
+            link(*last, id);
+            *last = id;
+        }
+        Entry::Vacant(chain) => {
+            chain.insert((id, id));
+        }
+    }
 }
 
 impl KeyIndex {
@@ -173,15 +199,22 @@ impl KeyIndex {
         } else {
             partitions.max(1)
         };
+        // Each partition links only its own rows, so the stores never race,
+        // and joining the workers publishes them: `Relaxed` suffices.
+        let next: Vec<AtomicU32> = (0..rel.len()).map(|_| AtomicU32::new(END)).collect();
         // Partition `part` of the map, and the NULL-keyed rows of all of
         // `rel` (every partition scans every row anyway).
         let build = |part: usize| {
-            let (mut map, mut null_rows) = (FxHashMap::<u64, Vec<u32>>::default(), 0);
+            // sized for distinct keys: no rehash while it fills
+            let mut map = FxHashMap::with_capacity_and_hasher(rel.len() / p, Default::default());
+            let mut null_rows = 0;
             for (i, row) in rel.rows().iter().enumerate() {
                 null_rows += key_has_null(row, cols) as usize;
                 let h = key_hash(row, cols);
                 if p == 1 || (h as usize) % p == part {
-                    map.entry(h).or_default().push(i as u32);
+                    append(&mut map, h, i as u32, |last, id| {
+                        next[last as usize].store(id, Relaxed)
+                    });
                 }
             }
             (map, null_rows)
@@ -204,6 +237,7 @@ impl KeyIndex {
             cols: cols.to_vec(),
             null_rows: built[0].1,
             parts: built.into_iter().map(|(map, _)| map).collect(),
+            next: next.into_iter().map(AtomicU32::into_inner).collect(),
         }
     }
 
@@ -229,8 +263,12 @@ impl KeyIndex {
     pub fn push(&mut self, row: &[Value], id: u32) {
         self.null_rows += key_has_null(row, &self.cols) as usize;
         let h = key_hash(row, &self.cols);
+        let next = &mut self.next;
+        next.resize(next.len().max(id as usize + 1), END);
         let p = self.parts.len();
-        self.parts[(h as usize) % p].entry(h).or_default().push(id);
+        append(&mut self.parts[(h as usize) % p], h, id, |last, id| {
+            next[last as usize] = id
+        });
     }
 
     /// Indices of `rel`'s rows whose key equals `probe_row[probe_cols]`
@@ -245,11 +283,11 @@ impl KeyIndex {
         probe_cols: &'a [usize],
     ) -> impl Iterator<Item = u32> + 'a {
         let hash = key_hash(probe_row, probe_cols);
-        let same_hash = self.parts[(hash as usize) % self.parts.len()].get(&hash);
-        same_hash
-            .map_or(&[][..], Vec::as_slice)
-            .iter()
-            .copied()
+        let first = self.parts[(hash as usize) % self.parts.len()]
+            .get(&hash)
+            .map(|&(first, _)| first);
+        let live = |r: &u32| *r != END;
+        std::iter::successors(first, move |&r| Some(self.next[r as usize]).filter(live))
             .filter(move |&ri| keys_eq(&rel.rows()[ri as usize], &self.cols, probe_row, probe_cols))
     }
 
@@ -265,8 +303,22 @@ impl KeyIndex {
     /// single r" (Section 4.1), and the guard of every lookup that needs
     /// one row per key.
     pub fn first_duplicate(&self, rel: &Relation) -> Option<usize> {
-        (0..rel.len())
-            .find(|&i| self.probe(rel, &rel.rows()[i], &self.cols).next() != Some(i as u32))
+        let (rows, cols) = (rel.rows(), &self.cols);
+        let next = |r: u32| Some(self.next[r as usize]).filter(|&n| n != END);
+        // Equal keys hash alike, so a row can only repeat a key of its own
+        // chain: in each chain, the first row equal to an earlier one.
+        let repeat = |first: u32| {
+            std::iter::successors(next(first), |&r| next(r)).find(|&r| {
+                std::iter::successors(Some(first), |&e| next(e))
+                    .take_while(|&e| e != r)
+                    .any(|e| keys_eq(&rows[e as usize], cols, &rows[r as usize], cols))
+            })
+        };
+        let chains = self.parts.iter().flat_map(|part| part.values());
+        chains
+            .filter_map(|&(first, _)| repeat(first))
+            .min()
+            .map(|r| r as usize)
     }
 }
 
@@ -342,6 +394,43 @@ mod tests {
                     );
                 }
                 assert_eq!(idx.first_duplicate(&grown), fresh.first_duplicate(&all));
+            }
+        }
+    }
+
+    /// Long chains and many short ones: every row on one key, and 10k
+    /// distinct keys. A build, and a half build grown by `push`, probe like
+    /// a naive scan at every partition count, and agree on the first
+    /// duplicate.
+    #[test]
+    fn one_long_chain_and_many_keys_probe_like_a_naive_scan() {
+        let one_key = (0..10_000).map(|i| row![7, i, 0.0]).collect();
+        let distinct = (0..10_000).map(|i| row![i * 3 - 5_000, 0, 0.0]).collect();
+        let cases: [(Vec<Row>, Vec<usize>, _); 2] = [
+            (one_key, vec![0, 4_999, 5_000, 9_999], Some(1)),
+            (distinct, (0..10_000).step_by(97).collect(), None),
+        ];
+        for (rows, probes, dup) in cases {
+            let all = Relation::from_rows(edge_schema(), rows.clone()).unwrap();
+            for parts in [1, 2, 3, 7] {
+                let fresh = KeyIndex::build_partitioned(&all, &[0], parts);
+                let mut grown = Relation::from_rows(edge_schema(), rows[..5_000].to_vec()).unwrap();
+                let mut pushed = KeyIndex::build_partitioned(&grown, &[0], parts);
+                for row in &rows[5_000..] {
+                    pushed.push(row, grown.len() as u32);
+                    grown.push(row.clone()).unwrap();
+                }
+                for (idx, rel) in [(&fresh, &all), (&pushed, &grown)] {
+                    for &p in &probes {
+                        let probe = &all.rows()[p];
+                        let want: Vec<u32> = (0..all.len() as u32)
+                            .filter(|&i| keys_eq(&all.rows()[i as usize], &[0], probe, &[0]))
+                            .collect();
+                        let got: Vec<u32> = idx.probe(rel, probe, &[0]).collect();
+                        assert_eq!(got, want, "parts={parts} probe={p}");
+                    }
+                    assert_eq!(idx.first_duplicate(rel), dup, "parts={parts}");
+                }
             }
         }
     }
@@ -441,7 +530,14 @@ mod tests {
     fn first_duplicate_is_the_first_repeated_key() {
         let r = rel();
         for parts in [1, 3] {
-            for (cols, want) in [(&[0][..], Some(2)), (&[0, 1], Some(4)), (&[0, 1, 2], None)] {
+            // on T, key 2 repeats at row 4 but key 3 already at row 2
+            let cases = [
+                (&[0][..], Some(2)),
+                (&[1], Some(2)),
+                (&[0, 1], Some(4)),
+                (&[0, 1, 2], None),
+            ];
+            for (cols, want) in cases {
                 let idx = KeyIndex::build_partitioned(&r, cols, parts);
                 assert_eq!(idx.first_duplicate(&r), want, "{cols:?}");
             }

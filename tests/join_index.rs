@@ -2,16 +2,18 @@
 //!
 //! Under `Rules` / `Cost` with batch execution, an inner join on one `Int`
 //! key whose probe side is a bare scan of a base table, and whose build
-//! side has at most 1/8 of its rows, is driven by the small side through
-//! the table's cached single-level trie instead of hashing (DESIGN §17):
-//! the join line reads `driven=S, index=E.F`. The rows must be exactly
-//! `Off`'s, in the same order, at every parallelism; every other join —
-//! the mirrored plan with the table as the build side included — must
-//! hash. Which path ran is read off the EXPLAIN ANALYZE join line.
+//! side has at most 1/8 as many rows as the table has distinct keys, is
+//! driven by the small side through the table's cached single-level trie
+//! instead of hashing (DESIGN §17): the join line reads
+//! `driven=S, index=E.F`. The rows must be exactly `Off`'s, in the same
+//! order, at every parallelism; every other join — the mirrored plan with
+//! the table as the build side included — must hash. Which path ran is read
+//! off the EXPLAIN ANALYZE join line.
 
 use all_in_one::algebra::explain::render_analyzed;
 use all_in_one::algebra::{
-    execute, execute_traced, oracle_like, EngineProfile, ExecMode, JoinType, Optimizer, Plan,
+    db2_like, execute, execute_traced, oracle_like, postgres_like, AggFunc, BinOp, EngineProfile,
+    ExecMode, JoinType, Optimizer, Plan, ScalarExpr,
 };
 use all_in_one::storage::{edge_schema, Catalog, DataType, Relation, Row, Schema, Value};
 use all_in_one::trace::Tracer;
@@ -115,15 +117,15 @@ const DRIVEN: &str = "driven=S, index=E.F";
 
 #[test]
 fn duplicate_keys_on_both_sides() {
-    let e: Vec<Option<i64>> = (0..200).map(|i| Some((i * 7) % 20)).collect();
-    let s = [3, 3, 5, 7, 7, 7, 19, 40];
+    let e: Vec<Option<i64>> = (0..400).map(|i| Some((i * 7) % 80)).collect();
+    let s = [3, 3, 5, 7, 7, 7, 19, 90];
     let c = catalog(&e, &s);
     assert_eq!(check(&e_s(), &c, "dups E⋈S"), DRIVEN);
     assert_eq!(check(&s_e(), &c, "dups S⋈E"), "");
 }
 
 /// Inputs big enough to split into morsels at `par` > 1 where the join
-/// hashes, and a driven join that collects thousands of pairs.
+/// hashes, and a driven join that collects over a thousand pairs.
 #[test]
 fn inputs_large_enough_to_split() {
     let e: Vec<Option<i64>> = (0..9_000).map(|i| Some((i * 31) % 700)).collect();
@@ -131,7 +133,9 @@ fn inputs_large_enough_to_split() {
     let c = catalog(&e, &s);
     assert_eq!(check(&s_e(), &c, "large S⋈E"), "");
     assert_eq!(check(&e_s(), &c, "large E⋈S"), "");
-    let c = catalog(&e, &s[..1_000]);
+    // 87 × 8 ≤ 700 distinct keys, each held by ≈13 rows of E
+    let s: Vec<i64> = (0..87).map(|i| (i * 17) % 700).collect();
+    let c = catalog(&e, &s);
     assert_eq!(check(&e_s(), &c, "E⋈S, many pairs"), DRIVEN);
 }
 
@@ -161,18 +165,34 @@ fn empty_small_side() {
     assert_eq!(check(&s_e(), &c, "empty S⋈E"), "");
 }
 
-/// The small side drives only at ≤ 1/8 of the table; the mirrored plan
-/// hashes whatever the ratio.
+/// The small side drives only at ≤ 1/8 of the table's distinct keys,
+/// however many rows hold them; the mirrored plan hashes whatever the
+/// ratio.
 #[test]
 fn size_ratio_around_eight() {
     let s: Vec<i64> = (0..6).map(|i| i * 2).collect();
-    for (rows, driven) in [(8 * 6 - 1, false), (8 * 6, true), (8 * 6 + 1, true)] {
-        let e: Vec<Option<i64>> = (0..rows).map(|i| Some(i % 13)).collect();
+    for (keys, driven) in [(8 * 6 - 1, false), (8 * 6, true), (8 * 6 + 1, true)] {
+        let e: Vec<Option<i64>> = (0..500).map(|i| Some(i % keys)).collect();
         let c = catalog(&e, &s);
         let want = if driven { DRIVEN } else { "" };
-        assert_eq!(check(&e_s(), &c, &format!("|E|={rows}")), want);
-        assert_eq!(check(&s_e(), &c, &format!("|E|={rows} mirrored")), "");
+        assert_eq!(check(&e_s(), &c, &format!("{keys} keys")), want);
+        assert_eq!(check(&s_e(), &c, &format!("{keys} keys mirrored")), "");
     }
+}
+
+/// PageRank's shape: the small side holds every key of the table. It has
+/// 1/8 of the table's rows but as many rows as the table has keys, so a
+/// lookup per row would touch every run of the trie: it hashes.
+#[test]
+fn a_side_covering_every_key_hashes() {
+    let e: Vec<Option<i64>> = (0..400).map(|i| Some((i * 13) % 50)).collect();
+    let s: Vec<i64> = (0..50).rev().collect();
+    let c = catalog(&e, &s);
+    assert_eq!(check(&e_s(), &c, "S covers E.F"), "");
+    assert!(
+        c.trie_on("E", &[0]).is_some(),
+        "the trie was built and read"
+    );
 }
 
 #[test]
@@ -191,7 +211,7 @@ fn two_key_join_falls_back() {
 /// builds the trie.
 #[test]
 fn only_eligible_joins_use_the_trie_and_only_from_the_third() {
-    let e: Vec<Option<i64>> = (0..80).map(|i| Some(i % 10)).collect();
+    let e: Vec<Option<i64>> = (0..80).map(|i| Some(i % 20)).collect();
     let c = catalog(&e, &[2, 3]);
     let joins = |plan: &Plan, profile: &EngineProfile| {
         let tracer = Tracer::new();
@@ -224,4 +244,42 @@ fn only_eligible_joins_use_the_trie_and_only_from_the_third() {
     assert!(c.trie_on("E", &[0]).is_some());
     assert_eq!(joins(&e_s(), &best(1)), [true]);
     assert_eq!(joins(&s_e(), &best(1)), [false], "still hashes");
+}
+
+/// The paper's systems have no fused MV-join: no paper profile, in row or
+/// batch mode, renders `fused` on `γ(E ⋈ S)`, while `Cost` + `Batch` does.
+#[test]
+fn no_paper_profile_fuses() {
+    let e: Vec<Option<i64>> = (0..60).map(|i| Some(i % 7)).collect();
+    let c = catalog(&e, &[0, 1, 2, 3, 4, 5, 6]);
+    let weight = ScalarExpr::binary(BinOp::Mul, ScalarExpr::col("S.vw"), ScalarExpr::col("E.ew"));
+    let plan = Plan::Aggregate {
+        input: Box::new(e_s()),
+        group_by: vec!["E.T".into()],
+        items: vec![
+            (ScalarExpr::col("E.T"), "T".into()),
+            (ScalarExpr::Agg(AggFunc::Sum, Box::new(weight)), "w".into()),
+        ],
+    };
+    let root_line = |profile: &EngineProfile| {
+        let tracer = Tracer::new();
+        execute_traced(&plan, &c, profile, Some(&tracer)).unwrap();
+        let trace = tracer.finish();
+        let spans: Vec<_> = trace.spans.iter().collect();
+        let report = render_analyzed(&plan, &spans, false);
+        report.lines().next().unwrap().to_string()
+    };
+    for paper in [
+        oracle_like(),
+        db2_like(),
+        postgres_like(false),
+        postgres_like(true),
+    ] {
+        for exec in [ExecMode::Row, ExecMode::Batch] {
+            let line = root_line(&paper.clone().with_exec(exec));
+            assert!(!line.contains("fused"), "{} {exec:?}: {line}", paper.name);
+        }
+    }
+    let line = root_line(&best(1));
+    assert!(line.ends_with(" fused)"), "{line}");
 }
