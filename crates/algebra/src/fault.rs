@@ -82,8 +82,7 @@ pub fn ivm_fault_armed() -> bool {
 /// because the seeding path lives in `aio-withplus`.
 pub fn clip_ivm_seed(seed: &mut aio_storage::Relation) {
     if ivm_fault_armed() && !seed.is_empty() {
-        let n = seed.len() - 1;
-        seed.rows_mut().truncate(n);
+        seed.truncate(seed.len() - 1);
         HITS.with(|h| h.set(h.get() + 1));
     }
 }
@@ -92,8 +91,7 @@ pub fn clip_ivm_seed(seed: &mut aio_storage::Relation) {
 /// truncate off the final row — the classic `< n - 1` loop bound.
 pub(crate) fn clip_delta(delta: &mut aio_storage::Relation) {
     if ubu_fault_armed() && !delta.is_empty() {
-        let n = delta.len() - 1;
-        delta.rows_mut().truncate(n);
+        delta.truncate(delta.len() - 1);
         HITS.with(|h| h.set(h.get() + 1));
     }
 }

@@ -322,6 +322,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][0], Value::Int(1));
+        assert_eq!(out[0][0], Value::Int(1));
     }
 }

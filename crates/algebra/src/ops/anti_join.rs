@@ -68,7 +68,7 @@ fn filter_by_probe(
     };
     let idx = KeyIndex::build_partitioned(right, &keys.right, parts);
     let (bufs, info) = crate::par::run_morsels(left.len(), par, |range| {
-        let rows = &left.rows()[range];
+        let rows = left.rows().range(range);
         Ok(rows
             .iter()
             .filter(|row| keep(row, &idx))
@@ -78,7 +78,7 @@ fn filter_by_probe(
     stats.note_parallel(&info);
     let mut out = Relation::new(left.schema().clone());
     for rows in bufs {
-        out.rows_mut().extend(rows);
+        out.extend(rows)?;
     }
     stats.rows_produced += out.len() as u64;
     Ok(out)

@@ -32,7 +32,7 @@ pub fn select_par(
     let par = if bound.is_deterministic() { par } else { 1 };
     let (bufs, info) = crate::par::run_morsels(input.len(), par, |range| {
         let mut rows = Vec::new();
-        for row in &input.rows()[range] {
+        for row in input.rows().range(range) {
             if bound.eval_pred(row)? {
                 rows.push(row.clone());
             }
@@ -41,7 +41,7 @@ pub fn select_par(
     })?;
     stats.note_parallel(&info);
     for rows in bufs {
-        out.rows_mut().extend(rows);
+        out.extend(rows)?;
     }
     Ok(out)
 }
@@ -73,7 +73,7 @@ pub fn project_par(
     };
     let (bufs, info) = crate::par::run_morsels(input.len(), par, |range| {
         let mut rows = Vec::new();
-        for row in &input.rows()[range] {
+        for row in input.rows().range(range) {
             let vals: Vec<aio_storage::Value> =
                 bound.iter().map(|e| e.eval(row)).collect::<Result<_>>()?;
             rows.push(vals.into_boxed_slice());
@@ -82,17 +82,17 @@ pub fn project_par(
     })?;
     stats.note_parallel(&info);
     for rows in bufs {
-        out.rows_mut().extend(rows);
+        out.extend(rows)?;
     }
     Ok(out)
 }
 
 /// ρ — rename: re-qualify every column with `alias` (what `FROM t AS a`
-/// does). Row data is shared structurally; only the schema changes.
+/// does). Row data is shared chunk by chunk; only the schema changes.
 pub fn rename(input: &Relation, alias: &str) -> Relation {
-    let mut out = Relation::new(input.schema().with_qualifier(alias));
-    out.rows_mut().extend(input.iter().cloned());
-    out
+    input
+        .clone()
+        .with_schema(input.schema().with_qualifier(alias))
 }
 
 fn check_same_arity(a: &Relation, b: &Relation, op: &str) -> Result<()> {
@@ -110,9 +110,8 @@ fn check_same_arity(a: &Relation, b: &Relation, op: &str) -> Result<()> {
 pub fn union_all(a: &Relation, b: &Relation) -> Result<Relation> {
     check_same_arity(a, b, "union all")?;
     let mut out = Relation::new(a.schema().clone());
-    out.rows_mut().reserve(a.len() + b.len());
-    out.rows_mut().extend(a.iter().cloned());
-    out.rows_mut().extend(b.iter().cloned());
+    out.extend(a.iter().cloned())?;
+    out.extend(b.iter().cloned())?;
     Ok(out)
 }
 
@@ -155,13 +154,12 @@ pub fn difference(a: &Relation, b: &Relation) -> Result<Relation> {
 pub fn product(a: &Relation, b: &Relation) -> Result<Relation> {
     let schema = a.schema().join(b.schema());
     let mut out = Relation::new(schema);
-    out.rows_mut().reserve(a.len() * b.len());
     for ra in a.iter() {
         for rb in b.iter() {
             let mut row = Vec::with_capacity(ra.len() + rb.len());
             row.extend_from_slice(ra);
             row.extend_from_slice(rb);
-            out.rows_mut().push(row.into_boxed_slice());
+            out.push(row.into_boxed_slice())?;
         }
     }
     Ok(out)
@@ -203,7 +201,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(out.rows()[0][1], Value::Float(20.0));
+        assert_eq!(out[0][1], Value::Float(20.0));
         assert_eq!(out.schema().index_of("scaled").unwrap(), 1);
     }
 
@@ -247,7 +245,7 @@ mod tests {
         let out = product(&a, &b).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.schema().arity(), 4);
-        assert_eq!(out.rows()[0][2], Value::Int(9));
+        assert_eq!(out[0][2], Value::Int(9));
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn finish_group(
         .iter()
         .map(|e| e.eval_env(key, &agg_vals))
         .collect::<Result<_>>()?;
-    out.rows_mut().push(row.into_boxed_slice());
+    out.push(row.into_boxed_slice())?;
     Ok(())
 }
 
@@ -184,7 +184,7 @@ pub fn group_by_par(
             let (mut partials, info) = crate::par::run_morsels(input.len(), par, |range| {
                 let mut groups = KeyGroups::new(&group_cols);
                 let mut accs: Vec<Vec<Accumulator>> = Vec::new();
-                for row in &input.rows()[range] {
+                for row in input.rows().range(range) {
                     let (g, new) = groups.assign(row);
                     if new {
                         accs.push(c.accumulators());
@@ -279,7 +279,7 @@ pub fn window(
             .iter()
             .map(|e| e.eval_env(row, agg_vals))
             .collect::<Result<_>>()?;
-        out.rows_mut().push(vals.into_boxed_slice());
+        out.push(vals.into_boxed_slice())?;
     }
     stats.rows_produced += out.len() as u64;
     Ok(out)
@@ -397,8 +397,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][0], Value::Int(0));
-        assert!(out.rows()[0][1].is_null());
+        assert_eq!(out[0][0], Value::Int(0));
+        assert!(out[0][1].is_null());
     }
 
     #[test]

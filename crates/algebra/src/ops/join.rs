@@ -195,19 +195,19 @@ fn nested_loop(
                 if keep(residual, &row)? {
                     matched = true;
                     right_matched[ri] = true;
-                    out.rows_mut().push(row);
+                    out.push(row)?;
                 }
             }
         }
         if !matched && jt != JoinType::Inner {
-            out.rows_mut().push(concat(lrow, &rpad));
+            out.push(concat(lrow, &rpad))?;
         }
     }
     if jt == JoinType::Full {
         let lpad = null_row(left.schema().arity());
         for (ri, rrow) in right.iter().enumerate() {
             if !right_matched[ri] {
-                out.rows_mut().push(concat(&lpad, rrow));
+                out.push(concat(&lpad, rrow))?;
             }
         }
     }
@@ -251,11 +251,11 @@ fn hash_join(
     let (bufs, info) = crate::par::run_morsels(left.len(), par, |range| {
         let mut rows: Vec<Row> = Vec::new();
         let mut matched = vec![0u64; if jt == JoinType::Full { nwords } else { 0 }];
-        for lrow in &left.rows()[range] {
+        for lrow in left.rows().range(range) {
             let mut any = false;
             if !key_has_null(lrow, &keys.left) {
                 for ri in build.probe(right, lrow, &keys.left) {
-                    let row = concat(lrow, &right.rows()[ri as usize]);
+                    let row = concat(lrow, &right[ri as usize]);
                     if keep(residual, &row)? {
                         any = true;
                         if jt == JoinType::Full {
@@ -282,7 +282,7 @@ fn hash_join(
     if jt == JoinType::Full {
         let mut right_matched = vec![0u64; nwords];
         for (rows, words) in bufs {
-            out.rows_mut().extend(rows);
+            out.extend(rows)?;
             for (acc, w) in right_matched.iter_mut().zip(&words) {
                 *acc |= w;
             }
@@ -290,12 +290,12 @@ fn hash_join(
         let lpad = null_row(left.schema().arity());
         for (ri, rrow) in right.iter().enumerate() {
             if right_matched[ri / 64] & (1 << (ri % 64)) == 0 {
-                out.rows_mut().push(concat(&lpad, rrow));
+                out.push(concat(&lpad, rrow))?;
             }
         }
     } else {
         for (rows, _) in bufs {
-            out.rows_mut().extend(rows);
+            out.extend(rows)?;
         }
     }
     Ok(out)
@@ -320,8 +320,9 @@ fn merge_join(
     let rorder = obtain_order(right, &keys.right, orders.right, stats);
     let build_ns = build_start.elapsed().as_nanos() as u64;
     let probe_start = Instant::now();
-    let lrows = left.rows();
-    let rrows = right.rows();
+    // flat references: the merge reads rows in key order
+    let lrows: Vec<_> = left.iter().collect();
+    let rrows: Vec<_> = right.iter().collect();
     let mut out = Relation::new(schema);
     let mut right_matched = vec![false; right.len()];
     let (mut i, mut j) = (0usize, 0usize);
@@ -355,14 +356,14 @@ fn merge_join(
                 // find the run of equal keys on each side
                 let mut i_end = i + 1;
                 while i_end < lorder.len()
-                    && keys_eq(&lrows[lorder[i_end] as usize], &keys.left, lrow, &keys.left)
+                    && keys_eq(lrows[lorder[i_end] as usize], &keys.left, lrow, &keys.left)
                 {
                     i_end += 1;
                 }
                 let mut j_end = j + 1;
                 while j_end < rorder.len()
                     && keys_eq(
-                        &rrows[rorder[j_end] as usize],
+                        rrows[rorder[j_end] as usize],
                         &keys.right,
                         rrow,
                         &keys.right,
@@ -373,11 +374,11 @@ fn merge_join(
                 for &li in &lorder[i..i_end] {
                     let mut matched = false;
                     for &rj in &rorder[j..j_end] {
-                        let row = concat(&lrows[li as usize], &rrows[rj as usize]);
+                        let row = concat(lrows[li as usize], rrows[rj as usize]);
                         if keep(residual, &row)? {
                             matched = true;
                             right_matched[rj as usize] = true;
-                            out.rows_mut().push(row);
+                            out.push(row)?;
                         }
                     }
                     if !matched && jt != JoinType::Inner {
@@ -393,14 +394,14 @@ fn merge_join(
         left_unmatched.extend_from_slice(&lorder[i..]);
         let rpad = null_row(right.schema().arity());
         for li in left_unmatched {
-            out.rows_mut().push(concat(&lrows[li as usize], &rpad));
+            out.push(concat(lrows[li as usize], &rpad))?;
         }
     }
     if jt == JoinType::Full {
         let lpad = null_row(left.schema().arity());
         for (ri, rrow) in rrows.iter().enumerate() {
             if !right_matched[ri] {
-                out.rows_mut().push(concat(&lpad, rrow));
+                out.push(concat(&lpad, rrow))?;
             }
         }
     }
@@ -425,9 +426,10 @@ fn obtain_order<'a>(
         return std::borrow::Cow::Borrowed(p);
     }
     stats.sorts += 1;
-    let rows = rel.rows();
+    // flat references: the sort looks rows up at random
+    let rows: Vec<_> = rel.iter().collect();
     let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
-    perm.sort_unstable_by(|&a, &b| key_cmp(&rows[a as usize], cols, &rows[b as usize], cols));
+    perm.sort_unstable_by(|&a, &b| key_cmp(rows[a as usize], cols, rows[b as usize], cols));
     std::borrow::Cow::Owned(perm)
 }
 

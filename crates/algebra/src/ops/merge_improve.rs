@@ -76,7 +76,7 @@ pub fn ubu_merge_improve(
             (_, true) => best.push(i),
             (g, false) => {
                 let g = g as usize;
-                if better(&row[value_col], &delta.rows()[best[g]][value_col]) {
+                if better(&row[value_col], &delta[best[g]][value_col]) {
                     best[g] = i;
                 }
             }
@@ -90,9 +90,9 @@ pub fn ubu_merge_improve(
     {
         let t = catalog.relation(target)?;
         for &di in &best {
-            let row = &delta.rows()[di];
+            let row = &delta[di];
             match index.probe(t, row, keys).next() {
-                Some(ti) if better(&row[value_col], &t.rows()[ti as usize][value_col]) => {
+                Some(ti) if better(&row[value_col], &t[ti as usize][value_col]) => {
                     changes.push((di, Some(ti as usize)))
                 }
                 Some(_) => {}
@@ -107,19 +107,21 @@ pub fn ubu_merge_improve(
         // it overwrites and appends in place and logs just those rows
         let (mut set, mut append) = (Vec::new(), Vec::new());
         let mut rows = delta.into_rows();
+        let mut front = Vec::with_capacity(changes.len());
         for (di, pos) in changes {
             let row = std::mem::take(&mut rows[di]);
-            frontier.push(row.clone())?;
+            front.push(row.clone());
             match pos {
                 Some(ti) => set.push((ti, row)),
                 None => append.push(row),
             }
         }
+        frontier.extend(front)?;
         let kept = catalog.relation(target)?.len();
         catalog.patch_rows(target, set, append)?;
         let t = catalog.relation(target)?;
-        for (i, row) in t.rows().iter().enumerate().skip(kept) {
-            index.push(row, i as u32);
+        for (i, row) in t.rows().range(kept..t.len()).iter().enumerate() {
+            index.push(row, (kept + i) as u32);
         }
     }
     stats.rows_produced += frontier.len() as u64;
@@ -197,7 +199,7 @@ mod tests {
         let front = improve(&mut c, d, true, &mut s);
         assert_eq!(contents(&c), vec![(1, 2.0)]);
         assert_eq!(front.len(), 1);
-        assert_eq!(front.rows()[0][1].as_f64().unwrap(), 2.0);
+        assert_eq!(front[0][1].as_f64().unwrap(), 2.0);
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn check_unique(delta: &Relation, idx: &KeyIndex, ctx: &str) -> Result<()> {
         None => Ok(()),
         Some(i) => Err(AlgebraError::NonUniqueUpdate(format!(
             "{ctx}: duplicate key {:?}",
-            key_values(&delta.rows()[i], idx.cols())
+            key_values(&delta[i], idx.cols())
         ))),
     }
 }
@@ -151,12 +151,12 @@ pub fn union_by_update(
             let mut overwritten = 0u64;
             {
                 let t = catalog.relation_mut(target)?;
-                for row in t.rows_mut().iter_mut() {
+                for row in t.iter_mut() {
                     if let Some(di) = pick(row) {
                         matched[di] = true;
-                        overwritten += (*row != delta.rows()[di]) as u64;
+                        overwritten += (*row != delta[di]) as u64;
                         let before = row.clone();
-                        *row = delta.rows()[di].clone();
+                        *row = delta[di].clone();
                         updates.push((before, row.clone()));
                     }
                 }
@@ -195,9 +195,9 @@ pub fn union_by_update(
             let (bufs, info) = crate::par::run_morsels(t.len(), par, |range| {
                 let mut hits: Vec<Option<u32>> = Vec::with_capacity(range.len());
                 let mut overwritten = 0u64;
-                for row in &t.rows()[range] {
+                for row in t.rows().range(range) {
                     let hit = idx.probe(&delta, row, keys).next();
-                    overwritten += hit.is_some_and(|di| *row != delta.rows()[di as usize]) as u64;
+                    overwritten += hit.is_some_and(|di| *row != delta[di as usize]) as u64;
                     hits.push(hit);
                 }
                 Ok((hits, overwritten))
@@ -212,22 +212,25 @@ pub fn union_by_update(
             hits.iter().flatten().for_each(|&di| uses[di as usize] += 1);
             let unmatched: Vec<bool> = uses.iter().map(|&n| n == 0).collect();
             let mut delta = delta.into_rows();
-            let mut new_rows: Vec<Row> = Vec::with_capacity(t.len() + delta.len());
-            for (row, hit) in t.rows().iter().zip(hits) {
-                new_rows.push(match hit.map(|di| di as usize) {
-                    None => row.clone(),
-                    Some(di) if uses[di] > 1 => {
-                        uses[di] -= 1;
-                        delta[di].clone()
-                    }
-                    Some(di) => std::mem::take(&mut delta[di]),
-                });
-            }
+            let mut new = Relation::new(t.schema().clone());
+            new.set_pk(t.pk().map(|p| p.to_vec()));
+            new.extend(
+                t.iter()
+                    .zip(hits)
+                    .map(|(row, hit)| match hit.map(|di| di as usize) {
+                        None => row.clone(),
+                        Some(di) if uses[di] > 1 => {
+                            uses[di] -= 1;
+                            delta[di].clone()
+                        }
+                        Some(di) => std::mem::take(&mut delta[di]),
+                    }),
+            )?;
             let inserts = delta.into_iter().zip(unmatched).filter(|(_, u)| *u);
-            let len = new_rows.len();
-            new_rows.extend(inserts.map(|(row, _)| row));
-            let inserted = (new_rows.len() - len) as u64;
-            stats.rows_produced += new_rows.len() as u64;
+            let len = new.len();
+            new.extend(inserts.map(|(row, _)| row))?;
+            let inserted = (new.len() - len) as u64;
+            stats.rows_produced += new.len() as u64;
             stats.ubu_changed_rows += overwritten + inserted;
             if imp == UbuImpl::DropAlter {
                 // materialize into a brand-new table, drop, rename
@@ -237,12 +240,12 @@ pub fn union_by_update(
                 fresh.set_pk(entry.rel.pk().map(|p| p.to_vec()));
                 let staging = format!("{target}__ubu_new");
                 catalog.create_or_replace(&staging, fresh, temp)?;
-                catalog.insert_rows(&staging, new_rows, profile.wal_temp)?;
+                catalog.insert_rows(&staging, new.into_rows(), profile.wal_temp)?;
                 catalog.drop_table(target)?;
                 catalog.rename_table(&staging, target)?;
             } else {
-                catalog.wal.log_insert(profile.wal_temp, &new_rows);
-                *catalog.relation_mut(target)?.rows_mut() = new_rows;
+                catalog.wal.log_insert(profile.wal_temp, new.rows());
+                *catalog.relation_mut(target)? = new;
             }
             Ok(())
         }
@@ -259,7 +262,10 @@ fn replace_whole(
     stats.rows_produced += delta.len() as u64;
     stats.ubu_changed_rows += delta.uncovered(catalog.relation(target)?).count() as u64;
     catalog.wal.log_insert(profile.wal_temp, delta.rows());
-    *catalog.relation_mut(target)?.rows_mut() = delta.into_rows();
+    let t = catalog.relation_mut(target)?;
+    let mut delta = delta.with_schema(t.schema().clone());
+    delta.set_pk(t.pk().map(|p| p.to_vec()));
+    *t = delta;
     Ok(())
 }
 

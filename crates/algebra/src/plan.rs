@@ -862,7 +862,7 @@ impl Data {
     /// Append row `i`'s values to `out`.
     pub(crate) fn push_row(&self, i: usize, out: &mut Vec<Value>) {
         match self {
-            Data::Rows(r) => out.extend_from_slice(&r.rows()[i]),
+            Data::Rows(r) => out.extend_from_slice(&r[i]),
             Data::Cols(b) => out.extend(b.columns().iter().map(|c| c.value(i))),
             Data::Joined(_) => unreachable!("a join's pairs go only to its fused aggregate"),
         }

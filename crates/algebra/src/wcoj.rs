@@ -201,7 +201,7 @@ pub(crate) fn multiway_join(
 
     stats.rows_produced += out_rows.len() as u64;
     let mut out = Relation::new(schema);
-    out.rows_mut().extend(out_rows);
+    out.extend(out_rows)?;
     Ok(out)
 }
 

@@ -33,9 +33,7 @@ pub fn db_for(g: &Graph, profile: &EngineProfile, style: EdgeStyle) -> Result<Da
         EdgeStyle::Raw => load::edge_relation(g),
         EdgeStyle::WithLoops(w) => {
             let mut e = load::edge_relation(g);
-            for v in 0..g.node_count() {
-                e.rows_mut().push(row![v as i64, v as i64, w]);
-            }
+            e.extend((0..g.node_count()).map(|v| row![v as i64, v as i64, w]))?;
             e
         }
         EdgeStyle::PageRank => {
@@ -56,7 +54,7 @@ pub fn set_node_weights(db: &mut Database, weights: &[(i64, f64)]) -> Result<()>
     for &(id, w) in weights {
         by_id.insert(id, w);
     }
-    for row in rel.rows_mut() {
+    for row in rel.iter_mut() {
         if let Some(&w) = row[0].as_int().and_then(|id| by_id.get(&id)) {
             row[1] = w.into();
         }

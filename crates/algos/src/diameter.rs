@@ -20,7 +20,7 @@ pub fn run(g: &Graph, profile: &EngineProfile, samples: usize) -> Result<(u32, V
     for i in 0..samples {
         let src = ((i * n) / samples.max(1)) as u32;
         let mut db = common::db_for(g, profile, EdgeStyle::WithLoops(0.0))?;
-        for row in db.catalog.relation_mut("V")?.rows_mut() {
+        for row in db.catalog.relation_mut("V")?.iter_mut() {
             let id = row[0].as_int().unwrap();
             row[1] = if id == src as i64 { 0.0 } else { f64::INFINITY }.into();
         }

@@ -38,7 +38,7 @@ pub fn run(
             .edges()
             .map(|(u, v, w)| aio_storage::row![v as i64, u as i64, w])
             .collect();
-        db.catalog.relation_mut("E")?.rows_mut().extend(extra);
+        db.catalog.relation_mut("E")?.extend(extra)?;
     }
     db.set_param("k", k);
     let out = db.execute(SQL)?;

@@ -36,7 +36,7 @@ pub fn run(g: &Graph, profile: &EngineProfile) -> Result<(Vec<(u32, u32)>, Query
             .edges()
             .map(|(u, v, w)| aio_storage::row![v as i64, u as i64, w])
             .collect();
-        db.catalog.relation_mut("E")?.rows_mut().extend(extra);
+        db.catalog.relation_mut("E")?.extend(extra)?;
     }
     let out = db.execute(SQL)?;
     let mut pairs = Vec::new();

@@ -24,7 +24,7 @@ pub fn run(
     src: u32,
 ) -> Result<(FxHashMap<i64, f64>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::WithLoops(0.0))?;
-    for row in db.catalog.relation_mut("V")?.rows_mut() {
+    for row in db.catalog.relation_mut("V")?.iter_mut() {
         let id = row[0].as_int().unwrap();
         row[1] = if id == src as i64 { 0.0 } else { f64::INFINITY }.into();
     }

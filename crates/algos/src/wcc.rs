@@ -29,7 +29,7 @@ pub fn run(g: &Graph, profile: &EngineProfile) -> Result<(FxHashMap<i64, i64>, Q
         for (u, v, w) in g.edges() {
             extra.push(row![v as i64, u as i64, w]);
         }
-        db.catalog.relation_mut("E")?.rows_mut().extend(extra);
+        db.catalog.relation_mut("E")?.extend(extra)?;
     }
     let out = db.execute(SQL)?;
     Ok((common::node_i64_map(&out.relation), out))

@@ -571,7 +571,7 @@ fn explain_inner(algo: &str, scale: f64, best: bool) -> Result<String> {
         }
         "sssp" => {
             let mut db = db_for(&g, &profile, EdgeStyle::WithLoops(0.0))?;
-            for row in db.catalog.relation_mut("V")?.rows_mut() {
+            for row in db.catalog.relation_mut("V")?.iter_mut() {
                 let seed = if row[0].as_int() == Some(0) {
                     0.0
                 } else {

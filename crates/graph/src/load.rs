@@ -10,30 +10,24 @@ use aio_storage::{edge_schema, node_schema, row, DataType, Relation, Schema};
 /// `E(F, T, ew)`.
 pub fn edge_relation(g: &Graph) -> Relation {
     let mut e = Relation::with_pk(edge_schema(), &["F", "T"]).expect("static schema");
-    e.rows_mut().reserve(g.edge_count());
-    for (u, v, w) in g.edges() {
-        e.rows_mut().push(row![u as i64, v as i64, w]);
-    }
+    e.extend(g.edges().map(|(u, v, w)| row![u as i64, v as i64, w]))
+        .expect("three columns");
     e
 }
 
 /// `V(ID, vw)` with the given node weights.
 pub fn node_relation(g: &Graph) -> Relation {
     let mut v = Relation::with_pk(node_schema(), &["ID"]).expect("static schema");
-    v.rows_mut().reserve(g.node_count());
-    for id in 0..g.node_count() {
-        v.rows_mut().push(row![id as i64, g.node_weights[id]]);
-    }
+    v.extend((0..g.node_count()).map(|id| row![id as i64, g.node_weights[id]]))
+        .expect("two columns");
     v
 }
 
 /// `V(ID, vw)` with a constant weight (e.g. all-zero PageRank seed).
 pub fn node_relation_const(g: &Graph, vw: f64) -> Relation {
     let mut v = Relation::with_pk(node_schema(), &["ID"]).expect("static schema");
-    v.rows_mut().reserve(g.node_count());
-    for id in 0..g.node_count() {
-        v.rows_mut().push(row![id as i64, vw]);
-    }
+    v.extend((0..g.node_count()).map(|id| row![id as i64, vw]))
+        .expect("two columns");
     v
 }
 
@@ -41,9 +35,8 @@ pub fn node_relation_const(g: &Graph, vw: f64) -> Relation {
 pub fn label_relation(g: &Graph) -> Relation {
     let schema = Schema::of(&[("ID", DataType::Int), ("lbl", DataType::Int)]);
     let mut l = Relation::with_pk(schema, &["ID"]).expect("static schema");
-    for id in 0..g.node_count() {
-        l.rows_mut().push(row![id as i64, g.labels[id] as i64]);
-    }
+    l.extend((0..g.node_count()).map(|id| row![id as i64, g.labels[id] as i64]))
+        .expect("two columns");
     l
 }
 

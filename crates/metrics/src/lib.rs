@@ -277,7 +277,7 @@ engine_metrics! {
     mvcc_pins_total: Counter => "snapshot pins taken by readers";
     mvcc_pinned_current: Gauge => "snapshot pins currently held by readers";
     mvcc_cow_clones_total: Counter => "table entries cloned by copy-on-write before a writer mutation";
-    mvcc_cow_rows_total: Counter => "rows copied by copy-on-write entry clones";
+    mvcc_cow_rows_total: Counter => "rows copied because a write touched a row chunk another table version shares";
     // incremental view maintenance
     ivm_refreshes_total: Counter => "materialized-view refreshes triggered by edge deltas";
     ivm_full_fallbacks_total: Counter => "view refreshes that fell back to a full recompute";
@@ -765,16 +765,19 @@ pub mod hooks {
         global().engine.mvcc_pinned_current.set(held);
     }
 
-    /// Copy-on-write cloned a shared table entry of `rows` rows so the
-    /// writer could mutate it without disturbing pinned snapshots.
+    /// Copy-on-write cloned a shared table entry so the writer could
+    /// mutate it without disturbing pinned snapshots. The clone shares the
+    /// rows; [`mvcc_cow_rows`] counts the ones a write then copies.
     #[inline]
-    pub fn mvcc_cow_clone(rows: u64) {
-        if !enabled() {
-            return;
-        }
-        let m = &global().engine;
-        m.mvcc_cow_clones_total.add_raw(1);
-        m.mvcc_cow_rows_total.add_raw(rows);
+    pub fn mvcc_cow_clone() {
+        global().engine.mvcc_cow_clones_total.add(1);
+    }
+
+    /// A write copied `rows` rows out of a chunk another version of the
+    /// table still shares.
+    #[inline]
+    pub fn mvcc_cow_rows(rows: u64) {
+        global().engine.mvcc_cow_rows_total.add(rows);
     }
 
     /// An edge-delta batch landed on a base table.

@@ -77,7 +77,9 @@ impl TableEntry {
 /// Entries are held behind `Arc` so a committed generation can be forked
 /// as a read-only snapshot in O(tables) ([`Catalog::fork_readonly`]): the
 /// fork shares every entry, and the writer's next mutation of a shared
-/// entry clones only that entry (copy-on-write, see `Catalog::table_mut`).
+/// entry clones only that entry, whose rows the clone shares chunk by
+/// chunk: the write then copies only the chunks it touches (copy-on-write,
+/// see `Catalog::table_mut_for_write` and DESIGN §20).
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: HashMap<String, Arc<TableEntry>>,
@@ -217,30 +219,32 @@ impl Catalog {
 
     /// Mutable access to one entry with copy-on-write: if the entry is
     /// shared with a published snapshot (or a pinned reader), it is cloned
-    /// first so the snapshot keeps its own rows, statistics, trie cache and
-    /// columnar image untouched (the caches clone as `Arc`s). For changes
-    /// that leave the rows alone (statistics, index builds); row mutations
-    /// diverge through [`Catalog::table_mut_for_write`].
+    /// first so the snapshot keeps its own statistics, trie cache and
+    /// columnar image untouched (the caches clone as `Arc`s, the rows as
+    /// shared chunks). For changes that leave the rows alone (statistics,
+    /// index builds); row mutations diverge through
+    /// [`Catalog::table_mut_for_write`].
     fn table_mut(&mut self, key: &str) -> Option<&mut TableEntry> {
         let arc = self.tables.get_mut(key)?;
         if Arc::strong_count(arc) > 1 {
-            aio_metrics::hooks::mvcc_cow_clone(arc.rel.len() as u64);
+            aio_metrics::hooks::mvcc_cow_clone();
         }
         Some(Arc::make_mut(arc))
     }
 
     /// Copy-on-write access for a row mutation: the writer's copy starts
-    /// with the rows and nothing derived (so nothing derived is cloned just
-    /// to be dropped). A copy left behind in a snapshot keeps its rows,
-    /// statistics, indexes and tries but releases its columnar image — two
-    /// generations of a table the writer keeps changing would otherwise
-    /// each hold one (+14 % peak RSS on the benchmark's `live_views`); a
-    /// pinned reader that still batch-scans the old generation transposes
-    /// again, into its own copy.
+    /// with the rows — every chunk shared with the old entry, so the write
+    /// then copies only the chunks it touches (DESIGN §20) — and nothing
+    /// derived (so nothing derived is cloned just to be dropped). A copy
+    /// left behind in a snapshot keeps its rows, statistics, indexes and
+    /// tries but releases its columnar image — two generations of a table
+    /// the writer keeps changing would otherwise each hold one (+14 % peak
+    /// RSS on the benchmark's `live_views`); a pinned reader that still
+    /// batch-scans the old generation transposes again, into its own copy.
     fn table_mut_for_write(&mut self, key: &str) -> Option<&mut TableEntry> {
         let arc = self.tables.get_mut(key)?;
         if Arc::strong_count(arc) > 1 {
-            aio_metrics::hooks::mvcc_cow_clone(arc.rel.len() as u64);
+            aio_metrics::hooks::mvcc_cow_clone();
             arc.image.clear();
             *arc = Arc::new(TableEntry::new(arc.rel.clone(), arc.temp, None));
         }
@@ -264,11 +268,9 @@ impl Catalog {
             self.wal_append(wal::enc_drop(&key))?;
         }
         let entry = self.tables.remove(&key).expect("checked above");
-        // Snapshots may still share the entry; hand the caller its own copy.
-        let rel = match Arc::try_unwrap(entry) {
-            Ok(e) => e.rel,
-            Err(shared) => shared.rel.clone(),
-        };
+        // Snapshots may still share the entry; the caller's copy shares
+        // its chunks.
+        let rel = entry.rel.clone();
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
         Ok(rel)
@@ -358,7 +360,7 @@ impl Catalog {
         let e = self
             .table_mut_for_write(&norm(name))
             .expect("checked above");
-        e.rel.truncate();
+        e.rel.truncate(0);
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
         Ok(())
@@ -463,9 +465,9 @@ impl Catalog {
             )));
         }
         if self.durable.is_some() {
-            let dels: Vec<Row> = set.iter().map(|(i, _)| rel.rows()[*i].clone()).collect();
-            let adds: Vec<Row> = rows.cloned().collect();
-            self.wal_append(wal::enc_edge_delta(&key, &adds, &dels))?;
+            let dels: Vec<&Row> = set.iter().map(|(i, _)| &rel[*i]).collect();
+            let adds: Vec<&Row> = rows.collect();
+            self.wal_append(wal::enc_edge_delta(&key, adds, dels))?;
         }
         aio_metrics::global()
             .engine
@@ -473,7 +475,7 @@ impl Catalog {
             .add(append.len() as u64 * crate::relation::approx_row_bytes(expected));
         let e = self.table_mut_for_write(&key).expect("checked above");
         for (i, row) in set {
-            e.rel.rows_mut()[i] = row;
+            e.rel.set(i, row);
         }
         e.rel.extend(append)?;
         self.refresh_size_gauges();

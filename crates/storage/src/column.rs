@@ -28,7 +28,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::relation::{ColumnSketch, Relation, RelationStats, Row};
+use crate::relation::{ColumnSketch, Relation, RelationStats};
 use crate::schema::Schema;
 use crate::value::{cmp_f64, Value};
 
@@ -786,11 +786,7 @@ impl Batch {
     /// boundary. Exact: float bits and string identities survive.
     pub fn to_relation(&self) -> Relation {
         let mut rel = Relation::new(self.schema.clone());
-        let mut rows = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            let row: Row = self.cols.iter().map(|c| c.value(i)).collect();
-            rows.push(row);
-        }
+        let rows = (0..self.len).map(|i| self.cols.iter().map(|c| c.value(i)).collect());
         rel.extend(rows).expect("batch columns are schema-aligned");
         rel
     }
@@ -942,7 +938,7 @@ mod tests {
         let back = b.to_relation();
         assert_eq!(r.rows(), back.rows());
         // float bits survive: -0.0 stays -0.0
-        match &back.rows()[3][0] {
+        match &back[3][0] {
             Value::Float(f) => assert!(f.is_sign_negative()),
             v => panic!("expected float, got {v:?}"),
         }
@@ -1003,9 +999,9 @@ mod tests {
         let g = b.gather(&[2, GATHER_NULL, 0]);
         assert_eq!(g.len(), 3);
         let rows = g.to_relation();
-        assert_eq!(rows.rows()[0], row![3, 0.3]);
-        assert_eq!(rows.rows()[1], row![Value::Null, Value::Null]);
-        assert_eq!(rows.rows()[2], row![1, 0.1]);
+        assert_eq!(rows[0], row![3, 0.3]);
+        assert_eq!(rows[1], row![Value::Null, Value::Null]);
+        assert_eq!(rows[2], row![1, 0.1]);
     }
 
     /// Every layout, with and without NULLs, gathered with and without

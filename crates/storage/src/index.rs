@@ -23,9 +23,10 @@ impl SortedIndex {
     /// Build over `rel[cols]` (one O(n log n) sort, paid at build time —
     /// this is the cost the PSM procedure pays once per temp-table fill).
     pub fn build(rel: &Relation, cols: &[usize]) -> Self {
-        let rows = rel.rows();
+        // flat references: the sort looks rows up at random
+        let rows: Vec<_> = rel.iter().collect();
         let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
-        perm.sort_unstable_by(|&a, &b| key_cmp(&rows[a as usize], cols, &rows[b as usize], cols));
+        perm.sort_unstable_by(|&a, &b| key_cmp(rows[a as usize], cols, rows[b as usize], cols));
         SortedIndex {
             cols: cols.to_vec(),
             perm,
@@ -75,7 +76,7 @@ mod tests {
             .order()
             .iter()
             .map(|&i| {
-                let row = &r.rows()[i as usize];
+                let row = &r[i as usize];
                 (row[0].as_int().unwrap(), row[1].as_int().unwrap())
             })
             .collect();

@@ -108,9 +108,9 @@ impl<'a> KeyGroups<'a> {
 
     /// Group every row of `rows`: the group id of each row, in row order,
     /// and the groups.
-    pub fn of(rows: &'a [Row], cols: &[usize]) -> (Vec<u32>, Self) {
+    pub fn of(rows: impl IntoIterator<Item = &'a Row>, cols: &[usize]) -> (Vec<u32>, Self) {
         let mut groups = KeyGroups::new(cols);
-        let ids = rows.iter().map(|row| groups.assign(row).0).collect();
+        let ids = rows.into_iter().map(|row| groups.assign(row).0).collect();
         (ids, groups)
     }
 
@@ -288,7 +288,7 @@ impl KeyIndex {
             .map(|&(first, _)| first);
         let live = |r: &u32| *r != END;
         std::iter::successors(first, move |&r| Some(self.next[r as usize]).filter(live))
-            .filter(move |&ri| keys_eq(&rel.rows()[ri as usize], &self.cols, probe_row, probe_cols))
+            .filter(move |&ri| keys_eq(&rel[ri as usize], &self.cols, probe_row, probe_cols))
     }
 
     /// Does any indexed row match the probe key?
@@ -352,7 +352,7 @@ mod tests {
                 for probe in r.rows() {
                     let got: Vec<u32> = idx.probe(&r, probe, cols).collect();
                     let want: Vec<u32> = (0..r.len() as u32)
-                        .filter(|&i| keys_eq(&r.rows()[i as usize], cols, probe, cols))
+                        .filter(|&i| keys_eq(&r[i as usize], cols, probe, cols))
                         .collect();
                     assert_eq!(got, want, "cols={cols:?} parts={parts}");
                 }
@@ -366,9 +366,11 @@ mod tests {
         // then all of rel()'s rows appended one by one, the NULL-keyed row
         // last
         let r = rel();
-        let base: Vec<Row> = r.rows()[..5]
+        let base: Vec<Row> = r
+            .rows()
+            .range(0..5)
             .iter()
-            .chain(&r.rows()[..5])
+            .chain(r.rows().range(0..5))
             .cloned()
             .collect();
         let all: Vec<Row> = base.iter().chain(r.rows()).cloned().collect();
@@ -422,9 +424,9 @@ mod tests {
                 }
                 for (idx, rel) in [(&fresh, &all), (&pushed, &grown)] {
                     for &p in &probes {
-                        let probe = &all.rows()[p];
+                        let probe = &all[p];
                         let want: Vec<u32> = (0..all.len() as u32)
-                            .filter(|&i| keys_eq(&all.rows()[i as usize], &[0], probe, &[0]))
+                            .filter(|&i| keys_eq(&all[i as usize], &[0], probe, &[0]))
                             .collect();
                         let got: Vec<u32> = idx.probe(rel, probe, &[0]).collect();
                         assert_eq!(got, want, "parts={parts} probe={p}");
@@ -455,7 +457,9 @@ mod tests {
                 idx.probe(&r, &null_probe, &[0]).collect::<Vec<_>>(),
                 vec![5]
             );
-            assert!(!r.rows()[..5]
+            assert!(!r
+                .rows()
+                .range(0..5)
                 .iter()
                 .any(|row| idx.probe(&r, row, &[0]).any(|i| i == 5)));
         }

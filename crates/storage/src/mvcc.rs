@@ -232,31 +232,34 @@ mod tests {
 
     #[test]
     fn cow_clones_only_the_touched_table() {
+        use crate::relation::CHUNK_ROWS;
+        let rows = |n: usize| (0..n as i64).map(|i| row![i, i as f64]).collect();
         let mut c = Catalog::new();
         c.create_table("A", Relation::new(node_schema())).unwrap();
         c.create_table("B", Relation::new(node_schema())).unwrap();
-        c.insert_rows("A", vec![row![1, 1.0]], WalPolicy::None)
+        c.insert_rows("A", rows(2 * CHUNK_ROWS + 100), WalPolicy::None)
             .unwrap();
-        c.insert_rows("B", vec![row![9, 9.0]], WalPolicy::None)
+        c.insert_rows("B", rows(CHUNK_ROWS + 1), WalPolicy::None)
             .unwrap();
         let hub = c.enable_mvcc();
         let pin = hub.pin();
-        let a_before = c.relation("A").unwrap().rows().as_ptr();
-        let b_before = c.relation("B").unwrap().rows().as_ptr();
-        c.insert_rows("A", vec![row![2, 2.0]], WalPolicy::None)
+        // which chunks the writer's table shares with the pinned snapshot's
+        let shared = |c: &Catalog, t: &str| -> Vec<bool> {
+            let r = pin.catalog().relation(t).unwrap().chunks();
+            let w = c.relation(t).unwrap().chunks();
+            w.zip(r).map(|(a, b)| std::ptr::eq(a, b)).collect()
+        };
+        c.insert_rows("A", vec![row![-1, 2.0]], WalPolicy::None)
             .unwrap();
-        // A was copied-on-write away from the pinned snapshot…
-        assert_ne!(c.relation("A").unwrap().rows().as_ptr(), a_before);
+        // A's append copied its tail chunk away from the pinned snapshot and
+        // shares every full chunk…
+        assert_eq!(shared(&c, "A"), [true, true, false]);
         assert_eq!(
-            pin.catalog().relation("A").unwrap().rows().as_ptr(),
-            a_before
+            pin.catalog().relation("A").unwrap().len(),
+            2 * CHUNK_ROWS + 100
         );
-        // …while untouched B is still the very same allocation everywhere
-        assert_eq!(c.relation("B").unwrap().rows().as_ptr(), b_before);
-        assert_eq!(
-            pin.catalog().relation("B").unwrap().rows().as_ptr(),
-            b_before
-        );
+        // …while untouched B shares every chunk
+        assert_eq!(shared(&c, "B"), [true, true]);
     }
 
     #[test]

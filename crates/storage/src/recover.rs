@@ -246,7 +246,7 @@ fn apply(catalog: &mut Catalog, rec: WalRecord) -> Result<()> {
         WalRecord::Rename { old, new } => catalog.rename_table(&old, &new)?,
         WalRecord::ReplaceRows { table, rows } => {
             let rel = catalog.relation_mut(&table)?;
-            rel.truncate();
+            rel.truncate(0);
             rel.extend(rows)?;
         }
         WalRecord::EdgeDelta { table, adds, dels } => {

@@ -76,11 +76,12 @@ impl TrieIndex {
     /// pass, paid once per (relation, column order) and cached on the
     /// catalog.
     pub fn build(rel: &Relation, cols: &[usize]) -> Self {
-        let rows = rel.rows();
+        // flat references: the sort looks rows up at random
+        let rows: Vec<_> = rel.iter().collect();
         let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
         // ties broken by row id: deterministic output order
         perm.sort_unstable_by(|&a, &b| {
-            key_cmp(&rows[a as usize], cols, &rows[b as usize], cols).then(a.cmp(&b))
+            key_cmp(rows[a as usize], cols, rows[b as usize], cols).then(a.cmp(&b))
         });
         // Node boundaries: row i starts a new node at level d (and every
         // deeper level) iff its key prefix through d differs from row

@@ -71,7 +71,7 @@ impl Wal {
     }
 
     /// Log an insert of `rows` under `policy`.
-    pub fn log_insert(&mut self, policy: WalPolicy, rows: &[Row]) {
+    pub fn log_insert<'a>(&mut self, policy: WalPolicy, rows: impl IntoIterator<Item = &'a Row>) {
         match policy {
             WalPolicy::None => {}
             WalPolicy::Light => {
@@ -319,7 +319,8 @@ pub(crate) mod codec {
         }
     }
 
-    pub fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
+    pub fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl RowList<'a>) {
+        let rows = rows.into_iter();
         put_u32(buf, rows.len() as u32);
         for r in rows {
             put_varu(buf, r.len() as u64);
@@ -525,14 +526,18 @@ const TAG_RUN_BEGIN: u8 = 7;
 const TAG_COMMIT: u8 = 8;
 const TAG_EDGE_DELTA: u8 = 9;
 
-/// Encoders take borrowed views so logging never clones row data.
-pub fn enc_create_table(
+/// Rows an encoder writes, borrowed: a slice, a `Vec` or a relation's
+/// `Rows`, so logging never clones row data.
+pub trait RowList<'a>: IntoIterator<Item = &'a Row, IntoIter: ExactSizeIterator> {}
+impl<'a, T: IntoIterator<Item = &'a Row, IntoIter: ExactSizeIterator>> RowList<'a> for T {}
+
+pub fn enc_create_table<'a>(
     name: &str,
     temp: bool,
     replace: bool,
     schema: &Schema,
     pk: Option<&[usize]>,
-    rows: &[Row],
+    rows: impl RowList<'a>,
 ) -> Vec<u8> {
     let mut b = Vec::new();
     b.push(TAG_CREATE);
@@ -545,7 +550,7 @@ pub fn enc_create_table(
     b
 }
 
-pub fn enc_insert(table: &str, rows: &[Row]) -> Vec<u8> {
+pub fn enc_insert<'a>(table: &str, rows: impl RowList<'a>) -> Vec<u8> {
     let mut b = Vec::new();
     b.push(TAG_INSERT);
     codec::put_str(&mut b, table);
@@ -572,7 +577,7 @@ pub fn enc_rename(old: &str, new: &str) -> Vec<u8> {
     b
 }
 
-pub fn enc_replace_rows(table: &str, rows: &[Row]) -> Vec<u8> {
+pub fn enc_replace_rows<'a>(table: &str, rows: impl RowList<'a>) -> Vec<u8> {
     let mut b = vec![TAG_REPLACE];
     codec::put_str(&mut b, table);
     codec::put_rows(&mut b, rows);
@@ -591,7 +596,11 @@ pub fn enc_run_begin(rec: &str, sql: &str, params: &[(String, Value)]) -> Vec<u8
     b
 }
 
-pub fn enc_edge_delta(table: &str, adds: &[Row], dels: &[Row]) -> Vec<u8> {
+pub fn enc_edge_delta<'a, 'b>(
+    table: &str,
+    adds: impl RowList<'a>,
+    dels: impl RowList<'b>,
+) -> Vec<u8> {
     let mut b = vec![TAG_EDGE_DELTA];
     codec::put_str(&mut b, table);
     codec::put_rows(&mut b, adds);

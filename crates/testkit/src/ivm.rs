@@ -272,27 +272,18 @@ pub fn e_rows(g: &Graph, algo: &str) -> Vec<Row> {
         "pr" => load::edge_relation(&aio_graph::reference::with_pagerank_weights(g)),
         _ => load::edge_relation(g),
     };
-    match algo {
-        "wcc" => {
-            if g.directed {
-                let extra: Vec<Row> = g
-                    .edges()
-                    .map(|(u, v, w)| row![v as i64, u as i64, w])
-                    .collect();
-                rel.rows_mut().extend(extra);
-            }
-            for v in 0..g.node_count() {
-                rel.rows_mut().push(row![v as i64, v as i64, 1.0]);
-            }
-        }
-        "sssp" => {
-            for v in 0..g.node_count() {
-                rel.rows_mut().push(row![v as i64, v as i64, 0.0]);
-            }
-        }
-        _ => {}
-    }
-    rel.iter().cloned().collect()
+    let loops = |w: f64| (0..g.node_count()).map(move |v| row![v as i64, v as i64, w]);
+    let extra: Vec<Row> = match algo {
+        "wcc" if g.directed => (g.edges())
+            .map(|(u, v, w)| row![v as i64, u as i64, w])
+            .chain(loops(1.0))
+            .collect(),
+        "wcc" => loops(1.0).collect(),
+        "sssp" => loops(0.0).collect(),
+        _ => Vec::new(),
+    };
+    rel.extend(extra).expect("three columns");
+    rel.into_rows()
 }
 
 /// Multiset difference `new − old` / `old − new` over whole rows: the
@@ -339,15 +330,15 @@ pub fn build_ivm_db(g: &Graph, algo: &str, profile: &EngineProfile) -> Result<Da
             db.catalog
                 .relation_mut("E")
                 .map_err(|e| e.to_string())?
-                .rows_mut()
-                .extend(extra);
+                .extend(extra)
+                .map_err(|e| e.to_string())?;
         }
         "sssp" => {
             for r in db
                 .catalog
                 .relation_mut("V")
                 .map_err(|e| e.to_string())?
-                .rows_mut()
+                .iter_mut()
             {
                 let id = r[0].as_int().unwrap_or(-1);
                 r[1] = if id == 0 { 0.0 } else { f64::INFINITY }.into();

@@ -196,7 +196,7 @@ fn metrics_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
     ]);
     let mut rel = Relation::new(schema);
     for s in reg.snapshot() {
-        rel.rows_mut().push(
+        rel.push(
             vec![
                 Value::from(s.name),
                 Value::from(s.kind),
@@ -204,7 +204,8 @@ fn metrics_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
                 Value::from(s.help),
             ]
             .into_boxed_slice(),
-        );
+        )
+        .expect("one value per column");
     }
     rel
 }
@@ -239,7 +240,7 @@ fn query_log_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
     ]);
     let mut rel = Relation::new(schema);
     for q in reg.query_log() {
-        rel.rows_mut().push(
+        rel.push(
             vec![
                 Value::from(q.seq as i64),
                 Value::from(format!("{:016x}", q.sql_hash)),
@@ -264,7 +265,8 @@ fn query_log_relation(reg: &aio_metrics::MetricsRegistry) -> Relation {
                 Value::from(q.cache.cols_misses as i64),
             ]
             .into_boxed_slice(),
-        );
+        )
+        .expect("one value per column");
     }
     rel
 }
@@ -620,7 +622,7 @@ mod tests {
         let mut db = db_with_edges();
         db.set_param("w", 2.0);
         let out = db.execute("select E.F, :w * E.ew from E").unwrap();
-        assert_eq!(out.relation.rows()[0][1].as_f64(), Some(2.0));
+        assert_eq!(out.relation[0][1].as_f64(), Some(2.0));
     }
 
     #[test]

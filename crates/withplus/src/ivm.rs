@@ -292,7 +292,7 @@ fn build_seed(
             for k in 0..count_scans(&step.plan, table) {
                 let variant = replace_nth_scan(&step.plan, table, &delta_table(table), k);
                 let rel = rename_to(r.eval(&variant, "seed")?, &c.rec_cols)?;
-                seed.rows_mut().extend(rel.into_rows());
+                seed.extend(rel.into_rows())?;
             }
         }
     }
@@ -321,18 +321,18 @@ fn reset_underivable_keys(
     let mut produced = Relation::new(r0.schema().clone());
     for step in &c.recursive {
         let d = rename_to(r.eval(&step.plan, "derivable")?, &c.rec_cols)?;
-        produced.rows_mut().extend(d.into_rows());
+        produced.extend(d.into_rows())?;
     }
     let produced_idx = KeyIndex::build(&produced, keys);
     let init_idx = KeyIndex::build(&r0, keys);
     if init_idx.first_duplicate(&r0).is_none() {
-        for row in r.catalog.relation_mut(&c.rec_name)?.rows_mut() {
+        for row in r.catalog.relation_mut(&c.rec_name)?.iter_mut() {
             if produced_idx.contains(&produced, row, keys) {
                 continue;
             }
             let init = init_idx.probe(&r0, row, keys).next();
             if let Some(i) = init {
-                *row = r0.rows()[i as usize].clone();
+                *row = r0[i as usize].clone();
             }
         }
     }
@@ -430,8 +430,8 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
             for o in old.rows() {
                 match new_idx.probe(new, o, k).next() {
                     None => d.removed.push(o.clone()),
-                    Some(ni) if new.rows()[ni as usize] != *o => {
-                        d.changed.push((o.clone(), new.rows()[ni as usize].clone()));
+                    Some(ni) if new[ni as usize] != *o => {
+                        d.changed.push((o.clone(), new[ni as usize].clone()));
                     }
                     Some(_) => {}
                 }
@@ -453,15 +453,21 @@ fn diff_result(old: &Relation, new: &Relation, keys: Option<&[usize]>) -> Result
 /// [`diff_result`] of an insert or improve fold, read off position by
 /// position without indexing either side: such a fold appends rows and
 /// overwrites only the row of a key it improves, so a row that differs
-/// from `old`'s at its position is that key's change (DESIGN §19).
+/// from `old`'s at its position is that key's change (DESIGN §19). A chunk
+/// the fold did not write is still shared with `old` and is skipped
+/// (DESIGN §20).
 fn positional_delta(old: &Relation, new: &Relation) -> ResultDelta {
-    let rows = old.rows().iter().zip(new.rows());
+    let written = old
+        .chunks()
+        .zip(new.chunks())
+        .filter(|(o, n)| !std::ptr::eq(*o, *n));
     ResultDelta {
-        changed: rows
+        changed: written
+            .flat_map(|(o, n)| o.iter().zip(n))
             .filter(|(o, n)| o != n)
             .map(|(o, n)| (o.clone(), n.clone()))
             .collect(),
-        added: new.rows()[old.len()..].to_vec(),
+        added: new.rows().range(old.len()..new.len()).to_vec(),
         ..ResultDelta::default()
     }
     .sorted()

@@ -682,7 +682,7 @@ mod tests {
         // nodes with no incoming edges
         let out = run("select ID from V where ID not in (select E.T from E)");
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][0].as_int(), Some(1));
+        assert_eq!(out[0][0].as_int(), Some(1));
     }
 
     #[test]
@@ -695,14 +695,14 @@ mod tests {
     fn correlated_not_exists() {
         let out = run("select ID from V where not exists (select E.F from E where E.T = V.ID)");
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][0].as_int(), Some(1));
+        assert_eq!(out[0][0].as_int(), Some(1));
     }
 
     #[test]
     fn left_outer_join_null_filter() {
         let out = run("select V.ID from V left outer join E on V.ID = E.T where E.T is null");
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][0].as_int(), Some(1));
+        assert_eq!(out[0][0].as_int(), Some(1));
     }
 
     #[test]

@@ -132,10 +132,7 @@ pub(crate) fn rename_to(rel: Relation, names: &[String]) -> Result<Relation> {
         .zip(rel.schema().columns())
         .map(|(n, c)| Column::new(n, c.ty))
         .collect();
-    let schema = Schema::new(cols);
-    let mut out = Relation::new(schema);
-    *out.rows_mut() = rel.into_rows();
-    Ok(out)
+    Ok(rel.with_schema(Schema::new(cols)))
 }
 
 /// Rewrite direct scans of `rec` to scan `replacement` instead, keeping the
@@ -172,7 +169,7 @@ fn max_keyed_change(r: &Relation, delta: &Relation, keys: &[usize]) -> Option<f6
     let mut max = 0.0f64;
     for row in delta.rows() {
         let ri = idx.probe(r, row, keys).next()? as usize;
-        for (a, b) in r.rows()[ri].iter().zip(row.iter()) {
+        for (a, b) in r[ri].iter().zip(row.iter()) {
             if a != b {
                 let moved = (num(a)? - num(b)?).abs();
                 if moved.is_nan() {
@@ -643,7 +640,7 @@ fn improve_is_exact(
     let mut derived = vec![false; r.len()];
     for row in delta.rows() {
         if let Some(ri) = idx.probe(r, row, keys).next() {
-            let (new, old) = (&row[*value_col], &r.rows()[ri as usize][*value_col]);
+            let (new, old) = (&row[*value_col], &r[ri as usize][*value_col]);
             if (*min && new > old) || (!*min && new < old) {
                 return Ok(None);
             }
@@ -661,7 +658,7 @@ fn unique_key_index(catalog: &Catalog, rec: &str, keys: &[usize]) -> Result<KeyI
         None => Ok(idx),
         Some(i) => Err(WithPlusError::Storage(StorageError::DuplicateKey(format!(
             "improve fold over {rec}: {:?}",
-            keys.iter().map(|&k| &r.rows()[i][k]).collect::<Vec<_>>()
+            keys.iter().map(|&k| &r[i][k]).collect::<Vec<_>>()
         )))),
     }
 }
@@ -1539,7 +1536,7 @@ select * from B";
         let ctx = LowerCtx::new(&params, AntiJoinImpl::LeftOuterNull);
         let c = compile(&w, &ctx).unwrap();
         let mut cat = catalog();
-        cat.relation_mut("V").unwrap().rows_mut()[0] = row![1, 1.0];
+        cat.relation_mut("V").unwrap().set(0, row![1, 1.0]);
         let profile = oracle_like();
         let mut runner = PsmRunner::new(&mut cat, &profile, UbuImpl::FullOuterJoin);
         let out = runner.run(&c).unwrap();
@@ -1636,7 +1633,7 @@ select * from B";
         let ctx = LowerCtx::new(&params, AntiJoinImpl::LeftOuterNull);
         let c = compile(&w, &ctx).unwrap();
         let mut cat = catalog();
-        cat.relation_mut("V").unwrap().rows_mut()[0] = row![1, 1.0];
+        cat.relation_mut("V").unwrap().set(0, row![1, 1.0]);
         let profile = oracle_like();
         let mut runner = PsmRunner::new(&mut cat, &profile, UbuImpl::FullOuterJoin);
         let out = runner.run(&c).unwrap();

@@ -92,7 +92,7 @@ fn string_labels_flow_through() {
         .execute("select Names.ID from Names where Names.name = 'bob'")
         .unwrap();
     assert_eq!(out.relation.len(), 1);
-    assert_eq!(out.relation.rows()[0][0], Value::Int(2));
+    assert_eq!(out.relation[0][0], Value::Int(2));
 }
 
 #[test]

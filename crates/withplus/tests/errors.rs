@@ -113,8 +113,8 @@ fn non_unique_update_surfaces_at_runtime() {
     d.catalog
         .relation_mut("E")
         .unwrap()
-        .rows_mut()
-        .push(row![1, 3, 2.0]);
+        .push(row![1, 3, 2.0])
+        .unwrap();
     let err = d
         .execute(
             "with R(ID, W) as (

@@ -1,7 +1,9 @@
 //! Live connected components: a durable WCC view fed insert batches while
 //! a session keeps the pre-batch generation pinned. Every batch must
 //! refresh on the frontier path — folding into the view's own table and
-//! logging at most 200 bytes per delta edge — the pinned read must keep
+//! logging at most 200 bytes per delta edge — and copy, for the pinned
+//! reader's sake, only the row chunks it writes (`E`'s tail and the view's
+//! chunks whose labels changed, not all of `E`); the pinned read must keep
 //! answering the old components, and after a reopen the re-attached view
 //! must agree with a union-find over every edge (the example fails
 //! otherwise).
@@ -11,6 +13,7 @@
 //! ```
 
 use all_in_one::prelude::*;
+use all_in_one::storage::CHUNK_ROWS;
 use all_in_one::withplus::RefreshMode;
 use std::sync::Arc;
 
@@ -81,10 +84,24 @@ fn main() {
         let batch: Vec<(u32, u32)> = (0..per_batch).map(|_| (vertex(), vertex())).collect();
         let adds = batch.iter().flat_map(both).collect();
         reader.begin_read();
+        let copied = all_in_one::metrics::global()
+            .engine
+            .mvcc_cow_rows_total
+            .get();
         let report = shared.with_writer(|db| {
             db.apply_edges(vec![EdgeDelta::insert("E", adds)]).unwrap();
             db.view_report("cc").unwrap().clone()
         });
+        let copied = all_in_one::metrics::global()
+            .engine
+            .mvcc_cow_rows_total
+            .get()
+            - copied;
+        let chunks = 1 + report.changed.min(n.div_ceil(CHUNK_ROWS));
+        assert!(
+            copied <= (chunks * CHUNK_ROWS) as u64,
+            "batch {b}: {copied} rows copied on write, more than {chunks} chunks"
+        );
         let pinned = reader.query("select ID, vw from cc").unwrap().relation;
         assert_eq!(labels(&pinned, n), before, "the pinned read moved");
         reader.end_read();
@@ -95,7 +112,7 @@ fn main() {
             "batch {b}: {per_edge} WAL bytes per delta edge"
         );
         println!(
-            "batch {b}: {:>4} labels changed in {} iterations, {:.2} ms, {:.0} WAL bytes per delta edge",
+            "batch {b}: {:>4} labels changed in {} iterations, {:.2} ms, {:.0} WAL bytes per delta edge, {copied} rows copied on write",
             report.changed,
             report.iterations,
             report.duration.as_secs_f64() * 1e3,

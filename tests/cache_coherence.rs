@@ -23,7 +23,11 @@
 //!    mutation path drops it, the next join returns the new rows, and a
 //!    fork or pinned reader joins through the trie of its own generation;
 //! 5. after an append-only `apply_delta`, a pinned reader still
-//!    batch-scans its own rows.
+//!    batch-scans its own rows;
+//! 6. on tables of several row chunks, appends, deletes, `patch_rows`,
+//!    overwrites and truncates landing in the first, a middle or the tail
+//!    chunk keep 1 and 2, and leave every chunk they did not write shared
+//!    with the reader pinned before them.
 //!
 //! The tables carry NULL-bearing Int and Float columns (NaN, `-0.0`), a
 //! dictionary-encoded string column and a mixed-type column, so every
@@ -35,7 +39,7 @@ use all_in_one::algebra::{
 };
 use all_in_one::storage::{
     edge_schema, open_catalog, Batch, Catalog, Column, ColumnVec, DataType, KeyIndex, Relation,
-    Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
+    Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy, CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -141,8 +145,8 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
         3 => {
             // in place: overwrite one row, append another
             let rel = cat.relation_mut(name).unwrap();
-            if let Some(slot) = rel.rows_mut().get_mut(n as usize % 5) {
-                *slot = gen_row(a as u64);
+            if (n as usize % 5) < rel.len() {
+                rel.set(n as usize % 5, gen_row(a as u64));
             }
             rel.push(gen_row(a as u64 + 1)).unwrap();
         }
@@ -412,6 +416,135 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Tables of several chunks: writes in the first, a middle and the tail chunk
+// ---------------------------------------------------------------------------
+
+/// `n` rows of `gen_row`'s shape with distinct keys from `from` on, so a
+/// row is deleted where it stands and nowhere else.
+fn keyed_rows(from: usize, n: usize) -> Vec<Row> {
+    (from..from + n)
+        .map(|i| {
+            let mut row = gen_row(i as u64).into_vec();
+            row[0] = Value::Int(1_000 + i as i64);
+            row.into_boxed_slice()
+        })
+        .collect()
+}
+
+/// A position in chunk `which` (0 the first, 1 a middle one, 2 the tail)
+/// of a table of `len` rows.
+fn in_chunk(len: usize, which: u8, off: usize) -> usize {
+    let last = (len - 1) / CHUNK_ROWS;
+    let k = [0, last / 2, last][which as usize % 3];
+    (k * CHUNK_ROWS + off % CHUNK_ROWS).min(len - 1)
+}
+
+/// One write to `t0` at chunk `which`. Returns the chunks it may have
+/// written: from the first one on, or (for the point writes) that one and
+/// the tail.
+fn chunk_step(
+    cat: &mut Catalog,
+    kind: u8,
+    which: u8,
+    off: usize,
+    next: &mut usize,
+) -> (usize, bool) {
+    let t = TABLES[0];
+    let len = cat.relation(t).unwrap().len();
+    let p = in_chunk(len, which, off);
+    match kind {
+        0 => {
+            let n = 1 + off % (2 * CHUNK_ROWS);
+            cat.insert_rows(t, keyed_rows(*next, n), WalPolicy::None)
+                .unwrap();
+            *next += n;
+            (len / CHUNK_ROWS, false)
+        }
+        1 => {
+            let rel = cat.relation(t).unwrap();
+            let dels = rel.rows().range(p..(p + 1 + off % 7).min(len)).to_vec();
+            let adds = keyed_rows(*next, off % 3);
+            *next += adds.len();
+            cat.apply_delta(t, adds, dels, WalPolicy::None).unwrap();
+            (p / CHUNK_ROWS, false)
+        }
+        2 => {
+            let end = ((p / CHUNK_ROWS + 1) * CHUNK_ROWS).min(len);
+            let set: Vec<(usize, Row)> = (p..end.min(p + 1 + off % 5))
+                .zip(keyed_rows(*next, 5))
+                .collect();
+            let append = keyed_rows(*next + 5, off % 2);
+            *next += 6;
+            cat.patch_rows(t, set, append).unwrap();
+            (p / CHUNK_ROWS, true)
+        }
+        3 => {
+            cat.relation_mut(t).unwrap().truncate(p);
+            (p / CHUNK_ROWS, false)
+        }
+        _ => {
+            cat.relation_mut(t)
+                .unwrap()
+                .set(p, keyed_rows(*next, 1).remove(0));
+            *next += 1;
+            (p / CHUNK_ROWS, true)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Property 6: every write under a fresh pin, on a table kept at three
+    /// chunks or more, beside an untouched table of two.
+    #[test]
+    fn chunk_writes_copy_only_what_they_touch(
+        raw in proptest::collection::vec((0u8..5, 0u8..3, 0usize..4096, any::<bool>()), 1..10),
+    ) {
+        let mut cat = Catalog::new();
+        let mut next = 0;
+        for (t, n) in [(TABLES[0], 3 * CHUNK_ROWS + 100), (TABLES[1], 2 * CHUNK_ROWS)] {
+            let mut rel = Relation::new(schema());
+            rel.extend(keyed_rows(next, n)).unwrap();
+            next += n;
+            cat.create_table(t, rel).unwrap();
+        }
+        let mut pinned: Vec<Pinned> = Vec::new();
+        for (i, &(kind, which, off, warm_first)) in raw.iter().enumerate() {
+            let ctx = format!("step {i} {:?}", (kind, which, off));
+            let len = cat.relation(TABLES[0]).unwrap().len();
+            if len < 2 * CHUNK_ROWS + 1 {
+                let n = 3 * CHUNK_ROWS + 100 - len;
+                cat.insert_rows(TABLES[0], keyed_rows(next, n), WalPolicy::None).unwrap();
+                next += n;
+            }
+            if warm_first {
+                for name in cat.names() {
+                    warm(&mut cat, &name, which + kind);
+                }
+            }
+            pinned.truncate(1);
+            pinned.insert(0, Pinned::take(&cat));
+            let (first, point) = chunk_step(&mut cat, kind, which, off, &mut next);
+            assert_coherent(&cat, &ctx);
+            for p in &pinned {
+                p.assert_unmoved(&ctx);
+            }
+            let shared = |name: &str| -> Vec<bool> {
+                let (w, r) = (cat.relation(name).unwrap(), pinned[0].fork.relation(name).unwrap());
+                w.chunks().zip(r.chunks()).map(|(a, b)| std::ptr::eq(a, b)).collect()
+            };
+            prop_assert!(shared(TABLES[1]).iter().all(|&s| s), "{}: untouched table copied", ctx);
+            let full = pinned[0].fork.relation(TABLES[0]).unwrap().len() / CHUNK_ROWS;
+            for (k, s) in shared(TABLES[0]).into_iter().enumerate() {
+                let written = k == first || (!point && k > first) || k >= full;
+                prop_assert!(s || written, "{}: chunk {} copied (first written {})", ctx, k, first);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The join's single-level trie: dies with its table version
 // ---------------------------------------------------------------------------
 
@@ -466,7 +599,7 @@ fn join_through_trie(cat: &Catalog) -> Vec<Row> {
             .0
             .rows()
             .to_vec();
-        assert_eq!(got, want.rows(), "the driven join differs from Off");
+        assert_eq!(want.rows(), got, "the driven join differs from Off");
     }
     // an empty `E` is no bigger than `F`, so that join hashes
     let e = cat.relation("E").unwrap();
@@ -512,7 +645,12 @@ fn join_trie_is_dropped_by_every_mutation() {
         ("truncate", |c| c.truncate("E").unwrap(), &[]),
         (
             "relation_mut",
-            |c| c.relation_mut("E").unwrap().rows_mut()[1][0] = Value::Int(1),
+            |c| {
+                let e = c.relation_mut("E").unwrap();
+                let mut row = e[1].clone();
+                row[0] = Value::Int(1);
+                e.set(1, row);
+            },
             &[10, 20],
         ),
         (

@@ -471,7 +471,7 @@ fn cold_view_rows(v: &Relation, e_state: &[Row]) -> Vec<Row> {
         Database::open_with_vfs(Arc::new(SimVfs::new()), DIR, oracle_like(), None).unwrap();
     db.create_table("V", v.clone()).unwrap();
     let mut e = Relation::new(all_in_one::storage::edge_schema());
-    e.rows_mut().extend(e_state.iter().cloned());
+    e.extend(e_state.iter().cloned()).unwrap();
     db.create_table("E", e).unwrap();
     db.create_view_with(IVM_VIEW, view_sql(IVM_ALGO), IVM_EPSILON)
         .unwrap();
@@ -672,7 +672,7 @@ fn sssp_workload(vfs: Arc<SimVfs>) -> all_in_one::withplus::Result<QueryResult> 
     let mut e = load::edge_relation(&g);
     e.extend((0..NODES as i64).map(|v| row![v, v, 0.0]))?;
     let mut v = load::node_relation(&g);
-    for r in v.rows_mut() {
+    for r in v.iter_mut() {
         r[1] = Value::Float(if r[0] == Value::Int(0) {
             0.0
         } else {

@@ -264,6 +264,13 @@ fn empty_init_view_builds_refreshes_and_falls_back() {
 
 /// Eq. 7 at `optimizer` over `e`/`v`, traced, with per-iteration
 /// snapshots; also returns the `psm_run` span's `fold` field.
+/// `rel`'s row `i` with column `col` set to `v`.
+fn set_cell(rel: &mut Relation, i: usize, col: usize, v: Value) {
+    let mut row = rel[i].clone();
+    row[col] = v;
+    rel.set(i, row);
+}
+
 fn eq7_run(optimizer: Optimizer, e: Relation, v: Relation) -> (QueryResult, Option<String>) {
     let profile = oracle_like().with_optimizer(optimizer).with_snapshots(true);
     let mut db = Database::new(profile);
@@ -299,7 +306,7 @@ fn cost_runs_eq7_delta_driven_exactly_where_it_matches_off() {
     };
     let with_weight = |w: f64| {
         let mut e = edges();
-        e.rows_mut()[3][2] = Value::Float(w);
+        set_cell(&mut e, 3, 2, Value::Float(w));
         e
     };
     let int_nodes = {
@@ -311,17 +318,15 @@ fn cost_runs_eq7_delta_driven_exactly_where_it_matches_off() {
         Relation::from_rows(schema, rows.collect()).unwrap()
     };
     let mut null_nodes = nodes();
-    null_nodes.rows_mut()[4][1] = Value::Null;
+    set_cell(&mut null_nodes, 4, 1, Value::Null);
     let mut loopless = edges();
-    loopless.rows_mut().retain(|r| r[0] != r[1]);
+    loopless.retain(|r| r[0] != r[1]);
     // Where improving would diverge from replacing. 3 starts below every
     // derivation of it (and has no self-loop), which replacing overwrites:
     let mut no_loop_at_3 = edges();
-    no_loop_at_3
-        .rows_mut()
-        .retain(|r| r[0] != r[1] || r[0] != Value::Int(3));
+    no_loop_at_3.retain(|r| r[0] != r[1] || r[0] != Value::Int(3));
     let mut low_3 = nodes();
-    low_3.rows_mut()[3][1] = Value::Float(0.5);
+    set_cell(&mut low_3, 3, 1, Value::Float(0.5));
     // 1 is not derived at iteration 0; iteration 1 derives it through the
     // new key 2 at 101, worse than its seed 5, which replacing writes.
     let late = (
@@ -396,7 +401,7 @@ fn cost_runs_eq7_delta_driven_exactly_where_it_matches_off() {
     // keep the improve fold off; only the fold is compared. (At the sink 9
     // the NaN reaches no other vertex, so no other check sees it.)
     let mut nan_nodes = nodes();
-    nan_nodes.rows_mut()[9][1] = Value::Float(f64::NAN);
+    set_cell(&mut nan_nodes, 9, 1, Value::Float(f64::NAN));
     let (cost, fold) = eq7_run(Optimizer::Cost, edges(), nan_nodes);
     assert_eq!(fold.as_deref(), Some("replace"), "a NaN distance");
     assert!(!cost.stats.delta_driven, "a NaN distance");

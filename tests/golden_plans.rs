@@ -55,7 +55,7 @@ fn pagerank_db(g: &Graph) -> Database {
 
 fn sssp_db(g: &Graph) -> Database {
     let mut db = db_for(g, &oracle_like(), EdgeStyle::WithLoops(0.0)).unwrap();
-    for row in db.catalog.relation_mut("V").unwrap().rows_mut() {
+    for row in db.catalog.relation_mut("V").unwrap().iter_mut() {
         let id = row[0].as_int().unwrap();
         row[1] = if id == 0 { 0.0 } else { f64::INFINITY }.into();
     }
@@ -68,11 +68,7 @@ fn wcc_db(g: &Graph) -> Database {
     for (u, v, w) in g.edges() {
         extra.push(row![v as i64, u as i64, w]);
     }
-    db.catalog
-        .relation_mut("E")
-        .unwrap()
-        .rows_mut()
-        .extend(extra);
+    db.catalog.relation_mut("E").unwrap().extend(extra).unwrap();
     db
 }
 

@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 const VIEW: &str = "w";
 
-fn sorted(rows: &[Row]) -> Vec<Row> {
-    let mut rows = rows.to_vec();
+fn sorted<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Vec<Row> {
+    let mut rows: Vec<Row> = rows.into_iter().cloned().collect();
     rows.sort();
     rows
 }

@@ -149,7 +149,7 @@ fn engine_sees_its_own_just_run_queries() {
         .execute("select aio_query_log.sql, aio_query_log.rows_out from aio_query_log")
         .unwrap();
     assert_eq!(out.relation.len(), 1);
-    let row = &out.relation.rows()[0];
+    let row = &out.relation[0];
     assert!(
         row[0].to_string().contains("where E.T = 4"),
         "log row carries the SQL text: {row:?}"
@@ -161,7 +161,7 @@ fn engine_sees_its_own_just_run_queries() {
         .execute("select aio_query_log.sql from aio_query_log")
         .unwrap();
     assert_eq!(out2.relation.len(), 2);
-    assert!(out2.relation.rows()[1][0]
+    assert!(out2.relation[1][0]
         .to_string()
         .contains("from aio_query_log"));
 }

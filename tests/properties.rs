@@ -272,8 +272,8 @@ fn improve_model(t: &Relation, d: &Relation, min: bool) -> Vec<Row> {
 }
 
 /// Rows bit for bit (a Float by its bits, so -0.0 ≠ 0.0 here).
-fn bits(rows: &[Row]) -> Vec<Vec<String>> {
-    rows.iter()
+fn bits<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Vec<Vec<String>> {
+    (rows.into_iter())
         .map(|r| {
             r.iter()
                 .map(|v| match v {
