@@ -43,6 +43,6 @@ pub use profile::{
     all_profiles, db2_like, oracle_like, postgres_like, AggStrategy, EngineProfile, ExecMode,
     JoinStrategy, Optimizer,
 };
-pub use semiring::{Semiring, BOOLEAN, COUNTING, MIN_MUL, TROPICAL};
+pub use semiring::{Semiring, Times, BOOLEAN, COUNTING, MAX_MIN, MIN_MUL, TROPICAL};
 pub use stats::{estimate_nodes, ExecStats};
 pub use wcoj::{agm_bound, choose_order, is_cyclic, last_wcoj_phases, WcojPhases};

@@ -13,7 +13,7 @@
 //! the paper's definability claim, and assert it agrees with the fused form.
 
 use crate::error::Result;
-use crate::expr::{Func, ScalarExpr};
+use crate::expr::ScalarExpr;
 use crate::ops::basic;
 use crate::ops::groupby::group_by;
 use crate::ops::join::{join, JoinKeys, JoinOrders, JoinType};
@@ -36,13 +36,9 @@ pub enum MvOrientation {
 
 /// The `⊙`-then-`⊕` select item: `⊕( left_col ⊙ right_col )`.
 fn times_agg(sr: &Semiring, left_col: &str, right_col: &str) -> ScalarExpr {
-    let l = ScalarExpr::col(left_col);
-    let r = ScalarExpr::col(right_col);
-    let times = if sr.name == "bottleneck(max,min)" {
-        ScalarExpr::Func(Func::Least, vec![l, r])
-    } else {
-        ScalarExpr::binary(sr.times, l, r)
-    };
+    let times = sr
+        .times
+        .expr(ScalarExpr::col(left_col), ScalarExpr::col(right_col));
     ScalarExpr::Agg(sr.plus, Box::new(times))
 }
 

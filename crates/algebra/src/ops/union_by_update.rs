@@ -130,7 +130,6 @@ pub fn union_by_update(
             // MERGE checks that the source has no duplicate join keys and
             // errors otherwise; UPDATE ... FROM does not, and the last
             // duplicate-keyed delta row wins silently.
-            let wal_update = profile.wal_update;
             let pick = |row: &[Value]| {
                 let mut hits = idx.probe(&delta, row, keys);
                 match imp {
@@ -161,8 +160,9 @@ pub fn union_by_update(
                     }
                 }
             }
+            // Every profile logs an in-place update in full.
             for (before, after) in &updates {
-                catalog.wal.log_update(wal_update, before, after);
+                catalog.wal.log_update(WalPolicy::Full, before, after);
             }
             // The insert half is `INSERT ... WHERE key NOT IN (target)`, so
             // a delta row whose key matched any target row is not inserted —

@@ -99,8 +99,6 @@ pub struct EngineProfile {
     pub agg: AggStrategy,
     /// Logging policy for inserts into temp tables.
     pub wal_temp: WalPolicy,
-    /// Logging policy for in-place updates (merge / update-from).
-    pub wal_update: WalPolicy,
     /// Whether the PSM procedure builds sorted indexes on temp tables and
     /// the merge join scans them instead of sorting (Exp-A). Only a merge
     /// join reads an index order, so the paper's observation that Oracle
@@ -162,7 +160,6 @@ pub fn oracle_like() -> EngineProfile {
         join: JoinStrategy::Hash,
         agg: AggStrategy::Hash,
         wal_temp: WalPolicy::None,
-        wal_update: WalPolicy::Full,
         indexes: false,
         parallelism: 1,
         capture_snapshots: false,
@@ -178,7 +175,6 @@ pub fn db2_like() -> EngineProfile {
         join: JoinStrategy::Hash,
         agg: AggStrategy::Hash,
         wal_temp: WalPolicy::Light,
-        wal_update: WalPolicy::Full,
         indexes: false,
         parallelism: 1,
         capture_snapshots: false,
@@ -199,7 +195,6 @@ pub fn postgres_like(with_indexes: bool) -> EngineProfile {
         join: JoinStrategy::SortMerge,
         agg: AggStrategy::Sort,
         wal_temp: WalPolicy::Light,
-        wal_update: WalPolicy::Full,
         indexes: with_indexes,
         parallelism: 1,
         capture_snapshots: false,

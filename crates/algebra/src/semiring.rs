@@ -7,8 +7,26 @@
 //! be supported under the framework of algebra + while" (Section 4.2).
 
 use crate::agg::AggFunc;
-use crate::expr::BinOp;
+use crate::expr::{BinOp, Func, ScalarExpr};
 use aio_storage::Value;
+
+/// A semiring's multiplication `⊙`: an arithmetic operator or `least`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Times {
+    Op(BinOp),
+    Least,
+}
+
+impl Times {
+    /// `l ⊙ r` as a scalar expression — the select item of an aggregate
+    /// join, and what [`Semiring::times_eval`] evaluates.
+    pub fn expr(self, l: ScalarExpr, r: ScalarExpr) -> ScalarExpr {
+        match self {
+            Times::Op(op) => ScalarExpr::binary(op, l, r),
+            Times::Least => ScalarExpr::Func(Func::Least, vec![l, r]),
+        }
+    }
+}
 
 /// A semiring instance: `⊕` is an aggregate, `⊙` a binary scalar operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,7 +35,7 @@ pub struct Semiring {
     /// The addition `⊕` (commutative monoid with `zero`).
     pub plus: AggFunc,
     /// The multiplication `⊙` (monoid with `one`).
-    pub times: BinOp,
+    pub times: Times,
     /// Identity of `⊕`; annihilator of `⊙`.
     pub zero: Value,
     /// Identity of `⊙`.
@@ -29,7 +47,7 @@ pub struct Semiring {
 pub const BOOLEAN: Semiring = Semiring {
     name: "boolean(max,*)",
     plus: AggFunc::Max,
-    times: BinOp::Mul,
+    times: Times::Op(BinOp::Mul),
     zero: Value::Float(0.0),
     one: Value::Float(1.0),
 };
@@ -39,7 +57,7 @@ pub const BOOLEAN: Semiring = Semiring {
 pub const TROPICAL: Semiring = Semiring {
     name: "tropical(min,+)",
     plus: AggFunc::Min,
-    times: BinOp::Add,
+    times: Times::Op(BinOp::Add),
     zero: Value::Float(f64::INFINITY),
     one: Value::Float(0.0),
 };
@@ -49,7 +67,7 @@ pub const TROPICAL: Semiring = Semiring {
 pub const COUNTING: Semiring = Semiring {
     name: "real(sum,*)",
     plus: AggFunc::Sum,
-    times: BinOp::Mul,
+    times: Times::Op(BinOp::Mul),
     zero: Value::Float(0.0),
     one: Value::Float(1.0),
 };
@@ -59,37 +77,27 @@ pub const COUNTING: Semiring = Semiring {
 pub const MIN_MUL: Semiring = Semiring {
     name: "minmul(min,*)",
     plus: AggFunc::Min,
-    times: BinOp::Mul,
+    times: Times::Op(BinOp::Mul),
     zero: Value::Float(f64::INFINITY),
     one: Value::Float(1.0),
 };
 
 /// `(max, min, -∞, +∞)` — bottleneck/capacity paths; exercises a semiring
 /// whose `⊙` is not arithmetic (used in tests and the widest-path example).
-pub fn max_min() -> Semiring {
-    Semiring {
-        name: "bottleneck(max,min)",
-        plus: AggFunc::Max,
-        times: BinOp::Lt, // placeholder; see `times_eval` below
-        zero: Value::Float(f64::NEG_INFINITY),
-        one: Value::Float(f64::INFINITY),
-    }
-}
+pub const MAX_MIN: Semiring = Semiring {
+    name: "bottleneck(max,min)",
+    plus: AggFunc::Max,
+    times: Times::Least,
+    zero: Value::Float(f64::NEG_INFINITY),
+    one: Value::Float(f64::INFINITY),
+};
 
 impl Semiring {
-    /// Apply `⊙` to two scalars. `max_min`'s `⊙` is `least(a, b)`, which is
-    /// not a [`BinOp`], hence the indirection.
+    /// Apply `⊙` to two scalars.
     pub fn times_eval(&self, a: Value, b: Value) -> crate::error::Result<Value> {
-        if self.name == "bottleneck(max,min)" {
-            if a.is_null() || b.is_null() {
-                return Ok(Value::Null);
-            }
-            return Ok(match a.sql_cmp(&b) {
-                Some(std::cmp::Ordering::Greater) => b,
-                _ => a,
-            });
-        }
-        crate::expr::eval_binary(self.times, a, b)
+        self.times
+            .expr(ScalarExpr::Lit(a), ScalarExpr::Lit(b))
+            .eval(&[])
     }
 }
 
@@ -115,7 +123,7 @@ mod tests {
 
     #[test]
     fn one_is_identity() {
-        for sr in [&BOOLEAN, &TROPICAL, &COUNTING, &MIN_MUL] {
+        for sr in [&BOOLEAN, &TROPICAL, &COUNTING, &MIN_MUL, &MAX_MIN] {
             let x = Value::Float(7.0);
             assert_eq!(
                 sr.times_eval(sr.one.clone(), x.clone()).unwrap(),
@@ -128,7 +136,7 @@ mod tests {
 
     #[test]
     fn bottleneck_times_is_min() {
-        let sr = max_min();
+        let sr = MAX_MIN;
         assert_eq!(
             sr.times_eval(Value::Float(4.0), Value::Float(2.0)).unwrap(),
             Value::Float(2.0)

@@ -96,10 +96,10 @@ pub struct Catalog {
     /// MVCC publication point, present after [`Catalog::enable_mvcc`].
     /// Every commit point publishes a read-only snapshot fork into it.
     hub: Option<Arc<GenerationHub>>,
-    /// Explicit-transaction flag for *in-memory* catalogs (durable
-    /// catalogs track it in [`Durability::in_txn`]); suppresses
-    /// per-mutation generation publishes until the commit.
-    mem_txn: bool,
+    /// Inside an explicit transaction (a with+ run or a caller batch):
+    /// mutations neither auto-commit to the durable log nor publish a
+    /// generation until the next commit marker.
+    in_txn: bool,
 }
 
 /// What a [`Catalog::checkpoint`] wrote.
@@ -577,10 +577,7 @@ impl Catalog {
     /// equivalent)? While open, mutations do not publish generations —
     /// readers keep seeing the pre-transaction state until the commit.
     pub fn in_txn(&self) -> bool {
-        match &self.durable {
-            Some(d) => d.in_txn,
-            None => self.mem_txn,
-        }
+        self.in_txn
     }
 
     /// Turn on MVCC publication: every commit point from here on publishes
@@ -612,7 +609,7 @@ impl Catalog {
             durable: None,
             gen: self.gen,
             hub: None,
-            mem_txn: false,
+            in_txn: false,
         }
     }
 
@@ -633,7 +630,7 @@ impl Catalog {
     /// the durable WAL's auto-commit records); inside one, the commit
     /// publishes instead.
     fn maybe_autocommit_publish(&mut self) {
-        if !self.in_txn() {
+        if !self.in_txn {
             self.bump_generation();
         }
     }
@@ -659,17 +656,16 @@ impl Catalog {
     /// Append one record; outside a transaction this is its own committed,
     /// synced transaction (auto-commit).
     fn wal_append(&mut self, payload: Vec<u8>) -> Result<()> {
-        let Some(d) = self.durable.as_ref() else {
+        if self.durable.is_none() {
             return Ok(());
-        };
-        let in_txn = d.in_txn;
-        if !in_txn {
+        }
+        if !self.in_txn {
             // Straggler in-place mutations commit together with this record.
             self.wal_flush_dirty()?;
         }
         let d = self.durable.as_mut().expect("checked above");
         d.append_record(&payload)?;
-        if !in_txn {
+        if !self.in_txn {
             d.append_record(&wal::enc_commit(&CommitKind::Auto))?;
             d.sync_wal()?;
         }
@@ -697,10 +693,7 @@ impl Catalog {
     /// iteration is one transaction) and by bulk loaders. On an in-memory
     /// catalog the flag still groups mutations into one MVCC generation.
     pub fn wal_begin_txn(&mut self) {
-        match self.durable.as_mut() {
-            Some(d) => d.in_txn = true,
-            None => self.mem_txn = true,
-        }
+        self.in_txn = true;
     }
 
     fn wal_commit(&mut self, kind: CommitKind, close: bool) -> Result<(u64, u64)> {
@@ -711,19 +704,16 @@ impl Catalog {
             let d = self.durable.as_mut().expect("checked above");
             d.append_record(&wal::enc_commit(&kind))?;
             d.sync_wal()?;
-            if close {
-                d.in_txn = false;
-            }
             (
                 d.records_appended() - before.0,
                 d.bytes_appended() - before.1,
             )
         } else {
-            if close {
-                self.mem_txn = false;
-            }
             (0, 0)
         };
+        if close {
+            self.in_txn = false;
+        }
         // Every commit marker — including the iteration commits that leave
         // the run transaction open — is an MVCC generation boundary.
         self.bump_generation();
@@ -794,7 +784,7 @@ impl Catalog {
                 "checkpoint: catalog is not durable".into(),
             ));
         };
-        if d.in_txn {
+        if self.in_txn {
             return Err(StorageError::Invalid(
                 "checkpoint: WAL transaction in progress".into(),
             ));

@@ -123,14 +123,9 @@ impl NullMask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Raw words (for the snapshot codec).
+    /// Raw words.
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Rebuild from raw words (snapshot decode).
-    pub fn from_words(words: Vec<u64>) -> Self {
-        NullMask { words }
     }
 
     /// Indexes of the NULL rows, ascending (all-zero words are skipped).

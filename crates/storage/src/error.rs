@@ -24,6 +24,9 @@ pub enum StorageError {
     /// On-disk state failed validation (bad magic, CRC mismatch, torn
     /// frame, undecodable record).
     Corrupt(String),
+    /// An intact snapshot file (its checksum holds) written in a format
+    /// version this build does not read.
+    UnsupportedVersion { found: u32, supported: u32 },
     /// Catch-all for invariant violations with a message.
     Invalid(String),
 }
@@ -48,6 +51,11 @@ impl fmt::Display for StorageError {
             StorageError::DuplicateKey(k) => write!(f, "duplicate primary key: {k}"),
             StorageError::Io(m) => write!(f, "io error: {m}"),
             StorageError::Corrupt(m) => write!(f, "corrupt storage: {m}"),
+            StorageError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "snapshot format version {found} is not readable by this build \
+                 (it reads version {supported})"
+            ),
             StorageError::Invalid(m) => write!(f, "{m}"),
         }
     }

@@ -6,7 +6,11 @@
 //! 1. Pick the newest snapshot that passes its whole-file CRC; corrupt
 //!    newer generations fall back to older ones (checkpointing never
 //!    deletes generation *n* before *n+1* is durable, so one of them is
-//!    valid unless the disk lost both).
+//!    valid unless the disk lost both). A snapshot is a list of
+//!    `CreateTable` records, validated and applied like one WAL
+//!    transaction. An intact snapshot of another format version fails the
+//!    open before anything is written: falling back past it would drop
+//!    its data.
 //! 2. Scan `wal.<seq>` frame by frame, stopping at the first torn or
 //!    CRC-failing frame. Group records into transactions at `Commit`
 //!    markers; *validate* each transaction against a lightweight shadow of
@@ -29,7 +33,7 @@
 use crate::catalog::Catalog;
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
-use crate::snapshot::{self, TableImage};
+use crate::snapshot;
 use crate::value::Value;
 use crate::vfs::Vfs;
 use crate::wal::{self, CommitKind, Durability, WalPolicy, WalRecord};
@@ -129,24 +133,15 @@ impl fmt::Display for RecoveryReport {
 }
 
 /// Cheap simulation of the catalog (name → arity) used to validate a whole
-/// transaction before any of it is applied. The only ways a well-formed
-/// record can fail to apply are missing/existing tables and arity
-/// mismatches — exactly what this tracks.
+/// transaction — or a whole snapshot — before any of it is applied. The
+/// only ways a well-formed record can fail to apply are missing/existing
+/// tables and arity mismatches — exactly what this tracks.
 #[derive(Clone, Default)]
 struct Shadow {
     arity: HashMap<String, usize>,
 }
 
 impl Shadow {
-    fn of(catalog: &Catalog) -> Self {
-        let mut s = Shadow::default();
-        for n in catalog.names() {
-            let e = catalog.entry(&n).expect("listed name");
-            s.arity.insert(n, e.rel.schema().arity());
-        }
-        s
-    }
-
     fn check(&mut self, rec: &WalRecord) -> std::result::Result<(), String> {
         match rec {
             WalRecord::CreateTable {
@@ -291,30 +286,36 @@ pub fn open_catalog(
         .filter_map(|n| snapshot::parse_snapshot_name(n).or_else(|| snapshot::parse_wal_name(n)))
         .max();
 
-    let mut chosen: Option<(u64, Vec<TableImage>)> = None;
+    // The newest snapshot that decodes, names its own generation and
+    // validates as one transaction; `shadow` then tracks the catalog it
+    // loads into for the WAL tail.
+    let mut shadow = Shadow::default();
+    let mut chosen: Option<(u64, Vec<WalRecord>)> = None;
     for &seq in &snap_seqs {
         let path = snapshot::snapshot_file(dir, seq);
-        match vfs
+        let why = match vfs
             .read(&path)
             .map_err(|e| io_err("read", &path, e))
             .and_then(|b| snapshot::decode_snapshot(&b))
         {
-            Ok((stored_seq, tables)) if stored_seq == seq => {
-                chosen = Some((seq, tables));
-                break;
-            }
-            Ok(_) => {
-                report.snapshots_skipped += 1;
-                if report.corrupt.is_none() {
-                    report.corrupt = Some(format!("snapshot {seq}: sequence mismatch"));
+            Ok((stored_seq, _)) if stored_seq != seq => "sequence mismatch".to_string(),
+            Ok((_, tables)) => {
+                let mut trial = Shadow::default();
+                match tables.iter().try_for_each(|r| trial.check(r)) {
+                    Ok(()) => {
+                        shadow = trial;
+                        chosen = Some((seq, tables));
+                        break;
+                    }
+                    Err(e) => e,
                 }
             }
-            Err(e) => {
-                report.snapshots_skipped += 1;
-                if report.corrupt.is_none() {
-                    report.corrupt = Some(format!("snapshot {seq}: {e}"));
-                }
-            }
+            Err(e @ StorageError::UnsupportedVersion { .. }) => return Err(e),
+            Err(e) => e.to_string(),
+        };
+        report.snapshots_skipped += 1;
+        if report.corrupt.is_none() {
+            report.corrupt = Some(format!("snapshot {seq}: {why}"));
         }
     }
 
@@ -323,9 +324,8 @@ pub fn open_catalog(
         Some((seq, tables)) => {
             report.snapshot_seq = seq;
             report.snapshot_tables = tables.len();
-            for t in tables {
-                let (name, temp, rel) = t.into_relation()?;
-                catalog.create_or_replace(&name, rel, temp)?;
+            for rec in tables {
+                apply(&mut catalog, rec)?;
             }
             seq
         }
@@ -380,7 +380,6 @@ pub fn open_catalog(
         }
     }
 
-    let mut shadow = Shadow::of(&catalog);
     let mut pending: Vec<WalRecord> = Vec::new();
     let mut committed_end: usize = wal::WAL_MAGIC.len().min(bytes.len());
     let mut interrupted: Option<InterruptedRun> = None;

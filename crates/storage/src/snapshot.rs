@@ -1,29 +1,29 @@
-//! Snapshot checkpointing: the catalog serialized to a versioned binary
-//! file, paired with a fresh WAL generation.
+//! Snapshot checkpointing: the catalog written as the log's own records,
+//! paired with a fresh WAL generation.
 //!
 //! ## File format
 //!
 //! ```text
-//! file    := magic "AIOSNAP1" body crc:u32le     (crc = CRC32/IEEE of body)
-//! body    := version:u32 seq:u64 ntables:u32 table*
-//! table   := name temp:u8 schema pk columns      (codec from `wal`)
-//! columns := nrows:u32 column{schema arity}      (version 2, column-major)
-//! column  := tag:u8 payload                      (0 mixed, 1 int, 2 float,
-//!                                                 3 dictionary string)
+//! file   := magic "AIOSNAP1" body crc:u32le     (crc = CRC32/IEEE of body)
+//! body   := version:u32le seq:u64le ntables:u32le table{ntables}
+//! table  := len:u32le record                    (`wal::enc_create_table`)
 //! ```
 //!
-//! Version 2 serializes each table column-major through the typed
-//! [`ColumnVec`] layout: ints as zigzag varints, floats as raw LE bits,
-//! strings dictionary-encoded (each distinct string written once), with a
-//! null bitmask per column and null slots omitted from the payload.
-//! Version 1 (row-major `put_rows`) files are still decoded — recovery
-//! accepts both. The WAL record codec itself stays row-major: its tags are
-//! format-frozen and individual log records are small.
+//! Each table is one `CreateTable` record, the bytes the WAL logs when the
+//! table is created, so recovery loads a snapshot through the same decoder,
+//! validation and `apply` as the WAL tail (`recover::open_catalog`). Unlike
+//! a WAL frame a record carries no CRC of its own: the file is written and
+//! checked whole, and the one CRC over the body already covers every bit.
 //!
-//! The trailing CRC covers the whole body, so a single flipped bit anywhere
-//! invalidates the snapshot and recovery falls back to the previous
-//! generation (checkpointing only deletes generation `n` after generation
-//! `n+1` is durably in place — see [`crate::Catalog::checkpoint`]).
+//! The envelope — magic, body, trailing CRC of the body, with the version as
+//! the body's first word — is the same for every format version. That is
+//! what lets a build tell an intact file of another version (its CRC holds:
+//! [`StorageError::UnsupportedVersion`], the open fails) from a damaged one
+//! (a CRC, length or count check fails: [`StorageError::Corrupt`], recovery
+//! falls back to the previous generation). A build decodes exactly one
+//! version, [`SNAP_VERSION`]. Any flipped bit or truncation invalidates the
+//! file; checkpointing only deletes generation `n` after generation `n+1`
+//! is durably in place — see [`crate::Catalog::checkpoint`].
 //!
 //! Temp tables are included: a crash can land while a with+ run's working
 //! tables exist, and resuming from the last committed iteration needs them.
@@ -31,19 +31,16 @@
 //! (`Catalog::analyze`) so the cost optimizer never plans against sketches
 //! that predate the replayed WAL tail.
 
-use crate::column::{Batch, ColumnVec, NullMask, StringTable};
 use crate::error::{Result, StorageError};
-use crate::relation::{Relation, Row};
-use crate::schema::Schema;
-use crate::wal::{codec, crc32};
+use crate::wal::{self, codec, crc32, WalRecord};
 use crate::Catalog;
 
-/// Magic prefix of every snapshot file (name + format version).
+/// Magic prefix of every snapshot file, of every format version.
 pub const SNAP_MAGIC: &[u8; 8] = b"AIOSNAP1";
 
-/// Bumped when the body layout changes; decode refuses newer versions but
-/// still reads every older one (v1 = row-major tables).
-pub const SNAP_VERSION: u32 = 2;
+/// The one body layout this build writes and reads (1 and 2 were the
+/// row-major and column-major layouts of older builds).
+pub const SNAP_VERSION: u32 = 3;
 
 /// Path of snapshot generation `seq` under `dir`.
 pub fn snapshot_file(dir: &str, seq: u64) -> String {
@@ -61,255 +58,67 @@ pub fn parse_wal_name(name: &str) -> Option<u64> {
     name.strip_prefix("wal.")?.parse().ok()
 }
 
-/// One table as stored in a snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TableImage {
-    pub name: String,
-    pub temp: bool,
-    pub schema: Schema,
-    pub pk: Option<Vec<usize>>,
-    pub rows: Vec<Row>,
-}
-
-impl TableImage {
-    /// Rebuild the relation (arity-checked).
-    pub fn into_relation(self) -> Result<(String, bool, Relation)> {
-        let mut rel = Relation::new(self.schema);
-        rel.set_pk(self.pk);
-        rel.extend(self.rows)?;
-        Ok((self.name, self.temp, rel))
-    }
-}
-
-/// Serialize the whole catalog as snapshot generation `seq` (version 2:
-/// tables column-major through the typed [`ColumnVec`] layout).
+/// Serialize the whole catalog as snapshot generation `seq`: one
+/// length-prefixed `CreateTable` record per table.
 pub fn encode_snapshot(seq: u64, catalog: &Catalog) -> Vec<u8> {
-    let mut body = Vec::new();
-    codec::put_u32(&mut body, SNAP_VERSION);
-    codec::put_u64(&mut body, seq);
+    let mut file = SNAP_MAGIC.to_vec();
+    codec::put_u32(&mut file, SNAP_VERSION);
+    codec::put_u64(&mut file, seq);
     let names = catalog.names();
-    codec::put_u32(&mut body, names.len() as u32);
+    codec::put_u32(&mut file, names.len() as u32);
     for name in &names {
         let e = catalog.entry(name).expect("names() returned a live table");
-        codec::put_str(&mut body, name);
-        body.push(e.temp as u8);
-        codec::put_schema(&mut body, e.rel.schema());
-        codec::put_pk(&mut body, e.rel.pk());
-        let batch = Batch::from_relation(&e.rel);
-        codec::put_u32(&mut body, batch.len() as u32);
-        for col in batch.columns() {
-            put_column(&mut body, col);
-        }
+        let rec = wal::enc_create_table(
+            name,
+            e.temp,
+            false,
+            e.rel.schema(),
+            e.rel.pk(),
+            e.rel.rows(),
+        );
+        codec::put_u32(&mut file, rec.len() as u32);
+        file.extend_from_slice(&rec);
     }
-    let mut file = SNAP_MAGIC.to_vec();
-    file.extend_from_slice(&body);
-    file.extend_from_slice(&crc32(&body).to_le_bytes());
+    let crc = crc32(&file[SNAP_MAGIC.len()..]);
+    file.extend_from_slice(&crc.to_le_bytes());
     file
 }
 
-/// Column tags in v2 table payloads (distinct from the `Value` tags of
-/// `put_value`, which v1 rows and `Mixed` cells use).
-const COL_MIXED: u8 = 0;
-const COL_INT: u8 = 1;
-const COL_FLOAT: u8 = 2;
-const COL_STR: u8 = 3;
-
-fn put_null_mask(buf: &mut Vec<u8>, nulls: &NullMask) {
-    let words = nulls.words();
-    codec::put_varu(buf, words.len() as u64);
-    for &w in words {
-        codec::put_u64(buf, w);
-    }
-}
-
-/// One v2 column: null slots are flagged in the mask and *omitted* from
-/// the value payload.
-fn put_column(buf: &mut Vec<u8>, col: &ColumnVec) {
-    match col {
-        ColumnVec::Int { vals, nulls } => {
-            buf.push(COL_INT);
-            put_null_mask(buf, nulls);
-            for (i, &v) in vals.iter().enumerate() {
-                if !nulls.get(i) {
-                    codec::put_varu(buf, codec::zigzag(v));
-                }
-            }
-        }
-        ColumnVec::Float { vals, nulls } => {
-            buf.push(COL_FLOAT);
-            put_null_mask(buf, nulls);
-            for (i, &v) in vals.iter().enumerate() {
-                if !nulls.get(i) {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        ColumnVec::Str { ids, nulls, dict } => {
-            buf.push(COL_STR);
-            put_null_mask(buf, nulls);
-            codec::put_u32(buf, dict.len() as u32);
-            for s in dict.strings() {
-                codec::put_str(buf, s);
-            }
-            for (i, &id) in ids.iter().enumerate() {
-                if !nulls.get(i) {
-                    codec::put_varu(buf, id as u64);
-                }
-            }
-        }
-        ColumnVec::Mixed(vals) => {
-            buf.push(COL_MIXED);
-            for v in vals {
-                codec::put_value(buf, v);
-            }
-        }
-    }
-}
-
-fn read_null_mask(d: &mut codec::Dec<'_>) -> std::result::Result<NullMask, String> {
-    let nwords = d.varu()? as usize;
-    if nwords > d.remaining() / 8 + 1 {
-        return Err(format!(
-            "null mask of {nwords} words exceeds remaining bytes"
-        ));
-    }
-    let mut words = Vec::with_capacity(nwords);
-    for _ in 0..nwords {
-        words.push(d.u64()?);
-    }
-    Ok(NullMask::from_words(words))
-}
-
-fn read_column(d: &mut codec::Dec<'_>, nrows: usize) -> std::result::Result<ColumnVec, String> {
-    let tag = d.u8()?;
-    if tag != COL_MIXED && nrows > d.remaining() * 8 {
-        // even an all-null typed column costs ≥ nrows/64 mask words
-        return Err(format!("column of {nrows} rows exceeds remaining bytes"));
-    }
-    match tag {
-        COL_MIXED => {
-            let mut vals = Vec::with_capacity(nrows.min(d.remaining()));
-            for _ in 0..nrows {
-                vals.push(d.value()?);
-            }
-            Ok(ColumnVec::Mixed(vals))
-        }
-        COL_INT => {
-            let nulls = read_null_mask(d)?;
-            let mut vals = Vec::with_capacity(nrows);
-            for i in 0..nrows {
-                vals.push(if nulls.get(i) {
-                    0
-                } else {
-                    codec::unzigzag(d.varu()?)
-                });
-            }
-            Ok(ColumnVec::Int { vals, nulls })
-        }
-        COL_FLOAT => {
-            let nulls = read_null_mask(d)?;
-            let mut vals = Vec::with_capacity(nrows);
-            for i in 0..nrows {
-                vals.push(if nulls.get(i) {
-                    0.0
-                } else {
-                    f64::from_le_bytes(d.take(8)?.try_into().unwrap())
-                });
-            }
-            Ok(ColumnVec::Float { vals, nulls })
-        }
-        COL_STR => {
-            let nulls = read_null_mask(d)?;
-            let ndict = d.u32()? as usize;
-            if ndict > d.remaining() {
-                return Err(format!(
-                    "dictionary of {ndict} strings exceeds remaining bytes"
-                ));
-            }
-            let mut dict = StringTable::new();
-            for _ in 0..ndict {
-                let s: std::sync::Arc<str> = d.str()?.into();
-                dict.intern(&s);
-            }
-            let mut ids = Vec::with_capacity(nrows);
-            for i in 0..nrows {
-                if nulls.get(i) {
-                    ids.push(0);
-                } else {
-                    let id = d.varu()?;
-                    if id >= dict.len() as u64 {
-                        return Err(format!(
-                            "string id {id} out of dictionary range {}",
-                            dict.len()
-                        ));
-                    }
-                    ids.push(id as u32);
-                }
-            }
-            Ok(ColumnVec::Str { ids, nulls, dict })
-        }
-        t => Err(format!("unknown column tag {t}")),
-    }
-}
-
-/// Decode a v2 column-major table payload back to rows.
-fn read_column_rows(d: &mut codec::Dec<'_>, arity: usize) -> std::result::Result<Vec<Row>, String> {
-    let nrows = d.u32()? as usize;
-    if arity > 0 && nrows > d.remaining() * 64 {
-        return Err(format!("row count {nrows} exceeds remaining bytes"));
-    }
-    let mut cols = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        cols.push(read_column(d, nrows)?);
-    }
-    let mut rows = Vec::with_capacity(nrows);
-    for i in 0..nrows {
-        rows.push(cols.iter().map(|c| c.value(i)).collect::<Row>());
-    }
-    Ok(rows)
-}
-
-/// Decode and fully validate a snapshot file. Any structural problem is a
-/// [`StorageError::Corrupt`] — never a panic.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<TableImage>)> {
+/// Decode a snapshot file into its generation number and its `CreateTable`
+/// records. Damage of any kind is [`StorageError::Corrupt`]; an intact file
+/// of another format version is [`StorageError::UnsupportedVersion`].
+/// Never panics.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>)> {
     let corrupt = |m: String| StorageError::Corrupt(format!("snapshot: {m}"));
     let magic_len = SNAP_MAGIC.len();
-    if bytes.len() < magic_len + 4 || &bytes[..magic_len] != SNAP_MAGIC {
+    if bytes.len() < magic_len + 4 + 4 || &bytes[..magic_len] != SNAP_MAGIC {
         return Err(corrupt("bad or missing magic".to_string()));
     }
-    let body = &bytes[magic_len..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-    if crc32(body) != stored {
+    let (body, crc) = bytes[magic_len..].split_at(bytes.len() - magic_len - 4);
+    if crc32(body) != u32::from_le_bytes(crc.try_into().expect("a 4-byte tail")) {
         return Err(corrupt("crc mismatch".to_string()));
     }
     let mut d = codec::Dec::new(body);
     let version = d.u32().map_err(&corrupt)?;
-    if version == 0 || version > SNAP_VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
-    let seq = d.u64().map_err(&corrupt)?;
-    let ntables = d.u32().map_err(&corrupt)? as usize;
-    let mut tables = Vec::with_capacity(ntables.min(4096));
-    for _ in 0..ntables {
-        let name = d.str().map_err(&corrupt)?;
-        let temp = d.u8().map_err(&corrupt)? != 0;
-        let schema = d.schema().map_err(&corrupt)?;
-        let pk = d.pk().map_err(&corrupt)?;
-        let rows = if version == 1 {
-            d.rows().map_err(&corrupt)?
-        } else {
-            read_column_rows(&mut d, schema.arity()).map_err(&corrupt)?
-        };
-        tables.push(TableImage {
-            name,
-            temp,
-            schema,
-            pk,
-            rows,
+    if version != SNAP_VERSION {
+        return Err(StorageError::UnsupportedVersion {
+            found: version,
+            supported: SNAP_VERSION,
         });
     }
+    let seq = d.u64().map_err(&corrupt)?;
+    let ntables = d.u32().map_err(&corrupt)?;
+    let mut tables = Vec::new();
+    for i in 0..ntables {
+        let len = d.u32().map_err(&corrupt)? as usize;
+        let rec = d.take(len).and_then(wal::decode_record).map_err(&corrupt)?;
+        if !matches!(rec, WalRecord::CreateTable { .. }) {
+            return Err(corrupt(format!("record {i} is not a table")));
+        }
+        tables.push(rec);
+    }
     if !d.done() {
-        return Err(corrupt("trailing garbage after table list".to_string()));
+        return Err(corrupt("trailing bytes after the last table".to_string()));
     }
     Ok((seq, tables))
 }
@@ -317,9 +126,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<TableImage>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::{edge_schema, node_schema};
+    use crate::relation::{edge_schema, node_schema, Relation};
     use crate::row;
-    use crate::value::Value;
 
     fn sample_catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -338,11 +146,23 @@ mod tests {
         let (seq, tables) = decode_snapshot(&bytes).unwrap();
         assert_eq!(seq, 4);
         assert_eq!(tables.len(), 2);
-        let (name, temp, rel) = tables[0].clone().into_relation().unwrap();
-        assert_eq!((name.as_str(), temp), ("e", false));
-        assert_eq!(rel.pk(), Some(&[0usize, 1][..]));
-        assert_eq!(rel.rows(), c.relation("E").unwrap().rows());
-        assert!(tables[1].temp);
+        let WalRecord::CreateTable {
+            name,
+            temp,
+            pk,
+            rows,
+            ..
+        } = &tables[0]
+        else {
+            panic!("not a table record: {:?}", tables[0]);
+        };
+        assert_eq!((name.as_str(), *temp), ("e", false));
+        assert_eq!(pk.as_deref(), Some(&[0usize, 1][..]));
+        assert_eq!(rows, &c.relation("E").unwrap().rows().to_vec());
+        assert!(matches!(
+            tables[1],
+            WalRecord::CreateTable { temp: true, .. }
+        ));
     }
 
     #[test]
@@ -352,70 +172,19 @@ mod tests {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x10;
             assert!(
-                decode_snapshot(&bad).is_err(),
+                matches!(decode_snapshot(&bad), Err(StorageError::Corrupt(_))),
                 "flip at {pos} must invalidate"
             );
         }
-        for cut in [0, 7, bytes.len() - 1] {
+        for cut in [0, 7, 20, bytes.len() - 1] {
             assert!(
-                decode_snapshot(&bytes[..cut]).is_err(),
+                matches!(
+                    decode_snapshot(&bytes[..cut]),
+                    Err(StorageError::Corrupt(_))
+                ),
                 "truncation to {cut}"
             );
         }
-    }
-
-    /// v1 (row-major) snapshot files written by older builds still decode.
-    #[test]
-    fn v1_snapshots_still_decode() {
-        let c = sample_catalog();
-        let mut body = Vec::new();
-        codec::put_u32(&mut body, 1);
-        codec::put_u64(&mut body, 9);
-        let names = c.names();
-        codec::put_u32(&mut body, names.len() as u32);
-        for name in &names {
-            let e = c.entry(name).unwrap();
-            codec::put_str(&mut body, name);
-            body.push(e.temp as u8);
-            codec::put_schema(&mut body, e.rel.schema());
-            codec::put_pk(&mut body, e.rel.pk());
-            codec::put_rows(&mut body, e.rel.rows());
-        }
-        let mut file = SNAP_MAGIC.to_vec();
-        file.extend_from_slice(&body);
-        file.extend_from_slice(&crc32(&body).to_le_bytes());
-        let (seq, tables) = decode_snapshot(&file).unwrap();
-        assert_eq!(seq, 9);
-        let (name, _, rel) = tables[0].clone().into_relation().unwrap();
-        assert_eq!(name, "e");
-        assert_eq!(rel.rows(), c.relation("E").unwrap().rows());
-    }
-
-    /// Text columns roundtrip through the v2 dictionary encoding, and the
-    /// dictionary actually dedups: each distinct string is written once.
-    #[test]
-    fn v2_dictionary_roundtrip_and_dedup() {
-        use crate::schema::DataType;
-        let mut c = Catalog::new();
-        let mut t = Relation::new(Schema::of(&[("id", DataType::Int), ("s", DataType::Text)]));
-        let long = "x".repeat(64);
-        for i in 0..50i64 {
-            t.push(vec![Value::Int(i), Value::Text(long.as_str().into())].into_boxed_slice())
-                .unwrap();
-        }
-        t.push(vec![Value::Null, Value::Null].into_boxed_slice())
-            .unwrap();
-        c.create_table("S", t).unwrap();
-        let bytes = encode_snapshot(2, &c);
-        // 50 copies of a 64-byte string stored once: far below row-major size
-        assert!(
-            bytes.len() < 50 * 64,
-            "dictionary did not dedup: {} bytes",
-            bytes.len()
-        );
-        let (_, tables) = decode_snapshot(&bytes).unwrap();
-        let (_, _, rel) = tables[0].clone().into_relation().unwrap();
-        assert_eq!(rel.rows(), c.relation("S").unwrap().rows());
     }
 
     #[test]

@@ -380,11 +380,6 @@ pub(crate) mod codec {
             self.pos == self.b.len()
         }
 
-        /// Bytes not yet consumed (sanity bounds for count fields).
-        pub fn remaining(&self) -> usize {
-            self.b.len() - self.pos
-        }
-
         pub fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], String> {
             if self.b.len() - self.pos < n {
                 return Err(format!(
@@ -782,9 +777,6 @@ pub struct Durability {
     vfs: Arc<dyn Vfs>,
     dir: String,
     seq: u64,
-    /// Inside an explicit transaction (a with+ run or a caller batch):
-    /// suppress per-mutation auto-commits until the next commit marker.
-    pub(crate) in_txn: bool,
     /// Tables mutated in place since the last commit point; re-imaged as
     /// `ReplaceRows` when the enclosing transaction commits.
     pub(crate) dirty: Vec<String>,
@@ -799,7 +791,6 @@ impl Durability {
             vfs,
             dir: dir.into(),
             seq,
-            in_txn: false,
             dirty: Vec::new(),
             records_appended: 0,
             bytes_appended: 0,

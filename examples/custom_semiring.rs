@@ -9,7 +9,7 @@
 //! ```
 
 use all_in_one::algebra::ops::{mv_join, union_by_update, MvOrientation, UbuImpl};
-use all_in_one::algebra::semiring::max_min;
+use all_in_one::algebra::semiring::MAX_MIN;
 use all_in_one::algebra::{AggStrategy, ExecStats, JoinStrategy};
 use all_in_one::prelude::*;
 use all_in_one::storage::Catalog;
@@ -34,7 +34,7 @@ fn main() {
     }
 
     // --- "algebra + while" with the bottleneck semiring -----------------
-    let sr = max_min(); // ⊕ = max, ⊙ = min, 0 = −∞, 1 = +∞
+    let sr = MAX_MIN; // ⊕ = max, ⊙ = min, 0 = −∞, 1 = +∞
     println!("semiring: {}", sr.name);
 
     let profile = oracle_like();

@@ -4,9 +4,10 @@
 //! logging at most 200 bytes per delta edge — and copy, for the pinned
 //! reader's sake, only the row chunks it writes (`E`'s tail and the view's
 //! chunks whose labels changed, not all of `E`); the pinned read must keep
-//! answering the old components, and after a reopen the re-attached view
-//! must agree with a union-find over every edge (the example fails
-//! otherwise).
+//! answering the old components. Halfway through the database
+//! checkpoints, so the reopen loads a snapshot plus a WAL tail, and the
+//! re-attached view must agree with a union-find over every edge (the
+//! example fails otherwise).
 //!
 //! ```sh
 //! cargo run --release --example live_components
@@ -119,13 +120,21 @@ fn main() {
             per_edge
         );
         edges.extend(batch);
+        if b == batches / 2 {
+            let cp = shared.with_writer(|db| db.checkpoint()).unwrap();
+            println!("checkpoint: snapshot.{} of {} bytes", cp.seq, cp.bytes);
+        }
     }
     println!("\n{}", shared.with_writer(|db| db.show_view("cc").unwrap()));
     drop((reader, shared));
 
     // reopen: the view re-attaches to the table recovery rebuilt
     let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
-    let (mut db, _) = Database::open_with_vfs(img, "db", oracle_like(), None).unwrap();
+    let (mut db, report) = Database::open_with_vfs(img, "db", oracle_like(), None).unwrap();
+    assert!(
+        report.snapshot_seq == 1 && report.wal_txns_applied > 0 && report.corrupt.is_none(),
+        "{report}"
+    );
     db.register_view("cc", WCC, 1e-9).unwrap();
     let got = labels(db.view_relation("cc").unwrap(), n);
     assert_eq!(

@@ -758,6 +758,77 @@ fn clean_image_recovers_everything() {
     }
 }
 
+/// The real file system end to end: `Database::open` on a temp directory,
+/// tables holding Text, NULL, NaN, −0.0, a primary key and a temp table,
+/// a checkpoint, more writes, then a reopen that must return every value
+/// bit for bit.
+#[test]
+fn std_vfs_checkpoint_and_reopen_round_trip_every_value() {
+    use all_in_one::storage::{DataType, Schema};
+    let nanos = std::time::UNIX_EPOCH.elapsed().unwrap().as_nanos();
+    let dir = std::env::temp_dir().join(format!("aio-std-vfs-{}-{nanos}", std::process::id()));
+    let path = dir.to_str().expect("utf-8 temp path");
+    let schema = Schema::of(&[
+        ("id", DataType::Int),
+        ("s", DataType::Text),
+        ("w", DataType::Float),
+    ]);
+    let rows = |ids: std::ops::Range<i64>| -> Vec<Row> {
+        ids.map(|i| {
+            let s = match i % 3 {
+                0 => Value::Null,
+                _ => Value::Text(format!("node-{i}-ü").into()),
+            };
+            let w = [-f64::NAN, -0.0, 0.0, f64::NEG_INFINITY, i as f64 / 3.0][i as usize % 5];
+            vec![Value::Int(i), s, Value::Float(w)].into_boxed_slice()
+        })
+        .collect()
+    };
+    let expected = {
+        let (mut db, report) = Database::open(path, oracle_like()).unwrap();
+        assert!(report.fresh, "{report}");
+        let mut t = Relation::with_pk(schema.clone(), &["id"]).unwrap();
+        t.extend(rows(0..40)).unwrap();
+        db.create_table("T", t).unwrap();
+        let mut scratch = Relation::new(schema.clone());
+        scratch.extend(rows(100..110)).unwrap();
+        db.catalog.create_temp("scratch", scratch).unwrap();
+        assert_eq!(db.checkpoint().unwrap().tables, 2);
+        db.catalog
+            .insert_rows("T", rows(40..60), WalPolicy::None)
+            .unwrap();
+        db.catalog
+            .insert_rows("scratch", rows(110..115), WalPolicy::None)
+            .unwrap();
+        db.catalog.fork_readonly()
+    };
+    let (db, report) = Database::open(path, oracle_like()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(report.corrupt.is_none() && !report.fresh, "{report}");
+    assert_eq!((report.snapshot_seq, report.snapshot_tables), (1, 2));
+    assert!(db.catalog.same_content(&expected));
+    let bits = |v: &Value| match v {
+        Value::Float(f) => Some(f.to_bits()),
+        _ => None,
+    };
+    for name in ["t", "scratch"] {
+        let (got, want) = (
+            db.catalog.relation(name).unwrap(),
+            expected.relation(name).unwrap(),
+        );
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (g, w) in got.iter().zip(want.iter()) {
+            assert_eq!(g, w, "{name}");
+            assert!(
+                g.iter().map(bits).eq(w.iter().map(bits)),
+                "{name}: {g:?} != {w:?} bit for bit"
+            );
+        }
+    }
+    assert_eq!(db.catalog.relation("t").unwrap().pk(), Some(&[0usize][..]));
+    assert!(db.catalog.entry("scratch").unwrap().temp);
+}
+
 /// Golden rendering of the `RecoveryReport` for a fixed crash scenario:
 /// regenerate with `GOLDEN_WRITE=1 cargo test --test crash_recovery`.
 #[test]

@@ -218,3 +218,51 @@ fn exhaustive_snapshot_truncations() {
         check_recovery(vfs, valid, &format!("snapshot truncated to {keep} bytes"));
     }
 }
+
+/// An intact snapshot in another format version (its checksum holds) is
+/// not damage: the open fails with a typed error and writes nothing, where
+/// falling back or starting empty would silently drop its tables. The same
+/// file with one flipped bit is corruption again and falls back as usual.
+#[test]
+fn snapshot_of_another_version_fails_the_open_and_writes_nothing() {
+    use all_in_one::storage::{wal::crc32, StorageError, Vfs};
+    use all_in_one::withplus::WithPlusError;
+
+    let (pristine, valid) = build_disk();
+    let snap_path = pristine
+        .paths()
+        .into_iter()
+        .find(|p| p.rsplit('/').next().unwrap_or(p).starts_with("snapshot."))
+        .expect("snapshot");
+    // the envelope every version shares: magic, version-led body, CRC
+    pristine.corrupt(&snap_path, |b| {
+        b[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let n = b.len();
+        let crc = crc32(&b[8..n - 4]);
+        b[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    });
+    let files = |vfs: &SimVfs| -> Vec<(String, Vec<u8>)> {
+        vfs.paths()
+            .into_iter()
+            .map(|p| {
+                let bytes = vfs.read(&p).unwrap();
+                (p, bytes)
+            })
+            .collect()
+    };
+    let before = files(&pristine);
+    let ops = pristine.op_count();
+    match Database::open_with_vfs(pristine.clone(), DIR, oracle_like(), None) {
+        Err(WithPlusError::Storage(StorageError::UnsupportedVersion {
+            found: 2,
+            supported,
+        })) => assert_ne!(supported, 2),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok((_, report)) => panic!("opened an unreadable snapshot:\n{report}"),
+    }
+    assert_eq!(pristine.op_count(), ops, "the failed open wrote");
+    assert!(before == files(&pristine), "the failed open changed a file");
+
+    pristine.corrupt(&snap_path, |b| b[12] ^= 1);
+    check_recovery(pristine, valid, "flipped bit in a version-2 snapshot");
+}
