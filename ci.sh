@@ -14,11 +14,14 @@
 # (alternating parent/change pairs), not a wall-clock bar in CI.
 set -eux
 
+# Every cargo call below that resolves dependencies runs `--locked`: a
+# stale Cargo.lock (workspace or benchmark/) fails here instead of being
+# rewritten silently.
 cargo fmt --all --check
-cargo build --release --workspace
+cargo build --locked --release --workspace
 case "${1:-smoke}" in
-full) cargo test -q --workspace -- --include-ignored ;;
-smoke) cargo test -q --workspace ;;
+full) cargo test --locked -q --workspace -- --include-ignored ;;
+smoke) cargo test --locked -q --workspace ;;
 *)
     echo "usage: $0 [full]" >&2
     exit 2
@@ -27,20 +30,20 @@ esac
 # `cargo test` compiles the examples but never runs them: run each (toy
 # graphs, seconds) so a panicking unwrap in one fails here
 for ex in examples/*.rs; do
-    cargo run --release -q --example "$(basename "$ex" .rs)"
+    cargo run --locked --release -q --example "$(basename "$ex" .rs)"
 done
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 # a doc link to an item that was deleted or made private fails here
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline
 
 # benchmark package: `benchmark/` is its own workspace, so nothing above
 # compiles it. Build it, run its self-check and its unit tests against the
 # crates as they are now — an engine signature it names (ExecMode,
 # with_exec, execute, optimize_plan, walk_pre_order, join_par, ...) that
 # changed must fail here, not in the bench pipeline.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
-cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo build --locked --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --locked --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+cargo test --locked --offline --manifest-path benchmark/Cargo.toml
 
 # trace smoke: EXPLAIN ANALYZE must print an annotated plan and emit
 # schema-valid JSONL (the binary validates and prints "jsonl schema: OK").

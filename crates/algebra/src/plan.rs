@@ -243,24 +243,6 @@ impl Plan {
             }
         });
     }
-
-    /// Does this plan reference `table` through a negated / non-monotone
-    /// position (right side of difference or anti-join)? Used by the
-    /// stratification analysis.
-    pub fn references_negated(&self, table: &str) -> bool {
-        self.any(&|p| match p {
-            Plan::Difference { right, .. } | Plan::AntiJoin { right, .. } => scans(right, table),
-            _ => false,
-        })
-    }
-
-    /// Does any aggregate appear over an input that references `table`?
-    pub fn aggregates_over(&self, table: &str) -> bool {
-        self.any(&|p| match p {
-            Plan::Aggregate { input, .. } | Plan::Window { input, .. } => scans(input, table),
-            _ => false,
-        })
-    }
 }
 
 /// The output schema of a project / aggregate / window over `input` — one
@@ -294,11 +276,6 @@ pub(crate) fn schema_of_items(items: &[(ScalarExpr, String)], input: &Schema) ->
 pub(crate) fn joined<'s>(inputs: impl IntoIterator<Item = &'s Schema>) -> Schema {
     let cols = inputs.into_iter().flat_map(|s| s.columns().iter().cloned());
     Schema::new(cols.collect())
-}
-
-/// Does `plan` read `table` anywhere?
-fn scans(plan: &Plan, table: &str) -> bool {
-    plan.any(&|p| matches!(p, Plan::Scan { table: t, .. } if t.eq_ignore_ascii_case(table)))
 }
 
 /// The span name and short label for each operator, used by the traced
@@ -1038,26 +1015,6 @@ mod tests {
         };
         let (rel, _) = execute(&semi, &c, &oracle_like()).unwrap();
         assert_eq!(rel.len(), 3);
-    }
-
-    #[test]
-    fn negation_and_aggregation_analysis() {
-        let anti = Plan::AntiJoin {
-            left: Box::new(Plan::scan("V")),
-            right: Box::new(Plan::scan("R")),
-            on: vec![("V.ID".into(), "R.ID".into())],
-            imp: AntiJoinImpl::NotIn,
-        };
-        assert!(anti.references_negated("R"));
-        assert!(!anti.references_negated("V"));
-
-        let agg = Plan::Aggregate {
-            input: Box::new(Plan::scan("R")),
-            group_by: vec![],
-            items: vec![],
-        };
-        assert!(agg.aggregates_over("R"));
-        assert!(!agg.aggregates_over("V"));
     }
 
     #[test]

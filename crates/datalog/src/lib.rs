@@ -9,16 +9,16 @@
 //! * [`depgraph`] — the dependency graph (Definition 9.1), stratifiability
 //!   and strata (Definition 9.2);
 //! * [`xy`] — XY-program syntax (Definition 9.3), the bi-state transform
-//!   and the decidable XY-stratification test;
-//! * [`seminaive`] — a positive-DATALOG semi-naive evaluator (the engine
-//!   behind SQL'99 `with` and our SociaLite stand-in).
+//!   and the decidable XY-stratification test.
+//!
+//! Nothing here evaluates rules. The fixpoint runs as Algorithm 1's PSM
+//! loop (`aio_withplus::psm::PsmRunner`), which also runs the SQL'99 `with`
+//! baseline; the SociaLite stand-in is `aio_graph::engines::DatalogEngine`.
 
 pub mod depgraph;
 pub mod rule;
-pub mod seminaive;
 pub mod xy;
 
 pub use depgraph::DependencyGraph;
 pub use rule::{Atom, Program, Rule, Temporal};
-pub use seminaive::SemiNaive;
 pub use xy::{bi_state, check_xy_syntax, is_xy_stratified, XyViolation};

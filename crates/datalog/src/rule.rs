@@ -5,7 +5,7 @@
 //! testing **XY-stratification**. For that analysis only three things about
 //! an atom matter: its predicate, whether it is negated, and its *temporal
 //! argument* (`T` or `s(T)`, Definition 9.3). Value-level arguments are kept
-//! as opaque strings for display and for the semi-naive evaluator.
+//! as opaque strings, for display only.
 
 use std::fmt;
 
@@ -120,14 +120,6 @@ impl Program {
         Program { rules }
     }
 
-    /// Predicates appearing in some head (IDB predicates).
-    pub fn idb_predicates(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.rules.iter().map(|r| r.head.pred.clone()).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Predicates that are *recursive*: IDB predicates reachable from
     /// themselves in the dependency graph.
     pub fn recursive_predicates(&self) -> Vec<String> {
@@ -168,14 +160,5 @@ mod tests {
             .at(Temporal::Succ)
             .negated();
         assert_eq!(a.to_string(), "¬p(X, s(T))");
-    }
-
-    #[test]
-    fn idb_predicates_deduped() {
-        let p = Program::new(vec![
-            Rule::new(Atom::new("a"), vec![Atom::new("b")]),
-            Rule::new(Atom::new("a"), vec![Atom::new("c")]),
-        ]);
-        assert_eq!(p.idb_predicates(), vec!["a".to_string()]);
     }
 }

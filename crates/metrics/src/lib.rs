@@ -1,6 +1,8 @@
 //! Engine-wide metrics: a typed registry of counters, gauges and
-//! log-bucketed histograms with cheap relaxed-atomic updates, per-query
-//! resource reports in a bounded ring buffer, and Prometheus/JSON export.
+//! histograms (count + sum) with cheap relaxed-atomic updates, and
+//! per-query resource reports in a bounded ring buffer. Both are read
+//! through [`MetricsRegistry::snapshot`] / [`MetricsRegistry::query_log`],
+//! which back the `aio_metrics` / `aio_query_log` system tables.
 //!
 //! The cost discipline mirrors `aio-trace`'s disabled-check-is-one-branch
 //! rule: every update first loads one global `AtomicBool` (relaxed) and
@@ -14,8 +16,6 @@
 //! WAL appends), so a caller can snapshot before and after a query and
 //! attribute deltas to it without cross-thread noise — that is how
 //! `Database::execute` fills each [`QueryReport`].
-
-pub mod export;
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -103,41 +103,18 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets: bucket `i < NBUCKETS-1` counts observations
-/// `v <= 2^i`; the last bucket is the +Inf overflow.
-pub const NBUCKETS: usize = 32;
-
-/// Bucket index for an observation (power-of-two boundaries).
-#[inline]
-pub fn bucket_index(v: u64) -> usize {
-    if v <= 1 {
-        0
-    } else {
-        (64 - (v - 1).leading_zeros() as usize).min(NBUCKETS - 1)
-    }
-}
-
-/// Inclusive upper bound of bucket `i` (the last bucket is +Inf).
-pub fn bucket_bound(i: usize) -> u64 {
-    1u64 << i.min(63)
-}
-
-/// Log-bucketed histogram: 32 power-of-two buckets plus sum and count, all
-/// relaxed atomics — an observation is three `fetch_add`s and no locks.
+/// Histogram reduced to sum and count, both relaxed atomics — an
+/// observation is two `fetch_add`s and no locks.
 pub struct Histogram {
-    buckets: [AtomicU64; NBUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
 }
 
 impl Histogram {
     pub const fn new() -> Histogram {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const Z: AtomicU64 = AtomicU64::new(0);
         Histogram {
-            buckets: [Z; NBUCKETS],
-            sum: Z,
-            count: Z,
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
         }
     }
 
@@ -152,7 +129,6 @@ impl Histogram {
     /// Ungated observe for call sites that already checked [`enabled`].
     #[inline]
     pub fn observe_raw(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
@@ -163,14 +139,6 @@ impl Histogram {
 
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    pub fn bucket_counts(&self) -> [u64; NBUCKETS] {
-        let mut out = [0u64; NBUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
     }
 }
 
@@ -187,26 +155,16 @@ pub enum MetricView<'a> {
     Histogram(&'a Histogram),
 }
 
-impl MetricView<'_> {
-    pub fn kind(&self) -> &'static str {
-        match self {
-            MetricView::Counter(_) => "counter",
-            MetricView::Gauge(_) => "gauge",
-            MetricView::Histogram(_) => "histogram",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The engine metric set — declared once; names derive from the field names
 // (prefixed `aio_`), which is what lets the hygiene test check every metric
-// that can ever be exported.
+// the `aio_metrics` system table can ever show.
 // ---------------------------------------------------------------------------
 
 macro_rules! engine_metrics {
     ( $( $field:ident : $kind:ident => $help:literal ; )* ) => {
         /// Every cumulative engine metric. Field name + `aio_` prefix is the
-        /// exported metric name.
+        /// metric's name in [`MetricsRegistry::snapshot`].
         #[derive(Default)]
         pub struct EngineMetrics {
             $( pub $field: $kind, )*
@@ -266,8 +224,6 @@ engine_metrics! {
     fixpoint_iterations_total: Counter => "with+ fixpoint iterations";
     fixpoint_delta_rows_total: Counter => "rows in with+ fixpoint deltas";
     fixpoint_converge_ms: Histogram => "with+ fixpoint convergence wall time in milliseconds";
-    datalog_rounds_total: Counter => "Datalog semi-naive rounds";
-    datalog_delta_rows_total: Counter => "rows in Datalog semi-naive deltas";
     // native engines
     native_supersteps_total: Counter => "native-engine supersteps";
     native_active_vertices_total: Counter => "native-engine active vertices summed over supersteps";
@@ -487,8 +443,8 @@ pub struct Sample {
 impl MetricsRegistry {
     /// Flat view of every metric: counters and gauges one row each,
     /// histograms as `_count` + `_sum` rows. This is the single source for
-    /// both the `aio_metrics` system relation and the JSON export, which is
-    /// what makes the self-query differential test row-for-row exact.
+    /// the `aio_metrics` system relation, which is what makes the
+    /// self-query differential test row-for-row exact.
     pub fn snapshot(&self) -> Vec<Sample> {
         let mut out = Vec::new();
         self.engine.visit(&mut |name, view, help| match view {
@@ -697,16 +653,6 @@ pub mod hooks {
     }
 
     #[inline]
-    pub fn datalog_round(delta_rows: u64) {
-        if !enabled() {
-            return;
-        }
-        let m = &global().engine;
-        m.datalog_rounds_total.add_raw(1);
-        m.datalog_delta_rows_total.add_raw(delta_rows);
-    }
-
-    #[inline]
     pub fn superstep(active_vertices: u64) {
         if !enabled() {
             return;
@@ -847,40 +793,24 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 2);
-        assert_eq!(bucket_index(5), 3);
-        assert_eq!(bucket_index(1 << 20), 20);
-        assert_eq!(bucket_index(u64::MAX), NBUCKETS - 1);
-        for i in 0..NBUCKETS - 1 {
-            // every bucket's inclusive upper bound maps back into it
-            assert_eq!(bucket_index(bucket_bound(i)), i, "bound of bucket {i}");
-        }
+    fn histogram_keeps_count_and_sum() {
         let h = Histogram::new();
         h.observe(3);
         h.observe(4);
         h.observe(1000);
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 1007);
-        let b = h.bucket_counts();
-        assert_eq!(b[2], 2);
-        assert_eq!(b[10], 1);
     }
 
     #[test]
     fn metric_names_are_unique_snake_case_and_unit_suffixed() {
-        // The hygiene gate: Prometheus scrapes must never collide, so every
+        // The hygiene gate: system-table rows must never collide, so every
         // registered name is unique, lowercase-snake, `aio_`-prefixed, and
         // carries a unit suffix.
         let reg = MetricsRegistry::default();
         let mut names: Vec<&'static str> = Vec::new();
-        reg.engine.visit(&mut |name, view, help| {
+        reg.engine.visit(&mut |name, _, help| {
             assert!(!help.is_empty(), "{name}: empty help");
-            assert!(!view.kind().is_empty());
             names.push(name);
         });
         assert!(

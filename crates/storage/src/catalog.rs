@@ -368,9 +368,8 @@ impl Catalog {
 
     /// Bulk insert, logging per `policy`.
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Row>, policy: WalPolicy) -> Result<()> {
-        self.wal.log_insert(policy, &rows);
-        // Validate arity *before* logging durably: a record must never hit
-        // the WAL for a mutation that then fails to apply.
+        // Validate arity *before* logging: neither the durable WAL nor the
+        // cost model's may see a mutation that then fails to apply.
         let expected = self.relation(name)?.schema().arity();
         if let Some(r) = rows.iter().find(|r| r.len() != expected) {
             return Err(StorageError::ArityMismatch {
@@ -378,6 +377,7 @@ impl Catalog {
                 got: r.len(),
             });
         }
+        self.wal.log_insert(policy, &rows);
         if self.durable.is_some() {
             self.wal_append(wal::enc_insert(&norm(name), &rows))?;
         }
@@ -409,9 +409,7 @@ impl Catalog {
         dels: Vec<Row>,
         policy: WalPolicy,
     ) -> Result<usize> {
-        self.wal.log_insert(policy, &adds);
-        self.wal.log_insert(policy, &dels);
-        // Validate arity *before* the durable log, as insert_rows does.
+        // Validate arity *before* logging, as insert_rows does.
         let expected = self.relation(name)?.schema().arity();
         if let Some(r) = adds.iter().chain(dels.iter()).find(|r| r.len() != expected) {
             return Err(StorageError::ArityMismatch {
@@ -419,6 +417,8 @@ impl Catalog {
                 got: r.len(),
             });
         }
+        self.wal.log_insert(policy, &adds);
+        self.wal.log_insert(policy, &dels);
         if self.durable.is_some() {
             self.wal_append(wal::enc_edge_delta(&norm(name), &adds, &dels))?;
         }
@@ -441,7 +441,8 @@ impl Catalog {
     /// for a full after-image at commit. Replaying the record yields the
     /// same rows as a multiset; the rewritten ones move to the end (DESIGN
     /// §19). The keyed fold of a fixpoint writes through here, so its log
-    /// is O(|changed|), not O(|R|). Positions must be distinct.
+    /// is O(|changed|), not O(|R|). Positions must be distinct: a repeated
+    /// one is rejected, since its record would replay to different rows.
     pub fn patch_rows(
         &mut self,
         name: &str,
@@ -459,9 +460,18 @@ impl Catalog {
                 got: r.len(),
             });
         }
-        if let Some((i, _)) = set.iter().find(|(i, _)| *i >= len) {
+        // sort a copy of the k positions: O(k log k), nothing O(|table|)
+        let mut at: Vec<usize> = set.iter().map(|(i, _)| *i).collect();
+        at.sort_unstable();
+        if let Some(i) = at.last().filter(|&&i| i >= len) {
             return Err(StorageError::Invalid(format!(
                 "patch_rows: position {i} out of range for {name} ({len} rows)"
+            )));
+        }
+        if let Some(w) = at.windows(2).find(|w| w[0] == w[1]) {
+            return Err(StorageError::Invalid(format!(
+                "patch_rows: position {} repeated for {name}",
+                w[0]
             )));
         }
         if self.durable.is_some() {

@@ -28,8 +28,8 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Incremental JSON object writer: tracks comma placement and escapes keys
-/// and string values so emitters never hand-roll `format!` JSON. Shared by
-/// the trace sinks and by `aio-metrics`' Prometheus/JSON exports.
+/// and string values so emitters never hand-roll `format!` JSON. Used by
+/// [`crate::Trace::to_jsonl`] and by the benchmark's reports.
 pub struct JsonObj {
     buf: String,
     any: bool,
@@ -325,10 +325,9 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Validate trace JSONL as emitted by [`crate::Trace::to_jsonl`] /
-/// [`crate::sink::JsonlSink`]: every non-empty line parses as an object with
-/// `kind` of `"span"` or `"event"` and the required typed keys. Returns the
-/// number of valid records.
+/// Validate trace JSONL as emitted by [`crate::Trace::to_jsonl`]: every
+/// non-empty line parses as an object with `kind` of `"span"` or `"event"`
+/// and the required typed keys. Returns the number of valid records.
 pub fn validate_trace_jsonl(input: &str) -> Result<usize, String> {
     let mut count = 0usize;
     for (lineno, line) in input.lines().enumerate() {
@@ -377,6 +376,41 @@ pub fn validate_trace_jsonl(input: &str) -> Result<usize, String> {
         return Err("no records".into());
     }
     Ok(count)
+}
+
+fn fields_json(fields: &[(crate::FieldKey, crate::FieldValue)]) -> String {
+    let mut obj = JsonObj::new();
+    for (k, v) in fields {
+        obj = obj.raw(k, &v.to_json());
+    }
+    obj.finish()
+}
+
+/// One JSONL line for a span (no trailing newline): `{"kind":"span","id":..,
+/// "parent":..,"depth":..,"name":..,"start_ns":..,"end_ns":..,"fields":{..}}`.
+pub(crate) fn span_jsonl(s: &crate::SpanRecord) -> String {
+    JsonObj::new()
+        .str("kind", "span")
+        .u64("id", s.id)
+        .u64("parent", s.parent)
+        .u64("depth", s.depth as u64)
+        .str("name", s.name)
+        .u64("start_ns", s.start_ns)
+        .u64("end_ns", s.end_ns)
+        .raw("fields", &fields_json(&s.fields))
+        .finish()
+}
+
+/// One JSONL line for an event (no trailing newline): `"kind":"event"` with
+/// `span`, `name`, `at_ns` and `fields`.
+pub(crate) fn event_jsonl(e: &crate::EventRecord) -> String {
+    JsonObj::new()
+        .str("kind", "event")
+        .u64("span", e.span)
+        .str("name", e.name)
+        .u64("at_ns", e.at_ns)
+        .raw("fields", &fields_json(&e.fields))
+        .finish()
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! A dependency-free observability substrate in the spirit of database
 //! EXPLAIN ANALYZE and structured span tracing: monotonic-clocked
-//! hierarchical [`SpanRecord`]s with typed fields, instant [`EventRecord`]s,
-//! and pluggable [`sink::Sink`]s (bounded in-memory ring buffer, streaming
-//! JSONL, no-op). A finished [`Trace`] renders as a span tree, exports to
+//! hierarchical [`SpanRecord`]s with typed fields and instant
+//! [`EventRecord`]s, kept in a bounded in-memory ring buffer. A finished
+//! [`Trace`] renders as a span tree, exports to
 //! the Chrome Trace Event format (loadable in `chrome://tracing` and
 //! Perfetto), or serializes to JSONL validated by the built-in minimal JSON
 //! parser ([`json`]).
@@ -23,11 +23,9 @@
 
 pub mod chrome;
 pub mod json;
-pub mod sink;
 
-use sink::{RingSink, Sink};
-use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
 
@@ -118,9 +116,8 @@ impl From<String> for FieldValue {
     }
 }
 
-/// A field key: usually a `&'static str`, owned only for dynamic names
-/// (e.g. DATALOG predicate names).
-pub type FieldKey = Cow<'static, str>;
+/// A field key: every instrumentation site names its fields statically.
+pub type FieldKey = &'static str;
 
 /// One completed span.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,7 +143,7 @@ impl SpanRecord {
 
     /// Look up a field by key.
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// A field coerced to u64 (Int/UInt only).
@@ -181,11 +178,27 @@ struct OpenSpan {
 struct Inner {
     next_id: u64,
     open: Vec<OpenSpan>,
-    ring: RingSink,
-    // `Send` so a `Tracer`-carrying engine (e.g. a `Database` behind a
-    // session layer) can move across threads; the tracer itself stays
-    // single-threaded (`RefCell`, not `Sync`)
-    extra: Vec<Box<dyn Sink + Send>>,
+    /// Ring capacity: at most this many spans (and, separately, events)
+    /// are kept, oldest evicted first.
+    capacity: usize,
+    spans: VecDeque<SpanRecord>,
+    events: VecDeque<EventRecord>,
+}
+
+impl Inner {
+    fn keep_span(&mut self, rec: SpanRecord) {
+        if self.spans.len() == self.capacity {
+            self.spans.pop_front();
+        }
+        self.spans.push_back(rec);
+    }
+
+    fn keep_event(&mut self, ev: EventRecord) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+        }
+        self.events.push_back(ev);
+    }
 }
 
 /// The span collector. Hand out `Option<&Tracer>` to instrumentation sites;
@@ -220,16 +233,11 @@ impl Tracer {
             inner: RefCell::new(Inner {
                 next_id: 1,
                 open: Vec::new(),
-                ring: RingSink::new(capacity),
-                extra: Vec::new(),
+                capacity: capacity.max(1),
+                spans: VecDeque::new(),
+                events: VecDeque::new(),
             }),
         }
-    }
-
-    /// Attach an additional streaming sink (e.g. [`sink::JsonlSink`]).
-    /// Every completed span and event is forwarded to it as it is recorded.
-    pub fn add_sink(&self, sink: Box<dyn Sink + Send>) {
-        self.inner.borrow_mut().extra.push(sink);
     }
 
     /// Nanoseconds since this tracer was created (monotonic).
@@ -267,16 +275,12 @@ impl Tracer {
         let now = self.now_ns();
         let mut inner = self.inner.borrow_mut();
         let span = inner.open.last().map(|s| s.id).unwrap_or(0);
-        let ev = EventRecord {
+        inner.keep_event(EventRecord {
             span,
             name,
             at_ns: now,
             fields: fields.into_iter().collect(),
-        };
-        for s in inner.extra.iter_mut() {
-            s.on_event(&ev);
-        }
-        inner.ring.on_event(&ev);
+        });
     }
 
     fn add_field(&self, span_id: u64, key: FieldKey, value: FieldValue) {
@@ -294,7 +298,7 @@ impl Tracer {
         while let Some(top) = inner.open.last() {
             let done = top.id == span_id;
             let top = inner.open.pop().unwrap();
-            let rec = SpanRecord {
+            inner.keep_span(SpanRecord {
                 id: top.id,
                 parent: top.parent,
                 depth: top.depth,
@@ -302,11 +306,7 @@ impl Tracer {
                 start_ns: top.start_ns,
                 end_ns: now,
                 fields: top.fields,
-            };
-            for s in inner.extra.iter_mut() {
-                s.on_span(&rec);
-            }
-            inner.ring.on_span(&rec);
+            });
             if done {
                 break;
             }
@@ -318,30 +318,26 @@ impl Tracer {
         self.inner.borrow().open.len()
     }
 
-    /// Finish tracing: force-close any stragglers, flush extra sinks, and
-    /// return the collected trace.
+    /// Finish tracing: force-close any stragglers and return the collected
+    /// trace.
     pub fn finish(self) -> Trace {
-        {
-            let mut inner = self.inner.borrow_mut();
-            debug_assert!(inner.open.is_empty(), "finish() with spans still open");
-            while let Some(top) = inner.open.pop() {
-                let rec = SpanRecord {
-                    id: top.id,
-                    parent: top.parent,
-                    depth: top.depth,
-                    name: top.name,
-                    start_ns: top.start_ns,
-                    end_ns: top.start_ns,
-                    fields: top.fields,
-                };
-                inner.ring.on_span(&rec);
-            }
-            for s in inner.extra.iter_mut() {
-                s.flush();
-            }
+        let mut inner = self.inner.into_inner();
+        debug_assert!(inner.open.is_empty(), "finish() with spans still open");
+        while let Some(top) = inner.open.pop() {
+            inner.keep_span(SpanRecord {
+                id: top.id,
+                parent: top.parent,
+                depth: top.depth,
+                name: top.name,
+                start_ns: top.start_ns,
+                end_ns: top.start_ns,
+                fields: top.fields,
+            });
         }
-        let inner = self.inner.into_inner();
-        inner.ring.into_trace()
+        Trace {
+            spans: inner.spans.into(),
+            events: inner.events.into(),
+        }
     }
 }
 
@@ -517,11 +513,11 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.spans {
-            out.push_str(&sink::span_jsonl(s));
+            out.push_str(&json::span_jsonl(s));
             out.push('\n');
         }
         for e in &self.events {
-            out.push_str(&sink::event_jsonl(e));
+            out.push_str(&json::event_jsonl(e));
             out.push('\n');
         }
         out
@@ -550,10 +546,7 @@ mod tests {
                     j.field("rows_out", 42u64);
                     j.field("build_ns", 1234u64);
                 }
-                t.event(
-                    "converged",
-                    [(FieldKey::from("delta"), FieldValue::UInt(0))],
-                );
+                t.event("converged", [("delta", FieldValue::UInt(0))]);
             }
         }
         t.finish()
@@ -615,6 +608,30 @@ mod tests {
         let mut tr = toy_trace();
         tr.spans[0].parent = 99;
         assert!(tr.validate().is_err());
+    }
+
+    #[test]
+    fn jsonl_validates_and_holds_span_and_event_lines() {
+        let t = Tracer::new();
+        {
+            let g = t.span("op");
+            g.field("rows", 3u64);
+            t.event("tick", []);
+        }
+        let jsonl = t.finish().to_jsonl();
+        json::validate_trace_jsonl(&jsonl).unwrap();
+        assert!(jsonl.lines().any(|l| l.contains("\"kind\":\"span\"")));
+        assert!(jsonl.lines().any(|l| l.contains("\"kind\":\"event\"")));
+    }
+
+    #[test]
+    fn jsonl_escaping_survives_quotes_in_field_values() {
+        let t = Tracer::new();
+        {
+            let g = t.span("op");
+            g.field("label", "he said \"hi\"\n");
+        }
+        json::validate_trace_jsonl(&t.finish().to_jsonl()).unwrap();
     }
 
     #[test]

@@ -1230,14 +1230,14 @@ impl<'a> PsmRunner<'a> {
                     t.event(
                         "subquery",
                         [
-                            ("q".into(), aio_trace::FieldValue::UInt(qi as u64)),
+                            ("q", aio_trace::FieldValue::UInt(qi as u64)),
                             (
-                                "delta_rows".into(),
+                                "delta_rows",
                                 aio_trace::FieldValue::UInt(sub.delta_rows as u64),
                             ),
-                            ("c_i".into(), aio_trace::FieldValue::Bool(sub.changed)),
+                            ("c_i", aio_trace::FieldValue::Bool(sub.changed)),
                             (
-                                "ubu_changed_rows".into(),
+                                "ubu_changed_rows",
                                 aio_trace::FieldValue::UInt(sub.ubu_changed_rows as u64),
                             ),
                         ],

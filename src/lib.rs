@@ -22,8 +22,8 @@
 //!   EXPLAIN ANALYZE plumbing shared by every execution engine;
 //! * [`metrics`] — the engine-wide metrics registry: counters, gauges and
 //!   histograms fed by every layer, per-query [`metrics::QueryReport`]s,
-//!   Prometheus/JSON export, and the self-queryable `aio_metrics` /
-//!   `aio_query_log` system relations.
+//!   and the self-queryable `aio_metrics` / `aio_query_log` system
+//!   relations.
 //!
 //! ## Quickstart
 //!

@@ -11,7 +11,9 @@
 //! 3. After reopen, the view's table is — as a multiset — the live one and
 //!    a cold rebuild's.
 //! 4. The catalog call the fold writes through (`Catalog::patch_rows`)
-//!    rejects a bad row or position before it logs anything.
+//!    rejects a bad row or a bad or repeated position before it logs
+//!    anything; a bad-arity `insert_rows` / `apply_delta` is charged to
+//!    neither the durable log nor the cost model's.
 
 use aio_testkit::corpus::rebuild;
 use aio_testkit::ivm::{
@@ -266,6 +268,8 @@ fn patch_rows_validates_before_logging_and_replays() {
         (vec![(0, row![1])], vec![]),
         (vec![], vec![row![3, 3.0, 3.0]]),
         (vec![(2, row![3, 3.0])], vec![]),
+        // a repeated position would log dels [x, x] and replay to [y, a, b]
+        (vec![(0, row![5, 5.0]), (0, row![6, 6.0])], vec![]),
     ] {
         assert!(cat.patch_rows("V", set, append).is_err());
         assert_eq!(
@@ -274,7 +278,11 @@ fn patch_rows_validates_before_logging_and_replays() {
             "nothing logged"
         );
     }
-    assert_eq!(cat.relation("V").unwrap().len(), 2, "nothing applied");
+    assert_eq!(
+        cat.relation("V").unwrap().rows().to_vec(),
+        vec![row![1, 1.0], row![2, 2.0]],
+        "nothing applied"
+    );
 
     cat.patch_rows("V", vec![(0, row![1, 0.5])], vec![row![3, 3.0]])
         .unwrap();
@@ -284,4 +292,30 @@ fn patch_rows_validates_before_logging_and_replays() {
         sorted(recovered.relation("V").unwrap().rows()),
         sorted(cat.relation("V").unwrap().rows())
     );
+}
+
+#[test]
+fn rejected_inserts_are_logged_nowhere() {
+    let (mut cat, _) = open_catalog(Arc::new(SimVfs::new()), DIR, None).unwrap();
+    cat.create_table("V", Relation::new(node_schema())).unwrap();
+    cat.insert_rows("V", vec![row![1, 1.0]], WalPolicy::Full)
+        .unwrap();
+    let durable = cat.durability().unwrap().bytes_appended();
+    let cost = cat.wal.bytes_written();
+    assert!(cost > 0, "the cost model charged the good insert");
+    assert!(cat
+        .insert_rows("V", vec![row![2, 2.0], row![3]], WalPolicy::Full)
+        .is_err());
+    assert!(cat
+        .apply_delta("V", vec![row![4, 4.0, 4.0]], vec![], WalPolicy::Full)
+        .is_err());
+    assert!(cat
+        .apply_delta("V", vec![], vec![row![1]], WalPolicy::Full)
+        .is_err());
+    assert_eq!(
+        cat.relation("V").unwrap().rows().to_vec(),
+        vec![row![1, 1.0]]
+    );
+    assert_eq!(cat.durability().unwrap().bytes_appended(), durable);
+    assert_eq!(cat.wal.bytes_written(), cost, "cost-model WAL charged");
 }
