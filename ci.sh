@@ -74,3 +74,7 @@ echo "loc: $(git ls-files 'crates/*.rs' 'src/*.rs' | xargs cat | wc -l)"
 for c in crates/* src; do
     echo "loc $c: $(git ls-files "$c/*.rs" | xargs cat | wc -l)"
 done
+# Outside that number, counted the same way: the integration tests and
+# the benchmark package.
+echo "loc tests: $(git ls-files 'tests/*.rs' | xargs cat | wc -l)"
+echo "loc benchmark: $(git ls-files 'benchmark/*.rs' | xargs cat | wc -l)"

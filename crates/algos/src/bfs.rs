@@ -26,10 +26,7 @@ pub fn run(
 ) -> Result<(FxHashMap<i64, f64>, QueryResult)> {
     let mut db = common::db_for(g, profile, common::EdgeStyle::WithLoops(1.0))?;
     // vw = 1 for the source, 0 elsewhere
-    for row in db.catalog.relation_mut("V")?.iter_mut() {
-        let id = row[0].as_int().unwrap();
-        row[1] = if id == src as i64 { 1.0 } else { 0.0 }.into();
-    }
+    common::set_node_weights(&mut db, |id| if id == src as i64 { 1.0 } else { 0.0 })?;
     let out = db.execute(SQL)?;
     Ok((common::node_f64_map(&out.relation), out))
 }

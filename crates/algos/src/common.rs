@@ -11,7 +11,7 @@
 
 use aio_algebra::EngineProfile;
 use aio_graph::{load, Graph};
-use aio_storage::{row, FxHashMap, Relation};
+use aio_storage::{row, FxHashMap, Relation, WalPolicy};
 use aio_withplus::{Database, Result};
 
 /// How edge weights should be loaded for an algorithm.
@@ -28,7 +28,6 @@ pub enum EdgeStyle {
 
 /// Build a database over `g` with `E(F,T,ew)`, `V(ID,vw)` and `L(ID,lbl)`.
 pub fn db_for(g: &Graph, profile: &EngineProfile, style: EdgeStyle) -> Result<Database> {
-    let mut db = Database::new(profile.clone());
     let e = match style {
         EdgeStyle::Raw => load::edge_relation(g),
         EdgeStyle::WithLoops(w) => {
@@ -41,24 +40,40 @@ pub fn db_for(g: &Graph, profile: &EngineProfile, style: EdgeStyle) -> Result<Da
             load::edge_relation(&gw)
         }
     };
+    db_over(g, profile, e)
+}
+
+/// A database over `g` whose edge table is `e`, beside `V(ID,vw)` and
+/// `L(ID,lbl)`.
+pub fn db_over(g: &Graph, profile: &EngineProfile, e: Relation) -> Result<Database> {
+    let mut db = Database::new(profile.clone());
     db.create_table("E", e)?;
     db.create_table("V", load::node_relation(g))?;
     db.create_table("L", load::label_relation(g))?;
     Ok(db)
 }
 
-/// Replace `V`'s weights (e.g. BFS / SSSP seeds).
-pub fn set_node_weights(db: &mut Database, weights: &[(i64, f64)]) -> Result<()> {
-    let rel = db.catalog.relation_mut("V")?;
-    let mut by_id: FxHashMap<i64, f64> = FxHashMap::default();
-    for &(id, w) in weights {
-        by_id.insert(id, w);
-    }
-    for row in rel.iter_mut() {
-        if let Some(&w) = row[0].as_int().and_then(|id| by_id.get(&id)) {
-            row[1] = w.into();
-        }
-    }
+/// Rewrite `V`'s weights in place, `weight(id)` for every node (BFS /
+/// SSSP seeds): one patch of `V`, which drops its statistics like any
+/// write.
+pub fn set_node_weights(db: &mut Database, weight: impl Fn(i64) -> f64) -> Result<()> {
+    let v = db.catalog.relation("V")?;
+    let set = v.iter().enumerate().filter_map(|(i, r)| {
+        let mut row = r.clone();
+        row[1] = weight(r[0].as_int()?).into();
+        Some((i, row))
+    });
+    let set = set.collect();
+    db.catalog.patch_rows("V", set, Vec::new())?;
+    Ok(())
+}
+
+/// Append every edge of `g` reversed to `E`: the undirected algorithms
+/// over a directed graph.
+pub fn add_reverse_edges(db: &mut Database, g: &Graph) -> Result<()> {
+    let reversed = g.edges().map(|(u, v, w)| row![v as i64, u as i64, w]);
+    db.catalog
+        .insert_rows("E", reversed.collect(), WalPolicy::None)?;
     Ok(())
 }
 
@@ -116,9 +131,9 @@ mod tests {
     fn seed_weights() {
         let g = generate(GraphKind::Uniform, 5, 10, true, 1);
         let mut db = db_for(&g, &oracle_like(), EdgeStyle::Raw).unwrap();
-        set_node_weights(&mut db, &[(2, 9.5)]).unwrap();
+        set_node_weights(&mut db, |id| if id == 2 { 9.5 } else { 0.0 }).unwrap();
         let v = db.catalog.relation("V").unwrap();
         let m = node_f64_map(v);
-        assert_eq!(m[&2], 9.5);
+        assert_eq!((m[&2], m[&3]), (9.5, 0.0));
     }
 }

@@ -34,11 +34,7 @@ pub fn run(
 ) -> Result<(FxHashSet<(i64, i64)>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     if g.directed {
-        let extra: Vec<_> = g
-            .edges()
-            .map(|(u, v, w)| aio_storage::row![v as i64, u as i64, w])
-            .collect();
-        db.catalog.relation_mut("E")?.extend(extra)?;
+        common::add_reverse_edges(&mut db, g)?;
     }
     db.set_param("k", k);
     let out = db.execute(SQL)?;

@@ -42,11 +42,7 @@ pub fn run(g: &Graph, profile: &EngineProfile, seed: u64) -> Result<(FxHashSet<i
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     if g.directed {
         // independence is over the underlying undirected graph
-        let extra: Vec<_> = g
-            .edges()
-            .map(|(u, v, w)| aio_storage::row![v as i64, u as i64, w])
-            .collect();
-        db.catalog.relation_mut("E")?.extend(extra)?;
+        common::add_reverse_edges(&mut db, g)?;
     }
     let out = db.execute(SQL)?;
     let set = out

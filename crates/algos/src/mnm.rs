@@ -32,11 +32,7 @@ select * from M";
 pub fn run(g: &Graph, profile: &EngineProfile) -> Result<(Vec<(u32, u32)>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::Raw)?;
     if g.directed {
-        let extra: Vec<_> = g
-            .edges()
-            .map(|(u, v, w)| aio_storage::row![v as i64, u as i64, w])
-            .collect();
-        db.catalog.relation_mut("E")?.extend(extra)?;
+        common::add_reverse_edges(&mut db, g)?;
     }
     let out = db.execute(SQL)?;
     let mut pairs = Vec::new();

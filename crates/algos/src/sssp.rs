@@ -8,7 +8,7 @@ use crate::common::{self, EdgeStyle};
 use aio_algebra::EngineProfile;
 use aio_graph::Graph;
 use aio_storage::FxHashMap;
-use aio_withplus::{QueryResult, Result};
+use aio_withplus::{Database, QueryResult, Result};
 
 pub const SQL: &str = "\
 with D(ID, vw) as (
@@ -17,6 +17,11 @@ with D(ID, vw) as (
   (select E.T, min(D.vw + E.ew) from D, E where D.ID = E.F group by E.T))
 select * from D";
 
+/// `V` as Bellman-Ford starts from `src`: distance 0 there, ∞ elsewhere.
+pub fn seed(db: &mut Database, src: i64) -> Result<()> {
+    common::set_node_weights(db, |id| if id == src { 0.0 } else { f64::INFINITY })
+}
+
 /// Run Bellman-Ford from `src`; returns id → distance (∞ if unreachable).
 pub fn run(
     g: &Graph,
@@ -24,10 +29,7 @@ pub fn run(
     src: u32,
 ) -> Result<(FxHashMap<i64, f64>, QueryResult)> {
     let mut db = common::db_for(g, profile, EdgeStyle::WithLoops(0.0))?;
-    for row in db.catalog.relation_mut("V")?.iter_mut() {
-        let id = row[0].as_int().unwrap();
-        row[1] = if id == src as i64 { 0.0 } else { f64::INFINITY }.into();
-    }
+    seed(&mut db, src as i64)?;
     let out = db.execute(SQL)?;
     Ok((common::node_f64_map(&out.relation), out))
 }

@@ -10,7 +10,7 @@
 use crate::common::{self, EdgeStyle};
 use aio_algebra::EngineProfile;
 use aio_graph::Graph;
-use aio_storage::{row, FxHashMap};
+use aio_storage::FxHashMap;
 use aio_withplus::{QueryResult, Result};
 
 pub const SQL: &str = "\
@@ -25,11 +25,7 @@ pub fn run(g: &Graph, profile: &EngineProfile) -> Result<(FxHashMap<i64, i64>, Q
     let mut db = common::db_for(g, profile, EdgeStyle::WithLoops(1.0))?;
     if g.directed {
         // weak connectivity: add the reverse edges
-        let mut extra = Vec::new();
-        for (u, v, w) in g.edges() {
-            extra.push(row![v as i64, u as i64, w]);
-        }
-        db.catalog.relation_mut("E")?.extend(extra)?;
+        common::add_reverse_edges(&mut db, g)?;
     }
     let out = db.execute(SQL)?;
     Ok((common::node_i64_map(&out.relation), out))

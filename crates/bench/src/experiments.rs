@@ -571,14 +571,7 @@ fn explain_inner(algo: &str, scale: f64, best: bool) -> Result<String> {
         }
         "sssp" => {
             let mut db = db_for(&g, &profile, EdgeStyle::WithLoops(0.0))?;
-            for row in db.catalog.relation_mut("V")?.iter_mut() {
-                let seed = if row[0].as_int() == Some(0) {
-                    0.0
-                } else {
-                    f64::INFINITY
-                };
-                row[1] = seed.into();
-            }
+            algos::sssp::seed(&mut db, 0)?;
             (db, algos::sssp::SQL.to_string())
         }
         "wcc" => {

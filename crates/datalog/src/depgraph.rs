@@ -3,8 +3,7 @@
 //! Definition 9.1 of the paper: an edge runs from `g` to `h` when `h`
 //! depends on `g`; the edge is labelled `−` when the occurrence is negated.
 //! Definition 9.2: a program is *stratifiable* iff no `−` edge lies on a
-//! cycle, and the strata are obtained by topologically sorting the
-//! condensation.
+//! cycle of the graph.
 
 use crate::rule::Program;
 use std::collections::HashMap;
@@ -172,70 +171,6 @@ impl DependencyGraph {
         }
         true
     }
-
-    /// Assign strata (Definition 9.2): the stratum of a predicate is the
-    /// maximum number of negated edges on any path reaching it. `None` if
-    /// not stratifiable.
-    pub fn strata(&self) -> Option<HashMap<String, usize>> {
-        if !self.is_stratified() {
-            return None;
-        }
-        let n = self.names.len();
-        // longest-path on the condensation; iterate to fixpoint (graph is
-        // small: one node per predicate).
-        let mut stratum = vec![0usize; n];
-        let mut changed = true;
-        let mut guard = 0;
-        while changed {
-            changed = false;
-            guard += 1;
-            if guard > n * n + 2 {
-                return None; // cycle through negation slipped through
-            }
-            for (v, adj) in self.edges.iter().enumerate() {
-                for &(w, negated) in adj {
-                    let need = stratum[v] + negated as usize;
-                    if stratum[w] < need {
-                        stratum[w] = need;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        Some(
-            self.names
-                .iter()
-                .cloned()
-                .zip(stratum)
-                .collect::<HashMap<_, _>>(),
-        )
-    }
-
-    /// How many distinct cycles pass through `name`'s SCC — used by the
-    /// with+ validator's "only one cycle in the dependency graph"
-    /// restriction (approximated by: the SCC containing `name` has at most
-    /// `|SCC|` internal edges, i.e. a simple cycle).
-    pub fn scc_is_simple_cycle(&self, name: &str) -> bool {
-        let Some(&v) = self.index.get(name) else {
-            return true;
-        };
-        let scc = self.sccs();
-        let target = scc[v];
-        let members: Vec<usize> = (0..self.names.len())
-            .filter(|&u| scc[u] == target)
-            .collect();
-        let internal_edges: usize = members
-            .iter()
-            .map(|&u| {
-                self.edges[u]
-                    .iter()
-                    .filter(|&&(w, _)| scc[w] == target)
-                    .count()
-            })
-            .sum();
-        // a simple cycle over k nodes has exactly k internal edges
-        internal_edges <= members.len()
-    }
 }
 
 #[cfg(test)]
@@ -257,9 +192,6 @@ mod tests {
         assert!(g.is_stratified());
         assert!(g.has_cycle());
         assert_eq!(g.predicates_in_cycles(), vec!["tc".to_string()]);
-        let strata = g.strata().unwrap();
-        assert_eq!(strata["tc"], 0);
-        assert_eq!(strata["e"], 0);
     }
 
     #[test]
@@ -271,24 +203,6 @@ mod tests {
         )]);
         let g = DependencyGraph::from_program(&p);
         assert!(!g.is_stratified());
-        assert!(g.strata().is_none());
-    }
-
-    #[test]
-    fn stratified_negation_gets_higher_stratum() {
-        // reach as usual; unreach(X) :- node(X), ¬reach(X).
-        let p = Program::new(vec![
-            Rule::new(Atom::new("reach"), vec![Atom::new("e")]),
-            Rule::new(Atom::new("reach"), vec![Atom::new("reach"), Atom::new("e")]),
-            Rule::new(
-                Atom::new("unreach"),
-                vec![Atom::new("node"), Atom::new("reach").negated()],
-            ),
-        ]);
-        let g = DependencyGraph::from_program(&p);
-        assert!(g.is_stratified());
-        let strata = g.strata().unwrap();
-        assert!(strata["unreach"] > strata["reach"]);
     }
 
     #[test]
@@ -304,7 +218,6 @@ mod tests {
             g.predicates_in_cycles(),
             vec!["auth".to_string(), "hub".to_string()]
         );
-        assert!(g.scc_is_simple_cycle("hub"));
     }
 
     #[test]
@@ -316,22 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn double_cycle_is_not_simple() {
-        let mut g = DependencyGraph::new();
-        // r → a → r and r → b → r : two cycles through r
-        g.edge("r", "a", false);
-        g.edge("a", "r", false);
-        g.edge("r", "b", false);
-        g.edge("b", "r", false);
-        assert!(!g.scc_is_simple_cycle("r"));
-    }
-
-    #[test]
     fn self_loop_counts_as_cycle() {
         let mut g = DependencyGraph::new();
         g.edge("r", "r", false);
         assert!(g.has_cycle());
         assert_eq!(g.predicates_in_cycles(), vec!["r".to_string()]);
-        assert!(g.scc_is_simple_cycle("r"));
     }
 }

@@ -6,8 +6,8 @@
 //! (Zaniolo et al.) certifies a fixpoint. This crate provides:
 //!
 //! * [`rule`] — predicate-level rules with temporal (stage) arguments;
-//! * [`depgraph`] — the dependency graph (Definition 9.1), stratifiability
-//!   and strata (Definition 9.2);
+//! * [`depgraph`] — the dependency graph (Definition 9.1) and
+//!   stratifiability (Definition 9.2);
 //! * [`xy`] — XY-program syntax (Definition 9.3), the bi-state transform
 //!   and the decidable XY-stratification test.
 //!

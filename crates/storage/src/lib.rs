@@ -1,7 +1,8 @@
 //! # aio-storage — the relational storage substrate
 //!
-//! In-memory relations, schemas, indexes, a catalog with temporary tables,
-//! and a simulated write-ahead log. This is the bottom layer of the
+//! In-memory relations, schemas, indexes, a catalog with temporary tables
+//! whose every write is one [`Mutation`], and a write-ahead log (durable,
+//! and the paper's cost model of it). This is the bottom layer of the
 //! `all-in-one` reproduction of *"All-in-One: Graph Processing in RDBMSs
 //! Revisited"* (Zhao & Yu, SIGMOD 2017): everything above it — relational
 //! algebra, the four new operations, the with+ engine — manipulates the
@@ -18,6 +19,7 @@ pub mod error;
 pub mod hash;
 pub mod index;
 pub mod keyidx;
+pub mod mutation;
 pub mod mvcc;
 pub mod recover;
 pub mod relation;
@@ -34,6 +36,7 @@ pub use error::{Result, StorageError};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::SortedIndex;
 pub use keyidx::{key_cmp, key_has_null, key_hash, keys_eq, KeyGroups, KeyIndex};
+pub use mutation::Mutation;
 pub use mvcc::{GenerationHub, PinnedSnapshot, Snapshot};
 pub use recover::{open_catalog, InterruptedRun, RecoveryReport};
 pub use relation::{

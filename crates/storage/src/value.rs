@@ -68,15 +68,6 @@ impl Value {
         }
     }
 
-    /// The text payload, if this is a `Text`.
-    #[inline]
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// SQL three-valued comparison. `None` means *unknown* (a NULL operand
     /// or incomparable types). Integers and floats compare numerically.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
@@ -90,11 +81,6 @@ impl Value {
             (Text(a), Text(b)) => Some(a.as_ref().cmp(b.as_ref())),
             _ => None,
         }
-    }
-
-    /// SQL equality under three-valued logic: `None` if either side is NULL.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
     fn type_rank(&self) -> u8 {
@@ -270,9 +256,12 @@ mod tests {
 
     #[test]
     fn sql_cmp_three_valued() {
-        assert_eq!(Value::Null.sql_eq(&Value::Null), None);
-        assert_eq!(Value::Int(3).sql_eq(&Value::Null), None);
-        assert_eq!(Value::Int(3).sql_eq(&Value::Float(3.0)), Some(true));
+        assert_eq!(Value::Null.sql_cmp(&Value::Null), None);
+        assert_eq!(Value::Int(3).sql_cmp(&Value::Null), None);
+        assert_eq!(
+            Value::Int(3).sql_cmp(&Value::Float(3.0)),
+            Some(Ordering::Equal)
+        );
         assert_eq!(
             Value::Int(2).sql_cmp(&Value::Float(2.5)),
             Some(Ordering::Less)

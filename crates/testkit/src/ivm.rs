@@ -36,7 +36,7 @@ use crate::corpus::rebuild;
 use crate::shrink::{CaseGraph, Replay};
 use aio_algebra::{EngineProfile, ExecMode};
 use aio_graph::{generate, load, Graph, GraphKind};
-use aio_storage::{row, Relation, Row};
+use aio_storage::{edge_schema, row, Relation, Row};
 use aio_withplus::{Database, EdgeDelta};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -265,19 +265,18 @@ pub fn apply_batch(edges: &mut Vec<(u32, u32, f64)>, batch: &Batch) -> Result<()
     Ok(())
 }
 
-/// The algorithm's own E-table encoding of a graph: exactly the rows
-/// `aio_algos::common::db_for` + the per-algorithm setup would load.
+/// The algorithm's own E-table encoding of a graph: exactly the rows, in
+/// order, that `aio_algos::common::db_for` + the per-algorithm setup load
+/// (edges, self-loops, then the reversed edges of a directed WCC graph).
 pub fn e_rows(g: &Graph, algo: &str) -> Vec<Row> {
     let mut rel = match algo {
         "pr" => load::edge_relation(&aio_graph::reference::with_pagerank_weights(g)),
         _ => load::edge_relation(g),
     };
     let loops = |w: f64| (0..g.node_count()).map(move |v| row![v as i64, v as i64, w]);
+    let reversed = g.edges().map(|(u, v, w)| row![v as i64, u as i64, w]);
     let extra: Vec<Row> = match algo {
-        "wcc" if g.directed => (g.edges())
-            .map(|(u, v, w)| row![v as i64, u as i64, w])
-            .chain(loops(1.0))
-            .collect(),
+        "wcc" if g.directed => loops(1.0).chain(reversed).collect(),
         "wcc" => loops(1.0).collect(),
         "sssp" => loops(0.0).collect(),
         _ => Vec::new(),
@@ -309,41 +308,17 @@ pub fn e_delta(old: &[Row], new: &[Row]) -> EdgeDelta {
     EdgeDelta::new("E", adds, dels)
 }
 
-/// Build the database for `algo` over `g` exactly as the algorithm library
-/// does (SSSP seeds from node 0, PageRank params `c = 0.85`).
+/// Build the database for `algo` over `g` with the rows the algorithm
+/// library loads (SSSP seeds from node 0, PageRank params `c = 0.85`),
+/// `E` created whole.
 pub fn build_ivm_db(g: &Graph, algo: &str, profile: &EngineProfile) -> Result<Database, String> {
-    use aio_algos::common::{self, EdgeStyle};
-    let style = match algo {
-        "tc" => EdgeStyle::Raw,
-        "wcc" => EdgeStyle::WithLoops(1.0),
-        "sssp" => EdgeStyle::WithLoops(0.0),
-        "pr" => EdgeStyle::PageRank,
-        other => return Err(format!("no IVM setup for {other}")),
-    };
-    let mut db = common::db_for(g, profile, style).map_err(|e| e.to_string())?;
+    if !["tc", "wcc", "sssp", "pr"].contains(&algo) {
+        return Err(format!("no IVM setup for {algo}"));
+    }
+    let e = Relation::from_rows(edge_schema(), e_rows(g, algo)).map_err(|e| e.to_string())?;
+    let mut db = aio_algos::common::db_over(g, profile, e).map_err(|e| e.to_string())?;
     match algo {
-        "wcc" if g.directed => {
-            let extra: Vec<Row> = g
-                .edges()
-                .map(|(u, v, w)| row![v as i64, u as i64, w])
-                .collect();
-            db.catalog
-                .relation_mut("E")
-                .map_err(|e| e.to_string())?
-                .extend(extra)
-                .map_err(|e| e.to_string())?;
-        }
-        "sssp" => {
-            for r in db
-                .catalog
-                .relation_mut("V")
-                .map_err(|e| e.to_string())?
-                .iter_mut()
-            {
-                let id = r[0].as_int().unwrap_or(-1);
-                r[1] = if id == 0 { 0.0 } else { f64::INFINITY }.into();
-            }
-        }
+        "sssp" => aio_algos::sssp::seed(&mut db, 0).map_err(|e| e.to_string())?,
         "pr" => {
             db.set_param("c", 0.85);
             db.set_param("n", g.node_count() as f64);

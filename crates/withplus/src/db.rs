@@ -452,10 +452,6 @@ impl Database {
         self.params.insert(name.to_string(), value.into());
     }
 
-    pub fn clear_params(&mut self) {
-        self.params.clear();
-    }
-
     /// Register a base table.
     pub fn create_table(&mut self, name: &str, rel: Relation) -> Result<()> {
         self.catalog.create_table(name, rel)?;

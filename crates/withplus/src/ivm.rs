@@ -326,15 +326,17 @@ fn reset_underivable_keys(
     let produced_idx = KeyIndex::build(&produced, keys);
     let init_idx = KeyIndex::build(&r0, keys);
     if init_idx.first_duplicate(&r0).is_none() {
-        for row in r.catalog.relation_mut(&c.rec_name)?.iter_mut() {
-            if produced_idx.contains(&produced, row, keys) {
-                continue;
-            }
-            let init = init_idx.probe(&r0, row, keys).next();
-            if let Some(i) = init {
-                *row = r0[i as usize].clone();
-            }
-        }
+        let rel = r.catalog.relation(&c.rec_name)?;
+        let set = rel
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| !produced_idx.contains(&produced, row, keys))
+            .filter_map(|(i, row)| {
+                let init = init_idx.probe(&r0, row, keys).next()?;
+                Some((i, r0[init as usize].clone()))
+            })
+            .collect();
+        r.catalog.patch_rows(&c.rec_name, set, Vec::new())?;
     }
     Ok(())
 }

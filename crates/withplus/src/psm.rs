@@ -36,7 +36,7 @@ use aio_algebra::{
     AggFunc, BinOp, EngineProfile, Evaluator, ExecStats, Func, JoinType, Optimizer, Plan,
     ScalarExpr,
 };
-use aio_storage::{Catalog, Column, KeyIndex, Relation, Schema, StorageError, Value};
+use aio_storage::{Catalog, Column, KeyIndex, Mutation, Relation, Schema, StorageError, Value};
 use aio_trace::Tracer;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -775,14 +775,17 @@ impl<'a> PsmRunner<'a> {
     /// `CREATE TEMP TABLE name` + `INSERT INTO name SELECT …` with WAL and
     /// index maintenance — the per-step cost of the PSM translation.
     pub(crate) fn materialize(&mut self, name: &str, rel: Relation) -> Result<()> {
-        self.catalog
-            .wal
-            .log_insert(self.profile.wal_temp, rel.rows());
         let keep = self.keeps(name);
         if !self.catalog.contains(name) && !keep {
             self.created.push(name.to_string());
         }
-        self.catalog.create_or_replace(name, rel, !keep)?;
+        let create = Mutation::Create {
+            name: name.to_string(),
+            rel,
+            temp: !keep,
+            replace: true,
+        };
+        self.catalog.apply(create, self.profile.wal_temp)?;
         // Under the cost-based optimizer, refresh statistics for the
         // materialized temp table — this is the cheap per-iteration path
         // that keeps the shrinking `__delta_*` working table's sketches
@@ -1536,7 +1539,8 @@ select * from B";
         let ctx = LowerCtx::new(&params, AntiJoinImpl::LeftOuterNull);
         let c = compile(&w, &ctx).unwrap();
         let mut cat = catalog();
-        cat.relation_mut("V").unwrap().set(0, row![1, 1.0]);
+        cat.patch_rows("V", vec![(0, row![1, 1.0])], vec![])
+            .unwrap();
         let profile = oracle_like();
         let mut runner = PsmRunner::new(&mut cat, &profile, UbuImpl::FullOuterJoin);
         let out = runner.run(&c).unwrap();
@@ -1633,7 +1637,8 @@ select * from B";
         let ctx = LowerCtx::new(&params, AntiJoinImpl::LeftOuterNull);
         let c = compile(&w, &ctx).unwrap();
         let mut cat = catalog();
-        cat.relation_mut("V").unwrap().set(0, row![1, 1.0]);
+        cat.patch_rows("V", vec![(0, row![1, 1.0])], vec![])
+            .unwrap();
         let profile = oracle_like();
         let mut runner = PsmRunner::new(&mut cat, &profile, UbuImpl::FullOuterJoin);
         let out = runner.run(&c).unwrap();

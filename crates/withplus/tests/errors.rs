@@ -2,7 +2,7 @@
 //! and runtime can produce, exercised through the public API.
 
 use aio_algebra::oracle_like;
-use aio_storage::{edge_schema, node_schema, row, Relation};
+use aio_storage::{edge_schema, node_schema, row, Relation, WalPolicy};
 use aio_withplus::{Database, WithPlusError};
 
 fn db() -> Database {
@@ -111,9 +111,7 @@ fn non_unique_update_surfaces_at_runtime() {
     let mut d = db();
     // add a second out-edge from node 1 so the delta repeats key F = 1
     d.catalog
-        .relation_mut("E")
-        .unwrap()
-        .push(row![1, 3, 2.0])
+        .insert_rows("E", vec![row![1, 3, 2.0]], WalPolicy::None)
         .unwrap();
     let err = d
         .execute(

@@ -7,7 +7,7 @@
 //!
 //! 1. after **every** step of a random interleaving of every mutation path
 //!    the catalog has — `insert_rows`, `apply_delta`, `truncate`, in-place
-//!    `relation_mut` edits, `create_or_replace`, rename, drop + recreate,
+//!    `patch_rows` edits, `create_or_replace`, rename, drop + recreate,
 //!    the four union-by-update implementations and `ubu_merge_improve` —
 //!    whatever is cached equals a fresh build over the current rows (the
 //!    image value for value by `to_bits` and in the same per-column layout
@@ -15,8 +15,9 @@
 //! 2. a `fork_readonly` taken before a writer mutation keeps reading its
 //!    own generation — rows and image — whatever the writer does next;
 //! 3. derived data is never logged: after a durable close / reopen the
-//!    contents are back (as multisets once merge-improve patched a table,
-//!    whose log record re-appends the rows it overwrote) and both caches
+//!    contents are back (as multisets once a patch — an in-place edit,
+//!    merge, update-from or merge-improve — rewrote a table, whose log
+//!    record re-appends the rows it overwrote) and both caches
 //!    start empty;
 //! 4. the single-level trie a batch join looks keys up in (`[0]`, built
 //!    through `Catalog::join_trie`) dies with its table version: every
@@ -25,7 +26,7 @@
 //! 5. after an append-only `apply_delta`, a pinned reader still
 //!    batch-scans its own rows;
 //! 6. on tables of several row chunks, appends, deletes, `patch_rows`,
-//!    overwrites and truncates landing in the first, a middle or the tail
+//!    overwrites and prefix replaces landing in the first, a middle or the tail
 //!    chunk keep 1 and 2, and leave every chunk they did not write shared
 //!    with the reader pinned before them.
 //!
@@ -38,8 +39,9 @@ use all_in_one::algebra::{
     execute, oracle_like, ExecMode, ExecStats, JoinType, Optimizer, Plan, UbuImpl,
 };
 use all_in_one::storage::{
-    edge_schema, open_catalog, Batch, Catalog, Column, ColumnVec, DataType, KeyIndex, Relation,
-    Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy, CHUNK_ROWS,
+    edge_schema, open_catalog, Batch, Catalog, Column, ColumnVec, DataType, KeyIndex, Mutation,
+    Relation, Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
+    CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -144,11 +146,11 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
         2 => cat.truncate(name).unwrap(),
         3 => {
             // in place: overwrite one row, append another
-            let rel = cat.relation_mut(name).unwrap();
-            if (n as usize % 5) < rel.len() {
-                rel.set(n as usize % 5, gen_row(a as u64));
-            }
-            rel.push(gen_row(a as u64 + 1)).unwrap();
+            let at = n as usize % 5;
+            let set = (at < cat.relation(name).unwrap().len()).then(|| (at, gen_row(a as u64)));
+            let append = vec![gen_row(a as u64 + 1)];
+            cat.patch_rows(name, set.into_iter().collect(), append)
+                .unwrap();
         }
         4 => cat
             .create_or_replace(name, relation(a, n), a % 2 == 1)
@@ -378,18 +380,16 @@ proptest! {
         let (mut cat, _) = open_catalog(vfs.clone(), DIR, None).unwrap();
         let mut patched = false;
         for (i, &(kind, t, a, n)) in raw.iter().enumerate() {
-            // merge-improve logs the rows it overwrote as an `EdgeDelta`,
-            // whose replay appends their new versions (DESIGN §19)
-            patched |= kind == 11;
+            // a patch (an in-place edit, merge, update-from, merge-improve)
+            // logs the rows it overwrote as an `EdgeDelta`, whose replay
+            // appends their new versions (DESIGN §19)
+            patched |= matches!(kind, 3 | 7 | 10 | 11);
             step(&mut cat, kind, t as usize, a, n);
             assert_coherent(&cat, &format!("durable step {i} {:?}", (kind, t, a, n)));
             for name in cat.names() {
                 warm(&mut cat, &name, a);
             }
         }
-        // commit the stragglers (in-place edits are logged at commit time)
-        cat.wal_begin_txn();
-        cat.wal_commit_txn().unwrap();
         let before = cat.fork_readonly();
         drop(cat);
 
@@ -479,13 +479,17 @@ fn chunk_step(
             (p / CHUNK_ROWS, true)
         }
         3 => {
-            cat.relation_mut(t).unwrap().truncate(p);
+            // keep a prefix: the rows up to `p`, sharing their chunks
+            let mut rel = cat.relation(t).unwrap().clone();
+            rel.truncate(p);
+            let table = t.to_string();
+            cat.apply(Mutation::ReplaceRows { table, rel }, WalPolicy::None)
+                .unwrap();
             (p / CHUNK_ROWS, false)
         }
         _ => {
-            cat.relation_mut(t)
-                .unwrap()
-                .set(p, keyed_rows(*next, 1).remove(0));
+            let set = vec![(p, keyed_rows(*next, 1).remove(0))];
+            cat.patch_rows(t, set, Vec::new()).unwrap();
             *next += 1;
             (p / CHUNK_ROWS, true)
         }
@@ -644,12 +648,11 @@ fn join_trie_is_dropped_by_every_mutation() {
         ),
         ("truncate", |c| c.truncate("E").unwrap(), &[]),
         (
-            "relation_mut",
+            "patch_rows",
             |c| {
-                let e = c.relation_mut("E").unwrap();
-                let mut row = e[1].clone();
+                let mut row = c.relation("E").unwrap()[1].clone();
                 row[0] = Value::Int(1);
-                e.set(1, row);
+                c.patch_rows("E", vec![(1, row)], Vec::new()).unwrap();
             },
             &[10, 20],
         ),

@@ -14,7 +14,7 @@
 
 use aio_testkit::Pattern;
 use all_in_one::algebra::{oracle_like, ExecMode, Optimizer};
-use all_in_one::algos::common::{db_for, EdgeStyle};
+use all_in_one::algos::common::{add_reverse_edges, db_for, EdgeStyle};
 use all_in_one::algos::{pagerank, sssp, tc, wcc};
 use all_in_one::graph::Graph;
 use all_in_one::prelude::*;
@@ -55,20 +55,13 @@ fn pagerank_db(g: &Graph) -> Database {
 
 fn sssp_db(g: &Graph) -> Database {
     let mut db = db_for(g, &oracle_like(), EdgeStyle::WithLoops(0.0)).unwrap();
-    for row in db.catalog.relation_mut("V").unwrap().iter_mut() {
-        let id = row[0].as_int().unwrap();
-        row[1] = if id == 0 { 0.0 } else { f64::INFINITY }.into();
-    }
+    sssp::seed(&mut db, 0).unwrap();
     db
 }
 
 fn wcc_db(g: &Graph) -> Database {
     let mut db = db_for(g, &oracle_like(), EdgeStyle::WithLoops(1.0)).unwrap();
-    let mut extra = Vec::new();
-    for (u, v, w) in g.edges() {
-        extra.push(row![v as i64, u as i64, w]);
-    }
-    db.catalog.relation_mut("E").unwrap().extend(extra).unwrap();
+    add_reverse_edges(&mut db, g).unwrap();
     db
 }
 

@@ -298,7 +298,7 @@ fn ubu(
     cat.create_temp("R", t.clone()).unwrap();
     let mut s = ExecStats::new();
     let res = union_by_update(&mut cat, "R", d.clone(), keys, imp, profile, &mut s);
-    let after = cat.drop_table("R").unwrap();
+    let after = cat.relation("R").unwrap().clone();
     (res.map_err(|e| e.to_string()), after, s.ubu_changed_rows)
 }
 
@@ -356,7 +356,7 @@ proptest! {
             union_by_update(&mut cat, "V", d.clone(), Some(&[0]), imp, &profile, &mut s).unwrap();
             // idempotence
             union_by_update(&mut cat, "V", d.clone(), Some(&[0]), imp, &profile, &mut s).unwrap();
-            let out = cat.drop_table("V").unwrap();
+            let out = cat.relation("V").unwrap().clone();
             // contains S (by key, with S values)
             let m: std::collections::BTreeMap<i64, f64> = out
                 .iter()
