@@ -133,13 +133,13 @@ proptest! {
                     }
                 }
                 _ => {
-                    let bump = |r: &mut Row| {
+                    let bump = |r: &mut [Value]| {
                         if r[0].as_int().unwrap() as usize % 4 == a % 4 {
                             r[1] = Value::Float(b as f64);
                         }
                     };
                     rel.iter_mut().for_each(bump);
-                    model.iter_mut().for_each(bump);
+                    model.iter_mut().for_each(|r| bump(r));
                 }
             }
             assert_matches(&rel, &model, &ctx);
