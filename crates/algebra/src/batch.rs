@@ -289,7 +289,7 @@ impl<'a> Vector<'a> {
                 Cow::Borrowed(&vals[range.clone()]),
                 mask(nulls),
             ))),
-            ColumnVec::Str { .. } | ColumnVec::Mixed(_) => None,
+            ColumnVec::Mixed(_) => None,
         }
     }
 
@@ -339,7 +339,7 @@ struct Src<'a> {
 /// `least`/`greatest` over dense Int/Float columns and Int/Float/NULL
 /// literals, with exactly [`crate::expr::eval_binary`]'s semantics —
 /// wrapping Int arithmetic, Int→Float promotion when the operand types
-/// differ, NULL in ⇒ NULL out, IEEE NaN/±∞. Declined: `Str`/`Mixed`
+/// differ, NULL in ⇒ NULL out, IEEE NaN/±∞. Declined: `Mixed`
 /// columns, text literals, Int `/` Int and `%` (they can fail per row),
 /// `least`/`greatest` over mixed Int and Float arguments (the result type
 /// would vary per row), comparisons, logic, every other function and
@@ -1044,7 +1044,7 @@ pub(crate) fn group_by(
     let boxed: Vec<usize> = (0..c.aggs.len())
         .filter(|&a| eval_vector(&c.aggs[a].1, &src, &(0..0)).is_none())
         .collect();
-    // Bare-column arguments of boxed aggregates (a Str `min`, a Mixed
+    // Bare-column arguments of boxed aggregates (a text `min`, a Mixed
     // `sum`) read the column; only other expressions need the scratch row.
     let needs_scratch = boxed
         .iter()

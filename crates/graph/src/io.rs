@@ -1,7 +1,8 @@
 //! Reading real edge lists — the SNAP text format the paper's datasets
 //! ship in (`# comment` lines, then `u<TAB|SPACE>v[<TAB|SPACE>w]` per
-//! line). Drop a downloaded `web-Google.txt` next to the binary and the
-//! whole harness runs on the real data instead of the stand-ins.
+//! line). A library loader, for when the real datasets are in the
+//! repository: the reproduction harness and the benchmark run on the
+//! generated stand-ins (`datasets`) and call nothing here.
 
 use crate::graph::Graph;
 use std::collections::HashMap;

@@ -48,9 +48,6 @@ pub struct TableEntry {
     /// that writes the table's rows ([`Catalog::apply`]) drops them, and
     /// nothing recomputes them until the next `analyze`.
     pub stats: Option<RelationStats>,
-    /// A system relation ([`Catalog::put_system_table`]): derived data no
-    /// mutation may name, left out of snapshots.
-    pub(crate) system: bool,
 }
 
 impl TableEntry {
@@ -62,7 +59,6 @@ impl TableEntry {
             tries: TrieCache::default(),
             image: ImageCache::default(),
             stats,
-            system: false,
         }
     }
 
@@ -183,14 +179,9 @@ impl Catalog {
     /// auto-commit (outside a transaction: its own durable transaction and
     /// MVCC generation). A rejected mutation logs, charges and applies
     /// nothing. The record is encoded only when something reads it: a
-    /// `policy` other than `None`, or a durable log. System relations are
-    /// invisible here: replay, which never sees them, must accept every
-    /// record this logs.
+    /// `policy` other than `None`, or a durable log.
     pub fn apply(&mut self, m: Mutation, policy: WalPolicy) -> Result<()> {
-        m.check(|t| {
-            let e = self.tables.get(&norm(t)).filter(|e| !e.system)?;
-            Some(e.rel.schema().arity())
-        })?;
+        m.check(|t| Some(self.tables.get(&norm(t))?.rel.schema().arity()))?;
         if let Mutation::Patch { table, set, .. } = &m {
             check_positions(table, set, self.relation(table)?.len())?;
         }
@@ -311,17 +302,6 @@ impl Catalog {
             .table_mut_for_write(&norm(name))
             .expect("validated")
             .rel
-    }
-
-    /// Install or overwrite a *system* relation (`aio_metrics`,
-    /// `aio_query_log`): derived data like tries — never WAL-logged, gone
-    /// after recovery, re-materialized on demand by the engine. Gets fresh
-    /// statistics so the cost optimizer can plan over it.
-    pub fn put_system_table(&mut self, name: &str, rel: Relation) {
-        let stats = Some(rel.collect_stats());
-        let mut e = TableEntry::new(rel, true, stats);
-        e.system = true;
-        self.tables.insert(norm(name), Arc::new(e));
     }
 
     /// `ANALYZE name` — (re)collect statistics for one table, temp or not.

@@ -7,16 +7,15 @@
 //! * `Int`   — `Vec<i64>` plus a [`NullMask`] (null slots hold `0`),
 //! * `Float` — `Vec<f64>` with the exact IEEE bits preserved (so
 //!   `-0.0` / NaN payloads round-trip),
-//! * `Str`   — dictionary-encoded: `Vec<u32>` ids into an interned
-//!   [`StringTable`] (one entry per distinct string),
-//! * `Mixed` — `Vec<Value>` fallback for heterogeneous columns, which the
-//!   row layer permits (`Relation::push` checks arity only).
+//! * `Mixed` — `Vec<Value>` for everything else: text columns, and the
+//!   heterogeneous columns the row layer permits (`Relation::push` checks
+//!   arity only).
 //!
 //! Null bitmap semantics: a [`NullMask`] is a little-endian `u64` word
 //! vector where bit `i % 64` of word `i / 64` set means *row `i` is NULL*.
 //! An empty mask means "no nulls"; the word vector may be shorter than
 //! `len/64` words (trailing rows are non-null). Typed columns keep a
-//! placeholder value (`0`, `0.0`, id `0`) in null slots so the dense
+//! placeholder value (`0`, `0.0`) in null slots so the dense
 //! vectors stay aligned.
 //!
 //! Conversions are exact: `Batch::from_relation(r).to_relation()` yields
@@ -27,61 +26,14 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::relation::{ColumnSketch, Relation, RelationStats};
+use crate::hash::FxHashSet;
+use crate::relation::{ColumnSketch, Relation};
 use crate::schema::Schema;
 use crate::value::{cmp_f64, Value};
 
 /// Row index sentinel used by [`Batch::gather`]: `u32::MAX` gathers a NULL
 /// (outer-join padding).
 pub const GATHER_NULL: u32 = u32::MAX;
-
-/// An interned string table: one [`Arc<str>`] per distinct string, with
-/// O(1) id lookup for interning. Ids are dense and assigned in first-seen
-/// order.
-#[derive(Clone, Debug, Default)]
-pub struct StringTable {
-    strings: Vec<Arc<str>>,
-    index: FxHashMap<Arc<str>, u32>,
-}
-
-impl StringTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Intern `s`, returning its dense id. Re-interning an equal string
-    /// returns the same id and allocates nothing.
-    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&id) = self.index.get(s) {
-            return id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(Arc::clone(s));
-        self.index.insert(Arc::clone(s), id);
-        id
-    }
-
-    /// The string behind `id` (panics on an out-of-range id — ids only come
-    /// from [`StringTable::intern`] on the same table).
-    pub fn get(&self, id: u32) -> &Arc<str> {
-        &self.strings[id as usize]
-    }
-
-    /// All interned strings in id order.
-    pub fn strings(&self) -> &[Arc<str>] {
-        &self.strings
-    }
-}
 
 /// Null bitmap: little-endian `u64` words, bit set ⇒ row is NULL. An empty
 /// word vector (or any bit past the vector's end) means non-null.
@@ -193,13 +145,7 @@ pub enum ColumnVec {
     Int { vals: Vec<i64>, nulls: NullMask },
     /// Dense `f64`s with exact bits; null slots hold `0.0`.
     Float { vals: Vec<f64>, nulls: NullMask },
-    /// Dictionary-encoded strings; null slots hold id `0`.
-    Str {
-        ids: Vec<u32>,
-        nulls: NullMask,
-        dict: StringTable,
-    },
-    /// Heterogeneous fallback: the row layer's `Value`s verbatim.
+    /// Text and heterogeneous columns: the row layer's `Value`s verbatim.
     Mixed(Vec<Value>),
 }
 
@@ -208,7 +154,6 @@ impl ColumnVec {
         match self {
             ColumnVec::Int { vals, .. } => vals.len(),
             ColumnVec::Float { vals, .. } => vals.len(),
-            ColumnVec::Str { ids, .. } => ids.len(),
             ColumnVec::Mixed(vals) => vals.len(),
         }
     }
@@ -217,16 +162,13 @@ impl ColumnVec {
         self.len() == 0
     }
 
-    /// O(1)-ish resident-size estimate (dict strings counted by pointer
-    /// width only; null masks by their words). Feeds the batch metrics.
+    /// O(1) resident-size estimate (strings counted by the width of their
+    /// `Value` only; null masks by their words). Feeds the batch metrics.
     pub fn approx_bytes(&self) -> u64 {
         let mask = |m: &NullMask| (m.words().len() * 8) as u64;
         match self {
             ColumnVec::Int { vals, nulls } => (vals.len() * 8) as u64 + mask(nulls),
             ColumnVec::Float { vals, nulls } => (vals.len() * 8) as u64 + mask(nulls),
-            ColumnVec::Str { ids, nulls, dict } => {
-                (ids.len() * 4 + dict.len() * std::mem::size_of::<Arc<str>>()) as u64 + mask(nulls)
-            }
             ColumnVec::Mixed(vals) => (vals.len() * std::mem::size_of::<Value>()) as u64,
         }
     }
@@ -235,9 +177,7 @@ impl ColumnVec {
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
         match self {
-            ColumnVec::Int { nulls, .. }
-            | ColumnVec::Float { nulls, .. }
-            | ColumnVec::Str { nulls, .. } => nulls.get(i),
+            ColumnVec::Int { nulls, .. } | ColumnVec::Float { nulls, .. } => nulls.get(i),
             ColumnVec::Mixed(vals) => vals[i] == Value::Null,
         }
     }
@@ -258,13 +198,6 @@ impl ColumnVec {
                     Value::Null
                 } else {
                     Value::Float(vals[i])
-                }
-            }
-            ColumnVec::Str { ids, nulls, dict } => {
-                if nulls.get(i) {
-                    Value::Null
-                } else {
-                    Value::Text(Arc::clone(dict.get(ids[i])))
                 }
             }
             ColumnVec::Mixed(vals) => vals[i].clone(),
@@ -333,10 +266,9 @@ impl ColumnVec {
     }
 
     /// Gather rows by index into a new column; [`GATHER_NULL`] produces
-    /// NULL (outer-join padding). String gathers share the dictionary work
-    /// by interning into a fresh table (ids stay dense in the output). A
-    /// NULL-free number column gathered without padding (every inner join)
-    /// takes a loop with no per-row NULL test.
+    /// NULL (outer-join padding). A NULL-free number column gathered
+    /// without padding (every inner join) takes a loop with no per-row
+    /// NULL test.
     pub fn gather(&self, idx: &[u32]) -> ColumnVec {
         fn take<T: Copy>(vals: &[T], idx: &[u32]) -> Vec<T> {
             idx.iter().map(|&i| vals[i as usize]).collect()
@@ -383,24 +315,6 @@ impl ColumnVec {
                     nulls: on,
                 }
             }
-            ColumnVec::Str { ids, nulls, dict } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut on = NullMask::none();
-                let mut od = StringTable::new();
-                for (o, &i) in idx.iter().enumerate() {
-                    if i == GATHER_NULL || nulls.get(i as usize) {
-                        out.push(0);
-                        on.set(o);
-                    } else {
-                        out.push(od.intern(dict.get(ids[i as usize])));
-                    }
-                }
-                ColumnVec::Str {
-                    ids: out,
-                    nulls: on,
-                    dict: od,
-                }
-            }
             ColumnVec::Mixed(vals) => ColumnVec::Mixed(
                 idx.iter()
                     .map(|&i| {
@@ -416,8 +330,7 @@ impl ColumnVec {
     }
 
     /// Concatenate `other` after `self` (UNION ALL). Matching typed
-    /// variants stay typed (strings re-intern into `self`'s dictionary);
-    /// mismatches spill to `Mixed`.
+    /// variants stay typed; anything else is `Mixed`.
     pub fn concat(&self, other: &ColumnVec) -> ColumnVec {
         match (self, other) {
             (ColumnVec::Int { vals: a, nulls: an }, ColumnVec::Int { vals: b, nulls: bn }) => {
@@ -433,25 +346,6 @@ impl ColumnVec {
                 let mut nulls = an.clone();
                 nulls.extend_shifted(bn, a.len(), b.len());
                 ColumnVec::Float { vals, nulls }
-            }
-            (
-                ColumnVec::Str {
-                    ids: a,
-                    nulls: an,
-                    dict: ad,
-                },
-                ColumnVec::Str {
-                    ids: b,
-                    nulls: bn,
-                    dict: bd,
-                },
-            ) => {
-                let mut dict = ad.clone();
-                let mut ids = a.clone();
-                ids.extend(b.iter().map(|&id| dict.intern(bd.get(id))));
-                let mut nulls = an.clone();
-                nulls.extend_shifted(bn, a.len(), b.len());
-                ColumnVec::Str { ids, nulls, dict }
             }
             _ => {
                 let mut vals = Vec::with_capacity(self.len() + other.len());
@@ -510,40 +404,6 @@ impl ColumnVec {
                     ndv: seen.len(),
                     min: min.map(Value::Float),
                     max: max.map(Value::Float),
-                    nulls: nullc,
-                }
-            }
-            ColumnVec::Str { ids, nulls, dict } => {
-                let mut seen = FxHashSet::default();
-                let mut min: Option<u32> = None;
-                let mut max: Option<u32> = None;
-                let mut nullc = 0usize;
-                let pick = |cur: Option<u32>, id: u32, want_lt: bool| -> Option<u32> {
-                    Some(match cur {
-                        None => id,
-                        Some(c) => {
-                            let ord = dict.get(id).cmp(dict.get(c));
-                            if (want_lt && ord.is_lt()) || (!want_lt && ord.is_gt()) {
-                                id
-                            } else {
-                                c
-                            }
-                        }
-                    })
-                };
-                for (i, &id) in ids.iter().enumerate() {
-                    if nulls.get(i) {
-                        nullc += 1;
-                        continue;
-                    }
-                    seen.insert(id);
-                    min = pick(min, id, true);
-                    max = pick(max, id, false);
-                }
-                ColumnSketch {
-                    ndv: seen.len(),
-                    min: min.map(|id| Value::Text(Arc::clone(dict.get(id)))),
-                    max: max.map(|id| Value::Text(Arc::clone(dict.get(id)))),
                     nulls: nullc,
                 }
             }
@@ -656,15 +516,7 @@ impl ColumnBuilder {
                     nulls: NullMask::none(),
                 })
             }
-            (None, Value::Text(s)) => {
-                let mut dict = StringTable::new();
-                let id = dict.intern(s);
-                self.col = Some(ColumnVec::Str {
-                    ids: self.first(id),
-                    nulls: NullMask::none(),
-                    dict,
-                })
-            }
+            (None, Value::Text(_)) => self.col = Some(ColumnVec::Mixed(self.first(v.clone()))),
             (Some(ColumnVec::Int { vals, nulls }), Value::Null) => {
                 vals.push(0);
                 nulls.set(i);
@@ -680,51 +532,23 @@ impl ColumnBuilder {
                 nulls.set(i);
             }
             (Some(ColumnVec::Float { vals, .. }), Value::Float(x)) => vals.push(*x),
-            (Some(ColumnVec::Str { ids, nulls, .. }), Value::Null) => {
-                ids.push(0);
-                nulls.set(i);
-            }
-            (Some(ColumnVec::Str { ids, dict, .. }), Value::Text(s)) => {
-                ids.push(dict.intern(s));
-            }
             (Some(ColumnVec::Mixed(vals)), v) => vals.push(v.clone()),
-            // type conflict (incl. an all-null Int prefix meeting a
-            // Float/Text, or Int meeting Float): spill to Mixed
-            (Some(col), v) => {
-                // all-null Int prefix meeting Float/Text re-types instead
-                // of spilling — nothing concrete was committed yet
-                let all_null = match col {
-                    ColumnVec::Int { vals, nulls } => nulls.count() == vals.len(),
-                    _ => false,
-                };
-                if all_null {
-                    let n = col.len();
-                    match v {
-                        Value::Float(x) => {
-                            let mut nulls = NullMask::none();
-                            for j in 0..n {
-                                nulls.set(j);
-                            }
-                            let mut vals = vec![0.0; n];
-                            vals.push(*x);
-                            self.col = Some(ColumnVec::Float { vals, nulls });
-                        }
-                        Value::Text(s) => {
-                            let mut nulls = NullMask::none();
-                            for j in 0..n {
-                                nulls.set(j);
-                            }
-                            let mut dict = StringTable::new();
-                            let mut ids = vec![0u32; n];
-                            ids.push(dict.intern(s));
-                            self.col = Some(ColumnVec::Str { ids, nulls, dict });
-                        }
-                        _ => unreachable!("Null/Int handled above"),
-                    }
-                } else {
-                    self.spill().push(v.clone());
-                }
+            // an all-null Int prefix meeting a Float re-types instead of
+            // spilling: nothing concrete was committed yet
+            (Some(ColumnVec::Int { vals, nulls }), Value::Float(x))
+                if nulls.count() == vals.len() =>
+            {
+                let mut floats = vec![0.0; vals.len()];
+                floats.push(*x);
+                let nulls = std::mem::take(nulls);
+                self.col = Some(ColumnVec::Float {
+                    vals: floats,
+                    nulls,
+                });
             }
+            // any other type conflict (Text after numbers or NULLs, Int
+            // meeting Float): spill to Mixed
+            (Some(_), v) => self.spill().push(v.clone()),
         }
     }
 
@@ -844,15 +668,6 @@ impl Batch {
             len: idx.len(),
         }
     }
-
-    /// Column-wise statistics: same result as
-    /// [`Relation::collect_stats`], computed over typed vectors.
-    pub fn collect_stats(&self) -> RelationStats {
-        RelationStats {
-            rows: self.len,
-            columns: self.cols.iter().map(|c| c.sketch()).collect(),
-        }
-    }
 }
 
 /// Per-table cache of the *columnar image* — `Batch::from_relation` of the
@@ -912,7 +727,7 @@ impl ImageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::{edge_schema, node_schema};
+    use crate::relation::{edge_schema, node_schema, RelationStats};
     use crate::row;
     use crate::schema::DataType;
 
@@ -968,19 +783,13 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_interns() {
+    fn text_columns_are_mixed() {
         let mut r = Relation::new(Schema::of(&[("s", DataType::Text)]));
-        for w in ["a", "b", "a", "c", "b", "a"] {
+        for w in [Value::Null, "a".into(), "b".into(), "a".into()] {
             r.push(row![w]).unwrap();
         }
         let b = Batch::from_relation(&r);
-        match b.col(0) {
-            ColumnVec::Str { ids, dict, .. } => {
-                assert_eq!(dict.len(), 3);
-                assert_eq!(ids, &[0, 1, 0, 2, 1, 0]);
-            }
-            c => panic!("expected Str, got {c:?}"),
-        }
+        assert!(matches!(b.col(0), ColumnVec::Mixed(_)));
         assert_eq!(b.to_relation().rows(), r.rows());
     }
 
@@ -1185,25 +994,13 @@ mod tests {
 
     #[test]
     fn columnar_stats_match_row_stats() {
-        let r = mixed_rel();
-        let a = row_stats(&r);
-        let b = Batch::from_relation(&r).collect_stats();
-        assert_eq!(r.collect_stats().rows, b.rows);
         let mut typed = Relation::new(edge_schema());
         typed.push(row![1, 2, 0.5]).unwrap();
         typed.push(row![Value::Null, 2, -0.0]).unwrap();
         typed.push(row![1, 7, f64::NAN]).unwrap();
         typed.push(row![4, Value::Null, 0.0]).unwrap();
-        for (rel, (a, b)) in [
-            (&r, (a, b)),
-            (
-                &typed,
-                (
-                    row_stats(&typed),
-                    Batch::from_relation(&typed).collect_stats(),
-                ),
-            ),
-        ] {
+        for rel in [&mixed_rel(), &typed] {
+            let (a, b) = (row_stats(rel), rel.collect_stats());
             assert_eq!(a.rows, b.rows);
             for i in 0..rel.schema().arity() {
                 let (x, y) = (a.column(i).unwrap(), b.column(i).unwrap());

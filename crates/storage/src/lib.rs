@@ -31,7 +31,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use catalog::{Catalog, CheckpointStats, TableEntry};
-pub use column::{Batch, ColumnBuilder, ColumnVec, ImageCache, NullMask, StringTable, GATHER_NULL};
+pub use column::{Batch, ColumnBuilder, ColumnVec, ImageCache, NullMask, GATHER_NULL};
 pub use error::{Result, StorageError};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::SortedIndex;

@@ -65,16 +65,10 @@ pub fn encode_snapshot(seq: u64, catalog: &Catalog) -> Vec<u8> {
     let mut file = SNAP_MAGIC.to_vec();
     codec::put_u32(&mut file, SNAP_VERSION);
     codec::put_u64(&mut file, seq);
-    // system relations are derived data, re-materialized on demand
-    let entry = |name: &str| catalog.entry(name).expect("names() returned a live table");
-    let names: Vec<String> = catalog
-        .names()
-        .into_iter()
-        .filter(|n| !entry(n).system)
-        .collect();
+    let names = catalog.names();
     codec::put_u32(&mut file, names.len() as u32);
     for name in &names {
-        let e = entry(name);
+        let e = catalog.entry(name).expect("names() returned a live table");
         let rec = wal::enc_create_table(
             name,
             e.temp,

@@ -105,7 +105,7 @@ impl Value {
     }
 
     /// The canonical float bits above, exposed so columnar code (NDV
-    /// sketches, dictionary hashing) agrees with `Value`'s storage
+    /// sketches, hashed keys) agrees with `Value`'s storage
     /// equality without re-deriving the folding rules.
     pub fn canonical_f64_bits(f: f64) -> u64 {
         Self::float_bits(f)

@@ -54,8 +54,9 @@ pub(crate) enum Planned {
     Select(Plan),
 }
 
-/// parse → `LowerCtx` → compile / lower → optimize at `level`: the one
-/// place SQL text becomes plans, for the writer and for pinned reads.
+/// parse → `LowerCtx` → compile / lower → bind the system relations →
+/// optimize at `level`: the one place SQL text becomes plans, for the
+/// writer and for pinned reads.
 pub(crate) fn plan_sql(
     sql: &str,
     catalog: &Catalog,
@@ -64,34 +65,69 @@ pub(crate) fn plan_sql(
     level: Optimizer,
 ) -> Result<Planned> {
     let ctx = LowerCtx::new(params, anti_impl);
+    let mut system = SystemRelations::default();
     Ok(match Parser::parse_statement(sql)? {
-        Statement::WithPlus(w) => Planned::WithPlus(Box::new(optimize_compiled(
-            compile(&w, &ctx)?,
-            catalog,
-            level,
-        ))),
+        Statement::WithPlus(w) => {
+            let mut c = compile(&w, &ctx)?;
+            // the relations the statement defines shadow a system relation
+            // as a catalog table does
+            let own: Vec<String> = c.computed_names().chain([&c.rec_name]).cloned().collect();
+            let held =
+                |t: &str| catalog.contains(t) || own.iter().any(|o| o.eq_ignore_ascii_case(t));
+            for plan in c.plans_mut() {
+                system.bind(plan, &held);
+            }
+            Planned::WithPlus(Box::new(optimize_compiled(c, catalog, level)))
+        }
         Statement::Select(s) => {
-            Planned::Select(optimize_plan(&lower_select(&s, &ctx)?, catalog, level))
+            let mut plan = lower_select(&s, &ctx)?;
+            system.bind(&mut plan, &|t| catalog.contains(t));
+            Planned::Select(optimize_plan(&plan, catalog, level))
         }
     })
 }
 
-/// Materialize the system relations a statement references so the engine
-/// can query its own metrics with plain SQL. Matched by a cheap substring
-/// scan *before* parsing (the tables must exist by name-resolution time).
-/// `aio_query_log` is refreshed before execution, so a statement never
-/// sees itself — it appears in the next statement's view.
-pub(crate) fn refresh_system_tables(catalog: &mut Catalog, sql: &str) {
-    if !aio_metrics::enabled() {
-        return;
-    }
-    let lower = sql.to_ascii_lowercase();
-    let reg = aio_metrics::global();
-    if lower.contains(METRICS_TABLE) {
-        catalog.put_system_table(METRICS_TABLE, metrics_relation(reg));
-    }
-    if lower.contains(QUERY_LOG_TABLE) {
-        catalog.put_system_table(QUERY_LOG_TABLE, query_log_relation(reg));
+/// How a system relation is read off the metrics registry.
+type ReadRegistry = fn(&aio_metrics::MetricsRegistry) -> Relation;
+
+/// The system relations, by name.
+const SYSTEM_RELATIONS: [(&str, ReadRegistry); 2] = [
+    (METRICS_TABLE, metrics_relation),
+    (QUERY_LOG_TABLE, query_log_relation),
+];
+
+/// The system relations one statement reads, each taken from the registry
+/// at its first scan — before the statement runs, so it never sees itself
+/// — and shared by every later scan of it in the statement.
+#[derive(Default)]
+struct SystemRelations([Option<Relation>; 2]);
+
+impl SystemRelations {
+    /// Rebind each scan of a system relation to `Plan::Values` of its rows,
+    /// qualified as the scan was, unless `held(table)`: a catalog table of
+    /// that name shadows it. With metrics off the scan stays, and fails as
+    /// a scan of a missing table.
+    fn bind(&mut self, plan: &mut Plan, held: &dyn Fn(&str) -> bool) {
+        let Plan::Scan { table, alias } = plan else {
+            for c in plan.children_mut() {
+                self.bind(c, held);
+            }
+            return;
+        };
+        let Some(i) = SYSTEM_RELATIONS
+            .iter()
+            .position(|(name, _)| table.eq_ignore_ascii_case(name))
+        else {
+            return;
+        };
+        if held(table) || !aio_metrics::enabled() {
+            return;
+        }
+        let rel = self.0[i].get_or_insert_with(|| SYSTEM_RELATIONS[i].1(aio_metrics::global()));
+        let schema = rel
+            .schema()
+            .with_qualifier(alias.as_deref().unwrap_or(table));
+        *plan = Plan::Values(rel.clone().with_schema(schema));
     }
 }
 
@@ -486,7 +522,6 @@ impl Database {
     /// traffic to the statement and appends a [`aio_metrics::QueryReport`]
     /// to the global query log.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        refresh_system_tables(&mut self.catalog, sql);
         let watcher = crate::session::spawn_armed_watcher(&mut self.catalog);
         let started = Instant::now();
         let before = aio_metrics::enabled().then(aio_metrics::local_counters);
@@ -556,12 +591,15 @@ impl Database {
     /// [`Database::explain_analyze`] with wall-clock annotations optional —
     /// `timings: false` yields a deterministic report for snapshot tests.
     pub fn explain_analyze_opts(&mut self, sql: &str, timings: bool) -> Result<ExplainOutput> {
+        // planned from what the run plans from: the catalog and the
+        // registry before the statement ran
+        let planned = self.plan(sql, self.profile.optimizer)?;
         let prev = self.tracer.replace(Tracer::new());
         let outcome = self.execute(sql);
         let trace = self.tracer.take().map(Tracer::finish).unwrap_or_default();
         self.tracer = prev;
         let result = outcome?;
-        let report = match self.plan(sql, self.profile.optimizer)? {
+        let report = match planned {
             Planned::WithPlus(compiled) => {
                 crate::explain::render_with_plus(&compiled, &result.stats, &trace, timings)
             }

@@ -25,8 +25,10 @@
 //!
 //! The *seed* re-derives only conclusions involving at least one delta row:
 //! every scan of a mutated base table is rebound — one occurrence at a
-//! time — to the delta relation and the variants are unioned; the loop
-//! folds it into the retained state and iterates from what that changed.
+//! time — to a `Plan::Values` of the batch's inserted rows and the
+//! variants are unioned; the loop folds it into the retained state and
+//! iterates from what that changed. The inserted rows are never a table:
+//! the base table's `EdgeDelta` record is their only log.
 //! *Improve* folds with the fixpoint's own `min`/`max` (see
 //! `aio_algebra::ops::ubu_merge_improve` for why replace semantics would be
 //! wrong on a partial frontier); the view keeps its key index over the
@@ -202,10 +204,6 @@ fn state_table(view: &str) -> String {
     format!("__ivm_state_{view}")
 }
 
-fn delta_table(base: &str) -> String {
-    format!("__ivm_delta_{}", base.to_ascii_lowercase())
-}
-
 /// Does the final query return R as it is — a scan of R, or R's columns in
 /// order under their own names? Then the view's table can be R itself.
 fn passes_through(plan: &Plan, rec: &str, cols: &[String]) -> bool {
@@ -253,8 +251,8 @@ fn count_scans(plan: &Plan, table: &str) -> usize {
 }
 
 /// Clone of `plan` with exactly the `nth` occurrence (scan order) of
-/// `table` rebound to `replacement`, keeping the original name as alias.
-pub fn replace_nth_scan(plan: &Plan, table: &str, replacement: &str, nth: usize) -> Plan {
+/// `table` replaced by `Plan::Values` of `rows`, qualified as the scan was.
+pub fn replace_nth_scan(plan: &Plan, table: &str, rows: &Relation, nth: usize) -> Plan {
     let mut seen = 0usize;
     map_scans(plan.clone(), &mut |t, alias| {
         if !t.eq_ignore_ascii_case(table) {
@@ -262,9 +260,9 @@ pub fn replace_nth_scan(plan: &Plan, table: &str, replacement: &str, nth: usize)
         }
         let hit = seen == nth;
         seen += 1;
-        hit.then(|| Plan::Scan {
-            table: replacement.to_string(),
-            alias: Some(alias.clone().unwrap_or_else(|| t.to_string())),
+        hit.then(|| {
+            let schema = rows.schema().with_qualifier(alias.as_deref().unwrap_or(t));
+            Plan::Values(rows.clone().with_schema(schema))
         })
     })
 }
@@ -275,22 +273,22 @@ pub fn replace_nth_scan(plan: &Plan, table: &str, replacement: &str, nth: usize)
 
 /// The union of every "one scan rebound to its delta" variant of the
 /// view's steps, evaluated against the retained state — the seed an
-/// incremental refresh starts from. Every table in `touched` has its
-/// inserted rows staged in its delta table.
+/// incremental refresh starts from. `inserted` pairs each touched base
+/// table with its inserted rows.
 fn build_seed(
     r: &mut PsmRunner<'_>,
     tracer: Option<&Tracer>,
     c: &CompiledWithPlus,
-    touched: &[&String],
+    inserted: &[(&String, &Relation)],
 ) -> Result<Relation> {
     let span = aio_trace::maybe_span(tracer, "ivm_seed");
     // A view that scans no touched table in a step plan (only through
     // `computed by` — impossible here: such views are Opaque) seeds nothing.
     let mut seed = Relation::new(r.catalog.relation(&c.rec_name)?.schema().clone());
     for step in c.init.iter().chain(c.recursive.iter()) {
-        for table in touched {
+        for (table, rows) in inserted {
             for k in 0..count_scans(&step.plan, table) {
-                let variant = replace_nth_scan(&step.plan, table, &delta_table(table), k);
+                let variant = replace_nth_scan(&step.plan, table, rows, k);
                 let rel = rename_to(r.eval(&variant, "seed")?, &c.rec_cols)?;
                 seed.extend(rel.into_rows())?;
             }
@@ -345,15 +343,16 @@ fn reset_underivable_keys(
 /// in place into the table that holds it: pick where the PSM loop starts
 /// and how it folds, and run it; a view that does not pass R through then
 /// publishes its final query. `index` is R's key index from the last
-/// `Frontier` refresh, if the view kept one. Every temp table is gone when
-/// this returns, on error too — but R may be half-folded then. Returns the
-/// iteration count and the improve fold's key index over R.
+/// `Frontier` refresh, if the view kept one; `inserted`, the rows a seed
+/// reads. Every temp table is gone when this returns, on error too — but R
+/// may be half-folded then. Returns the iteration count and the improve
+/// fold's key index over R.
 fn run_view(
     db: &mut Database,
     tracer: Option<&Tracer>,
     v: &ViewDef,
     mode: RefreshMode,
-    touched: &[&String],
+    inserted: &[(&String, &Relation)],
     index: Option<KeyIndex>,
 ) -> Result<(usize, Option<KeyIndex>)> {
     let c = &v.compiled;
@@ -364,7 +363,7 @@ fn run_view(
         let (start, fold) = match mode {
             RefreshMode::Full => (Start::Init, &c.folds.cold),
             RefreshMode::Resume | RefreshMode::Frontier => {
-                let seed = build_seed(r, tracer, c, touched)?;
+                let seed = build_seed(r, tracer, c, inserted)?;
                 (Start::Seed(seed, index), &c.folds.warm)
             }
             RefreshMode::Reconverge => {
@@ -475,15 +474,16 @@ fn positional_delta(old: &Relation, new: &Relation) -> ResultDelta {
     .sorted()
 }
 
-/// Refresh one view against an already-applied batch whose inserted rows
-/// are staged. `mutated` maps every table the batch changed to whether it
-/// deleted rows. Returns the result delta (generation stamped later, at
-/// commit).
+/// Refresh one view against an already-applied batch. `mutated` maps
+/// every table the batch changed to whether it deleted rows; `inserted`
+/// holds the rows of each insert-only table a view reads. Returns the
+/// result delta (generation stamped later, at commit).
 fn refresh_view(
     db: &mut Database,
     tracer: Option<&Tracer>,
     v: &mut ViewDef,
     mutated: &BTreeMap<String, bool>,
+    inserted: &BTreeMap<String, Relation>,
 ) -> Result<ResultDelta> {
     let started = Instant::now();
     let touched: Vec<&String> = mutated
@@ -491,6 +491,10 @@ fn refresh_view(
         .filter(|t| v.base_tables.contains(*t))
         .collect();
     let insert_only = touched.iter().all(|t| !mutated[*t]);
+    let inserted: Vec<(&String, &Relation)> = touched
+        .iter()
+        .filter_map(|t| Some((*t, inserted.get(*t)?)))
+        .collect();
     let mode = match v.compiled.folds.class {
         ViewClass::Monotone if insert_only => RefreshMode::Resume,
         ViewClass::MonotoneUbu if insert_only => RefreshMode::Frontier,
@@ -511,7 +515,7 @@ fn refresh_view(
         .then(|| db.catalog.shared_entry(&v.name))
         .transpose()?;
     let index = v.index.take().filter(|_| mode == RefreshMode::Frontier);
-    let (iterations, index) = match run_view(db, tracer, v, mode, &touched, index) {
+    let (iterations, index) = match run_view(db, tracer, v, mode, &inserted, index) {
         Ok(done) => done,
         Err(e) => {
             // Put R's pre-refresh rows back (a failure here means a failing
@@ -819,15 +823,6 @@ impl Database {
         out
     }
 
-    /// Stage `table`'s inserted rows as its delta table, which every seed
-    /// of this batch scans in place of one occurrence of `table`.
-    fn stage_delta(&mut self, table: &str, adds: Vec<Row>) -> Result<()> {
-        let mut d = Relation::new(self.catalog.relation(table)?.schema().clone());
-        d.extend(adds)?;
-        let mut r = PsmRunner::new(&mut self.catalog, &self.profile, self.ubu_impl);
-        r.materialize(&delta_table(table), d)
-    }
-
     /// One batch = one WAL transaction = one MVCC generation: apply the
     /// base deltas, refresh the affected views, commit, and stamp the
     /// result deltas with the generation they were published under.
@@ -841,30 +836,27 @@ impl Database {
         let log_at = |db: &Database| db.catalog.durability().map_or(0, |d| d.bytes_appended());
         let logged = log_at(self);
         let mut views = std::mem::take(&mut self.views);
-        let mut staged = Vec::new();
         let result = (|| {
+            let mut inserted = BTreeMap::new();
             for d in deltas {
-                // Only insert-only refreshes read the delta, and only views
-                // that read the table refresh.
-                let stage =
+                // Only insert-only refreshes read the inserted rows, and
+                // only views that read the table refresh.
+                let read =
                     d.dels.is_empty() && views.iter().any(|v| v.base_tables.contains(&d.table));
-                let adds = stage.then(|| d.adds.clone());
+                let adds = read.then(|| d.adds.clone());
                 self.catalog
                     .apply_delta(&d.table, d.adds, d.dels, self.profile.wal_temp)?;
                 if let Some(adds) = adds {
-                    self.stage_delta(&d.table, adds)?;
-                    staged.push(delta_table(&d.table));
+                    let schema = self.catalog.relation(&d.table)?.schema().clone();
+                    inserted.insert(d.table, Relation::from_rows(schema, adds)?);
                 }
             }
             views
                 .iter_mut()
                 .filter(|v| v.base_tables.iter().any(|t| mutated.contains_key(t)))
-                .map(|v| refresh_view(self, tracer, v, mutated))
+                .map(|v| refresh_view(self, tracer, v, mutated, &inserted))
                 .collect::<Result<Vec<_>>>()
         })();
-        for t in staged {
-            let _ = self.catalog.drop_table(&t);
-        }
         self.views = views;
         // Commit on both paths: a failed refresh put back the version of
         // its view it started from, so committing the base delta keeps the

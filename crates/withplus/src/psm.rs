@@ -87,8 +87,6 @@ pub struct RunStats {
     /// last iteration did.
     pub final_exec: ExecStats,
     pub elapsed: Duration,
-    /// Bytes the simulated WAL encoded during the run.
-    pub wal_bytes: u64,
     /// Peak estimated bytes of any single operator output during the run
     /// (0 when metrics are disabled).
     pub peak_mem_bytes: u64,
@@ -886,7 +884,6 @@ impl<'a> PsmRunner<'a> {
                 s.field("resumed_at", k as u64);
             }
         }
-        let wal_before = self.catalog.wal.bytes_written();
         if resume.is_some() {
             // The recovered temp tables belong to this run now: register
             // them so cleanup drops them exactly like a fresh run would.
@@ -909,7 +906,6 @@ impl<'a> PsmRunner<'a> {
             s.field("fold", fold);
         }
         self.stats.elapsed = start.elapsed();
-        self.stats.wal_bytes = self.catalog.wal.bytes_written() - wal_before;
         let relation = result?;
         Ok(QueryResult {
             relation,

@@ -31,10 +31,7 @@
 //! hook in `aio_algebra::fault`: thread-local arming keeps the hot path
 //! at one branch when the harness is idle.
 
-use crate::db::{
-    log_query, plan_sql, refresh_system_tables, run_select, Database, Planned, METRICS_TABLE,
-    QUERY_LOG_TABLE,
-};
+use crate::db::{log_query, plan_sql, run_select, Database, Planned};
 use crate::error::{Result, WithPlusError};
 use crate::psm::QueryResult;
 use aio_algebra::ops::AntiJoinImpl;
@@ -169,10 +166,10 @@ impl Session {
     ///
     /// Inside a read transaction the pinned generation answers; outside,
     /// the newest committed generation is pinned for just this statement.
-    /// System relations (`aio_metrics`, `aio_query_log`) referenced by the
-    /// statement are materialized fresh into the read view. with+
-    /// statements are rejected: recursion writes temp tables, so it must
-    /// go through [`Session::execute`].
+    /// System relations (`aio_metrics`, `aio_query_log`) are read from the
+    /// registry as the statement is planned. with+ statements are
+    /// rejected: recursion writes temp tables, so it must go through
+    /// [`Session::execute`].
     pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
         let stmt_pin; // statement-scoped pin when no read txn is open
         let pin = match &self.pin {
@@ -183,22 +180,18 @@ impl Session {
             }
         };
         let gen = pin.generation();
-        // A read fork is O(tables) and lets us inject system relations
-        // without touching the shared snapshot other sessions may pin.
-        let mut cat = pin.catalog().fork_readonly();
-        refresh_system_tables(&mut cat, sql);
+        let cat = pin.catalog();
         let started = Instant::now();
         let before = aio_metrics::enabled().then(aio_metrics::local_counters);
         let level = self.profile.optimizer;
-        let Planned::Select(plan) = plan_sql(sql, &cat, &self.params, self.anti_impl, level)?
-        else {
+        let Planned::Select(plan) = plan_sql(sql, cat, &self.params, self.anti_impl, level)? else {
             return Err(WithPlusError::Restriction(
                 "session read: only SELECT runs against a pinned snapshot; \
                  route with+ statements through Session::execute"
                     .into(),
             ));
         };
-        let mut out = run_select(&plan, &cat, &self.profile, None, started)?;
+        let mut out = run_select(&plan, cat, &self.profile, None, started)?;
         if let Some(before) = before {
             log_query(sql, started, &before, &mut out, &self.profile, self.id, gen);
         }
@@ -310,11 +303,6 @@ fn digest(cat: &Catalog) -> u64 {
     use std::fmt::Write;
     let mut s = String::new();
     for name in cat.names() {
-        // System relations are re-materialized per statement, not
-        // versioned content.
-        if name == METRICS_TABLE || name == QUERY_LOG_TABLE {
-            continue;
-        }
         if let Ok(rel) = cat.relation(&name) {
             let _ = write!(s, "{name}:{:?};", rel.rows());
         }

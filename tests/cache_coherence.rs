@@ -228,25 +228,9 @@ fn assert_same_image(got: &Batch, want: &Batch, ctx: &str) {
             (g, w),
             (ColumnVec::Int { .. }, ColumnVec::Int { .. })
                 | (ColumnVec::Float { .. }, ColumnVec::Float { .. })
-                | (ColumnVec::Str { .. }, ColumnVec::Str { .. })
                 | (ColumnVec::Mixed(_), ColumnVec::Mixed(_))
         );
         assert!(same_layout, "{ctx}: column {c} layout {g:?} vs {w:?}");
-        if let (
-            ColumnVec::Str {
-                ids: gi, dict: gd, ..
-            },
-            ColumnVec::Str {
-                ids: wi, dict: wd, ..
-            },
-        ) = (g, w)
-        {
-            assert_eq!(
-                (gi, gd.strings()),
-                (wi, wd.strings()),
-                "{ctx}: column {c} dictionary"
-            );
-        }
         for i in 0..want.len() {
             assert!(
                 same_bits(&g.value(i), &w.value(i)),

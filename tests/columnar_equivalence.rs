@@ -16,7 +16,7 @@ use all_in_one::algebra::{
     JoinType, Optimizer, Plan, ScalarExpr, UnaryOp,
 };
 use all_in_one::prelude::*;
-use all_in_one::storage::{edge_schema, row, Batch, Catalog, ColumnVec, DataType, StringTable};
+use all_in_one::storage::{edge_schema, row, Batch, Catalog, ColumnVec, DataType};
 use proptest::prelude::*;
 
 /// An edge table with NULL keys (~1 in 8) and NULL weights (~1 in 8) so
@@ -166,11 +166,10 @@ proptest! {
         }
     }
 
-    /// Dictionary-encoded text columns round-trip exactly — NULLs, empty
-    /// strings and duplicates included — and interning stores each distinct
-    /// string once.
+    /// Text columns round-trip exactly — NULLs, empty strings and
+    /// duplicates included.
     #[test]
-    fn dictionary_round_trip_and_interning(
+    fn text_column_round_trip(
         picks in proptest::collection::vec((0usize..5, 0i64..4), 0..120),
     ) {
         let pool = ["", "a", "bb", "ccc", "dddd"];
@@ -186,16 +185,6 @@ proptest! {
             .collect();
         let col = ColumnVec::from_values(vals.iter());
         prop_assert_eq!(col.len(), vals.len());
-        let distinct: std::collections::BTreeSet<&str> = picks
-            .iter()
-            .filter(|&&(_, nul)| nul != 0)
-            .map(|&(i, _)| pool[i])
-            .collect();
-        if let ColumnVec::Str { dict, .. } = &col {
-            prop_assert_eq!(dict.strings().len(), distinct.len(), "interned once each");
-        } else if !vals.is_empty() {
-            prop_assert!(vals.iter().all(|v| matches!(v, Value::Null)));
-        }
         for (i, v) in vals.iter().enumerate() {
             prop_assert_eq!(&col.value(i), v, "round-trip at {}", i);
         }
@@ -760,21 +749,6 @@ fn int_min_division_and_negation_wrap() {
             "{exec:?}"
         );
     }
-}
-
-#[test]
-fn string_table_interns_and_resolves() {
-    let mut t = StringTable::default();
-    let hello: std::sync::Arc<str> = std::sync::Arc::from("hello");
-    let world: std::sync::Arc<str> = std::sync::Arc::from("world");
-    let a = t.intern(&hello);
-    let b = t.intern(&world);
-    let a2 = t.intern(&std::sync::Arc::from("hello"));
-    assert_eq!(a, a2);
-    assert_ne!(a, b);
-    assert_eq!(&**t.get(a), "hello");
-    assert_eq!(&**t.get(b), "world");
-    assert_eq!(t.strings().len(), 2);
 }
 
 /// Differential smoke: the columnar with+ engines (` exec=batch` family)

@@ -7,7 +7,8 @@
 //!    session reader that holds the pre-batch generation (and must keep
 //!    reading it).
 //! 2. A durable WCC view over 5,000 nodes appends at most 200 WAL bytes
-//!    per delta edge per batch, as the refresh report says.
+//!    per delta edge per batch, as the refresh report says, and logs the
+//!    batch's inserted rows once: in the base table's `EdgeDelta` record.
 //! 3. After reopen, the view's table is — as a multiset — the live one and
 //!    a cold rebuild's.
 //! 4. The catalog call the fold writes through (`Catalog::patch_rows`)
@@ -21,9 +22,10 @@ use aio_testkit::ivm::{
 };
 use all_in_one::algebra::oracle_like;
 use all_in_one::graph::{generate, load, Graph, GraphKind};
+use all_in_one::storage::wal::{scan_wal, wal_file};
 use all_in_one::storage::{
-    edge_schema, node_schema, open_catalog, row, Relation, Row, SimVfs, UnsyncedFate, Value,
-    WalPolicy,
+    edge_schema, node_schema, open_catalog, row, Mutation, Relation, Row, SimVfs, UnsyncedFate,
+    Value, Vfs, WalPolicy, WalRecord,
 };
 use all_in_one::withplus::{Database, RefreshMode, ResultDelta, SharedDatabase};
 use std::collections::BTreeMap;
@@ -172,6 +174,27 @@ fn refresh_deltas_are_the_diff_of_the_view() {
 
 const DIR: &str = "db";
 
+/// The records the durable log of `db` holds past byte `from` of its
+/// current file, and the file's length.
+fn records_since(vfs: &SimVfs, db: &Database, from: usize) -> (Vec<WalRecord>, usize) {
+    let seq = db.catalog.durability().unwrap().seq();
+    let bytes = vfs.read(&wal_file(DIR, seq)).unwrap();
+    let scan = scan_wal(&bytes);
+    assert_eq!(scan.torn, None);
+    let recs = scan.records.into_iter().filter(|(end, _)| *end > from);
+    (recs.map(|(_, r)| r).collect(), bytes.len())
+}
+
+/// The rows a mutation record writes: what a table it creates holds, or
+/// what it adds to one.
+fn written(m: &Mutation) -> Vec<Row> {
+    match m {
+        Mutation::Create { rel, .. } | Mutation::ReplaceRows { rel, .. } => rel.rows().to_vec(),
+        Mutation::Insert { rows, .. } | Mutation::EdgeDelta { adds: rows, .. } => rows.clone(),
+        _ => Vec::new(),
+    }
+}
+
 /// A durable WCC view over 5,000 nodes absorbs insert-only batches for at
 /// most 200 log bytes per delta edge each, and after reopen its table holds
 /// the live rows and a cold rebuild's.
@@ -194,14 +217,42 @@ fn durable_wcc_view_logs_per_changed_row_and_survives_reopen() {
         .unwrap();
     let mut edges: Vec<(u32, u32, f64)> = g.edges().collect();
     let mut cur = g.clone();
+    let mut wal_len = records_since(&vfs, &db, 0).1;
     for (i, batch) in script.batches.iter().enumerate() {
         apply_batch(&mut edges, batch).unwrap();
         let next = rebuild(g.node_count(), &edges, &g);
         let delta = e_delta(&e_rows(&cur, "wcc"), &e_rows(&next, "wcc"));
         let delta_edges = delta.adds.len() as u64;
+        let adds = delta.adds.clone();
         let logged = db.catalog.durability().unwrap().bytes_appended();
         db.apply_edges(vec![delta]).unwrap();
         let logged = db.catalog.durability().unwrap().bytes_appended() - logged;
+        let (records, len) = records_since(&vfs, &db, wal_len);
+        wal_len = len;
+        // the batch's inserted rows are logged once, by the base table's
+        // delta; the only table the refresh creates or drops is its
+        // fixpoint's frontier, never one holding those rows
+        let mutations = records.iter().filter_map(|r| match r {
+            WalRecord::Mutation(m) => Some(m),
+            _ => None,
+        });
+        let carrying: Vec<&Mutation> = mutations
+            .clone()
+            .filter(|m| written(m).iter().any(|r| adds.contains(r)))
+            .collect();
+        assert!(
+            matches!(carrying[..], [Mutation::EdgeDelta { table, .. }] if table == "e"),
+            "batch {i}: records carrying the inserted rows: {carrying:?}"
+        );
+        for m in mutations {
+            if let Mutation::Create { name: t, .. } | Mutation::Drop { table: t } = m {
+                assert_eq!(
+                    t,
+                    &format!("__delta_{VIEW}"),
+                    "batch {i} creates or drops {t}"
+                );
+            }
+        }
         let report = db.view_report(VIEW).unwrap();
         assert_eq!(report.mode, RefreshMode::Frontier, "batch {i}");
         assert_eq!(

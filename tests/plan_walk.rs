@@ -213,12 +213,17 @@ fn scan_rebinding_reaches_multiway_children_and_keeps_aliases() {
         var_names: vec!["a".into()],
         agm_est: 1,
     }));
+    // every leaf in scan order: a scan's table and alias, a literal
+    // relation as `values` under its first column's qualifier
     let scans = |p: &Plan| {
         let mut out = Vec::new();
-        p.visit(&mut |n| {
-            if let Plan::Scan { table, alias } = n {
-                out.push((table.clone(), alias.clone()));
+        p.visit(&mut |n| match n {
+            Plan::Scan { table, alias } => out.push((table.clone(), alias.clone())),
+            Plan::Values(rel) => {
+                let q = rel.schema().columns()[0].qualifier.clone();
+                out.push(("values".to_string(), q));
             }
+            _ => {}
         });
         out
     };
@@ -232,12 +237,16 @@ fn scan_rebinding_reaches_multiway_children_and_keeps_aliases() {
             own("E", "E3")
         ]
     );
+    let delta = Relation::from_rows(edge_schema(), vec![row![1, 2, 1.0]]).unwrap();
     assert_eq!(
-        scans(&replace_nth_scan(&plan, "R", "__ivm_delta_r", 1)),
-        vec![own("R", "R1"), own("__ivm_delta_r", "R"), own("E", "E3")]
+        scans(&replace_nth_scan(&plan, "R", &delta, 1)),
+        vec![own("R", "R1"), own("values", "R"), own("E", "E3")]
     );
     // an occurrence index past the last scan rewrites nothing
-    assert_eq!(scans(&replace_nth_scan(&plan, "R", "x", 2)), scans(&plan));
+    assert_eq!(
+        scans(&replace_nth_scan(&plan, "R", &delta, 2)),
+        scans(&plan)
+    );
 }
 
 /// A dotted item alias names a *qualified* column on every items-bearing

@@ -309,20 +309,26 @@ fn an_out_of_range_primary_key_is_rejected_before_it_is_logged() {
 }
 
 /// System relations (`aio_metrics`, `aio_query_log`) are derived data that
-/// replay never sees, so no mutation may name them: a drop of or an insert
-/// into one is rejected before it is logged (it used to be logged, and
-/// replay then stopped on the missing table, losing every committed
-/// transaction after it), and a checkpoint leaves them out.
+/// replay never sees, so no mutation may name them: after a statement has
+/// read one, a drop of or an insert into it is rejected before it is
+/// logged (it used to be logged, and replay then stopped on the missing
+/// table, losing every committed transaction after it), and a checkpoint
+/// leaves it out.
 #[test]
 fn system_tables_are_neither_mutated_nor_checkpointed() {
     use all_in_one::storage::{StorageError, WalPolicy};
 
+    all_in_one::metrics::set_enabled(true);
     let vfs = Arc::new(SimVfs::new());
     let (mut db, _) = Database::open_with_vfs(vfs.clone(), DIR, oracle_like(), None).unwrap();
     db.create_table("good", Relation::new(node_schema()))
         .unwrap();
-    let sys = || Relation::from_rows(node_schema(), vec![row![0, 0.0]]).unwrap();
-    db.catalog.put_system_table("aio_metrics", sys());
+    let read = db.execute("select * from aio_metrics").unwrap();
+    assert!(!read.relation.is_empty(), "the statement read the registry");
+    assert!(
+        !db.catalog.contains("aio_metrics"),
+        "reading is not a table"
+    );
     let logged = db.catalog.durability().unwrap().bytes_appended();
     let no_such = |r: Result<(), StorageError>| matches!(r, Err(StorageError::NoSuchTable(_)));
     assert!(no_such(db.catalog.drop_table("aio_metrics")));
@@ -355,6 +361,88 @@ fn system_tables_are_neither_mutated_nor_checkpointed() {
     db.checkpoint().unwrap();
     good(&mut db, 2);
     assert_eq!(reopen(&vfs), 2);
+}
+
+/// A catalog table named like a system relation shadows it: its rows are
+/// what a statement reads and what an insert extends, and the log and a
+/// checkpoint keep them like any table's. A name that merely contains a
+/// system relation's reads no system relation. (The registry's rows used to
+/// replace the table on the first statement naming it, and the table was
+/// then lost.)
+#[test]
+fn a_user_table_named_aio_metrics_keeps_its_rows() {
+    use all_in_one::storage::WalPolicy;
+
+    all_in_one::metrics::set_enabled(true);
+    let vfs = Arc::new(SimVfs::new());
+    let (mut db, _) = Database::open_with_vfs(vfs.clone(), DIR, oracle_like(), None).unwrap();
+    let nodes = |ids: &[i64]| {
+        let rows = ids.iter().map(|&i| row![i, i as f64]).collect();
+        Relation::from_rows(node_schema(), rows).unwrap()
+    };
+    db.create_table("aio_metrics_copy", nodes(&[7])).unwrap();
+    let copy = db.execute("select * from aio_metrics_copy").unwrap();
+    assert_eq!(copy.relation.len(), 1);
+    assert_eq!(db.catalog.names(), ["aio_metrics_copy"]);
+
+    db.create_table("aio_metrics", nodes(&[1, 2])).unwrap();
+    let ids = |db: &mut Database| {
+        let out = db.execute("select * from aio_metrics").unwrap().relation;
+        let mut ids: Vec<i64> = out.iter().map(|r| r[0].as_int().unwrap()).collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(ids(&mut db), [1, 2]);
+    let insert = |db: &mut Database, id: i64| {
+        let rows = vec![row![id, id as f64]];
+        db.catalog.insert_rows("aio_metrics", rows, WalPolicy::None)
+    };
+    insert(&mut db, 3).unwrap();
+    assert_eq!(ids(&mut db), [1, 2, 3]);
+    db.checkpoint().unwrap();
+    insert(&mut db, 4).unwrap();
+
+    let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
+    let (mut db, report) = Database::open_with_vfs(img, DIR, oracle_like(), None).unwrap();
+    assert_eq!(report.corrupt, None, "{report}");
+    assert_eq!(ids(&mut db), [1, 2, 3, 4]);
+}
+
+/// Reading a system relation leaves no table behind, so discarding an
+/// interrupted run afterwards drops exactly the run's temp tables, durably.
+/// (The read used to install the relation as a temp table, which the
+/// discard then tried to drop and failed on, after it had already
+/// forgotten the run: its temp table stayed for good.)
+#[test]
+fn discard_interrupted_after_a_metrics_query() {
+    all_in_one::metrics::set_enabled(true);
+    let vfs = Arc::new(SimVfs::new());
+    {
+        let (mut db, _) = Database::open_with_vfs(vfs.clone(), DIR, oracle_like(), None).unwrap();
+        let e = Relation::from_rows(edge_schema(), vec![row![1, 2, 1.0]]).unwrap();
+        db.create_table("E", e).unwrap();
+        let sql = "with TC(F, T) as ((select E.F, E.T from E) union \
+                   (select TC.F, E.T from TC, E where TC.T = E.F)) select * from TC";
+        db.catalog.wal_run_begin("TC", sql, &[]).unwrap();
+        let tc = Relation::from_rows(edge_schema(), vec![row![1, 2, 1.0]]).unwrap();
+        db.catalog.create_temp("TC", tc).unwrap();
+        db.catalog.wal_commit_iter("TC", 0).unwrap();
+        // crash: the run's end is never logged
+    }
+    let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
+    let (mut db, report) = Database::open_with_vfs(img.clone(), DIR, oracle_like(), None).unwrap();
+    assert!(report.interrupted.is_some(), "{report}");
+    let read = db
+        .execute("select aio_metrics.name from aio_metrics")
+        .unwrap();
+    assert!(!read.relation.is_empty());
+    db.discard_interrupted().unwrap();
+    assert_eq!(db.catalog.names(), ["e"]);
+
+    let img = Arc::new(img.crash_image(UnsyncedFate::DropAll));
+    let (db, report) = Database::open_with_vfs(img, DIR, oracle_like(), None).unwrap();
+    assert_eq!(report.corrupt, None, "{report}");
+    assert_eq!(db.catalog.names(), ["e"]);
 }
 
 /// Every row of a relation has its schema's arity, so every create record
