@@ -197,7 +197,7 @@ engine_metrics! {
     stats_cache_hits_total: Counter => "relation-statistics cache hits";
     stats_cache_misses_total: Counter => "relation-statistics cache misses";
     column_cache_hits_total: Counter => "columnar-image cache hits (batch scan shared the cached columns)";
-    column_cache_misses_total: Counter => "columnar-image cache misses (table transposed)";
+    column_cache_misses_total: Counter => "columnar-image cache misses (table transposed, or the rows appended past a kept prefix)";
     relation_bytes_total: Counter => "estimated bytes of rows loaded into catalog relations";
     catalog_rows: Gauge => "rows currently resident across catalog tables";
     catalog_mem_bytes: Gauge => "estimated resident bytes across catalog tables";

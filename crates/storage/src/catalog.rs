@@ -39,8 +39,9 @@ pub struct TableEntry {
     /// The table's columnar image — what `Batch::from_relation(&rel)`
     /// produces — transposed by the first batch-mode scan through
     /// `&Catalog` and handed out as shared `Arc` columns from then on.
-    /// Derived data with the tries' lifetime: dropped on any mutation,
-    /// never logged or checkpointed.
+    /// Derived data, never logged or checkpointed: an append keeps it as
+    /// the image of the rows it covers (the next scan transposes only the
+    /// rows past them), every other mutation drops it.
     pub image: ImageCache,
     /// Optimizer statistics. Base tables get them when created; temp
     /// tables only via an explicit [`Catalog::analyze`] (the paper's
@@ -63,14 +64,19 @@ impl TableEntry {
     }
 
     /// Drop everything derived from the rows — statistics, sorted indexes,
-    /// tries, the columnar image. Every mutation path calls this (and
-    /// nothing else) before it touches `rel`, so no derived structure can
-    /// outlive the rows it describes.
-    fn invalidate(&mut self) {
+    /// tries, the columnar image — except, before an append (`append`),
+    /// the image, kept as the image of a prefix. Every mutation path calls
+    /// this (and nothing else) before it touches `rel`, so no derived
+    /// structure can outlive the rows it describes.
+    fn invalidate(&mut self, append: bool) {
         self.stats = None;
         self.indexes.clear();
         self.tries.clear();
-        self.image.clear();
+        if append {
+            self.image.keep_prefix();
+        } else {
+            self.image.clear();
+        }
     }
 }
 
@@ -241,7 +247,11 @@ impl Catalog {
     }
 
     /// Apply a validated mutation to the tables: derived data of every
-    /// table it writes is dropped first (`table_mut_for_write`).
+    /// table it writes is dropped first (`table_mut_for_write`). This is
+    /// where a mutation's kind decides whether the columnar image survives:
+    /// an append only — an `Insert`, an `EdgeDelta` without `dels`, a
+    /// `Patch` without `set` — extends the rows' tail ([`Relation::extend`]),
+    /// so it keeps the image of the rows before it (`write(.., true)`).
     fn install(&mut self, m: Mutation) -> Result<()> {
         let bytes = &aio_metrics::global().engine.relation_bytes_total;
         let row_bytes = |rows: &[Row], arity| rows.len() as u64 * approx_row_bytes(arity);
@@ -264,14 +274,14 @@ impl Catalog {
                 let e = self.tables.remove(&norm(&old)).expect("validated");
                 self.tables.insert(norm(&new), e);
             }
-            Mutation::Truncate { table } => self.write(&table).truncate(0),
+            Mutation::Truncate { table } => self.write(&table, false).truncate(0),
             Mutation::Insert { table, rows } => {
-                let t = self.write(&table);
+                let t = self.write(&table, true);
                 bytes.add(row_bytes(&rows, t.schema().arity()));
                 t.extend(rows)?;
             }
             Mutation::ReplaceRows { table, rel } => {
-                let t = self.write(&table);
+                let t = self.write(&table, false);
                 let mut rel = rel.with_schema(t.schema().clone());
                 rel.set_pk(t.pk().map(<[usize]>::to_vec));
                 *t = rel;
@@ -280,12 +290,12 @@ impl Catalog {
                 aio_metrics::hooks::ivm_base_delta(adds.len() as u64, dels.len() as u64);
                 // Adds land before deletes so a batch that inserts and
                 // deletes the same row nets out.
-                let t = self.write(&table);
+                let t = self.write(&table, dels.is_empty());
                 t.extend(adds)?;
                 t.remove_rows(&dels);
             }
             Mutation::Patch { table, set, append } => {
-                let t = self.write(&table);
+                let t = self.write(&table, set.is_empty());
                 bytes.add(row_bytes(&append, t.schema().arity()));
                 for (i, row) in set {
                     t.set(i, row);
@@ -296,10 +306,11 @@ impl Catalog {
         Ok(())
     }
 
-    /// The rows of validated table `name`, for a row mutation.
-    fn write(&mut self, name: &str) -> &mut Relation {
+    /// The rows of validated table `name`, for a row mutation that only
+    /// appends to them or (`append == false`) may change any.
+    fn write(&mut self, name: &str, append: bool) -> &mut Relation {
         &mut self
-            .table_mut_for_write(&norm(name))
+            .table_mut_for_write(&norm(name), append)
             .expect("validated")
             .rel
     }
@@ -341,21 +352,24 @@ impl Catalog {
     /// Copy-on-write access for a row mutation: the writer's copy starts
     /// with the rows — every chunk shared with the old entry, so the write
     /// then copies only the chunks it touches (DESIGN §20) — and nothing
-    /// derived (so nothing derived is cloned just to be dropped). A copy
-    /// left behind in a snapshot keeps its rows, statistics, indexes and
-    /// tries but releases its columnar image — two generations of a table
-    /// the writer keeps changing would otherwise each hold one (+14 % peak
-    /// RSS on the benchmark's `live_views`); a pinned reader that still
-    /// batch-scans the old generation transposes again, into its own copy.
-    fn table_mut_for_write(&mut self, key: &str) -> Option<&mut TableEntry> {
+    /// derived but the columnar image (so nothing derived is cloned just to
+    /// be dropped). The image moves: a copy left behind in a snapshot keeps
+    /// its rows, statistics, indexes and tries but gives its image to the
+    /// writer, which keeps it as a prefix before an append (`append`) and
+    /// drops it otherwise. Two generations of a table the writer keeps
+    /// changing would otherwise each hold one (+14 % peak RSS on the
+    /// benchmark's `live_views`); a pinned reader that still batch-scans
+    /// the old generation transposes again, into its own copy.
+    fn table_mut_for_write(&mut self, key: &str, append: bool) -> Option<&mut TableEntry> {
         let arc = self.tables.get_mut(key)?;
         if Arc::strong_count(arc) > 1 {
             aio_metrics::hooks::mvcc_cow_clone();
-            arc.image.clear();
-            *arc = Arc::new(TableEntry::new(arc.rel.clone(), arc.temp, None));
+            let mut e = TableEntry::new(arc.rel.clone(), arc.temp, None);
+            e.image = arc.image.take();
+            *arc = Arc::new(e);
         }
         let e = Arc::make_mut(arc);
-        e.invalidate();
+        e.invalidate(append);
         Some(e)
     }
 
@@ -485,7 +499,9 @@ impl Catalog {
 
     /// The columnar image of `name`: built by the first batch-mode scan
     /// after a mutation, shared (`Arc` columns) by every scan until the
-    /// next one. Same lifetime rule as [`Catalog::trie_for`].
+    /// next one. An append keeps the image of the rows before it, and the
+    /// next scan transposes only the appended rows; every other mutation
+    /// drops it, like the tries ([`Catalog::trie_for`]).
     pub fn columnar(&self, name: &str) -> Result<Batch> {
         let e = self.entry(name)?;
         Ok(e.image.get_or_build(&e.rel))
@@ -920,9 +936,8 @@ mod tests {
     }
 
     /// Copy-on-write and the image: a clone that changes no row shares the
-    /// columns; a row mutation leaves the writer without an image and
-    /// releases the superseded copy's, which a pinned reader rebuilds from
-    /// its own rows.
+    /// columns; an append moves the superseded copy's image to the writer
+    /// as a prefix, and a pinned reader rebuilds its own from its rows.
     #[test]
     fn image_follows_copy_on_write() {
         let mut c = Catalog::new();
@@ -945,8 +960,11 @@ mod tests {
         c.insert_rows("E", vec![row![2, 3, 1.0]], WalPolicy::None)
             .unwrap();
         assert!(c.entry("E").unwrap().image.cached().is_none());
+        let prefix = c.entry("E").unwrap().image.prefix().expect("kept");
+        assert!(Arc::ptr_eq(&prefix.col_arc(0), &image.col_arc(0)));
+        drop(prefix);
         assert!(
-            fork.entry("E").unwrap().image.cached().is_none(),
+            fork.entry("E").unwrap().image.prefix().is_none(),
             "released at the divergence"
         );
         assert_eq!(

@@ -27,7 +27,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::hash::FxHashSet;
-use crate::relation::{ColumnSketch, Relation};
+use crate::relation::{ColumnSketch, Relation, Rows};
 use crate::schema::Schema;
 use crate::value::{cmp_f64, Value};
 
@@ -469,6 +469,36 @@ impl ColumnBuilder {
         buf
     }
 
+    /// A builder that carries on from `col` as though it had pushed `col`'s
+    /// values itself, with room reserved for `more` rows (amortized growth:
+    /// a column extended again and again reallocates O(log n) times). The
+    /// next pushes re-type or spill it exactly as they would a fresh
+    /// build's, so the result is the column of all the values pushed.
+    fn resume(col: ColumnVec, more: usize) -> Self {
+        let len = col.len();
+        let col = match col {
+            // an empty column is a builder that has seen nothing yet
+            _ if len == 0 => None,
+            ColumnVec::Int { mut vals, nulls } => {
+                vals.reserve(more);
+                Some(ColumnVec::Int { vals, nulls })
+            }
+            ColumnVec::Float { mut vals, nulls } => {
+                vals.reserve(more);
+                Some(ColumnVec::Float { vals, nulls })
+            }
+            ColumnVec::Mixed(mut vals) => {
+                vals.reserve(more);
+                Some(ColumnVec::Mixed(vals))
+            }
+        };
+        ColumnBuilder {
+            col,
+            len,
+            cap: more,
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.len
     }
@@ -581,11 +611,35 @@ impl Batch {
     /// column. `schema` overrides the relation's (scan-time requalifying);
     /// pass `rel.schema().clone()` to keep it.
     pub fn from_relation_with_schema(rel: &Relation, schema: Schema) -> Batch {
-        let arity = schema.arity();
-        let mut builders: Vec<ColumnBuilder> = (0..arity)
+        let builders = (0..schema.arity())
             .map(|_| ColumnBuilder::with_capacity(rel.len()))
             .collect();
-        for row in rel.iter() {
+        Batch::fill(schema, builders, rel.rows(), rel.len())
+    }
+
+    pub fn from_relation(rel: &Relation) -> Batch {
+        Batch::from_relation_with_schema(rel, rel.schema().clone())
+    }
+
+    /// This batch, the image of `rel`'s first `self.len()` rows, completed
+    /// to `Batch::from_relation(rel)` — layout and bits — by transposing
+    /// only the rows past it. A column this batch holds alone grows in
+    /// place; one still shared (a scan holding it) is copied first.
+    fn extend_to(self, rel: &Relation) -> Batch {
+        let (from, to) = (self.len, rel.len());
+        debug_assert!(from <= to, "an image covers a prefix of its table");
+        let builders = self
+            .cols
+            .into_iter()
+            .map(|c| ColumnBuilder::resume(Arc::unwrap_or_clone(c), to - from))
+            .collect();
+        let rows = rel.rows().range(from..to);
+        Batch::fill(rel.schema().clone(), builders, rows, to)
+    }
+
+    /// Push `rows` through one builder per column: a batch of `len` rows.
+    fn fill(schema: Schema, mut builders: Vec<ColumnBuilder>, rows: Rows<'_>, len: usize) -> Batch {
+        for row in rows.iter() {
             for (b, v) in builders.iter_mut().zip(row.iter()) {
                 b.push(v);
             }
@@ -593,12 +647,8 @@ impl Batch {
         Batch {
             schema,
             cols: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
-            len: rel.len(),
+            len,
         }
-    }
-
-    pub fn from_relation(rel: &Relation) -> Batch {
-        Batch::from_relation_with_schema(rel, rel.schema().clone())
     }
 
     /// Materialize back to rows — the `Value` bridge at the with+/SQL'99
@@ -673,11 +723,23 @@ impl Batch {
 /// Per-table cache of the *columnar image* — `Batch::from_relation` of the
 /// table's rows — shared through `&Catalog` so the first batch-mode scan
 /// transposes and every later one hands out the same `Arc` columns. Same
-/// shape and lifetime as [`crate::trie::TrieCache`]: cloning an entry
-/// clones the `Arc`s, any mutation of the rows drops the image, and it is
-/// never WAL-logged.
+/// shape and lifetime as [`crate::trie::TrieCache`] — cloning an entry
+/// clones the `Arc`s, and it is never WAL-logged — except that an append
+/// keeps the image as the image of the rows it covers (a *prefix*), which
+/// the next scan completes by transposing only the appended rows.
 #[derive(Default)]
-pub struct ImageCache(Mutex<Option<Batch>>);
+pub struct ImageCache(Mutex<Image>);
+
+/// What an [`ImageCache`] holds.
+#[derive(Clone, Default)]
+enum Image {
+    #[default]
+    Empty,
+    /// The image of the table's first `len()` rows: appends came after it.
+    Prefix(Batch),
+    /// The image of every row.
+    Complete(Batch),
+}
 
 impl Clone for ImageCache {
     fn clone(&self) -> Self {
@@ -687,40 +749,75 @@ impl Clone for ImageCache {
 
 impl std::fmt::Debug for ImageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ImageCache({})",
-            if self.lock().is_some() {
-                "built"
-            } else {
-                "empty"
-            }
-        )
+        let state = match *self.lock() {
+            Image::Empty => "empty",
+            Image::Prefix(_) => "prefix",
+            Image::Complete(_) => "built",
+        };
+        write!(f, "ImageCache({state})")
     }
 }
 
 impl ImageCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Batch>> {
-        // a poisoned cache holds either nothing or a complete image
+    fn lock(&self) -> std::sync::MutexGuard<'_, Image> {
+        // a poisoned cache holds nothing, a prefix or a complete image
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The cached image, if built since the last mutation.
+    /// The cached image, if it covers every row: built or completed since
+    /// the last mutation.
     pub fn cached(&self) -> Option<Batch> {
-        self.lock().clone()
+        match &*self.lock() {
+            Image::Complete(b) => Some(b.clone()),
+            _ => None,
+        }
     }
 
-    /// The image of `rel`, transposing and caching it on a miss. The
-    /// returned batch shares its columns with the cache.
+    /// The image held, complete or the prefix an append kept: the image
+    /// of the table's first `len()` rows either way.
+    pub fn prefix(&self) -> Option<Batch> {
+        match &*self.lock() {
+            Image::Prefix(b) | Image::Complete(b) => Some(b.clone()),
+            Image::Empty => None,
+        }
+    }
+
+    /// The image of `rel`, transposing and caching it on a miss; a prefix
+    /// is completed with `rel`'s rows past it (a miss unless there were
+    /// none). The returned batch shares its columns with the cache.
     pub fn get_or_build(&self, rel: &Relation) -> Batch {
         let mut g = self.lock();
-        aio_metrics::hooks::column_cache(g.is_some());
-        g.get_or_insert_with(|| Batch::from_relation(rel)).clone()
+        let (image, hit) = match std::mem::take(&mut *g) {
+            Image::Complete(b) => (b, true),
+            Image::Prefix(b) => {
+                let hit = b.len() == rel.len();
+                (b.extend_to(rel), hit)
+            }
+            Image::Empty => (Batch::from_relation(rel), false),
+        };
+        aio_metrics::hooks::column_cache(hit);
+        *g = Image::Complete(image.clone());
+        image
     }
 
-    /// Drop the image (any mutation of the base rows).
+    /// Keep the image as the image of a prefix: the rows it covers are
+    /// unchanged and more follow them (an append).
+    pub(crate) fn keep_prefix(&self) {
+        let mut g = self.lock();
+        *g = match std::mem::take(&mut *g) {
+            Image::Complete(b) | Image::Prefix(b) => Image::Prefix(b),
+            Image::Empty => Image::Empty,
+        };
+    }
+
+    /// Move the image out, leaving this cache empty.
+    pub(crate) fn take(&self) -> ImageCache {
+        ImageCache(Mutex::new(std::mem::take(&mut *self.lock())))
+    }
+
+    /// Drop the image (any mutation of the base rows but an append).
     pub fn clear(&self) {
-        *self.lock() = None;
+        *self.lock() = Image::Empty;
     }
 }
 
@@ -791,6 +888,66 @@ mod tests {
         let b = Batch::from_relation(&r);
         assert!(matches!(b.col(0), ColumnVec::Mixed(_)));
         assert_eq!(b.to_relation().rows(), r.rows());
+    }
+
+    /// Column for column the same layout, values and float bits.
+    fn same_batch(a: &Batch, b: &Batch) -> bool {
+        let same_col = |x: &ColumnVec, y: &ColumnVec| match (x, y) {
+            (ColumnVec::Int { vals: a, nulls: an }, ColumnVec::Int { vals: b, nulls: bn }) => {
+                a == b && an == bn
+            }
+            (ColumnVec::Float { vals: a, nulls: an }, ColumnVec::Float { vals: b, nulls: bn }) => {
+                a.iter()
+                    .map(|f| f.to_bits())
+                    .eq(b.iter().map(|f| f.to_bits()))
+                    && an == bn
+            }
+            (ColumnVec::Mixed(a), ColumnVec::Mixed(b)) => a == b,
+            _ => false,
+        };
+        a.len() == b.len()
+            && a.schema() == b.schema()
+            && a.columns()
+                .iter()
+                .zip(b.columns())
+                .all(|(x, y)| same_col(x, y))
+    }
+
+    /// Completing the image of any prefix gives the fresh build of the
+    /// whole, whatever the rows past the cut do to the sniffed layout
+    /// (re-type an all-NULL prefix, spill to `Mixed`, or keep it).
+    #[test]
+    fn extending_a_prefix_image_matches_a_fresh_build() {
+        let one = |vals: &[Value]| {
+            let mut r = Relation::new(Schema::of(&[("a", DataType::Any)]));
+            r.extend(vals.iter().map(|v| row![v.clone()])).unwrap();
+            r
+        };
+        let (nan, nz) = (Value::Float(f64::NAN), Value::Float(-0.0));
+        let rels = [
+            mixed_rel(),
+            one(&[Value::Int(1), Value::Null, Value::Float(2.5)]),
+            one(&[Value::Null, Value::Null, Value::Float(2.5), Value::Null]),
+            one(&[Value::Null, Value::Null, "t".into(), Value::Int(3)]),
+            one(&[nz.clone(), Value::Null, nan.clone(), nz, nan]),
+            one(&[Value::Int(1), "t".into(), Value::Null]),
+            one(&[]),
+        ];
+        for rel in &rels {
+            let want = Batch::from_relation(rel);
+            for cut in 0..=rel.len() {
+                let mut pre = rel.clone();
+                pre.truncate(cut);
+                let image = Batch::from_relation(&pre);
+                // held by a scan: the columns are copied, not grown
+                let held = image.clone();
+                let got = image.extend_to(rel);
+                assert!(same_batch(&got, &want), "{rel:?} cut at {cut}");
+                assert!(same_batch(&held, &Batch::from_relation(&pre)));
+                // held alone: grown in place
+                assert!(same_batch(&held.extend_to(rel), &want), "{rel:?} at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -440,16 +440,18 @@ impl Database {
     }
 
     /// Forget the interrupted run instead of resuming it, durably dropping
-    /// the temp tables it left behind.
+    /// the temp tables it left behind and logging the run's end, so the
+    /// next open does not offer it again.
     pub fn discard_interrupted(&mut self) -> Result<()> {
-        if self.pending_resume.take().is_none() {
+        let Some(ir) = self.pending_resume.take() else {
             return Ok(());
-        }
+        };
         for name in self.catalog.names() {
             if self.catalog.entry(&name).map(|e| e.temp).unwrap_or(false) {
                 self.catalog.drop_table(&name)?;
             }
         }
+        self.catalog.wal_run_end(&ir.rec_name)?;
         Ok(())
     }
 

@@ -7,12 +7,17 @@
 //! answering the old components. Halfway through the database
 //! checkpoints, so the reopen loads a snapshot plus a WAL tail, and the
 //! re-attached view must agree with a union-find over every edge (the
-//! example fails otherwise).
+//! example fails otherwise). The whole scenario runs twice: under the
+//! paper's row engine (`oracle_like()`), and under the cost optimizer with
+//! batch execution, where every refresh batch-scans `E` through its
+//! columnar image — an append keeps the image of the rows before it, so
+//! the refresh transposes only the batch's rows.
 //!
 //! ```sh
 //! cargo run --release --example live_components
 //! ```
 
+use all_in_one::algebra::{ExecMode, Optimizer};
 use all_in_one::prelude::*;
 use all_in_one::storage::CHUNK_ROWS;
 use all_in_one::withplus::RefreshMode;
@@ -51,6 +56,18 @@ fn labels(rel: &Relation, n: usize) -> Vec<f64> {
 }
 
 fn main() {
+    let best = oracle_like()
+        .with_optimizer(Optimizer::Cost)
+        .with_exec(ExecMode::Batch);
+    for (name, profile) in [("row engine", oracle_like()), ("Cost + Batch", best)] {
+        println!("== {name} ==");
+        scenario(profile);
+        println!();
+    }
+}
+
+fn scenario(profile: EngineProfile) {
+    let batch_mode = profile.exec == ExecMode::Batch;
     let (n, batches, per_batch) = (5_000usize, 8, 100);
     let g = generate(GraphKind::Uniform, n, n, false, 7);
     let mut edges: Vec<(u32, u32)> = g.edges().map(|(u, v, _)| (u, v)).collect();
@@ -58,7 +75,7 @@ fn main() {
     // WCC reads both directions of every edge and a unit self-loop per
     // vertex; the durable log lives in memory (`SimVfs`)
     let vfs = Arc::new(SimVfs::new());
-    let (mut db, _) = Database::open_with_vfs(vfs.clone(), "db", oracle_like(), None).unwrap();
+    let (mut db, _) = Database::open_with_vfs(vfs.clone(), "db", profile.clone(), None).unwrap();
     let both =
         |&(u, v): &(u32, u32)| [row![u as i64, v as i64, 1.0], row![v as i64, u as i64, 1.0]];
     let mut e = Relation::new(edge_schema());
@@ -89,10 +106,17 @@ fn main() {
             .engine
             .mvcc_cow_rows_total
             .get();
-        let report = shared.with_writer(|db| {
+        let (report, image) = shared.with_writer(|db| {
             db.apply_edges(vec![EdgeDelta::insert("E", adds)]).unwrap();
-            db.view_report("cc").unwrap().clone()
+            let e = db.catalog.entry("E").unwrap();
+            let image = e.image.cached().map(|b| (b.len(), e.rel.len()));
+            (db.view_report("cc").unwrap().clone(), image)
         });
+        if batch_mode {
+            // the refresh batch-scanned `E`: its image covers every row
+            let (len, rows) = image.expect("the refresh left E's image");
+            assert_eq!(len, rows, "batch {b}: E's image is not the whole table");
+        }
         let copied = all_in_one::metrics::global()
             .engine
             .mvcc_cow_rows_total
@@ -130,7 +154,7 @@ fn main() {
 
     // reopen: the view re-attaches to the table recovery rebuilt
     let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
-    let (mut db, report) = Database::open_with_vfs(img, "db", oracle_like(), None).unwrap();
+    let (mut db, report) = Database::open_with_vfs(img, "db", profile, None).unwrap();
     assert!(
         report.snapshot_seq == 1 && report.wal_txns_applied > 0 && report.corrupt.is_none(),
         "{report}"

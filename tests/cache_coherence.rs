@@ -11,7 +11,9 @@
 //!    the four union-by-update implementations and `ubu_merge_improve` —
 //!    whatever is cached equals a fresh build over the current rows (the
 //!    image value for value by `to_bits` and in the same per-column layout
-//!    as `Batch::from_relation`, every trie equal to `TrieIndex::build`);
+//!    as `Batch::from_relation`, every trie equal to `TrieIndex::build`),
+//!    and the image of a prefix an append kept equals the fresh build of
+//!    the rows it covers;
 //! 2. a `fork_readonly` taken before a writer mutation keeps reading its
 //!    own generation — rows and image — whatever the writer does next;
 //! 3. derived data is never logged: after a durable close / reopen the
@@ -23,16 +25,22 @@
 //!    through `Catalog::join_trie`) dies with its table version: every
 //!    mutation path drops it, the next join returns the new rows, and a
 //!    fork or pinned reader joins through the trie of its own generation;
-//! 5. after an append-only `apply_delta`, a pinned reader still
-//!    batch-scans its own rows;
+//! 5. after append-only `apply_delta`s, a pinned reader still
+//!    batch-scans its own rows, and so does the writer, which completes
+//!    the image it kept;
 //! 6. on tables of several row chunks, appends, deletes, `patch_rows`,
 //!    overwrites and prefix replaces landing in the first, a middle or the tail
 //!    chunk keep 1 and 2, and leave every chunk they did not write shared
-//!    with the reader pinned before them.
+//!    with the reader pinned before them;
+//! 7. an append keeps the image as a prefix — `insert_rows`, `apply_delta`
+//!    without deletes, `patch_rows` without overwrites — and the next scan
+//!    completes it to a fresh build even where the appended rows change
+//!    the layout the prefix was sniffed as, and a batch a scan still holds
+//!    stays as it was; every other row mutation leaves no image.
 //!
 //! The tables carry NULL-bearing Int and Float columns (NaN, `-0.0`), a
-//! dictionary-encoded string column and a mixed-type column, so every
-//! `ColumnVec` layout is under test.
+//! text column and a mixed-type column, so every `ColumnVec` layout is
+//! under test.
 
 use all_in_one::algebra::ops::{ubu_merge_improve, union_by_update};
 use all_in_one::algebra::{
@@ -242,10 +250,23 @@ fn assert_same_image(got: &Batch, want: &Batch, ctx: &str) {
     }
 }
 
-/// Everything `e` caches equals a fresh build over `e.rel`.
+/// The first `n` rows of `rel`.
+fn prefix_of(rel: &Relation, n: usize) -> Relation {
+    let mut pre = rel.clone();
+    pre.truncate(n);
+    pre
+}
+
+/// Everything `e` caches equals a fresh build over `e.rel`; an image an
+/// append kept, over the rows it covers.
 fn assert_entry_coherent(e: &TableEntry, ctx: &str) {
     if let Some(image) = e.image.cached() {
         assert_same_image(&image, &Batch::from_relation(&e.rel), ctx);
+    }
+    if let Some(prefix) = e.image.prefix() {
+        assert!(prefix.len() <= e.rel.len(), "{ctx}: image past the rows");
+        let want = Batch::from_relation(&prefix_of(&e.rel, prefix.len()));
+        assert_same_image(&prefix, &want, &format!("{ctx} (prefix)"));
     }
     for trie in e.tries.all() {
         assert!(
@@ -729,8 +750,8 @@ fn forks_and_pinned_readers_join_through_their_own_trie() {
 }
 
 /// An append-only `apply_delta` under a pinned reader: the writer's copy
-/// starts without an image, the pinned entry gives its image up, and a
-/// batch scan on either side transposes and returns its own rows.
+/// starts with the pinned entry's image as a prefix, the pinned entry gives
+/// its image up, and a batch scan on either side returns its own rows.
 #[test]
 fn pinned_readers_batch_scan_their_own_rows_after_an_append() {
     let mut cat = join_catalog(&[(1, 10), (2, 20)]);
@@ -742,6 +763,9 @@ fn pinned_readers_batch_scan_their_own_rows_after_an_append() {
     cat.apply_delta("E", adds, Vec::new(), WalPolicy::None)
         .unwrap();
     assert!(cat.entry("E").unwrap().image.cached().is_none());
+    let kept = cat.entry("E").unwrap().image.prefix().map(|b| b.len());
+    assert_eq!(kept, Some(old.len()), "the writer took the image");
+    assert!(pin.catalog().entry("E").unwrap().image.prefix().is_none());
 
     let batch = oracle_like().with_exec(ExecMode::Batch);
     let (scan, _) = execute(&Plan::scan("E"), pin.catalog(), &batch).unwrap();
@@ -754,4 +778,212 @@ fn pinned_readers_batch_scan_their_own_rows_after_an_append() {
         cat.relation("E").unwrap().rows(),
         "the writer's rows"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Appends keep the image as a prefix (property 7)
+// ---------------------------------------------------------------------------
+
+/// A named append of rows to a table.
+type Append = (&'static str, fn(&mut Catalog, &str, Vec<Row>));
+
+/// The three append-only mutations, each appending `rows` to `t`.
+const APPENDS: [Append; 3] = [
+    ("insert_rows", |c, t, rows| {
+        c.insert_rows(t, rows, WalPolicy::None).unwrap()
+    }),
+    ("apply_delta without deletes", |c, t, rows| {
+        c.apply_delta(t, rows, Vec::new(), WalPolicy::None).unwrap()
+    }),
+    ("patch_rows without overwrites", |c, t, rows| {
+        c.patch_rows(t, Vec::new(), rows).unwrap()
+    }),
+];
+
+/// A one-column table of `Any` values.
+fn any_table(vals: &[Value]) -> Relation {
+    let mut rel = Relation::new(Schema::of(&[("v", DataType::Any)]));
+    rel.extend(vals.iter().map(|v| vec![v.clone()].into_boxed_slice()))
+        .unwrap();
+    rel
+}
+
+fn layout(c: &ColumnVec) -> &'static str {
+    match c {
+        ColumnVec::Int { .. } => "Int",
+        ColumnVec::Float { .. } => "Float",
+        ColumnVec::Mixed(_) => "Mixed",
+    }
+}
+
+/// An image, then an append whose first row changes the layout the image
+/// was sniffed as (or keeps it): each append-only mutation keeps the image
+/// as a prefix, and the next scan completes it to exactly the fresh build.
+#[test]
+fn an_append_that_changes_the_sniffed_layout_completes_to_a_fresh_build() {
+    let (nan, nz) = (Value::Float(f64::NAN), Value::Float(-0.0));
+    let text = || Value::from("t");
+    // (prefix, appended rows, layout before, layout after)
+    let cases: Vec<(Vec<Value>, Vec<Value>, &str, &str)> = vec![
+        (
+            vec![Value::Int(1), Value::Int(2)],
+            vec![Value::Float(2.5), Value::Int(3)],
+            "Int",
+            "Mixed",
+        ),
+        (
+            vec![Value::Null, Value::Null],
+            vec![Value::Float(2.5), Value::Null],
+            "Int",
+            "Float",
+        ),
+        (
+            vec![Value::Null, Value::Null],
+            vec![text(), Value::Null],
+            "Int",
+            "Mixed",
+        ),
+        (vec![Value::Null], vec![Value::Int(7)], "Int", "Int"),
+        (
+            vec![nz.clone(), Value::Null],
+            vec![nan.clone(), nz.clone()],
+            "Float",
+            "Float",
+        ),
+        (vec![nan.clone()], vec![Value::Int(1)], "Float", "Mixed"),
+        (
+            vec![text()],
+            vec![nz.clone(), Value::Null],
+            "Mixed",
+            "Mixed",
+        ),
+        (vec![], vec![nan.clone(), Value::Null], "Int", "Float"),
+        (vec![], vec![text()], "Int", "Mixed"),
+        (vec![], vec![], "Int", "Int"),
+    ];
+    for (what, append) in APPENDS {
+        for (pre, add, before, after) in &cases {
+            let ctx = format!("{what}: {pre:?} + {add:?}");
+            let mut cat = Catalog::new();
+            cat.create_table("t", any_table(pre)).unwrap();
+            let image = cat.columnar("t").unwrap();
+            assert_eq!(layout(image.col(0)), *before, "{ctx}");
+            drop(image); // nothing else holds the columns: they grow in place
+            append(&mut cat, "t", any_table(add).rows().to_vec());
+            let e = cat.entry("t").unwrap();
+            assert!(
+                e.image.cached().is_none(),
+                "{ctx}: a prefix is not the image"
+            );
+            let kept = e.image.prefix().expect("an append keeps the image");
+            assert_eq!(kept.len(), pre.len(), "{ctx}");
+            drop(kept);
+            assert_entry_coherent(e, &ctx);
+            let got = cat.columnar("t").unwrap();
+            let want = Batch::from_relation(cat.relation("t").unwrap());
+            assert_eq!(layout(want.col(0)), *after, "{ctx}");
+            assert_same_image(&got, &want, &ctx);
+            assert_entry_coherent(cat.entry("t").unwrap(), &ctx);
+        }
+    }
+}
+
+/// A batch a scan took from `columnar` and still holds across appends keeps
+/// its rows and bits: the writer's completion copies the shared columns
+/// instead of growing them under the reader.
+#[test]
+fn a_held_image_is_copied_not_grown() {
+    let mut cat = Catalog::new();
+    cat.create_table("t", relation(3, 8)).unwrap();
+    for (k, (what, append)) in APPENDS.into_iter().enumerate() {
+        let old = cat.relation("t").unwrap().clone();
+        let held = cat.columnar("t").unwrap();
+        append(&mut cat, "t", rows(k as u8 + 40, 5));
+        let now = cat.columnar("t").unwrap();
+        assert_same_image(
+            &now,
+            &Batch::from_relation(cat.relation("t").unwrap()),
+            what,
+        );
+        assert_same_image(&held, &Batch::from_relation(&old), what);
+        for c in 0..held.schema().arity() {
+            assert!(!Arc::ptr_eq(&held.col_arc(c), &now.col_arc(c)), "{what}");
+        }
+    }
+}
+
+/// Every row mutation that is not an append leaves no image, not even a
+/// prefix: a delete, an overwrite, a truncate, a replace.
+#[test]
+fn a_mutation_that_is_not_an_append_drops_the_image() {
+    type Write = (&'static str, fn(&mut Catalog));
+    let drops: [Write; 4] = [
+        ("apply_delta with deletes", |c| {
+            let dels = c.relation("t").unwrap().rows().range(2..3).to_vec();
+            c.apply_delta("t", rows(9, 2), dels, WalPolicy::None)
+                .unwrap();
+        }),
+        ("patch_rows with an overwrite", |c| {
+            c.patch_rows("t", vec![(1, gen_row(5))], rows(9, 1))
+                .unwrap();
+        }),
+        ("truncate", |c| c.truncate("t").unwrap()),
+        ("replace rows", |c| {
+            let (table, rel) = ("t".to_string(), relation(7, 4));
+            c.apply(Mutation::ReplaceRows { table, rel }, WalPolicy::None)
+                .unwrap();
+        }),
+    ];
+    for (what, mutate) in drops {
+        for pinned in [false, true] {
+            let mut cat = Catalog::new();
+            cat.create_table("t", relation(3, 8)).unwrap();
+            cat.columnar("t").unwrap();
+            let fork = pinned.then(|| cat.fork_readonly());
+            mutate(&mut cat);
+            let e = cat.entry("t").unwrap();
+            assert!(e.image.prefix().is_none(), "{what} (pinned: {pinned})");
+            if let Some(fork) = fork {
+                assert!(fork.entry("t").unwrap().image.prefix().is_none(), "{what}");
+            }
+            let got = cat.columnar("t").unwrap();
+            assert_same_image(&got, &Batch::from_relation(&e.rel), what);
+        }
+    }
+}
+
+/// k appends under one pin, the writer batch-scanning between them: the
+/// pinned reader reads its generation, the writer its own, each through
+/// the batch engine and its own image.
+#[test]
+fn after_k_appends_under_a_pin_writer_and_reader_scan_their_own_rows() {
+    let mut cat = join_catalog(&[(1, 10), (2, 20)]);
+    let hub = cat.enable_mvcc();
+    cat.columnar("E").unwrap();
+    let pin = hub.pin();
+    let old = cat.relation("E").unwrap().clone();
+    let batch = oracle_like().with_exec(ExecMode::Batch);
+    for k in 0..5i64 {
+        let (what, append) = APPENDS[k as usize % APPENDS.len()];
+        append(
+            &mut cat,
+            "E",
+            edges(&[(k, 30 + k), (k + 1, 40 + k)]).rows().to_vec(),
+        );
+        let kept = cat.entry("E").unwrap().image.prefix().map(|b| b.len());
+        let before = cat.relation("E").unwrap().len() - 2;
+        assert_eq!(kept, Some(before), "{what}: the writer kept its image");
+        let (scan, _) = execute(&Plan::scan("E"), &cat, &batch).unwrap();
+        assert_eq!(
+            scan.rows(),
+            cat.relation("E").unwrap().rows(),
+            "{what}: writer"
+        );
+        assert_coherent(&cat, what);
+        let (scan, _) = execute(&Plan::scan("E"), pin.catalog(), &batch).unwrap();
+        assert_eq!(scan.rows(), old.rows(), "{what}: the pinned reader's rows");
+        let pinned = pin.catalog().columnar("E").unwrap();
+        assert_same_image(&pinned, &Batch::from_relation(&old), what);
+        assert_coherent(pin.catalog(), what);
+    }
 }

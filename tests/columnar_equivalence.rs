@@ -5,8 +5,8 @@
 //! hash-based (vectorized fast paths) and sort-based (row-bridge fallback)
 //! profiles. Plus the column expression evaluator and the typed group-by
 //! kernel against the row engine over random `+ - * / neg least greatest`
-//! trees (float bits, `ExecStats` and errors included), dictionary-encoding
-//! round-trip/interning properties and a differential smoke slice pitting
+//! trees (float bits, `ExecStats` and errors included), a text-column
+//! round-trip property and a differential smoke slice pitting
 //! the ` exec=batch` family against the natives, SQL'99 and the oracle.
 
 use all_in_one::algebra::batch::{self, BATCH_SIZE};

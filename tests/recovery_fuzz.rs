@@ -445,6 +445,40 @@ fn discard_interrupted_after_a_metrics_query() {
     assert_eq!(db.catalog.names(), ["e"]);
 }
 
+/// A discarded run stays discarded: the discard logs the run's end, so the
+/// next open of the directory reports no interrupted run and resumes
+/// nothing. (It used to log only the drops: the next open offered the run
+/// again, and a resume re-ran a statement the user had discarded.)
+#[test]
+fn a_discarded_run_is_not_offered_again_after_reopen() {
+    let vfs = Arc::new(SimVfs::new());
+    {
+        let (mut db, _) = Database::open_with_vfs(vfs.clone(), DIR, oracle_like(), None).unwrap();
+        let e = Relation::from_rows(edge_schema(), vec![row![1, 2, 1.0]]).unwrap();
+        db.create_table("E", e).unwrap();
+        let sql = "with TC(F, T) as ((select E.F, E.T from E) union \
+                   (select TC.F, E.T from TC, E where TC.T = E.F)) select * from TC";
+        db.catalog.wal_run_begin("TC", sql, &[]).unwrap();
+        let tc = Relation::from_rows(edge_schema(), vec![row![1, 2, 1.0]]).unwrap();
+        db.catalog.create_temp("TC", tc).unwrap();
+        db.catalog.wal_commit_iter("TC", 0).unwrap();
+        // crash: the run's end is never logged
+    }
+    let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
+    let (mut db, report) = Database::open_with_vfs(img.clone(), DIR, oracle_like(), None).unwrap();
+    assert!(report.interrupted.is_some(), "{report}");
+    db.discard_interrupted().unwrap();
+    assert!(db.interrupted().is_none());
+
+    let img = Arc::new(img.crash_image(UnsyncedFate::DropAll));
+    let (mut db, report) = Database::open_with_vfs(img, DIR, oracle_like(), None).unwrap();
+    assert_eq!(report.corrupt, None, "{report}");
+    assert!(report.interrupted.is_none(), "{report}");
+    assert!(db.interrupted().is_none());
+    assert!(db.resume_interrupted().unwrap().is_none());
+    assert_eq!(db.catalog.names(), ["e"]);
+}
+
 /// Every row of a relation has its schema's arity, so every create record
 /// the log writes of one decodes (a create whose rows misfit its schema
 /// does not, and replay would stop there). The writes that skip
