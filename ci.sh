@@ -73,6 +73,12 @@ test -s "$trace_dir/TRACE_pagerank.json"
 (cd "$trace_dir" && "$repro_bin" explain pagerank --best) |
     tee "$trace_dir/explain_best.out"
 grep -A1 -- "-- rec\[0\]" "$trace_dir/explain_best.out" | grep -q " fused)"
+# and SSSP's frontier join reads `E` through its adjacency on `F` (the
+# join line under the aggregate; DESIGN §17)
+(cd "$trace_dir" && "$repro_bin" explain sssp --best) |
+    tee "$trace_dir/explain_sssp_best.out"
+grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_sssp_best.out" |
+    grep "Join\[" | grep -q "index=E.F"
 rm -rf "$trace_dir"
 
 # paper-experiment smokes over the keyed paths: table4_5 runs the

@@ -15,9 +15,8 @@
 //! The Int-key hash join has a second form, `driven_join`, which the
 //! evaluator picks at run time under `Rules` / `Cost` when the probe side
 //! is a base table and the build side is small: the small side's keys are
-//! looked up in the table's cached single-level trie on the key column, so
-//! the join reads the matching rows of the table instead of probing all of
-//! them. Both produce only the matching pairs, the same pairs in the same
+//! looked up in the table's adjacency on the key column, so the join reads
+//! the matching rows of the table instead of probing all of them. Both produce only the matching pairs, the same pairs in the same
 //! order, so no consumer can tell them apart; `Joined` holds them with
 //! the inputs until a consumer gathers the columns it needs — all of them
 //! for the join itself, or the few an aggregate fused over it reads.
@@ -28,7 +27,7 @@ use crate::expr::{BinOp, Func, ScalarExpr, UnaryOp};
 use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, ColumnVec, FxHashMap, NullMask, Schema, TrieIndex, Value, GATHER_NULL};
+use aio_storage::{Adjacency, Batch, ColumnVec, FxHashMap, NullMask, Schema, Value, GATHER_NULL};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -792,25 +791,25 @@ impl Joined {
 }
 
 /// The small build side may drive the join ([`driven_join`]) when the
-/// table's trie holds at least this many distinct keys per build row.
+/// table's adjacency holds at least this many distinct keys per build row.
 pub(crate) const DRIVE_RATIO: usize = 8;
 
 /// Inner equi-join on one `Int` key whose left (probe) input is a table with
-/// the single-level trie `index` on its key column and whose right (build)
-/// input is small; the caller checked that the right key column is `Int`.
-/// The small side drives: each of its rows fetches its matches from
-/// `rows_under`, and no other row of the table is read. The pairs equal
+/// the adjacency `index` on its key column and whose right (build) input is
+/// small; the caller checked that the right key column is `Int`. The small
+/// side drives: each of its rows fetches its matches from the adjacency's
+/// runs, and no other row of the table is read. The pairs equal
 /// [`hash_join`]'s at every `par`: that join emits the matching
 /// `(probe row, build row)` pairs sorted, because the probe runs in row
 /// order (morsels concatenated in order) and a key's build rows come in
 /// row order — so the pairs collected here are sorted into that order.
-/// `build_ns` (the trie build, 0 when it was cached) is reported as the
-/// build phase; only the rows read — the small side and the matched rows —
-/// count as scanned.
+/// `build_ns` (building or extending the adjacency, next to none when it
+/// was served as held) is reported as the build phase; only the rows read — the small
+/// side and the matched rows — count as scanned.
 pub(crate) fn driven_join(
     right: &Batch,
     keys: &JoinKeys,
-    index: &TrieIndex,
+    index: &Adjacency,
     build_ns: u64,
     stats: &mut ExecStats,
 ) -> Pairs {
@@ -820,9 +819,10 @@ pub(crate) fn driven_join(
     // `table row << 32 | small row`: sorted, the pairs are the hash join's
     let mut pairs: Vec<u64> = Vec::new();
     for i in 0..right.len() {
-        if let Some(j) = key_at(&rkeys, i).and_then(|(k, _)| index.root_of_int(k)) {
-            let rows = index.rows_under(0, j);
-            pairs.extend(rows.iter().map(|&li| (li as u64) << 32 | i as u64));
+        if let Some((k, _)) = key_at(&rkeys, i) {
+            for rows in index.runs_of(k) {
+                pairs.extend(rows.iter().map(|&li| (li as u64) << 32 | i as u64));
+            }
         }
     }
     pairs.sort_unstable();

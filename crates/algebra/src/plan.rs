@@ -334,7 +334,7 @@ pub struct Evaluator<'a> {
     /// pairs (DESIGN §18). Becomes the span's `fused` field.
     fused: bool,
     /// Set by [`Evaluator::apply`] when a small input drove a join through a
-    /// table's cached trie (traced runs only): `driven=D, index=E.F`.
+    /// table's adjacency (traced runs only): `driven=D, index=E.F`.
     /// Becomes the span's `join_index` field.
     join_index: Option<String>,
 }
@@ -380,17 +380,16 @@ impl<'a> Evaluator<'a> {
         if self.tracer.is_some() {
             self.est = crate::stats::estimate_nodes(plan, self.catalog);
         }
-        Ok(self.eval(plan, false)?.into_relation())
+        Ok(self.eval(plan, Takes::Rows)?.into_relation())
     }
 
     /// Evaluate one node: open its span, evaluate the children in
     /// [`Plan::children`] order, run the operator, then record metrics and
     /// the span's output fields (`batches` only on columnar outputs, `typed`
     /// only on a batch-mode project / aggregate, `fused` on an aggregate
-    /// that read its join's pairs). `pairs`: the parent is an aggregate
-    /// fused over this node ([`Evaluator::fuses`]), so a batch join hands
-    /// it the pairs instead of gathering its output.
-    fn eval(&mut self, plan: &Plan, pairs: bool) -> Result<Data> {
+    /// that read its join's pairs). `takes`: what the node's consumer takes
+    /// from it ([`Takes`]).
+    fn eval(&mut self, plan: &Plan, takes: Takes) -> Result<Data> {
         let span = self.tracer.map(|t| {
             let node = self.node_seq;
             self.node_seq += 1;
@@ -407,10 +406,10 @@ impl<'a> Evaluator<'a> {
             }
             span
         });
-        let fuse = self.fuses(plan);
+        let child = self.takes_from(plan, takes);
         let mut inputs = Vec::new();
         for c in plan.children() {
-            inputs.push(self.eval(c, fuse)?);
+            inputs.push(self.eval(c, child)?);
         }
         // debug builds (the profile the tests run in) hold every operator
         // to the plan layer's definition of its output schema
@@ -418,7 +417,7 @@ impl<'a> Evaluator<'a> {
             let schemas: Vec<&Schema> = inputs.iter().map(Data::schema).collect();
             plan.schema_over(self.catalog, &schemas)
         });
-        let out = self.apply(plan, inputs, pairs)?;
+        let out = self.apply(plan, inputs, takes)?;
         if let Some(expected) = expected {
             debug_assert_eq!(out.schema(), &expected?, "{}", op_name(plan));
         }
@@ -482,8 +481,11 @@ impl<'a> Evaluator<'a> {
     /// produce columns; every other operator takes `into_relation()` — a
     /// move in row mode, an exact transpose after a columnar producer — and
     /// produces rows, so results are row-for-row identical in both modes.
-    /// `pairs` as for [`Evaluator::eval`].
-    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>, pairs: bool) -> Result<Data> {
+    /// A scan whose consumer takes rows ([`Takes::Rows`]) hands out the
+    /// table's rows, sharing its chunks, in either mode, and an identity
+    /// projection over rows renames them: neither builds an image or a row.
+    /// `takes` as for [`Evaluator::eval`].
+    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>, takes: Takes) -> Result<Data> {
         let columnar = self.profile.exec == ExecMode::Batch;
         let par = self.profile.effective_parallelism();
         let mut inputs = inputs.into_iter();
@@ -492,13 +494,18 @@ impl<'a> Evaluator<'a> {
             Plan::Scan { table, alias } => {
                 let rel = self.catalog.relation(table)?;
                 self.stats.rows_scanned += rel.len() as u64;
-                Ok(if columnar {
+                Ok(if columnar && takes != Takes::Rows {
                     // the catalog's cached image, shared under this scan's
                     // qualifier — never a transposition of its own
                     let image = self.catalog.columnar(table)?;
                     Data::Cols(image.with_schema(plan.schema_over(self.catalog, &[])?))
                 } else {
-                    Data::Rows(ops::rename(rel, alias.as_deref().unwrap_or(table)))
+                    let mut rows = ops::rename(rel, alias.as_deref().unwrap_or(table));
+                    if columnar {
+                        // what the image's transpose back to rows would carry
+                        rows.set_pk(None);
+                    }
+                    Data::Rows(rows)
                 })
             }
             Plan::Values(rel) => Ok(if columnar {
@@ -518,14 +525,27 @@ impl<'a> Evaluator<'a> {
                 Ok(out)
             }
             Plan::Project { items, .. } => {
-                let out = if columnar {
-                    let b = next().into_batch();
-                    let (out, typed) = batch::project(&b, items, par, &mut self.stats)?;
-                    self.typed = Some(typed);
-                    Data::Cols(out)
-                } else {
-                    let rel = next().into_relation();
-                    Data::Rows(ops::project_par(&rel, items, par, &mut self.stats)?)
+                let input = next();
+                let out = match input {
+                    Data::Rows(rel) if is_identity(items, rel.schema()) => {
+                        // a rename: the rows go out as they came in; it
+                        // runs no expression, so a batch project is typed
+                        self.typed = columnar.then_some(true);
+                        let schema = schema_of_items(items, rel.schema());
+                        let mut rel = rel.with_schema(schema);
+                        rel.set_pk(None);
+                        Data::Rows(rel)
+                    }
+                    input if columnar => {
+                        let b = input.into_batch();
+                        let (out, typed) = batch::project(&b, items, par, &mut self.stats)?;
+                        self.typed = Some(typed);
+                        Data::Cols(out)
+                    }
+                    input => {
+                        let rel = input.into_relation();
+                        Data::Rows(ops::project_par(&rel, items, par, &mut self.stats)?)
+                    }
                 };
                 self.stats.rows_produced += out.len() as u64;
                 Ok(out)
@@ -598,7 +618,7 @@ impl<'a> Evaluator<'a> {
                         };
                         if let Some(found) = found {
                             let joined = batch::Joined::new(lb, rb, found);
-                            return Ok(if pairs {
+                            return Ok(if takes == Takes::Pairs {
                                 Data::Joined(joined)
                             } else {
                                 Data::Cols(joined.gather())
@@ -697,11 +717,11 @@ impl<'a> Evaluator<'a> {
     /// `Cost`, an inner join on one `Int` key whose left (probe) input is a
     /// bare scan of a base table with a NULL-free `Int` key column, and
     /// whose right (build) input has at most 1/[`DRIVE_RATIO`] as many rows
-    /// as the table's cached single-level trie has distinct keys, is driven
-    /// by the small side through that trie instead of hashing. `None` — any
-    /// other join, or a table still paying rent (`Catalog::join_trie`) —
-    /// leaves the join to [`batch::hash_join`]; nothing is touched before
-    /// that.
+    /// as the table's adjacency on that column has distinct keys, is driven
+    /// by the small side through the adjacency instead of hashing. `None` —
+    /// any other join, or a table still paying rent
+    /// (`Catalog::join_index`) — leaves the join to [`batch::hash_join`];
+    /// nothing is touched before that.
     ///
     /// [`DRIVE_RATIO`]: batch::DRIVE_RATIO
     fn driven_join(
@@ -724,13 +744,13 @@ impl<'a> Evaluator<'a> {
         if !drives(lb.len()) || !matches!(rb.col(*rk), ColumnVec::Int { .. }) {
             return Ok(None);
         }
-        let Some(table) = self.base_scan(left, lb, *lk) else {
+        let Plan::Scan { table, .. } = left else {
             return Ok(None);
         };
-        let Some((trie, built)) = self.catalog.join_trie(table, &[*lk])? else {
+        let Some((index, build_ns)) = self.catalog.join_index(table, *lk)? else {
             return Ok(None);
         };
-        if !drives(trie.keys(0).len()) {
+        if !drives(index.distinct_keys()) {
             return Ok(None);
         }
         if self.tracer.is_some() {
@@ -739,8 +759,50 @@ impl<'a> Evaluator<'a> {
             let side = small.qualifier.as_deref().unwrap_or(&small.name);
             self.join_index = Some(format!("driven={side}, index={table}.{name}"));
         }
-        let pairs = batch::driven_join(rb, keys, &trie, built.unwrap_or(0), &mut self.stats);
+        let pairs = batch::driven_join(rb, keys, &index, build_ns, &mut self.stats);
         Ok(Some(pairs))
+    }
+
+    /// What `plan` takes from its children, given what its own consumer
+    /// takes: a fused aggregate its join's pairs; a row-only operator rows
+    /// — every operator without a column kernel, and a join the batch hash
+    /// join cannot take statically (a residual, another strategy); an
+    /// identity projection what its consumer takes (it renames rows, so
+    /// only a consumer of rows asks its scan for them); anything else
+    /// columns where its kernel produces them. Decided from the plan and
+    /// the profile alone, so a traced and an untraced run take the same
+    /// shapes.
+    fn takes_from(&self, plan: &Plan, takes: Takes) -> Takes {
+        if self.fuses(plan) {
+            return Takes::Pairs;
+        }
+        let rows = match plan {
+            Plan::Window { .. }
+            | Plan::Distinct(_)
+            | Plan::Product { .. }
+            | Plan::Union { .. }
+            | Plan::Difference { .. }
+            | Plan::AntiJoin { .. }
+            | Plan::SemiJoin { .. } => true,
+            Plan::Join { residual, .. } => {
+                residual.is_some() || self.profile.join != JoinStrategy::Hash
+            }
+            // only a batch scan tells rows from columns: the row engine
+            // need not resolve the input's schema ahead of evaluating it
+            Plan::Project { input, items } => {
+                takes == Takes::Rows
+                    && self.profile.exec == ExecMode::Batch
+                    && input
+                        .schema(self.catalog)
+                        .is_ok_and(|s| is_identity(items, &s))
+            }
+            _ => false,
+        };
+        if rows {
+            Takes::Rows
+        } else {
+            Takes::Cols
+        }
     }
 
     /// Does `plan` run as one operator with the join under it (DESIGN §18)?
@@ -765,18 +827,6 @@ impl<'a> Evaluator<'a> {
         join && hash && p.optimizer != Optimizer::Off && p.exec == ExecMode::Batch
     }
 
-    /// The table `child` reads when it is a bare scan of a base (non-temp)
-    /// table whose column `col` — of `data`, the scan's output — is
-    /// NULL-free `Int`, so its trie on `col` is an all-`Int` level.
-    fn base_scan<'p>(&self, child: &'p Plan, data: &Batch, col: usize) -> Option<&'p str> {
-        let Plan::Scan { table, .. } = child else {
-            return None;
-        };
-        let int = matches!(data.col(col), ColumnVec::Int { nulls, .. } if !nulls.any());
-        let base = self.catalog.entry(table).is_ok_and(|e| !e.temp);
-        (int && base).then_some(table.as_str())
-    }
-
     /// The stored sort order on `cols` that can serve a join input: only
     /// when the child is a direct table scan and the profile uses indexes.
     fn index_order(&self, child: &Plan, cols: &[usize]) -> Option<&'a [u32]> {
@@ -787,6 +837,30 @@ impl<'a> Evaluator<'a> {
             _ => None,
         }
     }
+}
+
+/// What a node's consumer takes from it ([`Evaluator::takes_from`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Takes {
+    /// Columns, where the node's kernel produces them.
+    Cols,
+    /// Rows: the root, a row-only operator, or an identity projection that
+    /// passes rows on. A scan then hands out the table's own rows.
+    Rows,
+    /// The join's pairs: the node is a join under a fused aggregate
+    /// (DESIGN §18).
+    Pairs,
+}
+
+/// Is `items` over `input` the identity — every column, in order, under any
+/// names? Such a projection only renames its input's rows.
+fn is_identity(items: &[(ScalarExpr, String)], input: &Schema) -> bool {
+    items.len() == input.arity()
+        && items.iter().enumerate().all(|(i, (e, _))| match e {
+            ScalarExpr::Col(name) => input.index_of(name).is_ok_and(|c| c == i),
+            ScalarExpr::BoundCol(c) => *c == i,
+            _ => false,
+        })
 }
 
 /// The columns of `schema` an aggregate reads — its group keys and every

@@ -9,7 +9,8 @@
 //! statistical information"* (Section 7.2). Base tables have statistics;
 //! temp tables do not.
 
-use crate::column::{Batch, ImageCache};
+use crate::adjacency::{Adjacency, AdjacencyCache};
+use crate::column::{Batch, ColumnVec, ImageCache};
 use crate::error::{Result, StorageError};
 use crate::index::SortedIndex;
 use crate::mutation::Mutation;
@@ -30,12 +31,16 @@ pub struct TableEntry {
     pub temp: bool,
     /// Sorted indexes built over this table (Exp-A, Fig. 10).
     pub indexes: Vec<SortedIndex>,
-    /// Trie indexes, built lazily per key order through `&Catalog` and
-    /// invalidated on any mutation: the leapfrog's multi-level tries, and
-    /// the single-level tries a batch hash join looks keys up in instead of
-    /// hashing this table again (the cached adjacency `E[F]`). Derived
-    /// data: never WAL-logged, rebuilt on demand after recovery.
+    /// Trie indexes for the leapfrog, built lazily per key order through
+    /// `&Catalog` and invalidated on any mutation. Derived data: never
+    /// WAL-logged, rebuilt on demand after recovery.
     pub tries: TrieCache,
+    /// The adjacency per `Int` key column a batch hash join looks keys up
+    /// in instead of hashing this table again (`E[F]`, DESIGN §17), built
+    /// through `&Catalog` once joins paid rent. Derived data like the
+    /// image: an append keeps it (the next join extends it over the
+    /// appended rows), every other mutation drops it.
+    pub adjacency: AdjacencyCache,
     /// The table's columnar image — what `Batch::from_relation(&rel)`
     /// produces — transposed by the first batch-mode scan through
     /// `&Catalog` and handed out as shared `Arc` columns from then on.
@@ -58,15 +63,17 @@ impl TableEntry {
             temp,
             indexes: Vec::new(),
             tries: TrieCache::default(),
+            adjacency: AdjacencyCache::default(),
             image: ImageCache::default(),
             stats,
         }
     }
 
     /// Drop everything derived from the rows — statistics, sorted indexes,
-    /// tries, the columnar image — except, before an append (`append`),
-    /// the image, kept as the image of a prefix. Every mutation path calls
-    /// this (and nothing else) before it touches `rel`, so no derived
+    /// tries, the join adjacencies, the columnar image — except, before an
+    /// append (`append`), the image and the adjacencies, kept as what they
+    /// are: the image and the adjacency of a prefix. Every mutation path
+    /// calls this (and nothing else) before it touches `rel`, so no derived
     /// structure can outlive the rows it describes.
     fn invalidate(&mut self, append: bool) {
         self.stats = None;
@@ -76,6 +83,7 @@ impl TableEntry {
             self.image.keep_prefix();
         } else {
             self.image.clear();
+            self.adjacency.clear();
         }
     }
 }
@@ -248,10 +256,11 @@ impl Catalog {
 
     /// Apply a validated mutation to the tables: derived data of every
     /// table it writes is dropped first (`table_mut_for_write`). This is
-    /// where a mutation's kind decides whether the columnar image survives:
-    /// an append only — an `Insert`, an `EdgeDelta` without `dels`, a
-    /// `Patch` without `set` — extends the rows' tail ([`Relation::extend`]),
-    /// so it keeps the image of the rows before it (`write(.., true)`).
+    /// where a mutation's kind decides whether the columnar image and the
+    /// join adjacencies survive: an append only — an `Insert`, an
+    /// `EdgeDelta` without `dels`, a `Patch` without `set` — extends the
+    /// rows' tail ([`Relation::extend`]), so it keeps both as they describe
+    /// the rows before it (`write(.., true)`).
     fn install(&mut self, m: Mutation) -> Result<()> {
         let bytes = &aio_metrics::global().engine.relation_bytes_total;
         let row_bytes = |rows: &[Row], arity| rows.len() as u64 * approx_row_bytes(arity);
@@ -359,13 +368,20 @@ impl Catalog {
     /// drops it otherwise. Two generations of a table the writer keeps
     /// changing would otherwise each hold one (+14 % peak RSS on the
     /// benchmark's `live_views`); a pinned reader that still batch-scans
-    /// the old generation transposes again, into its own copy.
+    /// the old generation transposes again, into its own copy. Before an
+    /// append the writer's copy also carries the join adjacencies: both
+    /// sides share their sealed bases, and each tail moves to the writer
+    /// (its next join grows it in place, not a copy of it); the snapshot
+    /// keeps the bases, each the adjacency of a prefix of its rows.
     fn table_mut_for_write(&mut self, key: &str, append: bool) -> Option<&mut TableEntry> {
         let arc = self.tables.get_mut(key)?;
         if Arc::strong_count(arc) > 1 {
             aio_metrics::hooks::mvcc_cow_clone();
             let mut e = TableEntry::new(arc.rel.clone(), arc.temp, None);
             e.image = arc.image.take();
+            if append {
+                e.adjacency = arc.adjacency.take_tails();
+            }
             *arc = Arc::new(e);
         }
         let e = Arc::make_mut(arc);
@@ -483,25 +499,39 @@ impl Catalog {
         Ok(e.tries.get_or_build(&e.rel, cols))
     }
 
-    /// The trie on `name[cols]` for a join that would otherwise hash the
-    /// table: cached, or built once joins have hashed this version of it
-    /// [`JOIN_TRIE_RENT`](crate::trie::JOIN_TRIE_RENT) times
-    /// ([`TrieCache::fetch_after`]); `None` means hash this time. Same
-    /// cache and lifetime as [`Catalog::trie_for`].
-    pub fn join_trie(
-        &self,
-        name: &str,
-        cols: &[usize],
-    ) -> Result<Option<(std::sync::Arc<TrieIndex>, Option<u64>)>> {
+    /// The adjacency on column `col` of base table `name` for a join that
+    /// would otherwise hash it, kept current to every row: held (and
+    /// extended over the rows appended since), or built once joins have
+    /// hashed the table on `col`
+    /// [`JOIN_INDEX_RENT`](crate::adjacency::JOIN_INDEX_RENT) times
+    /// ([`AdjacencyCache::fetch_after`]). The keys come from the table's
+    /// columnar image, which the join's scan of the table built. `None`
+    /// means hash: a temp table, no image, a key column that is not
+    /// NULL-free `Int`, or a join still paying rent. Otherwise the
+    /// adjacency and the nanoseconds spent building or extending it.
+    pub fn join_index(&self, name: &str, col: usize) -> Result<Option<(Adjacency, u64)>> {
         let e = self.entry(name)?;
-        Ok(e.tries.fetch_after(&e.rel, cols))
+        let Some(image) = e.image.cached().filter(|_| !e.temp) else {
+            return Ok(None);
+        };
+        Ok(match image.col(col) {
+            ColumnVec::Int { vals, nulls } if !nulls.any() => e.adjacency.fetch_after(col, vals),
+            _ => None,
+        })
+    }
+
+    /// The adjacency held on `name[col]`, if a join built one and no
+    /// mutation but appends came since (it then covers the rows up to the
+    /// last join's).
+    pub fn join_index_on(&self, name: &str, col: usize) -> Option<Adjacency> {
+        self.tables.get(&norm(name))?.adjacency.held(col)
     }
 
     /// The columnar image of `name`: built by the first batch-mode scan
     /// after a mutation, shared (`Arc` columns) by every scan until the
     /// next one. An append keeps the image of the rows before it, and the
     /// next scan transposes only the appended rows; every other mutation
-    /// drops it, like the tries ([`Catalog::trie_for`]).
+    /// drops it.
     pub fn columnar(&self, name: &str) -> Result<Batch> {
         let e = self.entry(name)?;
         Ok(e.image.get_or_build(&e.rel))

@@ -13,6 +13,7 @@
 //! the primary key, which double as the relation representations of the
 //! node vector and adjacency matrix.
 
+pub mod adjacency;
 pub mod catalog;
 pub mod column;
 pub mod error;
@@ -30,6 +31,7 @@ pub mod value;
 pub mod vfs;
 pub mod wal;
 
+pub use adjacency::{Adjacency, AdjacencyCache, Csr};
 pub use catalog::{Catalog, CheckpointStats, TableEntry};
 pub use column::{Batch, ColumnBuilder, ColumnVec, ImageCache, NullMask, GATHER_NULL};
 pub use error::{Result, StorageError};

@@ -20,16 +20,9 @@
 //!
 //! Tries are derived data: the catalog caches them per table in a
 //! [`TrieCache`] and drops the cache on any mutation (insert / truncate /
-//! in-place access), like sorted indexes and the columnar image. They are
-//! never WAL-logged.
-//!
-//! Two readers share the cache. The leapfrog walks tries of any depth; the
-//! batch hash join of `aio-algebra` looks keys up in a base table's
-//! *single-level* trie (`[E.F]`: distinct keys plus, per key, the ascending
-//! row ids holding it — a CSR adjacency), so a small input can fetch its
-//! matches from an unchanged table without reading the rest of it. Such a
-//! join builds the trie only after [`JOIN_TRIE_RENT`] joins have hashed the
-//! same table version ([`TrieCache::fetch_after`]).
+//! in-place access), like sorted indexes. They are never WAL-logged. The
+//! multiway join walks them; the batch hash join looks keys up in a
+//! table's [`crate::adjacency::Adjacency`] instead, which outlives appends.
 
 use crate::keyidx::key_cmp;
 use crate::relation::Relation;
@@ -208,137 +201,73 @@ impl TrieIndex {
     pub fn perm(&self) -> &[u32] {
         &self.perm
     }
-
-    /// The root node holding the integer key `k`, for a join's lookup (a
-    /// binary search): `None` when `k` is absent or the root level is not
-    /// all-`Int`.
-    pub fn root_of_int(&self, k: i64) -> Option<usize> {
-        self.int_keys(0)?.binary_search(&k).ok()
-    }
 }
-
-/// How many joins hash a version of a table on a key order before one
-/// builds its trie ([`TrieCache::fetch_after`]). A single-level trie costs
-/// several hash probes of the table to build; a table a fixpoint loop
-/// joins unchanged pays that once for dozens of iterations, while a table
-/// that changes every one or two joins (a maintained view's base table)
-/// would pay it every time.
-pub const JOIN_TRIE_RENT: u32 = 2;
 
 /// Per-table cache of built tries, shared through `&Catalog` so lazy builds
 /// can happen during (immutable) plan execution. Cloning an entry clones the
 /// list of `Arc`'d tries into an independent cache; the tries themselves are
 /// immutable and shared.
 #[derive(Default)]
-pub struct TrieCache(Mutex<Cached>);
-
-#[derive(Clone, Default)]
-struct Cached {
-    tries: Vec<Arc<TrieIndex>>,
-    /// Per key order with no trie yet: how many joins hashed this version
-    /// of the table instead of building one ([`TrieCache::fetch_after`]).
-    hashed: Vec<(Vec<usize>, u32)>,
-}
+pub struct TrieCache(Mutex<Vec<Arc<TrieIndex>>>);
 
 impl Clone for TrieCache {
     fn clone(&self) -> Self {
-        TrieCache(Mutex::new(self.lock().clone()))
+        TrieCache(Mutex::new(self.all()))
     }
 }
 
 impl std::fmt::Debug for TrieCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TrieCache({} tries)", self.lock().tries.len())
+        write!(f, "TrieCache({} tries)", self.len())
     }
 }
 
 impl TrieCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Cached> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<TrieIndex>>> {
         // a poisoned cache holds only complete, immutable tries
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The cached trie for exactly `cols`, if built.
     pub fn cached(&self, cols: &[usize]) -> Option<Arc<TrieIndex>> {
-        self.lock().tries.iter().find(|t| t.covers(cols)).cloned()
+        self.lock().iter().find(|t| t.covers(cols)).cloned()
     }
 
     /// Get the trie for `cols`, building and caching it on a miss.
     pub fn get_or_build(&self, rel: &Relation, cols: &[usize]) -> Arc<TrieIndex> {
-        self.fetch(rel, cols).0
-    }
-
-    /// [`Self::get_or_build`], also saying what it cost: the build time in
-    /// nanoseconds on a miss, `None` on a hit.
-    fn fetch(&self, rel: &Relation, cols: &[usize]) -> (Arc<TrieIndex>, Option<u64>) {
         let mut g = self.lock();
-        if let Some(t) = g.tries.iter().find(|t| t.covers(cols)) {
+        if let Some(t) = g.iter().find(|t| t.covers(cols)) {
             aio_metrics::hooks::trie_cache(true);
-            return (Arc::clone(t), None);
+            return Arc::clone(t);
         }
         aio_metrics::hooks::trie_cache(false);
         let started = Instant::now();
         let t = Arc::new(TrieIndex::build(rel, cols));
-        let built = started.elapsed();
         aio_metrics::global()
             .engine
             .trie_build_ms
-            .observe(built.as_millis() as u64);
-        g.tries.push(Arc::clone(&t));
-        (t, Some(built.as_nanos() as u64))
-    }
-
-    /// The trie on `cols` for a join that can hash the table instead: the
-    /// cached one, or a new one once [`JOIN_TRIE_RENT`] earlier joins have
-    /// hashed this version of the table on `cols`. A trie costs several
-    /// hash passes over the table to build and pays off only when joins
-    /// reuse it, so joins "rent" (hash) before they "buy" (build), and a
-    /// table that changes after a join or two never pays for one. `None`:
-    /// hash this time (counted). Otherwise the trie and its build time in
-    /// nanoseconds, `None` when it was cached.
-    pub fn fetch_after(
-        &self,
-        rel: &Relation,
-        cols: &[usize],
-    ) -> Option<(Arc<TrieIndex>, Option<u64>)> {
-        {
-            let mut g = self.lock();
-            if !g.tries.iter().any(|t| t.covers(cols)) {
-                let at = match g.hashed.iter().position(|(c, _)| c == cols) {
-                    Some(at) => at,
-                    None => {
-                        g.hashed.push((cols.to_vec(), 0));
-                        g.hashed.len() - 1
-                    }
-                };
-                let paid = &mut g.hashed[at].1;
-                if *paid < JOIN_TRIE_RENT {
-                    *paid += 1;
-                    return None;
-                }
-            }
-        }
-        Some(self.fetch(rel, cols))
+            .observe(started.elapsed().as_millis() as u64);
+        g.push(Arc::clone(&t));
+        t
     }
 
     /// Every cached trie, in build order.
     pub fn all(&self) -> Vec<Arc<TrieIndex>> {
-        self.lock().tries.clone()
+        self.lock().clone()
     }
 
-    /// Drop every cached trie (any mutation of the base rows), and what
-    /// joins paid toward new ones.
+    /// Drop every cached trie (any mutation of the base rows).
     pub fn clear(&self) {
-        *self.lock() = Cached::default();
+        self.lock().clear();
     }
 
     /// Number of cached tries.
     pub fn len(&self) -> usize {
-        self.lock().tries.len()
+        self.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.lock().tries.is_empty()
+        self.lock().is_empty()
     }
 }
 
@@ -452,59 +381,6 @@ mod tests {
             format!("{classes:?}"),
             "[(Null, 1), (Int(0), 1), (Float(-0.0), 2), (Int(1), 2), (Float(1.0), 1), \
              (Float(NaN), 2), (Text(\"a\"), 1)]"
-        );
-    }
-
-    #[test]
-    fn root_lookup_finds_exactly_the_keys() {
-        for scale in [1i64, 1_000_003] {
-            let mut r = Relation::new(edge_schema());
-            for f in [0i64, 1, 1, 2] {
-                r.push(row![f * scale - 40, 0, 1.0]).unwrap();
-            }
-            let t = TrieIndex::build(&r, &[0]);
-            let keys = t.int_keys(0).unwrap().to_vec();
-            assert_eq!(keys.len(), 3);
-            for (j, &k) in keys.iter().enumerate() {
-                assert_eq!(t.root_of_int(k), Some(j));
-                assert_eq!(t.rows_under(0, j).len(), if j == 1 { 2 } else { 1 });
-            }
-            assert_eq!(t.root_of_int(keys[0] - 1), None);
-            assert_eq!(t.root_of_int(keys[2] + 1), None);
-            assert_eq!(t.root_of_int(keys[0] + 1).is_none(), scale > 1);
-        }
-    }
-
-    /// Joins hash a table version `JOIN_TRIE_RENT` times before one builds
-    /// its trie; a cached trie is served at once, and a clear starts the
-    /// count over.
-    #[test]
-    fn joins_rent_before_they_build() {
-        let r = rel();
-        let cache = TrieCache::default();
-        for _ in 0..JOIN_TRIE_RENT {
-            assert!(cache.fetch_after(&r, &[0]).is_none());
-        }
-        assert!(
-            cache.fetch_after(&r, &[1]).is_none(),
-            "counted per key order"
-        );
-        let (t, built) = cache.fetch_after(&r, &[0]).unwrap();
-        assert!(built.is_some(), "the join after the rent builds");
-        let (again, built) = cache.fetch_after(&r, &[0]).unwrap();
-        assert!(
-            Arc::ptr_eq(&t, &again) && built.is_none(),
-            "then it is a hit"
-        );
-        cache.clear();
-        assert!(
-            cache.fetch_after(&r, &[0]).is_none(),
-            "a new version rents again"
-        );
-        let _ = cache.get_or_build(&r, &[1, 0]);
-        assert!(
-            cache.fetch_after(&r, &[1, 0]).is_some(),
-            "any cached trie is served"
         );
     }
 

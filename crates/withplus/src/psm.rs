@@ -1551,6 +1551,39 @@ select * from B";
         assert_eq!(v, vec![1, 2, 3, 4]);
     }
 
+    /// A final `select * from W` hands out W's own rows: the result shares
+    /// every chunk of the table the run folded, row engine or batch.
+    #[test]
+    fn a_final_scan_of_r_shares_its_chunks() {
+        let sql = "\
+with W(ID, vw) as (
+  (select V.ID, 1.0 * V.ID from V)
+  union by update ID
+  (select E.T, min(W.vw * E.ew) from W, E where W.ID = E.F group by E.T))
+select * from W";
+        let Statement::WithPlus(w) = Parser::parse_statement(sql).unwrap() else {
+            panic!("expected with+")
+        };
+        let params = HashMap::new();
+        let c = compile(&w, &LowerCtx::new(&params, AntiJoinImpl::LeftOuterNull)).unwrap();
+        let best = oracle_like()
+            .with_optimizer(Optimizer::Cost)
+            .with_exec(aio_algebra::ExecMode::Batch);
+        for profile in [oracle_like(), best] {
+            let mut cat = catalog();
+            let mut runner = PsmRunner::new(&mut cat, &profile, UbuImpl::FullOuterJoin);
+            // keep W past the run, as a live view keeps its R
+            runner.keep = Some(c.rec_name.clone());
+            let out = runner.run(&c).unwrap().relation;
+            let r = cat.relation(&c.rec_name).unwrap();
+            assert!(!out.is_empty() && out.rows() == r.rows());
+            assert!(out
+                .chunks()
+                .zip(r.chunks())
+                .all(|(a, b)| std::ptr::eq(a, b)));
+        }
+    }
+
     #[test]
     fn fixpoint_detected_without_maxrecursion() {
         let sql = "\

@@ -11,7 +11,10 @@
 //! paper's row engine (`oracle_like()`), and under the cost optimizer with
 //! batch execution, where every refresh batch-scans `E` through its
 //! columnar image — an append keeps the image of the rows before it, so
-//! the refresh transposes only the batch's rows.
+//! the refresh transposes only the batch's rows — and, from the second
+//! batch on, drives every frontier join through `E`'s adjacency on `F`,
+//! which the append kept too: the join extends it over the batch's rows
+//! and builds nothing from scratch (the trie-cache counters say so).
 //!
 //! ```sh
 //! cargo run --release --example live_components
@@ -102,26 +105,37 @@ fn scenario(profile: EngineProfile) {
         let batch: Vec<(u32, u32)> = (0..per_batch).map(|_| (vertex(), vertex())).collect();
         let adds = batch.iter().flat_map(both).collect();
         reader.begin_read();
-        let copied = all_in_one::metrics::global()
-            .engine
-            .mvcc_cow_rows_total
-            .get();
+        let engine = &all_in_one::metrics::global().engine;
+        let copied = engine.mvcc_cow_rows_total.get();
+        let index = (
+            engine.trie_cache_hits_total.get(),
+            engine.trie_cache_misses_total.get(),
+        );
         let (report, image) = shared.with_writer(|db| {
             db.apply_edges(vec![EdgeDelta::insert("E", adds)]).unwrap();
             let e = db.catalog.entry("E").unwrap();
             let image = e.image.cached().map(|b| (b.len(), e.rel.len()));
             (db.view_report("cc").unwrap().clone(), image)
         });
+        let (hits, built) = (
+            engine.trie_cache_hits_total.get() - index.0,
+            engine.trie_cache_misses_total.get() - index.1,
+        );
         if batch_mode {
             // the refresh batch-scanned `E`: its image covers every row
             let (len, rows) = image.expect("the refresh left E's image");
             assert_eq!(len, rows, "batch {b}: E's image is not the whole table");
+            // one frontier join per iteration, each through the kept
+            // adjacency: hits, and no build from scratch
+            if b > 0 {
+                assert_eq!(
+                    (hits, built),
+                    (report.iterations as u64, 0),
+                    "batch {b}: not every frontier join went through E's kept index"
+                );
+            }
         }
-        let copied = all_in_one::metrics::global()
-            .engine
-            .mvcc_cow_rows_total
-            .get()
-            - copied;
+        let copied = engine.mvcc_cow_rows_total.get() - copied;
         let chunks = 1 + report.changed.min(n.div_ceil(CHUNK_ROWS));
         assert!(
             copied <= (chunks * CHUNK_ROWS) as u64,
@@ -137,7 +151,7 @@ fn scenario(profile: EngineProfile) {
             "batch {b}: {per_edge} WAL bytes per delta edge"
         );
         println!(
-            "batch {b}: {:>4} labels changed in {} iterations, {:.2} ms, {:.0} WAL bytes per delta edge, {copied} rows copied on write",
+            "batch {b}: {:>4} labels changed in {} iterations, {:.2} ms, {:.0} WAL bytes per delta edge, {copied} rows copied on write, {hits} joins through a kept index, {built} built",
             report.changed,
             report.iterations,
             report.duration.as_secs_f64() * 1e3,

@@ -1,9 +1,10 @@
 //! Cache coherence of the catalog's derived data (proptest over random
 //! mutation sequences).
 //!
-//! A table entry caches four things derived from its rows: optimizer
-//! statistics, sorted indexes, tries and the columnar image. The contract
-//! is that none of them ever describes rows the table no longer holds:
+//! A table entry caches five things derived from its rows: optimizer
+//! statistics, sorted indexes, tries, the join adjacencies and the columnar
+//! image. The contract is that none of them ever describes rows the table
+//! no longer holds:
 //!
 //! 1. after **every** step of a random interleaving of every mutation path
 //!    the catalog has — `insert_rows`, `apply_delta`, `truncate`, in-place
@@ -12,19 +13,22 @@
 //!    whatever is cached equals a fresh build over the current rows (the
 //!    image value for value by `to_bits` and in the same per-column layout
 //!    as `Batch::from_relation`, every trie equal to `TrieIndex::build`),
-//!    and the image of a prefix an append kept equals the fresh build of
-//!    the rows it covers;
+//!    and the image or adjacency of a prefix an append kept equals the
+//!    fresh build of the rows it covers (an adjacency lists the same keys
+//!    with the same ascending runs as `Csr::build`);
 //! 2. a `fork_readonly` taken before a writer mutation keeps reading its
 //!    own generation — rows and image — whatever the writer does next;
 //! 3. derived data is never logged: after a durable close / reopen the
 //!    contents are back (as multisets once a patch — an in-place edit,
 //!    merge, update-from or merge-improve — rewrote a table, whose log
-//!    record re-appends the rows it overwrote) and both caches
-//!    start empty;
-//! 4. the single-level trie a batch join looks keys up in (`[0]`, built
-//!    through `Catalog::join_trie`) dies with its table version: every
-//!    mutation path drops it, the next join returns the new rows, and a
-//!    fork or pinned reader joins through the trie of its own generation;
+//!    record re-appends the rows it overwrote) and every cache
+//!    starts empty;
+//! 4. the adjacency a batch join looks keys up in (on column 0, built
+//!    through `Catalog::join_index`) survives appends — the next join
+//!    extends it to a fresh build's runs, at every chunk boundary, and a
+//!    pinned reader keeps its own while sharing its sealed base with the
+//!    writer — and dies with every other mutation; the next join returns
+//!    the new rows either way;
 //! 5. after append-only `apply_delta`s, a pinned reader still
 //!    batch-scans its own rows, and so does the writer, which completes
 //!    the image it kept;
@@ -44,20 +48,20 @@
 
 use all_in_one::algebra::ops::{ubu_merge_improve, union_by_update};
 use all_in_one::algebra::{
-    execute, oracle_like, ExecMode, ExecStats, JoinType, Optimizer, Plan, UbuImpl,
+    execute, oracle_like, BinOp, ExecMode, ExecStats, JoinType, Optimizer, Plan, ScalarExpr,
+    UbuImpl,
 };
 use all_in_one::storage::{
-    edge_schema, open_catalog, Batch, Catalog, Column, ColumnVec, DataType, KeyIndex, Mutation,
-    Relation, Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
-    CHUNK_ROWS,
+    edge_schema, open_catalog, Adjacency, Batch, Catalog, Column, ColumnVec, Csr, DataType,
+    KeyIndex, Mutation, Relation, Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value,
+    WalPolicy, CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const DIR: &str = "db";
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
-/// Key orders the steps build tries and sorted indexes on; `[0]` is the
-/// single-level trie a batch join looks `Int` keys up in.
+/// Key orders the steps build tries and sorted indexes on.
 const KEYS: [&[usize]; 5] = [&[0, 1], &[1, 0], &[2], &[3, 0], &[0]];
 
 fn schema() -> Schema {
@@ -211,9 +215,10 @@ fn warm(cat: &mut Catalog, name: &str, a: u8) {
     cat.trie_for(name, cols).unwrap();
     cat.trie_for(name, KEYS[(a as usize + 1) % KEYS.len()])
         .unwrap();
-    // the join's way in: `a % 4` joins, of which the third builds
+    // the join's way in: `a % 4` joins, of which the third builds the
+    // adjacency (when column 0 is NULL-free `Int`)
     for _ in 0..a % 4 {
-        cat.join_trie(name, &[0]).unwrap();
+        cat.join_index(name, 0).unwrap();
     }
     cat.build_index(name, cols).unwrap();
     cat.analyze(name).unwrap();
@@ -257,8 +262,23 @@ fn prefix_of(rel: &Relation, n: usize) -> Relation {
     pre
 }
 
-/// Everything `e` caches equals a fresh build over `e.rel`; an image an
-/// append kept, over the rows it covers.
+/// The runs of `adj` are those of a fresh build over the key column `col`
+/// of the rows it covers, the first `adj.len()` of `rel`.
+fn assert_adjacency_fresh(adj: &Adjacency, rel: &Relation, col: usize, ctx: &str) {
+    assert!(adj.len() <= rel.len(), "{ctx}: adjacency past the rows");
+    let keys: Vec<i64> = (0..adj.len())
+        .map(|i| rel[i][col].as_int().expect("an adjacency indexes Int keys"))
+        .collect();
+    let fresh: Vec<(i64, Vec<u32>)> = Csr::build(&keys)
+        .runs()
+        .map(|(k, run)| (k, run.to_vec()))
+        .collect();
+    assert!(adj.runs() == fresh, "{ctx}: stale adjacency on {col}");
+    assert_eq!(adj.distinct_keys(), fresh.len(), "{ctx}: distinct keys");
+}
+
+/// Everything `e` caches equals a fresh build over `e.rel`; an image or
+/// adjacency an append kept, over the rows it covers.
 fn assert_entry_coherent(e: &TableEntry, ctx: &str) {
     if let Some(image) = e.image.cached() {
         assert_same_image(&image, &Batch::from_relation(&e.rel), ctx);
@@ -274,6 +294,9 @@ fn assert_entry_coherent(e: &TableEntry, ctx: &str) {
             "{ctx}: stale trie on {:?}",
             trie.cols()
         );
+    }
+    for (col, adj) in e.adjacency.all() {
+        assert_adjacency_fresh(&adj, &e.rel, col, ctx);
     }
     for idx in &e.indexes {
         assert_eq!(
@@ -414,6 +437,7 @@ proptest! {
             let e = reopened.entry(&name).unwrap();
             prop_assert!(e.image.cached().is_none(), "{name}: an image survived the reopen");
             prop_assert!(e.tries.is_empty(), "{name}: a trie survived the reopen");
+            prop_assert!(e.adjacency.is_empty(), "{name}: an adjacency survived the reopen");
             prop_assert!(e.indexes.is_empty(), "{name}: a sorted index survived the reopen");
         }
         assert_coherent(&reopened, "reopened");
@@ -554,11 +578,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The join's single-level trie: dies with its table version
+// The join's adjacency: kept by appends, dropped by every other mutation
 // ---------------------------------------------------------------------------
 
 /// `E(F, T, ew)` with NULL-free `Int` keys, so a batch join may look them up
-/// in the trie on `[F]`.
+/// in the adjacency on `F`.
 fn edges(rows: &[(i64, i64)]) -> Relation {
     let mut e = Relation::new(edge_schema());
     for &(f, t) in rows {
@@ -576,7 +600,7 @@ fn table(rows: &[(i64, i64)]) -> Relation {
 }
 
 /// `Join(Scan E, Scan F)` on `E.F = F.F` with `F` a one-row temp table:
-/// once built, `E`'s trie lets `F` drive the join.
+/// once built, `E`'s adjacency lets `F` drive the join.
 fn driven_join() -> Plan {
     Plan::Join {
         left: Box::new(Plan::scan("E")),
@@ -594,9 +618,10 @@ fn join_catalog(rows: &[(i64, i64)]) -> Catalog {
     cat
 }
 
-/// Runs the join until it has built (or hit) `E`'s trie, checking every
-/// run against `Off`; returns the last run's rows.
-fn join_through_trie(cat: &Catalog) -> Vec<Row> {
+/// Runs the join until it has built (or extended) `E`'s adjacency,
+/// checking every run against `Off` and the adjacency against a fresh
+/// build over every row; returns the last run's rows.
+fn join_through_index(cat: &Catalog) -> Vec<Row> {
     let best = oracle_like()
         .with_optimizer(Optimizer::Cost)
         .with_exec(ExecMode::Batch);
@@ -613,10 +638,11 @@ fn join_through_trie(cat: &Catalog) -> Vec<Row> {
     // an empty `E` is no bigger than `F`, so that join hashes
     let e = cat.relation("E").unwrap();
     if !e.is_empty() {
-        let trie = cat
-            .trie_on("E", &[0])
-            .expect("the third join builds the trie");
-        assert!(*trie == TrieIndex::build(e, &[0]));
+        let adj = cat
+            .join_index_on("E", 0)
+            .expect("the third join builds the adjacency");
+        assert_eq!(adj.len(), e.len(), "the join extended it to every row");
+        assert_adjacency_fresh(&adj, e, 0, "after the join");
     }
     got
 }
@@ -626,15 +652,17 @@ fn targets(rows: &[Row]) -> Vec<i64> {
     rows.iter().map(|r| r[1].as_int().unwrap()).collect()
 }
 
-/// Every mutation path drops the join's trie, and the next joins see the
-/// new rows — a stale trie would hand out row ids of the old version.
+/// The three appends keep the join's adjacency and its rent — the next
+/// join extends it over the new rows, built from nothing — and every other
+/// mutation path drops it; the next joins see the new rows either way (a
+/// stale adjacency would hand out row ids of the old version).
 #[test]
-fn join_trie_is_dropped_by_every_mutation() {
-    type Mutation = (&'static str, fn(&mut Catalog), &'static [i64]);
+fn join_index_is_kept_by_appends_and_dropped_by_every_other_mutation() {
+    type Write = (&'static str, fn(&mut Catalog), &'static [i64]);
     fn rows(r: &[(i64, i64)]) -> Vec<Row> {
         edges(r).rows().to_vec()
     }
-    let mutations: [Mutation; 8] = [
+    let appends: [Write; 3] = [
         (
             "insert_rows",
             |c| {
@@ -643,6 +671,22 @@ fn join_trie_is_dropped_by_every_mutation() {
             },
             &[10, 13],
         ),
+        (
+            "apply_delta without deletes",
+            |c| {
+                let add = rows(&[(1, 14)]);
+                c.apply_delta("E", add, Vec::new(), WalPolicy::None)
+                    .unwrap();
+            },
+            &[10, 14],
+        ),
+        (
+            "patch_rows without overwrites",
+            |c| c.patch_rows("E", Vec::new(), rows(&[(1, 19)])).unwrap(),
+            &[10, 19],
+        ),
+    ];
+    let drops: [Write; 8] = [
         (
             "apply_delta",
             |c| {
@@ -660,6 +704,15 @@ fn join_trie_is_dropped_by_every_mutation() {
                 c.patch_rows("E", vec![(1, row)], Vec::new()).unwrap();
             },
             &[10, 20],
+        ),
+        (
+            "replace rows",
+            |c| {
+                let (table, rel) = ("E".to_string(), table(&[(1, 21), (1, 22)]));
+                c.apply(Mutation::ReplaceRows { table, rel }, WalPolicy::None)
+                    .unwrap();
+            },
+            &[21, 22],
         ),
         (
             "create_or_replace",
@@ -705,48 +758,148 @@ fn join_trie_is_dropped_by_every_mutation() {
             &[18],
         ),
     ];
-    for (what, mutate, want) in mutations {
+    let kept = appends.iter().map(|m| (m, true));
+    for ((what, mutate, want), append) in kept.chain(drops.iter().map(|m| (m, false))) {
         let mut cat = join_catalog(&[(1, 10), (2, 20), (3, 30)]);
-        assert_eq!(targets(&join_through_trie(&cat)), [10], "{what}");
+        assert_eq!(targets(&join_through_index(&cat)), [10], "{what}");
+        let before = cat.join_index_on("E", 0).unwrap();
         mutate(&mut cat);
-        assert!(
-            cat.trie_on("E", &[0]).is_none(),
-            "{what}: the trie survived"
-        );
+        let held = cat.join_index_on("E", 0);
+        assert_eq!(held.is_some(), append, "{what}: kept iff an append");
+        if let Some(held) = held {
+            assert_eq!(held.len(), before.len(), "{what}: covers the old rows");
+            assert!(Arc::ptr_eq(held.base(), before.base()), "{what}");
+            assert_entry_coherent(cat.entry("E").unwrap(), what);
+            // kept with its rent paid: the very next join drives through it
+            let best = oracle_like()
+                .with_optimizer(Optimizer::Cost)
+                .with_exec(ExecMode::Batch);
+            let (got, _) = execute(&driven_join(), &cat, &best).unwrap();
+            assert_eq!(targets(got.rows().to_vec().as_slice()), *want, "{what}");
+            let grown = cat.join_index_on("E", 0).unwrap();
+            assert_eq!(grown.len(), cat.relation("E").unwrap().len(), "{what}");
+            assert!(Arc::ptr_eq(grown.base(), before.base()), "{what}: a tail");
+        }
         assert_eq!(
-            targets(&join_through_trie(&cat)),
-            want,
+            targets(&join_through_index(&cat)),
+            *want,
             "{what}: stale rows"
         );
     }
 }
 
-/// A fork and a pinned reader keep the trie of their own generation: the
-/// writer's next change leaves their joins on their rows, and a join on
-/// the writer sees the writer's.
+/// A fork and a pinned reader keep the adjacency of their own generation:
+/// the writer's append carries it along — the same sealed base, and the
+/// tail moved to the writer — and its next join extends only its own copy,
+/// so their joins stay on their rows and a join on the writer sees the
+/// writer's.
 #[test]
 fn forks_and_pinned_readers_join_through_their_own_trie() {
     let mut cat = join_catalog(&[(1, 10), (2, 20), (1, 11)]);
-    assert_eq!(targets(&join_through_trie(&cat)), [10, 11]);
+    assert_eq!(targets(&join_through_index(&cat)), [10, 11]);
     let hub = cat.enable_mvcc();
     let pin = hub.pin();
     let fork = cat.fork_readonly();
     cat.insert_rows("E", edges(&[(1, 12)]).rows().to_vec(), WalPolicy::None)
         .unwrap();
-    assert!(cat.trie_on("E", &[0]).is_none(), "writer's trie dropped");
+    let old_len = pin.catalog().relation("E").unwrap().len();
+    let carried = cat.join_index_on("E", 0).expect("the writer carries it");
+    assert_eq!(carried.len(), old_len, "the rows before the append");
     for (who, old) in [("pin", pin.catalog()), ("fork", &fork)] {
         let kept = old
-            .trie_on("E", &[0])
-            .expect("the old generation keeps its trie");
-        assert!(
-            *kept == TrieIndex::build(old.relation("E").unwrap(), &[0]),
-            "{who}"
-        );
-        assert_eq!(targets(&join_through_trie(old)), [10, 11], "{who}");
+            .join_index_on("E", 0)
+            .expect("the old generation keeps its adjacency");
+        assert!(Arc::ptr_eq(kept.base(), carried.base()), "{who}");
+        assert_adjacency_fresh(&kept, old.relation("E").unwrap(), 0, who);
+        assert_eq!(targets(&join_through_index(old)), [10, 11], "{who}");
     }
-    assert_eq!(targets(&join_through_trie(&cat)), [10, 11, 12], "writer");
-    let pin_trie = pin.catalog().trie_on("E", &[0]).unwrap();
-    assert!(!Arc::ptr_eq(&pin_trie, &cat.trie_on("E", &[0]).unwrap()));
+    assert_eq!(targets(&join_through_index(&cat)), [10, 11, 12], "writer");
+    let (pinned, writer) = (
+        pin.catalog().join_index_on("E", 0).unwrap(),
+        cat.join_index_on("E", 0).unwrap(),
+    );
+    assert!(Arc::ptr_eq(pinned.base(), writer.base()), "one sealed base");
+    assert_eq!((pinned.len(), writer.len()), (old_len, old_len + 1));
+    assert_eq!((pinned.tail_len(), writer.tail_len()), (0, 1));
+    // a pin over the writer's base and tail: the next append moves the tail
+    // to the writer, and the pinned copy keeps the base, the adjacency of
+    // the rows before the tail
+    let pin2 = hub.pin();
+    cat.insert_rows("E", edges(&[(1, 13)]).rows().to_vec(), WalPolicy::None)
+        .unwrap();
+    let kept = pin2.catalog().join_index_on("E", 0).unwrap();
+    assert_eq!((kept.len(), kept.tail_len()), (old_len, 0), "base alone");
+    assert!(Arc::ptr_eq(kept.base(), writer.base()));
+    let carried = cat.join_index_on("E", 0).unwrap();
+    assert_eq!(
+        (carried.len(), carried.tail_len()),
+        (old_len + 1, 1),
+        "tail moved"
+    );
+    assert_eq!(
+        targets(&join_through_index(pin2.catalog())),
+        [10, 11, 12],
+        "pin2"
+    );
+    assert_eq!(
+        targets(&join_through_index(&cat)),
+        [10, 11, 12, 13],
+        "writer"
+    );
+    // two tail rows pass an eighth of the 11-row base: rebuilt
+    let writer = cat.join_index_on("E", 0).unwrap();
+    assert!(!Arc::ptr_eq(writer.base(), kept.base()) && writer.tail_len() == 0);
+}
+
+/// k appends of one row each under one pin, across a chunk boundary and on
+/// to a rebuild: after every append the writer's join extends its kept
+/// adjacency to exactly a fresh build's keys and runs, sharing its sealed
+/// base with the pinned reader's until the tail passes an eighth of it;
+/// the pinned reader's adjacency and join never move.
+#[test]
+fn after_k_appends_the_kept_index_equals_a_fresh_build() {
+    let len = 2 * CHUNK_ROWS - 3;
+    let rows: Vec<(i64, i64)> = (0..len as i64).map(|i| (i % 97, i)).collect();
+    let mut cat = Catalog::new();
+    cat.create_table("E", edges(&rows)).unwrap();
+    cat.create_temp("F", edges(&[(5, 0)])).unwrap();
+    join_through_index(&cat);
+    let hub = cat.enable_mvcc();
+    let pin = hub.pin();
+    let pinned = cat.join_index_on("E", 0).unwrap();
+    let (want_old, _) = execute(&driven_join(), pin.catalog(), &oracle_like()).unwrap();
+    let mut rebuilt = false;
+    for k in 0..len / 8 + 2 {
+        let at = len + k;
+        let row = edges(&[((at as i64 * 31) % 101, at as i64)])
+            .rows()
+            .to_vec();
+        let (what, append) = APPENDS[k % APPENDS.len()];
+        append(&mut cat, "E", row);
+        let ctx = format!("append {k} ({what}), {} rows", at + 1);
+        join_through_index(&cat);
+        let writer = cat.join_index_on("E", 0).unwrap();
+        assert_adjacency_fresh(&writer, cat.relation("E").unwrap(), 0, &ctx);
+        let shared = Arc::ptr_eq(writer.base(), pinned.base());
+        assert_eq!(shared, !rebuilt && writer.tail_len() > 0, "{ctx}");
+        if !shared && !rebuilt {
+            assert_eq!(writer.tail_len(), 0, "{ctx}: a rebuild leaves no tail");
+            rebuilt = true;
+        }
+        let held = pin.catalog().join_index_on("E", 0).unwrap();
+        assert!(
+            Arc::ptr_eq(held.base(), pinned.base()) && held.len() == len,
+            "{ctx}"
+        );
+        let (got, _) = execute(&driven_join(), pin.catalog(), &oracle_like()).unwrap();
+        assert_eq!(
+            got.rows(),
+            want_old.rows(),
+            "{ctx}: the pinned reader's join"
+        );
+    }
+    assert!(rebuilt, "the tail passed an eighth of the base");
+    assert_entry_coherent(pin.catalog().entry("E").unwrap(), "pinned");
 }
 
 /// An append-only `apply_delta` under a pinned reader: the writer's copy
@@ -954,7 +1107,9 @@ fn a_mutation_that_is_not_an_append_drops_the_image() {
 
 /// k appends under one pin, the writer batch-scanning between them: the
 /// pinned reader reads its generation, the writer its own, each through
-/// the batch engine and its own image.
+/// the batch engine and its own image. The scans sit under a `1 = 1`
+/// filter, which takes columns: a bare scan hands out the table's rows
+/// and reads no image.
 #[test]
 fn after_k_appends_under_a_pin_writer_and_reader_scan_their_own_rows() {
     let mut cat = join_catalog(&[(1, 10), (2, 20)]);
@@ -963,6 +1118,10 @@ fn after_k_appends_under_a_pin_writer_and_reader_scan_their_own_rows() {
     let pin = hub.pin();
     let old = cat.relation("E").unwrap().clone();
     let batch = oracle_like().with_exec(ExecMode::Batch);
+    let scan = Plan::Select {
+        input: Box::new(Plan::scan("E")),
+        pred: ScalarExpr::binary(BinOp::Eq, ScalarExpr::lit(1), ScalarExpr::lit(1)),
+    };
     for k in 0..5i64 {
         let (what, append) = APPENDS[k as usize % APPENDS.len()];
         append(
@@ -973,15 +1132,15 @@ fn after_k_appends_under_a_pin_writer_and_reader_scan_their_own_rows() {
         let kept = cat.entry("E").unwrap().image.prefix().map(|b| b.len());
         let before = cat.relation("E").unwrap().len() - 2;
         assert_eq!(kept, Some(before), "{what}: the writer kept its image");
-        let (scan, _) = execute(&Plan::scan("E"), &cat, &batch).unwrap();
+        let (got, _) = execute(&scan, &cat, &batch).unwrap();
         assert_eq!(
-            scan.rows(),
+            got.rows(),
             cat.relation("E").unwrap().rows(),
             "{what}: writer"
         );
         assert_coherent(&cat, what);
-        let (scan, _) = execute(&Plan::scan("E"), pin.catalog(), &batch).unwrap();
-        assert_eq!(scan.rows(), old.rows(), "{what}: the pinned reader's rows");
+        let (got, _) = execute(&scan, pin.catalog(), &batch).unwrap();
+        assert_eq!(got.rows(), old.rows(), "{what}: the pinned reader's rows");
         let pinned = pin.catalog().columnar("E").unwrap();
         assert_same_image(&pinned, &Batch::from_relation(&old), what);
         assert_coherent(pin.catalog(), what);

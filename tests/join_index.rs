@@ -3,8 +3,8 @@
 //! Under `Rules` / `Cost` with batch execution, an inner join on one `Int`
 //! key whose probe side is a bare scan of a base table, and whose build
 //! side has at most 1/8 as many rows as the table has distinct keys, is
-//! driven by the small side through the table's cached single-level trie
-//! instead of hashing (DESIGN §17): the join line reads
+//! driven by the small side through the table's adjacency on the key
+//! column instead of hashing (DESIGN §17): the join line reads
 //! `driven=S, index=E.F`. The rows must be exactly `Off`'s, in the same
 //! order, at every parallelism; every other join — the mirrored plan with
 //! the table as the build side included — must hash. Which path ran is read
@@ -15,7 +15,9 @@ use all_in_one::algebra::{
     db2_like, execute, execute_traced, oracle_like, postgres_like, AggFunc, BinOp, EngineProfile,
     ExecMode, JoinType, Optimizer, Plan, ScalarExpr,
 };
-use all_in_one::storage::{edge_schema, Catalog, DataType, Relation, Row, Schema, Value};
+use all_in_one::storage::{
+    edge_schema, Catalog, DataType, Relation, Row, Schema, Value, WalPolicy,
+};
 use all_in_one::trace::Tracer;
 
 /// `E(F, T, ew)` as a base table with the given `F` keys (`None` = NULL),
@@ -78,7 +80,7 @@ fn best(par: usize) -> EngineProfile {
 }
 
 /// `plan` under `Cost` + `Batch` against `Off` (row mode): two warm-up runs
-/// (joins hash a table twice before one builds its trie), then one traced
+/// (joins hash a table twice before one builds its adjacency), then one traced
 /// run at each of `par` ∈ {1, 2, 8}, each compared row for row and in
 /// order. Returns the join line's annotation, which every traced run must
 /// agree on: `""` when the join hashed.
@@ -141,7 +143,7 @@ fn inputs_large_enough_to_split() {
 
 #[test]
 fn sparse_key_span() {
-    // span ≫ rows: the trie's root keys are found by binary search
+    // span ≫ rows: the adjacency's keys are found by binary search
     let e: Vec<Option<i64>> = (0..120).map(|i| Some((i % 40) * 1_000_003 - 7)).collect();
     let s = [-7, 1_000_003 * 5 - 7, 1_000_003 * 39 - 7, 12, -7];
     let c = catalog(&e, &s);
@@ -182,7 +184,7 @@ fn size_ratio_around_eight() {
 
 /// PageRank's shape: the small side holds every key of the table. It has
 /// 1/8 of the table's rows but as many rows as the table has keys, so a
-/// lookup per row would touch every run of the trie: it hashes.
+/// lookup per row would touch every run of the adjacency: it hashes.
 #[test]
 fn a_side_covering_every_key_hashes() {
     let e: Vec<Option<i64>> = (0..400).map(|i| Some((i * 13) % 50)).collect();
@@ -190,8 +192,8 @@ fn a_side_covering_every_key_hashes() {
     let c = catalog(&e, &s);
     assert_eq!(check(&e_s(), &c, "S covers E.F"), "");
     assert!(
-        c.trie_on("E", &[0]).is_some(),
-        "the trie was built and read"
+        c.join_index_on("E", 0).is_some(),
+        "the adjacency was built and read"
     );
 }
 
@@ -207,15 +209,17 @@ fn two_key_join_falls_back() {
 
 /// A join against a temp table, under `Off`, an outer join, or one with
 /// the table as the build side hashes no matter how often it runs; the
-/// first two eligible joins of a table version hash too, and the third
-/// builds the trie.
+/// first two eligible joins of a table hash too, and the third builds the
+/// adjacency. The rent paid survives an append, and so does the
+/// adjacency: after one, the first eligible join drives; after a delete,
+/// joins rent again.
 #[test]
 fn only_eligible_joins_use_the_trie_and_only_from_the_third() {
     let e: Vec<Option<i64>> = (0..80).map(|i| Some(i % 20)).collect();
-    let c = catalog(&e, &[2, 3]);
-    let joins = |plan: &Plan, profile: &EngineProfile| {
+    let mut c = catalog(&e, &[2, 3]);
+    let joins = |plan: &Plan, profile: &EngineProfile, c: &Catalog| {
         let tracer = Tracer::new();
-        execute_traced(plan, &c, profile, Some(&tracer)).unwrap();
+        execute_traced(plan, c, profile, Some(&tracer)).unwrap();
         let trace = tracer.finish();
         trace
             .spans
@@ -231,19 +235,28 @@ fn only_eligible_joins_use_the_trie_and_only_from_the_third() {
         *kind = JoinType::Left;
     }
     for _ in 0..3 {
-        assert_eq!(joins(&e_s(), &off), [false], "Off hashes");
-        assert_eq!(joins(&s_s, &best(1)), [false], "temp tables hash");
-        assert_eq!(joins(&outer, &best(1)), [false], "outer joins hash");
-        assert_eq!(joins(&s_e(), &best(1)), [false], "a build-side table");
+        assert_eq!(joins(&e_s(), &off, &c), [false], "Off hashes");
+        assert_eq!(joins(&s_s, &best(1), &c), [false], "temp tables hash");
+        assert_eq!(joins(&outer, &best(1), &c), [false], "outer joins hash");
+        assert_eq!(joins(&s_e(), &best(1), &c), [false], "a build-side table");
     }
-    assert!(c.trie_on("E", &[0]).is_none(), "no join paid rent yet");
-    assert_eq!(joins(&e_s(), &best(1)), [false], "first rent");
-    assert_eq!(joins(&e_s(), &best(1)), [false], "second rent");
-    assert!(c.trie_on("E", &[0]).is_none());
-    assert_eq!(joins(&e_s(), &best(1)), [true], "the third builds");
-    assert!(c.trie_on("E", &[0]).is_some());
-    assert_eq!(joins(&e_s(), &best(1)), [true]);
-    assert_eq!(joins(&s_e(), &best(1)), [false], "still hashes");
+    assert!(c.join_index_on("E", 0).is_none(), "no join paid rent yet");
+    assert_eq!(joins(&e_s(), &best(1), &c), [false], "first rent");
+    let row = |f: i64| -> Row { vec![Value::Int(f), Value::Int(0), Value::Float(0.5)].into() };
+    c.insert_rows("E", vec![row(3)], WalPolicy::None).unwrap();
+    assert_eq!(joins(&e_s(), &best(1), &c), [false], "the rent survived");
+    assert!(c.join_index_on("E", 0).is_none());
+    assert_eq!(joins(&e_s(), &best(1), &c), [true], "the third builds");
+    assert_eq!(c.join_index_on("E", 0).map(|a| a.len()), Some(81));
+    c.insert_rows("E", vec![row(2)], WalPolicy::None).unwrap();
+    assert_eq!(joins(&e_s(), &best(1), &c), [true], "kept across an append");
+    assert_eq!(c.join_index_on("E", 0).map(|a| a.len()), Some(82));
+    assert_eq!(joins(&s_e(), &best(1), &c), [false], "still hashes");
+    c.apply_delta("E", Vec::new(), vec![row(2)], WalPolicy::None)
+        .unwrap();
+    assert!(c.join_index_on("E", 0).is_none(), "a delete drops it");
+    assert_eq!(joins(&e_s(), &best(1), &c), [false], "and the rent");
+    assert_eq!(check(&e_s(), &c, "after the writes"), DRIVEN);
 }
 
 /// The paper's systems have no fused MV-join: no paper profile, in row or
