@@ -69,10 +69,13 @@ grep -q "jsonl schema: OK" "$trace_dir/explain.out"
 test -s "$trace_dir/TRACE_pagerank.jsonl"
 test -s "$trace_dir/TRACE_pagerank.json"
 # under the best profile PageRank's step is one operator: the aggregate
-# heading the recursive step must read `fused` (DESIGN §18)
+# heading the recursive step must read `fused`, and the join under it must
+# have run as the pull kernel over E's adjacency on T (DESIGN §18)
 (cd "$trace_dir" && "$repro_bin" explain pagerank --best) |
     tee "$trace_dir/explain_best.out"
 grep -A1 -- "-- rec\[0\]" "$trace_dir/explain_best.out" | grep -q " fused)"
+grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_best.out" |
+    grep "Join\[" | grep -q "pull, index=E.T"
 # and SSSP's frontier join reads `E` through its adjacency on `F` (the
 # join line under the aggregate; DESIGN §17)
 (cd "$trace_dir" && "$repro_bin" explain sssp --best) |

@@ -186,6 +186,7 @@ fn keeps_current(func: AggFunc, cur: &Value, v: &Value) -> bool {
 /// A number the typed kernel aggregates: `i64` (wrapping) or `f64`.
 pub(crate) trait AggNum: Copy + Default + PartialOrd {
     fn add(self, other: Self) -> Self;
+    fn mul(self, other: Self) -> Self;
     fn to_f64(self) -> f64;
     fn column(vals: Vec<Self>, nulls: NullMask) -> ColumnVec;
 }
@@ -193,6 +194,9 @@ pub(crate) trait AggNum: Copy + Default + PartialOrd {
 impl AggNum for i64 {
     fn add(self, other: i64) -> i64 {
         self.wrapping_add(other)
+    }
+    fn mul(self, other: i64) -> i64 {
+        self.wrapping_mul(other)
     }
     fn to_f64(self) -> f64 {
         self as f64
@@ -205,6 +209,9 @@ impl AggNum for i64 {
 impl AggNum for f64 {
     fn add(self, other: f64) -> f64 {
         self + other
+    }
+    fn mul(self, other: f64) -> f64 {
+        self * other
     }
     fn to_f64(self) -> f64 {
         self
@@ -282,8 +289,13 @@ impl<T: AggNum> TypedAcc<T> {
         }
     }
 
+    /// Values folded into each group.
+    pub(crate) fn counts(&self) -> &[i64] {
+        &self.n
+    }
+
     /// Fold group `og` of a later morsel's partial into group `g`.
-    fn merge_group(&mut self, g: usize, other: &Self, og: usize) {
+    pub(crate) fn merge_group(&mut self, g: usize, other: &Self, og: usize) {
         let (v, c) = (other.acc[og], other.n[og]);
         if c == 0 {
             return;

@@ -26,6 +26,7 @@ use crate::error::{AlgebraError, Result};
 use crate::expr::{BinOp, Func, ScalarExpr, UnaryOp};
 use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
+use crate::semiring::Times;
 use crate::stats::ExecStats;
 use aio_storage::{Adjacency, Batch, ColumnVec, FxHashMap, NullMask, Schema, Value, GATHER_NULL};
 use std::borrow::Cow;
@@ -838,6 +839,333 @@ pub(crate) fn driven_join(
     (lidx, ridx)
 }
 
+/// The MV-join `γ_{key; ⊕(a ⊙ b)}(A ⋈ C)` as a pull SpMV (DESIGN §18),
+/// its data checked: the matrix `A` (the join's left input) has a NULL-free
+/// `Int` join key; the vector `C` (its right input) has a NULL-free `Int`
+/// key whose values are unique and direct-addressed ([`HashBuild`]'s
+/// slots); and every term `⊕(a ⊙ b)` has `⊙` ∈ {`*`, `+`} over two NULL-free
+/// `Int` / `Float` columns. [`Pull::run`] folds the terms over the
+/// matrix's adjacency on the group key.
+pub(crate) struct Pull<'a> {
+    /// The matrix's join key per row.
+    keys: &'a [i64],
+    /// The vector row of key `k` is `slots[k - lo]` ([`NO_ROW`]: none).
+    lo: i64,
+    slots: Vec<u32>,
+    /// Every slot holds a vector row.
+    full: bool,
+    /// The matrix's group key per row.
+    group: &'a [i64],
+    terms: Vec<(AggFunc, Times, Operands<'a>)>,
+    /// Matrix and vector rows.
+    rows: [usize; 2],
+}
+
+/// A term `a ⊙ b`'s operands, one a column of the vector and the other of
+/// the matrix, in the type `eval_binary` computes `a ⊙ b` in: `Int` when
+/// both are `Int`, else `Float` (an `Int` operand promoted).
+enum Operands<'a> {
+    Int(Lanes<'a, i64>),
+    Float(Lanes<'a, f64>),
+}
+
+/// The vector operand re-indexed by key slot — slot `s` holds the value of
+/// the vector row `slots[s]` — so a matrix row finds it at its key's slot;
+/// the matrix operand as its column; `swap` when the matrix operand is `a`.
+struct Lanes<'a, T: Clone> {
+    by_slot: Vec<T>,
+    by_row: Cow<'a, [T]>,
+    swap: bool,
+}
+
+/// `vals` (one per vector row) re-indexed by key slot; a slot without a
+/// row holds the zero.
+fn by_slot<T: Copy + Default>(slots: &[u32], vals: &[T]) -> Vec<T> {
+    (slots.iter())
+        .map(|&j| vals.get(j as usize).copied().unwrap_or_default())
+        .collect()
+}
+
+/// The pull kernel's output: the aggregate's result, whether it was typed,
+/// and the join's schema and pair count.
+pub(crate) struct Pulled {
+    pub(crate) out: Batch,
+    pub(crate) typed: bool,
+    schema: Schema,
+    pairs: usize,
+}
+
+/// The group of every matrix row, read off the adjacency on the group key:
+/// row `r`'s group is slot `of[r] - lo` of `len`, and slots ascend with the
+/// key. Over a dense key span `of` is the key column itself and slot `g`
+/// holds key `lo + g`; otherwise `of` numbers each row by its key's run in
+/// ascending key order, and slot `g` holds `keys[g]`.
+struct Groups<'a> {
+    of: Cow<'a, [i64]>,
+    lo: i64,
+    len: usize,
+    keys: Option<Vec<i64>>,
+}
+
+impl<'a> Groups<'a> {
+    fn of(adjacency: &Adjacency, column: &'a [i64]) -> Groups<'a> {
+        if let Some((lo, len)) = adjacency.dense_span() {
+            return Groups {
+                of: Cow::Borrowed(column),
+                lo,
+                len,
+                keys: None,
+            };
+        }
+        let (mut of, mut keys) = (vec![0; column.len()], Vec::new());
+        for (g, (k, [base, tail])) in adjacency.walk().enumerate() {
+            keys.push(k);
+            for &r in base.iter().chain(tail) {
+                of[r as usize] = g as i64;
+            }
+        }
+        Groups {
+            of: Cow::Owned(of),
+            lo: 0,
+            len: keys.len(),
+            keys: Some(keys),
+        }
+    }
+
+    fn key(&self, g: usize) -> i64 {
+        self.keys
+            .as_ref()
+            .map_or(self.lo.wrapping_add(g as i64), |k| k[g])
+    }
+}
+
+impl<'a> Pull<'a> {
+    /// `group`: the matrix's group-key column. `terms`: per aggregate in
+    /// compile order, `⊕`, `⊙` and the two operand columns of the joined
+    /// schema (the matrix's columns first). `None` when the data fails a
+    /// check.
+    pub(crate) fn prepare(
+        matrix: &'a Batch,
+        vector: &'a Batch,
+        keys: &JoinKeys,
+        group: usize,
+        terms: &[(AggFunc, Times, [usize; 2])],
+    ) -> Option<Pull<'a>> {
+        let null_free = |keys: IntKeys<'a>| match keys.as_slice() {
+            [(vals, nulls)] if !nulls.any() => Some(*vals),
+            _ => None,
+        };
+        let fkeys = null_free(int_key_cols(matrix, &keys.left)?)?;
+        let tkeys = null_free(int_key_cols(matrix, &[group])?)?;
+        let ids = int_key_cols(vector, &keys.right)?;
+        null_free(ids.clone())?;
+        let build = HashBuild::new(&ids, vector.len());
+        let Heads::Direct(lo, slots) = build.heads else {
+            return None;
+        };
+        // a key held twice chains
+        if build.next.iter().any(|&n| n != NO_ROW) {
+            return None;
+        }
+        let width = matrix.schema().arity();
+        let column = |b: &'a Batch, c: usize| match b.col(c) {
+            ColumnVec::Int { nulls, .. } | ColumnVec::Float { nulls, .. } if nulls.any() => None,
+            col @ (ColumnVec::Int { .. } | ColumnVec::Float { .. }) => Some(col),
+            ColumnVec::Mixed(_) => None,
+        };
+        let mut pulled = Vec::with_capacity(terms.len());
+        for &(plus, times, [a, b]) in terms {
+            let ok = matches!(plus, AggFunc::Sum | AggFunc::Min | AggFunc::Max)
+                && matches!(times, Times::Op(BinOp::Mul | BinOp::Add));
+            // one operand on each side
+            let swap = a < width;
+            let (m, v) = if swap { (a, b) } else { (b, a) };
+            let v = v.checked_sub(width).filter(|_| ok && m < width)?;
+            let operands = match (column(matrix, m)?, column(vector, v)?) {
+                (ColumnVec::Int { vals: mv, .. }, ColumnVec::Int { vals: vv, .. }) => {
+                    Operands::Int(Lanes {
+                        by_slot: by_slot(&slots, vv),
+                        by_row: Cow::Borrowed(mv),
+                        swap,
+                    })
+                }
+                (mc, vc) => {
+                    let float = |col: &'a ColumnVec| match col {
+                        ColumnVec::Float { vals, .. } => Cow::Borrowed(vals.as_slice()),
+                        ColumnVec::Int { vals, .. } => vals.iter().map(|&x| x as f64).collect(),
+                        ColumnVec::Mixed(_) => unreachable!("checked above"),
+                    };
+                    Operands::Float(Lanes {
+                        by_slot: by_slot(&slots, &float(vc)),
+                        by_row: float(mc),
+                        swap,
+                    })
+                }
+            };
+            pulled.push((plus, times, operands));
+        }
+        Some(Pull {
+            keys: fkeys,
+            lo,
+            full: !slots.contains(&NO_ROW),
+            slots,
+            group: tkeys,
+            terms: pulled,
+            rows: [matrix.len(), vector.len()],
+        })
+    }
+
+    /// The vector row matrix row `r` joins, if any.
+    #[inline]
+    fn slot(&self, r: usize) -> Option<usize> {
+        let j = *self
+            .slots
+            .get(self.keys[r].wrapping_sub(self.lo) as usize)?;
+        (j != NO_ROW).then_some(j as usize)
+    }
+
+    /// Fold every term, matrix row by matrix row in ascending order: row
+    /// `r`, joining vector row `j`, adds `a ⊙ b` at `(r, j)` to its group
+    /// through [`TypedAcc::fold`]; a row joining none adds nothing. A
+    /// group's values thus come in the order of its key's run, ascending
+    /// rows — the order the fused aggregate folds them in, since its pairs
+    /// come in matrix row order, one per matched row, and its groups leave
+    /// in key order — so every group is bit for bit the fused one's. At
+    /// `par` > 1 the rows are cut where the group-by's morsels over the
+    /// pairs would cut them, and the morsels' partials merge in morsel
+    /// order. The groups with a value leave through group-by's finishing
+    /// half: `items` (compiled for grouped evaluation) under `out`, the
+    /// aggregate's schema. Counts what the join over the pairs and the typed
+    /// group-by over them count; `build_ns` (building or extending the
+    /// adjacency) is the join's build phase, the rest its probe phase.
+    pub(crate) fn run(
+        self,
+        adjacency: &Adjacency,
+        build_ns: u64,
+        items: &[ScalarExpr],
+        [joined, out]: [Schema; 2],
+        par: usize,
+        stats: &mut ExecStats,
+    ) -> Result<Pulled> {
+        let probe_start = Instant::now();
+        let [m, v] = self.rows;
+        let groups = Groups::of(adjacency, self.group);
+        // the rows at which each morsel of pairs starts
+        let mut cuts = vec![0, m];
+        if par > 1 && m >= crate::par::MIN_PARALLEL_ROWS {
+            let matched: Vec<usize> = (0..m).filter(|&r| self.slot(r).is_some()).collect();
+            let starts = crate::par::morsel_ranges(matched.len(), par);
+            cuts = starts
+                .iter()
+                .map(|p| matched.get(p.start).map_or(m, |&r| r))
+                .collect();
+            cuts[0] = 0;
+            cuts.push(m);
+        }
+        let accs: Vec<GroupAcc> = (self.terms.iter())
+            .map(|(plus, times, operands)| match operands {
+                Operands::Int(o) => GroupAcc::Int(self.term(*plus, *times, o, &groups, &cuts)),
+                Operands::Float(o) => GroupAcc::Float(self.term(*plus, *times, o, &groups, &cuts)),
+            })
+            .collect();
+        // every term folds one value per matched row
+        let counts = match &accs[0] {
+            GroupAcc::Int(a) => a.counts(),
+            GroupAcc::Float(a) => a.counts(),
+            GroupAcc::Boxed(_) => unreachable!("terms are typed"),
+        };
+        let pairs = counts.iter().sum::<i64>() as usize;
+        let groups: Vec<(Option<i64>, u32)> = (counts.iter().enumerate())
+            .filter(|(_, &n)| n > 0)
+            .map(|(g, _)| (Some(groups.key(g)), g as u32))
+            .collect();
+        stats.joins += 1;
+        stats.rows_scanned += (m + v) as u64;
+        stats.rows_produced += pairs as u64;
+        stats.note_parallel(&crate::par::ParInfo::of(m, par));
+        stats.aggregations += 1;
+        stats.rows_scanned += pairs as u64;
+        stats.note_parallel(&crate::par::ParInfo::of(pairs, par));
+        let (out, typed) = emit(true, &groups, accs, items, out, stats)?;
+        record_phases(JoinPhases {
+            build_ns,
+            probe_ns: probe_start.elapsed().as_nanos() as u64,
+            morsels: 1,
+        });
+        Ok(Pulled {
+            out,
+            typed,
+            schema: joined,
+            pairs,
+        })
+    }
+
+    fn term<T: AggNum>(
+        &self,
+        plus: AggFunc,
+        times: Times,
+        lanes: &Lanes<'_, T>,
+        groups: &Groups<'_>,
+        cuts: &[usize],
+    ) -> TypedAcc<T> {
+        match (times, lanes.swap) {
+            (Times::Op(BinOp::Mul), false) => self.fold(plus, T::mul, lanes, groups, cuts),
+            (Times::Op(BinOp::Mul), true) => self.fold(plus, |x, y| y.mul(x), lanes, groups, cuts),
+            (_, false) => self.fold(plus, T::add, lanes, groups, cuts),
+            (_, true) => self.fold(plus, |x, y| y.add(x), lanes, groups, cuts),
+        }
+    }
+
+    /// `times(x, y)`: `x` the vector operand, `y` the matrix operand.
+    fn fold<T: AggNum>(
+        &self,
+        plus: AggFunc,
+        times: impl Fn(T, T) -> T,
+        lanes: &Lanes<'_, T>,
+        groups: &Groups<'_>,
+        cuts: &[usize],
+    ) -> TypedAcc<T> {
+        let (n, of, lo) = (groups.len, &*groups.of, groups.lo);
+        let (slots, base, full) = (self.slots.as_slice(), self.lo, self.full);
+        let (xs, ys) = (lanes.by_slot.as_slice(), &*lanes.by_row);
+        let mut parts = cuts.windows(2).map(|rows| {
+            let rows = rows[0]..rows[1];
+            let mut part = TypedAcc::new(plus, n);
+            let matrix = self.keys[rows.clone()]
+                .iter()
+                .zip(&of[rows.clone()])
+                .zip(&ys[rows]);
+            part.fold(matrix.filter_map(|((&k, &g), &y)| {
+                let s = k.wrapping_sub(base) as usize;
+                let x = *xs.get(s)?;
+                if !full && slots[s] == NO_ROW {
+                    return None;
+                }
+                Some((g.wrapping_sub(lo) as u32, times(x, y)))
+            }));
+            part
+        });
+        let mut acc = parts.next().expect("at least one morsel");
+        for part in parts {
+            for g in 0..n {
+                acc.merge_group(g, &part, g);
+            }
+        }
+        acc
+    }
+}
+
+impl Pulled {
+    /// The pairs the join stood for.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs
+    }
+
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
+}
+
 /// The 1–2 key columns as borrowed Int slices, or `None` if ineligible.
 type IntKeys<'a> = Vec<(&'a [i64], &'a NullMask)>;
 
@@ -1106,15 +1434,36 @@ pub(crate) fn group_by(
     if !grouping.sorted {
         grouping.groups.sort_unstable_by_key(|g| g.0);
     }
+    let (out, typed) = emit(
+        key.is_some(),
+        &grouping.groups,
+        accs,
+        &c.items,
+        schema,
+        stats,
+    )?;
+    Ok(Some((out, typed && boxed.is_empty())))
+}
 
-    // Output columns: key, aggregates, then the items over them.
-    let n = grouping.groups.len();
-    let live: Vec<u32> = grouping.groups.iter().map(|g| g.1).collect();
-    let key_cols: Vec<Arc<ColumnVec>> = key
-        .map(|_| {
+/// Group-by's finishing half: the output rows are `groups` — `(key, state
+/// slot)`, in output order — and its columns the key (when `keyed`), the
+/// aggregates finished from `accs`, then the post-aggregate `items` over
+/// those two, under `schema`. Counts the groups as rows produced; the flag
+/// is true when every item ran on the column evaluator.
+fn emit(
+    keyed: bool,
+    groups: &[(Option<i64>, u32)],
+    accs: Vec<GroupAcc>,
+    items: &[ScalarExpr],
+    schema: Schema,
+    stats: &mut ExecStats,
+) -> Result<(Batch, bool)> {
+    let n = groups.len();
+    let live: Vec<u32> = groups.iter().map(|g| g.1).collect();
+    let key_cols: Vec<Arc<ColumnVec>> = keyed
+        .then(|| {
             let mut nulls = NullMask::none();
-            let vals = grouping
-                .groups
+            let vals = groups
                 .iter()
                 .enumerate()
                 .map(|(o, g)| {
@@ -1136,8 +1485,7 @@ pub(crate) fn group_by(
         cols: &key_cols,
         aggs: &agg_cols,
     };
-    let mut cols: Vec<Option<Arc<ColumnVec>>> = c
-        .items
+    let mut cols: Vec<Option<Arc<ColumnVec>>> = items
         .iter()
         .map(|item| match item {
             ScalarExpr::BoundCol(k) => key_cols.get(*k).cloned(),
@@ -1154,7 +1502,7 @@ pub(crate) fn group_by(
             let key_row: Vec<Value> = key_cols.iter().map(|col| col.value(g)).collect();
             let agg_row: Vec<Value> = agg_cols.iter().map(|col| col.value(g)).collect();
             for (slot, &item) in vals.iter_mut().zip(&row_major) {
-                slot.push(c.items[item].eval_env(&key_row, &agg_row)?);
+                slot.push(items[item].eval_env(&key_row, &agg_row)?);
             }
         }
         for (&item, vals) in row_major.iter().zip(&vals) {
@@ -1166,8 +1514,7 @@ pub(crate) fn group_by(
         .into_iter()
         .map(|col| col.expect("every item was computed"))
         .collect();
-    let typed = boxed.is_empty() && row_major.is_empty();
-    Ok(Some((Batch::from_columns(schema, cols, n), typed)))
+    Ok((Batch::from_columns(schema, cols, n), row_major.is_empty()))
 }
 
 /// Merge morsel partials into the first one in morsel order, matching

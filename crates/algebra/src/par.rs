@@ -53,6 +53,19 @@ pub struct ParInfo {
 }
 
 impl ParInfo {
+    /// What [`run_morsels`] over `0..len` at `par` does, without running
+    /// it: for an operator that stands in for one and reports its counters.
+    pub fn of(len: usize, par: usize) -> ParInfo {
+        ParInfo::over(&morsel_ranges(len, par), par)
+    }
+
+    fn over(ranges: &[Range<usize>], par: usize) -> ParInfo {
+        ParInfo {
+            threads: par.min(ranges.len()).max(1),
+            morsels: ranges.len() as u64,
+        }
+    }
+
     /// Did this run actually fan out?
     pub fn parallel(&self) -> bool {
         self.threads > 1
@@ -91,10 +104,7 @@ where
     F: Fn(Range<usize>) -> Result<T> + Sync,
 {
     let ranges = morsel_ranges(len, par);
-    let info = ParInfo {
-        threads: par.min(ranges.len()).max(1),
-        morsels: ranges.len() as u64,
-    };
+    let info = ParInfo::over(&ranges, par);
     if info.threads <= 1 {
         let mut out = Vec::with_capacity(ranges.len());
         for r in ranges {

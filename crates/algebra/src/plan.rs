@@ -13,13 +13,15 @@
 //! the kernels' result schemas, the estimator and the optimizer all read
 //! those three.
 
+use crate::agg::AggFunc;
 use crate::batch::{self, BATCH_SIZE};
 use crate::error::Result;
-use crate::expr::ScalarExpr;
+use crate::expr::{BinOp, ScalarExpr};
 use crate::ops;
 use crate::ops::anti_join::AntiJoinImpl;
 use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
 use crate::profile::{AggStrategy, EngineProfile, ExecMode, JoinStrategy, Optimizer};
+use crate::semiring::Times;
 use crate::stats::ExecStats;
 use aio_storage::{Batch, Catalog, Column, ColumnVec, DataType, Relation, Schema, Value};
 
@@ -278,6 +280,91 @@ pub(crate) fn joined<'s>(inputs: impl IntoIterator<Item = &'s Schema>) -> Schema
     Schema::new(cols.collect())
 }
 
+/// The paper's MV-join, `γ_{key; ⊕(a ⊙ b)}(A ⋈ C)` (§4.1, Eqs. 2–4), as a
+/// plan shape: an aggregate directly over an inner, residual-free, one-key
+/// join, whose left input is the matrix `A` and right input the vector `C`.
+/// The one recogniser of the shape: [`Evaluator::fuses`] runs it as one
+/// operator (DESIGN §18), and the pull kernel folds it straight off the
+/// matrix's adjacency when its group key is one column and every aggregate
+/// is a semiring term ([`MvShape::terms`]).
+#[derive(Clone, Copy)]
+pub(crate) struct MvShape<'p> {
+    group_by: &'p [String],
+    items: &'p [(ScalarExpr, String)],
+    matrix: &'p Plan,
+}
+
+/// One aggregate of an MV-join: `⊕(a ⊙ b)` over two columns.
+struct Term<'p> {
+    plus: AggFunc,
+    times: Times,
+    operands: [&'p str; 2],
+}
+
+impl<'p> MvShape<'p> {
+    pub(crate) fn of(plan: &'p Plan) -> Option<MvShape<'p>> {
+        let Plan::Aggregate {
+            input,
+            group_by,
+            items,
+        } = plan
+        else {
+            return None;
+        };
+        match &**input {
+            Plan::Join {
+                left,
+                on,
+                residual: None,
+                kind: JoinType::Inner,
+                ..
+            } if on.len() == 1 => Some(MvShape {
+                group_by,
+                items,
+                matrix: left,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The aggregates in the order `group_by` compiles them (items in
+    /// order, each in pre-order), when there is one and each is `⊕(a ⊙ b)`
+    /// with `⊕` ∈ {`sum`, `min`, `max`} and `⊙` ∈ {`*`, `+`} over two
+    /// columns.
+    fn terms(&self) -> Option<Vec<Term<'p>>> {
+        fn walk<'e>(e: &'e ScalarExpr, out: &mut Vec<Option<Term<'e>>>) {
+            match e {
+                ScalarExpr::Agg(plus, arg) => out.push(match (plus, Times::of(arg)) {
+                    (
+                        AggFunc::Sum | AggFunc::Min | AggFunc::Max,
+                        Some((
+                            times @ Times::Op(BinOp::Mul | BinOp::Add),
+                            ScalarExpr::Col(a),
+                            ScalarExpr::Col(b),
+                        )),
+                    ) => Some(Term {
+                        plus: *plus,
+                        times,
+                        operands: [a, b],
+                    }),
+                    _ => None,
+                }),
+                ScalarExpr::Unary(_, x) => walk(x, out),
+                ScalarExpr::Binary(_, l, r) => {
+                    walk(l, out);
+                    walk(r, out);
+                }
+                ScalarExpr::Func(_, args) => args.iter().for_each(|a| walk(a, out)),
+                _ => {}
+            }
+        }
+        let mut terms = Vec::new();
+        self.items.iter().for_each(|(e, _)| walk(e, &mut terms));
+        (!terms.is_empty()).then_some(())?;
+        terms.into_iter().collect()
+    }
+}
+
 /// The span name and short label for each operator, used by the traced
 /// evaluator and the EXPLAIN renderer. The name doubles as the span name,
 /// so it must be `'static`.
@@ -389,7 +476,7 @@ impl<'a> Evaluator<'a> {
     /// only on a batch-mode project / aggregate, `fused` on an aggregate
     /// that read its join's pairs). `takes`: what the node's consumer takes
     /// from it ([`Takes`]).
-    fn eval(&mut self, plan: &Plan, takes: Takes) -> Result<Data> {
+    fn eval<'p>(&mut self, plan: &'p Plan, takes: Takes<'p>) -> Result<Data> {
         let span = self.tracer.map(|t| {
             let node = self.node_seq;
             self.node_seq += 1;
@@ -435,6 +522,7 @@ impl<'a> Evaluator<'a> {
                 Data::Rows(r) => r.approx_bytes(),
                 Data::Cols(b) => b.approx_bytes(),
                 Data::Joined(j) => j.approx_bytes(),
+                Data::Pulled(p) => p.out.approx_bytes(),
             };
             if let Some(n) = batches {
                 aio_metrics::hooks::batches(n, bytes);
@@ -485,7 +573,7 @@ impl<'a> Evaluator<'a> {
     /// table's rows, sharing its chunks, in either mode, and an identity
     /// projection over rows renames them: neither builds an image or a row.
     /// `takes` as for [`Evaluator::eval`].
-    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>, takes: Takes) -> Result<Data> {
+    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>, takes: Takes<'_>) -> Result<Data> {
         let columnar = self.profile.exec == ExecMode::Batch;
         let par = self.profile.effective_parallelism();
         let mut inputs = inputs.into_iter();
@@ -494,7 +582,7 @@ impl<'a> Evaluator<'a> {
             Plan::Scan { table, alias } => {
                 let rel = self.catalog.relation(table)?;
                 self.stats.rows_scanned += rel.len() as u64;
-                Ok(if columnar && takes != Takes::Rows {
+                Ok(if columnar && !matches!(takes, Takes::Rows) {
                     // the catalog's cached image, shared under this scan's
                     // qualifier — never a transposition of its own
                     let image = self.catalog.columnar(table)?;
@@ -554,7 +642,13 @@ impl<'a> Evaluator<'a> {
                 group_by, items, ..
             } => {
                 let agg = self.profile.agg;
-                let mut input = next();
+                let mut input = match next() {
+                    Data::Pulled(pulled) => {
+                        (self.typed, self.fused) = (Some(pulled.typed), true);
+                        return Ok(Data::Cols(pulled.out));
+                    }
+                    input => input,
+                };
                 if let Data::Joined(joined) = &input {
                     // fused: group only the columns the aggregate reads
                     if let Some(cols) = reads(joined.schema(), group_by, items) {
@@ -613,12 +707,19 @@ impl<'a> Evaluator<'a> {
                     let keys = JoinKeys::resolve_schemas(lb.schema(), rb.schema(), on)?;
                     if !keys.left.is_empty() {
                         let found = match self.driven_join(left, &lb, &rb, &keys, *kind)? {
-                            None => batch::hash_join(&lb, &rb, &keys, *kind, par, &mut self.stats)?,
+                            None => {
+                                if let Takes::Pairs(shape) = takes {
+                                    if let Some(pulled) = self.pull(shape, &lb, &rb, &keys)? {
+                                        return Ok(Data::Pulled(pulled));
+                                    }
+                                }
+                                batch::hash_join(&lb, &rb, &keys, *kind, par, &mut self.stats)?
+                            }
                             driven => driven,
                         };
                         if let Some(found) = found {
                             let joined = batch::Joined::new(lb, rb, found);
-                            return Ok(if takes == Takes::Pairs {
+                            return Ok(if matches!(takes, Takes::Pairs(_)) {
                                 Data::Joined(joined)
                             } else {
                                 Data::Cols(joined.gather())
@@ -763,6 +864,65 @@ impl<'a> Evaluator<'a> {
         Ok(Some(pairs))
     }
 
+    /// The MV-join as a pull SpMV (DESIGN §18), for the join under a fused
+    /// aggregate `shape` that no small side drives: when the matrix is a
+    /// bare scan of a base table, the group key one of its columns and
+    /// every aggregate a semiring term ([`MvShape::terms`]), the data
+    /// passes [`batch::Pull::prepare`] and the table's adjacency on the
+    /// group key is served (`Catalog::join_index`, rent included), the
+    /// groups are folded off that adjacency and no pair is built. `None`
+    /// leaves the join to the fused path, with nothing counted.
+    fn pull(
+        &mut self,
+        shape: MvShape<'_>,
+        lb: &Batch,
+        rb: &Batch,
+        keys: &JoinKeys,
+    ) -> Result<Option<batch::Pulled>> {
+        let (Plan::Scan { table, .. }, [key], Some(terms)) =
+            (shape.matrix, shape.group_by, shape.terms())
+        else {
+            return Ok(None);
+        };
+        let schema = lb.schema().join(rb.schema());
+        let at = |name: &str| schema.index_of(name).ok();
+        let Some(group) = at(key).filter(|&g| g < lb.schema().arity()) else {
+            return Ok(None);
+        };
+        let resolved: Option<Vec<_>> = (terms.iter())
+            .map(|t| Some((t.plus, t.times, [at(t.operands[0])?, at(t.operands[1])?])))
+            .collect();
+        let Some(resolved) = resolved else {
+            return Ok(None);
+        };
+        // an error here is the fused path's to report
+        let Ok(compiled) = ops::groupby::compile(&schema, Some(&[group]), shape.items) else {
+            return Ok(None);
+        };
+        let Some(pull) = batch::Pull::prepare(lb, rb, keys, group, &resolved) else {
+            return Ok(None);
+        };
+        let Some((index, build_ns)) = self.catalog.join_index(table, group)? else {
+            return Ok(None);
+        };
+        if self.tracer.is_some() {
+            let name = &lb.schema().columns()[group].name;
+            self.join_index = Some(format!("pull, index={table}.{name}"));
+        }
+        let out = schema_of_items(shape.items, &schema);
+        let par = self.profile.effective_parallelism();
+        let schemas = [schema, out];
+        let pulled = pull.run(
+            &index,
+            build_ns,
+            &compiled.items,
+            schemas,
+            par,
+            &mut self.stats,
+        )?;
+        Ok(Some(pulled))
+    }
+
     /// What `plan` takes from its children, given what its own consumer
     /// takes: a fused aggregate its join's pairs; a row-only operator rows
     /// — every operator without a column kernel, and a join the batch hash
@@ -772,9 +932,9 @@ impl<'a> Evaluator<'a> {
     /// columns where its kernel produces them. Decided from the plan and
     /// the profile alone, so a traced and an untraced run take the same
     /// shapes.
-    fn takes_from(&self, plan: &Plan, takes: Takes) -> Takes {
-        if self.fuses(plan) {
-            return Takes::Pairs;
+    fn takes_from<'p>(&self, plan: &'p Plan, takes: Takes<'p>) -> Takes<'p> {
+        if let Some(shape) = self.fuses(plan) {
+            return Takes::Pairs(shape);
         }
         let rows = match plan {
             Plan::Window { .. }
@@ -790,7 +950,7 @@ impl<'a> Evaluator<'a> {
             // only a batch scan tells rows from columns: the row engine
             // need not resolve the input's schema ahead of evaluating it
             Plan::Project { input, items } => {
-                takes == Takes::Rows
+                matches!(takes, Takes::Rows)
                     && self.profile.exec == ExecMode::Batch
                     && input
                         .schema(self.catalog)
@@ -806,25 +966,16 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Does `plan` run as one operator with the join under it (DESIGN §18)?
-    /// An aggregate over an inner, residual-free, one-key join, under
-    /// `Rules` / `Cost` with batch execution and the hash join and hash
-    /// aggregation: the join hands the aggregate its pairs, and the
-    /// aggregate gathers only the columns it reads. `Off` — every paper
+    /// An MV-join ([`MvShape`]) under `Rules` / `Cost` with batch execution
+    /// and the hash join and hash aggregation: the join hands the aggregate
+    /// its pairs, or its groups already folded ([`Evaluator::pull`]), and
+    /// the aggregate gathers only the columns it reads. `Off` — every paper
     /// profile — keeps two operators.
-    fn fuses(&self, plan: &Plan) -> bool {
+    fn fuses<'p>(&self, plan: &'p Plan) -> Option<MvShape<'p>> {
         let p = self.profile;
-        let Plan::Aggregate { input, .. } = plan else {
-            return false;
-        };
-        let Plan::Join {
-            on, residual, kind, ..
-        } = &**input
-        else {
-            return false;
-        };
-        let join = on.len() == 1 && residual.is_none() && *kind == JoinType::Inner;
         let hash = p.join == JoinStrategy::Hash && p.agg == AggStrategy::Hash;
-        join && hash && p.optimizer != Optimizer::Off && p.exec == ExecMode::Batch
+        let on = hash && p.optimizer != Optimizer::Off && p.exec == ExecMode::Batch;
+        on.then(|| MvShape::of(plan)).flatten()
     }
 
     /// The stored sort order on `cols` that can serve a join input: only
@@ -840,16 +991,16 @@ impl<'a> Evaluator<'a> {
 }
 
 /// What a node's consumer takes from it ([`Evaluator::takes_from`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Takes {
+#[derive(Clone, Copy)]
+enum Takes<'p> {
     /// Columns, where the node's kernel produces them.
     Cols,
     /// Rows: the root, a row-only operator, or an identity projection that
     /// passes rows on. A scan then hands out the table's own rows.
     Rows,
-    /// The join's pairs: the node is a join under a fused aggregate
-    /// (DESIGN §18).
-    Pairs,
+    /// The join's pairs, or the groups the pull kernel folds: the node is
+    /// the join under the fused aggregate `MvShape` (DESIGN §18).
+    Pairs(MvShape<'p>),
 }
 
 /// Is `items` over `input` the identity — every column, in order, under any
@@ -886,11 +1037,12 @@ fn reads(schema: &Schema, keys: &[String], items: &[(ScalarExpr, String)]) -> Op
 /// are the only row⇄column transposes in the evaluator, and both are
 /// exact, so mixing the two shapes inside one plan cannot change results.
 /// A batch join under a fused aggregate hands it the join's pairs, not yet
-/// gathered (DESIGN §18).
+/// gathered, or the aggregate's groups the pull kernel folded (DESIGN §18).
 pub(crate) enum Data {
     Rows(Relation),
     Cols(Batch),
     Joined(batch::Joined),
+    Pulled(batch::Pulled),
 }
 
 impl Data {
@@ -899,6 +1051,7 @@ impl Data {
             Data::Rows(r) => r.len(),
             Data::Cols(b) => b.len(),
             Data::Joined(j) => j.len(),
+            Data::Pulled(p) => p.len(),
         }
     }
 
@@ -907,6 +1060,7 @@ impl Data {
             Data::Rows(r) => r.schema(),
             Data::Cols(b) => b.schema(),
             Data::Joined(j) => j.schema(),
+            Data::Pulled(p) => p.schema(),
         }
     }
 
@@ -915,7 +1069,9 @@ impl Data {
         match self {
             Data::Rows(r) => out.extend_from_slice(&r[i]),
             Data::Cols(b) => out.extend(b.columns().iter().map(|c| c.value(i))),
-            Data::Joined(_) => unreachable!("a join's pairs go only to its fused aggregate"),
+            Data::Joined(_) | Data::Pulled(_) => {
+                unreachable!("a join's pairs go only to its fused aggregate")
+            }
         }
     }
 
@@ -924,6 +1080,7 @@ impl Data {
             Data::Rows(r) => Batch::from_relation(&r),
             Data::Cols(b) => b,
             Data::Joined(j) => j.gather(),
+            Data::Pulled(_) => unreachable!("pulled groups go only to their aggregate"),
         }
     }
 

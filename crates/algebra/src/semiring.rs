@@ -26,6 +26,21 @@ impl Times {
             Times::Least => ScalarExpr::Func(Func::Least, vec![l, r]),
         }
     }
+
+    /// `(⊙, l, r)` of an expression [`Times::expr`] builds, `⊙` an
+    /// arithmetic operator or `least`; `None` for any other shape.
+    pub fn of(e: &ScalarExpr) -> Option<(Times, &ScalarExpr, &ScalarExpr)> {
+        use BinOp::{Add, Div, Mod, Mul, Sub};
+        match e {
+            ScalarExpr::Binary(op @ (Add | Sub | Mul | Div | Mod), l, r) => {
+                Some((Times::Op(*op), l, r))
+            }
+            ScalarExpr::Func(Func::Least, args) if args.len() == 2 => {
+                Some((Times::Least, &args[0], &args[1]))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A semiring instance: `⊕` is an aggregate, `⊙` a binary scalar operation.
@@ -132,6 +147,18 @@ mod tests {
                 sr.name
             );
         }
+    }
+
+    #[test]
+    fn times_of_inverts_expr() {
+        let (l, r) = (ScalarExpr::col("P.W"), ScalarExpr::col("E.ew"));
+        for sr in [&BOOLEAN, &TROPICAL, &COUNTING, &MIN_MUL, &MAX_MIN] {
+            let e = sr.times.expr(l.clone(), r.clone());
+            assert_eq!(Times::of(&e), Some((sr.times, &l, &r)), "{}", sr.name);
+        }
+        let cmp = ScalarExpr::binary(BinOp::Lt, l.clone(), r.clone());
+        assert_eq!(Times::of(&cmp), None);
+        assert_eq!(Times::of(&l), None);
     }
 
     #[test]

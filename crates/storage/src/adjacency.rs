@@ -142,11 +142,6 @@ impl Csr {
         self.rows.is_empty()
     }
 
-    /// Was this built by the counting sort (a dense key span)?
-    pub fn is_dense(&self) -> bool {
-        matches!(self.keys, Keys::Dense { .. })
-    }
-
     fn slot(&self, k: i64) -> Option<usize> {
         match &self.keys {
             Keys::Dense { min, max } => (*min..=*max)
@@ -233,23 +228,54 @@ impl Adjacency {
     /// The rows holding `k`: the base's run, then the tail's, together
     /// ascending (every tail row comes after every base row).
     pub fn runs_of(&self, k: i64) -> [&[u32]; 2] {
-        let tail = match self.tail.len {
-            0 => &[][..],
-            _ => self.tail.runs.get(&k).map_or(&[][..], Vec::as_slice),
+        [self.base.run(k), self.tail_run(k)]
+    }
+
+    fn tail_run(&self, k: i64) -> &[u32] {
+        match self.tail.len {
+            0 => &[],
+            _ => self.tail.runs.get(&k).map_or(&[], Vec::as_slice),
+        }
+    }
+
+    /// `(min, span)` when every key held lies in `min..min + span` and
+    /// the base addresses that span directly (the counting-sort build):
+    /// key `k`'s slot is then `k - min`, ascending with the key. `None`
+    /// for sorted distinct keys, or a tail key outside the span.
+    pub fn dense_span(&self) -> Option<(i64, usize)> {
+        let Keys::Dense { min, max } = self.base.keys else {
+            return None;
         };
-        [self.base.run(k), tail]
+        let inside = |k: &i64| (min..=max).contains(k);
+        let tail = self.tail.new_keys == 0 || self.tail.runs.keys().all(inside);
+        tail.then(|| (min, max.abs_diff(min) as usize + 1))
+    }
+
+    /// Every key holding rows, ascending, with its rows as
+    /// [`Adjacency::runs_of`] gives them: the base's keys in run order,
+    /// merged with the few only the tail holds.
+    pub fn walk(&self) -> impl Iterator<Item = (i64, [&[u32]; 2])> + '_ {
+        let mut fresh: Vec<i64> = match self.tail.new_keys {
+            0 => Vec::new(),
+            _ => (self.tail.runs.keys().copied())
+                .filter(|&k| self.base.run(k).is_empty())
+                .collect(),
+        };
+        fresh.sort_unstable();
+        let (mut base, mut fresh) = (self.base.runs().peekable(), fresh.into_iter().peekable());
+        std::iter::from_fn(move || match (base.peek(), fresh.peek()) {
+            (Some(&(b, _)), Some(&f)) if f < b => {
+                fresh.next().map(|k| (k, [&[][..], self.tail_run(k)]))
+            }
+            (Some(_), _) => base.next().map(|(k, run)| (k, [run, self.tail_run(k)])),
+            (None, _) => fresh.next().map(|k| (k, [&[][..], self.tail_run(k)])),
+        })
     }
 
     /// Every key holding rows, ascending, with all its rows (base and
     /// tail): what [`Csr::build`] over the same keys lists.
     pub fn runs(&self) -> Vec<(i64, Vec<u32>)> {
-        let mut keys: Vec<i64> = self.base.runs().map(|(k, _)| k).collect();
-        keys.extend(self.tail.runs.keys());
-        keys.sort_unstable();
-        keys.dedup();
-        keys.into_iter()
-            .map(|k| (k, self.runs_of(k).concat()))
-            .collect()
+        self.walk().map(|(k, run)| (k, run.concat())).collect()
     }
 
     /// Cover all of `keys`, the key column of a table whose first `len()`
@@ -415,6 +441,11 @@ impl AdjacencyCache {
 mod tests {
     use super::*;
 
+    /// Was `csr` built by the counting sort (a dense key span)?
+    fn is_dense(csr: &Csr) -> bool {
+        matches!(csr.keys, Keys::Dense { .. })
+    }
+
     fn runs(csr: &Csr) -> Vec<(i64, Vec<u32>)> {
         csr.runs().map(|(k, r)| (k, r.to_vec())).collect()
     }
@@ -423,7 +454,7 @@ mod tests {
     fn dense_and_sparse_builds_list_the_same_runs() {
         let keys = [3, 1, 2, 1, 3, 3, 7];
         let (dense, sorted) = (Csr::build(&keys), Csr::build_sorted(&keys));
-        assert!(dense.is_dense() && !sorted.is_dense());
+        assert!(is_dense(&dense) && !is_dense(&sorted));
         let want = vec![
             (1, vec![1, 3]),
             (2, vec![2]),
@@ -444,13 +475,13 @@ mod tests {
     fn extreme_spans_fall_back_to_sorted_keys() {
         let keys = [i64::MAX, i64::MIN, 0, i64::MIN];
         let csr = Csr::build(&keys);
-        assert!(!csr.is_dense());
+        assert!(!is_dense(&csr));
         assert_eq!(csr.run(i64::MIN), [1, 3]);
         assert_eq!(csr.run(i64::MAX), [0]);
         // a dense block at the top of the range: no slot wraps around
         let top = [i64::MAX, i64::MAX - 1, i64::MAX];
         let csr = Csr::build(&top);
-        assert!(csr.is_dense());
+        assert!(is_dense(&csr));
         assert_eq!(csr.run(i64::MAX), [0, 2]);
         assert!(csr.run(i64::MIN).is_empty() && csr.run(i64::MIN + 1).is_empty());
         assert!(Csr::build(&[]).is_empty());
@@ -473,8 +504,14 @@ mod tests {
             [&[3, 13, 23, 33, 43, 53, 63][..], &[64, 67]]
         );
         assert_eq!(adj.runs(), runs(&Csr::build(&keys)));
+        assert_eq!(
+            adj.dense_span(),
+            None,
+            "11 and 12 lie past the base's 0..=9"
+        );
         keys.push(5);
         assert!(adj.extend(&keys), "the ninth row rebuilds");
+        assert_eq!(adj.dense_span(), Some((0, 13)));
         assert_eq!((adj.tail_len(), adj.base().len()), (0, 73));
         assert_eq!(adj.runs(), runs(&Csr::build(&keys)));
     }

@@ -194,7 +194,7 @@ pub(crate) mod codec {
     /// LEB128 varint: integers dominate graph workloads (edge endpoints),
     /// and small ids cost 1–3 bytes instead of a fixed 8. Used for row
     /// arity and (zigzag-mapped) `Value::Int` payloads.
-    pub fn put_varu(buf: &mut Vec<u8>, mut v: u64) {
+    pub(super) fn put_varu(buf: &mut Vec<u8>, mut v: u64) {
         while v >= 0x80 {
             buf.push((v as u8) | 0x80);
             v >>= 7;
@@ -203,20 +203,20 @@ pub(crate) mod codec {
     }
 
     /// Zigzag map so small negative ints stay small: 0,-1,1,-2 → 0,1,2,3.
-    pub fn zigzag(i: i64) -> u64 {
+    pub(super) fn zigzag(i: i64) -> u64 {
         ((i << 1) ^ (i >> 63)) as u64
     }
 
-    pub fn unzigzag(v: u64) -> i64 {
+    pub(super) fn unzigzag(v: u64) -> i64 {
         ((v >> 1) as i64) ^ -((v & 1) as i64)
     }
 
-    pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    pub(super) fn put_str(buf: &mut Vec<u8>, s: &str) {
         put_u32(buf, s.len() as u32);
         buf.extend_from_slice(s.as_bytes());
     }
 
-    pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
+    pub(super) fn put_value(buf: &mut Vec<u8>, v: &Value) {
         match v {
             Value::Null => buf.push(0),
             Value::Int(i) => {
@@ -234,7 +234,7 @@ pub(crate) mod codec {
         }
     }
 
-    pub fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl RowList<'a>) {
+    pub(super) fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl RowList<'a>) {
         let rows = rows.into_iter();
         put_u32(buf, rows.len() as u32);
         for r in rows {
@@ -245,7 +245,7 @@ pub(crate) mod codec {
         }
     }
 
-    pub fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
+    pub(super) fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
         let cols = schema.columns();
         put_u32(buf, cols.len() as u32);
         for c in cols {
@@ -266,7 +266,7 @@ pub(crate) mod codec {
         }
     }
 
-    pub fn put_pk(buf: &mut Vec<u8>, pk: Option<&[usize]>) {
+    pub(super) fn put_pk(buf: &mut Vec<u8>, pk: Option<&[usize]>) {
         match pk {
             None => buf.push(0),
             Some(cols) => {
@@ -320,7 +320,7 @@ pub(crate) mod codec {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
         }
 
-        pub fn varu(&mut self) -> std::result::Result<u64, String> {
+        pub(super) fn varu(&mut self) -> std::result::Result<u64, String> {
             let mut v = 0u64;
             let mut shift = 0u32;
             loop {
@@ -624,7 +624,7 @@ fn done(d: codec::Dec<'_>, rec: WalRecord) -> std::result::Result<WalRecord, Str
 }
 
 /// Wrap `payload` in a `len + crc` frame and append it to `buf`.
-pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);

@@ -6,8 +6,13 @@
 //! (EXPLAIN ANALYZE marks it `fused`). Its rows must be those of the two
 //! unfused operators (`Off` + `Batch`) and of the row engine (`Off`), floats
 //! to the bit, at every parallelism, with the counters of the unfused run
-//! that uses the same pair producer. The fixpoints built on it — PageRank,
-//! SSSP, WCC — must match `Off` after every iteration.
+//! that uses the same pair producer. When every aggregate is a semiring
+//! term over NULL-free columns, the vector's keys are unique and the table
+//! has paid rent on the group key, the pull kernel folds the groups off
+//! the table's adjacency instead (the join line reads `pull, index=E.T`):
+//! the same rows and counters again, and those of the fused runs that paid
+//! the rent. The fixpoints built on it — PageRank, SSSP, WCC — must match
+//! `Off` after every iteration.
 
 use all_in_one::algebra::explain::render_analyzed;
 use all_in_one::algebra::{
@@ -16,7 +21,10 @@ use all_in_one::algebra::{
 };
 use all_in_one::algos::common::{db_for, EdgeStyle};
 use all_in_one::algos::{pagerank, sssp, wcc};
-use all_in_one::storage::{edge_schema, Catalog, DataType, Relation, Row, Schema, Value};
+use all_in_one::storage::adjacency::JOIN_INDEX_RENT;
+use all_in_one::storage::{
+    edge_schema, Catalog, DataType, Relation, Row, Schema, Value, WalPolicy,
+};
 use all_in_one::trace::Tracer;
 
 /// `E(F, T, ew)` as a base table and `S(ID, k, vw)` as a temp table, with
@@ -118,7 +126,12 @@ fn counters(s: &ExecStats) -> [i64; 6] {
 /// plus what the aggregate adds under `Off`. Returns the join line's path
 /// annotation (`""` when it hashed).
 fn check(c: &Catalog, group: &str, what: &str) -> String {
-    let plan = mv_join(group);
+    check_plan(c, &mv_join(group), &format!("{what}, group by {group}"))
+}
+
+/// [`check`] for any aggregate over [`join`].
+fn check_plan(c: &Catalog, plan: &Plan, what: &str) -> String {
+    let plan = plan.clone();
     for _ in 0..2 {
         execute(&plan, c, &best(1)).unwrap();
     }
@@ -130,7 +143,7 @@ fn check(c: &Catalog, group: &str, what: &str) -> String {
         let (pair, pair_stats) = execute(&plan, c, &unfused).unwrap();
         let tracer = Tracer::new();
         let (got, stats) = execute_traced(&plan, c, &best(par), Some(&tracer)).unwrap();
-        let ctx = format!("{what}, group by {group}, par={par}");
+        let ctx = format!("{what}, par={par}");
         assert_eq!(bits(&pair), bits(&want), "{ctx}: unfused vs Off");
         assert_eq!(bits(&got), bits(&want), "{ctx}: fused vs Off");
         assert_eq!(got.schema(), want.schema(), "{ctx}");
@@ -265,4 +278,330 @@ fn fixpoints_match_off_after_every_iteration() {
             assert_eq!(bits(g), bits(w), "{name}: iteration {it}");
         }
     }
+}
+
+// -- the pull kernel --------------------------------------------------------
+
+const PULL: &str = "pull, index=E.T";
+
+type Edges = Vec<(Option<i64>, Option<i64>, f64)>;
+type Ids = Vec<(Option<i64>, i64, f64)>;
+
+/// `E(F, T, ew)` as a base table and `S(ID, k, vw)` as a temp table, every
+/// column NULL-free unless a key is `None`.
+fn pull_catalog(e: &Edges, s: &Ids) -> Catalog {
+    let (e, s) = relations(e, s);
+    let mut c = Catalog::new();
+    c.create_table("E", e).unwrap();
+    c.create_temp("S", s).unwrap();
+    c
+}
+
+fn relations(e: &Edges, s: &Ids) -> (Relation, Relation) {
+    let key = |k: Option<i64>| k.map_or(Value::Null, Value::Int);
+    let mut er = Relation::new(edge_schema());
+    for &(f, t, ew) in e {
+        let row: Row = vec![key(f), key(t), Value::Float(ew)].into();
+        er.push(row).unwrap();
+    }
+    let mut sr = Relation::new(Schema::of(&[
+        ("ID", DataType::Int),
+        ("k", DataType::Int),
+        ("vw", DataType::Float),
+    ]));
+    for &(id, k, vw) in s {
+        let row: Row = vec![key(id), Value::Int(k), Value::Float(vw)].into();
+        sr.push(row).unwrap();
+    }
+    (er, sr)
+}
+
+/// `n` edges: `F` cycles through `0..f_span`, and `t(i, F)` picks `T`.
+fn edges(n: i64, f_span: i64, t: impl Fn(i64, i64) -> i64) -> Edges {
+    (0..n)
+        .map(|i| {
+            let f = (i * 7) % f_span;
+            (Some(f), Some(t(i, f)), (i % 11) as f64 * 0.37 - 1.1)
+        })
+        .collect()
+}
+
+/// The vector `S`: one row per id in `ids`, in reverse.
+fn vector(ids: std::ops::Range<i64>) -> Ids {
+    ids.rev()
+        .map(|id| (Some(id), id % 4, 0.5 + id as f64 / 3.0))
+        .collect()
+}
+
+/// `γ_{E.T}` of `sum`, `min` and `max` over `S.vw ⊙ E.ew` under `*` and
+/// `+`, operands either way round, an `Int ⊙ Int` and an `Int ⊙ Float`
+/// term, and PageRank's post-aggregate item `c * sum(..) + (1 - c) / n`.
+fn semiring_terms() -> Plan {
+    let pagerank = ScalarExpr::binary(
+        BinOp::Add,
+        ScalarExpr::binary(
+            BinOp::Mul,
+            ScalarExpr::lit(0.85),
+            agg(AggFunc::Sum, BinOp::Mul, "S.vw", "E.ew"),
+        ),
+        ScalarExpr::binary(
+            BinOp::Div,
+            ScalarExpr::binary(BinOp::Sub, ScalarExpr::lit(1.0), ScalarExpr::lit(0.85)),
+            ScalarExpr::lit(60.0),
+        ),
+    );
+    Plan::Aggregate {
+        input: Box::new(join()),
+        group_by: vec!["E.T".into()],
+        items: vec![
+            (col("E.T"), "g".into()),
+            (agg(AggFunc::Sum, BinOp::Mul, "S.vw", "E.ew"), "s".into()),
+            (agg(AggFunc::Sum, BinOp::Add, "E.ew", "S.vw"), "sa".into()),
+            (agg(AggFunc::Min, BinOp::Add, "S.vw", "E.ew"), "lo".into()),
+            (agg(AggFunc::Min, BinOp::Mul, "E.ew", "S.vw"), "lm".into()),
+            (agg(AggFunc::Max, BinOp::Mul, "E.ew", "S.vw"), "hi".into()),
+            (agg(AggFunc::Max, BinOp::Add, "S.vw", "E.ew"), "ha".into()),
+            (pagerank, "pr".into()),
+            (agg(AggFunc::Sum, BinOp::Add, "E.F", "S.k"), "si".into()),
+            (agg(AggFunc::Min, BinOp::Mul, "S.k", "E.ew"), "mk".into()),
+        ],
+    }
+}
+
+/// One traced run: the rows, the counters and the join line.
+fn traced(plan: &Plan, c: &Catalog, profile: &EngineProfile) -> (Relation, ExecStats, String) {
+    let tracer = Tracer::new();
+    let (rel, stats) = execute_traced(plan, c, profile, Some(&tracer)).unwrap();
+    let trace = tracer.finish();
+    let spans: Vec<_> = trace.spans.iter().collect();
+    let report = render_analyzed(plan, &spans, false);
+    let join = report.lines().nth(1).unwrap().to_string();
+    (rel, stats, join)
+}
+
+/// On a fresh catalog from `fresh`, at `par` ∈ {1, 2, 4}: the first
+/// [`JOIN_INDEX_RENT`] runs of `plan` under `Cost` + `Batch` take the fused
+/// path while `E` pays rent on `T`, and the next one pulls — with the fused
+/// runs' rows, floats by bits, and counters. Returns the last catalog.
+fn pull_matches_fused(fresh: impl Fn() -> Catalog, plan: &Plan, what: &str) -> Catalog {
+    let mut warm = None;
+    for par in [1, 2, 4] {
+        let c = fresh();
+        let ctx = format!("{what}, par={par}");
+        let (fused, fused_stats, line) = traced(plan, &c, &best(par));
+        assert!(!line.contains("pull"), "{ctx}: paying rent: {line}");
+        for _ in 1..JOIN_INDEX_RENT {
+            let (again, _, line) = traced(plan, &c, &best(par));
+            assert!(!line.contains("pull"), "{ctx}: still paying rent: {line}");
+            assert_eq!(bits(&again), bits(&fused), "{ctx}");
+        }
+        let (pulled, stats, line) = traced(plan, &c, &best(par));
+        assert!(line.ends_with(&format!(" {PULL})")), "{ctx}: {line}");
+        assert_eq!(bits(&pulled), bits(&fused), "{ctx}: pull vs fused");
+        assert_eq!(counters(&stats), counters(&fused_stats), "{ctx}: counters");
+        warm = Some(c);
+    }
+    warm.unwrap()
+}
+
+/// [`pull_matches_fused`], then [`check_plan`] on the warm catalog: the
+/// pull against the unfused operators and the row engine.
+fn pull_matches_all(fresh: impl Fn() -> Catalog, plan: &Plan, what: &str) -> Catalog {
+    let c = pull_matches_fused(fresh, plan, what);
+    assert_eq!(check_plan(&c, plan, what), PULL);
+    c
+}
+
+/// Every matrix row matches, at 300 rows and at 9,000 (split into
+/// morsels at `par` > 1, where a row's pair index is its row id).
+#[test]
+fn pull_dense_every_row_matched() {
+    for n in [300, 9_000] {
+        let fresh = || pull_catalog(&edges(n, 50, |i, _| (i * 13) % 45), &vector(0..50));
+        pull_matches_all(fresh, &semiring_terms(), &format!("{n} rows"));
+    }
+}
+
+/// Matrix rows whose key misses the vector dangle, and the keys `150..160`
+/// of `T` hold only dangling rows, so they form no group; at 9,000 rows a
+/// matched row's pair index is its rank among the matched rows.
+#[test]
+fn pull_dangling_rows_and_unmatched_groups() {
+    for n in [300, 9_000] {
+        let t = |i: i64, f: i64| if f >= 50 { 100 + f } else { (i * 13) % 45 };
+        let fresh = || pull_catalog(&edges(n, 60, t), &vector(0..50));
+        let c = pull_matches_all(fresh, &semiring_terms(), &format!("{n} rows, dangling"));
+        let (rel, _) = execute(&semiring_terms(), &c, &best(1)).unwrap();
+        assert!(
+            rel.iter().all(|r| r[0].as_int().unwrap() < 100),
+            "no group without a match"
+        );
+    }
+}
+
+/// `T` spread far beyond the row count: the adjacency keeps sorted
+/// distinct keys (`Csr::build_sorted`).
+#[test]
+fn pull_sparse_group_key_span() {
+    let fresh = || {
+        pull_catalog(
+            &edges(5_000, 50, |i, _| (i % 40) * 1_000_003 - 7),
+            &vector(0..50),
+        )
+    };
+    pull_matches_all(fresh, &semiring_terms(), "sparse T");
+}
+
+/// Appends to `E` between runs leave its adjacency on `T` with a tail,
+/// new keys of `T` included; the pull reads base run then tail run.
+#[test]
+fn pull_over_an_adjacency_with_a_tail() {
+    let mut c = pull_matches_all(
+        || pull_catalog(&edges(4_800, 50, |i, _| (i * 13) % 45), &vector(0..50)),
+        &semiring_terms(),
+        "before the appends",
+    );
+    for batch in 0..3i64 {
+        let rows: Vec<Row> = (0..40)
+            .map(|i| {
+                let t = if i % 4 == 0 { 45 + batch } else { (i * 5) % 45 };
+                vec![
+                    Value::Int((i * 3) % 55),
+                    Value::Int(t),
+                    Value::Float(i as f64 - 7.5),
+                ]
+                .into()
+            })
+            .collect();
+        c.apply_delta("E", rows, Vec::new(), WalPolicy::None)
+            .unwrap();
+        let what = format!("after append {batch}");
+        assert_eq!(check_plan(&c, &semiring_terms(), &what), PULL);
+        let adj = c.join_index_on("E", 1).expect("kept across appends");
+        assert!(
+            adj.tail_len() > 0 && adj.len() == c.relation("E").unwrap().len(),
+            "{what}"
+        );
+    }
+}
+
+/// NaN, ±∞ and −0.0 weights: the pull folds them as the fused aggregate
+/// does, bit for bit, under `sum`, `min` and `max`. (How the row engine
+/// orders NaN is a separate question; it is not asserted here.)
+#[test]
+fn pull_special_floats_match_fused() {
+    let special = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        -f64::NAN,
+    ];
+    let fresh = || {
+        let e: Vec<_> = edges(600, 50, |i, _| (i * 13) % 45)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (f, t, ew))| {
+                (
+                    f,
+                    t,
+                    if i % 3 == 0 {
+                        special[i % special.len()]
+                    } else {
+                        ew
+                    },
+                )
+            })
+            .collect();
+        let mut s = vector(0..50);
+        for (i, row) in s.iter_mut().enumerate().step_by(4) {
+            row.2 = special[i % special.len()];
+        }
+        pull_catalog(&e, &s)
+    };
+    pull_matches_fused(fresh, &semiring_terms(), "NaN, ±∞, −0.0");
+}
+
+/// What the pull declines runs the fused path unchanged: after paying the
+/// rent, the join line never reads `pull`, and the rows and counters are
+/// [`check_plan`]'s.
+fn declines(c: &Catalog, plan: &Plan, what: &str) {
+    for _ in 0..JOIN_INDEX_RENT + 1 {
+        execute(plan, c, &best(1)).unwrap();
+    }
+    let (_, _, line) = traced(plan, c, &best(1));
+    assert!(!line.contains("pull"), "{what}: {line}");
+    assert!(!check_plan(c, plan, what).contains("pull"), "{what}");
+}
+
+#[test]
+fn pull_declines_duplicate_vector_keys() {
+    let mut s = vector(0..50);
+    s[7].0 = Some(8);
+    declines(
+        &pull_catalog(&edges(300, 50, |i, _| i % 45), &s),
+        &semiring_terms(),
+        "S.ID 8 twice",
+    );
+}
+
+#[test]
+fn pull_declines_null_keys_on_either_side() {
+    let mut e = edges(300, 50, |i, _| i % 45);
+    e[17].0 = None;
+    declines(
+        &pull_catalog(&e, &vector(0..50)),
+        &semiring_terms(),
+        "a NULL E.F",
+    );
+    let mut s = vector(0..50);
+    s[3].0 = None;
+    declines(
+        &pull_catalog(&edges(300, 50, |i, _| i % 45), &s),
+        &semiring_terms(),
+        "a NULL S.ID",
+    );
+    let mut e = edges(300, 50, |i, _| i % 45);
+    e[5].1 = None;
+    declines(
+        &pull_catalog(&e, &vector(0..50)),
+        &semiring_terms(),
+        "a NULL E.T",
+    );
+}
+
+/// The matrix must be a bare scan of a base table.
+#[test]
+fn pull_declines_a_projected_or_temp_matrix() {
+    let e = edges(300, 50, |i, _| i % 45);
+    let c = pull_catalog(&e, &vector(0..50));
+    let Plan::Aggregate {
+        group_by, items, ..
+    } = semiring_terms()
+    else {
+        unreachable!()
+    };
+    let projected = Plan::Aggregate {
+        input: Box::new(Plan::Join {
+            left: Box::new(Plan::Project {
+                input: Box::new(Plan::scan("E")),
+                items: ["F", "T", "ew"]
+                    .map(|n| (col(&format!("E.{n}")), format!("E.{n}")))
+                    .to_vec(),
+            }),
+            right: Box::new(Plan::scan("S")),
+            on: vec![("E.F".into(), "S.ID".into())],
+            residual: None,
+            kind: JoinType::Inner,
+        }),
+        group_by,
+        items,
+    };
+    declines(&c, &projected, "Project over E");
+    let (er, sr) = relations(&e, &vector(0..50));
+    let mut c = Catalog::new();
+    c.create_temp("E", er).unwrap();
+    c.create_temp("S", sr).unwrap();
+    declines(&c, &semiring_terms(), "temp E");
 }
