@@ -580,6 +580,15 @@ impl RelationStats {
     pub fn column(&self, i: usize) -> Option<&ColumnSketch> {
         self.columns.get(i)
     }
+
+    /// The statistics of `batch`'s rows, sketched off its columns: what
+    /// [`Relation::collect_stats`] collects from the same rows.
+    pub fn of(batch: &crate::column::Batch) -> RelationStats {
+        RelationStats {
+            rows: batch.len(),
+            columns: batch.columns().iter().map(|c| c.sketch()).collect(),
+        }
+    }
 }
 
 impl Relation {

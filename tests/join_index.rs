@@ -15,6 +15,8 @@ use all_in_one::algebra::{
     db2_like, execute, execute_traced, oracle_like, postgres_like, AggFunc, BinOp, EngineProfile,
     ExecMode, JoinType, Optimizer, Plan, ScalarExpr,
 };
+use all_in_one::algos::common::{db_for, EdgeStyle};
+use all_in_one::algos::{pagerank, sssp};
 use all_in_one::storage::{
     edge_schema, Catalog, DataType, Relation, Row, Schema, Value, WalPolicy,
 };
@@ -184,13 +186,20 @@ fn size_ratio_around_eight() {
 
 /// PageRank's shape: the small side holds every key of the table. It has
 /// 1/8 of the table's rows but as many rows as the table has keys, so a
-/// lookup per row would touch every run of the adjacency: it hashes.
+/// lookup per row would touch every run of the adjacency: it hashes. While
+/// the table's statistics are current they count its keys, and the join
+/// declines before paying rent; after an append, which drops them, the
+/// adjacency's own count decides.
 #[test]
 fn a_side_covering_every_key_hashes() {
     let e: Vec<Option<i64>> = (0..400).map(|i| Some((i * 13) % 50)).collect();
     let s: Vec<i64> = (0..50).rev().collect();
-    let c = catalog(&e, &s);
+    let mut c = catalog(&e, &s);
     assert_eq!(check(&e_s(), &c, "S covers E.F"), "");
+    assert!(c.join_index_on("E", 0).is_none(), "no rent paid");
+    let row: Row = vec![Value::Int(7), Value::Int(0), Value::Float(0.5)].into();
+    c.insert_rows("E", vec![row], WalPolicy::None).unwrap();
+    assert_eq!(check(&e_s(), &c, "S covers E.F, no statistics"), "");
     assert!(
         c.join_index_on("E", 0).is_some(),
         "the adjacency was built and read"
@@ -301,3 +310,36 @@ fn no_paper_profile_fuses() {
     let line = report(&best(1)).lines().next().unwrap().to_string();
     assert!(line.ends_with(" fused)"), "{line}");
 }
+
+/// PageRank's step joins all of `P` against `E.F`: `E` has 1/8 as many
+/// rows as `P` has, but far fewer distinct `F` keys, so the join can never
+/// drive, and `E`'s statistics say so before it pays rent. Three runs leave
+/// `E.F` without an adjacency, while the pull kernel keeps one on `E.T`;
+/// SSSP's frontier still drives through `E.F`.
+#[test]
+fn pagerank_pays_no_rent_on_the_join_key() {
+    let g = all_in_one::graph::gen::power_law(600, 6_000, true, 53);
+    let mut db = db_for(&g, &best(1), EdgeStyle::PageRank).unwrap();
+    db.set_param("c", 0.85);
+    db.set_param("n", g.node_count() as f64);
+    for _ in 0..3 {
+        db.execute(&pagerank::sql(10)).unwrap();
+    }
+    assert!(db.catalog.join_index_on("E", 0).is_none(), "rent on E.F");
+    assert!(db.catalog.join_index_on("E", 1).is_some(), "the pull's E.T");
+    // a 20 × 20 lattice: SSSP's frontier is a thin wave
+    let id = |r: u32, c: u32| r * 20 + c;
+    let edges: Vec<(u32, u32, f64)> = (0..20)
+        .flat_map(|r| {
+            (0..19).flat_map(move |c| [(id(r, c), id(r, c + 1)), (id(c, r), id(c + 1, r))])
+        })
+        .flat_map(|(a, b)| [(a, b, 1.0 + (a % 7) as f64), (b, a, 2.0 + (b % 5) as f64)])
+        .collect();
+    let lattice = all_in_one::graph::Graph::from_edges(400, &edges, true);
+    let mut db = db_for(&lattice, &best(1), EdgeStyle::WithLoops(0.0)).unwrap();
+    sssp::seed(&mut db, 0).unwrap();
+    let report = db.explain_analyze_opts(sssp::SQL, false).unwrap().report;
+    assert!(report.contains(DRIVEN_E), "{report}");
+}
+
+const DRIVEN_E: &str = "driven=D, index=E.F";

@@ -8,13 +8,13 @@
 use all_in_one::algebra::ops::join::assert_strategies_agree;
 use all_in_one::algebra::ops::{
     anti_join, anti_join_basic_ops, group_by, group_by_par, join_on, mm_join, ubu_merge_improve,
-    union_by_update, window, AntiJoinImpl, JoinKeys, JoinType, UbuImpl,
+    union_by_update, window, AntiJoinImpl, Delta, JoinKeys, JoinType, KeyLookup, UbuImpl,
 };
 use all_in_one::algebra::{
     oracle_like, AggFunc, AggStrategy, EngineProfile, ExecStats, JoinStrategy, ScalarExpr, TROPICAL,
 };
 use all_in_one::prelude::*;
-use all_in_one::storage::{node_schema, Catalog, DataType, KeyIndex, Row};
+use all_in_one::storage::{node_schema, Batch, Catalog, DataType, KeyIndex, Row};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -423,21 +423,25 @@ proptest! {
             }
         }
         let target = first_per_key(&t);
-        for min in [true, false] {
+        // the delta as rows, and as a step's columns (read in place when
+        // its keys ascend, else as rows)
+        for (min, cols) in [(true, false), (false, false), (true, true), (false, true)] {
             let mut cat = Catalog::new();
             cat.create_temp("R", target.clone()).unwrap();
             let mut s = ExecStats::new();
-            let mut idx = KeyIndex::build(&target, keyed);
-            let frontier = ubu_merge_improve(&mut cat, "R", d.clone(), &mut idx, 1, min, &mut s).unwrap();
+            let mut idx = KeyLookup::build(&target, keyed).unwrap();
+            let delta = if cols { Delta::Cols(Batch::from_relation(&d)) } else { Delta::Rows(d.clone()) };
+            let (frontier, _) = ubu_merge_improve(&mut cat, "R", delta, &mut idx, 1, min, &mut s).unwrap();
             prop_assert_eq!(bits(frontier.rows()), bits(&improve_model(&target, &d, min)), "min={}", min);
             prop_assert_eq!(s.ubu_changed_rows, frontier.len() as u64);
             let after = cat.relation("R").unwrap();
             prop_assert_eq!(frontier.len(), after.uncovered(&target).count());
-            // the held index grew with R: it probes as a fresh build does
+            // the held lookup grew with R: it finds what a fresh key index
+            // over R probes
             let fresh = KeyIndex::build(after, keyed);
             for row in after.rows().iter().chain(d.rows()) {
-                let held: Vec<u32> = idx.probe(after, row, keyed).collect();
-                prop_assert_eq!(held, fresh.probe(after, row, keyed).collect::<Vec<u32>>());
+                let want = fresh.probe(after, row, keyed).next().map(|i| i as usize);
+                prop_assert_eq!(idx.row_of(after, row, keyed), want);
             }
         }
     }
