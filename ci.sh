@@ -86,6 +86,12 @@ grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_best.out" |
     tee "$trace_dir/explain_sssp_best.out"
 grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_sssp_best.out" |
     grep "Join\[" | grep -q "index=E.F, push"
+# WCC's step folds its hashed pairs (`push`) while `E` pays rent on `T`,
+# then pulls: the one fold's two pair sources on one join line
+(cd "$trace_dir" && "$repro_bin" explain wcc --best) |
+    tee "$trace_dir/explain_wcc_best.out"
+grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_wcc_best.out" | grep "Join\[" |
+    grep "pull, index=E.T" | grep -q "push"
 rm -rf "$trace_dir"
 
 # paper-experiment smokes over the keyed paths: table4_5 runs the

@@ -45,7 +45,7 @@ impl AggFunc {
         })
     }
 
-    pub fn accumulator(self) -> Accumulator {
+    pub(crate) fn accumulator(self) -> Accumulator {
         Accumulator {
             func: self,
             state: State::Empty,

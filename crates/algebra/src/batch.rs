@@ -18,12 +18,11 @@
 //! looked up in the table's adjacency on the key column, so the join reads
 //! the matching rows of the table instead of probing all of them. Both
 //! produce only the matching pairs, the same pairs in the same order, so no
-//! consumer can tell them apart; `Joined` holds them with
-//! the inputs until a consumer gathers the columns it needs — all of them
-//! for the join itself, or the few an aggregate fused over it reads. An
-//! MV-join whose aggregates are all semiring terms may gather none: `Pull`
-//! folds a dense vector's groups off the matrix's adjacency, and `Push`
-//! folds either join's pairs straight into their groups.
+//! consumer can tell them apart; `gather` turns them into the joined
+//! columns. An MV-join whose aggregates are all semiring terms gathers
+//! none: `Fold` folds its pairs straight into their groups, either pair
+//! source's — the pairs a join emits (the push) or, for a dense vector, the
+//! matrix's rows in order, each with its key's vector row (the pull).
 
 use crate::agg::{Accumulator, AggFunc, AggNum, GroupAcc, TypedAcc};
 use crate::error::{AlgebraError, Result};
@@ -717,82 +716,23 @@ fn probe_morsel(
     (lidx, ridx, matched)
 }
 
-/// A batch join's output before any column is gathered: both inputs and
-/// the matching pairs. The join's own consumer gathers every column
-/// ([`Joined::gather`]); an aggregate fused over it gathers only the
-/// columns it reads ([`Joined::project`], DESIGN §18). A side whose index
+/// The joined batch of `left ⋈ right` over `pairs`: left's columns, then
+/// right's, each gathered through its side's index list. A side whose index
 /// list is `0..len` — every row matched exactly once, in order, as each `E`
 /// row does in PageRank's `E ⋈ P` — lends its columns (`Arc`) instead of
 /// copying them.
-pub(crate) struct Joined {
-    sides: [Side; 2],
-    schema: Schema,
-}
-
-struct Side {
-    batch: Batch,
-    idx: Vec<u32>,
-    /// `idx` is `0..batch.len()`.
-    whole: bool,
-}
-
-impl Joined {
-    pub(crate) fn new(left: Batch, right: Batch, (lidx, ridx): Pairs) -> Joined {
-        let side = |batch: Batch, idx: Vec<u32>| Side {
-            // a fold, not `all`: no early exit, so it vectorizes
-            whole: idx.len() == batch.len()
-                && idx.iter().zip(0..).fold(0, |d, (&i, o)| d | i ^ o) == 0,
-            batch,
-            idx,
-        };
-        Joined {
-            schema: left.schema().join(right.schema()),
-            sides: [side(left, lidx), side(right, ridx)],
-        }
+pub(crate) fn gather(left: &Batch, right: &Batch, (lidx, ridx): &Pairs) -> Batch {
+    let mut cols = Vec::new();
+    for (batch, idx) in [(left, lidx), (right, ridx)] {
+        // a fold, not `all`: no early exit, so it vectorizes
+        let whole =
+            idx.len() == batch.len() && idx.iter().zip(0..).fold(0, |d, (&i, o)| d | i ^ o) == 0;
+        cols.extend((0..batch.schema().arity()).map(|c| match whole {
+            true => batch.col_arc(c),
+            false => Arc::new(batch.col(c).gather(idx)),
+        }));
     }
-
-    pub(crate) fn len(&self) -> usize {
-        self.sides[0].idx.len()
-    }
-
-    /// The joined schema: left's columns, then right's.
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Column `c` of the joined batch.
-    fn column(&self, c: usize) -> Arc<ColumnVec> {
-        let (side, c) = match c.checked_sub(self.sides[0].batch.schema().arity()) {
-            Some(rc) => (&self.sides[1], rc),
-            None => (&self.sides[0], c),
-        };
-        match side.whole {
-            true => side.batch.col_arc(c),
-            false => Arc::new(side.batch.col(c).gather(&side.idx)),
-        }
-    }
-
-    /// The joined batch.
-    pub(crate) fn gather(&self) -> Batch {
-        self.project(&(0..self.schema.arity()).collect::<Vec<_>>())
-    }
-
-    /// Columns `cols` of the joined batch, in that order, under their names.
-    pub(crate) fn project(&self, cols: &[usize]) -> Batch {
-        let names = cols.iter().map(|&c| self.schema.columns()[c].clone());
-        let data = cols.iter().map(|&c| self.column(c)).collect();
-        Batch::from_columns(Schema::new(names.collect()), data, self.len())
-    }
-
-    /// [`Batch::approx_bytes`] of the joined batch, estimated from its
-    /// sources without gathering it.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        let n = self.len() as u64;
-        (self.sides.iter())
-            .flat_map(|s| s.batch.columns())
-            .map(|c| c.approx_bytes() * n / (c.len() as u64).max(1))
-            .sum()
-    }
+    Batch::from_columns(left.schema().join(right.schema()), cols, lidx.len())
 }
 
 /// The small build side may drive the join ([`driven_join`]) when the
@@ -843,26 +783,20 @@ pub(crate) fn driven_join(
     (lidx, ridx)
 }
 
-/// The MV-join `γ_{key; ⊕(a ⊙ b)}(A ⋈ C)` as a pull SpMV (DESIGN §18),
-/// its data checked: the matrix `A` (the join's left input) has a NULL-free
-/// `Int` join key; the vector `C` (its right input) has a NULL-free `Int`
-/// key whose values are unique and direct-addressed ([`HashBuild`]'s
-/// slots); and every term `⊕(a ⊙ b)` has `⊙` ∈ {`*`, `+`} over two NULL-free
-/// `Int` / `Float` columns. [`Pull::run`] folds the terms over the
-/// matrix's adjacency on the group key.
-pub(crate) struct Pull<'a> {
-    /// The matrix's join key per row.
-    keys: &'a [i64],
-    /// The vector row of key `k` is `slots[k - lo]` ([`NO_ROW`]: none).
-    lo: i64,
-    slots: Vec<u32>,
-    /// Every slot holds a vector row.
-    full: bool,
+/// The MV-join `γ_{key; ⊕(a ⊙ b)}(A ⋈ C)` as one semiring fold (DESIGN
+/// §18), its columns checked: the matrix `A` (the join's left input) has a
+/// NULL-free `Int` group-key column, and every term `⊕(a ⊙ b)` — `⊕` ∈
+/// {`sum`, `min`, `max`}, `⊙` ∈ {`*`, `+`}, as `plan::MvShape` reads them —
+/// has one NULL-free `Int` / `Float` column of each side as operands.
+/// [`Fold::run`] folds the terms over the pairs of a [`Source`].
+pub(crate) struct Fold<'a> {
     /// The matrix's group key per row.
     group: &'a [i64],
     terms: Vec<(AggFunc, Times, Operands<'a>)>,
-    /// Matrix and vector rows.
-    rows: [usize; 2],
+    /// A term converts its matrix operand in full (an `Int` column beside
+    /// a `Float` one), O(|matrix|): the pull reads every matrix row anyway,
+    /// a frontier's few pairs run unfused instead.
+    pub(crate) converts_matrix: bool,
 }
 
 /// A term `a ⊙ b`'s operands, one a column of the vector and the other of
@@ -873,326 +807,42 @@ enum Operands<'a> {
     Float(Lanes<'a, f64>),
 }
 
-/// The vector operand — for the pull re-indexed by key slot (slot `s` holds
-/// the value of the vector row `slots[s]`, so a matrix row finds it at its
-/// key's slot), for the push one per vector row — and the matrix operand as
-/// its column; `swap` when the matrix operand is `a`.
+/// The vector operand per vector row and the matrix operand per matrix row,
+/// as the columns hold them ([`Pairing::rows`] lays them out for the
+/// fold); `swap` when the matrix operand is `a`.
 struct Lanes<'a, T: Clone> {
     vector: Cow<'a, [T]>,
     matrix: Cow<'a, [T]>,
     swap: bool,
 }
 
-/// `vals` (one per vector row) re-indexed by key slot when `slots` are
-/// given; a slot without a row holds the zero.
-fn by_slot<'a, T: Copy + Default>(slots: Option<&[u32]>, vals: Cow<'a, [T]>) -> Cow<'a, [T]> {
-    let Some(slots) = slots else {
-        return vals;
-    };
-    (slots.iter())
-        .map(|&j| vals.get(j as usize).copied().unwrap_or_default())
-        .collect()
+/// Where a [`Fold`] reads its pairs.
+pub(crate) enum Source<'a> {
+    /// The pull: every matrix row, in order, with the vector row its key
+    /// joins ([`Slots`]); the groups come off the matrix's adjacency on the
+    /// group key, built or extended in the nanoseconds given.
+    Rows(Slots<'a>, Adjacency, u64),
+    /// The push: a join's pairs, in matrix row order, as [`hash_join`] and
+    /// [`driven_join`] emit them.
+    Pairs(Pairs),
 }
 
-/// Every term's [`Operands`] when `⊕` ∈ {`sum`, `min`, `max`}, `⊙` ∈ {`*`,
-/// `+`} and its operands are a NULL-free `Int` / `Float` column of each
-/// side (`terms` as for [`Pull::prepare`]); the vector's operand re-indexed
-/// by `slots` when given.
-fn operands<'a>(
-    matrix: &'a Batch,
-    vector: &'a Batch,
-    terms: &[(AggFunc, Times, [usize; 2])],
-    slots: Option<&[u32]>,
-) -> Option<Vec<(AggFunc, Times, Operands<'a>)>> {
-    let width = matrix.schema().arity();
-    let column = |b: &'a Batch, c: usize| match b.col(c) {
-        ColumnVec::Int { nulls, .. } | ColumnVec::Float { nulls, .. } if nulls.any() => None,
-        col @ (ColumnVec::Int { .. } | ColumnVec::Float { .. }) => Some(col),
-        ColumnVec::Mixed(_) => None,
-    };
-    let mut out = Vec::with_capacity(terms.len());
-    for &(plus, times, [a, b]) in terms {
-        let ok = matches!(plus, AggFunc::Sum | AggFunc::Min | AggFunc::Max)
-            && matches!(times, Times::Op(BinOp::Mul | BinOp::Add));
-        // one operand on each side
-        let swap = a < width;
-        let (m, v) = if swap { (a, b) } else { (b, a) };
-        let v = v.checked_sub(width).filter(|_| ok && m < width)?;
-        let operands = match (column(matrix, m)?, column(vector, v)?) {
-            (ColumnVec::Int { vals: mv, .. }, ColumnVec::Int { vals: vv, .. }) => {
-                Operands::Int(Lanes {
-                    vector: by_slot(slots, Cow::Borrowed(vv)),
-                    matrix: Cow::Borrowed(mv),
-                    swap,
-                })
-            }
-            (mc, vc) => {
-                let float = |col: &'a ColumnVec| match col {
-                    ColumnVec::Float { vals, .. } => Cow::Borrowed(vals.as_slice()),
-                    ColumnVec::Int { vals, .. } => vals.iter().map(|&x| x as f64).collect(),
-                    ColumnVec::Mixed(_) => unreachable!("checked above"),
-                };
-                Operands::Float(Lanes {
-                    vector: by_slot(slots, float(vc)),
-                    matrix: float(mc),
-                    swap,
-                })
-            }
-        };
-        out.push((plus, times, operands));
-    }
-    Some(out)
-}
-
-/// One NULL-free key column's values.
-fn null_free<'a>(keys: IntKeys<'a>) -> Option<&'a [i64]> {
-    match keys.as_slice() {
-        [(vals, nulls)] if !nulls.any() => Some(*vals),
-        _ => None,
-    }
-}
-
-/// The MV-join's pairs folded straight into groups (DESIGN §18, "The push
-/// fold"), its columns checked: the matrix's group-key column is NULL-free
-/// `Int`, and every term passes [`Pull::prepare`]'s operand checks with its
-/// two operands of one type.
-pub(crate) struct Push<'a> {
-    /// The matrix's group key per row.
-    group: &'a [i64],
-    terms: Vec<(AggFunc, Times, Operands<'a>)>,
-}
-
-impl<'a> Push<'a> {
-    /// `group` and `terms` as for [`Pull::prepare`]; `None` when a column
-    /// fails a check.
-    pub(crate) fn prepare(
-        matrix: &'a Batch,
-        vector: &'a Batch,
-        group: usize,
-        terms: &[(AggFunc, Times, [usize; 2])],
-    ) -> Option<Push<'a>> {
-        let terms = operands(matrix, vector, terms, None)?;
-        // an `Int` matrix operand beside a `Float` one would be converted
-        // in full, O(|matrix|) for a few pairs: that gathers instead
-        let borrowed = |o: &Operands<'_>| match o {
-            Operands::Int(l) => matches!(l.matrix, Cow::Borrowed(_)),
-            Operands::Float(l) => matches!(l.matrix, Cow::Borrowed(_)),
-        };
-        if !terms.iter().all(|(_, _, o)| borrowed(o)) {
-            return None;
-        }
-        Some(Push {
-            group: null_free(int_key_cols(matrix, &[group])?)?,
-            terms,
-        })
-    }
-
-    /// Fold every term over `pairs`, in matrix row order as [`hash_join`]
-    /// and [`driven_join`] emit them: pair by pair, `a ⊙ b` into its key's
-    /// group — the values the fused group-by folds, in its order, cut into
-    /// its morsels and merged in morsel order — and the groups leave in key
-    /// order ([`Pull::run`]'s `items` and schemas). Counts what that
-    /// group-by counts.
-    pub(crate) fn run(
-        self,
-        (lidx, ridx): &Pairs,
-        items: &[ScalarExpr],
-        schemas: [Schema; 2],
-        par: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Pulled> {
-        let groups = Groups::of_keys(lidx.iter().map(|&l| self.group[l as usize]).collect());
-        let cuts: Vec<usize> = (crate::par::morsel_ranges(lidx.len(), par).iter())
-            .map(|r| r.start)
-            .chain([lidx.len()])
-            .collect();
-        let pairs = (lidx.as_slice(), ridx.as_slice());
-        let accs = (self.terms.iter())
-            .map(|(plus, times, operands)| match operands {
-                Operands::Int(o) => {
-                    GroupAcc::Int(push_term(*plus, *times, o, pairs, &groups, &cuts))
-                }
-                Operands::Float(o) => {
-                    GroupAcc::Float(push_term(*plus, *times, o, pairs, &groups, &cuts))
-                }
-            })
-            .collect();
-        groups.finish(accs, items, schemas, par, stats)
-    }
-}
-
-/// One term of [`Push::run`]: `a ⊙ b` for every pair, folded pair by pair
-/// into its group; the pairs are cut into parts at `cuts`, whose partials
-/// merge per group in part order — the group-by's morsel merge.
-fn push_term<T: AggNum>(
-    plus: AggFunc,
-    times: Times,
-    lanes: &Lanes<'_, T>,
-    (lidx, ridx): (&[u32], &[u32]),
-    groups: &Groups<'_>,
-    cuts: &[usize],
-) -> TypedAcc<T> {
-    let (xs, ys) = (&*lanes.vector, &*lanes.matrix);
-    let pairs = lidx
-        .iter()
-        .zip(ridx)
-        .map(|(&l, &r)| (xs[r as usize], ys[l as usize]));
-    // `x` the vector operand, `y` the matrix operand, in `a ⊙ b`'s order
-    let vals: Vec<T> = match (times, lanes.swap) {
-        (Times::Op(BinOp::Mul), false) => pairs.map(|(x, y)| x.mul(y)).collect(),
-        (Times::Op(BinOp::Mul), true) => pairs.map(|(x, y)| y.mul(x)).collect(),
-        (_, false) => pairs.map(|(x, y)| x.add(y)).collect(),
-        (_, true) => pairs.map(|(x, y)| y.add(x)).collect(),
-    };
-    let (of, lo, n) = (&*groups.of, groups.lo, groups.len);
-    let mut acc = TypedAcc::new(plus, n);
-    for (i, w) in cuts.windows(2).enumerate() {
-        let part = (w[0]..w[1]).map(|p| (of[p].wrapping_sub(lo) as u32, vals[p]));
-        if i == 0 {
-            acc.fold(part);
-        } else {
-            let mut next = TypedAcc::new(plus, n);
-            next.fold(part);
-            (0..n).for_each(|g| acc.merge_group(g, &next, g));
-        }
-    }
-    acc
-}
-
-/// The pull's or the push's output: the aggregate's result, whether it was typed,
-/// and the join's schema and pair count.
-pub(crate) struct Pulled {
-    pub(crate) out: Batch,
-    pub(crate) typed: bool,
-    schema: Schema,
-    pairs: usize,
-}
-
-/// The group of every matrix row, read off the adjacency on the group key:
-/// row `r`'s group is slot `of[r] - lo` of `len`, and slots ascend with the
-/// key. Over a dense key span `of` is the key column itself and slot `g`
-/// holds key `lo + g`; otherwise `of` numbers each row by its key's run in
-/// ascending key order, and slot `g` holds `keys[g]`.
-struct Groups<'a> {
-    of: Cow<'a, [i64]>,
+/// The pull's implicit pairs: matrix row `r` joins the vector row in
+/// slot `keys[r] - lo`, if any — the vector's key NULL-free `Int`, unique
+/// and direct-addressed ([`HashBuild`]'s slots), the matrix's join key
+/// NULL-free `Int`.
+pub(crate) struct Slots<'a> {
+    keys: &'a [i64],
     lo: i64,
-    len: usize,
-    keys: Option<Vec<i64>>,
+    slots: Vec<u32>,
+    /// Every slot holds a vector row.
+    full: bool,
+    vector_rows: usize,
 }
 
-impl<'a> Groups<'a> {
-    fn of(adjacency: &Adjacency, column: &'a [i64]) -> Groups<'a> {
-        if let Some((lo, len)) = adjacency.dense_span() {
-            return Groups {
-                of: Cow::Borrowed(column),
-                lo,
-                len,
-                keys: None,
-            };
-        }
-        let (mut of, mut keys) = (vec![0; column.len()], Vec::new());
-        for (g, (k, [base, tail])) in adjacency.walk().enumerate() {
-            keys.push(k);
-            for &r in base.iter().chain(tail) {
-                of[r as usize] = g as i64;
-            }
-        }
-        Groups {
-            of: Cow::Owned(of),
-            lo: 0,
-            len: keys.len(),
-            keys: Some(keys),
-        }
-    }
-
-    /// Over one key per pair, numbered in key order: direct-addressed,
-    /// slot `k - lo`, when the keys span at most 4 × [`DIRECT_SPAN_FACTOR`]
-    /// slots per pair — a frontier's few pairs spread over a wide key range,
-    /// and slots left empty cost less than sorting — else by rank among
-    /// the sorted keys.
-    fn of_keys(mut keys: Vec<i64>) -> Groups<'static> {
-        if let Some((lo, len)) = direct_span(keys.iter().copied(), 4 * keys.len()) {
-            return Groups {
-                of: Cow::Owned(keys),
-                lo,
-                len,
-                keys: None,
-            };
-        }
-        let mut sorted: Vec<(i64, u32)> = keys.iter().copied().zip(0..).collect();
-        sorted.sort_unstable();
-        let mut distinct = Vec::new();
-        for (k, p) in sorted {
-            if distinct.last() != Some(&k) {
-                distinct.push(k);
-            }
-            keys[p as usize] = distinct.len() as i64 - 1;
-        }
-        Groups {
-            of: Cow::Owned(keys),
-            lo: 0,
-            len: distinct.len(),
-            keys: Some(distinct),
-        }
-    }
-
-    fn key(&self, g: usize) -> i64 {
-        self.keys
-            .as_ref()
-            .map_or(self.lo.wrapping_add(g as i64), |k| k[g])
-    }
-
-    /// The aggregate's half of the pull and the push, once every term has
-    /// folded one value per pair: the groups holding a value leave in slot
-    /// order, which is key order, through group-by's finishing half —
-    /// `items` (compiled for grouped evaluation) under `out`, the
-    /// aggregate's schema. Counts what the typed group-by over the pairs
-    /// counts.
-    fn finish(
-        &self,
-        accs: Vec<GroupAcc>,
-        items: &[ScalarExpr],
-        [joined, out]: [Schema; 2],
-        par: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Pulled> {
-        let counts = match &accs[0] {
-            GroupAcc::Int(a) => a.counts(),
-            GroupAcc::Float(a) => a.counts(),
-            GroupAcc::Boxed(_) => unreachable!("terms are typed"),
-        };
-        let pairs = counts.iter().sum::<i64>() as usize;
-        let groups: Vec<(Option<i64>, u32)> = (counts.iter().enumerate())
-            .filter(|(_, &n)| n > 0)
-            .map(|(g, _)| (Some(self.key(g)), g as u32))
-            .collect();
-        stats.aggregations += 1;
-        stats.rows_scanned += pairs as u64;
-        stats.note_parallel(&crate::par::ParInfo::of(pairs, par));
-        let (out, typed) = emit(true, &groups, accs, items, out, stats)?;
-        Ok(Pulled {
-            out,
-            typed,
-            schema: joined,
-            pairs,
-        })
-    }
-}
-
-impl<'a> Pull<'a> {
-    /// `group`: the matrix's group-key column. `terms`: per aggregate in
-    /// compile order, `⊕`, `⊙` and the two operand columns of the joined
-    /// schema (the matrix's columns first). `None` when the data fails a
-    /// check.
-    pub(crate) fn prepare(
-        matrix: &'a Batch,
-        vector: &'a Batch,
-        keys: &JoinKeys,
-        group: usize,
-        terms: &[(AggFunc, Times, [usize; 2])],
-    ) -> Option<Pull<'a>> {
-        let fkeys = null_free(int_key_cols(matrix, &keys.left)?)?;
-        let tkeys = null_free(int_key_cols(matrix, &[group])?)?;
+impl<'a> Slots<'a> {
+    /// `None` when a key column fails a check.
+    pub(crate) fn of(matrix: &'a Batch, vector: &Batch, keys: &JoinKeys) -> Option<Slots<'a>> {
         let ids = int_key_cols(vector, &keys.right)?;
         null_free(ids.clone())?;
         let build = HashBuild::new(&ids, vector.len());
@@ -1203,147 +853,367 @@ impl<'a> Pull<'a> {
         if build.next.iter().any(|&n| n != NO_ROW) {
             return None;
         }
-        let pulled = operands(matrix, vector, terms, Some(&slots))?;
-        Some(Pull {
-            keys: fkeys,
+        Some(Slots {
+            keys: null_free(int_key_cols(matrix, &keys.left)?)?,
             lo,
             full: !slots.contains(&NO_ROW),
             slots,
-            group: tkeys,
-            terms: pulled,
-            rows: [matrix.len(), vector.len()],
+            vector_rows: vector.len(),
         })
     }
+}
 
-    /// The vector row matrix row `r` joins, if any.
-    #[inline]
-    fn slot(&self, r: usize) -> Option<usize> {
-        let j = *self
-            .slots
-            .get(self.keys[r].wrapping_sub(self.lo) as usize)?;
-        (j != NO_ROW).then_some(j as usize)
+/// A fold's pairs: positions `0..keys().len()` in the order the group-by
+/// over the join's pairs folds them, each joining the vector lane
+/// `lane(keys()[p])`, or none. `rows()` lays the operands out for it: the
+/// vector row of each lane, and the matrix row of each position (`None`:
+/// lane or position `i` is row `i`).
+trait Pairing {
+    type Key: Copy;
+    fn keys(&self) -> &[Self::Key];
+    fn lane(&self, k: Self::Key) -> Option<usize>;
+    fn rows(&self) -> [Option<&[u32]>; 2];
+}
+
+/// The pull: position `r` is matrix row `r`, and the vector is read by
+/// key slot.
+impl Pairing for Slots<'_> {
+    type Key = i64;
+
+    fn keys(&self) -> &[i64] {
+        self.keys
     }
 
-    /// Fold every term, matrix row by matrix row in ascending order: row
-    /// `r`, joining vector row `j`, adds `a ⊙ b` at `(r, j)` to its group
-    /// through [`TypedAcc::fold`]; a row joining none adds nothing. A
-    /// group's values thus come in the order of its key's run, ascending
-    /// rows — the order the fused aggregate folds them in, since its pairs
-    /// come in matrix row order, one per matched row, and its groups leave
-    /// in key order — so every group is bit for bit the fused one's. At
-    /// `par` > 1 the rows are cut where the group-by's morsels over the
-    /// pairs would cut them, and the morsels' partials merge in morsel
-    /// order. The groups with a value leave through group-by's finishing
-    /// half: `items` (compiled for grouped evaluation) under `out`, the
-    /// aggregate's schema. Counts what the join over the pairs and the typed
-    /// group-by over them count; `build_ns` (building or extending the
-    /// adjacency) is the join's build phase, the rest its probe phase.
+    #[inline]
+    fn lane(&self, k: i64) -> Option<usize> {
+        let s = k.wrapping_sub(self.lo) as usize;
+        let j = *self.slots.get(s)?;
+        (self.full || j != NO_ROW).then_some(s)
+    }
+
+    fn rows(&self) -> [Option<&[u32]>; 2] {
+        [Some(&self.slots), None]
+    }
+}
+
+/// The push: position `p` is pair `p`, its matrix operand read per pair.
+impl Pairing for Pairs {
+    type Key = u32;
+
+    fn keys(&self) -> &[u32] {
+        &self.1
+    }
+
+    #[inline]
+    fn lane(&self, j: u32) -> Option<usize> {
+        Some(j as usize)
+    }
+
+    fn rows(&self) -> [Option<&[u32]>; 2] {
+        [None, Some(&self.0)]
+    }
+}
+
+/// `vals` read at `rows` (a row past the end, [`NO_ROW`], reads the
+/// zero); `vals` itself when there are no `rows`.
+fn at_rows<'a, T: Copy + Default>(rows: Option<&[u32]>, vals: &'a [T]) -> Cow<'a, [T]> {
+    match rows {
+        None => Cow::Borrowed(vals),
+        Some(rows) => (rows.iter())
+            .map(|&r| vals.get(r as usize).copied().unwrap_or_default())
+            .collect(),
+    }
+}
+
+/// One NULL-free key column's values.
+fn null_free<'a>(keys: IntKeys<'a>) -> Option<&'a [i64]> {
+    match keys.as_slice() {
+        [(vals, nulls)] if !nulls.any() => Some(*vals),
+        _ => None,
+    }
+}
+
+impl<'a> Fold<'a> {
+    /// `group`: the matrix's group-key column. `terms`: per aggregate in
+    /// compile order, `⊕`, `⊙` and the two operand columns of the joined
+    /// schema (the matrix's columns first). `None` when a term or a column
+    /// fails a check ([`Fold`]).
+    pub(crate) fn prepare(
+        matrix: &'a Batch,
+        vector: &'a Batch,
+        group: usize,
+        terms: &[(AggFunc, Times, [usize; 2])],
+    ) -> Option<Fold<'a>> {
+        let width = matrix.schema().arity();
+        let column = |b: &'a Batch, c: usize| match b.col(c) {
+            ColumnVec::Int { nulls, .. } | ColumnVec::Float { nulls, .. } if nulls.any() => None,
+            col @ (ColumnVec::Int { .. } | ColumnVec::Float { .. }) => Some(col),
+            ColumnVec::Mixed(_) => None,
+        };
+        let mut fold = Fold {
+            group: null_free(int_key_cols(matrix, &[group])?)?,
+            terms: Vec::with_capacity(terms.len()),
+            converts_matrix: false,
+        };
+        for &(plus, times, [a, b]) in terms {
+            // one operand on each side
+            let swap = a < width;
+            let (m, v) = if swap { (a, b) } else { (b, a) };
+            let v = v.checked_sub(width).filter(|_| m < width)?;
+            let operands = match (column(matrix, m)?, column(vector, v)?) {
+                (ColumnVec::Int { vals: mv, .. }, ColumnVec::Int { vals: vv, .. }) => {
+                    Operands::Int(Lanes {
+                        vector: Cow::Borrowed(vv),
+                        matrix: Cow::Borrowed(mv),
+                        swap,
+                    })
+                }
+                (mc, vc) => {
+                    fold.converts_matrix |= matches!(mc, ColumnVec::Int { .. });
+                    let float = |col: &'a ColumnVec| match col {
+                        ColumnVec::Float { vals, .. } => Cow::Borrowed(vals.as_slice()),
+                        ColumnVec::Int { vals, .. } => vals.iter().map(|&x| x as f64).collect(),
+                        ColumnVec::Mixed(_) => unreachable!("checked above"),
+                    };
+                    Operands::Float(Lanes {
+                        vector: float(vc),
+                        matrix: float(mc),
+                        swap,
+                    })
+                }
+            };
+            fold.terms.push((plus, times, operands));
+        }
+        Some(fold)
+    }
+
+    /// Fold every term over `source`'s pairs, in its order: pair by pair,
+    /// `a ⊙ b` into its key's group through [`TypedAcc::fold`], in
+    /// `eval_binary`'s arithmetic (wrapping `Int`, `Int` promoted to
+    /// `Float` beside a `Float`). The pairs are the unfused group-by's, in
+    /// its order — the pull's rows in ascending order, one pair per
+    /// matched row, are the pairs the hash join emits — so every group sees
+    /// the same values in the same order, cut into the group-by's morsels
+    /// ([`cuts`]) whose partials merge in morsel order. The groups holding
+    /// a value leave in key order through group-by's finishing half:
+    /// `items` (compiled for grouped evaluation) under `out`, the
+    /// aggregate's schema. Counts what the typed group-by over the pairs
+    /// counts and, for the pull, what the join that emits them counts.
     pub(crate) fn run(
         self,
-        adjacency: &Adjacency,
-        build_ns: u64,
+        source: Source<'_>,
+        items: &[ScalarExpr],
+        schemas: [Schema; 2],
+        par: usize,
+        stats: &mut ExecStats,
+    ) -> Result<Folded> {
+        match source {
+            Source::Rows(slots, adjacency, build_ns) => {
+                let probe_start = Instant::now();
+                let folded = self.fold(&slots, Some(&adjacency), items, schemas, par, stats)?;
+                let matrix_rows = slots.keys.len();
+                stats.joins += 1;
+                stats.rows_scanned += (matrix_rows + slots.vector_rows) as u64;
+                stats.rows_produced += folded.pairs as u64;
+                stats.note_parallel(&crate::par::ParInfo::of(matrix_rows, par));
+                record_phases(JoinPhases {
+                    build_ns,
+                    probe_ns: probe_start.elapsed().as_nanos() as u64,
+                    morsels: 1,
+                });
+                Ok(folded)
+            }
+            Source::Pairs(pairs) => self.fold(&pairs, None, items, schemas, par, stats),
+        }
+    }
+
+    /// [`Fold::run`] over `src`; the pull numbers its groups off the
+    /// matrix's `adjacency` on the group key.
+    fn fold(
+        &self,
+        src: &impl Pairing,
+        adjacency: Option<&Adjacency>,
         items: &[ScalarExpr],
         [joined, out]: [Schema; 2],
         par: usize,
         stats: &mut ExecStats,
-    ) -> Result<Pulled> {
-        let probe_start = Instant::now();
-        let [m, v] = self.rows;
-        let groups = Groups::of(adjacency, self.group);
-        // the rows at which each morsel of pairs starts
-        let mut cuts = vec![0, m];
-        if par > 1 && m >= crate::par::MIN_PARALLEL_ROWS {
-            let matched: Vec<usize> = (0..m).filter(|&r| self.slot(r).is_some()).collect();
-            let starts = crate::par::morsel_ranges(matched.len(), par);
-            cuts = starts
-                .iter()
-                .map(|p| matched.get(p.start).map_or(m, |&r| r))
-                .collect();
-            cuts[0] = 0;
-            cuts.push(m);
-        }
+    ) -> Result<Folded> {
+        let groups = Groups::of(at_rows(src.rows()[1], self.group), adjacency);
+        let cuts = cuts(src, par);
         let accs: Vec<GroupAcc> = (self.terms.iter())
             .map(|(plus, times, operands)| match operands {
-                Operands::Int(o) => GroupAcc::Int(self.term(*plus, *times, o, &groups, &cuts)),
-                Operands::Float(o) => GroupAcc::Float(self.term(*plus, *times, o, &groups, &cuts)),
+                Operands::Int(o) => GroupAcc::Int(term(src, *plus, *times, o, &groups, &cuts)),
+                Operands::Float(o) => GroupAcc::Float(term(src, *plus, *times, o, &groups, &cuts)),
             })
             .collect();
-        let pulled = groups.finish(accs, items, [joined, out], par, stats)?;
-        stats.joins += 1;
-        stats.rows_scanned += (m + v) as u64;
-        stats.rows_produced += pulled.pairs as u64;
-        stats.note_parallel(&crate::par::ParInfo::of(m, par));
-        record_phases(JoinPhases {
-            build_ns,
-            probe_ns: probe_start.elapsed().as_nanos() as u64,
-            morsels: 1,
-        });
-        Ok(pulled)
-    }
-
-    fn term<T: AggNum>(
-        &self,
-        plus: AggFunc,
-        times: Times,
-        lanes: &Lanes<'_, T>,
-        groups: &Groups<'_>,
-        cuts: &[usize],
-    ) -> TypedAcc<T> {
-        match (times, lanes.swap) {
-            (Times::Op(BinOp::Mul), false) => self.fold(plus, T::mul, lanes, groups, cuts),
-            (Times::Op(BinOp::Mul), true) => self.fold(plus, |x, y| y.mul(x), lanes, groups, cuts),
-            (_, false) => self.fold(plus, T::add, lanes, groups, cuts),
-            (_, true) => self.fold(plus, |x, y| y.add(x), lanes, groups, cuts),
-        }
-    }
-
-    /// `times(x, y)`: `x` the vector operand, `y` the matrix operand.
-    fn fold<T: AggNum>(
-        &self,
-        plus: AggFunc,
-        times: impl Fn(T, T) -> T,
-        lanes: &Lanes<'_, T>,
-        groups: &Groups<'_>,
-        cuts: &[usize],
-    ) -> TypedAcc<T> {
-        let (n, of, lo) = (groups.len, &*groups.of, groups.lo);
-        let (slots, base, full) = (self.slots.as_slice(), self.lo, self.full);
-        let (xs, ys) = (&*lanes.vector, &*lanes.matrix);
-        let mut parts = cuts.windows(2).map(|rows| {
-            let rows = rows[0]..rows[1];
-            let mut part = TypedAcc::new(plus, n);
-            let matrix = self.keys[rows.clone()]
-                .iter()
-                .zip(&of[rows.clone()])
-                .zip(&ys[rows]);
-            part.fold(matrix.filter_map(|((&k, &g), &y)| {
-                let s = k.wrapping_sub(base) as usize;
-                let x = *xs.get(s)?;
-                if !full && slots[s] == NO_ROW {
-                    return None;
-                }
-                Some((g.wrapping_sub(lo) as u32, times(x, y)))
-            }));
-            part
-        });
-        let mut acc = parts.next().expect("at least one morsel");
-        for part in parts {
-            for g in 0..n {
-                acc.merge_group(g, &part, g);
-            }
-        }
-        acc
+        let counts = match &accs[0] {
+            GroupAcc::Int(a) => a.counts(),
+            GroupAcc::Float(a) => a.counts(),
+            GroupAcc::Boxed(_) => unreachable!("terms are typed"),
+        };
+        let pairs = counts.iter().sum::<i64>() as usize;
+        // the groups holding a value, in slot order, which is key order
+        let key =
+            |g: usize| (groups.keys.as_ref()).map_or(groups.lo.wrapping_add(g as i64), |k| k[g]);
+        let live: Vec<(Option<i64>, u32)> = (counts.iter().enumerate())
+            .filter(|(_, &n)| n > 0)
+            .map(|(g, _)| (Some(key(g)), g as u32))
+            .collect();
+        stats.aggregations += 1;
+        stats.rows_scanned += pairs as u64;
+        stats.note_parallel(&crate::par::ParInfo::of(pairs, par));
+        let (out, typed) = emit(true, &live, accs, items, out, stats)?;
+        Ok(Folded {
+            out,
+            typed,
+            schema: joined,
+            pairs,
+        })
     }
 }
 
-impl Pulled {
-    /// The pairs the join stood for.
-    pub(crate) fn len(&self) -> usize {
-        self.pairs
+/// Where the group-by over `src`'s pairs cuts its morsels
+/// (`par::morsel_ranges` over the pairs), as positions of `src`: each
+/// morsel from its first pair's position, the first from 0, the last to
+/// the end.
+fn cuts(src: &impl Pairing, par: usize) -> Vec<usize> {
+    let keys = src.keys();
+    let n = keys.len();
+    // never more pairs than positions: one morsel over these is one over those
+    if crate::par::morsel_ranges(n, par).len() == 1 {
+        return vec![0, n];
     }
+    let at: Vec<usize> = (0..n).filter(|&p| src.lane(keys[p]).is_some()).collect();
+    let mut cuts: Vec<usize> = (crate::par::morsel_ranges(at.len(), par).iter())
+        .map(|m| at.get(m.start).copied().unwrap_or(n))
+        .collect();
+    cuts[0] = 0;
+    cuts.push(n);
+    cuts
+}
 
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
+/// One term of [`Fold::fold`], its operands laid out for `src` and `⊙`
+/// resolved to its arithmetic.
+fn term<T: AggNum>(
+    src: &impl Pairing,
+    plus: AggFunc,
+    times: Times,
+    lanes: &Lanes<'_, T>,
+    groups: &Groups<'_>,
+    cuts: &[usize],
+) -> TypedAcc<T> {
+    let [vector, matrix] = src.rows();
+    let (xs, ys) = (
+        &at_rows(vector, &lanes.vector),
+        &at_rows(matrix, &lanes.matrix),
+    );
+    match (times, lanes.swap) {
+        (Times::Op(BinOp::Mul), false) => fold_term(src, plus, T::mul, xs, ys, groups, cuts),
+        (Times::Op(BinOp::Mul), true) => {
+            fold_term(src, plus, |x, y| y.mul(x), xs, ys, groups, cuts)
+        }
+        (_, false) => fold_term(src, plus, T::add, xs, ys, groups, cuts),
+        (_, true) => fold_term(src, plus, |x, y| y.add(x), xs, ys, groups, cuts),
+    }
+}
+
+/// `times(x, y)`: `x` the vector operand per lane, `y` the matrix operand
+/// per position. Each range of positions between two `cuts` folds into its
+/// own partial, and the partials merge per group in range order.
+fn fold_term<T: AggNum>(
+    src: &impl Pairing,
+    plus: AggFunc,
+    times: impl Fn(T, T) -> T,
+    xs: &[T],
+    ys: &[T],
+    groups: &Groups<'_>,
+    cuts: &[usize],
+) -> TypedAcc<T> {
+    let (n, of, lo, keys) = (groups.len, &*groups.of, groups.lo, src.keys());
+    let mut parts = cuts.windows(2).map(|w| {
+        let mut part = TypedAcc::new(plus, n);
+        let range = w[0]..w[1];
+        let positions = of[range.clone()].iter().zip(&ys[range.clone()]);
+        part.fold(positions.zip(&keys[range]).filter_map(|((&g, &y), &k)| {
+            Some((g.wrapping_sub(lo) as u32, times(xs[src.lane(k)?], y)))
+        }));
+        part
+    });
+    let mut acc = parts.next().expect("at least one morsel");
+    for part in parts {
+        (0..n).for_each(|g| acc.merge_group(g, &part, g));
+    }
+    acc
+}
+
+/// The fold's output: the aggregate's result, whether it was typed, and
+/// the join's schema and the pairs it stood for.
+pub(crate) struct Folded {
+    pub(crate) out: Batch,
+    pub(crate) typed: bool,
+    pub(crate) schema: Schema,
+    pub(crate) pairs: usize,
+}
+
+/// The group of each position of a fold's source: position `p`'s group is
+/// slot `of[p] - lo` of `len`, and slots ascend with the key. Over a dense
+/// key span `of` is the group key itself and slot `g` holds key `lo + g`;
+/// otherwise `of` is the key's rank among the distinct keys, and slot `g`
+/// holds `keys[g]`.
+struct Groups<'a> {
+    of: Cow<'a, [i64]>,
+    lo: i64,
+    len: usize,
+    keys: Option<Vec<i64>>,
+}
+
+impl<'a> Groups<'a> {
+    /// `keys`: the group key at each position. The pull reads the span and
+    /// the ranks off the matrix's `adjacency` on the group key, which it
+    /// holds; given pairs are direct-addressed when their keys span at most
+    /// 4 × [`DIRECT_SPAN_FACTOR`] slots per pair — a frontier's few pairs
+    /// spread over a wide key range, and slots left empty cost less than
+    /// sorting — else ranked by a sort.
+    fn of(keys: Cow<'a, [i64]>, adjacency: Option<&Adjacency>) -> Groups<'a> {
+        let span = match adjacency {
+            Some(a) => a.dense_span(),
+            None => direct_span(keys.iter().copied(), 4 * keys.len()),
+        };
+        if let Some((lo, len)) = span {
+            return Groups {
+                of: keys,
+                lo,
+                len,
+                keys: None,
+            };
+        }
+        let (mut of, mut distinct) = (keys.into_owned(), Vec::new());
+        match adjacency {
+            Some(a) => {
+                for (g, (k, [base, tail])) in a.walk().enumerate() {
+                    distinct.push(k);
+                    for &r in base.iter().chain(tail) {
+                        of[r as usize] = g as i64;
+                    }
+                }
+            }
+            None => {
+                let mut sorted: Vec<(i64, u32)> = of.iter().copied().zip(0..).collect();
+                sorted.sort_unstable();
+                for (k, p) in sorted {
+                    if distinct.last() != Some(&k) {
+                        distinct.push(k);
+                    }
+                    of[p as usize] = distinct.len() as i64 - 1;
+                }
+            }
+        }
+        Groups {
+            of: Cow::Owned(of),
+            lo: 0,
+            len: distinct.len(),
+            keys: Some(distinct),
+        }
     }
 }
 
@@ -1816,7 +1686,7 @@ mod tests {
                 let pairs = hash_join(&lb, &rb, &keys, jt, par, &mut s)
                     .unwrap()
                     .expect("int keys are eligible");
-                let got = Joined::new(lb, rb, pairs).gather().to_relation();
+                let got = gather(&lb, &rb, &pairs).to_relation();
                 let mut s2 = ExecStats::new();
                 let want = ops::join_par(
                     &lrel,

@@ -155,7 +155,7 @@ pub fn walk_pre_order<'p>(plan: &'p Plan, f: &mut impl FnMut(u64, &'p Plan)) {
 }
 
 /// Group op spans by their `node` field.
-pub fn aggregate_by_node<'s>(
+pub(crate) fn aggregate_by_node<'s>(
     spans: impl IntoIterator<Item = &'s SpanRecord>,
 ) -> HashMap<u64, NodeAgg> {
     let mut by_node: HashMap<u64, NodeAgg> = HashMap::new();

@@ -32,7 +32,7 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         matches!(
             self,
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
@@ -203,7 +203,7 @@ impl ScalarExpr {
 
     /// Evaluate with an aggregate-result environment (`AggRef(i)` reads
     /// `aggs[i]`).
-    pub fn eval_env(&self, row: &[Value], aggs: &[Value]) -> Result<Value> {
+    pub(crate) fn eval_env(&self, row: &[Value], aggs: &[Value]) -> Result<Value> {
         Ok(match self {
             ScalarExpr::Col(n) => {
                 return Err(AlgebraError::Expr(format!("unbound column reference {n}")))
@@ -258,7 +258,7 @@ impl ScalarExpr {
 
     /// Evaluate as a predicate: SQL WHERE keeps a row iff the condition is
     /// *true* (unknown filters the row out).
-    pub fn eval_pred(&self, row: &[Value]) -> Result<bool> {
+    pub(crate) fn eval_pred(&self, row: &[Value]) -> Result<bool> {
         Ok(matches!(self.eval(row)?, Value::Int(v) if v != 0))
     }
 }
@@ -305,7 +305,7 @@ fn truth(v: &Value) -> Option<bool> {
 
 /// Numeric binary evaluation with SQL NULL propagation and int→float
 /// coercion. Exposed for reuse by the semiring `⊙` step.
-pub fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
+pub(crate) fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
     if op.is_comparison() {
         let cmp = l.sql_cmp(&r);
         return Ok(match cmp {

@@ -28,7 +28,7 @@ pub fn inject_ubu_off_by_one(enabled: bool) {
 }
 
 /// Whether the fault is currently armed on this thread.
-pub fn ubu_fault_armed() -> bool {
+pub(crate) fn ubu_fault_armed() -> bool {
     UBU_OFF_BY_ONE.with(|f| f.get())
 }
 
@@ -45,7 +45,7 @@ pub fn inject_wcoj_seek_off_by_one(enabled: bool) {
 }
 
 /// Whether the leapfrog-seek fault is currently armed on this thread.
-pub fn wcoj_fault_armed() -> bool {
+pub(crate) fn wcoj_fault_armed() -> bool {
     WCOJ_SEEK_OFF_BY_ONE.with(|f| f.get())
 }
 

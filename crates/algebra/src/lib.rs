@@ -32,10 +32,7 @@ pub mod wcoj;
 pub use agg::AggFunc;
 pub use error::{AlgebraError, Result};
 pub use expr::{seed_random, BinOp, Func, ScalarExpr, UnaryOp};
-pub use fault::{
-    fault_hits, inject_ubu_off_by_one, inject_wcoj_seek_off_by_one, ubu_fault_armed,
-    wcoj_fault_armed,
-};
+pub use fault::{fault_hits, inject_ubu_off_by_one, inject_wcoj_seek_off_by_one};
 pub use ops::{AntiJoinImpl, JoinKeys, JoinType, MvOrientation, UbuImpl};
 pub use optimize::{optimize_plan, push_selections};
 pub use plan::{execute, execute_traced, Evaluator, Plan};

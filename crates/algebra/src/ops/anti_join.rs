@@ -170,7 +170,7 @@ pub fn semi_join(
 
 /// [`semi_join`] with an explicit worker-thread count; same morsel contract
 /// as [`anti_join_par`].
-pub fn semi_join_par(
+pub(crate) fn semi_join_par(
     left: &Relation,
     right: &Relation,
     keys: &JoinKeys,

@@ -55,7 +55,7 @@ pub fn project(input: &Relation, items: &[(ScalarExpr, String)]) -> Result<Relat
 
 /// [`project`] with an explicit worker-thread count; same morsel contract
 /// and `random()` gating as [`select_par`].
-pub fn project_par(
+pub(crate) fn project_par(
     input: &Relation,
     items: &[(ScalarExpr, String)],
     par: usize,

@@ -76,7 +76,7 @@ impl JoinKeys {
 
     /// [`JoinKeys::resolve`] against bare schemas — the columnar evaluator
     /// has no `Relation`s to hand.
-    pub fn resolve_schemas(
+    pub(crate) fn resolve_schemas(
         left: &aio_storage::Schema,
         right: &aio_storage::Schema,
         on: &[(String, String)],

@@ -10,12 +10,11 @@ pub mod merge_improve;
 pub mod union_by_update;
 
 pub use aggjoin::{mm_join, mv_join, MvOrientation};
-pub use anti_join::{
-    anti_join, anti_join_basic_ops, anti_join_par, semi_join, semi_join_par, AntiJoinImpl,
-};
+pub(crate) use anti_join::semi_join_par;
+pub use anti_join::{anti_join, anti_join_basic_ops, anti_join_par, semi_join, AntiJoinImpl};
+pub(crate) use basic::project_par;
 pub use basic::{
-    difference, distinct, product, project, project_par, rename, select, select_par, union_all,
-    union_distinct,
+    difference, distinct, product, project, rename, select, select_par, union_all, union_distinct,
 };
 pub use groupby::{group_by, group_by_par, window};
 pub use join::{

@@ -55,7 +55,7 @@ pub struct ParInfo {
 impl ParInfo {
     /// What [`run_morsels`] over `0..len` at `par` does, without running
     /// it: for an operator that stands in for one and reports its counters.
-    pub fn of(len: usize, par: usize) -> ParInfo {
+    pub(crate) fn of(len: usize, par: usize) -> ParInfo {
         ParInfo::over(&morsel_ranges(len, par), par)
     }
 
@@ -76,7 +76,7 @@ impl ParInfo {
 /// `(len, par)` only — never of thread timing — so per-morsel results are
 /// reproducible. Returns a single range when parallelism is off or the
 /// input is too small to be worth splitting.
-pub fn morsel_ranges(len: usize, par: usize) -> Vec<Range<usize>> {
+pub(crate) fn morsel_ranges(len: usize, par: usize) -> Vec<Range<usize>> {
     if par <= 1 || len < MIN_PARALLEL_ROWS {
         // one morsel covering the whole input, i.e. the serial path
         return std::iter::once(0..len).collect();
@@ -98,7 +98,7 @@ pub fn morsel_ranges(len: usize, par: usize) -> Vec<Range<usize>> {
 /// `work` must be pure data-parallel: it sees only its row range and must
 /// not depend on other morsels. With `par <= 1` (or a small input) it runs
 /// inline on the calling thread — that path *is* the serial operator.
-pub fn run_morsels<T, F>(len: usize, par: usize, work: F) -> Result<(Vec<T>, ParInfo)>
+pub(crate) fn run_morsels<T, F>(len: usize, par: usize, work: F) -> Result<(Vec<T>, ParInfo)>
 where
     T: Send,
     F: Fn(Range<usize>) -> Result<T> + Sync,

@@ -283,23 +283,14 @@ pub(crate) fn joined<'s>(inputs: impl IntoIterator<Item = &'s Schema>) -> Schema
 /// The paper's MV-join, `γ_{key; ⊕(a ⊙ b)}(A ⋈ C)` (§4.1, Eqs. 2–4), as a
 /// plan shape: an aggregate directly over an inner, residual-free, one-key
 /// join, whose left input is the matrix `A` and right input the vector `C`.
-/// The one recogniser of the shape: [`Evaluator::fuses`] runs it as one
-/// operator (DESIGN §18); when its group key is one matrix column and every
-/// aggregate is a semiring term ([`MvShape::terms`]), the pull kernel folds
-/// it straight off the matrix's adjacency, or the push folds the pairs of a
-/// driven join straight into its groups.
+/// The one recogniser of the shape ([`Evaluator::fuses`], DESIGN §18): when
+/// its group key is one matrix column and every aggregate is a semiring
+/// term ([`MvShape::terms`]), the join and the aggregate run as one fold,
+/// over the matrix's rows (the pull) or over the join's pairs (the push).
 #[derive(Clone, Copy)]
 pub(crate) struct MvShape<'p> {
     group_by: &'p [String],
     items: &'p [(ScalarExpr, String)],
-    matrix: &'p Plan,
-}
-
-/// One aggregate of an MV-join: `⊕(a ⊙ b)` over two columns.
-struct Term<'p> {
-    plus: AggFunc,
-    times: Times,
-    operands: [&'p str; 2],
 }
 
 impl<'p> MvShape<'p> {
@@ -314,16 +305,11 @@ impl<'p> MvShape<'p> {
         };
         match &**input {
             Plan::Join {
-                left,
                 on,
                 residual: None,
                 kind: JoinType::Inner,
                 ..
-            } if on.len() == 1 => Some(MvShape {
-                group_by,
-                items,
-                matrix: left,
-            }),
+            } if on.len() == 1 => Some(MvShape { group_by, items }),
             _ => None,
         }
     }
@@ -331,8 +317,12 @@ impl<'p> MvShape<'p> {
     /// The aggregates in the order `group_by` compiles them (items in
     /// order, each in pre-order), when there is one and each is `⊕(a ⊙ b)`
     /// with `⊕` ∈ {`sum`, `min`, `max`} and `⊙` ∈ {`*`, `+`} over two
-    /// columns.
-    fn terms(&self) -> Option<Vec<Term<'p>>> {
+    /// columns, which `at` resolves.
+    fn terms(
+        &self,
+        at: impl Fn(&str) -> Option<usize>,
+    ) -> Option<Vec<(AggFunc, Times, [usize; 2])>> {
+        type Term<'e> = (AggFunc, Times, [&'e str; 2]);
         fn walk<'e>(e: &'e ScalarExpr, out: &mut Vec<Option<Term<'e>>>) {
             match e {
                 ScalarExpr::Agg(plus, arg) => out.push(match (plus, Times::of(arg)) {
@@ -343,11 +333,7 @@ impl<'p> MvShape<'p> {
                             ScalarExpr::Col(a),
                             ScalarExpr::Col(b),
                         )),
-                    ) => Some(Term {
-                        plus: *plus,
-                        times,
-                        operands: [a, b],
-                    }),
+                    ) => Some((*plus, times, [a, b])),
                     _ => None,
                 }),
                 ScalarExpr::Unary(_, x) => walk(x, out),
@@ -362,40 +348,40 @@ impl<'p> MvShape<'p> {
         let mut terms = Vec::new();
         self.items.iter().for_each(|(e, _)| walk(e, &mut terms));
         (!terms.is_empty()).then_some(())?;
-        terms.into_iter().collect()
+        let resolve = |(plus, times, [a, b]): Term<'_>| Some((plus, times, [at(a)?, at(b)?]));
+        terms.into_iter().map(|t| resolve(t?)).collect()
     }
 }
 
-/// An [`MvShape`] over its join's two batches as a semiring product: the
-/// matrix's group-key column, each term's `⊕`, `⊙` and operand columns of
-/// the joined schema (the matrix's columns first), the items compiled for
-/// grouped evaluation, and the schemas of the join and of the aggregate.
-struct Product {
+/// An [`MvShape`] over its join's two batches as a semiring product that
+/// folds: the matrix's group-key column, the terms' checked columns
+/// ([`batch::Fold`]), the items compiled for grouped evaluation, and the
+/// schemas of the join and of the aggregate.
+struct Product<'b> {
     group: usize,
-    terms: Vec<(AggFunc, Times, [usize; 2])>,
+    fold: batch::Fold<'b>,
     items: Vec<ScalarExpr>,
     schemas: [Schema; 2],
 }
 
-impl Product {
-    /// `None` unless the group key is one column of the matrix and every
-    /// aggregate a semiring term ([`MvShape::terms`]) whose names resolve.
-    fn of(shape: MvShape<'_>, lb: &Batch, rb: &Batch) -> Option<Product> {
-        let ([key], Some(terms)) = (shape.group_by, shape.terms()) else {
+impl<'b> Product<'b> {
+    /// `None` unless the group key is one column of the matrix, every
+    /// aggregate a semiring term ([`MvShape::terms`]) whose names resolve,
+    /// and the columns pass [`batch::Fold::prepare`].
+    fn of(shape: MvShape<'_>, lb: &'b Batch, rb: &'b Batch) -> Option<Product<'b>> {
+        let [key] = shape.group_by else {
             return None;
         };
         let schema = lb.schema().join(rb.schema());
         let at = |name: &str| schema.index_of(name).ok();
         let group = at(key).filter(|&g| g < lb.schema().arity())?;
-        let terms = (terms.iter())
-            .map(|t| Some((t.plus, t.times, [at(t.operands[0])?, at(t.operands[1])?])))
-            .collect::<Option<_>>()?;
-        // an error here is the fused path's to report
+        let fold = batch::Fold::prepare(lb, rb, group, &shape.terms(at)?)?;
+        // an error here is the unfused aggregate's to report
         let compiled = ops::groupby::compile(&schema, Some(&[group]), shape.items).ok()?;
         let out = schema_of_items(shape.items, &schema);
         Some(Product {
             group,
-            terms,
+            fold,
             items: compiled.items,
             schemas: [schema, out],
         })
@@ -454,8 +440,8 @@ pub struct Evaluator<'a> {
     /// (`false`: some expression took the scratch-row interpreter, or the
     /// node bridged to the row operator)? Becomes the span's `typed` field.
     typed: Option<bool>,
-    /// Set by [`Evaluator::apply`] for an aggregate that read its join's
-    /// pairs (DESIGN §18). Becomes the span's `fused` field.
+    /// Set by [`Evaluator::apply`] for an aggregate whose join folded its
+    /// groups (DESIGN §18). Becomes the span's `fused` field.
     fused: bool,
     /// Set by [`Evaluator::apply`] when a small input drove a join through a
     /// table's adjacency (traced runs only): `driven=D, index=E.F`.
@@ -521,7 +507,7 @@ impl<'a> Evaluator<'a> {
     /// [`Plan::children`] order, run the operator, then record metrics and
     /// the span's output fields (`batches` only on columnar outputs, `typed`
     /// only on a batch-mode project / aggregate, `fused` on an aggregate
-    /// that read its join's pairs). `takes`: what the node's consumer takes
+    /// whose join folded its groups). `takes`: what the node's consumer takes
     /// from it ([`Takes`]).
     fn eval<'p>(&mut self, plan: &'p Plan, takes: Takes<'p>) -> Result<Data> {
         let span = self.tracer.map(|t| {
@@ -568,8 +554,7 @@ impl<'a> Evaluator<'a> {
             let bytes = match &out {
                 Data::Rows(r) => r.approx_bytes(),
                 Data::Cols(b) => b.approx_bytes(),
-                Data::Joined(j) => j.approx_bytes(),
-                Data::Pulled(p) => p.out.approx_bytes(),
+                Data::Folded(f) => f.out.approx_bytes(),
             };
             if let Some(n) = batches {
                 aio_metrics::hooks::batches(n, bytes);
@@ -690,23 +675,12 @@ impl<'a> Evaluator<'a> {
             } => {
                 let agg = self.profile.agg;
                 let mut input = match next() {
-                    Data::Pulled(pulled) => {
-                        (self.typed, self.fused) = (Some(pulled.typed), true);
-                        return Ok(Data::Cols(pulled.out));
+                    Data::Folded(folded) => {
+                        (self.typed, self.fused) = (Some(folded.typed), true);
+                        return Ok(Data::Cols(folded.out));
                     }
                     input => input,
                 };
-                if let Data::Joined(joined) = &input {
-                    // fused: group only the columns the aggregate reads
-                    if let Some(cols) = reads(joined.schema(), group_by, items) {
-                        let b = joined.project(&cols);
-                        let out = batch::group_by(&b, group_by, items, agg, par, &mut self.stats)?;
-                        if let Some((out, typed)) = out {
-                            (self.typed, self.fused) = (Some(typed), true);
-                            return Ok(Data::Cols(out));
-                        }
-                    }
-                }
                 if columnar {
                     let b = input.into_batch();
                     let out = batch::group_by(&b, group_by, items, agg, par, &mut self.stats)?;
@@ -752,33 +726,10 @@ impl<'a> Evaluator<'a> {
                 if columnar && self.profile.join == JoinStrategy::Hash && residual.is_none() {
                     let (lb, rb) = (l.into_batch(), r.into_batch());
                     let keys = JoinKeys::resolve_schemas(lb.schema(), rb.schema(), on)?;
-                    if !keys.left.is_empty() {
-                        let found = match self.driven_join(left, &lb, &rb, &keys, *kind)? {
-                            None => {
-                                if let Takes::Pairs(shape) = takes {
-                                    if let Some(pulled) = self.pull(shape, &lb, &rb, &keys)? {
-                                        return Ok(Data::Pulled(pulled));
-                                    }
-                                }
-                                batch::hash_join(&lb, &rb, &keys, *kind, par, &mut self.stats)?
-                            }
-                            driven => driven,
-                        };
-                        if let Some(found) = found {
-                            if let Takes::Pairs(shape) = takes {
-                                if let Some(pushed) = self.push(shape, &lb, &rb, &found)? {
-                                    return Ok(Data::Pulled(pushed));
-                                }
-                            }
-                            let joined = batch::Joined::new(lb, rb, found);
-                            return Ok(if matches!(takes, Takes::Pairs(_)) {
-                                Data::Joined(joined)
-                            } else {
-                                Data::Cols(joined.gather())
-                            });
-                        }
+                    if let Some(out) = self.batch_join(left, &lb, &rb, &keys, *kind, takes)? {
+                        return Ok(out);
                     }
-                    // non-Int keys
+                    // no key, or non-`Int` keys
                     (l, r) = (Data::Cols(lb), Data::Cols(rb));
                 }
                 let (lrel, rrel) = (l.into_relation(), r.into_relation());
@@ -925,78 +876,82 @@ impl<'a> Evaluator<'a> {
         Ok(Some(pairs))
     }
 
-    /// The MV-join as a pull SpMV (DESIGN §18), for the join under a fused
-    /// aggregate `shape` that no small side drives: when the matrix is a
-    /// bare scan of a base table and `shape` a semiring product
-    /// ([`Product::of`]), the data passes [`batch::Pull::prepare`] and the
-    /// table's adjacency on the group key is served (`Catalog::join_index`,
-    /// rent included), the groups are folded off that adjacency and no pair
-    /// is built. `None` leaves the join to the fused path, with nothing
-    /// counted.
-    fn pull(
+    /// The batch join on `Int` keys: driven by a small side through a
+    /// table's adjacency ([`Evaluator::driven_join`]) or hashed
+    /// ([`batch::hash_join`]), its pairs gathered into the joined columns.
+    /// Under a fused aggregate (`Takes::Fold`) whose semiring product
+    /// folds ([`Product::of`], resolved once, before the pair source is
+    /// chosen), nothing is gathered (DESIGN §18): the product folds over
+    /// the matrix's rows when it pulls, else over the join's pairs — the
+    /// push, unless a term converts its matrix operand.
+    /// `None`: keys the batch join does not take, for the row join.
+    fn batch_join(
         &mut self,
-        shape: MvShape<'_>,
+        left: &Plan,
         lb: &Batch,
         rb: &Batch,
         keys: &JoinKeys,
-    ) -> Result<Option<batch::Pulled>> {
-        let (Plan::Scan { table, .. }, Some(p)) = (shape.matrix, Product::of(shape, lb, rb)) else {
-            return Ok(None);
+        kind: JoinType,
+        takes: Takes<'_>,
+    ) -> Result<Option<Data>> {
+        let par = self.profile.effective_parallelism();
+        let product = match takes {
+            Takes::Fold(shape) => Product::of(shape, lb, rb),
+            _ => None,
         };
-        let Some(pull) = batch::Pull::prepare(lb, rb, keys, p.group, &p.terms) else {
-            return Ok(None);
+        let mut source = (self.driven_join(left, lb, rb, keys, kind)?).map(batch::Source::Pairs);
+        // the pull: no small side drove, the matrix is a bare scan of a base
+        // table, the vector's key is unique and direct-addressed, and the
+        // table's adjacency on the group key is served (rent included)
+        let slots = match (&source, &product, left) {
+            (None, Some(_), Plan::Scan { .. }) => batch::Slots::of(lb, rb, keys),
+            _ => None,
         };
-        let Some((index, build_ns)) = self.catalog.join_index(table, p.group)? else {
-            return Ok(None);
-        };
-        if self.tracer.is_some() {
-            let name = &lb.schema().columns()[p.group].name;
-            self.join_index = Some(format!("pull, index={table}.{name}"));
+        if let (Some(slots), Some(p), Plan::Scan { table, .. }) = (slots, &product, left) {
+            if let Some((adjacency, build_ns)) = self.catalog.join_index(table, p.group)? {
+                if self.tracer.is_some() {
+                    let name = &lb.schema().columns()[p.group].name;
+                    self.join_index = Some(format!("pull, index={table}.{name}"));
+                }
+                source = Some(batch::Source::Rows(slots, adjacency, build_ns));
+            }
         }
-        let par = self.profile.effective_parallelism();
-        let pulled = pull.run(&index, build_ns, &p.items, p.schemas, par, &mut self.stats)?;
-        Ok(Some(pulled))
-    }
-
-    /// The MV-join's pairs — driven or hashed, both in ascending matrix
-    /// row — folded straight into the fused aggregate's groups (DESIGN §18,
-    /// "The push fold"), when `shape` is a semiring product
-    /// ([`Product::of`]) and its columns pass [`batch::Push::prepare`]'s
-    /// checks; the join line then ends `push`. `None` leaves the pairs to
-    /// the fused path, with nothing counted.
-    fn push(
-        &mut self,
-        shape: MvShape<'_>,
-        lb: &Batch,
-        rb: &Batch,
-        pairs: &batch::Pairs,
-    ) -> Result<Option<batch::Pulled>> {
-        let prepared = Product::of(shape, lb, rb)
-            .and_then(|p| Some((batch::Push::prepare(lb, rb, p.group, &p.terms)?, p)));
-        let Some((push, p)) = prepared else {
-            return Ok(None);
+        let source = match source {
+            Some(source) => source,
+            None => match batch::hash_join(lb, rb, keys, kind, par, &mut self.stats)? {
+                Some(pairs) => batch::Source::Pairs(pairs),
+                None => return Ok(None),
+            },
         };
-        let par = self.profile.effective_parallelism();
-        let pushed = push.run(pairs, &p.items, p.schemas, par, &mut self.stats)?;
-        if self.tracer.is_some() {
+        let pulls = matches!(source, batch::Source::Rows(..));
+        let Some(p) = product.filter(|p| pulls || !p.fold.converts_matrix) else {
+            let batch::Source::Pairs(pairs) = source else {
+                unreachable!("only a product pulls: the pull is a pair source of one fold")
+            };
+            return Ok(Some(Data::Cols(batch::gather(lb, rb, &pairs))));
+        };
+        if self.tracer.is_some() && !pulls {
             let how = self.join_index.take();
             self.join_index = Some(how.map_or("push".into(), |how| how + ", push"));
         }
-        Ok(Some(pushed))
+        let folded = p
+            .fold
+            .run(source, &p.items, p.schemas, par, &mut self.stats)?;
+        Ok(Some(Data::Folded(folded)))
     }
 
     /// What `plan` takes from its children, given what its own consumer
-    /// takes: a fused aggregate its join's pairs; a row-only operator rows
-    /// — every operator without a column kernel, and a join the batch hash
-    /// join cannot take statically (a residual, another strategy); an
-    /// identity projection what its consumer takes (it renames rows, so
-    /// only a consumer of rows asks its scan for them); anything else
-    /// columns where its kernel produces them. Decided from the plan and
-    /// the profile alone, so a traced and an untraced run take the same
-    /// shapes.
+    /// takes: a fused aggregate its join's folded groups; a row-only
+    /// operator rows — every operator without a column kernel, and a join
+    /// the batch hash join cannot take statically (a residual, another
+    /// strategy); an identity projection what its consumer takes (it
+    /// renames rows, so only a consumer of rows asks its scan for them);
+    /// anything else columns where its kernel produces them. Decided from
+    /// the plan and the profile alone, so a traced and an untraced run take
+    /// the same shapes.
     fn takes_from<'p>(&self, plan: &'p Plan, takes: Takes<'p>) -> Takes<'p> {
         if let Some(shape) = self.fuses(plan) {
-            return Takes::Pairs(shape);
+            return Takes::Fold(shape);
         }
         let rows = match plan {
             Plan::Window { .. }
@@ -1027,12 +982,12 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Does `plan` run as one operator with the join under it (DESIGN §18)?
+    /// May `plan` run as one operator with the join under it (DESIGN §18)?
     /// An MV-join ([`MvShape`]) under `Rules` / `Cost` with batch execution
-    /// and the hash join and hash aggregation: the join hands the aggregate
-    /// its pairs, or its groups already folded ([`Evaluator::pull`]), and
-    /// the aggregate gathers only the columns it reads. `Off` — every paper
-    /// profile — keeps two operators.
+    /// and the hash join and hash aggregation: when its semiring product
+    /// folds ([`Evaluator::batch_join`]), the join hands the aggregate its
+    /// groups already folded; otherwise the two run unfused. `Off` — every
+    /// paper profile — keeps two operators.
     fn fuses<'p>(&self, plan: &'p Plan) -> Option<MvShape<'p>> {
         let p = self.profile;
         let hash = p.join == JoinStrategy::Hash && p.agg == AggStrategy::Hash;
@@ -1060,9 +1015,9 @@ enum Takes<'p> {
     /// Rows: the root, a row-only operator, or an identity projection that
     /// passes rows on. A scan then hands out the table's own rows.
     Rows,
-    /// The join's pairs, or the groups the pull or the push folds: the node is
-    /// the join under the fused aggregate `MvShape` (DESIGN §18).
-    Pairs(MvShape<'p>),
+    /// The groups its semiring product folds, when it folds, else columns:
+    /// the node is the join under the fused aggregate `MvShape` (DESIGN §18).
+    Fold(MvShape<'p>),
 }
 
 /// Is `items` over `input` the identity — every column, in order, under any
@@ -1076,35 +1031,16 @@ fn is_identity(items: &[(ScalarExpr, String)], input: &Schema) -> bool {
         })
 }
 
-/// The columns of `schema` an aggregate reads — its group keys and every
-/// column its items name (as the optimizer's pruning reads them) — in
-/// schema order; `None` when a name does not resolve, so that the aggregate
-/// sees every column and reports it.
-fn reads(schema: &Schema, keys: &[String], items: &[(ScalarExpr, String)]) -> Option<Vec<usize>> {
-    let mut names = keys.to_vec();
-    for (e, _) in items {
-        e.collect_cols(&mut names);
-    }
-    let mut cols: Vec<usize> = names
-        .iter()
-        .map(|n| schema.index_of(n).ok())
-        .collect::<Option<_>>()?;
-    cols.sort_unstable();
-    cols.dedup();
-    Some(cols)
-}
-
 /// A value flowing between operators: columnar when the producing operator
 /// ran a batch kernel, row-materialized otherwise. The two bridge methods
 /// are the only row⇄column transposes in the evaluator, and both are
 /// exact, so mixing the two shapes inside one plan cannot change results.
-/// A batch join under a fused aggregate hands it the join's pairs, not yet
-/// gathered, or the aggregate's groups the pull or the push folded (DESIGN §18).
+/// A batch join under a fused aggregate may hand it the aggregate's groups,
+/// already folded (DESIGN §18).
 pub(crate) enum Data {
     Rows(Relation),
     Cols(Batch),
-    Joined(batch::Joined),
-    Pulled(batch::Pulled),
+    Folded(batch::Folded),
 }
 
 impl Data {
@@ -1112,8 +1048,7 @@ impl Data {
         match self {
             Data::Rows(r) => r.len(),
             Data::Cols(b) => b.len(),
-            Data::Joined(j) => j.len(),
-            Data::Pulled(p) => p.len(),
+            Data::Folded(f) => f.pairs,
         }
     }
 
@@ -1121,8 +1056,7 @@ impl Data {
         match self {
             Data::Rows(r) => r.schema(),
             Data::Cols(b) => b.schema(),
-            Data::Joined(j) => j.schema(),
-            Data::Pulled(p) => p.schema(),
+            Data::Folded(f) => &f.schema,
         }
     }
 
@@ -1131,9 +1065,7 @@ impl Data {
         match self {
             Data::Rows(r) => out.extend_from_slice(&r[i]),
             Data::Cols(b) => out.extend(b.columns().iter().map(|c| c.value(i))),
-            Data::Joined(_) | Data::Pulled(_) => {
-                unreachable!("a join's pairs go only to its fused aggregate")
-            }
+            Data::Folded(_) => unreachable!("folded groups go only to their aggregate"),
         }
     }
 
@@ -1141,8 +1073,7 @@ impl Data {
         match self {
             Data::Rows(r) => Batch::from_relation(&r),
             Data::Cols(b) => b,
-            Data::Joined(j) => j.gather(),
-            Data::Pulled(_) => unreachable!("pulled groups go only to their aggregate"),
+            Data::Folded(_) => unreachable!("folded groups go only to their aggregate"),
         }
     }
 

@@ -148,7 +148,7 @@ impl EngineProfile {
     }
 
     /// The knob resolved against the machine (`0` → available cores).
-    pub fn effective_parallelism(&self) -> usize {
+    pub(crate) fn effective_parallelism(&self) -> usize {
         crate::par::effective(self.parallelism)
     }
 }

@@ -19,7 +19,7 @@ pub enum Times {
 
 impl Times {
     /// `l ⊙ r` as a scalar expression — the select item of an aggregate
-    /// join, and what [`Semiring::times_eval`] evaluates.
+    /// join.
     pub fn expr(self, l: ScalarExpr, r: ScalarExpr) -> ScalarExpr {
         match self {
             Times::Op(op) => ScalarExpr::binary(op, l, r),
@@ -107,18 +107,18 @@ pub const MAX_MIN: Semiring = Semiring {
     one: Value::Float(f64::INFINITY),
 };
 
-impl Semiring {
-    /// Apply `⊙` to two scalars.
-    pub fn times_eval(&self, a: Value, b: Value) -> crate::error::Result<Value> {
-        self.times
-            .expr(ScalarExpr::Lit(a), ScalarExpr::Lit(b))
-            .eval(&[])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Semiring {
+        /// Apply `⊙` to two scalars.
+        fn times_eval(&self, a: Value, b: Value) -> crate::error::Result<Value> {
+            self.times
+                .expr(ScalarExpr::Lit(a), ScalarExpr::Lit(b))
+                .eval(&[])
+        }
+    }
 
     #[test]
     fn tropical_times_is_add() {

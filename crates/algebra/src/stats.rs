@@ -73,7 +73,7 @@ impl ExecStats {
     }
 
     /// Record one operator invocation that ran with >1 worker.
-    pub fn note_parallel(&mut self, info: &crate::par::ParInfo) {
+    pub(crate) fn note_parallel(&mut self, info: &crate::par::ParInfo) {
         if info.parallel() {
             self.parallel_ops += 1;
             self.morsels += info.morsels;

@@ -1,20 +1,21 @@
 //! The MV-join as one operator (DESIGN §18).
 //!
 //! Under `Rules` / `Cost` with batch execution, an aggregate over an inner
-//! one-key join runs as one operator: the join hands the aggregate its
-//! matching pairs, and the aggregate gathers only the columns it reads
-//! (EXPLAIN ANALYZE marks it `fused`). Its rows must be those of the two
-//! unfused operators (`Off` + `Batch`) and of the row engine (`Off`), floats
-//! to the bit, at every parallelism, with the counters of the unfused run
-//! that uses the same pair producer. When every aggregate is a semiring
-//! term over NULL-free columns, the vector's keys are unique and the table
-//! has paid rent on the group key, the pull kernel folds the groups off
-//! the table's adjacency instead (the join line reads `pull, index=E.T`):
-//! the same rows and counters again, and those of the fused runs that paid
-//! the rent. When a small side drives the join instead, such terms fold its
-//! pairs straight into groups (the push: `driven=S, index=E.F, push`), with
-//! the fused rows and the driven pair's counters. The fixpoints built on it
-//! — PageRank, SSSP, WCC — must match `Off` after every iteration.
+//! one-key join whose aggregates are all semiring terms over NULL-free
+//! columns runs as one operator: the join folds its pairs straight into
+//! the aggregate's groups (the push: the join line ends `push`), and
+//! EXPLAIN ANALYZE marks the aggregate `fused`; any other aggregate runs
+//! unfused. Its rows must be those of the two unfused operators (`Off` +
+//! `Batch`) and of the row engine (`Off`), floats to the bit, at every
+//! parallelism, with the counters of the unfused run that uses the same
+//! pair producer. When the vector's keys are unique and the table has paid
+//! rent on the group key, the same fold reads the matrix's rows instead of
+//! pairs (the pull: `pull, index=E.T`): the same rows and counters again,
+//! and those of the runs that pushed while paying the rent. When a small
+//! side drives the join, its pairs fold the same way (`driven=S,
+//! index=E.F, push`), with the pushed rows and the driven pair's counters.
+//! The fixpoints built on it — PageRank, SSSP, WCC — must match `Off` after
+//! every iteration.
 
 use all_in_one::algebra::explain::render_analyzed;
 use all_in_one::algebra::{
@@ -155,12 +156,17 @@ fn check_plan(c: &Catalog, plan: &Plan, what: &str) -> String {
         let report = render_analyzed(&plan, &spans, false);
         let mut lines = report.lines();
         let (root, join_line) = (lines.next().unwrap(), lines.next().unwrap());
-        assert!(root.ends_with(" fused)"), "{ctx}: {root}");
         let how = join_line
             .split_once(" morsels=")
             .and_then(|(_, rest)| rest.split_once(' '))
             .map_or("", |(_, how)| how.trim_end_matches(')'))
             .to_string();
+        let folded = how.starts_with("pull") || how.ends_with("push");
+        assert_eq!(
+            root.ends_with(" fused)"),
+            folded,
+            "{ctx}: {root}\n{join_line}"
+        );
         assert_eq!(path.get_or_insert(how.clone()), &how, "{ctx}: {join_line}");
 
         let (_, join_best) = execute(&join(), c, &best(par)).unwrap();
@@ -243,10 +249,10 @@ fn empty_sides() {
     assert_eq!(check(&c, "S.k", "empty E"), "");
 }
 
-/// The driven producer feeds the fused aggregate too: a small build side
-/// against a table with many distinct keys. `avg` and `count` are not
-/// semiring terms, so the push declines and the aggregate gathers the
-/// pairs: the join line reads `driven=` without `push`.
+/// The driven producer under the aggregate: a small build side against a
+/// table with many distinct keys. `avg` and `count` are not semiring
+/// terms, so the push declines and the join and the aggregate run unfused:
+/// the join line reads `driven=` without `push`.
 #[test]
 fn driven_pairs_feed_the_fused_aggregate() {
     let e = some((0..6_000).map(|i| (i * 13) % 600));
@@ -255,6 +261,30 @@ fn driven_pairs_feed_the_fused_aggregate() {
     for group in ["E.T", "S.k"] {
         assert_eq!(check(&c, group, "driven"), DRIVEN);
     }
+}
+
+/// A group key of two columns, one from each side — the shape of apsp,
+/// simrank, lp and mcl: no semiring fold takes it, so the join gathers and
+/// the aggregate runs unfused, hashed or driven.
+#[test]
+fn multi_column_group_key_runs_unfused() {
+    let plan = Plan::Aggregate {
+        input: Box::new(join()),
+        group_by: vec!["E.T".into(), "S.k".into()],
+        items: vec![
+            (col("E.T"), "t".into()),
+            (col("S.k"), "k".into()),
+            (agg(AggFunc::Min, BinOp::Add, "S.vw", "E.ew"), "lo".into()),
+            (agg(AggFunc::Sum, BinOp::Mul, "S.vw", "E.ew"), "s".into()),
+            (agg(AggFunc::Count, BinOp::Add, "E.ew", "S.k"), "c".into()),
+        ],
+    };
+    let e = some((0..9_000).map(|i| (i * 31) % 50));
+    let c = catalog(&e, &some((0..50).rev()));
+    assert_eq!(check_plan(&c, &plan, "E.T, S.k hashed"), "");
+    let e = some((0..6_000).map(|i| (i * 13) % 600));
+    let c = catalog(&e, &some((0..70).map(|i| (i * 37) % 650)));
+    assert_eq!(check_plan(&c, &plan, "E.T, S.k driven"), DRIVEN);
 }
 
 /// `R` after every iteration of PageRank, SSSP and WCC is the same under
@@ -728,6 +758,19 @@ fn push_with_frontier_keys_missing_from_the_table() {
     );
 }
 
+/// `T` at multiples of 1,000,003, negative ones included: the pairs' group
+/// keys span far more than 16 slots per pair, so the push numbers its
+/// groups by rank among the sorted keys.
+#[test]
+fn push_ranks_a_sparse_group_key() {
+    let t = |i: i64, _| ((i * 13) % 997 - 498) * 1_000_003;
+    push_matches(
+        || pull_catalog(&push_edges(t), &vector(600..680)),
+        &semiring_terms(),
+        "sparse T",
+    );
+}
+
 /// `0.0` and `−0.0` from different matrix rows of one group: `min` and
 /// `max` keep the first of the tie, `sum` its sign, as the fused path does.
 #[test]
@@ -766,7 +809,7 @@ fn push_special_floats_match_fused() {
 
 /// A term whose matrix operand is `Int` beside a `Float` vector operand
 /// would convert the whole matrix column for a few pairs: the push declines
-/// and the fused aggregate gathers the pairs, driven or hashed.
+/// and the join and the aggregate run unfused, driven or hashed.
 #[test]
 fn push_declines_an_int_matrix_operand_beside_a_float() {
     let c = pull_catalog(&push_edges(|i, _| (i * 13) % 997), &vector(600..680));
