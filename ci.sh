@@ -92,6 +92,14 @@ grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_sssp_best.out" |
     tee "$trace_dir/explain_wcc_best.out"
 grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_wcc_best.out" | grep "Join\[" |
     grep "pull, index=E.T" | grep -q "push"
+# both fixpoints keep their state on columns (DESIGN §16): every scan of
+# R after its first hits the image its fold installed, so only V, E and
+# R's first scan miss the column cache. This counts work; it times nothing.
+for out in explain_best.out explain_wcc_best.out; do
+    misses="$(sed -n 's/.*cols \([0-9]*\)\/\([0-9]*\) hits.*/\2 - \1/p' "$trace_dir/$out")"
+    test -n "$misses"
+    test "$(($misses))" -le 3
+done
 rm -rf "$trace_dir"
 
 # paper-experiment smokes over the keyed paths: table4_5 runs the

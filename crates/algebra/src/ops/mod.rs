@@ -20,5 +20,5 @@ pub use groupby::{group_by, group_by_par, window};
 pub use join::{
     join, join_on, join_par, last_join_phases, JoinKeys, JoinOrders, JoinPhases, JoinType,
 };
-pub use merge_improve::{ubu_merge_improve, Delta, KeyLookup};
+pub use merge_improve::{ubu_merge_improve, ubu_replace_cols, Delta, KeyLookup, Replaced};
 pub use union_by_update::{union_by_update, UbuImpl};

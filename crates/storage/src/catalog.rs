@@ -88,6 +88,21 @@ impl TableEntry {
     }
 }
 
+/// Write column `c` of `t`'s rows at positions `at` from `col`'s lanes
+/// `lanes`, in place: one pass, typed when `col` is.
+fn write_column(t: &mut Relation, c: usize, at: &[usize], lanes: &[u32], col: &ColumnVec) {
+    let lane = |k: usize| lanes[k] as usize;
+    match col {
+        ColumnVec::Int { vals, nulls } if !nulls.any() => {
+            t.write_rows(at, |k, row| row[c] = Value::Int(vals[lane(k)]))
+        }
+        ColumnVec::Float { vals, nulls } if !nulls.any() => {
+            t.write_rows(at, |k, row| row[c] = Value::Float(vals[lane(k)]))
+        }
+        col => t.write_rows(at, |k, row| row[c] = col.value(lane(k))),
+    }
+}
+
 /// Named relations plus the WAL.
 ///
 /// Entries are held behind `Arc` so a committed generation can be forked
@@ -135,8 +150,7 @@ fn norm(name: &str) -> String {
 /// A patch's positions must name rows of the table (`len` of them), each
 /// at most once: a repeated one would log `dels` that replay to other
 /// rows. Sorts a copy of the k positions: O(k log k), nothing O(|table|).
-fn check_positions(table: &str, set: &[(usize, Row)], len: usize) -> Result<()> {
-    let mut at: Vec<usize> = set.iter().map(|(i, _)| *i).collect();
+fn check_positions(table: &str, mut at: Vec<usize>, len: usize) -> Result<()> {
     at.sort_unstable();
     if let Some(i) = at.last().filter(|&&i| i >= len) {
         return Err(StorageError::Invalid(format!(
@@ -196,18 +210,28 @@ impl Catalog {
     /// `policy` other than `None`, or a durable log.
     pub fn apply(&mut self, m: Mutation, policy: WalPolicy) -> Result<()> {
         m.check(|t| Some(self.tables.get(&norm(t))?.rel.schema().arity()))?;
-        if let Mutation::Patch { table, set, .. } = &m {
-            check_positions(table, set, self.relation(table)?.len())?;
+        let at = match &m {
+            Mutation::Patch { table, set, .. } => Some((table, set.iter().map(|s| s.0).collect())),
+            Mutation::PatchLanes { table, set, .. } => {
+                Some((table, set.iter().map(|s| s.0).collect()))
+            }
+            _ => None,
+        };
+        if let Some((table, at)) = at {
+            check_positions(table, at, self.relation(table)?.len())?;
         }
         if policy != WalPolicy::None || self.durable.is_some() {
             let record = self.record(&m);
             self.wal.charge(policy, record.len(), || match &m {
                 // a patch's `dels` already are the before-images of the
                 // rows it overwrites: only the rows it appends need one
-                Mutation::Patch { table, append, .. } if !append.is_empty() => {
+                Mutation::Patch { table, append, .. }
+                | Mutation::PatchLanes { table, append, .. }
+                    if !append.is_empty() =>
+                {
                     wal::enc_insert(&norm(table), append).len()
                 }
-                Mutation::Patch { .. } => 0,
+                Mutation::Patch { .. } | Mutation::PatchLanes { .. } => 0,
                 _ => record.len(),
             });
             self.wal_append(&record)?;
@@ -248,6 +272,19 @@ impl Catalog {
                 let key = norm(table);
                 let rel = &self.tables[&key].rel;
                 let adds: Vec<&Row> = set.iter().map(|(_, r)| r).chain(append).collect();
+                let dels: Vec<&Row> = set.iter().map(|(i, _)| &rel[*i]).collect();
+                wal::enc_edge_delta(&key, adds, dels)
+            }
+            Mutation::PatchLanes {
+                table,
+                cols,
+                set,
+                append,
+            } => {
+                let key = norm(table);
+                let rel = &self.tables[&key].rel;
+                let lanes: Vec<Row> = set.iter().map(|&(_, l)| cols.row(l as usize)).collect();
+                let adds: Vec<&Row> = lanes.iter().chain(append).collect();
                 let dels: Vec<&Row> = set.iter().map(|(i, _)| &rel[*i]).collect();
                 wal::enc_edge_delta(&key, adds, dels)
             }
@@ -308,6 +345,20 @@ impl Catalog {
                 bytes.add(row_bytes(&append, t.schema().arity()));
                 for (i, row) in set {
                     t.set(i, row);
+                }
+                t.extend(append)?;
+            }
+            Mutation::PatchLanes {
+                table,
+                cols,
+                set,
+                append,
+            } => {
+                let t = self.write(&table, set.is_empty());
+                bytes.add(row_bytes(&append, t.schema().arity()));
+                let (at, lanes): (Vec<usize>, Vec<u32>) = set.into_iter().unzip();
+                for (c, col) in cols.columns().iter().enumerate() {
+                    write_column(t, c, &at, &lanes, col);
                 }
                 t.extend(append)?;
             }
@@ -481,6 +532,26 @@ impl Catalog {
     ) -> Result<()> {
         let table = name.to_string();
         self.apply(Mutation::Patch { table, set, append }, WalPolicy::None)
+    }
+
+    /// [`Catalog::patch_rows`] whose overwrites are lanes of `cols`
+    /// ([`Mutation::PatchLanes`]): `set` pairs a position with the lane
+    /// written into that row in place.
+    pub fn patch_lanes(
+        &mut self,
+        name: &str,
+        cols: Batch,
+        set: Vec<(usize, u32)>,
+        append: Vec<Row>,
+    ) -> Result<()> {
+        let table = name.to_string();
+        let m = Mutation::PatchLanes {
+            table,
+            cols,
+            set,
+            append,
+        };
+        self.apply(m, WalPolicy::None)
     }
 
     /// The entry behind `name`, shared: a caller about to change the table

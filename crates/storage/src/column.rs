@@ -27,7 +27,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::hash::FxHashSet;
-use crate::relation::{ColumnSketch, Relation, Rows};
+use crate::relation::{ColumnSketch, Relation, Row, Rows};
 use crate::schema::Schema;
 use crate::value::{cmp_f64, Value};
 
@@ -396,7 +396,12 @@ impl ColumnVec {
                         nullc += 1;
                         continue;
                     }
-                    seen.insert(Value::canonical_f64_bits(v));
+                    // the bits of integer-valued floats differ only in
+                    // their high half, and Fx hashing keeps a key's low
+                    // bits, so they would all probe one bucket; the
+                    // xorshift is one-to-one, so the count stays exact
+                    let bits = Value::canonical_f64_bits(v);
+                    seen.insert(bits ^ (bits >> 32));
                     min = Some(min.map_or(v, |m| if cmp_f64(v, m).is_lt() { v } else { m }));
                     max = Some(max.map_or(v, |m| if cmp_f64(v, m).is_gt() { v } else { m }));
                 }
@@ -672,7 +677,7 @@ impl Batch {
     /// boundary. Exact: float bits and string identities survive.
     pub fn to_relation(&self) -> Relation {
         let mut rel = Relation::new(self.schema.clone());
-        let rows = (0..self.len).map(|i| self.cols.iter().map(|c| c.value(i)).collect());
+        let rows = (0..self.len).map(|i| self.row(i));
         rel.extend(rows).expect("batch columns are schema-aligned");
         rel
     }
@@ -724,6 +729,11 @@ impl Batch {
         for (slot, c) in out.iter_mut().zip(&self.cols) {
             *slot = c.value(i);
         }
+    }
+
+    /// Row `i`, boxed.
+    pub fn row(&self, i: usize) -> Row {
+        self.cols.iter().map(|c| c.value(i)).collect()
     }
 
     /// Gather rows by index ([`GATHER_NULL`] ⇒ NULL padding) across every

@@ -8,12 +8,13 @@
 //! recovery replays them through the same `apply` with logging off, after
 //! the same `Mutation::check` has accepted the whole transaction.
 
+use crate::column::Batch;
 use crate::error::{Result, StorageError};
 use crate::relation::{Relation, Row};
 
 /// One catalog change. The variants are the durable record kinds, plus
-/// [`Mutation::Patch`], which exists only live and is logged as an
-/// [`Mutation::EdgeDelta`].
+/// [`Mutation::Patch`] and [`Mutation::PatchLanes`], which exist only live
+/// and are logged as an [`Mutation::EdgeDelta`].
 #[derive(Clone, Debug)]
 pub enum Mutation {
     /// Create `name` holding `rel` (its schema, primary key and rows). A
@@ -61,6 +62,15 @@ pub enum Mutation {
     Patch {
         table: String,
         set: Vec<(usize, Row)>,
+        append: Vec<Row>,
+    },
+    /// A [`Mutation::Patch`] whose overwrites are lanes of `cols`: `set`
+    /// pairs a position with the lane it takes, written into that row
+    /// value by value, so no row is boxed for it. Logged like a patch.
+    PatchLanes {
+        table: String,
+        cols: Batch,
+        set: Vec<(usize, u32)>,
         append: Vec<Row>,
     },
 }
@@ -114,6 +124,24 @@ impl Mutation {
                 set,
                 append,
             } => rows_of(table(t)?, set.iter().map(|(_, r)| r).chain(append)),
+            Mutation::PatchLanes {
+                table: t,
+                cols,
+                set,
+                append,
+            } => {
+                let (expected, got) = (table(t)?, cols.schema().arity());
+                if got != expected {
+                    return Err(StorageError::ArityMismatch { expected, got });
+                }
+                if let Some((_, lane)) = set.iter().find(|(_, l)| *l as usize >= cols.len()) {
+                    return Err(StorageError::Invalid(format!(
+                        "patch of {t}: lane {lane} out of range for {} lanes",
+                        cols.len()
+                    )));
+                }
+                rows_of(expected, append.iter())
+            }
         }
     }
 }

@@ -197,6 +197,21 @@ impl Relation {
         std::mem::replace(slot, row)
     }
 
+    /// Write the rows at positions `at` in place, value by value (not
+    /// their length): `write(k, row)` gets the row at `at[k]`. Copies each
+    /// shared chunk it touches once. Panics if a position is out of range.
+    pub fn write_rows(&mut self, at: &[usize], mut write: impl FnMut(usize, &mut [Value])) {
+        let mut k = 0;
+        while let Some(&first) = at.get(k) {
+            let c = first / CHUNK_ROWS;
+            let rows = chunk_mut(&mut self.chunks[c]);
+            while let Some(&i) = at.get(k).filter(|&&i| i / CHUNK_ROWS == c) {
+                write(k, &mut rows[i % CHUNK_ROWS]);
+                k += 1;
+            }
+        }
+    }
+
     /// Append one row, checking arity only (a declared primary key is not
     /// enforced; see [`Relation::with_pk`]).
     pub fn push(&mut self, row: Row) -> Result<()> {

@@ -166,8 +166,8 @@ pub enum CommitKind {
 /// transaction and run structure around them.
 #[derive(Clone, Debug)]
 pub enum WalRecord {
-    /// Every kind but [`Mutation::Patch`], which is logged as an
-    /// `EdgeDelta`.
+    /// Every kind but [`Mutation::Patch`] and [`Mutation::PatchLanes`],
+    /// which are logged as an `EdgeDelta`.
     Mutation(Mutation),
     /// A with+ statement started: enough context (SQL text + parameter
     /// bindings) to re-compile and resume it after a crash.

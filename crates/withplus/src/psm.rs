@@ -28,12 +28,14 @@
 //! — every paper profile — keeps the full-width loop. The improve fold
 //! keeps one key lookup over R for the whole loop and, under batch
 //! execution, reads each step's result as the columns it left the
-//! evaluator in.
+//! evaluator in. So does a full-width keyed replace under the optimizer
+//! and batch execution (the replace rule of the same column fold), which
+//! also keeps R's columnar image current from one iteration to the next.
 
 use crate::ast::{UnionMode, WithPlus};
 use crate::compile::{CompiledStep, CompiledWithPlus};
 use crate::error::{Result, WithPlusError};
-use aio_algebra::ops::{self, Delta, KeyLookup, UbuImpl};
+use aio_algebra::ops::{self, Delta, KeyLookup, Replaced, UbuImpl};
 use aio_algebra::{
     AggFunc, BinOp, EngineProfile, Evaluator, ExecMode, ExecStats, Func, JoinType, Optimizer, Plan,
     ScalarExpr,
@@ -701,8 +703,8 @@ pub(crate) struct Started {
     steps: Vec<CompiledStep>,
     frontier: Option<String>,
     fold: Fold,
-    /// R's key lookup while the fold improves by key, held (and grown by
-    /// the kernel) across iterations.
+    /// R's key lookup while a keyed fold reads columns (improve, or the
+    /// replace rule), held (and grown by the kernel) across iterations.
     index: Option<KeyLookup>,
     /// A cold run that switches to the improve fold at iteration 0 if the
     /// data checks hold ([`improve_is_exact`]).
@@ -1048,23 +1050,47 @@ impl<'a> PsmRunner<'a> {
         self.profile.optimizer != Optimizer::Off && c.folds.delta_driven.is_some()
     }
 
-    /// Fold one subquery's `delta` into R. Returns what it did and the rows
+    /// Does `fold` read a batch step's result as the columns it left the
+    /// evaluator in? The improve fold does; so does a replace on one key
+    /// column under the optimizer with the full-outer-join implementation
+    /// (Algorithm 1's temp-table shape stays under `Off`, which Tables 4–7
+    /// measure), except in a `trial` iteration, whose data checks read
+    /// rows.
+    fn reads_columns(&self, fold: &Fold, trial: bool) -> bool {
+        self.profile.exec == ExecMode::Batch
+            && match fold {
+                Fold::Improve { .. } => true,
+                Fold::Replace { keys: Some(keys) } => {
+                    keys.len() == 1
+                        && !trial
+                        && self.profile.optimizer != Optimizer::Off
+                        && self.ubu_impl == UbuImpl::FullOuterJoin
+                }
+                _ => false,
+            }
+    }
+
+    /// Fold one subquery's `delta` into R. Returns what it did, the rows
     /// it contributes to the next frontier (`None` for the full-width
-    /// fold). `C_i` is read off the operators: the keyed folds count the
-    /// rows they inserted or overwrote with a different row
+    /// fold) and, when `measure` asks for it, the largest numeric move of a
+    /// keyed replace (`None`: a structural change, or another fold). `C_i`
+    /// is read off the operators: the keyed folds count the rows they
+    /// inserted or overwrote with a different row
     /// (`ExecStats::ubu_changed_rows`) and never shrink R, and a keyless
     /// replacement counts the rows old R does not cover — so "R changed"
-    /// is "something was counted, or |R| moved". The improve fold builds
-    /// R's key lookup into `index` on first use and keeps it there, and
-    /// also hands back its frontier as columns when it read the delta as
-    /// columns.
+    /// is "something was counted, or |R| moved". The keyed folds of
+    /// columns keep R's key lookup in `index` across calls (built on first
+    /// use); the improve fold also hands back its frontier as columns when
+    /// it read the delta as columns. A keyed replace the column fold
+    /// declines folds R's rows, and drops the lookup.
     fn fold_delta(
         &mut self,
         rec: &str,
         fold: &Fold,
         index: &mut Option<KeyLookup>,
         delta: Delta,
-    ) -> Result<(SubqueryIterStat, Option<Frontier>)> {
+        measure: bool,
+    ) -> Result<(SubqueryIterStat, Option<Frontier>, Option<f64>)> {
         let delta_rows = match &delta {
             Delta::Rows(r) => r.len(),
             Delta::Cols(b) => b.len(),
@@ -1075,6 +1101,7 @@ impl<'a> PsmRunner<'a> {
         };
         let r_rows = self.catalog.relation(rec)?.len();
         let counted = self.stats.exec.ubu_changed_rows;
+        let mut moved = None;
         let frontier = match fold {
             Fold::InsertAll | Fold::InsertFresh => {
                 let delta = rows(delta);
@@ -1090,15 +1117,38 @@ impl<'a> PsmRunner<'a> {
                 Some((fresh, None))
             }
             Fold::Replace { keys } => {
-                ops::union_by_update(
-                    self.catalog,
-                    rec,
-                    rows(delta),
-                    keys.as_deref(),
-                    self.ubu_impl,
-                    self.profile,
-                    &mut self.stats.exec,
-                )?;
+                let folded = match (&delta, keys) {
+                    (Delta::Cols(b), Some(keys)) => ops::ubu_replace_cols(
+                        self.catalog,
+                        rec,
+                        b,
+                        keys,
+                        index,
+                        self.profile.optimizer == Optimizer::Cost,
+                        &mut self.stats.exec,
+                    )?,
+                    _ => Replaced::Declined,
+                };
+                if let Replaced::Folded { moved: m } = folded {
+                    moved = m;
+                } else {
+                    let delta = rows(delta);
+                    if let (true, Some(keys)) = (measure, keys) {
+                        moved = max_keyed_change(self.catalog.relation(rec)?, &delta, keys);
+                    }
+                    // the row path rewrites R; a lookup is built again
+                    // when the column fold next runs
+                    *index = None;
+                    ops::union_by_update(
+                        self.catalog,
+                        rec,
+                        delta,
+                        keys.as_deref(),
+                        self.ubu_impl,
+                        self.profile,
+                        &mut self.stats.exec,
+                    )?;
+                }
                 None
             }
             Fold::Improve {
@@ -1127,7 +1177,7 @@ impl<'a> PsmRunner<'a> {
             changed: ubu_changed_rows > 0 || self.catalog.relation(rec)?.len() != r_rows,
             ubu_changed_rows,
         };
-        Ok((sub, frontier))
+        Ok((sub, frontier, moved))
     }
 
     /// Bring R (and the frontier table, when `fold` reads one) to where the
@@ -1177,7 +1227,8 @@ impl<'a> PsmRunner<'a> {
             }
             Start::Seed(seed, lent) => {
                 index = lent;
-                let (sub, next) = self.fold_delta(rec, fold, &mut index, Delta::Rows(seed))?;
+                let seed = Delta::Rows(seed);
+                let (sub, next, _) = self.fold_delta(rec, fold, &mut index, seed, false)?;
                 if let (Some(f), Some((next, cols))) = (&frontier, next) {
                     self.materialize_with(f, next, cols)?;
                 }
@@ -1255,29 +1306,22 @@ impl<'a> PsmRunner<'a> {
             for (qi, step) in steps.iter().enumerate() {
                 let label = format!("rec[{qi}]");
                 self.run_step_computed(step, &label)?;
-                // the improve fold reads a batch step's result as columns
-                let columns =
-                    matches!(fold, Fold::Improve { .. }) && self.profile.exec == ExecMode::Batch;
-                let delta = if columns {
+                let delta = if self.reads_columns(&fold, trial) {
                     let b = self.eval_batch(&step.plan, &label)?;
                     Delta::Cols(b.with_schema(renamed(b.schema(), &c.rec_cols)?))
                 } else {
                     Delta::Rows(rename_to(self.eval(&step.plan, &label)?, &c.rec_cols)?)
                 };
-                let mut moved = None;
-                if let Delta::Rows(delta) = &delta {
-                    if std::mem::take(&mut trial) {
-                        if let Some(lookup) = improve_is_exact(self.catalog, c, delta)? {
-                            fold = c.folds.warm.clone();
-                            index = Some(lookup);
-                            self.stats.delta_driven = true;
-                        }
-                    }
-                    if let (Some(_), Fold::Replace { keys: Some(keys) }) = (max_change, &fold) {
-                        moved = max_keyed_change(self.catalog.relation(rec)?, delta, keys);
+                if let (Delta::Rows(delta), true) = (&delta, std::mem::take(&mut trial)) {
+                    if let Some(lookup) = improve_is_exact(self.catalog, c, delta)? {
+                        fold = c.folds.warm.clone();
+                        index = Some(lookup);
+                        self.stats.delta_driven = true;
                     }
                 }
-                let (sub, fresh) = self.fold_delta(rec, &fold, &mut index, delta)?;
+                let measure = max_change.is_some();
+                let (sub, fresh, moved) =
+                    self.fold_delta(rec, &fold, &mut index, delta, measure)?;
                 if let Some(fresh) = fresh {
                     next = Some(match next {
                         None => fresh,

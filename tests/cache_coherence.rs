@@ -9,7 +9,9 @@
 //! 1. after **every** step of a random interleaving of every mutation path
 //!    the catalog has — `insert_rows`, `apply_delta`, `truncate`, in-place
 //!    `patch_rows` edits, `create_or_replace`, rename, drop + recreate,
-//!    the four union-by-update implementations and `ubu_merge_improve` —
+//!    the four union-by-update implementations, `ubu_merge_improve` and
+//!    `ubu_replace_cols`, whose installed image and statistics must be
+//!    the rows' —
 //!    whatever is cached equals a fresh build over the current rows (the
 //!    image value for value by `to_bits` and in the same per-column layout
 //!    as `Batch::from_relation`, every trie equal to `TrieIndex::build`),
@@ -46,7 +48,9 @@
 //! text column and a mixed-type column, so every `ColumnVec` layout is
 //! under test.
 
-use all_in_one::algebra::ops::{ubu_merge_improve, union_by_update, Delta, KeyLookup};
+use all_in_one::algebra::ops::{
+    ubu_merge_improve, ubu_replace_cols, union_by_update, Delta, KeyLookup, Replaced,
+};
 use all_in_one::algebra::{
     execute, oracle_like, BinOp, ExecMode, ExecStats, JoinType, Optimizer, Plan, ScalarExpr,
     UbuImpl,
@@ -225,8 +229,50 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
                 &mut stats,
             );
         }
+        12 => {
+            // the replace rule of the keyed column fold, on the one table
+            // it can fold: every column NULL-free `Int` or `Float`, keys
+            // unique; a fold that wrote something installs R's image and
+            // statistics, which must be the rows' (checked with the rest)
+            if !cat.contains(FOLDED) {
+                cat.create_temp(FOLDED, typed_rel(a, n.max(1), 0)).unwrap();
+            }
+            let len = cat.relation(FOLDED).unwrap().len();
+            let delta = Batch::from_relation(&typed_rel(a, n, len as u8 / 2));
+            let out = ubu_replace_cols(cat, FOLDED, &delta, &[0], &mut None, true, &mut stats);
+            if out.unwrap() != Replaced::Declined && stats.ubu_changed_rows > 0 {
+                let e = cat.entry(FOLDED).unwrap();
+                assert!(
+                    e.image.cached().is_some() && e.stats.is_some(),
+                    "not installed"
+                );
+            }
+        }
         _ => warm(cat, name, a),
     }
+}
+
+/// The table the replace rule folds into: NULL-free `Int` and `Float`
+/// columns (NaN and both zeros among the floats), key column 0.
+const FOLDED: &str = "r";
+
+/// `n` rows of [`FOLDED`]'s shape keyed `from..from + n`, values varying
+/// with `seed`.
+fn typed_rel(seed: u8, n: u8, from: u8) -> Relation {
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Int),
+        Column::new("f", DataType::Float),
+        Column::new("g", DataType::Int),
+        Column::new("h", DataType::Float),
+    ]);
+    let mut rel = Relation::new(schema);
+    for k in from as i64..from as i64 + n as i64 {
+        let x = (k as u64 + seed as u64).wrapping_mul(0x9E37_79B9) >> 7;
+        let f = [f64::NAN, -0.0, 0.0, 1.5, x as f64][x as usize % 5];
+        let row = vec![k.into(), f.into(), ((x % 3) as i64).into(), 0.25.into()];
+        rel.push(row.into_boxed_slice()).unwrap();
+    }
+    rel
 }
 
 /// Fill the caches the way query execution does, through `&Catalog` where
@@ -394,7 +440,7 @@ proptest! {
     /// Properties 1 and 2 on an in-memory catalog.
     #[test]
     fn caches_stay_coherent_under_random_mutation(
-        raw in proptest::collection::vec((0u8..14, 0u8..3, 0u8..16, 0u8..9), 1..40),
+        raw in proptest::collection::vec((0u8..15, 0u8..3, 0u8..16, 0u8..9), 1..40),
     ) {
         let mut cat = Catalog::new();
         let mut pinned: Vec<Pinned> = Vec::new();
@@ -424,16 +470,17 @@ proptest! {
     /// the same mutation paths).
     #[test]
     fn caches_start_empty_after_reopen(
-        raw in proptest::collection::vec((0u8..14, 0u8..3, 0u8..16, 0u8..9), 1..16),
+        raw in proptest::collection::vec((0u8..15, 0u8..3, 0u8..16, 0u8..9), 1..16),
     ) {
         let vfs = Arc::new(SimVfs::new());
         let (mut cat, _) = open_catalog(vfs.clone(), DIR, None).unwrap();
         let mut patched = false;
         for (i, &(kind, t, a, n)) in raw.iter().enumerate() {
-            // a patch (an in-place edit, merge, update-from, merge-improve)
-            // logs the rows it overwrote as an `EdgeDelta`, whose replay
-            // appends their new versions (DESIGN §19)
-            patched |= matches!(kind, 3 | 7 | 10 | 11);
+            // a patch (an in-place edit, merge, update-from, merge-improve,
+            // the replace rule) logs the rows it overwrote as an
+            // `EdgeDelta`, whose replay appends their new versions (DESIGN
+            // §19)
+            patched |= matches!(kind, 3 | 7 | 10 | 11 | 12);
             step(&mut cat, kind, t as usize, a, n);
             assert_coherent(&cat, &format!("durable step {i} {:?}", (kind, t, a, n)));
             for name in cat.names() {

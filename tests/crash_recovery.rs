@@ -22,11 +22,13 @@
 //! Tier-1 strides through the crash points (`AIO_CRASH_STRIDE`, default 3);
 //! `./ci.sh full` runs the `#[ignore]`d exhaustive sweep at stride 1.
 //! The same harness also kills a delta-driven Eq. 7 run at every operation
-//! (it must resume full-width), and sweeps a maintained view under churn.
+//! (it must resume full-width), PageRank under the batch executor's column
+//! fold at every third (it must resume to the same bits), and sweeps a
+//! maintained view under churn.
 //! A golden `RecoveryReport` rendering pins the report format.
 
 use aio_testkit::AlgoResult;
-use all_in_one::algebra::{oracle_like, EngineProfile, Optimizer};
+use all_in_one::algebra::{oracle_like, EngineProfile, ExecMode, Optimizer};
 use all_in_one::algos::{pagerank, sssp, Tolerance};
 use all_in_one::graph::{generate, load, reference, GraphKind};
 use all_in_one::storage::{row, Relation, Row, SimVfs, UnsyncedFate, Value, WalPolicy};
@@ -729,6 +731,80 @@ fn delta_driven_run_resumes_full_width_from_every_iteration() {
     assert_eq!(
         resumed_at,
         (0..=iterations).collect(),
+        "every iteration boundary is a crash point"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Crash points of the keyed column fold
+// ---------------------------------------------------------------------------
+
+/// PageRank over the sweep's graph under `Cost` + `Batch`: every iteration
+/// folds the step's columns into `P` and logs one patch (overwritten rows
+/// out, written rows in) where the row path logs a full image.
+fn pagerank_batch(vfs: Arc<SimVfs>) -> all_in_one::withplus::Result<QueryResult> {
+    let (rows, v) = edge_rows();
+    let profile = cost_profile().with_exec(ExecMode::Batch);
+    let (mut db, _report) = Database::open_with_vfs(vfs, DIR, profile, None)?;
+    let mut e = empty_like(&rows);
+    e.extend(rows)?;
+    db.create_table("E", e)?;
+    db.create_table("V", v)?;
+    db.set_param("c", 0.85);
+    db.set_param("n", NODES as f64);
+    db.execute(&pagerank::sql(PR_ITERS))
+}
+
+/// `rel`'s rows by their bits, sorted: replay appends the rows a patch
+/// rewrote, so a recovered table holds them in another order.
+fn sorted_bits(rel: &Relation) -> Vec<(i64, u64)> {
+    let mut rows: Vec<(i64, u64)> = (rel.iter())
+        .map(|r| (r[0].as_int().unwrap(), r[1].as_f64().unwrap().to_bits()))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Killed at every `AIO_CRASH_STRIDE`-th mutating fs op (default 3), and so
+/// at every iteration boundary, the column-folded run resumes to the
+/// uninterrupted relation, bit for bit.
+#[test]
+fn column_fold_resumes_from_every_iteration() {
+    let stride = std::env::var("AIO_CRASH_STRIDE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&s| s > 0)
+        .unwrap_or(3);
+    let want = sorted_bits(&pagerank_batch(Arc::new(SimVfs::new())).unwrap().relation);
+    let vfs = Arc::new(SimVfs::new());
+    pagerank_batch(vfs.clone()).unwrap();
+    let mut resumed_at = BTreeSet::new();
+    for k in (1..=vfs.op_count()).step_by(stride) {
+        let ctx = format!("pagerank crash at op {k}");
+        let vfs = Arc::new(SimVfs::new());
+        vfs.set_crash_at(k);
+        let run = pagerank_batch(vfs.clone());
+        if !vfs.has_crashed() {
+            run.unwrap_or_else(|e| panic!("{ctx}: run failed without crashing: {e}"));
+        }
+        let img = Arc::new(vfs.crash_image(UnsyncedFate::DropAll));
+        let profile = cost_profile().with_exec(ExecMode::Batch);
+        let (mut db, report) = Database::open_with_vfs(img, DIR, profile, None)
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let Some(done) = report.interrupted.and_then(|i| i.committed_iters) else {
+            continue;
+        };
+        let out = db
+            .resume_interrupted()
+            .unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"))
+            .expect("interrupted implies resumable");
+        assert_eq!(sorted_bits(&out.relation), want, "{ctx}: resumed at {done}");
+        assert_eq!(db.catalog.names(), ["e", "v"], "{ctx}: temp tables left");
+        resumed_at.insert(done);
+    }
+    assert_eq!(
+        resumed_at,
+        (0..=PR_ITERS as u64).collect(),
         "every iteration boundary is a crash point"
     );
 }
