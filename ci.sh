@@ -104,9 +104,14 @@ rm -rf "$trace_dir"
 
 # paper-experiment smokes over the keyed paths: table4_5 runs the
 # duplicate-key check of all four union-by-update implementations, fig10
-# postgres_like's sort aggregation with and without indexes (seconds)
+# postgres_like's sort aggregation with and without indexes (seconds).
+# fig10 prints a failed run's error into its table and still exits 0, so
+# every one of its 16 rows (4 datasets x 4 algorithms) must print a
+# speedup.
 "$repro_bin" table4_5 --scale 0.0002
-"$repro_bin" fig10 --scale 0.0002
+fig10_out="$("$repro_bin" fig10 --scale 0.0002)"
+printf '%s\n' "$fig10_out"
+test "$(printf '%s\n' "$fig10_out" | grep -cE ' [0-9]+\.[0-9]{2}x$')" -eq 16
 
 # Tracked size (ROADMAP aim 2): engine + facade source lines, tests in
 # those files included — the one number "net lines of code" refers to.

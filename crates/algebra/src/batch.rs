@@ -31,7 +31,9 @@ use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::semiring::Times;
 use crate::stats::ExecStats;
-use aio_storage::{Adjacency, Batch, ColumnVec, FxHashMap, NullMask, Schema, Value, GATHER_NULL};
+use aio_storage::{
+    direct_span, Adjacency, Batch, ColumnVec, FxHashMap, NullMask, Schema, Value, GATHER_NULL,
+};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -559,10 +561,10 @@ const NO_ROW: u32 = u32::MAX;
 /// The build side of [`hash_join`]: the first build row of every key, and
 /// per build row the next one with the same key, so a probe walks a key's
 /// rows in row order and the build allocates nothing per key. One `Int` key
-/// whose non-NULL values span at most [`DIRECT_SPAN_FACTOR`] × the rows
-/// (PageRank's `P.ID`: one slot per vertex) is direct-addressed, a slot per
-/// key value; any other key is hashed. NULL keys are left out: SQL joins
-/// never match them.
+/// whose non-NULL values span at most `DIRECT_SPAN_FACTOR` × the rows
+/// ([`direct_span`]; PageRank's `P.ID`: one slot per vertex) is
+/// direct-addressed, a slot per key value; any other key is hashed. NULL
+/// keys are left out: SQL joins never match them.
 struct HashBuild {
     heads: Heads,
     next: Vec<u32>,
@@ -1171,9 +1173,9 @@ impl<'a> Groups<'a> {
     /// `keys`: the group key at each position. The pull reads the span and
     /// the ranks off the matrix's `adjacency` on the group key, which it
     /// holds; given pairs are direct-addressed when their keys span at most
-    /// 4 × [`DIRECT_SPAN_FACTOR`] slots per pair — a frontier's few pairs
-    /// spread over a wide key range, and slots left empty cost less than
-    /// sorting — else ranked by a sort.
+    /// 4 × `DIRECT_SPAN_FACTOR` slots per pair ([`direct_span`]) — a
+    /// frontier's few pairs spread over a wide key range, and slots left
+    /// empty cost less than sorting — else ranked by a sort.
     fn of(keys: Cow<'a, [i64]>, adjacency: Option<&Adjacency>) -> Groups<'a> {
         let span = match adjacency {
             Some(a) => a.dense_span(),
@@ -1247,12 +1249,6 @@ fn key_at(keys: &IntKeys<'_>, i: usize) -> Option<(i64, i64)> {
     }
 }
 
-/// A key span may exceed the row count by this factor and still be
-/// direct-addressed (a morsel's group ids, a hash join's build): the slot
-/// table (and every flat state array) then has at most this many entries
-/// per input row.
-pub(crate) const DIRECT_SPAN_FACTOR: usize = 4;
-
 /// The group of every row of one morsel, and the groups themselves.
 struct Grouping {
     /// Morsel-local group id per row.
@@ -1267,25 +1263,11 @@ struct Grouping {
     sorted: bool,
 }
 
-/// `(lo, span)` of `keys` when their span is at most
-/// [`DIRECT_SPAN_FACTOR`] × `rows`, small enough to direct-address; `None`
-/// otherwise, and when there is no key.
-pub(crate) fn direct_span(keys: impl Iterator<Item = i64>, rows: usize) -> Option<(i64, usize)> {
-    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-    for k in keys {
-        lo = lo.min(k);
-        hi = hi.max(k);
-    }
-    let span = hi as i128 - lo as i128 + 1; // ≤ 0: no key
-    let limit = (DIRECT_SPAN_FACTOR * rows).min(u32::MAX as usize - 1);
-    (span > 0 && span <= limit as i128).then_some((lo, span as usize))
-}
-
 /// One pass over the key column. Direct-addressed — id = key − min + 1,
 /// id 0 for the NULL key, so ids are already in key order — when the span
-/// of the non-NULL keys is at most [`DIRECT_SPAN_FACTOR`] × the row count;
-/// hashed (ids in first-seen order) otherwise. Which one runs is read off
-/// the column and changes no result.
+/// of the non-NULL keys is at most `DIRECT_SPAN_FACTOR` × the row count
+/// ([`direct_span`]); hashed (ids in first-seen order) otherwise. Which
+/// one runs is read off the column and changes no result.
 fn assign_groups(key: Option<(&[i64], &NullMask)>, range: Range<usize>) -> Grouping {
     let Some((vals, nulls)) = key else {
         return Grouping {

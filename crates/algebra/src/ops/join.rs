@@ -654,7 +654,8 @@ mod tests {
         assert_eq!(s.sorts, 2);
         assert_eq!(s.index_scans, 0);
 
-        let idx = aio_storage::SortedIndex::build(&e, &[1]);
+        // Fig. 10's index on E.T: a one-level trie, read as its perm
+        let idx = aio_storage::TrieIndex::build(&e, &[1]);
         let mut s2 = ExecStats::new();
         let out = join(
             &e,
@@ -664,7 +665,7 @@ mod tests {
             JoinType::Inner,
             JoinStrategy::SortMerge,
             JoinOrders {
-                left: Some(idx.order()),
+                left: Some(idx.perm()),
                 right: None,
             },
             &mut s2,

@@ -34,10 +34,12 @@
 //! transposes nothing — the fixpoint's state stays on columns between
 //! iterations.
 
-use crate::batch::{direct_span, DIRECT_SPAN_FACTOR};
 use crate::error::{AlgebraError, Result};
 use crate::stats::ExecStats;
-use aio_storage::{Batch, Catalog, ColumnVec, KeyGroups, KeyIndex, Relation, Row, Value};
+use aio_storage::{
+    direct_span, Batch, Catalog, ColumnVec, KeyGroups, KeyIndex, Relation, Row, Value,
+    DIRECT_SPAN_FACTOR,
+};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -55,8 +57,8 @@ const NO_ROW: u32 = u32::MAX;
 /// R's row of each key, for the improve fold, which holds one across a
 /// loop (and a view across its `frontier` refreshes, DESIGN §19) and grows
 /// it as R appends. A key of one `Int` column whose span is dense — at most
-/// `DIRECT_SPAN_FACTOR` × the rows, the batch hash join's rule — sits in a
-/// slot array, key `k` at `pos[k − lo]`; any other key in a [`KeyIndex`].
+/// `DIRECT_SPAN_FACTOR` × the rows, the one rule ([`direct_span`]) — sits
+/// in a slot array, key `k` at `pos[k − lo]`; any other key in a [`KeyIndex`].
 pub struct KeyLookup(Lookup);
 
 enum Lookup {

@@ -23,7 +23,10 @@ use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
 use crate::profile::{AggStrategy, EngineProfile, ExecMode, JoinStrategy, Optimizer};
 use crate::semiring::Times;
 use crate::stats::ExecStats;
-use aio_storage::{Batch, Catalog, Column, ColumnVec, DataType, Relation, Schema, Value};
+use aio_storage::{
+    Batch, Catalog, Column, ColumnVec, DataType, Relation, Schema, TrieIndex, Value,
+};
+use std::sync::Arc;
 
 /// A logical plan node.
 #[derive(Clone, Debug)]
@@ -734,6 +737,9 @@ impl<'a> Evaluator<'a> {
                 }
                 let (lrel, rrel) = (l.into_relation(), r.into_relation());
                 let keys = JoinKeys::resolve(&lrel, &rrel, on)?;
+                // held while the join borrows their orders
+                let lindex = self.index_order(left, &keys.left);
+                let rindex = self.index_order(right, &keys.right);
                 Ok(Data::Rows(ops::join_par(
                     &lrel,
                     &rrel,
@@ -742,8 +748,8 @@ impl<'a> Evaluator<'a> {
                     *kind,
                     self.profile.join,
                     JoinOrders {
-                        left: self.index_order(left, &keys.left),
-                        right: self.index_order(right, &keys.right),
+                        left: lindex.as_deref().map(TrieIndex::perm),
+                        right: rindex.as_deref().map(TrieIndex::perm),
                     },
                     par,
                     &mut self.stats,
@@ -995,13 +1001,13 @@ impl<'a> Evaluator<'a> {
         on.then(|| MvShape::of(plan)).flatten()
     }
 
-    /// The stored sort order on `cols` that can serve a join input: only
-    /// when the child is a direct table scan and the profile uses indexes.
-    fn index_order(&self, child: &Plan, cols: &[usize]) -> Option<&'a [u32]> {
+    /// The stored sort order on `cols` that can serve a join input — the
+    /// table's trie on exactly `cols`, read as its `perm()` (Fig. 10's
+    /// index is the one-level trie) — only when the child is a direct
+    /// table scan and the profile uses indexes.
+    fn index_order(&self, child: &Plan, cols: &[usize]) -> Option<Arc<TrieIndex>> {
         match child {
-            Plan::Scan { table, .. } if self.profile.indexes => {
-                self.catalog.index_on(table, cols).map(|i| i.order())
-            }
+            Plan::Scan { table, .. } if self.profile.indexes => self.catalog.trie_on(table, cols),
             _ => None,
         }
     }
@@ -1182,8 +1188,8 @@ mod tests {
 
     #[test]
     fn postgres_profile_uses_catalog_index() {
-        let mut c = catalog();
-        c.build_index("E", &[1]).unwrap(); // index on E.T
+        let c = catalog();
+        c.trie_for("E", &[1]).unwrap(); // index on E.T
         let plan = Plan::Join {
             left: Box::new(Plan::scan("E")),
             right: Box::new(Plan::scan("V")),

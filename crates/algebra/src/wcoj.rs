@@ -14,7 +14,9 @@
 //!   `K = i64` when every key level of every trie is all-`Int` (graph
 //!   vertex ids: machine-integer compares, no NULLs to skip) and for
 //!   `K = Value` otherwise; which one runs is read off the tries, not
-//!   configured. Bag semantics: payload columns and duplicate rows are
+//!   configured (an `Int` level stores raw keys only, so the `Value`
+//!   search reads every level through a copy made for its execution). Bag
+//!   semantics: payload columns and duplicate rows are
 //!   re-expanded from the trie's row-id runs, so the output is
 //!   multiset-identical to the equivalent binary join tree. Scan-like
 //!   children (a scan, or a projection of plain columns over one) read the
@@ -191,10 +193,27 @@ pub(crate) fn multiway_join(
     // the whole operator: when every key level is all-Int (hence
     // NULL-free) the search compares the tries' raw `i64` columns.
     let out_rows = if tries.iter().all(|t| t.all_int()) {
-        let level = |t, d| TrieIndex::int_keys(t, d).expect("all-Int level");
-        Lftj::run(children, &tries, level, &participants, all_rows)?
+        let keys = tries
+            .iter()
+            .map(|t| {
+                (0..t.depth())
+                    .map(|d| t.int_keys(d).expect("all-Int level"))
+                    .collect()
+            })
+            .collect();
+        Lftj::run(children, &tries, keys, &participants, all_rows)?
     } else {
-        Lftj::run(children, &tries, TrieIndex::keys, &participants, all_rows)?
+        // an `Int` level stores its raw keys only: every level is read
+        // through a copy as values, made for this execution
+        let copies: Vec<Vec<Vec<Value>>> = tries
+            .iter()
+            .map(|t| (0..t.depth()).map(|d| t.keys(d)).collect())
+            .collect();
+        let keys = copies
+            .iter()
+            .map(|t| t.iter().map(Vec::as_slice).collect())
+            .collect();
+        Lftj::run(children, &tries, keys, &participants, all_rows)?
     };
     phases.probe_ns = probe_start.elapsed().as_nanos() as u64;
     LAST_WCOJ.with(|c| c.set(phases));
@@ -276,21 +295,18 @@ struct Lftj<'a, K> {
 }
 
 impl<'a, K: TrieKey> Lftj<'a, K> {
-    /// Run the whole search; `level(trie, d)` is the trie's level-`d` key
+    /// Run the whole search; `keys[c][d]` is child `c`'s level-`d` key
     /// slice in this instantiation's key type.
     fn run(
         children: &'a [Data],
         tries: &'a [Arc<TrieIndex>],
-        level: impl Fn(&'a TrieIndex, usize) -> &'a [K],
+        keys: Vec<Vec<&'a [K]>>,
         participants: &'a [Vec<usize>],
         all_rows: Vec<Option<Vec<u32>>>,
     ) -> Result<Vec<aio_storage::Row>> {
         let mut lftj = Lftj {
             children,
-            keys: tries
-                .iter()
-                .map(|t| (0..t.depth()).map(|d| level(t, d)).collect())
-                .collect(),
+            keys,
             tries,
             frames: vec![Vec::new(); children.len()],
             participants,

@@ -39,9 +39,26 @@ pub const JOIN_INDEX_RENT: u32 = 2;
 /// rebuilds cost O(1) amortized per appended row.
 pub const TAIL_REBUILD_RATIO: usize = 8;
 
-/// A key span at most this many times the row count is addressed directly
-/// (one offset per possible key); a wider one keeps sorted distinct keys.
-const DENSE_SPAN_FACTOR: u64 = 4;
+/// A key span at most this many times the row count is addressed directly,
+/// one slot per possible key: a CSR's offsets, a batch hash join's build, a
+/// morsel's group ids, the improve fold's key lookup. A wider span is
+/// sorted or hashed. Every slot table then has at most this many entries
+/// per row.
+pub const DIRECT_SPAN_FACTOR: usize = 4;
+
+/// `(lo, span)` of `keys` when their span is at most
+/// [`DIRECT_SPAN_FACTOR`] × `rows`, small enough to direct-address; `None`
+/// otherwise, and when there is no key. The one rule for "dense".
+pub fn direct_span(keys: impl Iterator<Item = i64>, rows: usize) -> Option<(i64, usize)> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for k in keys {
+        lo = lo.min(k);
+        hi = hi.max(k);
+    }
+    let span = hi as i128 - lo as i128 + 1; // ≤ 0: no key
+    let limit = (DIRECT_SPAN_FACTOR * rows).min(u32::MAX as usize - 1);
+    (span > 0 && span <= limit as i128).then_some((lo, span as usize))
+}
 
 /// A sealed CSR: the row ids of every key, ascending, in one array cut into
 /// per-key runs by `offsets`.
@@ -67,20 +84,13 @@ enum Keys {
 
 impl Csr {
     /// The adjacency of `keys` (row `i` holds `keys[i]`): a counting sort
-    /// when the span of the keys is at most `DENSE_SPAN_FACTOR` times their
-    /// number, [`Csr::build_sorted`] otherwise.
+    /// when their span is dense ([`direct_span`]), [`Csr::build_sorted`]
+    /// otherwise.
     pub fn build(keys: &[i64]) -> Csr {
-        let Some((min, max)) = keys.iter().fold(None, |mm, &k| match mm {
-            None => Some((k, k)),
-            Some((lo, hi)) => Some((k.min(lo), k.max(hi))),
-        }) else {
+        let Some((min, span)) = direct_span(keys.iter().copied(), keys.len()) else {
             return Csr::build_sorted(keys);
         };
-        // `abs_diff` cannot overflow, whatever the two ends
-        if max.abs_diff(min) >= DENSE_SPAN_FACTOR * keys.len() as u64 {
-            return Csr::build_sorted(keys);
-        }
-        let span = max.abs_diff(min) as usize + 1;
+        let max = min.wrapping_add(span as i64 - 1);
         let slot = |k: i64| k.abs_diff(min) as usize;
         // counts shifted one slot right, then their running sum: every
         // slot's start

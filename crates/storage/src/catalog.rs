@@ -10,9 +10,8 @@
 //! temp tables do not.
 
 use crate::adjacency::{Adjacency, AdjacencyCache};
-use crate::column::{Batch, ColumnVec, ImageCache};
+use crate::column::{Batch, ColumnVec, ImageCache, LaneRows};
 use crate::error::{Result, StorageError};
-use crate::index::SortedIndex;
 use crate::mutation::Mutation;
 use crate::mvcc::{GenerationHub, Snapshot};
 use crate::relation::{approx_row_bytes, Relation, RelationStats, Row};
@@ -29,11 +28,10 @@ pub struct TableEntry {
     pub rel: Relation,
     /// Temporary (session) table: no optimizer statistics.
     pub temp: bool,
-    /// Sorted indexes built over this table (Exp-A, Fig. 10).
-    pub indexes: Vec<SortedIndex>,
-    /// Trie indexes for the leapfrog, built lazily per key order through
-    /// `&Catalog` and invalidated on any mutation. Derived data: never
-    /// WAL-logged, rebuilt on demand after recovery.
+    /// Trie indexes, built lazily per key order through `&Catalog` and
+    /// invalidated on any mutation: the leapfrog's, and Exp-A's sorted
+    /// index on a join column (Fig. 10), a one-level trie. Derived data:
+    /// never WAL-logged, rebuilt on demand after recovery.
     pub tries: TrieCache,
     /// The adjacency per `Int` key column a batch hash join looks keys up
     /// in instead of hashing this table again (`E[F]`, DESIGN §17), built
@@ -61,7 +59,6 @@ impl TableEntry {
         TableEntry {
             rel,
             temp,
-            indexes: Vec::new(),
             tries: TrieCache::default(),
             adjacency: AdjacencyCache::default(),
             image: ImageCache::default(),
@@ -69,15 +66,14 @@ impl TableEntry {
         }
     }
 
-    /// Drop everything derived from the rows — statistics, sorted indexes,
-    /// tries, the join adjacencies, the columnar image — except, before an
-    /// append (`append`), the image and the adjacencies, kept as what they
-    /// are: the image and the adjacency of a prefix. Every mutation path
+    /// Drop everything derived from the rows — statistics, tries, the join
+    /// adjacencies, the columnar image — except, before an append
+    /// (`append`), the image and the adjacencies, kept as what they are:
+    /// the image and the adjacency of a prefix. Every mutation path
     /// calls this (and nothing else) before it touches `rel`, so no derived
     /// structure can outlive the rows it describes.
     fn invalidate(&mut self, append: bool) {
         self.stats = None;
-        self.indexes.clear();
         self.tries.clear();
         if append {
             self.image.keep_prefix();
@@ -88,18 +84,14 @@ impl TableEntry {
     }
 }
 
-/// Write column `c` of `t`'s rows at positions `at` from `col`'s lanes
-/// `lanes`, in place: one pass, typed when `col` is.
-fn write_column(t: &mut Relation, c: usize, at: &[usize], lanes: &[u32], col: &ColumnVec) {
-    let lane = |k: usize| lanes[k] as usize;
-    match col {
-        ColumnVec::Int { vals, nulls } if !nulls.any() => {
-            t.write_rows(at, |k, row| row[c] = Value::Int(vals[lane(k)]))
-        }
-        ColumnVec::Float { vals, nulls } if !nulls.any() => {
-            t.write_rows(at, |k, row| row[c] = Value::Float(vals[lane(k)]))
-        }
-        col => t.write_rows(at, |k, row| row[c] = col.value(lane(k))),
+/// The rows of a table at positions `at`, row `at[k]` taking lane
+/// `lanes[k]`: where a `PatchLanes` install writes, in place.
+struct Patched<'a>(&'a mut Relation, &'a [usize], &'a [u32]);
+
+impl LaneRows for Patched<'_> {
+    fn each(self, mut write: impl FnMut(usize, &mut [Value])) {
+        let Patched(t, at, lanes) = self;
+        t.write_rows(at, |k, row| write(lanes[k] as usize, row));
     }
 }
 
@@ -358,7 +350,7 @@ impl Catalog {
                 bytes.add(row_bytes(&append, t.schema().arity()));
                 let (at, lanes): (Vec<usize>, Vec<u32>) = set.into_iter().unzip();
                 for (c, col) in cols.columns().iter().enumerate() {
-                    write_column(t, c, &at, &lanes, col);
+                    col.write_lanes(c, Patched(t, &at, &lanes));
                 }
                 t.extend(append)?;
             }
@@ -434,7 +426,7 @@ impl Catalog {
     /// then copies only the chunks it touches (DESIGN §20) — and nothing
     /// derived but the columnar image (so nothing derived is cloned just to
     /// be dropped). The image moves: a copy left behind in a snapshot keeps
-    /// its rows, statistics, indexes and tries but gives its image to the
+    /// its rows, statistics and tries but gives its image to the
     /// writer, which keeps it as a prefix before an append (`append`) and
     /// drops it otherwise. Two generations of a table the writer keeps
     /// changing would otherwise each hold one (+14 % peak RSS on the
@@ -495,7 +487,7 @@ impl Catalog {
 
     /// `TRUNCATE TABLE` — the paper's per-iteration cleanup of intermediate
     /// results ("the intermediate result of Q_i is cleaned up by the
-    /// truncate table clause", appendix). Drops indexes too, since they
+    /// truncate table clause", appendix). Drops the tries too, since they
     /// index nothing afterwards.
     pub fn truncate(&mut self, name: &str) -> Result<()> {
         let table = name.to_string();
@@ -563,25 +555,6 @@ impl Catalog {
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
 
-    /// Build (or rebuild) a sorted index on `cols`. Leaves statistics
-    /// intact — indexing does not change row contents.
-    pub fn build_index(&mut self, name: &str, cols: &[usize]) -> Result<()> {
-        let e = self.entry_mut_keep_derived(name)?;
-        if e.indexes.iter().any(|i| i.covers(cols)) {
-            return Ok(());
-        }
-        let idx = SortedIndex::build(&e.rel, cols);
-        e.indexes.push(idx);
-        Ok(())
-    }
-
-    /// A sorted index covering exactly `cols`, if one was built.
-    pub fn index_on(&self, name: &str, cols: &[usize]) -> Option<&SortedIndex> {
-        self.tables
-            .get(&norm(name))
-            .and_then(|e| e.indexes.iter().find(|i| i.covers(cols)))
-    }
-
     /// The trie for `name[cols]`, building and caching it on a miss. Works
     /// through `&self` (interior mutability) so plan execution can build
     /// lazily; any mutation of the table drops the cache.
@@ -634,14 +607,6 @@ impl Catalog {
         self.tables
             .get(&norm(name))
             .and_then(|e| e.tries.cached(cols))
-    }
-
-    /// Eagerly build (or rebuild) the trie on `cols` — the warm-up path
-    /// benchmarks use; lazy builds via [`Catalog::trie_for`] are the norm.
-    pub fn build_trie(&mut self, name: &str, cols: &[usize]) -> Result<()> {
-        let e = self.entry_mut_keep_derived(name)?;
-        e.tries.get_or_build(&e.rel, cols);
-        Ok(())
     }
 
     /// All table names (normalized), sorted for determinism.
@@ -960,11 +925,12 @@ mod tests {
             .unwrap();
         assert_eq!(c.relation("T").unwrap().len(), 2);
         assert!(c.wal.bytes_written() > 0);
-        c.build_index("T", &[0]).unwrap();
-        assert!(c.index_on("T", &[0]).is_some());
+        // Fig. 10's index: the one-level trie on the join column
+        c.trie_for("T", &[0]).unwrap();
+        assert!(c.trie_on("T", &[0]).is_some());
         c.insert_rows("T", vec![row![3, 3.0]], WalPolicy::None)
             .unwrap();
-        assert!(c.index_on("T", &[0]).is_none(), "insert invalidates index");
+        assert!(c.trie_on("T", &[0]).is_none(), "insert invalidates index");
     }
 
     #[test]
@@ -973,10 +939,10 @@ mod tests {
         c.create_temp("T", Relation::new(node_schema())).unwrap();
         c.insert_rows("T", vec![row![1, 1.0]], WalPolicy::None)
             .unwrap();
-        c.build_index("T", &[0]).unwrap();
+        c.trie_for("T", &[0]).unwrap();
         c.truncate("T").unwrap();
         assert!(c.relation("T").unwrap().is_empty());
-        assert!(c.index_on("T", &[0]).is_none());
+        assert!(c.trie_on("T", &[0]).is_none());
     }
 
     #[test]
@@ -1008,7 +974,7 @@ mod tests {
         // an in-place patch drops the cache too
         c.insert_rows("T", vec![row![1, 2, 1.0]], WalPolicy::None)
             .unwrap();
-        c.build_trie("T", &[1, 0]).unwrap();
+        c.trie_for("T", &[1, 0]).unwrap();
         assert!(c.trie_on("T", &[1, 0]).is_some());
         c.patch_rows("T", vec![(0, row![2, 1, 1.0])], vec![])
             .unwrap();
@@ -1025,7 +991,8 @@ mod tests {
     }
 
     /// The stale-index hazard: an in-place write must not leave statistics,
-    /// sorted indexes, tries or the image describing the rows it changed.
+    /// tries (Fig. 10's index among them) or the image describing the rows
+    /// it changed.
     #[test]
     fn in_place_mutation_drops_every_derived_structure() {
         let mut c = Catalog::new();
@@ -1033,17 +1000,17 @@ mod tests {
         c.insert_rows("E", vec![row![1, 2, 1.0], row![2, 3, 1.0]], WalPolicy::None)
             .unwrap();
         c.analyze("E").unwrap();
-        c.build_index("E", &[0]).unwrap();
-        c.build_trie("E", &[0, 1]).unwrap();
+        c.trie_for("E", &[0]).unwrap();
+        c.trie_for("E", &[0, 1]).unwrap();
         assert_eq!(c.columnar("E").unwrap().len(), 2);
         let e = c.entry("E").unwrap();
         assert!(e.stats.is_some() && e.image.cached().is_some());
-        assert!(c.index_on("E", &[0]).is_some() && c.trie_on("E", &[0, 1]).is_some());
+        assert!(c.trie_on("E", &[0]).is_some() && c.trie_on("E", &[0, 1]).is_some());
 
         c.patch_rows("E", vec![(0, row![0, 9, 1.0])], vec![row![5, 6, 1.0]])
             .unwrap();
         assert!(
-            c.index_on("E", &[0]).is_none(),
+            c.trie_on("E", &[0]).is_none(),
             "a stale sort order must not be served"
         );
         assert!(c.trie_on("E", &[0, 1]).is_none());
@@ -1102,7 +1069,7 @@ mod tests {
         c.create_table("E", Relation::new(edge_schema())).unwrap();
         c.insert_rows("E", vec![row![1, 2, 1.0], row![2, 3, 1.0]], WalPolicy::None)
             .unwrap();
-        c.build_index("E", &[0]).unwrap();
+        c.trie_for("E", &[0]).unwrap();
         let gen_before = c.generation();
         c.apply_delta(
             "E",
@@ -1119,7 +1086,7 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, vec![(2, 3), (3, 4)], "absent delete rows are ignored");
-        assert!(c.index_on("E", &[0]).is_none(), "delta invalidates indexes");
+        assert!(c.trie_on("E", &[0]).is_none(), "delta invalidates indexes");
         assert!(c.generation() > gen_before, "delta is a commit point");
         // arity is validated up front
         assert!(c

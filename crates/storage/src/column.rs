@@ -31,6 +31,21 @@ use crate::relation::{ColumnSketch, Relation, Row, Rows};
 use crate::schema::Schema;
 use crate::value::{cmp_f64, Value};
 
+/// Rows that take a column's lanes ([`ColumnVec::write_lanes`]), each
+/// handed over once with the lane written into it: any iterator of
+/// `(lane, row)` pairs, or the rows a patch overwrites in place.
+pub trait LaneRows {
+    fn each(self, write: impl FnMut(usize, &mut [Value]));
+}
+
+impl<'r, I: Iterator<Item = (usize, &'r mut [Value])>> LaneRows for I {
+    fn each(self, mut write: impl FnMut(usize, &mut [Value])) {
+        for (lane, row) in self {
+            write(lane, row);
+        }
+    }
+}
+
 /// Row index sentinel used by [`Batch::gather`]: `u32::MAX` gathers a NULL
 /// (outer-join padding).
 pub const GATHER_NULL: u32 = u32::MAX;
@@ -201,6 +216,28 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Mixed(vals) => vals[i].clone(),
+        }
+    }
+
+    /// Write this column's lanes into slot `c` of `rows`, each row taking
+    /// the lane it is handed with, the column's type matched once for all
+    /// of them: the one column-to-row writer ([`Batch::to_relation`],
+    /// [`Batch::fill_row`], [`Batch::row`], a `PatchLanes` install).
+    pub fn write_lanes(&self, c: usize, rows: impl LaneRows) {
+        match self {
+            ColumnVec::Int { vals, nulls } => rows.each(|l, row| {
+                row[c] = match nulls.get(l) {
+                    true => Value::Null,
+                    false => Value::Int(vals[l]),
+                }
+            }),
+            ColumnVec::Float { vals, nulls } => rows.each(|l, row| {
+                row[c] = match nulls.get(l) {
+                    true => Value::Null,
+                    false => Value::Float(vals[l]),
+                }
+            }),
+            ColumnVec::Mixed(vals) => rows.each(|l, row| row[c] = vals[l].clone()),
         }
     }
 
@@ -676,10 +713,14 @@ impl Batch {
     /// Materialize back to rows — the `Value` bridge at the with+/SQL'99
     /// boundary. Exact: float bits and string identities survive.
     pub fn to_relation(&self) -> Relation {
-        let mut rel = Relation::new(self.schema.clone());
-        let rows = (0..self.len).map(|i| self.row(i));
-        rel.extend(rows).expect("batch columns are schema-aligned");
-        rel
+        let arity = self.cols.len();
+        let mut rows: Vec<Row> = (0..self.len)
+            .map(|_| vec![Value::Null; arity].into_boxed_slice())
+            .collect();
+        for (c, col) in self.cols.iter().enumerate() {
+            col.write_lanes(c, rows.iter_mut().map(|r| &mut r[..]).enumerate());
+        }
+        Relation::from_rows(self.schema.clone(), rows).expect("batch columns are schema-aligned")
     }
 
     pub fn len(&self) -> usize {
@@ -726,14 +767,16 @@ impl Batch {
     /// Materialize row `i` into `out` (scratch-row bridge for generic
     /// expression evaluation).
     pub fn fill_row(&self, i: usize, out: &mut [Value]) {
-        for (slot, c) in out.iter_mut().zip(&self.cols) {
-            *slot = c.value(i);
+        for (c, col) in self.cols.iter().enumerate() {
+            col.write_lanes(c, std::iter::once((i, &mut *out)));
         }
     }
 
     /// Row `i`, boxed.
     pub fn row(&self, i: usize) -> Row {
-        self.cols.iter().map(|c| c.value(i)).collect()
+        let mut row = vec![Value::Null; self.cols.len()].into_boxed_slice();
+        self.fill_row(i, &mut row);
+        row
     }
 
     /// Gather rows by index ([`GATHER_NULL`] ⇒ NULL padding) across every

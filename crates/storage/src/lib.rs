@@ -18,7 +18,6 @@ pub mod catalog;
 pub mod column;
 pub mod error;
 pub mod hash;
-pub mod index;
 pub mod keyidx;
 pub mod mutation;
 pub mod mvcc;
@@ -31,12 +30,11 @@ pub mod value;
 pub mod vfs;
 pub mod wal;
 
-pub use adjacency::{Adjacency, AdjacencyCache, Csr};
+pub use adjacency::{direct_span, Adjacency, AdjacencyCache, Csr, DIRECT_SPAN_FACTOR};
 pub use catalog::{Catalog, CheckpointStats, TableEntry};
-pub use column::{Batch, ColumnBuilder, ColumnVec, ImageCache, NullMask, GATHER_NULL};
+pub use column::{Batch, ColumnBuilder, ColumnVec, ImageCache, LaneRows, NullMask, GATHER_NULL};
 pub use error::{Result, StorageError};
 pub use hash::{FxHashMap, FxHashSet};
-pub use index::SortedIndex;
 pub use keyidx::{key_cmp, key_has_null, key_hash, keys_eq, KeyGroups, KeyIndex};
 pub use mutation::Mutation;
 pub use mvcc::{GenerationHub, PinnedSnapshot, Snapshot};

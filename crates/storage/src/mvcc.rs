@@ -194,7 +194,7 @@ mod tests {
             .unwrap();
         c.insert_rows("T", vec![row![1, 2, 1.0], row![2, 3, 1.0]], WalPolicy::None)
             .unwrap();
-        c.build_trie("T", &[0, 1]).unwrap();
+        c.trie_for("T", &[0, 1]).unwrap();
         c.analyze("T").unwrap();
         let hub = c.enable_mvcc();
         let pin = hub.pin();

@@ -1,30 +1,34 @@
-//! Sorted trie indexes for worst-case-optimal (leapfrog) joins.
+//! Sorted trie indexes: the engine's one sorted index.
 //!
 //! A [`TrieIndex`] is a permutation of row ids ordered lexicographically by a
-//! sequence of key columns — the same shape as [`crate::index::SortedIndex`]
-//! but laid out level-wise: the depth-`d` nodes are the distinct values of
-//! `cols[d]` within the run of rows sharing the values chosen at depths
-//! `0..d`, strictly increasing inside each parent's child range. Distinct
-//! means storage equality and increasing means storage order, which agree
-//! (`Ord for Value` refines `Eq`), so a node is exactly one key class of a
-//! hash join on the same columns.
+//! sequence of key columns, laid out level-wise: the depth-`d` nodes are the
+//! distinct values of `cols[d]` within the run of rows sharing the values
+//! chosen at depths `0..d`, strictly increasing inside each parent's child
+//! range. Distinct means storage equality and increasing means storage
+//! order, which agree (`Ord for Value` refines `Eq`), so a node is exactly
+//! one key class of a hash join on the same columns.
 //!
-//! Storage holds the data and exposes it as slices — [`TrieIndex::keys`] /
-//! [`TrieIndex::int_keys`] per level, [`TrieIndex::child_range`] between
-//! levels, [`TrieIndex::rows_under`] from a node to its rows (so the join
-//! can emit payload columns and duplicate rows with bag semantics:
-//! multiplicity lives in the rows, not in the trie). The walk over them —
-//! open / next / seek — belongs to the one leapfrog executor in
-//! `aio-algebra`, which keeps its positions in registers; there is no
-//! cursor type here for it to be mirrored against.
+//! Storage holds the data and exposes it as slices — [`TrieIndex::int_keys`]
+//! per level, [`TrieIndex::child_range`] between levels,
+//! [`TrieIndex::rows_under`] from a node to its rows (so the join can emit
+//! payload columns and duplicate rows with bag semantics: multiplicity
+//! lives in the rows, not in the trie). The walk over them — open / next /
+//! seek — belongs to the one leapfrog executor in `aio-algebra`, which
+//! keeps its positions in registers; there is no cursor type here for it
+//! to be mirrored against.
+//!
+//! Two readers share the type. The multiway join walks the levels; the
+//! paper's Exp-A index (Fig. 10), a one-level trie on a join column, is
+//! read by a merge join's index scan as [`TrieIndex::perm`].
 //!
 //! Tries are derived data: the catalog caches them per table in a
 //! [`TrieCache`] and drops the cache on any mutation (insert / truncate /
-//! in-place access), like sorted indexes. They are never WAL-logged. The
-//! multiway join walks them; the batch hash join looks keys up in a
-//! table's [`crate::adjacency::Adjacency`] instead, which outlives appends.
+//! in-place access). They are never WAL-logged. The batch hash join looks
+//! keys up in a table's [`crate::adjacency::Adjacency`] instead, which
+//! outlives appends.
 
-use crate::keyidx::key_cmp;
+use crate::adjacency::Csr;
+use crate::column::ColumnVec;
 use crate::relation::Relation;
 use crate::value::Value;
 use std::sync::{Arc, Mutex};
@@ -41,7 +45,7 @@ use std::time::Instant;
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrieIndex {
     cols: Vec<usize>,
-    /// Row ids in key order.
+    /// Row ids in key order, ties by row id.
     perm: Vec<u32>,
     levels: Vec<Level>,
 }
@@ -52,10 +56,7 @@ pub struct TrieIndex {
 /// `[row_start[j], row_start[j+1])` in `perm`.
 #[derive(Clone, Debug, PartialEq)]
 struct Level {
-    keys: Vec<Value>,
-    /// `keys` unboxed to `i64` when the whole level is `Int` — enables
-    /// machine-integer comparisons in the leapfrog hot path.
-    ints: Option<Vec<i64>>,
+    keys: Keys,
     /// First row (in `perm`) under node `j`; node `j`'s rows end where
     /// node `j+1`'s begin (nodes are globally ordered).
     row_start: Vec<u32>,
@@ -64,18 +65,72 @@ struct Level {
     child_end: Vec<u32>,
 }
 
+/// Keys stored once, typed: raw `i64`s for a NULL-free `Int` column, the
+/// values themselves for any other.
+#[derive(Clone, Debug, PartialEq)]
+enum Keys {
+    Int(Vec<i64>),
+    Value(Vec<Value>),
+}
+
+impl Keys {
+    /// Column `c` of `rel`, read once into a typed column.
+    fn column(rel: &Relation, c: usize) -> Keys {
+        match ColumnVec::from_values(rel.iter().map(|r| &r[c])) {
+            ColumnVec::Int { vals, nulls } if !nulls.any() => Keys::Int(vals),
+            col => Keys::Value((0..rel.len()).map(|i| col.value(i)).collect()),
+        }
+    }
+
+    /// `perm` stably re-sorted by these keys (storage order): an `Int`
+    /// column by a CSR build over its keys in `perm`'s order, whose runs
+    /// list positions ascending; any other by a stable comparison sort.
+    fn sort(&self, mut perm: Vec<u32>) -> Vec<u32> {
+        match self {
+            Keys::Int(ks) => {
+                let ordered: Vec<i64> = perm.iter().map(|&r| ks[r as usize]).collect();
+                let csr = Csr::build(&ordered);
+                csr.runs()
+                    .flat_map(|(_, run)| run)
+                    .map(|&at| perm[at as usize])
+                    .collect()
+            }
+            Keys::Value(vs) => {
+                perm.sort_by(|&a, &b| vs[a as usize].cmp(&vs[b as usize]));
+                perm
+            }
+        }
+    }
+
+    /// Do rows `a` and `b` hold the same key (storage equality)?
+    fn same(&self, a: u32, b: u32) -> bool {
+        match self {
+            Keys::Int(ks) => ks[a as usize] == ks[b as usize],
+            Keys::Value(vs) => vs[a as usize] == vs[b as usize],
+        }
+    }
+
+    /// The keys of `rows`, in that order.
+    fn pick(&self, rows: impl Iterator<Item = u32>) -> Keys {
+        match self {
+            Keys::Int(ks) => Keys::Int(rows.map(|r| ks[r as usize]).collect()),
+            Keys::Value(vs) => Keys::Value(rows.map(|r| vs[r as usize].clone()).collect()),
+        }
+    }
+}
+
 impl TrieIndex {
-    /// Build over `rel[cols]`: one O(n log n) sort plus a linear layering
-    /// pass, paid once per (relation, column order) and cached on the
-    /// catalog.
+    /// Build over `rel[cols]`: a least-significant-column-first pass of
+    /// stable sorts (O(n) per dense `Int` column, O(n log n) per other)
+    /// plus a linear layering pass, paid once per (relation, column order)
+    /// and cached on the catalog.
     pub fn build(rel: &Relation, cols: &[usize]) -> Self {
-        // flat references: the sort looks rows up at random
-        let rows: Vec<_> = rel.iter().collect();
-        let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
-        // ties broken by row id: deterministic output order
-        perm.sort_unstable_by(|&a, &b| {
-            key_cmp(rows[a as usize], cols, rows[b as usize], cols).then(a.cmp(&b))
-        });
+        let columns: Vec<Keys> = cols.iter().map(|&c| Keys::column(rel, c)).collect();
+        // ties keep their order through every stable pass: by row id
+        let mut perm: Vec<u32> = (0..rel.len() as u32).collect();
+        for keys in columns.iter().rev() {
+            perm = keys.sort(perm);
+        }
         // Node boundaries: row i starts a new node at level d (and every
         // deeper level) iff its key prefix through d differs from row
         // i-1's. Record each node's first row, then derive child ranges
@@ -86,8 +141,8 @@ impl TrieIndex {
             let d0 = if i == 0 {
                 0
             } else {
-                let (pr, cr) = (&rows[perm[i - 1] as usize], &rows[r as usize]);
-                match cols.iter().position(|&c| pr[c] != cr[c]) {
+                let p = perm[i - 1];
+                match columns.iter().position(|keys| !keys.same(p, r)) {
                     Some(d) => d,
                     None => continue, // duplicate full key: same node
                 }
@@ -97,12 +152,9 @@ impl TrieIndex {
             }
         }
         let mut levels: Vec<Level> = Vec::with_capacity(depth);
-        for (d, start) in starts.iter().enumerate() {
-            let keys: Vec<Value> = start
-                .iter()
-                .map(|&i| rows[perm[i as usize] as usize][cols[d]].clone())
-                .collect();
-            let ints = keys.iter().map(Value::as_int).collect::<Option<Vec<i64>>>();
+        for d in 0..depth {
+            let start = &starts[d];
+            let keys = columns[d].pick(start.iter().map(|&i| perm[i as usize]));
             // child_end[j] = number of level-(d+1) nodes starting before
             // node j+1 does; starts[d] is a subsequence of starts[d+1],
             // so a single forward walk suffices.
@@ -123,8 +175,7 @@ impl TrieIndex {
             };
             levels.push(Level {
                 keys,
-                ints,
-                row_start: start.clone(),
+                row_start: std::mem::take(&mut starts[d]),
                 child_end,
             });
         }
@@ -140,8 +191,8 @@ impl TrieIndex {
     }
 
     /// Does this trie cover exactly the requested key-column order?
-    /// (Unlike a plain sorted index, a prefix is not enough: leapfrog
-    /// needs the levels in elimination order.)
+    /// (A prefix is not enough: leapfrog needs the levels in elimination
+    /// order.)
     pub fn covers(&self, cols: &[usize]) -> bool {
         self.cols == cols
     }
@@ -160,24 +211,31 @@ impl TrieIndex {
         self.cols.len()
     }
 
-    /// The distinct level-`d` keys, strictly increasing within each
-    /// parent's child range ([`Self::child_range`]; the whole level at
-    /// `d = 0`). A NULL key, if any, is the first of its range.
-    pub fn keys(&self, d: usize) -> &[Value] {
-        &self.levels[d].keys
+    /// The distinct level-`d` keys as values, strictly increasing within
+    /// each parent's child range ([`Self::child_range`]; the whole level
+    /// at `d = 0`). A NULL key, if any, is the first of its range. A copy:
+    /// an `Int` level stores only its raw keys ([`Self::int_keys`]).
+    pub fn keys(&self, d: usize) -> Vec<Value> {
+        match &self.levels[d].keys {
+            Keys::Int(ks) => ks.iter().map(|&k| Value::Int(k)).collect(),
+            Keys::Value(vs) => vs.clone(),
+        }
     }
 
-    /// [`Self::keys`] unboxed to `i64`, when the whole level is `Int`: the
-    /// leapfrog then compares machine integers.
+    /// The level-`d` keys as raw `i64`s, when the level's column is
+    /// NULL-free `Int`: the leapfrog then compares machine integers.
     pub fn int_keys(&self, d: usize) -> Option<&[i64]> {
-        self.levels[d].ints.as_deref()
+        match &self.levels[d].keys {
+            Keys::Int(ks) => Some(ks),
+            Keys::Value(_) => None,
+        }
     }
 
-    /// True iff every key level is all-`Int` (so [`Self::int_keys`] is
-    /// `Some` at every depth) — the precondition for the integer leapfrog
-    /// fast path. Vacuously true for a keyless (zero-column) trie.
+    /// True iff every key level is `Int` (so [`Self::int_keys`] is `Some`
+    /// at every depth) — the precondition for the integer leapfrog fast
+    /// path. Vacuously true for a keyless (zero-column) trie.
     pub fn all_int(&self) -> bool {
-        self.levels.iter().all(|l| l.ints.is_some())
+        self.levels.iter().all(|l| matches!(l.keys, Keys::Int(_)))
     }
 
     /// Children of node `j` at level `d` occupy `[start, end)` at level
@@ -197,7 +255,10 @@ impl TrieIndex {
         &self.perm[lo..hi]
     }
 
-    /// Row ids in key order: level offsets index into this.
+    /// Row ids in key order, ties by row id: level offsets index into
+    /// this. Consuming it is an *index scan* (Fig. 10): sequential over
+    /// the permutation but random-access into the heap rows — the paper's
+    /// explanation for why indexing can lose on Orkut (Fig. 10(d)).
     pub fn perm(&self) -> &[u32] {
         &self.perm
     }
@@ -268,134 +329,5 @@ impl TrieCache {
 
     pub fn is_empty(&self) -> bool {
         self.lock().is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::relation::edge_schema;
-    use crate::row;
-
-    fn rel() -> Relation {
-        let mut r = Relation::new(edge_schema());
-        r.extend([
-            row![3, 1, 1.0],
-            row![1, 2, 1.0],
-            row![2, 3, 1.0],
-            row![1, 2, 2.0], // duplicate (F, T) key, distinct payload
-            row![1, 3, 1.0],
-        ])
-        .unwrap();
-        r
-    }
-
-    /// DFS over the level slices: every root-to-leaf key tuple, and the
-    /// row ids under each leaf.
-    fn tuples(t: &TrieIndex) -> Vec<(Vec<Value>, Vec<u32>)> {
-        fn walk(
-            t: &TrieIndex,
-            d: usize,
-            (lo, hi): (usize, usize),
-            prefix: &mut Vec<Value>,
-            out: &mut Vec<(Vec<Value>, Vec<u32>)>,
-        ) {
-            let keys = &t.keys(d)[lo..hi];
-            assert!(
-                keys.windows(2).all(|w| w[0] < w[1]),
-                "level {d} under {prefix:?} is not strictly increasing: {keys:?}"
-            );
-            for j in lo..hi {
-                prefix.push(t.keys(d)[j].clone());
-                if d + 1 < t.depth() {
-                    walk(t, d + 1, t.child_range(d, j), prefix, out);
-                } else {
-                    out.push((prefix.clone(), t.rows_under(d, j).to_vec()));
-                }
-                prefix.pop();
-            }
-        }
-        let mut out = Vec::new();
-        if t.depth() > 0 {
-            walk(t, 0, (0, t.keys(0).len()), &mut Vec::new(), &mut out);
-        }
-        out
-    }
-
-    fn ints(tuple: &[Value]) -> Vec<i64> {
-        tuple.iter().map(|v| v.as_int().unwrap()).collect()
-    }
-
-    #[test]
-    fn iterate_yields_sorted_distinct_tuples() {
-        let r = rel();
-        let t = TrieIndex::build(&r, &[0, 1]);
-        assert_eq!(t.len(), 5);
-        let walked: Vec<Vec<i64>> = tuples(&t).iter().map(|(k, _)| ints(k)).collect();
-        assert_eq!(walked, vec![vec![1, 2], vec![1, 3], vec![2, 3], vec![3, 1]]);
-        assert!(t.all_int());
-        assert_eq!(t.int_keys(0), Some(&[1, 2, 3][..]));
-        assert_eq!(t.int_keys(1), Some(&[2, 3, 3, 1][..]));
-    }
-
-    #[test]
-    fn matches_returns_all_duplicate_rows() {
-        let r = rel();
-        let t = TrieIndex::build(&r, &[0, 1]);
-        let walked = tuples(&t);
-        let (key, rows) = &walked[0];
-        assert_eq!(ints(key), [1, 2]);
-        assert_eq!(rows, &[1, 3], "both (1,2) rows, in row order");
-        let mut all: Vec<u32> = walked.iter().flat_map(|(_, rows)| rows.clone()).collect();
-        assert_eq!(all, t.perm(), "leaf runs are perm, cut at the leaves");
-        all.sort_unstable();
-        assert_eq!(all, [0, 1, 2, 3, 4], "row-id runs partition the relation");
-    }
-
-    #[test]
-    fn next_visits_strictly_increasing_keys() {
-        let r = rel();
-        let t = TrieIndex::build(&r, &[1]); // T column: 1,2,2,3,3
-        assert_eq!(t.int_keys(0), Some(&[1, 2, 3][..]));
-
-        // A node is one class of storage equality and the order refines
-        // it: Int 1 and Float 1.0 are two nodes (Int first), the zeros one,
-        // the NaNs one (last), NULL first; Text after every number.
-        let (i, f, nan) = (Value::Int, Value::Float, f64::NAN);
-        #[rustfmt::skip]
-        let keys = [
-            f(1.0), i(1), f(nan), f(-0.0), Value::text("a"), Value::Null, f(0.0), i(1), f(-nan), i(0),
-        ];
-        let any = crate::schema::Schema::of(&[("k", crate::schema::DataType::Any)]);
-        let mut mixed = Relation::new(any);
-        mixed
-            .extend(keys.map(|k| vec![k].into_boxed_slice()))
-            .unwrap();
-        let t = TrieIndex::build(&mixed, &[0]);
-        assert!(!t.all_int());
-        let classes: Vec<(Value, usize)> = tuples(&t)
-            .into_iter()
-            .map(|(mut k, rows)| (k.remove(0), rows.len()))
-            .collect();
-        assert_eq!(
-            format!("{classes:?}"),
-            "[(Null, 1), (Int(0), 1), (Float(-0.0), 2), (Int(1), 2), (Float(1.0), 1), \
-             (Float(NaN), 2), (Text(\"a\"), 1)]"
-        );
-    }
-
-    #[test]
-    fn cache_builds_once_and_clears() {
-        let r = rel();
-        let cache = TrieCache::default();
-        assert!(cache.cached(&[0, 1]).is_none());
-        let a = cache.get_or_build(&r, &[0, 1]);
-        let b = cache.get_or_build(&r, &[0, 1]);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup hits the cache");
-        assert_eq!(cache.len(), 1);
-        let _ = cache.get_or_build(&r, &[1, 0]);
-        assert_eq!(cache.len(), 2, "distinct column orders cache separately");
-        cache.clear();
-        assert!(cache.cached(&[0, 1]).is_none());
     }
 }

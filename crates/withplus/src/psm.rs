@@ -858,8 +858,10 @@ impl<'a> PsmRunner<'a> {
                 .filter_map(|c| rel.schema().index_of(c).ok())
                 .collect()
         };
+        // Fig. 10's index: the one-level trie on each join column, built
+        // now so the fill pays for it
         for c in col_idx {
-            self.catalog.build_index(name, &[c])?;
+            self.catalog.trie_for(name, &[c])?;
         }
         Ok(())
     }

@@ -1,10 +1,10 @@
 //! Cache coherence of the catalog's derived data (proptest over random
 //! mutation sequences).
 //!
-//! A table entry caches five things derived from its rows: optimizer
-//! statistics, sorted indexes, tries, the join adjacencies and the columnar
-//! image. The contract is that none of them ever describes rows the table
-//! no longer holds:
+//! A table entry caches four things derived from its rows: optimizer
+//! statistics, tries (Fig. 10's sorted index is a one-level trie), the join
+//! adjacencies and the columnar image. The contract is that none of them
+//! ever describes rows the table no longer holds:
 //!
 //! 1. after **every** step of a random interleaving of every mutation path
 //!    the catalog has — `insert_rows`, `apply_delta`, `truncate`, in-place
@@ -57,8 +57,7 @@ use all_in_one::algebra::{
 };
 use all_in_one::storage::{
     edge_schema, open_catalog, Adjacency, Batch, Catalog, Column, ColumnVec, Csr, DataType,
-    Mutation, Relation, Row, Schema, SimVfs, SortedIndex, TableEntry, TrieIndex, Value, WalPolicy,
-    CHUNK_ROWS,
+    Mutation, Relation, Row, Schema, SimVfs, TableEntry, TrieIndex, Value, WalPolicy, CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -288,7 +287,6 @@ fn warm(cat: &mut Catalog, name: &str, a: u8) {
     for _ in 0..a % 4 {
         cat.join_index(name, 0).unwrap();
     }
-    cat.build_index(name, cols).unwrap();
     cat.analyze(name).unwrap();
 }
 
@@ -365,14 +363,6 @@ fn assert_entry_coherent(e: &TableEntry, ctx: &str) {
     }
     for (col, adj) in e.adjacency.all() {
         assert_adjacency_fresh(&adj, &e.rel, col, ctx);
-    }
-    for idx in &e.indexes {
-        assert_eq!(
-            idx.order(),
-            SortedIndex::build(&e.rel, idx.cols()).order(),
-            "{ctx}: stale sorted index on {:?}",
-            idx.cols()
-        );
     }
     if let Some(stats) = &e.stats {
         assert!(*stats == e.rel.collect_stats(), "{ctx}: stale statistics");
@@ -507,7 +497,6 @@ proptest! {
             prop_assert!(e.image.cached().is_none(), "{name}: an image survived the reopen");
             prop_assert!(e.tries.is_empty(), "{name}: a trie survived the reopen");
             prop_assert!(e.adjacency.is_empty(), "{name}: an adjacency survived the reopen");
-            prop_assert!(e.indexes.is_empty(), "{name}: a sorted index survived the reopen");
         }
         assert_coherent(&reopened, "reopened");
     }
