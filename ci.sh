@@ -80,8 +80,15 @@ grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_best.out" |
 # join line under the aggregate; DESIGN §17), its pairs folded straight
 # into the aggregate's groups (`push`, DESIGN §18). On the default
 # 40-vertex graph every frontier but the last holds more than 1/8 of the
-# vertices, so `E`'s statistics decline the drive before rent is paid:
-# 2,000 vertices give frontiers small enough to drive.
+# vertices, so `E`'s statistics (sketched when first read, DESIGN §10)
+# decline the drive before rent is paid: the join pulls and pushes, and
+# never reads `E.F`. 2,000 vertices give frontiers small enough to drive.
+(cd "$trace_dir" && "$repro_bin" explain sssp --best) |
+    tee "$trace_dir/explain_sssp_small.out"
+grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_sssp_small.out" | grep "Join\[" \
+    >"$trace_dir/sssp_small_join.line"
+grep -q "pull, index=E.T" "$trace_dir/sssp_small_join.line"
+test "$(grep -c "index=E.F" "$trace_dir/sssp_small_join.line")" -eq 0
 (cd "$trace_dir" && "$repro_bin" explain sssp --best --scale 0.05) |
     tee "$trace_dir/explain_sssp_best.out"
 grep -A2 -- "-- rec\[0\]" "$trace_dir/explain_sssp_best.out" |

@@ -261,15 +261,14 @@ pub enum Replaced {
 /// storage equality (−0.0 = 0.0, NaN = NaN). R's rows take the lanes value
 /// by value in one patch ([`Catalog::patch_lanes`]), which boxes only a new
 /// key's row; the lanes also go into a copy-on-write of R's image, which
-/// is installed as its image again ([`Catalog::install_image`], with
-/// statistics when `analyze`), so R's next scan transposes nothing.
+/// is installed as its image again ([`Catalog::install_image`]), so R's
+/// next scan transposes nothing.
 pub fn ubu_replace_cols(
     catalog: &mut Catalog,
     target: &str,
     delta: &Batch,
     keys: &[usize],
     lookup: &mut Option<KeyLookup>,
-    analyze: bool,
     stats: &mut ExecStats,
 ) -> Result<Replaced> {
     let image = catalog.columnar(target)?;
@@ -322,7 +321,7 @@ pub fn ubu_replace_cols(
             _ => unreachable!("checked: one NULL-free type per column"),
         }
     }
-    catalog.install_image(target, Batch::from_columns(schema, cols, len), analyze)?;
+    catalog.install_image(target, Batch::from_columns(schema, cols, len))?;
     Ok(Replaced::Folded { moved })
 }
 

@@ -859,7 +859,7 @@ impl<'a> Evaluator<'a> {
         let Plan::Scan { table, .. } = left else {
             return Ok(None);
         };
-        let stats = self.catalog.entry(table)?.stats.as_ref();
+        let stats = self.catalog.entry(table)?.stats();
         if !stats
             .and_then(|s| s.column(*lk))
             .is_none_or(|c| drives(c.ndv))

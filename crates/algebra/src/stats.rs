@@ -21,7 +21,7 @@
 
 use crate::expr::{BinOp, ScalarExpr, UnaryOp};
 use crate::plan::Plan;
-use aio_storage::{Catalog, Schema, Value};
+use aio_storage::{Batch, Catalog, RelationStats, Schema, Value};
 use std::fmt;
 
 /// Counters accumulated over one execution (query or whole PSM run).
@@ -327,7 +327,7 @@ fn items_cols(items: &[(ScalarExpr, String)], input: &NodeEst, rows: f64) -> Vec
 }
 
 /// A stored relation's column sketches as estimates.
-fn sketch_cols(st: &aio_storage::RelationStats, floor: f64) -> Vec<ColEst> {
+fn sketch_cols(st: &RelationStats, floor: f64) -> Vec<ColEst> {
     st.columns
         .iter()
         .map(|s| ColEst {
@@ -378,7 +378,7 @@ fn node_est(plan: &Plan, catalog: &Catalog, out: &mut Vec<u64>) -> NodeEst {
             }
         },
         Plan::Values(rel) => {
-            let st = rel.collect_stats();
+            let st = RelationStats::of(&Batch::from_relation(rel));
             (st.rows as f64, sketch_cols(&st, 1.0))
         }
         Plan::Select { pred, .. } => {

@@ -20,7 +20,7 @@ use crate::trie::{TrieCache, TrieIndex};
 use crate::value::Value;
 use crate::wal::{self, CommitKind, Durability, Wal, WalPolicy};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A catalog entry.
 #[derive(Clone, Debug)]
@@ -46,24 +46,39 @@ pub struct TableEntry {
     /// the image of the rows it covers (the next scan transposes only the
     /// rows past them), every other mutation drops it.
     pub image: ImageCache,
-    /// Optimizer statistics. Base tables get them when created; temp
-    /// tables only via an explicit [`Catalog::analyze`] (the paper's
-    /// PostgreSQL pain point is exactly their absence). Every mutation
-    /// that writes the table's rows ([`Catalog::apply`]) drops them, and
-    /// nothing recomputes them until the next `analyze`.
-    pub stats: Option<RelationStats>,
+    /// Optimizer statistics: `None` when the table keeps none, else a
+    /// cell the first read ([`TableEntry::stats`]) fills. Base tables keep
+    /// them from creation; temp tables only after an explicit
+    /// [`Catalog::analyze`] (the paper's PostgreSQL pain point is exactly
+    /// their absence). Every mutation that writes the table's rows
+    /// ([`Catalog::apply`]) drops the cell, and the table keeps none until
+    /// the next `analyze`: a table written again and again is never
+    /// sketched between its writes.
+    pub stats: Option<OnceLock<RelationStats>>,
 }
 
 impl TableEntry {
-    fn new(rel: Relation, temp: bool, stats: Option<RelationStats>) -> Self {
+    fn new(rel: Relation, temp: bool) -> Self {
         TableEntry {
             rel,
             temp,
             tries: TrieCache::default(),
             adjacency: AdjacencyCache::default(),
             image: ImageCache::default(),
-            stats,
+            stats: (!temp).then(OnceLock::new),
         }
+    }
+
+    /// The table's statistics, if it keeps any, sketched on this first
+    /// read since its last write: off the columnar image when one is
+    /// complete, else off a transpose of the rows the image cache does not
+    /// keep. Counts no probe ([`Catalog::stats`] does).
+    pub fn stats(&self) -> Option<&RelationStats> {
+        let cell = self.stats.as_ref()?;
+        Some(cell.get_or_init(|| {
+            let image = self.image.cached();
+            RelationStats::of(&image.unwrap_or_else(|| Batch::from_relation(&self.rel)))
+        }))
     }
 
     /// Drop everything derived from the rows — statistics, tries, the join
@@ -163,12 +178,13 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a base table (has statistics).
+    /// Register a base table (keeps statistics, sketched when first read).
     pub fn create_table(&mut self, name: &str, rel: Relation) -> Result<()> {
         self.create(name, rel, false, false)
     }
 
-    /// Register a temporary table (no statistics; optimizer-relevant).
+    /// Register a temporary table: it keeps no statistics until
+    /// [`Catalog::analyze`]d (optimizer-relevant).
     pub fn create_temp(&mut self, name: &str, rel: Relation) -> Result<()> {
         self.create(name, rel, true, false)
     }
@@ -297,12 +313,9 @@ impl Catalog {
             Mutation::Create {
                 name, rel, temp, ..
             } => {
-                // Base tables are analyzed at load time; temp tables start
-                // without statistics, like the paper's PostgreSQL temp tables.
-                let stats = (!temp).then(|| rel.collect_stats());
                 bytes.add(rel.approx_bytes());
                 self.tables
-                    .insert(norm(&name), Arc::new(TableEntry::new(rel, temp, stats)));
+                    .insert(norm(&name), Arc::new(TableEntry::new(rel, temp)));
             }
             Mutation::Drop { table } => {
                 // snapshots may still share the entry
@@ -367,41 +380,37 @@ impl Catalog {
             .rel
     }
 
-    /// `ANALYZE name` — (re)collect statistics for one table, temp or not.
-    /// This is the cheap per-iteration refresh path for the recursive
-    /// delta relation under the cost-based optimizer.
+    /// `ANALYZE name` — the table, temp or not, keeps statistics until its
+    /// rows next change. O(1): the sketch is computed when first read, and
+    /// one already computed since the last write is kept.
     pub fn analyze(&mut self, name: &str) -> Result<()> {
         let e = self.entry_mut_keep_derived(name)?;
-        e.stats = Some(e.rel.collect_stats());
+        e.stats.get_or_insert_with(OnceLock::new);
         Ok(())
     }
 
     /// Install `cols`, the columns a producer of `name`'s rows holds (a
     /// fixpoint's frontier, from its fold), as the table's columnar image:
-    /// they must be `Batch::from_relation` of the rows, layout and bits.
-    /// With `stats`, their sketches become its statistics, which equal what
-    /// [`Catalog::analyze`] collects from the rows. Debug builds check both.
-    pub fn install_image(&mut self, name: &str, cols: Batch, stats: bool) -> Result<()> {
+    /// they must be `Batch::from_relation` of the rows, layout and bits
+    /// (debug builds check). Statistics the table keeps are then sketched
+    /// off them when read.
+    pub fn install_image(&mut self, name: &str, cols: Batch) -> Result<()> {
         let e = self.entry_mut_keep_derived(name)?;
         debug_assert!(
             cols.same_image(&Batch::from_relation(&e.rel)),
             "{name}: installed columns are not the rows' image"
         );
-        if stats {
-            let stats = RelationStats::of(&cols);
-            debug_assert_eq!(stats, e.rel.collect_stats(), "{name}: statistics");
-            e.stats = Some(stats);
-        }
         e.image = ImageCache::complete(cols);
         Ok(())
     }
 
-    /// Statistics for `name`, if collected and still valid. Probes on
-    /// existing tables count toward the stats-cache hit/miss metrics (a
-    /// miss is the paper's "temp table without statistics" pain point).
+    /// Statistics for `name`, if it keeps any ([`TableEntry::stats`]).
+    /// Probes on existing tables count toward the stats-cache metrics: a
+    /// hit when statistics are returned, cached or sketched now, a miss
+    /// when the table keeps none (the paper's "temp table without
+    /// statistics" pain point).
     pub fn stats(&self, name: &str) -> Option<&RelationStats> {
-        let e = self.tables.get(&norm(name))?;
-        let stats = e.stats.as_ref();
+        let stats = self.tables.get(&norm(name))?.stats();
         aio_metrics::hooks::stats_cache(stats.is_some());
         stats
     }
@@ -440,7 +449,7 @@ impl Catalog {
         let arc = self.tables.get_mut(key)?;
         if Arc::strong_count(arc) > 1 {
             aio_metrics::hooks::mvcc_cow_clone();
-            let mut e = TableEntry::new(arc.rel.clone(), arc.temp, None);
+            let mut e = TableEntry::new(arc.rel.clone(), arc.temp);
             e.image = arc.image.take();
             if append {
                 e.adjacency = arc.adjacency.take_tails();

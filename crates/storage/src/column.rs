@@ -399,8 +399,8 @@ impl ColumnVec {
 
     /// The per-column statistics sketch, computed columnar: typed NDV sets
     /// (`i64` / canonical float bits) instead of hashing `Value` enums.
-    /// Produces exactly what [`Relation::collect_stats`] produces row-wise.
-    pub fn sketch(&self) -> ColumnSketch {
+    /// Reached through [`RelationStats::of`](crate::RelationStats::of).
+    pub(crate) fn sketch(&self) -> ColumnSketch {
         match self {
             ColumnVec::Int { vals, nulls } => {
                 let mut seen = FxHashSet::default();
@@ -899,7 +899,7 @@ impl ImageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::{edge_schema, node_schema, RelationStats};
+    use crate::relation::{edge_schema, node_schema};
     use crate::row;
     use crate::schema::DataType;
 
@@ -1183,64 +1183,6 @@ mod tests {
             .canonical(),
         ] {
             assert!(matches!(&col, ColumnVec::Int { nulls, vals } if nulls.count() == vals.len()));
-        }
-    }
-
-    /// Row-at-a-time reference implementation of the stats sketch (the
-    /// pre-columnar `collect_stats`), kept as the oracle.
-    fn row_stats(r: &Relation) -> RelationStats {
-        let arity = r.schema().arity();
-        let mut seen: Vec<FxHashSet<&Value>> = (0..arity).map(|_| Default::default()).collect();
-        let mut columns: Vec<ColumnSketch> = (0..arity)
-            .map(|_| ColumnSketch {
-                ndv: 0,
-                min: None,
-                max: None,
-                nulls: 0,
-            })
-            .collect();
-        for row in r.iter() {
-            for (i, v) in row.iter().enumerate() {
-                if *v == Value::Null {
-                    columns[i].nulls += 1;
-                    continue;
-                }
-                seen[i].insert(v);
-                let c = &mut columns[i];
-                if c.min.as_ref().is_none_or(|m| v < m) {
-                    c.min = Some(v.clone());
-                }
-                if c.max.as_ref().is_none_or(|m| v > m) {
-                    c.max = Some(v.clone());
-                }
-            }
-        }
-        for (c, s) in columns.iter_mut().zip(&seen) {
-            c.ndv = s.len();
-        }
-        RelationStats {
-            rows: r.len(),
-            columns,
-        }
-    }
-
-    #[test]
-    fn columnar_stats_match_row_stats() {
-        let mut typed = Relation::new(edge_schema());
-        typed.push(row![1, 2, 0.5]).unwrap();
-        typed.push(row![Value::Null, 2, -0.0]).unwrap();
-        typed.push(row![1, 7, f64::NAN]).unwrap();
-        typed.push(row![4, Value::Null, 0.0]).unwrap();
-        for rel in [&mixed_rel(), &typed] {
-            let (a, b) = (row_stats(rel), rel.collect_stats());
-            assert_eq!(a.rows, b.rows);
-            for i in 0..rel.schema().arity() {
-                let (x, y) = (a.column(i).unwrap(), b.column(i).unwrap());
-                assert_eq!(x.ndv, y.ndv, "col {i} ndv");
-                assert_eq!(x.min, y.min, "col {i} min");
-                assert_eq!(x.max, y.max, "col {i} max");
-                assert_eq!(x.nulls, y.nulls, "col {i} nulls");
-            }
         }
     }
 }

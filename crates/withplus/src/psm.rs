@@ -814,8 +814,8 @@ impl<'a> PsmRunner<'a> {
     }
 
     /// [`PsmRunner::materialize`] of rows whose columns `cols` are at hand:
-    /// they become the table's columnar image and, under `Cost`, their
-    /// sketches its statistics, equal to what `analyze` would collect.
+    /// they become the table's columnar image. Under `Cost` the table
+    /// keeps statistics, sketched (off that image) only if read.
     fn materialize_with(&mut self, name: &str, rel: Relation, cols: Option<Batch>) -> Result<()> {
         let keep = self.keeps(name);
         if !self.catalog.contains(name) && !keep {
@@ -828,20 +828,23 @@ impl<'a> PsmRunner<'a> {
             replace: true,
         };
         self.catalog.apply(create, self.profile.wal_temp)?;
-        // Under the cost-based optimizer, refresh statistics for the
-        // materialized temp table — this is the cheap per-iteration path
-        // that keeps the shrinking `__delta_*` working table's sketches
-        // current, so per-execution EXPLAIN estimates track the delta.
-        let cost = self.profile.optimizer == Optimizer::Cost;
         // an empty batch may spell a column otherwise than a transpose
-        match cols.filter(|b| !b.is_empty()) {
-            Some(cols) => self.catalog.install_image(name, cols, cost)?,
-            None if cost => {
-                let _ = self.catalog.analyze(name);
-            }
-            None => {}
+        if let Some(cols) = cols.filter(|b| !b.is_empty()) {
+            self.catalog.install_image(name, cols)?;
         }
+        self.mark_stats(name)?;
         self.build_indexes(name)?;
+        Ok(())
+    }
+
+    /// Under the cost-based optimizer, a table the loop writes keeps
+    /// statistics — the shrinking `__delta_*` working table among them, so
+    /// per-execution EXPLAIN estimates track it. O(1): nothing is sketched
+    /// unless read.
+    fn mark_stats(&mut self, name: &str) -> Result<()> {
+        if self.profile.optimizer == Optimizer::Cost {
+            self.catalog.analyze(name)?;
+        }
         Ok(())
     }
 
@@ -1126,12 +1129,12 @@ impl<'a> PsmRunner<'a> {
                         b,
                         keys,
                         index,
-                        self.profile.optimizer == Optimizer::Cost,
                         &mut self.stats.exec,
                     )?,
                     _ => Replaced::Declined,
                 };
                 if let Replaced::Folded { moved: m } = folded {
+                    self.mark_stats(rec)?;
                     moved = m;
                 } else {
                     let delta = rows(delta);

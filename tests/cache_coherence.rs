@@ -10,8 +10,8 @@
 //!    the catalog has — `insert_rows`, `apply_delta`, `truncate`, in-place
 //!    `patch_rows` edits, `create_or_replace`, rename, drop + recreate,
 //!    the four union-by-update implementations, `ubu_merge_improve` and
-//!    `ubu_replace_cols`, whose installed image and statistics must be
-//!    the rows' —
+//!    `ubu_replace_cols`, whose installed image, and the statistics
+//!    sketched off it once the table is analyzed, must be the rows' —
 //!    whatever is cached equals a fresh build over the current rows (the
 //!    image value for value by `to_bits` and in the same per-column layout
 //!    as `Batch::from_relation`, every trie equal to `TrieIndex::build`),
@@ -57,10 +57,11 @@ use all_in_one::algebra::{
 };
 use all_in_one::storage::{
     edge_schema, open_catalog, Adjacency, Batch, Catalog, Column, ColumnVec, Csr, DataType,
-    Mutation, Relation, Row, Schema, SimVfs, TableEntry, TrieIndex, Value, WalPolicy, CHUNK_ROWS,
+    Mutation, Relation, RelationStats, Row, Schema, SimVfs, TableEntry, TrieIndex, Value,
+    WalPolicy, CHUNK_ROWS,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const DIR: &str = "db";
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
@@ -232,19 +233,20 @@ fn step(cat: &mut Catalog, kind: u8, t: usize, a: u8, n: u8) {
             // the replace rule of the keyed column fold, on the one table
             // it can fold: every column NULL-free `Int` or `Float`, keys
             // unique; a fold that wrote something installs R's image and
-            // statistics, which must be the rows' (checked with the rest)
+            // drops R's statistics, which, once analyzed, are sketched off
+            // that image and must be the rows' (checked with the rest)
             if !cat.contains(FOLDED) {
                 cat.create_temp(FOLDED, typed_rel(a, n.max(1), 0)).unwrap();
             }
             let len = cat.relation(FOLDED).unwrap().len();
             let delta = Batch::from_relation(&typed_rel(a, n, len as u8 / 2));
-            let out = ubu_replace_cols(cat, FOLDED, &delta, &[0], &mut None, true, &mut stats);
+            let out = ubu_replace_cols(cat, FOLDED, &delta, &[0], &mut None, &mut stats);
             if out.unwrap() != Replaced::Declined && stats.ubu_changed_rows > 0 {
                 let e = cat.entry(FOLDED).unwrap();
-                assert!(
-                    e.image.cached().is_some() && e.stats.is_some(),
-                    "not installed"
-                );
+                assert!(e.image.cached().is_some(), "not installed");
+                assert!(e.stats.is_none(), "statistics outlived the fold");
+                cat.analyze(FOLDED).unwrap();
+                cat.stats(FOLDED).unwrap();
             }
         }
         _ => warm(cat, name, a),
@@ -288,6 +290,7 @@ fn warm(cat: &mut Catalog, name: &str, a: u8) {
         cat.join_index(name, 0).unwrap();
     }
     cat.analyze(name).unwrap();
+    cat.stats(name).unwrap();
 }
 
 fn same_bits(a: &Value, b: &Value) -> bool {
@@ -364,8 +367,9 @@ fn assert_entry_coherent(e: &TableEntry, ctx: &str) {
     for (col, adj) in e.adjacency.all() {
         assert_adjacency_fresh(&adj, &e.rel, col, ctx);
     }
-    if let Some(stats) = &e.stats {
-        assert!(*stats == e.rel.collect_stats(), "{ctx}: stale statistics");
+    if let Some(stats) = e.stats.as_ref().and_then(OnceLock::get) {
+        let fresh = RelationStats::of(&Batch::from_relation(&e.rel));
+        assert!(*stats == fresh, "{ctx}: stale statistics");
     }
 }
 

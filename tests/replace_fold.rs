@@ -163,8 +163,7 @@ fn both(c: &mut Catalog, lookup: &mut Option<KeyLookup>, delta: &[Row]) -> Optio
     .unwrap();
     let mut got = ExecStats::new();
     let b = Batch::from_relation(&delta);
-    let Replaced::Folded { moved } =
-        ubu_replace_cols(c, "V", &b, &[0], lookup, true, &mut got).unwrap()
+    let Replaced::Folded { moved } = ubu_replace_cols(c, "V", &b, &[0], lookup, &mut got).unwrap()
     else {
         panic!("declined {delta:?}");
     };
@@ -270,7 +269,7 @@ fn declines_what_it_cannot_fold_as_columns() {
         let mut lookup = None;
         let mut s = ExecStats::new();
         let b = Batch::from_relation(&delta);
-        let out = ubu_replace_cols(&mut c, "V", &b, &[0], &mut lookup, true, &mut s).unwrap();
+        let out = ubu_replace_cols(&mut c, "V", &b, &[0], &mut lookup, &mut s).unwrap();
         assert_eq!(out, Replaced::Declined, "{ctx}");
         assert_eq!(bit_rows(c.relation("V").unwrap()), before, "{ctx}");
         assert_eq!((s.union_by_updates, s.ubu_changed_rows), (0, 0), "{ctx}");
@@ -283,7 +282,7 @@ fn declines_what_it_cannot_fold_as_columns() {
     let b = Batch::from_relation(&rel(node_schema(), &[row![1, 3.0]]));
     let mut lookup = None;
     let mut s = ExecStats::new();
-    let out = ubu_replace_cols(&mut c, "V", &b, &[0], &mut lookup, true, &mut s).unwrap();
+    let out = ubu_replace_cols(&mut c, "V", &b, &[0], &mut lookup, &mut s).unwrap();
     assert_eq!(out, Replaced::Declined);
     assert!(lookup.is_none());
 }

@@ -55,7 +55,7 @@ fn all_impls_produce_identical_content() {
     let mut c = setup(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
     let d = Batch::from_relation(&delta(&[(1, 10.0), (3, 30.0), (9, 90.0)]));
     let mut s = ExecStats::new();
-    let folded = ubu_replace_cols(&mut c, "V", &d, &[0], &mut None, true, &mut s).unwrap();
+    let folded = ubu_replace_cols(&mut c, "V", &d, &[0], &mut None, &mut s).unwrap();
     assert_eq!(folded, Replaced::Folded { moved: None }, "9 is new");
     assert_eq!(contents(&c), expected, "column fold");
     assert_eq!(
