@@ -40,6 +40,10 @@ awk '/^test result:/ { p += $4; f += $6; i += $8 }
     END { printf "tier-1: %d passed / %d failed / %d ignored\n", p, f, i }' "$tier1_log"
 rm -f "$tier1_log"
 test "$tier1" -eq 0
+# the allocations per steady fixpoint iteration, bounded in tier-1's debug
+# build, bounded again in the release build the benchmark times (debug
+# assertions allocate more)
+cargo test --locked --release -q --test loop_allocs
 cargo test --locked -q --workspace --exclude all-in-one -- $ignored
 # `cargo test` compiles the examples but never runs them: run each (toy
 # graphs, seconds) so a panicking unwrap in one fails here

@@ -35,7 +35,7 @@ pub use expr::{seed_random, BinOp, Func, ScalarExpr, UnaryOp};
 pub use fault::{fault_hits, inject_ubu_off_by_one, inject_wcoj_seek_off_by_one};
 pub use ops::{AntiJoinImpl, JoinKeys, JoinType, MvOrientation, UbuImpl};
 pub use optimize::{optimize_plan, push_selections};
-pub use plan::{execute, execute_traced, Evaluator, Plan};
+pub use plan::{execute, execute_traced, Evaluator, Plan, Prepared};
 pub use profile::{
     all_profiles, db2_like, oracle_like, postgres_like, AggStrategy, EngineProfile, ExecMode,
     JoinStrategy, Optimizer,

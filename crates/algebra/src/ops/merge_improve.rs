@@ -412,7 +412,7 @@ fn pick(
     lookup: &KeyLookup,
     mut takes: impl FnMut(usize, usize) -> bool,
 ) -> Vec<Picked> {
-    let mut picked = Vec::new();
+    let mut picked = Vec::with_capacity(keys.len());
     for (i, &k) in keys.iter().enumerate() {
         match lookup.row_of_int(t, k) {
             Some(ti) if !takes(i, ti) => {}
@@ -472,7 +472,7 @@ fn patch_lanes(
     if picked.is_empty() {
         return Ok(());
     }
-    let (mut set, mut append) = (Vec::new(), Vec::new());
+    let (mut set, mut append) = (Vec::with_capacity(picked.len()), Vec::new());
     for &(i, pos) in picked {
         match pos {
             Some(ti) => set.push((ti, i)),

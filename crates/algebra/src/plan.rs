@@ -356,38 +356,112 @@ impl<'p> MvShape<'p> {
     }
 }
 
-/// An [`MvShape`] over its join's two batches as a semiring product that
-/// folds: the matrix's group-key column, the terms' checked columns
-/// ([`batch::Fold`]), the items compiled for grouped evaluation, and the
-/// schemas of the join and of the aggregate.
-struct Product<'b> {
+/// An [`MvShape`] resolved against its join's two input schemas, as a
+/// semiring product: the matrix's group-key column, each term's column
+/// pair in the joined schema, the items compiled for grouped evaluation,
+/// and the schemas of the join and of the aggregate. Names only: whether
+/// the columns fold is [`batch::Fold::prepare`]'s per-call check.
+struct Product {
     group: usize,
-    fold: batch::Fold<'b>,
+    terms: Vec<(AggFunc, Times, [usize; 2])>,
     items: Vec<ScalarExpr>,
     schemas: [Schema; 2],
 }
 
-impl<'b> Product<'b> {
-    /// `None` unless the group key is one column of the matrix, every
-    /// aggregate a semiring term ([`MvShape::terms`]) whose names resolve,
-    /// and the columns pass [`batch::Fold::prepare`].
-    fn of(shape: MvShape<'_>, lb: &'b Batch, rb: &'b Batch) -> Option<Product<'b>> {
+impl Product {
+    /// `None` unless the group key is one column of the matrix and every
+    /// aggregate a semiring term ([`MvShape::terms`]) whose names resolve.
+    fn resolve(shape: MvShape<'_>, matrix: &Schema, vector: &Schema) -> Option<Product> {
         let [key] = shape.group_by else {
             return None;
         };
-        let schema = lb.schema().join(rb.schema());
+        let schema = matrix.join(vector);
         let at = |name: &str| schema.index_of(name).ok();
-        let group = at(key).filter(|&g| g < lb.schema().arity())?;
-        let fold = batch::Fold::prepare(lb, rb, group, &shape.terms(at)?)?;
+        let group = at(key).filter(|&g| g < matrix.arity())?;
+        let terms = shape.terms(at)?;
         // an error here is the unfused aggregate's to report
         let compiled = ops::groupby::compile(&schema, Some(&[group]), shape.items).ok()?;
         let out = schema_of_items(shape.items, &schema);
         Some(Product {
             group,
-            fold,
+            terms,
             items: compiled.items,
             schemas: [schema, out],
         })
+    }
+}
+
+/// What evaluating one plan derives from the plan and the catalog's
+/// schemas alone, kept from one evaluation of the plan to the next — a
+/// recursive step's for a whole fixpoint run, the way a stored procedure's
+/// statements are prepared once and executed every iteration (DESIGN
+/// §10). Per node, by the pre-order id [`Evaluator`] numbers it with: a
+/// scan's qualified schema, a join's key columns, the product of a fused
+/// MV-join, and what the node takes from its children. Every entry
+/// remembers the input schemas it was resolved against and is resolved
+/// again when they are not the same schemas ([`Schema::ptr_eq`]): a table
+/// created again under the same name resolves again. What reads the data
+/// — a fold's column checks, a join's drive test, statistics — is never
+/// kept. A `Prepared` belongs to one plan, and ends with its owner:
+/// `Prepared::default()` holds nothing yet.
+#[derive(Default)]
+pub struct Prepared {
+    nodes: Vec<Node>,
+}
+
+impl Prepared {
+    fn node(&mut self, id: usize) -> &mut Node {
+        if self.nodes.len() <= id {
+            self.nodes.resize_with(id + 1, Node::default);
+        }
+        &mut self.nodes[id]
+    }
+}
+
+/// One node's entries in a [`Prepared`].
+#[derive(Default)]
+struct Node {
+    /// The node's output schema over its inputs (`Plan::schema_over`; a
+    /// scan's over its table's stored schema): every scan's, and in debug
+    /// builds every node's, which [`Evaluator::eval`] holds it to.
+    schema: Option<Keyed<Schema>>,
+    /// A join's key columns over its two inputs.
+    keys: Option<Keyed<JoinKeys>>,
+    /// The product of the join under a fused aggregate, `None` when the
+    /// shape does not resolve.
+    product: Option<Keyed<Option<Product>>>,
+    /// What the node takes from its children ([`Evaluator::takes_from`]);
+    /// never kept for a projection, whose answer reads its input's schema
+    /// and what its consumer takes.
+    takes: Option<Taken>,
+}
+
+/// A fact resolved against `over`, the input schemas it read.
+struct Keyed<T> {
+    over: Vec<Schema>,
+    value: T,
+}
+
+impl<T> Keyed<T> {
+    /// The value `slot` holds if it was resolved against these same
+    /// `inputs`, else `resolve()`'s, which `slot` then keeps. An error is
+    /// returned and not kept.
+    fn get<'s, E>(
+        slot: &'s mut Option<Keyed<T>>,
+        inputs: &[&Schema],
+        resolve: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<&'s T, E> {
+        let holds = |k: &Keyed<T>| {
+            k.over.len() == inputs.len() && k.over.iter().zip(inputs).all(|(a, b)| a.ptr_eq(b))
+        };
+        if !slot.as_ref().is_some_and(holds) {
+            let over = inputs.iter().map(|&s| s.clone()).collect();
+            *slot = Some(Keyed {
+                over,
+                value: resolve()?,
+            });
+        }
+        Ok(&slot.as_ref().expect("resolved above").value)
     }
 }
 
@@ -422,8 +496,8 @@ pub fn op_name(plan: &Plan) -> &'static str {
 /// build/probe phase timings and the morsel count. Children are evaluated
 /// in [`Plan::children`] order, so node ids follow the pre-order of
 /// [`Plan::visit`] — which is how [`crate::explain`] correlates spans back to
-/// plan nodes. Without a tracer the only extra cost per node is one `Option`
-/// branch.
+/// plan nodes, and how a [`Prepared`] finds each node's entries. Without a
+/// tracer the only extra cost per node is one `Option` branch.
 pub struct Evaluator<'a> {
     pub catalog: &'a Catalog,
     pub profile: &'a EngineProfile,
@@ -485,25 +559,27 @@ impl<'a> Evaluator<'a> {
         ev
     }
 
-    /// Evaluate a plan from its root, restarting pre-order node numbering
-    /// at 0 so repeated executions of the same plan produce spans with
-    /// identical `node` ids (EXPLAIN aggregates across invocations by id).
-    pub fn eval_root(&mut self, plan: &Plan) -> Result<Relation> {
-        Ok(self.root(plan, Takes::Rows)?.into_relation())
+    /// Evaluate a plan from its root through `prepared`, the plan's
+    /// [`Prepared`] (a fresh one for a plan evaluated once), restarting
+    /// pre-order node numbering at 0 so repeated executions of the same
+    /// plan produce spans with identical `node` ids (EXPLAIN aggregates
+    /// across invocations by id) and find their own entries in `prepared`.
+    pub fn eval_root(&mut self, plan: &Plan, prepared: &mut Prepared) -> Result<Relation> {
+        Ok(self.root(plan, Takes::Rows, prepared)?.into_relation())
     }
 
     /// [`Evaluator::eval_root`] whose result stays the root's columns:
     /// nothing turns it into rows.
-    pub fn eval_root_batch(&mut self, plan: &Plan) -> Result<Batch> {
-        Ok(self.root(plan, Takes::Cols)?.into_batch())
+    pub fn eval_root_batch(&mut self, plan: &Plan, prepared: &mut Prepared) -> Result<Batch> {
+        Ok(self.root(plan, Takes::Cols, prepared)?.into_batch())
     }
 
-    fn root(&mut self, plan: &Plan, takes: Takes<'_>) -> Result<Data> {
+    fn root(&mut self, plan: &Plan, takes: Takes<'_>, prep: &mut Prepared) -> Result<Data> {
         self.node_seq = 0;
         if self.tracer.is_some() {
             self.est = crate::stats::estimate_nodes(plan, self.catalog);
         }
-        self.eval(plan, takes)
+        self.eval(plan, takes, prep)
     }
 
     /// Evaluate one node: open its span, evaluate the children in
@@ -511,11 +587,11 @@ impl<'a> Evaluator<'a> {
     /// the span's output fields (`batches` only on columnar outputs, `typed`
     /// only on a batch-mode project / aggregate, `fused` on an aggregate
     /// whose join folded its groups). `takes`: what the node's consumer takes
-    /// from it ([`Takes`]).
-    fn eval<'p>(&mut self, plan: &'p Plan, takes: Takes<'p>) -> Result<Data> {
+    /// from it ([`Takes`]); `prep`: the plan's [`Prepared`].
+    fn eval<'p>(&mut self, plan: &'p Plan, takes: Takes<'p>, prep: &mut Prepared) -> Result<Data> {
+        let node = self.node_seq;
+        self.node_seq += 1;
         let span = self.tracer.map(|t| {
-            let node = self.node_seq;
-            self.node_seq += 1;
             let span = t.span(op_name(plan));
             span.field("node", node);
             if let Some(&e) = self.est.get(node as usize) {
@@ -529,18 +605,19 @@ impl<'a> Evaluator<'a> {
             }
             span
         });
-        let child = self.takes_from(plan, takes);
+        let child = self.takes_from(plan, takes, prep.node(node as usize));
         let mut inputs = Vec::new();
         for c in plan.children() {
-            inputs.push(self.eval(c, child)?);
+            inputs.push(self.eval(c, child, prep)?);
         }
+        let entries = prep.node(node as usize);
         // debug builds (the profile the tests run in) hold every operator
         // to the plan layer's definition of its output schema
         let expected = cfg!(debug_assertions).then(|| {
             let schemas: Vec<&Schema> = inputs.iter().map(Data::schema).collect();
-            plan.schema_over(self.catalog, &schemas)
+            self.output_schema(plan, &schemas, entries)
         });
-        let out = self.apply(plan, inputs, takes)?;
+        let out = self.apply(plan, inputs, takes, entries)?;
         if let Some(expected) = expected {
             debug_assert_eq!(out.schema(), &expected?, "{}", op_name(plan));
         }
@@ -607,23 +684,30 @@ impl<'a> Evaluator<'a> {
     /// A scan whose consumer takes rows ([`Takes::Rows`]) hands out the
     /// table's rows, sharing its chunks, in either mode, and an identity
     /// projection over rows renames them: neither builds an image or a row.
-    /// `takes` as for [`Evaluator::eval`].
-    fn apply(&mut self, plan: &Plan, inputs: Vec<Data>, takes: Takes<'_>) -> Result<Data> {
+    /// `takes` as for [`Evaluator::eval`]; `node`: the node's entries in
+    /// the plan's [`Prepared`].
+    fn apply(
+        &mut self,
+        plan: &Plan,
+        inputs: Vec<Data>,
+        takes: Takes<'_>,
+        node: &mut Node,
+    ) -> Result<Data> {
         let columnar = self.profile.exec == ExecMode::Batch;
         let par = self.profile.effective_parallelism();
         let mut inputs = inputs.into_iter();
         let mut next = || inputs.next().expect("eval passes one input per child");
         match plan {
-            Plan::Scan { table, alias } => {
+            Plan::Scan { table, .. } => {
                 let rel = self.catalog.relation(table)?;
                 self.stats.rows_scanned += rel.len() as u64;
+                // the table's rows or its cached image, shared under this
+                // scan's qualifier — never a transposition of its own
+                let schema = self.output_schema(plan, &[], node)?;
                 Ok(if columnar && !matches!(takes, Takes::Rows) {
-                    // the catalog's cached image, shared under this scan's
-                    // qualifier — never a transposition of its own
-                    let image = self.catalog.columnar(table)?;
-                    Data::Cols(image.with_schema(plan.schema_over(self.catalog, &[])?))
+                    Data::Cols(self.catalog.columnar(table)?.with_schema(schema))
                 } else {
-                    let mut rows = ops::rename(rel, alias.as_deref().unwrap_or(table));
+                    let mut rows = rel.clone().with_schema(schema);
                     if columnar {
                         // what the image's transpose back to rows would carry
                         rows.set_pk(None);
@@ -726,24 +810,26 @@ impl<'a> Evaluator<'a> {
                 kind,
             } => {
                 let (mut l, mut r) = (next(), next());
+                let keys = Self::join_keys(&mut node.keys, [l.schema(), r.schema()], on)?;
                 if columnar && self.profile.join == JoinStrategy::Hash && residual.is_none() {
                     let (lb, rb) = (l.into_batch(), r.into_batch());
-                    let keys = JoinKeys::resolve_schemas(lb.schema(), rb.schema(), on)?;
-                    if let Some(out) = self.batch_join(left, &lb, &rb, &keys, *kind, takes)? {
+                    let product = &mut node.product;
+                    if let Some(out) =
+                        self.batch_join(left, &lb, &rb, keys, *kind, takes, product)?
+                    {
                         return Ok(out);
                     }
                     // no key, or non-`Int` keys
                     (l, r) = (Data::Cols(lb), Data::Cols(rb));
                 }
                 let (lrel, rrel) = (l.into_relation(), r.into_relation());
-                let keys = JoinKeys::resolve(&lrel, &rrel, on)?;
                 // held while the join borrows their orders
                 let lindex = self.index_order(left, &keys.left);
                 let rindex = self.index_order(right, &keys.right);
                 Ok(Data::Rows(ops::join_par(
                     &lrel,
                     &rrel,
-                    &keys,
+                    keys,
                     residual.as_ref(),
                     *kind,
                     self.profile.join,
@@ -781,11 +867,11 @@ impl<'a> Evaluator<'a> {
             }
             Plan::AntiJoin { on, imp, .. } => {
                 let (l, r) = (next().into_relation(), next().into_relation());
-                let keys = JoinKeys::resolve(&l, &r, on)?;
+                let keys = Self::join_keys(&mut node.keys, [l.schema(), r.schema()], on)?;
                 Ok(Data::Rows(ops::anti_join_par(
                     &l,
                     &r,
-                    &keys,
+                    keys,
                     *imp,
                     self.profile.join,
                     par,
@@ -794,11 +880,11 @@ impl<'a> Evaluator<'a> {
             }
             Plan::SemiJoin { on, .. } => {
                 let (l, r) = (next().into_relation(), next().into_relation());
-                let keys = JoinKeys::resolve(&l, &r, on)?;
+                let keys = Self::join_keys(&mut node.keys, [l.schema(), r.schema()], on)?;
                 Ok(Data::Rows(ops::semi_join_par(
                     &l,
                     &r,
-                    &keys,
+                    keys,
                     par,
                     &mut self.stats,
                 )?))
@@ -886,11 +972,14 @@ impl<'a> Evaluator<'a> {
     /// table's adjacency ([`Evaluator::driven_join`]) or hashed
     /// ([`batch::hash_join`]), its pairs gathered into the joined columns.
     /// Under a fused aggregate (`Takes::Fold`) whose semiring product
-    /// folds ([`Product::of`], resolved once, before the pair source is
-    /// chosen), nothing is gathered (DESIGN §18): the product folds over
-    /// the matrix's rows when it pulls, else over the join's pairs — the
-    /// push, unless a term converts its matrix operand.
+    /// resolves ([`Product::resolve`], kept in `product` while the inputs'
+    /// schemas stay the same) and whose columns fold
+    /// ([`batch::Fold::prepare`], checked on every call, before the pair
+    /// source is chosen), nothing is gathered (DESIGN §18): the product
+    /// folds over the matrix's rows when it pulls, else over the join's
+    /// pairs — the push, unless a term converts its matrix operand.
     /// `None`: keys the batch join does not take, for the row join.
+    #[allow(clippy::too_many_arguments)]
     fn batch_join(
         &mut self,
         left: &Plan,
@@ -899,12 +988,21 @@ impl<'a> Evaluator<'a> {
         keys: &JoinKeys,
         kind: JoinType,
         takes: Takes<'_>,
+        product: &mut Option<Keyed<Option<Product>>>,
     ) -> Result<Option<Data>> {
         let par = self.profile.effective_parallelism();
         let product = match takes {
-            Takes::Fold(shape) => Product::of(shape, lb, rb),
+            Takes::Fold(shape) => {
+                let (l, r) = (lb.schema(), rb.schema());
+                let resolve = || Ok::<_, ()>(Product::resolve(shape, l, r));
+                Keyed::get(product, &[l, r], resolve)
+                    .ok()
+                    .and_then(Option::as_ref)
+            }
             _ => None,
         };
+        let product =
+            product.and_then(|p| Some((p, batch::Fold::prepare(lb, rb, p.group, &p.terms)?)));
         let mut source = (self.driven_join(left, lb, rb, keys, kind)?).map(batch::Source::Pairs);
         // the pull: no small side drove, the matrix is a bare scan of a base
         // table, the vector's key is unique and direct-addressed, and the
@@ -913,7 +1011,7 @@ impl<'a> Evaluator<'a> {
             (None, Some(_), Plan::Scan { .. }) => batch::Slots::of(lb, rb, keys),
             _ => None,
         };
-        if let (Some(slots), Some(p), Plan::Scan { table, .. }) = (slots, &product, left) {
+        if let (Some(slots), Some((p, _)), Plan::Scan { table, .. }) = (slots, &product, left) {
             if let Some((adjacency, build_ns)) = self.catalog.join_index(table, p.group)? {
                 if self.tracer.is_some() {
                     let name = &lb.schema().columns()[p.group].name;
@@ -930,7 +1028,7 @@ impl<'a> Evaluator<'a> {
             },
         };
         let pulls = matches!(source, batch::Source::Rows(..));
-        let Some(p) = product.filter(|p| pulls || !p.fold.converts_matrix) else {
+        let Some((p, fold)) = product.filter(|(_, f)| pulls || !f.converts_matrix) else {
             let batch::Source::Pairs(pairs) = source else {
                 unreachable!("only a product pulls: the pull is a pair source of one fold")
             };
@@ -940,10 +1038,37 @@ impl<'a> Evaluator<'a> {
             let how = self.join_index.take();
             self.join_index = Some(how.map_or("push".into(), |how| how + ", push"));
         }
-        let folded = p
-            .fold
-            .run(source, &p.items, p.schemas, par, &mut self.stats)?;
+        let schemas = p.schemas.clone();
+        let folded = fold.run(source, &p.items, schemas, par, &mut self.stats)?;
         Ok(Some(Data::Folded(folded)))
+    }
+
+    /// `plan`'s output schema over `inputs` (`Plan::schema_over`), kept in
+    /// `node` while they are the same schemas — a scan's over its table's
+    /// stored schema, so a table created again resolves again.
+    fn output_schema(&self, plan: &Plan, inputs: &[&Schema], node: &mut Node) -> Result<Schema> {
+        let stored;
+        let over = match plan {
+            Plan::Scan { table, .. } => {
+                stored = [self.catalog.relation(table)?.schema()];
+                &stored[..]
+            }
+            _ => inputs,
+        };
+        let schema = Keyed::get(&mut node.schema, over, || {
+            plan.schema_over(self.catalog, inputs)
+        })?;
+        Ok(schema.clone())
+    }
+
+    /// A join's key columns `on` over its inputs' schemas `l` and `r`,
+    /// kept in `keys` while they are the same schemas.
+    fn join_keys<'k>(
+        keys: &'k mut Option<Keyed<JoinKeys>>,
+        [l, r]: [&Schema; 2],
+        on: &[(String, String)],
+    ) -> Result<&'k JoinKeys> {
+        Keyed::get(keys, &[l, r], || JoinKeys::resolve_schemas(l, r, on))
     }
 
     /// What `plan` takes from its children, given what its own consumer
@@ -954,8 +1079,29 @@ impl<'a> Evaluator<'a> {
     /// renames rows, so only a consumer of rows asks its scan for them);
     /// anything else columns where its kernel produces them. Decided from
     /// the plan and the profile alone, so a traced and an untraced run take
-    /// the same shapes.
-    fn takes_from<'p>(&self, plan: &'p Plan, takes: Takes<'p>) -> Takes<'p> {
+    /// the same shapes, and kept in `node` — but an identity projection's,
+    /// which reads its input's schema, is decided on every call.
+    fn takes_from<'p>(&self, plan: &'p Plan, takes: Takes<'p>, node: &mut Node) -> Takes<'p> {
+        let shape = || MvShape::of(plan).expect("kept only for a fused aggregate");
+        match node.takes {
+            Some(Taken::Cols) => return Takes::Cols,
+            Some(Taken::Rows) => return Takes::Rows,
+            Some(Taken::Fold) => return Takes::Fold(shape()),
+            None => {}
+        }
+        let taken = self.decide_takes(plan, takes);
+        if !matches!(plan, Plan::Project { .. }) {
+            node.takes = Some(match taken {
+                Takes::Cols => Taken::Cols,
+                Takes::Rows => Taken::Rows,
+                Takes::Fold(_) => Taken::Fold,
+            });
+        }
+        taken
+    }
+
+    /// [`Evaluator::takes_from`], decided.
+    fn decide_takes<'p>(&self, plan: &'p Plan, takes: Takes<'p>) -> Takes<'p> {
         if let Some(shape) = self.fuses(plan) {
             return Takes::Fold(shape);
         }
@@ -1011,6 +1157,15 @@ impl<'a> Evaluator<'a> {
             _ => None,
         }
     }
+}
+
+/// [`Takes`] as a [`Prepared`] keeps it: a fused aggregate's shape is read
+/// off the plan again.
+#[derive(Clone, Copy)]
+enum Taken {
+    Cols,
+    Rows,
+    Fold,
 }
 
 /// What a node's consumer takes from it ([`Evaluator::takes_from`]).
@@ -1091,15 +1246,13 @@ impl Data {
     }
 }
 
-/// Convenience: evaluate a plan with fresh stats.
+/// Convenience: evaluate a plan once, with fresh stats.
 pub fn execute(
     plan: &Plan,
     catalog: &Catalog,
     profile: &EngineProfile,
 ) -> Result<(Relation, ExecStats)> {
-    let mut ev = Evaluator::new(catalog, profile);
-    let rel = ev.eval_root(plan)?;
-    Ok((rel, ev.stats))
+    execute_traced(plan, catalog, profile, None)
 }
 
 /// [`execute`] with an optional tracer recording one span per operator.
@@ -1110,7 +1263,7 @@ pub fn execute_traced(
     tracer: Option<&aio_trace::Tracer>,
 ) -> Result<(Relation, ExecStats)> {
     let mut ev = Evaluator::with_tracer(catalog, profile, tracer);
-    let rel = ev.eval_root(plan)?;
+    let rel = ev.eval_root(plan, &mut Prepared::default())?;
     Ok((rel, ev.stats))
 }
 

@@ -150,14 +150,63 @@ pub struct CheckpointStats {
     pub tables: usize,
 }
 
+/// A table's key in the catalog: its name, lowercased.
 fn norm(name: &str) -> String {
     name.to_ascii_lowercase()
 }
 
+/// The longest name [`Key`] lowercases on the stack.
+const KEY_INLINE: usize = 48;
+
+/// [`norm`] of a name for a lookup: lowercased on the stack when it is at
+/// most [`KEY_INLINE`] bytes, so finding a table allocates nothing.
+enum Key {
+    Inline([u8; KEY_INLINE], usize),
+    Heap(String),
+}
+
+impl Key {
+    fn of(name: &str) -> Key {
+        let mut buf = [0u8; KEY_INLINE];
+        match buf.get_mut(..name.len()) {
+            Some(b) => {
+                b.copy_from_slice(name.as_bytes());
+                b.make_ascii_lowercase();
+                Key::Inline(buf, name.len())
+            }
+            None => Key::Heap(norm(name)),
+        }
+    }
+}
+
+impl std::ops::Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            // lowercasing ASCII bytes keeps UTF-8 valid
+            Key::Inline(buf, len) => std::str::from_utf8(&buf[..*len]).expect("UTF-8"),
+            Key::Heap(s) => s,
+        }
+    }
+}
+
 /// A patch's positions must name rows of the table (`len` of them), each
 /// at most once: a repeated one would log `dels` that replay to other
-/// rows. Sorts a copy of the k positions: O(k log k), nothing O(|table|).
-fn check_positions(table: &str, mut at: Vec<usize>, len: usize) -> Result<()> {
+/// rows. Strictly ascending positions below `len` pass in one pass, with
+/// nothing allocated (a fold writes R's rows in key order, which is R's
+/// order); any others are sorted into a copy: O(k log k), nothing
+/// O(|table|).
+fn check_positions(table: &str, at: impl Iterator<Item = usize> + Clone, len: usize) -> Result<()> {
+    let mut next = 0;
+    if at.clone().all(|i| {
+        let ok = i >= next && i < len;
+        next = i + 1;
+        ok
+    }) {
+        return Ok(());
+    }
+    let mut at: Vec<usize> = at.collect();
     at.sort_unstable();
     if let Some(i) = at.last().filter(|&&i| i >= len) {
         return Err(StorageError::Invalid(format!(
@@ -217,16 +266,17 @@ impl Catalog {
     /// nothing. The record is encoded only when something reads it: a
     /// `policy` other than `None`, or a durable log.
     pub fn apply(&mut self, m: Mutation, policy: WalPolicy) -> Result<()> {
-        m.check(|t| Some(self.tables.get(&norm(t))?.rel.schema().arity()))?;
-        let at = match &m {
-            Mutation::Patch { table, set, .. } => Some((table, set.iter().map(|s| s.0).collect())),
-            Mutation::PatchLanes { table, set, .. } => {
-                Some((table, set.iter().map(|s| s.0).collect()))
+        m.check(|t| Some(self.tables.get(&*Key::of(t))?.rel.schema().arity()))?;
+        match &m {
+            Mutation::Patch { table, set, .. } => {
+                let len = self.relation(table)?.len();
+                check_positions(table, set.iter().map(|s| s.0), len)?;
             }
-            _ => None,
-        };
-        if let Some((table, at)) = at {
-            check_positions(table, at, self.relation(table)?.len())?;
+            Mutation::PatchLanes { table, set, .. } => {
+                let len = self.relation(table)?.len();
+                check_positions(table, set.iter().map(|s| s.0), len)?;
+            }
+            _ => {}
         }
         if policy != WalPolicy::None || self.durable.is_some() {
             let record = self.record(&m);
@@ -311,18 +361,22 @@ impl Catalog {
         let row_bytes = |rows: &[Row], arity| rows.len() as u64 * approx_row_bytes(arity);
         match m {
             Mutation::Create {
-                name, rel, temp, ..
+                mut name,
+                rel,
+                temp,
+                ..
             } => {
                 bytes.add(rel.approx_bytes());
+                name.make_ascii_lowercase();
                 self.tables
-                    .insert(norm(&name), Arc::new(TableEntry::new(rel, temp)));
+                    .insert(name, Arc::new(TableEntry::new(rel, temp)));
             }
             Mutation::Drop { table } => {
                 // snapshots may still share the entry
-                self.tables.remove(&norm(&table));
+                self.tables.remove(&*Key::of(&table));
             }
             Mutation::Rename { old, new } => {
-                let e = self.tables.remove(&norm(&old)).expect("validated");
+                let e = self.tables.remove(&*Key::of(&old)).expect("validated");
                 self.tables.insert(norm(&new), e);
             }
             Mutation::Truncate { table } => self.write(&table, false).truncate(0),
@@ -375,7 +429,7 @@ impl Catalog {
     /// appends to them or (`append == false`) may change any.
     fn write(&mut self, name: &str, append: bool) -> &mut Relation {
         &mut self
-            .table_mut_for_write(&norm(name), append)
+            .table_mut_for_write(&Key::of(name), append)
             .expect("validated")
             .rel
     }
@@ -410,7 +464,7 @@ impl Catalog {
     /// when the table keeps none (the paper's "temp table without
     /// statistics" pain point).
     pub fn stats(&self, name: &str) -> Option<&RelationStats> {
-        let stats = self.tables.get(&norm(name))?.stats();
+        let stats = self.tables.get(&*Key::of(name))?.stats();
         aio_metrics::hooks::stats_cache(stats.is_some());
         stats
     }
@@ -462,8 +516,7 @@ impl Catalog {
     }
 
     fn entry_mut_keep_derived(&mut self, name: &str) -> Result<&mut TableEntry> {
-        let key = norm(name);
-        self.table_mut(&key)
+        self.table_mut(&Key::of(name))
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
 
@@ -480,12 +533,12 @@ impl Catalog {
     }
 
     pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(&norm(name))
+        self.tables.contains_key(&*Key::of(name))
     }
 
     pub fn entry(&self, name: &str) -> Result<&TableEntry> {
         self.tables
-            .get(&norm(name))
+            .get(&*Key::of(name))
             .map(|e| e.as_ref())
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
@@ -559,7 +612,7 @@ impl Catalog {
     /// keeps the version it can compare against or put back.
     pub fn shared_entry(&self, name: &str) -> Result<Arc<TableEntry>> {
         self.tables
-            .get(&norm(name))
+            .get(&*Key::of(name))
             .cloned()
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
@@ -597,7 +650,7 @@ impl Catalog {
     /// mutation but appends came since (it then covers the rows up to the
     /// last join's).
     pub fn join_index_on(&self, name: &str, col: usize) -> Option<Adjacency> {
-        self.tables.get(&norm(name))?.adjacency.held(col)
+        self.tables.get(&*Key::of(name))?.adjacency.held(col)
     }
 
     /// The columnar image of `name`: built by the first batch-mode scan
@@ -614,7 +667,7 @@ impl Catalog {
     /// not been invalidated since.
     pub fn trie_on(&self, name: &str, cols: &[usize]) -> Option<std::sync::Arc<TrieIndex>> {
         self.tables
-            .get(&norm(name))
+            .get(&*Key::of(name))
             .and_then(|e| e.tries.cached(cols))
     }
 
@@ -736,11 +789,12 @@ impl Catalog {
         self.in_txn = true;
     }
 
-    fn wal_commit(&mut self, kind: CommitKind, close: bool) -> Result<(u64, u64)> {
+    /// A commit marker of `kind()`, which only a durable log reads.
+    fn wal_commit(&mut self, kind: impl FnOnce() -> CommitKind, close: bool) -> Result<(u64, u64)> {
         let out = match self.durable.as_mut() {
             Some(d) => {
                 let before = d.bytes_appended();
-                d.append_record(&wal::enc_commit(&kind))?;
+                d.append_record(&wal::enc_commit(&kind()))?;
                 d.sync_wal()?;
                 (1, d.bytes_appended() - before)
             }
@@ -758,20 +812,18 @@ impl Catalog {
     /// Commit and close an explicit transaction. Returns (records, bytes)
     /// appended by the commit (its marker).
     pub fn wal_commit_txn(&mut self) -> Result<(u64, u64)> {
-        self.wal_commit(CommitKind::Auto, true)
+        self.wal_commit(|| CommitKind::Auto, true)
     }
 
     /// Iteration-boundary commit emitted by the PSM fixpoint loop:
     /// `iters_done` iterations of `rec`'s recursion are now durable
     /// (0 = the init queries). Leaves the run's transaction open.
     pub fn wal_commit_iter(&mut self, rec: &str, iters_done: u64) -> Result<(u64, u64)> {
-        self.wal_commit(
-            CommitKind::Iter {
-                rec: norm(rec),
-                iters_done,
-            },
-            false,
-        )
+        let kind = || CommitKind::Iter {
+            rec: norm(rec),
+            iters_done,
+        };
+        self.wal_commit(kind, false)
     }
 
     /// A with+ statement is starting: durably record enough context (SQL
@@ -799,7 +851,7 @@ impl Catalog {
     /// mutations and mark the run complete so recovery won't offer it for
     /// resumption.
     pub fn wal_run_end(&mut self, rec: &str) -> Result<()> {
-        self.wal_commit(CommitKind::RunEnd { rec: norm(rec) }, true)
+        self.wal_commit(|| CommitKind::RunEnd { rec: norm(rec) }, true)
             .map(|_| ())
     }
 

@@ -753,15 +753,11 @@ impl Batch {
         &self.cols
     }
 
-    /// Same columns (shared), different qualifier — the batch engine's
-    /// zero-copy `rename` used at scan time.
-    pub fn with_schema(&self, schema: Schema) -> Batch {
+    /// Same columns, different qualifier — the batch engine's zero-copy
+    /// `rename` used at scan time.
+    pub fn with_schema(self, schema: Schema) -> Batch {
         debug_assert_eq!(schema.arity(), self.schema.arity());
-        Batch {
-            schema,
-            cols: self.cols.clone(),
-            len: self.len,
-        }
+        Batch { schema, ..self }
     }
 
     /// Materialize row `i` into `out` (scratch-row bridge for generic

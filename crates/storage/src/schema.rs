@@ -93,6 +93,12 @@ impl Schema {
         self.cols.len()
     }
 
+    /// Are these the same schema — one `Arc`, not merely equal columns?
+    /// What a fact resolved against a schema keys its reuse on.
+    pub fn ptr_eq(&self, other: &Schema) -> bool {
+        Arc::ptr_eq(&self.cols, &other.cols)
+    }
+
     /// Re-qualify every column with `alias` (what `FROM t AS a` does).
     pub fn with_qualifier(&self, alias: &str) -> Schema {
         Schema::new(

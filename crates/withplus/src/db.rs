@@ -10,7 +10,7 @@ use crate::lower::{lower_select, LowerCtx};
 use crate::parser::{Parser, Statement};
 use crate::psm::{PsmRunner, QueryResult, RunStats};
 use aio_algebra::ops::{AntiJoinImpl, UbuImpl};
-use aio_algebra::{optimize_plan, EngineProfile, Evaluator, Optimizer, Plan};
+use aio_algebra::{optimize_plan, EngineProfile, Evaluator, Optimizer, Plan, Prepared};
 use aio_storage::{
     open_catalog, Catalog, CheckpointStats, Column, DataType, InterruptedRun, RecoveryReport,
     Relation, Schema, StdVfs, Value, Vfs,
@@ -145,7 +145,7 @@ pub(crate) fn run_select(
         sp.field("plan", "select");
     }
     let mut ev = Evaluator::with_tracer(catalog, profile, tracer);
-    let relation = ev.eval_root(plan)?;
+    let relation = ev.eval_root(plan, &mut Prepared::default())?;
     drop(span);
     let peak_mem_bytes = ev.mem_peak();
     let stats = RunStats {

@@ -38,7 +38,7 @@ use crate::error::{Result, WithPlusError};
 use aio_algebra::ops::{self, Delta, KeyLookup, Replaced, UbuImpl};
 use aio_algebra::{
     AggFunc, BinOp, EngineProfile, Evaluator, ExecMode, ExecStats, Func, JoinType, Optimizer, Plan,
-    ScalarExpr,
+    Prepared, ScalarExpr,
 };
 use aio_storage::{
     Batch, Catalog, Column, KeyIndex, Mutation, Relation, Schema, StorageError, Value,
@@ -699,8 +699,8 @@ pub(crate) enum Start {
 /// A started loop: what [`PsmRunner::start`] hands to [`PsmRunner::iterate`].
 pub(crate) struct Started {
     /// The recursive steps, self-reference rebound to the frontier table
-    /// once per run when the fold reads one.
-    steps: Vec<CompiledStep>,
+    /// once per run when the fold reads one, each prepared for the run.
+    steps: Vec<Step>,
     frontier: Option<String>,
     fold: Fold,
     /// R's key lookup while a keyed fold reads columns (improve, or the
@@ -715,23 +715,59 @@ pub(crate) struct Started {
     go: bool,
 }
 
-/// The recursive steps as `fold` runs them: the self-reference rebound to
-/// the frontier table when the fold reads one, and that table's name.
-fn bind_steps(c: &CompiledWithPlus, fold: &Fold) -> (Vec<CompiledStep>, Option<String>) {
-    let rec = &c.rec_name;
-    if !fold.reads_frontier() {
-        return (c.recursive.clone(), None);
+/// One recursive step as the loop runs it, prepared once per run (DESIGN
+/// §10): its plan, its span label, what evaluating the plan derives from
+/// the plan and the schemas ([`Prepared`]), and R's declared column names
+/// over the step's result schema.
+struct Step {
+    compiled: CompiledStep,
+    label: String,
+    prepared: Prepared,
+    /// `renamed(from, rec_cols)` for the step's result schema `from`, kept
+    /// while the step's results have equal schemas: R's delta and the
+    /// frontier table then keep one schema from iteration to iteration,
+    /// and so does every schema prepared over the frontier's scan.
+    renamed: Option<(Schema, Schema)>,
+}
+
+impl Step {
+    fn new(qi: usize, compiled: CompiledStep) -> Step {
+        Step {
+            compiled,
+            label: format!("rec[{qi}]"),
+            prepared: Prepared::default(),
+            renamed: None,
+        }
     }
-    let frontier = format!("__delta_{rec}");
-    let steps = c
-        .recursive
-        .iter()
-        .map(|s| CompiledStep {
+
+    /// The step's result schema `result` under R's column names `names`.
+    fn renamed(&mut self, result: &Schema, names: &[String]) -> Result<Schema> {
+        match &self.renamed {
+            Some((from, to)) if from == result => Ok(to.clone()),
+            _ => {
+                let to = renamed(result, names)?;
+                self.renamed = Some((result.clone(), to.clone()));
+                Ok(to)
+            }
+        }
+    }
+}
+
+/// The recursive steps as `fold` runs them, prepared afresh: the
+/// self-reference rebound to the frontier table when the fold reads one,
+/// and that table's name.
+fn bind_steps(c: &CompiledWithPlus, fold: &Fold) -> (Vec<Step>, Option<String>) {
+    let rec = &c.rec_name;
+    let frontier = fold.reads_frontier().then(|| format!("__delta_{rec}"));
+    let bind = |s: &CompiledStep| match &frontier {
+        Some(f) => CompiledStep {
             computed: s.computed.clone(),
-            plan: rebind_scan(&s.plan, rec, &frontier),
-        })
-        .collect();
-    (steps, Some(frontier))
+            plan: rebind_scan(&s.plan, rec, f),
+        },
+        None => s.clone(),
+    };
+    let steps = c.recursive.iter().map(bind).enumerate();
+    (steps.map(|(qi, s)| Step::new(qi, s)).collect(), frontier)
 }
 
 /// The runtime for one with+ execution.
@@ -777,20 +813,31 @@ impl<'a> PsmRunner<'a> {
             .is_some_and(|k| k.eq_ignore_ascii_case(name))
     }
 
+    /// Evaluate a plan run once (an initialization, `computed by` or final
+    /// query): prepared afresh.
     pub(crate) fn eval(&mut self, plan: &Plan, label: &str) -> Result<Relation> {
-        self.eval_as(plan, label, |ev, p| ev.eval_root(p), Relation::len)
+        self.eval_prepared(plan, label, &mut Prepared::default())
     }
 
-    /// [`PsmRunner::eval`] whose result stays the root's columns.
-    fn eval_batch(&mut self, plan: &Plan, label: &str) -> Result<Batch> {
-        self.eval_as(plan, label, |ev, p| ev.eval_root_batch(p), Batch::len)
+    /// [`PsmRunner::eval`] through the plan's own `prepared`.
+    fn eval_prepared(
+        &mut self,
+        plan: &Plan,
+        label: &str,
+        prepared: &mut Prepared,
+    ) -> Result<Relation> {
+        self.eval_as(label, |ev| ev.eval_root(plan, prepared), Relation::len)
+    }
+
+    /// [`PsmRunner::eval_prepared`] whose result stays the root's columns.
+    fn eval_batch(&mut self, plan: &Plan, label: &str, prepared: &mut Prepared) -> Result<Batch> {
+        self.eval_as(label, |ev| ev.eval_root_batch(plan, prepared), Batch::len)
     }
 
     fn eval_as<T>(
         &mut self,
-        plan: &Plan,
         label: &str,
-        root: impl FnOnce(&mut Evaluator<'_>, &Plan) -> aio_algebra::Result<T>,
+        root: impl FnOnce(&mut Evaluator<'_>) -> aio_algebra::Result<T>,
         len: impl FnOnce(&T) -> usize,
     ) -> Result<T> {
         let span = aio_trace::maybe_span(self.tracer, "query");
@@ -798,7 +845,7 @@ impl<'a> PsmRunner<'a> {
             s.field("plan", label.to_string());
         }
         let mut ev = Evaluator::with_tracer(self.catalog, self.profile, self.tracer);
-        let out = root(&mut ev, plan)?;
+        let out = root(&mut ev)?;
         self.stats.exec.absorb(&ev.stats);
         self.stats.peak_mem_bytes = self.stats.peak_mem_bytes.max(ev.mem_peak());
         if let Some(s) = &span {
@@ -1308,14 +1355,16 @@ impl<'a> PsmRunner<'a> {
             let mut max_change = epsilon.is_finite().then_some(0.0f64);
             let mut subqueries: Vec<SubqueryIterStat> = Vec::with_capacity(steps.len());
 
-            for (qi, step) in steps.iter().enumerate() {
-                let label = format!("rec[{qi}]");
-                self.run_step_computed(step, &label)?;
+            for (qi, s) in steps.iter_mut().enumerate() {
+                self.run_step_computed(&s.compiled, &s.label)?;
                 let delta = if self.reads_columns(&fold, trial) {
-                    let b = self.eval_batch(&step.plan, &label)?;
-                    Delta::Cols(b.with_schema(renamed(b.schema(), &c.rec_cols)?))
+                    let b = self.eval_batch(&s.compiled.plan, &s.label, &mut s.prepared)?;
+                    let schema = s.renamed(b.schema(), &c.rec_cols)?;
+                    Delta::Cols(b.with_schema(schema))
                 } else {
-                    Delta::Rows(rename_to(self.eval(&step.plan, &label)?, &c.rec_cols)?)
+                    let rel = self.eval_prepared(&s.compiled.plan, &s.label, &mut s.prepared)?;
+                    let schema = s.renamed(rel.schema(), &c.rec_cols)?;
+                    Delta::Rows(rel.with_schema(schema))
                 };
                 if let (Delta::Rows(delta), true) = (&delta, std::mem::take(&mut trial)) {
                     if let Some(lookup) = improve_is_exact(self.catalog, c, delta)? {

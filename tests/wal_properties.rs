@@ -23,7 +23,8 @@
 
 use all_in_one::algebra::oracle_like;
 use all_in_one::storage::{
-    row, Catalog, DataType, Mutation, Relation, Row, Schema, SimVfs, UnsyncedFate, Value, WalPolicy,
+    row, Batch, Catalog, DataType, Mutation, Relation, Row, Schema, SimVfs, UnsyncedFate, Value,
+    WalPolicy,
 };
 use all_in_one::withplus::Database;
 use proptest::prelude::*;
@@ -551,5 +552,74 @@ fn keyed_union_by_update_commits_once() {
             "{}: replay diverges",
             imp.name()
         );
+    }
+}
+
+/// A patch's positions are checked in any order (`Catalog::apply`): an
+/// unsorted set of valid positions writes, and an out-of-range or a
+/// repeated position is rejected with the same message whether the other
+/// positions ascend or not — for a patch of rows and of lanes alike.
+#[test]
+fn patch_positions_are_checked_in_any_order() {
+    let rows = |a: i64| batch(a, 4);
+    let column_t = |cat: &Catalog| -> Vec<Value> {
+        cat.relation("T")
+            .unwrap()
+            .iter()
+            .map(|r| r[1].clone())
+            .collect()
+    };
+    let fresh = || {
+        let mut cat = Catalog::new();
+        let mut rel = Relation::new(schema());
+        rel.extend(batch(0, 4)).unwrap();
+        cat.create_table("T", rel).unwrap();
+        cat
+    };
+    let lanes = || {
+        let mut rel = Relation::new(schema());
+        rel.extend(rows(10)).unwrap();
+        Batch::from_relation(&rel)
+    };
+    type Patch = fn(&mut Catalog, &[usize], Vec<Row>, Batch) -> all_in_one::storage::Result<()>;
+    let patches: [(&str, Patch); 2] = [
+        ("rows", |cat, at, rows, _| {
+            let set = at.iter().zip(rows).map(|(&i, r)| (i, r)).collect();
+            cat.patch_rows("T", set, Vec::new())
+        }),
+        ("lanes", |cat, at, _, cols| {
+            let set = at.iter().enumerate().map(|(l, &i)| (i, l as u32)).collect();
+            cat.patch_lanes("T", cols, set, Vec::new())
+        }),
+    ];
+    for (kind, patch) in patches {
+        let mut cat = fresh();
+        patch(&mut cat, &[2, 0, 3], rows(10), lanes()).unwrap();
+        let t = cat.relation("T").unwrap();
+        for (k, i) in [2, 0, 3].into_iter().enumerate() {
+            assert_eq!(t[i][1], rows(10)[k][1], "{kind}: row {i}");
+        }
+        assert_eq!(t[1][1], batch(0, 4)[1][1], "{kind}: row 1 untouched");
+        for (at, message) in [
+            (
+                &[0, 4][..],
+                "patch_rows: position 4 out of range for T (4 rows)",
+            ),
+            (
+                &[4, 0],
+                "patch_rows: position 4 out of range for T (4 rows)",
+            ),
+            (&[1, 1], "patch_rows: position 1 repeated for T"),
+            (&[3, 1, 3], "patch_rows: position 3 repeated for T"),
+            (
+                &[2, 1, 1, 9],
+                "patch_rows: position 9 out of range for T (4 rows)",
+            ),
+        ] {
+            let mut cat = fresh();
+            let err = patch(&mut cat, at, rows(10), lanes()).unwrap_err();
+            assert_eq!(err.to_string(), message, "{kind} {at:?}");
+            assert_eq!(column_t(&cat), column_t(&fresh()), "{kind} {at:?}: wrote");
+        }
     }
 }
